@@ -14,10 +14,9 @@ The root grid uses the problem's predefined boundary (periodic here).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.amr.interpolation import is_positive_field, prolong_region, time_interpolate
-from repro.hydro.state import fill_ghosts_periodic
+from repro.amr.interpolation import is_positive_field, parent_covers, shell_boxes
+from repro.hydro.state import FieldSet, fill_ghosts_periodic
+from repro.kernels import dispatch as kernels
 
 
 def _boundary_field_names(grid):
@@ -36,51 +35,34 @@ def _time_fraction(child, parent) -> float:
 
 
 def interpolate_from_parent(child, parent, include_phi: bool = True) -> None:
-    """Fill the child's ghost zones (and, on first fill, its whole array)
-    by conservative interpolation from the parent, time-centred."""
+    """Fill the child's ghost shell by conservative interpolation from the
+    parent, time-centred; interior cells are not touched."""
     r = child.refine_factor
     ng = child.nghost
-    frac = _time_fraction(child, parent)
-
-    # fine-index extent of the child array including ghosts (global indices)
     lo_f = child.start_index - ng
-    hi_f = child.end_index + ng
-    # parent block with a 1-cell rim for slopes
-    lo_p = np.floor_divide(lo_f, r) - 1
-    hi_p = -(-hi_f // r) + 1
-    ng_p = parent.nghost
-    p_sl = tuple(
-        slice(int(lo_p[d] - parent.start_index[d] + ng_p),
-              int(hi_p[d] - parent.start_index[d] + ng_p))
-        for d in range(3)
-    )
-    for d in range(3):
-        if p_sl[d].start < 0 or p_sl[d].stop > parent.shape_with_ghosts[d]:
-            raise ValueError(
-                f"child ghost region leaves parent array: {child} in {parent}"
-            )
-    fine_offset = lo_f - lo_p * r
-    fine_shape = child.shape_with_ghosts
-
-    interior = child.interior
-    for name in _boundary_field_names(child):
-        new_c = parent.fields[name][p_sl]
-        if parent.old_fields is not None and frac < 1.0:
-            coarse = time_interpolate(parent.old_fields[name][p_sl], new_c, frac)
-        else:
-            coarse = new_c
-        fine = prolong_region(coarse, r, fine_shape, fine_offset,
-                              positive=is_positive_field(name))
-        saved = child.fields[name][interior].copy()
-        child.fields[name][...] = fine
-        child.fields[name][interior] = saved
-
+    # every sampled parent cell keeps both neighbours (a 1-cell slope rim)
+    if not parent_covers(parent, lo_f, child.end_index + ng, r, pad=1):
+        raise ValueError(
+            f"child ghost region leaves parent array: {child} in {parent}"
+        )
+    names = _boundary_field_names(child)
+    coarse = [parent.fields[n] for n in names]
+    coarse_old = (None if parent.old_fields is None
+                  else [parent.old_fields[n] for n in names])
+    fine = [child.fields[n] for n in names]
+    positive = [is_positive_field(n) for n in names]
     if include_phi and child.phi is not None and parent.phi is not None:
-        coarse = parent.phi[p_sl]
-        fine = prolong_region(coarse, r, fine_shape, fine_offset)
-        saved = child.phi[interior].copy()
-        child.phi[...] = fine
-        child.phi[interior] = saved
+        # the potential is not interpolated in time
+        coarse.append(parent.phi)
+        fine.append(child.phi)
+        positive.append(False)
+        if coarse_old is not None:
+            coarse_old.append(None)
+    kernels.get("prolong.linear")(
+        coarse, coarse_old, _time_fraction(child, parent), positive,
+        parent.start_index - parent.nghost, r, fine, lo_f,
+        shell_boxes(child.start_index, child.end_index, ng),
+    )
 
 
 def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
@@ -124,7 +106,7 @@ def set_boundary_values(hierarchy, level: int, include_phi: bool = True) -> None
         for g in grids:
             fill_ghosts_periodic(g.fields, g.nghost)
             if include_phi and g.phi is not None:
-                _wrap_phi(g)
+                wrap_phi_ghosts(g)
         return
     for g in grids:
         interpolate_from_parent(g, g.parent, include_phi)
@@ -133,16 +115,6 @@ def set_boundary_values(hierarchy, level: int, include_phi: bool = True) -> None
         copy_from_sibling_links(g, smap.get(g.grid_id, ()), include_phi)
 
 
-def _wrap_phi(grid) -> None:
-    ng = grid.nghost
-    arr = grid.phi
-    for axis in range(3):
-        n = arr.shape[axis]
-        idx = [slice(None)] * 3
-        src = [slice(None)] * 3
-        idx[axis] = slice(0, ng)
-        src[axis] = slice(n - 2 * ng, n - ng)
-        arr[tuple(idx)] = arr[tuple(src)]
-        idx[axis] = slice(n - ng, n)
-        src[axis] = slice(ng, 2 * ng)
-        arr[tuple(idx)] = arr[tuple(src)]
+def wrap_phi_ghosts(grid) -> None:
+    """Periodic wrap of the root potential's ghost zones."""
+    fill_ghosts_periodic(FieldSet(phi=grid.phi), grid.nghost)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.interpolation import prolong_region
+from repro.amr.boundary import wrap_phi_ghosts
+from repro.amr.interpolation import parent_covers
 from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
+from repro.kernels import dispatch as kernels
 from repro.nbody.cic import cic_deposit, cic_gather
 from repro.runtime.faults import take as _take_fault
 
@@ -87,7 +89,7 @@ class HierarchyGravity:
             src = self.source(hierarchy, g, a)
             phi = solve_periodic(src, g.dx)
             g.phi[g.interior] = phi
-            _wrap_phi_ghosts(g)
+            wrap_phi_ghosts(g)
             return
 
         sources = {g.grid_id: self.source(hierarchy, g, a) for g in grids}
@@ -150,19 +152,17 @@ class HierarchyGravity:
         r = grid.refine_factor
         lo_f = grid.start_index - 1
         hi_f = grid.end_index + 1
-        lo_p = np.floor_divide(lo_f, r) - 1
-        hi_p = -(-hi_f // r) + 1
-        ng_p = parent.nghost
-        p_sl = tuple(
-            slice(int(lo_p[d] - parent.start_index[d] + ng_p),
-                  int(hi_p[d] - parent.start_index[d] + ng_p))
-            for d in range(3)
+        if not parent_covers(parent, lo_f, hi_f, r, pad=1):
+            raise ValueError(
+                f"Dirichlet rim leaves parent array: {grid} in {parent}"
+            )
+        rim = np.empty(tuple(int(d) + 2 for d in grid.dims))
+        kernels.get("prolong.linear")(
+            [parent.phi], None, 1.0, [False],
+            parent.start_index - parent.nghost, r, [rim], lo_f,
+            [(lo_f, hi_f)],
         )
-        coarse = parent.phi[p_sl]
-        fine = prolong_region(
-            coarse, r, tuple(int(d) + 2 for d in grid.dims), lo_f - lo_p * r
-        )
-        return fine
+        return rim
 
     def _store_phi(self, grid, rim_solution: np.ndarray) -> None:
         """Write the rim-padded MG solution into grid.phi (ghost layout).
@@ -206,21 +206,6 @@ class HierarchyGravity:
         ng = grid.nghost
         offsets = (positions_hi + positions_lo) - grid.left_edge + ng * grid.dx
         return cic_gather(accel_full, offsets, grid.dx, periodic=False)
-
-
-def _wrap_phi_ghosts(grid) -> None:
-    ng = grid.nghost
-    arr = grid.phi
-    for axis in range(3):
-        n = arr.shape[axis]
-        idx = [slice(None)] * 3
-        src = [slice(None)] * 3
-        idx[axis] = slice(0, ng)
-        src[axis] = slice(n - 2 * ng, n - ng)
-        arr[tuple(idx)] = arr[tuple(src)]
-        idx[axis] = slice(n - ng, n)
-        src[axis] = slice(ng, 2 * ng)
-        arr[tuple(idx)] = arr[tuple(src)]
 
 
 def _exchange_rim(grid, other, rim: np.ndarray) -> bool:

@@ -1,16 +1,20 @@
 """Parent -> child interpolation (prolongation).
 
-Two uses in the hierarchy (paper Sec. 3.2):
+Three uses in the hierarchy (paper Sec. 3.2, 3.3):
 
-* filling a newborn child grid's interior where no old same-level data
-  exists, and
+* filling a newborn child grid where no old same-level data exists,
 * setting child *ghost* boundary values each step, time-interpolated
-  between the parent's old and new states.
+  between the parent's old and new states, and
+* the Dirichlet rim of a subgrid's Poisson solve.
 
 The spatial operator is conservative piecewise-linear reconstruction:
 each parent cell gets MC-limited slopes and the children sample the linear
 profile, so the mean of the r^3 children equals the parent value exactly
 (the property the projection step and the conservation tests rely on).
+:func:`prolong_linear` is the definition of the operator on a whole
+array; every hierarchy call site goes through the ``prolong.linear``
+kernel (:mod:`repro.kernels`), whose NumPy reference is
+:func:`prolong_boxes`.
 """
 
 from __future__ import annotations
@@ -78,132 +82,53 @@ def prolong_linear(coarse: np.ndarray, r: int, positive: bool = False) -> np.nda
     return out
 
 
-def prolong_linear_batch(stack: np.ndarray, r: int,
-                         n_positive: int = 0) -> np.ndarray:
-    """Prolong a ``(F, nx, ny, nz)`` stack of fields in one pass.
-
-    Bitwise identical to calling :func:`prolong_linear` on each of the F
-    fields separately (every operation is elementwise, so batching along
-    a leading axis cannot change any value) — but one set of numpy calls
-    amortised over all fields, which is what makes small-region fills
-    (the rebuild's ghost-shell refreshes) overhead-viable.  The first
-    ``n_positive`` fields get the positivity rescale (callers sort
-    sign-definite fields to the front), the rest keep raw slopes.
-    """
-    if r == 1:
-        return stack.copy()
-    offsets = (np.arange(r) + 0.5) / r - 0.5
-    max_off = 0.5 * (1.0 - 1.0 / r)
-    slopes = [_limited_slopes(stack, axis) for axis in (1, 2, 3)]
-    if n_positive:
-        pos = stack[:n_positive]
-        reach = max_off * (np.abs(slopes[0][:n_positive])
-                           + np.abs(slopes[1][:n_positive])
-                           + np.abs(slopes[2][:n_positive]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(reach > pos, pos / np.maximum(reach, 1e-300), 1.0)
-        scale = np.clip(scale, 0.0, 1.0)
-        for s in slopes:
-            s[:n_positive] *= scale
-    out = np.repeat(np.repeat(np.repeat(stack, r, 1), r, 2), r, 3)
-    for axis in (1, 2, 3):
-        s_rep = np.repeat(
-            np.repeat(np.repeat(slopes[axis - 1], r, 1), r, 2), r, 3
-        )
-        off_axis = offsets[np.arange(out.shape[axis]) % r]
-        bshape = [1, 1, 1, 1]
-        bshape[axis] = out.shape[axis]
-        out = out + s_rep * off_axis.reshape(bshape)
-    return out
-
-
-def prolong_slopes(stack: np.ndarray, r: int,
-                   n_positive: int = 0) -> list[np.ndarray]:
+def prolong_slopes(stack: np.ndarray, r: int, positive) -> list[np.ndarray]:
     """Per-axis MC-limited slopes for a ``(F, ...)`` stack, positivity
-    rescale applied to the leading ``n_positive`` fields — the
-    reconstruction state :func:`gather_prolong` samples.  Computing this
-    once per coarse slab and serving many fine windows from it is what
-    makes fragment-wise ghost-shell refills cheap."""
+    rescale applied to the fields flagged in ``positive`` — the
+    reconstruction state :func:`gather_prolong_boxes` samples."""
     slopes = [_limited_slopes(stack, axis) for axis in (1, 2, 3)]
-    if n_positive:
+    mask = np.asarray(positive, dtype=bool)
+    if mask.any():
         max_off = 0.5 * (1.0 - 1.0 / r)
-        pos = stack[:n_positive]
-        reach = max_off * (np.abs(slopes[0][:n_positive])
-                           + np.abs(slopes[1][:n_positive])
-                           + np.abs(slopes[2][:n_positive]))
+        pos = stack[mask]
+        reach = max_off * (np.abs(slopes[0][mask])
+                           + np.abs(slopes[1][mask])
+                           + np.abs(slopes[2][mask]))
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(reach > pos, pos / np.maximum(reach, 1e-300), 1.0)
         scale = np.clip(scale, 0.0, 1.0)
         for s in slopes:
-            s[:n_positive] *= scale
+            s[mask] *= scale
     return slopes
-
-
-def gather_prolong(stack: np.ndarray, slopes, r: int, fine_shape,
-                   fine_offset) -> np.ndarray:
-    """Sample one fine window of the linear reconstruction.
-
-    Each fine cell gathers its parent's value and per-axis slopes from
-    the precomputed ``(stack, slopes)`` pair (see :func:`prolong_slopes`)
-    and applies the same three slope terms in the same order as
-    :func:`prolong_linear_batch`, so the window is bitwise identical to
-    prolonging the whole slab and slicing — without materialising the
-    fine image of anything outside the window.
-    """
-    window = tuple(
-        slice(int(o), int(o) + int(s)) for o, s in zip(fine_offset, fine_shape)
-    )
-    if r == 1:
-        return stack[(slice(None),) + window].copy()
-    offsets = (np.arange(r) + 0.5) / r - 0.5
-    idx = []
-    offs = []
-    for a in range(3):
-        f = np.arange(window[a].start, window[a].stop)
-        idx.append(f // r)
-        offs.append(offsets[f % r])
-    ix = idx[0][:, None, None]
-    iy = idx[1][None, :, None]
-    iz = idx[2][None, None, :]
-    out = stack[:, ix, iy, iz]
-    out = out + slopes[0][:, ix, iy, iz] * offs[0].reshape(1, -1, 1, 1)
-    out = out + slopes[1][:, ix, iy, iz] * offs[1].reshape(1, 1, -1, 1)
-    out = out + slopes[2][:, ix, iy, iz] * offs[2].reshape(1, 1, 1, -1)
-    return out
 
 
 def gather_prolong_boxes(stack: np.ndarray, slopes, r: int, boxes):
     """Sample many fine windows of the linear reconstruction in one pass.
 
     ``boxes`` is a list of ``(offset, shape)`` windows in the fine image
-    of the slab (the same coordinates :func:`gather_prolong` takes); the
-    return value is a ``(F, N)`` array over all the windows' cells — each
-    window raveled in C order, windows concatenated in list order.  Cell
-    values are bitwise identical to per-window :func:`gather_prolong`
-    calls (the gather and the three slope terms are elementwise; only
-    the layout differs): one set of fancy-index reads amortised over
-    every window is what keeps many-fragment ghost-shell refreshes
-    call-bound no longer.
+    of the slab; the return value is a ``(F, N)`` array over all the
+    windows' cells — each window raveled in C order, windows concatenated
+    in list order.  Each fine cell gathers its parent's value and per-axis
+    slopes and applies the three slope terms in axis order, exactly as
+    :func:`prolong_linear` does.
     """
     ny_s, nz_s = stack.shape[2], stack.shape[3]
     flat_idx = []
     offs_flat = [[], [], []]
-    if r > 1:
-        offsets = (np.arange(r) + 0.5) / r - 0.5
+    offsets = (np.arange(r) + 0.5) / r - 0.5
     for off, shape in boxes:
         ax_idx = []
         for a in range(3):
             f = np.arange(int(off[a]), int(off[a]) + int(shape[a]))
-            ax_idx.append(f // r if r > 1 else f)
-            if r > 1:
-                offs_flat[a].append(
-                    np.broadcast_to(
-                        offsets[f % r].reshape(
-                            [-1 if d == a else 1 for d in range(3)]
-                        ),
-                        tuple(int(s) for s in shape),
-                    ).ravel()
-                )
+            ax_idx.append(f // r)
+            offs_flat[a].append(
+                np.broadcast_to(
+                    offsets[f % r].reshape(
+                        [-1 if d == a else 1 for d in range(3)]
+                    ),
+                    tuple(int(s) for s in shape),
+                ).ravel()
+            )
         # one flat index into the slab's raveled spatial dims per cell
         flat_idx.append(
             (ax_idx[0][:, None, None] * (ny_s * nz_s)
@@ -212,50 +137,96 @@ def gather_prolong_boxes(stack: np.ndarray, slopes, r: int, boxes):
         )
     idx = np.concatenate(flat_idx)
     out = stack.reshape(stack.shape[0], -1)[:, idx]
-    if r > 1:
-        for a in range(3):
-            out = out + (slopes[a].reshape(stack.shape[0], -1)[:, idx]
-                         * np.concatenate(offs_flat[a]))
+    for a in range(3):
+        out = out + (slopes[a].reshape(stack.shape[0], -1)[:, idx]
+                     * np.concatenate(offs_flat[a]))
     return out
 
 
-def prolong_region_batch(coarse_padded: np.ndarray, r: int, fine_shape,
-                         fine_offset, n_positive: int = 0) -> np.ndarray:
-    """Batched :func:`prolong_region`: ``(F, ...)`` in, ``(F, ...)`` out.
+def prolong_boxes(coarse, coarse_old, frac, positive, coarse_origin, r,
+                  fine, fine_origin, boxes) -> None:
+    """NumPy reference of the ``prolong.linear`` kernel.
 
-    One-shot convenience wrapper over :func:`prolong_slopes` +
-    :func:`gather_prolong`; callers filling many windows from the same
-    slab should hold the slopes and gather per window instead.
+    Fills the fine-index ``boxes`` (``(lo, hi)`` pairs) of the child
+    arrays ``fine`` (first cell at fine index ``fine_origin``) by
+    conservative linear prolongation of the parent arrays ``coarse``
+    (first cell at coarse index ``coarse_origin``, refinement ``r >= 2``).
+    Field ``f`` is first interpolated in time, ``coarse_old[f] * (1 -
+    frac) + coarse[f] * frac``, when it has an old state and ``frac <
+    1``; fields flagged in ``positive`` get the positivity rescale.  A
+    slope is zero only along an axis where the parent cell sits on the
+    edge of the parent array; every other sampled cell keeps both
+    neighbours, so the values do not depend on how a region is tiled
+    into boxes.  Callers guarantee the boxes lie inside ``fine`` and the
+    parent cells under them inside ``coarse``.
     """
-    if r == 1:
-        window = tuple(
-            slice(int(o), int(o) + int(s))
-            for o, s in zip(fine_offset, fine_shape)
-        )
-        return coarse_padded[(slice(None),) + window].copy()
-    slopes = prolong_slopes(coarse_padded, r, n_positive=n_positive)
-    return gather_prolong(coarse_padded, slopes, r, fine_shape, fine_offset)
+    if r < 2:
+        raise ValueError("prolong.linear needs a refinement factor >= 2")
+    if not boxes:
+        return
+    lo = np.array([b[0] for b in boxes], dtype=np.int64).reshape(-1, 3)
+    hi = np.array([b[1] for b in boxes], dtype=np.int64).reshape(-1, 3)
+    origin = np.asarray(coarse_origin, dtype=np.int64)
+    # the parent cells under the boxes plus a 1-cell slope pad, clamped
+    # to the parent arrays (where the slope is zero by definition)
+    slab_lo = np.maximum(lo.min(axis=0) // r - 1, origin)
+    slab_hi = np.minimum(-(-hi.max(axis=0) // r) + 1,
+                         origin + coarse[0].shape)
+    p_sl = tuple(slice(int(a - o), int(b - o))
+                 for a, b, o in zip(slab_lo, slab_hi, origin))
+    interpolate = coarse_old is not None and frac < 1.0
+    stack = np.stack([
+        time_interpolate(coarse_old[f][p_sl], new[p_sl], frac)
+        if interpolate and coarse_old[f] is not None else new[p_sl]
+        for f, new in enumerate(coarse)
+    ])
+    slopes = prolong_slopes(stack, r, positive)
+    values = gather_prolong_boxes(
+        stack, slopes, r, list(zip(lo - slab_lo * r, hi - lo)))
+    # scatter through one flat (C-order) index per call
+    base = np.asarray(fine_origin, dtype=np.int64)
+    ny_a, nz_a = fine[0].shape[1:]
+    dst = np.concatenate([
+        (np.arange(l[0], h[0])[:, None, None] * (ny_a * nz_a)
+         + np.arange(l[1], h[1])[None, :, None] * nz_a
+         + np.arange(l[2], h[2])[None, None, :]).ravel()
+        for l, h in zip(lo - base, hi - base)
+    ])
+    for arr, vals in zip(fine, values):
+        np.put(arr, dst, vals)
+
+
+def shell_boxes(start, end, ng: int):
+    """Six disjoint fine-index boxes tiling the ``ng``-wide ghost shell
+    around the interior ``[start, end)``."""
+    s = tuple(int(v) for v in start)
+    e = tuple(int(v) for v in end)
+    lo = (s[0] - ng, s[1] - ng, s[2] - ng)
+    hi = (e[0] + ng, e[1] + ng, e[2] + ng)
+    return [
+        (lo, (s[0], hi[1], hi[2])),
+        ((e[0], lo[1], lo[2]), hi),
+        ((s[0], lo[1], lo[2]), (e[0], s[1], hi[2])),
+        ((s[0], e[1], lo[2]), (e[0], hi[1], hi[2])),
+        ((s[0], s[1], lo[2]), (e[0], e[1], s[2])),
+        ((s[0], s[1], e[2]), (e[0], e[1], hi[2])),
+    ]
+
+
+def parent_covers(parent, lo_f, hi_f, r: int, pad: int = 0) -> bool:
+    """Do ``parent``'s allocated (ghost-padded) arrays hold every parent
+    cell under the fine region ``[lo_f, hi_f)``, plus ``pad`` cells?"""
+    ng = parent.nghost
+    need_lo = np.floor_divide(lo_f, r) - pad
+    need_hi = -(-np.asarray(hi_f) // r) + pad
+    return bool(np.all(need_lo >= parent.start_index - ng)
+                and np.all(need_hi <= parent.end_index + ng))
 
 
 def is_positive_field(name: str) -> bool:
     """Densities, energies and species partial densities are sign-definite;
     velocity components (and the potential) are not."""
     return name not in ("vx", "vy", "vz")
-
-
-def prolong_region(coarse_padded: np.ndarray, r: int, fine_shape, fine_offset,
-                   positive: bool = False) -> np.ndarray:
-    """Prolong a padded coarse block and cut out a fine sub-region.
-
-    ``coarse_padded`` includes a 1-cell rim so interior slopes are
-    full-order; ``fine_offset`` is the fine-index offset of the requested
-    region relative to the fine image of the padded block's corner.
-    """
-    fine_full = prolong_linear(coarse_padded, r, positive=positive)
-    sl = tuple(
-        slice(int(o), int(o) + int(s)) for o, s in zip(fine_offset, fine_shape)
-    )
-    return fine_full[sl]
 
 
 def time_interpolate(old: np.ndarray, new: np.ndarray, frac: float) -> np.ndarray:

@@ -39,73 +39,15 @@ same boxes in the same order, same field contents, same times.
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 from scipy.ndimage import binary_dilation
 
 from repro.amr.clustering import cluster_flagged_cells
 from repro.amr.grid import Grid
-from repro.amr.interpolation import (
-    gather_prolong_boxes,
-    is_positive_field,
-    prolong_linear_batch,
-    prolong_region_batch,
-    prolong_slopes,
-)
+from repro.amr.interpolation import is_positive_field, parent_covers, shell_boxes
+from repro.kernels import dispatch as kernels
 from repro.precision.doubledouble import DoubleDouble
-
-#: beyond this many uncovered remainders, prolonging the whole region in
-#: one call is cheaper than per-fragment calls (values are identical
-#: either way — the covered parts are overwritten by the old-data copies)
-MAX_PROLONG_FRAGMENTS = 4
-
-#: the ghost-shell refresh tolerates many fragments before falling back
-#: to prolonging the six whole shell boxes: fragments are batched into a
-#: single gather/scatter per grid, so extra pieces cost index arithmetic
-#: only, while the fallback prolongs covered cells just to overwrite them
-MAX_SHELL_FRAGMENTS = 48
-
-#: cap on a per-parent fine-image temp (total float64 elements across the
-#: stacked fields); a parent bigger than this falls back to per-region
-#: slab prolongation instead of materialising the image
-MAX_IMAGE_ELEMENTS = 16_000_000
-
-
-def _parent_slab(parent: Grid, lo_f, hi_f, r: int):
-    """Coarse slab + fine offset covering fine region ``[lo_f, hi_f)``.
-
-    The slab is the parent cells containing the region plus a 1-cell
-    slope pad, **clamped to the parent's allocated (ghost-padded) extent**.
-    Nesting guarantees every fine cell's parent cell is inside that extent
-    (a child's ghost band reaches at most ``ceil(nghost/r)`` parent cells
-    past the parent interior, and the parent carries ``nghost`` ghosts),
-    so clamping can only trim the slope pad — where the prolongation
-    falls back to the zero-slope behaviour it has at any array edge.
-    Without the clamp, a child flush against its parent's edge with a
-    small ``nghost`` produced a *negative* slice start that silently
-    wrapped and filled the child from the wrong end of the parent array.
-    """
-    ng_p = parent.nghost
-    p_lo = parent.start_index - ng_p
-    p_hi = parent.end_index + ng_p
-    lo_f = np.asarray(lo_f)
-    hi_f = np.asarray(hi_f)
-    need_lo = np.floor_divide(lo_f, r)
-    need_hi = -(-hi_f // r)
-    if np.any(need_lo < p_lo) or np.any(need_hi > p_hi):
-        raise ValueError(
-            f"fine region [{lo_f}, {hi_f}) needs parent cells "
-            f"[{need_lo}, {need_hi}) outside {parent}'s allocated extent "
-            f"[{p_lo}, {p_hi}) — the child is not nested in its parent"
-        )
-    lo_p = np.maximum(need_lo - 1, p_lo)
-    hi_p = np.minimum(need_hi + 1, p_hi)
-    p_sl = tuple(
-        slice(int(lo_p[d] - p_lo[d]), int(hi_p[d] - p_lo[d]))
-        for d in range(3)
-    )
-    return p_sl, lo_f - lo_p * r
 
 
 class _OldLevel:
@@ -136,17 +78,6 @@ class _OldLevel:
         hi = np.minimum(self.ends, hi_f)
         idx = np.nonzero((lo < hi).all(axis=1))[0]
         return [(self.grids[i], lo[i], hi[i]) for i in idx]
-
-    def overlapping_arrays(self, lo_f, hi_f):
-        """Like :meth:`overlapping` but returning the clipped boxes as two
-        ``(N, 3)`` arrays (plus the grid list) so callers can keep the box
-        arithmetic vectorised."""
-        if not self.grids:
-            return [], np.empty((0, 3), np.int64), np.empty((0, 3), np.int64)
-        lo = np.maximum(self.starts, lo_f)
-        hi = np.minimum(self.ends, hi_f)
-        idx = np.nonzero((lo < hi).all(axis=1))[0]
-        return [self.grids[i] for i in idx], lo[idx], hi[idx]
 
 
 def _subtract_boxes(lo, hi, covers):
@@ -192,117 +123,56 @@ def _subtract_boxes(lo, hi, covers):
     return boxes
 
 
-def _ordered_names(fields):
-    """Field names with the sign-definite ones first (the batched kernel
-    rescales slopes for the leading ``n_positive`` entries only)."""
-    names = sorted((k for k, _ in fields.array_items()),
-                   key=lambda n: not is_positive_field(n))
-    return names, sum(1 for n in names if is_positive_field(n))
+def _fill_boxes(grid: Grid, parent: Grid, old_level: _OldLevel, boxes) -> None:
+    """Fill fine-index boxes of ``grid``'s arrays: old same-level
+    interiors where they overlap, prolongation from the parent elsewhere.
 
-
-def _parent_fine_image(parent: Grid, r: int, lo_f, hi_f):
-    """Prolong the slab of a parent covering ``[lo_f, hi_f)`` fine cells.
-
-    Returns ``(fine, base_f)`` — a ``(F, ...)`` fine-resolution image of
-    the parent's fields + potential over the requested region, and the
-    fine index of the image's corner — or ``None`` when the image would
-    exceed :data:`MAX_IMAGE_ELEMENTS`.  Callers pass the bounding box of
-    one parent's children (ghosts included) so the image covers exactly
-    what the fills will read.  Prolongation is per-parent-cell local, so
-    slicing this image is bitwise identical to prolonging each sub-region
-    from its own padded slab; one batched kernel call amortised over
-    every child fill is what makes a crowded parent's rebuild copy-bound
-    instead of call-bound.
+    Prolongation is per-parent-cell local, so filling a sub-box is bitwise
+    identical to cutting that box out of a full-array fill, and cells an
+    old interior is about to overwrite need not be prolonged at all: only
+    the *uncovered* remainder of each box goes through the interpolant,
+    all of a grid's fragments in one ``prolong.linear`` call that reads
+    the parent's arrays in place.
     """
-    names, n_positive = _ordered_names(parent.fields)
-    p_sl, fine_offset = _parent_slab(parent, lo_f, hi_f, r)
-    n_cells = 1
-    for sl in p_sl:
-        n_cells *= sl.stop - sl.start
-    if (len(names) + 1) * (r ** 3) * n_cells > MAX_IMAGE_ELEMENTS:
-        return None
-    stack = np.stack([parent.fields[n][p_sl] for n in names]
-                     + [parent.phi[p_sl]])
-    fine = prolong_linear_batch(stack, r, n_positive=n_positive)
-    return fine, np.asarray(lo_f) - fine_offset
-
-
-def _fill_region(grid: Grid, parent: Grid, old_level: _OldLevel,
-                 lo_f, hi_f, image=None) -> None:
-    """Fill one fine-index box of ``grid``'s arrays: prolong from the
-    parent, then overwrite with old same-level interiors where they
-    overlap.  Prolongation is per-parent-cell local, so filling a sub-box
-    is bitwise identical to cutting that box out of a full-array fill —
-    which also means regions about to be overwritten by an old-interior
-    copy need not be prolonged at all: only the *uncovered* remainder of
-    the box goes through the interpolant (capped: a heavily fragmented
-    remainder is prolonged as the whole region in a single call instead,
-    which yields the same values at lower call overhead).  With ``image``
-    (a :func:`_parent_fine_image` result) the prolonged values are sliced
-    straight out of the precomputed parent image instead."""
     r = grid.refine_factor
-    base = grid.start_index - grid.nghost
-    names, n_positive = _ordered_names(grid.fields)
-    overlaps = old_level.overlapping(lo_f, hi_f)
-
-    if image is not None:
-        fine_img, base_f = image
-        dst0 = tuple(
-            slice(int(lo_f[d] - base[d]), int(hi_f[d] - base[d]))
-            for d in range(3)
+    ng = grid.nghost
+    base = grid.start_index - ng
+    if not parent_covers(parent, base, grid.end_index + ng, r):
+        # the kernel must never see a box outside the parent's arrays
+        raise ValueError(
+            f"{grid} with its ghost zones needs parent cells outside "
+            f"{parent}'s allocated extent — the child is not nested in "
+            f"its parent"
         )
-        src0 = tuple(
-            slice(int(lo_f[d] - base_f[d]), int(hi_f[d] - base_f[d]))
-            for d in range(3)
-        )
-        if any(s.start < 0 or s.stop > n
-               for s, n in zip(src0, fine_img.shape[1:])):
-            raise ValueError(
-                f"fine region [{lo_f}, {hi_f}) lies outside {parent}'s "
-                f"prolonged image — the child is not nested in its parent"
-            )
-        for i, name in enumerate(names):
-            grid.fields[name][dst0] = fine_img[i][src0]
-        grid.phi[dst0] = fine_img[-1][src0]
-        remainder = []
-    else:
-        remainder = _subtract_boxes(lo_f, hi_f,
-                                    [(lo, hi) for _, lo, hi in overlaps])
-        if len(remainder) > MAX_PROLONG_FRAGMENTS:
-            remainder = [(np.asarray(lo_f), np.asarray(hi_f))]
-    for plo, phi_ in remainder:
-        p_sl, fine_offset = _parent_slab(parent, plo, phi_, r)
-        shape = tuple(int(h - l) for l, h in zip(plo, phi_))
-        dst0 = tuple(
-            slice(int(plo[d] - base[d]), int(phi_[d] - base[d]))
-            for d in range(3)
-        )
-        stack = np.stack(
-            [parent.fields[name][p_sl] for name in names]
-            + [parent.phi[p_sl]]
-        )
-        fine = prolong_region_batch(stack, r, shape, fine_offset,
-                                    n_positive=n_positive)
-        for i, name in enumerate(names):
-            grid.fields[name][dst0] = fine[i]
-        grid.phi[dst0] = fine[-1]
-
-    for old, lo, hi in overlaps:
-        # copy wherever this box overlaps the old interior
+    names = [k for k, _ in grid.fields.array_items()]
+    arrays = [grid.fields[n] for n in names] + [grid.phi]
+    fragments = []
+    copies = []
+    for lo_f, hi_f in boxes:
+        overlaps = old_level.overlapping(lo_f, hi_f)
+        fragments += _subtract_boxes(
+            lo_f, hi_f, [(lo, hi) for _, lo, hi in overlaps])
+        copies += overlaps
+    kernels.get("prolong.linear")(
+        [parent.fields[n] for n in names] + [parent.phi], None, 1.0,
+        [is_positive_field(n) for n in names] + [False],
+        parent.start_index - parent.nghost, r, arrays, base, fragments,
+    )
+    for old, lo, hi in copies:
+        obase = old.start_index - old.nghost
         dst = tuple(
             slice(int(lo[d] - base[d]), int(hi[d] - base[d])) for d in range(3)
         )
         src = tuple(
-            slice(int(lo[d] - old.start_index[d] + old.nghost),
-                  int(hi[d] - old.start_index[d] + old.nghost))
+            slice(int(lo[d] - obase[d]), int(hi[d] - obase[d]))
             for d in range(3)
         )
-        for name in names:
-            grid.fields[name][dst] = old.fields[name][src]
-        grid.phi[dst] = old.phi[src]
+        old_arrays = [old.fields[n] for n in names] + [old.phi]
+        for arr, old_arr in zip(arrays, old_arrays):
+            arr[dst] = old_arr[src]
 
 
-def _fill_new_grid(grid: Grid, parent: Grid, old_grids, image=None) -> None:
+def _fill_new_grid(grid: Grid, parent: Grid, old_grids) -> None:
     """Fill the whole array (ghosts included): prolong from the parent,
     then overwrite with old same-level data where it overlaps.
 
@@ -314,150 +184,23 @@ def _fill_new_grid(grid: Grid, parent: Grid, old_grids, image=None) -> None:
     if not isinstance(old_grids, _OldLevel):
         old_grids = _OldLevel(old_grids)
     ng = grid.nghost
-    _fill_region(grid, parent, old_grids,
-                 grid.start_index - ng, grid.end_index + ng, image=image)
+    _fill_boxes(grid, parent, old_grids,
+                [(grid.start_index - ng, grid.end_index + ng)])
 
 
-def _shell_boxes(grid: Grid):
-    """Six disjoint boxes tiling the ghost shell (fine-index space)."""
-    ng = grid.nghost
-    s = tuple(int(v) for v in grid.start_index)
-    e = tuple(int(v) for v in grid.end_index)
-    lo = (s[0] - ng, s[1] - ng, s[2] - ng)
-    hi = (e[0] + ng, e[1] + ng, e[2] + ng)
-    yield (lo[0], lo[1], lo[2]), (s[0], hi[1], hi[2])
-    yield (e[0], lo[1], lo[2]), (hi[0], hi[1], hi[2])
-    yield (s[0], lo[1], lo[2]), (e[0], s[1], hi[2])
-    yield (s[0], e[1], lo[2]), (e[0], hi[1], hi[2])
-    yield (s[0], s[1], lo[2]), (e[0], e[1], s[2])
-    yield (s[0], s[1], e[2]), (e[0], e[1], hi[2])
-
-
-def _refresh_ghost_shell(grid: Grid, parent: Grid,
-                         old_grids: _OldLevel, slopes_getter=None) -> None:
+def _refresh_ghost_shell(grid: Grid, parent: Grid, old_grids: _OldLevel) -> None:
     """Refill a *reused* grid's ghost shell only.
 
     The from-scratch fill overwrites a grid's interior with its own old
     interior (same-level interiors are disjoint, and a reused grid's box
     is unchanged), so the interior needs no work; the ghost shell is the
     only part whose from-scratch values (current-parent prolongation +
-    old same-level copies) differ from what the reused arrays hold.
-
-    The shell is filled by subtracting the old same-level interiors from
-    the six shell boxes and prolonging only the uncovered fragments,
-    all gathered in one pass (:func:`gather_prolong_boxes`) from one
-    slope set computed on the coarse slab of the fragments' bounding
-    box.  In a quiescent
-    clustered region the old level covers most of the shell, so the
-    fragments — and the slab — hug the old footprint's surface: far
-    less slope work than a full-image fill.  Slab choice is bitwise-safe
-    because ``_parent_slab``'s zero-slope edges occur only where the
-    slab is clamped at the parent's allocated extent, which is the same
-    in every slab choice; elsewhere each sampled parent cell keeps both
-    neighbours.  A shell shredded into more pieces than
-    :data:`MAX_SHELL_FRAGMENTS` gathers the six whole boxes instead.
-    Then the old same-level interiors — found with one overlap query on
-    the whole padded box and clipped against the (not rewritten)
-    interior — overwrite where they reach into the shell.
+    old same-level copies) differ from what the reused arrays hold.  In a
+    quiescent clustered region the old level covers most of the shell,
+    so few cells are prolonged at all.
     """
-    r = grid.refine_factor
-    ng = grid.nghost
-    base = grid.start_index - ng
-    end = grid.end_index + ng
-    names, n_positive = _ordered_names(grid.fields)
-    arrays = [grid.fields[n] for n in names] + [grid.phi]
-    shell = list(_shell_boxes(grid))
-    glist, lo_a, hi_a = old_grids.overlapping_arrays(base, end)
-
-    covers = [
-        ((int(lo[0]), int(lo[1]), int(lo[2])),
-         (int(hi[0]), int(hi[1]), int(hi[2])))
-        for lo, hi in zip(lo_a, hi_a)
-    ]
-    frags = []
-    for lo_f, hi_f in shell:
-        # only covers actually meeting this box take part in the
-        # subtraction — the box count grows as covers split it, so
-        # pre-filtering keeps the inner loop small
-        box_covers = [
-            (clo, chi) for clo, chi in covers
-            if (clo[0] < hi_f[0] and chi[0] > lo_f[0]
-                and clo[1] < hi_f[1] and chi[1] > lo_f[1]
-                and clo[2] < hi_f[2] and chi[2] > lo_f[2])
-        ]
-        frags.extend(_subtract_boxes(lo_f, hi_f, box_covers))
-    if len(frags) > MAX_SHELL_FRAGMENTS:
-        # shredded shell: gathering the six whole boxes costs fewer
-        # calls (values identical either way — the covered parts are
-        # overwritten by the old copies below)
-        frags = shell
-    if frags:
-        # one coarse slab + slope set serves every fragment; when the
-        # caller passes ``slopes_getter`` the (lazily built) set is
-        # shared across all of the parent's reused children — slopes
-        # are per-parent-cell local, so any covering slab yields the
-        # same gathered values (see the docstring)
-        if slopes_getter is not None:
-            stack, slopes, slab_f = slopes_getter()
-        else:
-            ulo = tuple(min(f[0][d] for f in frags) for d in range(3))
-            uhi = tuple(max(f[1][d] for f in frags) for d in range(3))
-            p_sl, off = _parent_slab(parent, ulo, uhi, r)
-            slab_f = tuple(int(ulo[d] - off[d]) for d in range(3))
-            stack = np.stack([parent.fields[n][p_sl] for n in names]
-                             + [parent.phi[p_sl]])
-            slopes = prolong_slopes(stack, r, n_positive=n_positive)
-        # every fragment in one gather, scattered back through one flat
-        # index per grid (the arrays are C-contiguous, so ravelled
-        # destinations address the same cells the slice stores would)
-        ny_a, nz_a = arrays[0].shape[1], arrays[0].shape[2]
-        boxes = []
-        dst_idx = []
-        for flo, fhi in frags:
-            boxes.append((
-                tuple(int(flo[d] - slab_f[d]) for d in range(3)),
-                tuple(int(h - l) for l, h in zip(flo, fhi)),
-            ))
-            dx = np.arange(flo[0] - base[0], fhi[0] - base[0]) * (ny_a * nz_a)
-            dy = np.arange(flo[1] - base[1], fhi[1] - base[1]) * nz_a
-            dz = np.arange(flo[2] - base[2], fhi[2] - base[2])
-            dst_idx.append(
-                (dx[:, None, None] + dy[None, :, None]
-                 + dz[None, None, :]).ravel()
-            )
-        fine = gather_prolong_boxes(stack, slopes, r, boxes)
-        dst = np.concatenate(dst_idx)
-        for i, a in enumerate(arrays):
-            a.reshape(-1)[dst] = fine[i]
-    if glist:
-        # the six shell boxes are disjoint and tile exactly shell =
-        # padded-box minus interior, so intersecting every overlap with
-        # every shell box (one broadcast) writes the same cells the
-        # per-overlap interior subtraction did — old interiors are
-        # disjoint, so the decomposition cannot change any value
-        sh_lo = np.array([b[0] for b in shell], dtype=np.int64)
-        sh_hi = np.array([b[1] for b in shell], dtype=np.int64)
-        ilo = np.maximum(lo_a[:, None, :], sh_lo[None, :, :])
-        ihi = np.minimum(hi_a[:, None, :], sh_hi[None, :, :])
-        pairs = np.argwhere((ilo < ihi).all(axis=2))
-        last = -1
-        old_arrays = obase = None
-        for n_i, b_i in pairs.tolist():
-            if n_i != last:
-                old = glist[n_i]
-                old_arrays = [old.fields[n] for n in names] + [old.phi]
-                obase = old.start_index - old.nghost
-                last = n_i
-            flo = ilo[n_i, b_i]
-            fhi = ihi[n_i, b_i]
-            dst = (slice(int(flo[0] - base[0]), int(fhi[0] - base[0])),
-                   slice(int(flo[1] - base[1]), int(fhi[1] - base[1])),
-                   slice(int(flo[2] - base[2]), int(fhi[2] - base[2])))
-            osrc = (slice(int(flo[0] - obase[0]), int(fhi[0] - obase[0])),
-                    slice(int(flo[1] - obase[1]), int(fhi[1] - obase[1])),
-                    slice(int(flo[2] - obase[2]), int(fhi[2] - obase[2])))
-            for i, a in enumerate(arrays):
-                a[dst] = old_arrays[i][osrc]
+    _fill_boxes(grid, parent, old_grids,
+                shell_boxes(grid.start_index, grid.end_index, grid.nghost))
 
 
 def _flag_signature(flags: np.ndarray, params_key: bytes) -> bytes:
@@ -578,67 +321,22 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                             g.allocate(hierarchy.advected, pool=pool)
                             new_grids.append((g, parent))
 
-                # the add pass is grouped by parent (the discovery loop
-                # appends per parent), so each parent prolongs one fine
-                # image — bounded by its children's ghost-padded extent —
-                # shared by all of that parent's fills
-                ng = hierarchy.nghost
-                for parent, group in itertools.groupby(new_grids,
-                                                       key=lambda t: t[1]):
-                    children = [g for g, _ in group]
-                    lo_f = np.min([g.start_index for g in children],
-                                  axis=0) - ng
-                    hi_f = np.max([g.end_index for g in children],
-                                  axis=0) + ng
-                    if children[0].grid_id in reused_ids:
-                        # reuse is all-or-nothing per parent (an unchanged
-                        # signature keeps every previous child): these
-                        # grids only need their ghost shells refreshed —
-                        # no fine image, just one lazily-built slope set
-                        # over the children's bounding slab, shared by
-                        # every sibling's fragment gathers
-                        image = None
-                        _cache: list = []
-
-                        def slopes_getter(parent=parent, lo_f=lo_f,
-                                          hi_f=hi_f, _cache=_cache):
-                            if not _cache:
-                                nm, npos = _ordered_names(parent.fields)
-                                p_sl, off = _parent_slab(parent, lo_f,
-                                                         hi_f, r)
-                                stack = np.stack(
-                                    [parent.fields[n][p_sl] for n in nm]
-                                    + [parent.phi[p_sl]]
-                                )
-                                _cache.append((
-                                    stack,
-                                    prolong_slopes(stack, r,
-                                                   n_positive=npos),
-                                    tuple(int(v) for v in
-                                          (np.asarray(lo_f) - off)),
-                                ))
-                            return _cache[0]
+                for g, parent in new_grids:
+                    if g.grid_id in reused_ids:
+                        hierarchy.add_grid(g, parent, reused=True)
+                        _refresh_ghost_shell(g, parent, old_grids)
+                        # reset the per-step scratch a fresh Grid starts
+                        # without, so reuse is invisible downstream
+                        g.old_fields = None
+                        g.old_time = DoubleDouble(0.0)
+                        g.flux_accumulator = None
+                        g.last_fluxes = None
+                        stats["reused"] += 1
                     else:
-                        image = _parent_fine_image(parent, r, lo_f, hi_f)
-                        slopes_getter = None
-                    for g in children:
-                        if g.grid_id in reused_ids:
-                            hierarchy.add_grid(g, parent, reused=True)
-                            _refresh_ghost_shell(g, parent, old_grids,
-                                                 slopes_getter=slopes_getter)
-                            # reset the per-step scratch a fresh Grid
-                            # starts without, so reuse is invisible
-                            # downstream
-                            g.old_fields = None
-                            g.old_time = DoubleDouble(0.0)
-                            g.flux_accumulator = None
-                            g.last_fluxes = None
-                            stats["reused"] += 1
-                        else:
-                            hierarchy.add_grid(g, parent)
-                            _fill_new_grid(g, parent, old_grids, image)
-                            stats["created"] += 1
-                        g.time = DoubleDouble(parent.time)
+                        hierarchy.add_grid(g, parent)
+                        _fill_new_grid(g, parent, old_grids)
+                        stats["created"] += 1
+                    g.time = DoubleDouble(parent.time)
 
                 # this level's copy pass is done: free the old level now
                 retire(old_by_level.pop(lvl, []), reused_ids)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import dispatch as kernels
+
 
 @dataclass
 class MultigridDiagnostics:
@@ -98,7 +100,14 @@ def _scratch_pair(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _redblack_smooth(phi: np.ndarray, source: np.ndarray, dx: float, sweeps: int) -> None:
-    """Red-black Gauss-Seidel on the interior of a rim-padded array.
+    """Red-black Gauss-Seidel on the interior of a rim-padded array, in
+    place, through the ``mg.smooth`` kernel."""
+    kernels.get("mg.smooth")(phi, source, dx, sweeps)
+
+
+def redblack_smooth_numpy(phi: np.ndarray, source: np.ndarray, dx: float,
+                          sweeps: int) -> None:
+    """NumPy reference of the ``mg.smooth`` kernel.
 
     The update arithmetic is kept bitwise identical to the naive
     expression ``((((phi_E + phi_W) + phi_N) + phi_S) + ...  - h2*source)
@@ -243,7 +252,7 @@ class MultigridSolver:
             raise ValueError("boundary must pad source by one cell per side")
         strict = self.strict if strict is None else bool(strict)
         budget = self.max_cycles if max_cycles is None else int(max_cycles)
-        phi = boundary.astype(float).copy()
+        phi = np.array(boundary, dtype=float, order="C")
         norm = float(np.sqrt((source**2).mean())) or 1.0
         converged = False
         for cycle in range(1, budget + 1):

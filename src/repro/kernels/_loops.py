@@ -2,7 +2,8 @@
 
 Each function here is a straight per-element transcription of the
 vectorised NumPy reference (``hydro/riemann.py``, ``hydro/reconstruction.py``,
-``hydro/tracing.py``, ``chemistry/rates.py``) written in the restricted
+``hydro/tracing.py``, ``chemistry/rates.py``, ``amr/interpolation.py``,
+``gravity/multigrid.py``) written in the restricted
 style numba's ``@njit`` accepts: flat ``for`` loops over preallocated
 output arrays, scalar math only, no dicts/closures.  The functions are
 plain Python — importable and testable without numba — and are consumed
@@ -552,3 +553,141 @@ def chem_blend(logtab, idx, weight, out):
             lo = logtab[c, idx[j]]
             hi = logtab[c, idx[j] + 1]
             out[c, j] = (hi - lo) * weight[j] + lo
+
+
+# --------------------------------------------------------------------------
+# AMR stencils — conservative linear prolongation into fine-index boxes and
+# the multigrid smoother (references: amr/interpolation.py prolong_boxes,
+# gravity/multigrid.py redblack_smooth_numpy)
+# --------------------------------------------------------------------------
+
+
+def _sign(x):
+    """``np.sign``: -1, 0, +1, NaN for NaN."""
+    if x > 0.0:
+        return 1.0
+    if x < 0.0:
+        return -1.0
+    if x == 0.0:
+        return 0.0
+    return x
+
+
+def _clip01(x):
+    """``np.clip(x, 0.0, 1.0)``: NaN propagates, -0.0 clips to +0.0."""
+    if x != x:
+        return x
+    t = x if x > 0.0 else 0.0
+    return t if t < 1.0 else 1.0
+
+
+def _tval(new, old, use_old, omf, frac, i, j, k):
+    """Parent value at the child's time: ``old * (1 - frac) + new * frac``."""
+    if use_old:
+        return old[i, j, k] * omf + new[i, j, k] * frac
+    return new[i, j, k]
+
+
+def _mc_slope(qm, q, qp):
+    """interpolation._limited_slopes for one interior cell."""
+    dm = q - qm
+    dp = qp - q
+    if dm * dp > 0.0:
+        centred = 0.5 * (dm + dp)
+        return _sign(centred) * _nmin(abs(centred),
+                                      2.0 * _nmin(abs(dm), abs(dp)))
+    return 0.0
+
+
+def prolong_linear(new, old, use_old, frac, positive, r,
+                   p0, p1, p2, fine, f0, f1, f2, boxes):
+    """Prolong one parent field into fine-index boxes of one child array.
+
+    ``new``/``old`` are the parent's allocated arrays, read in place;
+    ``(p0, p1, p2)`` is the coarse index of their first cell, ``(f0, f1,
+    f2)`` the fine index of ``fine``'s first cell, ``r >= 2``.  ``boxes``
+    is an ``(n, 6)`` int array of fine-index ``lo, hi`` corners.  The loop
+    runs over the parent cells under each box so slopes are computed once
+    per parent cell; a slope is zero only along an axis where the cell
+    sits on the parent array's edge.
+    """
+    nx = new.shape[0]
+    ny = new.shape[1]
+    nz = new.shape[2]
+    omf = 1.0 - frac
+    max_off = 0.5 * (1.0 - 1.0 / r)
+    for b in range(boxes.shape[0]):
+        lo0 = boxes[b, 0]
+        lo1 = boxes[b, 1]
+        lo2 = boxes[b, 2]
+        hi0 = boxes[b, 3]
+        hi1 = boxes[b, 4]
+        hi2 = boxes[b, 5]
+        # ``//`` floors, so negative (ghost) fine indices map correctly
+        for ci in range(lo0 // r, -((-hi0) // r)):
+            i = ci - p0
+            for cj in range(lo1 // r, -((-hi1) // r)):
+                j = cj - p1
+                for ck in range(lo2 // r, -((-hi2) // r)):
+                    k = ck - p2
+                    q = _tval(new, old, use_old, omf, frac, i, j, k)
+                    s0 = 0.0
+                    s1 = 0.0
+                    s2 = 0.0
+                    if 0 < i < nx - 1:
+                        s0 = _mc_slope(
+                            _tval(new, old, use_old, omf, frac, i - 1, j, k),
+                            q,
+                            _tval(new, old, use_old, omf, frac, i + 1, j, k))
+                    if 0 < j < ny - 1:
+                        s1 = _mc_slope(
+                            _tval(new, old, use_old, omf, frac, i, j - 1, k),
+                            q,
+                            _tval(new, old, use_old, omf, frac, i, j + 1, k))
+                    if 0 < k < nz - 1:
+                        s2 = _mc_slope(
+                            _tval(new, old, use_old, omf, frac, i, j, k - 1),
+                            q,
+                            _tval(new, old, use_old, omf, frac, i, j, k + 1))
+                    if positive:
+                        reach = max_off * (abs(s0) + abs(s1) + abs(s2))
+                        scale = 1.0
+                        if reach > q:
+                            scale = q / _nmax(reach, 1e-300)
+                        scale = _clip01(scale)
+                        s0 = s0 * scale
+                        s1 = s1 * scale
+                        s2 = s2 * scale
+                    # child-centre offsets (m + 0.5) / r - 0.5, m = 0..r-1
+                    for fi in range(max(ci * r, lo0), min(ci * r + r, hi0)):
+                        v0 = q + s0 * ((fi - ci * r + 0.5) / r - 0.5)
+                        for fj in range(max(cj * r, lo1),
+                                        min(cj * r + r, hi1)):
+                            v1 = v0 + s1 * ((fj - cj * r + 0.5) / r - 0.5)
+                            for fk in range(max(ck * r, lo2),
+                                            min(ck * r + r, hi2)):
+                                fine[fi - f0, fj - f1, fk - f2] = (
+                                    v1 + s2 * ((fk - ck * r + 0.5) / r - 0.5))
+
+
+def mg_smooth(phi, source, h2, sweeps):
+    """Red-black Gauss-Seidel sweeps on the interior of rim-padded ``phi``.
+
+    Same-colour cells are never neighbours, so updating in place equals
+    the reference's whole-array neighbour sum followed by a masked store.
+    """
+    nx = source.shape[0]
+    ny = source.shape[1]
+    nz = source.shape[2]
+    for _ in range(sweeps):
+        for colour in range(2):
+            for i in range(nx):
+                for j in range(ny):
+                    for k in range((i + j + colour) % 2, nz, 2):
+                        nb = phi[i + 2, j + 1, k + 1] + phi[i, j + 1, k + 1]
+                        nb += phi[i + 1, j + 2, k + 1]
+                        nb += phi[i + 1, j, k + 1]
+                        nb += phi[i + 1, j + 1, k + 2]
+                        nb += phi[i + 1, j + 1, k]
+                        nb -= source[i, j, k] * h2
+                        phi[i + 1, j + 1, k + 1] = nb / 6.0

@@ -6,6 +6,9 @@ The registry contracts mirror the NumPy reference signatures exactly:
 * ``reconstruct.*``   ``fn(q) -> (q_l, q_r)`` with face shape ``(n-1, ...)``
 * ``trace.states``    ``fn(rho, u, v, w, p, dtdx, gamma) -> (l, r) tuples``
 * ``chem.blend``      ``fn(logtab, idx, weight) -> (channels, n) rates``
+* ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
+  r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
+* ``mg.smooth``       ``fn(phi, source, dx, sweeps)`` — smooths ``phi`` in place
 
 The loop bodies (:mod:`repro.kernels._loops` or their njit/C twins) want
 flat contiguous arrays and preallocated outputs; :func:`make_impls` builds
@@ -39,6 +42,14 @@ def _to_2d(q):
     for s in rest:
         m *= s
     return np.ascontiguousarray(q).reshape(n, m), rest
+
+
+def _writable(arr):
+    """``arr`` itself when the loops can write it in place (C-contiguous
+    float64), else a contiguous copy the caller stores back."""
+    if arr.flags.c_contiguous and arr.dtype == np.float64:
+        return arr
+    return np.ascontiguousarray(arr, dtype=float)
 
 
 def make_impls(loops) -> dict:
@@ -130,6 +141,53 @@ def make_impls(loops) -> dict:
         np.exp(out, out=out)  # stays a ufunc: SIMD exp != libm exp bitwise
         return out
 
+    def prolong_linear(coarse, coarse_old, frac, positive, coarse_origin, r,
+                       fine, fine_origin, boxes):
+        r = int(r)
+        if r < 2:
+            raise ValueError("prolong.linear needs a refinement factor >= 2")
+        if not boxes:
+            return
+        box = np.array([(*lo, *hi) for lo, hi in boxes],
+                       dtype=np.int64).reshape(-1, 6)
+        p_lo = np.array(coarse_origin, dtype=np.int64)
+        f_lo = np.array(fine_origin, dtype=np.int64)
+        # the loops index raw memory: refuse any box that leaves the fine
+        # arrays or whose parent cells leave the coarse arrays
+        lo, hi = box[:, :3], box[:, 3:]
+        c_shape, f_shape = coarse[0].shape, fine[0].shape
+        if (np.any(lo < f_lo) or np.any(hi > f_lo + f_shape)
+                or np.any(lo // r < p_lo)
+                or np.any(-(-hi // r) > p_lo + c_shape)):
+            raise ValueError("prolong.linear: box outside the arrays")
+        frac = float(frac)
+        if coarse_old is None or not frac < 1.0:
+            coarse_old = [None] * len(coarse)
+        if (any(a.shape != f_shape for a in fine)
+                or any(a is not None and a.shape != c_shape
+                       for a in (*coarse, *coarse_old))):
+            raise ValueError("prolong.linear: field shapes differ")
+        for new, old, pos, dst in zip(coarse, coarse_old, positive, fine):
+            new = np.ascontiguousarray(new, dtype=float)
+            use_old = old is not None
+            old = np.ascontiguousarray(old, dtype=float) if use_old else new
+            out = _writable(dst)
+            loops.prolong_linear(new, old, use_old, frac, bool(pos), r,
+                                 int(p_lo[0]), int(p_lo[1]), int(p_lo[2]),
+                                 out, int(f_lo[0]), int(f_lo[1]),
+                                 int(f_lo[2]), box)
+            if out is not dst:
+                dst[...] = out
+
+    def mg_smooth(phi, source, dx, sweeps):
+        if phi.shape != tuple(s + 2 for s in source.shape):
+            raise ValueError("phi must pad source by one cell per side")
+        out = _writable(phi)
+        loops.mg_smooth(out, np.ascontiguousarray(source, dtype=float),
+                        dx * dx, int(sweeps))
+        if out is not phi:
+            phi[...] = out
+
     return {
         "riemann.two_shock": two_shock,
         "riemann.hllc": hllc,
@@ -138,4 +196,6 @@ def make_impls(loops) -> dict:
         "reconstruct.plm": plm,
         "trace.states": trace_states,
         "chem.blend": chem_blend,
+        "prolong.linear": prolong_linear,
+        "mg.smooth": mg_smooth,
     }

@@ -71,6 +71,13 @@ void rk_trace(long n, long m,
     double *or_rho, double *or_u, double *or_v, double *or_w, double *or_p);
 void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     const int64_t *idx, const double *weight, double *out);
+void rk_prolong_linear(long nx, long ny, long nz,
+    const double *new_, const double *old, int use_old, double frac,
+    int positive, long r, long p0, long p1, long p2,
+    double *fine, long fy, long fz, long f0, long f1, long f2,
+    long n_boxes, const int64_t *boxes);
+void rk_mg_smooth(long nx, long ny, long nz, double *phi,
+    const double *source, double h2, long sweeps);
 """
 
 _CSOURCE = r"""
@@ -534,6 +541,136 @@ void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
         }
     }
 }
+
+/* np.sign */
+static double sgn(double x) {
+    if (x > 0.0) return 1.0;
+    if (x < 0.0) return -1.0;
+    if (x == 0.0) return 0.0;
+    return x;
+}
+
+/* np.clip(x, 0.0, 1.0): NaN propagates, -0.0 clips to +0.0 */
+static double clip01(double x) {
+    if (x != x) return x;
+    double t = x > 0.0 ? x : 0.0;
+    return t < 1.0 ? t : 1.0;
+}
+
+static double mc_slope(double qm, double q, double qp) {
+    double dm = q - qm;
+    double dp = qp - q;
+    if (dm * dp > 0.0) {
+        double centred = 0.5 * (dm + dp);
+        return sgn(centred) * nmin(fabs(centred),
+                                    2.0 * nmin(fabs(dm), fabs(dp)));
+    }
+    return 0.0;
+}
+
+static long floor_div(long a, long b) {   /* b > 0 */
+    long q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+static long lmax(long a, long b) { return a > b ? a : b; }
+static long lmin(long a, long b) { return a < b ? a : b; }
+
+/* parent value at the child's time */
+#define TVAL(c) (use_old ? old[c] * omf + new_[c] * frac : new_[c])
+
+void rk_prolong_linear(long nx, long ny, long nz,
+    const double *new_, const double *old, int use_old, double frac,
+    int positive, long r, long p0, long p1, long p2,
+    double *fine, long fy, long fz, long f0, long f1, long f2,
+    long n_boxes, const int64_t *boxes)
+{
+    double omf = 1.0 - frac;
+    double max_off = 0.5 * (1.0 - 1.0 / (double)r);
+    long sx = ny * nz, sy = nz;
+    for (long b = 0; b < n_boxes; b++) {
+        long lo0 = boxes[6 * b], lo1 = boxes[6 * b + 1],
+             lo2 = boxes[6 * b + 2];
+        long hi0 = boxes[6 * b + 3], hi1 = boxes[6 * b + 4],
+             hi2 = boxes[6 * b + 5];
+        for (long ci = floor_div(lo0, r); ci < -floor_div(-hi0, r); ci++) {
+            long i = ci - p0;
+            for (long cj = floor_div(lo1, r); cj < -floor_div(-hi1, r);
+                 cj++) {
+                long j = cj - p1;
+                for (long ck = floor_div(lo2, r); ck < -floor_div(-hi2, r);
+                     ck++) {
+                    long k = ck - p2;
+                    long c = i * sx + j * sy + k;
+                    double q = TVAL(c);
+                    double s0 = 0.0, s1 = 0.0, s2 = 0.0;
+                    if (0 < i && i < nx - 1)
+                        s0 = mc_slope(TVAL(c - sx), q, TVAL(c + sx));
+                    if (0 < j && j < ny - 1)
+                        s1 = mc_slope(TVAL(c - sy), q, TVAL(c + sy));
+                    if (0 < k && k < nz - 1)
+                        s2 = mc_slope(TVAL(c - 1), q, TVAL(c + 1));
+                    if (positive) {
+                        double reach = max_off
+                            * (fabs(s0) + fabs(s1) + fabs(s2));
+                        double scale = 1.0;
+                        if (reach > q)
+                            scale = q / nmax(reach, 1e-300);
+                        scale = clip01(scale);
+                        s0 = s0 * scale;
+                        s1 = s1 * scale;
+                        s2 = s2 * scale;
+                    }
+                    /* child-centre offsets (m + 0.5) / r - 0.5 */
+                    for (long fi = lmax(ci * r, lo0);
+                         fi < lmin(ci * r + r, hi0); fi++) {
+                        double v0 = q + s0
+                            * (((double)(fi - ci * r) + 0.5) / (double)r
+                               - 0.5);
+                        for (long fj = lmax(cj * r, lo1);
+                             fj < lmin(cj * r + r, hi1); fj++) {
+                            double v1 = v0 + s1
+                                * (((double)(fj - cj * r) + 0.5) / (double)r
+                                   - 0.5);
+                            double *row = fine
+                                + ((fi - f0) * fy + (fj - f1)) * fz - f2;
+                            for (long fk = lmax(ck * r, lo2);
+                                 fk < lmin(ck * r + r, hi2); fk++)
+                                row[fk] = v1 + s2
+                                    * (((double)(fk - ck * r) + 0.5)
+                                       / (double)r - 0.5);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+void rk_mg_smooth(long nx, long ny, long nz, double *phi,
+    const double *source, double h2, long sweeps)
+{
+    long py = (ny + 2) * (nz + 2), pz = nz + 2;
+    for (long s = 0; s < sweeps; s++) {
+        for (long colour = 0; colour < 2; colour++) {
+            for (long i = 0; i < nx; i++) {
+                for (long j = 0; j < ny; j++) {
+                    double *p = phi + (i + 1) * py + (j + 1) * pz + 1;
+                    const double *src = source + (i * ny + j) * nz;
+                    for (long k = (i + j + colour) % 2; k < nz; k += 2) {
+                        double nb = p[k + py] + p[k - py];
+                        nb += p[k + pz];
+                        nb += p[k - pz];
+                        nb += p[k + 1];
+                        nb += p[k - 1];
+                        nb -= src[k] * h2;
+                        p[k] = nb / 6.0;
+                    }
+                }
+            }
+        }
+    }
+}
 """
 
 
@@ -671,6 +808,22 @@ class _CLoops:
             ffi.from_buffer("int64_t[]", idx64, require_writable=False),
             _pc(weight), _p(out),
         )
+
+    @staticmethod
+    def prolong_linear(new, old, use_old, frac, positive, r, p0, p1, p2,
+                       fine, f0, f1, f2, boxes):
+        nx, ny, nz = new.shape
+        _lib.rk_prolong_linear(
+            nx, ny, nz, _pc(new), _pc(old), use_old, frac, positive, r,
+            p0, p1, p2, _p(fine), fine.shape[1], fine.shape[2], f0, f1, f2,
+            boxes.shape[0],
+            ffi.from_buffer("int64_t[]", boxes, require_writable=False),
+        )
+
+    @staticmethod
+    def mg_smooth(phi, source, h2, sweeps):
+        nx, ny, nz = source.shape
+        _lib.rk_mg_smooth(nx, ny, nz, _p(phi), _pc(source), h2, sweeps)
 
 
 for _kname, _impl in _wrap.make_impls(_CLoops).items():

@@ -29,7 +29,7 @@ _JIT_OPTS = dict(cache=True, nogil=True, fastmath=False)
 # helpers first (kernels call them through module globals), then plm
 # (called by ppm), then the kernel bodies themselves
 for _name in ("_nmax", "_nmin", "_minmod", "_mc", "_iplus", "_iminus",
-              "plm"):
+              "_sign", "_clip01", "_tval", "_mc_slope", "plm"):
     setattr(_loops, _name, njit(**_JIT_OPTS)(getattr(_loops, _name).py_func
                                              if hasattr(getattr(_loops, _name), "py_func")
                                              else getattr(_loops, _name)))
@@ -42,6 +42,8 @@ _jitted = SimpleNamespace(
     ppm=njit(**_JIT_OPTS)(_loops.ppm),
     trace=njit(**_JIT_OPTS)(_loops.trace),
     chem_blend=njit(**_JIT_OPTS)(_loops.chem_blend),
+    prolong_linear=njit(**_JIT_OPTS)(_loops.prolong_linear),
+    mg_smooth=njit(**_JIT_OPTS)(_loops.mg_smooth),
 )
 
 for _kname, _impl in _wrap.make_impls(_jitted).items():

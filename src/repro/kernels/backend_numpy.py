@@ -1,14 +1,17 @@
 """The reference backend: registers the vectorised NumPy hot-path functions.
 
 This is not a reimplementation — the registry entries *are* the original
-functions from :mod:`repro.hydro` and :mod:`repro.chemistry`, so selecting
+functions from :mod:`repro.hydro`, :mod:`repro.chemistry`, :mod:`repro.amr`
+and :mod:`repro.gravity`, so selecting
 ``REPRO_KERNELS=numpy`` (the default) runs byte-for-byte the code the repo
 has always run.  Compiled backends are parity-gated against these.
 """
 
 from __future__ import annotations
 
+from repro.amr import interpolation as _interpolation
 from repro.chemistry import rates as _rates
+from repro.gravity import multigrid as _multigrid
 from repro.hydro import reconstruction as _reconstruction
 from repro.hydro import riemann as _riemann
 from repro.hydro import tracing as _tracing
@@ -21,3 +24,5 @@ dispatch.register("numpy", "reconstruct.ppm", _reconstruction.ppm_reconstruct)
 dispatch.register("numpy", "reconstruct.plm", _reconstruction.plm_reconstruct)
 dispatch.register("numpy", "trace.states", _tracing.trace_states_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
+dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
+dispatch.register("numpy", "mg.smooth", _multigrid.redblack_smooth_numpy)

@@ -1,7 +1,8 @@
 """Backend registry for the compiled kernel tier.
 
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
-tracing, the chemistry rate-table blend) are registered here once per
+tracing, the chemistry rate-table blend, the AMR parent->child
+prolongation and the multigrid smoother) are registered here once per
 *backend*:
 
 ``numpy``
@@ -58,6 +59,8 @@ KERNEL_NAMES = (
     "reconstruct.plm",
     "trace.states",
     "chem.blend",
+    "prolong.linear",
+    "mg.smooth",
 )
 
 _lock = threading.Lock()
@@ -217,6 +220,13 @@ def warm() -> None:
     if fn is not None:
         tab = np.zeros((2, 4))
         fn(tab, np.zeros(3, dtype=np.intp), np.full(3, 0.5))
+    fn = _impls.get((backend, "prolong.linear"))
+    if fn is not None:
+        fn([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0), 2,
+           [np.empty((2, 2, 2))], (2, 2, 2), [((2, 2, 2), (4, 4, 4))])
+    fn = _impls.get((backend, "mg.smooth"))
+    if fn is not None:
+        fn(np.zeros((4, 4, 4)), np.zeros((2, 2, 2)), 1.0, 1)
 
 
 # ----------------------------------------------------------------- counters

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.clustering import Box, cluster_flagged_cells, coverage_check
-from repro.amr.interpolation import prolong_linear, prolong_region, time_interpolate
+from repro.amr.interpolation import prolong_boxes, prolong_linear, time_interpolate
 from repro.amr.projection import block_average
 
 
@@ -113,10 +113,14 @@ class TestProlongation:
         f[0, 0, 0] = 99
         assert c[0, 0, 0] != 99
 
-    def test_prolong_region_offsets(self):
+    def test_prolong_boxes_cut_the_full_prolongation(self):
+        """The box-wise operator the hierarchy runs samples exactly the
+        whole-array definition, wherever the box sits."""
         c = np.random.default_rng(4).random((6, 6, 6))
         full = prolong_linear(c, 2)
-        sub = prolong_region(c, 2, (4, 4, 4), (3, 2, 5))
+        sub = np.empty((4, 4, 4))
+        prolong_boxes([c], None, 1.0, [False], (0, 0, 0), 2,
+                      [sub], (3, 2, 5), [((3, 2, 5), (7, 6, 9))])
         np.testing.assert_array_equal(sub, full[3:7, 2:6, 5:9])
 
     def test_time_interpolate(self):

@@ -8,10 +8,14 @@ recycling retired buffers through the hierarchy's
 :class:`~repro.amr.pool.FieldArrayPool`.  These tests drive mirrored
 hierarchies through identical flag evolutions (no-change, all-change,
 level-disappears, randomised) and compare ``Hierarchy.fingerprint()``,
-then pin the pool's no-aliasing contract, the parent-slab bounds fix in
-``_fill_new_grid``, the created/destroyed/reused counter split, and the
-single-epoch-bump ``bulk_update`` behaviour.
+then pin the pool's no-aliasing contract, the parent-array bounds check in
+``_fill_new_grid``, the created/destroyed/reused counter split, the
+single-epoch-bump ``bulk_update`` behaviour, and — per kernel tier — that
+the ghost fill never touches an interior cell and that the incremental
+and from-scratch rebuilds still agree.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.amr import FieldArrayPool, Grid, Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
-from repro.amr.rebuild import _fill_new_grid, _parent_slab, rebuild_hierarchy
+from repro.amr.rebuild import _fill_new_grid, rebuild_hierarchy
+from repro.kernels import dispatch
 
 
 def _blob_density(n_root, amplitude=10.0):
@@ -239,7 +244,8 @@ class TestFillBounds:
         """A child flush against its parent's edge with nghost=1 used to
         produce a negative parent-slice start that silently wrapped,
         filling the child's low ghosts from the far side of the parent.
-        The slab is now clamped to the parent's allocated extent."""
+        The parent's arrays are now read in place, with zero slope at
+        their edge."""
         n = 8
         h = Hierarchy(n_root=n, nghost=1)
         root = h.root
@@ -258,23 +264,16 @@ class TestFillBounds:
         assert np.all(rho[0] > 8.0)
         assert np.all(rho[0] < 11.0)
 
-    def test_parent_slab_clamps_to_allocation(self):
-        n = 8
-        h = Hierarchy(n_root=n, nghost=1)
-        child = Grid(1, (0, 0, 0), (4, 4, 4), n_root=n, nghost=1)
-        p_sl, offset = _parent_slab(
-            h.root, child.start_index - 1, child.end_index + 1, 2)
-        for sl in p_sl:
-            assert sl.start >= 0  # never a wrapping negative index
-        assert np.all(offset >= 0)
-
     def test_non_nested_region_raises(self):
-        """A fine region outside the parent's allocated extent is a broken
-        nesting invariant and must fail loudly, not wrap."""
+        """A child whose ghost zones need parent cells outside the
+        parent's allocated extent is a broken nesting invariant and must
+        fail loudly before the kernel sees it, not wrap."""
         n = 8
         h = Hierarchy(n_root=n, nghost=1)
+        child = Grid(1, (16, 0, 0), (4, 4, 4), n_root=n, nghost=1)
+        child.allocate()
         with pytest.raises(ValueError, match="not nested"):
-            _parent_slab(h.root, np.array([-8, 0, 0]), np.array([4, 4, 4]), 2)
+            _fill_new_grid(child, h.root, [])
 
 
 # ------------------------------------------------------------- counters
@@ -412,3 +411,84 @@ class TestEvolverIntegration:
             sim.evolver.advance_root_step(t_end)
         snap = sim.evolver.rebuild_step_stats()
         assert snap["reused"] > 0
+
+
+# ------------------------------------------------------- per kernel tier
+@pytest.fixture(params=dispatch.BACKENDS)
+def kernel_tier(request, monkeypatch):
+    """Run the test with ``REPRO_KERNELS=<tier>`` (skipped when the tier
+    does not load on this host)."""
+    monkeypatch.setenv(dispatch.ENV_KERNELS, request.param)
+    dispatch._reset_for_tests()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        resolved = dispatch.active_backend()
+    if resolved != request.param:
+        dispatch._reset_for_tests()
+        pytest.skip(f"kernel tier {request.param} unavailable")
+    yield request.param
+    dispatch._reset_for_tests()
+
+
+def _two_level_hierarchy():
+    h = _fresh_hierarchy(n_root=8, amplitude=30.0)
+    rebuild_hierarchy(
+        h, 1, RefinementCriteria(overdensity_threshold=3.0, max_level=2))
+    assert h.max_level == 2
+    return h
+
+
+class TestKernelTiers:
+    def test_boundary_fill_leaves_interiors_untouched(self, kernel_tier):
+        """SetBoundaryValues writes ghost zones only: with the parents
+        mid-step (old and new states differ, 0 < frac < 1) every child
+        interior cell keeps its bytes and every ghost cell is rewritten."""
+        h = _two_level_hierarchy()
+        rng = np.random.default_rng(5)
+        for level in (0, 1):
+            for g in h.level_grids(level):
+                g.save_old_state()
+                g.fields["density"] *= 1.0 + 0.1 * rng.random(
+                    g.fields["density"].shape)
+                g.time = g.old_time + 1.0
+        for level in (1, 2):
+            grids = h.level_grids(level)
+            for g in grids:
+                g.time = g.parent.old_time + 0.37
+                for _, arr in g.fields.array_items():
+                    arr[...] = -1.0          # ghosts: must be overwritten
+                    arr[g.interior] = rng.random(tuple(g.dims))
+                g.phi[...] = -1.0
+            before = [{k: v[g.interior].copy()
+                       for k, v in g.fields.array_items()} for g in grids]
+            set_boundary_values(h, level)
+            for g, saved in zip(grids, before):
+                for name, arr in g.fields.array_items():
+                    assert arr[g.interior].tobytes() == saved[name].tobytes()
+                    if name == "density":
+                        shell = np.ones(arr.shape, dtype=bool)
+                        shell[g.interior] = False
+                        assert np.all(arr[shell] > 0.0)
+                assert np.all(g.phi[g.interior] == -1.0)
+
+    def test_incremental_matches_from_scratch(self, kernel_tier):
+        """Reuse + ghost-shell refresh vs re-cluster + full fill, two
+        refined levels, over unchanged, grown and moved flag sets — and
+        both equal to what the NumPy tier builds."""
+        def evolve(incremental):
+            h = _two_level_hierarchy()
+            crit = RefinementCriteria(overdensity_threshold=3.0, max_level=2)
+            fps = []
+            base = _blob_density(8, 30.0)
+            for scale in (1.0, 1.0, 1.3, 0.6):
+                _set_root_density(h, 1.0 + (base - 1.0) * scale)
+                rebuild_hierarchy(h, 1, crit, incremental=incremental)
+                fps.append(h.fingerprint())
+            return fps, h.grids_reused
+
+        inc, reused = evolve(True)
+        raw, _ = evolve(False)
+        assert reused > 0
+        assert inc == raw
+        dispatch.set_backend("numpy", env=False)
+        assert evolve(True)[0] == inc

@@ -10,6 +10,8 @@ Three layers:
   the vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
+  The AMR stencils (``prolong.linear``, ``mg.smooth``) write in place, so
+  their parity cases compare the arrays each tier leaves behind.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
@@ -22,7 +24,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.amr.interpolation import prolong_boxes, prolong_linear, shell_boxes
 from repro.chemistry.rates import blend_table_numpy
+from repro.gravity.multigrid import redblack_smooth_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
     TWO_SHOCK_RTOL,
@@ -57,6 +61,8 @@ REFERENCE = {
     "reconstruct.plm": plm_reconstruct,
     "trace.states": trace_states_numpy,
     "chem.blend": blend_table_numpy,
+    "prolong.linear": prolong_boxes,
+    "mg.smooth": redblack_smooth_numpy,
 }
 
 
@@ -277,6 +283,127 @@ class TestBitwiseParity:
         np.testing.assert_array_equal(got, ref)
 
 
+def _parents(shape, kind, seed):
+    """Four parent fields (three sign-definite, one signed) + old states."""
+    rng = np.random.default_rng(seed)
+    coarse = [rng.random(shape) + 0.1 for _ in range(3)]
+    coarse.append(rng.standard_normal(shape))
+    if kind == "adversarial":
+        coarse[0][1, 1, 1] = np.nan
+        coarse[0][2, 2, 1] = np.inf
+        coarse[3][2, 1, 2] = -np.inf
+        # zeros and negatives in a sign-definite field
+        coarse[1][rng.random(shape) < 0.25] = 0.0
+        coarse[1][rng.random(shape) < 0.1] = -0.3
+        coarse[1][0, 0, 0] = -0.0
+    elif kind == "flat_sawtooth":
+        coarse[0][...] = 2.5
+        saw = 1.0 + (np.indices(shape).sum(axis=0) % 2)
+        coarse[1][...] = saw
+        coarse[3][...] = saw - 1.5
+    old = [c + 0.1 * rng.standard_normal(shape) for c in coarse]
+    old[3] = None  # a field without an old state (the potential)
+    return coarse, old, [True, True, True, False]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestAmrStencilParity:
+    """``prolong.linear`` and ``mg.smooth`` leave bit-identical arrays."""
+
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("shape", [(5, 5, 5), (4, 6, 7)])
+    @pytest.mark.parametrize("kind", ["random", "adversarial",
+                                      "flat_sawtooth"])
+    def test_prolong_linear(self, tier, kind, shape, r):
+        fn = _tier_impls(tier)["prolong.linear"]
+        c_origin = (-1, 3, 10)
+        f_origin = tuple(o * r for o in c_origin)
+        f_shape = tuple(n * r for n in shape)
+        f_end = tuple(o + n for o, n in zip(f_origin, f_shape))
+        one = (f_origin[0] + r + 1, f_origin[1] + 1, f_end[2] - 1)
+        box_sets = {
+            # the whole array: every parent cell, array-edge cells included
+            "full": [(f_origin, f_end)],
+            "shell": shell_boxes(tuple(o + 3 for o in f_origin),
+                                 tuple(e - 3 for e in f_end), 3),
+            "cell": [(one, tuple(v + 1 for v in one))],
+        }
+        for seed, (frac, with_old) in enumerate(
+                [(0.0, True), (0.37, True), (1.0, True), (0.37, False)]):
+            coarse, old, positive = _parents(shape, kind, seed)
+            for boxes in box_sets.values():
+                ref_fine, got_fine = (
+                    [np.full(f_shape, -7.0) for _ in coarse] for _ in "rg")
+                with np.errstate(all="ignore"):
+                    for impl, fine in ((prolong_boxes, ref_fine),
+                                       (fn, got_fine)):
+                        impl(coarse, old if with_old else None, frac,
+                             positive, c_origin, r, fine, f_origin, boxes)
+                for got, ref in zip(got_fine, ref_fine):
+                    np.testing.assert_array_equal(got, ref)
+                    np.testing.assert_array_equal(np.signbit(got),
+                                                  np.signbit(ref))
+
+    def test_prolong_linear_is_the_tested_operator(self, tier):
+        """Filling a whole array equals ``prolong_linear`` on the parent."""
+        fn = _tier_impls(tier)["prolong.linear"]
+        coarse, _, positive = _parents((4, 5, 6), "adversarial", 9)
+        fine = [np.empty((8, 10, 12)) for _ in coarse]
+        with np.errstate(all="ignore"):
+            fn(coarse, None, 1.0, positive, (0, 0, 0), 2, fine, (0, 0, 0),
+               [((0, 0, 0), (8, 10, 12))])
+            for c, f, pos in zip(coarse, fine, positive):
+                np.testing.assert_array_equal(
+                    f, prolong_linear(c, 2, positive=pos))
+
+    def test_prolong_linear_refuses_out_of_range_boxes(self, tier):
+        fn = _tier_impls(tier)["prolong.linear"]
+        coarse, fine = [np.ones((4, 4, 4))], [np.zeros((8, 8, 8))]
+        for box in [((-1, 0, 0), (2, 2, 2)),     # leaves the fine array
+                    ((0, 0, 0), (2, 2, 9))]:
+            with pytest.raises(ValueError, match="outside"):
+                fn(coarse, None, 1.0, [True], (0, 0, 0), 2, fine,
+                   (0, 0, 0), [box])
+        with pytest.raises(ValueError, match="outside"):
+            # inside the fine array, but its parent cells are not allocated
+            fn(coarse, None, 1.0, [True], (2, 0, 0), 2, fine, (0, 0, 0),
+               [((0, 0, 0), (2, 2, 2))])
+        assert not fine[0].any()
+
+    @pytest.mark.parametrize("sweeps", [1, 3, 16])
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (16, 16, 16),
+                                       (4, 6, 10), (5, 3, 7)])
+    def test_mg_smooth(self, tier, shape, sweeps):
+        fn = _tier_impls(tier)["mg.smooth"]
+        rng = np.random.default_rng(sum(shape) + sweeps)
+        source = rng.standard_normal(shape)
+        start = rng.standard_normal(tuple(n + 2 for n in shape))
+        for rim_nan in (False, True):
+            if rim_nan:
+                start[0, 2, 2] = np.nan
+            ref, got = start.copy(), start.copy()
+            redblack_smooth_numpy(ref, source, 0.1, sweeps)
+            fn(got, source, 0.1, sweeps)
+            np.testing.assert_array_equal(got, ref)
+
+    def test_non_contiguous_targets_are_written_back(self, tier):
+        impls = _tier_impls(tier)
+        rng = np.random.default_rng(2)
+        source = rng.standard_normal((4, 4, 4))
+        start = rng.standard_normal((6, 6, 6))
+        ref = start.copy()
+        redblack_smooth_numpy(ref, source, 0.1, 2)
+        got = np.asfortranarray(start)
+        impls["mg.smooth"](got, source, 0.1, 2)
+        np.testing.assert_array_equal(got, ref)
+        coarse = [rng.random((4, 4, 4))]
+        fine = np.asfortranarray(np.zeros((8, 8, 8)))
+        impls["prolong.linear"](coarse, None, 1.0, [True], (0, 0, 0), 2,
+                                [fine], (0, 0, 0), [((0, 0, 0), (8, 8, 8))])
+        np.testing.assert_array_equal(fine, prolong_linear(coarse[0], 2,
+                                                           positive=True))
+
+
 # ====================================================== two-shock early exit
 class TestTwoShockEarlyExit:
     """Satellite 1: the residual-based exit is bitwise-free at rtol=0."""
@@ -453,3 +580,27 @@ class TestIntegration:
 
         # the choice is exported so process-pool workers resolve the same
         assert os.environ[dispatch.ENV_KERNELS] == target
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+    def test_amr_stencils_fingerprint_identical(self, isolated):
+        """The deep-lattice smoke problem (two refined levels): new grids
+        filled, reused ghost shells refreshed, ghost zones set and subgrid
+        gravity relaxed through the kernels — every tier ends on the
+        same bytes."""
+        from repro.problems import SphereCollapse
+
+        fps = {}
+        for backend in ["numpy"] + COMPILED:
+            dispatch.set_backend(backend, env=False)
+            dispatch.reset_counters()
+            run = SphereCollapse(n_root=16, max_level=2, overdensity=25.0,
+                                 max_dims=8)
+            t_end = 1.5 * run.free_fall_time(run.peak_density)
+            for _ in range(2):
+                run.evolver.advance_root_step(t_end)
+            assert run.hierarchy.grids_reused > 0
+            calls = dispatch.counters_totals()
+            assert calls["prolong.linear"][0] > 0
+            assert calls["mg.smooth"][0] > 0
+            fps[backend] = run.hierarchy.fingerprint()
+        assert len(set(fps.values())) == 1, fps
