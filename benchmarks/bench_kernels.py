@@ -8,6 +8,11 @@ reference (the parity suite in ``tests/test_kernels.py`` enforces that).
 
 This bench measures what that buys:
 
+* one fused grid sweep (``hydro.sweep``: everything ``PPMSolver`` does to
+  one grid along one axis in a single compiled call) at 8^3 / 16^3 / 32^3
+  interior cells plus three ghosts, in us per interior cell — *layer
+  evidence* under the end-to-end numbers of ``benchmarks/e2e``, never a
+  headline;
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
   actually feeds these kernels at hero-run depth), NumPy vs. the best
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import time
 import warnings
 from pathlib import Path
@@ -39,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.chemistry.rates import blend_table_numpy
+from repro.hydro.ppm import sweep_numpy
 from repro.hydro.riemann import hllc_flux, two_shock_flux
 from repro.hydro.reconstruction import ppm_reconstruct
 from repro.hydro.tracing import trace_states_numpy
@@ -127,6 +135,49 @@ def micro(config: dict, backend: str) -> dict:
     return out
 
 
+# ------------------------------------------------------------- fused sweep
+def _commit() -> str:
+    out = subprocess.run(
+        ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
+        capture_output=True, text=True, check=False)
+    return out.stdout.strip() or "unknown"
+
+
+def sweep_rows(config: dict, backend: str) -> dict:
+    """One grid sweep, NumPy reference vs. compiled, per interior cell."""
+    ng = 3
+    compiled = dispatch._impls[(backend, "hydro.sweep")]
+    tail = (ng, 0.05, 0.4, 5.0 / 3.0, "ppm+flatten", "hllc", 1e-12, 1e-30)
+    rows = []
+    for interior in config["sweep_interiors"]:
+        rng = np.random.default_rng(interior)
+        shape = (interior + 2 * ng,) * 3
+        rho = rng.random(shape) + 0.3
+        vel = [0.3 * rng.standard_normal(shape) for _ in range(3)]
+        e_int = rng.random(shape) + 0.2
+        start = [rho, *vel, e_int + 0.5 * sum(v * v for v in vel), e_int]
+        row = {"interior": interior}
+        outputs = {}
+        for name, fn in (("numpy", sweep_numpy), (backend, compiled)):
+            best = np.inf
+            for rep in range(config["repeats"] * 3):
+                arrays = [a.copy() for a in start]
+                t0 = time.perf_counter()
+                out = fn(arrays, rep % 3, *tail)
+                best = min(best, time.perf_counter() - t0)
+            outputs[name] = (arrays, *out)
+            row[f"{name}_us_per_cell"] = 1e6 * best / interior ** 3
+        (f_r, x_r, c_r), (f_c, x_c, c_c) = outputs["numpy"], outputs[backend]
+        assert c_r == c_c
+        assert all(np.array_equal(a, b) for a, b in zip(f_r + x_r, f_c + x_c))
+        row["speedup"] = (row["numpy_us_per_cell"]
+                          / row[f"{backend}_us_per_cell"])
+        rows.append(row)
+    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
+            "commit": _commit(), "scheme": "ppm+flatten / hllc",
+            "unit": "us per interior cell per sweep", "rows": rows}
+
+
 # -------------------------------------------------------------- end-to-end
 def end_to_end(config: dict, backend: str) -> dict:
     """Step the collapse problem under both tiers; fingerprints must match."""
@@ -172,6 +223,7 @@ def run(config: dict) -> dict:
     try:
         return {
             "compiled_backend": backend,
+            "hydro.sweep": sweep_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
         }
@@ -182,10 +234,10 @@ def run(config: dict) -> dict:
 # sweep shapes match what the PPM solver feeds the kernels on a deep run:
 # a ~64-cell pencil across thousands of transverse columns
 SMOKE = {"n_faces": 64 * 64 * 4, "sweep_shape": (32, 1024),
-         "n_cells_chem": 16384, "repeats": 2,
+         "n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
          "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 2}
 FULL = {"n_faces": 64 * 64 * 16, "sweep_shape": (64, 4096),
-        "n_cells_chem": 65536, "repeats": 5,
+        "n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
         "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 4}
 
 
@@ -219,6 +271,11 @@ def test_kernels_smoke():
     results = run(SMOKE)
     if results["compiled_backend"] is None:
         pytest.skip("no compiled backend available")
+    # the fused sweep is parity-checked inside sweep_rows; one compiled
+    # call must beat the NumPy body even on the smallest grid
+    assert results["hydro.sweep"]["rows"][0]["interior"] == 8
+    assert results["hydro.sweep"]["rows"][0]["speedup"] > 1.0, \
+        results["hydro.sweep"]
     micro_r = results["micro"]
     assert micro_r["riemann.hllc"]["speedup"] >= 2.0, micro_r["riemann.hllc"]
     assert micro_r["reconstruct.ppm"]["speedup"] >= 2.0, \

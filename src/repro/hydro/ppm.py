@@ -18,11 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import constants as const
+from repro import kernels
 from repro.hydro import riemann
 from repro.hydro.eos import internal_energy_floor
-from repro.hydro.reconstruction import reconstruct
+from repro.hydro.reconstruction import (
+    apply_flattening,
+    flat_reconstruct,
+    plm_reconstruct,
+    ppm_reconstruct,
+    shock_flattening,
+)
 from repro.hydro.sources import apply_acceleration, apply_expansion_drag
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, sync_internal_from_total
+from repro.hydro.tracing import trace_states_numpy
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -52,6 +60,165 @@ class StepFluxes:
         for key, value in counts.items():
             if value:
                 self.diagnostics[key] = self.diagnostics.get(key, 0) + int(value)
+
+
+#: the five floor counts a sweep reports, in kernel order
+FLOOR_COUNTS = ("face_density_floor", "face_pressure_floor", "density_floor",
+                "internal_floor", "energy_floor")
+
+_RECONSTRUCT = {"ppm": ppm_reconstruct, "ppm+flatten": ppm_reconstruct,
+                "plm": plm_reconstruct, "flat": flat_reconstruct}
+_RIEMANN = {"hllc": riemann.hllc_flux, "hll": riemann.hll_flux,
+            "two_shock": riemann.two_shock_flux}
+
+
+def contact_speed(states_l, states_r, gamma):
+    """Contact-wave estimate of the interface velocity (the pdV term)."""
+    rho_l, u_l, _, _, p_l = states_l
+    rho_r, u_r, _, _, p_r = states_r
+    s_l, s_r = riemann._wave_speed_estimates(
+        rho_l, u_l, p_l, rho_r, u_r, p_r, gamma
+    )
+    num = p_r - p_l + rho_l * u_l * (s_l - u_l) - rho_r * u_r * (s_r - u_r)
+    den = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
+    s_m = num / np.where(np.abs(den) < 1e-300, 1e-300, den)
+    # analytically s_l <= s_m <= s_r; numerically degenerate states
+    # (energy-floored cold gas) can violate this — clamp to the fan so
+    # the pdV term stays bounded
+    return np.clip(s_m, s_l, s_r)
+
+
+def sweep_numpy(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+                riemann_solver, density_floor, energy_floor):
+    """NumPy reference of the ``hydro.sweep`` kernel.
+
+    ``arrays`` is ``(density, u, v, w, energy, internal, *advected)`` in
+    the grid's native layout with ``u`` the velocity along ``axis``; all
+    are updated in place.  ``scheme`` is 'trace' (CW84 characteristic
+    tracing), 'ppm+flatten', 'ppm', 'plm' or 'flat'; ``dtdx = dt/(a dx)``
+    and ``flux_scale = dt/a``.  Returns ``(fluxes, counts)``: the scaled
+    interior-face fluxes in the order of ``arrays`` (face dimension along
+    ``axis``, interior extents transversally) and the :data:`FLOOR_COUNTS`.
+
+    Calls the NumPy bodies directly, never the dispatch registry, so a
+    sweep counts as one kernel call on every tier.
+    """
+    if scheme != "trace" and scheme not in _RECONSTRUCT:
+        raise ValueError(f"unknown reconstruction '{scheme}'")
+    if riemann_solver not in _RIEMANN:
+        raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+
+    def fwd(arr):
+        return np.moveaxis(arr, axis, 0)
+
+    rho, u, v, w, e_tot, e_int = (fwd(q) for q in arrays[:6])
+    advected = [fwd(q) for q in arrays[6:]]
+    p = (gamma - 1.0) * rho * e_int
+
+    # reconstruct primitives at faces (with optional shock flattening
+    # or CW84 characteristic tracing)
+    if scheme == "trace":
+        tl, tr = trace_states_numpy(rho, u, v, w, p, dtdx, gamma)
+        states_l = list(tl)
+        states_r = list(tr)
+    else:
+        flat = shock_flattening(p, u) if scheme == "ppm+flatten" else None
+        states_l, states_r = [], []
+        for q in (rho, u, v, w, p):
+            ql, qr = _RECONSTRUCT[scheme](q)
+            if flat is not None:
+                ql, qr = apply_flattening(ql, qr, q, flat)
+            states_l.append(ql)
+            states_r.append(qr)
+    # positivity at faces
+    face_density_count = (
+        int(np.count_nonzero(states_l[0] < density_floor))
+        + int(np.count_nonzero(states_r[0] < density_floor))
+    )
+    states_l[0] = np.maximum(states_l[0], density_floor)
+    states_r[0] = np.maximum(states_r[0], density_floor)
+    p_floor = (gamma - 1.0) * density_floor * energy_floor
+    face_pressure_count = (
+        int(np.count_nonzero(states_l[4] < p_floor))
+        + int(np.count_nonzero(states_r[4] < p_floor))
+    )
+    states_l[4] = np.maximum(states_l[4], p_floor)
+    states_r[4] = np.maximum(states_r[4], p_floor)
+
+    flux = _RIEMANN[riemann_solver](tuple(states_l), tuple(states_r), gamma)
+    f_rho, f_mu, f_mv, f_mw, f_e = flux
+
+    # passive scalars + internal energy advect with the mass flux
+    mass_flux_pos = f_rho > 0.0
+    n = rho.shape[0]
+
+    def upwind_fraction(q):
+        frac_l = q[:-1] / rho[:-1]
+        frac_r = q[1:] / rho[1:]
+        return np.where(mass_flux_pos, frac_l, frac_r)
+
+    adv_fluxes = [f_rho * upwind_fraction(q) for q in advected]
+    f_eint = f_rho * upwind_fraction(rho * e_int)
+
+    # interface velocity for the pdV term (contact-wave estimate)
+    u_face = contact_speed(states_l, states_r, gamma)
+
+    # conservative update of the interior band along the sweep axis
+    # (transverse ghost columns update too — their sweep-direction
+    # stencils are complete; the truncated-stencil edge cells are left
+    # to the next SetBoundaryValues, which stops ghost-band runaway)
+    k = dtdx
+    upd = slice(ng, n - ng)
+    fsl = slice(ng - 1, n - ng)  # faces bounding the interior band
+
+    def dflux(f):
+        return np.diff(f[fsl], axis=0)
+
+    d_rho = -k * dflux(f_rho)
+    mom_u = rho * u
+    mom_v = rho * v
+    mom_w = rho * w
+    etot_c = rho * e_tot
+    eint_c = rho * e_int
+
+    rho_new = rho[upd] + d_rho
+    density_count = int(np.count_nonzero(rho_new < density_floor))
+    rho_new = np.maximum(rho_new, density_floor)
+    mom_u_new = mom_u[upd] - k * dflux(f_mu)
+    mom_v_new = mom_v[upd] - k * dflux(f_mv)
+    mom_w_new = mom_w[upd] - k * dflux(f_mw)
+    etot_new = etot_c[upd] - k * dflux(f_e)
+    # internal energy: advection + pdV work using interface velocities
+    eint_new = (
+        eint_c[upd]
+        - k * dflux(f_eint)
+        - p[upd] * k * dflux(u_face)
+    )
+    eint_floor = density_floor * energy_floor
+    internal_count = int(np.count_nonzero(eint_new < eint_floor))
+    eint_new = np.maximum(eint_new, eint_floor)
+
+    rho[upd] = rho_new
+    u[upd] = mom_u_new / rho_new
+    v[upd] = mom_v_new / rho_new
+    w[upd] = mom_w_new / rho_new
+    etot_spec = etot_new / rho_new
+    energy_count = int(np.count_nonzero(etot_spec < energy_floor))
+    e_tot[upd] = np.maximum(etot_spec, energy_floor)
+    e_int[upd] = eint_new / rho_new
+    for q, f_q in zip(advected, adv_fluxes):
+        q[upd] = np.maximum(q[upd] - k * dflux(f_q), 0.0)
+
+    # collect interior-face fluxes (dt/a-integrated) for flux correction
+    face_sl = (slice(ng - 1, n - ng),) + tuple(
+        slice(ng, s - ng) for s in rho.shape[1:]
+    )
+    fluxes = [
+        flux_scale * np.moveaxis(arr[face_sl], 0, axis)
+        for arr in (f_rho, f_mu, f_mv, f_mw, f_e, f_eint, *adv_fluxes)
+    ]
+    return fluxes, (face_density_count, face_pressure_count, density_count,
+                    internal_count, energy_count)
 
 
 class PPMSolver:
@@ -118,7 +285,6 @@ class PPMSolver:
         (3, ...) peculiar acceleration field; ``permute`` rotates the sweep
         order (Strang permutation across steps).
         """
-        ng = self.nghost
         out = StepFluxes()
         # half gravity kick - sweeps - half kick is handled by the caller
         # when gravity is active mid-step; a full kick here keeps the
@@ -145,164 +311,18 @@ class PPMSolver:
     # ------------------------------------------------------------- internals
     def _sweep(self, fields: FieldSet, axis: int, dx: float, dt: float, a: float):
         """One directional sweep; returns dt/a-integrated interior-face fluxes."""
-        ng = self.nghost
-        gamma = self.gamma
-
-        def fwd(arr):
-            return np.moveaxis(arr, axis, 0)
-
-        rho = fwd(fields["density"])
-        vel_names = list(VELOCITY_FIELDS)
-        u_name = vel_names[axis]
-        t_names = [n for n in vel_names if n != u_name]
-        u = fwd(fields[u_name])
-        v = fwd(fields[t_names[0]])
-        w = fwd(fields[t_names[1]])
-        e_int = fwd(fields["internal"])
-        e_tot = fwd(fields["energy"])
-        p = (gamma - 1.0) * rho * e_int
-
-        # reconstruct primitives at faces (with optional shock flattening
-        # and optional CW84 characteristic tracing)
-        if self.characteristic_tracing and self.reconstruction == "ppm":
-            from repro.hydro.tracing import trace_interface_states
-
-            tl, tr = trace_interface_states(rho, u, v, w, p, dt / (a * dx), gamma)
-            states_l = list(tl)
-            states_r = list(tr)
-        else:
-            flat = None
-            if self.flattening and self.reconstruction == "ppm":
-                from repro.hydro.reconstruction import apply_flattening, shock_flattening
-
-                flat = shock_flattening(p, u)
-            states_l, states_r = [], []
-            for q in (rho, u, v, w, p):
-                ql, qr = reconstruct(q, self.reconstruction)
-                if flat is not None:
-                    ql, qr = apply_flattening(ql, qr, q, flat)
-                states_l.append(ql)
-                states_r.append(qr)
-        # positivity at faces
-        floor_counts = {
-            "face_density_floor": (
-                int(np.count_nonzero(states_l[0] < self.density_floor))
-                + int(np.count_nonzero(states_r[0] < self.density_floor))
-            ),
-        }
-        states_l[0] = np.maximum(states_l[0], self.density_floor)
-        states_r[0] = np.maximum(states_r[0], self.density_floor)
-        p_floor = (gamma - 1.0) * self.density_floor * self.energy_floor
-        floor_counts["face_pressure_floor"] = (
-            int(np.count_nonzero(states_l[4] < p_floor))
-            + int(np.count_nonzero(states_r[4] < p_floor))
+        u_name = VELOCITY_FIELDS[axis]
+        t_names = [n for n in VELOCITY_FIELDS if n != u_name]
+        names = ["density", u_name, *t_names, "energy", "internal",
+                 *fields.advected]
+        scheme = self.reconstruction
+        if scheme == "ppm" and self.characteristic_tracing:
+            scheme = "trace"
+        elif scheme == "ppm" and self.flattening:
+            scheme = "ppm+flatten"
+        fluxes, counts = kernels.get("hydro.sweep")(
+            [fields[name] for name in names], axis, self.nghost,
+            dt / (a * dx), dt / a, self.gamma, scheme, self.riemann_solver,
+            self.density_floor, self.energy_floor,
         )
-        states_l[4] = np.maximum(states_l[4], p_floor)
-        states_r[4] = np.maximum(states_r[4], p_floor)
-
-        flux = riemann.solve_flux(tuple(states_l), tuple(states_r), gamma,
-                                  self.riemann_solver)
-        f_rho, f_mu, f_mv, f_mw, f_e = flux
-
-        # passive scalars + internal energy advect with the mass flux
-        mass_flux_pos = f_rho > 0.0
-        n = rho.shape[0]
-
-        def upwind_fraction(q):
-            frac_l = q[:-1] / rho[:-1]
-            frac_r = q[1:] / rho[1:]
-            return np.where(mass_flux_pos, frac_l, frac_r)
-
-        adv_fluxes = {}
-        for name in fields.advected:
-            q = fwd(fields[name])
-            adv_fluxes[name] = f_rho * upwind_fraction(q)
-        f_eint = f_rho * upwind_fraction(rho * e_int)
-
-        # interface velocity for the pdV term (contact-wave estimate)
-        u_face = self._contact_speed(states_l, states_r)
-
-        # conservative update of the interior band along the sweep axis
-        # (transverse ghost columns update too — their sweep-direction
-        # stencils are complete; the truncated-stencil edge cells are left
-        # to the next SetBoundaryValues, which stops ghost-band runaway)
-        k = dt / (a * dx)
-        upd = slice(ng, n - ng)
-        fsl = slice(ng - 1, n - ng)  # faces bounding the interior band
-
-        def dflux(f):
-            return np.diff(f[fsl], axis=0)
-
-        d_rho = -k * dflux(f_rho)
-        mom_u = rho * u
-        mom_v = rho * v
-        mom_w = rho * w
-        etot_c = rho * e_tot
-        eint_c = rho * e_int
-
-        rho_new = rho[upd] + d_rho
-        floor_counts["density_floor"] = int(
-            np.count_nonzero(rho_new < self.density_floor)
-        )
-        rho_new = np.maximum(rho_new, self.density_floor)
-        mom_u_new = mom_u[upd] - k * dflux(f_mu)
-        mom_v_new = mom_v[upd] - k * dflux(f_mv)
-        mom_w_new = mom_w[upd] - k * dflux(f_mw)
-        etot_new = etot_c[upd] - k * dflux(f_e)
-        # internal energy: advection + pdV work using interface velocities
-        eint_new = (
-            eint_c[upd]
-            - k * dflux(f_eint)
-            - p[upd] * k * dflux(u_face)
-        )
-        eint_floor = self.density_floor * self.energy_floor
-        floor_counts["internal_floor"] = int(
-            np.count_nonzero(eint_new < eint_floor)
-        )
-        eint_new = np.maximum(eint_new, eint_floor)
-
-        rho[upd] = rho_new
-        u[upd] = mom_u_new / rho_new
-        v[upd] = mom_v_new / rho_new
-        w[upd] = mom_w_new / rho_new
-        etot_spec = etot_new / rho_new
-        floor_counts["energy_floor"] = int(
-            np.count_nonzero(etot_spec < self.energy_floor)
-        )
-        e_tot[upd] = np.maximum(etot_spec, self.energy_floor)
-        e_int[upd] = eint_new / rho_new
-        for name in fields.advected:
-            q = fwd(fields[name])
-            q[upd] = np.maximum(q[upd] - k * dflux(adv_fluxes[name]), 0.0)
-
-        # collect interior-face fluxes (dt/a-integrated) for flux correction
-        face_sl = (slice(ng - 1, n - ng),) + tuple(
-            slice(ng, s - ng) for s in rho.shape[1:]
-        )
-        named = {
-            "density": f_rho,
-            u_name: f_mu,
-            t_names[0]: f_mv,
-            t_names[1]: f_mw,
-            "energy": f_e,
-            "internal": f_eint,
-        }
-        named.update(adv_fluxes)
-        out = {}
-        for fname, arr in named.items():
-            out[fname] = (dt / a) * np.moveaxis(arr[face_sl], 0, axis)
-        return out, floor_counts
-
-    def _contact_speed(self, states_l, states_r):
-        rho_l, u_l, _, _, p_l = states_l
-        rho_r, u_r, _, _, p_r = states_r
-        s_l, s_r = riemann._wave_speed_estimates(
-            rho_l, u_l, p_l, rho_r, u_r, p_r, self.gamma
-        )
-        num = p_r - p_l + rho_l * u_l * (s_l - u_l) - rho_r * u_r * (s_r - u_r)
-        den = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
-        s_m = num / np.where(np.abs(den) < 1e-300, 1e-300, den)
-        # analytically s_l <= s_m <= s_r; numerically degenerate states
-        # (energy-floored cold gas) can violate this — clamp to the fan so
-        # the pdV term stays bounded
-        return np.clip(s_m, s_l, s_r)
+        return dict(zip(names, fluxes)), dict(zip(FLOOR_COUNTS, counts))

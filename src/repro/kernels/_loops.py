@@ -2,8 +2,8 @@
 
 Each function here is a straight per-element transcription of the
 vectorised NumPy reference (``hydro/riemann.py``, ``hydro/reconstruction.py``,
-``hydro/tracing.py``, ``chemistry/rates.py``, ``amr/interpolation.py``,
-``gravity/multigrid.py``) written in the restricted
+``hydro/tracing.py``, ``hydro/ppm.py``, ``chemistry/rates.py``,
+``amr/interpolation.py``, ``gravity/multigrid.py``) written in the restricted
 style numba's ``@njit`` accepts: flat ``for`` loops over preallocated
 output arrays, scalar math only, no dicts/closures.  The functions are
 plain Python — importable and testable without numba — and are consumed
@@ -68,6 +68,31 @@ def _mc(dq_minus, dq_plus):
 # Riemann solvers — all signatures take flattened face arrays plus the five
 # preallocated flux component outputs.
 # --------------------------------------------------------------------------
+
+
+def _einfeldt(rl, ul, pl, rr, ur, pr, gamma):
+    """Einfeldt wave-speed estimates (== riemann._wave_speed_estimates)."""
+    cl = math.sqrt(gamma * pl / rl)
+    cr = math.sqrt(gamma * pr / rr)
+    sqrt_l = math.sqrt(rl)
+    sqrt_r = math.sqrt(rr)
+    u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r)
+    h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul
+    h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur
+    h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r)
+    c_roe = math.sqrt(
+        _nmax((gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe), 1e-300)
+    )
+    return _nmin(ul - cl, u_roe - c_roe), _nmax(ur + cr, u_roe + c_roe)
+
+
+def _contact(rl, ul, pl, rr, ur, pr, s_l, s_r):
+    """Contact-wave speed clamped to the fan (hllc_flux, ppm.contact_speed)."""
+    num = pr - pl + rl * ul * (s_l - ul) - rr * ur * (s_r - ur)
+    den = rl * (s_l - ul) - rr * (s_r - ur)
+    if abs(den) < 1e-300:
+        den = 1e-300
+    return _nmin(_nmax(num / den, s_l), s_r)
 
 
 def two_shock(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
@@ -171,27 +196,8 @@ def hllc(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
         wr = w_r[i]
         pr = p_r[i]
 
-        # Einfeldt wave-speed estimates (== riemann._wave_speed_estimates)
-        cl = math.sqrt(gamma * pl / rl)
-        cr = math.sqrt(gamma * pr / rr)
-        sqrt_l = math.sqrt(rl)
-        sqrt_r = math.sqrt(rr)
-        u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r)
-        h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul
-        h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur
-        h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r)
-        c_roe = math.sqrt(
-            _nmax((gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe), 1e-300)
-        )
-        s_l = _nmin(ul - cl, u_roe - c_roe)
-        s_r = _nmax(ur + cr, u_roe + c_roe)
-
-        num = pr - pl + rl * ul * (s_l - ul) - rr * ur * (s_r - ur)
-        den = rl * (s_l - ul) - rr * (s_r - ur)
-        if abs(den) < 1e-300:
-            den = 1e-300
-        s_m = num / den
-        s_m = _nmin(_nmax(s_m, s_l), s_r)
+        s_l, s_r = _einfeldt(rl, ul, pl, rr, ur, pr, gamma)
+        s_m = _contact(rl, ul, pl, rr, ur, pr, s_l, s_r)
 
         e_l = pl / ((gamma - 1.0) * rl) + 0.5 * (ul * ul + vl * vl + wl * wl)
         e_r = pr / ((gamma - 1.0) * rr) + 0.5 * (ur * ur + vr * vr + wr * wr)
@@ -276,19 +282,7 @@ def hll(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
         wr = w_r[i]
         pr = p_r[i]
 
-        cl = math.sqrt(gamma * pl / rl)
-        cr = math.sqrt(gamma * pr / rr)
-        sqrt_l = math.sqrt(rl)
-        sqrt_r = math.sqrt(rr)
-        u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r)
-        h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul
-        h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur
-        h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r)
-        c_roe = math.sqrt(
-            _nmax((gamma - 1.0) * (h_roe - 0.5 * u_roe * u_roe), 1e-300)
-        )
-        s_l = _nmin(ul - cl, u_roe - c_roe)
-        s_r = _nmax(ur + cr, u_roe + c_roe)
+        s_l, s_r = _einfeldt(rl, ul, pl, rr, ur, pr, gamma)
 
         e_l = pl / ((gamma - 1.0) * rl) + 0.5 * (ul * ul + vl * vl + wl * wl)
         e_r = pr / ((gamma - 1.0) * rr) + 0.5 * (ur * ur + vr * vr + wr * wr)
@@ -691,3 +685,355 @@ def mg_smooth(phi, source, h2, sweeps):
                         nb += phi[i + 1, j + 1, k]
                         nb -= source[i, j, k] * h2
                         phi[i + 1, j + 1, k + 1] = nb / 6.0
+
+
+# --------------------------------------------------------------------------
+# fused hydro sweep — one grid, one axis, one call (reference:
+# hydro/ppm.py sweep_numpy).  The driver gathers blocks of sweep-axis
+# pencils into scratch, runs the reconstruction / tracing / Riemann bodies
+# above on them and adds only the arithmetic that used to be NumPy-only.
+# Pencils are independent within a sweep, so the block size never shows
+# in the result.
+# --------------------------------------------------------------------------
+
+#: ``scheme`` / ``solver`` names of the kernel contract; the loops take
+#: their indices
+SWEEP_SCHEMES = ("trace", "ppm+flatten", "ppm", "plm", "flat")
+SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
+SCHEME_TRACE = 0
+SCHEME_PPM_FLATTEN = 1
+SCHEME_PLM = 3
+SCHEME_FLAT = 4
+SOLVER_HLLC = 0
+SOLVER_HLL = 1
+
+# rows of the ``work`` scratch, each one (n, block) array: the six gathered
+# fields, pressure, flattening coefficient, two reconstruction scratches,
+# left/right face states, parabola edges and their face temporaries
+# (tracing only), the five Riemann fluxes, internal-energy flux, contact
+# speed and one advected-field flux
+_W_Q = 0
+_W_P = 6
+_W_FLAT = 7
+_W_DQ = 8
+_W_QF = 9
+_W_SL = 10
+_W_SR = 15
+_W_EDGE = 20
+_W_FL = 30
+_W_FR = 31
+_W_F = 32
+_W_FEINT = 37
+_W_UFACE = 38
+_W_FADV = 39
+SWEEP_SLOTS = 40
+
+
+def _slot(work, k, n, mc):
+    """Scratch row ``k`` as an (n, mc) array."""
+    return work[k][:n * mc].reshape(n, mc)
+
+
+def _faces(work, k, lo, hi):
+    """Flat entries ``lo:hi`` of scratch row ``k`` (a run of whole faces)."""
+    return work[k][lo:hi]
+
+
+def flatten_coef(p, u, f):
+    """CW84 shock-flattening coefficient (reconstruction.shock_flattening
+    with its default omega1 = 0.75, omega2 = 10, epsilon = 0.33)."""
+    n = p.shape[0]
+    m = p.shape[1]
+    for i in range(n):
+        for j in range(m):
+            f[i, j] = 0.0
+    if n < 5:
+        return
+    for i in range(2, n - 2):
+        for j in range(m):
+            dp1 = p[i + 1, j] - p[i - 1, j]
+            dp2 = p[i + 2, j] - p[i - 2, j]
+            du = u[i + 1, j] - u[i - 1, j]
+            p_min = _nmin(p[i + 1, j], p[i - 1, j])
+            ratio = 1.0
+            if abs(dp2) > 1e-300:
+                ratio = dp1 / dp2
+            steep = abs(dp1) / _nmax(p_min, 1e-300)
+            if du < 0.0 and steep > 0.33:
+                f[i, j] = _clip01(10.0 * (ratio - 0.75))
+
+
+def flatten_states(q, f, ql, qr):
+    """reconstruction.apply_flattening, in place on the face states."""
+    n = q.shape[0]
+    m = q.shape[1]
+    for i in range(n - 1):
+        for j in range(m):
+            ql[i, j] = ql[i, j] * (1.0 - f[i, j]) + q[i, j] * f[i, j]
+            qr[i, j] = (qr[i, j] * (1.0 - f[i + 1, j])
+                        + q[i + 1, j] * f[i + 1, j])
+
+
+def contact_speed(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma, out):
+    """Interface velocity of the pdV term (ppm.contact_speed)."""
+    for i in range(rho_l.shape[0]):
+        s_l, s_r = _einfeldt(rho_l[i], u_l[i], p_l[i],
+                             rho_r[i], u_r[i], p_r[i], gamma)
+        out[i] = _contact(rho_l[i], u_l[i], p_l[i],
+                          rho_r[i], u_r[i], p_r[i], s_l, s_r)
+
+
+def sweep(q, n0, n1, n2, axis, ng, dtdx, fscale, gamma, scheme, solver,
+          dfloor, efloor, flux, counts, work, cols):
+    """One directional sweep of one grid (see ppm.sweep_numpy).
+
+    ``q`` is the tuple of flattened C-order field arrays ``(rho, u, v, w,
+    e_tot, e_int, *advected)`` with ``u`` the velocity along ``axis``,
+    updated in place; ``flux`` the matching tuple of flattened outputs of
+    shape ``dims - 2 ng`` (one more along ``axis``), filled with the
+    ``fscale``-scaled interior-face fluxes; ``counts`` the five floor
+    counts (face density, face pressure, density, internal, energy).
+    ``work`` is (SWEEP_SLOTS, n * block) float scratch and ``cols``
+    (2, block) integer scratch, both owned by this call.
+    """
+    if axis == 0:
+        n, s, na, sa, nb, sb = n0, n1 * n2, n1, n2, n2, 1
+    elif axis == 1:
+        n, s, na, sa, nb, sb = n1, n2, n0, n1 * n2, n2, 1
+    else:
+        n, s, na, sa, nb, sb = n2, 1, n0, n1 * n2, n1, n2
+    # output strides: interior extents transversally, n - 2 ng + 1 faces
+    oa = max(na - 2 * ng, 0)
+    ob = max(nb - 2 * ng, 0)
+    on = n - 2 * ng + 1
+    if axis == 0:
+        fs, fsa, fsb = oa * ob, ob, 1
+    elif axis == 1:
+        fs, fsa, fsb = ob, on * ob, 1
+    else:
+        fs, fsa, fsb = 1, ob * on, on
+    m = na * nb
+    mb = cols.shape[1]
+    lo = ng - 1                      # faces lo .. hi-1 bound the updated band
+    hi = n - ng
+    p_floor = (gamma - 1.0) * dfloor * efloor
+    eint_floor = dfloor * efloor
+    for k in range(5):
+        counts[k] = 0
+
+    for c0 in range(0, m, mb):
+        mc = min(mb, m - c0)
+        for jj in range(mc):
+            a = (c0 + jj) // nb
+            b = (c0 + jj) % nb
+            cols[0, jj] = a * sa + b * sb
+            cols[1, jj] = -1
+            if ng <= a < na - ng and ng <= b < nb - ng:
+                cols[1, jj] = (a - ng) * fsa + (b - ng) * fsb
+        for k in range(6):
+            src = q[k]
+            buf = _slot(work, _W_Q + k, n, mc)
+            for i in range(n):
+                for jj in range(mc):
+                    buf[i, jj] = src[cols[0, jj] + i * s]
+        rho = _slot(work, _W_Q, n, mc)
+        u = _slot(work, _W_Q + 1, n, mc)
+        etot = _slot(work, _W_Q + 4, n, mc)
+        eint = _slot(work, _W_Q + 5, n, mc)
+        p = _slot(work, _W_P, n, mc)
+        for i in range(n):
+            for jj in range(mc):
+                p[i, jj] = (gamma - 1.0) * rho[i, jj] * eint[i, jj]
+
+        # ---- face states of (rho, u, v, w, p) ---------------------------
+        dq = _slot(work, _W_DQ, n, mc)
+        qf = _slot(work, _W_QF, n, mc)
+        if scheme == SCHEME_TRACE:
+            fl = _slot(work, _W_FL, n, mc)
+            fr = _slot(work, _W_FR, n, mc)
+            for k in range(5):
+                qk = _slot(work, _W_P if k == 4 else _W_Q + k, n, mc)
+                if n < 6:
+                    plm(qk, fl, fr)
+                else:
+                    ppm(qk, fl, fr, dq, qf)
+                # cell i's left edge is face i-1's right state, its right
+                # edge face i's left state (tracing._parabola)
+                el = _slot(work, _W_EDGE + 2 * k, n, mc)
+                er = _slot(work, _W_EDGE + 2 * k + 1, n, mc)
+                for jj in range(mc):
+                    el[0, jj] = qk[0, jj]
+                    er[n - 1, jj] = qk[n - 1, jj]
+                for i in range(n - 1):
+                    for jj in range(mc):
+                        el[i + 1, jj] = fr[i, jj]
+                        er[i, jj] = fl[i, jj]
+            trace(rho, u, _slot(work, _W_Q + 2, n, mc),
+                  _slot(work, _W_Q + 3, n, mc), p,
+                  _slot(work, _W_EDGE, n, mc),
+                  _slot(work, _W_EDGE + 1, n, mc),
+                  _slot(work, _W_EDGE + 2, n, mc),
+                  _slot(work, _W_EDGE + 3, n, mc),
+                  _slot(work, _W_EDGE + 4, n, mc),
+                  _slot(work, _W_EDGE + 5, n, mc),
+                  _slot(work, _W_EDGE + 6, n, mc),
+                  _slot(work, _W_EDGE + 7, n, mc),
+                  _slot(work, _W_EDGE + 8, n, mc),
+                  _slot(work, _W_EDGE + 9, n, mc),
+                  dtdx, gamma,
+                  _slot(work, _W_SL, n, mc), _slot(work, _W_SL + 1, n, mc),
+                  _slot(work, _W_SL + 2, n, mc),
+                  _slot(work, _W_SL + 3, n, mc),
+                  _slot(work, _W_SL + 4, n, mc),
+                  _slot(work, _W_SR, n, mc), _slot(work, _W_SR + 1, n, mc),
+                  _slot(work, _W_SR + 2, n, mc),
+                  _slot(work, _W_SR + 3, n, mc),
+                  _slot(work, _W_SR + 4, n, mc))
+        else:
+            flat = _slot(work, _W_FLAT, n, mc)
+            if scheme == SCHEME_PPM_FLATTEN:
+                flatten_coef(p, u, flat)
+            for k in range(5):
+                qk = _slot(work, _W_P if k == 4 else _W_Q + k, n, mc)
+                ql = _slot(work, _W_SL + k, n, mc)
+                qr = _slot(work, _W_SR + k, n, mc)
+                if scheme == SCHEME_FLAT:
+                    for i in range(n - 1):
+                        for jj in range(mc):
+                            ql[i, jj] = qk[i, jj]
+                            qr[i, jj] = qk[i + 1, jj]
+                elif scheme == SCHEME_PLM or n < 6:
+                    plm(qk, ql, qr)
+                else:
+                    ppm(qk, ql, qr, dq, qf)
+                if scheme == SCHEME_PPM_FLATTEN:
+                    flatten_states(qk, flat, ql, qr)
+
+        # ---- positivity at faces (all n-1 of them are counted) ----------
+        for side in range(2):
+            d = _slot(work, _W_SL + 5 * side, n, mc)
+            pf = _slot(work, _W_SL + 5 * side + 4, n, mc)
+            for i in range(n - 1):
+                for jj in range(mc):
+                    if d[i, jj] < dfloor:
+                        counts[0] += 1
+                    d[i, jj] = _nmax(d[i, jj], dfloor)
+                    if pf[i, jj] < p_floor:
+                        counts[1] += 1
+                    pf[i, jj] = _nmax(pf[i, jj], p_floor)
+
+        # ---- Riemann fluxes and contact speed on the faces in use -------
+        f_lo = lo * mc
+        f_hi = hi * mc
+        rho_l = _faces(work, _W_SL, f_lo, f_hi)
+        u_l = _faces(work, _W_SL + 1, f_lo, f_hi)
+        v_l = _faces(work, _W_SL + 2, f_lo, f_hi)
+        w_l = _faces(work, _W_SL + 3, f_lo, f_hi)
+        p_l = _faces(work, _W_SL + 4, f_lo, f_hi)
+        rho_r = _faces(work, _W_SR, f_lo, f_hi)
+        u_r = _faces(work, _W_SR + 1, f_lo, f_hi)
+        v_r = _faces(work, _W_SR + 2, f_lo, f_hi)
+        w_r = _faces(work, _W_SR + 3, f_lo, f_hi)
+        p_r = _faces(work, _W_SR + 4, f_lo, f_hi)
+        g0 = _faces(work, _W_F, f_lo, f_hi)
+        g1 = _faces(work, _W_F + 1, f_lo, f_hi)
+        g2 = _faces(work, _W_F + 2, f_lo, f_hi)
+        g3 = _faces(work, _W_F + 3, f_lo, f_hi)
+        g4 = _faces(work, _W_F + 4, f_lo, f_hi)
+        if solver == SOLVER_HLLC:
+            hllc(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
+                 gamma, g0, g1, g2, g3, g4)
+        elif solver == SOLVER_HLL:
+            hll(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
+                gamma, g0, g1, g2, g3, g4)
+        else:
+            two_shock(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
+                      gamma, 20, 0.0, g0, g1, g2, g3, g4)
+        contact_speed(rho_l, u_l, p_l, rho_r, u_r, p_r, gamma,
+                      _faces(work, _W_UFACE, f_lo, f_hi))
+
+        # ---- internal energy advects with the mass flux -----------------
+        f_rho = _slot(work, _W_F, n, mc)
+        f_eint = _slot(work, _W_FEINT, n, mc)
+        for i in range(lo, hi):
+            for jj in range(mc):
+                if f_rho[i, jj] > 0.0:
+                    frac = rho[i, jj] * eint[i, jj] / rho[i, jj]
+                else:
+                    frac = (rho[i + 1, jj] * eint[i + 1, jj]
+                            / rho[i + 1, jj])
+                f_eint[i, jj] = f_rho[i, jj] * frac
+
+        # ---- scaled interior-face fluxes, final layout ------------------
+        for k in range(6):
+            fk = _slot(work, _W_FEINT if k == 5 else _W_F + k, n, mc)
+            out = flux[k]
+            for i in range(lo, hi):
+                for jj in range(mc):
+                    if cols[1, jj] >= 0:
+                        out[cols[1, jj] + (i - lo) * fs] = fscale * fk[i, jj]
+
+        # ---- conservative update of the interior band -------------------
+        f_mu = _slot(work, _W_F + 1, n, mc)
+        f_mv = _slot(work, _W_F + 2, n, mc)
+        f_mw = _slot(work, _W_F + 3, n, mc)
+        f_e = _slot(work, _W_F + 4, n, mc)
+        u_face = _slot(work, _W_UFACE, n, mc)
+        v = _slot(work, _W_Q + 2, n, mc)
+        w = _slot(work, _W_Q + 3, n, mc)
+        for i in range(ng, n - ng):
+            for jj in range(mc):
+                r_old = rho[i, jj]
+                rho_new = r_old + -dtdx * (f_rho[i, jj] - f_rho[i - 1, jj])
+                if rho_new < dfloor:
+                    counts[2] += 1
+                rho_new = _nmax(rho_new, dfloor)
+                mom_u = r_old * u[i, jj] - dtdx * (f_mu[i, jj]
+                                                   - f_mu[i - 1, jj])
+                mom_v = r_old * v[i, jj] - dtdx * (f_mv[i, jj]
+                                                   - f_mv[i - 1, jj])
+                mom_w = r_old * w[i, jj] - dtdx * (f_mw[i, jj]
+                                                   - f_mw[i - 1, jj])
+                etot_new = r_old * etot[i, jj] - dtdx * (f_e[i, jj]
+                                                         - f_e[i - 1, jj])
+                # advection + pdV work with the interface velocities
+                eint_new = (r_old * eint[i, jj]
+                            - dtdx * (f_eint[i, jj] - f_eint[i - 1, jj])
+                            - p[i, jj] * dtdx * (u_face[i, jj]
+                                                 - u_face[i - 1, jj]))
+                if eint_new < eint_floor:
+                    counts[3] += 1
+                eint_new = _nmax(eint_new, eint_floor)
+                etot_spec = etot_new / rho_new
+                if etot_spec < efloor:
+                    counts[4] += 1
+                g = cols[0, jj] + i * s
+                q[0][g] = rho_new
+                q[1][g] = mom_u / rho_new
+                q[2][g] = mom_v / rho_new
+                q[3][g] = mom_w / rho_new
+                q[4][g] = _nmax(etot_spec, efloor)
+                q[5][g] = eint_new / rho_new
+
+        # ---- advected fields ride the mass flux -------------------------
+        f_adv = _slot(work, _W_FADV, n, mc)
+        for k in range(6, len(q)):
+            src = q[k]
+            out = flux[k]
+            for i in range(lo, hi):
+                for jj in range(mc):
+                    g = cols[0, jj] + i * s
+                    if f_rho[i, jj] > 0.0:
+                        frac = src[g] / rho[i, jj]
+                    else:
+                        frac = src[g + s] / rho[i + 1, jj]
+                    f_adv[i, jj] = f_rho[i, jj] * frac
+                    if cols[1, jj] >= 0:
+                        out[cols[1, jj] + (i - lo) * fs] = (
+                            fscale * f_adv[i, jj])
+            for i in range(ng, n - ng):
+                for jj in range(mc):
+                    g = cols[0, jj] + i * s
+                    src[g] = _nmax(
+                        src[g] - dtdx * (f_adv[i, jj] - f_adv[i - 1, jj]),
+                        0.0)

@@ -5,6 +5,9 @@ The registry contracts mirror the NumPy reference signatures exactly:
 * ``riemann.*``       ``fn(left, right, gamma, ...) -> 5-tuple of fluxes``
 * ``reconstruct.*``   ``fn(q) -> (q_l, q_r)`` with face shape ``(n-1, ...)``
 * ``trace.states``    ``fn(rho, u, v, w, p, dtdx, gamma) -> (l, r) tuples``
+* ``hydro.sweep``     ``fn(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+  riemann_solver, density_floor, energy_floor) -> (fluxes, counts)`` — one
+  directional sweep of one grid, updating ``arrays`` in place
 * ``chem.blend``      ``fn(logtab, idx, weight) -> (channels, n) rates``
 * ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
   r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
@@ -21,16 +24,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels._loops import SWEEP_SCHEMES, SWEEP_SLOTS, SWEEP_SOLVERS
+
+#: sweep-axis pencils per scratch block: the working set of a block
+#: (SWEEP_SLOTS rows of n * SWEEP_BLOCK doubles) stays cache-resident
+SWEEP_BLOCK = 32
+
 
 def _face_arrays(left, right):
-    """Broadcast + flatten the ten face-state arrays to contiguous 1-d."""
-    arrs = [np.asarray(a, dtype=float) for a in (*left, *right)]
-    shape = np.broadcast_shapes(*(a.shape for a in arrs))
-    flat = [
-        np.ascontiguousarray(np.broadcast_to(a, shape)).reshape(-1)
-        for a in arrs
-    ]
-    return flat, shape
+    """The ten same-shape face-state arrays as contiguous 1-d (no copy
+    when they already are contiguous float64)."""
+    arrs = [np.ascontiguousarray(a, dtype=float) for a in (*left, *right)]
+    shape = arrs[0].shape
+    if any(a.shape != shape for a in arrs):
+        raise ValueError("riemann: face-state shapes differ")
+    return [a.reshape(-1) for a in arrs], shape
 
 
 def _to_2d(q):
@@ -132,6 +140,43 @@ def make_impls(loops) -> dict:
         states_r = tuple(o.reshape(fshape) for o in outs[5:])
         return states_l, states_r
 
+    def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+                    riemann_solver, density_floor, energy_floor):
+        if scheme not in SWEEP_SCHEMES:
+            raise ValueError(f"unknown reconstruction '{scheme}'")
+        if riemann_solver not in SWEEP_SOLVERS:
+            raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+        axis, ng = int(axis), int(ng)
+        shape = arrays[0].shape
+        # the loops index raw memory: refuse mismatched fields and a
+        # sweep extent that leaves no cell to update
+        if len(arrays) < 6 or len(shape) != 3 or not 0 <= axis < 3:
+            raise ValueError("hydro.sweep: need six 3-d fields and axis 0-2")
+        if any(a.shape != shape for a in arrays):
+            raise ValueError("hydro.sweep: field shapes differ")
+        n = shape[axis]
+        if ng < 1 or n <= 2 * ng:
+            raise ValueError("hydro.sweep: no interior cell along the sweep")
+        native = [_writable(a) for a in arrays]
+        face_shape = [max(s - 2 * ng, 0) for s in shape]
+        face_shape[axis] = n - 2 * ng + 1
+        fluxes = [np.empty(face_shape) for _ in native]
+        counts = np.empty(5, dtype=np.int64)
+        block = min(SWEEP_BLOCK, arrays[0].size // n)
+        loops.sweep(
+            tuple(a.reshape(-1) for a in native), *shape, axis, ng,
+            float(dtdx), float(flux_scale), float(gamma),
+            SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
+            float(density_floor), float(energy_floor),
+            tuple(f.reshape(-1) for f in fluxes), counts,
+            np.empty((SWEEP_SLOTS, n * block)),
+            np.empty((2, block), dtype=np.int64),
+        )
+        for out, dst in zip(native, arrays):
+            if out is not dst:
+                dst[...] = out
+        return fluxes, tuple(counts.tolist())
+
     def chem_blend(logtab, idx, weight):
         logtab = np.ascontiguousarray(logtab, dtype=float)
         idx = np.ascontiguousarray(idx, dtype=np.intp)
@@ -195,6 +240,7 @@ def make_impls(loops) -> dict:
         "reconstruct.ppm": ppm,
         "reconstruct.plm": plm,
         "trace.states": trace_states,
+        "hydro.sweep": hydro_sweep,
         "chem.blend": chem_blend,
         "prolong.linear": prolong_linear,
         "mg.smooth": mg_smooth,

@@ -78,6 +78,10 @@ void rk_prolong_linear(long nx, long ny, long nz,
     long n_boxes, const int64_t *boxes);
 void rk_mg_smooth(long nx, long ny, long nz, double *phi,
     const double *source, double h2, long sweeps);
+void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
+    long ng, double dtdx, double fscale, double gamma, long scheme,
+    long solver, double dfloor, double efloor, double **flux,
+    int64_t *counts, double *work, long mb, int64_t *cols);
 """
 
 _CSOURCE = r"""
@@ -107,6 +111,34 @@ static double mc(double dq_minus, double dq_plus) {
     double dq_c = 0.5 * (dq_minus + dq_plus);
     double lim = minmod(2.0 * dq_minus, 2.0 * dq_plus);
     return minmod(dq_c, lim);
+}
+
+/* Einfeldt wave-speed estimates (== riemann._wave_speed_estimates) */
+static inline void einfeldt(double rl, double ul, double pl,
+    double rr, double ur, double pr, double gamma, double *s_l, double *s_r)
+{
+    double cl = sqrt(gamma * pl / rl);
+    double cr = sqrt(gamma * pr / rr);
+    double sqrt_l = sqrt(rl);
+    double sqrt_r = sqrt(rr);
+    double u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r);
+    double h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul;
+    double h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur;
+    double h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r);
+    double c_roe = sqrt(nmax((gamma - 1.0)
+                             * (h_roe - 0.5 * u_roe * u_roe), 1e-300));
+    *s_l = nmin(ul - cl, u_roe - c_roe);
+    *s_r = nmax(ur + cr, u_roe + c_roe);
+}
+
+/* contact-wave speed clamped to the fan (hllc_flux, ppm.contact_speed) */
+static inline double contact(double rl, double ul, double pl,
+    double rr, double ur, double pr, double s_l, double s_r)
+{
+    double num = pr - pl + rl * ul * (s_l - ul) - rr * ur * (s_r - ur);
+    double den = rl * (s_l - ul) - rr * (s_r - ur);
+    if (fabs(den) < 1e-300) den = 1e-300;
+    return nmin(nmax(num / den, s_l), s_r);
 }
 
 void rk_two_shock(long n,
@@ -219,24 +251,9 @@ void rk_hllc(long n,
         double rr = rho_r[i], ur = u_r[i], vr = v_r[i], wr = w_r[i],
                pr = p_r[i];
 
-        double cl = sqrt(gamma * pl / rl);
-        double cr = sqrt(gamma * pr / rr);
-        double sqrt_l = sqrt(rl);
-        double sqrt_r = sqrt(rr);
-        double u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r);
-        double h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul;
-        double h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur;
-        double h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r);
-        double c_roe = sqrt(nmax((gamma - 1.0)
-                                 * (h_roe - 0.5 * u_roe * u_roe), 1e-300));
-        double s_l = nmin(ul - cl, u_roe - c_roe);
-        double s_r = nmax(ur + cr, u_roe + c_roe);
-
-        double num = pr - pl + rl * ul * (s_l - ul) - rr * ur * (s_r - ur);
-        double den = rl * (s_l - ul) - rr * (s_r - ur);
-        if (fabs(den) < 1e-300) den = 1e-300;
-        double s_m = num / den;
-        s_m = nmin(nmax(s_m, s_l), s_r);
+        double s_l, s_r;
+        einfeldt(rl, ul, pl, rr, ur, pr, gamma, &s_l, &s_r);
+        double s_m = contact(rl, ul, pl, rr, ur, pr, s_l, s_r);
 
         double e_l = pl / ((gamma - 1.0) * rl)
             + 0.5 * (ul * ul + vl * vl + wl * wl);
@@ -309,18 +326,8 @@ void rk_hll(long n,
         double rr = rho_r[i], ur = u_r[i], vr = v_r[i], wr = w_r[i],
                pr = p_r[i];
 
-        double cl = sqrt(gamma * pl / rl);
-        double cr = sqrt(gamma * pr / rr);
-        double sqrt_l = sqrt(rl);
-        double sqrt_r = sqrt(rr);
-        double u_roe = (sqrt_l * ul + sqrt_r * ur) / (sqrt_l + sqrt_r);
-        double h_l = (gamma * pl / ((gamma - 1.0) * rl)) + 0.5 * ul * ul;
-        double h_r = (gamma * pr / ((gamma - 1.0) * rr)) + 0.5 * ur * ur;
-        double h_roe = (sqrt_l * h_l + sqrt_r * h_r) / (sqrt_l + sqrt_r);
-        double c_roe = sqrt(nmax((gamma - 1.0)
-                                 * (h_roe - 0.5 * u_roe * u_roe), 1e-300));
-        double s_l = nmin(ul - cl, u_roe - c_roe);
-        double s_r = nmax(ur + cr, u_roe + c_roe);
+        double s_l, s_r;
+        einfeldt(rl, ul, pl, rr, ur, pr, gamma, &s_l, &s_r);
 
         double e_l = pl / ((gamma - 1.0) * rl)
             + 0.5 * (ul * ul + vl * vl + wl * wl);
@@ -671,6 +678,280 @@ void rk_mg_smooth(long nx, long ny, long nz, double *phi,
         }
     }
 }
+
+/* ---- fused hydro sweep (mirror of _loops.sweep) ---- */
+
+/* rows of the work scratch, each one (n, block) array */
+enum { W_Q = 0, W_P = 6, W_FLAT = 7, W_DQ = 8, W_QF = 9, W_SL = 10,
+       W_SR = 15, W_EDGE = 20, W_FL = 30, W_FR = 31, W_F = 32,
+       W_FEINT = 37, W_UFACE = 38, W_FADV = 39 };
+enum { SCHEME_TRACE, SCHEME_PPM_FLATTEN, SCHEME_PPM, SCHEME_PLM,
+       SCHEME_FLAT };
+enum { SOLVER_HLLC, SOLVER_HLL, SOLVER_TWO_SHOCK };
+
+static void flatten_coef(long n, long m, const double *p, const double *u,
+    double *f)
+{
+    for (long k = 0; k < n * m; k++) f[k] = 0.0;
+    if (n < 5) return;
+    for (long i = 2; i < n - 2; i++) {
+        for (long j = 0; j < m; j++) {
+            long k = i * m + j;
+            double dp1 = p[k + m] - p[k - m];
+            double dp2 = p[k + 2 * m] - p[k - 2 * m];
+            double du = u[k + m] - u[k - m];
+            double p_min = nmin(p[k + m], p[k - m]);
+            double ratio = 1.0;
+            if (fabs(dp2) > 1e-300) ratio = dp1 / dp2;
+            double steep = fabs(dp1) / nmax(p_min, 1e-300);
+            if (du < 0.0 && steep > 0.33)
+                f[k] = clip01(10.0 * (ratio - 0.75));
+        }
+    }
+}
+
+static void flatten_states(long n, long m, const double *q, const double *f,
+    double *ql, double *qr)
+{
+    for (long k = 0; k < (n - 1) * m; k++) {
+        ql[k] = ql[k] * (1.0 - f[k]) + q[k] * f[k];
+        qr[k] = qr[k] * (1.0 - f[k + m]) + q[k + m] * f[k + m];
+    }
+}
+
+static void contact_speed(long n,
+    const double *rho_l, const double *u_l, const double *p_l,
+    const double *rho_r, const double *u_r, const double *p_r,
+    double gamma, double *out)
+{
+    for (long i = 0; i < n; i++) {
+        double s_l, s_r;
+        einfeldt(rho_l[i], u_l[i], p_l[i], rho_r[i], u_r[i], p_r[i], gamma,
+                 &s_l, &s_r);
+        out[i] = contact(rho_l[i], u_l[i], p_l[i], rho_r[i], u_r[i], p_r[i],
+                         s_l, s_r);
+    }
+}
+
+void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
+    long ng, double dtdx, double fscale, double gamma, long scheme,
+    long solver, double dfloor, double efloor, double **flux,
+    int64_t *counts, double *work, long mb, int64_t *cols)
+{
+    long n, s, na, sa, nb, sb;
+    if (axis == 0) { n = n0; s = n1 * n2; na = n1; sa = n2; nb = n2; sb = 1; }
+    else if (axis == 1) {
+        n = n1; s = n2; na = n0; sa = n1 * n2; nb = n2; sb = 1;
+    } else { n = n2; s = 1; na = n0; sa = n1 * n2; nb = n1; sb = n2; }
+    /* output strides: interior extents transversally, n - 2 ng + 1 faces */
+    long oa = lmax(na - 2 * ng, 0), ob = lmax(nb - 2 * ng, 0);
+    long on = n - 2 * ng + 1;
+    long fs, fsa, fsb;
+    if (axis == 0) { fs = oa * ob; fsa = ob; fsb = 1; }
+    else if (axis == 1) { fs = ob; fsa = on * ob; fsb = 1; }
+    else { fs = 1; fsa = ob * on; fsb = on; }
+    long m = na * nb;
+    long lo = ng - 1, hi = n - ng;  /* faces lo .. hi-1 bound the band */
+    double p_floor = (gamma - 1.0) * dfloor * efloor;
+    double eint_floor = dfloor * efloor;
+    int64_t *base = cols, *obase = cols + mb;
+    long row = n * mb;              /* one scratch row */
+    for (long k = 0; k < 5; k++) counts[k] = 0;
+
+    for (long c0 = 0; c0 < m; c0 += mb) {
+        long mc = lmin(mb, m - c0);
+        long size = n * mc;
+        for (long jj = 0; jj < mc; jj++) {
+            long a = (c0 + jj) / nb, b = (c0 + jj) % nb;
+            base[jj] = a * sa + b * sb;
+            obase[jj] = -1;
+            if (ng <= a && a < na - ng && ng <= b && b < nb - ng)
+                obase[jj] = (a - ng) * fsa + (b - ng) * fsb;
+        }
+        for (long k = 0; k < 6; k++) {
+            const double *src = q[k];
+            double *buf = work + (W_Q + k) * row;
+            for (long i = 0; i < n; i++)
+                for (long jj = 0; jj < mc; jj++)
+                    buf[i * mc + jj] = src[base[jj] + i * s];
+        }
+        double *rho = work + W_Q * row, *u = work + (W_Q + 1) * row;
+        double *v = work + (W_Q + 2) * row, *w = work + (W_Q + 3) * row;
+        double *etot = work + (W_Q + 4) * row;
+        double *eint = work + (W_Q + 5) * row;
+        double *p = work + W_P * row;
+        for (long k = 0; k < size; k++)
+            p[k] = (gamma - 1.0) * rho[k] * eint[k];
+
+        /* ---- face states of (rho, u, v, w, p) ---- */
+        double *dq = work + W_DQ * row, *qf = work + W_QF * row;
+        double *sl = work + W_SL * row, *sr = work + W_SR * row;
+        if (scheme == SCHEME_TRACE) {
+            double *fl = work + W_FL * row, *fr = work + W_FR * row;
+            double *edge = work + W_EDGE * row;
+            for (long k = 0; k < 5; k++) {
+                const double *qk = (k == 4) ? p : work + (W_Q + k) * row;
+                if (n < 6) rk_plm(n, mc, qk, fl, fr);
+                else rk_ppm(n, mc, qk, fl, fr, dq, qf);
+                /* cell i's left edge is face i-1's right state, its right
+                   edge face i's left state (tracing._parabola) */
+                double *el = edge + 2 * k * row, *er = el + row;
+                for (long jj = 0; jj < mc; jj++) {
+                    el[jj] = qk[jj];
+                    er[(n - 1) * mc + jj] = qk[(n - 1) * mc + jj];
+                }
+                for (long t = 0; t < (n - 1) * mc; t++) {
+                    el[t + mc] = fr[t];
+                    er[t] = fl[t];
+                }
+            }
+            rk_trace(n, mc, rho, u, v, w, p,
+                     edge, edge + row, edge + 2 * row, edge + 3 * row,
+                     edge + 4 * row, edge + 5 * row, edge + 6 * row,
+                     edge + 7 * row, edge + 8 * row, edge + 9 * row,
+                     dtdx, gamma,
+                     sl, sl + row, sl + 2 * row, sl + 3 * row, sl + 4 * row,
+                     sr, sr + row, sr + 2 * row, sr + 3 * row, sr + 4 * row);
+        } else {
+            double *flat = work + W_FLAT * row;
+            if (scheme == SCHEME_PPM_FLATTEN) flatten_coef(n, mc, p, u, flat);
+            for (long k = 0; k < 5; k++) {
+                const double *qk = (k == 4) ? p : work + (W_Q + k) * row;
+                double *ql = sl + k * row, *qr = sr + k * row;
+                if (scheme == SCHEME_FLAT) {
+                    for (long t = 0; t < (n - 1) * mc; t++) {
+                        ql[t] = qk[t];
+                        qr[t] = qk[t + mc];
+                    }
+                } else if (scheme == SCHEME_PLM || n < 6)
+                    rk_plm(n, mc, qk, ql, qr);
+                else
+                    rk_ppm(n, mc, qk, ql, qr, dq, qf);
+                if (scheme == SCHEME_PPM_FLATTEN)
+                    flatten_states(n, mc, qk, flat, ql, qr);
+            }
+        }
+
+        /* ---- positivity at faces (all n-1 of them are counted) ---- */
+        for (long side = 0; side < 2; side++) {
+            double *d = work + (W_SL + 5 * side) * row, *pf = d + 4 * row;
+            for (long t = 0; t < (n - 1) * mc; t++) {
+                if (d[t] < dfloor) counts[0] += 1;
+                d[t] = nmax(d[t], dfloor);
+                if (pf[t] < p_floor) counts[1] += 1;
+                pf[t] = nmax(pf[t], p_floor);
+            }
+        }
+
+        /* ---- Riemann fluxes and contact speed on the faces in use ---- */
+        long f_lo = lo * mc, nface = (hi - lo) * mc;
+        double *g = work + W_F * row;
+        double *u_face = work + W_UFACE * row;
+        if (solver == SOLVER_HLLC)
+            rk_hllc(nface, sl + f_lo, sl + row + f_lo, sl + 2 * row + f_lo,
+                    sl + 3 * row + f_lo, sl + 4 * row + f_lo,
+                    sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
+                    sr + 3 * row + f_lo, sr + 4 * row + f_lo, gamma,
+                    g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
+                    g + 3 * row + f_lo, g + 4 * row + f_lo);
+        else if (solver == SOLVER_HLL)
+            rk_hll(nface, sl + f_lo, sl + row + f_lo, sl + 2 * row + f_lo,
+                   sl + 3 * row + f_lo, sl + 4 * row + f_lo,
+                   sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
+                   sr + 3 * row + f_lo, sr + 4 * row + f_lo, gamma,
+                   g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
+                   g + 3 * row + f_lo, g + 4 * row + f_lo);
+        else
+            rk_two_shock(nface, sl + f_lo, sl + row + f_lo,
+                         sl + 2 * row + f_lo, sl + 3 * row + f_lo,
+                         sl + 4 * row + f_lo,
+                         sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
+                         sr + 3 * row + f_lo, sr + 4 * row + f_lo,
+                         gamma, 20, 0.0,
+                         g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
+                         g + 3 * row + f_lo, g + 4 * row + f_lo);
+        contact_speed(nface, sl + f_lo, sl + row + f_lo, sl + 4 * row + f_lo,
+                      sr + f_lo, sr + row + f_lo, sr + 4 * row + f_lo,
+                      gamma, u_face + f_lo);
+
+        /* ---- internal energy advects with the mass flux ---- */
+        double *f_rho = g, *f_mu = g + row, *f_mv = g + 2 * row;
+        double *f_mw = g + 3 * row, *f_e = g + 4 * row;
+        double *f_eint = work + W_FEINT * row;
+        for (long t = lo * mc; t < hi * mc; t++) {
+            double frac;
+            if (f_rho[t] > 0.0) frac = rho[t] * eint[t] / rho[t];
+            else frac = rho[t + mc] * eint[t + mc] / rho[t + mc];
+            f_eint[t] = f_rho[t] * frac;
+        }
+
+        /* ---- scaled interior-face fluxes, final layout ---- */
+        for (long k = 0; k < 6; k++) {
+            const double *fk = (k == 5) ? f_eint : g + k * row;
+            double *out = flux[k];
+            for (long i = lo; i < hi; i++)
+                for (long jj = 0; jj < mc; jj++)
+                    if (obase[jj] >= 0)
+                        out[obase[jj] + (i - lo) * fs]
+                            = fscale * fk[i * mc + jj];
+        }
+
+        /* ---- conservative update of the interior band ---- */
+        for (long i = ng; i < n - ng; i++) {
+            for (long jj = 0; jj < mc; jj++) {
+                long t = i * mc + jj;
+                double r_old = rho[t];
+                double rho_new = r_old + -dtdx * (f_rho[t] - f_rho[t - mc]);
+                if (rho_new < dfloor) counts[2] += 1;
+                rho_new = nmax(rho_new, dfloor);
+                double mom_u = r_old * u[t] - dtdx * (f_mu[t] - f_mu[t - mc]);
+                double mom_v = r_old * v[t] - dtdx * (f_mv[t] - f_mv[t - mc]);
+                double mom_w = r_old * w[t] - dtdx * (f_mw[t] - f_mw[t - mc]);
+                double etot_new = r_old * etot[t]
+                    - dtdx * (f_e[t] - f_e[t - mc]);
+                /* advection + pdV work with the interface velocities */
+                double eint_new = r_old * eint[t]
+                    - dtdx * (f_eint[t] - f_eint[t - mc])
+                    - p[t] * dtdx * (u_face[t] - u_face[t - mc]);
+                if (eint_new < eint_floor) counts[3] += 1;
+                eint_new = nmax(eint_new, eint_floor);
+                double etot_spec = etot_new / rho_new;
+                if (etot_spec < efloor) counts[4] += 1;
+                long c = base[jj] + i * s;
+                q[0][c] = rho_new;
+                q[1][c] = mom_u / rho_new;
+                q[2][c] = mom_v / rho_new;
+                q[3][c] = mom_w / rho_new;
+                q[4][c] = nmax(etot_spec, efloor);
+                q[5][c] = eint_new / rho_new;
+            }
+        }
+
+        /* ---- advected fields ride the mass flux ---- */
+        double *f_adv = work + W_FADV * row;
+        for (long k = 6; k < nq; k++) {
+            double *src = q[k], *out = flux[k];
+            for (long i = lo; i < hi; i++) {
+                for (long jj = 0; jj < mc; jj++) {
+                    long t = i * mc + jj, c = base[jj] + i * s;
+                    double frac;
+                    if (f_rho[t] > 0.0) frac = src[c] / rho[t];
+                    else frac = src[c + s] / rho[t + mc];
+                    f_adv[t] = f_rho[t] * frac;
+                    if (obase[jj] >= 0)
+                        out[obase[jj] + (i - lo) * fs] = fscale * f_adv[t];
+                }
+            }
+            for (long i = ng; i < n - ng; i++) {
+                for (long jj = 0; jj < mc; jj++) {
+                    long t = i * mc + jj, c = base[jj] + i * s;
+                    src[c] = nmax(
+                        src[c] - dtdx * (f_adv[t] - f_adv[t - mc]), 0.0);
+                }
+            }
+        }
+    }
+}
 """
 
 
@@ -796,6 +1077,19 @@ class _CLoops:
             dtdx, gamma,
             _p(ol_rho), _p(ol_u), _p(ol_v), _p(ol_w), _p(ol_p),
             _p(or_rho), _p(or_u), _p(or_v), _p(or_w), _p(or_p),
+        )
+
+    @staticmethod
+    def sweep(q, n0, n1, n2, axis, ng, dtdx, fscale, gamma, scheme, solver,
+              dfloor, efloor, flux, counts, work, cols):
+        # the pointer tables own nothing: ``q``/``flux`` keep the buffers
+        # alive for the duration of the (GIL-releasing) call
+        _lib.rk_sweep(
+            len(q), ffi.new("double *[]", [_p(a) for a in q]),
+            n0, n1, n2, axis, ng, dtdx, fscale, gamma, scheme, solver,
+            dfloor, efloor, ffi.new("double *[]", [_p(f) for f in flux]),
+            ffi.from_buffer("int64_t[]", counts), _p(work), cols.shape[1],
+            ffi.from_buffer("int64_t[]", cols),
         )
 
     @staticmethod

@@ -18,33 +18,25 @@ what keeps the numba tier bitwise-identical to the NumPy reference.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from numba import njit  # raises ImportError -> dispatch falls back
 
 from repro.kernels import _loops, _wrap, dispatch
 
 _JIT_OPTS = dict(cache=True, nogil=True, fastmath=False)
 
-# helpers first (kernels call them through module globals), then plm
-# (called by ppm), then the kernel bodies themselves
-for _name in ("_nmax", "_nmin", "_minmod", "_mc", "_iplus", "_iminus",
-              "_sign", "_clip01", "_tval", "_mc_slope", "plm"):
-    setattr(_loops, _name, njit(**_JIT_OPTS)(getattr(_loops, _name).py_func
-                                             if hasattr(getattr(_loops, _name), "py_func")
-                                             else getattr(_loops, _name)))
-
-_jitted = SimpleNamespace(
-    two_shock=njit(**_JIT_OPTS)(_loops.two_shock),
-    hllc=njit(**_JIT_OPTS)(_loops.hllc),
-    hll=njit(**_JIT_OPTS)(_loops.hll),
-    plm=_loops.plm,
-    ppm=njit(**_JIT_OPTS)(_loops.ppm),
-    trace=njit(**_JIT_OPTS)(_loops.trace),
-    chem_blend=njit(**_JIT_OPTS)(_loops.chem_blend),
-    prolong_linear=njit(**_JIT_OPTS)(_loops.prolong_linear),
-    mg_smooth=njit(**_JIT_OPTS)(_loops.mg_smooth),
+# helpers first (kernels call them through module globals), then the loop
+# bodies in dependency order: ``ppm`` calls ``plm``, and the fused ``sweep``
+# driver calls every reconstruction / tracing / Riemann body
+_NAMES = (
+    "_nmax", "_nmin", "_minmod", "_mc", "_einfeldt", "_contact", "_iplus",
+    "_iminus", "_sign", "_clip01", "_tval", "_mc_slope", "_slot", "_faces",
+    "two_shock", "hllc", "hll", "plm", "ppm", "trace", "chem_blend",
+    "prolong_linear", "mg_smooth", "flatten_coef", "flatten_states",
+    "contact_speed", "sweep",
 )
+for _name in _NAMES:
+    _fn = getattr(_loops, _name)
+    setattr(_loops, _name, njit(**_JIT_OPTS)(getattr(_fn, "py_func", _fn)))
 
-for _kname, _impl in _wrap.make_impls(_jitted).items():
+for _kname, _impl in _wrap.make_impls(_loops).items():
     dispatch.register("numba", _kname, _impl)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.amr import interpolation as _interpolation
 from repro.chemistry import rates as _rates
 from repro.gravity import multigrid as _multigrid
+from repro.hydro import ppm as _ppm
 from repro.hydro import reconstruction as _reconstruction
 from repro.hydro import riemann as _riemann
 from repro.hydro import tracing as _tracing
@@ -23,6 +24,7 @@ dispatch.register("numpy", "riemann.hll", _riemann.hll_flux)
 dispatch.register("numpy", "reconstruct.ppm", _reconstruction.ppm_reconstruct)
 dispatch.register("numpy", "reconstruct.plm", _reconstruction.plm_reconstruct)
 dispatch.register("numpy", "trace.states", _tracing.trace_states_numpy)
+dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
 dispatch.register("numpy", "mg.smooth", _multigrid.redblack_smooth_numpy)

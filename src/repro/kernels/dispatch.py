@@ -1,9 +1,9 @@
 """Backend registry for the compiled kernel tier.
 
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
-tracing, the chemistry rate-table blend, the AMR parent->child
-prolongation and the multigrid smoother) are registered here once per
-*backend*:
+tracing, the fused per-grid hydro sweep built from them, the chemistry
+rate-table blend, the AMR parent->child prolongation and the multigrid
+smoother) are registered here once per *backend*:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -58,6 +58,7 @@ KERNEL_NAMES = (
     "reconstruct.ppm",
     "reconstruct.plm",
     "trace.states",
+    "hydro.sweep",
     "chem.blend",
     "prolong.linear",
     "mg.smooth",
@@ -216,6 +217,10 @@ def warm() -> None:
     if fn is not None:
         col = np.linspace(1.0, 2.0, 8)
         fn(col, 0.0 * col, 0.0 * col, 0.0 * col, col, 0.1, 5.0 / 3.0)
+    fn = _impls.get((backend, "hydro.sweep"))
+    if fn is not None:
+        fn([np.ones((3, 3, 3)) for _ in range(6)], 0, 1, 0.1, 0.1,
+           5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30)
     fn = _impls.get((backend, "chem.blend"))
     if fn is not None:
         tab = np.zeros((2, 4))

@@ -17,8 +17,8 @@ Step record schema (all numbers JSON-native)::
      "chemistry": {"tasks": 9, "cells": 36864, "substeps_total": 112640,
                    "substeps_max": 57, "active_fraction_mean": 0.23},
      "kernels": {"backend": "cffi",
-                 "per_kernel": {"riemann.hllc": {"calls": 96,
-                                                 "seconds": 0.031}, ...}},
+                 "per_kernel": {"hydro.sweep": {"calls": 96,
+                                                "seconds": 0.031}, ...}},
      "rebuild": {"created": 12, "destroyed": 9, "reused": 480,
                  "reuse_rate": 0.9756},
      "wall": ...}

@@ -10,14 +10,16 @@ Three layers:
   the vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
-  The AMR stencils (``prolong.linear``, ``mg.smooth``) write in place, so
-  their parity cases compare the arrays each tier leaves behind.
+  The AMR stencils (``prolong.linear``, ``mg.smooth``) and the fused
+  hydro sweep (``hydro.sweep``) write in place, so their parity cases
+  compare the arrays each tier leaves behind.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
   fingerprint identity through the Simulation facade.
 """
 
+import itertools
 import sys
 import warnings
 
@@ -27,6 +29,7 @@ import pytest
 from repro.amr.interpolation import prolong_boxes, prolong_linear, shell_boxes
 from repro.chemistry.rates import blend_table_numpy
 from repro.gravity.multigrid import redblack_smooth_numpy
+from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
     TWO_SHOCK_RTOL,
@@ -60,6 +63,7 @@ REFERENCE = {
     "reconstruct.ppm": ppm_reconstruct,
     "reconstruct.plm": plm_reconstruct,
     "trace.states": trace_states_numpy,
+    "hydro.sweep": sweep_numpy,
     "chem.blend": blend_table_numpy,
     "prolong.linear": prolong_boxes,
     "mg.smooth": redblack_smooth_numpy,
@@ -404,6 +408,179 @@ class TestAmrStencilParity:
                                                            positive=True))
 
 
+# ============================================================= fused sweep
+SWEEP_SCHEMES, SWEEP_SOLVERS = _loops.SWEEP_SCHEMES, _loops.SWEEP_SOLVERS
+#: (ghost-inclusive shape, nghost): cubic, non-cubic, and a 5-cell sweep
+#: extent with two ghosts (below the PPM stencil: the PLM fallback)
+SWEEP_GRIDS = [((14, 14, 14), 3), ((8, 14, 22), 3), ((5, 6, 7), 2)]
+SWEEP_ARGS = (0.13, 0.4, GAMMA)        # dt/(a dx), dt/a, gamma
+SWEEP_FLOORS = (1e-12, 1e-30)          # density, energy
+
+
+def _sweep_arrays(shape, n_adv, kind):
+    """(rho, u, v, w, e_tot, e_int, *advected) for one grid.
+
+    ``floors`` has a near-vacuum, zero-energy cell, a density cliff, a
+    hot slab and a diverging supersonic flow: every positivity floor of
+    the sweep fires and the flattening coefficient is non-zero; ``nan``
+    poisons one cell of the density on top of that.
+    """
+    rng = np.random.default_rng(sum(shape) + n_adv)
+    rho = rng.random(shape) + 0.2
+    vel = [0.8 * rng.standard_normal(shape) for _ in range(3)]
+    e_int = rng.random(shape) + 0.1
+    mid = tuple(s // 2 for s in shape)
+    if kind != "smooth":
+        rho[mid[0]:] *= 1e-3
+        e_int[:, mid[1]:] *= 1e4
+        for v, index, m in zip(vel, np.indices(shape), mid):
+            v[...] += 6.0 * np.sign(index - m)     # flow away from ``mid``
+        rho[mid] = 1e-13
+        e_int[mid] = 1e-32
+    if kind == "nan":
+        rho[tuple(m - 1 for m in mid)] = np.nan
+    e_tot = e_int + 0.5 * sum(v * v for v in vel)
+    if kind != "smooth":
+        e_tot[mid] = e_int[mid]        # energy floor: E far below v^2/2
+    advected = [rho * rng.random(shape) for _ in range(n_adv)]
+    return [rho, *vel, e_tot, e_int, *advected]
+
+
+def _sweep_both(fn, arrays, axis, ng, scheme, solver):
+    ref = [a.copy() for a in arrays]
+    got = [a.copy() for a in arrays]
+    with np.errstate(all="ignore"):
+        ref_out = sweep_numpy(ref, axis, ng, *SWEEP_ARGS, scheme, solver,
+                              *SWEEP_FLOORS)
+        got_out = fn(got, axis, ng, *SWEEP_ARGS, scheme, solver,
+                     *SWEEP_FLOORS)
+    return (ref, *ref_out), (got, *got_out)
+
+
+def _assert_sweeps_equal(ref, got):
+    (ref_fields, ref_flux, ref_counts), (got_fields, got_flux,
+                                         got_counts) = ref, got
+    assert got_counts == ref_counts
+    assert len(got_flux) == len(ref_flux) == len(ref_fields)
+    for a, b in zip(got_fields, ref_fields):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(got_flux, ref_flux):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestSweepParity:
+    """``hydro.sweep`` leaves bit-identical fields, fluxes and counts."""
+
+    @pytest.mark.parametrize("kind", ["smooth", "floors", "nan"])
+    def test_matrix(self, tier, kind):
+        fn = _tier_impls(tier)["hydro.sweep"]
+        cases = list(itertools.product(
+            SWEEP_GRIDS, range(3), SWEEP_SCHEMES, SWEEP_SOLVERS, (0, 3, 9)))
+        if tier == "loops":
+            # interpreted loops: every seventh case still meets every
+            # value of every factor, and every grid on every axis
+            cases = cases[::7]
+        fired = np.zeros(len(FLOOR_COUNTS), dtype=int)
+        for (shape, ng), axis, scheme, solver, n_adv in cases:
+            arrays = _sweep_arrays(shape, n_adv, kind)
+            ref, got = _sweep_both(fn, arrays, axis, ng, scheme, solver)
+            _assert_sweeps_equal(ref, got)
+            fired += np.array(ref[2]) > 0
+        if kind == "floors":
+            assert fired.all(), dict(zip(FLOOR_COUNTS, fired))
+
+    def test_flux_layout(self, tier):
+        """Face dimension along the sweep axis, interior transversally."""
+        fn = _tier_impls(tier)["hydro.sweep"]
+        for axis in range(3):
+            arrays = _sweep_arrays((8, 9, 10), 2, "smooth")
+            flux, counts = fn(arrays, axis, 2, *SWEEP_ARGS, "ppm", "hllc",
+                              *SWEEP_FLOORS)
+            want = [4, 5, 6]
+            want[axis] += 1
+            assert len(flux) == 8 and len(counts) == len(FLOOR_COUNTS)
+            assert all(f.shape == tuple(want) for f in flux)
+
+    def test_non_contiguous_fields_are_written_back(self, tier):
+        fn = _tier_impls(tier)["hydro.sweep"]
+        arrays = _sweep_arrays((8, 9, 10), 2, "floors")
+        ref, _ = _sweep_both(fn, arrays, 1, 2, "ppm+flatten", "hllc")
+        got = [np.asfortranarray(a) for a in arrays]
+        got[1] = np.repeat(arrays[1], 2, axis=2)[:, :, ::2]   # strided view
+        with np.errstate(all="ignore"):
+            out = fn(got, 1, 2, *SWEEP_ARGS, "ppm+flatten", "hllc",
+                     *SWEEP_FLOORS)
+        assert not got[1].flags.c_contiguous
+        _assert_sweeps_equal(ref, (got, *out))
+
+    def test_refuses_what_the_loops_cannot_index(self, tier):
+        fn = _tier_impls(tier)["hydro.sweep"]
+        tail = (*SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
+        arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
+        before = [a.copy() for a in arrays]
+        with pytest.raises(ValueError, match="no interior cell"):
+            fn(arrays, 0, 3, *tail)              # n = 2 ng
+        with pytest.raises(ValueError, match="shapes differ"):
+            fn(arrays[:5] + [np.ones((6, 8, 9))], 1, 3, *tail)
+        with pytest.raises(ValueError, match="unknown reconstruction"):
+            fn(arrays, 1, 3, *SWEEP_ARGS, "weno", "hllc", *SWEEP_FLOORS)
+        with pytest.raises(ValueError, match="unknown riemann solver"):
+            fn(arrays, 1, 3, *SWEEP_ARGS, "ppm", "roe", *SWEEP_FLOORS)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+class TestSolverStepAcrossTiers:
+    def _fields(self):
+        from repro.hydro.state import META_KEY, FieldSet
+
+        names = ["density", "vx", "vy", "vz", "energy", "internal",
+                 "HI", "HII"]
+        fields = FieldSet(zip(names, _sweep_arrays((10, 11, 12), 2,
+                                                   "floors")))
+        fields[META_KEY] = ["HI", "HII"]
+        return fields
+
+    @pytest.mark.parametrize("permute", [0, 1, 2])
+    @pytest.mark.parametrize("options", [
+        {}, {"characteristic_tracing": True},
+        {"reconstruction": "flat", "riemann_solver": "hll",
+         "flattening": False}])
+    def test_step_fluxes_identical(self, isolated, options, permute):
+        """Keys (in order), shapes, values, diagnostics and the advanced
+        fields of ``PPMSolver.step`` do not depend on the tier."""
+        accel = 0.3 * np.random.default_rng(5).standard_normal((3, 10, 11,
+                                                                12))
+        results = []
+        for backend in ["numpy"] + COMPILED:
+            dispatch.set_backend(backend, env=False)
+            fields = self._fields()
+            with np.errstate(all="ignore"):
+                out = PPMSolver(**options).step(fields, 0.1, 0.004, a=1.1,
+                                                adot=0.2, accel=accel,
+                                                permute=permute)
+            results.append((fields, out))
+        ref_fields, ref = results[0]
+        assert list(ref.fluxes) == [AXIS_NAMES[(permute + k) % 3]
+                                    for k in range(3)]
+        assert ref.diagnostics and set(ref.diagnostics) <= set(FLOOR_COUNTS)
+        for fields, out in results[1:]:
+            assert out.diagnostics == ref.diagnostics
+            assert list(out.fluxes) == list(ref.fluxes)
+            for axis, per in ref.fluxes.items():
+                assert list(out.fluxes[axis]) == list(per)
+                for name, arr in per.items():
+                    assert out.fluxes[axis][name].shape == arr.shape
+                    np.testing.assert_array_equal(out.fluxes[axis][name],
+                                                  arr)
+            for name, arr in ref_fields.array_items():
+                np.testing.assert_array_equal(fields[name], arr)
+
+
+
 # ====================================================== two-shock early exit
 class TestTwoShockEarlyExit:
     """Satellite 1: the residual-based exit is bitwise-free at rtol=0."""
@@ -541,11 +718,14 @@ class TestIntegration:
         dt = sim.evolver.advance_root_step(0.005)
         stats = sim.evolver.last_kernel_stats
         assert stats["backend"] == "numpy"
-        assert stats["per_kernel"]["riemann.hllc"]["calls"] > 0
+        # a sweep is one kernel call on every tier: the reference calls
+        # the NumPy bodies directly, so nothing is counted twice
+        assert stats["per_kernel"]["hydro.sweep"]["calls"] > 0
+        assert "riemann.hllc" not in stats["per_kernel"]
         assert sim.timers.totals["kernels"] > 0.0
         record = step_record(sim.evolver, step=1, dt=dt)
         assert record["kernels"]["backend"] == "numpy"
-        assert "riemann.hllc" in record["kernels"]["per_kernel"]
+        assert "hydro.sweep" in record["kernels"]["per_kernel"]
 
     @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
     def test_fingerprint_identical_across_kernel_backends(self, isolated):
@@ -604,3 +784,23 @@ class TestIntegration:
             assert calls["mg.smooth"][0] > 0
             fps[backend] = run.hierarchy.fingerprint()
         assert len(set(fps.values())) == 1, fps
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+    def test_sweeps_overlap_safely_on_thread_exec(self, isolated):
+        """The compiled sweep releases the GIL, so under the thread exec
+        backend sibling grids really sweep at once; its scratch is per
+        call, so the deep-lattice smoke problem ends on the serial bytes."""
+        from repro.exec.config import ExecConfig
+        from repro.problems import SphereCollapse
+
+        dispatch.set_backend(COMPILED[0], env=False)
+        fps = []
+        for exec_config in (ExecConfig("serial", 1), ExecConfig("thread", 2)):
+            run = SphereCollapse(n_root=16, max_level=2, overdensity=25.0,
+                                 max_dims=8, exec_config=exec_config)
+            t_end = 1.5 * run.free_fall_time(run.peak_density)
+            for _ in range(2):
+                run.evolver.advance_root_step(t_end)
+            assert len(run.hierarchy.level_grids(2)) > 1
+            fps.append(run.hierarchy.fingerprint())
+        assert fps[0] == fps[1]
