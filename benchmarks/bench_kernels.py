@@ -3,7 +3,7 @@
 The compiled kernel tier (``repro.kernels``) takes over the hottest inner
 loops — the Riemann fluxes (HLLC and two-shock), PPM reconstruction,
 characteristic tracing, and the chemistry rate-table blend — with
-njit/cffi flat loops that are **bitwise identical** to the vectorised
+C loops (cffi) that are **bitwise identical** to the vectorised
 reference (the parity suite in ``tests/test_kernels.py`` enforces that).
 
 This bench measures what that buys:
@@ -15,8 +15,8 @@ This bench measures what that buys:
   headline;
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
-  actually feeds these kernels at hero-run depth), NumPy vs. the best
-  compiled backend that loads on this host;
+  actually feeds these kernels at hero-run depth), NumPy vs. the
+  compiled backend;
 * an end-to-end primordial-collapse run (chemistry on, so every kernel
   family participates) stepped under both tiers, with the hierarchy
   fingerprints asserted bitwise-equal — the speedup you get for free
@@ -63,7 +63,7 @@ def _best(fn, repeats: int) -> float:
 
 
 def _compiled_backend() -> str | None:
-    """Best compiled backend on this host (numba preferred), or None."""
+    """The compiled backend if it loads on this host, or None."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         resolved = dispatch.resolve_backend("auto")

@@ -648,7 +648,7 @@ def main(argv=None) -> int:
                    help="worker count for parallel backends "
                         "(default: REPRO_WORKERS or CPU count)")
     p.add_argument("--kernels", default=None,
-                   choices=["numpy", "numba", "cffi", "auto"],
+                   choices=["numpy", "cffi", "auto"],
                    help="inner-loop kernel tier (default: REPRO_KERNELS or "
                         "numpy; results are backend-independent, see "
                         "docs/PERFORMANCE.md)")
@@ -676,7 +676,7 @@ def main(argv=None) -> int:
     p.add_argument("--workers", type=int, default=None,
                    help="override the worker count for the resumed run")
     p.add_argument("--kernels", default=None,
-                   choices=["numpy", "numba", "cffi", "auto"],
+                   choices=["numpy", "cffi", "auto"],
                    help="override the kernel tier for the resumed run "
                         "(results are backend-independent)")
     p.add_argument("--faults", default=None,

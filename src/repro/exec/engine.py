@@ -45,7 +45,7 @@ from time import perf_counter
 from repro.exec import shm as shm_codec
 from repro.exec.calibration import WorkCalibrator
 from repro.exec.config import ExecConfig
-from repro.exec.kernels import run_packed_task
+from repro.exec.worker import run_packed_task
 from repro.kernels import dispatch as kernel_dispatch
 from repro.parallel.distribution import balance_grids, grid_work
 
@@ -69,7 +69,7 @@ _POOLS: dict = {}
 
 def _worker_init(kernel_backend: str) -> None:
     """Process-pool initializer: select + warm the kernel backend once per
-    worker, so an njit/cffi compile never lands inside a task timing."""
+    worker, so a cffi load or compile never lands inside a task timing."""
     kernel_dispatch.set_backend(kernel_backend, env=False)
     kernel_dispatch.warm()
 

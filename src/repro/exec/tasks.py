@@ -13,7 +13,7 @@ Two execution paths:
   thread backends; zero copies).
 * ``export()`` / ``absorb()`` — stage arrays through shared memory for the
   process backend: ``export`` names the input arrays and any output space,
-  the worker-side kernel (:mod:`repro.exec.kernels`) computes in place on
+  the worker-side runner (:mod:`repro.exec.worker`) computes in place on
   the shared block, and ``absorb`` writes the results back into the grid.
 
 Tasks also expose ``grid_id`` / ``level`` / ``n_cells`` / ``start_index``
@@ -236,5 +236,5 @@ class GravityAccelTask(GridTask):
         self.result = views["acc"].copy()
 
 
-# re-exported so kernels.py (worker side) and tasks.py agree on the key
+# re-exported so worker.py and tasks.py agree on the key
 FIELD_META_KEY = META_KEY

@@ -1,4 +1,4 @@
-"""Worker-side kernels for the process backend.
+"""Worker-side task runners for the process backend.
 
 Everything here must be importable at module level (the pool pickles only
 the function reference plus small metadata).  The bulk data travels through

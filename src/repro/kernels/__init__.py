@@ -6,7 +6,6 @@ module's docstring for backend selection and the parity policy.
 
 from repro.kernels.dispatch import (  # noqa: F401
     BACKENDS,
-    COMPILED_BACKENDS,
     ENV_KERNELS,
     KERNEL_NAMES,
     active_backend,

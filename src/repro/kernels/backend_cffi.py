@@ -1,15 +1,51 @@
-"""cffi/C backend: the flat-loop kernels hand-written in C.
+"""cffi/C backend: the compiled transcription of every kernel.
 
-A line-for-line mirror of :mod:`repro.kernels._loops`, compiled once per
-machine with the system C compiler through cffi (API mode) and cached as a
-shared object under ``REPRO_KERNELS_CACHE`` (default
+Each kernel exists twice: the vectorised NumPy reference (``hydro/riemann.py``,
+``hydro/reconstruction.py``, ``hydro/tracing.py``, ``hydro/ppm.py``,
+``chemistry/rates.py``, ``amr/interpolation.py``, ``gravity/multigrid.py`` —
+the definition of correct) and the per-element C in ``_CSOURCE`` below,
+compiled once per machine with the system C compiler through cffi (API
+mode) and cached as a shared object under ``REPRO_KERNELS_CACHE`` (default
 ``~/.cache/repro-kernels``).  Importing this module triggers the build the
 first time; any failure (no cffi, no compiler, sandboxed cache dir)
 surfaces as an exception the dispatch registry turns into the standard
 warn-once NumPy fallback.
 
-Bitwise parity with the NumPy reference is a hard requirement, so the
-compile flags matter:
+The C wants flat contiguous arrays and preallocated outputs and indexes raw
+memory; the contract functions at the bottom of this module (one per
+``dispatch.KERNEL_NAMES`` entry, same signature as its NumPy reference)
+validate shapes and index ranges, make inputs contiguous, allocate outputs
+and scratch, and copy non-contiguous in-place targets in and back:
+
+* ``riemann.*``       ``fn(left, right, gamma, ...) -> 5-tuple of fluxes``
+* ``reconstruct.*``   ``fn(q) -> (q_l, q_r)`` with face shape ``(n-1, ...)``
+* ``trace.states``    ``fn(rho, u, v, w, p, dtdx, gamma) -> (l, r) tuples``
+* ``hydro.sweep``     ``fn(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+  riemann_solver, density_floor, energy_floor) -> (fluxes, counts)`` — one
+  directional sweep of one grid, updating ``arrays`` in place
+* ``chem.blend``      ``fn(logtab, idx, weight) -> (channels, n) rates``
+* ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
+  r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
+* ``mg.smooth``       ``fn(phi, source, dx, sweeps)`` — smooths ``phi`` in place
+
+Bitwise parity with the NumPy reference is a hard requirement
+(``tests/test_kernels.py``).  The rules the C follows (why the bodies look
+pedantic):
+
+* op order and association match the NumPy expressions exactly —
+  e.g. ``0.5 * (u_l - A + u_r + B)`` stays left-associated;
+* ``nmax``/``nmin`` replicate ``np.maximum``/``np.minimum`` NaN
+  propagation; a bare ``a > b ? a : b`` would not;
+* every ``np.where(cond, a, b)`` becomes a branch whose *condition*
+  evaluates identically for NaN (NaN comparisons are false both ways);
+* multiplications by literal ``0.0``/``1.0`` from the characteristic
+  eigenvectors are kept, because ``inf * 0.0`` must still produce NaN;
+* ``sqrt``/division are IEEE-754 correctly rounded, so looping them is
+  bit-identical to the ufunc (``exp`` is *not* — which is why the
+  chemistry kernel stops at the linear blend and its contract function
+  keeps ``np.exp``).
+
+and the compile flags (``_COMPILE_ARGS``) that make them hold:
 
 * ``-ffp-contract=off`` — no FMA contraction; every multiply and add
   rounds separately, exactly like the NumPy ufuncs;
@@ -17,21 +53,23 @@ compile flags matter:
   division/sqrt correctly rounded;
 * ``-fno-math-errno`` is safe (it only drops the errno bookkeeping).
 
-The helpers ``nmax``/``nmin`` replicate ``np.maximum``/``np.minimum`` NaN
-propagation; conditionals replicate ``np.where`` NaN-falls-false
-semantics — see the _loops docstring for the full parity rulebook.
+Adding a kernel is a two-place change — the NumPy reference and, here, the
+C plus its contract function; docs/PERFORMANCE.md ("Adding a kernel") has
+the checklist.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import os
 import sys
 import tempfile
 
 import numpy as np
+from cffi import FFI  # raises ImportError -> dispatch falls back to NumPy
 
-from repro.kernels import _wrap, dispatch
+from repro.kernels import dispatch
 
 _CDEF = """
 void rk_two_shock(long n,
@@ -101,6 +139,7 @@ static double nmin(double a, double b) {
     return a < b ? a : b;
 }
 
+/* np.where(a * b > 0, where(|a| < |b|, a, b), 0.0); NaN product -> 0.0 */
 static double minmod(double a, double b) {
     if (a * b > 0.0)
         return fabs(a) < fabs(b) ? a : b;
@@ -141,6 +180,16 @@ static inline double contact(double rl, double ul, double pl,
     return nmin(nmax(num / den, s_l), s_r);
 }
 
+/* ---- Riemann solvers: flattened face arrays in, the five flux
+   components out ---- */
+
+/* Two-shock flux with residual early exit (riemann.two_shock_flux).  At
+   rtol == 0 the exit fires only when the Newton update is an exact fixed
+   point (p_new == p_star), making the early exit bitwise equivalent to
+   running all `iterations` -- a converged face re-derives the same p_star
+   forever.  Positive rtol exits on |dp| <= rtol * p_star (documented as
+   non-bitwise, opt-in); negative rtol disables the exit (fixed-count
+   reference mode). */
 void rk_two_shock(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
@@ -237,6 +286,7 @@ void rk_two_shock(long n,
     }
 }
 
+/* HLLC flux (riemann.hllc_flux) with Einfeldt wave speeds */
 void rk_hllc(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
@@ -312,6 +362,7 @@ void rk_hllc(long n,
     }
 }
 
+/* HLL two-wave flux (riemann.hll_flux) */
 void rk_hll(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
@@ -357,6 +408,10 @@ void rk_hll(long n,
     }
 }
 
+/* ---- reconstruction: arrays are (n, m), the sweep axis against the
+   flattened transverse axes; ql/qr are the (n-1, m) face outputs ---- */
+
+/* PLM/MC interface states (reconstruction.plm_reconstruct) */
 void rk_plm(long n, long m, const double *q, double *ql, double *qr)
 {
     for (long f = 0; f < n - 1; f++) {
@@ -378,6 +433,11 @@ void rk_plm(long n, long m, const double *q, double *ql, double *qr)
     }
 }
 
+/* PPM/CW84 interface states (reconstruction.ppm_reconstruct).  Scratch:
+   dq of shape (n, m) for the limited slopes and qf of shape (n-3, m) for
+   the fourth-order face values.  Caller guarantees n >= 6 (smaller
+   stencils stay on rk_plm, matching the reference).  The right-overshoot
+   fix uses the possibly-updated ql_edge, like the reference. */
 void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
     double *dq, double *qf)
 {
@@ -431,6 +491,13 @@ static double iminus(double ql, double qr, double q, double sigma)
     return ql + 0.5 * s * (dq + (1.0 - 2.0 * s / 3.0) * q6);
 }
 
+/* Characteristic tracing (tracing.trace_interface_states): the per-face
+   algebra after the parabola edges have been assembled.  Inputs: primitive
+   cell arrays (n, m) and their parabola edge arrays el_ / er_ (cell
+   left/right edges, from the PPM face states).  Outputs: the ten (n-1, m)
+   face-state components.  Face f takes its left state from cell f
+   (right-going waves) and its right state from cell f+1 (left-going
+   waves). */
 void rk_trace(long n, long m,
     const double *rho, const double *u, const double *v,
     const double *w, const double *p,
@@ -535,6 +602,9 @@ void rk_trace(long n, long m,
     }
 }
 
+/* Gather + lerp over the channel-major log-rate table (the exp stays in
+   NumPy).  (hi - lo) * w + lo matches the reference's in-place
+   out -= lo; out *= w; out += lo exactly (no FMA contraction). */
 void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     const int64_t *idx, const double *weight, double *out)
 {
@@ -549,7 +619,11 @@ void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     }
 }
 
-/* np.sign */
+/* ---- AMR stencils: conservative linear prolongation into fine-index
+   boxes and the multigrid smoother (references: amr/interpolation.py
+   prolong_boxes, gravity/multigrid.py redblack_smooth_numpy) ---- */
+
+/* np.sign: -1, 0, +1, NaN for NaN */
 static double sgn(double x) {
     if (x > 0.0) return 1.0;
     if (x < 0.0) return -1.0;
@@ -564,6 +638,7 @@ static double clip01(double x) {
     return t < 1.0 ? t : 1.0;
 }
 
+/* interpolation._limited_slopes for one interior cell */
 static double mc_slope(double qm, double q, double qp) {
     double dm = q - qm;
     double dp = qp - q;
@@ -575,6 +650,7 @@ static double mc_slope(double qm, double q, double qp) {
     return 0.0;
 }
 
+/* Python's //: floors, so negative (ghost) fine indices map correctly */
 static long floor_div(long a, long b) {   /* b > 0 */
     long q = a / b;
     return (a % b != 0 && a < 0) ? q - 1 : q;
@@ -583,9 +659,16 @@ static long floor_div(long a, long b) {   /* b > 0 */
 static long lmax(long a, long b) { return a > b ? a : b; }
 static long lmin(long a, long b) { return a < b ? a : b; }
 
-/* parent value at the child's time */
+/* parent value at the child's time: old * (1 - frac) + new * frac */
 #define TVAL(c) (use_old ? old[c] * omf + new_[c] * frac : new_[c])
 
+/* Prolong one parent field into fine-index boxes of one child array.
+   new_/old are the parent's allocated (nx, ny, nz) arrays, read in place;
+   (p0, p1, p2) is the coarse index of their first cell, (f0, f1, f2) the
+   fine index of fine's first cell, r >= 2.  boxes is an (n_boxes, 6) array
+   of fine-index lo, hi corners.  The loop runs over the parent cells under
+   each box so slopes are computed once per parent cell; a slope is zero
+   only along an axis where the cell sits on the parent array's edge. */
 void rk_prolong_linear(long nx, long ny, long nz,
     const double *new_, const double *old, int use_old, double frac,
     int positive, long r, long p0, long p1, long p2,
@@ -654,6 +737,9 @@ void rk_prolong_linear(long nx, long ny, long nz,
     }
 }
 
+/* Red-black Gauss-Seidel sweeps on the interior of rim-padded phi.
+   Same-colour cells are never neighbours, so updating in place equals the
+   reference's whole-array neighbour sum followed by a masked store. */
 void rk_mg_smooth(long nx, long ny, long nz, double *phi,
     const double *source, double h2, long sweeps)
 {
@@ -679,9 +765,18 @@ void rk_mg_smooth(long nx, long ny, long nz, double *phi,
     }
 }
 
-/* ---- fused hydro sweep (mirror of _loops.sweep) ---- */
+/* ---- fused hydro sweep: one grid, one axis, one call (reference:
+   hydro/ppm.py sweep_numpy).  The driver gathers blocks of sweep-axis
+   pencils into scratch, runs the reconstruction / tracing / Riemann bodies
+   above on them and adds only the arithmetic that used to be NumPy-only.
+   Pencils are independent within a sweep, so the block size never shows
+   in the result. ---- */
 
-/* rows of the work scratch, each one (n, block) array */
+/* rows of the work scratch, each one (n, block) array: the six gathered
+   fields, pressure, flattening coefficient, two reconstruction scratches,
+   left/right face states, parabola edges and their face temporaries
+   (tracing only), the five Riemann fluxes, internal-energy flux, contact
+   speed and one advected-field flux */
 enum { W_Q = 0, W_P = 6, W_FLAT = 7, W_DQ = 8, W_QF = 9, W_SL = 10,
        W_SR = 15, W_EDGE = 20, W_FL = 30, W_FR = 31, W_F = 32,
        W_FEINT = 37, W_UFACE = 38, W_FADV = 39 };
@@ -689,6 +784,8 @@ enum { SCHEME_TRACE, SCHEME_PPM_FLATTEN, SCHEME_PPM, SCHEME_PLM,
        SCHEME_FLAT };
 enum { SOLVER_HLLC, SOLVER_HLL, SOLVER_TWO_SHOCK };
 
+/* CW84 shock-flattening coefficient (reconstruction.shock_flattening with
+   its default omega1 = 0.75, omega2 = 10, epsilon = 0.33) */
 static void flatten_coef(long n, long m, const double *p, const double *u,
     double *f)
 {
@@ -710,6 +807,7 @@ static void flatten_coef(long n, long m, const double *p, const double *u,
     }
 }
 
+/* reconstruction.apply_flattening, in place on the face states */
 static void flatten_states(long n, long m, const double *q, const double *f,
     double *ql, double *qr)
 {
@@ -719,6 +817,7 @@ static void flatten_states(long n, long m, const double *q, const double *f,
     }
 }
 
+/* interface velocity of the pdV term (ppm.contact_speed) */
 static void contact_speed(long n,
     const double *rho_l, const double *u_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *p_r,
@@ -733,6 +832,13 @@ static void contact_speed(long n,
     }
 }
 
+/* One directional sweep of one grid.  q holds the nq C-order field arrays
+   (rho, u, v, w, e_tot, e_int, *advected) with u the velocity along axis,
+   updated in place; flux the matching outputs of shape dims - 2 ng (one
+   more along axis), filled with the fscale-scaled interior-face fluxes;
+   counts the five floor counts (face density, face pressure, density,
+   internal, energy).  work is (SWEEP_SLOTS, n * mb) double scratch and cols
+   (2, mb) integer scratch, both owned by this call. */
 void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     long ng, double dtdx, double fscale, double gamma, long scheme,
     long solver, double dfloor, double efloor, double **flux,
@@ -954,6 +1060,24 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
 }
 """
 
+#: ``scheme`` / ``riemann_solver`` names of the ``hydro.sweep`` contract, in
+#: the order of the C enums SCHEME_* / SOLVER_*: rk_sweep takes their indices
+SWEEP_SCHEMES = ("trace", "ppm+flatten", "ppm", "plm", "flat")
+SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
+#: rows of rk_sweep's ``work`` scratch (the W_* enum: W_FADV + 1)
+SWEEP_SLOTS = 40
+#: sweep-axis pencils per scratch block: the working set of a block
+#: (SWEEP_SLOTS rows of n * SWEEP_BLOCK doubles) stays cache-resident
+SWEEP_BLOCK = 32
+
+# -ffp-contract=off: no FMA contraction (bitwise parity with the NumPy op
+# sequence); -fno-math-errno: lets sqrt vectorise; -fopenmp-simd: honour the
+# `#pragma omp simd` on the two-shock Newton sweep without pulling in the
+# OpenMP runtime.  Never -ffast-math — it licenses reassociation and breaks
+# parity.
+_COMPILE_ARGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
+                 "-fopenmp-simd")
+
 
 def _cache_dir() -> str:
     d = os.environ.get("REPRO_KERNELS_CACHE")
@@ -963,14 +1087,16 @@ def _cache_dir() -> str:
     return d
 
 
+def _module_name(compile_args=_COMPILE_ARGS) -> str:
+    """Name of the cached extension: everything the binary depends on is in
+    the hash, so a changed flag can never reuse a stale ``.so``."""
+    key = "\0".join((_CDEF, _CSOURCE, *compile_args))
+    return f"_repro_kernels_c_{hashlib.sha1(key.encode()).hexdigest()[:12]}"
+
+
 def _build_module():
     """Compile (or reuse) the C extension; returns the imported module."""
-    import hashlib
-
-    from cffi import FFI
-
-    tag = hashlib.sha1((_CDEF + _CSOURCE).encode()).hexdigest()[:12]
-    modname = f"_repro_kernels_c_{tag}"
+    modname = _module_name()
     cache = _cache_dir()
     if cache not in sys.path:
         sys.path.insert(0, cache)
@@ -981,17 +1107,8 @@ def _build_module():
 
     ffibuilder = FFI()
     ffibuilder.cdef(_CDEF)
-    ffibuilder.set_source(
-        modname,
-        _CSOURCE,
-        # -ffp-contract=off: no FMA contraction (bitwise parity with the
-        # NumPy op sequence); -fno-math-errno: lets sqrt vectorise;
-        # -fopenmp-simd: honour the `#pragma omp simd` on the two-shock
-        # Newton sweep without pulling in the OpenMP runtime.  Never
-        # -ffast-math — it licenses reassociation and breaks parity.
-        extra_compile_args=["-O3", "-ffp-contract=off", "-fno-math-errno",
-                            "-fopenmp-simd"],
-    )
+    ffibuilder.set_source(modname, _CSOURCE,
+                          extra_compile_args=list(_COMPILE_ARGS))
     # build in a private tmpdir, then atomically publish the .so — two
     # processes racing the first build both succeed
     with tempfile.TemporaryDirectory(dir=cache) as build_dir:
@@ -1007,6 +1124,7 @@ ffi = _mod.ffi
 _lib = _mod.lib
 
 
+# ------------------------------------------------------ contract functions
 def _p(arr):
     return ffi.from_buffer("double[]", arr)
 
@@ -1015,110 +1133,222 @@ def _pc(arr):
     return ffi.from_buffer("double[]", arr, require_writable=False)
 
 
-class _CLoops:
-    """Namespace matching the _loops signatures, backed by the C library."""
-
-    @staticmethod
-    def two_shock(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
-                  gamma, iterations, rtol, f0, f1, f2, f3, f4):
-        _lib.rk_two_shock(
-            rho_l.shape[0],
-            _pc(rho_l), _pc(u_l), _pc(v_l), _pc(w_l), _pc(p_l),
-            _pc(rho_r), _pc(u_r), _pc(v_r), _pc(w_r), _pc(p_r),
-            gamma, iterations, rtol,
-            _p(f0), _p(f1), _p(f2), _p(f3), _p(f4),
-        )
-
-    @staticmethod
-    def hllc(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
-             gamma, f0, f1, f2, f3, f4):
-        _lib.rk_hllc(
-            rho_l.shape[0],
-            _pc(rho_l), _pc(u_l), _pc(v_l), _pc(w_l), _pc(p_l),
-            _pc(rho_r), _pc(u_r), _pc(v_r), _pc(w_r), _pc(p_r),
-            gamma,
-            _p(f0), _p(f1), _p(f2), _p(f3), _p(f4),
-        )
-
-    @staticmethod
-    def hll(rho_l, u_l, v_l, w_l, p_l, rho_r, u_r, v_r, w_r, p_r,
-            gamma, f0, f1, f2, f3, f4):
-        _lib.rk_hll(
-            rho_l.shape[0],
-            _pc(rho_l), _pc(u_l), _pc(v_l), _pc(w_l), _pc(p_l),
-            _pc(rho_r), _pc(u_r), _pc(v_r), _pc(w_r), _pc(p_r),
-            gamma,
-            _p(f0), _p(f1), _p(f2), _p(f3), _p(f4),
-        )
-
-    @staticmethod
-    def plm(q, ql, qr):
-        n, m = q.shape
-        _lib.rk_plm(n, m, _pc(q), _p(ql), _p(qr))
-
-    @staticmethod
-    def ppm(q, ql, qr, dq, qf):
-        n, m = q.shape
-        _lib.rk_ppm(n, m, _pc(q), _p(ql), _p(qr), _p(dq), _p(qf))
-
-    @staticmethod
-    def trace(rho, u, v, w, p,
-              el_rho, er_rho, el_u, er_u, el_v, er_v, el_w, er_w,
-              el_p, er_p, dtdx, gamma,
-              ol_rho, ol_u, ol_v, ol_w, ol_p,
-              or_rho, or_u, or_v, or_w, or_p):
-        n, m = rho.shape
-        _lib.rk_trace(
-            n, m,
-            _pc(rho), _pc(u), _pc(v), _pc(w), _pc(p),
-            _pc(el_rho), _pc(er_rho), _pc(el_u), _pc(er_u),
-            _pc(el_v), _pc(er_v), _pc(el_w), _pc(er_w),
-            _pc(el_p), _pc(er_p),
-            dtdx, gamma,
-            _p(ol_rho), _p(ol_u), _p(ol_v), _p(ol_w), _p(ol_p),
-            _p(or_rho), _p(or_u), _p(or_v), _p(or_w), _p(or_p),
-        )
-
-    @staticmethod
-    def sweep(q, n0, n1, n2, axis, ng, dtdx, fscale, gamma, scheme, solver,
-              dfloor, efloor, flux, counts, work, cols):
-        # the pointer tables own nothing: ``q``/``flux`` keep the buffers
-        # alive for the duration of the (GIL-releasing) call
-        _lib.rk_sweep(
-            len(q), ffi.new("double *[]", [_p(a) for a in q]),
-            n0, n1, n2, axis, ng, dtdx, fscale, gamma, scheme, solver,
-            dfloor, efloor, ffi.new("double *[]", [_p(f) for f in flux]),
-            ffi.from_buffer("int64_t[]", counts), _p(work), cols.shape[1],
-            ffi.from_buffer("int64_t[]", cols),
-        )
-
-    @staticmethod
-    def chem_blend(logtab, idx, weight, out):
-        n_ch, n_bins = logtab.shape
-        n_t = idx.shape[0]
-        idx64 = np.ascontiguousarray(idx, dtype=np.int64)
-        _lib.rk_chem_blend(
-            n_ch, n_bins, n_t, _pc(logtab),
-            ffi.from_buffer("int64_t[]", idx64, require_writable=False),
-            _pc(weight), _p(out),
-        )
-
-    @staticmethod
-    def prolong_linear(new, old, use_old, frac, positive, r, p0, p1, p2,
-                       fine, f0, f1, f2, boxes):
-        nx, ny, nz = new.shape
-        _lib.rk_prolong_linear(
-            nx, ny, nz, _pc(new), _pc(old), use_old, frac, positive, r,
-            p0, p1, p2, _p(fine), fine.shape[1], fine.shape[2], f0, f1, f2,
-            boxes.shape[0],
-            ffi.from_buffer("int64_t[]", boxes, require_writable=False),
-        )
-
-    @staticmethod
-    def mg_smooth(phi, source, h2, sweeps):
-        nx, ny, nz = source.shape
-        _lib.rk_mg_smooth(nx, ny, nz, _p(phi), _pc(source), h2, sweeps)
+def _pi(arr):
+    return ffi.from_buffer("int64_t[]", arr, require_writable=False)
 
 
-for _kname, _impl in _wrap.make_impls(_CLoops).items():
-    dispatch.register("cffi", _kname, _impl)
+def _to_2d(q):
+    """View/copy ``q`` as contiguous (n, m): sweep axis × flattened rest."""
+    q = np.ascontiguousarray(q, dtype=float)
+    return q.reshape(q.shape[0], -1), q.shape[1:]
+
+
+def _writable(arr):
+    """``arr`` itself when the C can write it in place (C-contiguous
+    float64), else a contiguous copy the caller stores back."""
+    if arr.flags.c_contiguous and arr.dtype == np.float64:
+        return arr
+    return np.ascontiguousarray(arr, dtype=float)
+
+
+def _riemann(rk, left, right, gamma, *extra):
+    # the ten same-shape face-state arrays as contiguous float64 (no copy
+    # when they already are)
+    arrs = [np.ascontiguousarray(a, dtype=float) for a in (*left, *right)]
+    shape = arrs[0].shape
+    if any(a.shape != shape for a in arrs):
+        raise ValueError("riemann: face-state shapes differ")
+    outs = [np.empty(shape) for _ in range(5)]
+    rk(arrs[0].size, *map(_pc, arrs), float(gamma), *extra, *map(_p, outs))
+    return tuple(outs)
+
+
+def two_shock(left, right, gamma, iterations: int = 20, rtol: float = 0.0):
+    return _riemann(_lib.rk_two_shock, left, right, gamma,
+                    int(iterations), float(rtol))
+
+
+def hllc(left, right, gamma):
+    return _riemann(_lib.rk_hllc, left, right, gamma)
+
+
+def hll(left, right, gamma):
+    return _riemann(_lib.rk_hll, left, right, gamma)
+
+
+def _faces_2d(q2, use_ppm=True):
+    """Face states of an (n, m) array; PPM needs six cells along the sweep
+    and falls back to PLM below that, like the reference."""
+    n, m = q2.shape
+    if n < 2:
+        raise ValueError("need at least 2 cells along the sweep axis")
+    ql = np.empty((n - 1, m))
+    qr = np.empty((n - 1, m))
+    if use_ppm and n >= 6:
+        _lib.rk_ppm(n, m, _pc(q2), _p(ql), _p(qr),
+                    _p(np.empty((n, m))), _p(np.empty((n - 3, m))))
+    else:
+        _lib.rk_plm(n, m, _pc(q2), _p(ql), _p(qr))
+    return ql, qr
+
+
+def _reconstruct(q, use_ppm):
+    q2, rest = _to_2d(q)
+    ql, qr = _faces_2d(q2, use_ppm)
+    fshape = (q2.shape[0] - 1,) + rest
+    return ql.reshape(fshape), qr.reshape(fshape)
+
+
+def ppm(q):
+    return _reconstruct(q, True)
+
+
+def plm(q):
+    return _reconstruct(q, False)
+
+
+def trace_states(rho, u, v, w, p, dtdx, gamma):
+    prims = []
+    rest = None
+    for q in (rho, u, v, w, p):
+        q2, rest = _to_2d(q)
+        prims.append(q2)
+    n, m = prims[0].shape
+    # cell-edge parabolas assembled from the PPM face states, exactly
+    # like tracing._parabola: cell i's left edge is face i-1's right
+    # state, its right edge face i's left state.
+    edges = []
+    for q2 in prims:
+        fl, fr = _faces_2d(q2)
+        ql = np.empty_like(q2)
+        qr = np.empty_like(q2)
+        ql[1:] = fr
+        ql[0] = q2[0]
+        qr[:-1] = fl
+        qr[-1] = q2[-1]
+        edges += [ql, qr]
+    outs = [np.empty((n - 1,) + rest) for _ in range(10)]
+    _lib.rk_trace(n, m, *map(_pc, prims), *map(_pc, edges), float(dtdx),
+                  float(gamma), *map(_p, outs))
+    return tuple(outs[:5]), tuple(outs[5:])
+
+
+def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+                riemann_solver, density_floor, energy_floor):
+    if scheme not in SWEEP_SCHEMES:
+        raise ValueError(f"unknown reconstruction '{scheme}'")
+    if riemann_solver not in SWEEP_SOLVERS:
+        raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+    axis, ng = int(axis), int(ng)
+    shape = arrays[0].shape
+    # the C indexes raw memory: refuse mismatched fields and a sweep
+    # extent that leaves no cell to update
+    if len(arrays) < 6 or len(shape) != 3 or not 0 <= axis < 3:
+        raise ValueError("hydro.sweep: need six 3-d fields and axis 0-2")
+    if any(a.shape != shape for a in arrays):
+        raise ValueError("hydro.sweep: field shapes differ")
+    n = shape[axis]
+    if ng < 1 or n <= 2 * ng:
+        raise ValueError("hydro.sweep: no interior cell along the sweep")
+    native = [_writable(a) for a in arrays]
+    face_shape = [max(s - 2 * ng, 0) for s in shape]
+    face_shape[axis] = n - 2 * ng + 1
+    fluxes = [np.empty(face_shape) for _ in native]
+    counts = np.empty(5, dtype=np.int64)
+    # scratch is per call: the cffi call releases the GIL, so sibling
+    # grids sweep concurrently under the thread exec backend
+    block = min(SWEEP_BLOCK, arrays[0].size // n)
+    work = np.empty((SWEEP_SLOTS, n * block))
+    cols = np.empty((2, block), dtype=np.int64)
+    # the pointer tables own nothing: ``native``/``fluxes`` keep the
+    # buffers alive for the duration of the call
+    _lib.rk_sweep(
+        len(native), ffi.new("double *[]", [_p(a) for a in native]),
+        *shape, axis, ng, float(dtdx), float(flux_scale), float(gamma),
+        SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
+        float(density_floor), float(energy_floor),
+        ffi.new("double *[]", [_p(f) for f in fluxes]),
+        ffi.from_buffer("int64_t[]", counts), _p(work), block,
+        ffi.from_buffer("int64_t[]", cols),
+    )
+    for out, dst in zip(native, arrays):
+        if out is not dst:
+            dst[...] = out
+    return fluxes, tuple(counts.tolist())
+
+
+def chem_blend(logtab, idx, weight):
+    logtab = np.ascontiguousarray(logtab, dtype=float)
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    weight = np.ascontiguousarray(weight, dtype=float)
+    n_ch, n_bins = logtab.shape
+    out = np.empty((n_ch, idx.shape[0]))
+    _lib.rk_chem_blend(n_ch, n_bins, idx.shape[0], _pc(logtab), _pi(idx),
+                       _pc(weight), _p(out))
+    np.exp(out, out=out)  # stays a ufunc: SIMD exp != libm exp bitwise
+    return out
+
+
+def prolong_linear(coarse, coarse_old, frac, positive, coarse_origin, r,
+                   fine, fine_origin, boxes):
+    r = int(r)
+    if r < 2:
+        raise ValueError("prolong.linear needs a refinement factor >= 2")
+    if not boxes:
+        return
+    box = np.array([(*lo, *hi) for lo, hi in boxes],
+                   dtype=np.int64).reshape(-1, 6)
+    p_lo = np.array(coarse_origin, dtype=np.int64)
+    f_lo = np.array(fine_origin, dtype=np.int64)
+    # the C indexes raw memory: refuse any box that leaves the fine
+    # arrays or whose parent cells leave the coarse arrays
+    lo, hi = box[:, :3], box[:, 3:]
+    c_shape, f_shape = coarse[0].shape, fine[0].shape
+    if (np.any(lo < f_lo) or np.any(hi > f_lo + f_shape)
+            or np.any(lo // r < p_lo)
+            or np.any(-(-hi // r) > p_lo + c_shape)):
+        raise ValueError("prolong.linear: box outside the arrays")
+    frac = float(frac)
+    if coarse_old is None or not frac < 1.0:
+        coarse_old = [None] * len(coarse)
+    if (any(a.shape != f_shape for a in fine)
+            or any(a is not None and a.shape != c_shape
+                   for a in (*coarse, *coarse_old))):
+        raise ValueError("prolong.linear: field shapes differ")
+    for new, old, pos, dst in zip(coarse, coarse_old, positive, fine):
+        new = np.ascontiguousarray(new, dtype=float)
+        use_old = old is not None
+        old = np.ascontiguousarray(old, dtype=float) if use_old else new
+        out = _writable(dst)
+        _lib.rk_prolong_linear(*c_shape, _pc(new), _pc(old), use_old, frac,
+                               bool(pos), r, *p_lo.tolist(), _p(out),
+                               f_shape[1], f_shape[2], *f_lo.tolist(),
+                               box.shape[0], _pi(box))
+        if out is not dst:
+            dst[...] = out
+
+
+def mg_smooth(phi, source, dx, sweeps):
+    if phi.shape != tuple(s + 2 for s in source.shape):
+        raise ValueError("phi must pad source by one cell per side")
+    out = _writable(phi)
+    _lib.rk_mg_smooth(*source.shape, _p(out),
+                      _pc(np.ascontiguousarray(source, dtype=float)),
+                      dx * dx, int(sweeps))
+    if out is not phi:
+        phi[...] = out
+
+
+for _name, _fn in (
+    ("riemann.two_shock", two_shock),
+    ("riemann.hllc", hllc),
+    ("riemann.hll", hll),
+    ("reconstruct.ppm", ppm),
+    ("reconstruct.plm", plm),
+    ("trace.states", trace_states),
+    ("hydro.sweep", hydro_sweep),
+    ("chem.blend", chem_blend),
+    ("prolong.linear", prolong_linear),
+    ("mg.smooth", mg_smooth),
+):
+    dispatch.register("cffi", _name, _fn)

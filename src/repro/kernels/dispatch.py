@@ -3,25 +3,25 @@
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
 tracing, the fused per-grid hydro sweep built from them, the chemistry
 rate-table blend, the AMR parent->child prolongation and the multigrid
-smoother) are registered here once per *backend*:
+smoother) are registered here once per *backend* — each kernel exists in
+exactly two transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
-    has always run.  Every other backend is parity-gated against it.
-``numba``
-    ``@njit``-compiled flat loops (:mod:`repro.kernels._loops`), used when
-    numba imports cleanly.  Preferred compiled tier.
+    has always run, and the definition of correct.
 ``cffi``
-    The same loops hand-written in C, compiled once per machine with the
-    system compiler through cffi (:mod:`repro.kernels.backend_cffi`).
-    Covers hosts without numba but with a C toolchain.
+    The same arithmetic as per-element C, compiled once per machine with
+    the system compiler through cffi (:mod:`repro.kernels.backend_cffi`,
+    which also holds the parity rulebook and the compile-flag rationale).
+    The tier every measured run executes; parity-gated against ``numpy``.
 
-Selection: ``REPRO_KERNELS=numpy|numba|cffi|auto`` in the environment,
+Selection: ``REPRO_KERNELS=numpy|cffi|auto`` in the environment,
 ``--kernels`` on the CLI, or ``SimulationConfig(kernels=...)``; ``auto``
-picks the first compiled backend that loads, ``numpy`` (the default) keeps
-the reference path.  A backend that fails to import or compile degrades to
-NumPy with a single :class:`RuntimeWarning` — never an error, so a broken
-numba install cannot take down test collection or a production run.
+picks ``cffi`` when it loads, ``numpy`` (the default) keeps the reference
+path; any other value is a :class:`ValueError` naming the accepted ones.
+A compiled tier that fails to import or compile degrades to NumPy with a
+single :class:`RuntimeWarning` — never an error, so a missing cffi or C
+compiler cannot take down test collection or a production run.
 
 Every registered kernel is wrapped with a per-kernel call/seconds counter;
 the evolver drains the deltas into the ``"kernels"`` timer section and the
@@ -45,12 +45,10 @@ from time import perf_counter
 
 ENV_KERNELS = "REPRO_KERNELS"
 
-#: compiled backends in ``auto`` preference order
-COMPILED_BACKENDS = ("numba", "cffi")
-BACKENDS = ("numpy",) + COMPILED_BACKENDS
+BACKENDS = ("numpy", "cffi")
 
-#: every kernel the tier can take over (numpy registers all of them; a
-#: compiled backend may register a subset — missing ones fall back)
+#: every kernel of the tier; both backends register all of them, so
+#: :func:`get` never mixes tiers (``tests/test_kernels.py`` asserts it)
 KERNEL_NAMES = (
     "riemann.two_shock",
     "riemann.hllc",
@@ -132,26 +130,21 @@ def available_backends() -> tuple:
 def resolve_backend(name: str | None = None) -> str:
     """Normalise a requested backend name to one that actually loads.
 
-    ``None`` reads ``REPRO_KERNELS`` (default ``numpy``); ``auto`` probes
-    the compiled tiers in preference order; an unavailable explicit choice
-    degrades to ``numpy`` (with the load-time warning already emitted).
+    ``None`` reads ``REPRO_KERNELS`` (default ``numpy``); ``auto`` is
+    ``cffi`` when it loads; an unavailable explicit choice degrades to
+    ``numpy`` (with the load-time warning already emitted).
     """
     if name is None:
         name = os.environ.get(ENV_KERNELS, "").strip() or "numpy"
     name = name.lower()
     if name == "auto":
-        for cand in COMPILED_BACKENDS:
-            if _load(cand):
-                return cand
-        return "numpy"
+        name = "cffi"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of "
             f"{BACKENDS + ('auto',)}"
         )
-    if name != "numpy" and not _load(name):
-        return "numpy"
-    return name
+    return name if _load(name) else "numpy"
 
 
 def set_backend(name: str | None = None, env: bool = True) -> str:
@@ -179,25 +172,19 @@ def active_backend() -> str:
 
 
 def get(name: str):
-    """The active backend's implementation of one kernel (NumPy fallback
-    per kernel when the backend does not provide it)."""
-    backend = active_backend()
-    fn = _impls.get((backend, name))
-    if fn is None:
-        _load("numpy")
-        fn = _impls[("numpy", name)]
-    return fn
+    """The active backend's implementation of one kernel."""
+    return _impls[(active_backend(), name)]
 
 
 def warm() -> None:
     """Force-compile every kernel of the active backend (tiny inputs).
 
-    Process pools call this from their worker initializer so the njit /
-    cffi compile cost is paid once per worker process, not on the first
-    task that happens to land there.
+    Process pools call this from their worker initializer so the cost of
+    loading (or, first time on a machine, compiling) the cffi extension is
+    paid once per worker process, not on the first task that happens to
+    land there.
     """
-    backend = active_backend()
-    if backend == "numpy":
+    if active_backend() == "numpy":
         return
     import numpy as np
 
@@ -205,33 +192,20 @@ def warm() -> None:
     zero = np.zeros(2)
     face = (one, zero, zero, zero, one)
     for solver in ("two_shock", "hllc", "hll"):
-        fn = _impls.get((backend, f"riemann.{solver}"))
-        if fn is not None:
-            fn(face, face, 5.0 / 3.0)
-    q = np.linspace(1.0, 2.0, 8).reshape(8, 1)
+        get(f"riemann.{solver}")(face, face, 5.0 / 3.0)
+    col = np.linspace(1.0, 2.0, 8)
     for rec in ("ppm", "plm"):
-        fn = _impls.get((backend, f"reconstruct.{rec}"))
-        if fn is not None:
-            fn(q)
-    fn = _impls.get((backend, "trace.states"))
-    if fn is not None:
-        col = np.linspace(1.0, 2.0, 8)
-        fn(col, 0.0 * col, 0.0 * col, 0.0 * col, col, 0.1, 5.0 / 3.0)
-    fn = _impls.get((backend, "hydro.sweep"))
-    if fn is not None:
-        fn([np.ones((3, 3, 3)) for _ in range(6)], 0, 1, 0.1, 0.1,
-           5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30)
-    fn = _impls.get((backend, "chem.blend"))
-    if fn is not None:
-        tab = np.zeros((2, 4))
-        fn(tab, np.zeros(3, dtype=np.intp), np.full(3, 0.5))
-    fn = _impls.get((backend, "prolong.linear"))
-    if fn is not None:
-        fn([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0), 2,
-           [np.empty((2, 2, 2))], (2, 2, 2), [((2, 2, 2), (4, 4, 4))])
-    fn = _impls.get((backend, "mg.smooth"))
-    if fn is not None:
-        fn(np.zeros((4, 4, 4)), np.zeros((2, 2, 2)), 1.0, 1)
+        get(f"reconstruct.{rec}")(col.reshape(8, 1))
+    get("trace.states")(col, 0.0 * col, 0.0 * col, 0.0 * col, col, 0.1,
+                        5.0 / 3.0)
+    get("hydro.sweep")([np.ones((3, 3, 3)) for _ in range(6)], 0, 1, 0.1,
+                       0.1, 5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30)
+    get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
+                      np.full(3, 0.5))
+    get("prolong.linear")([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0),
+                          2, [np.empty((2, 2, 2))], (2, 2, 2),
+                          [((2, 2, 2), (4, 4, 4))])
+    get("mg.smooth")(np.zeros((4, 4, 4)), np.zeros((2, 2, 2)), 1.0, 1)
 
 
 # ----------------------------------------------------------------- counters

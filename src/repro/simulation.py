@@ -55,9 +55,9 @@ class SimulationConfig:
     exec_backend: str | None = None
     workers: int | None = None
     #: kernel tier for the hydro/chemistry inner loops
-    #: ('numpy' | 'numba' | 'cffi' | 'auto'); None resolves from
-    #: REPRO_KERNELS (default numpy).  An unavailable compiled backend
-    #: degrades to numpy with a warning (see repro.kernels)
+    #: ('numpy' | 'cffi' | 'auto'; anything else is a ValueError); None
+    #: resolves from REPRO_KERNELS (default numpy).  An unavailable
+    #: compiled tier degrades to numpy with a warning (see repro.kernels)
     kernels: str | None = None
     #: in-step defense ladder (see docs/ROBUSTNESS.md); False disables the
     #: per-grid validation/rescue machinery entirely

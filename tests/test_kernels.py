@@ -2,17 +2,17 @@
 
 Three layers:
 
-* dispatch — backend resolution, env/CLI plumbing, counters, and the
-  import guard (a broken numba install degrades to NumPy with one
-  warning, never an error).
-* parity — every kernel body (the plain-Python flat loops and whichever
-  compiled backends load on this host) must be **bitwise** identical to
-  the vectorised NumPy reference on random and adversarial inputs.
+* dispatch — backend resolution, env/CLI plumbing, counters, the
+  import guard (a missing cffi degrades to NumPy with one warning, never
+  an error) and the extension cache key.
+* parity — every C kernel must be **bitwise** identical to the
+  vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
   The AMR stencils (``prolong.linear``, ``mg.smooth``) and the fused
   hydro sweep (``hydro.sweep``) write in place, so their parity cases
-  compare the arrays each tier leaves behind.
+  compare the arrays each tier leaves behind, and a canary class checks
+  the C never writes outside them.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
@@ -20,6 +20,7 @@ Three layers:
 """
 
 import itertools
+import re
 import sys
 import warnings
 
@@ -41,20 +42,15 @@ from repro.hydro.riemann import (
     two_shock_flux,
 )
 from repro.hydro.tracing import trace_states_numpy
-from repro.kernels import _loops, _wrap, dispatch
+from repro.kernels import dispatch
 
 GAMMA = 1.4
 
-# probe once at collection; the numba-missing warning is expected here
+# probe once at collection; a host without cffi or a C compiler warns here
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", RuntimeWarning)
-    COMPILED = [b for b in dispatch.COMPILED_BACKENDS
-                if b in dispatch.available_backends()]
-
-#: kernel tiers whose loop bodies run on this host: the plain-Python
-#: flat loops always (they are what numba compiles), plus any compiled
-#: backend that loaded
-TIERS = ["loops"] + COMPILED
+    #: the compiled tier, when it loads on this host
+    COMPILED = [b for b in dispatch.available_backends() if b != "numpy"]
 
 REFERENCE = {
     "riemann.two_shock": two_shock_flux,
@@ -71,8 +67,6 @@ REFERENCE = {
 
 
 def _tier_impls(tier):
-    if tier == "loops":
-        return _wrap.make_impls(_loops)
     assert dispatch._load(tier)
     return {name: dispatch._impls[(tier, name)]
             for name in dispatch.KERNEL_NAMES}
@@ -138,9 +132,27 @@ class TestDispatch:
             dispatch._reset_for_tests()
             assert dispatch.active_backend() == COMPILED[0]
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            dispatch.resolve_backend("fortran")
+    @pytest.mark.parametrize("name", ["fortran", "numba"])
+    def test_unknown_backend_raises(self, isolated, monkeypatch, capsys,
+                                    name):
+        """An unknown (or retired) tier is refused with the accepted values
+        named, wherever it was asked for — never a silent NumPy run."""
+        from repro import Simulation, SimulationConfig
+        from repro.__main__ import main
+
+        accepted = "unknown kernel backend.*numpy.*cffi.*auto"
+        with pytest.raises(ValueError, match=accepted):
+            dispatch.resolve_backend(name)
+        with pytest.raises(ValueError, match=accepted):
+            Simulation(SimulationConfig(n_root=8, kernels=name))
+        with pytest.raises(SystemExit):
+            main(["run", "--kernels", name])
+        assert re.search("invalid choice.*numpy.*cffi.*auto",
+                         capsys.readouterr().err)
+        monkeypatch.setenv(dispatch.ENV_KERNELS, name)
+        dispatch._reset_for_tests()
+        with pytest.raises(ValueError, match=accepted):
+            dispatch.get("riemann.hllc")
 
     def test_auto_prefers_compiled(self, isolated, monkeypatch):
         monkeypatch.delenv(dispatch.ENV_KERNELS, raising=False)
@@ -180,38 +192,60 @@ class TestDispatch:
         dispatch.warm()
         assert set(dispatch.counters_totals()) == set(dispatch.KERNEL_NAMES)
 
+    def test_every_backend_registers_every_kernel(self):
+        """``get`` looks a kernel up in the active backend only, so a run
+        can never mix tiers."""
+        for backend in ["numpy"] + COMPILED:
+            assert dispatch._load(backend)
+            assert ({k for b, k in dispatch._impls if b == backend}
+                    == set(dispatch.KERNEL_NAMES))
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+    def test_compile_flags_are_in_the_cache_key(self):
+        """Dropping ``-ffp-contract=off`` (parity depends on it) must build
+        a new extension, not reuse the one compiled with it."""
+        from repro.kernels import backend_cffi
+
+        flags = backend_cffi._COMPILE_ARGS
+        assert "-ffp-contract=off" in flags
+        fewer = tuple(f for f in flags if f != "-ffp-contract=off")
+        assert backend_cffi._module_name(fewer) != backend_cffi._module_name()
+        assert backend_cffi._mod.__name__ == backend_cffi._module_name(flags)
+
 
 class TestImportGuard:
-    """Satellite 6: a broken numba must never take down a run."""
+    """A broken compiled tier must never take down a run."""
 
-    def test_broken_numba_warns_once_and_falls_back(self, isolated,
-                                                    monkeypatch):
+    def test_broken_cffi_warns_once_and_falls_back(self, isolated,
+                                                   monkeypatch):
         dispatch._reset_for_tests()
-        # None in sys.modules makes ``import numba`` raise ImportError —
+        # None in sys.modules makes ``import cffi`` raise ImportError —
         # the same failure mode as a missing or broken install
-        monkeypatch.setitem(sys.modules, "numba", None)
+        monkeypatch.setitem(sys.modules, "cffi", None)
         with pytest.warns(RuntimeWarning,
-                          match="backend 'numba' unavailable"):
-            assert dispatch.set_backend("numba", env=False) == "numpy"
+                          match="backend 'cffi' unavailable") as caught:
+            assert dispatch.set_backend("cffi", env=False) == "numpy"
+        assert len(caught) == 1
         # warn-once: a second resolution is silent
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert dispatch.resolve_backend("numba") == "numpy"
+            assert dispatch.resolve_backend("cffi") == "numpy"
+            assert dispatch.resolve_backend("auto") == "numpy"
         # and the physics still runs on the fallback
         s = _state(1.0, 0.0, 1.0)
         f = solve_flux(s, s, GAMMA, method="hllc")
         assert all(np.isfinite(c).all() for c in f)
 
-    def test_env_numba_with_broken_install(self, isolated, monkeypatch):
+    def test_env_cffi_with_broken_install(self, isolated, monkeypatch):
         dispatch._reset_for_tests()
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.setenv(dispatch.ENV_KERNELS, "numba")
+        monkeypatch.setitem(sys.modules, "cffi", None)
+        monkeypatch.setenv(dispatch.ENV_KERNELS, "cffi")
         with pytest.warns(RuntimeWarning):
             assert dispatch.active_backend() == "numpy"
 
 
 # ================================================================== parity
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", COMPILED)
 class TestBitwiseParity:
     """Every tier's kernels must match the NumPy reference bitwise."""
 
@@ -310,7 +344,7 @@ def _parents(shape, kind, seed):
     return coarse, old, [True, True, True, False]
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", COMPILED)
 class TestAmrStencilParity:
     """``prolong.linear`` and ``mg.smooth`` leave bit-identical arrays."""
 
@@ -409,7 +443,8 @@ class TestAmrStencilParity:
 
 
 # ============================================================= fused sweep
-SWEEP_SCHEMES, SWEEP_SOLVERS = _loops.SWEEP_SCHEMES, _loops.SWEEP_SOLVERS
+SWEEP_SCHEMES = ("trace", "ppm+flatten", "ppm", "plm", "flat")
+SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
 #: (ghost-inclusive shape, nghost): cubic, non-cubic, and a 5-cell sweep
 #: extent with two ghosts (below the PPM stencil: the PLM fallback)
 SWEEP_GRIDS = [((14, 14, 14), 3), ((8, 14, 22), 3), ((5, 6, 7), 2)]
@@ -469,7 +504,7 @@ def _assert_sweeps_equal(ref, got):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", COMPILED)
 class TestSweepParity:
     """``hydro.sweep`` leaves bit-identical fields, fluxes and counts."""
 
@@ -478,10 +513,6 @@ class TestSweepParity:
         fn = _tier_impls(tier)["hydro.sweep"]
         cases = list(itertools.product(
             SWEEP_GRIDS, range(3), SWEEP_SCHEMES, SWEEP_SOLVERS, (0, 3, 9)))
-        if tier == "loops":
-            # interpreted loops: every seventh case still meets every
-            # value of every factor, and every grid on every axis
-            cases = cases[::7]
         fired = np.zeros(len(FLOOR_COUNTS), dtype=int)
         for (shape, ng), axis, scheme, solver, n_adv in cases:
             arrays = _sweep_arrays(shape, n_adv, kind)
@@ -515,7 +546,7 @@ class TestSweepParity:
         assert not got[1].flags.c_contiguous
         _assert_sweeps_equal(ref, (got, *out))
 
-    def test_refuses_what_the_loops_cannot_index(self, tier):
+    def test_refuses_what_the_c_cannot_index(self, tier):
         fn = _tier_impls(tier)["hydro.sweep"]
         tail = (*SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
@@ -530,6 +561,97 @@ class TestSweepParity:
             fn(arrays, 1, 3, *SWEEP_ARGS, "ppm", "roe", *SWEEP_FLOORS)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
+
+
+#: guard elements on each side of a canary array: more than two planes of
+#: the largest case (18² for ``mg.smooth``), so a stride-sized overrun still
+#: lands inside the guard
+GUARD = 1024
+
+
+def _guarded(arr):
+    """A C-contiguous copy of ``arr`` in the middle of a larger buffer (the
+    kernels write it in place, not a copy); returns both.  The guard bands
+    hold noise, not one value: a stencil that runs over the edge computes
+    from guard elements, and a constant (or NaN) would come back as itself.
+    An element that was read instead shows in the parity check."""
+    buf = np.random.default_rng(arr.size).standard_normal(arr.size
+                                                          + 2 * GUARD)
+    view = buf[GUARD:-GUARD].reshape(arr.shape)
+    view[...] = arr
+    assert view.flags.c_contiguous and view.base is not None
+    return view, buf
+
+
+def _guards(buffers):
+    return [np.concatenate((buf[:GUARD], buf[-GUARD:])) for buf in buffers]
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestNoOutOfBoundsWrites:
+    """The C indexes raw memory and nothing bounds-checks it at run time:
+    every array a kernel reads or updates in place sits between guard
+    bands that must come back untouched, with the arrays themselves still
+    equal to the reference (so a guard was not read either)."""
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("solver", SWEEP_SOLVERS)
+    @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (14, 14, 14)])
+    def test_hydro_sweep(self, tier, shape, scheme, solver, axis):
+        fn = _tier_impls(tier)["hydro.sweep"]
+        arrays = _sweep_arrays(shape, 2, "smooth")
+        ref = [a.copy() for a in arrays]
+        got, buffers = zip(*(_guarded(a) for a in arrays))
+        ref_out = sweep_numpy(ref, axis, 3, *SWEEP_ARGS, scheme, solver,
+                              *SWEEP_FLOORS)
+        before = _guards(buffers)
+        got_out = fn(list(got), axis, 3, *SWEEP_ARGS, scheme, solver,
+                     *SWEEP_FLOORS)
+        np.testing.assert_array_equal(_guards(buffers), before)
+        _assert_sweeps_equal((ref, *ref_out), (got, *got_out))
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_prolong_linear(self, tier, r):
+        fn = _tier_impls(tier)["prolong.linear"]
+        shape, c_origin = (4, 6, 7), (-1, 3, 10)
+        f_origin = tuple(o * r for o in c_origin)
+        f_shape = tuple(n * r for n in shape)
+        f_end = tuple(o + n for o, n in zip(f_origin, f_shape))
+        coarse, old, positive = _parents(shape, "random", r)
+        for boxes in ([(f_origin, f_end)],
+                      shell_boxes(tuple(o + 3 for o in f_origin),
+                                  tuple(e - 3 for e in f_end), 3),
+                      [(tuple(e - 1 for e in f_end), f_end)]):
+            ref = [np.full(f_shape, -7.0) for _ in coarse]
+            prolong_boxes(coarse, old, 0.37, positive, c_origin, r, ref,
+                          f_origin, boxes)
+            # parents and children alike: the slopes read one cell either
+            # side of every parent cell under a box
+            g_coarse, b_coarse = zip(*(_guarded(c) for c in coarse))
+            g_old, b_old = zip(*(_guarded(o) for o in old[:3]))
+            got, b_fine = zip(*(_guarded(np.full(f_shape, -7.0))
+                                for _ in coarse))
+            before = _guards(b_coarse + b_old + b_fine)
+            fn(list(g_coarse), [*g_old, None], 0.37, positive, c_origin, r,
+               list(got), f_origin, boxes)
+            np.testing.assert_array_equal(
+                _guards(b_coarse + b_old + b_fine), before)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (16, 16, 16)])
+    def test_mg_smooth(self, tier, shape):
+        fn = _tier_impls(tier)["mg.smooth"]
+        rng = np.random.default_rng(sum(shape))
+        source = rng.standard_normal(shape)
+        ref = rng.standard_normal(tuple(n + 2 for n in shape))
+        (got, b_phi), (src, b_src) = _guarded(ref), _guarded(source)
+        redblack_smooth_numpy(ref, source, 0.1, 3)
+        before = _guards((b_phi, b_src))
+        fn(got, src, 0.1, 3)
+        np.testing.assert_array_equal(_guards((b_phi, b_src)), before)
+        np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
