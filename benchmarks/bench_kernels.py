@@ -13,6 +13,11 @@ This bench measures what that buys:
   interior cells plus three ghosts, in us per interior cell — *layer
   evidence* under the end-to-end numbers of ``benchmarks/e2e``, never a
   headline;
+* one fused chemistry substep (``chem.step``: timescale control, the
+  backward-Euler species/energy update and the renormalisation of every
+  active cell of one grid in a single compiled call) at 512 / 10,648 /
+  54,872 cells — the 8^3, 22^3 and 38^3 allocated grids of the
+  ``collapse_chem`` workload — in us per cell-substep, layer evidence too;
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
   actually feeds these kernels at hero-run depth), NumPy vs. the
@@ -45,7 +50,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import constants as const
+from repro.chemistry.network import (
+    ChemistryNetwork,
+    primordial_initial_fractions,
+    step_numpy,
+)
 from repro.chemistry.rates import blend_table_numpy
+from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.hydro.ppm import sweep_numpy
 from repro.hydro.riemann import hllc_flux, two_shock_flux
 from repro.hydro.reconstruction import ppm_reconstruct
@@ -178,6 +190,63 @@ def sweep_rows(config: dict, backend: str) -> dict:
             "unit": "us per interior cell per sweep", "rows": rows}
 
 
+# ----------------------------------------------------------- fused chemistry
+def chem_state(n_cells: int, seed: int = 5):
+    """Collapse-like cgs state: a cool, lightly ionised molecular cloud.
+
+    Returns the stacked ``(12, n_cells)`` number densities, the specific
+    energy and the mass density — what ``advance_stacked`` integrates.
+    """
+    rng = np.random.default_rng(seed)
+    T = 10 ** rng.uniform(1.8, 3.2, n_cells)
+    rho = 10 ** rng.uniform(-24.0, -20.0, n_cells)
+    fr = primordial_initial_fractions(
+        x_e=10 ** rng.uniform(-4.5, -3.5, n_cells),
+        f_h2=10 ** rng.uniform(-6.0, -3.0, n_cells))
+    n = {s: fr[s] * rho / (SPECIES[s].mass_amu * const.HYDROGEN_MASS)
+         for s in SPECIES_NAMES}
+    e = ChemistryNetwork.energy_from_temperature(n, T, rho)
+    return np.stack([n[s] for s in SPECIES_NAMES]), e, rho
+
+
+def chem_step_rows(config: dict, backend: str) -> dict:
+    """One substep of every cell of a grid, NumPy reference vs. compiled."""
+    compiled = dispatch._impls[(backend, "chem.step")]
+    net = ChemistryNetwork()
+    dt, z = 1e11, 18.0
+    rows = []
+    for n_cells in config["chem_cells"]:
+        state0, e0, rho = chem_state(n_cells)
+        n0 = dict(zip(SPECIES_NAMES, state0))
+        T0 = net.temperature(n0, e0, rho)
+        active = np.arange(n_cells, dtype=np.intp)
+        cube = state0[SPECIES_NAMES.index("HI")] ** 3
+        block = net.rates.block(T0)
+        row = {"cells": n_cells}
+        outputs = {}
+        for name, fn in (("numpy", step_numpy), (backend, compiled)):
+            best = np.inf
+            for _ in range(config["repeats"] * 3):
+                state, e, T = state0.copy(), e0.copy(), T0.copy()
+                t_done = np.zeros(n_cells)
+                counts = np.zeros(n_cells, dtype=np.int64)
+                t0 = time.perf_counter()
+                fn(state, e, rho, None, t_done, counts, active, T, cube,
+                   block, dt, z, net.safety, net.max_substeps, True, True,
+                   True)
+                best = min(best, time.perf_counter() - t0)
+            outputs[name] = (state, e, t_done, counts, T)
+            row[f"{name}_us_per_cell_substep"] = 1e6 * best / n_cells
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(outputs["numpy"], outputs[backend]))
+        row["speedup"] = (row["numpy_us_per_cell_substep"]
+                          / row[f"{backend}_us_per_cell_substep"])
+        rows.append(row)
+    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
+            "commit": _commit(), "unit": "us per cell-substep",
+            "rows": rows}
+
+
 # -------------------------------------------------------------- end-to-end
 def end_to_end(config: dict, backend: str) -> dict:
     """Step the collapse problem under both tiers; fingerprints must match."""
@@ -224,6 +293,7 @@ def run(config: dict) -> dict:
         return {
             "compiled_backend": backend,
             "hydro.sweep": sweep_rows(config, backend),
+            "chem.step": chem_step_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
         }
@@ -235,9 +305,11 @@ def run(config: dict) -> dict:
 # a ~64-cell pencil across thousands of transverse columns
 SMOKE = {"n_faces": 64 * 64 * 4, "sweep_shape": (32, 1024),
          "n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
+         "chem_cells": (512, 10648, 54872),
          "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 2}
 FULL = {"n_faces": 64 * 64 * 16, "sweep_shape": (64, 4096),
         "n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
+        "chem_cells": (512, 10648, 54872),
         "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 4}
 
 
@@ -276,6 +348,10 @@ def test_kernels_smoke():
     assert results["hydro.sweep"]["rows"][0]["interior"] == 8
     assert results["hydro.sweep"]["rows"][0]["speedup"] > 1.0, \
         results["hydro.sweep"]
+    # likewise chem.step (parity-checked inside chem_step_rows)
+    assert results["chem.step"]["rows"][0]["cells"] == 512
+    assert all(r["speedup"] > 1.0 for r in results["chem.step"]["rows"]), \
+        results["chem.step"]
     micro_r = results["micro"]
     assert micro_r["riemann.hllc"]["speedup"] >= 2.0, micro_r["riemann.hllc"]
     assert micro_r["reconstruct.ppm"]["speedup"] >= 2.0, \

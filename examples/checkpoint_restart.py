@@ -91,7 +91,7 @@ def run_control_demo():
 
     controller = sim.make_controller(
         run_dir, pre_step=cosmic_ray,
-        policy=CheckpointPolicy(every_steps=2, keep=3))
+        policy=CheckpointPolicy(every_steps=2, keep_last=3))
     out = controller.run(t_end=0.8, max_root_steps=6)
     print(f"status = {out['status']}, steps = {out['steps']}, "
           f"recoveries = {out['recoveries']}, cfl now {sim.evolver.cfl}")

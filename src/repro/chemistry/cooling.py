@@ -135,13 +135,13 @@ def _h2_ldl_branch(T):
 
 
 #: GP98 fit values at the clamp boundaries (used verbatim outside [10, 1e4] K).
-_H2_LDL_LO = float(_h2_ldl_branch(10.0))
-_H2_LDL_HI = float(_h2_ldl_branch(1e4))
+H2_LDL_LO = float(_h2_ldl_branch(10.0))
+H2_LDL_HI = float(_h2_ldl_branch(1e4))
 
 
 def _clamp_h2_ldl(T, branch):
     """Re-apply the [10, 1e4] K clamp of the GP98 fit to a branch array."""
-    return np.where(T < 10.0, _H2_LDL_LO, np.where(T > 1e4, _H2_LDL_HI, branch))
+    return np.where(T < 10.0, H2_LDL_LO, np.where(T > 1e4, H2_LDL_HI, branch))
 
 
 def _h2_ldl(T):
@@ -274,6 +274,18 @@ def hd_cooling(n: dict, T) -> np.ndarray:
     return hd_cooling_from_channels(n, {"hd": _hd(_g(T))})
 
 
+def compton_coefficient(t_cmb: float) -> float:
+    """4 sigma_T a_r T_cmb^4 k_B / (m_e c), erg/s/K per electron."""
+    return (
+        4.0
+        * const.THOMSON_CROSS_SECTION
+        * const.RADIATION_CONSTANT
+        * t_cmb**4
+        * const.BOLTZMANN_CONSTANT
+        / (const.ELECTRON_MASS * const.SPEED_OF_LIGHT)
+    )
+
+
 def compton(n: dict, T, z: float, t_cmb0: float = const.CMB_TEMPERATURE_Z0) -> np.ndarray:
     """Compton energy exchange with the CMB (positive = cooling).
 
@@ -282,15 +294,7 @@ def compton(n: dict, T, z: float, t_cmb0: float = const.CMB_TEMPERATURE_Z0) -> n
     T = _g(T)
     t_cmb = t_cmb0 * (1.0 + z)
     ne = np.maximum(electron_density(n), 0.0)
-    coeff = (
-        4.0
-        * const.THOMSON_CROSS_SECTION
-        * const.RADIATION_CONSTANT
-        * t_cmb**4
-        * const.BOLTZMANN_CONSTANT
-        / (const.ELECTRON_MASS * const.SPEED_OF_LIGHT)
-    )
-    return coeff * ne * (T - t_cmb)
+    return compton_coefficient(t_cmb) * ne * (T - t_cmb)
 
 
 def cooling_rate(n: dict, T, z: float = 0.0) -> np.ndarray:

@@ -22,15 +22,41 @@ Implementation notes, mirroring that method:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro import constants as const
+from repro import kernels
 from repro.chemistry import cooling as cool_mod
-from repro.chemistry.rates import RateTable
+from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN, RateTable
 from repro.chemistry.species import SPECIES, SPECIES_NAMES, electron_density
 
 #: H2 binding energy (erg).
 H2_BINDING = 4.48 * const.ELECTRON_VOLT
+
+#: row of neutral hydrogen in a stacked ``(12, N)`` species block.
+_HI = SPECIES_NAMES.index("HI")
+
+#: per-thread reusable buffers for the two big blocks of a grid — the
+#: ``(12, N)`` species state of ``advance_fields`` and the ``(channels, N)``
+#: coefficient block of each iteration, ~21 MB for a 38^3 grid.  Handing
+#: them back to the allocator after every call makes the next call fault the
+#: same megabytes in again, which costs more than the chemistry itself;
+#: per thread because the exec engine's thread backend advances several
+#: grids at once (the ``gravity/multigrid`` scratch pattern).
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, rows: int, n: int) -> np.ndarray:
+    """This thread's ``(rows, n)`` float64 buffer ``name``, contents
+    undefined; grown when a bigger grid comes along, never shrunk."""
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or buf.size < rows * n:
+        buf = np.empty(rows * n)
+        setattr(_SCRATCH, name, buf)
+    return buf[:rows * n].reshape(rows, n)
+
 
 #: shape of the per-call integrator diagnostics (``last_stats``).
 _ZERO_STATS = {
@@ -144,44 +170,52 @@ class ChemistryNetwork:
         Arrays may be any (matching, broadcastable) shape; everything is
         elementwise.  Returns the updated (n, e_specific); inputs are not
         mutated.
-
-        Active-set integration: the grid is flattened and every cell carries
-        its own elapsed time and its own ``dt_sub`` from its *local* cooling
-        and electron timescales (the Anninos et al. controls), instead of the
-        single grid-global minimum that forced the whole grid to subcycle at
-        the worst cell's pace.  After each substep the active index set is
-        compacted so finished cells are never touched again; each iteration
-        evaluates the rate and cooling coefficients exactly once (one shared
-        table pass) for the cells still in flight.  Because every cell's
-        trajectory depends only on its own state, results are bitwise
-        identical to advancing each cell on its own.
         """
-        arrs = {s: np.asarray(n[s], dtype=float) for s in SPECIES_NAMES}
+        arrs = [np.asarray(n[s], dtype=float) for s in SPECIES_NAMES]
         e_in = np.asarray(e_specific, dtype=float)
         rho_in = np.asarray(rho, dtype=float)
         shape = np.broadcast_shapes(
-            e_in.shape, rho_in.shape, *(a.shape for a in arrs.values())
+            e_in.shape, rho_in.shape, *(a.shape for a in arrs)
         )
+        # one stacked, flat, writable copy of the broadcast inputs
+        stacked = np.empty((len(SPECIES_NAMES) + 2,) + shape)
+        for i, a in enumerate((*arrs, e_in, rho_in)):
+            stacked[i] = a
+        flat = stacked.reshape(len(stacked), int(np.prod(shape)))
+        state, ef, rf = flat[:-2], flat[-2], flat[-1]
+        self.advance_stacked(state, ef, rf, dt, z)
+        n_out = {s: row.reshape(shape) for s, row in zip(SPECIES_NAMES, state)}
+        return n_out, ef.reshape(shape)
 
-        def _flat(a):
-            # writable, contiguous 1-D copy (broadcast_to returns a
-            # read-only view, hence the explicit np.array copy)
-            return np.array(np.broadcast_to(a, shape)).reshape(-1)
+    def advance_stacked(self, state: np.ndarray, e: np.ndarray,
+                        rho: np.ndarray, dt: float, z: float = 0.0) -> None:
+        """Advance a ``(12, N)`` species block (rows in ``SPECIES_NAMES``
+        order, cm^-3) and its ``(N,)`` specific energy in place by dt (s).
 
-        nf = {s: _flat(arrs[s]) for s in SPECIES_NAMES}
-        ef = _flat(e_in)
-        rf = _flat(rho_in)
-        n_cells = ef.size
+        Active-set integration: every cell carries its own elapsed time and
+        its own ``dt_sub`` from its *local* cooling and electron timescales
+        (the Anninos et al. controls), instead of the single grid-global
+        minimum that would force the whole grid to subcycle at the worst
+        cell's pace.  After each substep the active index set is compacted
+        so finished cells are never touched again.  One iteration is one
+        shared table pass (``RateTable.block``: ``np.log``, the compiled
+        blend, ``np.exp``) and one ``chem.step`` kernel call that does
+        everything else for the cells still in flight and hands back their
+        new temperature.  Because every cell's trajectory depends only on
+        its own state, results are bitwise identical to advancing each cell
+        on its own.
+        """
+        n_cells = e.size
         dt = float(dt)
+        rows = dict(zip(SPECIES_NAMES, state))
+        budgets = None
         if self.renormalise:
             # conserved nuclei budgets (the sequential backward-Euler update
             # is only conservative to O(dt^2 * rate); Enzo renormalises the
             # species against the density field — we do the same per element)
-            h0 = nf["HI"] + nf["HII"] + nf["HM"] + 2.0 * (nf["H2I"] + nf["H2II"]) + nf["HDI"]
-            he0 = nf["HeI"] + nf["HeII"] + nf["HeIII"]
-            d0 = nf["DI"] + nf["DII"] + nf["HDI"]
+            budgets = np.stack(nuclei_budgets(rows))
 
-        # all loop state is local: ``advance`` may run concurrently on many
+        # all loop state is local: this may run concurrently on many
         # grids under the execution engine's thread backend, so nothing
         # mutable lives on the (shared) network object until the final
         # diagnostics are published
@@ -192,57 +226,35 @@ class ChemistryNetwork:
         active_cells_sum = 0
         # a cell is done once it has covered dt to rounding accuracy
         target = dt * (1.0 - 1e-12)
+        if dt > 0.0 and n_cells:
+            step = kernels.get("chem.step")
+            T = self.temperature(rows, e, rho)
         while dt > 0.0 and active.size:
-            na = {s: nf[s][active] for s in SPECIES_NAMES}
-            ea = ef[active]
-            ra = rf[active]
-            T = self.temperature(na, ea, ra)
-            # one shared table pass feeds the timescale controls, the stiff
-            # update and the thermal update of this substep
-            k, ch = self.rates.channels(T)
-            lam = cool_mod.cooling_rate_from_channels(na, T, z, ch)  # erg/s/cm^3
-            edot = np.abs(lam) / np.maximum(ra, 1e-300)
-            t_cool = np.where(edot > 0, ea / np.maximum(edot, 1e-300), np.inf)
-            # electron timescale (the Anninos et al. control): net ionisation
-            # minus recombination rate against the current electron density
-            ne = np.maximum(electron_density(na), 1e-300)
-            ne_dot = np.abs(k["k1"] * na["HI"] * ne - k["k2"] * na["HII"] * ne)
-            t_elec = np.where(ne_dot > 0, ne / np.maximum(ne_dot, 1e-300), np.inf)
-            limit = np.minimum(t_cool, t_elec)
-            remaining = dt - t_done[active]
-            dt_sub = np.minimum(
-                remaining, np.maximum(self.safety * limit, dt / self.max_substeps)
-            )
-            # cells at the substep cap integrate their remainder in one
-            # final backward-Euler step (stable, just less accurate)
-            dt_sub = np.where(
-                counts[active] >= self.max_substeps - 1, remaining, dt_sub
-            )
-            self._substep(na, ea, ra, dt_sub, z, T=T, k=k, cool_ch=ch)
-            if self.renormalise:
-                self._renormalise(na, h0[active], he0[active], d0[active])
-            for s in SPECIES_NAMES:
-                nf[s][active] = na[s]
-            ef[active] = ea
-            t_done[active] += dt_sub
-            counts[active] += 1
+            # hi**3 is np.power, which (unlike the square) is not correctly
+            # rounded: it is evaluated here, once, for every tier
+            cube = state[_HI][active] ** 3 if self.three_body else None
+            block = self.rates.block(
+                T, out=_scratch("block", len(CHANNEL_NAMES), active.size))
+            step(state, e, rho, budgets, t_done, counts, active, T, cube,
+                 block, dt, z, self.safety, self.max_substeps,
+                 self.three_body, self.formation_heating, self.cmb_floor)
             iterations += 1
             active_cells_sum += active.size
-            active = active[t_done[active] < target]
+            keep = t_done[active] < target
+            active = active[keep]
+            T = T[keep]
 
         self.last_substeps = int(counts.max()) if n_cells else 0
         self.last_stats = {
             "cells": int(n_cells),
             "substeps_total": int(counts.sum()),
-            "substeps_max": int(counts.max()) if n_cells else 0,
+            "substeps_max": self.last_substeps,
             "iterations": int(iterations),
             "active_fraction_mean": (
                 float(active_cells_sum) / (iterations * n_cells)
                 if iterations and n_cells else 0.0
             ),
         }
-        n_out = {s: nf[s].reshape(shape) for s in SPECIES_NAMES}
-        return n_out, ef.reshape(shape)
 
     @staticmethod
     def _renormalise(n: dict, h0, he0, d0) -> None:
@@ -268,114 +280,18 @@ class ChemistryNetwork:
             n[s] *= f_he
         n["de"] = np.maximum(electron_density(n), 0.0)
 
-    def _substep(self, n: dict, e: np.ndarray, rho: np.ndarray, dt, z: float,
-                 T=None, k=None, cool_ch=None):
-        """One linearised backward-Euler step of size dt (scalar or per-cell).
-
-        ``T``, ``k`` and ``cool_ch`` accept precomputed values (one shared
-        rate/cooling-channel evaluation per substep, hoisted by ``advance``);
-        when omitted they are evaluated here, reproducing the standalone
-        behaviour.
+    def _substep(self, n: dict, e: np.ndarray, rho: np.ndarray, dt, z: float):
+        """One standalone linearised backward-Euler step of size dt (scalar
+        or per-cell) on a dict of species arrays, updating ``n`` and ``e`` in
+        place: rates from :attr:`rates`, cooling from the analytic fits, both
+        at the temperature of the incoming state.
         """
-        if T is None:
-            T = self.temperature(n, e, rho)
-        if k is None:
-            k = self.rates(T)
-        ne = np.maximum(electron_density(n), 0.0)
-
-        def be(old, create, destroy):
-            """Linearised backward-Euler update (positive by construction)."""
-            return (old + dt * create) / (1.0 + dt * destroy)
-
-        # --- H+ / H and He ladder (with current electron density) -------------
-        hi, hii = n["HI"], n["HII"]
-        n["HII"] = be(hii, k["k1"] * hi * ne, k["k2"] * ne)
-        n["HeII"] = be(
-            n["HeII"],
-            k["k3"] * n["HeI"] * ne + k["k6"] * n["HeIII"] * ne,
-            (k["k4"] + k["k5"]) * ne,
+        T = self.temperature(n, e, rho)
+        substep_numpy(
+            n, e, rho, dt, z, T, self.rates(T), cool_mod.cooling_channels(T),
+            n["HI"] ** 3 if self.three_body else None, self.three_body,
+            self.formation_heating, self.cmb_floor,
         )
-        n["HeIII"] = be(n["HeIII"], k["k5"] * n["HeII"] * ne, k["k6"] * ne)
-        n["HeI"] = be(n["HeI"], k["k4"] * n["HeII"] * ne, k["k3"] * ne)
-
-        # --- fast species in equilibrium (Anninos et al. 1997) ------------------
-        hii = n["HII"]
-        denom_hm = k["k8"] * hi + k["k14"] * ne + k["k16"] * hii
-        n["HM"] = np.where(
-            denom_hm > 0, k["k7"] * hi * ne / np.maximum(denom_hm, 1e-300), 0.0
-        )
-        denom_h2p = k["k10"] * hi + k["k18"] * ne
-        n["H2II"] = np.where(
-            denom_h2p > 0,
-            (k["k9"] * hi * hii + k["k11"] * n["H2I"] * hii)
-            / np.maximum(denom_h2p, 1e-300),
-            0.0,
-        )
-
-        # --- molecular hydrogen ----------------------------------------------------
-        h2 = n["H2I"]
-        c_h2 = k["k8"] * n["HM"] * hi + k["k10"] * n["H2II"] * hi + k["d5"] * n["HDI"] * hii
-        d_h2 = k["k11"] * hii + k["k12"] * ne + k["k13"] * hi + k["d4"] * n["DII"]
-        rate_3b = np.zeros_like(hi)
-        if self.three_body:
-            rate_3b = k["k22"] * hi**3 + k["k23"] * hi**2 * h2
-            c_h2 = c_h2 + rate_3b
-        n["H2I"] = be(h2, c_h2, d_h2)
-
-        # --- neutral hydrogen (net source terms; k13 yields net +2 H) --------------
-        c_hi = (
-            k["k2"] * hii * ne
-            + 2.0 * k["k12"] * h2 * ne
-            + 2.0 * k["k13"] * h2 * hi
-            + k["k11"] * h2 * hii
-            + 2.0 * k["k16"] * n["HM"] * hii
-            + 2.0 * k["k18"] * n["H2II"] * ne
-            + k["k14"] * n["HM"] * ne
-            + k["d2"] * n["DI"] * hii
-        )
-        d_hi = (
-            k["k1"] * ne
-            + k["k7"] * ne
-            + k["k8"] * n["HM"]
-            + k["k9"] * hii
-            + k["k10"] * n["H2II"]
-            + k["d3"] * n["DII"]
-            + (2.0 * k["k22"] * hi**2 + 2.0 * k["k23"] * hi * h2 if self.three_body else 0.0)
-        )
-        n["HI"] = be(hi, c_hi, d_hi)
-
-        # --- deuterium ----------------------------------------------------------------
-        di, dii, hd = n["DI"], n["DII"], n["HDI"]
-        n["DII"] = be(
-            dii,
-            k["d2"] * di * hii + k["d5"] * hd * hii,
-            k["d1"] * ne + k["d3"] * n["HI"] + k["d4"] * n["H2I"],
-        )
-        n["DI"] = be(di, k["d1"] * n["DII"] * ne + k["d3"] * n["DII"] * n["HI"], k["d2"] * hii)
-        n["HDI"] = be(hd, k["d4"] * n["DII"] * n["H2I"], k["d5"] * hii)
-
-        # --- electrons from charge neutrality ---------------------------------------
-        n["de"] = np.maximum(electron_density(n), 0.0)
-
-        # --- thermal energy ---------------------------------------------------------------
-        # NOTE: evaluated with the *updated* densities at the substep's
-        # (start-of-step) temperature — only the T-dependent coefficients
-        # are shared with the timescale evaluation in ``advance``
-        if cool_ch is not None:
-            lam = cool_mod.cooling_rate_from_channels(n, T, z, cool_ch)
-        else:
-            lam = cool_mod.cooling_rate(n, T, z)
-        if self.formation_heating and self.three_body:
-            lam = lam - H2_BINDING * rate_3b + H2_BINDING * k["k13"] * h2 * hi
-        # semi-implicit: cooling shrinks e by a bounded factor
-        cool_pos = np.maximum(lam, 0.0) / np.maximum(rho, 1e-300)
-        heat = np.maximum(-lam, 0.0) / np.maximum(rho, 1e-300)
-        e_new = (e + dt * heat) / (1.0 + dt * cool_pos / np.maximum(e, 1e-300))
-        if self.cmb_floor:
-            t_cmb = const.CMB_TEMPERATURE_Z0 * (1.0 + z)
-            e_floor = self.energy_from_temperature(n, t_cmb, rho)
-            e_new = np.maximum(e_new, np.minimum(e, e_floor))
-        e[...] = np.maximum(e_new, 1e-300)
 
     # ------------------------------------------------------ code-unit interface
     def advance_fields(self, fields, dt_code: float, units, a: float) -> dict:
@@ -388,24 +304,191 @@ class ChemistryNetwork:
         (a copy of :attr:`last_stats`) for telemetry aggregation.
         """
         z = 1.0 / a - 1.0
-        rho_cgs = np.asarray(fields["density"]) * units.density_unit / a**3
-        n = {}
-        for s in SPECIES_NAMES:
-            n[s] = (
-                np.asarray(fields[s]) * units.density_unit / a**3
-                / (SPECIES[s].mass_amu * const.HYDROGEN_MASS)
-            )
-        e_cgs = np.asarray(fields["internal"]) * units.energy_unit
-        n_new, e_new = self.advance(n, e_cgs, rho_cgs, dt_code * units.time_unit, z)
-        for s in SPECIES_NAMES:
-            fields[s][...] = (
-                n_new[s] * SPECIES[s].mass_amu * const.HYDROGEN_MASS
-                * a**3 / units.density_unit
-            )
+        a3 = a**3
+        density = np.asarray(fields["density"])
+        shape = density.shape
+        rho_cgs = (density * units.density_unit / a3).reshape(-1)
+        # the species block is filled row by row, each row converted while
+        # it is cache-resident, with the same three roundings as
+        # ``field * density_unit / a**3 / mass``
+        state = _scratch("state", len(SPECIES_NAMES), rho_cgs.size)
+        rows = state.reshape((-1,) + shape)
+        for row, s in zip(rows, SPECIES_NAMES):
+            np.multiply(fields[s], units.density_unit, out=row)
+            row /= a3
+            row /= SPECIES[s].mass_amu * const.HYDROGEN_MASS
+        e_cgs = (np.asarray(fields["internal"]) * units.energy_unit).reshape(-1)
+        self.advance_stacked(state, e_cgs, rho_cgs, dt_code * units.time_unit, z)
+        # and back: ``n * mass_amu * m_H * a**3 / density_unit``
+        for row, s in zip(rows, SPECIES_NAMES):
+            row *= SPECIES[s].mass_amu
+            row *= const.HYDROGEN_MASS
+            row *= a3
+            np.divide(row, units.density_unit, out=fields[s])
         kinetic = 0.5 * (fields["vx"] ** 2 + fields["vy"] ** 2 + fields["vz"] ** 2)
-        fields["internal"][...] = e_new / units.energy_unit
+        fields["internal"][...] = (e_cgs / units.energy_unit).reshape(shape)
         fields["energy"][...] = fields["internal"] + kinetic
         return dict(self.last_stats)
+
+
+# ------------------------------------------------- the chem.step reference
+def nuclei_budgets(n: dict) -> tuple:
+    """The (H, He, D) nuclei number densities renormalisation conserves."""
+    h0 = n["HI"] + n["HII"] + n["HM"] + 2.0 * (n["H2I"] + n["H2II"]) + n["HDI"]
+    he0 = n["HeI"] + n["HeII"] + n["HeIII"]
+    d0 = n["DI"] + n["DII"] + n["HDI"]
+    return h0, he0, d0
+
+
+def step_numpy(state, e, rho, budgets, t_done, counts, active, T, cube,
+               block, dt, z, safety, max_substeps, three_body,
+               formation_heating, cmb_floor) -> None:
+    """One substep of every active cell: the ``chem.step`` reference.
+
+    ``state`` (12, N), ``e``, ``rho``, ``t_done``, ``counts`` (N,) and the
+    optional ``budgets`` (3, N) are whole-grid arrays; ``active`` (M,)
+    indexes the cells still in flight and ``T`` (M,), ``cube`` (M,) =
+    ``HI**3`` (``None`` without ``three_body``) and ``block``
+    (``rates.CHANNEL_NAMES``, M) hold their temperature and coefficients.
+    Picks each cell's ``dt_sub`` from its cooling and electron timescales,
+    applies the backward-Euler species/energy update and the
+    renormalisation, scatters the result into ``state``/``e``, advances
+    ``t_done``/``counts`` and overwrites ``T`` with the new temperature.
+    """
+    n = {s: row[active] for s, row in zip(SPECIES_NAMES, state)}
+    ea = e[active]
+    ra = rho[active]
+    ch = dict(zip(CHANNEL_NAMES, block))
+    k = RateTable._assemble_rates(np.clip(T, T_MIN, T_MAX), ch)
+    # the cell's own timescales: cooling time, and the electron timescale
+    # (the Anninos et al. control) — net ionisation minus recombination
+    # rate against the current electron density
+    lam = cool_mod.cooling_rate_from_channels(n, T, z, ch)  # erg/s/cm^3
+    edot = np.abs(lam) / np.maximum(ra, 1e-300)
+    t_cool = np.where(edot > 0, ea / np.maximum(edot, 1e-300), np.inf)
+    ne = np.maximum(electron_density(n), 1e-300)
+    ne_dot = np.abs(k["k1"] * n["HI"] * ne - k["k2"] * n["HII"] * ne)
+    t_elec = np.where(ne_dot > 0, ne / np.maximum(ne_dot, 1e-300), np.inf)
+    limit = np.minimum(t_cool, t_elec)
+    remaining = dt - t_done[active]
+    dt_sub = np.minimum(
+        remaining, np.maximum(safety * limit, dt / max_substeps)
+    )
+    # cells at the substep cap integrate their remainder in one final
+    # backward-Euler step (stable, just less accurate)
+    dt_sub = np.where(counts[active] >= max_substeps - 1, remaining, dt_sub)
+    substep_numpy(n, ea, ra, dt_sub, z, T, k, ch, cube, three_body,
+                  formation_heating, cmb_floor)
+    if budgets is not None:
+        ChemistryNetwork._renormalise(n, *(b[active] for b in budgets))
+    for s, row in zip(SPECIES_NAMES, state):
+        row[active] = n[s]
+    e[active] = ea
+    t_done[active] += dt_sub
+    counts[active] += 1
+    T[...] = ChemistryNetwork.temperature(n, ea, ra)
+
+
+def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
+                  three_body, formation_heating, cmb_floor) -> None:
+    """One linearised backward-Euler step of size dt (scalar or per-cell).
+
+    ``T``, the rates ``k`` and the cooling channels ``cool_ch`` are those of
+    the incoming state (one shared evaluation per substep); updates the
+    species dict ``n`` and the array ``e`` in place.
+    """
+    ne = np.maximum(electron_density(n), 0.0)
+
+    def be(old, create, destroy):
+        """Linearised backward-Euler update (positive by construction)."""
+        return (old + dt * create) / (1.0 + dt * destroy)
+
+    # --- H+ / H and He ladder (with current electron density) -------------
+    hi, hii = n["HI"], n["HII"]
+    n["HII"] = be(hii, k["k1"] * hi * ne, k["k2"] * ne)
+    n["HeII"] = be(
+        n["HeII"],
+        k["k3"] * n["HeI"] * ne + k["k6"] * n["HeIII"] * ne,
+        (k["k4"] + k["k5"]) * ne,
+    )
+    n["HeIII"] = be(n["HeIII"], k["k5"] * n["HeII"] * ne, k["k6"] * ne)
+    n["HeI"] = be(n["HeI"], k["k4"] * n["HeII"] * ne, k["k3"] * ne)
+
+    # --- fast species in equilibrium (Anninos et al. 1997) ------------------
+    hii = n["HII"]
+    denom_hm = k["k8"] * hi + k["k14"] * ne + k["k16"] * hii
+    n["HM"] = np.where(
+        denom_hm > 0, k["k7"] * hi * ne / np.maximum(denom_hm, 1e-300), 0.0
+    )
+    denom_h2p = k["k10"] * hi + k["k18"] * ne
+    n["H2II"] = np.where(
+        denom_h2p > 0,
+        (k["k9"] * hi * hii + k["k11"] * n["H2I"] * hii)
+        / np.maximum(denom_h2p, 1e-300),
+        0.0,
+    )
+
+    # --- molecular hydrogen ----------------------------------------------------
+    h2 = n["H2I"]
+    c_h2 = k["k8"] * n["HM"] * hi + k["k10"] * n["H2II"] * hi + k["d5"] * n["HDI"] * hii
+    d_h2 = k["k11"] * hii + k["k12"] * ne + k["k13"] * hi + k["d4"] * n["DII"]
+    rate_3b = np.zeros_like(hi)
+    if three_body:
+        rate_3b = k["k22"] * cube + k["k23"] * hi**2 * h2
+        c_h2 = c_h2 + rate_3b
+    n["H2I"] = be(h2, c_h2, d_h2)
+
+    # --- neutral hydrogen (net source terms; k13 yields net +2 H) --------------
+    c_hi = (
+        k["k2"] * hii * ne
+        + 2.0 * k["k12"] * h2 * ne
+        + 2.0 * k["k13"] * h2 * hi
+        + k["k11"] * h2 * hii
+        + 2.0 * k["k16"] * n["HM"] * hii
+        + 2.0 * k["k18"] * n["H2II"] * ne
+        + k["k14"] * n["HM"] * ne
+        + k["d2"] * n["DI"] * hii
+    )
+    d_hi = (
+        k["k1"] * ne
+        + k["k7"] * ne
+        + k["k8"] * n["HM"]
+        + k["k9"] * hii
+        + k["k10"] * n["H2II"]
+        + k["d3"] * n["DII"]
+        + (2.0 * k["k22"] * hi**2 + 2.0 * k["k23"] * hi * h2 if three_body else 0.0)
+    )
+    n["HI"] = be(hi, c_hi, d_hi)
+
+    # --- deuterium ----------------------------------------------------------------
+    di, dii, hd = n["DI"], n["DII"], n["HDI"]
+    n["DII"] = be(
+        dii,
+        k["d2"] * di * hii + k["d5"] * hd * hii,
+        k["d1"] * ne + k["d3"] * n["HI"] + k["d4"] * n["H2I"],
+    )
+    n["DI"] = be(di, k["d1"] * n["DII"] * ne + k["d3"] * n["DII"] * n["HI"], k["d2"] * hii)
+    n["HDI"] = be(hd, k["d4"] * n["DII"] * n["H2I"], k["d5"] * hii)
+
+    # --- electrons from charge neutrality ---------------------------------------
+    n["de"] = np.maximum(electron_density(n), 0.0)
+
+    # --- thermal energy ---------------------------------------------------------------
+    # NOTE: evaluated with the *updated* densities at the substep's
+    # (start-of-step) temperature — only the T-dependent coefficients
+    # are shared with the timescale evaluation of ``step_numpy``
+    lam = cool_mod.cooling_rate_from_channels(n, T, z, cool_ch)
+    if formation_heating and three_body:
+        lam = lam - H2_BINDING * rate_3b + H2_BINDING * k["k13"] * h2 * hi
+    # semi-implicit: cooling shrinks e by a bounded factor
+    cool_pos = np.maximum(lam, 0.0) / np.maximum(rho, 1e-300)
+    heat = np.maximum(-lam, 0.0) / np.maximum(rho, 1e-300)
+    e_new = (e + dt * heat) / (1.0 + dt * cool_pos / np.maximum(e, 1e-300))
+    if cmb_floor:
+        t_cmb = const.CMB_TEMPERATURE_Z0 * (1.0 + z)
+        e_floor = ChemistryNetwork.energy_from_temperature(n, t_cmb, rho)
+        e_new = np.maximum(e_new, np.minimum(e, e_floor))
+    e[...] = np.maximum(e_new, 1e-300)
 
 
 class ChemistryStepStats:

@@ -324,6 +324,17 @@ class RateTable:
         )
         return rates, cool_ch
 
+    def block(self, T, out=None) -> np.ndarray:
+        """Every channel coefficient of :data:`CHANNEL_NAMES` at the flat
+        temperatures ``T``, as one ``(channels, T.size)`` array — the input
+        of the ``chem.step`` kernel, the same rows in either mode — written
+        into ``out`` when given.
+        """
+        T = _clip_T(T).reshape(-1)
+        if self.mode == "tabulated":
+            return self._ensure_table()._blend(T, out)
+        return np.stack([fn(T) for fn in _CHANNEL_FUNCS.values()], out=out)
+
     @staticmethod
     def _assemble_rates(T, ch: dict) -> dict:
         """Apply the piecewise branch switches and alias d1 = k2."""
@@ -394,10 +405,13 @@ _RATE_CHANNELS = {
 }
 
 
-def _all_channel_funcs() -> dict:
-    funcs = dict(_RATE_CHANNELS)
-    funcs.update(_cooling.COOLING_CHANNELS)
-    return funcs
+#: every tabulated channel, rates then cooling: name -> fn(T).
+_CHANNEL_FUNCS = {**_RATE_CHANNELS, **_cooling.COOLING_CHANNELS}
+
+#: row order of the ``(channels, N)`` coefficient block (:meth:`RateTable.
+#: block`) that ``chem.step`` consumes; the C side generates its ``channels``
+#: struct from this tuple.
+CHANNEL_NAMES = tuple(_CHANNEL_FUNCS)
 
 
 def _index_weight(T_flat: np.ndarray, x0: float, h: float, n_bins: int):
@@ -408,23 +422,29 @@ def _index_weight(T_flat: np.ndarray, x0: float, h: float, n_bins: int):
     gather + lerp.
     """
     u = (np.log(T_flat) - x0) / h
-    i = u.astype(np.intp)
+    # a non-finite T (NaN ghost cells left by a zero-density hydro update)
+    # gets bin 0 explicitly: casting NaN to an integer is undefined (x86
+    # happens to produce 0 after the clip, with a RuntimeWarning); its
+    # weight stays non-finite, so every channel of that cell still is
+    bad = ~np.isfinite(u)
+    i = (np.where(bad, 0.0, u) if bad.any() else u).astype(np.intp)
     np.clip(i, 0, n_bins - 2, out=i)
     w = u - i
     return i, w
 
 
 def blend_table_numpy(logtab: np.ndarray, idx: np.ndarray,
-                      weight: np.ndarray) -> np.ndarray:
+                      weight: np.ndarray, out=None) -> np.ndarray:
     """Reference gather + lerp + exp over the channel-major log table.
 
     This is the ``chem.blend`` entry of the NumPy kernel backend; compiled
     backends replace the gather/lerp loop but keep the same trailing
     ``np.exp`` so the tier stays bitwise-identical (SIMD vs libm ``exp``
-    differ in the last ulp).
+    differ in the last ulp).  ``out`` is an optional ``(channels, idx.size)``
+    float64 array to fill and return instead of a fresh one.
     """
     lo = np.take(logtab, idx, axis=1)
-    out = np.take(logtab, idx + 1, axis=1)
+    out = np.take(logtab, idx + 1, axis=1, out=out)
     # out = exp(lo + w * (out - lo)), fused in place
     out -= lo
     out *= weight
@@ -449,8 +469,7 @@ class _LogTable:
         self.h = (x1 - self.x0) / (self.n_bins - 1)
         x = self.x0 + self.h * np.arange(self.n_bins)
         T = np.exp(x)
-        funcs = _all_channel_funcs()
-        self.names = tuple(funcs)
+        funcs = _CHANNEL_FUNCS
         with np.errstate(under="ignore"):
             rows = [np.asarray(fn(T), dtype=float) for fn in funcs.values()]
         # channel-major (C, n_bins): the per-cell gather then reads one
@@ -469,17 +488,18 @@ class _LogTable:
         err = np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-280)
         self.max_rel_err = float(err.max())
 
-    def _blend(self, T_flat: np.ndarray) -> np.ndarray:
+    def _blend(self, T_flat: np.ndarray, out=None) -> np.ndarray:
         """Interpolated coefficients, shape (n_channels, T_flat.size)."""
         i, w = _index_weight(T_flat, self.x0, self.h, self.n_bins)
-        return _kernels.get("chem.blend")(self.logtab, i, w)
+        return _kernels.get("chem.blend")(self.logtab, i, w, out)
 
     def lookup(self, T) -> dict:
         T = np.asarray(T, dtype=float)
         shape = T.shape
         block = self._blend(T.reshape(-1))
         return {
-            name: block[j].reshape(shape) for j, name in enumerate(self.names)
+            name: block[j].reshape(shape)
+            for j, name in enumerate(CHANNEL_NAMES)
         }
 
 

@@ -3,8 +3,8 @@
 The paper's outputs were "in the 2-4 GB range" with "at least 50-100 GB
 disk storage" per run; analysis and visualisation read those dumps.  This
 package serialises the full hierarchy state (grids, fields, particles with
-their extended-precision positions, times) to a single compressed ``.npz``
-and restores it bit-exactly.
+their extended-precision positions, times) to a single stored
+(uncompressed) ``.npz`` and restores it bit-exactly.
 """
 
 from repro.io.checkpoint import (

@@ -1,7 +1,11 @@
-"""Hierarchy checkpointing to compressed npz.
+"""Hierarchy checkpointing to one stored (uncompressed) npz container.
 
 Layout: one flat npz with a JSON-encoded manifest describing the tree
-structure and one array entry per grid field.  Extended-precision values
+structure and one array entry per grid field.  Members are stored, not
+deflated: field data is float64 noise to zlib (it saved 29 % of a 13.8 MB
+dump at 0.45 s per write against 0.035 s stored — docs/PERFORMANCE.md,
+"Checkpoint container"), and ``np.load`` reads either kind, so dumps
+written by older versions still load.  Extended-precision values
 (particle positions, per-grid times) are stored as their (hi, lo) word
 pairs so restarts are bit-exact — a float64 round-trip would silently
 destroy exactly the precision the paper's Sec. 3.5 exists to protect.
@@ -128,15 +132,20 @@ def save_hierarchy(hierarchy: Hierarchy, path: str, timers=None) -> None:
         json.dumps(manifest).encode(), dtype=np.uint8
     )
 
-    path = str(path)
-    tmp = path + ".tmp"
     with _io_section(timers):
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(os.path.dirname(path) or ".")
+        write_npz(str(path), arrays)
+
+
+def write_npz(path: str, arrays: dict) -> None:
+    """The one way a checkpoint container reaches disk: temp file, fsync,
+    ``os.replace`` onto ``path``, fsync of the directory."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(path) or ".")
 
 
 def _fsync_dir(dirname: str) -> None:

@@ -2,14 +2,14 @@
 
 Each kernel exists twice: the vectorised NumPy reference (``hydro/riemann.py``,
 ``hydro/reconstruction.py``, ``hydro/tracing.py``, ``hydro/ppm.py``,
-``chemistry/rates.py``, ``amr/interpolation.py``, ``gravity/multigrid.py`` —
-the definition of correct) and the per-element C in ``_CSOURCE`` below,
-compiled once per machine with the system C compiler through cffi (API
-mode) and cached as a shared object under ``REPRO_KERNELS_CACHE`` (default
-``~/.cache/repro-kernels``).  Importing this module triggers the build the
-first time; any failure (no cffi, no compiler, sandboxed cache dir)
-surfaces as an exception the dispatch registry turns into the standard
-warn-once NumPy fallback.
+``chemistry/rates.py``, ``chemistry/network.py``, ``amr/interpolation.py``,
+``gravity/multigrid.py`` — the definition of correct) and the per-element C
+in ``_CSOURCE`` below, compiled once per machine with the system C compiler
+through cffi (API mode) and cached as a shared object under
+``REPRO_KERNELS_CACHE`` (default ``~/.cache/repro-kernels``).  Importing this
+module triggers the build the first time; any failure (no cffi, no compiler,
+sandboxed cache dir) surfaces as an exception the dispatch registry turns
+into the standard warn-once NumPy fallback.
 
 The C wants flat contiguous arrays and preallocated outputs and indexes raw
 memory; the contract functions at the bottom of this module (one per
@@ -23,7 +23,11 @@ and scratch, and copy non-contiguous in-place targets in and back:
 * ``hydro.sweep``     ``fn(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
   riemann_solver, density_floor, energy_floor) -> (fluxes, counts)`` — one
   directional sweep of one grid, updating ``arrays`` in place
-* ``chem.blend``      ``fn(logtab, idx, weight) -> (channels, n) rates``
+* ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
+  rates``
+* ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
+  cube, block, dt, z, safety, max_substeps, three_body, formation_heating,
+  cmb_floor)`` — one substep of every active cell of one grid, in place
 * ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
   r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
 * ``mg.smooth``       ``fn(phi, source, dx, sweeps)`` — smooths ``phi`` in place
@@ -69,6 +73,11 @@ import tempfile
 import numpy as np
 from cffi import FFI  # raises ImportError -> dispatch falls back to NumPy
 
+from repro import constants as const
+from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
+from repro.chemistry.network import H2_BINDING
+from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
+from repro.chemistry.species import SPECIES_NAMES
 from repro.kernels import dispatch
 
 _CDEF = """
@@ -109,6 +118,12 @@ void rk_trace(long n, long m,
     double *or_rho, double *or_u, double *or_v, double *or_w, double *or_p);
 void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     const int64_t *idx, const double *weight, double *out);
+void rk_chem_step(long n_cells, long n_act, double *state, double *e,
+    const double *rho, const double *budgets, double *t_done,
+    int64_t *counts, const int64_t *active, double *T, const double *cube,
+    const double *block, double dt, double dt_floor, double t_cmb,
+    double compton, double safety, long max_substeps, int three_body,
+    int formation_heating, int cmb_floor, int renormalise);
 void rk_prolong_linear(long nx, long ny, long nz,
     const double *new_, const double *old, int use_old, double frac,
     int positive, long r, long p0, long p1, long p2,
@@ -122,7 +137,43 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     int64_t *counts, double *work, long mb, int64_t *cols);
 """
 
-_CSOURCE = r"""
+
+def _chem_layout() -> str:
+    """Layout and constants of ``rk_chem_step``, generated from the Python
+    side so the two transcriptions cannot disagree: a ``species`` struct
+    with one field per ``SPECIES_NAMES`` entry and a ``channels`` struct
+    with one per ``rates.CHANNEL_NAMES`` entry, the macros that move them
+    between the structs and rows ``p[i * stride]`` of the stacked arrays in
+    that order, ``TOTAL_DENSITY`` (Python's left-to-right ``sum`` over
+    ``SPECIES_NAMES``), and the physical constants as the ``repr`` of the
+    very floats the NumPy reference uses."""
+    def rows(names, fmt):
+        return " ".join(fmt.format(f=f, i=i) for i, f in enumerate(names))
+
+    defines = {
+        "T_MIN": T_MIN,
+        "T_MAX": T_MAX,
+        "K_BOLTZ": const.BOLTZMANN_CONSTANT,
+        "H2_BINDING": H2_BINDING,
+        "H2_LDL_LO": H2_LDL_LO,
+        "H2_LDL_HI": H2_LDL_HI,
+    }
+    return (
+        f"typedef struct {{ double {', '.join(SPECIES_NAMES)}; }} species;\n"
+        f"typedef struct {{ double {', '.join(CHANNEL_NAMES)}; }} channels;\n"
+        "#define LOAD_SPECIES(n, p, stride) "
+        + rows(SPECIES_NAMES, "(n).{f} = (p)[{i} * (stride)];") + "\n"
+        "#define STORE_SPECIES(n, p, stride) "
+        + rows(SPECIES_NAMES, "(p)[{i} * (stride)] = (n).{f};") + "\n"
+        "#define LOAD_CHANNELS(ch, p, stride) "
+        + rows(CHANNEL_NAMES, "(ch).{f} = (p)[{i} * (stride)];") + "\n"
+        "#define TOTAL_DENSITY(n) (0.0 + "
+        + " + ".join(f"(n).{f}" for f in SPECIES_NAMES) + ")\n"
+        + "".join(f"#define {k} {float(v)!r}\n" for k, v in defines.items())
+    )
+
+
+_CSOURCE = _chem_layout() + r"""
 #include <math.h>
 #include <stdint.h>
 
@@ -1058,6 +1109,282 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
         }
     }
 }
+
+/* ---- fused chemistry step: one substep of every active cell of one grid
+   (reference: chemistry/network.py step_numpy, which spells the same
+   arithmetic as whole-array NumPy).  The species / channels structs, their
+   LOAD/STORE macros, TOTAL_DENSITY and the constants come from
+   _chem_layout().  exp/log/pow never appear here: the table pass (np.log,
+   rk_chem_blend, np.exp) runs between calls, and HI**3 is np.power -- not
+   correctly rounded, unlike the square -- so it arrives precomputed in
+   `cube`.
+
+   The cell body is straight-line: every np.where is a select between two
+   values computed unconditionally and every load is unconditional, so the
+   compiler can run cells in SIMD lanes (elementwise IEEE arithmetic, no
+   contraction: lane width never shows in the result).  nmax_s / nmin_s are
+   nmax / nmin spelled as selects for the same reason. ---- */
+
+static inline double nmax_s(double a, double b)
+{
+    double r = a > b ? a : b;
+    r = (b != b) ? b : r;
+    return (a != a) ? a : r;
+}
+
+static inline double nmin_s(double a, double b)
+{
+    double r = a < b ? a : b;
+    r = (b != b) ? b : r;
+    return (a != a) ? a : r;
+}
+
+/* species.electron_density */
+static inline double electrons(const species *n)
+{
+    return n->HII + n->HeII + 2.0 * n->HeIII + n->H2II + n->DII - n->HM;
+}
+
+/* ChemistryNetwork.temperature */
+static inline double temperature(const species *n, double e, double rho)
+{
+    double n_tot = nmax_s(TOTAL_DENSITY(*n), 1e-300);
+    return nmax_s((2.0 / 3.0) * e * rho / (n_tot * K_BOLTZ), 1.0);
+}
+
+/* cooling.cooling_rate_from_channels: atomic + H2 + HD + Compton; T is the
+   raw temperature, every term clamps it with _g itself */
+static inline double cooling(const species *n, double T, const channels *ch,
+    double t_cmb, double compton)
+{
+    double Tg = nmax_s(T, 1.0);
+    double ne = nmax_s(electrons(n), 0.0);
+    double rate = 0.0;
+    rate += ch->ce_HI * ne * n->HI;
+    rate += ch->ce_HeII * ne * n->HeII;
+    rate += ch->ci_HI * ne * n->HI;
+    rate += ch->ci_HeI * ne * n->HeI;
+    rate += ch->ci_HeII * ne * n->HeII;
+    rate += ch->rec_HII * ne * n->HII;
+    rate += ch->rec_HeII * ne * n->HeII;
+    rate += ch->rec_HeIII * ne * n->HeIII;
+    rate += ch->diel_HeII * ne * n->HeII;
+    rate += ch->brem * ne * (n->HII + n->HeII + 4.0 * n->HeIII);
+    double atomic = Tg < 10.0 ? 0.0 : rate;
+
+    double n_h = nmax_s(n->HI, 1e-300);
+    double ldl = Tg > 1e4 ? H2_LDL_HI : ch->h2_ldl_branch;
+    ldl = Tg < 10.0 ? H2_LDL_LO : ldl;
+    double low = ldl * n_h;
+    double per_h2 = ch->h2_lte / (1.0 + ch->h2_lte / nmax_s(low, 1e-300));
+    double h2_out = n->H2I * per_h2;
+    double h2 = Tg < 10.0 ? 0.0 : h2_out;
+
+    double hd = n->HDI * nmax_s(n->HI, 0.0) / 1e3 * ch->hd / 1e3;
+    return atomic + h2 + hd + compton * ne * (Tg - t_cmb);
+}
+
+/* linearised backward-Euler update (positive by construction) */
+static inline double be(double old, double create, double destroy, double dt)
+{
+    return (old + dt * create) / (1.0 + dt * destroy);
+}
+
+/* one substep of cell c, the j-th active one */
+static inline __attribute__((always_inline)) void chem_cell(long c, long j,
+    long n_cells, long n_act, double *state, double *e, const double *rho,
+    const double *budgets, double *t_done, int64_t *counts, double *T,
+    const double *cube, const double *block, double dt, double dt_floor,
+    double t_cmb, double compton, double safety, long max_substeps,
+    int three_body, int heating, int cmb_floor, int renormalise)
+{
+    species n;
+    channels ch;
+    LOAD_SPECIES(n, state + c, n_cells)
+    LOAD_CHANNELS(ch, block + j, n_act)
+    double ea = e[c], ra = rho[c], Tj = T[j], hi3 = cube[j];
+    double h0 = budgets[c], he0 = budgets[n_cells + c],
+           d0 = budgets[2 * n_cells + c];
+
+    /* RateTable._assemble_rates: the piecewise fits switch branch on the
+       clipped temperature (np.clip: NaN stays NaN); d1 = k2 */
+    double Tc = nmin_s(nmax_s(Tj, T_MIN), T_MAX);
+    double k1 = ch.k1, k2 = ch.k2, k3 = ch.k3, k4 = ch.k4, k5 = ch.k5,
+           k6 = ch.k6, k7 = ch.k7, k8 = ch.k8, k10 = ch.k10, k11 = ch.k11,
+           k12 = ch.k12, k13 = ch.k13, k16 = ch.k16, k18 = ch.k18,
+           k22 = ch.k22, k23 = ch.k23, d1 = ch.k2, d2 = ch.d2, d3 = ch.d3,
+           d4 = ch.d4, d5 = ch.d5;
+    double k9 = Tc < 6700.0 ? ch.k9_low : ch.k9_high;
+    double k14 = Tc / 11604.5 > 0.04 ? ch.k14_branch : 0.0;
+
+    /* ---- the cell's own substep: cooling and electron timescales ---- */
+    double lam = cooling(&n, Tj, &ch, t_cmb, compton);
+    double edot = fabs(lam) / nmax_s(ra, 1e-300);
+    double t_cool = ea / nmax_s(edot, 1e-300);
+    t_cool = edot > 0.0 ? t_cool : INFINITY;
+    double ne = nmax_s(electrons(&n), 1e-300);
+    double ne_dot = fabs(k1 * n.HI * ne - k2 * n.HII * ne);
+    double t_elec = ne / nmax_s(ne_dot, 1e-300);
+    t_elec = ne_dot > 0.0 ? t_elec : INFINITY;
+    double limit = nmin_s(t_cool, t_elec);
+    double remaining = dt - t_done[c];
+    double dts = nmin_s(remaining, nmax_s(safety * limit, dt_floor));
+    /* a cell at the substep cap integrates its remainder in one step */
+    dts = counts[c] >= max_substeps - 1 ? remaining : dts;
+
+    /* ---- H+ / H and He ladder (with current electron density) ---- */
+    ne = nmax_s(electrons(&n), 0.0);
+    double hi = n.HI, hii = n.HII;
+    n.HII = be(hii, k1 * hi * ne, k2 * ne, dts);
+    n.HeII = be(n.HeII, k3 * n.HeI * ne + k6 * n.HeIII * ne,
+                (k4 + k5) * ne, dts);
+    n.HeIII = be(n.HeIII, k5 * n.HeII * ne, k6 * ne, dts);
+    n.HeI = be(n.HeI, k4 * n.HeII * ne, k3 * ne, dts);
+
+    /* ---- fast species in equilibrium ---- */
+    hii = n.HII;
+    double denom_hm = k8 * hi + k14 * ne + k16 * hii;
+    double hm = k7 * hi * ne / nmax_s(denom_hm, 1e-300);
+    n.HM = denom_hm > 0.0 ? hm : 0.0;
+    double denom_h2p = k10 * hi + k18 * ne;
+    double h2p = (k9 * hi * hii + k11 * n.H2I * hii)
+        / nmax_s(denom_h2p, 1e-300);
+    n.H2II = denom_h2p > 0.0 ? h2p : 0.0;
+
+    /* ---- molecular hydrogen ---- */
+    double h2 = n.H2I;
+    double c_h2 = k8 * n.HM * hi + k10 * n.H2II * hi + d5 * n.HDI * hii;
+    double d_h2 = k11 * hii + k12 * ne + k13 * hi + d4 * n.DII;
+    double rate_3b = k22 * hi3 + k23 * (hi * hi) * h2;
+    rate_3b = three_body ? rate_3b : 0.0;
+    double c_h2_3b = c_h2 + rate_3b;
+    c_h2 = three_body ? c_h2_3b : c_h2;
+    n.H2I = be(h2, c_h2, d_h2, dts);
+
+    /* ---- neutral hydrogen (k13 yields net +2 H) ---- */
+    double c_hi = k2 * hii * ne
+        + 2.0 * k12 * h2 * ne
+        + 2.0 * k13 * h2 * hi
+        + k11 * h2 * hii
+        + 2.0 * k16 * n.HM * hii
+        + 2.0 * k18 * n.H2II * ne
+        + k14 * n.HM * ne
+        + d2 * n.DI * hii;
+    double d_hi_3b = 2.0 * k22 * (hi * hi) + 2.0 * k23 * hi * h2;
+    double d_hi = k1 * ne
+        + k7 * ne
+        + k8 * n.HM
+        + k9 * hii
+        + k10 * n.H2II
+        + d3 * n.DII
+        + (three_body ? d_hi_3b : 0.0);
+    n.HI = be(hi, c_hi, d_hi, dts);
+
+    /* ---- deuterium ---- */
+    double di = n.DI, dii = n.DII, hd = n.HDI;
+    n.DII = be(dii, d2 * di * hii + d5 * hd * hii,
+               d1 * ne + d3 * n.HI + d4 * n.H2I, dts);
+    n.DI = be(di, d1 * n.DII * ne + d3 * n.DII * n.HI, d2 * hii, dts);
+    n.HDI = be(hd, d4 * n.DII * n.H2I, d5 * hii, dts);
+
+    /* ---- electrons from charge neutrality ---- */
+    n.de = nmax_s(electrons(&n), 0.0);
+
+    /* ---- thermal energy: updated densities at the start-of-step
+       temperature, semi-implicit in e ---- */
+    lam = cooling(&n, Tj, &ch, t_cmb, compton);
+    double lam_heated = lam - H2_BINDING * rate_3b
+        + H2_BINDING * k13 * h2 * hi;
+    lam = heating ? lam_heated : lam;
+    double cool_pos = nmax_s(lam, 0.0) / nmax_s(ra, 1e-300);
+    double heat = nmax_s(-lam, 0.0) / nmax_s(ra, 1e-300);
+    double e_new = (ea + dts * heat)
+        / (1.0 + dts * cool_pos / nmax_s(ea, 1e-300));
+    /* ChemistryNetwork.energy_from_temperature at T_cmb */
+    double e_floor = 1.5 * TOTAL_DENSITY(n) * K_BOLTZ * t_cmb
+        / nmax_s(ra, 1e-300);
+    double e_floored = nmax_s(e_new, nmin_s(ea, e_floor));
+    e_new = cmb_floor ? e_floored : e_new;
+    ea = nmax_s(e_new, 1e-300);
+
+    /* ---- ChemistryNetwork._renormalise: HD capped at the deuterium
+       budget first, then D, H and He rescaled onto their budgets.  Without
+       renormalisation the factors are 1.0: x * 1.0 is x, bit for bit ---- */
+    double hd_new = nmin_s(n.HDI, d0);
+    n.HDI = renormalise ? hd_new : n.HDI;
+    double d_free = nmax_s(d0 - hd_new, 0.0);
+    double cur_d = n.DI + n.DII;
+    double f_d = d_free / nmax_s(cur_d, 1e-300);
+    f_d = (renormalise && cur_d > 0.0) ? f_d : 1.0;
+    n.DI *= f_d;
+    n.DII *= f_d;
+    double h_free = nmax_s(h0 - hd_new, 0.0);
+    double cur_h = n.HI + n.HII + n.HM + 2.0 * (n.H2I + n.H2II);
+    double f_h = h_free / nmax_s(cur_h, 1e-300);
+    f_h = (renormalise && cur_h > 0.0) ? f_h : 1.0;
+    n.HI *= f_h;
+    n.HII *= f_h;
+    n.HM *= f_h;
+    n.H2I *= f_h;
+    n.H2II *= f_h;
+    double cur_he = n.HeI + n.HeII + n.HeIII;
+    double f_he = he0 / nmax_s(cur_he, 1e-300);
+    f_he = (renormalise && cur_he > 0.0) ? f_he : 1.0;
+    n.HeI *= f_he;
+    n.HeII *= f_he;
+    n.HeIII *= f_he;
+    double de_new = nmax_s(electrons(&n), 0.0);
+    n.de = renormalise ? de_new : n.de;
+
+    STORE_SPECIES(n, state + c, n_cells)
+    e[c] = ea;
+    t_done[c] += dts;
+    counts[c] += 1;
+    T[j] = temperature(&n, ea, ra);
+}
+
+/* one more copy of the function for AVX-512 hosts, picked at load time:
+   eight cells per instruction instead of two.  Needs GNU ifunc. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) \
+    && !defined(__clang__)
+__attribute__((target_clones("avx512f", "default")))
+#endif
+/* state is (12, n_cells) and budgets (3, n_cells) (read only under
+   renormalise); e, rho, t_done, counts are (n_cells,).  active (n_act,)
+   holds strictly increasing cell indices; T (n_act,) their temperature on
+   entry and their new temperature on return; cube (n_act,) their HI**3
+   (read only under three_body); block (channels, n_act) their
+   coefficients.  Cells are independent, so neither the loop order nor the
+   lane width shows in the result. */
+void rk_chem_step(long n_cells, long n_act, double *state, double *e,
+    const double *rho, const double *budgets, double *t_done,
+    int64_t *counts, const int64_t *active, double *T, const double *cube,
+    const double *block, double dt, double dt_floor, double t_cmb,
+    double compton, double safety, long max_substeps, int three_body,
+    int formation_heating, int cmb_floor, int renormalise)
+{
+    int heating = formation_heating && three_body;
+    /* the first iteration of every grid has all cells in flight: unit
+       stride instead of gather/scatter */
+    int all_cells = n_act == n_cells;
+    for (long j = 0; all_cells && j < n_act; j++)
+        all_cells = active[j] == j;
+    if (all_cells) {
+        #pragma omp simd
+        for (long j = 0; j < n_act; j++)
+            chem_cell(j, j, n_cells, n_act, state, e, rho, budgets, t_done,
+                      counts, T, cube, block, dt, dt_floor, t_cmb, compton,
+                      safety, max_substeps, three_body, heating, cmb_floor,
+                      renormalise);
+    } else {
+        #pragma omp simd
+        for (long j = 0; j < n_act; j++)
+            chem_cell(active[j], j, n_cells, n_act, state, e, rho, budgets,
+                      t_done, counts, T, cube, block, dt, dt_floor, t_cmb,
+                      compton, safety, max_substeps, three_body, heating,
+                      cmb_floor, renormalise);
+    }
+}
 """
 
 #: ``scheme`` / ``riemann_solver`` names of the ``hydro.sweep`` contract, in
@@ -1277,16 +1604,72 @@ def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
     return fluxes, tuple(counts.tolist())
 
 
-def chem_blend(logtab, idx, weight):
+def _in_place(arr, shape, dtype, what):
+    """``arr`` checked as something the C may write directly."""
+    if (not isinstance(arr, np.ndarray) or arr.shape != shape
+            or arr.dtype != dtype or not arr.flags.c_contiguous
+            or not arr.flags.writeable):
+        raise ValueError(f"{what} must be a writable C-contiguous "
+                         f"{np.dtype(dtype).name} array of shape {shape}")
+    return arr
+
+
+def chem_blend(logtab, idx, weight, out=None):
     logtab = np.ascontiguousarray(logtab, dtype=float)
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     weight = np.ascontiguousarray(weight, dtype=float)
     n_ch, n_bins = logtab.shape
-    out = np.empty((n_ch, idx.shape[0]))
+    if out is None:
+        out = np.empty((n_ch, idx.shape[0]))
+    else:
+        _in_place(out, (n_ch, idx.shape[0]), np.float64, "chem.blend: out")
     _lib.rk_chem_blend(n_ch, n_bins, idx.shape[0], _pc(logtab), _pi(idx),
                        _pc(weight), _p(out))
     np.exp(out, out=out)  # stays a ufunc: SIMD exp != libm exp bitwise
     return out
+
+
+def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
+              dt, z, safety, max_substeps, three_body, formation_heating,
+              cmb_floor):
+    n_cells = np.shape(e)[0] if np.ndim(e) == 1 else -1
+    active = np.ascontiguousarray(active, dtype=np.int64)
+    n_act = active.shape[0]
+    # the C indexes raw memory: every array is checked against the two
+    # extents, and the active indices must be distinct cells of the grid
+    _in_place(state, (len(SPECIES_NAMES), n_cells), np.float64,
+              "chem.step: state")
+    _in_place(e, (n_cells,), np.float64, "chem.step: e")
+    _in_place(t_done, (n_cells,), np.float64, "chem.step: t_done")
+    _in_place(counts, (n_cells,), np.int64, "chem.step: counts")
+    _in_place(T, (n_act,), np.float64, "chem.step: T")
+    rho = np.ascontiguousarray(rho, dtype=float)
+    block = np.ascontiguousarray(block, dtype=float)
+    # unread without the matching flag, but the C loads unconditionally:
+    # stand-ins of the right extent
+    renormalise = budgets is not None
+    budgets = (np.ascontiguousarray(budgets, dtype=float) if renormalise
+               else state)
+    cube = np.ascontiguousarray(cube, dtype=float) if three_body else T
+    if (active.ndim != 1 or rho.shape != (n_cells,)
+            or block.shape != (len(CHANNEL_NAMES), n_act)
+            or (renormalise and budgets.shape != (3, n_cells))
+            or cube.shape != (n_act,)):
+        raise ValueError("chem.step: array shapes differ")
+    if n_act and (active[0] < 0 or active[-1] >= n_cells
+                  or not (active[1:] > active[:-1]).all()):
+        raise ValueError("chem.step: active must hold strictly increasing "
+                         "cell indices of the grid")
+    dt = float(dt)
+    t_cmb = const.CMB_TEMPERATURE_Z0 * (1.0 + z)
+    _lib.rk_chem_step(
+        n_cells, n_act, _p(state), _p(e), _pc(rho), _pc(budgets),
+        _p(t_done), ffi.from_buffer("int64_t[]", counts), _pi(active),
+        _p(T), _pc(cube), _pc(block), dt, dt / max_substeps, t_cmb,
+        compton_coefficient(t_cmb), float(safety), int(max_substeps),
+        bool(three_body), bool(formation_heating), bool(cmb_floor),
+        renormalise,
+    )
 
 
 def prolong_linear(coarse, coarse_old, frac, positive, coarse_origin, r,
@@ -1348,6 +1731,7 @@ for _name, _fn in (
     ("trace.states", trace_states),
     ("hydro.sweep", hydro_sweep),
     ("chem.blend", chem_blend),
+    ("chem.step", chem_step),
     ("prolong.linear", prolong_linear),
     ("mg.smooth", mg_smooth),
 ):

@@ -10,6 +10,7 @@ has always run.  Compiled backends are parity-gated against these.
 from __future__ import annotations
 
 from repro.amr import interpolation as _interpolation
+from repro.chemistry import network as _network
 from repro.chemistry import rates as _rates
 from repro.gravity import multigrid as _multigrid
 from repro.hydro import ppm as _ppm
@@ -26,5 +27,6 @@ dispatch.register("numpy", "reconstruct.plm", _reconstruction.plm_reconstruct)
 dispatch.register("numpy", "trace.states", _tracing.trace_states_numpy)
 dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
+dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
 dispatch.register("numpy", "mg.smooth", _multigrid.redblack_smooth_numpy)

@@ -2,9 +2,9 @@
 
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
 tracing, the fused per-grid hydro sweep built from them, the chemistry
-rate-table blend, the AMR parent->child prolongation and the multigrid
-smoother) are registered here once per *backend* — each kernel exists in
-exactly two transcriptions:
+rate-table blend and the fused per-grid chemistry substep, the AMR
+parent->child prolongation and the multigrid smoother) are registered here
+once per *backend* — each kernel exists in exactly two transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -58,6 +58,7 @@ KERNEL_NAMES = (
     "trace.states",
     "hydro.sweep",
     "chem.blend",
+    "chem.step",
     "prolong.linear",
     "mg.smooth",
 )
@@ -188,6 +189,9 @@ def warm() -> None:
         return
     import numpy as np
 
+    from repro.chemistry.rates import CHANNEL_NAMES
+    from repro.chemistry.species import SPECIES_NAMES
+
     one = np.full(2, 1.0)
     zero = np.zeros(2)
     face = (one, zero, zero, zero, one)
@@ -202,6 +206,11 @@ def warm() -> None:
                        0.1, 5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30)
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
+    get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),
+                     None, np.zeros(1), np.zeros(1, dtype=np.int64),
+                     np.zeros(1, dtype=np.intp), np.full(1, 100.0), None,
+                     np.ones((len(CHANNEL_NAMES), 1)), 1.0, 0.0, 0.1, 200,
+                     False, False, False)
     get("prolong.linear")([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0),
                           2, [np.empty((2, 2, 2))], (2, 2, 2),
                           [((2, 2, 2), (4, 4, 4))])

@@ -9,7 +9,7 @@ A run directory holds paired files per checkpoint::
 
 Both halves are written atomically (temp file + ``os.replace``), the state
 file second, so a pair is complete iff its ``.json`` exists.  Rotation
-keeps the newest ``keep`` pairs; recovery walks pairs newest-first and
+keeps the newest ``keep_last`` pairs; recovery walks pairs newest-first and
 uses the first one that still loads.
 """
 
@@ -193,34 +193,19 @@ class CheckpointPolicy:
         and one at exit, written by the controller regardless).
     keep_last:
         Newest pairs retained after rotation; older ones are deleted.
-        ``keep`` is accepted as a legacy alias.  Independently of the
-        count, :meth:`rotate` never deletes a *pinned* step — the
-        controller pins the checkpoint a preempted/resumed run restarted
-        from until a newer one is durably on disk.
+        Independently of the count, :meth:`rotate` never deletes a
+        *pinned* step — the controller pins the checkpoint a
+        preempted/resumed run restarted from until a newer one is durably
+        on disk.
     """
 
-    def __init__(self, every_steps: int = 10, keep: int | None = None,
-                 keep_last: int | None = None):
+    def __init__(self, every_steps: int = 10, keep_last: int = 3):
         if every_steps < 1:
             raise ValueError("every_steps must be >= 1")
-        if keep_last is None:
-            keep_last = 3 if keep is None else keep
-        elif keep is not None and keep != keep_last:
-            raise ValueError("pass either keep_last or its alias keep, "
-                             "not conflicting values of both")
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
         self.every_steps = int(every_steps)
         self.keep_last = int(keep_last)
-
-    @property
-    def keep(self) -> int:
-        """Legacy alias of :attr:`keep_last`."""
-        return self.keep_last
-
-    @keep.setter
-    def keep(self, value: int) -> None:
-        self.keep_last = int(value)
 
     def due(self, step: int) -> bool:
         return step % self.every_steps == 0

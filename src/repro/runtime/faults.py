@@ -362,6 +362,9 @@ def apply_checkpoint_bitflip(path: str) -> dict:
     sha256 sidecar written over the original bytes.  Deterministic:
     same file, same corruption.
     """
+    # local import: this module stays importable from every layer
+    from repro.io.checkpoint import write_npz
+
     with np.load(path) as data:
         arrays = {key: np.array(data[key]) for key in data.files}
     target = None
@@ -375,10 +378,7 @@ def apply_checkpoint_bitflip(path: str) -> dict:
     flat = arrays[target].reshape(-1)
     bits = flat.view(np.uint64)
     bits[0] ^= np.uint64(1) << np.uint64(51)  # high mantissa bit
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-    os.replace(tmp, path)
+    write_npz(path, arrays)
     return {"path": path, "array": target, "bit": 51}
 
 

@@ -221,7 +221,7 @@ class TestHydroLadder:
                       step=1, count=5),
         ], seed=7))
         out = sim.make_controller(
-            run_dir, policy=CheckpointPolicy(every_steps=1, keep=10),
+            run_dir, policy=CheckpointPolicy(every_steps=1, keep_last=10),
         ).run(T_END, max_root_steps=3)
         assert out["status"] == "max_steps"
         assert out["recoveries"] == 1
@@ -392,7 +392,7 @@ class TestCheckpointTruncate:
         ]))
         sim = build_sim()
         sim.make_controller(
-            run_dir, policy=CheckpointPolicy(every_steps=1, keep=10),
+            run_dir, policy=CheckpointPolicy(every_steps=1, keep_last=10),
         ).run(T_END, max_root_steps=3)
         faults.clear()
 

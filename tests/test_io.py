@@ -1,5 +1,7 @@
 """Tests for checkpoint save/restore (bit-exactness included)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.io import (
     load_hierarchy,
     save_hierarchy,
 )
+from repro.io.checkpoint import verify_run_dir, write_npz
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
 from repro.precision.position import PositionDD
@@ -178,6 +181,42 @@ class TestCheckpoint:
         data["manifest"] = np.frombuffer(
             json.dumps(manifest).encode(), dtype=np.uint8
         )
-        np.savez_compressed(p, **data)
+        write_npz(p, data)
         with pytest.raises(ValueError):
             load_hierarchy(p)
+
+    def test_legacy_compressed_dump_still_loads(self, populated_hierarchy,
+                                                tmp_path):
+        """Dumps written before the stored container were deflated;
+        ``np.load`` reads both, so there is one read path: the old bytes
+        restore the same hierarchy and pass the strict scrub."""
+        import zipfile
+
+        from repro.runtime.checkpoint_policy import (
+            CheckpointPolicy,
+            RunState,
+            write_digest,
+        )
+
+        run_dir = str(tmp_path / "run")
+        os.makedirs(run_dir)
+        npz = CheckpointPolicy.data_path(run_dir, 4)
+        save_hierarchy(populated_hierarchy, npz)
+        with zipfile.ZipFile(npz) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_STORED}
+        # re-encode the same arrays the way save_hierarchy used to
+        with np.load(npz) as data:
+            np.savez_compressed(npz, **{k: data[k] for k in data.files})
+        with zipfile.ZipFile(npz) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_DEFLATED}
+        write_digest(npz)
+        state = CheckpointPolicy.state_path(run_dir, 4)
+        RunState(step=4).save(state)
+        write_digest(state)
+
+        assert load_hierarchy(npz).fingerprint() == \
+            populated_hierarchy.fingerprint()
+        report = verify_run_dir(run_dir, strict=True)
+        assert [e["status"] for e in report["checked"]] == ["ok"]

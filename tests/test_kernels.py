@@ -27,8 +27,16 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import constants as const
 from repro.amr.interpolation import prolong_boxes, prolong_linear, shell_boxes
-from repro.chemistry.rates import blend_table_numpy
+from repro.chemistry import network
+from repro.chemistry.network import (
+    ChemistryNetwork,
+    primordial_initial_fractions,
+    step_numpy,
+)
+from repro.chemistry.rates import CHANNEL_NAMES, RateTable, blend_table_numpy
+from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.gravity.multigrid import redblack_smooth_numpy
 from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
@@ -61,6 +69,7 @@ REFERENCE = {
     "trace.states": trace_states_numpy,
     "hydro.sweep": sweep_numpy,
     "chem.blend": blend_table_numpy,
+    "chem.step": step_numpy,
     "prolong.linear": prolong_boxes,
     "mg.smooth": redblack_smooth_numpy,
 }
@@ -319,6 +328,209 @@ class TestBitwiseParity:
         ref = blend_table_numpy(logtab, idx, weight)
         got = impls["chem.blend"](logtab, idx, weight)
         np.testing.assert_array_equal(got, ref)
+        # both tiers fill a caller's block instead of allocating one
+        for fn in (blend_table_numpy, impls["chem.blend"]):
+            out = np.empty((5, 200))
+            assert fn(logtab, idx, weight, out) is out
+            np.testing.assert_array_equal(out, ref)
+        with pytest.raises(ValueError, match="chem.blend: out"):
+            impls["chem.blend"](logtab, idx, weight, np.empty((200, 5)).T)
+
+
+# ============================================================ fused chemistry
+#: cells spliced over the start of every chemistry test block: NaN
+#: everywhere, zero density, vacuum, no free electrons, infinite energy, a
+#: negative density — the ghost-cell garbage a hydro sweep can leave behind
+N_HARD = 6
+
+
+def _chem_block(n_cells, seed=3, hard=True):
+    """A ``(12, n)`` cgs species block with its energy and density: mostly
+    a cool, lightly ionised molecular cloud whose cells finish in one
+    substep, a hot dense ionised tenth that needs several, the hottest few
+    of which run into the substep cap — so the active set compacts twice."""
+    rng = np.random.default_rng(seed)
+    T = 10 ** rng.uniform(1.0, 3.5, n_cells)
+    rho = 10 ** rng.uniform(-24.0, -18.0, n_cells)
+    x_e = 10 ** rng.uniform(-5.5, -2.5, n_cells)
+    f_h2 = 10 ** rng.uniform(-6.0, -1.0, n_cells)
+    hot = rng.random(n_cells) < 0.1
+    T[hot] = 10 ** rng.uniform(3.8, 8.5, hot.sum())
+    rho[hot] = 10 ** rng.uniform(-21.5, -14.5, hot.sum())
+    x_e[hot] = 10 ** rng.uniform(-1.2, -0.01, hot.sum())
+    fr = primordial_initial_fractions(x_e=x_e, f_h2=f_h2)
+    n = {s: fr[s] * rho / (SPECIES[s].mass_amu * const.HYDROGEN_MASS)
+         for s in SPECIES_NAMES}
+    n["HeII"] = n["HeI"] * rng.uniform(0, 0.1, n_cells)
+    n["HeIII"] = n["HeI"] * rng.uniform(0, 0.01, n_cells)
+    e = ChemistryNetwork.energy_from_temperature(n, T, rho)
+    state = np.stack([n[s] for s in SPECIES_NAMES])
+    if hard and n_cells > N_HARD:
+        i = {s: k for k, s in enumerate(SPECIES_NAMES)}
+        state[:, 0], e[0], rho[0] = np.nan, np.nan, np.nan
+        rho[1] = 0.0
+        state[:, 2], e[2], rho[2] = 0.0, 0.0, 0.0
+        for s in ("HII", "HeII", "HeIII", "H2II", "DII", "de"):
+            state[i[s], 3] = 0.0
+        e[4] = np.inf
+        state[i["HI"], 5] = -1.0
+    return state, e, rho
+
+
+def _integrate(tier, block, dt=3e12, z=20.0, mode="tabulated", **options):
+    """``advance_stacked`` on a copy of ``block`` under one tier."""
+    dispatch.set_backend(tier, env=False)
+    net = ChemistryNetwork(rates=RateTable(mode=mode), **options)
+    state, e, rho = (a.copy() for a in block)
+    with warnings.catch_warnings():
+        # the garbage cells overflow and divide by zero by design
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net.advance_stacked(state, e, rho, dt, z)
+    return state, e, net.last_stats
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestChemStepParity:
+    """``chem.step`` against ``step_numpy``: bitwise on the arrays each tier
+    leaves behind and equal integrator statistics, through the one loop
+    (``ChemistryNetwork.advance_stacked``) that drives both."""
+
+    @pytest.mark.parametrize("n_cells", [1, 512, 54872])
+    def test_random_and_garbage_cells(self, isolated, tier, n_cells):
+        block = _chem_block(n_cells)
+        ref = _integrate("numpy", block, max_substeps=40)
+        got = _integrate(tier, block, max_substeps=40)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+        assert set(ref[2]) == {"cells", "substeps_total", "substeps_max",
+                               "iterations", "active_fraction_mean"}
+        if n_cells > 1:
+            # one, several and max_substeps substeps in the same block
+            assert ref[2]["substeps_max"] == 40 == ref[2]["iterations"]
+            assert n_cells < ref[2]["substeps_total"] < 40 * n_cells
+            assert ref[2]["active_fraction_mean"] < 0.5
+
+    @pytest.mark.parametrize("flags", itertools.product([True, False],
+                                                        repeat=4))
+    @pytest.mark.parametrize("mode", ["tabulated", "analytic"])
+    def test_every_option_and_both_rate_modes(self, isolated, tier, mode,
+                                              flags):
+        options = dict(zip(("three_body", "formation_heating", "cmb_floor",
+                            "renormalise"), flags), max_substeps=12)
+        block = _chem_block(300)
+        ref = _integrate("numpy", block, mode=mode, **options)
+        got = _integrate(tier, block, mode=mode, **options)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+
+    def test_garbage_cells_follow_the_rulebook(self, isolated, tier):
+        """NaN, zero-density, vacuum and zero-electron cells come out as
+        the reference's garbage, NaN for NaN (``nmax``/``nmin``/select
+        rules), after one substep each — and leave their neighbours alone."""
+        block = _chem_block(64)
+        ref = _integrate("numpy", block)
+        got = _integrate(tier, block)
+        clean = _integrate(tier, tuple(a[..., N_HARD:] for a in block))
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        # NaN propagates through nmax/nmin; a NaN condition takes the
+        # else branch of a where (H- and H2+ equilibria: 0.0)
+        fast = [SPECIES_NAMES.index(s) for s in ("HM", "H2II")]
+        assert np.isnan(got[1][0])
+        assert np.isnan(np.delete(got[0][:, 0], fast)).all()
+        assert (got[0][fast, 0] == 0.0).all()
+        np.testing.assert_array_equal(got[0][:, N_HARD:], clean[0])
+        np.testing.assert_array_equal(got[1][N_HARD:], clean[1])
+
+    def test_cube_is_numpys_power(self, tier):
+        """The parity trap: ``hi**3`` is ``np.power``, not ``hi*hi*hi``.
+        The kernel takes the cube as an input on every tier, so a caller
+        that hands both the same cube — NumPy's, the one-ulp-off product,
+        or a plainly wrong one — gets the same answer from both: neither
+        tier recomputes it."""
+        fn = _tier_impls(tier)["chem.step"]
+        state, e, rho = _chem_block(200, hard=False)
+        hi = state[SPECIES_NAMES.index("HI")]
+        assert np.any(hi ** 3 != hi * hi * hi)
+        net = ChemistryNetwork()
+        T = net.temperature(dict(zip(SPECIES_NAMES, state)), e, rho)
+        tail = (net.rates.block(T), 3e12, 20.0, 0.1, 200, True, True, True)
+        outs = []
+        for cube in (hi ** 3, hi * hi * hi, 1e6 * hi ** 3):
+            for step in (step_numpy, fn):
+                args = (state.copy(), e.copy(), rho, None, np.zeros(200),
+                        np.zeros(200, dtype=np.int64),
+                        np.arange(200, dtype=np.intp), T.copy(), cube)
+                step(*args, *tail)
+                outs.append(args)
+            for a, b in zip(*outs[-2:]):
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+        assert np.any(outs[0][0] != outs[4][0])
+
+    def test_refuses_what_the_c_cannot_index(self, tier):
+        fn = _tier_impls(tier)["chem.step"]
+        n = 8
+        state, e, rho = _chem_block(n, hard=False)
+
+        def call(**changed):
+            args = dict(
+                state=state.copy(), e=e.copy(), rho=rho, budgets=None,
+                t_done=np.zeros(n), counts=np.zeros(n, dtype=np.int64),
+                active=np.arange(n, dtype=np.intp), T=np.full(n, 300.0),
+                cube=np.ones(n), block=np.ones((len(CHANNEL_NAMES), n)))
+            args.update(changed)
+            fn(*args.values(), 1e10, 20.0, 0.1, 200, True, True, True)
+
+        call()
+        for bad in (dict(active=np.array([0, 8], dtype=np.intp),
+                         T=np.full(2, 300.0), cube=np.ones(2),
+                         block=np.ones((len(CHANNEL_NAMES), 2))),
+                    dict(active=np.array([-1, 0], dtype=np.intp),
+                         T=np.full(2, 300.0), cube=np.ones(2),
+                         block=np.ones((len(CHANNEL_NAMES), 2))),
+                    dict(active=np.array([3, 3], dtype=np.intp),
+                         T=np.full(2, 300.0), cube=np.ones(2),
+                         block=np.ones((len(CHANNEL_NAMES), 2))),
+                    dict(state=state[:, ::-1]),
+                    dict(state=state[:-1].copy()),
+                    dict(counts=np.zeros(n, dtype=np.int32)),
+                    dict(T=np.full(n + 1, 300.0)),
+                    dict(block=np.ones((len(CHANNEL_NAMES) - 1, n))),
+                    dict(budgets=np.ones((3, n - 1))),
+                    dict(cube=np.ones(n - 1)),
+                    dict(rho=rho[:-1])):
+            with pytest.raises(ValueError, match="chem.step"):
+                call(**bad)
+
+
+def test_nonfinite_temperature_never_reaches_an_integer_cast():
+    """NaN ghost cells (a zero-density hydro update upstream) used to be
+    cast to a table index with a RuntimeWarning on every collapse run.
+    Both tiers must take them, and zero-density cells, without one."""
+    T = np.array([np.nan, 300.0, 1.0, np.inf, 5e3, np.nan])
+    block = _chem_block(64)
+    for tier in ["numpy"] + COMPILED:
+        dispatch.set_backend(tier, env=False)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = RateTable().block(T)
+                net = ChemistryNetwork()
+                # the temperature of the garbage block, through the table
+                state, e, rho = block
+                with np.errstate(all="ignore"):
+                    T_block = net.temperature(
+                        dict(zip(SPECIES_NAMES, state)), e, rho)
+                assert np.isnan(T_block[0]) and T_block[1] == 1.0
+                net.rates.block(T_block)
+        finally:
+            dispatch._reset_for_tests()
+        assert np.isnan(got[:, [0, 5]]).all()
+        assert np.isfinite(got[:, 1:5]).all()
+        np.testing.assert_array_equal(got[:, 3], RateTable().block(1e9)[:, 0])
 
 
 def _parents(shape, kind, seed):
@@ -575,8 +787,8 @@ def _guarded(arr):
     hold noise, not one value: a stencil that runs over the edge computes
     from guard elements, and a constant (or NaN) would come back as itself.
     An element that was read instead shows in the parity check."""
-    buf = np.random.default_rng(arr.size).standard_normal(arr.size
-                                                          + 2 * GUARD)
+    buf = np.random.default_rng(arr.size).standard_normal(
+        arr.size + 2 * GUARD).astype(arr.dtype)
     view = buf[GUARD:-GUARD].reshape(arr.shape)
     view[...] = arr
     assert view.flags.c_contiguous and view.base is not None
@@ -652,6 +864,58 @@ class TestNoOutOfBoundsWrites:
         fn(got, src, 0.1, 3)
         np.testing.assert_array_equal(_guards((b_phi, b_src)), before)
         np.testing.assert_array_equal(got, ref)
+
+
+    @pytest.mark.parametrize("renormalise", [True, False])
+    def test_chem_step(self, tier, renormalise):
+        """Two substeps: all cells in flight (unit stride), then a
+        compacted active set (gather/scatter)."""
+        fn = _tier_impls(tier)["chem.step"]
+        n = 700
+        net = ChemistryNetwork()
+        state, e, rho = _chem_block(n)
+        rows = dict(zip(SPECIES_NAMES, state))
+        budgets = (np.stack(network.nuclei_budgets(rows)) if renormalise
+                   else None)
+        with np.errstate(all="ignore"):
+            T0 = net.temperature(rows, e, rho)
+        tail = (1e12, 20.0, 0.1, 200, True, True, True)
+
+        def substeps(step, wrap):
+            arrays = [wrap(a) for a in (state, e, rho, np.zeros(n),
+                                        np.zeros(n, dtype=np.int64))]
+            if budgets is not None:
+                arrays.append(wrap(budgets))
+            st, en, rh, t_done, counts, *bud = arrays
+            active, T = np.arange(n, dtype=np.intp), T0
+            for _ in range(2):
+                per_call = [wrap(a) for a in (
+                    active, T, st[0][active] ** 3, net.rates.block(T))]
+                arrays += per_call
+                active, T, cube, block = per_call
+                with np.errstate(all="ignore"):
+                    step(st, en, rh, bud[0] if bud else None, t_done,
+                         counts, active, T, cube, block, *tail)
+                keep = t_done[active] < 1e12 * (1.0 - 1e-12)
+                active, T = active[keep], T[keep]
+            assert 0 < active.size < n
+            return arrays
+
+        ref = substeps(step_numpy, np.copy)
+        buffers = []
+
+        def guard(a):
+            view, buf = _guarded(a)
+            buffers.append(buf)
+            return view
+
+        got = substeps(fn, guard)
+        expected = [np.concatenate((b[:GUARD], b[-GUARD:]))
+                    for b in (_guarded(v)[1] for v in got)]
+        # the guards of every array still hold what _guarded put there
+        np.testing.assert_array_equal(_guards(buffers), expected)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
@@ -905,6 +1169,42 @@ class TestIntegration:
             assert calls["prolong.linear"][0] > 0
             assert calls["mg.smooth"][0] > 0
             fps[backend] = run.hierarchy.fingerprint()
+        assert len(set(fps.values())) == 1, fps
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+    def test_chemistry_fingerprint_identical(self, isolated):
+        """The collapse smoke problem (12-species chemistry, dark matter,
+        two refined levels): every tier ends on the same bytes, and so
+        does the compiled tier under ``thread x 2`` — ``chem.step`` holds
+        no state between calls, its per-thread scratch aside, and releases
+        the GIL, so sibling grids really integrate at once."""
+        from repro.problems import PrimordialCollapse
+
+        def run(backend, **exec_options):
+            dispatch.set_backend(backend, env=False)
+            dispatch.reset_counters()
+            problem = PrimordialCollapse(
+                n_root=8, max_level=2, z_init=100.0, seed=7,
+                amplitude_boost=4.0, jeans_number=4.0,
+                mass_refine_factor=8.0, with_chemistry=True,
+                with_dark_matter=True, max_dims=16, **exec_options)
+            problem.initial_rebuild()
+            t_end = problem.code_time_of_redshift(20.0)
+            for _ in range(4):
+                problem.criteria.a = problem.clock.a_of(
+                    problem.hierarchy.root.time)
+                problem.evolver.advance_root_step(t_end)
+            calls = dispatch.counters_totals()
+            # one table pass and one fused substep per iteration (the
+            # first RateTable of a process also blends once, to check
+            # its accuracy)
+            assert 0 < calls["chem.step"][0] <= calls["chem.blend"][0] \
+                <= calls["chem.step"][0] + 1
+            assert len(problem.hierarchy.levels) > 1
+            return problem.hierarchy.fingerprint()
+
+        fps = {backend: run(backend) for backend in ["numpy"] + COMPILED}
+        fps["thread"] = run(COMPILED[0], exec_backend="thread", workers=2)
         assert len(set(fps.values())) == 1, fps
 
     @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")

@@ -101,7 +101,7 @@ class TestCheckpointRotation:
     def test_keep_count_honoured(self, tmp_path):
         run_dir = str(tmp_path / "rot")
         sim = build_sim()
-        policy = CheckpointPolicy(every_steps=1, keep=2)
+        policy = CheckpointPolicy(every_steps=1, keep_last=2)
         sim.make_controller(run_dir, policy=policy).run(
             T_END, max_root_steps=5)
         pairs = CheckpointPolicy.list_checkpoints(run_dir)
@@ -132,7 +132,7 @@ class TestCrashRecovery:
 
         ctl = sim.make_controller(
             run_dir, pre_step=poison,
-            policy=CheckpointPolicy(every_steps=1, keep=10))
+            policy=CheckpointPolicy(every_steps=1, keep_last=10))
         with pytest.warns(RuntimeWarning):
             out = ctl.run(T_END, max_root_steps=5)
         assert out["status"] == "max_steps"
@@ -159,7 +159,7 @@ class TestCrashRecovery:
         ctl = sim.make_controller(
             run_dir, pre_step=always_poison,
             recovery=RecoveryPolicy(max_retries=2),
-            policy=CheckpointPolicy(every_steps=1, keep=5))
+            policy=CheckpointPolicy(every_steps=1, keep_last=5))
         with pytest.warns(RuntimeWarning):
             with pytest.raises(RunFailedError):
                 ctl.run(T_END, max_root_steps=5)
@@ -173,7 +173,7 @@ class TestCrashRecovery:
         run_dir = str(tmp_path / "fallback")
         sim = build_sim()
         sim.make_controller(
-            run_dir, policy=CheckpointPolicy(every_steps=1, keep=10)
+            run_dir, policy=CheckpointPolicy(every_steps=1, keep_last=10)
         ).run(T_END, max_root_steps=3)
         step, npz, _ = CheckpointPolicy.latest(run_dir)
         with open(npz, "r+b") as fh:  # truncate the newest dump
@@ -204,7 +204,7 @@ class TestSignalDrain:
 
         ctl = sim.make_controller(
             run_dir, pre_step=send_term,
-            policy=CheckpointPolicy(every_steps=100, keep=3))
+            policy=CheckpointPolicy(every_steps=100, keep_last=3))
         out = ctl.run(T_END, max_root_steps=10)
         assert out["status"] == "interrupted"
         assert out["signal"] == "SIGTERM"
@@ -257,7 +257,7 @@ class TestTelemetry:
         run_dir = str(tmp_path / "sum")
         sim = build_sim()
         sim.make_controller(
-            run_dir, policy=CheckpointPolicy(every_steps=2, keep=5)
+            run_dir, policy=CheckpointPolicy(every_steps=2, keep_last=5)
         ).run(T_END, max_root_steps=4)
         s = summarise(run_dir)
         assert s["steps"] == 4
