@@ -18,6 +18,11 @@ This bench measures what that buys:
   active cell of one grid in a single compiled call) at 512 / 10,648 /
   54,872 cells — the 8^3, 22^3 and 38^3 allocated grids of the
   ``collapse_chem`` workload — in us per cell-substep, layer evidence too;
+* one multigrid V-cycle (``mg.vcycle``: smoothing, residual, restriction,
+  the coarse cycle, prolongation and correction of one subgrid in a single
+  compiled call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest,
+  the typical and the largest subgrid of the ``sphere_deep`` workload — in
+  us per V-cycle, layer evidence too;
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
   actually feeds these kernels at hero-run depth), NumPy vs. the
@@ -58,6 +63,7 @@ from repro.chemistry.network import (
 )
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
+from repro.gravity.multigrid import MultigridSolver, vcycle_numpy
 from repro.hydro.ppm import sweep_numpy
 from repro.hydro.riemann import hllc_flux, two_shock_flux
 from repro.hydro.reconstruction import ppm_reconstruct
@@ -247,6 +253,37 @@ def chem_step_rows(config: dict, backend: str) -> dict:
             "rows": rows}
 
 
+# ---------------------------------------------------------------- V-cycle
+def vcycle_rows(config: dict, backend: str) -> dict:
+    """One V-cycle of one subgrid at the solver's defaults, NumPy reference
+    vs. compiled."""
+    compiled = dispatch._impls[(backend, "mg.vcycle")]
+    mg = MultigridSolver()
+    rows = []
+    for shape in config["vcycle_shapes"]:
+        rng = np.random.default_rng(sum(shape))
+        source = rng.standard_normal(shape)
+        start = rng.standard_normal(tuple(n + 2 for n in shape))
+        row = {"interior": list(shape)}
+        outputs = {}
+        for name, fn in (("numpy", vcycle_numpy), (backend, compiled)):
+            best = np.inf
+            for _ in range(config["repeats"] * 10):
+                phi, residual = start.copy(), np.empty(shape)
+                t0 = time.perf_counter()
+                fn(phi, source, 0.1, mg.pre, mg.post, mg.min_size, residual)
+                best = min(best, time.perf_counter() - t0)
+            outputs[name] = (phi, residual)
+            row[f"{name}_us_per_vcycle"] = 1e6 * best
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(outputs["numpy"], outputs[backend]))
+        row["speedup"] = (row["numpy_us_per_vcycle"]
+                          / row[f"{backend}_us_per_vcycle"])
+        rows.append(row)
+    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
+            "commit": _commit(), "unit": "us per V-cycle", "rows": rows}
+
+
 # -------------------------------------------------------------- end-to-end
 def end_to_end(config: dict, backend: str) -> dict:
     """Step the collapse problem under both tiers; fingerprints must match."""
@@ -294,6 +331,7 @@ def run(config: dict) -> dict:
             "compiled_backend": backend,
             "hydro.sweep": sweep_rows(config, backend),
             "chem.step": chem_step_rows(config, backend),
+            "mg.vcycle": vcycle_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
         }
@@ -306,10 +344,12 @@ def run(config: dict) -> dict:
 SMOKE = {"n_faces": 64 * 64 * 4, "sweep_shape": (32, 1024),
          "n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
          "chem_cells": (512, 10648, 54872),
+         "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
          "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 2}
 FULL = {"n_faces": 64 * 64 * 16, "sweep_shape": (64, 4096),
         "n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
         "chem_cells": (512, 10648, 54872),
+        "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
         "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 4}
 
 
@@ -352,6 +392,10 @@ def test_kernels_smoke():
     assert results["chem.step"]["rows"][0]["cells"] == 512
     assert all(r["speedup"] > 1.0 for r in results["chem.step"]["rows"]), \
         results["chem.step"]
+    # and mg.vcycle (parity-checked inside vcycle_rows), at 8^3
+    assert results["mg.vcycle"]["rows"][1]["interior"] == [8, 8, 8]
+    assert results["mg.vcycle"]["rows"][1]["speedup"] > 1.0, \
+        results["mg.vcycle"]
     micro_r = results["micro"]
     assert micro_r["riemann.hllc"]["speedup"] >= 2.0, micro_r["riemann.hllc"]
     assert micro_r["reconstruct.ppm"]["speedup"] >= 2.0, \

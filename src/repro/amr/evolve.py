@@ -331,7 +331,13 @@ class HierarchyEvolver:
         # cell must be resolved)
         accel = {}
         if self.gravity is not None:
-            self._timed("gravity", self.gravity.solve_level, h, level, a)
+            counts = self._timed("gravity", self.gravity.solve_level, h,
+                                 level, a)
+            if self.timers is not None and level > 0:
+                for key, count in zip(("passes", "solves", "vcycles"),
+                                      counts):
+                    self.timers.add_stat("gravity", f"{key}.L{level}", count,
+                                         mode="sum")
             gravity_tasks = [GravityAccelTask(g, self.gravity, a)
                              for g in grids]
             self.engine.run(gravity_tasks, level=level, timers=self.timers)

@@ -79,27 +79,40 @@ class HierarchyGravity:
         return 4.0 * np.pi * self.g_code / a * (rho - self.mean_density)
 
     # --------------------------------------------------------------- solves
-    def solve_level(self, hierarchy, level: int, a: float = 1.0) -> None:
-        """Fill ``grid.phi`` for every grid on a level."""
+    def solve_level(self, hierarchy, level: int,
+                    a: float = 1.0) -> tuple[int, int, int]:
+        """Fill ``grid.phi`` for every grid on a level.
+
+        Returns ``(passes, solves, vcycles)``: the sibling passes run, the
+        multigrid solves they made and the V-cycles those took (all zero
+        on the root level, which is one FFT).
+        """
         grids = hierarchy.level_grids(level)
         if not grids:
-            return
+            return 0, 0, 0
         if level == 0:
             g = grids[0]
             src = self.source(hierarchy, g, a)
             phi = solve_periodic(src, g.dx)
             g.phi[g.interior] = phi
             wrap_phi_ghosts(g)
-            return
+            return 0, 0, 0
 
         sources = {g.grid_id: self.source(hierarchy, g, a) for g in grids}
         boundaries = {g.grid_id: self._parent_boundary(g) for g in grids}
         smap = hierarchy.sibling_map(level)
+        passes = solves = vcycles = 0
         for iteration in range(self.sibling_iterations):
+            passes += 1
             for g in grids:
                 rim = boundaries[g.grid_id]
-                sol = self._solve_grid(g, sources[g.grid_id], rim)
+                sol, attempts, cycles = self._solve_grid(
+                    g, sources[g.grid_id], rim)
+                solves += attempts
+                vcycles += cycles
                 self._store_phi(g, sol)
+            if iteration == self.sibling_iterations - 1:
+                break  # nothing reads the rims again
             # exchange: overwrite rim values with sibling solutions; a pass
             # that changes nothing means the iteration has converged
             improved = False
@@ -114,9 +127,12 @@ class HierarchyGravity:
                         improved = True
             if not improved:
                 break
+        return passes, solves, vcycles
 
-    def _solve_grid(self, grid, src: np.ndarray, rim: np.ndarray) -> np.ndarray:
-        """One subgrid multigrid solve, defended when a ladder is attached.
+    def _solve_grid(self, grid, src: np.ndarray,
+                    rim: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """One subgrid multigrid solve, defended when a ladder is attached;
+        returns the solution, the solves it took and their V-cycles.
 
         Defense off: today's silent solve, bit for bit.  Defense on: the
         solve is strict; on non-convergence (real, or injected via the
@@ -128,8 +144,9 @@ class HierarchyGravity:
         strict = self.defense is not None
         force = _take_fault("mg_diverge", grid.level, grid.grid_id) is not None
         try:
-            return self.mg.solve(src, grid.dx, rim, strict=strict,
-                                 site=site, force_diverge=force)
+            sol = self.mg.solve(src, grid.dx, rim, strict=strict,
+                                site=site, force_diverge=force)
+            return sol, 1, self.mg.last_cycles
         except MultigridConvergenceError as exc:
             self.defense.record_event({
                 "rung": "mg_budget_retry", "ok": True,
@@ -140,11 +157,12 @@ class HierarchyGravity:
                 _take_fault("mg_diverge", grid.level, grid.grid_id)
                 is not None
             )
-            return self.mg.solve(
+            sol = self.mg.solve(
                 src, grid.dx, rim, strict=True,
                 max_cycles=2 * self.mg.max_cycles, site=site,
                 force_diverge=force,
             )
+            return sol, 2, exc.diagnostics.cycles + self.mg.last_cycles
 
     def _parent_boundary(self, grid) -> np.ndarray:
         """Dirichlet rim (dims+2) interpolated from the parent's potential."""

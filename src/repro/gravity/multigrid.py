@@ -8,6 +8,11 @@ Geometric V-cycles with red-black Gauss–Seidel smoothing, full-weighting
 restriction and trilinear prolongation.  The solution array carries a
 one-cell Dirichlet rim holding the boundary values interpolated from the
 parent grid (and corrected by sibling exchange at the AMR layer).
+
+One V-cycle is one call of the ``mg.vcycle`` kernel (:func:`vcycle_numpy`
+is its NumPy reference; the compiled tier runs the same arithmetic as one
+C loop nest); the convergence loop and its two L2 norms are
+:meth:`MultigridSolver.solve`, in NumPy on every tier.
 """
 
 from __future__ import annotations
@@ -99,15 +104,10 @@ def _scratch_pair(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _redblack_smooth(phi: np.ndarray, source: np.ndarray, dx: float, sweeps: int) -> None:
-    """Red-black Gauss-Seidel on the interior of a rim-padded array, in
-    place, through the ``mg.smooth`` kernel."""
-    kernels.get("mg.smooth")(phi, source, dx, sweeps)
-
-
 def redblack_smooth_numpy(phi: np.ndarray, source: np.ndarray, dx: float,
                           sweeps: int) -> None:
-    """NumPy reference of the ``mg.smooth`` kernel.
+    """Red-black Gauss-Seidel on the interior of a rim-padded array, in
+    place: the smoother of :func:`vcycle_numpy`.
 
     The update arithmetic is kept bitwise identical to the naive
     expression ``((((phi_E + phi_W) + phi_N) + phi_S) + ...  - h2*source)
@@ -134,7 +134,8 @@ def redblack_smooth_numpy(phi: np.ndarray, source: np.ndarray, dx: float,
             interior[mask] = nb[mask]
 
 
-def _residual(phi: np.ndarray, source: np.ndarray, dx: float) -> np.ndarray:
+def _residual(phi: np.ndarray, source: np.ndarray, dx: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """r = source - del^2 phi on the interior (same shape as source)."""
     lap = (
         phi[2:, 1:-1, 1:-1]
@@ -145,20 +146,29 @@ def _residual(phi: np.ndarray, source: np.ndarray, dx: float) -> np.ndarray:
         + phi[1:-1, 1:-1, :-2]
         - 6.0 * phi[1:-1, 1:-1, 1:-1]
     ) / (dx * dx)
-    return source - lap
+    return np.subtract(source, lap, out=out)
 
 
 def _restrict(fine: np.ndarray) -> np.ndarray:
-    """Average 2x2x2 blocks (dimensions assumed even)."""
-    s = fine.shape
-    return fine.reshape(s[0] // 2, 2, s[1] // 2, 2, s[2] // 2, 2).mean(axis=(1, 3, 5))
+    """Average 2x2x2 blocks (dimensions assumed even).
 
-
-def _prolong_constant(coarse_err: np.ndarray, fine_shape) -> np.ndarray:
-    """Piecewise-constant (injection) prolongation — the legacy operator."""
-    return np.repeat(np.repeat(np.repeat(coarse_err, 2, 0), 2, 1), 2, 2)[
-        : fine_shape[0], : fine_shape[1], : fine_shape[2]
-    ]
+    The eight cells are summed in an explicit order — pairs along the
+    last axis first, the four pair sums then accumulated in memory
+    order, ``((p00 + p01) + p10) + p11`` — which is the order
+    ``fine.reshape(n0, 2, n1, 2, n2, 2).mean(axis=(1, 3, 5))`` happens to
+    use inside NumPy whenever the last axis has at least four cells
+    (``tests/test_gravity.py`` pins the equality).  For a last axis of
+    exactly two cells NumPy sums in another order; a V-cycle restricts
+    such an array only at ``min_size < 2``.  Written out, the order no
+    longer depends on NumPy internals and the C transcription can follow
+    it.
+    """
+    pairs = fine[:, :, 0::2] + fine[:, :, 1::2]
+    total = pairs[0::2, 0::2] + pairs[0::2, 1::2]
+    total += pairs[1::2, 0::2]
+    total += pairs[1::2, 1::2]
+    total /= 8.0
+    return total
 
 
 def _prolong_axis(padded: np.ndarray, axis: int) -> np.ndarray:
@@ -184,13 +194,48 @@ def _prolong_into(coarse_padded: np.ndarray, fine_shape) -> np.ndarray:
     axis's rim.  The rim holds the error's Dirichlet boundary values
     (zero on coarse error grids), so edge fine cells interpolate toward
     the boundary instead of copying the nearest coarse cell — this is the
-    trilinear operator the module docstring promises, and it cuts the
-    V-cycle count vs piecewise-constant injection.
+    trilinear operator the module docstring promises.
     """
     out = coarse_padded
     for axis in range(3):
         out = _prolong_axis(out, axis)
     return out[: fine_shape[0], : fine_shape[1], : fine_shape[2]]
+
+
+def _vcycle(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
+            post: int, min_size: int) -> None:
+    shape = source.shape
+    if min(shape) <= min_size or any(s % 2 for s in shape):
+        redblack_smooth_numpy(phi, source, dx, pre + post + 10)
+        return
+    redblack_smooth_numpy(phi, source, dx, pre)
+    coarse_src = _restrict(_residual(phi, source, dx))
+    coarse_phi = np.zeros(tuple(s + 2 for s in coarse_src.shape))
+    # recursively solve the error equation with homogeneous Dirichlet rim
+    _vcycle(coarse_phi, coarse_src, 2.0 * dx, pre, post, min_size)
+    phi[1:-1, 1:-1, 1:-1] += _prolong_into(coarse_phi, shape)
+    redblack_smooth_numpy(phi, source, dx, post)
+
+
+def vcycle_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
+                 post: int, min_size: int, residual: np.ndarray) -> None:
+    """NumPy reference of the ``mg.vcycle`` kernel.
+
+    One V-cycle in place on the rim-padded ``phi``: ``pre`` smoothing
+    sweeps, residual, 2x2x2 restriction, the same cycle on the coarse
+    error equation (zero initial guess and rim, spacing ``2 dx``),
+    trilinear prolongation, correction and ``post`` sweeps.  A level with
+    an odd extent or none above ``min_size`` is smoothed ``pre + post +
+    10`` sweeps instead.  The post-cycle residual ``source - del^2 phi``
+    is left in ``residual`` (shape of ``source``), for the caller's
+    convergence test.
+    """
+    if (phi.shape != tuple(s + 2 for s in source.shape)
+            or residual.shape != source.shape):
+        raise ValueError("mg.vcycle: phi must pad source by one cell per "
+                         "side and residual match it")
+    _vcycle(phi, source, dx, pre, post, min_size)
+    _residual(phi, source, dx, out=residual)
 
 
 class MultigridSolver:
@@ -206,10 +251,6 @@ class MultigridSolver:
         V-cycle budget; small grids converge in a handful.
     min_size:
         Grids at or below this size are smoothed directly.
-    prolongation:
-        ``"trilinear"`` (default) interpolates the coarse-grid correction;
-        ``"constant"`` is the legacy piecewise-constant injection (kept
-        for comparison — it needs measurably more V-cycles).
     strict:
         When True, exhausting the V-cycle budget above tolerance raises
         :class:`MultigridConvergenceError` (carrying the diagnostics and
@@ -220,15 +261,12 @@ class MultigridSolver:
 
     def __init__(self, pre_sweeps: int = 3, post_sweeps: int = 3, tol: float = 1e-8,
                  max_cycles: int = 60, min_size: int = 4,
-                 prolongation: str = "trilinear", strict: bool = False):
-        if prolongation not in ("trilinear", "constant"):
-            raise ValueError(f"unknown prolongation {prolongation!r}")
+                 strict: bool = False):
         self.pre = pre_sweeps
         self.post = post_sweeps
         self.tol = tol
         self.max_cycles = max_cycles
         self.min_size = min_size
-        self.prolongation = prolongation
         self.strict = bool(strict)
         self.last_cycles = 0
         self.last_residual = np.inf
@@ -254,10 +292,11 @@ class MultigridSolver:
         budget = self.max_cycles if max_cycles is None else int(max_cycles)
         phi = np.array(boundary, dtype=float, order="C")
         norm = float(np.sqrt((source**2).mean())) or 1.0
+        residual = np.empty(source.shape)
         converged = False
         for cycle in range(1, budget + 1):
-            self._vcycle(phi, source, dx)
-            res = float(np.sqrt((_residual(phi, source, dx) ** 2).mean()))
+            self._vcycle(phi, source, dx, residual)
+            res = float(np.sqrt((residual**2).mean()))
             self.last_cycles = cycle
             self.last_residual = res / norm
             if res <= self.tol * norm and not force_diverge:
@@ -274,23 +313,10 @@ class MultigridSolver:
                                             site=site)
         return phi
 
-    def _vcycle(self, phi: np.ndarray, source: np.ndarray, dx: float) -> None:
-        shape = source.shape
-        if min(shape) <= self.min_size or any(s % 2 for s in shape):
-            _redblack_smooth(phi, source, dx, self.pre + self.post + 10)
-            return
-        _redblack_smooth(phi, source, dx, self.pre)
-        res = _residual(phi, source, dx)
-        coarse_src = _restrict(res)
-        coarse_phi = np.zeros(tuple(s + 2 for s in coarse_src.shape))
-        # recursively solve the error equation with homogeneous Dirichlet rim
-        self._vcycle(coarse_phi, coarse_src, 2.0 * dx)
-        if self.prolongation == "trilinear":
-            err = _prolong_into(coarse_phi, shape)
-        else:
-            err = _prolong_constant(coarse_phi[1:-1, 1:-1, 1:-1], shape)
-        phi[1:-1, 1:-1, 1:-1] += err
-        _redblack_smooth(phi, source, dx, self.post)
+    def _vcycle(self, phi: np.ndarray, source: np.ndarray, dx: float,
+                residual: np.ndarray) -> None:
+        kernels.get("mg.vcycle")(phi, source, dx, self.pre, self.post,
+                                 self.min_size, residual)
 
 
 def solve_dirichlet(source: np.ndarray, dx: float, boundary: np.ndarray,

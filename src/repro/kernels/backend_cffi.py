@@ -30,7 +30,9 @@ and scratch, and copy non-contiguous in-place targets in and back:
   cmb_floor)`` — one substep of every active cell of one grid, in place
 * ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
   r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
-* ``mg.smooth``       ``fn(phi, source, dx, sweeps)`` — smooths ``phi`` in place
+* ``mg.vcycle``       ``fn(phi, source, dx, pre, post, min_size, residual)`` —
+  one multigrid V-cycle on the rim-padded ``phi`` in place; the post-cycle
+  residual is left in ``residual``
 
 Bitwise parity with the NumPy reference is a hard requirement
 (``tests/test_kernels.py``).  The rules the C follows (why the bodies look
@@ -124,13 +126,15 @@ void rk_chem_step(long n_cells, long n_act, double *state, double *e,
     const double *block, double dt, double dt_floor, double t_cmb,
     double compton, double safety, long max_substeps, int three_body,
     int formation_heating, int cmb_floor, int renormalise);
-void rk_prolong_linear(long nx, long ny, long nz,
-    const double *new_, const double *old, int use_old, double frac,
-    int positive, long r, long p0, long p1, long p2,
-    double *fine, long fy, long fz, long f0, long f1, long f2,
+void rk_prolong_linear(long nf, long nx, long ny, long nz,
+    const double **news, const double **olds, double frac,
+    const int *positives, long r, long p0, long p1, long p2,
+    double **fines, long fy, long fz, long f0, long f1, long f2,
     long n_boxes, const int64_t *boxes);
-void rk_mg_smooth(long nx, long ny, long nz, double *phi,
-    const double *source, double h2, long sweeps);
+long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size);
+void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
+    const double *source, double dx, long pre, long post, long min_size,
+    double *residual, double *work);
 void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     long ng, double dtdx, double fscale, double gamma, long scheme,
     long solver, double dfloor, double efloor, double **flux,
@@ -670,9 +674,8 @@ void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     }
 }
 
-/* ---- AMR stencils: conservative linear prolongation into fine-index
-   boxes and the multigrid smoother (references: amr/interpolation.py
-   prolong_boxes, gravity/multigrid.py redblack_smooth_numpy) ---- */
+/* ---- AMR stencil: conservative linear prolongation into fine-index
+   boxes (reference: amr/interpolation.py prolong_boxes) ---- */
 
 /* np.sign: -1, 0, +1, NaN for NaN */
 static double sgn(double x) {
@@ -713,22 +716,29 @@ static long lmin(long a, long b) { return a < b ? a : b; }
 /* parent value at the child's time: old * (1 - frac) + new * frac */
 #define TVAL(c) (use_old ? old[c] * omf + new_[c] * frac : new_[c])
 
-/* Prolong one parent field into fine-index boxes of one child array.
-   new_/old are the parent's allocated (nx, ny, nz) arrays, read in place;
-   (p0, p1, p2) is the coarse index of their first cell, (f0, f1, f2) the
-   fine index of fine's first cell, r >= 2.  boxes is an (n_boxes, 6) array
-   of fine-index lo, hi corners.  The loop runs over the parent cells under
+/* Prolong nf parent fields into fine-index boxes of their child arrays.
+   news[f]/olds[f] are the parent's allocated (nx, ny, nz) arrays, read in
+   place (olds[f] NULL: no time interpolation for that field); (p0, p1, p2)
+   is the coarse index of their first cell, (f0, f1, f2) the fine index of
+   fines[f]'s first cell, r >= 2.  boxes is an (n_boxes, 6) array of
+   fine-index lo, hi corners.  The loop runs over the parent cells under
    each box so slopes are computed once per parent cell; a slope is zero
    only along an axis where the cell sits on the parent array's edge. */
-void rk_prolong_linear(long nx, long ny, long nz,
-    const double *new_, const double *old, int use_old, double frac,
-    int positive, long r, long p0, long p1, long p2,
-    double *fine, long fy, long fz, long f0, long f1, long f2,
+void rk_prolong_linear(long nf, long nx, long ny, long nz,
+    const double **news, const double **olds, double frac,
+    const int *positives, long r, long p0, long p1, long p2,
+    double **fines, long fy, long fz, long f0, long f1, long f2,
     long n_boxes, const int64_t *boxes)
 {
     double omf = 1.0 - frac;
     double max_off = 0.5 * (1.0 - 1.0 / (double)r);
     long sx = ny * nz, sy = nz;
+    for (long f = 0; f < nf; f++) {
+    const double *new_ = news[f];
+    int use_old = olds[f] != 0;
+    const double *old = use_old ? olds[f] : new_;
+    int positive = positives[f];
+    double *fine = fines[f];
     for (long b = 0; b < n_boxes; b++) {
         long lo0 = boxes[6 * b], lo1 = boxes[6 * b + 1],
              lo2 = boxes[6 * b + 2];
@@ -786,12 +796,17 @@ void rk_prolong_linear(long nx, long ny, long nz,
             }
         }
     }
+    }
 }
+
+/* ---- multigrid V-cycle on one rim-padded subgrid (reference:
+   gravity/multigrid.py vcycle_numpy) ---- */
 
 /* Red-black Gauss-Seidel sweeps on the interior of rim-padded phi.
    Same-colour cells are never neighbours, so updating in place equals the
-   reference's whole-array neighbour sum followed by a masked store. */
-void rk_mg_smooth(long nx, long ny, long nz, double *phi,
+   reference's whole-array neighbour sum followed by a masked store (and
+   the iterations of a row are independent: the simd pragma). */
+static void mg_smooth(long nx, long ny, long nz, double *phi,
     const double *source, double h2, long sweeps)
 {
     long py = (ny + 2) * (nz + 2), pz = nz + 2;
@@ -801,6 +816,7 @@ void rk_mg_smooth(long nx, long ny, long nz, double *phi,
                 for (long j = 0; j < ny; j++) {
                     double *p = phi + (i + 1) * py + (j + 1) * pz + 1;
                     const double *src = source + (i * ny + j) * nz;
+                    #pragma omp simd
                     for (long k = (i + j + colour) % 2; k < nz; k += 2) {
                         double nb = p[k + py] + p[k - py];
                         nb += p[k + pz];
@@ -814,6 +830,164 @@ void rk_mg_smooth(long nx, long ny, long nz, double *phi,
             }
         }
     }
+}
+
+/* out = source - del^2 phi on the interior: the neighbour sum is
+   left-associated and divided by dx * dx (never multiplied by a
+   reciprocal), like multigrid._residual */
+static void mg_residual(long nx, long ny, long nz, const double *phi,
+    const double *source, double dx, double *out)
+{
+    long py = (ny + 2) * (nz + 2), pz = nz + 2;
+    double h2 = dx * dx;
+    for (long i = 0; i < nx; i++) {
+        for (long j = 0; j < ny; j++) {
+            const double *p = phi + (i + 1) * py + (j + 1) * pz + 1;
+            const double *src = source + (i * ny + j) * nz;
+            double *o = out + (i * ny + j) * nz;
+            for (long k = 0; k < nz; k++) {
+                double lap = p[k + py] + p[k - py];
+                lap += p[k + pz];
+                lap += p[k - pz];
+                lap += p[k + 1];
+                lap += p[k - 1];
+                lap -= 6.0 * p[k];
+                o[k] = src[k] - lap / h2;
+            }
+        }
+    }
+}
+
+/* 2x2x2 block average of the (2 cx, 2 cy, 2 cz) array fine, summed in the
+   order multigrid._restrict writes out: pairs along the last axis, then
+   ((p00 + p01) + p10) + p11 */
+static void mg_restrict(long cx, long cy, long cz, const double *fine,
+    double *coarse)
+{
+    long sy = 2 * cz, sx = 2 * cy * sy;
+    for (long i = 0; i < cx; i++) {
+        for (long j = 0; j < cy; j++) {
+            const double *f = fine + 2 * i * sx + 2 * j * sy;
+            double *c = coarse + (i * cy + j) * cz;
+            for (long k = 0; k < cz; k++, f += 2) {
+                double p00 = f[0] + f[1];
+                double p01 = f[sy] + f[sy + 1];
+                double p10 = f[sx] + f[sx + 1];
+                double p11 = f[sx + sy] + f[sx + sy + 1];
+                c[k] = (((p00 + p01) + p10) + p11) / 8.0;
+            }
+        }
+    }
+}
+
+/* One axis of multigrid._prolong_axis: n rows of `row` contiguous doubles
+   in, 2 (n - 2) rows out; each output row rounds 0.25 * far + 0.75 * near
+   once. */
+static void mg_prolong_rows(long n, long row, const double *in, double *out)
+{
+    for (long i = 0; i < n - 2; i++) {
+        const double *lo = in + i * row, *mid = lo + row, *hi = mid + row;
+        double *even = out + 2 * i * row, *odd = even + row;
+        for (long k = 0; k < row; k++) {
+            even[k] = 0.25 * lo[k] + 0.75 * mid[k];
+            odd[k] = 0.75 * mid[k] + 0.25 * hi[k];
+        }
+    }
+}
+
+/* phi interior += trilinear prolongation of the rim-padded coarse error
+   (cx + 2, cy + 2, cz + 2): the reference's three separable passes in
+   axis order 0, 1, 2, each consuming its axis's rim; the last pass adds
+   straight into phi.  t0 holds (2 cx, cy + 2, cz + 2), t1 (2 cx, 2 cy,
+   cz + 2). */
+static void mg_prolong_add(long cx, long cy, long cz, const double *coarse,
+    double *phi, double *t0, double *t1)
+{
+    long pz = cz + 2, fz = 2 * cz;
+    mg_prolong_rows(cx + 2, (cy + 2) * pz, coarse, t0);
+    for (long i = 0; i < 2 * cx; i++)
+        mg_prolong_rows(cy + 2, pz, t0 + i * (cy + 2) * pz,
+                        t1 + i * 2 * cy * pz);
+    for (long i = 0; i < 2 * cx; i++) {
+        for (long j = 0; j < 2 * cy; j++) {
+            const double *b = t1 + (i * 2 * cy + j) * pz;
+            double *p = phi + ((i + 1) * (2 * cy + 2) + j + 1) * (fz + 2)
+                + 1;
+            for (long k = 0; k < cz; k++) {
+                p[2 * k] += 0.25 * b[k] + 0.75 * b[k + 1];
+                p[2 * k + 1] += 0.75 * b[k + 1] + 0.25 * b[k + 2];
+            }
+        }
+    }
+}
+
+/* does a level of this interior shape recurse (else it is only smoothed)? */
+static int mg_coarsens(long nx, long ny, long nz, long min_size)
+{
+    return lmin(nx, lmin(ny, nz)) > min_size
+        && nx % 2 == 0 && ny % 2 == 0 && nz % 2 == 0;
+}
+
+/* doubles of scratch one level's coarse problem takes: the rim-padded
+   error, its source and its own residual */
+static long mg_level_work(long cx, long cy, long cz)
+{
+    return (cx + 2) * (cy + 2) * (cz + 2) + 2 * cx * cy * cz;
+}
+
+/* Scratch of one V-cycle on an (nx, ny, nz) interior: every coarse level,
+   then the two prolongation temporaries of the first (the largest; levels
+   prolong one after another on the way up, so they share them). */
+long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size)
+{
+    long need = 0;
+    if (mg_coarsens(nx, ny, nz, min_size))
+        need = nx * (ny / 2 + 2) * (nz / 2 + 2) + nx * ny * (nz / 2 + 2);
+    while (mg_coarsens(nx, ny, nz, min_size)) {
+        nx /= 2; ny /= 2; nz /= 2;
+        need += mg_level_work(nx, ny, nz);
+    }
+    return need;
+}
+
+/* res is scratch for this level's residual, work the remaining coarse
+   levels' arena, t0/t1 the shared prolongation temporaries */
+static void mg_cycle(long nx, long ny, long nz, double *phi,
+    const double *source, double dx, long pre, long post, long min_size,
+    double *res, double *work, double *t0, double *t1)
+{
+    if (!mg_coarsens(nx, ny, nz, min_size)) {
+        mg_smooth(nx, ny, nz, phi, source, dx * dx, pre + post + 10);
+        return;
+    }
+    long cx = nx / 2, cy = ny / 2, cz = nz / 2;
+    long cells = cx * cy * cz, padded = (cx + 2) * (cy + 2) * (cz + 2);
+    double *cphi = work, *csrc = cphi + padded, *cres = csrc + cells;
+    mg_smooth(nx, ny, nz, phi, source, dx * dx, pre);
+    mg_residual(nx, ny, nz, phi, source, dx, res);
+    mg_restrict(cx, cy, cz, res, csrc);
+    for (long k = 0; k < padded; k++) cphi[k] = 0.0;
+    mg_cycle(cx, cy, cz, cphi, csrc, 2.0 * dx, pre, post, min_size, cres,
+             cres + cells, t0, t1);
+    mg_prolong_add(cx, cy, cz, cphi, phi, t0, t1);
+    mg_smooth(nx, ny, nz, phi, source, dx * dx, post);
+}
+
+/* One V-cycle in place on rim-padded phi, the post-cycle residual left in
+   residual (which is also the top level's residual scratch on the way
+   down); work holds rk_mg_vcycle_work(...) doubles. */
+void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
+    const double *source, double dx, long pre, long post, long min_size,
+    double *residual, double *work)
+{
+    long t0 = 0, t1 = 0;
+    if (mg_coarsens(nx, ny, nz, min_size)) {
+        t0 = nx * (ny / 2 + 2) * (nz / 2 + 2);
+        t1 = nx * ny * (nz / 2 + 2);
+    }
+    mg_cycle(nx, ny, nz, phi, source, dx, pre, post, min_size, residual,
+             work + t0 + t1, work, work + t0);
+    mg_residual(nx, ny, nz, phi, source, dx, residual);
 }
 
 /* ---- fused hydro sweep: one grid, one axis, one call (reference:
@@ -1679,47 +1853,58 @@ def prolong_linear(coarse, coarse_old, frac, positive, coarse_origin, r,
         raise ValueError("prolong.linear needs a refinement factor >= 2")
     if not boxes:
         return
-    box = np.array([(*lo, *hi) for lo, hi in boxes],
-                   dtype=np.int64).reshape(-1, 6)
-    p_lo = np.array(coarse_origin, dtype=np.int64)
-    f_lo = np.array(fine_origin, dtype=np.int64)
-    # the C indexes raw memory: refuse any box that leaves the fine
-    # arrays or whose parent cells leave the coarse arrays
-    lo, hi = box[:, :3], box[:, 3:]
+    corners = [int(v) for lo, hi in boxes for v in (*lo, *hi)]
+    p_lo = [int(v) for v in coarse_origin]
+    f_lo = [int(v) for v in fine_origin]
     c_shape, f_shape = coarse[0].shape, fine[0].shape
-    if (np.any(lo < f_lo) or np.any(hi > f_lo + f_shape)
-            or np.any(lo // r < p_lo)
-            or np.any(-(-hi // r) > p_lo + c_shape)):
-        raise ValueError("prolong.linear: box outside the arrays")
+    # the C indexes raw memory: refuse any box that leaves the fine
+    # arrays or whose parent cells leave the coarse arrays (floor division
+    # is monotonic, so the extreme corners along each axis decide)
+    for d in range(3):
+        lo, hi = min(corners[d::6]), max(corners[d + 3::6])
+        if (lo < f_lo[d] or hi > f_lo[d] + f_shape[d] or lo // r < p_lo[d]
+                or -(-hi // r) > p_lo[d] + c_shape[d]):
+            raise ValueError("prolong.linear: box outside the arrays")
     frac = float(frac)
     if coarse_old is None or not frac < 1.0:
         coarse_old = [None] * len(coarse)
-    if (any(a.shape != f_shape for a in fine)
+    if (not len(coarse) == len(coarse_old) == len(positive) == len(fine)
+            or any(a.shape != f_shape for a in fine)
             or any(a is not None and a.shape != c_shape
                    for a in (*coarse, *coarse_old))):
         raise ValueError("prolong.linear: field shapes differ")
-    for new, old, pos, dst in zip(coarse, coarse_old, positive, fine):
-        new = np.ascontiguousarray(new, dtype=float)
-        use_old = old is not None
-        old = np.ascontiguousarray(old, dtype=float) if use_old else new
-        out = _writable(dst)
-        _lib.rk_prolong_linear(*c_shape, _pc(new), _pc(old), use_old, frac,
-                               bool(pos), r, *p_lo.tolist(), _p(out),
-                               f_shape[1], f_shape[2], *f_lo.tolist(),
-                               box.shape[0], _pi(box))
+    news = [np.ascontiguousarray(a, dtype=float) for a in coarse]
+    olds = [a if a is None else np.ascontiguousarray(a, dtype=float)
+            for a in coarse_old]
+    outs = [_writable(a) for a in fine]
+    # the pointer tables own nothing: news/olds/outs keep the buffers alive
+    _lib.rk_prolong_linear(
+        len(news), *c_shape,
+        ffi.new("const double *[]", [_pc(a) for a in news]),
+        ffi.new("const double *[]",
+                [ffi.NULL if a is None else _pc(a) for a in olds]),
+        frac, ffi.new("int[]", [bool(p) for p in positive]), r, *p_lo,
+        ffi.new("double *[]", [_p(a) for a in outs]), f_shape[1], f_shape[2],
+        *f_lo, len(corners) // 6, ffi.new("int64_t[]", corners))
+    for out, dst in zip(outs, fine):
         if out is not dst:
             dst[...] = out
 
 
-def mg_smooth(phi, source, dx, sweeps):
-    if phi.shape != tuple(s + 2 for s in source.shape):
-        raise ValueError("phi must pad source by one cell per side")
-    out = _writable(phi)
-    _lib.rk_mg_smooth(*source.shape, _p(out),
+def mg_vcycle(phi, source, dx, pre, post, min_size, residual):
+    shape = np.shape(source)
+    if len(shape) != 3:
+        raise ValueError("mg.vcycle: source must be 3-d")
+    # the C indexes raw memory and works in place: phi pads source by one
+    # cell per side, residual matches it
+    _in_place(phi, tuple(n + 2 for n in shape), np.float64, "mg.vcycle: phi")
+    _in_place(residual, shape, np.float64, "mg.vcycle: residual")
+    pre, post, min_size = int(pre), int(post), int(min_size)
+    # scratch is per call (the cffi call releases the GIL)
+    work = np.empty(_lib.rk_mg_vcycle_work(*shape, min_size))
+    _lib.rk_mg_vcycle(*shape, _p(phi),
                       _pc(np.ascontiguousarray(source, dtype=float)),
-                      dx * dx, int(sweeps))
-    if out is not phi:
-        phi[...] = out
+                      float(dx), pre, post, min_size, _p(residual), _p(work))
 
 
 for _name, _fn in (
@@ -1733,6 +1918,6 @@ for _name, _fn in (
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),
     ("prolong.linear", prolong_linear),
-    ("mg.smooth", mg_smooth),
+    ("mg.vcycle", mg_vcycle),
 ):
     dispatch.register("cffi", _name, _fn)

@@ -29,4 +29,4 @@ dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
-dispatch.register("numpy", "mg.smooth", _multigrid.redblack_smooth_numpy)
+dispatch.register("numpy", "mg.vcycle", _multigrid.vcycle_numpy)

@@ -3,7 +3,7 @@
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
 tracing, the fused per-grid hydro sweep built from them, the chemistry
 rate-table blend and the fused per-grid chemistry substep, the AMR
-parent->child prolongation and the multigrid smoother) are registered here
+parent->child prolongation and the multigrid V-cycle) are registered here
 once per *backend* — each kernel exists in exactly two transcriptions:
 
 ``numpy``
@@ -60,7 +60,7 @@ KERNEL_NAMES = (
     "chem.blend",
     "chem.step",
     "prolong.linear",
-    "mg.smooth",
+    "mg.vcycle",
 )
 
 _lock = threading.Lock()
@@ -214,7 +214,8 @@ def warm() -> None:
     get("prolong.linear")([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0),
                           2, [np.empty((2, 2, 2))], (2, 2, 2),
                           [((2, 2, 2), (4, 4, 4))])
-    get("mg.smooth")(np.zeros((4, 4, 4)), np.zeros((2, 2, 2)), 1.0, 1)
+    get("mg.vcycle")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
+                     np.empty((4, 4, 4)))
 
 
 # ----------------------------------------------------------------- counters

@@ -138,10 +138,20 @@ class SubprocessHandle(RunHandle):
             pass  # already gone; poll() will reap it
 
     def kill(self) -> None:
+        # the worker leads its own session (start_new_session), so its
+        # process group is the worker plus whatever it spawned — the exec
+        # pool's children would otherwise outlive it, still asleep in
+        # whatever wedged the episode
+        if self.proc.poll() is not None:
+            return  # already reaped: the pid may no longer be ours
         try:
-            self.proc.kill()
-        except (ProcessLookupError, OSError):
-            pass
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except OSError:
+            pass  # gone between the poll and the signal
+        try:
+            self.proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            pass  # unkillable for now (e.g. in a dead mount); poll() reaps
 
 
 class SubprocessLauncher:

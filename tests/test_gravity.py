@@ -216,23 +216,47 @@ class TestProlongation:
         expected = 2.0 * fx - 0.7 * fy + 0.3 * fz + 1.5
         np.testing.assert_allclose(fine, expected, atol=1e-12)
 
-    def test_trilinear_needs_fewer_vcycles_than_constant(self):
+    def test_trilinear_vcycle_count_is_pinned(self):
+        """32^3 white noise to 1e-8: the trilinear coarse-grid correction
+        takes 13 V-cycles (piecewise-constant injection needed 19)."""
         n = 32
         dx = 1.0 / n
         rng = np.random.default_rng(7)
         src = rng.standard_normal((n, n, n))
         boundary = np.zeros((n + 2,) * 3)
-        cycles = {}
-        for mode in ("trilinear", "constant"):
-            solver = MultigridSolver(tol=1e-8, prolongation=mode)
-            solver.solve(src, dx, boundary)
-            assert solver.last_residual <= 1e-8
-            cycles[mode] = solver.last_cycles
-        assert cycles["trilinear"] < cycles["constant"], cycles
+        solver = MultigridSolver(tol=1e-8)
+        solver.solve(src, dx, boundary)
+        assert solver.last_residual <= 1e-8
+        assert solver.last_cycles == 13
 
-    def test_unknown_prolongation_rejected(self):
-        with pytest.raises(ValueError, match="prolongation"):
-            MultigridSolver(prolongation="cubic")
+
+class TestRestriction:
+    def test_written_order_is_numpys_mean_order(self):
+        """``_restrict`` writes out the order in which NumPy's block
+        ``mean`` sums the eight cells whenever every axis has at least four
+        — every array a V-cycle restricts at ``min_size >= 2`` (it only
+        restricts when ``min(shape) > min_size``).  A last axis of exactly
+        two cells is the exception: NumPy sums it differently, and
+        ``_restrict`` (hence both kernel tiers) keeps the written order."""
+        import itertools
+
+        from repro.gravity.multigrid import _restrict
+
+        rng = np.random.default_rng(3)
+        axes = (4, 6, 8, 10, 12, 14, 16, 22, 24, 26, 32)
+        for shape in itertools.product(axes, repeat=3):
+            # sixteen decades of dynamic range: a different order shows
+            fine = rng.standard_normal(shape) * 10.0 ** rng.integers(
+                -8, 8, shape)
+            blocks = fine.reshape(shape[0] // 2, 2, shape[1] // 2, 2,
+                                  shape[2] // 2, 2)
+            np.testing.assert_array_equal(
+                _restrict(fine), blocks.mean(axis=(1, 3, 5)),
+                err_msg=str(shape))
+        fine = rng.standard_normal((6, 4, 2))
+        np.testing.assert_allclose(
+            _restrict(fine),
+            fine.reshape(3, 2, 2, 2, 1, 2).mean(axis=(1, 3, 5)), rtol=1e-14)
 
 
 class TestSmootherCaches:
@@ -251,7 +275,10 @@ class TestSmootherCaches:
 
     def test_smoother_matches_naive_sweep(self):
         """The buffered red-black sweep is bitwise the naive expression."""
-        from repro.gravity.multigrid import _checkerboard, _redblack_smooth
+        from repro.gravity.multigrid import (
+            _checkerboard,
+            redblack_smooth_numpy,
+        )
 
         n = 8
         dx = 0.125
@@ -268,5 +295,5 @@ class TestSmootherCaches:
             ) + ref[1:-1, 1:-1, :-2]
             upd = (nb - h2 * src) / 6.0
             ref[1:-1, 1:-1, 1:-1][mask] = upd[mask]
-        _redblack_smooth(phi, src, dx, sweeps=1)
+        redblack_smooth_numpy(phi, src, dx, sweeps=1)
         np.testing.assert_array_equal(phi, ref)

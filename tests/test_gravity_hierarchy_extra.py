@@ -35,14 +35,22 @@ class TestSiblingIteratedGravity:
             mean_density=float(root.field_view("density").mean()),
             sibling_iterations=3,
         )
-        grav.solve_level(h, 0)
+        counts = [grav.solve_level(h, 0)]
         _fill_new_grid(a, root, [])
         _fill_new_grid(b, root, [])
-        grav.solve_level(h, 1)
-        return h, a, b, grav
+        counts.append(grav.solve_level(h, 1))
+        return h, a, b, grav, counts
+
+    def test_solve_level_reports_passes_solves_and_vcycles(self, setup):
+        *_, counts = setup
+        assert counts[0] == (0, 0, 0)          # the root level is one FFT
+        passes, solves, vcycles = counts[1]
+        # the exchange moves rim values after every pass, so all three run
+        assert passes == 3 and solves == passes * 2
+        assert vcycles >= solves
 
     def test_potential_continuous_across_shared_face(self, setup):
-        h, a, b, grav = setup
+        h, a, b, grav, _ = setup
         ng = a.nghost
         # last interior plane of a vs first of b
         phi_a = a.phi[ng + 7, ng : ng + 16, ng : ng + 16]
@@ -53,7 +61,7 @@ class TestSiblingIteratedGravity:
         assert jump < 0.3 * scale
 
     def test_children_match_root_solution(self, setup):
-        h, a, b, grav = setup
+        h, a, b, grav, _ = setup
         for child in (a, b):
             child_avg = block_average(child.phi[child.interior], 2)
             lo, hi = child.parent_index_region()
@@ -66,7 +74,7 @@ class TestSiblingIteratedGravity:
             assert np.abs(child_avg - root_phi).max() < 0.15 * scale
 
     def test_acceleration_symmetric_about_blob(self, setup):
-        h, a, b, grav = setup
+        h, a, b, grav, _ = setup
         acc_a = grav.acceleration(a)
         acc_b = grav.acceleration(b)
         ng = a.nghost

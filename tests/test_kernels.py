@@ -9,10 +9,10 @@ Three layers:
   vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
-  The AMR stencils (``prolong.linear``, ``mg.smooth``) and the fused
-  hydro sweep (``hydro.sweep``) write in place, so their parity cases
-  compare the arrays each tier leaves behind, and a canary class checks
-  the C never writes outside them.
+  The AMR stencil (``prolong.linear``), the multigrid V-cycle
+  (``mg.vcycle``) and the fused hydro sweep (``hydro.sweep``) write in
+  place, so their parity cases compare the arrays each tier leaves
+  behind, and a canary class checks the C never writes outside them.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
@@ -37,7 +37,13 @@ from repro.chemistry.network import (
 )
 from repro.chemistry.rates import CHANNEL_NAMES, RateTable, blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
-from repro.gravity.multigrid import redblack_smooth_numpy
+from repro.gravity.multigrid import (
+    MultigridConvergenceError,
+    MultigridSolver,
+    _residual,
+    redblack_smooth_numpy,
+    vcycle_numpy,
+)
 from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
@@ -71,7 +77,7 @@ REFERENCE = {
     "chem.blend": blend_table_numpy,
     "chem.step": step_numpy,
     "prolong.linear": prolong_boxes,
-    "mg.smooth": redblack_smooth_numpy,
+    "mg.vcycle": vcycle_numpy,
 }
 
 
@@ -558,7 +564,8 @@ def _parents(shape, kind, seed):
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestAmrStencilParity:
-    """``prolong.linear`` and ``mg.smooth`` leave bit-identical arrays."""
+    """``prolong.linear`` and the smoothing-only branch of ``mg.vcycle``
+    leave bit-identical arrays."""
 
     @pytest.mark.parametrize("r", [2, 4])
     @pytest.mark.parametrize("shape", [(5, 5, 5), (4, 6, 7)])
@@ -620,38 +627,159 @@ class TestAmrStencilParity:
                [((0, 0, 0), (2, 2, 2))])
         assert not fine[0].any()
 
-    @pytest.mark.parametrize("sweeps", [1, 3, 16])
+    @pytest.mark.parametrize("pre,post", [(0, 1), (3, 0), (3, 3)])
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (16, 16, 16),
                                        (4, 6, 10), (5, 3, 7)])
-    def test_mg_smooth(self, tier, shape, sweeps):
-        fn = _tier_impls(tier)["mg.smooth"]
-        rng = np.random.default_rng(sum(shape) + sweeps)
+    def test_mg_smooth(self, tier, shape, pre, post):
+        """The smoothing-only branch of ``mg.vcycle`` (an odd extent, or
+        none above ``min_size``) is ``pre + post + 10`` red-black sweeps."""
+        fn = _tier_impls(tier)["mg.vcycle"]
+        rng = np.random.default_rng(sum(shape) + pre + post)
         source = rng.standard_normal(shape)
         start = rng.standard_normal(tuple(n + 2 for n in shape))
         for rim_nan in (False, True):
             if rim_nan:
                 start[0, 2, 2] = np.nan
             ref, got = start.copy(), start.copy()
-            redblack_smooth_numpy(ref, source, 0.1, sweeps)
-            fn(got, source, 0.1, sweeps)
+            residual = np.empty(shape)
+            redblack_smooth_numpy(ref, source, 0.1, pre + post + 10)
+            fn(got, source, 0.1, pre, post, max(shape), residual)
             np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(residual,
+                                          _residual(ref, source, 0.1))
 
     def test_non_contiguous_targets_are_written_back(self, tier):
-        impls = _tier_impls(tier)
-        rng = np.random.default_rng(2)
-        source = rng.standard_normal((4, 4, 4))
-        start = rng.standard_normal((6, 6, 6))
-        ref = start.copy()
-        redblack_smooth_numpy(ref, source, 0.1, 2)
-        got = np.asfortranarray(start)
-        impls["mg.smooth"](got, source, 0.1, 2)
-        np.testing.assert_array_equal(got, ref)
-        coarse = [rng.random((4, 4, 4))]
+        fn = _tier_impls(tier)["prolong.linear"]
+        coarse = [np.random.default_rng(2).random((4, 4, 4))]
         fine = np.asfortranarray(np.zeros((8, 8, 8)))
-        impls["prolong.linear"](coarse, None, 1.0, [True], (0, 0, 0), 2,
-                                [fine], (0, 0, 0), [((0, 0, 0), (8, 8, 8))])
+        fn(coarse, None, 1.0, [True], (0, 0, 0), 2, [fine], (0, 0, 0),
+           [((0, 0, 0), (8, 8, 8))])
         np.testing.assert_array_equal(fine, prolong_linear(coarse[0], 2,
                                                            positive=True))
+
+
+# ================================================================ V-cycle
+#: every interior shape the ``sphere_deep`` benchmark window solves (63,
+#: over 1,906 solves), plus 32^3 for a third level of recursion
+VCYCLE_SHAPES = [
+    (2, 4, 4), (4, 4, 4), (4, 4, 6), (4, 4, 8), (4, 6, 4), (4, 6, 6),
+    (4, 6, 8), (4, 8, 4), (4, 8, 6), (4, 8, 8), (4, 10, 8), (4, 12, 8),
+    (4, 12, 10), (6, 4, 4), (6, 4, 6), (6, 4, 8), (6, 6, 4), (6, 6, 6),
+    (6, 6, 8), (6, 6, 10), (6, 6, 12), (6, 8, 6), (6, 12, 6), (6, 12, 8),
+    (8, 4, 4), (8, 4, 6), (8, 4, 8), (8, 4, 10), (8, 4, 12), (8, 6, 12),
+    (8, 8, 4), (8, 8, 6), (8, 8, 8), (8, 8, 14), (8, 8, 16), (8, 10, 12),
+    (8, 12, 4), (8, 12, 10), (8, 12, 12), (8, 12, 22), (8, 12, 24),
+    (8, 14, 14), (10, 4, 12), (10, 6, 6), (10, 8, 8), (10, 8, 16),
+    (10, 12, 8), (10, 12, 12), (10, 12, 24), (12, 4, 8), (12, 6, 6),
+    (12, 8, 8), (12, 8, 14), (12, 8, 16), (12, 10, 8), (12, 10, 16),
+    (12, 12, 8), (12, 12, 10), (12, 22, 8), (12, 24, 8), (12, 24, 10),
+    (16, 24, 24), (16, 26, 26), (32, 32, 32),
+]
+VCYCLE_KINDS = ("random", "sawtooth", "nan_rim", "zero_source")
+
+
+def _poisson_problem(shape, kind, seed=0):
+    """(rim-padded start, source) of one subgrid problem.  ``sawtooth`` is
+    the checkerboard mode the red-black smoother decouples; ``nan_rim``
+    poisons one Dirichlet cell, so NaN spreads through every stage."""
+    rng = np.random.default_rng(sum(shape) + seed)
+    padded = tuple(n + 2 for n in shape)
+    phi = rng.standard_normal(padded) * 10.0 ** rng.integers(-3, 4, padded)
+    source = rng.standard_normal(shape)
+    if kind == "sawtooth":
+        phi = 1.0 + (np.indices(padded).sum(axis=0) % 2) * 1e3
+        source = (np.indices(shape).sum(axis=0) % 2) - 0.5
+    elif kind == "nan_rim":
+        phi[0, 1, 2] = np.nan
+    elif kind == "zero_source":
+        source = np.zeros(shape)
+    return phi, source
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestVcycleParity:
+    """``mg.vcycle`` leaves bit-identical ``phi`` and ``residual``."""
+
+    @pytest.mark.parametrize("kind", VCYCLE_KINDS)
+    @pytest.mark.parametrize("min_size", [2, 4])
+    def test_matrix(self, tier, min_size, kind):
+        fn = _tier_impls(tier)["mg.vcycle"]
+        for shape, (pre, post) in itertools.product(
+                VCYCLE_SHAPES, [(1, 3), (3, 1), (3, 3)]):
+            phi, source = _poisson_problem(shape, kind, pre)
+            ref, got = phi.copy(), phi.copy()
+            ref_res, got_res = np.full(shape, 7.0), np.full(shape, -7.0)
+            with np.errstate(all="ignore"):
+                vcycle_numpy(ref, source, 0.1, pre, post, min_size, ref_res)
+                fn(got, source, 0.1, pre, post, min_size, got_res)
+            np.testing.assert_array_equal(got, ref, err_msg=str(shape))
+            np.testing.assert_array_equal(got_res, ref_res,
+                                          err_msg=str(shape))
+
+    def test_last_axis_of_two_is_restricted_in_the_written_order(self, tier):
+        """At ``min_size < 2`` a level with a 2-cell last axis is restricted
+        — the one shape where NumPy's own ``mean`` sums in another order
+        than ``_restrict`` writes out; both tiers follow ``_restrict``."""
+        fn = _tier_impls(tier)["mg.vcycle"]
+        for shape in [(4, 4, 2), (2, 2, 2), (8, 6, 2), (8, 8, 4)]:
+            phi, source = _poisson_problem(shape, "random")
+            ref, got = phi.copy(), phi.copy()
+            ref_res, got_res = np.empty(shape), np.empty(shape)
+            vcycle_numpy(ref, source, 0.1, 2, 2, 1, ref_res)
+            fn(got, source, 0.1, 2, 2, 1, got_res)
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(got_res, ref_res)
+
+    @pytest.mark.parametrize("kind", VCYCLE_KINDS)
+    def test_whole_solve(self, isolated, tier, kind):
+        """``MultigridSolver.solve`` ends on the same cycle count, residual
+        and array — converged, budget exhausted, strict and force-diverged."""
+        def solve(backend, shape, **kwargs):
+            dispatch.set_backend(backend, env=False)
+            phi, source = _poisson_problem(shape, kind)
+            solver = MultigridSolver(tol=1e-9, max_cycles=6)
+            try:
+                with np.errstate(all="ignore"):
+                    out = solver.solve(source, 0.1, phi, **kwargs)
+                raised = False
+            except MultigridConvergenceError as exc:
+                out, raised = exc.phi, True
+                assert exc.diagnostics == solver.last_diagnostics
+            return (out, raised, solver.last_cycles, solver.last_residual,
+                    solver.last_diagnostics)
+
+        cases = [((8, 8, 8), {}), ((16, 26, 26), {}), ((4, 6, 4), {}),
+                 ((16, 16, 16), {"max_cycles": 2}),
+                 ((16, 16, 16), {"max_cycles": 2, "strict": True}),
+                 ((8, 12, 10), {"force_diverge": True}),
+                 ((8, 12, 10), {"force_diverge": True, "strict": True})]
+        for shape, kwargs in cases:
+            ref = solve("numpy", shape, **kwargs)
+            got = solve(tier, shape, **kwargs)
+            np.testing.assert_array_equal(got[0], ref[0])
+            # NaN residuals (the nan_rim kind) compare equal as strings
+            assert repr(got[1:]) == repr(ref[1:]), (shape, kwargs)
+            assert ref[1] == bool(kwargs.get("strict"))
+
+    def test_refuses_what_the_c_cannot_index(self, tier):
+        fn = _tier_impls(tier)["mg.vcycle"]
+        source = np.ones((4, 6, 8))
+        phi, residual = np.zeros((6, 8, 10)), np.zeros((4, 6, 8))
+        read_only = np.zeros((6, 8, 10))
+        read_only.flags.writeable = False
+        for bad_phi, bad_res in [
+                (np.zeros((6, 8, 9)), residual),            # shape mismatch
+                (phi, np.zeros((4, 6, 7))),
+                (np.asfortranarray(phi), residual),         # non-contiguous
+                (phi, np.zeros((4, 6, 16))[:, :, ::2]),
+                (read_only, residual),                      # non-writable
+                (phi.astype(np.float32), residual)]:
+            with pytest.raises(ValueError, match="mg.vcycle"):
+                fn(bad_phi, source, 0.1, 3, 3, 4, bad_res)
+        with pytest.raises(ValueError, match="3-d"):
+            fn(np.zeros((6, 8)), np.ones((4, 6)), 0.1, 3, 3, 4,
+               np.zeros((4, 6)))
+        assert not phi.any() and not residual.any()
 
 
 # ============================================================= fused sweep
@@ -776,7 +904,7 @@ class TestSweepParity:
 
 
 #: guard elements on each side of a canary array: more than two planes of
-#: the largest case (18² for ``mg.smooth``), so a stride-sized overrun still
+#: the largest case (18² for ``mg.vcycle``), so a stride-sized overrun still
 #: lands inside the guard
 GUARD = 1024
 
@@ -852,19 +980,21 @@ class TestNoOutOfBoundsWrites:
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (16, 16, 16)])
-    def test_mg_smooth(self, tier, shape):
-        fn = _tier_impls(tier)["mg.smooth"]
-        rng = np.random.default_rng(sum(shape))
-        source = rng.standard_normal(shape)
-        ref = rng.standard_normal(tuple(n + 2 for n in shape))
-        (got, b_phi), (src, b_src) = _guarded(ref), _guarded(source)
-        redblack_smooth_numpy(ref, source, 0.1, 3)
-        before = _guards((b_phi, b_src))
-        fn(got, src, 0.1, 3)
-        np.testing.assert_array_equal(_guards((b_phi, b_src)), before)
+    @pytest.mark.parametrize("min_size", [2, 4])
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (8, 12, 10),
+                                       (16, 16, 16)])
+    def test_mg_vcycle(self, tier, shape, min_size):
+        fn = _tier_impls(tier)["mg.vcycle"]
+        ref, source = _poisson_problem(shape, "random")
+        ref_res = np.empty(shape)
+        (got, b_phi), (src, b_src), (res, b_res) = (
+            _guarded(ref), _guarded(source), _guarded(np.zeros(shape)))
+        vcycle_numpy(ref, source, 0.1, 2, 3, min_size, ref_res)
+        before = _guards((b_phi, b_src, b_res))
+        fn(got, src, 0.1, 2, 3, min_size, res)
+        np.testing.assert_array_equal(_guards((b_phi, b_src, b_res)), before)
         np.testing.assert_array_equal(got, ref)
-
+        np.testing.assert_array_equal(res, ref_res)
 
     @pytest.mark.parametrize("renormalise", [True, False])
     def test_chem_step(self, tier, renormalise):
@@ -1152,23 +1282,29 @@ class TestIntegration:
         """The deep-lattice smoke problem (two refined levels): new grids
         filled, reused ghost shells refreshed, ghost zones set and subgrid
         gravity relaxed through the kernels — every tier ends on the
-        same bytes."""
+        same bytes, and so does the compiled tier under ``thread x 2``:
+        the compiled sweep releases the GIL, so sibling grids really sweep
+        at once, and every kernel's scratch is per call."""
+        from repro.exec.config import ExecConfig
         from repro.problems import SphereCollapse
 
-        fps = {}
-        for backend in ["numpy"] + COMPILED:
+        def run(backend, exec_config=None):
             dispatch.set_backend(backend, env=False)
             dispatch.reset_counters()
             run = SphereCollapse(n_root=16, max_level=2, overdensity=25.0,
-                                 max_dims=8)
+                                 max_dims=8, exec_config=exec_config)
             t_end = 1.5 * run.free_fall_time(run.peak_density)
             for _ in range(2):
                 run.evolver.advance_root_step(t_end)
             assert run.hierarchy.grids_reused > 0
+            assert len(run.hierarchy.level_grids(2)) > 1
             calls = dispatch.counters_totals()
             assert calls["prolong.linear"][0] > 0
-            assert calls["mg.smooth"][0] > 0
-            fps[backend] = run.hierarchy.fingerprint()
+            assert calls["mg.vcycle"][0] > 0
+            return run.hierarchy.fingerprint()
+
+        fps = {backend: run(backend) for backend in ["numpy"] + COMPILED}
+        fps["thread"] = run(COMPILED[0], ExecConfig("thread", 2))
         assert len(set(fps.values())) == 1, fps
 
     @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
@@ -1206,23 +1342,3 @@ class TestIntegration:
         fps = {backend: run(backend) for backend in ["numpy"] + COMPILED}
         fps["thread"] = run(COMPILED[0], exec_backend="thread", workers=2)
         assert len(set(fps.values())) == 1, fps
-
-    @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
-    def test_sweeps_overlap_safely_on_thread_exec(self, isolated):
-        """The compiled sweep releases the GIL, so under the thread exec
-        backend sibling grids really sweep at once; its scratch is per
-        call, so the deep-lattice smoke problem ends on the serial bytes."""
-        from repro.exec.config import ExecConfig
-        from repro.problems import SphereCollapse
-
-        dispatch.set_backend(COMPILED[0], env=False)
-        fps = []
-        for exec_config in (ExecConfig("serial", 1), ExecConfig("thread", 2)):
-            run = SphereCollapse(n_root=16, max_level=2, overdensity=25.0,
-                                 max_dims=8, exec_config=exec_config)
-            t_end = 1.5 * run.free_fall_time(run.peak_density)
-            for _ in range(2):
-                run.evolver.advance_root_step(t_end)
-            assert len(run.hierarchy.level_grids(2)) > 1
-            fps.append(run.hierarchy.fingerprint())
-        assert fps[0] == fps[1]

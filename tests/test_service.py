@@ -517,6 +517,26 @@ def tight_policy(**overrides):
     return SupervisionPolicy(**kwargs)
 
 
+def processes_naming(path, settle: float = 5.0):
+    """Command lines of live processes that mention ``path``; killed ones
+    get ``settle`` seconds to leave the process table."""
+    deadline = time.monotonic() + settle
+    while True:
+        found = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    cmdline = fh.read().replace(b"\0", b" ").decode(
+                        errors="replace")
+            except OSError:
+                continue  # exited while we looked
+            if str(path) in cmdline:
+                found.append(f"{pid}: {cmdline}")
+        if not found or time.monotonic() >= deadline:
+            return found
+        time.sleep(0.1)
+
+
 class TestSupervision:
     def _hang_kill_resume_identity(self, tmp_path, backend):
         """Acceptance: a run hung by an injected fault is detected,
@@ -541,6 +561,9 @@ class TestSupervision:
             entry = client.wait(rid, timeout=300)[rid]
         finally:
             service.shutdown()
+        # the kill takes the worker's whole process group: no exec-pool
+        # child of the hung episode is left sleeping in the injected hang
+        assert processes_naming(tmp_path) == []
         assert entry["state"] == DONE
         assert entry["attempts"] >= 2, "the hung episode was never killed"
         assert entry["result"]["fingerprint"] == reference["fingerprint"], \
