@@ -716,29 +716,22 @@ static long lmin(long a, long b) { return a < b ? a : b; }
 /* parent value at the child's time: old * (1 - frac) + new * frac */
 #define TVAL(c) (use_old ? old[c] * omf + new_[c] * frac : new_[c])
 
-/* Prolong nf parent fields into fine-index boxes of their child arrays.
-   news[f]/olds[f] are the parent's allocated (nx, ny, nz) arrays, read in
-   place (olds[f] NULL: no time interpolation for that field); (p0, p1, p2)
-   is the coarse index of their first cell, (f0, f1, f2) the fine index of
-   fines[f]'s first cell, r >= 2.  boxes is an (n_boxes, 6) array of
-   fine-index lo, hi corners.  The loop runs over the parent cells under
+/* Prolong one parent field into fine-index boxes of one child array.
+   new_/old are the parent's allocated (nx, ny, nz) arrays, read in place;
+   (p0, p1, p2) is the coarse index of their first cell, (f0, f1, f2) the
+   fine index of fine's first cell, r >= 2.  boxes is an (n_boxes, 6) array
+   of fine-index lo, hi corners.  The loop runs over the parent cells under
    each box so slopes are computed once per parent cell; a slope is zero
    only along an axis where the cell sits on the parent array's edge. */
-void rk_prolong_linear(long nf, long nx, long ny, long nz,
-    const double **news, const double **olds, double frac,
-    const int *positives, long r, long p0, long p1, long p2,
-    double **fines, long fy, long fz, long f0, long f1, long f2,
+static void prolong_field(long nx, long ny, long nz,
+    const double *new_, const double *old, int use_old, double frac,
+    int positive, long r, long p0, long p1, long p2,
+    double *fine, long fy, long fz, long f0, long f1, long f2,
     long n_boxes, const int64_t *boxes)
 {
     double omf = 1.0 - frac;
     double max_off = 0.5 * (1.0 - 1.0 / (double)r);
     long sx = ny * nz, sy = nz;
-    for (long f = 0; f < nf; f++) {
-    const double *new_ = news[f];
-    int use_old = olds[f] != 0;
-    const double *old = use_old ? olds[f] : new_;
-    int positive = positives[f];
-    double *fine = fines[f];
     for (long b = 0; b < n_boxes; b++) {
         long lo0 = boxes[6 * b], lo1 = boxes[6 * b + 1],
              lo2 = boxes[6 * b + 2];
@@ -796,7 +789,21 @@ void rk_prolong_linear(long nf, long nx, long ny, long nz,
             }
         }
     }
-    }
+}
+
+/* All nf fields of one call: news[f] / olds[f] (NULL: no time interpolation
+   for that field) / positives[f] / fines[f] are prolong_field's per-field
+   arguments, everything else is shared. */
+void rk_prolong_linear(long nf, long nx, long ny, long nz,
+    const double **news, const double **olds, double frac,
+    const int *positives, long r, long p0, long p1, long p2,
+    double **fines, long fy, long fz, long f0, long f1, long f2,
+    long n_boxes, const int64_t *boxes)
+{
+    for (long f = 0; f < nf; f++)
+        prolong_field(nx, ny, nz, news[f], olds[f] ? olds[f] : news[f],
+                      olds[f] != 0, frac, positives[f], r, p0, p1, p2,
+                      fines[f], fy, fz, f0, f1, f2, n_boxes, boxes);
 }
 
 /* ---- multigrid V-cycle on one rim-padded subgrid (reference:
@@ -928,21 +935,20 @@ static int mg_coarsens(long nx, long ny, long nz, long min_size)
         && nx % 2 == 0 && ny % 2 == 0 && nz % 2 == 0;
 }
 
-/* doubles of scratch one level's coarse problem takes: the rim-padded
-   error, its source and its own residual */
+/* doubles of scratch the coarse problem under one level takes, as mg_cycle
+   lays them out: the rim-padded error, its source, its own residual, and
+   the two prolongation temporaries t0 (2 cx, cy + 2, cz + 2) and
+   t1 (2 cx, 2 cy, cz + 2) */
 static long mg_level_work(long cx, long cy, long cz)
 {
-    return (cx + 2) * (cy + 2) * (cz + 2) + 2 * cx * cy * cz;
+    return (cx + 2) * (cy + 2) * (cz + 2) + 2 * cx * cy * cz
+        + 2 * cx * (cy + 2) * (cz + 2) + 4 * cx * cy * (cz + 2);
 }
 
-/* Scratch of one V-cycle on an (nx, ny, nz) interior: every coarse level,
-   then the two prolongation temporaries of the first (the largest; levels
-   prolong one after another on the way up, so they share them). */
+/* Scratch of one V-cycle on an (nx, ny, nz) interior: every coarse level. */
 long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size)
 {
     long need = 0;
-    if (mg_coarsens(nx, ny, nz, min_size))
-        need = nx * (ny / 2 + 2) * (nz / 2 + 2) + nx * ny * (nz / 2 + 2);
     while (mg_coarsens(nx, ny, nz, min_size)) {
         nx /= 2; ny /= 2; nz /= 2;
         need += mg_level_work(nx, ny, nz);
@@ -950,11 +956,11 @@ long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size)
     return need;
 }
 
-/* res is scratch for this level's residual, work the remaining coarse
-   levels' arena, t0/t1 the shared prolongation temporaries */
+/* res is scratch for this level's residual, work the arena of the coarse
+   levels under it */
 static void mg_cycle(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
-    double *res, double *work, double *t0, double *t1)
+    double *res, double *work)
 {
     if (!mg_coarsens(nx, ny, nz, min_size)) {
         mg_smooth(nx, ny, nz, phi, source, dx * dx, pre + post + 10);
@@ -963,12 +969,13 @@ static void mg_cycle(long nx, long ny, long nz, double *phi,
     long cx = nx / 2, cy = ny / 2, cz = nz / 2;
     long cells = cx * cy * cz, padded = (cx + 2) * (cy + 2) * (cz + 2);
     double *cphi = work, *csrc = cphi + padded, *cres = csrc + cells;
+    double *t0 = cres + cells, *t1 = t0 + 2 * cx * (cy + 2) * (cz + 2);
     mg_smooth(nx, ny, nz, phi, source, dx * dx, pre);
     mg_residual(nx, ny, nz, phi, source, dx, res);
     mg_restrict(cx, cy, cz, res, csrc);
     for (long k = 0; k < padded; k++) cphi[k] = 0.0;
     mg_cycle(cx, cy, cz, cphi, csrc, 2.0 * dx, pre, post, min_size, cres,
-             cres + cells, t0, t1);
+             work + mg_level_work(cx, cy, cz));
     mg_prolong_add(cx, cy, cz, cphi, phi, t0, t1);
     mg_smooth(nx, ny, nz, phi, source, dx * dx, post);
 }
@@ -980,13 +987,8 @@ void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
     double *residual, double *work)
 {
-    long t0 = 0, t1 = 0;
-    if (mg_coarsens(nx, ny, nz, min_size)) {
-        t0 = nx * (ny / 2 + 2) * (nz / 2 + 2);
-        t1 = nx * ny * (nz / 2 + 2);
-    }
     mg_cycle(nx, ny, nz, phi, source, dx, pre, post, min_size, residual,
-             work + t0 + t1, work, work + t0);
+             work);
     mg_residual(nx, ny, nz, phi, source, dx, residual);
 }
 

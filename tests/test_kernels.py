@@ -660,7 +660,7 @@ class TestAmrStencilParity:
 
 # ================================================================ V-cycle
 #: every interior shape the ``sphere_deep`` benchmark window solves (63,
-#: over 1,906 solves), plus 32^3 for a third level of recursion
+#: over 1,906 solves), plus 32^3 for a deeper recursion
 VCYCLE_SHAPES = [
     (2, 4, 4), (4, 4, 4), (4, 4, 6), (4, 4, 8), (4, 6, 4), (4, 6, 6),
     (4, 6, 8), (4, 8, 4), (4, 8, 6), (4, 8, 8), (4, 10, 8), (4, 12, 8),
@@ -696,6 +696,17 @@ def _poisson_problem(shape, kind, seed=0):
     return phi, source
 
 
+def _assert_vcycle_parity(fn, shape, kind, pre, post, min_size):
+    phi, source = _poisson_problem(shape, kind, pre)
+    ref, got = phi.copy(), phi.copy()
+    ref_res, got_res = np.full(shape, 7.0), np.full(shape, -7.0)
+    with np.errstate(all="ignore"):
+        vcycle_numpy(ref, source, 0.1, pre, post, min_size, ref_res)
+        fn(got, source, 0.1, pre, post, min_size, got_res)
+    np.testing.assert_array_equal(got, ref, err_msg=str(shape))
+    np.testing.assert_array_equal(got_res, ref_res, err_msg=str(shape))
+
+
 @pytest.mark.parametrize("tier", COMPILED)
 class TestVcycleParity:
     """``mg.vcycle`` leaves bit-identical ``phi`` and ``residual``."""
@@ -706,15 +717,7 @@ class TestVcycleParity:
         fn = _tier_impls(tier)["mg.vcycle"]
         for shape, (pre, post) in itertools.product(
                 VCYCLE_SHAPES, [(1, 3), (3, 1), (3, 3)]):
-            phi, source = _poisson_problem(shape, kind, pre)
-            ref, got = phi.copy(), phi.copy()
-            ref_res, got_res = np.full(shape, 7.0), np.full(shape, -7.0)
-            with np.errstate(all="ignore"):
-                vcycle_numpy(ref, source, 0.1, pre, post, min_size, ref_res)
-                fn(got, source, 0.1, pre, post, min_size, got_res)
-            np.testing.assert_array_equal(got, ref, err_msg=str(shape))
-            np.testing.assert_array_equal(got_res, ref_res,
-                                          err_msg=str(shape))
+            _assert_vcycle_parity(fn, shape, kind, pre, post, min_size)
 
     def test_last_axis_of_two_is_restricted_in_the_written_order(self, tier):
         """At ``min_size < 2`` a level with a 2-cell last axis is restricted
@@ -722,13 +725,7 @@ class TestVcycleParity:
         than ``_restrict`` writes out; both tiers follow ``_restrict``."""
         fn = _tier_impls(tier)["mg.vcycle"]
         for shape in [(4, 4, 2), (2, 2, 2), (8, 6, 2), (8, 8, 4)]:
-            phi, source = _poisson_problem(shape, "random")
-            ref, got = phi.copy(), phi.copy()
-            ref_res, got_res = np.empty(shape), np.empty(shape)
-            vcycle_numpy(ref, source, 0.1, 2, 2, 1, ref_res)
-            fn(got, source, 0.1, 2, 2, 1, got_res)
-            np.testing.assert_array_equal(got, ref)
-            np.testing.assert_array_equal(got_res, ref_res)
+            _assert_vcycle_parity(fn, shape, "random", 2, 2, 1)
 
     @pytest.mark.parametrize("kind", VCYCLE_KINDS)
     def test_whole_solve(self, isolated, tier, kind):
