@@ -3,9 +3,6 @@
 Commands
 --------
 info        — package/subsystem summary
-sod         — run the Sod shock tube and print the L1 error
-pancake     — run the Zel'dovich pancake validation
-collapse    — run a short primordial-collapse demo
 problems    — list the registered problems and their capabilities
 validate    — convergence harness: fitted error orders vs analytic or
               self-converged reference (docs/VALIDATION.md)
@@ -54,50 +51,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_sod(args) -> int:
-    from repro.problems import SodShockTube
-
-    sod = SodShockTube(n=args.n)
-    sod.run(0.2)
-    err = sod.l1_error()
-    print(f"Sod tube, n={args.n}: L1(density) = {err:.4f} in {sod.steps} steps")
-    return 0 if err < 0.05 else 1
-
-
-def cmd_pancake(args) -> int:
-    import numpy as np
-
-    from repro.problems import ZeldovichPancake
-
-    zp = ZeldovichPancake(n=args.n)
-    out = zp.run(z_end=args.z_end)
-    err = np.abs(out["density"] - out["density_exact"]) / out["density_exact"]
-    print(f"Zel'dovich pancake to z={args.z_end}: "
-          f"max density error = {err.max():.4f}")
-    return 0 if err.max() < 0.1 else 1
-
-
-def cmd_collapse(args) -> int:
-    from repro.problems import PrimordialCollapse
-
-    run = PrimordialCollapse(
-        n_root=args.n, max_level=args.levels, amplitude_boost=4.0,
-        mass_refine_factor=8.0,
-        with_chemistry=not args.no_chemistry,
-    )
-    run.initial_rebuild()
-    out = run.run_to_redshift(args.z_end, max_root_steps=args.max_steps)
-    print(f"z = {out['redshift']:.1f}  peak n = {out['peak_n_cgs']:.3e} cm^-3  "
-          f"levels = {out['max_level']}  grids = {out['n_grids']}  "
-          f"SDR = {out['sdr']:.0f}")
-    if args.checkpoint:
-        from repro.io import save_hierarchy
-
-        save_hierarchy(run.hierarchy, args.checkpoint)
-        print(f"checkpoint written: {args.checkpoint}")
-    return 0
-
-
 def cmd_problems(args) -> int:
     """List the registered problems (``repro run --problem ...`` names)."""
     from repro.validation import list_problems
@@ -115,7 +68,8 @@ def cmd_problems(args) -> int:
             desc += f"  (aliases: {', '.join(spec.aliases)})"
         print(f"{spec.name:<20}{flags:<8}{res:<14}{desc}")
     print("\nflags: M = measurable (convergence harness), "
-          "A = analytic reference, C = run-control capable")
+          "A = analytic reference, C = launchable from a run spec "
+          "('repro run --problem', service specs)")
     return 0
 
 
@@ -183,163 +137,90 @@ def cmd_chk_verify(args) -> int:
     return 1 if n_bad else 0
 
 
-def _print_run_summary(out: dict) -> None:
+def _report_run(out: dict) -> int:
     print(f"status = {out['status']}  steps = {out['steps']}  "
           f"t = {out['t']:.6g}  recoveries = {out['recoveries']}  "
           f"wall = {out['wall']:.1f}s  dir = {out['run_dir']}")
+    return 2 if out["status"] == "interrupted" else 0
 
 
-def _collapse_problem(**kwargs):
-    from repro.perf import ComponentTimers
-    from repro.problems import PrimordialCollapse
+def _apply_process_flags(args) -> None:
+    """Apply ``--kernels`` and ``--faults`` before any physics runs.
 
-    # always instrument controlled runs: telemetry step records carry the
-    # per-component timer fractions (the paper's Sec. 5 usage table, live)
-    return PrimordialCollapse(timers=ComponentTimers(), **kwargs)
-
-
-def _set_kernels(args) -> None:
-    """Apply the ``--kernels`` backend choice before any physics runs.
-
-    Goes through :func:`repro.kernels.set_backend` with env export, so
-    process-pool workers spawned later inherit the same tier.  An
-    unavailable compiled backend degrades to numpy with a warning rather
-    than failing the run.
+    The kernel tier goes through :func:`repro.kernels.set_backend` with env
+    export, so process-pool workers spawned later inherit it; an unavailable
+    compiled backend degrades to numpy with a warning rather than failing
+    the run.  ``--faults`` installs the chaos-testing injector, in the
+    compact syntax of ``REPRO_FAULTS`` (which still applies without the flag).
     """
-    if getattr(args, "kernels", None):
+    if args.kernels:
         from repro import kernels
 
         kernels.set_backend(args.kernels)
-
-
-def _install_faults(args) -> None:
-    """Install the chaos-testing fault injector requested on the CLI.
-
-    ``--faults`` uses the same compact syntax as the ``REPRO_FAULTS``
-    environment variable (which still applies when the flag is absent).
-    """
-    if getattr(args, "faults", None):
+    if args.faults:
         from repro.runtime import faults
 
         faults.install(faults.FaultInjector(
-            faults.parse_spec(args.faults),
-            seed=getattr(args, "fault_seed", None),
-        ))
+            faults.parse_spec(args.faults), seed=args.fault_seed))
+
+
+def _given(flags: dict) -> dict:
+    return {key: val for key, val in flags.items() if val is not None}
 
 
 def cmd_run(args) -> int:
-    from repro.runtime import CheckpointPolicy
+    """Flags -> run spec -> ``build_job`` -> ``controller.run``."""
+    from repro.service.specs import SpecError, build_job, launchable
 
-    _set_kernels(args)
-    _install_faults(args)
-    policy = CheckpointPolicy(every_steps=args.checkpoint_every,
-                              keep_last=args.keep_last)
-    if args.problem != "collapse":
-        return _run_registry_problem(args, policy)
-    run_dir = args.dir or args.telemetry or "runs/collapse"
-    problem = _collapse_problem(
-        n_root=args.n or 8, max_level=args.levels, amplitude_boost=4.0,
-        mass_refine_factor=8.0, with_chemistry=not args.no_chemistry,
-        exec_backend=args.exec_backend, workers=args.workers,
-    )
-    problem.initial_rebuild()
-    controller = problem.make_controller(run_dir, z_end=args.z_end,
-                                         policy=policy)
-    out = controller.run(problem.code_time_of_redshift(args.z_end),
-                         max_root_steps=args.max_steps)
-    _print_run_summary(out)
-    return 2 if out["status"] == "interrupted" else 0
-
-
-def _run_registry_problem(args, policy) -> int:
-    """``repro run --problem <name>`` for registry problems.
-
-    Any controllable problem (``repro problems`` marks them) runs under
-    the same fault-tolerant controller as the collapse workload.
-    """
-    from repro.validation import get_problem
-
+    _apply_process_flags(args)
     try:
-        spec = get_problem(args.problem)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        entry = launchable(args.problem)
+        flags = {entry.size_arg: args.n, "max_level": args.levels,
+                 "with_chemistry": False if args.no_chemistry else None,
+                 "exec_backend": args.exec_backend, "workers": args.workers}
+        stop = {"z_end": args.z_end, "t_end": args.t_end}
+        spec = {
+            "problem": entry.name,
+            "kwargs": {**entry.factory_kwargs, **_given(flags)},
+            **(_given(stop) or entry.run_kwargs),
+            "checkpoint_every": args.checkpoint_every,
+            "keep_last": args.keep_last,
+        }
+        _problem, controller, t_end = build_job(
+            spec, args.dir or f"runs/{entry.name}")
+    except SpecError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    if not spec.controllable:
-        print(f"problem {spec.name!r} does not support run control; "
-              f"use 'repro validate --problem {spec.name}' instead",
-              file=sys.stderr)
-        return 1
-    overrides = {}
-    if args.exec_backend is not None:
-        overrides["exec_backend"] = args.exec_backend
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    problem = spec.create(n=args.n, **overrides)
-    run_dir = args.dir or args.telemetry or f"runs/{spec.name}"
-    controller = problem.make_controller(run_dir, policy=policy)
-    t_end = (args.t_end if args.t_end is not None
-             else getattr(problem, "default_t_end", None))
-    if t_end is None:
-        print(f"problem {spec.name!r} needs --t-end", file=sys.stderr)
-        return 1
-    out = controller.run(float(t_end), max_root_steps=args.max_steps)
-    _print_run_summary(out)
-    return 2 if out["status"] == "interrupted" else 0
+    return _report_run(controller.run(t_end, max_root_steps=args.max_steps))
 
 
 def cmd_resume(args) -> int:
+    """Checkpointed config (+ overrides) -> ``build_job`` -> ``controller.resume``."""
     from repro.runtime import CheckpointPolicy, RunState
+    from repro.service.specs import SpecError, build_job
 
-    _set_kernels(args)
-    _install_faults(args)
+    _apply_process_flags(args)
     latest = CheckpointPolicy.latest(args.dir)
     if latest is None:
         print(f"no checkpoint found in {args.dir!r}", file=sys.stderr)
         return 1
-    state = RunState.load(latest[2])
-    cfg = state.config or {}
-    policy = CheckpointPolicy(every_steps=args.checkpoint_every,
-                              keep_last=args.keep_last)
-    # the exec backend does not affect results (bitwise identical), so a
-    # resume may freely override what the original run used
-    exec_overrides = {}
-    if args.exec_backend is not None:
-        exec_overrides["exec_backend"] = args.exec_backend
-    if args.workers is not None:
-        exec_overrides["workers"] = args.workers
-    if cfg.get("problem") == "collapse":
-        problem = _collapse_problem(**{**cfg["kwargs"], **exec_overrides})
-        controller = problem.make_controller(
-            args.dir, z_end=cfg.get("z_end"), policy=policy)
-    elif cfg.get("problem") == "simulation":
-        from repro import Simulation, SimulationConfig
-
-        kwargs = dict(cfg["kwargs"])
-        kwargs["advected"] = tuple(kwargs.get("advected", ()))
-        kwargs.update(exec_overrides)
-        kwargs["solver_options"] = dict(kwargs.get("solver_options", {}))
-        sim = Simulation(SimulationConfig(**kwargs))
-        controller = sim.make_controller(args.dir, policy=policy)
-    elif cfg.get("problem"):
-        # registry problems (sedov, kelvin_helmholtz, ...) store their
-        # constructor kwargs; rebuild through the same factory
-        from repro.validation import get_problem
-
-        try:
-            spec = get_problem(cfg["problem"])
-        except KeyError:
-            print(f"checkpoint names unknown problem {cfg['problem']!r}",
-                  file=sys.stderr)
-            return 1
-        problem = spec.create(**{**cfg.get("kwargs", {}), **exec_overrides})
-        controller = problem.make_controller(args.dir, policy=policy)
-    else:
+    spec = dict(RunState.load(latest[2]).config or {})
+    if not spec.get("problem"):
         print("checkpoint carries no rebuildable problem config",
               file=sys.stderr)
         return 1
-    out = controller.resume(max_root_steps=args.max_steps)
-    _print_run_summary(out)
-    return 2 if out["status"] == "interrupted" else 0
+    # the exec backend does not affect results (bitwise identical), so a
+    # resume may freely override what the original run used
+    overrides = {"exec_backend": args.exec_backend, "workers": args.workers}
+    spec["kwargs"] = {**spec.get("kwargs", {}), **_given(overrides)}
+    spec.update(checkpoint_every=args.checkpoint_every,
+                keep_last=args.keep_last)
+    try:
+        _problem, controller, _ = build_job(spec, args.dir, fresh=False)
+    except SpecError as exc:
+        print(f"checkpoint config: {exc}", file=sys.stderr)
+        return 1
+    return _report_run(controller.resume(max_root_steps=args.max_steps))
 
 
 def _follow_and_print(path: str) -> int:
@@ -527,6 +408,7 @@ def cmd_service_worker(args) -> int:
     import json
 
     from repro.service.launcher import result_path
+    from repro.service.registry import atomic_write_json
     from repro.service.specs import RunJob
 
     with open(args.spec, encoding="utf-8") as fh:
@@ -542,13 +424,7 @@ def cmd_service_worker(args) -> int:
                   "drain": "signal before first step"}
     except Exception as exc:
         result = {"outcome": "failed", "error": repr(exc)}
-    path = result_path(args.run_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(result, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    atomic_write_json(result_path(args.run_dir), result)
     return {"done": 0, "preempted": 2}.get(result.get("outcome"), 3)
 
 
@@ -557,24 +433,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="package summary").set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("sod", help="Sod shock-tube validation")
-    p.add_argument("-n", type=int, default=128)
-    p.set_defaults(fn=cmd_sod)
-
-    p = sub.add_parser("pancake", help="Zel'dovich pancake validation")
-    p.add_argument("-n", type=int, default=16)
-    p.add_argument("--z-end", type=float, default=15.0)
-    p.set_defaults(fn=cmd_pancake)
-
-    p = sub.add_parser("collapse", help="primordial-collapse demo")
-    p.add_argument("-n", type=int, default=8)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--z-end", type=float, default=80.0)
-    p.add_argument("--max-steps", type=int, default=100)
-    p.add_argument("--no-chemistry", action="store_true")
-    p.add_argument("--checkpoint", default=None)
-    p.set_defaults(fn=cmd_collapse)
 
     p = sub.add_parser("problems", help="list registered problems")
     p.set_defaults(fn=cmd_problems)
@@ -614,29 +472,32 @@ def main(argv=None) -> int:
                         "(pre-digest checkpoints pass by default)")
     q.set_defaults(fn=cmd_chk_verify)
 
+    # allow_abbrev off: '--keep' must not reach '--keep-last' as a prefix
     p = sub.add_parser(
-        "run", help="a registered problem under fault-tolerant run control "
-                    "(default: primordial collapse)")
+        "run", allow_abbrev=False,
+        help="a registered problem under fault-tolerant run control "
+             "(default: primordial collapse)")
     p.add_argument("--problem", default="collapse",
                    help="registry name ('repro problems' lists them; "
                         "needs the C flag)")
     p.add_argument("-n", type=int, default=None,
                    help="root-grid size (default: the problem's own)")
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--z-end", type=float, default=80.0)
+    p.add_argument("--levels", type=int, default=None,
+                   help="refinement depth cap, the problem's max_level "
+                        "(default: the problem's own)")
+    p.add_argument("--z-end", type=float, default=None,
+                   help="stop redshift (collapse; default 80)")
     p.add_argument("--t-end", type=float, default=None,
-                   help="stop time for non-collapse problems "
+                   help="stop time in code units "
                         "(default: the problem's own)")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--no-chemistry", action="store_true")
-    p.add_argument("--dir", default=None, help="run directory")
-    p.add_argument("--telemetry", default=None,
-                   help="run directory (alias of --dir; telemetry.jsonl, "
-                        "checkpoints and run state live here)")
+    p.add_argument("--dir", default=None,
+                   help="run directory: telemetry.jsonl, checkpoints and "
+                        "run state live here (default: runs/<problem>)")
     p.add_argument("--checkpoint-every", type=int, default=5,
                    help="root steps between checkpoints")
-    p.add_argument("--keep-last", "--keep", dest="keep_last", type=int,
-                   default=3,
+    p.add_argument("--keep-last", type=int, default=3,
                    help="rotated checkpoint pairs to retain (the pair a "
                         "resumed run restarted from is pinned until a "
                         "newer one lands)")
@@ -662,13 +523,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
-        "resume", help="continue a run from its newest loadable checkpoint")
+        "resume", allow_abbrev=False,
+        help="continue a run from its newest loadable checkpoint")
     p.add_argument("--dir", required=True, help="run directory")
     p.add_argument("--max-steps", type=int, default=None,
                    help="override the stored root-step budget")
     p.add_argument("--checkpoint-every", type=int, default=5)
-    p.add_argument("--keep-last", "--keep", dest="keep_last", type=int,
-                   default=3)
+    p.add_argument("--keep-last", type=int, default=3)
     p.add_argument("--exec-backend", default=None,
                    choices=["serial", "thread", "process"],
                    help="override the execution backend for the resumed run "

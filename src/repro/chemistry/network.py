@@ -280,19 +280,6 @@ class ChemistryNetwork:
             n[s] *= f_he
         n["de"] = np.maximum(electron_density(n), 0.0)
 
-    def _substep(self, n: dict, e: np.ndarray, rho: np.ndarray, dt, z: float):
-        """One standalone linearised backward-Euler step of size dt (scalar
-        or per-cell) on a dict of species arrays, updating ``n`` and ``e`` in
-        place: rates from :attr:`rates`, cooling from the analytic fits, both
-        at the temperature of the incoming state.
-        """
-        T = self.temperature(n, e, rho)
-        substep_numpy(
-            n, e, rho, dt, z, T, self.rates(T), cool_mod.cooling_channels(T),
-            n["HI"] ** 3 if self.three_body else None, self.three_body,
-            self.formation_heating, self.cmb_floor,
-        )
-
     # ------------------------------------------------------ code-unit interface
     def advance_fields(self, fields, dt_code: float, units, a: float) -> dict:
         """Advance the species + internal energy carried on a FieldSet.

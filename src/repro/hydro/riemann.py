@@ -15,12 +15,6 @@ import numpy as np
 
 from repro.kernels import dispatch as _kernels
 
-#: default residual tolerance for the two-shock Newton loop.  0.0 means
-#: "exit only on an exact fixed point" (the update is a no-op), which is
-#: bitwise identical to running all iterations; a positive value exits on
-#: ``|dp| <= rtol * p_star`` and is documented as a non-bitwise opt-in.
-TWO_SHOCK_RTOL = 0.0
-
 
 class RiemannInputError(FloatingPointError):
     """Interface states handed to a Riemann solver are unusable.
@@ -164,8 +158,7 @@ def hllc_flux(left, right, gamma):
     return tuple(out)
 
 
-def two_shock_flux(left, right, gamma, iterations: int = 20,
-                   rtol: float = TWO_SHOCK_RTOL):
+def two_shock_flux(left, right, gamma, iterations: int = 20):
     """Two-shock approximate Riemann solver (Colella 1982) — the solver the
     paper's PPM implementation used.
 
@@ -180,15 +173,10 @@ def two_shock_flux(left, right, gamma, iterations: int = 20,
     overestimates the wave speed (it is exact for shocks), which is why it
     pairs well with PPM's compressive reconstruction.
 
-    The Newton loop exits early once every face has converged.  At the
-    default ``rtol = 0`` convergence means the floored update ``p_new``
-    equals ``p_star`` exactly — iterating a fixed point re-derives the same
-    value, so the early exit is bitwise identical to running all
-    ``iterations``.  A positive ``rtol`` exits on ``|dp| <= rtol * p_star``
-    (cheaper, but then only rtol-level parity with the fixed-count loop).
-    A negative ``rtol`` disables the exit entirely — the seed's
-    fixed-count loop, kept as the bitwise regression reference for the
-    early-exit path (``tests/test_kernels.py``).
+    The Newton loop exits once every face is an exact fixed point: the
+    floored update ``p_new`` equals ``p_star``.  Iterating a fixed point
+    re-derives the same value, so the exit is bitwise identical to running
+    all ``iterations``.
     """
     rho_l, u_l, v_l, w_l, p_l = (np.asarray(x, dtype=float) for x in left)
     rho_r, u_r, v_r, w_r, p_r = (np.asarray(x, dtype=float) for x in right)
@@ -205,16 +193,9 @@ def two_shock_flux(left, right, gamma, iterations: int = 20,
         # the classic secant-like update uses the W's directly:
         dp = (us_l - us_r) * (w_lft * w_rgt) / (w_lft + w_rgt)
         p_new = np.maximum(p_star + dp, 1e-300)
-        if rtol > 0.0:
-            p_star = p_new
-            if np.all(np.abs(dp) <= rtol * p_star):
-                break
-        elif rtol == 0.0:
-            if np.array_equal(p_new, p_star):
-                break
-            p_star = p_new
-        else:  # rtol < 0: no early exit — the fixed-count reference loop
-            p_star = p_new
+        if np.array_equal(p_new, p_star):
+            break
+        p_star = p_new
     w_lft = np.sqrt(rho_l * (gp * p_star + gm * p_l))
     w_rgt = np.sqrt(rho_r * (gp * p_star + gm * p_r))
     u_star = 0.5 * (u_l - (p_star - p_l) / w_lft + u_r + (p_star - p_r) / w_rgt)

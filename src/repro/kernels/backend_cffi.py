@@ -88,7 +88,7 @@ void rk_two_shock(long n,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
     const double *w_r, const double *p_r,
-    double gamma, long iterations, double rtol,
+    double gamma, long iterations,
     double *f0, double *f1, double *f2, double *f3, double *f4);
 void rk_hllc(long n,
     const double *rho_l, const double *u_l, const double *v_l,
@@ -238,19 +238,19 @@ static inline double contact(double rl, double ul, double pl,
 /* ---- Riemann solvers: flattened face arrays in, the five flux
    components out ---- */
 
-/* Two-shock flux with residual early exit (riemann.two_shock_flux).  At
-   rtol == 0 the exit fires only when the Newton update is an exact fixed
-   point (p_new == p_star), making the early exit bitwise equivalent to
-   running all `iterations` -- a converged face re-derives the same p_star
-   forever.  Positive rtol exits on |dp| <= rtol * p_star (documented as
-   non-bitwise, opt-in); negative rtol disables the exit (fixed-count
-   reference mode). */
+/* Two-shock flux (riemann.two_shock_flux).  A face leaves the Newton loop
+   only when its update is an exact fixed point (p_new == p_star): a
+   converged face re-derives the same p_star forever, so the per-face exit
+   is bitwise equal to running all `iterations`.  The tier-parity matrix
+   is the proof: the NumPy reference exits only when *every* face is a
+   fixed point, and its random faces include last-ulp limit cycles, on
+   which NumPy runs the full count while this loop exits per block. */
 void rk_two_shock(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
     const double *w_r, const double *p_r,
-    double gamma, long iterations, double rtol,
+    double gamma, long iterations,
     double *f0, double *f1, double *f2, double *f3, double *f4)
 {
     double gp = 0.5 * (gamma + 1.0);
@@ -291,9 +291,7 @@ void rk_two_shock(long n,
                             / (w_lft + w_rgt);
                 double sum = p_star + dp;
                 double p_new = (sum > 1e-300 || sum != sum) ? sum : 1e-300;
-                int conv = (rtol > 0.0)
-                    ? (fabs(dp) <= rtol * p_new)
-                    : ((rtol == 0.0) ? (p_new == p_star) : 0);
+                int conv = (p_new == p_star);
                 ps[j] = p_new;
                 all_done &= conv;
             }
@@ -1200,7 +1198,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
                          sl + 4 * row + f_lo,
                          sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
                          sr + 3 * row + f_lo, sr + 4 * row + f_lo,
-                         gamma, 20, 0.0,
+                         gamma, 20,
                          g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
                          g + 3 * row + f_lo, g + 4 * row + f_lo);
         contact_speed(nface, sl + f_lo, sl + row + f_lo, sl + 4 * row + f_lo,
@@ -1666,9 +1664,8 @@ def _riemann(rk, left, right, gamma, *extra):
     return tuple(outs)
 
 
-def two_shock(left, right, gamma, iterations: int = 20, rtol: float = 0.0):
-    return _riemann(_lib.rk_two_shock, left, right, gamma,
-                    int(iterations), float(rtol))
+def two_shock(left, right, gamma, iterations: int = 20):
+    return _riemann(_lib.rk_two_shock, left, right, gamma, int(iterations))
 
 
 def hllc(left, right, gamma):

@@ -305,6 +305,13 @@ class PrimordialCollapse:
         return find_densest_point(self.hierarchy)
 
 
+def instrumented_collapse(**kwargs) -> PrimordialCollapse:
+    """The registry factory: launched runs are always instrumented, so their
+    telemetry step records carry the per-component timer fractions (the
+    paper's Sec. 5 usage table, live)."""
+    return PrimordialCollapse(timers=ComponentTimers(), **kwargs)
+
+
 def find_collapse_site(n_root: int = 8, z_init: float = 100.0, z_survey: float = 25.0,
                        seed: int = 7, amplitude_boost: float = 4.0) -> np.ndarray:
     """The paper's first pass: "We first run a low-resolution simulation to

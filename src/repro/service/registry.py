@@ -184,7 +184,7 @@ class RunRegistry:
             run_id = f"r{seq:06d}"
             rdir = self.run_dir(run_id)
             os.makedirs(os.path.join(rdir, "run"), exist_ok=True)
-            _atomic_write_json(self.spec_path(run_id), dict(spec))
+            atomic_write_json(self.spec_path(run_id), dict(spec))
             record = RunRecord(
                 run_id=run_id, tenant=str(tenant), priority=int(priority),
                 workers=int(workers), seq=seq, submitted_at=time.time(),
@@ -285,10 +285,10 @@ class RunRegistry:
 
     # ------------------------------------------------------------ plumbing
     def _write(self, record: RunRecord) -> None:
-        _atomic_write_json(self.state_path(record.run_id), asdict(record))
+        atomic_write_json(self.state_path(record.run_id), asdict(record))
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
+def atomic_write_json(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)

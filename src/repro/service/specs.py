@@ -1,11 +1,11 @@
-"""Run specs: the JSON contract between clients, registry and workers.
+"""Run specs: the one input every launcher builds a run from.
 
 A run spec is the complete, self-contained recipe for a run::
 
-    {"problem": "collapse",            # or "simulation"
-     "kwargs": {"n_root": 8, ...},     # constructor kwargs
-     "z_end": 80.0,                    # collapse: stop redshift
-     "t_end": 0.5,                     # simulation: stop time (code units)
+    {"problem": "collapse",            # any C-flagged `repro problems` name
+     "kwargs": {"n_root": 8, ...},     # the problem's constructor kwargs
+     "z_end": 80.0,                    # stop redshift (collapse), or
+     "t_end": 0.5,                     # stop time in code units
      "max_steps": 40,                  # root-step budget (optional)
      "max_wall_seconds": 3600,         # wall budget, enforced daemon-side
      "checkpoint_every": 2,            # checkpoint cadence
@@ -15,12 +15,14 @@ A run spec is the complete, self-contained recipe for a run::
      "faults": "nan_cell:level=0,...", # chaos gate (subprocess runs only)
      "fault_seed": 7}
 
-The same :func:`build_job` serves the in-process launcher (scheduler
-tests) and the ``repro service-worker`` subprocess (production path), so
-a run preempted under one launcher resumes identically under the other:
-whether to ``run()`` fresh or ``resume()`` is decided by the presence of
-a loadable checkpoint pair in the run directory, exactly like the
-operator-facing ``repro resume`` CLI.
+Minus the budget keys it is also what every ``make_controller`` stores as
+the checkpointed ``RunState.config``.  :func:`build_job` is the only
+function that turns one into a problem and its controller: ``repro run``
+translates its flags into a spec, ``repro resume`` reads the spec back
+from the newest checkpoint, and the service's launchers (in-process and
+the ``repro service-worker`` subprocess) hand over what the client
+submitted.  A run preempted under one of them therefore resumes
+identically under any other.
 """
 
 from __future__ import annotations
@@ -62,57 +64,66 @@ PRESETS = {"blob": _preset_blob}
 
 
 # -------------------------------------------------------------------- build
-def checkpoint_policy_of(spec: dict) -> CheckpointPolicy:
-    return CheckpointPolicy(
-        every_steps=int(spec.get("checkpoint_every", 2)),
-        keep_last=int(spec.get("keep_last", 3)),
-    )
+def launchable(name: str):
+    """The registry entry of a problem a run spec may name (aliases resolve)."""
+    from repro.validation import get_problem
+
+    try:
+        entry = get_problem(name)
+    except KeyError as exc:
+        raise SpecError(exc.args[0]) from None
+    if not entry.controllable:
+        raise SpecError(
+            f"problem {entry.name!r} does not support run control; "
+            f"use 'repro validate --problem {entry.name}' instead")
+    return entry
 
 
-def build_job(spec: dict, run_dir: str):
+def build_job(spec: dict, run_dir: str, fresh: bool = True):
     """Build ``(problem, controller, t_end)`` from a run spec.
 
-    ``t_end`` is in code time, already resolved (for collapse specs, from
-    ``z_end``).  Raises :class:`SpecError` on anything unbuildable.
+    ``fresh`` says whether the run starts from its initial conditions; a
+    resume skips building them (the checkpoint replaces the hierarchy) and
+    gets ``t_end = None`` (the checkpoint carries the stop time).
+    Otherwise ``t_end`` is in code time.  Raises :class:`SpecError` on
+    anything unbuildable.
     """
-    problem_kind = spec.get("problem")
-    kwargs = dict(spec.get("kwargs", {}))
-    policy = checkpoint_policy_of(spec)
-    if problem_kind == "collapse":
-        from repro.perf import ComponentTimers
-        from repro.problems import PrimordialCollapse
-
-        z_end = spec.get("z_end")
-        if z_end is None:
-            raise SpecError("collapse spec needs z_end")
-        problem = PrimordialCollapse(timers=ComponentTimers(), **kwargs)
-        problem.initial_rebuild()
-        controller = problem.make_controller(
-            run_dir, z_end=float(z_end), policy=policy)
-        return problem, controller, problem.code_time_of_redshift(
-            float(z_end))
-    if problem_kind == "simulation":
-        from repro import Simulation, SimulationConfig
-
+    entry = launchable(str(spec.get("problem")))
+    try:
+        problem = entry.factory(**spec.get("kwargs", {}))
+    except TypeError as exc:
+        raise SpecError(f"problem {entry.name!r}: {exc}") from exc
+    z_end, t_end = spec.get("z_end"), None
+    if fresh:
+        # the stop time, resolved by the problem: a redshift through its
+        # cosmology, else the spec's code time, else the problem's default
         t_end = spec.get("t_end")
+        if z_end is not None:
+            if not hasattr(problem, "code_time_of_redshift"):
+                raise SpecError(f"problem {entry.name!r} has no redshift: "
+                                f"give t_end, not z_end")
+            t_end = problem.code_time_of_redshift(float(z_end))
+        elif t_end is None:
+            t_end = getattr(problem, "default_t_end", None)
         if t_end is None:
-            raise SpecError("simulation spec needs t_end")
-        kwargs["advected"] = tuple(kwargs.get("advected", ()))
-        sim = Simulation(SimulationConfig(**kwargs))
+            raise SpecError(f"{entry.name} spec needs z_end or t_end")
+        t_end = float(t_end)
         preset = spec.get("preset")
         if preset is not None:
             fn = PRESETS.get(preset)
             if fn is None:
                 raise SpecError(
                     f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-            fn(sim, dict(spec.get("preset_args", {})))
-        sim.initialize()
-        controller = sim.make_controller(run_dir, policy=policy)
-        return sim, controller, float(t_end)
-    raise SpecError(
-        f"spec problem must be 'collapse' or 'simulation', "
-        f"got {problem_kind!r}"
-    )
+            fn(problem, dict(spec.get("preset_args", {})))
+        if entry.fresh_start:
+            getattr(problem, entry.fresh_start)()
+    # a redshift stop is part of the config the controller stores
+    redshift = {} if z_end is None else {"z_end": float(z_end)}
+    policy = CheckpointPolicy(
+        every_steps=int(spec.get("checkpoint_every", 2)),
+        keep_last=int(spec.get("keep_last", 3)))
+    controller = problem.make_controller(run_dir, policy=policy, **redshift)
+    return problem, controller, t_end
 
 
 class RunJob:
@@ -152,12 +163,12 @@ class RunJob:
         # hierarchy rebuild can take a while, and a worker that wedges
         # there must still look alive-then-stalled to the supervisor
         HeartbeatWriter(self.run_dir).beat(phase="build", force=True)
-        problem, controller, t_end = build_job(self.spec, self.run_dir)
+        fresh = CheckpointPolicy.latest(self.run_dir) is None
+        _problem, controller, t_end = build_job(self.spec, self.run_dir, fresh)
         self.controller = controller
         if self._drain_reason is not None:
             controller.request_drain(self._drain_reason)
         max_steps = self.spec.get("max_steps")
-        fresh = CheckpointPolicy.latest(self.run_dir) is None
         try:
             if fresh:
                 summary = controller.run(t_end, max_root_steps=max_steps)

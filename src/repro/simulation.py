@@ -220,3 +220,10 @@ class Simulation:
             "sdr": self.hierarchy.spatial_dynamic_range(),
             "component_fractions": self.timers.fractions(),
         }
+
+
+def simulation_from_kwargs(**kwargs) -> Simulation:
+    """The registry factory: :class:`SimulationConfig` fields as they come
+    out of a JSON run spec or a checkpointed config (tuples are lists)."""
+    kwargs["advected"] = tuple(kwargs.get("advected", ()))
+    return Simulation(SimulationConfig(**kwargs))

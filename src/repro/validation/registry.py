@@ -1,10 +1,16 @@
 """Problem registry: every workload discoverable by name.
 
-The registry is the seam between the CLI (``repro problems``,
-``repro run --problem <name>``, ``repro validate``) and the problem
-classes in :mod:`repro.problems`.  Each entry is a :class:`ProblemSpec`
-whose ``factory`` builds the problem and whose ``runner`` advances it and
-returns a plain summary dict.
+The registry is the seam between the launchers (``repro run --problem
+<name>``, ``repro resume``, the run service), ``repro problems`` /
+``repro validate`` and the problem classes in :mod:`repro.problems`.
+Each entry is a :class:`ProblemSpec` whose ``factory`` builds the problem.
+
+*Controllable* problems are launchable from a run spec through
+:func:`repro.service.specs.build_job`, the one function every launcher
+uses: the factory takes the spec's ``kwargs``, and its product has
+``make_controller(run_dir, **opts)`` (which stores the problem's name and
+normalised kwargs as the checkpointed config) and a stop time — a
+``default_t_end``, or ``code_time_of_redshift(z)`` for a spec's ``z_end``.
 
 Problems that additionally implement the *measurable* protocol —
 
@@ -33,8 +39,12 @@ class ProblemSpec:
     ``size_arg`` names the factory keyword controlling linear resolution
     (``n`` or ``n_root``); ``default_resolutions`` are the harness's
     resolution ladder; ``run_kwargs`` the defaults handed to
-    ``problem.run``; ``measurable`` whether the convergence protocol is
+    ``problem.run`` (controllable problems: the stop ``repro run`` uses
+    when given none); ``measurable`` whether the convergence protocol is
     implemented and ``analytic`` whether a closed-form reference exists.
+    ``fresh_start`` names the method that builds the initial hierarchy
+    where the constructor does not: launchers call it on a fresh start
+    only, since on a resume the checkpoint replaces the hierarchy.
     """
 
     name: str
@@ -47,7 +57,8 @@ class ProblemSpec:
     run_kwargs: dict = field(default_factory=dict)
     measurable: bool = False
     analytic: bool = False
-    controllable: bool = False      # has make_controller (CLI run --dir)
+    controllable: bool = False      # launchable from a run spec
+    fresh_start: str = ""
     tags: tuple = ()
     aliases: tuple = ()
 
@@ -95,11 +106,26 @@ register(ProblemSpec(
     name="collapse",
     description="Paper workload: cosmological primordial-cloud collapse "
                 "(AMR + gravity + chemistry)",
-    factory_path="repro.problems.collapse:PrimordialCollapse",
+    factory_path="repro.problems.collapse:instrumented_collapse",
     size_arg="n_root",
+    # the demo-sized configuration `repro run` starts from
+    factory_kwargs={"max_level": 2, "mass_refine_factor": 8.0},
+    run_kwargs={"z_end": 80.0},
     controllable=True,
+    fresh_start="initial_rebuild",
     tags=("cosmology", "amr", "chemistry"),
     aliases=("primordial_collapse",),
+))
+
+register(ProblemSpec(
+    name="simulation",
+    description="Generic AMR run: SimulationConfig fields as kwargs, "
+                "initial state from a named preset",
+    factory_path="repro.simulation:simulation_from_kwargs",
+    size_arg="n_root",
+    controllable=True,
+    fresh_start="initialize",
+    tags=("generic", "amr"),
 ))
 
 register(ProblemSpec(
@@ -141,7 +167,6 @@ register(ProblemSpec(
     # first order while the per-cell error is still pre-asymptotic
     default_resolutions=(16, 24),
     convergence_fields=("density", "mass_profile"),
-    run_kwargs={},
     measurable=True,
     analytic=True,
     controllable=True,
@@ -157,7 +182,6 @@ register(ProblemSpec(
     size_arg="n_root",
     default_resolutions=(16, 32),
     convergence_fields=("density", "vx", "scalar00"),
-    run_kwargs={},
     measurable=True,
     analytic=False,                 # growth rate only; self-convergence
     controllable=True,
@@ -172,7 +196,6 @@ register(ProblemSpec(
     factory_path="repro.problems.rayleigh_taylor:RayleighTaylor",
     default_resolutions=(16, 32),
     convergence_fields=("density", "scalar00"),
-    run_kwargs={},
     measurable=True,
     analytic=False,
     tags=("hydro", "instability", "scalars"),

@@ -47,7 +47,6 @@ from repro.gravity.multigrid import (
 from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
-    TWO_SHOCK_RTOL,
     _conserved_flux,
     exact_riemann,
     hll_flux,
@@ -264,10 +263,15 @@ class TestImportGuard:
 class TestBitwiseParity:
     """Every tier's kernels must match the NumPy reference bitwise."""
 
+    # seed 11 holds faces that limit-cycle in the last ulp: NumPy (which
+    # leaves the two-shock loop only when *every* face is a fixed point)
+    # runs the full count there, so parity also pins "per-face exit ==
+    # fixed-count loop"
+    @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("solver", ["two_shock", "hllc", "hll"])
-    def test_riemann(self, tier, solver):
+    def test_riemann(self, tier, solver, seed):
         impls = _tier_impls(tier)
-        left, right = _random_faces()
+        left, right = _random_faces(seed=seed)
         ref = REFERENCE[f"riemann.{solver}"](left, right, GAMMA)
         got = impls[f"riemann.{solver}"](left, right, GAMMA)
         for a, b in zip(got, ref):
@@ -1092,35 +1096,6 @@ class TestSolverStepAcrossTiers:
             for name, arr in ref_fields.array_items():
                 np.testing.assert_array_equal(fields[name], arr)
 
-
-
-# ====================================================== two-shock early exit
-class TestTwoShockEarlyExit:
-    """Satellite 1: the residual-based exit is bitwise-free at rtol=0."""
-
-    def test_default_rtol_is_bitwise(self):
-        assert TWO_SHOCK_RTOL == 0.0
-
-    @pytest.mark.parametrize("tier", ["numpy"] + COMPILED)
-    def test_early_exit_bitwise_vs_fixed_count(self, tier):
-        """The exit at ``p_new == p_star`` is bitwise identical to the
-        seed's unconditional fixed-count loop (``rtol < 0`` runs it),
-        including faces that limit-cycle in the last ulp and therefore
-        never trigger the exit at all."""
-        impls = (REFERENCE if tier == "numpy" else _tier_impls(tier))
-        fn = impls["riemann.two_shock"]
-        left, right = _random_faces(seed=11)
-        with_exit = fn(left, right, GAMMA)
-        no_exit = fn(left, right, GAMMA, 20, -1.0)
-        for a, b in zip(with_exit, no_exit):
-            np.testing.assert_array_equal(a, b)
-
-    def test_loose_rtol_is_close_but_documented_nonbitwise(self):
-        left, right = _random_faces(seed=13)
-        exact = two_shock_flux(left, right, GAMMA)
-        loose = two_shock_flux(left, right, GAMMA, rtol=1e-6)
-        for a, b in zip(loose, exact):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-8)
 
 
 # ======================================================= Riemann edge states
