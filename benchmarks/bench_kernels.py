@@ -23,6 +23,10 @@ This bench measures what that buys:
   compiled call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest,
   the typical and the largest subgrid of the ``sphere_deep`` workload — in
   us per V-cycle, layer evidence too;
+* the coarse-fine bookkeeping of the ``collapse_chem`` workload in us per
+  call: one ``flux.correct`` (every child of a 16^3 parent carrying the
+  twelve species), and ``cic.deposit`` / ``cic.gather`` of its 16^3 dark
+  matter particles on the periodic root and on a non-periodic subgrid;
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
   actually feeds these kernels at hero-run depth), NumPy vs. the
@@ -56,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import constants as const
+from repro.amr.flux_correction import correct_numpy
 from repro.chemistry.network import (
     ChemistryNetwork,
     primordial_initial_fractions,
@@ -69,6 +74,7 @@ from repro.hydro.riemann import hllc_flux, two_shock_flux
 from repro.hydro.reconstruction import ppm_reconstruct
 from repro.hydro.tracing import trace_states_numpy
 from repro.kernels import dispatch
+from repro.nbody.cic import deposit_numpy, gather_numpy
 
 
 def _best(fn, repeats: int) -> float:
@@ -284,6 +290,97 @@ def vcycle_rows(config: dict, backend: str) -> dict:
             "commit": _commit(), "unit": "us per V-cycle", "rows": rows}
 
 
+# ------------------------------------------------- coarse-fine bookkeeping
+def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
+    """A 16^3 parent (three ghosts) with ``n_children`` 4^3-footprint
+    children on a lattice, every field and face accumulated."""
+    rng = np.random.default_rng(seed)
+    ng, n = 3, 16
+    shape = (n + 2 * ng,) * 3
+    names = ("density", "vx", "vy", "vz", "energy") + tuple(
+        f"s{i}" for i in range(n_adv))
+    fields = {name: rng.random(shape) + 0.5 for name in names}
+    fields["internal"] = 0.5 * fields["energy"]
+    coarse = {}
+    for ax, axis_name in enumerate(("x", "y", "z")):
+        face = [n] * 3
+        face[ax] += 1
+        coarse[axis_name] = {name: 0.01 * rng.standard_normal(face)
+                             for name in names}
+    children = []
+    for k in range(n_children):
+        lo = np.array([1 + 5 * (k % 3), 1 + 5 * (k // 3 % 3), 1 + 5 * (k // 9)])
+        blocks = [0.01 * rng.standard_normal((2, len(names), 8, 8))
+                  for _ in range(3)]
+        children.append((lo, lo + 4, blocks,
+                         np.ones((3, len(names)), dtype=bool)))
+    return fields, names, ng, children, coarse
+
+
+def bookkeeping_rows(config: dict, backend: str) -> dict:
+    """One call of each coarse-fine bookkeeping kernel, NumPy reference vs.
+    compiled, parity-asserted on the bench inputs."""
+    fields, names, ng, children, coarse = _flux_parent(
+        12, config["flux_children"])
+    rng = np.random.default_rng(9)
+    n_part = config["particles"]
+    offsets = rng.random((n_part, 3))
+    masses = rng.random(n_part) + 0.5
+    field3 = rng.standard_normal((3, 22, 22, 22))
+    dx = 1.0 / 16
+
+    def flux(fn, out=None):
+        # timed in place on one scratch copy: the copy is not the kernel
+        if out is None:
+            out = {k: v.copy() for k, v in fields.items()}
+        fn(out, names, ng, dx, [False] * 3, coarse, 2, children)
+        return out
+
+    scratch = {k: v.copy() for k, v in fields.items()}
+
+    cases = {
+        "flux.correct": (lambda fn, timed=False: flux(
+            fn, scratch if timed else None), correct_numpy),
+        "cic.deposit (periodic)": (
+            lambda fn, timed=False: _deposit(fn, offsets, masses, dx, True),
+            deposit_numpy),
+        "cic.deposit (subgrid)": (
+            lambda fn, timed=False: _deposit(fn, 0.5 * offsets, masses, dx,
+                                             False),
+            deposit_numpy),
+        "cic.gather (subgrid)": (
+            lambda fn, timed=False: fn(field3, 0.5 * offsets + 3 * dx, dx,
+                                       False),
+            gather_numpy),
+    }
+    rows = []
+    for label, (call, ref) in cases.items():
+        compiled = dispatch._impls[(backend, label.split()[0])]
+        ref_out, got_out = call(ref), call(compiled)
+        if isinstance(ref_out, dict):
+            ref_out, got_out = list(ref_out.values()), list(got_out.values())
+        else:
+            ref_out, got_out = [ref_out], [got_out]
+        assert all(np.array_equal(a, b) for a, b in zip(ref_out, got_out))
+        row = {"kernel": label}
+        for name, fn in (("numpy", ref), (backend, compiled)):
+            row[f"{name}_us_per_call"] = 1e6 * _best(
+                lambda: call(fn, timed=True), config["repeats"] * 5)
+        row["speedup"] = (row["numpy_us_per_call"]
+                          / row[f"{backend}_us_per_call"])
+        rows.append(row)
+    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
+            "commit": _commit(), "unit": "us per call",
+            "flux_children": config["flux_children"], "particles": n_part,
+            "rows": rows}
+
+
+def _deposit(fn, offsets, masses, dx, periodic):
+    grid = np.zeros((16, 16, 16) if periodic else (22, 22, 22))
+    fn(grid, offsets, masses, dx, dx ** 3, periodic)
+    return grid
+
+
 # -------------------------------------------------------------- end-to-end
 def end_to_end(config: dict, backend: str) -> dict:
     """Step the collapse problem under both tiers; fingerprints must match."""
@@ -332,6 +429,7 @@ def run(config: dict) -> dict:
             "hydro.sweep": sweep_rows(config, backend),
             "chem.step": chem_step_rows(config, backend),
             "mg.vcycle": vcycle_rows(config, backend),
+            "bookkeeping": bookkeeping_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
         }
@@ -345,11 +443,13 @@ SMOKE = {"n_faces": 64 * 64 * 4, "sweep_shape": (32, 1024),
          "n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
          "chem_cells": (512, 10648, 54872),
          "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
+         "flux_children": 8, "particles": 4096,
          "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 2}
 FULL = {"n_faces": 64 * 64 * 16, "sweep_shape": (64, 4096),
         "n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
         "chem_cells": (512, 10648, 54872),
         "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
+        "flux_children": 8, "particles": 4096,
         "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 4}
 
 
@@ -396,6 +496,10 @@ def test_kernels_smoke():
     assert results["mg.vcycle"]["rows"][1]["interior"] == [8, 8, 8]
     assert results["mg.vcycle"]["rows"][1]["speedup"] > 1.0, \
         results["mg.vcycle"]
+    # and the coarse-fine bookkeeping (parity-checked inside
+    # bookkeeping_rows)
+    assert all(r["speedup"] > 1.0 for r in results["bookkeeping"]["rows"]), \
+        results["bookkeeping"]
     micro_r = results["micro"]
     assert micro_r["riemann.hllc"]["speedup"] >= 2.0, micro_r["riemann.hllc"]
     assert micro_r["reconstruct.ppm"]["speedup"] >= 2.0, \

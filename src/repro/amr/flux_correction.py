@@ -16,12 +16,17 @@ children are subsequently overwritten by projection, so only the outside
 rim needs fixing.  A child face that coincides with its parent's own
 boundary has no outside parent cell and is skipped (the neighbouring
 parent's sibling exchange carries that information).
+
+All children of one parent are corrected by one ``flux.correct`` kernel
+call (:func:`correct_numpy` is its reference); parents touch disjoint
+arrays, so correcting parent by parent is the same as child by child.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.hydro.ppm import AXIS_NAMES
 from repro.hydro.state import VELOCITY_FIELDS, sync_internal_from_total
 
@@ -33,118 +38,213 @@ from repro.hydro.state import VELOCITY_FIELDS, sync_internal_from_total
 #: energy wherever that is trustworthy.
 _CONSERVED = ("density", "vx", "vy", "vz", "energy")
 
+#: floor of a corrected parent density
+DENSITY_FLOOR = 1e-12
+
+
+class FluxAccumulator:
+    """One child's substep-summed boundary fluxes.
+
+    ``names`` are the corrected fields (``_CONSERVED`` + advected);
+    ``blocks[ax]`` is a zero-initialised ``(2, len(names), n_t1, n_t2)``
+    array — the lo and hi face planes of every field, transverse axes in
+    increasing order — and ``present[ax, f]`` says whether any substep
+    added field ``f`` on axis ``ax`` (a rescue rung need not produce
+    every field).
+    """
+
+    __slots__ = ("names", "blocks", "present")
+
+    def __init__(self, names, dims):
+        self.names = tuple(names)
+        nf = len(self.names)
+        self.blocks = [
+            np.zeros((2, nf) + tuple(int(d) for i, d in enumerate(dims)
+                                     if i != ax))
+            for ax in range(3)
+        ]
+        self.present = np.zeros((3, nf), dtype=bool)
+
 
 def init_flux_accumulator(grid) -> None:
-    grid.flux_accumulator = {
-        name: {"lo": {}, "hi": {}} for name in AXIS_NAMES
-    }
+    grid.flux_accumulator = FluxAccumulator(
+        _CONSERVED + tuple(grid.fields.advected), grid.dims)
 
 
 def accumulate_boundary_fluxes(grid, step_fluxes) -> None:
     """Add one substep's boundary-face fluxes into the grid accumulator."""
     if grid.flux_accumulator is None:
         init_flux_accumulator(grid)
+    acc = grid.flux_accumulator
     for axis_name, fields in step_fluxes.fluxes.items():
         ax = AXIS_NAMES.index(axis_name)
-        store = grid.flux_accumulator[axis_name]
-        for name, arr in fields.items():
-            lo_plane = np.take(arr, 0, axis=ax)
-            hi_plane = np.take(arr, -1, axis=ax)
-            store["lo"][name] = store["lo"].get(name, 0.0) + lo_plane
-            store["hi"][name] = store["hi"].get(name, 0.0) + hi_plane
+        lo = (slice(None),) * ax + (0,)
+        hi = (slice(None),) * ax + (-1,)
+        block = acc.blocks[ax]
+        for f, name in enumerate(acc.names):
+            arr = fields.get(name)
+            if arr is not None:
+                # zeros + plane: the same bits as the first substep's
+                # 0.0 + plane, -0.0 included
+                block[0, f] += arr[lo]
+                block[1, f] += arr[hi]
+                acc.present[ax, f] = True
 
 
-def _block_average_2d(plane: np.ndarray, r: int) -> np.ndarray:
+def block_average(plane: np.ndarray, r: int) -> np.ndarray:
+    """Mean of every (r x r) block of a 2-d fine face plane.
+
+    At r = 2 the four fluxes are summed in the order
+    ``plane.reshape(a, 2, b, 2).mean(axis=(1, 3))`` uses inside NumPy,
+    written out so the C transcription can follow it: pairs along the
+    last axis, ``(q00 + q01) + (q10 + q11)``, when b >= 2, but
+    ``((q00 + q01) + q10) + q11`` when b = 1 (the four are then one
+    contiguous run); the sum starts from +0.0, so a block of -0.0
+    averages to +0.0.  ``tests/test_kernels.py`` pins the equality for
+    every face from 1 x 1 to 16 x 16.  Other factors keep ``mean``.
+    """
     s = plane.shape
-    return plane.reshape(s[0] // r, r, s[1] // r, r).mean(axis=(1, 3))
+    if r != 2:
+        return plane.reshape(s[0] // r, r, s[1] // r, r).mean(axis=(1, 3))
+    q00, q01 = plane[0::2, 0::2], plane[0::2, 1::2]
+    q10, q11 = plane[1::2, 0::2], plane[1::2, 1::2]
+    if s[1] == 2:
+        total = ((q00 + q01) + q10) + q11
+    else:
+        total = (q00 + q01) + (q10 + q11)
+    total += 0.0
+    total /= 4.0
+    return total
+
+
+def face_cell(lo, hi, ax: int, side: int, n_ax: int, periodic: bool):
+    """``(out_cell, face_idx)`` of the parent cell plane outside one child
+    face (parent-local interior indices), or None when the face lies on the
+    parent's own boundary.  A root grid spanning the box is periodic:
+    there the face wraps to the opposite side."""
+    face_idx = int(hi[ax] if side else lo[ax])
+    out_cell = face_idx if side else face_idx - 1
+    if out_cell < 0:
+        if not periodic:
+            return None
+        # the outside cell is the last cell, whose RIGHT face (array
+        # index n_ax) is the same physical face as index 0
+        return n_ax - 1, n_ax
+    if out_cell >= n_ax:
+        if not periodic:
+            return None
+        return 0, 0
+    return out_cell, face_idx
+
+
+def correct_numpy(fields, names, ng, dx, periodic, coarse, r, children):
+    """Reference ``flux.correct``: correct one parent for all its children.
+
+    ``fields`` is the parent's field dict (ghost-inclusive arrays), updated
+    in place — ``names`` (``_CONSERVED`` + advected) are corrected and
+    ``internal`` / ``energy`` re-synced; ``coarse`` the parent's
+    ``last_fluxes.fluxes`` (axis name -> {field: face array}); ``periodic``
+    per axis whether faces on the box edge wrap; ``children`` a list of
+    ``(lo, hi, blocks, present)``: the child's footprint in parent-local
+    interior indices and its :class:`FluxAccumulator` blocks / presence,
+    rows in ``names`` order.  After each child the dual-energy sync runs
+    over the whole parent, as it always has.
+    """
+    n = [s - 2 * ng for s in fields["density"].shape]
+    advected = names[len(_CONSERVED):]
+    for lo, hi, blocks, present in children:
+        for ax, axis_name in enumerate(AXIS_NAMES):
+            coarse_fluxes = coarse.get(axis_name)
+            if coarse_fluxes is None:
+                continue
+            t_axes = [d for d in range(3) if d != ax]
+            t_slices = tuple(slice(int(lo[d]), int(hi[d])) for d in t_axes)
+            for side in (0, 1):
+                cell = face_cell(lo, hi, ax, side, n[ax], periodic[ax])
+                if cell is None:
+                    continue  # child face on the parent's own boundary
+                out_cell, face_idx = cell
+                sign = 1.0 if side else -1.0
+                deltas = {}
+                for f, name in enumerate(names):
+                    if not present[ax][f] or name not in coarse_fluxes:
+                        continue
+                    f_eff = block_average(blocks[ax][side, f], r)
+                    coarse_plane = np.take(coarse_fluxes[name], face_idx,
+                                           axis=ax)[t_slices]
+                    deltas[name] = sign * (f_eff - coarse_plane) / dx
+
+                if not deltas:
+                    continue
+                # index the parent cell plane adjacent outside the face
+                cell_idx = [None, None, None]
+                cell_idx[ax] = ng + out_cell
+                for td, tsl in zip(t_axes, t_slices):
+                    cell_idx[td] = slice(ng + tsl.start, ng + tsl.stop)
+                cell_idx = tuple(cell_idx)
+
+                rho_old = fields["density"][cell_idx].copy()
+                rho_new = rho_old + deltas.get("density", 0.0)
+                rho_new = np.maximum(rho_new, DENSITY_FLOOR)
+                fields["density"][cell_idx] = rho_new
+                for name in VELOCITY_FIELDS + ("energy",):
+                    if name in deltas:
+                        q_old = fields[name][cell_idx]
+                        fields[name][cell_idx] = (
+                            rho_old * q_old + deltas[name]
+                        ) / rho_new
+                for name in advected:
+                    if name in deltas:
+                        fields[name][cell_idx] = np.maximum(
+                            fields[name][cell_idx] + deltas[name], 0.0
+                        )
+
+        # re-derive the dual internal energy from the corrected total where
+        # trustworthy, and rebuild 'energy' consistently
+        sync_internal_from_total(fields)
+
+
+def correct_parent(parent, children) -> None:
+    """Correct the parent cells ringing each child (children in level
+    order, all caught up to the parent), then reset every child's
+    accumulator for the next parent step."""
+    live = [c for c in children if c.flux_accumulator is not None]
+    if parent.last_fluxes is not None and live:
+        r = parent.refine_factor
+        names = _CONSERVED + tuple(parent.fields.advected)
+        table = []
+        for child in live:
+            acc = child.flux_accumulator
+            if acc.names != names or child.refine_factor != r:
+                raise ValueError(f"flux correction: {child} does not share "
+                                 f"the field layout of {parent}")
+            lo_p, hi_p = child.parent_index_region()
+            table.append((lo_p - parent.start_index, hi_p - parent.start_index,
+                          acc.blocks, acc.present))
+        periodic = [parent.level == 0
+                    and int(parent.dims[ax]) == parent.cells_per_dim_at_level
+                    for ax in range(3)]
+        kernels.get("flux.correct")(
+            parent.fields, names, parent.nghost, parent.dx, periodic,
+            parent.last_fluxes.fluxes, r, table)
+    # a parent without fluxes (every rescue rung failed) corrects nothing,
+    # but its children's fluxes of this step must not leak into the next
+    for child in live:
+        init_flux_accumulator(child)
 
 
 def apply_flux_correction(parent, child) -> None:
     """Correct the parent cells ringing one child (call once per child per
     parent step, after the child caught up)."""
-    if child.flux_accumulator is None or parent.last_fluxes is None:
-        return
-    r = child.refine_factor
-    ng = parent.nghost
-    lo_p, hi_p = child.parent_index_region()
-
-    for ax, axis_name in enumerate(AXIS_NAMES):
-        coarse_fluxes = parent.last_fluxes.fluxes.get(axis_name)
-        if coarse_fluxes is None:
-            continue
-        t_axes = [d for d in range(3) if d != ax]
-        # parent-local transverse extents of the child's footprint
-        t_slices = tuple(
-            slice(int(lo_p[d] - parent.start_index[d]), int(hi_p[d] - parent.start_index[d]))
-            for d in t_axes
-        )
-        # a root grid spanning the box is periodic: corrections at a child
-        # face on the box edge wrap to the opposite side
-        periodic = parent.level == 0 and int(parent.dims[ax]) == parent.cells_per_dim_at_level
-
-        for side in ("lo", "hi"):
-            face_level_idx = (lo_p if side == "lo" else hi_p)[ax]
-            face_idx = int(face_level_idx - parent.start_index[ax])
-            out_cell = face_idx - 1 if side == "lo" else face_idx
-            n_ax = int(parent.dims[ax])
-            if out_cell < 0:
-                if not periodic:
-                    continue  # child face on the parent's own boundary
-                # wrap: the outside cell is the last cell, whose RIGHT face
-                # (array index n_ax) is the same physical face as index 0
-                out_cell = n_ax - 1
-                face_idx = n_ax
-            elif out_cell >= n_ax:
-                if not periodic:
-                    continue
-                out_cell = 0
-                face_idx = 0
-            sign = -1.0 if side == "lo" else 1.0
-
-            fine = child.flux_accumulator[axis_name][side]
-            deltas = {}
-            for name in _CONSERVED + tuple(child.fields.advected):
-                if name not in fine or name not in coarse_fluxes:
-                    continue
-                f_eff = _block_average_2d(np.asarray(fine[name]), r)
-                coarse_plane = np.take(coarse_fluxes[name], face_idx, axis=ax)
-                coarse_plane = coarse_plane[t_slices]
-                deltas[name] = sign * (f_eff - coarse_plane) / parent.dx
-
-            if not deltas:
-                continue
-            # index the parent cell plane adjacent outside the face
-            cell_idx = [None, None, None]
-            cell_idx[ax] = ng + out_cell
-            for td, tsl in zip(t_axes, t_slices):
-                cell_idx[td] = slice(ng + tsl.start, ng + tsl.stop)
-            cell_idx = tuple(cell_idx)
-
-            rho_old = parent.fields["density"][cell_idx].copy()
-            rho_new = rho_old + deltas.get("density", 0.0)
-            rho_new = np.maximum(rho_new, 1e-12)
-            parent.fields["density"][cell_idx] = rho_new
-            for name in VELOCITY_FIELDS + ("energy",):
-                if name in deltas:
-                    q_old = parent.fields[name][cell_idx]
-                    parent.fields[name][cell_idx] = (
-                        rho_old * q_old + deltas[name]
-                    ) / rho_new
-            for name in child.fields.advected:
-                if name in deltas:
-                    parent.fields[name][cell_idx] = np.maximum(
-                        parent.fields[name][cell_idx] + deltas[name], 0.0
-                    )
-
-    # re-derive the dual internal energy from the corrected total where
-    # trustworthy, and rebuild 'energy' consistently
-    sync_internal_from_total(parent.fields)
-    # reset for the next parent step
-    init_flux_accumulator(child)
+    correct_parent(parent, [child])
 
 
 def correct_level(hierarchy, fine_level: int) -> None:
     """The paper's FluxCorrection step for one coarse/fine boundary."""
+    by_parent: dict = {}
     for child in hierarchy.level_grids(fine_level):
         if child.parent is not None:
-            apply_flux_correction(child.parent, child)
+            by_parent.setdefault(id(child.parent),
+                                 (child.parent, []))[1].append(child)
+    for parent, children in by_parent.values():
+        correct_parent(parent, children)

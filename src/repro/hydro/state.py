@@ -107,8 +107,14 @@ def kinetic_energy(fields: FieldSet) -> np.ndarray:
     return 0.5 * (fields["vx"] ** 2 + fields["vy"] ** 2 + fields["vz"] ** 2)
 
 
-def sync_internal_from_total(fields: FieldSet, eta: float = 1e-3,
-                             floor: float = 1e-30) -> None:
+#: defaults of :func:`sync_internal_from_total` (the compiled flux
+#: correction re-runs that sync and takes these very floats)
+DUAL_ENERGY_ETA = 1e-3
+INTERNAL_FLOOR = 1e-30
+
+
+def sync_internal_from_total(fields: FieldSet, eta: float = DUAL_ENERGY_ETA,
+                             floor: float = INTERNAL_FLOOR) -> None:
     """Dual-energy selection (Bryan et al. 1995, eq. 12-13).
 
     Where thermal energy is a healthy fraction (> eta) of total energy, trust

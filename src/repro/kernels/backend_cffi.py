@@ -3,7 +3,8 @@
 Each kernel exists twice: the vectorised NumPy reference (``hydro/riemann.py``,
 ``hydro/reconstruction.py``, ``hydro/tracing.py``, ``hydro/ppm.py``,
 ``chemistry/rates.py``, ``chemistry/network.py``, ``amr/interpolation.py``,
-``gravity/multigrid.py`` — the definition of correct) and the per-element C
+``gravity/multigrid.py``, ``amr/flux_correction.py``, ``nbody/cic.py`` — the
+definition of correct) and the per-element C
 in ``_CSOURCE`` below, compiled once per machine with the system C compiler
 through cffi (API mode) and cached as a shared object under
 ``REPRO_KERNELS_CACHE`` (default ``~/.cache/repro-kernels``).  Importing this
@@ -33,6 +34,12 @@ and scratch, and copy non-contiguous in-place targets in and back:
 * ``mg.vcycle``       ``fn(phi, source, dx, pre, post, min_size, residual)`` —
   one multigrid V-cycle on the rim-padded ``phi`` in place; the post-cycle
   residual is left in ``residual``
+* ``flux.correct``    ``fn(fields, names, ng, dx, periodic, coarse, r,
+  children)`` — the coarse-fine flux correction of one parent for all its
+  children, in place on ``fields``
+* ``cic.deposit``     ``fn(grid, offsets, masses, dx, dx3, periodic)`` — adds
+  the particles' CIC density to ``grid`` in place
+* ``cic.gather``      ``fn(field3, offsets, dx, periodic) -> (n, 3)``
 
 Bitwise parity with the NumPy reference is a hard requirement
 (``tests/test_kernels.py``).  The rules the C follows (why the bodies look
@@ -76,10 +83,17 @@ import numpy as np
 from cffi import FFI  # raises ImportError -> dispatch falls back to NumPy
 
 from repro import constants as const
+from repro.amr.flux_correction import (
+    _CONSERVED,
+    DENSITY_FLOOR,
+    correct_numpy,
+)
 from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
+from repro.hydro.ppm import AXIS_NAMES
+from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
 
 _CDEF = """
@@ -139,18 +153,29 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     long ng, double dtdx, double fscale, double gamma, long scheme,
     long solver, double dfloor, double efloor, double **flux,
     int64_t *counts, double *work, long mb, int64_t *cols);
+void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
+    long n2, long ng, double dx, const int *periodic, const double **coarse,
+    long n_children, const int64_t *regions, const double **blocks,
+    const int8_t *present, int32_t *count);
+void rk_cic_deposit(long n_part, const double *offsets, const double *masses,
+    double dx, double dx3, int periodic, long n0, long n1, long n2,
+    double *grid, int64_t *base, double *frac, double *mass);
+void rk_cic_gather(long n_part, const double *offsets, double dx,
+    int periodic, long n0, long n1, long n2, const double *field,
+    double *out);
 """
 
 
-def _chem_layout() -> str:
-    """Layout and constants of ``rk_chem_step``, generated from the Python
-    side so the two transcriptions cannot disagree: a ``species`` struct
-    with one field per ``SPECIES_NAMES`` entry and a ``channels`` struct
-    with one per ``rates.CHANNEL_NAMES`` entry, the macros that move them
-    between the structs and rows ``p[i * stride]`` of the stacked arrays in
-    that order, ``TOTAL_DENSITY`` (Python's left-to-right ``sum`` over
-    ``SPECIES_NAMES``), and the physical constants as the ``repr`` of the
-    very floats the NumPy reference uses."""
+def _layout() -> str:
+    """Layout and constants of the C, generated from the Python side so the
+    two transcriptions cannot disagree: for ``rk_chem_step`` a ``species``
+    struct with one field per ``SPECIES_NAMES`` entry and a ``channels``
+    struct with one per ``rates.CHANNEL_NAMES`` entry, the macros that move
+    them between the structs and rows ``p[i * stride]`` of the stacked
+    arrays in that order and ``TOTAL_DENSITY`` (Python's left-to-right
+    ``sum`` over ``SPECIES_NAMES``); for every kernel the physical
+    constants and floors as the ``repr`` of the very floats the NumPy
+    reference uses."""
     def rows(names, fmt):
         return " ".join(fmt.format(f=f, i=i) for i, f in enumerate(names))
 
@@ -161,6 +186,9 @@ def _chem_layout() -> str:
         "H2_BINDING": H2_BINDING,
         "H2_LDL_LO": H2_LDL_LO,
         "H2_LDL_HI": H2_LDL_HI,
+        "DENSITY_FLOOR": DENSITY_FLOOR,
+        "SYNC_ETA": DUAL_ENERGY_ETA,
+        "SYNC_FLOOR": INTERNAL_FLOOR,
     }
     return (
         f"typedef struct {{ double {', '.join(SPECIES_NAMES)}; }} species;\n"
@@ -177,9 +205,10 @@ def _chem_layout() -> str:
     )
 
 
-_CSOURCE = _chem_layout() + r"""
+_CSOURCE = _layout() + r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* np.maximum / np.minimum: NaN in either operand propagates */
 static double nmax(double a, double b) {
@@ -1559,6 +1588,272 @@ void rk_chem_step(long n_cells, long n_act, double *state, double *e,
                       cmb_floor, renormalise);
     }
 }
+/* ---- coarse-fine flux correction: every child of one parent in one call
+   (reference: amr/flux_correction.py correct_numpy).  The reference syncs
+   the internal energy from the total over the whole parent after every
+   child.  A sync (hydro/state.py sync_internal_from_total) is elementwise
+   and writes only (internal, energy), so each cell here gets the same
+   syncs lazily: count[c] says how many it has had; a cell is brought up
+   to j before child j corrects it and synced once after that child's six
+   faces, and every cell is brought up to the child count at the end.  A
+   sync that leaves (internal, energy) bit-identical is a fixed point, so
+   the syncs still owed are no-ops and are skipped (the argument of the
+   two-shock early exit). ---- */
+
+static inline uint64_t fbits(double x)
+{
+    uint64_t u;
+    memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+/* sync_internal_from_total on cell c; q holds density, vx, vy, vz, energy
+   and the advected fields, ie the internal energy */
+static inline void fc_sync(long c, double **q, double *ie)
+{
+    double vx = q[1][c], vy = q[2][c], vz = q[3][c], e = q[4][c];
+    double ke = 0.5 * (vx * vx + vy * vy + vz * vz);
+    double from_total = e - ke;
+    double eint = from_total > SYNC_ETA * e ? nmax(from_total, SYNC_FLOOR)
+                                            : nmax(ie[c], SYNC_FLOOR);
+    ie[c] = eint;
+    q[4][c] = eint + ke;
+}
+
+static void fc_catch_up(long c, int32_t target, int32_t *count, double **q,
+    double *ie)
+{
+    while (count[c] < target) {
+        uint64_t e0 = fbits(q[4][c]), i0 = fbits(ie[c]);
+        fc_sync(c, q, ie);
+        if (fbits(q[4][c]) == e0 && fbits(ie[c]) == i0)
+            count[c] = target;
+        else
+            count[c] += 1;
+    }
+}
+
+/* flux_correction.face_cell: the parent cell plane outside one face of a
+   child (0: the face is on the parent's own, non-periodic boundary) */
+static int fc_face(const int64_t *reg, long ax, long side, long n_ax,
+    int periodic, long *out_cell, long *face_idx)
+{
+    long face = side ? reg[3 + ax] : reg[ax];
+    long out = side ? face : face - 1;
+    if (out < 0) {
+        if (!periodic) return 0;
+        out = n_ax - 1;
+        face = n_ax;
+    } else if (out >= n_ax) {
+        if (!periodic) return 0;
+        out = 0;
+        face = 0;
+    }
+    *out_cell = out;
+    *face_idx = face;
+    return 1;
+}
+
+/* flux_correction.block_average at r = 2 of the 2 x 2 fine block at p (row:
+   the fine plane's row length); flat: the coarse face is one cell wide
+   along its last axis, where NumPy sums the four as one run */
+static inline double fc_average(const double *p, long row, int flat)
+{
+    double t = flat ? ((p[0] + p[1]) + p[row]) + p[row + 1]
+                    : (p[0] + p[1]) + (p[row] + p[row + 1]);
+    return (t + 0.0) / 4.0;
+}
+
+/* q: the nf corrected parent fields (density, vx, vy, vz, energy,
+   advected...) and ie the internal energy, each (n0 + 2 ng, n1 + 2 ng,
+   n2 + 2 ng); coarse[ax * nf + f] the parent's fluxes of field f through
+   the faces normal to ax (interior extents, one more along ax; NULL:
+   absent).  Child j: regions[6 j ..] its parent-local interior lo, hi
+   corners, blocks[3 j + ax] its (2, nf, 2 m1, 2 m2) lo/hi fine face sums
+   and present[(3 j + ax) nf + f] whether field f was accumulated.  count
+   is zeroed scratch, one per parent cell. */
+void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
+    long n2, long ng, double dx, const int *periodic, const double **coarse,
+    long n_children, const int64_t *regions, const double **blocks,
+    const int8_t *present, int32_t *count)
+{
+    long n[3] = {n0, n1, n2};
+    long s[3] = {(n1 + 2 * ng) * (n2 + 2 * ng), n2 + 2 * ng, 1};
+    for (long j = 0; j < n_children; j++) {
+        const int64_t *reg = regions + 6 * j;
+        /* pass 0 corrects the six faces, pass 1 syncs their cells once */
+        for (int pass = 0; pass < 2; pass++) {
+            for (long ax = 0; ax < 3; ax++) {
+                long t1 = ax == 0 ? 1 : 0, t2 = ax == 2 ? 1 : 2;
+                long m1 = reg[3 + t1] - reg[t1], m2 = reg[3 + t2] - reg[t2];
+                const int8_t *has = present + (3 * j + ax) * nf;
+                const double **cf = coarse + ax * nf;
+                int any = 0;
+                for (long f = 0; f < nf; f++)
+                    any |= has[f] && cf[f];
+                if (!any) continue;    /* no deltas: the faces are left */
+                long e[3] = {n0, n1, n2};
+                e[ax] += 1;
+                long cs[3] = {e[1] * e[2], e[2], 1};
+                long row = 2 * m2, plane = 4 * m1 * m2;
+                for (long side = 0; side < 2; side++) {
+                    long out, face;
+                    if (!fc_face(reg, ax, side, n[ax], periodic[ax], &out,
+                                 &face))
+                        continue;
+                    double sign = side ? 1.0 : -1.0;
+                    const double *fine = blocks[3 * j + ax]
+                        + side * nf * plane;
+                    for (long a = 0; a < m1; a++) {
+                        for (long b = 0; b < m2; b++) {
+                            long i1 = reg[t1] + a, i2 = reg[t2] + b;
+                            long c = (ng + out) * s[ax] + (ng + i1) * s[t1]
+                                + (ng + i2) * s[t2];
+                            if (pass) {
+                                /* a cell on two faces is synced once */
+                                if (count[c] == j) {
+                                    fc_sync(c, q, ie);
+                                    count[c] = j + 1;
+                                }
+                                continue;
+                            }
+                            fc_catch_up(c, j, count, q, ie);
+                            long cc = face * cs[ax] + i1 * cs[t1]
+                                + i2 * cs[t2];
+                            const double *p = fine + 2 * a * row + 2 * b;
+#define FC_DELTA(f) (sign * (fc_average(p + (f) * plane, row, m2 == 1) \
+                             - cf[f][cc]) / dx)
+                            double rho_old = q[0][c];
+                            double rho_new = rho_old
+                                + (has[0] && cf[0] ? FC_DELTA(0) : 0.0);
+                            rho_new = nmax(rho_new, DENSITY_FLOOR);
+                            q[0][c] = rho_new;
+                            for (long f = 1; f < 5; f++)
+                                if (has[f] && cf[f])
+                                    q[f][c] = (rho_old * q[f][c]
+                                               + FC_DELTA(f)) / rho_new;
+                            for (long f = 5; f < nf; f++)
+                                if (has[f] && cf[f])
+                                    q[f][c] = nmax(q[f][c] + FC_DELTA(f),
+                                                   0.0);
+#undef FC_DELTA
+                        }
+                    }
+                }
+            }
+        }
+    }
+    long cells = (n0 + 2 * ng) * (n1 + 2 * ng) * (n2 + 2 * ng);
+    for (long c = 0; c < cells; c++)
+        fc_catch_up(c, (int32_t)n_children, count, q, ie);
+}
+
+/* ---- cloud-in-cell particle-mesh transfer (reference: nbody/cic.py
+   deposit_numpy / gather_numpy) ---- */
+
+/* cic._cic_indices of one particle: its base cell (Python-% wrapped when
+   periodic) and fractions; returns whether a non-periodic grid keeps it */
+static int cic_base(const double *off, double dx, const long *n,
+    int periodic, int64_t *base, double *frac)
+{
+    int ok = 1;
+    for (int d = 0; d < 3; d++) {
+        double u = off[d] / dx - 0.5;
+        double fl = floor(u);
+        /* np.floor(u).astype(np.int64): NaN and out-of-range values
+           convert to INT64_MIN (cvttsd2si), never undefined behaviour */
+        int64_t b = (fl >= -9223372036854775808.0
+                     && fl < 9223372036854775808.0) ? (int64_t)fl
+                                                    : INT64_MIN;
+        frac[d] = u - (double)b;
+        if (periodic) {
+            b %= n[d];
+            if (b < 0) b += n[d];
+        } else {
+            ok = ok && b >= -1 && b <= n[d] - 1;
+        }
+        base[d] = b;
+    }
+    return ok;
+}
+
+/* CIC weight of one corner: np.prod's (w0 * w1) * w2 */
+static inline double cic_weight(const double *f, int d0, int d1, int d2)
+{
+    return ((d0 ? f[0] : 1.0 - f[0]) * (d1 ? f[1] : 1.0 - f[1]))
+        * (d2 ? f[2] : 1.0 - f[2]);
+}
+
+/* Adds mass / dx3 of every particle to the (n0, n1, n2) grid corner-major,
+   like np.add.at: corner 0 of every particle in order, then corner 1, ...
+   base (n_part, 3), frac (n_part, 3) and mass (n_part) are scratch. */
+void rk_cic_deposit(long n_part, const double *offsets, const double *masses,
+    double dx, double dx3, int periodic, long n0, long n1, long n2,
+    double *grid, int64_t *base, double *frac, double *mass)
+{
+    long n[3] = {n0, n1, n2};
+    long kept = 0;
+    for (long p = 0; p < n_part; p++) {
+        if (cic_base(offsets + 3 * p, dx, n, periodic, base + 3 * kept,
+                     frac + 3 * kept))
+            mass[kept++] = masses[p] / dx3;
+    }
+    for (int corner = 0; corner < 8; corner++) {
+        int d0 = (corner >> 2) & 1, d1 = (corner >> 1) & 1, d2 = corner & 1;
+        for (long p = 0; p < kept; p++) {
+            const int64_t *b = base + 3 * p;
+            int64_t i = b[0] + d0, j = b[1] + d1, k = b[2] + d2;
+            if (periodic) {
+                /* (base + d) % n with base already wrapped into [0, n) */
+                i -= i == n0 ? n0 : 0;
+                j -= j == n1 ? n1 : 0;
+                k -= k == n2 ? n2 : 0;
+            } else if (i < 0 || i >= n0 || j < 0 || j >= n1 || k < 0
+                       || k >= n2) {
+                continue;
+            }
+            grid[(i * n1 + j) * n2 + k]
+                += mass[p] * cic_weight(frac + 3 * p, d0, d1, d2);
+        }
+    }
+}
+
+/* out (n_part, 3): the (3, n0, n1, n2) field at every particle, each
+   component summed over the corners in order from +0.0.  A corner off a
+   non-periodic grid is skipped: the sum starts at +0.0 and so is never
+   -0.0, and adding 0.0 to it is a no-op. */
+void rk_cic_gather(long n_part, const double *offsets, double dx,
+    int periodic, long n0, long n1, long n2, const double *field,
+    double *out)
+{
+    long n[3] = {n0, n1, n2};
+    long cells = n0 * n1 * n2;
+    for (long p = 0; p < n_part; p++) {
+        int64_t b[3];
+        double f[3];
+        int ok = cic_base(offsets + 3 * p, dx, n, periodic, b, f);
+        double acc[3] = {0.0, 0.0, 0.0};
+        for (int corner = 0; corner < 8; corner++) {
+            int d0 = (corner >> 2) & 1, d1 = (corner >> 1) & 1,
+                d2 = corner & 1;
+            int64_t i = b[0] + d0, j = b[1] + d1, k = b[2] + d2;
+            if (periodic) {
+                i -= i == n0 ? n0 : 0;
+                j -= j == n1 ? n1 : 0;
+                k -= k == n2 ? n2 : 0;
+            } else if (!ok || i < 0 || i >= n0 || j < 0 || j >= n1 || k < 0
+                       || k >= n2) {
+                continue;
+            }
+            double w = cic_weight(f, d0, d1, d2);
+            long c = (i * n1 + j) * n2 + k;
+            for (int a = 0; a < 3; a++)
+                acc[a] += w * field[a * cells + c];
+        }
+        for (int a = 0; a < 3; a++)
+            out[3 * p + a] = acc[a];
+    }
+}
 """
 
 #: ``scheme`` / ``riemann_solver`` names of the ``hydro.sweep`` contract, in
@@ -1906,6 +2201,108 @@ def mg_vcycle(phi, source, dx, pre, post, min_size, residual):
                       float(dx), pre, post, min_size, _p(residual), _p(work))
 
 
+def flux_correct(fields, names, ng, dx, periodic, coarse, r, children):
+    if int(r) != 2 or not children:
+        # the C follows NumPy's summation order of a 2 x 2 face block only;
+        # any other refinement factor runs the reference
+        return correct_numpy(fields, names, ng, dx, periodic, coarse, r,
+                             children)
+    names, ng = tuple(names), int(ng)
+    nf = len(names)
+    if names[:len(_CONSERVED)] != _CONSERVED:
+        raise ValueError(f"flux.correct: names must start with {_CONSERVED}")
+    arrays = [fields[name] for name in names] + [fields["internal"]]
+    shape = arrays[0].shape
+    if len(shape) != 3 or any(a.shape != shape for a in arrays):
+        raise ValueError("flux.correct: field shapes differ")
+    n = [s - 2 * ng for s in shape]
+    if ng < 0 or min(n) < 1:
+        raise ValueError("flux.correct: no interior cell")
+    # the C indexes raw memory: every face array, child footprint and fine
+    # block is checked against the parent's interior
+    faces = []
+    for ax, axis_name in enumerate(AXIS_NAMES):
+        per = coarse.get(axis_name) or {}
+        face_shape = tuple(m + (d == ax) for d, m in enumerate(n))
+        for name in names:
+            arr = per.get(name)
+            if arr is not None:
+                arr = np.ascontiguousarray(arr, dtype=float)
+                if arr.shape != face_shape:
+                    raise ValueError("flux.correct: face flux shape "
+                                     f"{arr.shape} != {face_shape}")
+            faces.append(arr)
+    corners, blocks = [], []
+    for lo, hi, child_blocks, _ in children:
+        box = [int(v) for v in (*lo, *hi)]
+        if not all(0 <= box[d] < box[d + 3] <= n[d] for d in range(3)):
+            raise ValueError("flux.correct: child region outside the parent")
+        for ax in range(3):
+            t = [2 * (box[d + 3] - box[d]) for d in range(3) if d != ax]
+            block = np.ascontiguousarray(child_blocks[ax], dtype=float)
+            if block.shape != (2, nf, *t):
+                raise ValueError("flux.correct: fine block shape "
+                                 f"{block.shape} != {(2, nf, *t)}")
+            blocks.append(block)
+        corners += box
+    present = np.ascontiguousarray([c[3] for c in children], dtype=np.int8)
+    if present.shape != (len(children), 3, nf):
+        raise ValueError("flux.correct: presence mask shape differs")
+    native = [_writable(a) for a in arrays]
+    # the pointer tables own nothing: native/faces/blocks keep the buffers
+    # alive for the duration of the call
+    _lib.rk_flux_correct(
+        nf, ffi.new("double *[]", [_p(a) for a in native[:-1]]),
+        _p(native[-1]), *n, ng, float(dx),
+        ffi.new("int[]", [bool(p) for p in periodic]),
+        ffi.new("const double *[]",
+                [ffi.NULL if a is None else _pc(a) for a in faces]),
+        len(children), ffi.new("int64_t[]", corners),
+        ffi.new("const double *[]", [_pc(b) for b in blocks]),
+        ffi.from_buffer("int8_t[]", present),
+        ffi.from_buffer("int32_t[]", np.zeros(native[0].size,
+                                              dtype=np.int32)))
+    for out, dst in zip(native, arrays):
+        if out is not dst:
+            dst[...] = out
+
+
+def _particles(offsets, what):
+    offsets = np.ascontiguousarray(offsets, dtype=float)
+    if offsets.ndim != 2 or offsets.shape[1] != 3:
+        raise ValueError(f"{what}: offsets must be (n, 3)")
+    return offsets
+
+
+def cic_deposit(grid, offsets, masses, dx, dx3, periodic):
+    offsets = _particles(offsets, "cic.deposit")
+    masses = np.ascontiguousarray(masses, dtype=float)
+    n_part = offsets.shape[0]
+    if masses.shape != (n_part,) or np.ndim(grid) != 3:
+        raise ValueError("cic.deposit: need (n,) masses and a 3-d grid")
+    out = _writable(grid)
+    # scratch is per call (the cffi call releases the GIL)
+    _lib.rk_cic_deposit(
+        n_part, _pc(offsets), _pc(masses), float(dx), float(dx3),
+        bool(periodic), *grid.shape, _p(out),
+        ffi.from_buffer("int64_t[]", np.empty((n_part, 3), dtype=np.int64)),
+        _p(np.empty((n_part, 3))), _p(np.empty(n_part)))
+    if out is not grid:
+        grid[...] = out
+
+
+def cic_gather(field3, offsets, dx, periodic):
+    offsets = _particles(offsets, "cic.gather")
+    field3 = np.ascontiguousarray(field3, dtype=float)
+    if field3.ndim != 4 or field3.shape[0] != 3:
+        raise ValueError("cic.gather: field3 must be (3, nx, ny, nz)")
+    out = np.empty((offsets.shape[0], 3))
+    _lib.rk_cic_gather(offsets.shape[0], _pc(offsets), float(dx),
+                       bool(periodic), *field3.shape[1:], _pc(field3),
+                       _p(out))
+    return out
+
+
 for _name, _fn in (
     ("riemann.two_shock", two_shock),
     ("riemann.hllc", hllc),
@@ -1918,5 +2315,8 @@ for _name, _fn in (
     ("chem.step", chem_step),
     ("prolong.linear", prolong_linear),
     ("mg.vcycle", mg_vcycle),
+    ("flux.correct", flux_correct),
+    ("cic.deposit", cic_deposit),
+    ("cic.gather", cic_gather),
 ):
     dispatch.register("cffi", _name, _fn)

@@ -1,14 +1,15 @@
 """The reference backend: registers the vectorised NumPy hot-path functions.
 
 This is not a reimplementation — the registry entries *are* the original
-functions from :mod:`repro.hydro`, :mod:`repro.chemistry`, :mod:`repro.amr`
-and :mod:`repro.gravity`, so selecting
+functions from :mod:`repro.hydro`, :mod:`repro.chemistry`, :mod:`repro.amr`,
+:mod:`repro.gravity` and :mod:`repro.nbody`, so selecting
 ``REPRO_KERNELS=numpy`` (the default) runs byte-for-byte the code the repo
 has always run.  Compiled backends are parity-gated against these.
 """
 
 from __future__ import annotations
 
+from repro.amr import flux_correction as _flux_correction
 from repro.amr import interpolation as _interpolation
 from repro.chemistry import network as _network
 from repro.chemistry import rates as _rates
@@ -18,6 +19,7 @@ from repro.hydro import reconstruction as _reconstruction
 from repro.hydro import riemann as _riemann
 from repro.hydro import tracing as _tracing
 from repro.kernels import dispatch
+from repro.nbody import cic as _cic
 
 dispatch.register("numpy", "riemann.two_shock", _riemann.two_shock_flux)
 dispatch.register("numpy", "riemann.hllc", _riemann.hllc_flux)
@@ -30,3 +32,6 @@ dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
 dispatch.register("numpy", "mg.vcycle", _multigrid.vcycle_numpy)
+dispatch.register("numpy", "flux.correct", _flux_correction.correct_numpy)
+dispatch.register("numpy", "cic.deposit", _cic.deposit_numpy)
+dispatch.register("numpy", "cic.gather", _cic.gather_numpy)

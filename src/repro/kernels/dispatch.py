@@ -3,8 +3,10 @@
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
 tracing, the fused per-grid hydro sweep built from them, the chemistry
 rate-table blend and the fused per-grid chemistry substep, the AMR
-parent->child prolongation and the multigrid V-cycle) are registered here
-once per *backend* — each kernel exists in exactly two transcriptions:
+parent->child prolongation, the multigrid V-cycle, the coarse-fine flux
+correction of one parent and the cloud-in-cell particle deposit and
+gather) are registered here once per *backend* — each kernel exists in
+exactly two transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -61,6 +63,9 @@ KERNEL_NAMES = (
     "chem.step",
     "prolong.linear",
     "mg.vcycle",
+    "flux.correct",
+    "cic.deposit",
+    "cic.gather",
 )
 
 _lock = threading.Lock()
@@ -216,6 +221,16 @@ def warm() -> None:
                           [((2, 2, 2), (4, 4, 4))])
     get("mg.vcycle")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
                      np.empty((4, 4, 4)))
+    names = ("density", "vx", "vy", "vz", "energy")
+    fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}
+    blocks = [np.zeros((2, 5, 2, 2)) for _ in range(3)]
+    get("flux.correct")(fields, names, 1, 1.0, [False] * 3, {}, 2,
+                        [((0, 0, 0), (1, 1, 1), blocks,
+                          np.zeros((3, 5), dtype=bool))])
+    get("cic.deposit")(np.zeros((2, 2, 2)), np.full((1, 3), 0.5), one[:1],
+                       1.0, 1.0, True)
+    get("cic.gather")(np.zeros((3, 2, 2, 2)), np.full((1, 3), 0.5), 1.0,
+                      False)
 
 
 # ----------------------------------------------------------------- counters

@@ -5,11 +5,16 @@ output of :meth:`ParticleSet.offsets_from` — extended precision has already
 done its job) plus the grid geometry.  Deposit and gather use the same CIC
 kernel, which is what guarantees momentum-conserving self-forces vanish on a
 periodic mesh.
+
+The particle loops are the ``cic.deposit`` / ``cic.gather`` kernels;
+:func:`deposit_numpy` and :func:`gather_numpy` are their references.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro import kernels
 
 
 def _cic_indices(offsets: np.ndarray, dx: float, shape, periodic: bool):
@@ -31,6 +36,34 @@ def _cic_indices(offsets: np.ndarray, dx: float, shape, periodic: bool):
     return base_mod, frac, in_bounds
 
 
+def deposit_numpy(grid, offsets, masses, dx, dx3, periodic):
+    """Reference ``cic.deposit``: add mass / ``dx3`` of every particle to
+    ``grid`` in place.  ``np.add.at`` applies one corner for all particles,
+    then the next, so a cell receiving several particles sums them in that
+    (corner-major) order."""
+    base, frac, ok = _cic_indices(offsets, dx, grid.shape, periodic)
+    # deposit density directly: mass / cell volume
+    masses = np.asarray(masses, dtype=float) / dx3
+    base, frac, masses = base[ok], frac[ok], masses[ok]
+    shape_arr = np.array(grid.shape)
+    for corner in range(8):
+        d = np.array([(corner >> b) & 1 for b in (2, 1, 0)])
+        w = np.prod(np.where(d, frac, 1.0 - frac), axis=1)
+        idx = base + d
+        if periodic:
+            idx = idx % shape_arr
+            valid = slice(None)
+        else:
+            inb = np.all((idx >= 0) & (idx < shape_arr), axis=1)
+            idx, w = idx[inb], w[inb]
+            valid = inb
+        np.add.at(
+            grid,
+            (idx[:, 0], idx[:, 1], idx[:, 2]),
+            (masses[valid] if not periodic else masses) * w,
+        )
+
+
 def cic_deposit(
     offsets: np.ndarray,
     masses: np.ndarray,
@@ -49,37 +82,15 @@ def cic_deposit(
     grid = np.zeros(shape) if out is None else out
     if len(masses) == 0:
         return grid
-    base, frac, ok = _cic_indices(offsets, dx, shape, periodic)
-    # deposit density directly: mass / cell volume
-    masses = np.asarray(masses, dtype=float) / dx**3
-    base, frac, masses = base[ok], frac[ok], masses[ok]
-    shape_arr = np.array(shape)
-    for corner in range(8):
-        d = np.array([(corner >> b) & 1 for b in (2, 1, 0)])
-        w = np.prod(np.where(d, frac, 1.0 - frac), axis=1)
-        idx = base + d
-        if periodic:
-            idx = idx % shape_arr
-            valid = slice(None)
-        else:
-            inb = np.all((idx >= 0) & (idx < shape_arr), axis=1)
-            idx, w = idx[inb], w[inb]
-            valid = inb
-        np.add.at(
-            grid,
-            (idx[:, 0], idx[:, 1], idx[:, 2]),
-            (masses[valid] if not periodic else masses) * w,
-        )
+    # dx**3 here, not in the kernel: the C never calls its own pow
+    kernels.get("cic.deposit")(grid, offsets, masses, dx, dx**3, periodic)
     return grid
 
 
-def cic_gather(
-    field3: np.ndarray,
-    offsets: np.ndarray,
-    dx: float,
-    periodic: bool = True,
-) -> np.ndarray:
-    """Interpolate a (3, nx, ny, nz) vector field to particle positions."""
+def gather_numpy(field3, offsets, dx, periodic):
+    """Reference ``cic.gather``: a (3, nx, ny, nz) vector field at the
+    particle positions, every particle's sum taken over the corners in
+    order from +0.0."""
     n = offsets.shape[0]
     out = np.zeros((n, 3))
     if n == 0:
@@ -102,3 +113,13 @@ def cic_gather(
                 use, w * field3[axis][idx[:, 0], idx[:, 1], idx[:, 2]], 0.0
             )
     return out
+
+
+def cic_gather(
+    field3: np.ndarray,
+    offsets: np.ndarray,
+    dx: float,
+    periodic: bool = True,
+) -> np.ndarray:
+    """Interpolate a (3, nx, ny, nz) vector field to particle positions."""
+    return kernels.get("cic.gather")(field3, offsets, dx, periodic)

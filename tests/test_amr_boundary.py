@@ -189,7 +189,13 @@ class TestFluxCorrection:
         fluxes = solver.step(child.fields, child.dx, 1e-4)
         accumulate_boundary_fluxes(child, fluxes)
         acc = child.flux_accumulator
-        assert acc["x"]["lo"]["density"].shape == (8, 8)
+        # lo/hi planes of density, vx, vy, vz, energy; 'internal' is never
+        # corrected, so never accumulated
+        assert acc.names == ("density", "vx", "vy", "vz", "energy")
+        assert [b.shape for b in acc.blocks] == [(2, 5, 8, 8)] * 3
+        assert acc.present.all()
+        np.testing.assert_array_equal(acc.blocks[0][0, 0],
+                                      fluxes.fluxes["x"]["density"][0])
 
     def test_correction_conserves_total_mass(self):
         """Parent + child evolved together: after correction + projection the
@@ -232,3 +238,44 @@ class TestFluxCorrection:
         project_child_to_parent(child, root)
         m1 = composite_mass()
         assert abs(m1 - m0) < 1e-10 * m0
+
+    def test_parent_without_fluxes_drops_the_childs_fluxes(self):
+        """A parent step with no fluxes (its hydro task failed and every
+        rescue rung raised) corrects nothing — and the fine fluxes of that
+        step must not be applied against the next coarse step."""
+        from repro.amr.rebuild import _fill_new_grid
+        from repro.precision.doubledouble import DoubleDouble
+
+        h, root, child = _hierarchy_with_child()
+        set_boundary_values(h, 0)
+        root.fields["vx"][:] = 0.3
+        root.fields["energy"][:] = total_energy(root.fields)
+        set_boundary_values(h, 0)
+        _fill_new_grid(child, root, [])
+        solver = PPMSolver()
+
+        def composite_mass():
+            covered = h.covering_mask(root)
+            m = (root.field_view("density") * ~covered).sum() * root.dx**3
+            return m + child.field_view("density").sum() * child.dx**3
+
+        dt = 2e-3
+
+        def parent_step(with_fluxes):
+            root.save_old_state()
+            fluxes = solver.step(root.fields, root.dx, dt)
+            root.last_fluxes = fluxes if with_fluxes else None
+            root.time = DoubleDouble(root.time + dt)
+            for _ in range(2):
+                set_boundary_values(h, 1)
+                accumulate_boundary_fluxes(
+                    child, solver.step(child.fields, child.dx, dt / 2))
+                child.time = DoubleDouble(child.time + dt / 2)
+            apply_flux_correction(root, child)
+            project_child_to_parent(child, root)
+            set_boundary_values(h, 0)
+
+        parent_step(with_fluxes=False)
+        m1 = composite_mass()
+        parent_step(with_fluxes=True)
+        assert abs(composite_mass() - m1) < 1e-10 * m1

@@ -10,9 +10,11 @@ Three layers:
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
   The AMR stencil (``prolong.linear``), the multigrid V-cycle
-  (``mg.vcycle``) and the fused hydro sweep (``hydro.sweep``) write in
-  place, so their parity cases compare the arrays each tier leaves
-  behind, and a canary class checks the C never writes outside them.
+  (``mg.vcycle``), the fused hydro sweep (``hydro.sweep``), the flux
+  correction (``flux.correct``) and the CIC deposit (``cic.deposit``)
+  write in place, so their parity cases compare the arrays each tier
+  leaves behind, and a canary class checks the C never writes outside
+  them.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
@@ -28,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro import constants as const
+from repro.amr.flux_correction import block_average, correct_numpy
 from repro.amr.interpolation import prolong_boxes, prolong_linear, shell_boxes
 from repro.chemistry import network
 from repro.chemistry.network import (
@@ -46,6 +49,7 @@ from repro.gravity.multigrid import (
 )
 from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
+from repro.hydro.state import sync_internal_from_total
 from repro.hydro.riemann import (
     _conserved_flux,
     exact_riemann,
@@ -56,6 +60,12 @@ from repro.hydro.riemann import (
 )
 from repro.hydro.tracing import trace_states_numpy
 from repro.kernels import dispatch
+from repro.nbody.cic import (
+    cic_deposit,
+    cic_gather,
+    deposit_numpy,
+    gather_numpy,
+)
 
 GAMMA = 1.4
 
@@ -77,6 +87,9 @@ REFERENCE = {
     "chem.step": step_numpy,
     "prolong.linear": prolong_boxes,
     "mg.vcycle": vcycle_numpy,
+    "flux.correct": correct_numpy,
+    "cic.deposit": deposit_numpy,
+    "cic.gather": gather_numpy,
 }
 
 
@@ -904,6 +917,325 @@ class TestSweepParity:
             np.testing.assert_array_equal(a, b)
 
 
+# ====================================================== flux correction
+#: corrected fields of the synthetic parent: the conserved five and two
+#: advected species
+FC_NAMES = ("density", "vx", "vy", "vz", "energy", "HI", "HII")
+#: the synthetic parent's interior and ghost depth
+FC_INTERIOR, FC_NG = (8, 6, 10), 3
+#: child footprints (parent-local interior lo, hi) per case: two children
+#: side by side along x (the cell between them is corrected by both), one
+#: a cell wide along z (the b = 1 summation order), one on the parent's
+#: own y = 0 boundary and one covering the whole y extent
+FC_BOXES = {
+    "interior": [((1, 1, 1), (3, 3, 4)), ((3, 1, 1), (5, 3, 4)),
+                 ((2, 3, 5), (6, 5, 9)), ((5, 3, 2), (7, 4, 3)),
+                 ((6, 0, 6), (8, 2, 8)), ((0, 0, 4), (1, 6, 6))],
+    # on a periodic root every box-edge face wraps; the last box spans
+    # seven of eight x cells, so its lo and hi faces correct the same plane
+    "periodic": [((0, 0, 0), (2, 2, 2)), ((6, 4, 8), (8, 6, 10)),
+                 ((0, 2, 3), (8, 4, 5)), ((1, 3, 6), (8, 5, 7))],
+}
+
+
+def _cold_hypersonic(shape, rng):
+    """Velocities and energies of flow so fast and cold that
+    ``sync_internal_from_total`` does not reach its fixed point in one
+    pass: e - v^2/2 loses the internal energy's low bits, and the
+    eta-test flips between the two branches."""
+    vel = [10.0 * rng.standard_normal(shape) for _ in range(3)]
+    ke = 0.5 * (vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2)
+    internal = ke * 10.0 ** rng.uniform(-7.0, -2.0, shape)
+    return vel, internal, ke + internal * rng.uniform(0.5, 1.5, shape)
+
+
+def _flux_problem(kind, seed=0):
+    """``(fields, coarse, periodic, children)`` of one parent.
+
+    ``kind`` is ``random``; ``cold`` (hypersonic cells needing several
+    syncs); ``nonfinite`` (NaN, +-inf and -0.0 in the fine and coarse
+    fluxes, a NaN parent cell, parent momenta of +-0.0); ``missing`` (a field or a whole axis
+    absent from the parent's fluxes, a field a child never accumulated, a
+    child with nothing accumulated); ``periodic`` (a periodic root, faces
+    wrapping across the box edge)."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(n + 2 * FC_NG for n in FC_INTERIOR)
+    rho = rng.random(shape) + 0.5
+    if kind == "cold":
+        vel, internal, energy = _cold_hypersonic(shape, rng)
+    else:
+        vel = [rng.standard_normal(shape) for _ in range(3)]
+        internal = rng.random(shape) + 0.1
+        # not yet synced: the first sync rewrites every cell
+        energy = (internal + 0.5 * (vel[0] ** 2 + vel[1] ** 2 + vel[2] ** 2)
+                  ) * (1.0 + 1e-3 * rng.standard_normal(shape))
+    fields = dict(zip(FC_NAMES, [rho, *vel, energy, *(
+        rho * rng.random(shape) for _ in FC_NAMES[5:])]))
+    fields["internal"] = internal
+    nf = len(FC_NAMES)
+    coarse = {}
+    for ax, axis_name in enumerate(AXIS_NAMES):
+        face = list(FC_INTERIOR)
+        face[ax] += 1
+        coarse[axis_name] = {name: 0.05 * rng.standard_normal(face)
+                             for name in FC_NAMES + ("internal",)}
+    children = []
+    for lo, hi in FC_BOXES["periodic" if kind == "periodic" else "interior"]:
+        blocks = []
+        for ax in range(3):
+            t = [2 * (h - l) for d, (l, h) in enumerate(zip(lo, hi))
+                 if d != ax]
+            blocks.append(0.05 * rng.standard_normal((2, nf, *t)))
+        children.append((np.array(lo), np.array(hi), blocks,
+                         np.ones((3, nf), dtype=bool)))
+    if kind == "nonfinite":
+        blocks = children[0][2]
+        blocks[0][0, 0, 0, 0] = np.nan
+        blocks[1][1, 4, 1, 1] = np.inf
+        blocks[2][0, 5, 0, 1] = -np.inf
+        # fine blocks of -0.0 average to +0.0: seen only where the coarse
+        # flux is zero too and the parent momentum is -0.0
+        blocks[0][:, 1] = -0.0
+        coarse["x"]["vx"][...] = 0.0
+        fields["vx"][...] = 0.0
+        fields["vx"][::2] = -0.0
+        blocks[1][:, 6] = -0.0
+        coarse["x"]["density"][2, 2, 2] = np.nan
+        coarse["y"]["vx"][...] = -0.0
+        coarse["z"]["HI"][2, 1, 1] = -np.inf
+        fields["density"][FC_NG, FC_NG + 1, FC_NG + 1] = np.nan
+        fields["HII"][...] = -0.0
+    elif kind == "missing":
+        del coarse["y"]["energy"]
+        del coarse["z"]
+        children[1][3][0, FC_NAMES.index("HII")] = False
+        children[2][3][...] = False
+    return fields, coarse, [kind == "periodic"] * 3, children
+
+
+def _correct_both(fn, problem, r=2):
+    """Run the reference and ``fn`` on copies; returns both field dicts."""
+    fields, coarse, periodic, children = problem
+    out = []
+    for impl in (correct_numpy, fn):
+        copy = {k: v.copy() for k, v in fields.items()}
+        with np.errstate(all="ignore"):
+            impl(copy, FC_NAMES, FC_NG, 0.125, periodic, coarse, r, children)
+        out.append(copy)
+    return out
+
+
+def _assert_bitwise(got, ref, err_msg=""):
+    """Equal values and equal signs of zero (NaN payloads aside)."""
+    np.testing.assert_array_equal(got, ref, err_msg=err_msg)
+    numbers = ~np.isnan(ref)
+    np.testing.assert_array_equal(np.signbit(got[numbers]),
+                                  np.signbit(ref[numbers]), err_msg=err_msg)
+
+
+def _assert_fields_equal(got, ref):
+    assert set(got) == set(ref)
+    for name in ref:
+        _assert_bitwise(got[name], ref[name], err_msg=name)
+
+
+class TestBlockAverage:
+    @pytest.mark.parametrize("kind", ["random", "special"])
+    def test_written_order_is_numpys_mean(self, kind):
+        """``block_average`` at r = 2 is bit for bit the ``mean`` the
+        reference used to call, on every face shape from 1 x 1 to 16 x 16
+        coarse cells: the written-out order (one run of four when the face
+        is one cell wide, pairs along the last axis otherwise) and the +0.0
+        the sum starts from are the trap the C follows."""
+        rng = np.random.default_rng(1)
+        special = np.array([-0.0, 0.0, 1.0, -1.0, np.inf, -np.inf, 1e308,
+                            -1e308, 5e-324, -5e-324, np.nan])
+        for a, b in itertools.product(range(1, 17), repeat=2):
+            if kind == "random":
+                plane = (rng.standard_normal((2 * a, 2 * b))
+                         * 10.0 ** rng.integers(-300, 300, (2 * a, 2 * b)))
+            else:
+                plane = rng.choice(special, size=(2 * a, 2 * b))
+            with np.errstate(all="ignore"):
+                want = plane.reshape(a, 2, b, 2).mean(axis=(1, 3))
+                got = block_average(plane, 2)
+            _assert_bitwise(got, want, err_msg=f"{a} x {b}")
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestFluxCorrectParity:
+    """``flux.correct`` against ``correct_numpy``: bit-identical parent
+    fields, although the C syncs each cell lazily and the reference runs
+    one whole-parent sync per child."""
+
+    @pytest.mark.parametrize("kind", ["random", "cold", "nonfinite",
+                                      "missing", "periodic"])
+    def test_cases(self, tier, kind):
+        fn = _tier_impls(tier)["flux.correct"]
+        for seed in range(3):
+            problem = _flux_problem(kind, seed)
+            got, ref = _correct_both(fn, problem)[::-1]
+            _assert_fields_equal(got, ref)
+            # the correction did something the syncs alone would not
+            synced = {k: v.copy() for k, v in problem[0].items()}
+            for _ in problem[3]:
+                sync_internal_from_total(synced)
+            assert not np.array_equal(ref["density"], synced["density"],
+                                      equal_nan=True)
+
+    def test_cold_cells_need_more_than_one_sync(self, tier):
+        """The lazy count is only exact if it still runs a cell's second,
+        third ... sync: on the cold case one sync is not a fixed point."""
+        fields = _flux_problem("cold")[0]
+        once = {k: v.copy() for k, v in fields.items()}
+        sync_internal_from_total(once)
+        twice = dict(once)
+        sync_internal_from_total(twice)
+        changed = (twice["internal"] != once["internal"]).sum()
+        assert changed > 10, changed
+
+    def test_refinement_factor_four_runs_the_reference(self, tier):
+        fn = _tier_impls(tier)["flux.correct"]
+        fields, coarse, periodic, children = _flux_problem("random")
+        nf = len(FC_NAMES)
+        rng = np.random.default_rng(4)
+        wide = []
+        for lo, hi, blocks, present in children:
+            wide.append((lo, hi, [rng.standard_normal(
+                (2, nf, 2 * b.shape[2], 2 * b.shape[3])) for b in blocks],
+                present))
+        got, ref = _correct_both(fn, (fields, coarse, periodic, wide), r=4)
+        _assert_fields_equal(got, ref)
+
+    def test_no_children_changes_nothing(self, tier):
+        fn = _tier_impls(tier)["flux.correct"]
+        fields, coarse, periodic, _ = _flux_problem("random")
+        got = {k: v.copy() for k, v in fields.items()}
+        fn(got, FC_NAMES, FC_NG, 0.125, periodic, coarse, 2, [])
+        _assert_fields_equal(got, fields)
+
+    def test_refuses_what_the_c_cannot_index(self, tier):
+        fn = _tier_impls(tier)["flux.correct"]
+        fields, coarse, periodic, children = _flux_problem("random")
+        lo, hi, blocks, present = children[0]
+        before = {k: v.copy() for k, v in fields.items()}
+        bad_cases = [
+            dict(children=[(lo, np.array([9, 3, 4]), blocks, present)]),
+            dict(children=[(np.array([-1, 1, 1]), hi, blocks, present)]),
+            dict(children=[(lo, hi, [blocks[0][:, :, :-1]] + blocks[1:],
+                            present)]),
+            dict(children=[(lo, hi, blocks, present[:, :-1])]),
+            dict(coarse={"x": {"density": np.zeros((8, 6, 10))}}),
+            dict(names=FC_NAMES[1:]),
+            dict(fields={**fields, "vx": np.zeros((14, 12, 15))}),
+        ]
+        for bad in bad_cases:
+            args = dict(fields=fields, names=FC_NAMES, coarse=coarse,
+                        children=children)
+            args.update(bad)
+            with pytest.raises(ValueError, match="flux.correct"):
+                fn(args["fields"], args["names"], FC_NG, 0.125, periodic,
+                   args["coarse"], 2, args["children"])
+        _assert_fields_equal(fields, before)
+
+
+# ================================================================== CIC
+#: grid of the CIC cases and its cell width
+CIC_SHAPE, CIC_DX = (6, 5, 7), 0.125
+
+
+def _particle_cloud(seed=0, n=300, garbage=False):
+    """``(offsets, masses)``: random particles plus particles exactly on
+    cell edges and centres, ten in one cell, particles off every side of
+    the grid (by less and by more than a cell) and on its far edge; with
+    ``garbage`` also NaN / inf / huge offsets."""
+    rng = np.random.default_rng(seed)
+    size = np.array(CIC_SHAPE) * CIC_DX
+    off = rng.random((n, 3)) * size
+    off[:40] = rng.integers(-2, 2 * max(CIC_SHAPE) + 2, (40, 3)) \
+        * (CIC_DX / 2)
+    off[40:50] = off[40] + 1e-9 * rng.standard_normal((10, 3))
+    off[50:60] = -rng.random((10, 3)) * 3 * CIC_DX
+    off[60:70] = size + rng.random((10, 3)) * 3 * CIC_DX
+    off[70], off[71] = 0.0, size
+    masses = rng.random(n) + 0.5
+    masses[72] = 0.0
+    if garbage:
+        off[73] = np.nan
+        off[74, 1] = np.inf
+        off[75, 2] = -1e300
+    return off, masses
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestCicParity:
+    """``cic.deposit`` / ``cic.gather`` against their NumPy references."""
+
+    @pytest.mark.parametrize("garbage", [False, True])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_deposit(self, tier, periodic, garbage):
+        fn = _tier_impls(tier)["cic.deposit"]
+        for seed in range(3):
+            off, masses = _particle_cloud(seed, garbage=garbage)
+            start = np.random.default_rng(seed).standard_normal(CIC_SHAPE)
+            start[0, 0, 0] = -0.0
+            ref, got = start.copy(), start.copy()
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                # NumPy warns casting a NaN offset to an index
+                warnings.simplefilter("ignore", RuntimeWarning)
+                deposit_numpy(ref, off, masses, CIC_DX, CIC_DX ** 3, periodic)
+            fn(got, off, masses, CIC_DX, CIC_DX ** 3, periodic)
+            _assert_bitwise(got, ref)
+            assert not np.array_equal(got, start)
+
+    @pytest.mark.parametrize("garbage", [False, True])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_gather(self, tier, periodic, garbage):
+        fn = _tier_impls(tier)["cic.gather"]
+        rng = np.random.default_rng(2)
+        field3 = rng.standard_normal((3, *CIC_SHAPE))
+        field3[:, 1, 1, 1] = -0.0
+        field3[2, 3, 2, 4] = np.nan
+        for seed in range(3):
+            off, _ = _particle_cloud(seed, garbage=garbage)
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ref = gather_numpy(field3, off, CIC_DX, periodic)
+            got = fn(field3, off, CIC_DX, periodic)
+            _assert_bitwise(got, ref)
+        assert fn(field3, np.empty((0, 3)), CIC_DX, periodic).shape == (0, 3)
+
+    def test_public_functions_dispatch(self, isolated, tier):
+        """``cic_deposit`` / ``cic_gather`` keep their signatures and give
+        the same bits on every tier."""
+        off, masses = _particle_cloud(5)
+        field3 = np.random.default_rng(5).standard_normal((3, *CIC_SHAPE))
+        outs = []
+        for backend in ("numpy", tier):
+            dispatch.set_backend(backend, env=False)
+            outs.append((cic_deposit(off, masses, CIC_SHAPE, CIC_DX),
+                         cic_deposit(off, masses, CIC_SHAPE, CIC_DX,
+                                     periodic=False),
+                         cic_gather(field3, off, CIC_DX, periodic=False)))
+        for a, b in zip(*outs):
+            np.testing.assert_array_equal(a, b)
+
+    def test_refuses_what_the_c_cannot_index(self, tier):
+        deposit = _tier_impls(tier)["cic.deposit"]
+        gather = _tier_impls(tier)["cic.gather"]
+        off, masses = _particle_cloud()
+        grid = np.zeros(CIC_SHAPE)
+        with pytest.raises(ValueError, match="cic.deposit"):
+            deposit(grid, off, masses[:-1], CIC_DX, CIC_DX ** 3, True)
+        with pytest.raises(ValueError, match="cic.deposit"):
+            deposit(grid, off[:, :2], masses, CIC_DX, CIC_DX ** 3, True)
+        with pytest.raises(ValueError, match="cic.deposit"):
+            deposit(grid[0], off, masses, CIC_DX, CIC_DX ** 3, True)
+        with pytest.raises(ValueError, match="cic.gather"):
+            gather(np.zeros((2, *CIC_SHAPE)), off, CIC_DX, True)
+        assert not grid.any()
+
+
 #: guard elements on each side of a canary array: more than two planes of
 #: the largest case (18² for ``mg.vcycle``), so a stride-sized overrun still
 #: lands inside the guard
@@ -1047,6 +1379,47 @@ class TestNoOutOfBoundsWrites:
         np.testing.assert_array_equal(_guards(buffers), expected)
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["random", "periodic", "nonfinite"])
+    def test_flux_correct(self, tier, kind):
+        """Parent fields, face fluxes and fine blocks alike: the wrapped
+        faces of the periodic case index the parent's first and last
+        planes."""
+        fn = _tier_impls(tier)["flux.correct"]
+        fields, coarse, periodic, children = _flux_problem(kind)
+        ref = {k: v.copy() for k, v in fields.items()}
+        with np.errstate(all="ignore"):
+            correct_numpy(ref, FC_NAMES, FC_NG, 0.125, periodic, coarse, 2,
+                          children)
+        buffers = []
+
+        def guard(a):
+            view, buf = _guarded(a)
+            buffers.append(buf)
+            return view
+
+        got = {k: guard(v) for k, v in fields.items()}
+        g_coarse = {axis: {k: guard(v) for k, v in per.items()}
+                    for axis, per in coarse.items()}
+        g_children = [(lo, hi, [guard(b) for b in blocks], present)
+                      for lo, hi, blocks, present in children]
+        before = _guards(buffers)
+        fn(got, FC_NAMES, FC_NG, 0.125, periodic, g_coarse, 2, g_children)
+        np.testing.assert_array_equal(_guards(buffers), before)
+        _assert_fields_equal(got, ref)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_cic_deposit(self, tier, periodic):
+        fn = _tier_impls(tier)["cic.deposit"]
+        off, masses = _particle_cloud()
+        ref = np.zeros(CIC_SHAPE)
+        deposit_numpy(ref, off, masses, CIC_DX, CIC_DX ** 3, periodic)
+        (grid, b_grid), (g_off, b_off), (g_m, b_m) = (
+            _guarded(np.zeros(CIC_SHAPE)), _guarded(off), _guarded(masses))
+        before = _guards((b_grid, b_off, b_m))
+        fn(grid, g_off, g_m, CIC_DX, CIC_DX ** 3, periodic)
+        np.testing.assert_array_equal(_guards((b_grid, b_off, b_m)), before)
+        _assert_bitwise(grid, ref)
 
 
 @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
@@ -1273,6 +1646,7 @@ class TestIntegration:
             calls = dispatch.counters_totals()
             assert calls["prolong.linear"][0] > 0
             assert calls["mg.vcycle"][0] > 0
+            assert calls["flux.correct"][0] > 0
             return run.hierarchy.fingerprint()
 
         fps = {backend: run(backend) for backend in ["numpy"] + COMPILED}
@@ -1308,6 +1682,9 @@ class TestIntegration:
             # its accuracy)
             assert 0 < calls["chem.step"][0] <= calls["chem.blend"][0] \
                 <= calls["chem.step"][0] + 1
+            # and the coarse-fine and particle-mesh bookkeeping
+            for name in ("flux.correct", "cic.deposit", "cic.gather"):
+                assert calls[name][0] > 0, name
             assert len(problem.hierarchy.levels) > 1
             return problem.hierarchy.fingerprint()
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.exec import LedgerError, WorkerLedger
 from repro.runtime.checkpoint_policy import CheckpointPolicy
+from repro.runtime.supervision import read_heartbeat
 from repro.runtime.telemetry import (
     JsonlFollower,
     follow_events,
@@ -292,6 +293,19 @@ def wait_for_checkpoint(service, run_id, timeout=60.0):
             return
         time.sleep(0.02)
     raise AssertionError(f"no checkpoint appeared for {run_id}")
+
+
+def wait_for_heartbeat(service, run_id, ready, timeout=60.0):
+    """Poll the run's heartbeat sidecar until ``ready(record)`` holds."""
+    run_dir = service.registry.controller_dir(run_id)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        record = read_heartbeat(run_dir)
+        if record is not None and ready(record):
+            return record
+        time.sleep(0.02)
+    raise AssertionError(f"heartbeat of {run_id} never got there: "
+                         f"{read_heartbeat(run_dir)}")
 
 
 class TestDaemon:
@@ -712,8 +726,15 @@ class TestSupervision:
         try:
             rid = client.submit(spec, tenant="chaos")
             wait_for_state(client, rid, RUNNING)
-            wait_for_checkpoint(service, rid)  # past the step-0 pair:
-            # the worker is now wedged inside root step 0's level sweep
+            # not the checkpoint's .npz: it lands before its sidecars and
+            # before the step loop starts, and a drain in that gap ends the
+            # run "before first step".  Step 0 beyond the build, start and
+            # checkpoint beats is the controller's "root_step" beat (or a
+            # level-sweep phase after it): the worker is wedged in root
+            # step 0's level sweep
+            wait_for_heartbeat(service, rid, lambda hb: hb["step"] == 0 and
+                               hb["phase"] not in ("build", "start",
+                                                   "checkpoint"))
         finally:
             service.shutdown(drain=True, timeout=1.0)
         events = read_events(service.registry.journal_path)
