@@ -66,7 +66,8 @@ class Grid:
         self.old_time = DoubleDouble(0.0)
         self.parent: Grid | None = None
         self.children: list[Grid] = []
-        self.flux_accumulator: dict | None = None
+        # a flux_correction.FluxAccumulator while the grid steps under a parent
+        self.flux_accumulator = None
         self.last_fluxes = None
         self.proc = 0  # owning rank in the parallel layer
         self.grid_id = Grid._next_id
