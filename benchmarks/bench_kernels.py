@@ -23,10 +23,14 @@ This bench measures what that buys:
   compiled call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest,
   the typical and the largest subgrid of the ``sphere_deep`` workload — in
   us per V-cycle, layer evidence too;
-* the coarse-fine bookkeeping of the ``collapse_chem`` workload in us per
-  call: one ``flux.correct`` (every child of a 16^3 parent carrying the
-  twelve species), and ``cic.deposit`` / ``cic.gather`` of its 16^3 dark
-  matter particles on the periodic root and on a non-periodic subgrid;
+* the coarse-fine bookkeeping in us per call: one ``flux.correct`` (every
+  child of a 16^3 parent carrying the twelve species), ``cic.deposit`` /
+  ``cic.gather`` of the ``collapse_chem`` workload's 16^3 dark matter
+  particles on the periodic root and on a non-periodic subgrid, and two
+  ``fill.level`` calls on a sibling-packed level of 64 8^3 grids: its
+  boundary fill (time-interpolated parent, sibling copies) and a rebuild
+  onto 27 grids shifted by half a grid (old interiors copied, the rest
+  prolonged);
 * per-kernel microbenchmarks on realistic sweep shapes (a 64-cell sweep
   across a few thousand transverse columns — the shape the PPM solver
   actually feeds these kernels at hero-run depth), NumPy vs. the
@@ -61,6 +65,7 @@ import numpy as np
 
 from repro import constants as const
 from repro.amr.flux_correction import correct_numpy
+from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
     ChemistryNetwork,
     primordial_initial_fractions,
@@ -317,11 +322,57 @@ def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
     return fields, names, ng, children, coarse
 
 
+def _packed_level():
+    """``fill.level`` arguments of a sibling-packed level: the boundary
+    fill of 64 8^3 grids tiling a 16^3 root mid-step, and the rebuild
+    fill of 27 8^3 grids offset from them by half a grid."""
+    import itertools
+
+    from repro.amr import Grid, Hierarchy
+    from repro.amr.boundary import ghost_fill_args
+    from repro.amr.rebuild import rebuild_fill_args
+    from repro.precision.doubledouble import DoubleDouble
+
+    rng = np.random.default_rng(11)
+
+    def randomise(grid):
+        for _, arr in grid.fields.array_items():
+            arr[...] = rng.random(arr.shape) + 0.5
+        grid.phi[...] = rng.standard_normal(grid.phi.shape)
+
+    h = Hierarchy(n_root=16)
+    randomise(h.root)
+    h.root.save_old_state()
+    randomise(h.root)
+    h.root.time = DoubleDouble(1.0)
+    for corner in itertools.product(range(0, 32, 8), repeat=3):
+        g = Grid(1, corner, (8, 8, 8), n_root=16)
+        h.add_grid(g, h.root)
+        randomise(g)
+        g.time = DoubleDouble(0.5)
+    shifted = []
+    for corner in itertools.product(range(4, 28, 8), repeat=3):
+        g = Grid(1, corner, (8, 8, 8), n_root=16)
+        g.allocate()
+        shifted.append((g, h.root, False))
+    return (ghost_fill_args(h.level_topology(1)),
+            rebuild_fill_args(shifted, h.level_grids(1)))
+
+
+def _fill(fn, args, timed=False):
+    fn(*args)
+    if not timed:
+        return np.concatenate([a.ravel() for t in args[0] for a in t[0]])
+
+
 def bookkeeping_rows(config: dict, backend: str) -> dict:
     """One call of each coarse-fine bookkeeping kernel, NumPy reference vs.
-    compiled, parity-asserted on the bench inputs."""
+    compiled, parity-asserted on the bench inputs (a level fill writes
+    every cell it fills whatever they held, so one set of arrays serves
+    both tiers)."""
     fields, names, ng, children, coarse = _flux_parent(
         12, config["flux_children"])
+    boundary, rebuild = _packed_level()
     rng = np.random.default_rng(9)
     n_part = config["particles"]
     offsets = rng.random((n_part, 3))
@@ -352,6 +403,12 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
             lambda fn, timed=False: fn(field3, 0.5 * offsets + 3 * dx, dx,
                                        False),
             gather_numpy),
+        "fill.level (boundary)": (
+            lambda fn, timed=False: _fill(fn, boundary, timed),
+            fill_level_numpy),
+        "fill.level (rebuild)": (
+            lambda fn, timed=False: _fill(fn, rebuild, timed),
+            fill_level_numpy),
     }
     rows = []
     for label, (call, ref) in cases.items():

@@ -9,12 +9,21 @@ Paper Sec. 3.2.1 — the two-step procedure:
    the solution from the sibling grid" — direct copy, overriding the
    parent interpolation wherever finer-resolution data exists.
 
+Both steps of a level are one ``fill.level`` kernel call over the level's
+grids, with the geometry of the hierarchy's cached
+:class:`~repro.amr.topology.LevelTopology`.  A ghost cell a sibling's
+interior covers is copied and never prolonged: prolongation is per-cell
+local, so skipping it changes no value.
+
 The root grid uses the problem's predefined boundary (periodic here).
 """
 
 from __future__ import annotations
 
-from repro.amr.interpolation import is_positive_field, parent_covers, shell_boxes
+from itertools import chain
+
+from repro.amr.interpolation import is_positive_field
+from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet, fill_ghosts_periodic
 from repro.kernels import dispatch as kernels
 
@@ -34,35 +43,62 @@ def _time_fraction(child, parent) -> float:
     return min(max(frac, 0.0), 1.0)
 
 
-def interpolate_from_parent(child, parent, include_phi: bool = True) -> None:
-    """Fill the child's ghost shell by conservative interpolation from the
-    parent, time-centred; interior cells are not touched."""
-    r = child.refine_factor
-    ng = child.nghost
-    lo_f = child.start_index - ng
-    # every sampled parent cell keeps both neighbours (a 1-cell slope rim)
-    if not parent_covers(parent, lo_f, child.end_index + ng, r, pad=1):
+def fill_ghosts(topo: LevelTopology, include_phi: bool = True) -> None:
+    """Fill the ghost shell of every grid of ``topo`` in one ``fill.level``
+    call: sibling interiors where they reach, parent interpolation
+    (time-centred) everywhere else; interiors are not touched."""
+    if topo.grids:
+        kernels.get("fill.level")(*ghost_fill_args(topo, include_phi))
+
+
+def ghost_fill_args(topo: LevelTopology, include_phi: bool = True) -> tuple:
+    """The ``fill.level`` arguments of :func:`fill_ghosts`.  The potential
+    is filled too when ``include_phi`` and every grid and parent carries
+    one; it is not interpolated in time."""
+    grids, parents = topo.grids, topo.parents
+    if parents is None:
+        raise ValueError("a ghost fill needs every grid's parent")
+    if topo.ghost_misfit is not None:
+        child = grids[topo.ghost_misfit]
         raise ValueError(
-            f"child ghost region leaves parent array: {child} in {parent}"
-        )
-    names = _boundary_field_names(child)
-    coarse = [parent.fields[n] for n in names]
-    coarse_old = (None if parent.old_fields is None
-                  else [parent.old_fields[n] for n in names])
-    fine = [child.fields[n] for n in names]
-    positive = [is_positive_field(n) for n in names]
-    if include_phi and child.phi is not None and parent.phi is not None:
-        # the potential is not interpolated in time
-        coarse.append(parent.phi)
-        fine.append(child.phi)
-        positive.append(False)
-        if coarse_old is not None:
-            coarse_old.append(None)
-    kernels.get("prolong.linear")(
-        coarse, coarse_old, _time_fraction(child, parent), positive,
-        parent.start_index - parent.nghost, r, fine, lo_f,
-        shell_boxes(child.start_index, child.end_index, ng),
-    )
+            f"child ghost region leaves parent array: {child} in "
+            f"{parents[topo.parent_of[topo.ghost_misfit]]}")
+    names = _boundary_field_names(grids[0])
+    with_phi = include_phi and all(g.phi is not None
+                                   for g in chain(grids, parents))
+
+    def arrays(grid):
+        out = [grid.fields[n] for n in names]
+        if with_phi:
+            out.append(grid.phi)
+        return out
+
+    parent_rows = [
+        (arrays(p), None if p.old_fields is None
+         else [p.old_fields[n] for n in names] + [None] * with_phi, origin)
+        for p, origin in zip(parents, topo.parent_origins)
+    ]
+    # one time fraction per distinct parent (and child time)
+    fracs = {}
+    targets, sources = [], []
+    for g, origin, lo, hi, k in zip(grids, topo.origins, topo.starts,
+                                    topo.ends, topo.parent_of):
+        key = (k, float(g.time.hi), float(g.time.lo))
+        frac = fracs.get(key)
+        if frac is None:
+            frac = fracs[key] = _time_fraction(g, parents[k])
+        mine = arrays(g)
+        targets.append((mine, origin, k, frac))
+        sources.append((mine, origin, lo, hi))
+    return (targets, parent_rows, sources, topo.shell, topo.copies,
+            grids[0].refine_factor,
+            [is_positive_field(n) for n in names] + [False] * with_phi)
+
+
+def interpolate_from_parent(child, parent, include_phi: bool = True) -> None:
+    """Fill one child's ghost shell by conservative interpolation from the
+    parent, time-centred; interior cells are not touched."""
+    fill_ghosts(LevelTopology([child], child.nghost, [parent]), include_phi)
 
 
 def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
@@ -88,31 +124,15 @@ def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
             grid.phi[my_sl] = other.phi[o_sl]
 
 
-def copy_from_sibling_links(grid, links, include_phi: bool = True) -> None:
-    """Like :func:`copy_from_siblings` but from precomputed SiblingLinks."""
-    names = _boundary_field_names(grid)
-    for link in links:
-        other = link.sibling
-        for name in names:
-            grid.fields[name][link.ghost_dst] = other.fields[name][link.ghost_src]
-        if include_phi and grid.phi is not None and other.phi is not None:
-            grid.phi[link.ghost_dst] = other.phi[link.ghost_src]
-
-
 def set_boundary_values(hierarchy, level: int, include_phi: bool = True) -> None:
     """The paper's SetBoundaryValues(all grids) for one level."""
-    grids = hierarchy.level_grids(level)
     if level == 0:
-        for g in grids:
+        for g in hierarchy.level_grids(0):
             fill_ghosts_periodic(g.fields, g.nghost)
             if include_phi and g.phi is not None:
                 wrap_phi_ghosts(g)
         return
-    for g in grids:
-        interpolate_from_parent(g, g.parent, include_phi)
-    smap = hierarchy.sibling_map(level)
-    for g in grids:
-        copy_from_sibling_links(g, smap.get(g.grid_id, ()), include_phi)
+    fill_ghosts(hierarchy.level_topology(level), include_phi)
 
 
 def wrap_phi_ghosts(grid) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.boundary import wrap_phi_ghosts
-from repro.amr.interpolation import parent_covers
 from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
 from repro.kernels import dispatch as kernels
@@ -99,8 +98,10 @@ class HierarchyGravity:
             return 0, 0, 0
 
         sources = {g.grid_id: self.source(hierarchy, g, a) for g in grids}
-        boundaries = {g.grid_id: self._parent_boundary(g) for g in grids}
-        smap = hierarchy.sibling_map(level)
+        topo = hierarchy.level_topology(level)
+        boundaries = dict(zip((g.grid_id for g in grids),
+                              parent_boundaries(topo)))
+        smap = topo.links
         passes = solves = vcycles = 0
         for iteration in range(self.sibling_iterations):
             passes += 1
@@ -164,24 +165,6 @@ class HierarchyGravity:
             )
             return sol, 2, exc.diagnostics.cycles + self.mg.last_cycles
 
-    def _parent_boundary(self, grid) -> np.ndarray:
-        """Dirichlet rim (dims+2) interpolated from the parent's potential."""
-        parent = grid.parent
-        r = grid.refine_factor
-        lo_f = grid.start_index - 1
-        hi_f = grid.end_index + 1
-        if not parent_covers(parent, lo_f, hi_f, r, pad=1):
-            raise ValueError(
-                f"Dirichlet rim leaves parent array: {grid} in {parent}"
-            )
-        rim = np.empty(tuple(int(d) + 2 for d in grid.dims))
-        kernels.get("prolong.linear")(
-            [parent.phi], None, 1.0, [False],
-            parent.start_index - parent.nghost, r, [rim], lo_f,
-            [(lo_f, hi_f)],
-        )
-        return rim
-
     def _store_phi(self, grid, rim_solution: np.ndarray) -> None:
         """Write the rim-padded MG solution into grid.phi (ghost layout).
 
@@ -224,6 +207,25 @@ class HierarchyGravity:
         ng = grid.nghost
         offsets = (positions_hi + positions_lo) - grid.left_edge + ng * grid.dx
         return cic_gather(accel_full, offsets, grid.dx, periodic=False)
+
+
+def parent_boundaries(topo) -> list[np.ndarray]:
+    """Dirichlet rims (dims+2) of every grid of ``topo``, interpolated from
+    the parents' potentials in one ``fill.level`` call."""
+    grids, parents = topo.grids, topo.parents
+    if topo.rim_misfit is not None:
+        grid = grids[topo.rim_misfit]
+        raise ValueError(
+            f"Dirichlet rim leaves parent array: {grid} in "
+            f"{parents[topo.parent_of[topo.rim_misfit]]}")
+    rims = [np.empty(tuple(int(d) + 2 for d in g.dims)) for g in grids]
+    kernels.get("fill.level")(
+        [([rim], [v - 1 for v in lo], k, 1.0)
+         for rim, lo, k in zip(rims, topo.starts, topo.parent_of)],
+        [([p.phi], None, origin)
+         for p, origin in zip(parents, topo.parent_origins)],
+        [], topo.rim, (), grids[0].refine_factor, [False])
+    return rims
 
 
 def _exchange_rim(grid, other, rim: np.ndarray) -> bool:

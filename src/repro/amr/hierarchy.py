@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.amr.grid import Grid
 from repro.amr.pool import FieldArrayPool
-from repro.amr.topology import build_sibling_map
+from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
@@ -29,13 +29,11 @@ from repro.precision.doubledouble import DoubleDouble
 class Hierarchy:
     """Container and bookkeeping for the SAMR grid tree.
 
-    Topology queries (sibling lists, per-particle finest levels) are served
-    from caches keyed by ``topology_epoch``, a counter bumped by every
-    structural mutation (``add_grid`` / ``remove_level_grids``), so the hot
-    paths never re-derive overlaps while the tree is unchanged and rebuilds
-    invalidate automatically.  Set ``topology_cache_enabled = False`` to
-    force a rebuild on every query (the uncached baseline the hot-path
-    benchmark compares against).
+    Topology queries (sibling lists and fill geometry, per-particle finest
+    levels) are served from caches keyed by ``topology_epoch``, a counter
+    bumped by every structural mutation (``add_grid`` /
+    ``remove_level_grids``), so the hot paths never re-derive overlaps
+    while the tree is unchanged and rebuilds invalidate automatically.
     """
 
     def __init__(self, n_root: int, refine_factor: int = 2, nghost: int = 3,
@@ -49,9 +47,8 @@ class Hierarchy:
         self.levels: list[list[Grid]] = [[root]]
         #: bumped on every structural change; cache keys derive from it
         self.topology_epoch = 0
-        self.topology_cache_enabled = True
         self.timers = None  # optional ComponentTimers ("topology" section)
-        self._sibling_maps: dict[int, tuple[int, dict]] = {}
+        self._sibling_maps: dict[int, tuple[int, LevelTopology]] = {}
         self._particle_epoch = 0
         self._plevel_cache: tuple[tuple, np.ndarray] | None = None
         #: recycled field-array buffers (repro.amr.pool); rebuild-created
@@ -203,9 +200,10 @@ class Hierarchy:
         moves **once** — or not at all if the final per-level membership is
         identical to the initial one (a fully-reused rebuild), in which
         case every epoch-keyed cache stays warm.  For levels whose
-        membership is unchanged across the block, cached sibling maps are
-        re-stamped to the new epoch (grid geometry is immutable, so an
-        unchanged member list means an unchanged map).
+        membership is unchanged across the block, cached level topologies
+        are re-stamped to the new epoch (grid geometry is immutable and a
+        reused grid keeps its parent, so an unchanged member list means
+        an unchanged topology).
         """
         if self._bulk_depth == 0:
             self._bulk_membership = self._membership()
@@ -232,28 +230,32 @@ class Hierarchy:
                             )
 
     # --------------------------------------------------------------- queries
-    def sibling_map(self, level: int) -> dict:
-        """``grid_id -> list[SiblingLink]`` for a level, cached per epoch.
+    def level_topology(self, level: int) -> LevelTopology:
+        """A level's :class:`~repro.amr.topology.LevelTopology` (sibling
+        links and fill geometry), cached per epoch.
 
-        The map (precomputed ghost- and rim-overlap slices, see
-        :mod:`repro.amr.topology`) is rebuilt lazily the first time it is
-        requested after a structural change.
+        It is rebuilt lazily the first time it is requested after a
+        structural change.
         """
         # mid-bulk-update the tree has mutated but the epoch hasn't moved
         # yet: the cache can neither be trusted nor populated
-        cacheable = self.topology_cache_enabled and not (
-            self._bulk_depth and self._bulk_mutations
-        )
+        cacheable = not (self._bulk_depth and self._bulk_mutations)
         if cacheable:
             entry = self._sibling_maps.get(level)
             if entry is not None and entry[0] == self.topology_epoch:
                 return entry[1]
-        smap = self._timed_topology(
-            build_sibling_map, self.level_grids(level), self.nghost
+        topo = self._timed_topology(
+            LevelTopology, self.level_grids(level), self.nghost
         )
         if cacheable:
-            self._sibling_maps[level] = (self.topology_epoch, smap)
-        return smap
+            self._sibling_maps[level] = (self.topology_epoch, topo)
+        return topo
+
+    def sibling_map(self, level: int) -> dict:
+        """``grid_id -> list[SiblingLink]`` for a level, cached per epoch
+        (precomputed ghost- and rim-overlap slices, see
+        :mod:`repro.amr.topology`)."""
+        return self.level_topology(level).links
 
     def siblings(self, grid: Grid) -> list[Grid]:
         """Same-level grids whose interiors touch my ghost-expanded region."""
@@ -288,9 +290,7 @@ class Hierarchy:
         read-only so a consumer cannot corrupt the cache in place.
         """
         key = (self.topology_epoch, self._particle_epoch, id(self._particles))
-        cacheable = self.topology_cache_enabled and not (
-            self._bulk_depth and self._bulk_mutations
-        )
+        cacheable = not (self._bulk_depth and self._bulk_mutations)
         if (
             cacheable
             and self._plevel_cache is not None

@@ -12,9 +12,11 @@ each parent cell gets MC-limited slopes and the children sample the linear
 profile, so the mean of the r^3 children equals the parent value exactly
 (the property the projection step and the conservation tests rely on).
 :func:`prolong_linear` is the definition of the operator on a whole
-array; every hierarchy call site goes through the ``prolong.linear``
-kernel (:mod:`repro.kernels`), whose NumPy reference is
-:func:`prolong_boxes`.
+array.  Every hierarchy call site fills a whole level's targets through
+the ``fill.level`` kernel (:mod:`repro.kernels`): prolongation from the
+parent wherever no same-level interior is copied in.  Its NumPy
+reference is :func:`fill_level_numpy` (:func:`subtract_boxes`, then
+:func:`prolong_boxes`, then slice copies).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def gather_prolong_boxes(stack: np.ndarray, slopes, r: int, boxes):
 
 def prolong_boxes(coarse, coarse_old, frac, positive, coarse_origin, r,
                   fine, fine_origin, boxes) -> None:
-    """NumPy reference of the ``prolong.linear`` kernel.
+    """The prolongation step of :func:`fill_level_numpy` for one target.
 
     Fills the fine-index ``boxes`` (``(lo, hi)`` pairs) of the child
     arrays ``fine`` (first cell at fine index ``fine_origin``) by
@@ -161,7 +163,7 @@ def prolong_boxes(coarse, coarse_old, frac, positive, coarse_origin, r,
     parent cells under them inside ``coarse``.
     """
     if r < 2:
-        raise ValueError("prolong.linear needs a refinement factor >= 2")
+        raise ValueError("fill.level needs a refinement factor >= 2")
     if not boxes:
         return
     lo = np.array([b[0] for b in boxes], dtype=np.int64).reshape(-1, 3)
@@ -196,31 +198,134 @@ def prolong_boxes(coarse, coarse_old, frac, positive, coarse_origin, r,
         np.put(arr, dst, vals)
 
 
+def fill_level_numpy(targets, parents, sources, fill, copies, r,
+                     positive) -> None:
+    """NumPy reference of the ``fill.level`` kernel: fill a table of
+    target arrays from their parents and from same-level interiors.
+
+    ``targets`` are ``(arrays, origin, parent, frac)``: the target's
+    arrays, one per field (first cell at fine index ``origin``), an index
+    into ``parents`` and the time fraction its parent is interpolated
+    at.  ``parents`` are ``(arrays, old, origin)``: the coarse arrays,
+    their old states (``None``, or a list holding ``None`` for a field
+    without one) and the coarse index of their first cell.  ``sources``
+    are ``(arrays, origin, lo, hi)``: same-level arrays and their
+    interior ``[lo, hi)``.  ``fill`` rows are ``(target, lo, hi)``
+    fine-index boxes, ``copies`` rows ``(target, source, lo, hi)``, both
+    grouped by target in ascending order; ``positive`` flags the
+    sign-definite fields.
+
+    For each target, in table order: its copy boxes are subtracted from
+    its fill boxes (:func:`subtract_boxes`), the remaining cells are
+    prolonged from its parent (:func:`prolong_boxes`), and the copies are
+    applied.  Prolongation is per-cell local, so a cell a copy overwrites
+    never needs prolonging.  Callers guarantee that no target writes a
+    source's interior, which makes the order of the targets irrelevant.
+    """
+    fill = np.asarray(fill, dtype=np.int64).reshape(-1, 7)
+    copies = np.asarray(copies, dtype=np.int64).reshape(-1, 8)
+    for t, (arrays, origin, p, frac) in enumerate(targets):
+        coarse, old, coarse_origin = parents[p]
+        mine = copies[copies[:, 0] == t].tolist()
+        covers = [(c[2:5], c[5:8]) for c in mine]
+        fragments = []
+        for row in fill[fill[:, 0] == t].tolist():
+            fragments += subtract_boxes(row[1:4], row[4:7], covers)
+        prolong_boxes(coarse, old, frac, positive, coarse_origin, r, arrays,
+                      origin, fragments)
+        for _, s, *box in mine:
+            src, src_origin = sources[s][:2]
+            dst_sl, src_sl = _box_slices(box, origin), _box_slices(box,
+                                                                  src_origin)
+            for arr, src_arr in zip(arrays, src):
+                arr[dst_sl] = src_arr[src_sl]
+
+
+def _box_slices(box, origin):
+    """The fine-index ``box`` (``lo + hi``) as slices of an array whose
+    first cell sits at fine index ``origin``."""
+    return tuple(slice(int(box[d] - origin[d]), int(box[d + 3] - origin[d]))
+                 for d in range(3))
+
+
+def subtract_boxes(lo, hi, covers):
+    """Sub-boxes of ``[lo, hi)`` not covered by any box in ``covers``.
+
+    Standard SAMR box arithmetic: each cover splits every surviving box
+    into up to six axis-aligned remainders (the covered core is dropped).
+    Deterministic in the order of ``covers``; any decomposition yields the
+    same cell set, and the prolongation is per-cell local, so the values
+    filled are independent of how the remainder is tiled.
+    """
+    # plain int tuples throughout: these are 3-vectors, where numpy's
+    # per-call overhead dwarfs the arithmetic
+    boxes = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))]
+    for clo, chi in covers:
+        clo = (int(clo[0]), int(clo[1]), int(clo[2]))
+        chi = (int(chi[0]), int(chi[1]), int(chi[2]))
+        nxt = []
+        for blo, bhi in boxes:
+            ilo = (max(blo[0], clo[0]), max(blo[1], clo[1]),
+                   max(blo[2], clo[2]))
+            ihi = (min(bhi[0], chi[0]), min(bhi[1], chi[1]),
+                   min(bhi[2], chi[2]))
+            if ilo[0] >= ihi[0] or ilo[1] >= ihi[1] or ilo[2] >= ihi[2]:
+                nxt.append((blo, bhi))
+                continue
+            cur_lo, cur_hi = list(blo), list(bhi)
+            for d in range(3):
+                if ilo[d] > cur_lo[d]:
+                    nhi = list(cur_hi)
+                    nhi[d] = ilo[d]
+                    nxt.append((tuple(cur_lo), tuple(nhi)))
+                    cur_lo[d] = ilo[d]
+                if ihi[d] < cur_hi[d]:
+                    nlo = list(cur_lo)
+                    nlo[d] = ihi[d]
+                    nxt.append((tuple(nlo), tuple(cur_hi)))
+                    cur_hi[d] = ihi[d]
+        boxes = nxt
+        if not boxes:
+            break
+    return boxes
+
+
+#: the six ghost-shell slabs as picks from (start - ng, start, end,
+#: end + ng), one per corner coordinate: the x slabs span the whole
+#: shell, the y slabs the x interior, the z slabs the x-y interior
+_SHELL = np.array([(0, 0, 0, 1, 3, 3), (2, 0, 0, 3, 3, 3),
+                   (1, 0, 0, 2, 1, 3), (1, 2, 0, 2, 3, 3),
+                   (1, 1, 0, 2, 2, 1), (1, 1, 2, 2, 2, 3)])
+
+
+def shell_table(starts, ends, ng: int) -> np.ndarray:
+    """``(6 n, 7)`` int64 rows ``(target, lo, hi)``: the six disjoint
+    fine-index boxes tiling the ``ng``-wide ghost shell around each
+    interior ``[starts[t], ends[t])``, grouped by target."""
+    s = np.asarray(starts, dtype=np.int64).reshape(-1, 3)
+    e = np.asarray(ends, dtype=np.int64).reshape(-1, 3)
+    bounds = np.stack([s - ng, s, e, e + ng])
+    out = np.empty((len(s), 6, 7), dtype=np.int64)
+    out[:, :, 0] = np.arange(len(s))[:, None]
+    out[:, :, 1:] = bounds[_SHELL, :, np.arange(6) % 3].transpose(2, 0, 1)
+    return out.reshape(-1, 7)
+
+
 def shell_boxes(start, end, ng: int):
-    """Six disjoint fine-index boxes tiling the ``ng``-wide ghost shell
-    around the interior ``[start, end)``."""
-    s = tuple(int(v) for v in start)
-    e = tuple(int(v) for v in end)
-    lo = (s[0] - ng, s[1] - ng, s[2] - ng)
-    hi = (e[0] + ng, e[1] + ng, e[2] + ng)
-    return [
-        (lo, (s[0], hi[1], hi[2])),
-        ((e[0], lo[1], lo[2]), hi),
-        ((s[0], lo[1], lo[2]), (e[0], s[1], hi[2])),
-        ((s[0], e[1], lo[2]), (e[0], hi[1], hi[2])),
-        ((s[0], s[1], lo[2]), (e[0], e[1], s[2])),
-        ((s[0], s[1], e[2]), (e[0], e[1], hi[2])),
-    ]
+    """Six disjoint fine-index ``(lo, hi)`` boxes tiling the ``ng``-wide
+    ghost shell around the interior ``[start, end)``."""
+    return [(tuple(row[1:4]), tuple(row[4:7]))
+            for row in shell_table(start, end, ng).tolist()]
 
 
-def parent_covers(parent, lo_f, hi_f, r: int, pad: int = 0) -> bool:
-    """Do ``parent``'s allocated (ghost-padded) arrays hold every parent
-    cell under the fine region ``[lo_f, hi_f)``, plus ``pad`` cells?"""
-    ng = parent.nghost
+def parent_covers(lo_f, hi_f, parent_lo, parent_hi, r: int,
+                  pad: int = 0) -> np.ndarray:
+    """Per row: do parent arrays allocated over the coarse indices
+    ``[parent_lo, parent_hi)`` hold every parent cell under the fine
+    region ``[lo_f, hi_f)``, plus ``pad`` cells?"""
     need_lo = np.floor_divide(lo_f, r) - pad
     need_hi = -(-np.asarray(hi_f) // r) + pad
-    return bool(np.all(need_lo >= parent.start_index - ng)
-                and np.all(need_hi <= parent.end_index + ng))
+    return np.all((need_lo >= parent_lo) & (need_hi <= parent_hi), axis=-1)
 
 
 def is_positive_field(name: str) -> bool:

@@ -45,162 +45,90 @@ from scipy.ndimage import binary_dilation
 
 from repro.amr.clustering import cluster_flagged_cells
 from repro.amr.grid import Grid
-from repro.amr.interpolation import is_positive_field, parent_covers, shell_boxes
+from repro.amr.interpolation import is_positive_field, parent_covers, shell_table
+from repro.amr.topology import box_overlaps, parent_table
 from repro.kernels import dispatch as kernels
 from repro.precision.doubledouble import DoubleDouble
 
 
-class _OldLevel:
-    """One retired level's grids with vectorised interior boxes.
+def _fill_level(entries, old_grids) -> None:
+    """Fill one level's rebuilt grids in one ``fill.level`` call (see
+    :func:`rebuild_fill_args`)."""
+    if entries:
+        kernels.get("fill.level")(*rebuild_fill_args(entries, old_grids))
 
-    The fill passes query "which old grids overlap this fine box?" once
-    per filled region; the per-pair loop of numpy calls that question
-    used to cost (O(N_new x N_old) `np.maximum`/`np.any` invocations)
-    dominated deep rebuilds, so the boxes are stacked into two (N, 3)
-    arrays and every query is one broadcast comparison.
+
+def rebuild_fill_args(entries, old_grids) -> tuple:
+    """The ``fill.level`` arguments that fill one level's rebuilt grids.
+
+    ``entries`` are ``(grid, parent, reused)``.  A new grid is filled over
+    its whole array, ghosts included, so a freshly rebuilt grid can take
+    its next hydro step immediately (the paper's control flow rebuilds at
+    the end of each step and solves at the top of the next iteration,
+    before the next SetBoundaryValues).  A reused grid's ghost shell is
+    the only part refilled: the from-scratch fill would overwrite its
+    interior with its own old interior (same-level interiors are
+    disjoint, and its box is unchanged).  Wherever an interior of
+    ``old_grids`` (the retired level) overlaps, it is copied; only the
+    remainder is prolonged from the parent.  Prolongation is per-cell
+    local, so filling the remainder alone is bitwise what filling
+    everything and copying over it gives.
     """
-
-    __slots__ = ("grids", "starts", "ends")
-
-    def __init__(self, grids):
-        self.grids = list(grids)
-        self.starts = np.array([g.start_index for g in self.grids],
-                               dtype=np.int64).reshape(-1, 3)
-        self.ends = np.array([g.end_index for g in self.grids],
-                             dtype=np.int64).reshape(-1, 3)
-
-    def overlapping(self, lo_f, hi_f):
-        """``(grid, lo, hi)`` for every old interior meeting ``[lo_f, hi_f)``,
-        in level-list order (the order the scalar loop copied in)."""
-        if not self.grids:
-            return []
-        lo = np.maximum(self.starts, lo_f)
-        hi = np.minimum(self.ends, hi_f)
-        idx = np.nonzero((lo < hi).all(axis=1))[0]
-        return [(self.grids[i], lo[i], hi[i]) for i in idx]
-
-
-def _subtract_boxes(lo, hi, covers):
-    """Sub-boxes of ``[lo, hi)`` not covered by any box in ``covers``.
-
-    Standard SAMR box arithmetic: each cover splits every surviving box
-    into up to six axis-aligned remainders (the covered core is dropped).
-    Deterministic in the order of ``covers``; any decomposition yields the
-    same cell set, and the prolongation is per-cell local, so the values
-    filled are independent of how the remainder is tiled.
-    """
-    # plain int tuples throughout: these are 3-vectors hit tens of
-    # thousands of times per rebuild, where numpy's per-call overhead
-    # dwarfs the arithmetic
-    boxes = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))]
-    for clo, chi in covers:
-        clo = (int(clo[0]), int(clo[1]), int(clo[2]))
-        chi = (int(chi[0]), int(chi[1]), int(chi[2]))
-        nxt = []
-        for blo, bhi in boxes:
-            ilo = (max(blo[0], clo[0]), max(blo[1], clo[1]),
-                   max(blo[2], clo[2]))
-            ihi = (min(bhi[0], chi[0]), min(bhi[1], chi[1]),
-                   min(bhi[2], chi[2]))
-            if ilo[0] >= ihi[0] or ilo[1] >= ihi[1] or ilo[2] >= ihi[2]:
-                nxt.append((blo, bhi))
-                continue
-            cur_lo, cur_hi = list(blo), list(bhi)
-            for d in range(3):
-                if ilo[d] > cur_lo[d]:
-                    nhi = list(cur_hi)
-                    nhi[d] = ilo[d]
-                    nxt.append((tuple(cur_lo), tuple(nhi)))
-                    cur_lo[d] = ilo[d]
-                if ihi[d] < cur_hi[d]:
-                    nlo = list(cur_lo)
-                    nlo[d] = ihi[d]
-                    nxt.append((tuple(nlo), tuple(cur_hi)))
-                    cur_hi[d] = ihi[d]
-        boxes = nxt
-        if not boxes:
-            break
-    return boxes
-
-
-def _fill_boxes(grid: Grid, parent: Grid, old_level: _OldLevel, boxes) -> None:
-    """Fill fine-index boxes of ``grid``'s arrays: old same-level
-    interiors where they overlap, prolongation from the parent elsewhere.
-
-    Prolongation is per-parent-cell local, so filling a sub-box is bitwise
-    identical to cutting that box out of a full-array fill, and cells an
-    old interior is about to overwrite need not be prolonged at all: only
-    the *uncovered* remainder of each box goes through the interpolant,
-    all of a grid's fragments in one ``prolong.linear`` call that reads
-    the parent's arrays in place.
-    """
-    r = grid.refine_factor
-    ng = grid.nghost
-    base = grid.start_index - ng
-    if not parent_covers(parent, base, grid.end_index + ng, r):
+    grids = [g for g, _, _ in entries]
+    ng, r = grids[0].nghost, grids[0].refine_factor
+    starts = np.array([g.start_index for g in grids], dtype=np.int64)
+    ends = np.array([g.end_index for g in grids], dtype=np.int64)
+    parents, parent_of, p_lo, p_hi = parent_table([p for _, p, _ in entries])
+    ok = parent_covers(starts - ng, ends + ng, p_lo[parent_of],
+                       p_hi[parent_of], r)
+    if not ok.all():
         # the kernel must never see a box outside the parent's arrays
+        k = int(np.argmin(ok))
         raise ValueError(
-            f"{grid} with its ghost zones needs parent cells outside "
-            f"{parent}'s allocated extent — the child is not nested in "
-            f"its parent"
+            f"{grids[k]} with its ghost zones needs parent cells outside "
+            f"{parents[parent_of[k]]}'s allocated extent — the child is not "
+            f"nested in its parent"
         )
-    names = [k for k, _ in grid.fields.array_items()]
-    arrays = [grid.fields[n] for n in names] + [grid.phi]
-    fragments = []
-    copies = []
-    for lo_f, hi_f in boxes:
-        overlaps = old_level.overlapping(lo_f, hi_f)
-        fragments += _subtract_boxes(
-            lo_f, hi_f, [(lo, hi) for _, lo, hi in overlaps])
-        copies += overlaps
-    kernels.get("prolong.linear")(
-        [parent.fields[n] for n in names] + [parent.phi], None, 1.0,
-        [is_positive_field(n) for n in names] + [False],
-        parent.start_index - parent.nghost, r, arrays, base, fragments,
+    reused = np.array([flag for _, _, flag in entries], dtype=bool)
+    n = len(grids)
+    fill = np.concatenate([
+        shell_table(starts, ends, ng).reshape(n, 6, 7)[reused].reshape(-1, 7),
+        np.column_stack([np.arange(n), starts - ng, ends + ng])[~reused],
+    ])
+    fill = fill[np.argsort(fill[:, 0], kind="stable")]
+    # old interiors meeting each ghost-padded box, never a grid's own
+    old_grids = list(old_grids)
+    i, j, lo, hi = box_overlaps(
+        starts - ng, ends + ng, np.array([g.grid_id for g in grids]),
+        np.array([o.start_index for o in old_grids],
+                 dtype=np.int64).reshape(-1, 3),
+        np.array([o.end_index for o in old_grids],
+                 dtype=np.int64).reshape(-1, 3),
+        np.array([o.grid_id for o in old_grids], dtype=np.int64))
+    used, j = np.unique(j, return_inverse=True)
+
+    names = [k for k, _ in grids[0].fields.array_items()]
+
+    def arrays(grid):
+        return [grid.fields[name] for name in names] + [grid.phi]
+
+    sources = []
+    for o in (old_grids[u] for u in used.tolist()):
+        sources.append((arrays(o), (o.start_index - o.nghost).tolist(),
+                        o.start_index.tolist(), o.end_index.tolist()))
+    return (
+        [(arrays(g), origin, k, 1.0)
+         for g, origin, k in zip(grids, (starts - ng).tolist(), parent_of)],
+        [(arrays(p), None, origin) for p, origin in zip(parents, p_lo.tolist())],
+        sources, fill, np.column_stack([i, j, lo, hi]), r,
+        [is_positive_field(name) for name in names] + [False],
     )
-    for old, lo, hi in copies:
-        obase = old.start_index - old.nghost
-        dst = tuple(
-            slice(int(lo[d] - base[d]), int(hi[d] - base[d])) for d in range(3)
-        )
-        src = tuple(
-            slice(int(lo[d] - obase[d]), int(hi[d] - obase[d]))
-            for d in range(3)
-        )
-        old_arrays = [old.fields[n] for n in names] + [old.phi]
-        for arr, old_arr in zip(arrays, old_arrays):
-            arr[dst] = old_arr[src]
 
 
 def _fill_new_grid(grid: Grid, parent: Grid, old_grids) -> None:
-    """Fill the whole array (ghosts included): prolong from the parent,
-    then overwrite with old same-level data where it overlaps.
-
-    Filling ghosts too means a freshly rebuilt grid can take its next
-    hydro step immediately (the paper's control flow rebuilds at the end
-    of each step and solves at the top of the next iteration, before the
-    next SetBoundaryValues).
-    """
-    if not isinstance(old_grids, _OldLevel):
-        old_grids = _OldLevel(old_grids)
-    ng = grid.nghost
-    _fill_boxes(grid, parent, old_grids,
-                [(grid.start_index - ng, grid.end_index + ng)])
-
-
-def _refresh_ghost_shell(grid: Grid, parent: Grid, old_grids: _OldLevel) -> None:
-    """Refill a *reused* grid's ghost shell only.
-
-    The from-scratch fill overwrites a grid's interior with its own old
-    interior (same-level interiors are disjoint, and a reused grid's box
-    is unchanged), so the interior needs no work; the ghost shell is the
-    only part whose from-scratch values (current-parent prolongation +
-    old same-level copies) differ from what the reused arrays hold.  In a
-    quiescent clustered region the old level covers most of the shell,
-    so few cells are prolonged at all.
-    """
-    _fill_boxes(grid, parent, old_grids,
-                shell_boxes(grid.start_index, grid.end_index, grid.nghost))
+    """Fill one new grid's whole array, ghosts included: old same-level
+    data where it overlaps, prolongation from the parent elsewhere."""
+    _fill_level([(grid, parent, False)], old_grids)
 
 
 def _flag_signature(flags: np.ndarray, params_key: bytes) -> bytes:
@@ -281,7 +209,6 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                         and lvl > criteria.max_level):
                     break
                 parents = hierarchy.level_grids(lvl - 1)
-                old_grids = _OldLevel(old_by_level.get(lvl, []))
                 new_grids: list[tuple[Grid, Grid]] = []  # (child, parent)
                 reused_ids: set[int] = set()
                 r = hierarchy.refine_factor
@@ -322,9 +249,9 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                             new_grids.append((g, parent))
 
                 for g, parent in new_grids:
-                    if g.grid_id in reused_ids:
-                        hierarchy.add_grid(g, parent, reused=True)
-                        _refresh_ghost_shell(g, parent, old_grids)
+                    reused = g.grid_id in reused_ids
+                    hierarchy.add_grid(g, parent, reused=reused)
+                    if reused:
                         # reset the per-step scratch a fresh Grid starts
                         # without, so reuse is invisible downstream
                         g.old_fields = None
@@ -333,10 +260,11 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                         g.last_fluxes = None
                         stats["reused"] += 1
                     else:
-                        hierarchy.add_grid(g, parent)
-                        _fill_new_grid(g, parent, old_grids)
                         stats["created"] += 1
                     g.time = DoubleDouble(parent.time)
+                _fill_level([(g, parent, g.grid_id in reused_ids)
+                             for g, parent in new_grids],
+                            old_by_level.get(lvl, []))
 
                 # this level's copy pass is done: free the old level now
                 retire(old_by_level.pop(lvl, []), reused_ids)

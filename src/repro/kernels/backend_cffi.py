@@ -29,8 +29,9 @@ and scratch, and copy non-contiguous in-place targets in and back:
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
   cube, block, dt, z, safety, max_substeps, three_body, formation_heating,
   cmb_floor)`` — one substep of every active cell of one grid, in place
-* ``prolong.linear``  ``fn(coarse, coarse_old, frac, positive, coarse_origin,
-  r, fine, fine_origin, boxes)`` — fills boxes of the ``fine`` arrays in place
+* ``fill.level``      ``fn(targets, parents, sources, fill, copies, r,
+  positive)`` — fills a level's target arrays in place: copies from
+  same-level interiors, prolongation from the parents everywhere else
 * ``mg.vcycle``       ``fn(phi, source, dx, pre, post, min_size, residual)`` —
   one multigrid V-cycle on the rim-padded ``phi`` in place; the post-cycle
   residual is left in ``residual``
@@ -140,11 +141,11 @@ void rk_chem_step(long n_cells, long n_act, double *state, double *e,
     const double *block, double dt, double dt_floor, double t_cmb,
     double compton, double safety, long max_substeps, int three_body,
     int formation_heating, int cmb_floor, int renormalise);
-void rk_prolong_linear(long nf, long nx, long ny, long nz,
-    const double **news, const double **olds, double frac,
-    const int *positives, long r, long p0, long p1, long p2,
-    double **fines, long fy, long fz, long f0, long f1, long f2,
-    long n_boxes, const int64_t *boxes);
+long rk_fill_level(long nf, long r, const int *positives, long n_t,
+    double **fines, const int64_t *t_geom, const double *fracs,
+    const double **news, const double **olds, const int64_t *p_geom,
+    const double **srcs, const int64_t *s_geom, long n_fill,
+    const int64_t *fill, long n_copy, const int64_t *copies);
 long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size);
 void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
@@ -208,6 +209,7 @@ def _layout() -> str:
 _CSOURCE = _layout() + r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* np.maximum / np.minimum: NaN in either operand propagates */
@@ -702,7 +704,8 @@ void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
 }
 
 /* ---- AMR stencil: conservative linear prolongation into fine-index
-   boxes (reference: amr/interpolation.py prolong_boxes) ---- */
+   boxes, and the level fill around it (reference: amr/interpolation.py
+   prolong_boxes, fill_level_numpy) ---- */
 
 /* np.sign: -1, 0, +1, NaN for NaN */
 static double sgn(double x) {
@@ -818,19 +821,148 @@ static void prolong_field(long nx, long ny, long nz,
     }
 }
 
-/* All nf fields of one call: news[f] / olds[f] (NULL: no time interpolation
-   for that field) / positives[f] / fines[f] are prolong_field's per-field
-   arguments, everything else is shared. */
-void rk_prolong_linear(long nf, long nx, long ny, long nz,
-    const double **news, const double **olds, double frac,
-    const int *positives, long r, long p0, long p1, long p2,
-    double **fines, long fy, long fz, long f0, long f1, long f2,
-    long n_boxes, const int64_t *boxes)
+/* A growable list of fine-index boxes, six corners each (lo, hi). */
+typedef struct { int64_t *b; long n, cap; } boxlist;
+
+static int boxlist_push(boxlist *v, const int64_t *lo, const int64_t *hi)
 {
-    for (long f = 0; f < nf; f++)
-        prolong_field(nx, ny, nz, news[f], olds[f] ? olds[f] : news[f],
-                      olds[f] != 0, frac, positives[f], r, p0, p1, p2,
-                      fines[f], fy, fz, f0, f1, f2, n_boxes, boxes);
+    if (v->n == v->cap) {
+        long cap = v->cap ? 2 * v->cap : 64;
+        int64_t *b = realloc(v->b, (size_t)cap * 6 * sizeof(int64_t));
+        if (!b)
+            return -1;
+        v->b = b;
+        v->cap = cap;
+    }
+    int64_t *row = v->b + 6 * v->n++;
+    for (int d = 0; d < 3; d++) {
+        row[d] = lo[d];
+        row[d + 3] = hi[d];
+    }
+    return 0;
+}
+
+/* interpolation.subtract_boxes: the parts of box (lo, hi) that none of the
+   n_cov covers (copy rows: target, source, lo, hi) touches, appended to
+   out; cur and nxt are scratch.  Each cover splits every surviving box
+   into up to six remainders, in the reference's order. */
+static int subtract_covers(const int64_t *box, long n_cov,
+    const int64_t *covers, boxlist *out, boxlist *cur, boxlist *nxt)
+{
+    cur->n = 0;
+    if (boxlist_push(cur, box, box + 3))
+        return -1;
+    for (long c = 0; c < n_cov && cur->n; c++) {
+        const int64_t *clo = covers + 8 * c + 2, *chi = clo + 3;
+        nxt->n = 0;
+        for (long k = 0; k < cur->n; k++) {
+            const int64_t *blo = cur->b + 6 * k, *bhi = blo + 3;
+            int64_t ilo[3], ihi[3], lo[3], hi[3];
+            int empty = 0;
+            for (int d = 0; d < 3; d++) {
+                ilo[d] = blo[d] > clo[d] ? blo[d] : clo[d];
+                ihi[d] = bhi[d] < chi[d] ? bhi[d] : chi[d];
+                empty |= ilo[d] >= ihi[d];
+                lo[d] = blo[d];
+                hi[d] = bhi[d];
+            }
+            if (empty) {
+                if (boxlist_push(nxt, blo, bhi))
+                    return -1;
+                continue;
+            }
+            for (int d = 0; d < 3; d++) {
+                if (ilo[d] > lo[d]) {
+                    int64_t h[3] = {hi[0], hi[1], hi[2]};
+                    h[d] = ilo[d];
+                    if (boxlist_push(nxt, lo, h))
+                        return -1;
+                    lo[d] = ilo[d];
+                }
+                if (ihi[d] < hi[d]) {
+                    int64_t l[3] = {lo[0], lo[1], lo[2]};
+                    l[d] = ihi[d];
+                    if (boxlist_push(nxt, l, hi))
+                        return -1;
+                    hi[d] = ihi[d];
+                }
+            }
+        }
+        boxlist swap = *cur;
+        *cur = *nxt;
+        *nxt = swap;
+    }
+    for (long k = 0; k < cur->n; k++)
+        if (boxlist_push(out, cur->b + 6 * k, cur->b + 6 * k + 3))
+            return -1;
+    return 0;
+}
+
+/* Fill n_t targets of one level from their parents and from same-level
+   interiors (reference: interpolation.fill_level_numpy).  Target t owns
+   the nf arrays fines[t * nf ..] and the row t_geom[7 t ..] (shape,
+   origin, parent) and is prolonged at time fraction fracs[t]; parent p
+   owns news / olds[p * nf ..] (an old entry NULL: no time interpolation
+   for that field) and p_geom[6 p ..] (shape, origin); source s owns
+   srcs[s * nf ..] and s_geom[6 s ..].  fill rows are (target, lo, hi),
+   copies rows (target, source, lo, hi), both grouped by target.  For each
+   target the copy boxes are subtracted from the fill boxes, the rest is
+   prolonged (prolong_field, all fields) and the copies are applied.
+   Returns -1 when the box scratch cannot be allocated, else 0. */
+long rk_fill_level(long nf, long r, const int *positives, long n_t,
+    double **fines, const int64_t *t_geom, const double *fracs,
+    const double **news, const double **olds, const int64_t *p_geom,
+    const double **srcs, const int64_t *s_geom, long n_fill,
+    const int64_t *fill, long n_copy, const int64_t *copies)
+{
+    boxlist frags = {0, 0, 0}, cur = {0, 0, 0}, nxt = {0, 0, 0};
+    long status = 0, fi = 0, ci = 0;
+    for (long t = 0; t < n_t && status == 0; t++) {
+        long f_first = fi, c_first = ci;
+        while (fi < n_fill && fill[7 * fi] == t)
+            fi++;
+        while (ci < n_copy && copies[8 * ci] == t)
+            ci++;
+        frags.n = 0;
+        for (long b = f_first; b < fi && status == 0; b++)
+            status = subtract_covers(fill + 7 * b + 1, ci - c_first,
+                                     copies + 8 * c_first, &frags, &cur,
+                                     &nxt);
+        if (status)
+            break;
+        const int64_t *tg = t_geom + 7 * t, *pg = p_geom + 6 * tg[6];
+        double frac = fracs[t];
+        for (long f = 0; f < nf; f++) {
+            const double *new_ = news[tg[6] * nf + f];
+            const double *old = olds[tg[6] * nf + f];
+            prolong_field(pg[0], pg[1], pg[2], new_, old ? old : new_,
+                          old != 0 && frac < 1.0, frac, positives[f], r,
+                          pg[3], pg[4], pg[5], fines[t * nf + f], tg[1],
+                          tg[2], tg[3], tg[4], tg[5], frags.n, frags.b);
+        }
+        for (long c = c_first; c < ci; c++) {
+            const int64_t *row = copies + 8 * c, *lo = row + 2, *hi = row + 5;
+            const int64_t *sg = s_geom + 6 * row[1];
+            long n2 = hi[2] - lo[2];
+            if (n2 <= 0)
+                continue;
+            for (long f = 0; f < nf; f++) {
+                const double *src = srcs[row[1] * nf + f];
+                double *dst = fines[t * nf + f];
+                for (long i = lo[0]; i < hi[0]; i++)
+                    for (long j = lo[1]; j < hi[1]; j++)
+                        memcpy(dst + ((i - tg[3]) * tg[1] + (j - tg[4]))
+                                   * tg[2] + (lo[2] - tg[5]),
+                               src + ((i - sg[3]) * sg[1] + (j - sg[4]))
+                                   * sg[2] + (lo[2] - sg[5]),
+                               (size_t)n2 * sizeof(double));
+            }
+        }
+    }
+    free(frags.b);
+    free(cur.b);
+    free(nxt.b);
+    return status;
 }
 
 /* ---- multigrid V-cycle on one rim-padded subgrid (reference:
@@ -2140,47 +2272,133 @@ def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
     )
 
 
-def prolong_linear(coarse, coarse_old, frac, positive, coarse_origin, r,
-                   fine, fine_origin, boxes):
-    r = int(r)
+def _box_rows(table, width, what):
+    """``table`` as contiguous int64 rows of ``width`` columns."""
+    rows = np.ascontiguousarray(table, dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"fill.level: {what} rows need {width} columns")
+    return rows
+
+
+def _field_shape(arrays, nf):
+    """The one 3-d shape of ``nf`` arrays."""
+    shape = arrays[0].shape if nf and len(arrays) == nf else ()
+    if len(shape) != 3:
+        raise ValueError("fill.level: field shapes differ")
+    for a in arrays:
+        if a.shape != shape:
+            raise ValueError("fill.level: field shapes differ")
+    return shape
+
+
+def fill_level(targets, parents, sources, fill, copies, r, positive):
+    r, nf = int(r), len(positive)
     if r < 2:
-        raise ValueError("prolong.linear needs a refinement factor >= 2")
-    if not boxes:
-        return
-    corners = [int(v) for lo, hi in boxes for v in (*lo, *hi)]
-    p_lo = [int(v) for v in coarse_origin]
-    f_lo = [int(v) for v in fine_origin]
-    c_shape, f_shape = coarse[0].shape, fine[0].shape
-    # the C indexes raw memory: refuse any box that leaves the fine
-    # arrays or whose parent cells leave the coarse arrays (floor division
-    # is monotonic, so the extreme corners along each axis decide)
-    for d in range(3):
-        lo, hi = min(corners[d::6]), max(corners[d + 3::6])
-        if (lo < f_lo[d] or hi > f_lo[d] + f_shape[d] or lo // r < p_lo[d]
-                or -(-hi // r) > p_lo[d] + c_shape[d]):
-            raise ValueError("prolong.linear: box outside the arrays")
-    frac = float(frac)
-    if coarse_old is None or not frac < 1.0:
-        coarse_old = [None] * len(coarse)
-    if (not len(coarse) == len(coarse_old) == len(positive) == len(fine)
-            or any(a.shape != f_shape for a in fine)
-            or any(a is not None and a.shape != c_shape
-                   for a in (*coarse, *coarse_old))):
-        raise ValueError("prolong.linear: field shapes differ")
-    news = [np.ascontiguousarray(a, dtype=float) for a in coarse]
-    olds = [a if a is None else np.ascontiguousarray(a, dtype=float)
-            for a in coarse_old]
-    outs = [_writable(a) for a in fine]
-    # the pointer tables own nothing: news/olds/outs keep the buffers alive
-    _lib.rk_prolong_linear(
-        len(news), *c_shape,
-        ffi.new("const double *[]", [_pc(a) for a in news]),
+        raise ValueError("fill.level needs a refinement factor >= 2")
+    fill = _box_rows(fill, 7, "fill")
+    copies = _box_rows(copies, 8, "copy")
+    fines, t_geom, fracs = [], [], []
+    for arrays, origin, p, frac in targets:
+        t_geom.append((*_field_shape(arrays, nf), *origin, p))
+        fines += arrays
+        fracs.append(float(frac))
+    news, olds, p_geom = [], [], []
+    for arrays, old, origin in parents:
+        shape = _field_shape(arrays, nf)
+        old = [None] * nf if old is None else list(old)
+        if len(old) != nf or any(a is not None and a.shape != shape
+                                 for a in old):
+            raise ValueError("fill.level: field shapes differ")
+        p_geom.append((*shape, *origin))
+        news += arrays
+        olds += old
+    srcs, s_geom, s_box = [], [], []
+    for arrays, origin, lo, hi in sources:
+        s_geom.append((*_field_shape(arrays, nf), *origin))
+        s_box.append((*lo, *hi))
+        srcs += arrays
+    t_geom, p_geom, s_geom, s_box = (
+        np.array(x, dtype=np.int64).reshape(-1, w)
+        for x, w in ((t_geom, 7), (p_geom, 6), (s_geom, 6), (s_box, 6)))
+
+    # the C indexes raw memory: every table index, every box, the parent
+    # cells under every fill box and every copy source are checked
+    # against the arrays they reach
+    n_t = len(t_geom)
+    for index, bound, grouped in ((fill[:, 0], n_t, True),
+                                  (copies[:, 0], n_t, True),
+                                  (copies[:, 1], len(s_geom), False),
+                                  (t_geom[:, 6], len(p_geom), False)):
+        if index.size and (index.min() < 0 or index.max() >= bound
+                           or grouped and np.any(index[1:] < index[:-1])):
+            raise ValueError("fill.level: table rows out of range or not "
+                             "grouped by target")
+
+    def inside(lo, hi, geom):
+        return np.all((lo <= hi) & (lo >= geom[:, 3:6])
+                      & (hi <= geom[:, 3:6] + geom[:, :3]))
+
+    f_lo, f_hi, c_lo, c_hi = fill[:, 1:4], fill[:, 4:7], copies[:, 2:5], \
+        copies[:, 5:8]
+    pg = p_geom[t_geom[fill[:, 0], 6]]
+    if not (inside(f_lo, f_hi, t_geom[fill[:, 0]])
+            and inside(c_lo, c_hi, t_geom[copies[:, 0]])
+            and np.all(f_lo // r >= pg[:, 3:6])
+            and np.all(-(-f_hi // r) <= pg[:, 3:6] + pg[:, :3])):
+        raise ValueError("fill.level: box outside the arrays")
+    if not inside(s_box[:, :3], s_box[:, 3:], s_geom):
+        raise ValueError("fill.level: source interior outside its arrays")
+    src = s_box[copies[:, 1]]
+    if not np.all((c_lo >= src[:, :3]) & (c_hi <= src[:, 3:])):
+        raise ValueError("fill.level: copy source outside its interior")
+    # a target that is also a source (shares its arrays) must not write
+    # that source's interior, so no target reads what another writes and
+    # the order of the targets is irrelevant
+    owner = {id(a): s for s, source in enumerate(sources) for a in source[0]}
+    as_source = np.full(n_t, -1)
+    for t, (arrays, *_) in enumerate(targets):
+        for a in arrays:
+            if id(a) in owner:
+                as_source[t] = owner[id(a)]
+                break
+    for t, lo, hi in ((fill[:, 0], f_lo, f_hi), (copies[:, 0], c_lo, c_hi)):
+        s = as_source[t]
+        own = s_box[s[s >= 0]]
+        if np.any(np.all(np.maximum(lo[s >= 0], own[:, :3])
+                         < np.minimum(hi[s >= 0], own[:, 3:]), axis=1)):
+            raise ValueError("fill.level: a target writes its own interior "
+                             "as a source")
+
+    outs = [_writable(a) for a in fines]
+    out_ptrs = [_p(a) for a in outs]
+    # a source that is a target reads the target's buffer: only its
+    # interior is read, and no target writes that
+    ptr_of = dict(zip(map(id, fines), out_ptrs))
+    keep = []
+
+    def const_ptr(a):
+        ptr = ptr_of.get(id(a))
+        if ptr is None:
+            a = np.ascontiguousarray(a, dtype=float)
+            keep.append(a)
+            ptr = _pc(a)
+        return ptr
+
+    # the pointer tables own nothing: outs and keep hold the buffers
+    status = _lib.rk_fill_level(
+        nf, r, ffi.new("int[]", [bool(p) for p in positive]), n_t,
+        ffi.new("double *[]", out_ptrs), _pi(t_geom),
+        ffi.new("double[]", fracs),
+        ffi.new("const double *[]", [const_ptr(a) for a in news]),
         ffi.new("const double *[]",
-                [ffi.NULL if a is None else _pc(a) for a in olds]),
-        frac, ffi.new("int[]", [bool(p) for p in positive]), r, *p_lo,
-        ffi.new("double *[]", [_p(a) for a in outs]), f_shape[1], f_shape[2],
-        *f_lo, len(corners) // 6, ffi.new("int64_t[]", corners))
-    for out, dst in zip(outs, fine):
+                [ffi.NULL if a is None else const_ptr(a) for a in olds]),
+        _pi(p_geom), ffi.new("const double *[]", [const_ptr(a) for a in srcs]),
+        _pi(s_geom), len(fill), _pi(fill), len(copies), _pi(copies))
+    if status:
+        raise MemoryError("fill.level: no memory for the box scratch")
+    for out, dst in zip(outs, fines):
         if out is not dst:
             dst[...] = out
 
@@ -2313,7 +2531,7 @@ for _name, _fn in (
     ("hydro.sweep", hydro_sweep),
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),
-    ("prolong.linear", prolong_linear),
+    ("fill.level", fill_level),
     ("mg.vcycle", mg_vcycle),
     ("flux.correct", flux_correct),
     ("cic.deposit", cic_deposit),

@@ -30,7 +30,7 @@ dispatch.register("numpy", "trace.states", _tracing.trace_states_numpy)
 dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
-dispatch.register("numpy", "prolong.linear", _interpolation.prolong_boxes)
+dispatch.register("numpy", "fill.level", _interpolation.fill_level_numpy)
 dispatch.register("numpy", "mg.vcycle", _multigrid.vcycle_numpy)
 dispatch.register("numpy", "flux.correct", _flux_correction.correct_numpy)
 dispatch.register("numpy", "cic.deposit", _cic.deposit_numpy)

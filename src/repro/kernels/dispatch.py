@@ -2,11 +2,12 @@
 
 The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
 tracing, the fused per-grid hydro sweep built from them, the chemistry
-rate-table blend and the fused per-grid chemistry substep, the AMR
-parent->child prolongation, the multigrid V-cycle, the coarse-fine flux
-correction of one parent and the cloud-in-cell particle deposit and
-gather) are registered here once per *backend* — each kernel exists in
-exactly two transcriptions:
+rate-table blend and the fused per-grid chemistry substep, the
+parent->child fill of a whole level — prolongation plus same-level
+copies —, the multigrid V-cycle, the coarse-fine flux correction of one
+parent and the cloud-in-cell particle deposit and gather) are registered
+here once per *backend* — each kernel exists in exactly two
+transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -61,7 +62,7 @@ KERNEL_NAMES = (
     "hydro.sweep",
     "chem.blend",
     "chem.step",
-    "prolong.linear",
+    "fill.level",
     "mg.vcycle",
     "flux.correct",
     "cic.deposit",
@@ -216,9 +217,9 @@ def warm() -> None:
                      np.zeros(1, dtype=np.intp), np.full(1, 100.0), None,
                      np.ones((len(CHANNEL_NAMES), 1)), 1.0, 0.0, 0.1, 200,
                      False, False, False)
-    get("prolong.linear")([np.ones((3, 3, 3))], None, 1.0, [True], (0, 0, 0),
-                          2, [np.empty((2, 2, 2))], (2, 2, 2),
-                          [((2, 2, 2), (4, 4, 4))])
+    get("fill.level")([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
+                      [([np.ones((3, 3, 3))], None, (0, 0, 0))], [],
+                      [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True])
     get("mg.vcycle")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
                      np.empty((4, 4, 4)))
     names = ("density", "vx", "vy", "vz", "energy")

@@ -9,7 +9,7 @@ Three layers:
   vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
-  The AMR stencil (``prolong.linear``), the multigrid V-cycle
+  The AMR level fill (``fill.level``), the multigrid V-cycle
   (``mg.vcycle``), the fused hydro sweep (``hydro.sweep``), the flux
   correction (``flux.correct``) and the CIC deposit (``cic.deposit``)
   write in place, so their parity cases compare the arrays each tier
@@ -31,7 +31,15 @@ import pytest
 
 from repro import constants as const
 from repro.amr.flux_correction import block_average, correct_numpy
-from repro.amr.interpolation import prolong_boxes, prolong_linear, shell_boxes
+from repro.amr.interpolation import (
+    fill_level_numpy,
+    prolong_boxes,
+    prolong_linear,
+    shell_boxes,
+    shell_table,
+    subtract_boxes,
+)
+from repro.amr.topology import box_overlaps
 from repro.chemistry import network
 from repro.chemistry.network import (
     ChemistryNetwork,
@@ -85,7 +93,7 @@ REFERENCE = {
     "hydro.sweep": sweep_numpy,
     "chem.blend": blend_table_numpy,
     "chem.step": step_numpy,
-    "prolong.linear": prolong_boxes,
+    "fill.level": fill_level_numpy,
     "mg.vcycle": vcycle_numpy,
     "flux.correct": correct_numpy,
     "cic.deposit": deposit_numpy,
@@ -579,9 +587,61 @@ def _parents(shape, kind, seed):
     return coarse, old, [True, True, True, False]
 
 
+def _one_target(fn, coarse, old, frac, positive, c_origin, r, fine,
+                f_origin, boxes):
+    """``fill.level`` on one target and no copies: prolongation into
+    ``boxes`` of ``fine`` and nothing else."""
+    fn([(fine, f_origin, 0, frac)], [(coarse, old, c_origin)], [],
+       [(0, *lo, *hi) for lo, hi in boxes], (), r, positive)
+
+
+#: one synthetic level of ``_fill_level_case`` (r = 2, three ghosts): four
+#: targets under two parents, as (start, dims, parent).  B's interior
+#: covers A's whole +x ghost slab (empty remainder), C's copy into A spans
+#: A's -x and -y slabs, and E's ghosts reach the first cell of its
+#: parent's arrays (zero slope there).
+LEVEL_GRIDS = {"A": ((4, 4, 4), (4, 4, 4), 0),
+               "B": ((8, 0, 0), (6, 12, 12), 0),
+               "C": ((0, 0, 2), (6, 4, 8), 0),
+               "E": ((16, 16, 16), (4, 4, 4), 1)}
+#: the two parents as (origin, shape): a 8^3 interior with three ghosts,
+#: one with two
+LEVEL_PARENTS = (((-3, -3, -3), (14, 14, 14)), ((6, 6, 6), (12, 12, 12)))
+
+
+def _fill_level_case(seed=0, frac=0.37):
+    """``fill.level`` inputs for ``LEVEL_GRIDS``, fresh arrays each call:
+    random parents (NaN, inf, -0.0 spliced into them, an old state on the
+    first parent only), noise in every ghost cell, interiors with NaN and
+    -0.0 (copied raw into a sibling's ghosts), every target also a
+    source."""
+    ng, nf = 3, 4
+    rng = np.random.default_rng(seed)
+    parents = []
+    for k, (origin, shape) in enumerate(LEVEL_PARENTS):
+        coarse, old, _ = _parents(shape, "adversarial", seed + k)
+        parents.append((coarse, old if k == 0 else None, origin))
+    starts = np.array([g[0] for g in LEVEL_GRIDS.values()])
+    ends = starts + np.array([g[1] for g in LEVEL_GRIDS.values()])
+    targets, sources = [], []
+    for (start, dims, p), lo, hi in zip(LEVEL_GRIDS.values(), starts, ends):
+        shape = tuple(d + 2 * ng for d in dims)
+        arrays = [rng.standard_normal(shape) for _ in range(nf)]
+        arrays[0][ng, ng + 4, ng + 4] = -0.0
+        arrays[1][ng + 1, ng + 4, ng + 5] = np.nan
+        origin = tuple(int(v) - ng for v in start)
+        targets.append((arrays, origin, p, frac))
+        sources.append((arrays, origin, tuple(lo), tuple(hi)))
+    ids = np.arange(len(starts))
+    copies = np.column_stack(box_overlaps(starts - ng, ends + ng, ids,
+                                          starts, ends, ids))
+    return (targets, parents, sources, shell_table(starts, ends, ng),
+            copies, 2, [True, True, True, False])
+
+
 @pytest.mark.parametrize("tier", COMPILED)
 class TestAmrStencilParity:
-    """``prolong.linear`` and the smoothing-only branch of ``mg.vcycle``
+    """``fill.level`` and the smoothing-only branch of ``mg.vcycle``
     leave bit-identical arrays."""
 
     @pytest.mark.parametrize("r", [2, 4])
@@ -589,7 +649,9 @@ class TestAmrStencilParity:
     @pytest.mark.parametrize("kind", ["random", "adversarial",
                                       "flat_sawtooth"])
     def test_prolong_linear(self, tier, kind, shape, r):
-        fn = _tier_impls(tier)["prolong.linear"]
+        """One target and no copies: the prolongation alone, into the
+        whole array, the six ghost slabs and a single cell."""
+        fn = _tier_impls(tier)["fill.level"]
         c_origin = (-1, 3, 10)
         f_origin = tuple(o * r for o in c_origin)
         f_shape = tuple(n * r for n in shape)
@@ -609,10 +671,11 @@ class TestAmrStencilParity:
                 ref_fine, got_fine = (
                     [np.full(f_shape, -7.0) for _ in coarse] for _ in "rg")
                 with np.errstate(all="ignore"):
-                    for impl, fine in ((prolong_boxes, ref_fine),
+                    for impl, fine in ((fill_level_numpy, ref_fine),
                                        (fn, got_fine)):
-                        impl(coarse, old if with_old else None, frac,
-                             positive, c_origin, r, fine, f_origin, boxes)
+                        _one_target(impl, coarse, old if with_old else None,
+                                    frac, positive, c_origin, r, fine,
+                                    f_origin, boxes)
                 for got, ref in zip(got_fine, ref_fine):
                     np.testing.assert_array_equal(got, ref)
                     np.testing.assert_array_equal(np.signbit(got),
@@ -620,29 +683,122 @@ class TestAmrStencilParity:
 
     def test_prolong_linear_is_the_tested_operator(self, tier):
         """Filling a whole array equals ``prolong_linear`` on the parent."""
-        fn = _tier_impls(tier)["prolong.linear"]
+        fn = _tier_impls(tier)["fill.level"]
         coarse, _, positive = _parents((4, 5, 6), "adversarial", 9)
         fine = [np.empty((8, 10, 12)) for _ in coarse]
         with np.errstate(all="ignore"):
-            fn(coarse, None, 1.0, positive, (0, 0, 0), 2, fine, (0, 0, 0),
-               [((0, 0, 0), (8, 10, 12))])
+            _one_target(fn, coarse, None, 1.0, positive, (0, 0, 0), 2, fine,
+                        (0, 0, 0), [((0, 0, 0), (8, 10, 12))])
             for c, f, pos in zip(coarse, fine, positive):
                 np.testing.assert_array_equal(
                     f, prolong_linear(c, 2, positive=pos))
 
     def test_prolong_linear_refuses_out_of_range_boxes(self, tier):
-        fn = _tier_impls(tier)["prolong.linear"]
+        fn = _tier_impls(tier)["fill.level"]
         coarse, fine = [np.ones((4, 4, 4))], [np.zeros((8, 8, 8))]
         for box in [((-1, 0, 0), (2, 2, 2)),     # leaves the fine array
-                    ((0, 0, 0), (2, 2, 9))]:
+                    ((0, 0, 0), (2, 2, 9)),
+                    ((2, 0, 0), (1, 2, 2))]:     # lo > hi
             with pytest.raises(ValueError, match="outside"):
-                fn(coarse, None, 1.0, [True], (0, 0, 0), 2, fine,
-                   (0, 0, 0), [box])
+                _one_target(fn, coarse, None, 1.0, [True], (0, 0, 0), 2,
+                            fine, (0, 0, 0), [box])
         with pytest.raises(ValueError, match="outside"):
             # inside the fine array, but its parent cells are not allocated
-            fn(coarse, None, 1.0, [True], (2, 0, 0), 2, fine, (0, 0, 0),
-               [((0, 0, 0), (2, 2, 2))])
+            _one_target(fn, coarse, None, 1.0, [True], (2, 0, 0), 2, fine,
+                        (0, 0, 0), [((0, 0, 0), (2, 2, 2))])
+        with pytest.raises(ValueError, match="grouped by target"):
+            fn([(fine, (0, 0, 0), 0, 1.0)], [(coarse, None, (0, 0, 0))], [],
+               [(1, 0, 0, 0, 2, 2, 2)], (), 2, [True])
         assert not fine[0].any()
+
+    @pytest.mark.parametrize("frac", [0.0, 0.37, 1.0])
+    def test_level(self, tier, frac):
+        """Four targets under two parents: every copy, every remainder and
+        the parent-edge slopes, bitwise — and equal to prolonging every
+        ghost slab whole, then copying (the two-step procedure the kernel
+        shortens)."""
+        fn = _tier_impls(tier)["fill.level"]
+        for seed in range(3):
+            ref, got, whole = (_fill_level_case(seed, frac) for _ in "rgw")
+            with np.errstate(all="ignore"):
+                fill_level_numpy(*ref)
+                fn(*got)
+                targets, parents, sources, fill, copies, r, positive = whole
+                for t, (arrays, origin, p, f) in enumerate(targets):
+                    boxes = [(row[1:4], row[4:7])
+                             for row in fill[fill[:, 0] == t].tolist()]
+                    prolong_boxes(*parents[p][:2], f, positive,
+                                  parents[p][2], r, arrays, origin, boxes)
+                fill_level_numpy(targets, parents, sources, np.empty((0, 7)),
+                                 copies, r, positive)
+            for (a, *_), (b, *_), (c, *_) in zip(ref[0], got[0], whole[0]):
+                for x, y, z in zip(a, b, c):
+                    np.testing.assert_array_equal(y, x)
+                    np.testing.assert_array_equal(np.signbit(y),
+                                                  np.signbit(x))
+                    np.testing.assert_array_equal(z, x)
+                    np.testing.assert_array_equal(np.signbit(z),
+                                                  np.signbit(x))
+
+    def test_level_case_covers_what_it_claims(self, tier):
+        """The geometry of ``test_level``: B leaves nothing of A's +x slab
+        to prolong, C's copy into A meets two of A's slabs, E samples the
+        first cell of its parent's arrays, and A's ghosts show B's -0.0
+        and NaN."""
+        targets, parents, sources, fill, copies, r, positive = (
+            _fill_level_case())
+        a_copies = copies[copies[:, 0] == 0]
+        covers = [(c[2:5], c[5:8]) for c in a_copies.tolist()]
+        a_fill = fill[fill[:, 0] == 0].tolist()
+        assert subtract_boxes(a_fill[1][1:4], a_fill[1][4:7], covers) == []
+        from_c = a_copies[a_copies[:, 1] == 2][0]
+        assert sum(
+            np.all(np.maximum(from_c[2:5], row[1:4])
+                   < np.minimum(from_c[5:8], row[4:7]))
+            for row in a_fill) == 2
+        e_fill = fill[fill[:, 0] == 3]
+        assert e_fill[:, 1:4].min() // r == parents[1][2][0]
+        _tier_impls(tier)["fill.level"](targets, parents, sources, fill,
+                                        copies, r, positive)
+        # B's interior cells at fine (8, 4, 4) and (9, 4, 5) are A's
+        # ghosts (7, 3, 3) and (8, 3, 4)
+        a = targets[0][0]
+        assert a[0][7, 3, 3] == 0.0 and np.signbit(a[0][7, 3, 3])
+        assert np.isnan(a[1][8, 3, 4])
+
+    def test_refuses_a_copy_from_outside_the_source_interior(self, tier):
+        fn = _tier_impls(tier)["fill.level"]
+        targets, parents, sources, fill, copies, r, positive = (
+            _fill_level_case())
+        before = [a.copy() for t in targets for a in t[0]]
+        # one cell more along -x: C's copy from B now reads a ghost of B
+        # (and writes a ghost of C, inside C's arrays)
+        bad = copies.copy()
+        row = np.nonzero((bad[:, 0] == 2) & (bad[:, 1] == 1))[0][0]
+        bad[row, 2] -= 1
+        with pytest.raises(ValueError, match="copy source outside"):
+            fn(targets, parents, sources, fill, bad, r, positive)
+        for a, b in zip([a for t in targets for a in t[0]], before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_refuses_a_target_writing_its_own_interior(self, tier):
+        """A target that is also a source must not write that source's
+        interior — otherwise the order of the targets would matter."""
+        fn = _tier_impls(tier)["fill.level"]
+        targets, parents, sources, fill, copies, r, positive = (
+            _fill_level_case())
+        before = [a.copy() for t in targets for a in t[0]]
+        lo, hi = sources[0][2:]
+        for table, which in ((fill, "fill"), (copies, "copies")):
+            inner = np.array([[0, *lo, *hi]] if which == "fill"
+                             else [[0, 0, *lo, *hi]], dtype=np.int64)
+            bad = np.concatenate([inner, table])
+            args = [targets, parents, sources, fill, copies, r, positive]
+            args[3 if which == "fill" else 4] = bad
+            with pytest.raises(ValueError, match="own interior"):
+                fn(*args)
+        for a, b in zip([a for t in targets for a in t[0]], before):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("pre,post", [(0, 1), (3, 0), (3, 3)])
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (16, 16, 16),
@@ -666,11 +822,11 @@ class TestAmrStencilParity:
                                           _residual(ref, source, 0.1))
 
     def test_non_contiguous_targets_are_written_back(self, tier):
-        fn = _tier_impls(tier)["prolong.linear"]
+        fn = _tier_impls(tier)["fill.level"]
         coarse = [np.random.default_rng(2).random((4, 4, 4))]
         fine = np.asfortranarray(np.zeros((8, 8, 8)))
-        fn(coarse, None, 1.0, [True], (0, 0, 0), 2, [fine], (0, 0, 0),
-           [((0, 0, 0), (8, 8, 8))])
+        _one_target(fn, coarse, None, 1.0, [True], (0, 0, 0), 2, [fine],
+                    (0, 0, 0), [((0, 0, 0), (8, 8, 8))])
         np.testing.assert_array_equal(fine, prolong_linear(coarse[0], 2,
                                                            positive=True))
 
@@ -1286,7 +1442,8 @@ class TestNoOutOfBoundsWrites:
 
     @pytest.mark.parametrize("r", [2, 4])
     def test_prolong_linear(self, tier, r):
-        fn = _tier_impls(tier)["prolong.linear"]
+        """One ``fill.level`` target, no copies."""
+        fn = _tier_impls(tier)["fill.level"]
         shape, c_origin = (4, 6, 7), (-1, 3, 10)
         f_origin = tuple(o * r for o in c_origin)
         f_shape = tuple(n * r for n in shape)
@@ -1306,12 +1463,45 @@ class TestNoOutOfBoundsWrites:
             got, b_fine = zip(*(_guarded(np.full(f_shape, -7.0))
                                 for _ in coarse))
             before = _guards(b_coarse + b_old + b_fine)
-            fn(list(g_coarse), [*g_old, None], 0.37, positive, c_origin, r,
-               list(got), f_origin, boxes)
+            _one_target(fn, list(g_coarse), [*g_old, None], 0.37, positive,
+                        c_origin, r, list(got), f_origin, boxes)
             np.testing.assert_array_equal(
                 _guards(b_coarse + b_old + b_fine), before)
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
+
+    def test_fill_level(self, tier):
+        """Four targets that are also the copy sources, two parents (one
+        with an old state): every array between guard bands."""
+        fn = _tier_impls(tier)["fill.level"]
+        ref = _fill_level_case(4)
+        targets, parents, sources, fill, copies, r, positive = (
+            _fill_level_case(4))
+        buffers, g_targets, g_sources = [], [], []
+        for (arrays, origin, p, frac), (_, _, lo, hi) in zip(targets,
+                                                             sources):
+            guarded, bufs = zip(*(_guarded(a) for a in arrays))
+            buffers += bufs
+            g_targets.append((list(guarded), origin, p, frac))
+            g_sources.append((list(guarded), origin, lo, hi))
+        g_parents = []
+        for coarse, old, origin in parents:
+            g_coarse, bufs = zip(*(_guarded(c) for c in coarse))
+            buffers += bufs
+            g_old = None
+            if old is not None:
+                g_old = [None if o is None else _guarded(o) for o in old]
+                buffers += [o[1] for o in g_old if o is not None]
+                g_old = [None if o is None else o[0] for o in g_old]
+            g_parents.append((list(g_coarse), g_old, origin))
+        before = _guards(buffers)
+        with np.errstate(all="ignore"):
+            fill_level_numpy(*ref)
+            fn(g_targets, g_parents, g_sources, fill, copies, r, positive)
+        np.testing.assert_array_equal(_guards(buffers), before)
+        for (a, *_), (b, *_) in zip(g_targets, ref[0]):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("min_size", [2, 4])
     @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (8, 12, 10),
@@ -1644,7 +1834,7 @@ class TestIntegration:
             assert run.hierarchy.grids_reused > 0
             assert len(run.hierarchy.level_grids(2)) > 1
             calls = dispatch.counters_totals()
-            assert calls["prolong.linear"][0] > 0
+            assert calls["fill.level"][0] > 0
             assert calls["mg.vcycle"][0] > 0
             assert calls["flux.correct"][0] > 0
             return run.hierarchy.fingerprint()

@@ -48,10 +48,10 @@ class TestSiblingMap:
         # reset and do it through the cached links
         for name in before:
             a.fields[name][...] = before[name]
-        smap = h.sibling_map(1)
-        from repro.amr.boundary import copy_from_sibling_links
-
-        copy_from_sibling_links(a, smap[a.grid_id])
+        for link in h.sibling_map(1)[a.grid_id]:
+            for name in before:
+                a.fields[name][link.ghost_dst] = (
+                    link.sibling.fields[name][link.ghost_src])
         for name in before:
             np.testing.assert_array_equal(a.fields[name], legacy_result[name])
 
@@ -68,24 +68,59 @@ class TestSiblingMap:
         assert by_sib[c].rim_dst is None
 
     def test_build_matches_bruteforce_random(self):
-        rng = np.random.default_rng(3)
-        h = Hierarchy(n_root=16)
-        grids = []
-        for _ in range(30):
-            start = rng.integers(0, 28, size=3)
-            dims = rng.integers(2, 5, size=3)
-            hi = np.minimum(start + dims, 32)
-            g = Grid(1, tuple(start), tuple(hi - start), n_root=16)
-            h.add_grid(g, h.root)
-            grids.append(g)
-        smap = build_sibling_map(grids, h.nghost)
-        for g in grids:
-            expect = {
-                o.grid_id for o in grids
-                if o is not g and g.ghost_overlap_with(o) is not None
-            }
-            got = {l.sibling.grid_id for l in smap[g.grid_id]}
-            assert got == expect
+        _assert_links_match_bruteforce(_random_grids(30, 16, seed=3))
+
+    def test_build_crosses_the_pair_block(self):
+        """More grids than one row block of the all-pairs test: rows past
+        the first block must pair with every column."""
+        grids = _random_grids(320, 32, seed=4)
+        assert len(grids) > 256
+        _assert_links_match_bruteforce(grids)
+
+
+def _random_grids(n, n_root, seed):
+    """``n`` small, possibly overlapping level-1 boxes (the map does not
+    need disjoint interiors)."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(n):
+        start = rng.integers(0, 2 * n_root - 4, size=3)
+        dims = rng.integers(2, 5, size=3)
+        hi = np.minimum(start + dims, 2 * n_root)
+        grids.append(Grid(1, tuple(start), tuple(hi - start), n_root=n_root))
+    return grids
+
+
+def _assert_links_match_bruteforce(grids, ng=3):
+    """Every link and all four of its slices against a per-pair scan:
+    ghost slices from ``ghost_overlap_with``, rim slices from the 1-cell
+    rim rule, ``None`` when the rim is not touched."""
+    smap = build_sibling_map(grids, ng)
+    for g in grids:
+        got = {l.sibling.grid_id: l for l in smap[g.grid_id]}
+        expect = [o for o in grids
+                  if o is not g and g.ghost_overlap_with(o) is not None]
+        assert set(got) == {o.grid_id for o in expect}
+        for o in expect:
+            link = got[o.grid_id]
+            lo, hi = g.ghost_overlap_with(o)
+            assert link.ghost_dst == _sl(lo - g.start_index + ng,
+                                         hi - g.start_index + ng)
+            assert link.ghost_src == _sl(lo - o.start_index + ng,
+                                         hi - o.start_index + ng)
+            rl = np.maximum(g.start_index - 1, o.start_index)
+            rh = np.minimum(g.end_index + 1, o.end_index)
+            if np.all(rl < rh):
+                assert link.rim_dst == _sl(rl - g.start_index + 1,
+                                           rh - g.start_index + 1)
+                assert link.rim_src == _sl(rl - o.start_index + ng,
+                                           rh - o.start_index + ng)
+            else:
+                assert link.rim_dst is None and link.rim_src is None
+
+
+def _sl(lo, hi):
+    return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
 
 
 class TestEpochInvalidation:
@@ -119,14 +154,6 @@ class TestEpochInvalidation:
         m1 = h.sibling_map(1)
         m2 = h.sibling_map(1)
         assert m1 is m2
-
-    def test_cache_disabled_rebuilds_every_call(self):
-        h = Hierarchy(n_root=8)
-        h.add_grid(_grid(1, (0, 0, 0), (4, 4, 4)), h.root)
-        h.topology_cache_enabled = False
-        m1 = h.sibling_map(1)
-        m2 = h.sibling_map(1)
-        assert m1 is not m2
 
     def test_particle_levels_cached_and_invalidated(self):
         h = Hierarchy(n_root=8)
@@ -173,7 +200,16 @@ class TestTimersSection:
 
 
 class TestConsumersAgree:
-    def test_set_boundary_values_same_with_and_without_cache(self):
+    def test_set_boundary_values_matches_per_grid_reference(self):
+        """The level call (one ``fill.level``, covered ghost cells never
+        prolonged) on every tier == the two-step procedure written out
+        with the NumPy pieces: prolong each grid's whole ghost shell, then
+        copy from every sibling — with the parent mid-step."""
+        from repro.amr.interpolation import prolong_boxes, shell_boxes
+        from repro.amr.rebuild import _fill_new_grid
+        from repro.kernels import dispatch
+        from repro.precision.doubledouble import DoubleDouble
+
         def build():
             h = Hierarchy(n_root=8)
             rng = np.random.default_rng(7)
@@ -181,19 +217,45 @@ class TestConsumersAgree:
             set_boundary_values(h, 0)
             a = _grid(1, (2, 2, 2), (6, 6, 6))
             b = _grid(1, (8, 2, 2), (4, 6, 6))
-            h.add_grid(a, h.root)
-            h.add_grid(b, h.root)
-            from repro.amr.rebuild import _fill_new_grid
-            _fill_new_grid(a, h.root, [])
-            _fill_new_grid(b, h.root, [])
+            c = _grid(1, (2, 8, 2), (10, 4, 4))
+            for g in (a, b, c):
+                h.add_grid(g, h.root)
+                _fill_new_grid(g, h.root, [])
             a.fields["density"][a.interior] += 0.5
             b.fields["density"][b.interior] += 0.25
+            c.fields["vx"][c.interior] = -0.0
+            h.root.save_old_state()
+            h.root.fields["density"] *= 1.5
+            h.root.time = DoubleDouble(1.0)
+            for g in h.level_grids(1):
+                g.time = DoubleDouble(0.25)
             return h
 
-        h1, h2 = build(), build()
-        h2.topology_cache_enabled = False
-        set_boundary_values(h1, 1)
-        set_boundary_values(h2, 1)
-        for g1, g2 in zip(h1.level_grids(1), h2.level_grids(1)):
-            for name, arr in g1.fields.array_items():
-                np.testing.assert_array_equal(arr, g2.fields[name])
+        ref = build()
+        root = ref.root
+        names = [k for k, _ in root.fields.array_items()]
+        grids = ref.level_grids(1)
+        for g in grids:
+            prolong_boxes(
+                [root.fields[n] for n in names] + [root.phi],
+                [root.old_fields[n] for n in names] + [None], 0.25,
+                [n not in ("vx", "vy", "vz") for n in names] + [False],
+                root.start_index - root.nghost, 2,
+                [g.fields[n] for n in names] + [g.phi],
+                g.start_index - g.nghost,
+                shell_boxes(g.start_index, g.end_index, g.nghost))
+        for g in grids:
+            copy_from_siblings(g, [o for o in grids if o is not g])
+        try:
+            for tier in dispatch.available_backends():
+                dispatch.set_backend(tier, env=False)
+                h = build()
+                set_boundary_values(h, 1)
+                for g1, g2 in zip(h.level_grids(1), grids):
+                    for name, arr in g1.fields.array_items():
+                        np.testing.assert_array_equal(arr, g2.fields[name])
+                        np.testing.assert_array_equal(
+                            np.signbit(arr), np.signbit(g2.fields[name]))
+                    np.testing.assert_array_equal(g1.phi, g2.phi)
+        finally:
+            dispatch._reset_for_tests()
