@@ -40,7 +40,7 @@ def cmd_info(args) -> int:
         ("repro.cosmology", "Friedmann, P(k), Zel'dovich ICs, top-hat"),
         ("repro.precision", "double-double extended precision"),
         ("repro.parallel", "simulated cluster: sterile objects, pipelining"),
-        ("repro.exec", "execution engine: per-grid task dispatch, shm workers"),
+        ("repro.exec", "execution engine: per-grid tasks, serial or threads"),
         ("repro.analysis", "profiles, zooms, halos, Jacques"),
         ("repro.perf", "timers, hierarchy stats, op counting"),
         ("repro.io", "checkpoint/restart"),
@@ -148,7 +148,7 @@ def _apply_process_flags(args) -> None:
     """Apply ``--kernels`` and ``--faults`` before any physics runs.
 
     The kernel tier goes through :func:`repro.kernels.set_backend` with env
-    export, so process-pool workers spawned later inherit it; an unavailable
+    export, so child processes spawned later inherit it; an unavailable
     compiled backend degrades to numpy with a warning rather than failing
     the run.  ``--faults`` installs the chaos-testing injector, in the
     compact syntax of ``REPRO_FAULTS`` (which still applies without the flag).
@@ -502,11 +502,11 @@ def main(argv=None) -> int:
                         "resumed run restarted from is pinned until a "
                         "newer one lands)")
     p.add_argument("--exec-backend", default=None,
-                   choices=["serial", "thread", "process"],
+                   choices=["serial", "thread"],
                    help="per-grid execution backend "
                         "(default: REPRO_EXEC_BACKEND or serial)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for parallel backends "
+                   help="worker count for the thread backend "
                         "(default: REPRO_WORKERS or CPU count)")
     p.add_argument("--kernels", default=None,
                    choices=["numpy", "cffi", "auto"],
@@ -531,7 +531,7 @@ def main(argv=None) -> int:
     p.add_argument("--checkpoint-every", type=int, default=5)
     p.add_argument("--keep-last", type=int, default=3)
     p.add_argument("--exec-backend", default=None,
-                   choices=["serial", "thread", "process"],
+                   choices=["serial", "thread"],
                    help="override the execution backend for the resumed run "
                         "(results are backend-independent)")
     p.add_argument("--workers", type=int, default=None,

@@ -171,7 +171,7 @@ class DefenseLadder:
         return events
 
     def record_event(self, event: dict) -> None:
-        """Queue a defense event (rung attempt, mg retry, worker restart)."""
+        """Queue a defense event (rung attempt, mg retry, escalation)."""
         if len(self.events) < self.max_events:
             self.events.append(dict(event))
         rung = event.get("rung")

@@ -179,8 +179,6 @@ class HierarchyEvolver:
         #: execution engine for independent per-grid work (hydro sweeps,
         #: chemistry advances, gravity accelerations); see repro.exec
         self.engine = ExecutionEngine(exec_config)
-        if self.defense is not None:
-            self.engine.on_event = self.defense.record_event
         #: per-root-step aggregate of the chemistry integrator diagnostics
         #: (substep counts, active-set occupancy); snapshotted by telemetry
         self.chem_stats = ChemistryStepStats()
@@ -275,9 +273,9 @@ class HierarchyEvolver:
     def _finish_kernel_stats(self) -> None:
         """Close out one root step's kernel-tier accounting.
 
-        Folds the per-kernel call/time deltas (including worker-process
-        activity merged in by the exec engine) into the ``"kernels"`` timer
-        section and stashes them for the telemetry step record.
+        Folds the per-kernel call/time deltas (pool threads included) into
+        the ``"kernels"`` timer section and stashes them for the telemetry
+        step record.
         """
         delta = kernel_dispatch.counters_delta(
             getattr(self, "_kernel_mark", {})

@@ -25,8 +25,7 @@ costs a single shared table lookup (index + weight from the uniform log-T
 spacing, exactly what ``searchsorted`` would return) plus one vectorised
 linear interpolation and one ``exp`` over the whole channel block, instead
 of ~25 transcendental kernel evaluations.  Tables are cached per
-``(n_bins, t_min, t_max)`` configuration and are dropped from pickles (a
-worker process rebuilds from its own cache), and construction runs an
+``(n_bins, t_min, t_max)`` configuration, and construction runs an
 accuracy guard: interpolated values must match the analytic fits to
 ``rtol`` at every bin midpoint across the full temperature range.
 
@@ -289,17 +288,6 @@ class RateTable:
                 )
             self._tab = tab
         return self._tab
-
-    # the big table arrays never travel in pickles (the process-backend
-    # workers receive the network per task); each process rebuilds from
-    # its own cache on first use
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_tab"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------ evaluation
     def channels(self, T, cool: bool = True):

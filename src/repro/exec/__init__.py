@@ -1,14 +1,14 @@
-"""Task-based shared-memory execution engine for per-grid work.
+"""Task-based execution engine for per-grid work.
 
 The paper's parallel design (Sec. 3.4) distributes the many small
 same-level grids over workers; this package makes that real for the live
-code: :class:`ExecutionEngine` dispatches independent per-grid tasks
-(hydro sweeps, chemistry advances, gravity accelerations) to a pool of
-workers — ``serial`` (today's exact path), ``thread`` (zero-copy, NumPy
-releases the GIL) or ``process`` (arrays staged through POSIX shared
-memory) — while the scheduler reuses the Sec. 3.4 distribution strategies
-fed by *measured* per-grid timings.  Results are bitwise identical across
-backends and worker counts.  See ``docs/EXECUTOR.md``.
+code: :class:`ExecutionEngine` runs independent per-grid tasks (hydro
+sweeps, chemistry advances, gravity accelerations) in place on the live
+grid arrays — ``serial`` (today's exact path) or on a ``thread`` pool (the
+compiled kernels release the GIL) — while the scheduler reuses the
+Sec. 3.4 distribution strategies fed by *measured* per-grid timings.
+Results are bitwise identical across backends and worker counts.  See
+``docs/EXECUTOR.md``.
 """
 
 from repro.exec.accounting import LedgerError, WorkerLedger

@@ -1,7 +1,7 @@
 """Shared worker-pool accounting for multi-run operation.
 
-The execution engine's pools are process-global (keyed by backend and
-worker count) and each :class:`~repro.exec.engine.ExecutionEngine` sizes
+The execution engine's thread pools are process-global (keyed by worker
+count) and each :class:`~repro.exec.engine.ExecutionEngine` sizes
 its dispatches as if it owned the machine.  That is correct for one run;
 a run *service* packing several concurrent runs onto the same host needs
 one ledger that answers "how much of the shared budget is spoken for?"

@@ -4,12 +4,12 @@ The backend and worker count can be fixed programmatically (``ExecConfig``
 passed to :class:`repro.amr.evolve.HierarchyEvolver`), from the CLI
 (``--exec-backend`` / ``--workers``), or from the environment:
 
-* ``REPRO_EXEC_BACKEND`` — ``serial`` (default), ``thread`` or ``process``
+* ``REPRO_EXEC_BACKEND`` — ``serial`` (default) or ``thread``
 * ``REPRO_WORKERS``      — worker count (defaults to the host's CPU count
-  for the parallel backends)
+  for the thread backend)
 
-The environment path is what lets the whole test suite run through a
-parallel backend unchanged (the CI matrix job sets
+The environment path is what lets the whole test suite run through the
+thread pool unchanged (the CI matrix job sets
 ``REPRO_EXEC_BACKEND=thread REPRO_WORKERS=2``): results are bitwise
 identical across backends by construction, so every test must pass either
 way.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 ENV_BACKEND = "REPRO_EXEC_BACKEND"
 ENV_WORKERS = "REPRO_WORKERS"
@@ -37,16 +37,10 @@ def _default_workers(backend: str) -> int:
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """Backend selection + scheduling knobs for per-grid dispatch."""
+    """Backend selection for per-grid dispatch."""
 
     backend: str = "serial"
     workers: int = 1
-    #: distribution strategy used to order/assign tasks
-    #: (see :func:`repro.parallel.distribution.balance_grids`)
-    strategy: str = "greedy"
-    #: dispatches with fewer tasks than this run inline (pool overhead
-    #: cannot pay for itself on one or two tasks)
-    min_parallel_tasks: int = 2
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -76,7 +70,7 @@ class ExecConfig:
             workers = int(env) if env else None
         if backend is None:
             # asking for several workers without naming a backend means
-            # "parallel, zero-copy" — the thread backend
+            # the thread pool
             backend = "thread" if (workers or 1) > 1 else "serial"
         if workers is None:
             workers = _default_workers(backend)

@@ -2,19 +2,12 @@
 
 Each task wraps one independent unit of per-grid physics — a hydro sweep,
 a chemistry network advance, or a gravity acceleration evaluation — for
-exactly one grid.  Tasks on the same level never touch each other's data
-(the AMR barrier structure: grids on a level are independent between
+exactly one grid, and runs it in place on the live grid arrays
+(``run_inline``), whether the engine calls it from the dispatching thread
+or from a pool worker.  Tasks on the same level never touch each other's
+data (the AMR barrier structure: grids on a level are independent between
 boundary exchanges), which is what makes results bitwise identical across
 backends and worker counts.
-
-Two execution paths:
-
-* ``run_inline()`` — operate directly on the live grid arrays (serial and
-  thread backends; zero copies).
-* ``export()`` / ``absorb()`` — stage arrays through shared memory for the
-  process backend: ``export`` names the input arrays and any output space,
-  the worker-side runner (:mod:`repro.exec.worker`) computes in place on
-  the shared block, and ``absorb`` writes the results back into the grid.
 
 Tasks also expose ``grid_id`` / ``level`` / ``n_cells`` / ``start_index``
 so the scheduler can feed them straight through
@@ -23,15 +16,7 @@ so the scheduler can feed them straight through
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.hydro.ppm import StepFluxes
-from repro.hydro.state import META_KEY
 from repro.runtime import faults
-
-
-class TaskFailure(RuntimeError):
-    """Wrapper for a worker-side error that could not travel verbatim."""
 
 
 class GridTask:
@@ -50,10 +35,6 @@ class GridTask:
         self.grid = grid
         self.result = None
         self.error: BaseException | None = None
-        #: set once the task's result (or error) has been applied — the
-        #: process backend uses it to re-dispatch only unfinished tasks
-        #: after a worker death
-        self.done = False
 
     # ------------------------------------------------- scheduler interface
     @property
@@ -72,7 +53,7 @@ class GridTask:
     def start_index(self) -> tuple:
         return tuple(int(s) for s in self.grid.start_index)
 
-    # --------------------------------------------------------------- paths
+    # ---------------------------------------------------------------- run
     def run_safe(self) -> None:
         """Run inline, capturing any kernel exception into ``error``."""
         try:
@@ -80,43 +61,9 @@ class GridTask:
         except Exception as exc:
             self.result = None
             self.error = exc
-        self.done = True
 
     def run_inline(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def export(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def absorb(self, views: dict, ret) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    # --------------------------------------------------------------- utils
-    def _field_names(self) -> list[str]:
-        return [name for name, _ in self.grid.fields.array_items()]
-
-    def _export_fields(self) -> dict:
-        return {f"f:{name}": arr for name, arr in self.grid.fields.array_items()}
-
-    def _absorb_fields(self, views: dict) -> None:
-        for name, arr in self.grid.fields.array_items():
-            arr[...] = views[f"f:{name}"]
-
-    def _fault_meta(self, meta: dict) -> dict:
-        """Attach parent-side fault decisions for the worker kernel.
-
-        The decision to fire is taken here — in deterministic submission
-        context, one ``take()`` per task exactly like the inline path — so
-        which task fails never depends on worker scheduling.
-        """
-        if faults.take("worker_kill", self.level, self.grid_id) is not None:
-            meta["fault_kill"] = True
-        return meta
-
-    def absorb_failure(self, error: BaseException) -> None:
-        """Record a worker-side kernel error (process backend)."""
-        self.result = None
-        self.error = error
 
 
 class HydroTask(GridTask):
@@ -134,47 +81,15 @@ class HydroTask(GridTask):
         self.accel = accel
         self.permute = int(permute)
 
-    def _nan_fault_plan(self):
-        return faults.plan_nan_cell(
-            self.level, self.grid_id,
-            tuple(int(d) for d in self.grid.dims), self.grid.nghost,
-        )
-
     def run_inline(self) -> None:
         self.result = self.solver.step(
             self.grid.fields, self.grid.dx, self.dt, self.a, self.adot,
             self.accel, self.permute,
         )
-        faults.apply_nan_cell(self.grid.fields, self._nan_fault_plan())
-
-    def export(self):
-        arrays = self._export_fields()
-        if self.accel is not None:
-            arrays["accel"] = self.accel
-        meta = {
-            "solver": self.solver,
-            "field_names": self._field_names(),
-            "advected": list(self.grid.fields.advected),
-            "dx": float(self.grid.dx),
-            "dt": self.dt,
-            "a": self.a,
-            "adot": self.adot,
-            "permute": self.permute,
-            "has_accel": self.accel is not None,
-        }
-        # fault decisions are taken parent-side (deterministic submission
-        # context); the worker only applies what the meta tells it to
-        plan = self._nan_fault_plan()
-        if plan is not None:
-            meta["fault_nan"] = plan
-        return "hydro", arrays, {}, self._fault_meta(meta)
-
-    def absorb(self, views: dict, ret) -> None:
-        self._absorb_fields(views)
-        out = StepFluxes()
-        out.fluxes = ret["fluxes"]
-        out.diagnostics = dict(ret.get("diag") or {})
-        self.result = out
+        faults.apply_nan_cell(self.grid.fields, faults.plan_nan_cell(
+            self.level, self.grid_id,
+            tuple(int(d) for d in self.grid.dims), self.grid.nghost,
+        ))
 
 
 class ChemistryTask(GridTask):
@@ -195,23 +110,6 @@ class ChemistryTask(GridTask):
             self.grid.fields, self.dt_code, self.units, self.a
         )
 
-    def export(self):
-        meta = {
-            "network": self.network,
-            "units": self.units,
-            "field_names": self._field_names(),
-            "advected": list(self.grid.fields.advected),
-            "dt": self.dt_code,
-            "a": self.a,
-        }
-        if faults.take("chem_blowup", self.level, self.grid_id) is not None:
-            meta["fault_raise"] = "chem_blowup"
-        return "chemistry", self._export_fields(), {}, self._fault_meta(meta)
-
-    def absorb(self, views: dict, ret) -> None:
-        self._absorb_fields(views)
-        self.result = ret
-
 
 class GravityAccelTask(GridTask):
     """g = -grad(phi)/a on one grid; result is the (3, ...) accel field."""
@@ -225,16 +123,3 @@ class GravityAccelTask(GridTask):
 
     def run_inline(self) -> None:
         self.result = self.gravity.acceleration(self.grid, self.a)
-
-    def export(self):
-        arrays = {"phi": self.grid.phi}
-        outputs = {"acc": ((3,) + self.grid.phi.shape, "<f8")}
-        meta = {"dx": float(self.grid.dx), "a": self.a}
-        return "gravity", arrays, outputs, self._fault_meta(meta)
-
-    def absorb(self, views: dict, ret) -> None:
-        self.result = views["acc"].copy()
-
-
-# re-exported so worker.py and tasks.py agree on the key
-FIELD_META_KEY = META_KEY

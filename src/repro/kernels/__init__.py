@@ -13,7 +13,6 @@ from repro.kernels.dispatch import (  # noqa: F401
     counters_delta,
     counters_totals,
     get,
-    merge_counters,
     register,
     reset_counters,
     resolve_backend,

@@ -158,8 +158,7 @@ def set_backend(name: str | None = None, env: bool = True) -> str:
     """Select the active backend; returns the resolved name.
 
     With ``env`` true the resolution is exported to ``REPRO_KERNELS`` so
-    spawned worker processes resolve identically (fork workers inherit the
-    live module state as well).
+    child processes (the service-worker subprocess) resolve identically.
     """
     global _active
     resolved = resolve_backend(name)
@@ -186,10 +185,9 @@ def get(name: str):
 def warm() -> None:
     """Force-compile every kernel of the active backend (tiny inputs).
 
-    Process pools call this from their worker initializer so the cost of
+    Callers that time runs (the benchmarks) call this first so the cost of
     loading (or, first time on a machine, compiling) the cffi extension is
-    paid once per worker process, not on the first task that happens to
-    land there.
+    paid up front, not inside the first timed kernel call.
     """
     if active_backend() == "numpy":
         return
@@ -250,24 +248,6 @@ def counters_delta(mark: dict) -> dict:
             out[name] = {"calls": calls - c0,
                          "seconds": round(seconds - s0, 6)}
     return out
-
-
-def merge_counters(delta: dict) -> None:
-    """Fold worker-process counter deltas into this process's totals.
-
-    The process exec backend runs kernels in pool workers; each task ships
-    its counter delta home in the result payload so telemetry still sees
-    every call regardless of where it executed.
-    """
-    if not delta:
-        return
-    with _lock:
-        for name, d in delta.items():
-            slot = _counters.get(name)
-            if slot is None:
-                slot = _counters[name] = [0, 0.0]
-            slot[0] += int(d.get("calls", 0))
-            slot[1] += float(d.get("seconds", 0.0))
 
 
 def reset_counters() -> None:

@@ -32,7 +32,7 @@ SECTIONS = (
     # summed across whichever backend tier ran them; a *subset* of the
     # hydro/chemistry sections above, recorded separately so speedups of
     # the compiled tier are visible without re-deriving them from BENCH
-    # runs.  Worker-process kernel time is merged in, so (like "exec"
+    # runs.  Pool-thread kernel time is summed in, so (like "exec"
     # CPU-seconds) it can exceed the step's wall time.
     "kernels",
 )

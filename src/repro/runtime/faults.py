@@ -3,11 +3,11 @@
 Production AMR runs die in a handful of well-known ways: a hydro update
 goes NaN on a deep subgrid, the multigrid solver burns its cycle budget
 without converging, the chemistry integrator blows up on a pathological
-cell, a pool worker is OOM-killed mid-task, a checkpoint is truncated by a
-full disk.  This module lets CI *cause* each of those failures on demand —
-at an exact (level, grid id, per-level step) site, a deterministic number
-of times — so every rung of the grid-scoped defense ladder
-(:mod:`repro.amr.defense`) can be proven to fire and recover.
+cell, a checkpoint is truncated by a full disk.  This module lets CI
+*cause* each of those failures on demand — at an exact (level, grid id,
+per-level step) site, a deterministic number of times — so every rung of
+the grid-scoped defense ladder (:mod:`repro.amr.defense`) can be proven
+to fire and recover.
 
 Fault kinds
 -----------
@@ -22,9 +22,6 @@ Fault kinds
     Raise :class:`InjectedFaultError` from a chemistry task before the
     network integrates (the state is untouched, as with a real stiff-solver
     overflow raised from :func:`numpy.linalg.solve`).
-``worker_kill``
-    SIGKILL the process-backend worker that picks up the task, exercising
-    the engine's reschedule-on-worker-death path.
 ``checkpoint_truncate``
     Truncate the checkpoint npz written for a matching root step, so
     recovery must skip it and fall back to an older checkpoint.
@@ -62,7 +59,7 @@ or from the environment (read lazily on first use)::
 
 Determinism: which cell a ``nan_cell`` firing corrupts depends only on the
 injector seed, the site, and how many times that site has fired — never on
-scheduling order — so serial/thread/process backends corrupt the *same*
+scheduling order — so the serial and thread backends corrupt the *same*
 cell.  Specs should pin ``level``/``grid``/``step`` for full determinism
 under parallel dispatch; an unpinned spec is consumed by whichever matching
 site queries first.
@@ -93,7 +90,6 @@ FAULT_KINDS = (
     "nan_cell",
     "mg_diverge",
     "chem_blowup",
-    "worker_kill",
     "checkpoint_truncate",
     "hang",
     "slow_step",

@@ -37,8 +37,8 @@ converging early and dropping out of the integration).
 The ``kernels`` block (present once any registered inner-loop kernel has
 run this step) reports which :mod:`repro.kernels` backend tier executed
 the hydro/chemistry inner loops plus per-kernel call counts and
-CPU-seconds (worker-process time merged in, so the seconds can exceed
-the step's wall time) — the live answer to "is the compiled tier
+CPU-seconds (summed over pool threads, so the seconds can exceed the
+step's wall time) — the live answer to "is the compiled tier
 actually running?".
 
 The ``rebuild`` block (present once the hierarchy has rebuilt at least
@@ -308,11 +308,6 @@ def format_events(events: list[dict]) -> str:
                     f"DEFENSE @ step {e.get('step', '?')}: grid "
                     f"{e.get('grid')} (level {e.get('level')}) exhausted "
                     f"rungs {e.get('rungs')} -> rollback"
-                )
-            elif e.get("worker_restart"):
-                lines.append(
-                    f"DEFENSE @ step {e.get('step', '?')}: worker died, "
-                    f"pool rebuilt, {e.get('retried_tasks')} task(s) retried"
                 )
             else:
                 status = "rescued" if e.get("ok") else "failed"

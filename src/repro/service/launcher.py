@@ -7,7 +7,7 @@ Two interchangeable strategies behind one handle interface:
     Preemption sends SIGINT, which the controller's
     :class:`~repro.runtime.recovery.SignalGuard` turns into the standard
     drain-to-checkpoint at the next root-step boundary.  Isolation is
-    structural: an injected ``worker_kill`` or ``checkpoint_truncate``
+    structural: an injected ``hang`` or ``checkpoint_truncate``
     inside one run can only touch that child's process tree and files,
     and per-run fault specs travel in the child's environment
     (``REPRO_FAULTS``), never the daemon's.
@@ -139,9 +139,9 @@ class SubprocessHandle(RunHandle):
 
     def kill(self) -> None:
         # the worker leads its own session (start_new_session), so its
-        # process group is the worker plus whatever it spawned — the exec
-        # pool's children would otherwise outlive it, still asleep in
-        # whatever wedged the episode
+        # process group is the worker plus whatever it spawned — children
+        # would otherwise outlive it, still asleep in whatever wedged the
+        # episode
         if self.proc.poll() is not None:
             return  # already reaped: the pid may no longer be ours
         try:

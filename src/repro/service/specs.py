@@ -91,7 +91,9 @@ def build_job(spec: dict, run_dir: str, fresh: bool = True):
     entry = launchable(str(spec.get("problem")))
     try:
         problem = entry.factory(**spec.get("kwargs", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
+        # unknown kwargs, or a value the problem refuses (an exec backend
+        # or kernel tier that does not exist)
         raise SpecError(f"problem {entry.name!r}: {exc}") from exc
     z_end, t_end = spec.get("z_end"), None
     if fresh:

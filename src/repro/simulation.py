@@ -50,7 +50,7 @@ class SimulationConfig:
     #: projected and prolonged); 0 leaves runs bitwise identical
     n_scalars: int = 0
     max_grid_dims: int = 16
-    #: execution backend for per-grid work ('serial' | 'thread' | 'process');
+    #: execution backend for per-grid work ('serial' | 'thread');
     #: None resolves from REPRO_EXEC_BACKEND / REPRO_WORKERS (see repro.exec)
     exec_backend: str | None = None
     workers: int | None = None

@@ -387,7 +387,7 @@ class TestEvolverIntegration:
             reference.evolver.advance_root_step(t_end)
         want = reference.hierarchy.fingerprint()
         for backend, workers in [(None, None), ("serial", 1),
-                                 ("thread", 2), ("process", 2)]:
+                                 ("thread", 2)]:
             sim = _build_sim(backend=backend, workers=workers,
                              incremental=True)
             for _ in range(3):

@@ -9,7 +9,6 @@ cell-by-cell path on mixed hot/cold grids, and the stats plumbing
 
 from __future__ import annotations
 
-import pickle
 
 import numpy as np
 import pytest
@@ -90,17 +89,6 @@ def test_table_cached_per_configuration():
     a = RateTable()
     b = RateTable()
     assert a._ensure_table() is b._ensure_table()
-
-
-def test_rate_table_pickle_drops_and_rebuilds_table():
-    tab = RateTable()
-    blob = pickle.dumps(tab)
-    # the multi-MB table must not travel in the pickle
-    assert len(blob) < 4096
-    back = pickle.loads(blob)
-    T = np.array([1e2, 1e4, 1e6])
-    for name in RateTable.RATE_NAMES:
-        np.testing.assert_array_equal(back(T)[name], tab(T)[name])
 
 
 def test_cooling_channels_assembly_matches_direct_evaluation():

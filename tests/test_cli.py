@@ -156,6 +156,48 @@ class TestCLI:
         assert not (tmp_path / "run").exists()
 
 
+class TestExecBackendValues:
+    """Only ``serial`` and ``thread`` exist; any other value, however it
+    arrives, is refused with the same message."""
+
+    @pytest.mark.parametrize("command", [["run"], ["resume", "--dir", "x"]])
+    def test_flag_refuses_unknown_backend(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--exec-backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stale", ["process", "mpi"])
+    def test_stored_unknown_backend_exits_1_and_override_resumes(
+            self, stale, tmp_path, capsys):
+        from repro.runtime.checkpoint_policy import write_digest
+
+        flags = LAUNCH["simulation"][0]
+        whole, split = str(tmp_path / "whole"), str(tmp_path / "split")
+        assert _run("simulation", flags, whole, 3) == 0
+        assert main(["run", "--problem", "simulation", *flags, "--dir", split,
+                     "--max-steps", "1", "--checkpoint-every", "1"]) == 0
+        # a run directory whose stored config names a backend that does
+        # not exist (written by an older version, or edited by hand)
+        state_path = CheckpointPolicy.latest(split)[2]
+        state = RunState.load(state_path)
+        state.config["kwargs"]["exec_backend"] = stale
+        state.save(state_path)
+        write_digest(state_path)
+        capsys.readouterr()
+
+        assert main(["resume", "--dir", split, "--max-steps", "3"]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown exec backend {stale!r}" in err
+        assert "('serial', 'thread')" in err
+        assert "Traceback" not in err
+
+        assert main(["resume", "--dir", split, "--max-steps", "3",
+                     "--exec-backend", "thread", "--workers", "2"]) == 0
+        assert RunState.load(CheckpointPolicy.latest(split)[2]).step == 3
+        assert _fingerprint(split) == _fingerprint(whole)
+
+
 class TestOneLauncher:
     """``run``, ``resume`` and the service build every run through
     ``build_job``: any spelling of the same spec is the same run."""

@@ -1,7 +1,7 @@
 """Tests for the task-based execution engine (repro.exec).
 
-The engine's core promise is bitwise determinism: serial, thread and
-process backends, at any worker count, must produce byte-identical
+The engine's core promise is bitwise determinism: the serial and thread
+backends, at any worker count, must produce byte-identical
 hierarchies — fields, potentials, DoubleDouble clock words and particle
 extended-precision word pairs.  These tests run real problems (a
 self-gravitating refined collapse with particles, the Zel'dovich pancake,
@@ -9,6 +9,7 @@ a chemistry-enabled primordial collapse) under every backend and compare.
 """
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.exec import (
     ExecConfig,
     ExecutionEngine,
     WorkCalibrator,
-    shm,
 )
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
@@ -63,7 +63,7 @@ def assert_hierarchies_identical(ha, hb):
         np.testing.assert_array_equal(pa.masses, pb.masses)
 
 
-VARIANTS = [("serial", 1), ("thread", 2), ("thread", 4), ("process", 2)]
+VARIANTS = [("serial", 1), ("thread", 2), ("thread", 4)]
 
 
 # ------------------------------------------------------- backend equivalence
@@ -85,16 +85,14 @@ class TestBackendEquivalence:
         from repro.problems import ZeldovichPancake
 
         outputs = {}
-        for backend, workers in [("serial", 1), ("thread", 2),
-                                 ("process", 2)]:
+        for backend, workers in [("serial", 1), ("thread", 2)]:
             zp = ZeldovichPancake(n=8)
             cfg = ExecConfig(backend=backend, workers=workers)
             outputs[backend] = zp.run(z_end=25.0, exec_config=cfg)
-        for backend in ("thread", "process"):
-            np.testing.assert_array_equal(
-                outputs["serial"]["density"], outputs[backend]["density"])
-            np.testing.assert_array_equal(
-                outputs["serial"]["velocity"], outputs[backend]["velocity"])
+        np.testing.assert_array_equal(
+            outputs["serial"]["density"], outputs["thread"]["density"])
+        np.testing.assert_array_equal(
+            outputs["serial"]["velocity"], outputs["thread"]["velocity"])
 
     def test_collapse_with_chemistry_identical_across_backends(self):
         """The chemistry network advance is also backend-independent."""
@@ -110,9 +108,8 @@ class TestBackendEquivalence:
             return pc
 
         ref = run(None, None)
-        for backend, workers in [("thread", 2), ("process", 2)]:
-            other = run(backend, workers)
-            assert_hierarchies_identical(ref.hierarchy, other.hierarchy)
+        other = run("thread", 2)
+        assert_hierarchies_identical(ref.hierarchy, other.hierarchy)
 
 
 # --------------------------------------------------- checkpoints and resume
@@ -154,13 +151,13 @@ class TestExecConfig:
         assert cfg.backend == "thread" and cfg.workers == 3
 
     def test_explicit_args_beat_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "process")
+        monkeypatch.setenv(ENV_BACKEND, "serial")
         monkeypatch.setenv(ENV_WORKERS, "8")
         cfg = ExecConfig.resolve(backend="thread", workers=2)
         assert cfg.backend == "thread" and cfg.workers == 2
 
     def test_value_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "process")
+        monkeypatch.setenv(ENV_BACKEND, "thread")
         cfg = ExecConfig.resolve(ExecConfig(backend="serial"),
                                  backend="thread", workers=4)
         assert cfg.backend == "serial" and cfg.workers == 1
@@ -177,12 +174,23 @@ class TestExecConfig:
         with pytest.raises(ValueError):
             ExecConfig(backend="mpi")
 
+    @pytest.mark.parametrize("stale", ["process", "mpi"])
+    def test_unknown_environment_backend_rejected(self, monkeypatch, stale):
+        monkeypatch.setenv(ENV_BACKEND, stale)
+        monkeypatch.delenv(ENV_WORKERS, raising=False)
+        with pytest.raises(ValueError, match=r"unknown exec backend .*"
+                           r"\('serial', 'thread'\)"):
+            ExecConfig.resolve()
+
     def test_dict_spelling(self):
-        cfg = ExecConfig.resolve({"backend": "process", "workers": 2})
-        assert cfg.backend == "process" and cfg.workers == 2
+        cfg = ExecConfig.resolve({"backend": "thread", "workers": 2})
+        assert cfg.backend == "thread" and cfg.workers == 2
+
+    def test_config_has_backend_and_workers_only(self):
+        assert [f.name for f in fields(ExecConfig)] == ["backend", "workers"]
 
     def test_backends_tuple_is_exhaustive(self):
-        assert BACKENDS == ("serial", "thread", "process")
+        assert BACKENDS == ("serial", "thread")
 
 
 # --------------------------------------------------------------- calibrator
@@ -230,43 +238,6 @@ class TestWorkCalibrator:
         assert s["hydro/L0"]["samples"] == 1
 
 
-# ------------------------------------------------------------- shared memory
-class TestSharedMemoryCodec:
-    def test_pack_attach_roundtrip_bitwise(self):
-        rng = np.random.default_rng(11)
-        arrays = {
-            "a": rng.standard_normal((4, 5, 6)),
-            "b": np.asfortranarray(rng.standard_normal((3, 3))),
-            "c": np.arange(7, dtype=np.int64),
-        }
-        block, layout = shm.pack(arrays)
-        try:
-            attached, views = shm.attach(block.name, layout)
-            try:
-                for name, arr in arrays.items():
-                    np.testing.assert_array_equal(views[name], arr)
-                    assert views[name].dtype == arr.dtype
-            finally:
-                del views
-                attached.close()
-        finally:
-            shm.release(block, unlink=True)
-
-    def test_outputs_reserve_writable_space(self):
-        arrays = {"x": np.ones((2, 2))}
-        outputs = {"y": ((3, 2, 2), "<f8")}
-        block, layout = shm.pack(arrays, outputs)
-        try:
-            views = shm.views_of(block, layout)
-            views["y"][:] = 7.0
-            fresh = shm.views_of(block, layout)
-            np.testing.assert_array_equal(fresh["y"], np.full((3, 2, 2), 7.0))
-            np.testing.assert_array_equal(fresh["x"], np.ones((2, 2)))
-            del views, fresh
-        finally:
-            shm.release(block, unlink=True)
-
-
 # ------------------------------------------------------------------- engine
 class _FakeTask:
     """Minimal task: scheduler proxies + inline execution."""
@@ -306,10 +277,9 @@ class TestExecutionEngine:
         assert report.busy_total > 0.0
 
     def test_small_dispatches_run_inline(self):
-        eng = ExecutionEngine(
-            ExecConfig(backend="thread", workers=2, min_parallel_tasks=4))
+        eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
         report = eng.run([_FakeTask(0, 10)], timers=ComponentTimers())
-        assert report.inline_timed  # below the parallel threshold
+        assert report.inline_timed  # one task: below MIN_PARALLEL_TASKS
         assert list(report.worker_busy) == [0]  # never left the caller
 
     def test_plan_queues_covers_all_tasks_without_overlap(self):

@@ -147,7 +147,7 @@ class TestZeroScalarIdentity:
             n_root=8, advected=("HI",), n_scalars=2))
         assert tuple(sim.hierarchy.advected) == ("HI", "scalar00", "scalar01")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_backends_bitwise_identical_without_scalars(self, backend):
         base = build_amr_sim(n_scalars=0, backend=None)
         other = build_amr_sim(n_scalars=0, backend=backend)
