@@ -156,7 +156,7 @@ def test_dynamic_load_balancing(benchmark, sphere_run):
     through the incremental balancer and compares against a static initial
     placement left untouched."""
     from repro.parallel import DynamicLoadBalancer
-    from repro.parallel.distribution import grid_work
+    from repro.exec.distribution import grid_work
     from repro.parallel.sterile import SterileGrid
 
     def replay():
@@ -195,7 +195,7 @@ def test_dynamic_load_balancing(benchmark, sphere_run):
     assert rep["final_imbalance"] <= static_imb + 0.05
     # indivisible grids bound what any balancer can do: a single grid whose
     # work exceeds the mean rank load sets the imbalance floor
-    from repro.parallel.distribution import grid_work as _gw
+    from repro.exec.distribution import grid_work as _gw
 
     total = sum(_gw(s) for s in final_pop)
     floor = max(_gw(s) for s in final_pop) / (total / 8)
@@ -374,7 +374,6 @@ def _run_variant(config, backend: str, workers: int) -> dict:
     dispatches.clear()
     t0 = perf_counter()
     for _ in range(config["timed_steps"]):
-        engine.begin_root_step()
         sphere.evolver.advance_root_step(t_end)
     wall = perf_counter() - t0
     h = sphere.hierarchy
@@ -383,7 +382,8 @@ def _run_variant(config, backend: str, workers: int) -> dict:
         "digest": _hierarchy_digest(h),
         "kernel": sum(sum(s for (_k, _l, _c, s) in rep.task_times)
                       for _t, rep in dispatches),
-        "exec": engine.step_snapshot(),
+        # the last timed root step's exec block (reset every root step)
+        "exec": engine.stats.snapshot(),
         "problem": {
             "grids_per_level": h.grids_per_level(),
             "cells": int(sum(int(np.prod(g.dims)) for g in h.all_grids())),

@@ -23,7 +23,8 @@ ladder of increasingly dissipative rescues:
 Only when the *repaired* state is still invalid does the ladder raise
 :class:`~repro.runtime.recovery.StateCorruptionError`, handing the root
 step to the run controller's rollback machinery.  Every rung attempt is
-recorded as a ``defense`` telemetry event and counted per root step.
+recorded as a ``defense`` telemetry event; successful rungs and floor
+activations are counted per root step in ``stats``.
 
 With no faults and no escalations the ladder is read-only — validation
 looks at interior views and never writes — so results are bitwise
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro.hydro.state import total_energy
 from repro.hydro.zeus import ZeusSolver
+from repro.perf.timers import StepStats
 from repro.runtime.faults import (
     active as _active_injector,
     apply_nan_cell,
@@ -117,6 +119,10 @@ def _sum_fluxes(a, b):
 class DefenseLadder:
     """Per-evolver rescue state machine + per-root-step defense counters.
 
+    ``stats`` is the step record's ``defense`` block (``rungs.<rung>``,
+    ``floors.<kind>``), reset by the evolver at every root step;
+    ``totals`` accumulates the same counts over the whole run.
+
     Parameters
     ----------
     mass_drift_tol:
@@ -133,38 +139,22 @@ class DefenseLadder:
                  max_events: int = 10000):
         self.mass_drift_tol = float(mass_drift_tol)
         self.max_events = int(max_events)
-        #: rung name -> activations this root step
-        self.counters: dict[str, int] = {}
-        #: floor kind -> activations this root step (from solver diagnostics)
-        self.floors: dict[str, int] = {}
+        self.stats = StepStats()
         #: queued telemetry events (drained by the run controller)
         self.events: list[dict] = []
         #: cumulative over the whole run, for tests and epilogues
         self.totals = {"rungs": {}, "floors": {}, "escalations": 0}
 
     # ---------------------------------------------------------- bookkeeping
-    def begin_root_step(self) -> None:
-        self.counters = {}
-        self.floors = {}
-
     def note_floors(self, diagnostics: dict | None) -> None:
         """Fold a solver's per-step floor-activation counts into the block."""
         if not diagnostics:
             return
         for key, value in diagnostics.items():
             if value:
-                self.floors[key] = self.floors.get(key, 0) + int(value)
+                self.stats.add(f"floors.{key}", int(value))
                 tot = self.totals["floors"]
                 tot[key] = tot.get(key, 0) + int(value)
-
-    def snapshot(self) -> dict | None:
-        """JSON-native per-root-step summary for the telemetry step record."""
-        out: dict = {}
-        if self.counters:
-            out["rungs"] = dict(self.counters)
-        if self.floors:
-            out["floors"] = dict(self.floors)
-        return out or None
 
     def drain_events(self) -> list[dict]:
         events, self.events = self.events, []
@@ -176,7 +166,7 @@ class DefenseLadder:
             self.events.append(dict(event))
         rung = event.get("rung")
         if rung and event.get("ok"):
-            self.counters[rung] = self.counters.get(rung, 0) + 1
+            self.stats.add(f"rungs.{rung}")
             tot = self.totals["rungs"]
             tot[rung] = tot.get(rung, 0) + 1
 

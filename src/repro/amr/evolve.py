@@ -34,11 +34,11 @@ from repro.amr.defense import DefenseLadder
 from repro.amr.flux_correction import accumulate_boundary_fluxes, correct_level
 from repro.amr.projection import project_level
 from repro.amr.rebuild import rebuild_hierarchy
-from repro.chemistry.network import ChemistryStepStats
 from repro.exec import ChemistryTask, ExecutionEngine, GravityAccelTask, HydroTask
 from repro.hydro.timestep import accel_timestep, expansion_timestep, hydro_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
 from repro.nbody.cic import cic_deposit
+from repro.perf.timers import StepStats
 from repro.precision.doubledouble import DoubleDouble
 from repro.runtime.faults import active as _active_faults
 from repro.runtime.faults import maybe_sleep as _maybe_sleep_fault
@@ -155,10 +155,6 @@ class HierarchyEvolver:
         #: rebuilds (repro.amr.rebuild); False forces the from-scratch
         #: path — bitwise identical, used by the bitwise gate and benches
         self.incremental_rebuild = bool(incremental_rebuild)
-        #: hierarchy counter snapshot at root-step start (telemetry deltas)
-        self._rebuild_counters0 = (hierarchy.grids_created,
-                                   hierarchy.grids_destroyed,
-                                   hierarchy.grids_reused)
         self.stats = stats
         self.timers = timers
         #: if > 0: pressure-support floor so the local Jeans length never
@@ -179,9 +175,17 @@ class HierarchyEvolver:
         #: execution engine for independent per-grid work (hydro sweeps,
         #: chemistry advances, gravity accelerations); see repro.exec
         self.engine = ExecutionEngine(exec_config)
-        #: per-root-step aggregate of the chemistry integrator diagnostics
-        #: (substep counts, active-set occupancy); snapshotted by telemetry
-        self.chem_stats = ChemistryStepStats()
+        #: chemistry integrator diagnostics of the root step
+        self.chem_stats = StepStats()
+        #: component -> its statistics for the root step being taken, reset
+        #: at the top of advance_root_step; each non-empty one becomes a
+        #: block of the telemetry step record (docs/RUNTIME.md)
+        self.step_stats = {"exec": self.engine.stats,
+                           "chemistry": self.chem_stats,
+                           "gravity": StepStats(), "rebuild": StepStats(),
+                           "kernels": StepStats()}
+        if self.defense is not None:
+            self.step_stats["defense"] = self.defense.stats
         self.step_counter = defaultdict(int)
         #: optional liveness callback — called with the section name at
         #: every timed sub-step boundary (the RunController points this at
@@ -231,15 +235,7 @@ class HierarchyEvolver:
     # -------------------------------------------------------------- evolve
     def advance_to(self, stop_time: float) -> None:
         """Top-level driver: evolve the whole hierarchy to stop_time."""
-        self._kernel_mark = kernel_dispatch.counters_totals()
-        try:
-            self.evolve_level(0, DoubleDouble(stop_time))
-        finally:
-            # library drivers (run_to_redshift etc.) come through here
-            # rather than advance_root_step; close out kernel accounting
-            # so the "kernels" timer section and last_kernel_stats stay
-            # populated on both entry points
-            self._finish_kernel_stats()
+        self.evolve_level(0, DoubleDouble(stop_time))
 
     def advance_root_step(self, stop_time) -> float | None:
         """Take exactly one root-level step toward ``stop_time``.
@@ -258,36 +254,17 @@ class HierarchyEvolver:
         )
         if not bool(h.root.time < target):
             return None
-        self.engine.begin_root_step()
-        self._rebuild_counters0 = (h.grids_created, h.grids_destroyed,
-                                   h.grids_reused)
-        self.chem_stats.reset()
-        self._kernel_mark = kernel_dispatch.counters_totals()
-        if self.defense is not None:
-            self.defense.begin_root_step()
+        for stats in self.step_stats.values():
+            stats.reset()
+        mark = kernel_dispatch.counters_totals()
         self._timed("boundary", set_boundary_values, h, 0)
         dt = self._step_level(0, target)
-        self._finish_kernel_stats()
+        # per-kernel calls and seconds, pool threads included
+        kernels = self.step_stats["kernels"]
+        for name, d in kernel_dispatch.counters_delta(mark).items():
+            kernels.add(f"{name}.calls", d["calls"])
+            kernels.add(f"{name}.s", d["seconds"])
         return dt
-
-    def _finish_kernel_stats(self) -> None:
-        """Close out one root step's kernel-tier accounting.
-
-        Folds the per-kernel call/time deltas (pool threads included) into
-        the ``"kernels"`` timer section and stashes them for the telemetry
-        step record.
-        """
-        delta = kernel_dispatch.counters_delta(
-            getattr(self, "_kernel_mark", {})
-        )
-        self.last_kernel_stats = {
-            "backend": kernel_dispatch.active_backend(),
-            "per_kernel": delta,
-        }
-        if self.timers is not None and delta:
-            seconds = sum(d["seconds"] for d in delta.values())
-            calls = sum(d["calls"] for d in delta.values())
-            self.timers.add_seconds("kernels", seconds, count=calls)
 
     def evolve_level(self, level: int, parent_time) -> None:
         h = self.hierarchy
@@ -331,11 +308,10 @@ class HierarchyEvolver:
         if self.gravity is not None:
             counts = self._timed("gravity", self.gravity.solve_level, h,
                                  level, a)
-            if self.timers is not None and level > 0:
+            if level > 0:
                 for key, count in zip(("passes", "solves", "vcycles"),
                                       counts):
-                    self.timers.add_stat("gravity", f"{key}.L{level}", count,
-                                         mode="sum")
+                    self.step_stats["gravity"].add(f"{key}.L{level}", count)
             gravity_tasks = [GravityAccelTask(g, self.gravity, a)
                              for g in grids]
             self.engine.run(gravity_tasks, level=level, timers=self.timers)
@@ -389,21 +365,21 @@ class HierarchyEvolver:
             self.engine.run(chemistry_tasks, level=level, timers=self.timers)
             # aggregate integrator diagnostics serially after the engine
             # joins — identical result on every backend / worker count
+            chem = self.chem_stats
             for g, task in zip(grids, chemistry_tasks):
                 stats = task.result
                 if self.defense is not None:
                     stats = self._defend_chemistry(g, task, dt, a_mid)
                 elif task.error is not None:
                     raise task.error
-                self.chem_stats.absorb(stats)
-            if self.timers is not None:
-                snap = self.chem_stats
-                self.timers.add_stat("chemistry", "substeps", snap.substeps_total,
-                                     mode="set")
-                self.timers.add_stat("chemistry", "max_substeps",
-                                     snap.substeps_max, mode="max")
-                self.timers.add_stat("chemistry", "active_fraction",
-                                     snap.active_fraction_mean, mode="set")
+                if stats is None:  # the defense ladder skipped this grid
+                    continue
+                chem.add("tasks")
+                chem.add("cells", stats["cells"])
+                chem.add("substeps_total", stats["substeps_total"])
+                chem.peak("substeps_max", stats["substeps_max"])
+                chem.mean("active_fraction_mean",
+                          stats["active_fraction_mean"], stats["cells"])
 
         if (
             self.jeans_floor_cells > 0.0
@@ -429,38 +405,25 @@ class HierarchyEvolver:
                 h, level + 1, self.criteria, self._dm_density,
                 max_level=self.max_level,
                 incremental=self.incremental_rebuild))
+            self._record_rebuild(h.last_rebuild_stats)
             if self.stats is not None and hasattr(self.stats, "record_rebuild"):
                 self.stats.record_rebuild(h, level + 1)
         if self.stats is not None and hasattr(self.stats, "record_step"):
             self.stats.record_step(h, level, dt, float(grids[0].time))
         return dt
 
-    def rebuild_step_stats(self) -> dict | None:
-        """Grid-churn counters since the last root-step start.
-
-        ``created``/``destroyed`` are allocator traffic, ``reused`` the
-        grids the incremental rebuild kept alive; ``reuse_rate`` is
-        reused / (reused + created) over the root step.  Returns ``None``
-        when no rebuild has ever run (nothing to report).
-        """
-        h = self.hierarchy
-        if h.last_rebuild_stats is None:
-            return None
-        c0, d0, r0 = self._rebuild_counters0
-        created = h.grids_created - c0
-        destroyed = h.grids_destroyed - d0
-        reused = h.grids_reused - r0
-        total = created + reused
-        out = {
-            "created": created,
-            "destroyed": destroyed,
-            "reused": reused,
-            "reuse_rate": round(reused / total, 6) if total else 0.0,
-        }
-        flags = h.last_rebuild_stats.get("flags")
-        if flags:
-            out["flags"] = dict(flags)
-        return out
+    def _record_rebuild(self, last: dict) -> None:
+        """Fold one rebuild_hierarchy call into the step's ``rebuild`` block:
+        allocator traffic (``created``/``destroyed``), grids the incremental
+        rebuild kept alive (``reused``), their ratio and the flagged cells
+        per refinement criterion."""
+        stats = self.step_stats["rebuild"]
+        for key in ("created", "destroyed", "reused"):
+            stats.add(key, last[key])
+        stats.mean("reuse_rate", last["reuse_rate"],
+                   last["created"] + last["reused"])
+        for criterion, count in last["flags"].items():
+            stats.add(f"flags.{criterion}", count)
 
     # -------------------------------------------------------------- defense
     def _defend_hydro(self, g, task, dt, a, adot, accel, permute):

@@ -17,7 +17,7 @@ ordinary differential equations has been developed by some of us
 from repro.chemistry.species import SPECIES, Species, electron_density, neutral_fractions
 from repro.chemistry.rates import RateTable
 from repro.chemistry.cooling import cooling_rate
-from repro.chemistry.network import ChemistryNetwork, ChemistryStepStats, primordial_initial_fractions
+from repro.chemistry.network import ChemistryNetwork, primordial_initial_fractions
 from repro.chemistry.equilibrium import cie_fractions, cooling_curve
 from repro.chemistry.thermal import cooling_vs_freefall, equilibrium_temperature
 
@@ -27,7 +27,6 @@ __all__ = [
     "electron_density",
     "neutral_fractions",
     "RateTable",
-    "ChemistryStepStats",
     "cooling_rate",
     "ChemistryNetwork",
     "primordial_initial_fractions",

@@ -477,46 +477,3 @@ def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
         e_new = np.maximum(e_new, np.minimum(e, e_floor))
     e[...] = np.maximum(e_new, 1e-300)
 
-
-class ChemistryStepStats:
-    """Aggregate per-grid integrator stats over one root step.
-
-    The evolver absorbs the stats dict each :class:`ChemistryNetwork`
-    call returns (serially, after the execution engine joins, so the
-    aggregation is identical for every backend) and telemetry snapshots
-    the totals alongside the exec block.
-    """
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.tasks = 0
-        self.cells = 0
-        self.substeps_total = 0
-        self.substeps_max = 0
-        self._active_weighted = 0.0
-
-    def absorb(self, stats: dict | None) -> None:
-        if not stats:
-            return
-        self.tasks += 1
-        cells = int(stats.get("cells", 0))
-        self.cells += cells
-        self.substeps_total += int(stats.get("substeps_total", 0))
-        self.substeps_max = max(self.substeps_max, int(stats.get("substeps_max", 0)))
-        self._active_weighted += float(stats.get("active_fraction_mean", 0.0)) * cells
-
-    @property
-    def active_fraction_mean(self) -> float:
-        """Cell-weighted mean active fraction across absorbed grids."""
-        return self._active_weighted / self.cells if self.cells else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "tasks": self.tasks,
-            "cells": self.cells,
-            "substeps_total": self.substeps_total,
-            "substeps_max": self.substeps_max,
-            "active_fraction_mean": self.active_fraction_mean,
-        }

@@ -17,7 +17,6 @@ from repro.exec.config import BACKENDS, ENV_BACKEND, ENV_WORKERS, ExecConfig
 from repro.exec.engine import (
     ExecReport,
     ExecutionEngine,
-    StepExecStats,
     shutdown_pools,
 )
 from repro.exec.tasks import ChemistryTask, GravityAccelTask, GridTask, HydroTask
@@ -34,7 +33,6 @@ __all__ = [
     "GridTask",
     "HydroTask",
     "LedgerError",
-    "StepExecStats",
     "WorkCalibrator",
     "WorkerLedger",
     "shutdown_pools",

@@ -2,7 +2,7 @@
 
 The paper's load-balancing story (Sec. 3.4) rests on a *work estimate* per
 grid — originally the analytic ``cells * r^level`` model in
-:func:`repro.parallel.distribution.grid_work`.  The execution engine closes
+:func:`repro.exec.distribution.grid_work`.  The execution engine closes
 the loop: after every level dispatch it feeds the measured per-task wall
 times back into this calibrator, and subsequent schedules use the measured
 per-cell rates instead of the analytic constant.  The same object plugs
@@ -67,7 +67,7 @@ class WorkCalibrator:
         """Predicted seconds for a task (or a sterile grid's root step).
 
         Returns None when nothing relevant has been measured yet, which
-        makes :func:`repro.parallel.distribution.grid_work` fall back to
+        makes :func:`repro.exec.distribution.grid_work` fall back to
         the analytic model.
         """
         kind = getattr(obj, "kind", None)

@@ -16,9 +16,11 @@ Strategies:
 * ``level_blocks``   — contiguous blocks per level (locality-flavoured:
   neighbours tend to share ranks, reducing off-rank boundary traffic).
 
-All strategies accept any object with ``grid_id``, ``level``, ``n_cells``
-(and ``start_index`` for ``level_blocks``) — sterile grids from the virtual
-cluster, or live :mod:`repro.exec` grid tasks.  A ``cost_model`` (anything
+This is the execution engine's scheduler; the simulated cluster of
+:mod:`repro.parallel` reuses it.  All strategies accept any object with
+``grid_id``, ``level``, ``n_cells`` (and ``start_index`` for
+``level_blocks``) — live :mod:`repro.exec` grid tasks, or sterile grids
+from the virtual cluster.  A ``cost_model`` (anything
 with ``cost(obj) -> float | None``, e.g.
 :class:`repro.exec.calibration.WorkCalibrator`) replaces the analytic
 cells-times-substeps estimate with *measured* per-grid wall times, closing

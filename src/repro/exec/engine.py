@@ -38,10 +38,11 @@ from time import perf_counter
 
 from repro.exec.calibration import WorkCalibrator
 from repro.exec.config import ExecConfig
-from repro.parallel.distribution import balance_grids
+from repro.exec.distribution import balance_grids
+from repro.perf.timers import StepStats
 
 #: distribution strategy that assigns tasks to worker queues
-#: (see :func:`repro.parallel.distribution.balance_grids`)
+#: (see :func:`repro.exec.distribution.balance_grids`)
 STRATEGY = "greedy"
 #: dispatches with fewer tasks than this run inline (pool overhead cannot
 #: pay for itself on one task)
@@ -143,74 +144,20 @@ class ExecReport:
         return max(0.0, self.dispatch_wall - self.busy_max)
 
 
-class StepExecStats:
-    """Aggregates dispatch reports across one root step (all levels)."""
-
-    def __init__(self):
-        self.dispatches = 0
-        self.tasks = 0
-        self.busy = 0.0
-        self.wall = 0.0
-        self.overhead = 0.0
-        #: level -> [sum of busy_max, sum of busy_mean] across dispatches
-        self.per_level: dict = defaultdict(lambda: [0.0, 0.0])
-
-    def absorb(self, level, report: ExecReport) -> None:
-        self.dispatches += 1
-        self.tasks += report.n_tasks
-        self.busy += report.busy_total
-        self.wall += report.dispatch_wall
-        self.overhead += report.overhead
-        if level is not None and report.workers >= 1:
-            acc = self.per_level[int(level)]
-            acc[0] += report.busy_max
-            acc[1] += report.busy_total / report.workers
-
-    def snapshot(self, backend: str, workers: int) -> dict:
-        """JSON-native summary for the telemetry step record."""
-        return {
-            "backend": backend,
-            "workers": int(workers),
-            "dispatches": self.dispatches,
-            "tasks": self.tasks,
-            "overhead": round(self.overhead, 6),
-            "utilisation": (
-                round(self.busy / (workers * self.wall), 4)
-                if self.wall > 0.0 and workers >= 1
-                else 1.0
-            ),
-            "imbalance": {
-                str(level): round(acc[0] / acc[1], 4)
-                for level, acc in sorted(self.per_level.items())
-                if acc[1] > 0.0
-            },
-        }
-
-    def reset(self) -> None:
-        self.__init__()
-
-
 # -------------------------------------------------------------------- engine
 class ExecutionEngine:
     """Dispatches per-grid tasks for one evolver.
 
     The engine object is cheap (pools are shared process-globals); each
     evolver owns one so its calibration state and per-root-step stats stay
-    private.
+    private.  ``stats`` is the step record's ``exec`` block, which the
+    evolver resets at the top of every root step.
     """
 
     def __init__(self, config=None, calibrator: WorkCalibrator | None = None):
         self.config = ExecConfig.resolve(config)
         self.calibrator = calibrator or WorkCalibrator()
-        self.step_stats = StepExecStats()
-
-    # ------------------------------------------------------------ lifecycle
-    def begin_root_step(self) -> None:
-        self.step_stats.reset()
-
-    def step_snapshot(self) -> dict:
-        return self.step_stats.snapshot(self.config.backend,
-                                        self.config.workers)
+        self.stats = StepStats()
 
     # ----------------------------------------------------------- scheduling
     def plan_queues(self, tasks: list) -> list[list]:
@@ -231,7 +178,7 @@ class ExecutionEngine:
         """Execute independent per-grid tasks in place.
 
         Returns the dispatch report (also folded into the calibrator and
-        the per-root-step telemetry stats).
+        :attr:`stats`).
         """
         tasks = list(tasks)
         cfg = self.config
@@ -246,7 +193,7 @@ class ExecutionEngine:
         report.dispatch_wall = perf_counter() - t0
 
         self.calibrator.observe_report(report)
-        self.step_stats.absorb(level, report)
+        self._record(report, level)
         if timers is not None:
             if not report.inline_timed:
                 for kind, seconds in report.kernel_seconds.items():
@@ -254,6 +201,23 @@ class ExecutionEngine:
                                        count=report.kind_counts[kind])
             timers.add_seconds("exec", report.overhead)
         return report
+
+    def _record(self, report: ExecReport, level) -> None:
+        """Fold one joined dispatch into the per-root-step ``exec`` block:
+        utilisation is busy / (workers * wall) over the step's dispatches,
+        ``imbalance.L<k>`` the step's busy_max / busy_mean on level k."""
+        stats = self.stats
+        stats.add("dispatches")
+        stats.add("tasks", report.n_tasks)
+        stats.add("overhead", report.overhead)
+        wall = report.dispatch_wall
+        if wall > 0.0:
+            stats.mean("utilisation",
+                       report.busy_total / (report.workers * wall), wall)
+        busy_mean = report.busy_total / report.workers
+        if level is not None and busy_mean > 0.0:
+            stats.mean(f"imbalance.L{int(level)}", report.imbalance,
+                       busy_mean)
 
     # -------------------------------------------------------------- serial
     def _run_inline(self, tasks, report: ExecReport, timers) -> None:

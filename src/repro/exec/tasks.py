@@ -11,7 +11,7 @@ backends and worker counts.
 
 Tasks also expose ``grid_id`` / ``level`` / ``n_cells`` / ``start_index``
 so the scheduler can feed them straight through
-:func:`repro.parallel.distribution.balance_grids`.
+:func:`repro.exec.distribution.balance_grids`.
 """
 
 from __future__ import annotations

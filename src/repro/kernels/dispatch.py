@@ -27,8 +27,9 @@ single :class:`RuntimeWarning` — never an error, so a missing cffi or C
 compiler cannot take down test collection or a production run.
 
 Every registered kernel is wrapped with a per-kernel call/seconds counter;
-the evolver drains the deltas into the ``"kernels"`` timer section and the
-step-record telemetry, so ``repro tail`` shows which tier actually ran.
+the evolver drains each root step's deltas into the step record's
+``kernels`` block, and the ``start`` / ``resume`` records name the tier,
+so ``repro tail`` shows which tier actually ran and what it cost.
 
 Parity policy (enforced by ``tests/test_kernels.py``): compiled kernels
 preserve the NumPy op order element-for-element and are therefore required

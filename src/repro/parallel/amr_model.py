@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.parallel.comm import VirtualCluster
-from repro.parallel.distribution import grid_work
+from repro.exec.distribution import grid_work
 from repro.parallel.pipeline import Transfer, run_blocking_exchange, run_pipelined_exchange
 from repro.parallel.sterile import SterileGrid, SterileHierarchy, find_siblings_with_probes
 

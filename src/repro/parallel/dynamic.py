@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.distribution import grid_work
+from repro.exec.distribution import grid_work
 
 
 class DynamicLoadBalancer:

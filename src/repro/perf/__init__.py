@@ -1,7 +1,8 @@
 """Performance instrumentation (paper Sec. 5).
 
 * :mod:`repro.perf.timers` — per-component wall-time fractions (the paper's
-  usage table: hydro 36 %, Poisson 17 %, chemistry 11 %, ...).
+  usage table: hydro 36 %, Poisson 17 %, chemistry 11 %, ...) and the
+  per-root-step ``StepStats`` blocks of the telemetry step record.
 * :mod:`repro.perf.hierarchy_stats` — time series of hierarchy depth, grid
   counts, grids/level, work/level and memory-allocation events (Fig. 5).
 * :mod:`repro.perf.flops` — the paper's operation-count methodology:
@@ -9,7 +10,7 @@
   "virtual flop rate" arithmetic for an equivalent unigrid calculation.
 """
 
-from repro.perf.timers import ComponentTimers, SECTIONS
+from repro.perf.timers import ComponentTimers, SECTIONS, StepStats
 from repro.perf.hierarchy_stats import HierarchyStats
 from repro.perf.flops import OperationCounts, virtual_flop_rate, sustained_flop_rate
 from repro.perf.opcount import OperationRecorder, MultiStats
@@ -17,6 +18,7 @@ from repro.perf.opcount import OperationRecorder, MultiStats
 __all__ = [
     "ComponentTimers",
     "SECTIONS",
+    "StepStats",
     "HierarchyStats",
     "OperationCounts",
     "OperationRecorder",

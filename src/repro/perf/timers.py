@@ -28,21 +28,7 @@ SECTIONS = (
     "topology",
     "io",
     "exec",
-    # time spent inside registered inner-loop kernels (repro.kernels),
-    # summed across whichever backend tier ran them; a *subset* of the
-    # hydro/chemistry sections above, recorded separately so speedups of
-    # the compiled tier are visible without re-deriving them from BENCH
-    # runs.  Pool-thread kernel time is summed in, so (like "exec"
-    # CPU-seconds) it can exceed the step's wall time.
-    "kernels",
 )
-
-#: sections that measure time *inside* other sections rather than a slice
-#: of the exclusive partition.  They accumulate in ``totals``/``counts``
-#: (and telemetry reports them with real seconds, e.g. the step-record
-#: "kernels" block) but are excluded from :meth:`ComponentTimers.fractions`
-#: so the serial per-component fractions still sum to 1.
-OVERLAY_SECTIONS = frozenset({"kernels"})
 
 
 class ComponentTimers:
@@ -56,9 +42,6 @@ class ComponentTimers:
     def __init__(self):
         self.totals = defaultdict(float)
         self.counts = defaultdict(int)
-        #: per-section auxiliary scalar stats, (section, key) -> value;
-        #: written via :meth:`add_stat` (e.g. chemistry substep counts)
-        self.stats: dict[tuple[str, str], float] = {}
         self._stack: list[tuple[str, float]] = []
         self._t0 = time.perf_counter()
 
@@ -94,44 +77,14 @@ class ComponentTimers:
             self.totals[name] += float(seconds)
         self.counts[name] += int(count)
 
-    def add_stat(self, section: str, key: str, value, mode: str = "set") -> None:
-        """Record an auxiliary scalar stat for a section.
-
-        ``mode``: ``"set"`` overwrites (latest value wins), ``"sum"``
-        accumulates, ``"max"`` keeps the running maximum.  Used by the
-        evolver for non-time diagnostics that belong with a component —
-        e.g. the chemistry integrator's substep totals and mean
-        active-cell fraction.
-        """
-        value = float(value)
-        slot = (section, key)
-        if mode == "sum":
-            self.stats[slot] = self.stats.get(slot, 0.0) + value
-        elif mode == "max":
-            self.stats[slot] = max(self.stats.get(slot, value), value)
-        elif mode == "set":
-            self.stats[slot] = value
-        else:
-            raise ValueError(f"unknown add_stat mode {mode!r}")
-
-    def section_stats(self, section: str) -> dict[str, float]:
-        """All auxiliary stats recorded for one section."""
-        return {k: v for (s, k), v in self.stats.items() if s == section}
-
     @property
     def wall_time(self) -> float:
         return time.perf_counter() - self._t0
 
     def fractions(self, include_other: bool = True) -> dict[str, float]:
-        """Fraction of total wall time per component (paper-table format).
-
-        Overlay sections (``OVERLAY_SECTIONS``) are excluded: their time is
-        already inside hydro/chemistry, and including them would
-        double-count the partition.
-        """
+        """Fraction of total wall time per component (paper-table format)."""
         wall = max(self.wall_time, 1e-12)
-        out = {k: v / wall for k, v in self.totals.items()
-               if k not in OVERLAY_SECTIONS}
+        out = {k: v / wall for k, v in self.totals.items()}
         if include_other:
             out["other overhead"] = max(0.0, 1.0 - sum(out.values()))
         return out
@@ -141,13 +94,57 @@ class ComponentTimers:
         lines = ["component            usage"]
         for name, frac in sorted(self.fractions().items(), key=lambda kv: -kv[1]):
             lines.append(f"{name:<20s} {100 * frac:5.1f} %")
-        for (section, key), value in sorted(self.stats.items()):
-            lines.append(f"{section + '.' + key:<20s} {value:g}")
         return "\n".join(lines)
 
     def reset(self) -> None:
         self.totals.clear()
         self.counts.clear()
-        self.stats.clear()
         self._stack.clear()
         self._t0 = time.perf_counter()
+
+
+class StepStats:
+    """One component's statistics for one root step, under flat keys.
+
+    :meth:`add` sums, :meth:`peak` keeps the maximum and :meth:`mean` keeps
+    a weighted mean, which :meth:`snapshot` reports as
+    sum(value * weight) / sum(weight) and leaves out while the weight is 0.
+    Per-level keys are spelled ``name.L<k>``.  The evolver owns one per
+    component, resets them all at the top of each root step, and the
+    telemetry step record serialises every non-empty one as a block.
+
+    There is no lock: every write happens on the evolver's thread after a
+    dispatch joins.  Kernel counters, which pool threads write, keep their
+    own lock in :mod:`repro.kernels.dispatch`.
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        #: key -> [sum of value * weight, sum of weight]
+        self._means: dict = {}
+
+    def add(self, key: str, value=1) -> None:
+        self._values[key] = self._values.get(key, 0) + value
+
+    def peak(self, key: str, value) -> None:
+        if key not in self._values or value > self._values[key]:
+            self._values[key] = value
+
+    def mean(self, key: str, value: float, weight: float) -> None:
+        acc = self._means.setdefault(key, [0.0, 0.0])
+        acc[0] += value * weight
+        acc[1] += weight
+
+    def reset(self) -> None:
+        self._values.clear()
+        self._means.clear()
+
+    def __bool__(self) -> bool:
+        return bool(self._values or self._means)
+
+    def snapshot(self) -> dict:
+        """Plain ``{key: number}`` dict, unrounded."""
+        out = dict(self._values)
+        out.update((key, total / weight)
+                   for key, (total, weight) in self._means.items() if weight)
+        return out

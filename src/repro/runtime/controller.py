@@ -65,6 +65,7 @@ from repro.runtime.recovery import (
 from repro.runtime.supervision import HeartbeatWriter
 from repro.runtime.telemetry import (
     TelemetryWriter,
+    run_setup,
     step_record,
     telemetry_path,
 )
@@ -175,7 +176,7 @@ class RunController:
         self._start_heartbeat("start")
         self.telemetry.emit("start", t_end=self.t_end,
                             max_root_steps=max_root_steps,
-                            config=self.config)
+                            config=self.config, **run_setup(self.evolver))
         self._checkpoint()
         return self._loop()
 
@@ -202,7 +203,8 @@ class RunController:
             self.config = dict(state.config)
         self.telemetry.emit("resume", step=self.step, t=float(state.t_hi),
                             t_end=self.t_end,
-                            max_root_steps=self.max_root_steps)
+                            max_root_steps=self.max_root_steps,
+                            **run_setup(self.evolver))
         return self._loop()
 
     # ----------------------------------------------------------------- loop

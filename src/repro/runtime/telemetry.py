@@ -6,47 +6,9 @@ Records are append-only JSON lines flushed per write, so ``tail -f`` — or
 ``python -m repro tail`` — works on a live run, and a crash mid-line loses
 at most that line (the reader tolerates a torn final record).
 
-Step record schema (all numbers JSON-native)::
-
-    {"event": "step", "step": 12, "t": ..., "dt": ..., "a": ..., "z": ...,
-     "levels": [{"level": 0, "grids": 1, "cells": 4096}, ...],
-     "max_density": ..., "timers": {"hydro": 0.41, ...},
-     "exec": {"backend": "thread", "workers": 4, "dispatches": 12,
-              "tasks": 310, "overhead": 0.004, "utilisation": 0.87,
-              "imbalance": {"0": 1.0, "1": 1.18}},
-     "chemistry": {"tasks": 9, "cells": 36864, "substeps_total": 112640,
-                   "substeps_max": 57, "active_fraction_mean": 0.23},
-     "kernels": {"backend": "cffi",
-                 "per_kernel": {"hydro.sweep": {"calls": 96,
-                                                "seconds": 0.031}, ...}},
-     "rebuild": {"created": 12, "destroyed": 9, "reused": 480,
-                 "reuse_rate": 0.9756},
-     "wall": ...}
-
-The ``exec`` block comes from the execution engine (:mod:`repro.exec`):
-per-root-step dispatch counts, scheduling/dispatch overhead seconds,
-worker utilisation, and the per-level load-imbalance ratio (max/mean
-worker busy time; 1.0 is perfect balance).
-
-The ``chemistry`` block (present when a chemistry network is attached)
-aggregates the active-set integrator's per-grid diagnostics over the
-root step: total/maximum substep counts and the cell-weighted mean
-fraction of cells still active per substep iteration (lower = more cells
-converging early and dropping out of the integration).
-
-The ``kernels`` block (present once any registered inner-loop kernel has
-run this step) reports which :mod:`repro.kernels` backend tier executed
-the hydro/chemistry inner loops plus per-kernel call counts and
-CPU-seconds (summed over pool threads, so the seconds can exceed the
-step's wall time) — the live answer to "is the compiled tier
-actually running?".
-
-The ``rebuild`` block (present once the hierarchy has rebuilt at least
-once) counts the root step's grid churn: ``created``/``destroyed`` are
-real allocator traffic, ``reused`` the grids the incremental rebuild
-(:mod:`repro.amr.rebuild`) kept alive, and ``reuse_rate`` =
-reused / (reused + created) — the paper-Fig. 5 alloc/free pressure an
-operator watches at hero-run scale.
+Every record shape — the lifecycle records, the step record and its
+per-component blocks, one key table with the kind of every key — is
+described once, in ``docs/RUNTIME.md`` ("Telemetry schema").
 """
 
 from __future__ import annotations
@@ -54,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 import time
+
+from repro.kernels import dispatch
 
 TELEMETRY_NAME = "telemetry.jsonl"
 
@@ -90,6 +54,13 @@ class TelemetryWriter:
         self.close()
 
 
+def run_setup(evolver) -> dict:
+    """How the run executes, for the ``start`` and ``resume`` records."""
+    config = evolver.engine.config
+    return {"exec_backend": config.backend, "workers": config.workers,
+            "kernels": dispatch.active_backend()}
+
+
 def step_record(evolver, step: int, dt: float) -> dict:
     """Build the per-root-step payload from live simulation objects."""
     h = evolver.hierarchy
@@ -117,27 +88,9 @@ def step_record(evolver, step: int, dt: float) -> dict:
     }
     if hasattr(evolver.clock, "redshift_of"):
         record["z"] = float(evolver.clock.redshift_of(h.root.time))
-    engine = getattr(evolver, "engine", None)
-    if engine is not None:
-        record["exec"] = engine.step_snapshot()
-    chem_stats = getattr(evolver, "chem_stats", None)
-    if chem_stats is not None and chem_stats.tasks:
-        snap = chem_stats.snapshot()
-        snap["active_fraction_mean"] = round(snap["active_fraction_mean"], 6)
-        record["chemistry"] = snap
-    rebuild_stats = getattr(evolver, "rebuild_step_stats", None)
-    if rebuild_stats is not None:
-        snap = rebuild_stats()
-        if snap is not None:
-            record["rebuild"] = snap
-    kernel_stats = getattr(evolver, "last_kernel_stats", None)
-    if kernel_stats is not None and kernel_stats.get("per_kernel"):
-        record["kernels"] = kernel_stats
-    defense = getattr(evolver, "defense", None)
-    if defense is not None:
-        snap = defense.snapshot()
-        if snap:
-            record["defense"] = snap
+    for name, stats in evolver.step_stats.items():
+        if stats:
+            record[name] = stats.snapshot()
     if evolver.timers is not None:
         record["timers"] = {
             k: round(v, 6) for k, v in evolver.timers.fractions().items()
@@ -278,14 +231,10 @@ def format_events(events: list[dict]) -> str:
             levels = e.get("levels", [])
             grids = sum(l["grids"] for l in levels)
             zbit = f" z={e['z']:.2f}" if "z" in e else ""
-            kern = e.get("kernels", {})
-            kbit = (f"  kernels={kern['backend']}"
-                    if kern.get("backend") else "")
             lines.append(
                 f"step {e.get('step', '?'):>6}  t={e.get('t', 0.0):.6g}  "
                 f"dt={e.get('dt', 0.0):.3g}{zbit}  levels={len(levels)}  "
                 f"grids={grids}  max_rho={e.get('max_density', 0.0):.4g}"
-                f"{kbit}"
             )
         elif kind == "checkpoint":
             lines.append(

@@ -400,17 +400,55 @@ class TestEvolverIntegration:
         sim = _build_sim()
         t_end = 0.8
         sim.evolver.advance_root_step(t_end)
-        snap = sim.evolver.rebuild_step_stats()
-        assert snap is not None
-        assert set(snap) == {"created", "destroyed", "reused", "reuse_rate",
-                             "flags"}
         record = step_record(sim.evolver, 1, 0.01)
-        assert record["rebuild"] == snap
+        block = record["rebuild"]
+        assert {"created", "destroyed", "reused", "reuse_rate"} <= set(block)
+        assert all(key.startswith("flags.") for key in set(block) - {
+            "created", "destroyed", "reused", "reuse_rate"})
+        assert block == sim.evolver.step_stats["rebuild"].snapshot()
         # steady state: later steps should mostly reuse
         for _ in range(2):
             sim.evolver.advance_root_step(t_end)
-        snap = sim.evolver.rebuild_step_stats()
-        assert snap["reused"] > 0
+        assert sim.evolver.step_stats["rebuild"].snapshot()["reused"] > 0
+
+    def test_step_record_flags_sum_every_rebuild_of_the_step(self,
+                                                             monkeypatch):
+        """A root step on a two-level run calls rebuild_hierarchy(h, 2)
+        after each level-1 step and rebuild_hierarchy(h, 1) last; the
+        record's flag counts are the sum over all of those calls."""
+        import repro.amr.evolve as evolve_mod
+        from repro import Simulation, SimulationConfig
+        from repro.runtime.telemetry import step_record
+
+        sim = Simulation(SimulationConfig(
+            n_root=8, self_gravity=True, max_level=2, refine_overdensity=3.0,
+            g_code=2.0, cfl=0.3,
+        ))
+        sim.set_density(lambda x, y, z: 1 + 30 * np.exp(
+            -((x - .5) ** 2 + (y - .5) ** 2 + (z - .5) ** 2) / 0.01))
+        sim.set_field("internal", lambda x, y, z: np.full_like(x, 0.05))
+        sim.initialize()
+        assert sim.hierarchy.max_level == 2
+
+        calls = []
+        rebuild = evolve_mod.rebuild_hierarchy
+
+        def recording(h, level, *args, **kwargs):
+            rebuild(h, level, *args, **kwargs)
+            calls.append((level, dict(h.last_rebuild_stats["flags"])))
+
+        monkeypatch.setattr(evolve_mod, "rebuild_hierarchy", recording)
+        dt = sim.evolver.advance_root_step(0.8)
+        assert len(calls) >= 2 and calls[-1][0] == 1
+        want: dict = {}
+        for _, flags in calls:
+            for criterion, count in flags.items():
+                want[criterion] = want.get(criterion, 0) + count
+        assert want != calls[-1][1]  # the last call alone undercounts
+        block = step_record(sim.evolver, 1, dt)["rebuild"]
+        got = {key[len("flags."):]: value for key, value in block.items()
+               if key.startswith("flags.")}
+        assert got == want
 
 
 # ------------------------------------------------------- per kernel tier

@@ -4,7 +4,7 @@ Covers the tentpole properties the issue demands: tabulated-vs-analytic
 agreement on random log-T draws, positivity, exact elemental-nuclei
 conservation after renormalisation, active-set equality with the
 cell-by-cell path on mixed hot/cold grids, and the stats plumbing
-(network -> evolver aggregate -> telemetry record, timers.add_stat).
+(network -> evolver ``chem_stats`` -> telemetry record).
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ import pytest
 
 from repro import constants as const
 from repro.chemistry import cooling as cool_mod
-from repro.chemistry.network import (
-    ChemistryNetwork,
-    ChemistryStepStats,
-    primordial_initial_fractions,
-)
+from repro.chemistry.network import ChemistryNetwork, primordial_initial_fractions
 from repro.chemistry.rates import RateTable, _get_table
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 
@@ -191,45 +187,34 @@ def test_advance_publishes_stats():
 
 
 def test_chemistry_step_stats_aggregation():
-    agg = ChemistryStepStats()
-    agg.absorb({"cells": 100, "substeps_total": 500, "substeps_max": 9,
-                "active_fraction_mean": 0.5})
-    agg.absorb({"cells": 300, "substeps_total": 600, "substeps_max": 4,
-                "active_fraction_mean": 0.25})
-    agg.absorb(None)  # skipped task
+    """The evolver's per-grid chemistry aggregation is a StepStats: sums,
+    a peak, a cells-weighted mean; zero weight omits the mean."""
+    import json
+
+    from repro.perf import StepStats
+
+    agg = StepStats()
+    assert not agg and agg.snapshot() == {}
+    for cells, total, peak, frac in ((100, 500, 9, 0.5), (300, 600, 4, 0.25)):
+        agg.add("tasks")
+        agg.add("cells", cells)
+        agg.add("substeps_total", total)
+        agg.peak("substeps_max", peak)
+        agg.mean("active_fraction_mean", frac, cells)
+    agg.mean("unweighted", 0.7, 0)
+    assert agg
     snap = agg.snapshot()
-    assert snap["tasks"] == 2
-    assert snap["cells"] == 400
-    assert snap["substeps_total"] == 1100
-    assert snap["substeps_max"] == 9
-    assert snap["active_fraction_mean"] == pytest.approx(
-        (0.5 * 100 + 0.25 * 300) / 400
-    )
+    assert snap == {"tasks": 2, "cells": 400, "substeps_total": 1100,
+                    "substeps_max": 9, "active_fraction_mean": 0.3125}
+    assert json.loads(json.dumps(snap)) == snap
     agg.reset()
-    assert agg.snapshot()["tasks"] == 0
+    assert not agg and agg.snapshot() == {}
 
 
-def test_timers_add_stat_modes():
-    from repro.perf.timers import ComponentTimers
-
-    t = ComponentTimers()
-    t.add_stat("chemistry", "substeps", 10, mode="sum")
-    t.add_stat("chemistry", "substeps", 5, mode="sum")
-    t.add_stat("chemistry", "max_substeps", 3, mode="max")
-    t.add_stat("chemistry", "max_substeps", 7, mode="max")
-    t.add_stat("chemistry", "active_fraction", 0.4, mode="set")
-    t.add_stat("chemistry", "active_fraction", 0.2, mode="set")
-    stats = t.section_stats("chemistry")
-    assert stats == {"substeps": 15.0, "max_substeps": 7.0,
-                     "active_fraction": 0.2}
-    assert "chemistry.substeps" in t.report()
-    with pytest.raises(ValueError):
-        t.add_stat("chemistry", "x", 1.0, mode="bogus")
-    t.reset()
-    assert t.section_stats("chemistry") == {}
-
-
-def test_telemetry_step_record_includes_chemistry_block():
+@pytest.fixture(scope="module")
+def collapse_step():
+    """One root step of a refined collapse with gravity, chemistry and
+    dark matter: the evolver and its telemetry step record."""
     from repro.problems.collapse import PrimordialCollapse
     from repro.runtime.telemetry import step_record
 
@@ -240,13 +225,41 @@ def test_telemetry_step_record_includes_chemistry_block():
     pc.initial_rebuild()
     dt = pc.evolver.advance_root_step(pc.code_time_of_redshift(99.0))
     assert dt is not None and dt > 0.0
-    record = step_record(pc.evolver, step=1, dt=dt)
+    return pc.evolver, step_record(pc.evolver, step=1, dt=dt)
+
+
+def test_telemetry_step_record_includes_chemistry_block(collapse_step):
+    _, record = collapse_step
     chem = record["chemistry"]
     assert chem["tasks"] >= 1
     assert chem["cells"] >= 8**3
     assert chem["substeps_total"] >= chem["substeps_max"] >= 1
     assert 0.0 < chem["active_fraction_mean"] <= 1.0
-    # round-trippable through JSON like every telemetry payload
+
+
+def test_chem_stats_snapshot_is_the_record_block(collapse_step):
+    """benchmarks/e2e/tracing.py reads these three keys from
+    ``evolver.chem_stats.snapshot()`` after every root step."""
+    evolver, record = collapse_step
+    snap = evolver.chem_stats.snapshot()
+    assert {"cells", "substeps_total", "active_fraction_mean"} <= set(snap)
+    assert snap == record["chemistry"]
+
+
+def test_step_record_blocks_on_a_refined_collapse(collapse_step):
     import json
 
-    json.dumps(record)
+    evolver, record = collapse_step
+    blocks = {name for name in evolver.step_stats if name in record}
+    assert blocks - {"defense"} == {"exec", "chemistry", "gravity",
+                                    "rebuild", "kernels"}
+    totals = evolver.defense.totals
+    fired = bool(totals["rungs"] or totals["floors"])
+    assert ("defense" in record) == fired
+    for name in blocks:
+        for key, value in record[name].items():
+            assert type(value) in (int, float), (name, key, value)
+    assert json.loads(json.dumps(record)) == record
+    gravity = record["gravity"]
+    assert 1 <= gravity["passes.L1"] <= gravity["solves.L1"] \
+        <= gravity["vcycles.L1"]

@@ -251,7 +251,7 @@ class TestHydroLadder:
         assert rescue[0]["step"] == 2  # fired during the second root step
         steps = [e for e in events if e["event"] == "step"]
         assert any(
-            e.get("defense", {}).get("rungs", {}).get("retry_half_dt") == 1
+            e.get("defense", {}).get("rungs.retry_half_dt") == 1
             for e in steps
         )
 
@@ -337,7 +337,7 @@ class TestChemistryLadder:
         assert len(net.calls) == 2
         assert net.calls[0] == pytest.approx(net.calls[1])
         # merged halves: 4 + 4 substeps
-        assert sim.evolver.chem_stats.substeps_total == 8
+        assert sim.evolver.chem_stats.snapshot()["substeps_total"] == 8
 
     def test_blowup_twice_skips_chemistry_for_the_grid(self):
         sim = build_chem_sim()
@@ -395,22 +395,19 @@ class TestCheckpointTruncate:
 class TestDefenseBookkeeping:
     def test_note_floors_and_snapshot(self):
         ladder = DefenseLadder()
-        ladder.begin_root_step()
-        assert ladder.snapshot() is None
+        assert not ladder.stats
         ladder.note_floors({"density_floor": 2, "internal_floor": 0})
         ladder.note_floors({"density_floor": 1})
-        snap = ladder.snapshot()
-        assert snap == {"floors": {"density_floor": 3}}
-        ladder.begin_root_step()  # per-step counters reset, totals persist
-        assert ladder.snapshot() is None
+        assert ladder.stats.snapshot() == {"floors.density_floor": 3}
+        ladder.stats.reset()  # per-step counters reset, totals persist
+        assert not ladder.stats
         assert ladder.totals["floors"] == {"density_floor": 3}
 
     def test_record_event_counts_only_successful_rungs(self):
         ladder = DefenseLadder()
-        ladder.begin_root_step()
         ladder.record_event({"rung": "retry_half_dt", "ok": False})
         ladder.record_event({"rung": "first_order", "ok": True})
         ladder.record_event({"escalate": True, "rungs": []})
-        assert ladder.counters == {"first_order": 1}
+        assert ladder.stats.snapshot() == {"rungs.first_order": 1}
         assert len(ladder.drain_events()) == 3
         assert ladder.drain_events() == []

@@ -9,6 +9,8 @@ a chemistry-enabled primordial collapse) under every backend and compare.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -304,14 +306,14 @@ class TestExecutionEngine:
 
     def test_step_snapshot_shape(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
-        eng.begin_root_step()
         eng.run([_FakeTask(i, 100) for i in range(4)], level=0)
         eng.run([_FakeTask(i, 100) for i in range(2)], level=1)
-        snap = eng.step_snapshot()
-        assert snap["backend"] == "thread" and snap["workers"] == 2
+        snap = eng.stats.snapshot()
+        assert set(snap) == {"dispatches", "tasks", "overhead",
+                             "utilisation", "imbalance.L0", "imbalance.L1"}
         assert snap["dispatches"] == 2 and snap["tasks"] == 6
-        assert "0" in snap["imbalance"] and "1" in snap["imbalance"]
         assert 0.0 < snap["utilisation"] <= 1.0
+        assert snap["imbalance.L0"] >= 1.0 and snap["imbalance.L1"] >= 1.0
 
     def test_calibrator_learns_from_dispatches(self):
         eng = ExecutionEngine(ExecConfig(backend="serial"))
@@ -324,3 +326,17 @@ class TestExecutionEngine:
         sim = build_sim()
         assert sim.evolver.engine.config.backend == "thread"
         assert sim.evolver.engine.config.workers == 2
+
+
+def test_production_path_does_not_import_the_simulated_cluster():
+    """The evolver schedules through repro.exec.distribution; the Sec. 3.4
+    virtual-cluster package stays off the production import path."""
+    code = ("import sys, repro.amr.evolve; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'parallel']))")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -183,8 +183,9 @@ class TestFlagTelemetry:
         # is diverging there, so it must NOT count)
         assert flags == {"gas_mass": 256, "shock": 128}
         sim.evolver.advance_root_step(0.5)
-        step_stats = sim.evolver.rebuild_step_stats()
-        assert set(step_stats["flags"]) <= {"gas_mass", "shock"}
+        block = sim.evolver.step_stats["rebuild"].snapshot()
+        flagged = {key for key in block if key.startswith("flags.")}
+        assert flagged <= {"flags.gas_mass", "flags.shock"}
 
 
 class TestKelvinHelmholtzChaos:

@@ -228,6 +228,9 @@ class TestTelemetry:
         sim = build_sim()
         out = sim.make_controller(run_dir).run(T_END, max_root_steps=4)
         events = read_events(telemetry_path(run_dir))
+        start = events[0]
+        assert start["event"] == "start"
+        assert {"exec_backend", "workers", "kernels"} <= set(start)
         steps = [e for e in events if e["event"] == "step"]
         assert len(steps) == out["steps"] == 4
         for i, e in enumerate(steps, start=1):
@@ -239,7 +242,7 @@ class TestTelemetry:
             # serial fractions partition wall time exactly; parallel
             # backends attribute CPU-seconds summed across workers, so
             # their fractions may legitimately exceed 1 (see EXECUTOR.md)
-            if e.get("exec", {}).get("backend", "serial") == "serial":
+            if start["exec_backend"] == "serial":
                 assert abs(sum(e["timers"].values()) - 1.0) < 1e-4
             else:
                 assert sum(e["timers"].values()) >= 1.0 - 1e-4
