@@ -23,9 +23,10 @@ class RecordingSolver(PPMSolver):
         super().__init__(**kw)
         self.log = log
 
-    def step(self, fields, dx, dt, a=1.0, adot=0.0, accel=None, permute=0):
+    def step(self, fields, dx, dt, a=1.0, adot=0.0, accel=None, permute=0,
+             **kw):
         self.log.append({"dx": dx, "dt": dt})
-        return super().step(fields, dx, dt, a, adot, accel, permute)
+        return super().step(fields, dx, dt, a, adot, accel, permute, **kw)
 
 
 def build_and_run():

@@ -8,11 +8,13 @@ reference (the parity suite in ``tests/test_kernels.py`` enforces that).
 
 This bench measures what that buys:
 
-* one fused grid sweep (``hydro.sweep``: everything ``PPMSolver`` does to
-  one grid along one axis in a single compiled call) at 8^3 / 16^3 / 32^3
-  interior cells plus three ghosts, in us per interior cell — *layer
-  evidence* under the end-to-end numbers of ``benchmarks/e2e``, never a
-  headline;
+* the three fused grid sweeps of one step (``hydro.sweep``: everything
+  ``PPMSolver`` does to one grid along one axis in a single compiled call)
+  at 8^3 / 16^3 / 32^3 interior cells plus three ghosts, with the
+  solver's pencil boxes (only the pencils a later sweep reads) and, for
+  the compiled tier, with every pencil swept, in us per interior cell —
+  *layer evidence* under the end-to-end numbers of ``benchmarks/e2e``,
+  never a headline;
 * one fused chemistry substep (``chem.step``: timescale control, the
   backward-Euler species/energy update and the renormalisation of every
   active cell of one grid in a single compiled call) at 512 / 10,648 /
@@ -74,7 +76,7 @@ from repro.chemistry.network import (
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.gravity.multigrid import MultigridSolver, vcycle_numpy
-from repro.hydro.ppm import sweep_numpy
+from repro.hydro.ppm import pencil_boxes, sweep_numpy
 from repro.hydro.riemann import hllc_flux, two_shock_flux
 from repro.hydro.reconstruction import ppm_reconstruct
 from repro.hydro.tracing import trace_states_numpy
@@ -172,11 +174,28 @@ def _commit() -> str:
     return out.stdout.strip() or "unknown"
 
 
+def _three_sweeps(fn, arrays, ng, full):
+    """The three ``hydro.sweep`` calls of one ``PPMSolver`` step (order x,
+    y, z) on ``(rho, vx, vy, vz, e_tot, e_int)``, with the solver's pencil
+    boxes or (``full``) every pencil; returns fluxes and counts."""
+    out = []
+    order = [0, 1, 2]
+    for axis, pencils in zip(order, pencil_boxes(arrays[0].shape, ng, order,
+                                                 full)):
+        q = [arrays[0], arrays[1 + axis],
+             *(arrays[1 + d] for d in range(3) if d != axis), *arrays[4:]]
+        fluxes, counts = fn(q, axis, ng, pencils, 0.05, 0.4, 5.0 / 3.0,
+                            "ppm+flatten", "hllc", 1e-12, 1e-30)
+        out += [*fluxes, counts]
+    return out
+
+
 def sweep_rows(config: dict, backend: str) -> dict:
-    """One grid sweep, NumPy reference vs. compiled, per interior cell."""
+    """The three sweeps of one step on one grid, NumPy reference vs.
+    compiled with the solver's pencil boxes, and compiled with every
+    pencil swept, per interior cell."""
     ng = 3
     compiled = dispatch._impls[(backend, "hydro.sweep")]
-    tail = (ng, 0.05, 0.4, 5.0 / 3.0, "ppm+flatten", "hllc", 1e-12, 1e-30)
     rows = []
     for interior in config["sweep_interiors"]:
         rng = np.random.default_rng(interior)
@@ -187,24 +206,35 @@ def sweep_rows(config: dict, backend: str) -> dict:
         start = [rho, *vel, e_int + 0.5 * sum(v * v for v in vel), e_int]
         row = {"interior": interior}
         outputs = {}
-        for name, fn in (("numpy", sweep_numpy), (backend, compiled)):
+        for name, fn, full in (("numpy", sweep_numpy, False),
+                               (backend, compiled, False),
+                               (f"{backend}_full_box", compiled, True)):
             best = np.inf
-            for rep in range(config["repeats"] * 3):
+            for _ in range(config["repeats"] * 2):
                 arrays = [a.copy() for a in start]
                 t0 = time.perf_counter()
-                out = fn(arrays, rep % 3, *tail)
+                out = _three_sweeps(fn, arrays, ng, full)
                 best = min(best, time.perf_counter() - t0)
-            outputs[name] = (arrays, *out)
+            outputs[name] = (arrays, out)
             row[f"{name}_us_per_cell"] = 1e6 * best / interior ** 3
-        (f_r, x_r, c_r), (f_c, x_c, c_c) = outputs["numpy"], outputs[backend]
-        assert c_r == c_c
+        (f_r, x_r), (f_c, x_c) = outputs["numpy"], outputs[backend]
         assert all(np.array_equal(a, b) for a, b in zip(f_r + x_r, f_c + x_c))
+        # the boxes change no flux and no active cell
+        f_f, x_f = outputs[f"{backend}_full_box"]
+        inner = (slice(ng, -ng),) * 3
+        assert all(np.array_equal(a[inner], b[inner])
+                   for a, b in zip(f_c, f_f))
+        assert all(np.array_equal(a, b) for a, b in zip(x_c, x_f)
+                   if isinstance(a, np.ndarray))
         row["speedup"] = (row["numpy_us_per_cell"]
                           / row[f"{backend}_us_per_cell"])
+        row["box_saving"] = (row[f"{backend}_full_box_us_per_cell"]
+                             / row[f"{backend}_us_per_cell"])
         rows.append(row)
     return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
             "commit": _commit(), "scheme": "ppm+flatten / hllc",
-            "unit": "us per interior cell per sweep", "rows": rows}
+            "unit": "us per interior cell per step (three sweeps)",
+            "rows": rows}
 
 
 # ----------------------------------------------------------- fused chemistry
@@ -541,9 +571,13 @@ def test_kernels_smoke():
     if results["compiled_backend"] is None:
         pytest.skip("no compiled backend available")
     # the fused sweep is parity-checked inside sweep_rows; one compiled
-    # call must beat the NumPy body even on the smallest grid
+    # call must beat the NumPy body even on the smallest grid, and the
+    # solver's pencil boxes (372 of 588 pencils at 8^3) must beat the
+    # full box
     assert results["hydro.sweep"]["rows"][0]["interior"] == 8
     assert results["hydro.sweep"]["rows"][0]["speedup"] > 1.0, \
+        results["hydro.sweep"]
+    assert results["hydro.sweep"]["rows"][0]["box_saving"] > 1.0, \
         results["hydro.sweep"]
     # likewise chem.step (parity-checked inside chem_step_rows)
     assert results["chem.step"]["rows"][0]["cells"] == 512

@@ -71,8 +71,9 @@ def validate_fields(fields, interior, mass_ref: float | None = None,
                     mass_drift_tol: float = float("inf")) -> list[str]:
     """Read-only health check of a grid's interior; returns problem labels.
 
-    Ghost zones are deliberately excluded: truncated-stencil edge cells are
-    repaired by the next boundary exchange and must not trigger rescues.
+    Ghost zones are deliberately excluded: the solvers leave them stale
+    (or, at the truncated-stencil edge, garbage) and the next boundary
+    exchange rewrites them, so they must not trigger rescues.
     """
     problems: list[str] = []
     for name in FINITE_FIELDS:
@@ -262,7 +263,10 @@ class DefenseLadder:
                                permute):
         self._restore(grid)
         half = 0.5 * dt
-        f1 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute)
+        # no boundary fill between the halves: the second reads the ghost
+        # zones the first leaves, so the first advances every cell
+        f1 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute,
+                         full_update=True)
         f2 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute)
         return _sum_fluxes(f1, f2)
 
@@ -390,8 +394,9 @@ class DefenseLadder:
         try:
             _maybe_raise_fault("chem_blowup", grid.level, grid.grid_id)
             half = 0.5 * dt_code
-            s1 = network.advance_fields(grid.fields, half, units, a)
-            s2 = network.advance_fields(grid.fields, half, units, a)
+            active = grid.fields.view(grid.interior)
+            s1 = network.advance_fields(active, half, units, a)
+            s2 = network.advance_fields(active, half, units, a)
             retry_error = None
             stats = _merge_chem_stats(s1, s2)
         except Exception as exc:

@@ -202,9 +202,10 @@ class HierarchyEvolver:
         h = self.hierarchy
         dts = [expansion_timestep(a, adot)]
         for g in h.level_grids(level):
-            # scan the full array (ghosts included): ghost-band cells are
-            # advanced transversally by the sweeps, so their signal speeds
-            # bind the CFL too
+            # scan the full array (ghosts included): the ghost zones hold
+            # what set_boundary_values wrote (neighbour and parent data,
+            # never sweep output), and the first sweep reads them, so
+            # their signal speeds bind the CFL too
             dts.append(hydro_timestep(g.fields, g.dx, a, self.cfl))
         if len(h.particles) and level == 0:
             dts.append(particle_timestep(h.particles.velocities,

@@ -93,7 +93,8 @@ class HydroTask(GridTask):
 
 
 class ChemistryTask(GridTask):
-    """Sub-cycled network + cooling advance of one grid's FieldSet."""
+    """Sub-cycled network + cooling advance of one grid's active zone (its
+    ghost zones are refilled by the boundary exchange that follows)."""
 
     kind = "chemistry"
 
@@ -107,7 +108,8 @@ class ChemistryTask(GridTask):
     def run_inline(self) -> None:
         faults.maybe_raise("chem_blowup", self.level, self.grid_id)
         self.result = self.network.advance_fields(
-            self.grid.fields, self.dt_code, self.units, self.a
+            self.grid.fields.view(self.grid.interior), self.dt_code,
+            self.units, self.a,
         )
 
 

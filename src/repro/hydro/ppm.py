@@ -88,17 +88,61 @@ def contact_speed(states_l, states_r, gamma):
     return np.clip(s_m, s_l, s_r)
 
 
-def sweep_numpy(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+def pencil_boxes(shape, ng, order, full=False):
+    """The ``pencils`` argument of each ``hydro.sweep`` of one step.
+
+    ``order`` is the step's sweep order.  A sweep covers a transverse axis
+    that a later sweep of the step still sweeps in full, because that
+    sweep reads its ghost cells along the way; an axis that is already
+    swept is covered in its interior only, because nothing reads the
+    ghost columns of it before the next boundary fill rewrites them.
+    ``full`` covers every pencil of every sweep (the update of a step
+    whose ghost zones are read before any boundary fill).
+    """
+    boxes = []
+    for k, axis in enumerate(order):
+        box = ()
+        for t in range(3):
+            if t != axis:
+                whole = full or t in order[k + 1:]
+                box += (0, shape[t]) if whole else (ng, shape[t] - ng)
+        boxes.append(box)
+    return boxes
+
+
+def check_pencils(shape, axis, ng, pencils):
+    """``pencils`` as ``((a_lo, a_hi), (b_lo, b_hi))`` over the two axes
+    transverse to ``axis`` (ascending), or ValueError: each range must lie
+    in the array and cover the interior ``[ng, n - ng)``, whose fluxes the
+    sweep must write."""
+    lo_a, hi_a, lo_b, hi_b = (int(p) for p in pencils)
+    ranges = ((lo_a, hi_a), (lo_b, hi_b))
+    transverse = [n for d, n in enumerate(shape) if d != axis]
+    for (lo, hi), n in zip(ranges, transverse):
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"hydro.sweep: pencil range [{lo}, {hi}) "
+                             f"outside the array [0, {n})")
+        if lo > ng or hi < n - ng:
+            raise ValueError(f"hydro.sweep: pencil range [{lo}, {hi}) "
+                             f"leaves interior pencils [{ng}, {n - ng}) "
+                             f"unwritten")
+    return ranges
+
+
+def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
                 riemann_solver, density_floor, energy_floor):
     """NumPy reference of the ``hydro.sweep`` kernel.
 
     ``arrays`` is ``(density, u, v, w, energy, internal, *advected)`` in
-    the grid's native layout with ``u`` the velocity along ``axis``; all
-    are updated in place.  ``scheme`` is 'trace' (CW84 characteristic
-    tracing), 'ppm+flatten', 'ppm', 'plm' or 'flat'; ``dtdx = dt/(a dx)``
-    and ``flux_scale = dt/a``.  Returns ``(fluxes, counts)``: the scaled
-    interior-face fluxes in the order of ``arrays`` (face dimension along
-    ``axis``, interior extents transversally) and the :data:`FLOOR_COUNTS`.
+    the grid's native layout with ``u`` the velocity along ``axis``; the
+    sweep-axis pencils in ``pencils = (a_lo, a_hi, b_lo, b_hi)`` — index
+    ranges of the two transverse axes in ascending axis order, checked by
+    :func:`check_pencils` — are updated in place, nothing else.
+    ``scheme`` is 'trace' (CW84 characteristic tracing), 'ppm+flatten',
+    'ppm', 'plm' or 'flat'; ``dtdx = dt/(a dx)`` and ``flux_scale = dt/a``.
+    Returns ``(fluxes, counts)``: the scaled interior-face fluxes in the
+    order of ``arrays`` (face dimension along ``axis``, interior extents
+    transversally) and the :data:`FLOOR_COUNTS` of the swept pencils.
 
     Calls the NumPy bodies directly, never the dispatch registry, so a
     sweep counts as one kernel call on every tier.
@@ -107,9 +151,12 @@ def sweep_numpy(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in _RIEMANN:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+    shape = arrays[0].shape
+    (a_lo, a_hi), (b_lo, b_hi) = check_pencils(shape, axis, ng, pencils)
+    box = (slice(None), slice(a_lo, a_hi), slice(b_lo, b_hi))
 
     def fwd(arr):
-        return np.moveaxis(arr, axis, 0)
+        return np.moveaxis(arr, axis, 0)[box]
 
     rho, u, v, w, e_tot, e_int = (fwd(q) for q in arrays[:6])
     advected = [fwd(q) for q in arrays[6:]]
@@ -163,10 +210,11 @@ def sweep_numpy(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
     # interface velocity for the pdV term (contact-wave estimate)
     u_face = contact_speed(states_l, states_r, gamma)
 
-    # conservative update of the interior band along the sweep axis
-    # (transverse ghost columns update too — their sweep-direction
-    # stencils are complete; the truncated-stencil edge cells are left
-    # to the next SetBoundaryValues, which stops ghost-band runaway)
+    # conservative update of the interior band along the sweep axis, in
+    # the swept pencils only: a transverse ghost column is swept when a
+    # later sweep of the step reads it (see pencil_boxes), and every
+    # ghost cell is rewritten by SetBoundaryValues before anything else
+    # reads it
     k = dtdx
     upd = slice(ng, n - ng)
     fsl = slice(ng - 1, n - ng)  # faces bounding the interior band
@@ -210,8 +258,10 @@ def sweep_numpy(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
         q[upd] = np.maximum(q[upd] - k * dflux(f_q), 0.0)
 
     # collect interior-face fluxes (dt/a-integrated) for flux correction
+    transverse = [s for d, s in enumerate(shape) if d != axis]
     face_sl = (slice(ng - 1, n - ng),) + tuple(
-        slice(ng, s - ng) for s in rho.shape[1:]
+        slice(ng - lo, s - ng - lo)
+        for s, lo in zip(transverse, (a_lo, b_lo))
     )
     fluxes = [
         flux_scale * np.moveaxis(arr[face_sl], 0, axis)
@@ -277,6 +327,7 @@ class PPMSolver:
         adot: float = 0.0,
         accel=None,
         permute: int = 0,
+        full_update: bool = False,
     ) -> StepFluxes:
         """Advance the gas by dt.
 
@@ -284,33 +335,53 @@ class PPMSolver:
         the mid-step scale factor and its derivative; ``accel`` an optional
         (3, ...) peculiar acceleration field; ``permute`` rotates the sweep
         order (Strang permutation across steps).
+
+        The active zone is always advanced in full.  Ghost cells are
+        advanced only where a later sweep of this step reads them (the
+        caller refills every ghost zone before the next step, as
+        SetBoundaryValues does); ``full_update`` advances every cell the
+        stencils reach, for a caller that steps again without a boundary
+        fill in between.
         """
         out = StepFluxes()
         # half gravity kick - sweeps - half kick is handled by the caller
         # when gravity is active mid-step; a full kick here keeps the
-        # standalone solver second-order for static potentials.
+        # standalone solver second-order for static potentials.  The
+        # first half kick covers every cell: the first sweep reads them.
         if accel is not None:
             apply_acceleration(fields, accel, 0.5 * dt)
 
         order = [(permute + k) % 3 for k in range(3)]
-        for axis in order:
-            fluxes, floor_counts = self._sweep(fields, axis, dx, dt, a)
+        boxes = pencil_boxes(fields.shape, self.nghost, order, full_update)
+        for axis, pencils in zip(order, boxes):
+            fluxes, floor_counts = self._sweep(fields, axis, pencils, dx, dt,
+                                               a)
             out.fluxes[AXIS_NAMES[axis]] = fluxes
             out.add_diagnostics(floor_counts)
 
+        # the rest of the step is cell-local: the active zone suffices
+        tail = fields
+        if not full_update:
+            interior = tuple(slice(self.nghost, n - self.nghost)
+                             for n in fields.shape)
+            tail = fields.view(interior)
+            if accel is not None:
+                accel = accel[(slice(None),) + interior]
         if accel is not None:
-            apply_acceleration(fields, accel, 0.5 * dt)
+            apply_acceleration(tail, accel, 0.5 * dt)
 
-        apply_expansion_drag(fields, a, adot, dt, self.gamma)
-        sync_internal_from_total(fields, self.dual_energy_eta, self.energy_floor)
+        apply_expansion_drag(tail, a, adot, dt, self.gamma)
+        sync_internal_from_total(tail, self.dual_energy_eta, self.energy_floor)
         out.add_diagnostics(
-            {"internal_floor": internal_energy_floor(fields, self.energy_floor)}
+            {"internal_floor": internal_energy_floor(tail, self.energy_floor)}
         )
         return out
 
     # ------------------------------------------------------------- internals
-    def _sweep(self, fields: FieldSet, axis: int, dx: float, dt: float, a: float):
-        """One directional sweep; returns dt/a-integrated interior-face fluxes."""
+    def _sweep(self, fields: FieldSet, axis: int, pencils, dx: float,
+               dt: float, a: float):
+        """One directional sweep of the ``pencils`` box; returns
+        dt/a-integrated interior-face fluxes."""
         u_name = VELOCITY_FIELDS[axis]
         t_names = [n for n in VELOCITY_FIELDS if n != u_name]
         names = ["density", u_name, *t_names, "energy", "internal",
@@ -321,7 +392,7 @@ class PPMSolver:
         elif scheme == "ppm" and self.flattening:
             scheme = "ppm+flatten"
         fluxes, counts = kernels.get("hydro.sweep")(
-            [fields[name] for name in names], axis, self.nghost,
+            [fields[name] for name in names], axis, self.nghost, pencils,
             dt / (a * dx), dt / a, self.gamma, scheme, self.riemann_solver,
             self.density_floor, self.energy_floor,
         )

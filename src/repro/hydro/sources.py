@@ -7,6 +7,9 @@ divergences plus two exactly integrable source terms applied here:
 
 * Hubble drag on peculiar velocities:  dv/dt = -(adot/a) v
 * adiabatic expansion cooling:         de/dt = -3 (gamma-1) (adot/a) e
+
+Both write the field arrays in place, so they act on a
+:meth:`~repro.hydro.state.FieldSet.view` as well as on a whole grid.
 """
 
 from __future__ import annotations
@@ -28,21 +31,22 @@ def apply_expansion_drag(fields: FieldSet, a: float, adot: float, dt: float,
     for name in VELOCITY_FIELDS:
         fields[name] *= v_factor
     fields["internal"] *= e_factor
-    fields["energy"] = total_energy(fields)
+    fields["energy"][...] = total_energy(fields)
 
 
 def apply_acceleration(fields: FieldSet, accel, dt: float) -> None:
     """Gravity kick: v += g dt, with the total energy updated consistently.
 
     ``accel`` is a (3, nx, ny, nz) array of proper peculiar accelerations in
-    code units (the gravity solver folds in its 1/a factor).
+    code units (the gravity solver folds in its 1/a factor), shaped like
+    the fields.
     """
     if accel is None:
         return
     # energy source rho v.g -> specific: d(E)/dt = v_mid . g ; use
     # time-centred velocity for second-order accuracy.
     for i, name in enumerate(VELOCITY_FIELDS):
-        v_old = fields[name]
-        v_new = v_old + accel[i] * dt
-        fields["energy"] += 0.5 * (v_old + v_new) * accel[i] * dt
-        fields[name] = v_new
+        v = fields[name]
+        v_new = v + accel[i] * dt
+        fields["energy"] += 0.5 * (v + v_new) * accel[i] * dt
+        v[...] = v_new

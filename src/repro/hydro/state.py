@@ -62,6 +62,14 @@ class FieldSet(dict):
             out[k] = list(v) if k == META_KEY else v.copy()
         return out
 
+    def view(self, index) -> "FieldSet":
+        """The same fields, every array indexed by ``index`` (basic slices,
+        e.g. a grid's ``interior``): writes through to this set's arrays."""
+        out = FieldSet()
+        for k, v in self.items():
+            out[k] = v if k == META_KEY else v[index]
+        return out
+
     @property
     def shape(self):
         return self["density"].shape
@@ -120,14 +128,15 @@ def sync_internal_from_total(fields: FieldSet, eta: float = DUAL_ENERGY_ETA,
     Where thermal energy is a healthy fraction (> eta) of total energy, trust
     the conservative total-energy field; otherwise keep the separately
     advected internal energy (accurate in hypersonic flow).  Finally rebuild
-    ``energy`` so the two fields agree.
+    ``energy`` so the two fields agree.  Writes in place, so ``fields`` may
+    be a :meth:`FieldSet.view`.
     """
     e_from_total = fields["energy"] - kinetic_energy(fields)
     use_total = e_from_total > eta * fields["energy"]
-    fields["internal"] = np.where(
+    fields["internal"][...] = np.where(
         use_total, np.maximum(e_from_total, floor), np.maximum(fields["internal"], floor)
     )
-    fields["energy"] = total_energy(fields)
+    fields["energy"][...] = total_energy(fields)
 
 
 def fill_ghosts_periodic(fields: FieldSet, ng: int, axes=(0, 1, 2)) -> None:

@@ -58,8 +58,13 @@ class ZeusSolver:
         adot: float = 0.0,
         accel=None,
         permute: int = 0,
+        full_update: bool = False,
     ) -> StepFluxes:
-        """Advance by dt: gravity half-kicks, source step, transport sweeps."""
+        """Advance by dt: gravity half-kicks, source step, transport sweeps.
+
+        Every step updates every cell its stencils reach, so
+        ``full_update`` (see :meth:`PPMSolver.step`) changes nothing here.
+        """
         if accel is not None:
             apply_acceleration(fields, accel, 0.5 * dt)
 

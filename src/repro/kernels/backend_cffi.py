@@ -21,9 +21,10 @@ and scratch, and copy non-contiguous in-place targets in and back:
 * ``riemann.*``       ``fn(left, right, gamma, ...) -> 5-tuple of fluxes``
 * ``reconstruct.*``   ``fn(q) -> (q_l, q_r)`` with face shape ``(n-1, ...)``
 * ``trace.states``    ``fn(rho, u, v, w, p, dtdx, gamma) -> (l, r) tuples``
-* ``hydro.sweep``     ``fn(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
-  riemann_solver, density_floor, energy_floor) -> (fluxes, counts)`` — one
-  directional sweep of one grid, updating ``arrays`` in place
+* ``hydro.sweep``     ``fn(arrays, axis, ng, pencils, dtdx, flux_scale, gamma,
+  scheme, riemann_solver, density_floor, energy_floor) -> (fluxes,
+  counts)`` — one directional sweep of one grid, updating the ``pencils``
+  box of ``arrays`` in place
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
@@ -93,7 +94,7 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import AXIS_NAMES
+from repro.hydro.ppm import AXIS_NAMES, check_pencils
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
 
@@ -151,9 +152,10 @@ void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
     double *residual, double *work);
 void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
-    long ng, double dtdx, double fscale, double gamma, long scheme,
-    long solver, double dfloor, double efloor, double **flux,
-    int64_t *counts, double *work, long mb, int64_t *cols);
+    long ng, long a_lo, long a_hi, long b_lo, long b_hi, double dtdx,
+    double fscale, double gamma, long scheme, long solver, double dfloor,
+    double efloor, double **flux, int64_t *counts, double *work, long mb,
+    int64_t *cols);
 void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
     long n2, long ng, double dx, const int *periodic, const double **coarse,
     long n_children, const int64_t *regions, const double **blocks,
@@ -1219,16 +1221,20 @@ static void contact_speed(long n,
 }
 
 /* One directional sweep of one grid.  q holds the nq C-order field arrays
-   (rho, u, v, w, e_tot, e_int, *advected) with u the velocity along axis,
-   updated in place; flux the matching outputs of shape dims - 2 ng (one
-   more along axis), filled with the fscale-scaled interior-face fluxes;
-   counts the five floor counts (face density, face pressure, density,
-   internal, energy).  work is (SWEEP_SLOTS, n * mb) double scratch and cols
-   (2, mb) integer scratch, both owned by this call. */
+   (rho, u, v, w, e_tot, e_int, *advected) with u the velocity along axis;
+   the pencils a_lo <= a < a_hi, b_lo <= b < b_hi of the two transverse
+   axes (ascending axis order) are updated in place, and they cover every
+   interior pencil (the contract function checks it), so flux, the
+   matching outputs of shape dims - 2 ng (one more along axis), is filled
+   in full with the fscale-scaled interior-face fluxes; counts the five
+   floor counts (face density, face pressure, density, internal, energy)
+   of the swept pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and
+   cols (2, mb) integer scratch, both owned by this call. */
 void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
-    long ng, double dtdx, double fscale, double gamma, long scheme,
-    long solver, double dfloor, double efloor, double **flux,
-    int64_t *counts, double *work, long mb, int64_t *cols)
+    long ng, long a_lo, long a_hi, long b_lo, long b_hi, double dtdx,
+    double fscale, double gamma, long scheme, long solver, double dfloor,
+    double efloor, double **flux, int64_t *counts, double *work, long mb,
+    int64_t *cols)
 {
     long n, s, na, sa, nb, sb;
     if (axis == 0) { n = n0; s = n1 * n2; na = n1; sa = n2; nb = n2; sb = 1; }
@@ -1242,7 +1248,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     if (axis == 0) { fs = oa * ob; fsa = ob; fsb = 1; }
     else if (axis == 1) { fs = ob; fsa = on * ob; fsb = 1; }
     else { fs = 1; fsa = ob * on; fsb = on; }
-    long m = na * nb;
+    long pb = b_hi - b_lo, m = (a_hi - a_lo) * pb;
     long lo = ng - 1, hi = n - ng;  /* faces lo .. hi-1 bound the band */
     double p_floor = (gamma - 1.0) * dfloor * efloor;
     double eint_floor = dfloor * efloor;
@@ -1254,7 +1260,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
         long mc = lmin(mb, m - c0);
         long size = n * mc;
         for (long jj = 0; jj < mc; jj++) {
-            long a = (c0 + jj) / nb, b = (c0 + jj) % nb;
+            long a = a_lo + (c0 + jj) / pb, b = b_lo + (c0 + jj) % pb;
             base[jj] = a * sa + b * sb;
             obase[jj] = -1;
             if (ng <= a && a < na - ng && ng <= b && b < nb - ng)
@@ -2160,7 +2166,7 @@ def trace_states(rho, u, v, w, p, dtdx, gamma):
     return tuple(outs[:5]), tuple(outs[5:])
 
 
-def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
+def hydro_sweep(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
                 riemann_solver, density_floor, energy_floor):
     if scheme not in SWEEP_SCHEMES:
         raise ValueError(f"unknown reconstruction '{scheme}'")
@@ -2168,8 +2174,9 @@ def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
     axis, ng = int(axis), int(ng)
     shape = arrays[0].shape
-    # the C indexes raw memory: refuse mismatched fields and a sweep
-    # extent that leaves no cell to update
+    # the C indexes raw memory: refuse mismatched fields, a sweep extent
+    # that leaves no cell to update, pencils outside the arrays and
+    # pencils that leave part of the (np.empty) fluxes unwritten
     if len(arrays) < 6 or len(shape) != 3 or not 0 <= axis < 3:
         raise ValueError("hydro.sweep: need six 3-d fields and axis 0-2")
     if any(a.shape != shape for a in arrays):
@@ -2177,6 +2184,7 @@ def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
     n = shape[axis]
     if ng < 1 or n <= 2 * ng:
         raise ValueError("hydro.sweep: no interior cell along the sweep")
+    (a_lo, a_hi), (b_lo, b_hi) = check_pencils(shape, axis, ng, pencils)
     native = [_writable(a) for a in arrays]
     face_shape = [max(s - 2 * ng, 0) for s in shape]
     face_shape[axis] = n - 2 * ng + 1
@@ -2184,14 +2192,15 @@ def hydro_sweep(arrays, axis, ng, dtdx, flux_scale, gamma, scheme,
     counts = np.empty(5, dtype=np.int64)
     # scratch is per call: the cffi call releases the GIL, so sibling
     # grids sweep concurrently under the thread exec backend
-    block = min(SWEEP_BLOCK, arrays[0].size // n)
+    block = min(SWEEP_BLOCK, (a_hi - a_lo) * (b_hi - b_lo))
     work = np.empty((SWEEP_SLOTS, n * block))
     cols = np.empty((2, block), dtype=np.int64)
     # the pointer tables own nothing: ``native``/``fluxes`` keep the
     # buffers alive for the duration of the call
     _lib.rk_sweep(
         len(native), ffi.new("double *[]", [_p(a) for a in native]),
-        *shape, axis, ng, float(dtdx), float(flux_scale), float(gamma),
+        *shape, axis, ng, a_lo, a_hi, b_lo, b_hi, float(dtdx),
+        float(flux_scale), float(gamma),
         SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
         float(density_floor), float(energy_floor),
         ffi.new("double *[]", [_p(f) for f in fluxes]),

@@ -207,8 +207,9 @@ def warm() -> None:
         get(f"reconstruct.{rec}")(col.reshape(8, 1))
     get("trace.states")(col, 0.0 * col, 0.0 * col, 0.0 * col, col, 0.1,
                         5.0 / 3.0)
-    get("hydro.sweep")([np.ones((3, 3, 3)) for _ in range(6)], 0, 1, 0.1,
-                       0.1, 5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30)
+    get("hydro.sweep")([np.ones((3, 3, 3)) for _ in range(6)], 0, 1,
+                       (0, 3, 0, 3), 0.1, 0.1, 5.0 / 3.0, "ppm", "hllc",
+                       1e-12, 1e-30)
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
     get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),

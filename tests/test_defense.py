@@ -199,6 +199,42 @@ class TestHydroLadder:
         for g in sim.hierarchy.all_grids():
             assert np.all(np.isfinite(g.fields["density"]))
 
+    def test_retry_half_dt_is_two_full_update_half_steps(self):
+        """Nothing refills the ghost zones between the rung's two half
+        steps and the second reads them, so the first advances every
+        cell: the rescued active zone and fluxes are those of two
+        full-update half steps — which two plain half steps are not."""
+        from repro.hydro.ppm import PPMSolver
+
+        g = build_sim().hierarchy.root
+        g.save_old_state()
+        solver = PPMSolver()
+        accel = 0.1 * np.random.default_rng(2).standard_normal(
+            (3, *g.fields.shape))
+        dt, a, adot, permute = 0.02, 1.1, 0.3, 1
+        got = DefenseLadder()._attempt_retry_half_dt(g, solver, dt, a, adot,
+                                                      accel, permute)
+
+        def two_halves(full):
+            fields = g.old_fields.deep_copy()
+            halves = [solver.step(fields, g.dx, 0.5 * dt, a, adot, accel,
+                                  permute, full_update=full)
+                      for _ in range(2)]
+            return fields, halves
+
+        ref, halves = two_halves(True)
+        for name, arr in ref.array_items():
+            np.testing.assert_array_equal(g.fields[name][g.interior],
+                                          arr[g.interior], err_msg=name)
+        for axis, per in got.fluxes.items():
+            for name, arr in per.items():
+                np.testing.assert_array_equal(
+                    arr, halves[0].fluxes[axis][name]
+                    + halves[1].fluxes[axis][name])
+        plain, _ = two_halves(False)
+        assert not np.array_equal(plain["density"][g.interior],
+                                  ref["density"][g.interior])
+
     def test_fifth_firing_escalates_state_corruption(self):
         sim = build_sim()
         root_id = sim.hierarchy.root.grid_id

@@ -55,7 +55,13 @@ from repro.gravity.multigrid import (
     redblack_smooth_numpy,
     vcycle_numpy,
 )
-from repro.hydro.ppm import AXIS_NAMES, FLOOR_COUNTS, PPMSolver, sweep_numpy
+from repro.hydro.ppm import (
+    AXIS_NAMES,
+    FLOOR_COUNTS,
+    PPMSolver,
+    pencil_boxes,
+    sweep_numpy,
+)
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.state import sync_internal_from_total
 from repro.hydro.riemann import (
@@ -986,13 +992,30 @@ def _sweep_arrays(shape, n_adv, kind):
     return [rho, *vel, e_tot, e_int, *advected]
 
 
-def _sweep_both(fn, arrays, axis, ng, scheme, solver):
+def _full_box(shape, axis):
+    """Every pencil of a sweep along ``axis``."""
+    return sum(((0, n) for d, n in enumerate(shape) if d != axis), ())
+
+
+def _solver_boxes(shape, ng, axis):
+    """The three pencil boxes ``PPMSolver.step`` sweeps ``axis`` with, one
+    per Strang permutation: ``axis`` swept first, second or third."""
+    boxes = []
+    for permute in range(3):
+        order = [(permute + k) % 3 for k in range(3)]
+        boxes.append(pencil_boxes(shape, ng, order)[order.index(axis)])
+    return boxes
+
+
+def _sweep_both(fn, arrays, axis, ng, scheme, solver, pencils=None):
+    if pencils is None:
+        pencils = _full_box(arrays[0].shape, axis)
     ref = [a.copy() for a in arrays]
     got = [a.copy() for a in arrays]
     with np.errstate(all="ignore"):
-        ref_out = sweep_numpy(ref, axis, ng, *SWEEP_ARGS, scheme, solver,
-                              *SWEEP_FLOORS)
-        got_out = fn(got, axis, ng, *SWEEP_ARGS, scheme, solver,
+        ref_out = sweep_numpy(ref, axis, ng, pencils, *SWEEP_ARGS, scheme,
+                              solver, *SWEEP_FLOORS)
+        got_out = fn(got, axis, ng, pencils, *SWEEP_ARGS, scheme, solver,
                      *SWEEP_FLOORS)
     return (ref, *ref_out), (got, *got_out)
 
@@ -1027,13 +1050,70 @@ class TestSweepParity:
         if kind == "floors":
             assert fired.all(), dict(zip(FLOOR_COUNTS, fired))
 
+    @pytest.mark.parametrize("kind", ["floors", "nan"])
+    def test_solver_pencil_boxes(self, tier, kind):
+        """The three boxes ``PPMSolver.step`` sweeps each axis with: both
+        tiers agree, the fluxes equal those of the full box, the pencils
+        of the box equal the full sweep's and nothing outside the box is
+        written."""
+        fn = _tier_impls(tier)["hydro.sweep"]
+        cases = itertools.product(SWEEP_GRIDS, range(3), SWEEP_SCHEMES,
+                                  SWEEP_SOLVERS)
+        for (shape, ng), axis, scheme, solver in cases:
+            arrays = _sweep_arrays(shape, 3, kind)
+            full = _sweep_both(fn, arrays, axis, ng, scheme, solver)[0]
+            for pencils in _solver_boxes(shape, ng, axis):
+                ref, got = _sweep_both(fn, arrays, axis, ng, scheme, solver,
+                                       pencils)
+                _assert_sweeps_equal(ref, got)
+                a_lo, a_hi, b_lo, b_hi = pencils
+                inside = np.zeros(np.moveaxis(arrays[0], axis, 0).shape,
+                                  dtype=bool)
+                inside[:, a_lo:a_hi, b_lo:b_hi] = True
+                inside = np.moveaxis(inside, 0, axis)
+                for new, old, whole in zip(ref[0], arrays, full[0]):
+                    np.testing.assert_array_equal(new[inside], whole[inside])
+                    np.testing.assert_array_equal(new[~inside], old[~inside])
+                for a, b in zip(ref[1], full[1]):
+                    np.testing.assert_array_equal(a, b)
+                assert all(c <= w for c, w in zip(ref[2], full[2]))
+
+    def test_solver_boxes_cover_what_later_sweeps_read(self, tier):
+        """A step with the solver's boxes leaves the active zone of a full
+        update bit for bit, on every Strang permutation."""
+        fn = _tier_impls(tier)["hydro.sweep"]
+        shape, ng = (9, 12, 14), 3
+        interior = tuple(slice(ng, n - ng) for n in shape)
+        for permute in range(3):
+            order = [(permute + k) % 3 for k in range(3)]
+            results = []
+            for full in (False, True):
+                arrays = _sweep_arrays(shape, 2, "floors")
+                for axis, pencils in zip(order, pencil_boxes(shape, ng, order,
+                                                             full)):
+                    # the sweep-axis velocity rides in the second slot
+                    perm = [0, 1 + axis] + [1 + d for d in range(3)
+                                            if d != axis] + [4, 5, 6, 7]
+                    q = [arrays[i] for i in perm]
+                    with np.errstate(all="ignore"):
+                        fn(q, axis, ng, pencils, *SWEEP_ARGS, "ppm+flatten",
+                           "hllc", *SWEEP_FLOORS)
+                results.append(arrays)
+            for a, b in zip(*results):
+                np.testing.assert_array_equal(a[interior], b[interior])
+        # the restricted step does skip work: 196 + 112 + 64 of 588
+        # pencils on an 8^3 interior with three ghosts
+        boxes = pencil_boxes((14, 14, 14), 3, [0, 1, 2])
+        assert [(b[1] - b[0]) * (b[3] - b[2]) for b in boxes] == [196, 112,
+                                                                  64]
+
     def test_flux_layout(self, tier):
         """Face dimension along the sweep axis, interior transversally."""
         fn = _tier_impls(tier)["hydro.sweep"]
         for axis in range(3):
             arrays = _sweep_arrays((8, 9, 10), 2, "smooth")
-            flux, counts = fn(arrays, axis, 2, *SWEEP_ARGS, "ppm", "hllc",
-                              *SWEEP_FLOORS)
+            flux, counts = fn(arrays, axis, 2, _full_box((8, 9, 10), axis),
+                              *SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
             want = [4, 5, 6]
             want[axis] += 1
             assert len(flux) == 8 and len(counts) == len(FLOOR_COUNTS)
@@ -1042,11 +1122,13 @@ class TestSweepParity:
     def test_non_contiguous_fields_are_written_back(self, tier):
         fn = _tier_impls(tier)["hydro.sweep"]
         arrays = _sweep_arrays((8, 9, 10), 2, "floors")
-        ref, _ = _sweep_both(fn, arrays, 1, 2, "ppm+flatten", "hllc")
+        pencils = (2, 6, 0, 10)
+        ref, _ = _sweep_both(fn, arrays, 1, 2, "ppm+flatten", "hllc",
+                             pencils)
         got = [np.asfortranarray(a) for a in arrays]
         got[1] = np.repeat(arrays[1], 2, axis=2)[:, :, ::2]   # strided view
         with np.errstate(all="ignore"):
-            out = fn(got, 1, 2, *SWEEP_ARGS, "ppm+flatten", "hllc",
+            out = fn(got, 1, 2, pencils, *SWEEP_ARGS, "ppm+flatten", "hllc",
                      *SWEEP_FLOORS)
         assert not got[1].flags.c_contiguous
         _assert_sweeps_equal(ref, (got, *out))
@@ -1056,14 +1138,25 @@ class TestSweepParity:
         tail = (*SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
         before = [a.copy() for a in arrays]
+        box = (0, 8, 0, 8)
         with pytest.raises(ValueError, match="no interior cell"):
-            fn(arrays, 0, 3, *tail)              # n = 2 ng
+            fn(arrays, 0, 3, box, *tail)              # n = 2 ng
         with pytest.raises(ValueError, match="shapes differ"):
-            fn(arrays[:5] + [np.ones((6, 8, 9))], 1, 3, *tail)
+            fn(arrays[:5] + [np.ones((6, 8, 9))], 1, 3, (0, 6, 0, 8), *tail)
         with pytest.raises(ValueError, match="unknown reconstruction"):
-            fn(arrays, 1, 3, *SWEEP_ARGS, "weno", "hllc", *SWEEP_FLOORS)
+            fn(arrays, 1, 3, (0, 6, 0, 8), *SWEEP_ARGS, "weno", "hllc",
+               *SWEEP_FLOORS)
         with pytest.raises(ValueError, match="unknown riemann solver"):
-            fn(arrays, 1, 3, *SWEEP_ARGS, "ppm", "roe", *SWEEP_FLOORS)
+            fn(arrays, 1, 3, (0, 6, 0, 8), *SWEEP_ARGS, "ppm", "roe",
+               *SWEEP_FLOORS)
+        for impl in (fn, sweep_numpy):
+            for bad in [(0, 7, 0, 8), (-1, 6, 0, 8), (0, 6, 0, 9),
+                        (0, 6, 5, 4)]:
+                with pytest.raises(ValueError, match="outside the array"):
+                    impl(arrays, 1, 2, bad, *tail)
+            for bad in [(3, 6, 0, 8), (0, 6, 0, 5), (2, 3, 2, 6)]:
+                with pytest.raises(ValueError, match="unwritten"):
+                    impl(arrays, 1, 2, bad, *tail)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
@@ -1240,7 +1333,7 @@ class TestFluxCorrectParity:
         fields = _flux_problem("cold")[0]
         once = {k: v.copy() for k, v in fields.items()}
         sync_internal_from_total(once)
-        twice = dict(once)
+        twice = {k: v.copy() for k, v in once.items()}
         sync_internal_from_total(twice)
         changed = (twice["internal"] != once["internal"]).sum()
         assert changed > 10, changed
@@ -1423,17 +1516,19 @@ class TestNoOutOfBoundsWrites:
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     @pytest.mark.parametrize("shape", [(8, 8, 8), (14, 14, 14)])
     def test_hydro_sweep(self, tier, shape, scheme, solver, axis):
+        """With each of the three boxes the solver sweeps ``axis`` with."""
         fn = _tier_impls(tier)["hydro.sweep"]
         arrays = _sweep_arrays(shape, 2, "smooth")
-        ref = [a.copy() for a in arrays]
-        got, buffers = zip(*(_guarded(a) for a in arrays))
-        ref_out = sweep_numpy(ref, axis, 3, *SWEEP_ARGS, scheme, solver,
-                              *SWEEP_FLOORS)
-        before = _guards(buffers)
-        got_out = fn(list(got), axis, 3, *SWEEP_ARGS, scheme, solver,
-                     *SWEEP_FLOORS)
-        np.testing.assert_array_equal(_guards(buffers), before)
-        _assert_sweeps_equal((ref, *ref_out), (got, *got_out))
+        for pencils in _solver_boxes(shape, 3, axis):
+            ref = [a.copy() for a in arrays]
+            got, buffers = zip(*(_guarded(a) for a in arrays))
+            ref_out = sweep_numpy(ref, axis, 3, pencils, *SWEEP_ARGS, scheme,
+                                  solver, *SWEEP_FLOORS)
+            before = _guards(buffers)
+            got_out = fn(list(got), axis, 3, pencils, *SWEEP_ARGS, scheme,
+                         solver, *SWEEP_FLOORS)
+            np.testing.assert_array_equal(_guards(buffers), before)
+            _assert_sweeps_equal((ref, *ref_out), (got, *got_out))
 
     @pytest.mark.parametrize("r", [2, 4])
     def test_prolong_linear(self, tier, r):
