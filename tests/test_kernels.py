@@ -1138,9 +1138,8 @@ class TestSweepParity:
         tail = (*SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
         before = [a.copy() for a in arrays]
-        box = (0, 8, 0, 8)
         with pytest.raises(ValueError, match="no interior cell"):
-            fn(arrays, 0, 3, box, *tail)              # n = 2 ng
+            fn(arrays, 0, 3, (0, 8, 0, 8), *tail)     # n = 2 ng
         with pytest.raises(ValueError, match="shapes differ"):
             fn(arrays[:5] + [np.ones((6, 8, 9))], 1, 3, (0, 6, 0, 8), *tail)
         with pytest.raises(ValueError, match="unknown reconstruction"):
