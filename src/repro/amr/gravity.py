@@ -227,30 +227,3 @@ def parent_boundaries(topo) -> list[np.ndarray]:
         [], topo.rim, (), grids[0].refine_factor, [False])
     return rims
 
-
-def _exchange_rim(grid, other, rim: np.ndarray) -> bool:
-    """Copy sibling interior phi into my Dirichlet rim where they overlap.
-
-    The rim spans level indices [start-1, end+1); only rim cells (not the
-    interior of the padded array) are updated.  Returns True only when the
-    copied values actually differ from what the rim already held — merely
-    overlapping siblings must not keep the convergence loop alive.
-    """
-    lo = np.maximum(grid.start_index - 1, other.start_index)
-    hi = np.minimum(grid.end_index + 1, other.end_index)
-    if np.any(lo >= hi):
-        return False
-    ng = other.nghost
-    my_sl = tuple(
-        slice(int(lo[d] - grid.start_index[d] + 1), int(hi[d] - grid.start_index[d] + 1))
-        for d in range(3)
-    )
-    o_sl = tuple(
-        slice(int(lo[d] - other.start_index[d] + ng), int(hi[d] - other.start_index[d] + ng))
-        for d in range(3)
-    )
-    new = other.phi[o_sl]
-    if np.array_equal(rim[my_sl], new):
-        return False
-    rim[my_sl] = new
-    return True

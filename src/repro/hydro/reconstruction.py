@@ -7,19 +7,20 @@ states at the face between cells ``i`` and ``i+1``.
 
 The PPM implementation follows Colella & Woodward (1984): fourth-order
 interface interpolation followed by the three monotonicity constraints.
-Characteristic tracing is omitted (reconstruct-and-Riemann, MUSCL-style) —
-a simplification relative to the original PPM that costs some formal
-accuracy at contact discontinuities but none of the shock-capturing
-robustness the paper relies on.  Faces outside each scheme's stencil fall
+The ``ppm``, ``ppm+flatten``, ``plm`` and ``flat`` sweep schemes hand these
+face states straight to the Riemann solver (MUSCL-style); the ``trace``
+scheme first traces the PPM edges along the characteristics (CW84,
+:mod:`repro.hydro.tracing`).  Faces outside each scheme's stencil fall
 back to first-order (donor cell) states, which is what the ghost-zone
 layout guarantees never to be used in the interior.
+
+:func:`repro.hydro.ppm.sweep_numpy` calls these NumPy bodies; ``rk_sweep``
+in :mod:`repro.kernels.backend_cffi` calls their C transcriptions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.kernels import dispatch as _kernels
 
 
 def _minmod(a, b):
@@ -161,17 +162,3 @@ def apply_flattening(q_l: np.ndarray, q_r: np.ndarray, q: np.ndarray,
         q_r * (1.0 - f_r) + q[1:] * f_r,
     )
 
-
-def reconstruct(q: np.ndarray, method: str = "ppm"):
-    """Dispatch by name ('ppm', 'plm' or first-order 'flat').
-
-    PPM/PLM go through the active kernel backend (see repro.kernels);
-    donor-cell is two array copies and stays inline.
-    """
-    if method == "ppm":
-        return _kernels.get("reconstruct.ppm")(q)
-    if method == "plm":
-        return _kernels.get("reconstruct.plm")(q)
-    if method == "flat":
-        return flat_reconstruct(q)
-    raise ValueError(f"unknown reconstruction '{method}'")

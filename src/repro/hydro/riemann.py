@@ -1,61 +1,23 @@
-"""Riemann solvers: HLLC / HLL production fluxes and an exact reference.
+"""Riemann solvers: HLLC / HLL / two-shock fluxes and an exact reference.
 
 States are primitive tuples of ndarrays ``(rho, u, v, w, p)`` with ``u`` the
 velocity normal to the face and ``v, w`` passive transverse components.
 Fluxes are returned for the conserved vector
 ``(rho, rho*u, rho*v, rho*w, rho*E)``.
 
-The exact solver (Toro 1999, Ch. 4) is used by the test-suite as ground
-truth for the Sod problem and by the two-shock initial guess.
+The three flux functions are the NumPy bodies :func:`repro.hydro.ppm.
+sweep_numpy` calls; ``rk_sweep`` in :mod:`repro.kernels.backend_cffi` calls
+their C transcriptions.  The exact solver (Toro 1999, Ch. 4) is the ground
+truth of the Sod problem and the validation suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import dispatch as _kernels
-
-
-class RiemannInputError(FloatingPointError):
-    """Interface states handed to a Riemann solver are unusable.
-
-    Structured failure signal for the defense ladder: names which primitive
-    went bad (non-finite, or non-positive density/pressure) so an escalation
-    event can say *what* broke, not just that a NaN appeared downstream.
-    """
-
-    def __init__(self, bad: dict):
-        self.bad = dict(bad)
-        detail = ", ".join(f"{k}: {v} cells" for k, v in self.bad.items())
-        super().__init__(f"invalid Riemann input states ({detail})")
-
-
-def validate_states(left, right) -> dict:
-    """Count invalid face states per primitive; empty dict means healthy.
-
-    Used by the defense ladder's diagnosis step (not on the hot path): the
-    returned mapping counts faces with non-finite entries, plus faces with
-    non-positive density or pressure.
-    """
-    bad: dict = {}
-    names = ("rho", "u", "v", "w", "p")
-    for side, states in (("L", left), ("R", right)):
-        for name, arr in zip(names, states):
-            n = int(np.count_nonzero(~np.isfinite(arr)))
-            if n:
-                bad[f"{side}.{name}.nonfinite"] = n
-        for name, arr in (("rho", states[0]), ("p", states[4])):
-            n = int(np.count_nonzero(np.asarray(arr) <= 0.0))
-            if n:
-                bad[f"{side}.{name}.nonpositive"] = n
-    return bad
-
-
-def check_states(left, right) -> None:
-    """Raise :class:`RiemannInputError` if the face states are invalid."""
-    bad = validate_states(left, right)
-    if bad:
-        raise RiemannInputError(bad)
+#: Newton iterations of the two-shock star-pressure solve, on both kernel
+#: tiers (the C reads it as a generated define)
+TWO_SHOCK_ITERATIONS = 20
 
 
 def _conserved_flux(rho, u, v, w, p, gamma):
@@ -158,7 +120,7 @@ def hllc_flux(left, right, gamma):
     return tuple(out)
 
 
-def two_shock_flux(left, right, gamma, iterations: int = 20):
+def two_shock_flux(left, right, gamma):
     """Two-shock approximate Riemann solver (Colella 1982) — the solver the
     paper's PPM implementation used.
 
@@ -176,7 +138,7 @@ def two_shock_flux(left, right, gamma, iterations: int = 20):
     The Newton loop exits once every face is an exact fixed point: the
     floored update ``p_new`` equals ``p_star``.  Iterating a fixed point
     re-derives the same value, so the exit is bitwise identical to running
-    all ``iterations``.
+    all :data:`TWO_SHOCK_ITERATIONS`.
     """
     rho_l, u_l, v_l, w_l, p_l = (np.asarray(x, dtype=float) for x in left)
     rho_r, u_r, v_r, w_r, p_r = (np.asarray(x, dtype=float) for x in right)
@@ -184,7 +146,7 @@ def two_shock_flux(left, right, gamma, iterations: int = 20):
     gm = 0.5 * (gamma - 1.0)
 
     p_star = np.maximum(0.5 * (p_l + p_r), 1e-300)
-    for _ in range(iterations):
+    for _ in range(TWO_SHOCK_ITERATIONS):
         w_lft = np.sqrt(rho_l * (gp * p_star + gm * p_l))
         w_rgt = np.sqrt(rho_r * (gp * p_star + gm * p_r))
         us_l = u_l - (p_star - p_l) / w_lft
@@ -230,13 +192,6 @@ def two_shock_flux(left, right, gamma, iterations: int = 20):
     v_i = np.where(left_of_contact, v_l, v_r)
     w_i = np.where(left_of_contact, w_l, w_r)
     return _conserved_flux(rho_i, u_i, v_i, w_i, p_i, gamma)
-
-
-def solve_flux(left, right, gamma, method: str = "hllc"):
-    """Face flux via the active kernel backend (see repro.kernels)."""
-    if method in ("hllc", "hll", "two_shock"):
-        return _kernels.get("riemann." + method)(left, right, gamma)
-    raise ValueError(f"unknown riemann solver '{method}'")
 
 
 # --------------------------------------------------------------------------

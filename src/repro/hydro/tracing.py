@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hydro.reconstruction import ppm_reconstruct
-from repro.kernels import dispatch as _kernels
 
 
 def _parabola(q):
@@ -56,22 +55,16 @@ def _iminus(ql, qr, q, sigma):
     return ql + 0.5 * s * (dq + (1.0 - 2.0 * s / 3.0) * q6)
 
 
-def trace_interface_states(rho, u, v, w, p, dtdx, gamma):
+def trace_states_numpy(rho, u, v, w, p, dtdx, gamma):
     """Characteristic-traced left/right interface states.
 
     Parameters: primitive arrays along axis 0, ``dtdx = dt/(a dx)`` and the
     adiabatic index.  Returns ``(states_l, states_r)`` — tuples of
     (rho, u, v, w, p) face arrays of length n-1, ready for the Riemann
-    solver (same contract as :func:`repro.hydro.reconstruction.reconstruct`).
-
-    Runs on the active kernel backend; :func:`trace_states_numpy` below is
-    the vectorised reference implementation.
+    solver.  The NumPy body of the ``trace`` sweep scheme
+    (:func:`repro.hydro.ppm.sweep_numpy`); ``rk_trace`` in
+    :mod:`repro.kernels.backend_cffi` is its C transcription.
     """
-    return _kernels.get("trace.states")(rho, u, v, w, p, dtdx, gamma)
-
-
-def trace_states_numpy(rho, u, v, w, p, dtdx, gamma):
-    """Vectorised reference implementation (the ``numpy`` backend entry)."""
     c = np.sqrt(gamma * np.maximum(p, 1e-300) / np.maximum(rho, 1e-300))
     lam_m = u - c
     lam_0 = u

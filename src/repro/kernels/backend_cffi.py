@@ -1,10 +1,11 @@
 """cffi/C backend: the compiled transcription of every kernel.
 
-Each kernel exists twice: the vectorised NumPy reference (``hydro/riemann.py``,
-``hydro/reconstruction.py``, ``hydro/tracing.py``, ``hydro/ppm.py``,
-``chemistry/rates.py``, ``chemistry/network.py``, ``amr/interpolation.py``,
-``gravity/multigrid.py``, ``amr/flux_correction.py``, ``nbody/cic.py`` — the
-definition of correct) and the per-element C
+Each kernel exists twice: the vectorised NumPy reference (``hydro/ppm.py``
+with the bodies it calls in ``hydro/riemann.py``, ``hydro/reconstruction.py``
+and ``hydro/tracing.py``, ``chemistry/rates.py``, ``chemistry/network.py``,
+``amr/interpolation.py``, ``gravity/multigrid.py``,
+``amr/flux_correction.py``, ``nbody/cic.py`` — the definition of correct)
+and the per-element C
 in ``_CSOURCE`` below, compiled once per machine with the system C compiler
 through cffi (API mode) and cached as a shared object under
 ``REPRO_KERNELS_CACHE`` (default ``~/.cache/repro-kernels``).  Importing this
@@ -14,17 +15,15 @@ into the standard warn-once NumPy fallback.
 
 The C wants flat contiguous arrays and preallocated outputs and indexes raw
 memory; the contract functions at the bottom of this module (one per
-``dispatch.KERNEL_NAMES`` entry, same signature as its NumPy reference)
-validate shapes and index ranges, make inputs contiguous, allocate outputs
-and scratch, and copy non-contiguous in-place targets in and back:
+registered kernel, same signature as its NumPy reference) validate shapes
+and index ranges, make inputs contiguous, allocate outputs and scratch, and
+copy non-contiguous in-place targets in and back:
 
-* ``riemann.*``       ``fn(left, right, gamma, ...) -> 5-tuple of fluxes``
-* ``reconstruct.*``   ``fn(q) -> (q_l, q_r)`` with face shape ``(n-1, ...)``
-* ``trace.states``    ``fn(rho, u, v, w, p, dtdx, gamma) -> (l, r) tuples``
 * ``hydro.sweep``     ``fn(arrays, axis, ng, pencils, dtdx, flux_scale, gamma,
   scheme, riemann_solver, density_floor, energy_floor) -> (fluxes,
   counts)`` — one directional sweep of one grid, updating the ``pencils``
-  box of ``arrays`` in place
+  box of ``arrays`` in place; its Riemann, reconstruction and tracing
+  bodies are static C functions only ``rk_sweep`` calls
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
@@ -95,45 +94,11 @@ from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
 from repro.hydro.ppm import AXIS_NAMES, check_pencils
+from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
 
 _CDEF = """
-void rk_two_shock(long n,
-    const double *rho_l, const double *u_l, const double *v_l,
-    const double *w_l, const double *p_l,
-    const double *rho_r, const double *u_r, const double *v_r,
-    const double *w_r, const double *p_r,
-    double gamma, long iterations,
-    double *f0, double *f1, double *f2, double *f3, double *f4);
-void rk_hllc(long n,
-    const double *rho_l, const double *u_l, const double *v_l,
-    const double *w_l, const double *p_l,
-    const double *rho_r, const double *u_r, const double *v_r,
-    const double *w_r, const double *p_r,
-    double gamma,
-    double *f0, double *f1, double *f2, double *f3, double *f4);
-void rk_hll(long n,
-    const double *rho_l, const double *u_l, const double *v_l,
-    const double *w_l, const double *p_l,
-    const double *rho_r, const double *u_r, const double *v_r,
-    const double *w_r, const double *p_r,
-    double gamma,
-    double *f0, double *f1, double *f2, double *f3, double *f4);
-void rk_plm(long n, long m, const double *q, double *ql, double *qr);
-void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
-    double *dq, double *qf);
-void rk_trace(long n, long m,
-    const double *rho, const double *u, const double *v,
-    const double *w, const double *p,
-    const double *el_rho, const double *er_rho,
-    const double *el_u, const double *er_u,
-    const double *el_v, const double *er_v,
-    const double *el_w, const double *er_w,
-    const double *el_p, const double *er_p,
-    double dtdx, double gamma,
-    double *ol_rho, double *ol_u, double *ol_v, double *ol_w, double *ol_p,
-    double *or_rho, double *or_u, double *or_v, double *or_w, double *or_p);
 void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     const int64_t *idx, const double *weight, double *out);
 void rk_chem_step(long n_cells, long n_act, double *state, double *e,
@@ -178,7 +143,7 @@ def _layout() -> str:
     arrays in that order and ``TOTAL_DENSITY`` (Python's left-to-right
     ``sum`` over ``SPECIES_NAMES``); for every kernel the physical
     constants and floors as the ``repr`` of the very floats the NumPy
-    reference uses."""
+    reference uses, and the two-shock Newton iteration count."""
     def rows(names, fmt):
         return " ".join(fmt.format(f=f, i=i) for i, f in enumerate(names))
 
@@ -205,6 +170,7 @@ def _layout() -> str:
         "#define TOTAL_DENSITY(n) (0.0 + "
         + " + ".join(f"(n).{f}" for f in SPECIES_NAMES) + ")\n"
         + "".join(f"#define {k} {float(v)!r}\n" for k, v in defines.items())
+        + f"#define TWO_SHOCK_ITERATIONS {int(TWO_SHOCK_ITERATIONS)}\n"
     )
 
 
@@ -268,22 +234,22 @@ static inline double contact(double rl, double ul, double pl,
     return nmin(nmax(num / den, s_l), s_r);
 }
 
-/* ---- Riemann solvers: flattened face arrays in, the five flux
-   components out ---- */
+/* ---- Riemann solvers (called by rk_sweep): flattened face arrays in,
+   the five flux components out ---- */
 
 /* Two-shock flux (riemann.two_shock_flux).  A face leaves the Newton loop
    only when its update is an exact fixed point (p_new == p_star): a
    converged face re-derives the same p_star forever, so the per-face exit
-   is bitwise equal to running all `iterations`.  The tier-parity matrix
-   is the proof: the NumPy reference exits only when *every* face is a
-   fixed point, and its random faces include last-ulp limit cycles, on
-   which NumPy runs the full count while this loop exits per block. */
-void rk_two_shock(long n,
+   is bitwise equal to running all TWO_SHOCK_ITERATIONS.  The tier-parity
+   matrix is the proof: the NumPy reference exits only when *every* face
+   is a fixed point, and its random faces include last-ulp limit cycles,
+   on which NumPy runs the full count while this loop exits per block. */
+static void rk_two_shock(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
     const double *w_r, const double *p_r,
-    double gamma, long iterations,
+    double gamma,
     double *f0, double *f1, double *f2, double *f3, double *f4)
 {
     double gp = 0.5 * (gamma + 1.0);
@@ -302,7 +268,7 @@ void rk_two_shock(long n,
             long i = base + j;
             ps[j] = nmax(0.5 * (p_l[i] + p_r[i]), 1e-300);
         }
-        for (long it = 0; it < iterations; it++) {
+        for (long it = 0; it < TWO_SHOCK_ITERATIONS; it++) {
             int all_done = 1;
             /* branchless body so the face loop if-converts/vectorises:
                the floor is nmax() inlined as a ternary (values are
@@ -373,7 +339,7 @@ void rk_two_shock(long n,
 }
 
 /* HLLC flux (riemann.hllc_flux) with Einfeldt wave speeds */
-void rk_hllc(long n,
+static void rk_hllc(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
@@ -449,7 +415,7 @@ void rk_hllc(long n,
 }
 
 /* HLL two-wave flux (riemann.hll_flux) */
-void rk_hll(long n,
+static void rk_hll(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
@@ -494,11 +460,12 @@ void rk_hll(long n,
     }
 }
 
-/* ---- reconstruction: arrays are (n, m), the sweep axis against the
-   flattened transverse axes; ql/qr are the (n-1, m) face outputs ---- */
+/* ---- reconstruction (called by rk_sweep): arrays are (n, m), the sweep
+   axis against a block of pencils; ql/qr are the (n-1, m) face
+   outputs ---- */
 
 /* PLM/MC interface states (reconstruction.plm_reconstruct) */
-void rk_plm(long n, long m, const double *q, double *ql, double *qr)
+static void rk_plm(long n, long m, const double *q, double *ql, double *qr)
 {
     for (long f = 0; f < n - 1; f++) {
         for (long j = 0; j < m; j++) {
@@ -524,7 +491,7 @@ void rk_plm(long n, long m, const double *q, double *ql, double *qr)
    the fourth-order face values.  Caller guarantees n >= 6 (smaller
    stencils stay on rk_plm, matching the reference).  The right-overshoot
    fix uses the possibly-updated ql_edge, like the reference. */
-void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
+static void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
     double *dq, double *qf)
 {
     rk_plm(n, m, q, ql, qr);
@@ -577,14 +544,14 @@ static double iminus(double ql, double qr, double q, double sigma)
     return ql + 0.5 * s * (dq + (1.0 - 2.0 * s / 3.0) * q6);
 }
 
-/* Characteristic tracing (tracing.trace_interface_states): the per-face
+/* Characteristic tracing (tracing.trace_states_numpy): the per-face
    algebra after the parabola edges have been assembled.  Inputs: primitive
    cell arrays (n, m) and their parabola edge arrays el_ / er_ (cell
    left/right edges, from the PPM face states).  Outputs: the ten (n-1, m)
    face-state components.  Face f takes its left state from cell f
    (right-going waves) and its right state from cell f+1 (left-going
    waves). */
-void rk_trace(long n, long m,
+static void rk_trace(long n, long m,
     const double *rho, const double *u, const double *v,
     const double *w, const double *p,
     const double *el_rho, const double *er_rho,
@@ -1364,8 +1331,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
                          sl + 2 * row + f_lo, sl + 3 * row + f_lo,
                          sl + 4 * row + f_lo,
                          sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
-                         sr + 3 * row + f_lo, sr + 4 * row + f_lo,
-                         gamma, 20,
+                         sr + 3 * row + f_lo, sr + 4 * row + f_lo, gamma,
                          g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
                          g + 3 * row + f_lo, g + 4 * row + f_lo);
         contact_speed(nface, sl + f_lo, sl + row + f_lo, sl + 4 * row + f_lo,
@@ -2071,99 +2037,12 @@ def _pi(arr):
     return ffi.from_buffer("int64_t[]", arr, require_writable=False)
 
 
-def _to_2d(q):
-    """View/copy ``q`` as contiguous (n, m): sweep axis × flattened rest."""
-    q = np.ascontiguousarray(q, dtype=float)
-    return q.reshape(q.shape[0], -1), q.shape[1:]
-
-
 def _writable(arr):
     """``arr`` itself when the C can write it in place (C-contiguous
     float64), else a contiguous copy the caller stores back."""
     if arr.flags.c_contiguous and arr.dtype == np.float64:
         return arr
     return np.ascontiguousarray(arr, dtype=float)
-
-
-def _riemann(rk, left, right, gamma, *extra):
-    # the ten same-shape face-state arrays as contiguous float64 (no copy
-    # when they already are)
-    arrs = [np.ascontiguousarray(a, dtype=float) for a in (*left, *right)]
-    shape = arrs[0].shape
-    if any(a.shape != shape for a in arrs):
-        raise ValueError("riemann: face-state shapes differ")
-    outs = [np.empty(shape) for _ in range(5)]
-    rk(arrs[0].size, *map(_pc, arrs), float(gamma), *extra, *map(_p, outs))
-    return tuple(outs)
-
-
-def two_shock(left, right, gamma, iterations: int = 20):
-    return _riemann(_lib.rk_two_shock, left, right, gamma, int(iterations))
-
-
-def hllc(left, right, gamma):
-    return _riemann(_lib.rk_hllc, left, right, gamma)
-
-
-def hll(left, right, gamma):
-    return _riemann(_lib.rk_hll, left, right, gamma)
-
-
-def _faces_2d(q2, use_ppm=True):
-    """Face states of an (n, m) array; PPM needs six cells along the sweep
-    and falls back to PLM below that, like the reference."""
-    n, m = q2.shape
-    if n < 2:
-        raise ValueError("need at least 2 cells along the sweep axis")
-    ql = np.empty((n - 1, m))
-    qr = np.empty((n - 1, m))
-    if use_ppm and n >= 6:
-        _lib.rk_ppm(n, m, _pc(q2), _p(ql), _p(qr),
-                    _p(np.empty((n, m))), _p(np.empty((n - 3, m))))
-    else:
-        _lib.rk_plm(n, m, _pc(q2), _p(ql), _p(qr))
-    return ql, qr
-
-
-def _reconstruct(q, use_ppm):
-    q2, rest = _to_2d(q)
-    ql, qr = _faces_2d(q2, use_ppm)
-    fshape = (q2.shape[0] - 1,) + rest
-    return ql.reshape(fshape), qr.reshape(fshape)
-
-
-def ppm(q):
-    return _reconstruct(q, True)
-
-
-def plm(q):
-    return _reconstruct(q, False)
-
-
-def trace_states(rho, u, v, w, p, dtdx, gamma):
-    prims = []
-    rest = None
-    for q in (rho, u, v, w, p):
-        q2, rest = _to_2d(q)
-        prims.append(q2)
-    n, m = prims[0].shape
-    # cell-edge parabolas assembled from the PPM face states, exactly
-    # like tracing._parabola: cell i's left edge is face i-1's right
-    # state, its right edge face i's left state.
-    edges = []
-    for q2 in prims:
-        fl, fr = _faces_2d(q2)
-        ql = np.empty_like(q2)
-        qr = np.empty_like(q2)
-        ql[1:] = fr
-        ql[0] = q2[0]
-        qr[:-1] = fl
-        qr[-1] = q2[-1]
-        edges += [ql, qr]
-    outs = [np.empty((n - 1,) + rest) for _ in range(10)]
-    _lib.rk_trace(n, m, *map(_pc, prims), *map(_pc, edges), float(dtdx),
-                  float(gamma), *map(_p, outs))
-    return tuple(outs[:5]), tuple(outs[5:])
 
 
 def hydro_sweep(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
@@ -2531,12 +2410,6 @@ def cic_gather(field3, offsets, dx, periodic):
 
 
 for _name, _fn in (
-    ("riemann.two_shock", two_shock),
-    ("riemann.hllc", hllc),
-    ("riemann.hll", hll),
-    ("reconstruct.ppm", ppm),
-    ("reconstruct.plm", plm),
-    ("trace.states", trace_states),
     ("hydro.sweep", hydro_sweep),
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),

@@ -15,18 +15,9 @@ from repro.chemistry import network as _network
 from repro.chemistry import rates as _rates
 from repro.gravity import multigrid as _multigrid
 from repro.hydro import ppm as _ppm
-from repro.hydro import reconstruction as _reconstruction
-from repro.hydro import riemann as _riemann
-from repro.hydro import tracing as _tracing
 from repro.kernels import dispatch
 from repro.nbody import cic as _cic
 
-dispatch.register("numpy", "riemann.two_shock", _riemann.two_shock_flux)
-dispatch.register("numpy", "riemann.hllc", _riemann.hllc_flux)
-dispatch.register("numpy", "riemann.hll", _riemann.hll_flux)
-dispatch.register("numpy", "reconstruct.ppm", _reconstruction.ppm_reconstruct)
-dispatch.register("numpy", "reconstruct.plm", _reconstruction.plm_reconstruct)
-dispatch.register("numpy", "trace.states", _tracing.trace_states_numpy)
 dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)

@@ -1,13 +1,13 @@
 """Backend registry for the compiled kernel tier.
 
-The hot inner loops (Riemann fluxes, PPM reconstruction, characteristic
-tracing, the fused per-grid hydro sweep built from them, the chemistry
-rate-table blend and the fused per-grid chemistry substep, the
-parent->child fill of a whole level — prolongation plus same-level
-copies —, the multigrid V-cycle, the coarse-fine flux correction of one
-parent and the cloud-in-cell particle deposit and gather) are registered
-here once per *backend* — each kernel exists in exactly two
-transcriptions:
+The hot inner loops (the fused per-grid hydro sweep — reconstruction or
+characteristic tracing, Riemann solve and conservative update in one call
+—, the chemistry rate-table blend and the fused per-grid chemistry
+substep, the parent->child fill of a whole level — prolongation plus
+same-level copies —, the multigrid V-cycle, the coarse-fine flux
+correction of one parent and the cloud-in-cell particle deposit and
+gather) are registered here once per *backend* — each kernel exists in
+exactly two transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -51,9 +51,12 @@ ENV_KERNELS = "REPRO_KERNELS"
 
 BACKENDS = ("numpy", "cffi")
 
-#: every kernel of the tier; both backends register all of them, so
-#: :func:`get` never mixes tiers (``tests/test_kernels.py`` asserts it)
+#: the kernel names telemetry and the benchmark's tracer report; both
+#: backends register the same ones, so :func:`get` never mixes tiers
+#: (``tests/test_kernels.py`` asserts it)
 KERNEL_NAMES = (
+    # retired: hydro.sweep calls their bodies; kept so the benchmark
+    # contract's kernels.<name>.calls / .s metrics still report 0
     "riemann.two_shock",
     "riemann.hllc",
     "riemann.hll",
@@ -197,16 +200,6 @@ def warm() -> None:
     from repro.chemistry.rates import CHANNEL_NAMES
     from repro.chemistry.species import SPECIES_NAMES
 
-    one = np.full(2, 1.0)
-    zero = np.zeros(2)
-    face = (one, zero, zero, zero, one)
-    for solver in ("two_shock", "hllc", "hll"):
-        get(f"riemann.{solver}")(face, face, 5.0 / 3.0)
-    col = np.linspace(1.0, 2.0, 8)
-    for rec in ("ppm", "plm"):
-        get(f"reconstruct.{rec}")(col.reshape(8, 1))
-    get("trace.states")(col, 0.0 * col, 0.0 * col, 0.0 * col, col, 0.1,
-                        5.0 / 3.0)
     get("hydro.sweep")([np.ones((3, 3, 3)) for _ in range(6)], 0, 1,
                        (0, 3, 0, 3), 0.1, 0.1, 5.0 / 3.0, "ppm", "hllc",
                        1e-12, 1e-30)
@@ -228,7 +221,7 @@ def warm() -> None:
     get("flux.correct")(fields, names, 1, 1.0, [False] * 3, {}, 2,
                         [((0, 0, 0), (1, 1, 1), blocks,
                           np.zeros((3, 5), dtype=bool))])
-    get("cic.deposit")(np.zeros((2, 2, 2)), np.full((1, 3), 0.5), one[:1],
+    get("cic.deposit")(np.zeros((2, 2, 2)), np.full((1, 3), 0.5), np.ones(1),
                        1.0, 1.0, True)
     get("cic.gather")(np.zeros((3, 2, 2, 2)), np.full((1, 3), 0.5), 1.0,
                       False)

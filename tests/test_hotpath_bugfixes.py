@@ -13,7 +13,7 @@ import pytest
 
 from repro.amr import Grid, Hierarchy, HierarchyEvolver
 from repro.amr.boundary import _time_fraction, set_boundary_values
-from repro.amr.gravity import HierarchyGravity, _exchange_rim
+from repro.amr.gravity import HierarchyGravity
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
@@ -96,18 +96,10 @@ class TestParticleSingleAdvance:
 
 
 class TestSiblingIterationConverges:
-    def test_exchange_rim_reports_no_change(self):
-        h, a, b = _two_sibling_level()
-        rim = np.zeros(tuple(int(d) + 2 for d in a.dims))
-        # b.phi is zeros: first copy changes nothing -> no progress
-        assert _exchange_rim(a, b, rim) is False
-        b.phi[...] = 1.0
-        assert _exchange_rim(a, b, rim) is True   # values actually moved
-        assert _exchange_rim(a, b, rim) is False  # second pass: settled
-
     def test_converged_exchange_exits_early(self):
         """Zero source + zero rims reach the fixpoint on pass one; the
-        solver must stop there instead of burning every allowed pass."""
+        solver must stop there instead of burning every allowed pass.  An
+        exchange that does move rim values runs the next pass."""
         h, a, b = _two_sibling_level()
         # uniform density == mean: the Poisson source vanishes identically
         grav = HierarchyGravity(g_code=1.0, mean_density=1.0,
@@ -121,12 +113,20 @@ class TestSiblingIterationConverges:
             return orig(src, dx, rim, **kwargs)
 
         grav.mg.solve = spy
-        grav.solve_level(h, 1)
+        assert grav.solve_level(h, 1)[:2] == (1, 2)
         # one pass over the two grids, then the unchanged exchange breaks
         assert len(solves) == 2, (
             f"{len(solves)} mg solves: the sibling iteration did not detect "
             "convergence"
         )
+
+        # a source on grid a only: pass one gives a a potential b's rim
+        # did not hold, so the exchange moves values and the second (here
+        # the last allowed) pass runs
+        a.fields["density"][a.interior][:2] = 3.0
+        grav.sibling_iterations = 2
+        assert grav.solve_level(h, 1)[:2] == (2, 4)
+        assert len(solves) == 2 + 4
 
 
 class TestTimeFractionClamp:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct, reconstruct
+from repro.hydro.ppm import sweep_numpy
+from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
     exact_riemann,
     hll_flux,
@@ -14,20 +15,21 @@ from repro.hydro.riemann import (
 )
 
 GAMMA = 1.4  # classic shock-tube gamma for the reference solutions
+RECONSTRUCT = {"plm": plm_reconstruct, "ppm": ppm_reconstruct}
 
 
 class TestReconstruction:
     @pytest.mark.parametrize("method", ["plm", "ppm"])
     def test_constant_preserved(self, method):
         q = np.full(16, 3.7)
-        ql, qr = reconstruct(q, method)
+        ql, qr = RECONSTRUCT[method](q)
         np.testing.assert_allclose(ql, 3.7)
         np.testing.assert_allclose(qr, 3.7)
 
     @pytest.mark.parametrize("method", ["plm", "ppm"])
     def test_linear_exact_in_interior(self, method):
         q = np.linspace(0.0, 1.0, 20)
-        ql, qr = reconstruct(q, method)
+        ql, qr = RECONSTRUCT[method](q)
         dx = q[1] - q[0]
         expected = q[:-1] + 0.5 * dx  # interface values of a linear profile
         # interior faces reproduce the linear profile exactly
@@ -38,7 +40,7 @@ class TestReconstruction:
     def test_no_new_extrema(self, method):
         rng = np.random.default_rng(0)
         q = rng.random(32)
-        ql, qr = reconstruct(q, method)
+        ql, qr = RECONSTRUCT[method](q)
         lo = np.minimum(q[:-1], q[1:]) - 1e-13
         hi = np.maximum(q[:-1], q[1:]) + 1e-13
         assert np.all(ql >= lo) and np.all(ql <= hi)
@@ -68,8 +70,10 @@ class TestReconstruction:
         assert ql.shape == (2,)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            reconstruct(np.ones(8), "weno")
+        fields = [np.ones((3, 3, 3)) for _ in range(6)]
+        with pytest.raises(ValueError, match="unknown reconstruction"):
+            sweep_numpy(fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "weno",
+                        "hllc", 1e-12, 1e-30)
 
     @given(st.integers(min_value=6, max_value=40), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hydro import PPMSolver, hydro_timestep
 from repro.hydro.state import fill_ghosts_periodic, make_fields, total_energy
-from repro.hydro.tracing import trace_interface_states
+from repro.hydro.tracing import trace_states_numpy
 from repro.problems import SodShockTube
 
 GAMMA = 1.4
@@ -20,7 +20,7 @@ class TestTraceStates:
         v = np.full(n, -0.1)
         w = np.zeros(n)
         p = np.full(n, 1.5)
-        sl, sr = trace_interface_states(rho, u, v, w, p, dtdx=0.2, gamma=GAMMA)
+        sl, sr = trace_states_numpy(rho, u, v, w, p, dtdx=0.2, gamma=GAMMA)
         for arr, val in zip(sl, (2.0, 0.3, -0.1, 0.0, 1.5)):
             np.testing.assert_allclose(arr, val, rtol=1e-12)
         for arr, val in zip(sr, (2.0, 0.3, -0.1, 0.0, 1.5)):
@@ -32,7 +32,7 @@ class TestTraceStates:
         args = [rng.random(n) + 0.5 for _ in range(2)] + [rng.standard_normal(n) * 0.1 for _ in range(2)]
         rho, p, u, v = args
         w = np.zeros(n)
-        sl, sr = trace_interface_states(rho, u, v, w, p, 0.1, GAMMA)
+        sl, sr = trace_states_numpy(rho, u, v, w, p, 0.1, GAMMA)
         assert all(a.shape == (n - 1,) for a in sl)
         assert all(a.shape == (n - 1,) for a in sr)
 
@@ -46,7 +46,7 @@ class TestTraceStates:
         u = np.full(n, 10.0)  # Mach ~ 8
         p = np.ones(n)
         v = w = np.zeros(n)
-        sl, _ = trace_interface_states(rho, u, v, w, p, 0.02, GAMMA)
+        sl, _ = trace_states_numpy(rho, u, v, w, p, 0.02, GAMMA)
         lo = np.minimum(rho[:-1], rho[1:]) - 0.12
         hi = np.maximum(rho[:-1], rho[1:]) + 0.12
         assert np.all((sl[0] > lo) & (sl[0] < hi))
@@ -61,7 +61,7 @@ class TestTraceStates:
         u = 0.1 * rng.standard_normal(n)
         p = rng.random(n) + 0.5
         v = w = np.zeros(n)
-        sl, sr = trace_interface_states(rho, u, v, w, p, 0.0, GAMMA)
+        sl, sr = trace_states_numpy(rho, u, v, w, p, 0.0, GAMMA)
         el, er = ppm_reconstruct(rho)
         np.testing.assert_allclose(sl[0], el, atol=1e-12)
         np.testing.assert_allclose(sr[0], er, atol=1e-12)

@@ -73,10 +73,16 @@ class TestTwoShock:
         assert sod.l1_error() < 0.03
 
     def test_dispatch(self):
-        from repro.hydro.riemann import solve_flux
+        """The sweep kernel takes the two-shock solver by name and refuses
+        an unknown one."""
+        from repro import kernels
 
-        s = _state(1.0, 0.0, 1.0)
-        f = solve_flux(s, s, GAMMA, method="two_shock")
-        assert len(f) == 5
-        with pytest.raises(ValueError):
-            solve_flux(s, s, GAMMA, method="nope")
+        fields = [np.ones((3, 3, 3)) for _ in range(6)]
+        fluxes, _ = kernels.get("hydro.sweep")(
+            fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "ppm", "two_shock",
+            1e-12, 1e-30)
+        assert len(fluxes) == 6
+        with pytest.raises(ValueError, match="unknown riemann solver"):
+            kernels.get("hydro.sweep")(
+                fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "ppm", "nope",
+                1e-12, 1e-30)
