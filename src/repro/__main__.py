@@ -145,27 +145,26 @@ def _report_run(out: dict) -> int:
 
 
 def _apply_process_flags(args) -> None:
-    """Apply ``--kernels`` and ``--faults`` before any physics runs.
+    """Apply ``--kernels`` before any physics runs.
 
     The kernel tier goes through :func:`repro.kernels.set_backend` with env
     export, so child processes spawned later inherit it; an unavailable
     compiled backend degrades to numpy with a warning rather than failing
-    the run.  ``--faults`` installs the chaos-testing injector, in the
-    compact syntax of ``REPRO_FAULTS`` (which still applies without the flag).
+    the run.
     """
     if args.kernels:
         from repro import kernels
 
         kernels.set_backend(args.kernels)
-    if args.faults:
-        from repro.runtime import faults
-
-        faults.install(faults.FaultInjector(
-            faults.parse_spec(args.faults), seed=args.fault_seed))
 
 
 def _given(flags: dict) -> dict:
     return {key: val for key, val in flags.items() if val is not None}
+
+
+def _fault_flags(args) -> dict:
+    """``--faults`` / ``--fault-seed`` as run-spec keys (never checkpointed)."""
+    return _given({"faults": args.faults, "fault_seed": args.fault_seed})
 
 
 def cmd_run(args) -> int:
@@ -185,6 +184,7 @@ def cmd_run(args) -> int:
             **(_given(stop) or entry.run_kwargs),
             "checkpoint_every": args.checkpoint_every,
             "keep_last": args.keep_last,
+            **_fault_flags(args),
         }
         _problem, controller, t_end = build_job(
             spec, args.dir or f"runs/{entry.name}")
@@ -214,7 +214,7 @@ def cmd_resume(args) -> int:
     overrides = {"exec_backend": args.exec_backend, "workers": args.workers}
     spec["kwargs"] = {**spec.get("kwargs", {}), **_given(overrides)}
     spec.update(checkpoint_every=args.checkpoint_every,
-                keep_last=args.keep_last)
+                keep_last=args.keep_last, **_fault_flags(args))
     try:
         _problem, controller, _ = build_job(spec, args.dir, fresh=False)
     except SpecError as exc:
@@ -403,7 +403,9 @@ def cmd_service_worker(args) -> int:
     Exit codes: 0 done, 2 preempted (drained to checkpoint), 3 failed.
     The result record is dropped atomically next to the controller dir so
     the daemon reads either nothing or a complete record, never a torn
-    one.
+    one.  The episode number comes from the ``state.json`` next to the
+    spec, which the daemon commits (RUNNING, ``attempts`` counted) before
+    it launches the worker.
     """
     import json
 
@@ -413,7 +415,12 @@ def cmd_service_worker(args) -> int:
 
     with open(args.spec, encoding="utf-8") as fh:
         spec = json.load(fh)
-    job = RunJob(spec, args.run_dir)
+    attempt = None
+    state = os.path.join(os.path.dirname(args.spec), "state.json")
+    if os.path.exists(state):
+        with open(state, encoding="utf-8") as fh:
+            attempt = json.load(fh).get("attempts")
+    job = RunJob(spec, args.run_dir, attempt)
     try:
         result = job.execute()
     except KeyboardInterrupt:
@@ -514,12 +521,11 @@ def main(argv=None) -> int:
                         "numpy; results are backend-independent, see "
                         "docs/PERFORMANCE.md)")
     p.add_argument("--faults", default=None,
-                   help="chaos-test fault spec, e.g. "
+                   help="chaos-test fault spec for this run, e.g. "
                         "'nan_cell:level=1,grid=3,count=2;mg_diverge:level=1' "
-                        "(same syntax as REPRO_FAULTS; see docs/ROBUSTNESS.md)")
+                        "(syntax in docs/ROBUSTNESS.md)")
     p.add_argument("--fault-seed", type=int, default=None,
-                   help="RNG seed for fault payloads "
-                        "(default: REPRO_FAULTS_SEED or 0)")
+                   help="RNG seed for fault payloads (default 0)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -541,9 +547,10 @@ def main(argv=None) -> int:
                    help="override the kernel tier for the resumed run "
                         "(results are backend-independent)")
     p.add_argument("--faults", default=None,
-                   help="chaos-test fault spec (same syntax as REPRO_FAULTS)")
+                   help="chaos-test fault spec for the resumed episode "
+                        "(syntax in docs/ROBUSTNESS.md)")
     p.add_argument("--fault-seed", type=int, default=None,
-                   help="RNG seed for fault payloads")
+                   help="RNG seed for fault payloads (default 0)")
     p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser("tail", help="summarise a run's telemetry stream")

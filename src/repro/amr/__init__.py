@@ -19,7 +19,7 @@ from repro.amr.pool import FieldArrayPool
 from repro.amr.clustering import cluster_flagged_cells, Box
 from repro.amr.refinement import RefinementCriteria
 from repro.amr.defense import DefenseLadder
-from repro.amr.evolve import EvolveLevel, HierarchyEvolver
+from repro.amr.evolve import HierarchyEvolver
 from repro.amr.topology import SiblingLink, build_sibling_map
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Box",
     "DefenseLadder",
     "RefinementCriteria",
-    "EvolveLevel",
     "HierarchyEvolver",
     "SiblingLink",
     "build_sibling_map",

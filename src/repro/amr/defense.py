@@ -46,12 +46,7 @@ import numpy as np
 from repro.hydro.state import total_energy
 from repro.hydro.zeus import ZeusSolver
 from repro.perf.timers import StepStats
-from repro.runtime.faults import (
-    active as _active_injector,
-    apply_nan_cell,
-    maybe_raise as _maybe_raise_fault,
-    plan_nan_cell,
-)
+from repro.runtime.faults import apply_nan_cell
 from repro.runtime.recovery import StateCorruptionError
 
 #: hydro rescue rungs, in escalation order
@@ -181,13 +176,14 @@ class DefenseLadder:
 
     # -------------------------------------------------------------- hydro
     def rescue_hydro(self, grid, solver, dt: float, a: float, adot: float,
-                     accel, permute: int, problems):
+                     accel, permute: int, problems, faults=None):
         """Climb the ladder until the grid validates; returns the fluxes.
 
         ``problems`` is what the initial validation (or the task error)
         reported; ``grid.old_fields`` — the pre-step snapshot the evolver
         takes for time-interpolated child boundaries — is the restore
-        point for every retry rung.
+        point for every retry rung.  ``faults`` is the run's injector,
+        re-queried for ``nan_cell`` after every rung.
         """
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
         attempted: list[str] = []
@@ -210,7 +206,7 @@ class DefenseLadder:
             if attempt is None:  # rung not applicable to this solver
                 continue
             attempted.append(rung)
-            self._reinject(grid)
+            self._reinject(grid, faults)
             last_problems = self.validate_grid(grid)
             self.record_event({
                 "rung": rung, "ok": not last_problems,
@@ -224,7 +220,7 @@ class DefenseLadder:
         # attempt produced (or the original task result)
         attempted.append("floor_repair")
         repair = self._floor_repair(grid, solver, result)
-        self._reinject(grid)
+        self._reinject(grid, faults)
         last_problems = self.validate_grid(grid)
         self.record_event({
             "rung": "floor_repair", "ok": not last_problems,
@@ -249,11 +245,11 @@ class DefenseLadder:
         if grid.old_fields is not None:
             grid.fields = grid.old_fields.deep_copy()
 
-    def _reinject(self, grid) -> None:
+    def _reinject(self, grid, faults) -> None:
         """Re-query the nan_cell fault so repeated firings climb the ladder."""
-        if _active_injector() is None:
+        if faults is None:
             return
-        plan = plan_nan_cell(
+        plan = faults.plan_nan_cell(
             grid.level, grid.grid_id,
             tuple(int(d) for d in grid.dims), grid.nghost,
         )
@@ -385,14 +381,16 @@ class DefenseLadder:
 
     # ------------------------------------------------------------ chemistry
     def rescue_chemistry(self, grid, network, dt_code: float, units,
-                         a: float, error=None, problems=()):
-        """Chemistry ladder; returns integrator stats or None (skipped)."""
+                         a: float, error=None, problems=(), faults=None):
+        """Chemistry ladder; returns integrator stats or None (skipped).
+        ``faults`` is the run's injector, re-queried for ``chem_blowup``."""
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
 
         # rung 1: retry as two half-dt advances (the network mutates the
         # FieldSet only on success, so a raised retry leaves it untouched)
         try:
-            _maybe_raise_fault("chem_blowup", grid.level, grid.grid_id)
+            if faults is not None:
+                faults.maybe_raise("chem_blowup", grid.level, grid.grid_id)
             half = 0.5 * dt_code
             active = grid.fields.view(grid.interior)
             s1 = network.advance_fields(active, half, units, a)

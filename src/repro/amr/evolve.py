@@ -40,8 +40,6 @@ from repro.kernels import dispatch as kernel_dispatch
 from repro.nbody.cic import cic_deposit
 from repro.perf.timers import StepStats
 from repro.precision.doubledouble import DoubleDouble
-from repro.runtime.faults import active as _active_faults
-from repro.runtime.faults import maybe_sleep as _maybe_sleep_fault
 
 
 class StaticClock:
@@ -77,16 +75,6 @@ class CosmologyClock:
 
     def redshift_of(self, time_code) -> float:
         return 1.0 / self.a_of(time_code) - 1.0
-
-
-class EvolveLevel:
-    """Callable transcription of the pseudo-code (see HierarchyEvolver)."""
-
-    def __init__(self, evolver: "HierarchyEvolver"):
-        self.evolver = evolver
-
-    def __call__(self, level: int, parent_time) -> None:
-        self.evolver.evolve_level(level, parent_time)
 
 
 class HierarchyEvolver:
@@ -191,6 +179,10 @@ class HierarchyEvolver:
         #: every timed sub-step boundary (the RunController points this at
         #: its HeartbeatWriter so the daemon can tell "slow" from "hung")
         self.phase_hook = None
+        #: this run's chaos injector (repro.runtime.faults.FaultInjector),
+        #: handed to every fault hook the run reaches; None (the default)
+        #: injects nothing
+        self.faults = None
         if timers is not None:
             # let the hierarchy attribute its cache rebuilds to "topology"
             hierarchy.timers = timers
@@ -285,17 +277,15 @@ class HierarchyEvolver:
         grids = h.level_grids(level)
         if not grids:
             return None
-        inj = _active_faults()
+        inj = self.faults
         if inj is not None:
             # publish the step context in-step fault specs match against
             inj.set_step(level, self.step_counter[level])
             # injected liveness faults: a worker wedged mid-step (hang) or
             # merely dragging (slow_step) — sleeps happen between phase
             # beats so only the daemon-side supervisor can catch a hang
-            _maybe_sleep_fault("hang", level=level,
-                               step=self.step_counter[level])
-            _maybe_sleep_fault("slow_step", level=level,
-                               step=self.step_counter[level])
+            inj.maybe_sleep("hang", level=level)
+            inj.maybe_sleep("slow_step", level=level)
         time_now = grids[0].time
         a = self.clock.a_of(time_now)
         adot = self.clock.adot_of(time_now)
@@ -308,7 +298,7 @@ class HierarchyEvolver:
         accel = {}
         if self.gravity is not None:
             counts = self._timed("gravity", self.gravity.solve_level, h,
-                                 level, a)
+                                 level, a, self.faults)
             if level > 0:
                 for key, count in zip(("passes", "solves", "vcycles"),
                                       counts):
@@ -339,7 +329,7 @@ class HierarchyEvolver:
             g.save_old_state()
         hydro_tasks = [
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
-                      accel.get(g.grid_id), permute)
+                      accel.get(g.grid_id), permute, self.faults)
             for g in grids
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
@@ -360,7 +350,8 @@ class HierarchyEvolver:
 
         if self.chemistry is not None and self.units is not None:
             chemistry_tasks = [
-                ChemistryTask(g, self.chemistry, dt, self.units, a_mid)
+                ChemistryTask(g, self.chemistry, dt, self.units, a_mid,
+                              self.faults)
                 for g in grids
             ]
             self.engine.run(chemistry_tasks, level=level, timers=self.timers)
@@ -444,7 +435,7 @@ class HierarchyEvolver:
             problems = [f"task_error:{type(task.error).__name__}"]
         return self._timed(
             "defense", d.rescue_hydro, g, self.solver, dt, a, adot,
-            accel, permute, problems,
+            accel, permute, problems, self.faults,
         )
 
     def _defend_chemistry(self, g, task, dt, a):
@@ -457,7 +448,7 @@ class HierarchyEvolver:
             problems = [f"task_error:{type(task.error).__name__}"]
         return self._timed(
             "defense", d.rescue_chemistry, g, self.chemistry, dt,
-            self.units, a, task.error, problems,
+            self.units, a, task.error, problems, self.faults,
         )
 
     # ------------------------------------------------------------- particles

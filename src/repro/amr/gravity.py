@@ -17,7 +17,6 @@ from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
 from repro.kernels import dispatch as kernels
 from repro.nbody.cic import cic_deposit, cic_gather
-from repro.runtime.faults import take as _take_fault
 
 
 class HierarchyGravity:
@@ -78,13 +77,14 @@ class HierarchyGravity:
         return 4.0 * np.pi * self.g_code / a * (rho - self.mean_density)
 
     # --------------------------------------------------------------- solves
-    def solve_level(self, hierarchy, level: int,
-                    a: float = 1.0) -> tuple[int, int, int]:
+    def solve_level(self, hierarchy, level: int, a: float = 1.0,
+                    faults=None) -> tuple[int, int, int]:
         """Fill ``grid.phi`` for every grid on a level.
 
         Returns ``(passes, solves, vcycles)``: the sibling passes run, the
         multigrid solves they made and the V-cycles those took (all zero
-        on the root level, which is one FFT).
+        on the root level, which is one FFT).  ``faults`` is the run's
+        injector, queried for ``mg_diverge`` before every subgrid solve.
         """
         grids = hierarchy.level_grids(level)
         if not grids:
@@ -108,7 +108,7 @@ class HierarchyGravity:
             for g in grids:
                 rim = boundaries[g.grid_id]
                 sol, attempts, cycles = self._solve_grid(
-                    g, sources[g.grid_id], rim)
+                    g, sources[g.grid_id], rim, faults)
                 solves += attempts
                 vcycles += cycles
                 self._store_phi(g, sol)
@@ -130,8 +130,8 @@ class HierarchyGravity:
                 break
         return passes, solves, vcycles
 
-    def _solve_grid(self, grid, src: np.ndarray,
-                    rim: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def _solve_grid(self, grid, src: np.ndarray, rim: np.ndarray,
+                    faults=None) -> tuple[np.ndarray, int, int]:
         """One subgrid multigrid solve, defended when a ladder is attached;
         returns the solution, the solves it took and their V-cycles.
 
@@ -143,7 +143,8 @@ class HierarchyGravity:
         """
         site = (int(grid.level), int(grid.grid_id))
         strict = self.defense is not None
-        force = _take_fault("mg_diverge", grid.level, grid.grid_id) is not None
+        force = faults is not None and faults.take(
+            "mg_diverge", grid.level, grid.grid_id) is not None
         try:
             sol = self.mg.solve(src, grid.dx, rim, strict=strict,
                                 site=site, force_diverge=force)
@@ -154,10 +155,8 @@ class HierarchyGravity:
                 "level": site[0], "grid": site[1],
                 "diagnostics": exc.diagnostics.as_dict(),
             })
-            force = (
-                _take_fault("mg_diverge", grid.level, grid.grid_id)
-                is not None
-            )
+            force = faults is not None and faults.take(
+                "mg_diverge", grid.level, grid.grid_id) is not None
             sol = self.mg.solve(
                 src, grid.dx, rim, strict=True,
                 max_cycles=2 * self.mg.max_cycles, site=site,

@@ -16,7 +16,7 @@ so the scheduler can feed them straight through
 
 from __future__ import annotations
 
-from repro.runtime import faults
+from repro.runtime.faults import apply_nan_cell
 
 
 class GridTask:
@@ -67,12 +67,14 @@ class GridTask:
 
 
 class HydroTask(GridTask):
-    """One solver step on one grid; result is the StepFluxes."""
+    """One solver step on one grid; result is the StepFluxes.  ``faults``
+    is the run's injector (or None), queried for a ``nan_cell`` firing
+    after the step."""
 
     kind = "hydro"
 
     def __init__(self, grid, solver, dt: float, a: float, adot: float,
-                 accel, permute: int):
+                 accel, permute: int, faults=None):
         super().__init__(grid)
         self.solver = solver
         self.dt = float(dt)
@@ -80,16 +82,18 @@ class HydroTask(GridTask):
         self.adot = float(adot)
         self.accel = accel
         self.permute = int(permute)
+        self.faults = faults
 
     def run_inline(self) -> None:
         self.result = self.solver.step(
             self.grid.fields, self.grid.dx, self.dt, self.a, self.adot,
             self.accel, self.permute,
         )
-        faults.apply_nan_cell(self.grid.fields, faults.plan_nan_cell(
-            self.level, self.grid_id,
-            tuple(int(d) for d in self.grid.dims), self.grid.nghost,
-        ))
+        if self.faults is not None:
+            apply_nan_cell(self.grid.fields, self.faults.plan_nan_cell(
+                self.level, self.grid_id,
+                tuple(int(d) for d in self.grid.dims), self.grid.nghost,
+            ))
 
 
 class ChemistryTask(GridTask):
@@ -98,15 +102,18 @@ class ChemistryTask(GridTask):
 
     kind = "chemistry"
 
-    def __init__(self, grid, network, dt_code: float, units, a: float):
+    def __init__(self, grid, network, dt_code: float, units, a: float,
+                 faults=None):
         super().__init__(grid)
         self.network = network
         self.dt_code = float(dt_code)
         self.units = units
         self.a = float(a)
+        self.faults = faults
 
     def run_inline(self) -> None:
-        faults.maybe_raise("chem_blowup", self.level, self.grid_id)
+        if self.faults is not None:
+            self.faults.maybe_raise("chem_blowup", self.level, self.grid_id)
         self.result = self.network.advance_fields(
             self.grid.fields.view(self.grid.interior), self.dt_code,
             self.units, self.a,

@@ -42,11 +42,7 @@ from repro.io.checkpoint import (
     save_hierarchy,
 )
 from repro.precision.doubledouble import DoubleDouble
-from repro.runtime.faults import (
-    apply_checkpoint_bitflip as _apply_bitflip,
-    maybe_sleep as _sleep_fault,
-    take as _take_fault,
-)
+from repro.runtime.faults import apply_checkpoint_bitflip
 from repro.runtime.checkpoint_policy import (
     CheckpointPolicy,
     RunState,
@@ -133,10 +129,6 @@ class RunController:
         """
         self._drain_reason = str(reason)
         self._drain.set()
-
-    @property
-    def drain_requested(self) -> bool:
-        return self._drain.is_set()
 
     # ------------------------------------------------------------ accessors
     @property
@@ -282,24 +274,28 @@ class RunController:
             return data_path  # already durable for this step
         state_path = self.policy.state_path(self.run_dir, self.step)
         self._beat("checkpoint")
-        # injected dead-storage stall: the write blocks and the heartbeat
-        # goes stale, which is how the daemon's supervisor catches it
-        _sleep_fault("io_stall", step=self.step)
+        faults = self.evolver.faults
+        if faults is not None:
+            # injected dead-storage stall: the write blocks and the
+            # heartbeat goes stale, which is how the daemon's supervisor
+            # catches it
+            faults.maybe_sleep("io_stall", step=self.step)
         save_hierarchy(self.evolver.hierarchy, data_path,
                        timers=self.evolver.timers)
         # digest the *good* bytes before any injected post-write rot, so
         # the corruption faults below are exactly what verification catches
         write_digest(data_path)
-        if _take_fault("checkpoint_truncate", step=self.step) is not None:
-            # injected disk-full/torn-write: chop the npz in half so
-            # recovery must skip this pair and fall back to an older one
-            size = os.path.getsize(data_path)
-            with open(data_path, "r+b") as fh:
-                fh.truncate(max(size // 2, 1))
-        if _take_fault("checkpoint_bitflip", step=self.step) is not None:
-            # injected silent corruption: the npz still loads cleanly;
-            # only the digest sidecar can tell it has rotted
-            _apply_bitflip(data_path)
+        if faults is not None:
+            if faults.take("checkpoint_truncate", step=self.step) is not None:
+                # injected disk-full/torn-write: chop the npz in half so
+                # recovery must skip this pair and fall back to an older one
+                size = os.path.getsize(data_path)
+                with open(data_path, "r+b") as fh:
+                    fh.truncate(max(size // 2, 1))
+            if faults.take("checkpoint_bitflip", step=self.step) is not None:
+                # injected silent corruption: the npz still loads cleanly;
+                # only the digest sidecar can tell it has rotted
+                apply_checkpoint_bitflip(data_path)
         state = RunState.capture(
             self.evolver,
             step=self.step,

@@ -45,17 +45,17 @@ Fault kinds
 
 Configuration
 -------------
+An injector belongs to one run: the evolver that owns it hands it to every
+hook (its level steps, per-grid tasks, defense ladder, gravity solver and
+run controller), so faults never reach a co-scheduled run.  A run spec
+carries it as ``"faults"`` / ``"fault_seed"`` (``repro run --faults ...
+--fault-seed N``), and :func:`repro.service.specs.build_job` builds it.
 Programmatic::
 
-    from repro.runtime import faults
-    faults.install(faults.FaultInjector([
-        faults.FaultSpec("nan_cell", level=0, grid_id=0, step=1, count=2),
-    ]))
-
-or from the environment (read lazily on first use)::
-
-    REPRO_FAULTS="nan_cell:level=0,grid=0,step=1,count=2;mg_diverge:level=1"
-    REPRO_FAULTS_SEED=42
+    from repro.runtime.faults import FaultInjector, FaultSpec
+    sim.evolver.faults = FaultInjector([
+        FaultSpec("nan_cell", level=0, step=1, count=2),
+    ], seed=42)
 
 Determinism: which cell a ``nan_cell`` firing corrupts depends only on the
 injector seed, the site, and how many times that site has fired — never on
@@ -65,25 +65,18 @@ under parallel dispatch; an unpinned spec is consumed by whichever matching
 site queries first.
 
 This module deliberately imports nothing from the rest of ``repro`` so any
-layer (hydro tasks, the multigrid solver, the exec engine, the run
-controller) can hook into it without import cycles.  With no injector
-installed every hook is a single ``is None`` check.
+layer (hydro tasks, the multigrid solver, the run controller) can hook
+into it without import cycles.  With no injector (``evolver.faults is
+None``, the default) every hook is a single ``is None`` check.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-ENV_FAULTS = "REPRO_FAULTS"
-ENV_FAULTS_SEED = "REPRO_FAULTS_SEED"
-#: RUNNING-episode number (1-based) the launcher exports so specs can be
-#: scoped to a single attempt ("hang only the first episode")
-ENV_FAULT_ATTEMPT = "REPRO_FAULT_ATTEMPT"
 
 #: fault kinds the hooks understand (parse-time validation)
 FAULT_KINDS = (
@@ -127,9 +120,9 @@ class FaultSpec:
     ``count`` is the total number of firings before the spec goes inert.
     ``seconds`` is the sleep payload for the timing faults (``hang``,
     ``slow_step``, ``io_stall``).  ``attempt`` pins the spec to one
-    RUNNING-episode number (the launcher exports ``REPRO_FAULT_ATTEMPT``),
-    so a chaos test can hang the first episode and let the supervised
-    requeue-and-resume run clean.
+    RUNNING-episode number (the injector's ``attempt``), so a chaos test
+    can hang the first episode and let the supervised requeue-and-resume
+    run clean.
     """
 
     kind: str
@@ -168,20 +161,15 @@ class FaultInjector:
 
     The injector also keeps a per-site fire counter so payloads that need
     randomness (the ``nan_cell`` target cell) can derive a fresh,
-    order-independent RNG per firing.
+    order-independent RNG per firing.  ``attempt`` is the run's
+    RUNNING-episode number (1-based; the service registry's ``attempts``
+    counter), which attempt-scoped specs match against; ``None`` outside
+    the service.
     """
 
-    def __init__(self, specs=(), seed: int | None = None,
-                 attempt: int | None = None):
+    def __init__(self, specs=(), seed: int = 0, attempt: int | None = None):
         self.specs = list(specs)
-        if seed is None:
-            env = os.environ.get(ENV_FAULTS_SEED, "").strip()
-            seed = int(env) if env else 0
         self.seed = int(seed)
-        if attempt is None:
-            env = os.environ.get(ENV_FAULT_ATTEMPT, "").strip()
-            attempt = int(env) if env else None
-        #: RUNNING-episode number attempt-scoped specs match against
         self.attempt = attempt
         #: (kind, level, grid_id) -> number of firings so far
         self.site_fires: dict[tuple, int] = {}
@@ -226,6 +214,24 @@ class FaultInjector:
                     return record
         return None
 
+    def maybe_raise(self, kind: str, level=None, grid_id=None) -> None:
+        """Raise :class:`InjectedFaultError` if a matching spec fires."""
+        fire = self.take(kind, level=level, grid_id=grid_id)
+        if fire is not None:
+            raise InjectedFaultError(kind, (level, grid_id, fire.get("step")))
+
+    def maybe_sleep(self, kind: str, level=None, grid_id=None, step=None):
+        """Sleep out a matching timing fault (``hang``/``slow_step``/
+        ``io_stall``); returns the fire record, or ``None`` if nothing fired.
+        """
+        fire = self.take(kind, level=level, grid_id=grid_id, step=step)
+        if fire is not None:
+            seconds = fire.get("seconds")
+            if seconds is None:
+                seconds = DEFAULT_SLEEP_SECONDS.get(kind, 1.0)
+            time.sleep(float(seconds))
+        return fire
+
     # ------------------------------------------------------------ payloads
     def plan_nan_cell(self, level, grid_id, interior_shape, nghost: int):
         """Decide the absolute (ghost-inclusive) cell a firing corrupts.
@@ -248,42 +254,8 @@ class FaultInjector:
         return {"field": "density", "index": ijk}
 
 
-# ------------------------------------------------------------- global state
-_UNSET = object()
-_INJECTOR = _UNSET
-_INSTALL_LOCK = threading.Lock()
-
-
-def install(injector: FaultInjector | None) -> None:
-    """Install (or clear, with ``None``) the process-wide injector."""
-    global _INJECTOR
-    with _INSTALL_LOCK:
-        _INJECTOR = injector
-
-
-def clear() -> None:
-    install(None)
-
-
-def active() -> FaultInjector | None:
-    """The installed injector, lazily built from ``REPRO_FAULTS`` once."""
-    global _INJECTOR
-    if _INJECTOR is _UNSET:
-        with _INSTALL_LOCK:
-            if _INJECTOR is _UNSET:
-                _INJECTOR = from_env()
-    return _INJECTOR
-
-
-def from_env() -> FaultInjector | None:
-    spec = os.environ.get(ENV_FAULTS, "").strip()
-    if not spec:
-        return None
-    return FaultInjector(parse_spec(spec))
-
-
 def parse_spec(text: str) -> list[FaultSpec]:
-    """Parse the compact CLI/env fault syntax.
+    """Parse the compact fault syntax of ``--faults`` and run specs.
 
     ``kind[:key=value,...]`` tokens joined by ``;`` — keys are ``level``,
     ``grid``, ``step``, ``count``, ``attempt`` (ints) and ``seconds``
@@ -309,42 +281,6 @@ def parse_spec(text: str) -> list[FaultSpec]:
                 raise ValueError(f"unknown fault spec key {key!r} in {token!r}")
         specs.append(FaultSpec(kind.strip(), **kwargs))
     return specs
-
-
-# ----------------------------------------------------------- hook shortcuts
-def take(kind: str, level=None, grid_id=None, step=None):
-    """Module-level ``take`` against the active injector (``None`` if none)."""
-    inj = active()
-    if inj is None:
-        return None
-    return inj.take(kind, level=level, grid_id=grid_id, step=step)
-
-
-def maybe_raise(kind: str, level=None, grid_id=None) -> None:
-    """Raise :class:`InjectedFaultError` if a matching spec fires."""
-    fire = take(kind, level=level, grid_id=grid_id)
-    if fire is not None:
-        raise InjectedFaultError(kind, (level, grid_id, fire.get("step")))
-
-
-def maybe_sleep(kind: str, level=None, grid_id=None, step=None):
-    """Sleep out a matching timing fault (``hang``/``slow_step``/
-    ``io_stall``); returns the fire record, or ``None`` if nothing fired.
-    """
-    fire = take(kind, level=level, grid_id=grid_id, step=step)
-    if fire is not None:
-        seconds = fire.get("seconds")
-        if seconds is None:
-            seconds = DEFAULT_SLEEP_SECONDS.get(kind, 1.0)
-        time.sleep(float(seconds))
-    return fire
-
-
-def plan_nan_cell(level, grid_id, interior_shape, nghost: int):
-    inj = active()
-    if inj is None:
-        return None
-    return inj.plan_nan_cell(level, grid_id, interior_shape, nghost)
 
 
 def apply_checkpoint_bitflip(path: str) -> dict:

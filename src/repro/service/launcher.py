@@ -8,18 +8,19 @@ Two interchangeable strategies behind one handle interface:
     :class:`~repro.runtime.recovery.SignalGuard` turns into the standard
     drain-to-checkpoint at the next root-step boundary.  Isolation is
     structural: an injected ``hang`` or ``checkpoint_truncate``
-    inside one run can only touch that child's process tree and files,
-    and per-run fault specs travel in the child's environment
-    (``REPRO_FAULTS``), never the daemon's.
+    inside one run can only touch that child's process tree and files.
+    The worker reads its spec and episode number (``attempts`` in
+    ``state.json``) from the run's registry directory.
 
 :class:`InProcessLauncher` (tests, embedding)
     Episodes run on daemon threads via
     :meth:`~repro.runtime.controller.RunController.request_drain` — the
     same drain path minus the signal, with no interpreter start-up cost,
     which is what makes the preempt/resume bitwise-identity tests cheap
-    enough for tier 1.  Fault-carrying specs are refused: the injector is
-    process-global, so in-process chaos would leak into co-scheduled runs
-    — exactly the blast radius the service exists to prevent.
+    enough for tier 1.  Fault-carrying specs run too: each run's injector
+    lives on its own evolver, so its faults never reach a co-scheduled
+    run.  A thread cannot be hard-killed, though, so liveness chaos
+    (``hang``, ``io_stall``) belongs to the subprocess launcher.
 
 A handle's :meth:`poll` is non-blocking and returns the result record
 once the episode ended; the daemon maps it onto registry transitions.
@@ -100,13 +101,7 @@ class InProcessLauncher:
 
     def launch(self, run_id: str, spec: dict, run_dir: str,
                attempt: int | None = None) -> RunHandle:
-        if spec.get("faults"):
-            raise ValueError(
-                "fault-carrying specs need the subprocess launcher: the "
-                "injector is process-global and would poison co-scheduled "
-                "runs"
-            )
-        return InProcessHandle(run_id, RunJob(spec, run_dir))
+        return InProcessHandle(run_id, RunJob(spec, run_dir, attempt))
 
 
 # -------------------------------------------------------------- subprocess
@@ -171,18 +166,6 @@ class SubprocessLauncher:
         except FileNotFoundError:
             pass
         env = dict(os.environ)
-        # per-run chaos gate: fault specs are scoped to this child only
-        env.pop("REPRO_FAULTS", None)
-        env.pop("REPRO_FAULTS_SEED", None)
-        env.pop("REPRO_FAULT_ATTEMPT", None)
-        if spec.get("faults"):
-            env["REPRO_FAULTS"] = str(spec["faults"])
-            if spec.get("fault_seed") is not None:
-                env["REPRO_FAULTS_SEED"] = str(spec["fault_seed"])
-        if attempt is not None:
-            # which RUNNING episode this is (1-based) — lets `attempt=N`
-            # fault sites fire in one episode but not its resume
-            env["REPRO_FAULT_ATTEMPT"] = str(int(attempt))
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
         existing = env.get("PYTHONPATH", "")
@@ -203,11 +186,13 @@ class SubprocessLauncher:
 
 
 def resolve_launcher(name_or_obj):
-    """``"subprocess"`` | ``"inprocess"`` | a launcher instance."""
+    """``"subprocess"`` (also ``None``) | ``"inprocess"`` | a launcher
+    instance."""
     if hasattr(name_or_obj, "launch"):
         return name_or_obj
-    if name_or_obj in (None, "subprocess", "process"):
+    if name_or_obj in (None, "subprocess"):
         return SubprocessLauncher()
-    if name_or_obj in ("inprocess", "thread"):
+    if name_or_obj == "inprocess":
         return InProcessLauncher()
-    raise ValueError(f"unknown launcher {name_or_obj!r}")
+    raise ValueError(f"unknown launcher {name_or_obj!r}; expected "
+                     f"'subprocess' or 'inprocess'")

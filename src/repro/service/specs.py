@@ -12,17 +12,19 @@ A run spec is the complete, self-contained recipe for a run::
      "keep_last": 3,                   # checkpoint retention
      "preset": "blob",                 # simulation: named initial state
      "preset_args": {"seed": 3},       #   (specs must be pure JSON)
-     "faults": "nan_cell:level=0,...", # chaos gate (subprocess runs only)
+     "faults": "nan_cell:level=0,...", # chaos injector for this run
      "fault_seed": 7}
 
-Minus the budget keys it is also what every ``make_controller`` stores as
-the checkpointed ``RunState.config``.  :func:`build_job` is the only
-function that turns one into a problem and its controller: ``repro run``
-translates its flags into a spec, ``repro resume`` reads the spec back
-from the newest checkpoint, and the service's launchers (in-process and
-the ``repro service-worker`` subprocess) hand over what the client
+Minus the budget and fault keys it is also what every ``make_controller``
+stores as the checkpointed ``RunState.config``.  :func:`build_job` is the
+only function that turns one into a problem and its controller: ``repro
+run`` translates its flags into a spec, ``repro resume`` reads the spec
+back from the newest checkpoint, and the service's launchers (in-process
+and the ``repro service-worker`` subprocess) hand over what the client
 submitted.  A run preempted under one of them therefore resumes
-identically under any other.
+identically under any other.  ``faults`` / ``fault_seed`` build the
+run's own :class:`~repro.runtime.faults.FaultInjector`, set on its
+evolver, so they never reach a co-scheduled run under either launcher.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.checkpoint_policy import CheckpointPolicy
+from repro.runtime.faults import FaultInjector, parse_spec
 
 
 class SpecError(ValueError):
@@ -79,16 +82,24 @@ def launchable(name: str):
     return entry
 
 
-def build_job(spec: dict, run_dir: str, fresh: bool = True):
+def build_job(spec: dict, run_dir: str, fresh: bool = True,
+              attempt: int | None = None):
     """Build ``(problem, controller, t_end)`` from a run spec.
 
     ``fresh`` says whether the run starts from its initial conditions; a
     resume skips building them (the checkpoint replaces the hierarchy) and
     gets ``t_end = None`` (the checkpoint carries the stop time).
-    Otherwise ``t_end`` is in code time.  Raises :class:`SpecError` on
-    anything unbuildable.
+    Otherwise ``t_end`` is in code time.  ``attempt`` is the RUNNING-episode
+    number attempt-scoped fault specs match against.  Raises
+    :class:`SpecError` on anything unbuildable.
     """
     entry = launchable(str(spec.get("problem")))
+    fault_specs = None
+    if spec.get("faults"):
+        try:
+            fault_specs = parse_spec(str(spec["faults"]))
+        except ValueError as exc:
+            raise SpecError(f"faults: {exc}") from exc
     try:
         problem = entry.factory(**spec.get("kwargs", {}))
     except (TypeError, ValueError) as exc:
@@ -125,6 +136,9 @@ def build_job(spec: dict, run_dir: str, fresh: bool = True):
         every_steps=int(spec.get("checkpoint_every", 2)),
         keep_last=int(spec.get("keep_last", 3)))
     controller = problem.make_controller(run_dir, policy=policy, **redshift)
+    if fault_specs is not None:
+        controller.evolver.faults = FaultInjector(
+            fault_specs, seed=spec.get("fault_seed", 0), attempt=attempt)
     return problem, controller, t_end
 
 
@@ -135,12 +149,14 @@ class RunJob:
     :meth:`execute` (construction does real work — initial conditions,
     hierarchy rebuild) but accepts :meth:`request_drain` at any time, so
     a preemption that lands during construction still drains at the first
-    root-step boundary.
+    root-step boundary.  ``attempt`` is the episode number the service
+    registry counted (see :func:`build_job`).
     """
 
-    def __init__(self, spec: dict, run_dir: str):
+    def __init__(self, spec: dict, run_dir: str, attempt: int | None = None):
         self.spec = dict(spec)
         self.run_dir = str(run_dir)
+        self.attempt = attempt
         self.controller = None
         self._drain_reason: str | None = None
 
@@ -166,7 +182,8 @@ class RunJob:
         # there must still look alive-then-stalled to the supervisor
         HeartbeatWriter(self.run_dir).beat(phase="build", force=True)
         fresh = CheckpointPolicy.latest(self.run_dir) is None
-        _problem, controller, t_end = build_job(self.spec, self.run_dir, fresh)
+        _problem, controller, t_end = build_job(self.spec, self.run_dir,
+                                                fresh, self.attempt)
         self.controller = controller
         if self._drain_reason is not None:
             controller.request_drain(self._drain_reason)

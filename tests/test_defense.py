@@ -16,7 +16,6 @@ from repro.gravity.multigrid import (
     MultigridSolver,
 )
 from repro.nbody.particles import ParticleSet
-from repro.runtime import faults
 from repro.runtime.faults import (
     FaultInjector,
     FaultSpec,
@@ -27,14 +26,6 @@ from repro.runtime.recovery import StateCorruptionError
 from repro.runtime.telemetry import read_events, summarise, telemetry_path
 
 T_END = 0.8  # far enough that a handful of root steps never reaches it
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_injector():
-    """Every test starts and ends with no process-wide injector."""
-    faults.clear()
-    yield
-    faults.clear()
 
 
 def build_sim(defense: bool = True, backend: str | None = None,
@@ -121,10 +112,10 @@ class TestFaultSpecs:
         assert all(3 <= i < 11 for i in a["index"])  # interior, ghost offset
 
     def test_maybe_raise(self):
-        faults.install(FaultInjector([FaultSpec("chem_blowup")]))
+        inj = FaultInjector([FaultSpec("chem_blowup")])
         with pytest.raises(InjectedFaultError):
-            faults.maybe_raise("chem_blowup", 0, 0)
-        faults.maybe_raise("chem_blowup", 0, 0)  # budget spent: no raise
+            inj.maybe_raise("chem_blowup", 0, 0)
+        inj.maybe_raise("chem_blowup", 0, 0)  # budget spent: no raise
 
 
 # ----------------------------------------------------------------- validation
@@ -183,10 +174,10 @@ class TestHydroLadder:
     def test_repeated_nan_climbs_one_rung_per_firing(self, count):
         sim = build_sim()
         root_id = sim.hierarchy.root.grid_id  # ids are process-global
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0, grid_id=root_id, step=0,
                       count=count),
-        ], seed=7))
+        ], seed=7)
         advance(sim, 2)
         ladder = sim.evolver.defense
         rescued = RUNG_BY_COUNT[count]
@@ -195,7 +186,7 @@ class TestHydroLadder:
         for lower in list(RUNG_BY_COUNT.values())[:count - 1]:
             assert ladder.totals["rungs"].get(lower) is None
         assert ladder.totals["escalations"] == 0
-        assert len(faults.active().fired) == count
+        assert len(sim.evolver.faults.fired) == count
         for g in sim.hierarchy.all_grids():
             assert np.all(np.isfinite(g.fields["density"]))
 
@@ -238,9 +229,9 @@ class TestHydroLadder:
     def test_fifth_firing_escalates_state_corruption(self):
         sim = build_sim()
         root_id = sim.hierarchy.root.grid_id
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0, grid_id=root_id, step=0, count=5),
-        ], seed=7))
+        ], seed=7)
         with pytest.raises(StateCorruptionError) as err:
             advance(sim, 1)
         assert err.value.level == 0 and err.value.grid_id == root_id
@@ -252,10 +243,10 @@ class TestHydroLadder:
 
         run_dir = str(tmp_path / "chaos")
         sim = build_sim()
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0, grid_id=sim.hierarchy.root.grid_id,
                       step=1, count=5),
-        ], seed=7))
+        ], seed=7)
         out = sim.make_controller(
             run_dir, policy=CheckpointPolicy(every_steps=1, keep_last=10),
         ).run(T_END, max_root_steps=3)
@@ -274,10 +265,10 @@ class TestHydroLadder:
     def test_rescue_events_reach_telemetry(self, tmp_path):
         run_dir = str(tmp_path / "rescue")
         sim = build_sim()
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0, grid_id=sim.hierarchy.root.grid_id,
                       step=1, count=1),
-        ], seed=7))
+        ], seed=7)
         out = sim.make_controller(run_dir).run(T_END, max_root_steps=3)
         assert out["recoveries"] == 0  # rescued in place, no rollback
         events = read_events(telemetry_path(run_dir))
@@ -321,8 +312,8 @@ class TestMultigridStrict:
         assert not mg.last_diagnostics.converged
 
     def test_mg_diverge_fault_triggers_budget_retry(self):
-        faults.install(FaultInjector([FaultSpec("mg_diverge", level=1)]))
         sim = build_sim()
+        sim.evolver.faults = FaultInjector([FaultSpec("mg_diverge", level=1)])
         assert sim.hierarchy.max_level == 1  # a level-1 solve exists
         advance(sim, 1)
         ladder = sim.evolver.defense
@@ -361,10 +352,10 @@ def build_chem_sim() -> Simulation:
 class TestChemistryLadder:
     def test_blowup_once_is_rescued_by_half_dt_retry(self):
         sim = build_chem_sim()
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("chem_blowup", level=0,
                       grid_id=sim.hierarchy.root.grid_id, step=0, count=1),
-        ]))
+        ])
         net = sim.evolver.chemistry
         advance(sim, 1)
         ladder = sim.evolver.defense
@@ -377,10 +368,10 @@ class TestChemistryLadder:
 
     def test_blowup_twice_skips_chemistry_for_the_grid(self):
         sim = build_chem_sim()
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("chem_blowup", level=0,
                       grid_id=sim.hierarchy.root.grid_id, step=0, count=2),
-        ]))
+        ])
         net = sim.evolver.chemistry
         advance(sim, 1)
         ladder = sim.evolver.defense
@@ -396,20 +387,50 @@ class TestChemistryLadder:
         assert len(net.calls) == 1
 
 
+# ------------------------------------------------------------ per-run state
+class TestInjectorIsPerRun:
+    def test_injector_stays_with_its_evolver(self):
+        """Two runs in one interpreter, stepped in turn, only one carrying
+        an injector: its fault fires in its own root step 1 although the
+        other run is two steps ahead, it publishes only its own step
+        context, and the other run stays bitwise equal to an uninjected
+        one."""
+        ref = build_sim()
+        advance(ref, 4)
+        clean = build_sim()
+        advance(clean, 2)
+        faulty = build_sim()
+        inj = FaultInjector([FaultSpec("nan_cell", level=0, step=1)], seed=7)
+        faulty.evolver.faults = inj
+        fired = []
+        for _ in range(2):
+            advance(faulty, 1)
+            fired.append(len(inj.fired))
+            advance(clean, 1)
+        assert fired == [0, 1]
+        assert inj.fired[0]["step"] == 1
+        assert inj._step_ctx == {
+            level: n - 1
+            for level, n in faulty.evolver.step_counter.items() if n}
+        assert faulty.evolver.defense.totals["rungs"] == {"retry_half_dt": 1}
+        assert clean.evolver.faults is None
+        assert clean.evolver.defense.totals["rungs"] == {}
+        assert_hierarchies_identical(ref.hierarchy, clean.hierarchy)
+
+
 # ---------------------------------------------------------- checkpoint faults
 class TestCheckpointTruncate:
     def test_resume_falls_back_past_truncated_checkpoint(self, tmp_path):
         from repro.runtime import CheckpointPolicy
 
         run_dir = str(tmp_path / "trunc")
-        faults.install(FaultInjector([
-            FaultSpec("checkpoint_truncate", step=3, count=1),
-        ]))
         sim = build_sim()
+        sim.evolver.faults = FaultInjector([
+            FaultSpec("checkpoint_truncate", step=3, count=1),
+        ])
         sim.make_controller(
             run_dir, policy=CheckpointPolicy(every_steps=1, keep_last=10),
         ).run(T_END, max_root_steps=3)
-        faults.clear()
 
         # an unfaulted straight run to the same point, for comparison
         ref = build_sim()

@@ -8,21 +8,12 @@ defense ladder rescues it without losing scalar mass.
 """
 
 import numpy as np
-import pytest
 
 from repro import Simulation, SimulationConfig
 from repro.amr import Hierarchy, RefinementCriteria
-from repro.runtime import faults
 from repro.runtime.faults import FaultInjector, FaultSpec
 
 N = 16
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_injector():
-    faults.clear()
-    yield
-    faults.clear()
 
 
 def make_root(n: int = N):
@@ -196,10 +187,10 @@ class TestKelvinHelmholtzChaos:
         root = kh.sim.hierarchy.root
         gas0 = float(root.fields["density"][root.interior].sum())
         mass0 = kh.scalar_mass()
-        faults.install(FaultInjector([
+        kh.sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0, grid_id=root.grid_id, step=0,
                       count=1),
-        ], seed=7))
+        ], seed=7)
         kh.run(t_end=0.05)
         ladder = kh.sim.evolver.defense
         assert ladder.totals["rungs"].get("retry_half_dt") == 1

@@ -16,16 +16,8 @@ from hypothesis import strategies as st
 
 from repro import Simulation, SimulationConfig
 from repro.hydro.state import scalar_names
-from repro.runtime import faults
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.telemetry import read_events, telemetry_path
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_injector():
-    faults.clear()
-    yield
-    faults.clear()
 
 
 def build_amr_sim(n_scalars: int, blob=(0.5, 0.5, 0.5), amp: float = 10.0,
@@ -106,10 +98,10 @@ class TestFloorRepairAccounting:
     def _run_with_floor_repair(self, n_scalars: int, tmp_path) -> list[dict]:
         run_dir = str(tmp_path / f"repair{n_scalars}")
         sim = build_amr_sim(n_scalars=n_scalars)
-        faults.install(FaultInjector([
+        sim.evolver.faults = FaultInjector([
             FaultSpec("nan_cell", level=0,
                       grid_id=sim.hierarchy.root.grid_id, step=0, count=4),
-        ], seed=7))
+        ], seed=7)
         out = sim.make_controller(run_dir).run(10.0, max_root_steps=2)
         assert out["status"] == "max_steps"
         events = read_events(telemetry_path(run_dir))

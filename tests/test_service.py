@@ -35,7 +35,9 @@ from repro.service import (
     RunRegistry,
     RunService,
     ServiceClient,
+    SubprocessLauncher,
     UnknownRunError,
+    resolve_launcher,
 )
 from repro.service.specs import RunJob
 
@@ -390,10 +392,14 @@ class TestDaemon:
         finally:
             service.shutdown()
 
-    def test_inprocess_launcher_refuses_faulty_specs(self):
-        with pytest.raises(ValueError, match="process-global"):
-            InProcessLauncher().launch(
-                "r000001", blob_spec(faults="nan_cell:level=0"), "/tmp/x")
+    def test_launchers_have_one_name_each(self):
+        assert isinstance(resolve_launcher("inprocess"), InProcessLauncher)
+        assert isinstance(resolve_launcher("subprocess"), SubprocessLauncher)
+        assert isinstance(resolve_launcher(None), SubprocessLauncher)
+        for alias in ("thread", "process"):
+            with pytest.raises(ValueError, match="'subprocess' or "
+                                                 "'inprocess'"):
+                resolve_launcher(alias)
 
 
 class TestPriorityScheduling:
@@ -495,6 +501,44 @@ class TestChaosContainment:
             and e["record"]["event"] in ("defense", "recovery", "rollback")
         ]
         assert trail, "no rung trail for the poisoned run in the journal"
+
+    def test_inprocess_poisoned_run_is_contained(self, tmp_path):
+        """The same containment with all three runs on threads of one
+        interpreter: the poisoned run's injector lives on its own evolver,
+        so the clean runs neither roll back nor drift from a standalone
+        unfaulted run.  (No ``grid=`` pin: grid ids are process-wide, so
+        the root is grid 0 only in a fresh process.)"""
+        clean = blob_spec(max_steps=6)
+        reference = RunJob(clean, str(tmp_path / "ref")).execute()
+        poison = dict(clean)
+        poison["faults"] = ("nan_cell:level=0,step=3,count=99;"
+                            "checkpoint_truncate:step=4")
+        poison["fault_seed"] = 7
+        service, client = start_service(
+            tmp_path, total_workers=4, launcher="inprocess",
+            tick_interval=0.05)
+        try:
+            poisoned = client.submit(poison, tenant="chaos")
+            clean_a = client.submit(clean, tenant="clean")
+            clean_b = client.submit(clean, tenant="clean")
+            entries = client.wait([poisoned, clean_a, clean_b],
+                                  timeout=420)
+        finally:
+            service.shutdown()
+
+        assert entries[poisoned]["state"] in TERMINAL_STATES
+        for rid in (clean_a, clean_b):
+            assert entries[rid]["state"] == DONE
+            assert entries[rid]["result"]["recoveries"] == 0, \
+                "a clean run rolled back — chaos leaked across runs"
+            assert entries[rid]["result"]["fingerprint"] == \
+                reference["fingerprint"]
+        trail = [
+            e for e in read_events(service.registry.journal_path)
+            if e["event"] == "run_telemetry" and e["run"] == poisoned
+            and e["record"]["event"] == "recovery"
+        ]
+        assert trail, "the poisoned run never rolled back"
 
     def test_worker_result_file_is_atomic(self, tmp_path):
         # a torn result.json must read as "no result yet", not garbage:

@@ -34,13 +34,6 @@ from repro.runtime.supervision import (
 from repro.runtime.telemetry import read_events, telemetry_path
 
 
-@pytest.fixture(autouse=True)
-def _no_leftover_injector():
-    faults.clear()
-    yield
-    faults.clear()
-
-
 def build_sim() -> Simulation:
     """Same small self-gravitating collapse the runtime tests evolve."""
     from repro.nbody.particles import ParticleSet
@@ -308,11 +301,11 @@ class TestLivenessFaults:
     def test_maybe_sleep_uses_spec_seconds(self, monkeypatch):
         slept = []
         monkeypatch.setattr(faults.time, "sleep", slept.append)
-        faults.install(faults.FaultInjector(
-            [faults.FaultSpec("slow_step", seconds=0.125)]))
-        fire = faults.maybe_sleep("slow_step")
+        inj = faults.FaultInjector(
+            [faults.FaultSpec("slow_step", seconds=0.125)])
+        fire = inj.maybe_sleep("slow_step")
         assert fire is not None and slept == [0.125]
-        assert faults.maybe_sleep("slow_step") is None  # budget spent
+        assert inj.maybe_sleep("slow_step") is None  # budget spent
         assert slept == [0.125]
 
     def test_slow_step_is_bitwise_invisible(self, tmp_path):
@@ -320,13 +313,11 @@ class TestLivenessFaults:
         sim_a = build_sim()
         sim_a.make_controller(str(tmp_path / "a")).run(
             T_END, max_root_steps=3)
-        faults.install(faults.FaultInjector(
-            [faults.FaultSpec("slow_step", level=0, count=3,
-                              seconds=0.01)]))
         sim_b = build_sim()
+        inj = sim_b.evolver.faults = faults.FaultInjector(
+            [faults.FaultSpec("slow_step", level=0, count=3, seconds=0.01)])
         sim_b.make_controller(str(tmp_path / "b")).run(
             T_END, max_root_steps=3)
-        inj = faults.active()
         assert inj.fired, "slow_step never fired"
         assert_hierarchies_identical(sim_a.hierarchy, sim_b.hierarchy)
 
@@ -399,12 +390,11 @@ class TestControllerIntegration:
         """The fault-kind path: checkpoint_bitflip fires inside
         _checkpoint, after the digest was written over good bytes."""
         run_dir = str(tmp_path / "r")
-        faults.install(faults.FaultInjector(
-            [faults.FaultSpec("checkpoint_bitflip", step=2)]))
         sim = build_sim()
+        sim.evolver.faults = faults.FaultInjector(
+            [faults.FaultSpec("checkpoint_bitflip", step=2)])
         sim.make_controller(run_dir).run(T_END, max_root_steps=2)
-        assert faults.active().fired
-        faults.clear()
+        assert sim.evolver.faults.fired
         _step, npz, _state = CheckpointPolicy.latest(run_dir)
         assert not verify_digest(npz)
 
