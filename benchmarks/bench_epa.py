@@ -90,7 +90,7 @@ def test_epa_operation_containment(benchmark):
             0.01 * rng.standard_normal((n_p, 3)),
             np.full(n_p, 1e-6),
         )
-        sc.run(max_root_steps=4)
+        sc.run(max_root_steps=8)
         # census: EPA ops = particle drifts (3 dd ops each) + per-grid time
         # updates; total ops = field-cell updates across all level steps
         epa_ops = 0

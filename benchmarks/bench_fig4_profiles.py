@@ -29,12 +29,14 @@ def test_fig4_radial_profiles(benchmark, collapse_run):
     print(f"\n{len(run.snapshots)} output times "
           f"(paper: 7 outputs from z=19 to +9 Myr ... +200 yr)")
 
-    centre_density = []
+    # the densest cell of the hierarchy, not the profile's first non-empty
+    # bin: the profile is centred on that cell and leaves it out (r = 0 is
+    # below the first bin edge), so the bin averages whichever neighbours
+    # fall into it
+    centre_density = [snap["peak_n_cgs"] for snap in run.snapshots]
     for snap in run.snapshots:
         prof = snap["profiles"]
         nd = prof["number_density"]
-        ok = np.isfinite(nd)
-        centre_density.append(np.nanmax(nd))
         print(f"\n--- output {snap['label']}  (z = {snap['redshift']:.1f}, "
               f"peak n = {snap['peak_n_cgs']:.2e} cm^-3) ---")
         print(f"{'r [pc]':>10} {'n [cm^-3]':>11} {'M(<r) [Msun]':>13} "

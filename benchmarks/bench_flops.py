@@ -32,7 +32,7 @@ def _representative_section():
     t0 = time.perf_counter()
     # count work as the evolver performs it
     steps_before = dict(sc.evolver.step_counter)
-    sc.run(max_root_steps=8)
+    sc.run(max_root_steps=15)
     wall = time.perf_counter() - t0
     # tally: every level step touched every cell of its level
     for level, grids in enumerate(sc.hierarchy.levels):

@@ -483,12 +483,12 @@ SMOKE = {"n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
          "chem_cells": (512, 10648, 54872),
          "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
          "flux_children": 8, "particles": 4096,
-         "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 2}
+         "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 10}
 FULL = {"n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
         "chem_cells": (512, 10648, 54872),
         "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
         "flux_children": 8, "particles": 4096,
-        "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 4}
+        "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 20}
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from repro.problems import SphereCollapse
 def main():
     print("building an AMR hierarchy (sphere collapse, 3 levels)...")
     sc = SphereCollapse(n_root=16, max_level=2, overdensity=25.0, max_dims=8)
-    sc.run(max_root_steps=10)
+    sc.run(max_root_steps=15)
     h = sc.hierarchy
     print(f"hierarchy: {h.grids_per_level()} grids/level\n")
 

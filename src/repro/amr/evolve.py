@@ -125,9 +125,8 @@ class HierarchyEvolver:
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,
                  criteria=None, clock=None, units=None, cfl: float = 0.4,
-                 max_level: int | None = None, rebuild_every: int = 1,
-                 stats=None, timers=None, jeans_floor_cells: float = 0.0,
-                 exec_config=None, defense=None,
+                 max_level: int | None = None, stats=None, timers=None,
+                 jeans_floor_cells: float = 0.0, exec_config=None, defense=None,
                  incremental_rebuild: bool = True):
         self.hierarchy = hierarchy
         self.solver = solver
@@ -138,7 +137,6 @@ class HierarchyEvolver:
         self.units = units
         self.cfl = cfl
         self.max_level = max_level
-        self.rebuild_every = max(int(rebuild_every), 1)
         #: parents with unchanged flag sets keep their subgrids across
         #: rebuilds (repro.amr.rebuild); False forces the from-scratch
         #: path — bitwise identical, used by the bitwise gate and benches
@@ -227,17 +225,22 @@ class HierarchyEvolver:
 
     # -------------------------------------------------------------- evolve
     def advance_to(self, stop_time: float) -> None:
-        """Top-level driver: evolve the whole hierarchy to stop_time."""
-        self.evolve_level(0, DoubleDouble(stop_time))
+        """Evolve the whole hierarchy to ``stop_time``, one
+        :meth:`advance_root_step` at a time."""
+        while self.advance_root_step(stop_time) is not None:
+            pass
 
     def advance_root_step(self, stop_time) -> float | None:
         """Take exactly one root-level step toward ``stop_time``.
 
-        The run-control layer (:mod:`repro.runtime`) drives the hierarchy
-        through this entry point so it can checkpoint, emit telemetry, and
-        watchdog-check the state at every root-step boundary — the only
-        points where the whole hierarchy is time-synchronised.  Returns the
-        root dt taken, or ``None`` if the root is already at ``stop_time``.
+        The only code that steps level 0: every driver (``advance_to``, the
+        problems' run loops, the run controller) goes through here, so a
+        problem takes the same root steps whichever drives it.  One call is
+        one pass of the paper's ``EvolveLevel`` body on the root: fill the
+        root's ghost zones, step, recurse into level 1.  Before the step the
+        refinement criteria's scale factor is set from the root clock.
+        Returns the root dt taken, or ``None`` if the root is already at
+        ``stop_time``.
         """
         h = self.hierarchy
         target = (
@@ -249,6 +252,8 @@ class HierarchyEvolver:
             return None
         for stats in self.step_stats.values():
             stats.reset()
+        if self.criteria is not None:
+            self.criteria.a = self.clock.a_of(h.root.time)
         mark = kernel_dispatch.counters_totals()
         self._timed("boundary", set_boundary_values, h, 0)
         dt = self._step_level(0, target)
@@ -260,6 +265,7 @@ class HierarchyEvolver:
         return dt
 
     def evolve_level(self, level: int, parent_time) -> None:
+        """Sub-cycle ``level`` (>= 1) up to its parent's time."""
         h = self.hierarchy
         grids = h.level_grids(level)
         if not grids:
@@ -391,7 +397,6 @@ class HierarchyEvolver:
         if (
             self.criteria is not None
             and (self.max_level is None or level + 1 <= self.max_level)
-            and self.step_counter[level] % self.rebuild_every == 0
         ):
             self._timed("rebuild", lambda: rebuild_hierarchy(
                 h, level + 1, self.criteria, self._dm_density,

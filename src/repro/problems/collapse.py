@@ -234,17 +234,10 @@ class PrimordialCollapse:
                         **opts):
         """A :class:`repro.runtime.RunController` wired for this problem.
 
-        The controller's ``pre_step`` hook tracks ``criteria.a`` with the
-        expansion (deterministically, from the restored clock, so resumed
-        runs refine identically), and the stored config lets the CLI
-        rebuild this problem on ``resume``.
+        The stored config lets the CLI rebuild this problem on ``resume``.
         """
         from repro.runtime import RunController
 
-        def track_expansion(controller) -> None:
-            self.criteria.a = self.clock.a_of(self.hierarchy.root.time)
-
-        opts.setdefault("pre_step", track_expansion)
         config = {"problem": "collapse", "kwargs": dict(self.spec)}
         if z_end is not None:
             config["z_end"] = float(z_end)
@@ -256,21 +249,14 @@ class PrimordialCollapse:
         """Advance until redshift ``z_end``, snapshotting profiles on the way.
 
         ``snapshot_densities``: ascending list of central number densities
-        (cm^-3) at which to record Fig.4-style radial profiles.
+        (cm^-3) at which to record Fig.4-style radial profiles, checked
+        after every root step.
         """
         targets = list(snapshot_densities or [])
         t_end = self.code_time_of_redshift(z_end)
         steps = 0
-        while float(self.hierarchy.root.time) < t_end and steps < max_root_steps:
-            t_now = float(self.hierarchy.root.time)
-            self.criteria.a = self.clock.a_of(t_now)
-            # advance a few expansion times per outer iteration so snapshot
-            # checks fire often enough without throttling the root timestep
-            a_now = self.clock.a_of(t_now)
-            adot_now = max(self.clock.adot_of(t_now), 1e-300)
-            grain = max(t_end / 400.0, 0.1 * a_now / adot_now)
-            t_next = min(t_end, t_now + grain)
-            self.evolver.advance_to(t_next)
+        while (steps < max_root_steps
+               and self.evolver.advance_root_step(t_end) is not None):
             steps += 1
             while targets and self.peak_number_density_cgs >= targets[0]:
                 self.snapshot(label=f"n={targets[0]:.1e}")

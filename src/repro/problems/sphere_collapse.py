@@ -98,18 +98,13 @@ class SphereCollapse:
 
     def run(self, t_end: float | None = None, density_target: float | None = None,
             max_root_steps: int = 200) -> dict:
-        """Advance until t_end, a density target, or a step budget."""
+        """Advance until t_end, a density target, or a budget of root
+        steps."""
         if t_end is None:
             t_end = 1.5 * self.free_fall_time(self.peak_density)
-        steps = 0
-        while float(self.hierarchy.root.time) < t_end and steps < max_root_steps:
-            a_step = min(
-                t_end,
-                float(self.hierarchy.root.time)
-                + max(t_end / max_root_steps, 1e-12),
-            )
-            self.evolver.advance_to(a_step)
-            steps += 1
+        for _ in range(max_root_steps):
+            if self.evolver.advance_root_step(t_end) is None:
+                break
             if density_target is not None and self.peak_density >= density_target:
                 break
         return {

@@ -1,8 +1,8 @@
 """RunController: the fault-tolerant advance loop.
 
-Owns the outer loop that used to be inlined in ``Simulation.run`` /
-``PrimordialCollapse.run_to_redshift`` and wraps every root step with the
-run-control services a weeks-long job needs:
+Steps the hierarchy one ``HierarchyEvolver.advance_root_step`` at a time,
+like every other driver, and wraps each root step with the run-control
+services a weeks-long job needs:
 
 * **durable checkpoints** — atomic hierarchy dumps plus a
   :class:`~repro.runtime.checkpoint_policy.RunState` record (clock words,
@@ -84,7 +84,8 @@ class RunController:
         whose ``hierarchy`` attribute is kept in sync across rollbacks.
     pre_step:
         Optional callback ``pre_step(controller)`` invoked before every
-        root step (e.g. to track ``criteria.a`` with the expansion).
+        root step (e.g. to poison a cell or send a signal, the way the
+        recovery and drain tests do).
     config:
         JSON-serialisable problem spec stored in every RunState so the
         CLI can rebuild the evolver on ``resume``.

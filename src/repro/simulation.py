@@ -204,14 +204,6 @@ class Simulation:
         ))
         return RunController(self.evolver, run_dir, problem=self, **opts)
 
-    def run_controlled(self, t_end: float, run_dir: str,
-                       max_root_steps: int | None = None, **opts) -> dict:
-        """Like :meth:`run`, but under run control (checkpoint/recover)."""
-        controller = self.make_controller(run_dir, **opts)
-        out = controller.run(t_end, max_root_steps=max_root_steps)
-        out.update(self.summary())
-        return out
-
     def summary(self) -> dict:
         return {
             "time": float(self.hierarchy.root.time),

@@ -106,7 +106,7 @@ class TestBackendEquivalence:
                 mass_refine_factor=8.0, with_chemistry=True,
                 exec_backend=backend, workers=workers)
             pc.initial_rebuild()
-            pc.run_to_redshift(95.0, max_root_steps=2)
+            pc.run_to_redshift(95.0, max_root_steps=3)
             return pc
 
         ref = run(None, None)

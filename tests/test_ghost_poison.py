@@ -50,7 +50,6 @@ def _collapse():
     problem.initial_rebuild()
     t_end = problem.code_time_of_redshift(20.0)
     for _ in range(4):
-        problem.criteria.a = problem.clock.a_of(problem.hierarchy.root.time)
         problem.evolver.advance_root_step(t_end)
     assert problem.evolver.chem_stats.snapshot()["cells"] > 0
     assert len(problem.hierarchy.levels) > 2

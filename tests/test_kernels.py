@@ -2018,8 +2018,6 @@ class TestIntegration:
             problem.initial_rebuild()
             t_end = problem.code_time_of_redshift(20.0)
             for _ in range(4):
-                problem.criteria.a = problem.clock.a_of(
-                    problem.hierarchy.root.time)
                 problem.evolver.advance_root_step(t_end)
             calls = dispatch.counters_totals()
             # one table pass and one fused substep per iteration (the

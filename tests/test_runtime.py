@@ -310,13 +310,12 @@ class TestRunStateRoundtrip:
 
 
 class TestSimulationWiring:
-    def test_run_controlled_reports_both_summaries(self, tmp_path):
+    def test_make_controller_steps_the_sims_hierarchy(self, tmp_path):
         sim = build_sim()
-        out = sim.run_controlled(T_END, str(tmp_path / "wired"),
-                                 max_root_steps=2)
-        assert out["status"] == "max_steps"
-        assert out["n_grids"] == sim.hierarchy.n_grids
-        assert "component_fractions" in out
+        out = sim.make_controller(str(tmp_path / "wired")).run(
+            T_END, max_root_steps=2)
+        assert out["status"] == "max_steps" and out["steps"] == 2
+        assert sim.summary()["time"] == out["t"] > 0.0
 
     def test_resume_with_no_checkpoints_raises(self, tmp_path):
         sim = build_sim()
