@@ -8,8 +8,9 @@ The hero run reached n ~ 1e13 cm^-3 at r ~ 1e-6 pc; the scaled run follows
 the same object through its early collapse.  What must reproduce (and is
 asserted):
 
-* panel A — central density grows monotonically between outputs and the
-  profile steepens toward the centre (the -2-ish envelope slope);
+* panel A — central density grows between outputs, in contrast to the
+  box mean (the densest bin) and at the peak, and the profile steepens
+  toward the centre (the -2-ish envelope slope);
 * panel B — enclosed mass increases monotonically with radius;
 * panel C — the H2 fraction is highest at the centre and grows with time
   (the non-equilibrium H- channel), with f_H2 ~ 1e-4..1e-3 at this stage;
@@ -29,14 +30,17 @@ def test_fig4_radial_profiles(benchmark, collapse_run):
     print(f"\n{len(run.snapshots)} output times "
           f"(paper: 7 outputs from z=19 to +9 Myr ... +200 yr)")
 
-    centre_density = []
+    centre_contrast = []
     for snap in run.snapshots:
         prof = snap["profiles"]
         nd = prof["number_density"]
-        ok = np.isfinite(nd)
-        centre_density.append(np.nanmax(nd))
+        # the densest bin over the box mean: the proper density of the
+        # background falls as (1+z)^3 while the cloud collapses
+        centre_contrast.append(np.nanmax(prof["density"])
+                               / snap["mean_density"])
         print(f"\n--- output {snap['label']}  (z = {snap['redshift']:.1f}, "
-              f"peak n = {snap['peak_n_cgs']:.2e} cm^-3) ---")
+              f"peak n = {snap['peak_n_cgs']:.2e} cm^-3, densest bin "
+              f"{centre_contrast[-1]:.2f}x the box mean) ---")
         print(f"{'r [pc]':>10} {'n [cm^-3]':>11} {'M(<r) [Msun]':>13} "
               f"{'T [K]':>8} {'v_r [km/s]':>11} {'f_H2':>10}")
         for i in range(len(prof["radius"])):
@@ -55,7 +59,7 @@ def test_fig4_radial_profiles(benchmark, collapse_run):
     # panel A: central density grows between outputs
     assert run.snapshots[-1]["peak_n_cgs"] >= run.snapshots[0]["peak_n_cgs"], \
         "peak density falls"
-    assert centre_density[-1] >= centre_density[0], "collapse stalls"
+    assert centre_contrast[-1] >= centre_contrast[0], "collapse stalls"
     # panel A: the profile decreases outward over the resolved range
     nd = last["number_density"][ok]
     assert nd[0] == np.nanmax(nd), "density must peak at the centre"

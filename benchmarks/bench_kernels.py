@@ -1,38 +1,40 @@
 """Kernel-tier benchmark: compiled inner loops vs. the NumPy reference.
 
 The compiled kernel tier (``repro.kernels``) takes over the hottest inner
-loops — the fused hydro sweep, the chemistry rate-table blend and substep,
-the multigrid V-cycle and the coarse-fine bookkeeping — with C loops
-(cffi) that are **bitwise identical** to the vectorised reference (the
-parity suite in ``tests/test_kernels.py`` enforces that).
+loops — the fused hydro step, the chemistry rate-table blend and substep,
+the multigrid solve, the potential gradient and the coarse-fine
+bookkeeping — with C loops (cffi) that are **bitwise identical** to the
+vectorised reference (the parity suite in ``tests/test_kernels.py``
+enforces that).
 
 This bench measures what that buys:
 
-* the three fused grid sweeps of one step (``hydro.sweep``: everything
-  ``PPMSolver`` does to one grid along one axis in a single compiled call)
-  at 8^3 / 16^3 / 32^3 interior cells plus three ghosts, with the
-  solver's pencil boxes (only the pencils a later sweep reads) and, for
-  the compiled tier, with every pencil swept, in us per interior cell —
-  *layer evidence* under the end-to-end numbers of ``benchmarks/e2e``,
-  never a headline;
+* one fused grid step (``hydro.step``: everything ``PPMSolver.step`` does
+  to one grid — half kicks, the three sweeps, drag, dual-energy sync and
+  energy floor — in a single compiled call) at 8^3 / 16^3 / 32^3 interior
+  cells plus three ghosts, with the solver's pencil boxes (only the
+  pencils a later sweep reads) and, for the compiled tier, with every
+  pencil swept, in us per interior cell — *layer evidence* under the
+  end-to-end numbers of ``benchmarks/e2e``, never a headline;
 * one fused chemistry substep (``chem.step``: timescale control, the
   backward-Euler species/energy update and the renormalisation of every
   active cell of one grid in a single compiled call) at 512 / 10,648 /
   54,872 cells — the 8^3, 22^3 and 38^3 allocated grids of the
   ``collapse_chem`` workload — in us per cell-substep, layer evidence too;
-* one multigrid V-cycle (``mg.vcycle``: smoothing, residual, restriction,
-  the coarse cycle, prolongation and correction of one subgrid in a single
-  compiled call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest,
-  the typical and the largest subgrid of the ``sphere_deep`` workload — in
-  us per V-cycle, layer evidence too;
-* the coarse-fine bookkeeping in us per call: one ``flux.correct`` (every
+* one multigrid solve (``mg.solve``: V-cycles of one subgrid until the
+  residual norm meets the hierarchy's tolerance, in a single compiled
+  call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest, the typical
+  and the largest subgrid of the ``sphere_deep`` workload — in us per
+  solve, layer evidence too;
+* the per-grid bookkeeping in us per call: one ``flux.correct`` (every
   child of a 16^3 parent carrying the twelve species), ``cic.deposit`` /
   ``cic.gather`` of the ``collapse_chem`` workload's 16^3 dark matter
   particles on the periodic root and on a non-periodic subgrid, and two
   ``fill.level`` calls on a sibling-packed level of 64 8^3 grids: its
   boundary fill (time-interpolated parent, sibling copies) and a rebuild
   onto 27 grids shifted by half a grid (old interiors copied, the rest
-  prolonged);
+  prolonged); and one ``gravity.accel`` (the potential gradient of an 8^3
+  grid with three ghosts);
 * the chemistry rate-table blend (``chem.blend``) on one table pass of
   tens of thousands of cells, NumPy vs. the compiled backend;
 * an end-to-end primordial-collapse run (chemistry on, so every kernel
@@ -65,6 +67,7 @@ import numpy as np
 
 from repro import constants as const
 from repro.amr.flux_correction import correct_numpy
+from repro.amr.gravity import accel_numpy
 from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
     ChemistryNetwork,
@@ -73,8 +76,8 @@ from repro.chemistry.network import (
 )
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
-from repro.gravity.multigrid import MultigridSolver, vcycle_numpy
-from repro.hydro.ppm import pencil_boxes, sweep_numpy
+from repro.gravity.multigrid import MultigridSolver, solve_numpy
+from repro.hydro.ppm import step_numpy
 from repro.kernels import dispatch
 from repro.nbody.cic import deposit_numpy, gather_numpy
 
@@ -121,7 +124,7 @@ def micro(config: dict, backend: str) -> dict:
                            "speedup": t_ref / t_cmp}}
 
 
-# ------------------------------------------------------------- fused sweep
+# -------------------------------------------------------------- fused step
 def _commit() -> str:
     out = subprocess.run(
         ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
@@ -129,58 +132,45 @@ def _commit() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def _three_sweeps(fn, arrays, ng, full):
-    """The three ``hydro.sweep`` calls of one ``PPMSolver`` step (order x,
-    y, z) on ``(rho, vx, vy, vz, e_tot, e_int)``, with the solver's pencil
-    boxes or (``full``) every pencil; returns fluxes and counts."""
-    out = []
-    order = [0, 1, 2]
-    for axis, pencils in zip(order, pencil_boxes(arrays[0].shape, ng, order,
-                                                 full)):
-        q = [arrays[0], arrays[1 + axis],
-             *(arrays[1 + d] for d in range(3) if d != axis), *arrays[4:]]
-        fluxes, counts = fn(q, axis, ng, pencils, 0.05, 0.4, 5.0 / 3.0,
-                            "ppm+flatten", "hllc", 1e-12, 1e-30)
-        out += [*fluxes, counts]
-    return out
-
-
-def sweep_rows(config: dict, backend: str) -> dict:
-    """The three sweeps of one step on one grid, NumPy reference vs.
-    compiled with the solver's pencil boxes, and compiled with every
-    pencil swept, per interior cell."""
+def step_rows(config: dict, backend: str) -> dict:
+    """One step of one grid (kicked and dragged), NumPy reference vs.
+    compiled with the solver's pencil boxes, and compiled with every pencil
+    swept (``full_update``), per interior cell."""
     ng = 3
-    compiled = dispatch._impls[(backend, "hydro.sweep")]
+    compiled = dispatch._impls[(backend, "hydro.step")]
     rows = []
-    for interior in config["sweep_interiors"]:
+    for interior in config["step_interiors"]:
         rng = np.random.default_rng(interior)
         shape = (interior + 2 * ng,) * 3
         rho = rng.random(shape) + 0.3
         vel = [0.3 * rng.standard_normal(shape) for _ in range(3)]
         e_int = rng.random(shape) + 0.2
         start = [rho, *vel, e_int + 0.5 * sum(v * v for v in vel), e_int]
+        accel = 0.01 * rng.standard_normal((3, *shape))
         row = {"interior": interior}
         outputs = {}
-        for name, fn, full in (("numpy", sweep_numpy, False),
+        for name, fn, full in (("numpy", step_numpy, False),
                                (backend, compiled, False),
                                (f"{backend}_full_box", compiled, True)):
             best = np.inf
             for _ in range(config["repeats"] * 2):
                 arrays = [a.copy() for a in start]
                 t0 = time.perf_counter()
-                out = _three_sweeps(fn, arrays, ng, full)
+                blocks, counts = fn(arrays, accel, ng, 1.0, 0.05, 1.0, 0,
+                                    full, 5.0 / 3.0, "ppm+flatten", "hllc",
+                                    1e-12, 1e-30, 1e-3, (0.99, 0.98))
                 best = min(best, time.perf_counter() - t0)
-            outputs[name] = (arrays, out)
+            outputs[name] = (arrays, blocks, counts)
             row[f"{name}_us_per_cell"] = 1e6 * best / interior ** 3
-        (f_r, x_r), (f_c, x_c) = outputs["numpy"], outputs[backend]
-        assert all(np.array_equal(a, b) for a, b in zip(f_r + x_r, f_c + x_c))
+        (f_r, b_r, c_r), (f_c, b_c, c_c) = outputs["numpy"], outputs[backend]
+        assert c_r == c_c
+        assert all(np.array_equal(a, b) for a, b in zip(f_r + b_r, f_c + b_c))
         # the boxes change no flux and no active cell
-        f_f, x_f = outputs[f"{backend}_full_box"]
+        f_f, b_f, _ = outputs[f"{backend}_full_box"]
         inner = (slice(ng, -ng),) * 3
         assert all(np.array_equal(a[inner], b[inner])
                    for a, b in zip(f_c, f_f))
-        assert all(np.array_equal(a, b) for a, b in zip(x_c, x_f)
-                   if isinstance(a, np.ndarray))
+        assert all(np.array_equal(a, b) for a, b in zip(b_c, b_f))
         row["speedup"] = (row["numpy_us_per_cell"]
                           / row[f"{backend}_us_per_cell"])
         row["box_saving"] = (row[f"{backend}_full_box_us_per_cell"]
@@ -188,8 +178,7 @@ def sweep_rows(config: dict, backend: str) -> dict:
         rows.append(row)
     return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
             "commit": _commit(), "scheme": "ppm+flatten / hllc",
-            "unit": "us per interior cell per step (three sweeps)",
-            "rows": rows}
+            "unit": "us per interior cell per step", "rows": rows}
 
 
 # ----------------------------------------------------------- fused chemistry
@@ -249,35 +238,39 @@ def chem_step_rows(config: dict, backend: str) -> dict:
             "rows": rows}
 
 
-# ---------------------------------------------------------------- V-cycle
-def vcycle_rows(config: dict, backend: str) -> dict:
-    """One V-cycle of one subgrid at the solver's defaults, NumPy reference
-    vs. compiled."""
-    compiled = dispatch._impls[(backend, "mg.vcycle")]
+# ------------------------------------------------------------ multigrid
+def solve_rows(config: dict, backend: str) -> dict:
+    """One multigrid solve of one subgrid at the hierarchy's settings
+    (tolerance 1e-6, the solver's sweeps and budget) from a zero guess
+    inside a random rim, NumPy reference vs. compiled."""
+    compiled = dispatch._impls[(backend, "mg.solve")]
     mg = MultigridSolver()
     rows = []
-    for shape in config["vcycle_shapes"]:
+    for shape in config["solve_shapes"]:
         rng = np.random.default_rng(sum(shape))
         source = rng.standard_normal(shape)
         start = rng.standard_normal(tuple(n + 2 for n in shape))
+        start[1:-1, 1:-1, 1:-1] = 0.0
         row = {"interior": list(shape)}
         outputs = {}
-        for name, fn in (("numpy", vcycle_numpy), (backend, compiled)):
+        for name, fn in (("numpy", solve_numpy), (backend, compiled)):
             best = np.inf
-            for _ in range(config["repeats"] * 10):
-                phi, residual = start.copy(), np.empty(shape)
+            for _ in range(config["repeats"] * 3):
+                phi = start.copy()
                 t0 = time.perf_counter()
-                fn(phi, source, 0.1, mg.pre, mg.post, mg.min_size, residual)
+                out = fn(phi, source, 0.1, mg.pre, mg.post, mg.min_size,
+                         1e-6, mg.max_cycles, False, False)
                 best = min(best, time.perf_counter() - t0)
-            outputs[name] = (phi, residual)
-            row[f"{name}_us_per_vcycle"] = 1e6 * best
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(outputs["numpy"], outputs[backend]))
-        row["speedup"] = (row["numpy_us_per_vcycle"]
-                          / row[f"{backend}_us_per_vcycle"])
+            outputs[name] = (phi, out)
+            row[f"{name}_us_per_solve"] = 1e6 * best
+        (p_r, o_r), (p_c, o_c) = outputs["numpy"], outputs[backend]
+        assert o_r == o_c and np.array_equal(p_r, p_c)
+        row["vcycles"] = o_c[0]
+        row["speedup"] = (row["numpy_us_per_solve"]
+                          / row[f"{backend}_us_per_solve"])
         rows.append(row)
     return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
-            "commit": _commit(), "unit": "us per V-cycle", "rows": rows}
+            "commit": _commit(), "unit": "us per solve", "rows": rows}
 
 
 # ------------------------------------------------- coarse-fine bookkeeping
@@ -351,7 +344,7 @@ def _fill(fn, args, timed=False):
 
 
 def bookkeeping_rows(config: dict, backend: str) -> dict:
-    """One call of each coarse-fine bookkeeping kernel, NumPy reference vs.
+    """One call of each per-grid bookkeeping kernel, NumPy reference vs.
     compiled, parity-asserted on the bench inputs (a level fill writes
     every cell it fills whatever they held, so one set of arrays serves
     both tiers)."""
@@ -363,6 +356,7 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
     offsets = rng.random((n_part, 3))
     masses = rng.random(n_part) + 0.5
     field3 = rng.standard_normal((3, 22, 22, 22))
+    phi = rng.standard_normal((14, 14, 14))
     dx = 1.0 / 16
 
     def flux(fn, out=None):
@@ -394,6 +388,8 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
         "fill.level (rebuild)": (
             lambda fn, timed=False: _fill(fn, rebuild, timed),
             fill_level_numpy),
+        "gravity.accel": (
+            lambda fn, timed=False: fn(phi, dx, 1.3), accel_numpy),
     }
     rows = []
     for label, (call, ref) in cases.items():
@@ -468,9 +464,9 @@ def run(config: dict) -> dict:
     try:
         return {
             "compiled_backend": backend,
-            "hydro.sweep": sweep_rows(config, backend),
+            "hydro.step": step_rows(config, backend),
             "chem.step": chem_step_rows(config, backend),
-            "mg.vcycle": vcycle_rows(config, backend),
+            "mg.solve": solve_rows(config, backend),
             "bookkeeping": bookkeeping_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
@@ -479,14 +475,14 @@ def run(config: dict) -> dict:
         dispatch.set_backend("numpy", env=False)
 
 
-SMOKE = {"n_cells_chem": 16384, "repeats": 2, "sweep_interiors": (8, 16, 32),
+SMOKE = {"n_cells_chem": 16384, "repeats": 2, "step_interiors": (8, 16, 32),
          "chem_cells": (512, 10648, 54872),
-         "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
+         "solve_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
          "flux_children": 8, "particles": 4096,
          "n_root": 8, "max_level": 1, "with_chemistry": False, "steps": 10}
-FULL = {"n_cells_chem": 65536, "repeats": 5, "sweep_interiors": (8, 16, 32),
+FULL = {"n_cells_chem": 65536, "repeats": 5, "step_interiors": (8, 16, 32),
         "chem_cells": (512, 10648, 54872),
-        "vcycle_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
+        "solve_shapes": ((4, 4, 4), (8, 8, 8), (16, 26, 26)),
         "flux_children": 8, "particles": 4096,
         "n_root": 8, "max_level": 2, "with_chemistry": True, "steps": 20}
 
@@ -521,25 +517,25 @@ def test_kernels_smoke():
     results = run(SMOKE)
     if results["compiled_backend"] is None:
         pytest.skip("no compiled backend available")
-    # the fused sweep is parity-checked inside sweep_rows; one compiled
+    # the fused step is parity-checked inside step_rows; one compiled
     # call must beat the NumPy body even on the smallest grid, and the
     # solver's pencil boxes (372 of 588 pencils at 8^3) must beat the
     # full box
-    assert results["hydro.sweep"]["rows"][0]["interior"] == 8
-    assert results["hydro.sweep"]["rows"][0]["speedup"] > 1.0, \
-        results["hydro.sweep"]
-    assert results["hydro.sweep"]["rows"][0]["box_saving"] > 1.0, \
-        results["hydro.sweep"]
+    assert results["hydro.step"]["rows"][0]["interior"] == 8
+    assert results["hydro.step"]["rows"][0]["speedup"] > 1.0, \
+        results["hydro.step"]
+    assert results["hydro.step"]["rows"][0]["box_saving"] > 1.0, \
+        results["hydro.step"]
     # likewise chem.step (parity-checked inside chem_step_rows)
     assert results["chem.step"]["rows"][0]["cells"] == 512
     assert all(r["speedup"] > 1.0 for r in results["chem.step"]["rows"]), \
         results["chem.step"]
-    # and mg.vcycle (parity-checked inside vcycle_rows), at 8^3
-    assert results["mg.vcycle"]["rows"][1]["interior"] == [8, 8, 8]
-    assert results["mg.vcycle"]["rows"][1]["speedup"] > 1.0, \
-        results["mg.vcycle"]
-    # and the coarse-fine bookkeeping (parity-checked inside
-    # bookkeeping_rows)
+    # and mg.solve (parity-checked inside solve_rows), at 8^3
+    assert results["mg.solve"]["rows"][1]["interior"] == [8, 8, 8]
+    assert results["mg.solve"]["rows"][1]["speedup"] > 1.0, \
+        results["mg.solve"]
+    # and the per-grid bookkeeping, gravity.accel included (parity-checked
+    # inside bookkeeping_rows)
     assert all(r["speedup"] > 1.0 for r in results["bookkeeping"]["rows"]), \
         results["bookkeeping"]
     # and the chem.blend table pass (parity-checked inside micro)

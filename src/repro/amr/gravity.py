@@ -190,15 +190,13 @@ class HierarchyGravity:
 
     # --------------------------------------------------------- acceleration
     def acceleration(self, grid, a: float = 1.0) -> np.ndarray:
-        """g = -grad(phi)/a on the full (ghost-padded) array.
+        """g = -grad(phi)/a on the full (ghost-padded) array: one
+        ``gravity.accel`` kernel call.
 
         Central differences; the outermost ghost layer is one-sided.  Only
         interior values feed the dynamics (ghosts are refreshed each step).
         """
-        g = np.empty((3,) + grid.phi.shape)
-        for axis in range(3):
-            g[axis] = -np.gradient(grid.phi, grid.dx, axis=axis) / a
-        return g
+        return kernels.get("gravity.accel")(grid.phi, grid.dx, a)
 
     def particle_accelerations(self, grid, accel_full: np.ndarray,
                                positions_hi, positions_lo) -> np.ndarray:
@@ -206,6 +204,15 @@ class HierarchyGravity:
         ng = grid.nghost
         offsets = (positions_hi + positions_lo) - grid.left_edge + ng * grid.dx
         return cic_gather(accel_full, offsets, grid.dx, periodic=False)
+
+
+def accel_numpy(phi: np.ndarray, dx: float, a: float) -> np.ndarray:
+    """NumPy reference of the ``gravity.accel`` kernel: ``-np.gradient(phi,
+    dx, axis=k) / a`` for each axis k, as a (3, *phi.shape) array."""
+    g = np.empty((3,) + phi.shape)
+    for axis in range(3):
+        g[axis] = -np.gradient(phi, dx, axis=axis) / a
+    return g
 
 
 def parent_boundaries(topo) -> list[np.ndarray]:

@@ -9,10 +9,10 @@ restriction and trilinear prolongation.  The solution array carries a
 one-cell Dirichlet rim holding the boundary values interpolated from the
 parent grid (and corrected by sibling exchange at the AMR layer).
 
-One V-cycle is one call of the ``mg.vcycle`` kernel (:func:`vcycle_numpy`
-is its NumPy reference; the compiled tier runs the same arithmetic as one
-C loop nest); the convergence loop and its two L2 norms are
-:meth:`MultigridSolver.solve`, in NumPy on every tier.
+One solve — V-cycles until the residual norm meets the tolerance — is one
+call of the ``mg.solve`` kernel (:func:`solve_numpy` is its NumPy
+reference; the compiled tier runs the same arithmetic, the norms' pairwise
+summation order included, as one C loop nest).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _scratch_pair(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
 def redblack_smooth_numpy(phi: np.ndarray, source: np.ndarray, dx: float,
                           sweeps: int) -> None:
     """Red-black Gauss-Seidel on the interior of a rim-padded array, in
-    place: the smoother of :func:`vcycle_numpy`.
+    place: the smoother of :func:`_vcycle`.
 
     The update arithmetic is kept bitwise identical to the naive
     expression ``((((phi_E + phi_W) + phi_N) + phi_S) + ...  - h2*source)
@@ -217,25 +217,42 @@ def _vcycle(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
     redblack_smooth_numpy(phi, source, dx, post)
 
 
-def vcycle_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
-                 post: int, min_size: int, residual: np.ndarray) -> None:
-    """NumPy reference of the ``mg.vcycle`` kernel.
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt((x**2).mean()))
 
-    One V-cycle in place on the rim-padded ``phi``: ``pre`` smoothing
-    sweeps, residual, 2x2x2 restriction, the same cycle on the coarse
-    error equation (zero initial guess and rim, spacing ``2 dx``),
-    trilinear prolongation, correction and ``post`` sweeps.  A level with
-    an odd extent or none above ``min_size`` is smoothed ``pre + post +
-    10`` sweeps instead.  The post-cycle residual ``source - del^2 phi``
-    is left in ``residual`` (shape of ``source``), for the caller's
-    convergence test.
+
+def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
+                post: int, min_size: int, tol: float, budget: int,
+                strict: bool, force_diverge: bool):
+    """NumPy reference of the ``mg.solve`` kernel.
+
+    V-cycles in place on the rim-padded ``phi`` — ``pre`` smoothing sweeps,
+    residual, 2x2x2 restriction, the same cycle on the coarse error
+    equation (zero initial guess and rim, spacing ``2 dx``), trilinear
+    prolongation, correction and ``post`` sweeps; a level with an odd
+    extent or none above ``min_size`` is smoothed ``pre + post + 10``
+    sweeps instead — until ``rms(source - del^2 phi) <= tol *
+    rms(source)`` (an ``rms(source)`` of 0 counts as 1), ``budget``
+    cycles ran, or (``strict``) the residual is not finite.
+    ``force_diverge`` never reports convergence.  Returns ``(cycles,
+    relative_residual, converged)``.
     """
-    if (phi.shape != tuple(s + 2 for s in source.shape)
-            or residual.shape != source.shape):
-        raise ValueError("mg.vcycle: phi must pad source by one cell per "
-                         "side and residual match it")
-    _vcycle(phi, source, dx, pre, post, min_size)
-    _residual(phi, source, dx, out=residual)
+    if phi.shape != tuple(s + 2 for s in source.shape):
+        raise ValueError("mg.solve: phi must pad source by one cell per "
+                         "side")
+    if budget < 1:
+        raise ValueError(f"mg.solve: a budget of {budget} V-cycles runs "
+                         f"none")
+    norm = _rms(source) or 1.0
+    residual = np.empty(source.shape)
+    for cycle in range(1, budget + 1):
+        _vcycle(phi, source, dx, pre, post, min_size)
+        res = _rms(_residual(phi, source, dx, out=residual))
+        if res <= tol * norm and not force_diverge:
+            return cycle, res / norm, True
+        if strict and not np.isfinite(res):
+            break  # NaN/Inf never converges; fail fast, don't burn budget
+    return cycle, res / norm, False
 
 
 class MultigridSolver:
@@ -284,39 +301,27 @@ class MultigridSolver:
         ``strict``/``max_cycles`` override the instance defaults for this
         call; ``site`` labels any raised error (e.g. ``(level, grid_id)``);
         ``force_diverge`` is the fault-injection hook — the cycles run but
-        convergence is reported as never reached.
+        convergence is reported as never reached.  A budget below one
+        V-cycle is a ValueError.
         """
         if boundary.shape != tuple(s + 2 for s in source.shape):
             raise ValueError("boundary must pad source by one cell per side")
         strict = self.strict if strict is None else bool(strict)
         budget = self.max_cycles if max_cycles is None else int(max_cycles)
         phi = np.array(boundary, dtype=float, order="C")
-        norm = float(np.sqrt((source**2).mean())) or 1.0
-        residual = np.empty(source.shape)
-        converged = False
-        for cycle in range(1, budget + 1):
-            self._vcycle(phi, source, dx, residual)
-            res = float(np.sqrt((residual**2).mean()))
-            self.last_cycles = cycle
-            self.last_residual = res / norm
-            if res <= self.tol * norm and not force_diverge:
-                converged = True
-                break
-            if strict and not np.isfinite(res):
-                break  # NaN/Inf never converges; fail fast, don't burn budget
+        cycles, residual, converged = kernels.get("mg.solve")(
+            phi, source, dx, self.pre, self.post, self.min_size, self.tol,
+            budget, strict, force_diverge)
+        self.last_cycles = cycles
+        self.last_residual = residual
         self.last_diagnostics = MultigridDiagnostics(
-            cycles=self.last_cycles, budget=budget,
-            residual=self.last_residual, tol=self.tol, converged=converged,
+            cycles=cycles, budget=budget, residual=residual, tol=self.tol,
+            converged=converged,
         )
         if strict and not converged:
             raise MultigridConvergenceError(self.last_diagnostics, phi,
                                             site=site)
         return phi
-
-    def _vcycle(self, phi: np.ndarray, source: np.ndarray, dx: float,
-                residual: np.ndarray) -> None:
-        kernels.get("mg.vcycle")(phi, source, dx, self.pre, self.post,
-                                 self.min_size, residual)
 
 
 def solve_dirichlet(source: np.ndarray, dx: float, boundary: np.ndarray,

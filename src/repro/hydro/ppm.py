@@ -28,7 +28,7 @@ from repro.hydro.reconstruction import (
     ppm_reconstruct,
     shock_flattening,
 )
-from repro.hydro.sources import apply_acceleration, apply_expansion_drag
+from repro.hydro.sources import apply_acceleration, apply_drag, expansion_factors
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, sync_internal_from_total
 from repro.hydro.tracing import trace_states_numpy
 
@@ -66,6 +66,9 @@ class StepFluxes:
 FLOOR_COUNTS = ("face_density_floor", "face_pressure_floor", "density_floor",
                 "internal_floor", "energy_floor")
 
+#: the first six arrays of a ``hydro.step`` call, in order
+STEP_FIELDS = ("density", "vx", "vy", "vz", "energy", "internal")
+
 _RECONSTRUCT = {"ppm": ppm_reconstruct, "ppm+flatten": ppm_reconstruct,
                 "plm": plm_reconstruct, "flat": flat_reconstruct}
 _RIEMANN = {"hllc": riemann.hllc_flux, "hll": riemann.hll_flux,
@@ -89,7 +92,9 @@ def contact_speed(states_l, states_r, gamma):
 
 
 def pencil_boxes(shape, ng, order, full=False):
-    """The ``pencils`` argument of each ``hydro.sweep`` of one step.
+    """The pencils each sweep of one step updates, as ``(a_lo, a_hi, b_lo,
+    b_hi)``: index ranges of the two axes transverse to the sweep, in
+    ascending axis order.
 
     ``order`` is the step's sweep order.  A sweep covers a transverse axis
     that a later sweep of the step still sweeps in full, because that
@@ -110,49 +115,34 @@ def pencil_boxes(shape, ng, order, full=False):
     return boxes
 
 
-def check_pencils(shape, axis, ng, pencils):
-    """``pencils`` as ``((a_lo, a_hi), (b_lo, b_hi))`` over the two axes
-    transverse to ``axis`` (ascending), or ValueError: each range must lie
-    in the array and cover the interior ``[ng, n - ng)``, whose fluxes the
-    sweep must write."""
-    lo_a, hi_a, lo_b, hi_b = (int(p) for p in pencils)
-    ranges = ((lo_a, hi_a), (lo_b, hi_b))
-    transverse = [n for d, n in enumerate(shape) if d != axis]
-    for (lo, hi), n in zip(ranges, transverse):
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"hydro.sweep: pencil range [{lo}, {hi}) "
-                             f"outside the array [0, {n})")
-        if lo > ng or hi < n - ng:
-            raise ValueError(f"hydro.sweep: pencil range [{lo}, {hi}) "
-                             f"leaves interior pencils [{ng}, {n - ng}) "
-                             f"unwritten")
-    return ranges
-
-
-def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
-                riemann_solver, density_floor, energy_floor):
-    """NumPy reference of the ``hydro.sweep`` kernel.
-
-    ``arrays`` is ``(density, u, v, w, energy, internal, *advected)`` in
-    the grid's native layout with ``u`` the velocity along ``axis``; the
-    sweep-axis pencils in ``pencils = (a_lo, a_hi, b_lo, b_hi)`` — index
-    ranges of the two transverse axes in ascending axis order, checked by
-    :func:`check_pencils` — are updated in place, nothing else.
-    ``scheme`` is 'trace' (CW84 characteristic tracing), 'ppm+flatten',
-    'ppm', 'plm' or 'flat'; ``dtdx = dt/(a dx)`` and ``flux_scale = dt/a``.
-    Returns ``(fluxes, counts)``: the scaled interior-face fluxes in the
-    order of ``arrays`` (face dimension along ``axis``, interior extents
-    transversally) and the :data:`FLOOR_COUNTS` of the swept pencils.
-
-    Calls the NumPy bodies directly, never the dispatch registry, so a
-    sweep counts as one kernel call on every tier.
-    """
+def check_scheme(scheme, riemann_solver):
+    """ValueError unless ``scheme`` and ``riemann_solver`` name a
+    reconstruction and a Riemann solver of :func:`sweep_numpy`."""
     if scheme != "trace" and scheme not in _RECONSTRUCT:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in _RIEMANN:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+
+
+def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
+                riemann_solver, density_floor, energy_floor):
+    """One directional sweep of :func:`step_numpy`.
+
+    ``arrays`` is ``(density, u, v, w, energy, internal, *advected)`` in
+    the grid's native layout with ``u`` the velocity along ``axis``; the
+    sweep-axis pencils in ``pencils`` (one box of :func:`pencil_boxes`)
+    are updated in place, nothing else.  ``scheme`` is 'trace' (CW84
+    characteristic tracing), 'ppm+flatten', 'ppm', 'plm' or 'flat';
+    ``dtdx = dt/(a dx)`` and ``flux_scale = dt/a``.  Returns ``(fluxes,
+    counts)``: the scaled interior-face fluxes in the order of ``arrays``
+    (face dimension along ``axis``, interior extents transversally) and
+    the :data:`FLOOR_COUNTS` of the swept pencils.
+
+    Calls the NumPy bodies directly, never the dispatch registry.
+    """
+    check_scheme(scheme, riemann_solver)
     shape = arrays[0].shape
-    (a_lo, a_hi), (b_lo, b_hi) = check_pencils(shape, axis, ng, pencils)
+    a_lo, a_hi, b_lo, b_hi = pencils
     box = (slice(None), slice(a_lo, a_hi), slice(b_lo, b_hi))
 
     def fwd(arr):
@@ -271,6 +261,72 @@ def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
                     internal_count, energy_count)
 
 
+def swept_names(axis, advected=()):
+    """The fields of a sweep along ``axis`` in the order it takes them (and
+    returns their fluxes): the sweep-axis velocity second, the transverse
+    ones after it in ascending axis order."""
+    u_name = VELOCITY_FIELDS[axis]
+    return ("density", u_name, *(n for n in VELOCITY_FIELDS if n != u_name),
+            "energy", "internal", *advected)
+
+
+def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
+               scheme, riemann_solver, density_floor, energy_floor, eta,
+               drag):
+    """NumPy reference of the ``hydro.step`` kernel: one
+    :meth:`PPMSolver.step` of one grid.
+
+    ``arrays`` is ``(density, vx, vy, vz, energy, internal, *advected)``
+    in the grid's native layout, updated in place; ``accel`` None or the
+    (3, ...) peculiar acceleration; ``drag`` None or the
+    :func:`~repro.hydro.sources.expansion_factors` of the step.  In order:
+    the first half kick on every cell, the three sweeps in order
+    ``(permute + k) % 3`` over their :func:`pencil_boxes`, then on the
+    active zone (every cell when ``full_update``) the second half kick,
+    the expansion drag, the dual-energy sync (``eta``, ``energy_floor``)
+    and the internal-energy floor.  Returns ``(blocks, counts)``: one
+    ``(len(arrays), *face_shape)`` block of dt/a-integrated interior-face
+    fluxes per sweep, rows in :func:`swept_names` order, and 16 counts —
+    the :data:`FLOOR_COUNTS` of each sweep, then the cells the final
+    internal-energy floor changed.
+    """
+    check_scheme(scheme, riemann_solver)
+    fields = FieldSet(zip(STEP_FIELDS, arrays))
+    advected = list(arrays[6:])
+    # half gravity kick - sweeps - half kick is handled by the caller
+    # when gravity is active mid-step; a full kick here keeps the
+    # standalone solver second-order for static potentials.  The first
+    # half kick covers every cell: the first sweep reads them.
+    if accel is not None:
+        apply_acceleration(fields, accel, 0.5 * dt)
+
+    order = [(permute + k) % 3 for k in range(3)]
+    blocks, counts = [], []
+    for axis, pencils in zip(order, pencil_boxes(fields.shape, ng, order,
+                                                 full_update)):
+        swept = [fields[name] for name in swept_names(axis)] + advected
+        fluxes, floor_counts = sweep_numpy(
+            swept, axis, ng, pencils, dt / (a * dx), dt / a, gamma, scheme,
+            riemann_solver, density_floor, energy_floor)
+        blocks.append(np.stack(fluxes))
+        counts += floor_counts
+
+    # the rest of the step is cell-local: the active zone suffices
+    tail = fields
+    if not full_update:
+        interior = tuple(slice(ng, n - ng) for n in fields.shape)
+        tail = fields.view(interior)
+        if accel is not None:
+            accel = accel[(slice(None),) + interior]
+    if accel is not None:
+        apply_acceleration(tail, accel, 0.5 * dt)
+    if drag is not None:
+        apply_drag(tail, drag)
+    sync_internal_from_total(tail, eta, energy_floor)
+    counts.append(internal_energy_floor(tail, energy_floor))
+    return blocks, tuple(counts)
+
+
 class PPMSolver:
     """PPM/HLLC gas dynamics in comoving coordinates.
 
@@ -317,6 +373,15 @@ class PPMSolver:
         #: is the more robust choice in the deep-collapse regime
         self.characteristic_tracing = characteristic_tracing
 
+    @property
+    def scheme(self) -> str:
+        """The face-state scheme of ``hydro.step``."""
+        if self.reconstruction == "ppm" and self.characteristic_tracing:
+            return "trace"
+        if self.reconstruction == "ppm" and self.flattening:
+            return "ppm+flatten"
+        return self.reconstruction
+
     # ------------------------------------------------------------------ API
     def step(
         self,
@@ -329,7 +394,7 @@ class PPMSolver:
         permute: int = 0,
         full_update: bool = False,
     ) -> StepFluxes:
-        """Advance the gas by dt.
+        """Advance the gas by dt: one ``hydro.step`` kernel call.
 
         ``dx`` is the comoving cell width in code units; ``a``/``adot``
         the mid-step scale factor and its derivative; ``accel`` an optional
@@ -343,57 +408,22 @@ class PPMSolver:
         stencils reach, for a caller that steps again without a boundary
         fill in between.
         """
+        advected = tuple(fields.advected)
+        blocks, counts = kernels.get("hydro.step")(
+            [fields[name] for name in STEP_FIELDS + advected], accel,
+            self.nghost, dx, dt, a, permute, full_update, self.gamma,
+            self.scheme, self.riemann_solver, self.density_floor,
+            self.energy_floor, self.dual_energy_eta,
+            # exp stays NumPy on every tier
+            expansion_factors(a, adot, dt, self.gamma),
+        )
         out = StepFluxes()
-        # half gravity kick - sweeps - half kick is handled by the caller
-        # when gravity is active mid-step; a full kick here keeps the
-        # standalone solver second-order for static potentials.  The
-        # first half kick covers every cell: the first sweep reads them.
-        if accel is not None:
-            apply_acceleration(fields, accel, 0.5 * dt)
-
-        order = [(permute + k) % 3 for k in range(3)]
-        boxes = pencil_boxes(fields.shape, self.nghost, order, full_update)
-        for axis, pencils in zip(order, boxes):
-            fluxes, floor_counts = self._sweep(fields, axis, pencils, dx, dt,
-                                               a)
-            out.fluxes[AXIS_NAMES[axis]] = fluxes
-            out.add_diagnostics(floor_counts)
-
-        # the rest of the step is cell-local: the active zone suffices
-        tail = fields
-        if not full_update:
-            interior = tuple(slice(self.nghost, n - self.nghost)
-                             for n in fields.shape)
-            tail = fields.view(interior)
-            if accel is not None:
-                accel = accel[(slice(None),) + interior]
-        if accel is not None:
-            apply_acceleration(tail, accel, 0.5 * dt)
-
-        apply_expansion_drag(tail, a, adot, dt, self.gamma)
-        sync_internal_from_total(tail, self.dual_energy_eta, self.energy_floor)
-        out.add_diagnostics(
-            {"internal_floor": internal_energy_floor(tail, self.energy_floor)}
-        )
+        for k, block in enumerate(blocks):
+            axis = (permute + k) % 3
+            out.fluxes[AXIS_NAMES[axis]] = dict(zip(swept_names(axis,
+                                                                advected),
+                                                    block))
+            out.add_diagnostics(dict(zip(FLOOR_COUNTS,
+                                         counts[5 * k:5 * k + 5])))
+        out.add_diagnostics({"internal_floor": counts[15]})
         return out
-
-    # ------------------------------------------------------------- internals
-    def _sweep(self, fields: FieldSet, axis: int, pencils, dx: float,
-               dt: float, a: float):
-        """One directional sweep of the ``pencils`` box; returns
-        dt/a-integrated interior-face fluxes."""
-        u_name = VELOCITY_FIELDS[axis]
-        t_names = [n for n in VELOCITY_FIELDS if n != u_name]
-        names = ["density", u_name, *t_names, "energy", "internal",
-                 *fields.advected]
-        scheme = self.reconstruction
-        if scheme == "ppm" and self.characteristic_tracing:
-            scheme = "trace"
-        elif scheme == "ppm" and self.flattening:
-            scheme = "ppm+flatten"
-        fluxes, counts = kernels.get("hydro.sweep")(
-            [fields[name] for name in names], axis, self.nghost, pencils,
-            dt / (a * dx), dt / a, self.gamma, scheme, self.riemann_solver,
-            self.density_floor, self.energy_floor,
-        )
-        return dict(zip(names, fluxes)), dict(zip(FLOOR_COUNTS, counts))

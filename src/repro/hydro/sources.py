@@ -20,18 +20,32 @@ from repro import constants as const
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, total_energy
 
 
-def apply_expansion_drag(fields: FieldSet, a: float, adot: float, dt: float,
-                         gamma: float = const.GAMMA) -> None:
-    """Apply the exact exponential expansion factors over one step."""
+def expansion_factors(a: float, adot: float, dt: float,
+                      gamma: float = const.GAMMA):
+    """The exact exponential expansion factors of one step — ``(velocity,
+    internal energy)`` — or None when the box does not expand."""
     if adot == 0.0:
-        return
+        return None
     h = adot / a
-    v_factor = np.exp(-h * dt)
-    e_factor = np.exp(-3.0 * (gamma - 1.0) * h * dt)
+    return np.exp(-h * dt), np.exp(-3.0 * (gamma - 1.0) * h * dt)
+
+
+def apply_drag(fields: FieldSet, drag) -> None:
+    """Scale the velocities and internal energy by the ``drag`` factors of
+    :func:`expansion_factors` and rebuild the total energy."""
+    v_factor, e_factor = drag
     for name in VELOCITY_FIELDS:
         fields[name] *= v_factor
     fields["internal"] *= e_factor
     fields["energy"][...] = total_energy(fields)
+
+
+def apply_expansion_drag(fields: FieldSet, a: float, adot: float, dt: float,
+                         gamma: float = const.GAMMA) -> None:
+    """Apply the exact exponential expansion factors over one step."""
+    drag = expansion_factors(a, adot, dt, gamma)
+    if drag is not None:
+        apply_drag(fields, drag)
 
 
 def apply_acceleration(fields: FieldSet, accel, dt: float) -> None:

@@ -19,11 +19,13 @@ registered kernel, same signature as its NumPy reference) validate shapes
 and index ranges, make inputs contiguous, allocate outputs and scratch, and
 copy non-contiguous in-place targets in and back:
 
-* ``hydro.sweep``     ``fn(arrays, axis, ng, pencils, dtdx, flux_scale, gamma,
-  scheme, riemann_solver, density_floor, energy_floor) -> (fluxes,
-  counts)`` — one directional sweep of one grid, updating the ``pencils``
-  box of ``arrays`` in place; its Riemann, reconstruction and tracing
-  bodies are static C functions only ``rk_sweep`` calls
+* ``hydro.step``      ``fn(arrays, accel, ng, dx, dt, a, permute, full_update,
+  gamma, scheme, riemann_solver, density_floor, energy_floor, eta, drag)
+  -> (blocks, counts)`` — one PPM step of one grid in place: half kick,
+  three sweeps over the pencil boxes ``rk_step`` derives itself, half
+  kick, drag, dual-energy sync and energy floor; its sweep and the
+  Riemann, reconstruction and tracing bodies are static C functions only
+  ``rk_step`` calls
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
@@ -32,9 +34,12 @@ copy non-contiguous in-place targets in and back:
 * ``fill.level``      ``fn(targets, parents, sources, fill, copies, r,
   positive)`` — fills a level's target arrays in place: copies from
   same-level interiors, prolongation from the parents everywhere else
-* ``mg.vcycle``       ``fn(phi, source, dx, pre, post, min_size, residual)`` —
-  one multigrid V-cycle on the rim-padded ``phi`` in place; the post-cycle
-  residual is left in ``residual``
+* ``mg.solve``        ``fn(phi, source, dx, pre, post, min_size, tol, budget,
+  strict, force_diverge) -> (cycles, relative_residual, converged)`` —
+  multigrid V-cycles on the rim-padded ``phi`` in place until the
+  residual norm meets the tolerance or the budget runs out
+* ``gravity.accel``   ``fn(phi, dx, a) -> (3, *phi.shape)`` — ``-grad(phi)/a``
+  with ``np.gradient``'s central and one-sided edge differences
 * ``flux.correct``    ``fn(fields, names, ng, dx, periodic, coarse, r,
   children)`` — the coarse-fine flux correction of one parent for all its
   children, in place on ``fields``
@@ -47,7 +52,8 @@ Bitwise parity with the NumPy reference is a hard requirement
 pedantic):
 
 * op order and association match the NumPy expressions exactly —
-  e.g. ``0.5 * (u_l - A + u_r + B)`` stays left-associated;
+  e.g. ``0.5 * (u_l - A + u_r + B)`` stays left-associated, and a
+  whole-array ``mean`` is summed in NumPy's pairwise order (``mg_sum_sq``);
 * ``nmax``/``nmin`` replicate ``np.maximum``/``np.minimum`` NaN
   propagation; a bare ``a > b ? a : b`` would not;
 * every ``np.where(cond, a, b)`` becomes a branch whose *condition*
@@ -93,7 +99,7 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import AXIS_NAMES, check_pencils
+from repro.hydro.ppm import AXIS_NAMES
 from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
@@ -112,15 +118,19 @@ long rk_fill_level(long nf, long r, const int *positives, long n_t,
     const double **news, const double **olds, const int64_t *p_geom,
     const double **srcs, const int64_t *s_geom, long n_fill,
     const int64_t *fill, long n_copy, const int64_t *copies);
-long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size);
-void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
+double rk_rms(long n, const double *x);
+long rk_mg_work(long nx, long ny, long nz, long min_size);
+int rk_mg_solve(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
-    double *residual, double *work);
-void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
-    long ng, long a_lo, long a_hi, long b_lo, long b_hi, double dtdx,
-    double fscale, double gamma, long scheme, long solver, double dfloor,
-    double efloor, double **flux, int64_t *counts, double *work, long mb,
-    int64_t *cols);
+    double tol, long budget, int strict, int force_diverge, double *work,
+    double *out);
+void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
+    double dx, double a, double *out);
+void rk_step(long nq, double **q, const double *accel, long n0, long n1,
+    long n2, long ng, double dx, double dt, double a, long permute,
+    int full_update, double gamma, long scheme, long solver, double dfloor,
+    double efloor, double eta, const double *drag, double **flux,
+    int64_t *counts, double *work, long mb, int64_t *cols);
 void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
     long n2, long ng, double dx, const int *periodic, const double **coarse,
     long n_children, const int64_t *regions, const double **blocks,
@@ -191,6 +201,20 @@ static double nmin(double a, double b) {
     if (a != a) return a;
     if (b != b) return b;
     return a < b ? a : b;
+}
+
+/* state.sync_internal_from_total on cell c; q holds density, vx, vy, vz,
+   energy (and more), ie the internal energy */
+static inline void dual_sync(long c, double **q, double *ie, double eta,
+    double floor)
+{
+    double vx = q[1][c], vy = q[2][c], vz = q[3][c], e = q[4][c];
+    double ke = 0.5 * (vx * vx + vy * vy + vz * vz);
+    double from_total = e - ke;
+    double eint = from_total > eta * e ? nmax(from_total, floor)
+                                       : nmax(ie[c], floor);
+    ie[c] = eint;
+    q[4][c] = eint + ke;
 }
 
 /* np.where(a * b > 0, where(|a| < |b|, a, b), 0.0); NaN product -> 0.0 */
@@ -934,8 +958,8 @@ long rk_fill_level(long nf, long r, const int *positives, long n_t,
     return status;
 }
 
-/* ---- multigrid V-cycle on one rim-padded subgrid (reference:
-   gravity/multigrid.py vcycle_numpy) ---- */
+/* ---- multigrid solve of one rim-padded subgrid (reference:
+   gravity/multigrid.py solve_numpy) ---- */
 
 /* Red-black Gauss-Seidel sweeps on the interior of rim-padded phi.
    Same-colour cells are never neighbours, so updating in place equals the
@@ -1073,10 +1097,11 @@ static long mg_level_work(long cx, long cy, long cz)
         + 2 * cx * (cy + 2) * (cz + 2) + 4 * cx * cy * (cz + 2);
 }
 
-/* Scratch of one V-cycle on an (nx, ny, nz) interior: every coarse level. */
-long rk_mg_vcycle_work(long nx, long ny, long nz, long min_size)
+/* Scratch of one solve on an (nx, ny, nz) interior: the top level's
+   residual and every coarse level. */
+long rk_mg_work(long nx, long ny, long nz, long min_size)
 {
-    long need = 0;
+    long need = nx * ny * nz;
     while (mg_coarsens(nx, ny, nz, min_size)) {
         nx /= 2; ny /= 2; nz /= 2;
         need += mg_level_work(nx, ny, nz);
@@ -1108,20 +1133,99 @@ static void mg_cycle(long nx, long ny, long nz, double *phi,
     mg_smooth(nx, ny, nz, phi, source, dx * dx, post);
 }
 
-/* One V-cycle in place on rim-padded phi, the post-cycle residual left in
-   residual (which is also the top level's residual scratch on the way
-   down); work holds rk_mg_vcycle_work(...) doubles. */
-void rk_mg_vcycle(long nx, long ny, long nz, double *phi,
-    const double *source, double dx, long pre, long post, long min_size,
-    double *residual, double *work)
+/* sum of x[i] * x[i] over a contiguous run, in the order NumPy's add
+   reduction sums a contiguous float64 array (pairwise_sum): a plain
+   sequential sum below 8 elements, eight accumulators combined as
+   ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus the tail up to 128, and above
+   that a split at n/2 rounded down to a multiple of 8 */
+static double mg_sum_sq(const double *x, long n)
 {
-    mg_cycle(nx, ny, nz, phi, source, dx, pre, post, min_size, residual,
-             work);
-    mg_residual(nx, ny, nz, phi, source, dx, residual);
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++) res += x[i] * x[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int j = 0; j < 8; j++) r[j] = x[j] * x[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += x[i + j] * x[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+            + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += x[i] * x[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return mg_sum_sq(x, n2) + mg_sum_sq(x + n2, n - n2);
 }
 
-/* ---- fused hydro sweep: one grid, one axis, one call (reference:
-   hydro/ppm.py sweep_numpy).  The driver gathers blocks of sweep-axis
+/* np.sqrt((x**2).mean()) of n contiguous doubles */
+double rk_rms(long n, const double *x)
+{
+    return sqrt(mg_sum_sq(x, n) / (double)n);
+}
+
+/* V-cycles in place on rim-padded phi until rms(residual) <= tol *
+   rms(source) (an rms(source) of 0 counts as 1) and !force_diverge,
+   budget (>= 1) cycles ran, or -- strict -- the residual is not finite.
+   work holds rk_mg_work(...) doubles; out gets the cycles run and the
+   last relative residual.  Returns whether the solve converged. */
+int rk_mg_solve(long nx, long ny, long nz, double *phi,
+    const double *source, double dx, long pre, long post, long min_size,
+    double tol, long budget, int strict, int force_diverge, double *work,
+    double *out)
+{
+    long cells = nx * ny * nz;
+    double *residual = work;
+    double norm = rk_rms(cells, source);
+    if (norm == 0.0) norm = 1.0;
+    for (long cycle = 1; cycle <= budget; cycle++) {
+        mg_cycle(nx, ny, nz, phi, source, dx, pre, post, min_size, residual,
+                 work + cells);
+        mg_residual(nx, ny, nz, phi, source, dx, residual);
+        double res = rk_rms(cells, residual);
+        out[0] = (double)cycle;
+        out[1] = res / norm;
+        if (res <= tol * norm && !force_diverge) return 1;
+        if (strict && !isfinite(res)) break;
+    }
+    return 0;
+}
+
+/* ---- potential gradient of one grid (reference: amr/gravity.py
+   accel_numpy) ---- */
+
+/* out[k] = -np.gradient(phi, dx, axis=k) / a on the (n0, n1, n2) array,
+   every extent >= 2: (f[i+1] - f[i-1]) / (2. * dx) inside, (f[1] - f[0]) /
+   dx and (f[n-1] - f[n-2]) / dx on the edge planes, then (-d) / a */
+void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
+    double dx, double a, double *out)
+{
+    long n[3] = {n0, n1, n2}, cells = n0 * n1 * n2;
+    double two_dx = 2. * dx;
+    for (long ax = 0; ax < 3; ax++) {
+        long m = n[ax], inner = 1;
+        for (long d = ax + 1; d < 3; d++) inner *= n[d];
+        long outer = cells / (m * inner);
+        for (long o = 0; o < outer; o++) {
+            for (long i = 0; i < m; i++) {
+                long base = (o * m + i) * inner;
+                const double *hi = phi + base + (i < m - 1 ? inner : 0);
+                const double *lo = phi + base - (i > 0 ? inner : 0);
+                double h = (i > 0 && i < m - 1) ? two_dx : dx;
+                double *g = out + ax * cells + base;
+                for (long k = 0; k < inner; k++)
+                    g[k] = -((hi[k] - lo[k]) / h) / a;
+            }
+        }
+    }
+}
+
+/* ---- fused hydro step: one grid, one call (reference: hydro/ppm.py
+   step_numpy, whose sweeps are sweep_numpy).  A sweep gathers blocks of
+   sweep-axis
    pencils into scratch, runs the reconstruction / tracing / Riemann bodies
    above on them and adds only the arithmetic that used to be NumPy-only.
    Pencils are independent within a sweep, so the block size never shows
@@ -1191,17 +1295,17 @@ static void contact_speed(long n,
    (rho, u, v, w, e_tot, e_int, *advected) with u the velocity along axis;
    the pencils a_lo <= a < a_hi, b_lo <= b < b_hi of the two transverse
    axes (ascending axis order) are updated in place, and they cover every
-   interior pencil (the contract function checks it), so flux, the
-   matching outputs of shape dims - 2 ng (one more along axis), is filled
-   in full with the fscale-scaled interior-face fluxes; counts the five
-   floor counts (face density, face pressure, density, internal, energy)
-   of the swept pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and
-   cols (2, mb) integer scratch, both owned by this call. */
-void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
-    long ng, long a_lo, long a_hi, long b_lo, long b_hi, double dtdx,
-    double fscale, double gamma, long scheme, long solver, double dfloor,
-    double efloor, double **flux, int64_t *counts, double *work, long mb,
-    int64_t *cols)
+   interior pencil (ppm.pencil_boxes), so flux, nq outputs of shape dims -
+   2 ng (one more along axis) one after another, is filled in full with
+   the fscale-scaled interior-face fluxes; counts the five floor counts
+   (face density, face pressure, density, internal, energy) of the swept
+   pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and cols (2, mb)
+   integer scratch. */
+static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
+    long axis, long ng, long a_lo, long a_hi, long b_lo, long b_hi,
+    double dtdx, double fscale, double gamma, long scheme, long solver,
+    double dfloor, double efloor, double *flux, int64_t *counts,
+    double *work, long mb, int64_t *cols)
 {
     long n, s, na, sa, nb, sb;
     if (axis == 0) { n = n0; s = n1 * n2; na = n1; sa = n2; nb = n2; sb = 1; }
@@ -1210,7 +1314,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
     } else { n = n2; s = 1; na = n0; sa = n1 * n2; nb = n1; sb = n2; }
     /* output strides: interior extents transversally, n - 2 ng + 1 faces */
     long oa = lmax(na - 2 * ng, 0), ob = lmax(nb - 2 * ng, 0);
-    long on = n - 2 * ng + 1;
+    long on = n - 2 * ng + 1, fcells = on * oa * ob;
     long fs, fsa, fsb;
     if (axis == 0) { fs = oa * ob; fsa = ob; fsb = 1; }
     else if (axis == 1) { fs = ob; fsa = on * ob; fsb = 1; }
@@ -1352,7 +1456,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
         /* ---- scaled interior-face fluxes, final layout ---- */
         for (long k = 0; k < 6; k++) {
             const double *fk = (k == 5) ? f_eint : g + k * row;
-            double *out = flux[k];
+            double *out = flux + k * fcells;
             for (long i = lo; i < hi; i++)
                 for (long jj = 0; jj < mc; jj++)
                     if (obase[jj] >= 0)
@@ -1394,7 +1498,7 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
         /* ---- advected fields ride the mass flux ---- */
         double *f_adv = work + W_FADV * row;
         for (long k = 6; k < nq; k++) {
-            double *src = q[k], *out = flux[k];
+            double *src = q[k], *out = flux + k * fcells;
             for (long i = lo; i < hi; i++) {
                 for (long jj = 0; jj < mc; jj++) {
                     long t = i * mc + jj, c = base[jj] + i * s;
@@ -1415,6 +1519,93 @@ void rk_sweep(long nq, double **q, long n0, long n1, long n2, long axis,
             }
         }
     }
+}
+
+/* gravity kick of cell c (sources.apply_acceleration): per axis in order,
+   v_new = v + g dt and E += ((0.5 (v + v_new)) g) dt */
+static inline void step_kick(long c, double **q, const double *g,
+    long cells, double dt)
+{
+    for (long i = 0; i < 3; i++) {
+        double v = q[1 + i][c], gi = g[i * cells + c];
+        double v_new = v + gi * dt;
+        q[4][c] += 0.5 * (v + v_new) * gi * dt;
+        q[1 + i][c] = v_new;
+    }
+}
+
+/* One PPMSolver step of one grid.  q holds the nq C-order field arrays
+   (rho, vx, vy, vz, e_tot, e_int, *advected) of shape (n0, n1, n2),
+   updated in place; accel is NULL or (3, n0, n1, n2), drag NULL or the
+   (velocity, internal energy) expansion factors.  The first half kick
+   covers every cell, the sweeps run in order (permute + k) % 3 over the
+   boxes of ppm.pencil_boxes, and the second half kick, drag, dual-energy
+   sync (eta, efloor) and internal-energy floor are cell-local, on the
+   active zone (every cell when full_update).  flux[k] is sweep k's (nq,
+   face) block, counts its 16 floor counts: five per sweep, then the
+   cells the final floor changed.  work is (SWEEP_SLOTS, max(n) * mb)
+   double scratch and cols (2, mb) integer scratch, both owned by this
+   call. */
+void rk_step(long nq, double **q, const double *accel, long n0, long n1,
+    long n2, long ng, double dx, double dt, double a, long permute,
+    int full_update, double gamma, long scheme, long solver, double dfloor,
+    double efloor, double eta, const double *drag, double **flux,
+    int64_t *counts, double *work, long mb, int64_t *cols)
+{
+    long n[3] = {n0, n1, n2}, cells = n0 * n1 * n2;
+    double hdt = 0.5 * dt;
+    if (accel)
+        for (long c = 0; c < cells; c++) step_kick(c, q, accel, cells, hdt);
+
+    double *qs[nq];
+    for (long k = 0; k < 3; k++) {
+        long axis = (permute + k) % 3, box[4], b = 0, s = 0;
+        for (long t = 0; t < 3; t++) {
+            if (t == axis) continue;
+            int whole = full_update;
+            for (long later = k + 1; later < 3; later++)
+                whole |= (permute + later) % 3 == t;
+            box[b++] = whole ? 0 : ng;
+            box[b++] = whole ? n[t] : n[t] - ng;
+        }
+        /* the sweep-axis velocity rides in the second slot */
+        qs[s++] = q[0];
+        qs[s++] = q[1 + axis];
+        for (long d = 0; d < 3; d++)
+            if (d != axis) qs[s++] = q[1 + d];
+        for (long f = 4; f < nq; f++) qs[s++] = q[f];
+        long m = (box[1] - box[0]) * (box[3] - box[2]);
+        rk_sweep(nq, qs, n0, n1, n2, axis, ng, box[0], box[1], box[2],
+                 box[3], dt / (a * dx), dt / a, gamma, scheme, solver,
+                 dfloor, efloor, flux[k], counts + 5 * k, work, lmin(mb, m),
+                 cols);
+    }
+
+    long lo = full_update ? 0 : ng;
+    int64_t floored = 0;
+    for (long i = lo; i < n0 - lo; i++) {
+        for (long j = lo; j < n1 - lo; j++) {
+            for (long c = (i * n1 + j) * n2 + lo; c < (i * n1 + j + 1) * n2
+                 - lo; c++) {
+                if (accel) step_kick(c, q, accel, cells, hdt);
+                if (drag) {    /* sources.apply_drag */
+                    for (long v = 1; v < 4; v++) q[v][c] *= drag[0];
+                    q[5][c] *= drag[1];
+                    double vx = q[1][c], vy = q[2][c], vz = q[3][c];
+                    q[4][c] = q[5][c] + 0.5 * (vx * vx + vy * vy + vz * vz);
+                }
+                dual_sync(c, q, q[5], eta, efloor);
+                /* eos.internal_energy_floor */
+                if (q[5][c] < efloor) floored += 1;
+                double eint = nmax(q[5][c], efloor);
+                double vx = q[1][c], vy = q[2][c], vz = q[3][c];
+                q[5][c] = eint;
+                q[4][c] = nmax(q[4][c], eint + 0.5 * (vx * vx + vy * vy
+                                                      + vz * vz));
+            }
+        }
+    }
+    counts[15] = floored;
 }
 
 /* ---- fused chemistry step: one substep of every active cell of one grid
@@ -1711,17 +1902,11 @@ static inline uint64_t fbits(double x)
     return u;
 }
 
-/* sync_internal_from_total on cell c; q holds density, vx, vy, vz, energy
-   and the advected fields, ie the internal energy */
+/* the sync at its defaults; q holds density, vx, vy, vz, energy and the
+   advected fields, ie the internal energy */
 static inline void fc_sync(long c, double **q, double *ie)
 {
-    double vx = q[1][c], vy = q[2][c], vz = q[3][c], e = q[4][c];
-    double ke = 0.5 * (vx * vx + vy * vy + vz * vz);
-    double from_total = e - ke;
-    double eint = from_total > SYNC_ETA * e ? nmax(from_total, SYNC_FLOOR)
-                                            : nmax(ie[c], SYNC_FLOOR);
-    ie[c] = eint;
-    q[4][c] = eint + ke;
+    dual_sync(c, q, ie, SYNC_ETA, SYNC_FLOOR);
 }
 
 static void fc_catch_up(long c, int32_t target, int32_t *count, double **q,
@@ -1960,8 +2145,8 @@ void rk_cic_gather(long n_part, const double *offsets, double dx,
 }
 """
 
-#: ``scheme`` / ``riemann_solver`` names of the ``hydro.sweep`` contract, in
-#: the order of the C enums SCHEME_* / SOLVER_*: rk_sweep takes their indices
+#: ``scheme`` / ``riemann_solver`` names of the ``hydro.step`` contract, in
+#: the order of the C enums SCHEME_* / SOLVER_*: rk_step takes their indices
 SWEEP_SCHEMES = ("trace", "ppm+flatten", "ppm", "plm", "flat")
 SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
 #: rows of rk_sweep's ``work`` scratch (the W_* enum: W_FADV + 1)
@@ -2045,51 +2230,56 @@ def _writable(arr):
     return np.ascontiguousarray(arr, dtype=float)
 
 
-def hydro_sweep(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
-                riemann_solver, density_floor, energy_floor):
+def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
+               scheme, riemann_solver, density_floor, energy_floor, eta, drag):
     if scheme not in SWEEP_SCHEMES:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in SWEEP_SOLVERS:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
-    axis, ng = int(axis), int(ng)
+    ng, permute = int(ng), int(permute) % 3
     shape = arrays[0].shape
-    # the C indexes raw memory: refuse mismatched fields, a sweep extent
-    # that leaves no cell to update, pencils outside the arrays and
-    # pencils that leave part of the (np.empty) fluxes unwritten
-    if len(arrays) < 6 or len(shape) != 3 or not 0 <= axis < 3:
-        raise ValueError("hydro.sweep: need six 3-d fields and axis 0-2")
+    # the C indexes raw memory: refuse mismatched fields, an extent that
+    # leaves no cell to update and an acceleration of another shape
+    if len(arrays) < 6 or len(shape) != 3:
+        raise ValueError("hydro.step: need six 3-d fields")
     if any(a.shape != shape for a in arrays):
-        raise ValueError("hydro.sweep: field shapes differ")
-    n = shape[axis]
-    if ng < 1 or n <= 2 * ng:
-        raise ValueError("hydro.sweep: no interior cell along the sweep")
-    (a_lo, a_hi), (b_lo, b_hi) = check_pencils(shape, axis, ng, pencils)
+        raise ValueError("hydro.step: field shapes differ")
+    if ng < 1 or min(shape) <= 2 * ng:
+        raise ValueError("hydro.step: no interior cell along some axis")
+    if accel is not None:
+        accel = np.ascontiguousarray(accel, dtype=float)
+        if accel.shape != (3, *shape):
+            raise ValueError(f"hydro.step: accel shape {accel.shape} != "
+                             f"{(3, *shape)}")
     native = [_writable(a) for a in arrays]
-    face_shape = [max(s - 2 * ng, 0) for s in shape]
-    face_shape[axis] = n - 2 * ng + 1
-    fluxes = [np.empty(face_shape) for _ in native]
-    counts = np.empty(5, dtype=np.int64)
+    blocks = []
+    for k in range(3):
+        face_shape = [s - 2 * ng for s in shape]
+        face_shape[(permute + k) % 3] += 1
+        blocks.append(np.empty((len(native), *face_shape)))
+    counts = np.empty(16, dtype=np.int64)
     # scratch is per call: the cffi call releases the GIL, so sibling
-    # grids sweep concurrently under the thread exec backend
-    block = min(SWEEP_BLOCK, (a_hi - a_lo) * (b_hi - b_lo))
-    work = np.empty((SWEEP_SLOTS, n * block))
-    cols = np.empty((2, block), dtype=np.int64)
-    # the pointer tables own nothing: ``native``/``fluxes`` keep the
+    # grids step concurrently under the thread exec backend
+    work = np.empty((SWEEP_SLOTS, max(shape) * SWEEP_BLOCK))
+    cols = np.empty((2, SWEEP_BLOCK), dtype=np.int64)
+    # the pointer tables own nothing: ``native``/``blocks`` keep the
     # buffers alive for the duration of the call
-    _lib.rk_sweep(
+    _lib.rk_step(
         len(native), ffi.new("double *[]", [_p(a) for a in native]),
-        *shape, axis, ng, a_lo, a_hi, b_lo, b_hi, float(dtdx),
-        float(flux_scale), float(gamma),
+        ffi.NULL if accel is None else _pc(accel), *shape, ng, float(dx),
+        float(dt), float(a), permute, bool(full_update), float(gamma),
         SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
-        float(density_floor), float(energy_floor),
-        ffi.new("double *[]", [_p(f) for f in fluxes]),
-        ffi.from_buffer("int64_t[]", counts), _p(work), block,
+        float(density_floor), float(energy_floor), float(eta),
+        ffi.NULL if drag is None else ffi.new("double[2]",
+                                              [float(f) for f in drag]),
+        ffi.new("double *[]", [_p(b) for b in blocks]),
+        ffi.from_buffer("int64_t[]", counts), _p(work), SWEEP_BLOCK,
         ffi.from_buffer("int64_t[]", cols),
     )
     for out, dst in zip(native, arrays):
         if out is not dst:
             dst[...] = out
-    return fluxes, tuple(counts.tolist())
+    return blocks, tuple(counts.tolist())
 
 
 def _in_place(arr, shape, dtype, what):
@@ -2291,20 +2481,38 @@ def fill_level(targets, parents, sources, fill, copies, r, positive):
             dst[...] = out
 
 
-def mg_vcycle(phi, source, dx, pre, post, min_size, residual):
+def mg_solve(phi, source, dx, pre, post, min_size, tol, budget, strict,
+             force_diverge):
     shape = np.shape(source)
     if len(shape) != 3:
-        raise ValueError("mg.vcycle: source must be 3-d")
+        raise ValueError("mg.solve: source must be 3-d")
+    budget = int(budget)
+    if budget < 1:
+        raise ValueError(f"mg.solve: a budget of {budget} V-cycles runs "
+                         f"none")
     # the C indexes raw memory and works in place: phi pads source by one
-    # cell per side, residual matches it
-    _in_place(phi, tuple(n + 2 for n in shape), np.float64, "mg.vcycle: phi")
-    _in_place(residual, shape, np.float64, "mg.vcycle: residual")
-    pre, post, min_size = int(pre), int(post), int(min_size)
+    # cell per side
+    _in_place(phi, tuple(n + 2 for n in shape), np.float64, "mg.solve: phi")
+    min_size = int(min_size)
     # scratch is per call (the cffi call releases the GIL)
-    work = np.empty(_lib.rk_mg_vcycle_work(*shape, min_size))
-    _lib.rk_mg_vcycle(*shape, _p(phi),
-                      _pc(np.ascontiguousarray(source, dtype=float)),
-                      float(dx), pre, post, min_size, _p(residual), _p(work))
+    work = np.empty(_lib.rk_mg_work(*shape, min_size))
+    out = np.empty(2)
+    converged = _lib.rk_mg_solve(
+        *shape, _p(phi), _pc(np.ascontiguousarray(source, dtype=float)),
+        float(dx), int(pre), int(post), min_size, float(tol), budget,
+        bool(strict), bool(force_diverge), _p(work), _p(out))
+    return int(out[0]), float(out[1]), bool(converged)
+
+
+def gravity_accel(phi, dx, a):
+    phi = np.ascontiguousarray(phi, dtype=float)
+    # np.gradient needs two cells along every axis; the C reads them
+    if phi.ndim != 3 or min(phi.shape) < 2:
+        raise ValueError("gravity.accel: phi must be 3-d with at least two "
+                         "cells along every axis")
+    out = np.empty((3, *phi.shape))
+    _lib.rk_gravity_accel(*phi.shape, _pc(phi), float(dx), float(a), _p(out))
+    return out
 
 
 def flux_correct(fields, names, ng, dx, periodic, coarse, r, children):
@@ -2410,11 +2618,12 @@ def cic_gather(field3, offsets, dx, periodic):
 
 
 for _name, _fn in (
-    ("hydro.sweep", hydro_sweep),
+    ("hydro.step", hydro_step),
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),
     ("fill.level", fill_level),
-    ("mg.vcycle", mg_vcycle),
+    ("mg.solve", mg_solve),
+    ("gravity.accel", gravity_accel),
     ("flux.correct", flux_correct),
     ("cic.deposit", cic_deposit),
     ("cic.gather", cic_gather),

@@ -10,6 +10,7 @@ has always run.  Compiled backends are parity-gated against these.
 from __future__ import annotations
 
 from repro.amr import flux_correction as _flux_correction
+from repro.amr import gravity as _gravity
 from repro.amr import interpolation as _interpolation
 from repro.chemistry import network as _network
 from repro.chemistry import rates as _rates
@@ -18,11 +19,12 @@ from repro.hydro import ppm as _ppm
 from repro.kernels import dispatch
 from repro.nbody import cic as _cic
 
-dispatch.register("numpy", "hydro.sweep", _ppm.sweep_numpy)
+dispatch.register("numpy", "hydro.step", _ppm.step_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "fill.level", _interpolation.fill_level_numpy)
-dispatch.register("numpy", "mg.vcycle", _multigrid.vcycle_numpy)
+dispatch.register("numpy", "mg.solve", _multigrid.solve_numpy)
+dispatch.register("numpy", "gravity.accel", _gravity.accel_numpy)
 dispatch.register("numpy", "flux.correct", _flux_correction.correct_numpy)
 dispatch.register("numpy", "cic.deposit", _cic.deposit_numpy)
 dispatch.register("numpy", "cic.gather", _cic.gather_numpy)

@@ -1,13 +1,15 @@
 """Backend registry for the compiled kernel tier.
 
-The hot inner loops (the fused per-grid hydro sweep — reconstruction or
-characteristic tracing, Riemann solve and conservative update in one call
-—, the chemistry rate-table blend and the fused per-grid chemistry
-substep, the parent->child fill of a whole level — prolongation plus
-same-level copies —, the multigrid V-cycle, the coarse-fine flux
-correction of one parent and the cloud-in-cell particle deposit and
-gather) are registered here once per *backend* — each kernel exists in
-exactly two transcriptions:
+The hot inner loops (the fused per-grid hydro step — gravity kicks, the
+three sweeps of reconstruction or characteristic tracing, Riemann solve
+and conservative update, expansion drag, dual-energy sync and energy floor
+in one call —, the chemistry rate-table blend and the fused per-grid
+chemistry substep, the parent->child fill of a whole level — prolongation
+plus same-level copies —, the multigrid solve of one subgrid, the
+potential gradient of one grid, the coarse-fine flux correction of one
+parent and the cloud-in-cell particle deposit and gather) are registered
+here once per *backend* — each kernel exists in exactly two
+transcriptions:
 
 ``numpy``
     The always-available reference — the exact vectorised code the repo
@@ -55,7 +57,7 @@ BACKENDS = ("numpy", "cffi")
 #: backends register the same ones, so :func:`get` never mixes tiers
 #: (``tests/test_kernels.py`` asserts it)
 KERNEL_NAMES = (
-    # retired: hydro.sweep calls their bodies; kept so the benchmark
+    # retired: hydro.step calls their bodies; kept so the benchmark
     # contract's kernels.<name>.calls / .s metrics still report 0
     "riemann.two_shock",
     "riemann.hllc",
@@ -63,11 +65,12 @@ KERNEL_NAMES = (
     "reconstruct.ppm",
     "reconstruct.plm",
     "trace.states",
-    "hydro.sweep",
+    "hydro.step",
     "chem.blend",
     "chem.step",
     "fill.level",
-    "mg.vcycle",
+    "mg.solve",
+    "gravity.accel",
     "flux.correct",
     "cic.deposit",
     "cic.gather",
@@ -200,9 +203,9 @@ def warm() -> None:
     from repro.chemistry.rates import CHANNEL_NAMES
     from repro.chemistry.species import SPECIES_NAMES
 
-    get("hydro.sweep")([np.ones((3, 3, 3)) for _ in range(6)], 0, 1,
-                       (0, 3, 0, 3), 0.1, 0.1, 5.0 / 3.0, "ppm", "hllc",
-                       1e-12, 1e-30)
+    get("hydro.step")([np.ones((3, 3, 3)) for _ in range(6)], None, 1, 1.0,
+                      0.1, 1.0, 0, False, 5.0 / 3.0, "ppm", "hllc", 1e-12,
+                      1e-30, 1e-3, None)
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
     get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),
@@ -213,8 +216,9 @@ def warm() -> None:
     get("fill.level")([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
                       [([np.ones((3, 3, 3))], None, (0, 0, 0))], [],
                       [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True])
-    get("mg.vcycle")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
-                     np.empty((4, 4, 4)))
+    get("mg.solve")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
+                    1e-6, 1, False, False)
+    get("gravity.accel")(np.zeros((2, 2, 2)), 1.0, 1.0)
     names = ("density", "vx", "vy", "vz", "energy")
     fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}
     blocks = [np.zeros((2, 5, 2, 2)) for _ in range(3)]

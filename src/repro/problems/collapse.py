@@ -282,6 +282,9 @@ class PrimordialCollapse:
             "redshift": self.current_redshift,
             "time_code": float(self.hierarchy.root.time),
             "peak_n_cgs": self.peak_number_density_cgs,
+            # comoving, like profiles["density"]: the box's mean gas density
+            "mean_density": float(self.hierarchy.root.field_view(
+                "density").mean()),
             "profiles": prof,
         }
         self.snapshots.append(snap)

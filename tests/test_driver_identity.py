@@ -101,4 +101,4 @@ def test_advance_to_fills_the_kernels_block():
     sim.initialize()
     sim.run(t_end=0.002)
     kernels = sim.evolver.step_stats["kernels"].snapshot()
-    assert kernels.get("hydro.sweep.calls", 0) > 0, kernels
+    assert kernels.get("hydro.step.calls", 0) > 0, kernels

@@ -150,6 +150,17 @@ class TestMultigrid:
         assert solver.last_residual < 1e-10
         assert solver.last_cycles >= 1
 
+    def test_empty_budget_is_refused(self):
+        """A budget below one V-cycle runs none: a ValueError, never a
+        return that leaves the previous solve's cycles and residual
+        standing as this one's."""
+        src, dx, boundary, _ = self._sinusoid_problem(8)
+        solver = MultigridSolver(tol=1e-10)
+        solver.solve(src, dx, boundary)
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="budget"):
+                solver.solve(src, dx, boundary, max_cycles=budget)
+
     def test_vcycle_faster_than_smoothing(self):
         """V-cycles must converge in far fewer relaxations than plain GS."""
         src, dx, boundary, _ = self._sinusoid_problem(16)

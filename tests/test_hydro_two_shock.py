@@ -73,16 +73,16 @@ class TestTwoShock:
         assert sod.l1_error() < 0.03
 
     def test_dispatch(self):
-        """The sweep kernel takes the two-shock solver by name and refuses
+        """The step kernel takes the two-shock solver by name and refuses
         an unknown one."""
         from repro import kernels
 
         fields = [np.ones((3, 3, 3)) for _ in range(6)]
-        fluxes, _ = kernels.get("hydro.sweep")(
-            fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "ppm", "two_shock",
-            1e-12, 1e-30)
-        assert len(fluxes) == 6
+        blocks, _ = kernels.get("hydro.step")(
+            fields, None, 1, 1.0, 0.1, 1.0, 0, False, GAMMA, "ppm",
+            "two_shock", 1e-12, 1e-30, 1e-3, None)
+        assert [b.shape[0] for b in blocks] == [6, 6, 6]
         with pytest.raises(ValueError, match="unknown riemann solver"):
-            kernels.get("hydro.sweep")(
-                fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "ppm", "nope",
-                1e-12, 1e-30)
+            kernels.get("hydro.step")(
+                fields, None, 1, 1.0, 0.1, 1.0, 0, False, GAMMA, "ppm",
+                "nope", 1e-12, 1e-30, 1e-3, None)

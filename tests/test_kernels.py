@@ -9,13 +9,13 @@ Three layers:
   vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
-  The AMR level fill (``fill.level``), the multigrid V-cycle
-  (``mg.vcycle``), the fused hydro sweep (``hydro.sweep``), the flux
+  The AMR level fill (``fill.level``), the multigrid solve
+  (``mg.solve``), the fused hydro step (``hydro.step``), the flux
   correction (``flux.correct``) and the CIC deposit (``cic.deposit``)
   write in place, so their parity cases compare the arrays each tier
   leaves behind, and a canary class checks the C never writes outside
   them.  The Riemann, reconstruction and tracing bodies are tested
-  through ``hydro.sweep``, the one kernel that calls them.
+  through ``hydro.step``, the one kernel that calls them.
 * physics — Riemann edge states (near-vacuum, strong/sonic rarefaction,
   symmetric collision) pinned against the exact solver for both the
   two-shock and HLLC solvers on every backend, plus end-to-end
@@ -34,6 +34,7 @@ import pytest
 
 from repro import constants as const
 from repro.amr.flux_correction import block_average, correct_numpy
+from repro.amr.gravity import accel_numpy
 from repro.amr.interpolation import (
     fill_level_numpy,
     prolong_boxes,
@@ -56,7 +57,7 @@ from repro.gravity.multigrid import (
     MultigridSolver,
     _residual,
     redblack_smooth_numpy,
-    vcycle_numpy,
+    solve_numpy,
 )
 from repro.hydro import riemann
 from repro.hydro.ppm import (
@@ -64,7 +65,7 @@ from repro.hydro.ppm import (
     FLOOR_COUNTS,
     PPMSolver,
     pencil_boxes,
-    sweep_numpy,
+    step_numpy as hydro_step_numpy,
 )
 from repro.hydro.state import sync_internal_from_total
 from repro.hydro.riemann import (
@@ -91,7 +92,7 @@ with warnings.catch_warnings():
     #: the compiled tier, when it loads on this host
     COMPILED = [b for b in dispatch.available_backends() if b != "numpy"]
 
-#: the NumPy Riemann bodies; ``hydro.sweep`` runs them (or their C
+#: the NumPy Riemann bodies; ``hydro.step`` runs them (or their C
 #: transcriptions) on every tier
 RIEMANN = {"two_shock": two_shock_flux, "hllc": hllc_flux, "hll": hll_flux}
 
@@ -183,7 +184,7 @@ class TestDispatch:
         monkeypatch.setenv(dispatch.ENV_KERNELS, name)
         dispatch._reset_for_tests()
         with pytest.raises(ValueError, match=accepted):
-            dispatch.get("hydro.sweep")
+            dispatch.get("hydro.step")
 
     def test_auto_prefers_compiled(self, isolated, monkeypatch):
         monkeypatch.delenv(dispatch.ENV_KERNELS, raising=False)
@@ -281,12 +282,10 @@ class TestImportGuard:
             assert dispatch.resolve_backend("cffi") == "numpy"
             assert dispatch.resolve_backend("auto") == "numpy"
         # and the physics still runs on the fallback
-        sweep = dispatch.get("hydro.sweep")
-        assert sweep.__name__ == "numpy:hydro.sweep"
-        fluxes, _ = sweep(_sweep_arrays((6, 6, 6), 0, "smooth"), 0, 2,
-                          (0, 6, 0, 6), *SWEEP_ARGS, "ppm", "hllc",
-                          *SWEEP_FLOORS)
-        assert all(np.isfinite(f).all() for f in fluxes)
+        step = dispatch.get("hydro.step")
+        assert step.__name__ == "numpy:hydro.step"
+        blocks, _ = _step(step, _sweep_arrays((6, 6, 6), 0, "smooth"), 2)
+        assert all(np.isfinite(b).all() for b in blocks)
 
     def test_env_cffi_with_broken_install(self, isolated, monkeypatch):
         dispatch._reset_for_tests()
@@ -307,12 +306,13 @@ def _round_trip(state):
 
 def _sweep_faces(fn, left, right, solver):
     """The Riemann fluxes of the (left, right) face pairs, solved by the
-    ``hydro.sweep`` implementation ``fn``.
+    ``hydro.step`` implementation ``fn``.
 
-    Pair k is face 0 of pencil k of a ``flat`` sweep along axis 0: three
-    cells (left, right, right), one ghost, unit flux scale and floors that
-    never fire, so the face flux is ``solver`` on the round-tripped states
-    (:func:`_round_trip`) and nothing else.
+    Pair k is face 0 of pencil k of the first sweep (along axis 0) of a
+    ``flat`` step: three cells (left, right, right), one ghost, unit flux
+    scale, no kick or drag and floors that never fire, so the face flux is
+    ``solver`` on the round-tripped states (:func:`_round_trip`) and
+    nothing else.
     """
     n = np.size(left[0])
     arrays = [np.ones((3, n + 2, 3)) for _ in range(6)]
@@ -322,9 +322,9 @@ def _sweep_faces(fn, left, right, solver):
         for arr, q in zip(arrays, (rho, u, v, w, e_int, e_int)):
             arr[cell, 1:-1, 1] = q
     with np.errstate(all="ignore"):
-        fluxes, _ = fn(arrays, 0, 1, (1, n + 1, 1, 2), 1.0, 1.0, GAMMA,
-                       "flat", solver, 1e-300, 1e-300)
-    return tuple(f[0, :, 0] for f in fluxes[:5])
+        blocks, _ = fn(arrays, None, 1, 1.0, 1.0, 1.0, 0, False, GAMMA,
+                       "flat", solver, 1e-300, 1e-300, 1e-3, None)
+    return tuple(blocks[0][:5, 0, :, 0])
 
 
 @pytest.mark.parametrize("tier", COMPILED)
@@ -338,10 +338,10 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("solver", ["two_shock", "hllc", "hll"])
     def test_riemann(self, tier, solver, seed):
-        """The Riemann solvers, through the sweep that calls them."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+        """The Riemann solvers, through the step that calls them."""
+        fn = _tier_impls(tier)["hydro.step"]
         left, right = _random_faces(seed=seed)
-        ref = _sweep_faces(sweep_numpy, left, right, solver)
+        ref = _sweep_faces(hydro_step_numpy, left, right, solver)
         got = _sweep_faces(fn, left, right, solver)
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
@@ -352,12 +352,12 @@ class TestBitwiseParity:
         seed 11 the NumPy two-shock loop runs its full count (one iteration
         fewer gives other bits), which is what makes ``test_riemann`` the
         pin for the C's per-face exit."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+        fn = _tier_impls(tier)["hydro.step"]
         for seed, (solver, body) in itertools.product((0, 11),
                                                       RIEMANN.items()):
             left, right = _random_faces(seed=seed)
             ref = body(_round_trip(left), _round_trip(right), GAMMA)
-            for impl in (sweep_numpy, fn):
+            for impl in (hydro_step_numpy, fn):
                 got = _sweep_faces(impl, left, right, solver)
                 for a, b in zip(got, ref):
                     np.testing.assert_array_equal(a, b)
@@ -369,36 +369,36 @@ class TestBitwiseParity:
         assert any(not np.array_equal(a, b) for a, b in zip(full, short))
 
     def _long_pencils(self, tier, n, scheme):
-        """A sweep along pencils of ``n`` active cells and one ghost each
-        side, with every Riemann solver."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+        """A step whose first sweep runs along pencils of ``n`` active
+        cells and one ghost each side, with every Riemann solver."""
+        fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays((n + 2, 5, 4), 2, "smooth")
         for solver in SWEEP_SOLVERS:
-            _assert_sweeps_equal(*_sweep_both(fn, arrays, 0, 1, scheme,
-                                              solver))
+            _assert_steps_equal(*_step_both(fn, arrays, 1, scheme, solver))
 
     @pytest.mark.parametrize("method", ["ppm", "plm"])
     @pytest.mark.parametrize("n", [2, 4, 8, 32])
     def test_reconstruct(self, tier, method, n):
-        """PPM and PLM face states through the sweep, from pencils below
+        """PPM and PLM face states through the step, from pencils below
         the PPM stencil (the PLM fallback) to 34 cells."""
         self._long_pencils(tier, n, method)
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_trace(self, tier, n):
-        """Characteristic tracing through the sweep."""
+        """Characteristic tracing through the step."""
         self._long_pencils(tier, n, "trace")
 
     def test_reconstruct_flat_and_discontinuous(self, tier):
         """Every scheme's face states on flat data and across a jump,
-        through the sweep that reconstructs them."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+        through the step that reconstructs them, on every Strang
+        permutation."""
+        fn = _tier_impls(tier)["hydro.step"]
         cases = itertools.product(("flat", "step"), SWEEP_GRIDS, range(3),
                                   SWEEP_SCHEMES)
-        for kind, (shape, ng), axis, scheme in cases:
+        for kind, (shape, ng), permute, scheme in cases:
             arrays = _sweep_arrays(shape, 2, kind)
-            _assert_sweeps_equal(*_sweep_both(fn, arrays, axis, ng, scheme,
-                                              "hllc"))
+            _assert_steps_equal(*_step_both(fn, arrays, ng, scheme, "hllc",
+                                            permute=permute))
 
     def test_chem_blend(self, tier):
         impls = _tier_impls(tier)
@@ -691,8 +691,8 @@ def _fill_level_case(seed=0, frac=0.37):
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestAmrStencilParity:
-    """``fill.level`` and the smoothing-only branch of ``mg.vcycle``
-    leave bit-identical arrays."""
+    """``fill.level`` and the smoothing-only branch of ``mg.solve``'s
+    V-cycle leave bit-identical arrays."""
 
     @pytest.mark.parametrize("r", [2, 4])
     @pytest.mark.parametrize("shape", [(5, 5, 5), (4, 6, 7)])
@@ -854,9 +854,10 @@ class TestAmrStencilParity:
     @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 8), (16, 16, 16),
                                        (4, 6, 10), (5, 3, 7)])
     def test_mg_smooth(self, tier, shape, pre, post):
-        """The smoothing-only branch of ``mg.vcycle`` (an odd extent, or
-        none above ``min_size``) is ``pre + post + 10`` red-black sweeps."""
-        fn = _tier_impls(tier)["mg.vcycle"]
+        """The smoothing-only branch of a V-cycle (an odd extent, or none
+        above ``min_size``) is ``pre + post + 10`` red-black sweeps, and
+        the reported residual is the NumPy norm of what they leave."""
+        fn = _tier_impls(tier)["mg.solve"]
         rng = np.random.default_rng(sum(shape) + pre + post)
         source = rng.standard_normal(shape)
         start = rng.standard_normal(tuple(n + 2 for n in shape))
@@ -864,12 +865,15 @@ class TestAmrStencilParity:
             if rim_nan:
                 start[0, 2, 2] = np.nan
             ref, got = start.copy(), start.copy()
-            residual = np.empty(shape)
             redblack_smooth_numpy(ref, source, 0.1, pre + post + 10)
-            fn(got, source, 0.1, pre, post, max(shape), residual)
+            cycles, residual, converged = fn(got, source, 0.1, pre, post,
+                                             max(shape), 0.0, 1, False,
+                                             False)
             np.testing.assert_array_equal(got, ref)
-            np.testing.assert_array_equal(residual,
-                                          _residual(ref, source, 0.1))
+            assert (cycles, converged) == (1, False)
+            want = (float(np.sqrt((_residual(ref, source, 0.1) ** 2).mean()))
+                    / float(np.sqrt((source ** 2).mean())))
+            np.testing.assert_array_equal(residual, want)
 
     def test_non_contiguous_targets_are_written_back(self, tier):
         fn = _tier_impls(tier)["fill.level"]
@@ -920,24 +924,28 @@ def _poisson_problem(shape, kind, seed=0):
 
 
 def _assert_vcycle_parity(fn, shape, kind, pre, post, min_size):
+    """One V-cycle (a budget of 1, a tolerance never met) leaves the same
+    ``phi`` and reports the same cycles, residual and verdict."""
     phi, source = _poisson_problem(shape, kind, pre)
     ref, got = phi.copy(), phi.copy()
-    ref_res, got_res = np.full(shape, 7.0), np.full(shape, -7.0)
     with np.errstate(all="ignore"):
-        vcycle_numpy(ref, source, 0.1, pre, post, min_size, ref_res)
-        fn(got, source, 0.1, pre, post, min_size, got_res)
+        want = solve_numpy(ref, source, 0.1, pre, post, min_size, 0.0, 1,
+                           False, False)
+        out = fn(got, source, 0.1, pre, post, min_size, 0.0, 1, False, False)
     np.testing.assert_array_equal(got, ref, err_msg=str(shape))
-    np.testing.assert_array_equal(got_res, ref_res, err_msg=str(shape))
+    # NaN residuals (the nan_rim kind) compare equal as strings
+    assert repr(out) == repr(want), shape
 
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestVcycleParity:
-    """``mg.vcycle`` leaves bit-identical ``phi`` and ``residual``."""
+    """``mg.solve`` leaves bit-identical ``phi`` and reports the same
+    cycles, relative residual and verdict."""
 
     @pytest.mark.parametrize("kind", VCYCLE_KINDS)
     @pytest.mark.parametrize("min_size", [2, 4])
     def test_matrix(self, tier, min_size, kind):
-        fn = _tier_impls(tier)["mg.vcycle"]
+        fn = _tier_impls(tier)["mg.solve"]
         for shape, (pre, post) in itertools.product(
                 VCYCLE_SHAPES, [(1, 3), (3, 1), (3, 3)]):
             _assert_vcycle_parity(fn, shape, kind, pre, post, min_size)
@@ -946,14 +954,15 @@ class TestVcycleParity:
         """At ``min_size < 2`` a level with a 2-cell last axis is restricted
         — the one shape where NumPy's own ``mean`` sums in another order
         than ``_restrict`` writes out; both tiers follow ``_restrict``."""
-        fn = _tier_impls(tier)["mg.vcycle"]
+        fn = _tier_impls(tier)["mg.solve"]
         for shape in [(4, 4, 2), (2, 2, 2), (8, 6, 2), (8, 8, 4)]:
             _assert_vcycle_parity(fn, shape, "random", 2, 2, 1)
 
     @pytest.mark.parametrize("kind", VCYCLE_KINDS)
     def test_whole_solve(self, isolated, tier, kind):
         """``MultigridSolver.solve`` ends on the same cycle count, residual
-        and array — converged, budget exhausted, strict and force-diverged."""
+        and array — converged, tolerance met early, budget exhausted,
+        strict (NaN fails fast), force-diverged, odd extents."""
         def solve(backend, shape, **kwargs):
             dispatch.set_backend(backend, env=False)
             phi, source = _poisson_problem(shape, kind)
@@ -969,8 +978,10 @@ class TestVcycleParity:
                     solver.last_diagnostics)
 
         cases = [((8, 8, 8), {}), ((16, 26, 26), {}), ((4, 6, 4), {}),
+                 ((5, 3, 7), {}),
                  ((16, 16, 16), {"max_cycles": 2}),
                  ((16, 16, 16), {"max_cycles": 2, "strict": True}),
+                 ((9, 9, 9), {"max_cycles": 3, "strict": True}),
                  ((8, 12, 10), {"force_diverge": True}),
                  ((8, 12, 10), {"force_diverge": True, "strict": True})]
         for shape, kwargs in cases:
@@ -981,28 +992,98 @@ class TestVcycleParity:
             assert repr(got[1:]) == repr(ref[1:]), (shape, kwargs)
             assert ref[1] == bool(kwargs.get("strict"))
 
+    def test_refuses_an_empty_budget(self, tier):
+        """A budget below one V-cycle runs none: both tiers refuse it
+        before touching ``phi``."""
+        phi, source = _poisson_problem((4, 4, 4), "random")
+        before = phi.copy()
+        for fn in (solve_numpy, _tier_impls(tier)["mg.solve"]):
+            for budget in (0, -1):
+                with pytest.raises(ValueError, match="budget"):
+                    fn(phi, source, 0.1, 3, 3, 4, 1e-6, budget, False, False)
+        np.testing.assert_array_equal(phi, before)
+
+    def test_rms_is_numpys_mean_order(self, tier):
+        """The C norm equals ``np.sqrt((x**2).mean())`` bit for bit.  NumPy
+        sums a contiguous run pairwise in a tree that changes with its
+        length — sequentially below 8, in eight accumulators up to 128,
+        in halves above — and these lengths reach every branch and
+        several levels of halving."""
+        from repro.kernels import backend_cffi
+
+        rng = np.random.default_rng(17)
+        for n in [*range(1, 131), 512, 4096, 8193, 32 ** 3]:
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            if n == 32 ** 3:
+                x = x.reshape(32, 32, 32)
+            want = float(np.sqrt((x ** 2).mean()))
+            assert backend_cffi._lib.rk_rms(n, backend_cffi._pc(x)) == want, n
+
     def test_refuses_what_the_c_cannot_index(self, tier):
-        fn = _tier_impls(tier)["mg.vcycle"]
+        fn = _tier_impls(tier)["mg.solve"]
         source = np.ones((4, 6, 8))
-        phi, residual = np.zeros((6, 8, 10)), np.zeros((4, 6, 8))
+        phi = np.zeros((6, 8, 10))
         read_only = np.zeros((6, 8, 10))
         read_only.flags.writeable = False
-        for bad_phi, bad_res in [
-                (np.zeros((6, 8, 9)), residual),            # shape mismatch
-                (phi, np.zeros((4, 6, 7))),
-                (np.asfortranarray(phi), residual),         # non-contiguous
-                (phi, np.zeros((4, 6, 16))[:, :, ::2]),
-                (read_only, residual),                      # non-writable
-                (phi.astype(np.float32), residual)]:
-            with pytest.raises(ValueError, match="mg.vcycle"):
-                fn(bad_phi, source, 0.1, 3, 3, 4, bad_res)
+        tail = (0.1, 3, 3, 4, 1e-6, 2, False, False)
+        for bad_phi in [np.zeros((6, 8, 9)),                 # shape mismatch
+                        np.asfortranarray(phi),               # non-contiguous
+                        np.zeros((6, 8, 20))[:, :, ::2],
+                        read_only,                            # non-writable
+                        phi.astype(np.float32)]:
+            with pytest.raises(ValueError, match="mg.solve: phi"):
+                fn(bad_phi, source, *tail)
         with pytest.raises(ValueError, match="3-d"):
-            fn(np.zeros((6, 8)), np.ones((4, 6)), 0.1, 3, 3, 4,
-               np.zeros((4, 6)))
-        assert not phi.any() and not residual.any()
+            fn(np.zeros((6, 8)), np.ones((4, 6)), *tail)
+        assert not phi.any()
 
 
-# ============================================================= fused sweep
+# ======================================================= potential gradient
+#: cubic, non-cubic, and an extent of 2 along each axis (every cell of
+#: it an edge cell)
+ACCEL_SHAPES = [(14, 14, 14), (8, 11, 6), (2, 9, 5), (7, 2, 3), (4, 5, 2),
+                (2, 2, 2)]
+
+
+@pytest.mark.parametrize("tier", COMPILED)
+class TestAccelParity:
+    """``gravity.accel`` returns ``-np.gradient(phi, dx, axis=k) / a``
+    bit for bit: central differences inside, one-sided ones on the two
+    edge planes of every axis."""
+
+    @pytest.mark.parametrize("kind", ["random", "nan"])
+    def test_matrix(self, tier, kind):
+        fn = _tier_impls(tier)["gravity.accel"]
+        for shape in ACCEL_SHAPES:
+            rng = np.random.default_rng(sum(shape))
+            phi = (rng.standard_normal(shape)
+                   * 10.0 ** rng.integers(-3, 4, shape))
+            if kind == "nan":
+                phi[0, -1, 1] = np.nan
+                phi[tuple(n // 2 for n in shape)] = np.inf
+            for dx, a, layout in ((0.37, 1.3, np.ascontiguousarray),
+                                  (1.0 / 96, 0.02, np.asfortranarray)):
+                with np.errstate(all="ignore"):
+                    ref = accel_numpy(phi, dx, a)
+                    got = fn(layout(phi), dx, a)
+                assert got.shape == (3, *shape)
+                np.testing.assert_array_equal(got, ref, err_msg=str(shape))
+                finite = np.isfinite(ref)
+                np.testing.assert_array_equal(np.signbit(got[finite]),
+                                              np.signbit(ref[finite]))
+
+    def test_refuses_what_the_c_cannot_index(self, tier):
+        """Fewer than two cells along an axis has no gradient on either
+        tier."""
+        fn = _tier_impls(tier)["gravity.accel"]
+        for bad in (np.zeros((1, 4, 4)), np.zeros((4, 4, 1)),
+                    np.zeros((4, 4))):
+            for impl in (fn, accel_numpy):
+                with pytest.raises(ValueError):
+                    impl(bad, 0.1, 1.0)
+
+
+# ============================================================== fused step
 SWEEP_SCHEMES = ("trace", "ppm+flatten", "ppm", "plm", "flat")
 SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
 #: (ghost-inclusive shape, nghost): cubic, non-cubic, a 5-cell sweep
@@ -1011,8 +1092,13 @@ SWEEP_SOLVERS = ("hllc", "hll", "two_shock")
 #: slopes under a PPM scheme)
 SWEEP_GRIDS = [((14, 14, 14), 3), ((8, 14, 22), 3), ((5, 6, 7), 2),
                ((3, 4, 6), 1)]
-SWEEP_ARGS = (0.13, 0.4, GAMMA)        # dt/(a dx), dt/a, gamma
+STEP_ARGS = (0.1, 0.0143, 1.1)         # dx, dt, a: dt / (a dx) = 0.13
 SWEEP_FLOORS = (1e-12, 1e-30)          # density, energy
+STEP_ETA = 1e-3                        # dual-energy threshold
+STEP_DRAG = (0.97, 0.93)               # expansion factors: velocity, internal
+#: every (permute, accel present, drag present, full_update) of a step
+STEP_OPTIONS = list(itertools.product(range(3), (False, True), (False, True),
+                                      (False, True)))
 
 
 def _sweep_arrays(shape, n_adv, kind):
@@ -1058,112 +1144,126 @@ def _sweep_arrays(shape, n_adv, kind):
     return [rho, *vel, e_tot, e_int, *advected]
 
 
-def _full_box(shape, axis):
-    """Every pencil of a sweep along ``axis``."""
-    return sum(((0, n) for d, n in enumerate(shape) if d != axis), ())
+def _accel(shape, seed=5):
+    return 0.3 * np.random.default_rng(seed).standard_normal((3, *shape))
 
 
-def _solver_boxes(shape, ng, axis):
-    """The three pencil boxes ``PPMSolver.step`` sweeps ``axis`` with, one
-    per Strang permutation: ``axis`` swept first, second or third."""
-    boxes = []
-    for permute in range(3):
-        order = [(permute + k) % 3 for k in range(3)]
-        boxes.append(pencil_boxes(shape, ng, order)[order.index(axis)])
-    return boxes
+def _step(fn, arrays, ng, scheme="ppm+flatten", solver="hllc", permute=0,
+          accel=None, drag=None, full_update=False):
+    """``(blocks, counts)`` of one ``hydro.step`` of implementation ``fn``
+    on ``arrays`` (updated in place)."""
+    with np.errstate(all="ignore"):
+        return fn(arrays, accel, ng, *STEP_ARGS, permute, full_update, GAMMA,
+                  scheme, solver, *SWEEP_FLOORS, STEP_ETA, drag)
 
 
-def _sweep_both(fn, arrays, axis, ng, scheme, solver, pencils=None):
-    if pencils is None:
-        pencils = _full_box(arrays[0].shape, axis)
+def _step_both(fn, arrays, ng, scheme, solver, **options):
+    """``(fields, blocks, counts)`` of the NumPy reference and of ``fn``,
+    each stepping its own copy of ``arrays``."""
     ref = [a.copy() for a in arrays]
     got = [a.copy() for a in arrays]
-    with np.errstate(all="ignore"):
-        ref_out = sweep_numpy(ref, axis, ng, pencils, *SWEEP_ARGS, scheme,
-                              solver, *SWEEP_FLOORS)
-        got_out = fn(got, axis, ng, pencils, *SWEEP_ARGS, scheme, solver,
-                     *SWEEP_FLOORS)
-    return (ref, *ref_out), (got, *got_out)
+    return ((ref, *_step(hydro_step_numpy, ref, ng, scheme, solver, **options)),
+            (got, *_step(fn, got, ng, scheme, solver, **options)))
 
 
-def _assert_sweeps_equal(ref, got):
-    (ref_fields, ref_flux, ref_counts), (got_fields, got_flux,
-                                         got_counts) = ref, got
-    assert got_counts == ref_counts
-    assert len(got_flux) == len(ref_flux) == len(ref_fields)
+def _assert_steps_equal(ref, got):
+    (ref_fields, ref_blocks, ref_counts), (got_fields, got_blocks,
+                                           got_counts) = ref, got
+    assert tuple(got_counts) == tuple(ref_counts)
+    assert len(ref_counts) == 3 * len(FLOOR_COUNTS) + 1
+    assert len(got_blocks) == len(ref_blocks) == 3
     for a, b in zip(got_fields, ref_fields):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(got_flux, ref_flux):
-        assert a.shape == b.shape
+    for a, b in zip(got_blocks, ref_blocks):
+        assert a.shape == b.shape and a.shape[0] == len(ref_fields)
         np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestSweepParity:
-    """``hydro.sweep`` leaves bit-identical fields, fluxes and counts."""
+    """``hydro.step`` leaves bit-identical fields, flux blocks and counts:
+    its three sweeps, the half kicks, the drag, the dual-energy sync and
+    the energy floor."""
 
     @pytest.mark.parametrize("kind", ["smooth", "floors", "nan"])
     def test_matrix(self, tier, kind):
-        fn = _tier_impls(tier)["hydro.sweep"]
-        cases = list(itertools.product(
-            SWEEP_GRIDS, range(3), SWEEP_SCHEMES, SWEEP_SOLVERS, (0, 3, 9)))
+        """Grids x schemes x solvers x 0/3/9 advected fields, each case
+        with one of the 24 :data:`STEP_OPTIONS` (permute 0/1/2, ``accel``
+        None or present, ``drag`` None or present, ``full_update`` false
+        or true), rotating so that every option set meets every advected
+        count."""
+        fn = _tier_impls(tier)["hydro.step"]
+        cases = list(itertools.product(SWEEP_GRIDS, SWEEP_SCHEMES,
+                                       SWEEP_SOLVERS, (0, 3, 9)))
         fired = np.zeros(len(FLOOR_COUNTS), dtype=int)
-        for (shape, ng), axis, scheme, solver, n_adv in cases:
+        seen = set()
+        for i, ((shape, ng), scheme, solver, n_adv) in enumerate(cases):
+            options = STEP_OPTIONS[(i + i // len(STEP_OPTIONS))
+                                   % len(STEP_OPTIONS)]
+            seen.add(options)
+            permute, accel, drag, full_update = options
             arrays = _sweep_arrays(shape, n_adv, kind)
-            ref, got = _sweep_both(fn, arrays, axis, ng, scheme, solver)
-            _assert_sweeps_equal(ref, got)
-            fired += np.array(ref[2]) > 0
+            ref, got = _step_both(
+                fn, arrays, ng, scheme, solver, permute=permute,
+                accel=_accel(shape) if accel else None,
+                drag=STEP_DRAG if drag else None, full_update=full_update)
+            _assert_steps_equal(ref, got)
+            fired += np.reshape(ref[2][:15], (3, 5)).sum(axis=0) > 0
+        assert seen == set(STEP_OPTIONS)
         if kind == "floors":
+            # (the step's own floor count stays 0 on finite input: the
+            # sync before it already floors the internal energy)
             assert fired.all(), dict(zip(FLOOR_COUNTS, fired))
 
     @pytest.mark.parametrize("kind", ["floors", "nan"])
     def test_solver_pencil_boxes(self, tier, kind):
-        """The three boxes ``PPMSolver.step`` sweeps each axis with: both
-        tiers agree, the fluxes equal those of the full box, the pencils
-        of the box equal the full sweep's and nothing outside the box is
+        """The boxes ``ppm.pencil_boxes`` gives the three sweeps: both tiers
+        agree; the active zone and every flux equal those of a
+        ``full_update`` step, and no floor fires more often; no cell
+        outside the sweeps' bands in their boxes and the active zone is
         written."""
-        fn = _tier_impls(tier)["hydro.sweep"]
-        cases = itertools.product(SWEEP_GRIDS, range(3), SWEEP_SCHEMES,
-                                  SWEEP_SOLVERS)
-        for (shape, ng), axis, scheme, solver in cases:
+        fn = _tier_impls(tier)["hydro.step"]
+        cases = itertools.product(SWEEP_GRIDS, range(3), SWEEP_SCHEMES)
+        for i, ((shape, ng), permute, scheme) in enumerate(cases):
+            solver = SWEEP_SOLVERS[i % len(SWEEP_SOLVERS)]
             arrays = _sweep_arrays(shape, 3, kind)
-            full = _sweep_both(fn, arrays, axis, ng, scheme, solver)[0]
-            for pencils in _solver_boxes(shape, ng, axis):
-                ref, got = _sweep_both(fn, arrays, axis, ng, scheme, solver,
-                                       pencils)
-                _assert_sweeps_equal(ref, got)
-                a_lo, a_hi, b_lo, b_hi = pencils
-                inside = np.zeros(np.moveaxis(arrays[0], axis, 0).shape,
-                                  dtype=bool)
-                inside[:, a_lo:a_hi, b_lo:b_hi] = True
-                inside = np.moveaxis(inside, 0, axis)
-                for new, old, whole in zip(ref[0], arrays, full[0]):
-                    np.testing.assert_array_equal(new[inside], whole[inside])
-                    np.testing.assert_array_equal(new[~inside], old[~inside])
-                for a, b in zip(ref[1], full[1]):
-                    np.testing.assert_array_equal(a, b)
-                assert all(c <= w for c, w in zip(ref[2], full[2]))
+            ref, got = _step_both(fn, arrays, ng, scheme, solver,
+                                  permute=permute)
+            _assert_steps_equal(ref, got)
+            whole = [a.copy() for a in arrays]
+            full = (whole, *_step(fn, whole, ng, scheme, solver,
+                                  permute=permute, full_update=True))
+            interior = tuple(slice(ng, n - ng) for n in shape)
+            for new, whole in zip(ref[0], full[0]):
+                np.testing.assert_array_equal(new[interior], whole[interior])
+            for a, b in zip(ref[1], full[1]):
+                np.testing.assert_array_equal(a, b)
+            assert all(c <= w for c, w in zip(ref[2][:15], full[2][:15]))
+            written = np.zeros(shape, dtype=bool)
+            written[interior] = True
+            order = [(permute + k) % 3 for k in range(3)]
+            for axis, (a_lo, a_hi, b_lo, b_hi) in zip(
+                    order, pencil_boxes(shape, ng, order)):
+                band = np.zeros(np.moveaxis(written, axis, 0).shape,
+                                dtype=bool)
+                band[ng:shape[axis] - ng, a_lo:a_hi, b_lo:b_hi] = True
+                written |= np.moveaxis(band, 0, axis)
+            for new, old in zip(ref[0], arrays):
+                np.testing.assert_array_equal(new[~written], old[~written])
 
     def test_solver_boxes_cover_what_later_sweeps_read(self, tier):
-        """A step with the solver's boxes leaves the active zone of a full
-        update bit for bit, on every Strang permutation."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+        """A step with the pencil boxes leaves the active zone of a full
+        update bit for bit, on every Strang permutation, kicked and
+        dragged."""
+        fn = _tier_impls(tier)["hydro.step"]
         shape, ng = (9, 12, 14), 3
         interior = tuple(slice(ng, n - ng) for n in shape)
         for permute in range(3):
-            order = [(permute + k) % 3 for k in range(3)]
             results = []
             for full in (False, True):
                 arrays = _sweep_arrays(shape, 2, "floors")
-                for axis, pencils in zip(order, pencil_boxes(shape, ng, order,
-                                                             full)):
-                    # the sweep-axis velocity rides in the second slot
-                    perm = [0, 1 + axis] + [1 + d for d in range(3)
-                                            if d != axis] + [4, 5, 6, 7]
-                    q = [arrays[i] for i in perm]
-                    with np.errstate(all="ignore"):
-                        fn(q, axis, ng, pencils, *SWEEP_ARGS, "ppm+flatten",
-                           "hllc", *SWEEP_FLOORS)
+                _step(fn, arrays, ng, permute=permute, accel=_accel(shape),
+                      drag=STEP_DRAG, full_update=full)
                 results.append(arrays)
             for a, b in zip(*results):
                 np.testing.assert_array_equal(a[interior], b[interior])
@@ -1174,54 +1274,48 @@ class TestSweepParity:
                                                                   64]
 
     def test_flux_layout(self, tier):
-        """Face dimension along the sweep axis, interior transversally."""
-        fn = _tier_impls(tier)["hydro.sweep"]
-        for axis in range(3):
+        """One block per sweep, in sweep order: a row per field, the face
+        dimension along the sweep axis, interior extents transversally."""
+        fn = _tier_impls(tier)["hydro.step"]
+        for permute in range(3):
             arrays = _sweep_arrays((8, 9, 10), 2, "smooth")
-            flux, counts = fn(arrays, axis, 2, _full_box((8, 9, 10), axis),
-                              *SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
-            want = [4, 5, 6]
-            want[axis] += 1
-            assert len(flux) == 8 and len(counts) == len(FLOOR_COUNTS)
-            assert all(f.shape == tuple(want) for f in flux)
+            blocks, counts = _step(fn, arrays, 2, permute=permute)
+            assert len(blocks) == 3
+            assert len(counts) == 3 * len(FLOOR_COUNTS) + 1
+            for k, block in enumerate(blocks):
+                want = [4, 5, 6]
+                want[(permute + k) % 3] += 1
+                assert block.shape == (8, *want)
 
     def test_non_contiguous_fields_are_written_back(self, tier):
-        fn = _tier_impls(tier)["hydro.sweep"]
+        fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays((8, 9, 10), 2, "floors")
-        pencils = (2, 6, 0, 10)
-        ref, _ = _sweep_both(fn, arrays, 1, 2, "ppm+flatten", "hllc",
-                             pencils)
+        accel = _accel((8, 9, 10))
+        ref, _ = _step_both(fn, arrays, 2, "ppm+flatten", "hllc", permute=1,
+                            accel=accel, drag=STEP_DRAG)
         got = [np.asfortranarray(a) for a in arrays]
         got[1] = np.repeat(arrays[1], 2, axis=2)[:, :, ::2]   # strided view
-        with np.errstate(all="ignore"):
-            out = fn(got, 1, 2, pencils, *SWEEP_ARGS, "ppm+flatten", "hllc",
-                     *SWEEP_FLOORS)
+        out = _step(fn, got, 2, permute=1, accel=np.asfortranarray(accel),
+                    drag=STEP_DRAG)
         assert not got[1].flags.c_contiguous
-        _assert_sweeps_equal(ref, (got, *out))
+        _assert_steps_equal(ref, (got, *out))
 
     def test_refuses_what_the_c_cannot_index(self, tier):
-        fn = _tier_impls(tier)["hydro.sweep"]
-        tail = (*SWEEP_ARGS, "ppm", "hllc", *SWEEP_FLOORS)
+        fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
         before = [a.copy() for a in arrays]
         with pytest.raises(ValueError, match="no interior cell"):
-            fn(arrays, 0, 3, (0, 8, 0, 8), *tail)     # n = 2 ng
+            _step(fn, arrays, 3)                      # n = 2 ng along x
         with pytest.raises(ValueError, match="shapes differ"):
-            fn(arrays[:5] + [np.ones((6, 8, 9))], 1, 3, (0, 6, 0, 8), *tail)
-        with pytest.raises(ValueError, match="unknown reconstruction"):
-            fn(arrays, 1, 3, (0, 6, 0, 8), *SWEEP_ARGS, "weno", "hllc",
-               *SWEEP_FLOORS)
-        with pytest.raises(ValueError, match="unknown riemann solver"):
-            fn(arrays, 1, 3, (0, 6, 0, 8), *SWEEP_ARGS, "ppm", "roe",
-               *SWEEP_FLOORS)
-        for impl in (fn, sweep_numpy):
-            for bad in [(0, 7, 0, 8), (-1, 6, 0, 8), (0, 6, 0, 9),
-                        (0, 6, 5, 4)]:
-                with pytest.raises(ValueError, match="outside the array"):
-                    impl(arrays, 1, 2, bad, *tail)
-            for bad in [(3, 6, 0, 8), (0, 6, 0, 5), (2, 3, 2, 6)]:
-                with pytest.raises(ValueError, match="unwritten"):
-                    impl(arrays, 1, 2, bad, *tail)
+            _step(fn, arrays[:5] + [np.ones((6, 8, 9))], 2)
+        with pytest.raises(ValueError, match="accel shape"):
+            _step(fn, arrays, 2, accel=np.zeros((3, 6, 8, 9)))
+        # an unknown name is refused before the first kick, on both tiers
+        for impl in (fn, hydro_step_numpy):
+            with pytest.raises(ValueError, match="unknown reconstruction"):
+                _step(impl, arrays, 2, scheme="weno", accel=_accel((6, 8, 8)))
+            with pytest.raises(ValueError, match="unknown riemann solver"):
+                _step(impl, arrays, 2, solver="roe", accel=_accel((6, 8, 8)))
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
@@ -1546,7 +1640,7 @@ class TestCicParity:
 
 
 #: guard elements on each side of a canary array: more than two planes of
-#: the largest case (18² for ``mg.vcycle``), so a stride-sized overrun still
+#: the largest case (18² for ``mg.solve``), so a stride-sized overrun still
 #: lands inside the guard
 GUARD = 1024
 
@@ -1576,24 +1670,29 @@ class TestNoOutOfBoundsWrites:
     bands that must come back untouched, with the arrays themselves still
     equal to the reference (so a guard was not read either)."""
 
-    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("permute", range(3))
     @pytest.mark.parametrize("solver", SWEEP_SOLVERS)
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     @pytest.mark.parametrize("shape", [(8, 8, 8), (14, 14, 14)])
-    def test_hydro_sweep(self, tier, shape, scheme, solver, axis):
-        """With each of the three boxes the solver sweeps ``axis`` with."""
-        fn = _tier_impls(tier)["hydro.sweep"]
+    def test_hydro_sweep(self, tier, shape, scheme, solver, permute):
+        """The three sweeps of one ``hydro.step``, kicked and dragged, with
+        the pencil boxes and with every pencil (``full_update``); the
+        acceleration sits between guard bands too."""
+        fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays(shape, 2, "smooth")
-        for pencils in _solver_boxes(shape, 3, axis):
+        accel = _accel(shape)
+        for full_update in (False, True):
+            options = dict(permute=permute, drag=STEP_DRAG,
+                           full_update=full_update)
             ref = [a.copy() for a in arrays]
-            got, buffers = zip(*(_guarded(a) for a in arrays))
-            ref_out = sweep_numpy(ref, axis, 3, pencils, *SWEEP_ARGS, scheme,
-                                  solver, *SWEEP_FLOORS)
+            ref_out = _step(hydro_step_numpy, ref, 3, scheme, solver, accel=accel,
+                            **options)
+            got, buffers = zip(*(_guarded(a) for a in [*arrays, accel]))
             before = _guards(buffers)
-            got_out = fn(list(got), axis, 3, pencils, *SWEEP_ARGS, scheme,
-                         solver, *SWEEP_FLOORS)
+            got_out = _step(fn, list(got[:-1]), 3, scheme, solver,
+                            accel=got[-1], **options)
             np.testing.assert_array_equal(_guards(buffers), before)
-            _assert_sweeps_equal((ref, *ref_out), (got, *got_out))
+            _assert_steps_equal((ref, *ref_out), (got[:-1], *got_out))
 
     @pytest.mark.parametrize("r", [2, 4])
     def test_prolong_linear(self, tier, r):
@@ -1662,17 +1761,26 @@ class TestNoOutOfBoundsWrites:
     @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (8, 12, 10),
                                        (16, 16, 16)])
     def test_mg_vcycle(self, tier, shape, min_size):
-        fn = _tier_impls(tier)["mg.vcycle"]
+        """Three V-cycles of one ``mg.solve``."""
+        fn = _tier_impls(tier)["mg.solve"]
         ref, source = _poisson_problem(shape, "random")
-        ref_res = np.empty(shape)
-        (got, b_phi), (src, b_src), (res, b_res) = (
-            _guarded(ref), _guarded(source), _guarded(np.zeros(shape)))
-        vcycle_numpy(ref, source, 0.1, 2, 3, min_size, ref_res)
-        before = _guards((b_phi, b_src, b_res))
-        fn(got, src, 0.1, 2, 3, min_size, res)
-        np.testing.assert_array_equal(_guards((b_phi, b_src, b_res)), before)
+        (got, b_phi), (src, b_src) = _guarded(ref), _guarded(source)
+        want = solve_numpy(ref, source, 0.1, 2, 3, min_size, 1e-12, 3, False,
+                           False)
+        before = _guards((b_phi, b_src))
+        out = fn(got, src, 0.1, 2, 3, min_size, 1e-12, 3, False, False)
+        np.testing.assert_array_equal(_guards((b_phi, b_src)), before)
         np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(res, ref_res)
+        assert out == want
+
+    def test_gravity_accel(self, tier):
+        fn = _tier_impls(tier)["gravity.accel"]
+        phi = np.random.default_rng(3).standard_normal((8, 11, 6))
+        got, buf = _guarded(phi)
+        before = _guards((buf,))
+        out = fn(got, 0.1, 1.2)
+        np.testing.assert_array_equal(_guards((buf,)), before)
+        np.testing.assert_array_equal(out, accel_numpy(phi, 0.1, 1.2))
 
     @pytest.mark.parametrize("renormalise", [True, False])
     def test_chem_step(self, tier, renormalise):
@@ -1821,12 +1929,12 @@ class TestSolverStepAcrossTiers:
 class TestRiemannEdgeStates:
     """Adversarial wave patterns, pinned against the exact solver, in both
     solvers: the NumPy bodies directly, and each compiled tier through the
-    sweep that calls its C transcription."""
+    step that calls its C transcription."""
 
     def _flux(self, tier, solver, left, right):
         if tier == "numpy":
             return RIEMANN[solver](left, right, GAMMA)
-        return _sweep_faces(_tier_impls(tier)["hydro.sweep"], left, right,
+        return _sweep_faces(_tier_impls(tier)["hydro.step"], left, right,
                             solver)
 
     def _exact_flux(self, left, right):
@@ -1887,7 +1995,7 @@ class TestRiemannEdgeStates:
                        ((1.0, 0.75, 1.0), (0.125, 0.0, 0.1)),
                        ((1.0, 2.0, 0.4), (1.0, -2.0, 0.4))]:
             left, right = _state(*ls), _state(*rs)
-            ref = _sweep_faces(sweep_numpy, left, right, solver)
+            ref = _sweep_faces(hydro_step_numpy, left, right, solver)
             got = self._flux(tier, solver, left, right)
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
@@ -1926,10 +2034,10 @@ class TestIntegration:
         dt = sim.evolver.advance_root_step(0.005)
         assert run_setup(sim.evolver)["kernels"] == "numpy"
         kernels = step_record(sim.evolver, step=1, dt=dt)["kernels"]
-        # a sweep is one kernel call on every tier: the reference calls
+        # a step is one kernel call on every tier: the reference calls
         # the NumPy bodies directly, so nothing is counted twice
-        assert kernels["hydro.sweep.calls"] > 0
-        assert kernels["hydro.sweep.s"] >= 0.0
+        assert kernels["hydro.step.calls"] > 0
+        assert kernels["hydro.step.s"] >= 0.0
         assert "riemann.hllc.calls" not in kernels
         assert all(key.endswith((".calls", ".s")) for key in kernels)
 
@@ -1990,7 +2098,8 @@ class TestIntegration:
             assert len(run.hierarchy.level_grids(2)) > 1
             calls = dispatch.counters_totals()
             assert calls["fill.level"][0] > 0
-            assert calls["mg.vcycle"][0] > 0
+            assert calls["mg.solve"][0] > 0
+            assert calls["gravity.accel"][0] > 0
             assert calls["flux.correct"][0] > 0
             return run.hierarchy.fingerprint()
 
