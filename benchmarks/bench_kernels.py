@@ -77,7 +77,7 @@ from repro.chemistry.network import (
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.gravity.multigrid import MultigridSolver, solve_numpy
-from repro.hydro.ppm import step_numpy
+from repro.hydro.ppm import step_numpy as hydro_step_numpy
 from repro.kernels import dispatch
 from repro.nbody.cic import deposit_numpy, gather_numpy
 
@@ -149,7 +149,7 @@ def step_rows(config: dict, backend: str) -> dict:
         accel = 0.01 * rng.standard_normal((3, *shape))
         row = {"interior": interior}
         outputs = {}
-        for name, fn, full in (("numpy", step_numpy, False),
+        for name, fn, full in (("numpy", hydro_step_numpy, False),
                                (backend, compiled, False),
                                (f"{backend}_full_box", compiled, True)):
             best = np.inf

@@ -117,7 +117,8 @@ def pencil_boxes(shape, ng, order, full=False):
 
 def check_scheme(scheme, riemann_solver):
     """ValueError unless ``scheme`` and ``riemann_solver`` name a
-    reconstruction and a Riemann solver of :func:`sweep_numpy`."""
+    reconstruction and a Riemann solver of :func:`sweep_numpy` (which
+    :func:`step_numpy` checks before it touches an array)."""
     if scheme != "trace" and scheme not in _RECONSTRUCT:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in _RIEMANN:
@@ -140,7 +141,6 @@ def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
 
     Calls the NumPy bodies directly, never the dispatch registry.
     """
-    check_scheme(scheme, riemann_solver)
     shape = arrays[0].shape
     a_lo, a_hi, b_lo, b_hi = pencils
     box = (slice(None), slice(a_lo, a_hi), slice(b_lo, b_hi))

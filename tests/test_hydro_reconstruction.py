@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hydro.ppm import sweep_numpy
+from repro.hydro.ppm import step_numpy
 from repro.hydro.reconstruction import plm_reconstruct, ppm_reconstruct
 from repro.hydro.riemann import (
     exact_riemann,
@@ -72,8 +72,8 @@ class TestReconstruction:
     def test_unknown_method(self):
         fields = [np.ones((3, 3, 3)) for _ in range(6)]
         with pytest.raises(ValueError, match="unknown reconstruction"):
-            sweep_numpy(fields, 0, 1, (0, 3, 0, 3), 0.1, 0.1, GAMMA, "weno",
-                        "hllc", 1e-12, 1e-30)
+            step_numpy(fields, None, 1, 1.0, 0.1, 1.0, 0, False, GAMMA, "weno",
+                       "hllc", 1e-12, 1e-30, 1e-3, None)
 
     @given(st.integers(min_value=6, max_value=40), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
