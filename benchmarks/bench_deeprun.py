@@ -58,20 +58,22 @@ PERTURB_HI = 8.0  # above the level-1 threshold (~6.7) ...
 PERTURB_LO = 1.0  # ... and back below it
 
 
-def _criteria(n_root: int) -> RefinementCriteria:
+def _criteria(n_root: int, efficiency: float, min_size: int,
+              max_dims: int) -> RefinementCriteria:
+    """The refinement tests and the regrid policy every rebuild reads."""
     return RefinementCriteria(gas_mass_threshold=BASE_THRESHOLD / n_root**3,
                               level_exponent=LEVEL_EXPONENT,
-                              max_level=MAX_LEVEL)
+                              max_level=MAX_LEVEL, efficiency=efficiency,
+                              min_size=min_size, max_dims=max_dims)
 
 
 # --------------------------------------------------------------- hierarchy
 def build_hierarchy(blobs_per_dim: int, tile_cells: int, amplitude: float,
-                    efficiency: float, min_size: int,
-                    max_dims: int) -> Hierarchy:
+                    crit: RefinementCriteria) -> Hierarchy:
     """A lattice of ``blobs_per_dim^3`` Gaussian blobs, one per tile of
     ``tile_cells^3`` root cells, each overdense enough to refine three
-    levels deep — grown through the production rebuild path so flag
-    signatures exist on every parent."""
+    levels deep under ``crit`` — grown through the production rebuild
+    path so flag signatures exist on every parent."""
     n_root = blobs_per_dim * tile_cells
     h = Hierarchy(n_root=n_root)
     root = h.root
@@ -89,8 +91,7 @@ def build_hierarchy(blobs_per_dim: int, tile_cells: int, amplitude: float,
                 rho += amplitude * np.exp(-r2 / width)
     root.fields["density"][root.interior] = rho
     set_boundary_values(h, 0)
-    rebuild_hierarchy(h, 1, _criteria(n_root), efficiency=efficiency,
-                      min_size=min_size, max_dims=max_dims)
+    rebuild_hierarchy(h, 1, crit)
     return h
 
 
@@ -115,20 +116,15 @@ def perturb_parents(h: Hierarchy, fraction: float, round_idx: int) -> int:
 
 # ------------------------------------------------------------------ timing
 def run(config: dict) -> dict:
+    crit = _criteria(config["blobs_per_dim"] * config["tile_cells"],
+                     config["efficiency"], config["min_size"],
+                     config["max_dims"])
     kwargs = dict(blobs_per_dim=config["blobs_per_dim"],
                   tile_cells=config["tile_cells"],
-                  amplitude=config["amplitude"],
-                  efficiency=config["efficiency"],
-                  min_size=config["min_size"],
-                  max_dims=config["max_dims"])
+                  amplitude=config["amplitude"], crit=crit)
     h_inc = build_hierarchy(**kwargs)
     h_raw = build_hierarchy(**kwargs)
     assert h_inc.fingerprint() == h_raw.fingerprint()
-    n_root = config["blobs_per_dim"] * config["tile_cells"]
-    crit = _criteria(n_root)
-    regrid_kwargs = dict(efficiency=config["efficiency"],
-                         min_size=config["min_size"],
-                         max_dims=config["max_dims"])
 
     n_sub = h_inc.n_grids - 1
     fine_cells = int(sum(g.n_cells for lvl in (2, 3)
@@ -142,12 +138,12 @@ def run(config: dict) -> dict:
         perturb_parents(h_raw, config["fraction"], rnd)
 
         t0 = time.perf_counter()
-        rebuild_hierarchy(h_inc, 2, crit, incremental=True, **regrid_kwargs)
+        rebuild_hierarchy(h_inc, 2, crit, incremental=True)
         inc_times.append(time.perf_counter() - t0)
         reuse_rates.append(h_inc.last_rebuild_stats["reuse_rate"])
 
         t0 = time.perf_counter()
-        rebuild_hierarchy(h_raw, 2, crit, incremental=False, **regrid_kwargs)
+        rebuild_hierarchy(h_raw, 2, crit, incremental=False)
         raw_times.append(time.perf_counter() - t0)
 
         # the correctness gate: bitwise-identical hierarchies every round

@@ -49,7 +49,7 @@ def main():
     grav = HierarchyGravity(g_code=sc.g_code, mean_density=sc.mean_density)
     ev2 = HierarchyEvolver(h2, PPMSolver(), gravity=grav,
                            criteria=sc.criteria, cfl=0.3,
-                           max_level=sc.max_level, jeans_floor_cells=4.0)
+                           jeans_floor_cells=4.0)
     ev2.advance_to(t_end)
     peak_restarted = max(g.field_view("density").max() for g in h2.all_grids())
 

@@ -91,7 +91,8 @@ class HierarchyEvolver:
         Optional :class:`repro.chemistry.ChemistryNetwork` (requires units).
     criteria:
         Optional :class:`repro.amr.refinement.RefinementCriteria`;
-        None freezes the current grid structure.
+        None freezes the current grid structure.  It carries the regrid
+        policy of every rebuild, the depth cap ``max_level`` included.
     clock:
         StaticClock (default) or CosmologyClock.
     units:
@@ -125,7 +126,7 @@ class HierarchyEvolver:
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,
                  criteria=None, clock=None, units=None, cfl: float = 0.4,
-                 max_level: int | None = None, stats=None, timers=None,
+                 stats=None, timers=None,
                  jeans_floor_cells: float = 0.0, exec_config=None, defense=None,
                  incremental_rebuild: bool = True):
         self.hierarchy = hierarchy
@@ -136,7 +137,6 @@ class HierarchyEvolver:
         self.clock = clock or StaticClock()
         self.units = units
         self.cfl = cfl
-        self.max_level = max_level
         #: parents with unchanged flag sets keep their subgrids across
         #: rebuilds (repro.amr.rebuild); False forces the from-scratch
         #: path — bitwise identical, used by the bitwise gate and benches
@@ -379,11 +379,12 @@ class HierarchyEvolver:
                 chem.mean("active_fraction_mean",
                           stats["active_fraction_mean"], stats["cells"])
 
+        max_level = None if self.criteria is None else self.criteria.max_level
         if (
             self.jeans_floor_cells > 0.0
             and self.gravity is not None
-            and self.max_level is not None
-            and level >= self.max_level
+            and max_level is not None
+            and level >= max_level
         ):
             for g in grids:
                 self._apply_jeans_floor(g, a_mid)
@@ -394,20 +395,31 @@ class HierarchyEvolver:
         self._timed("projection", project_level, h, level + 1)
 
         self.step_counter[level] += 1
-        if (
-            self.criteria is not None
-            and (self.max_level is None or level + 1 <= self.max_level)
-        ):
-            self._timed("rebuild", lambda: rebuild_hierarchy(
-                h, level + 1, self.criteria, self._dm_density,
-                max_level=self.max_level,
-                incremental=self.incremental_rebuild))
+        if self.criteria is not None and (max_level is None
+                                          or level + 1 <= max_level):
+            self._timed("rebuild", self._rebuild, level + 1)
             self._record_rebuild(h.last_rebuild_stats)
             if self.stats is not None and hasattr(self.stats, "record_rebuild"):
                 self.stats.record_rebuild(h, level + 1)
         if self.stats is not None and hasattr(self.stats, "record_step"):
             self.stats.record_step(h, level, dt, float(grids[0].time))
         return dt
+
+    def initial_rebuild(self) -> None:
+        """Seed the adaptive hierarchy from the initial conditions: set the
+        criteria's scale factor from the clock and rebuild below the
+        deepest level present (levels the initial conditions installed
+        are kept).  Without criteria the grid structure stays as it is."""
+        if self.criteria is None:
+            return
+        h = self.hierarchy
+        self.criteria.a = self.clock.a_of(h.root.time)
+        self._rebuild(max(1, len(h.levels)))
+
+    def _rebuild(self, level: int) -> None:
+        """RebuildHierarchy(level): the one place a rebuild is made."""
+        rebuild_hierarchy(self.hierarchy, level, self.criteria,
+                          self._dm_density, incremental=self.incremental_rebuild)
 
     def _record_rebuild(self, last: dict) -> None:
         """Fold one rebuild_hierarchy call into the step's ``rebuild`` block:

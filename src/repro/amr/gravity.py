@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.amr.boundary import wrap_phi_ghosts
 from repro.gravity.fft_poisson import solve_periodic
+from repro.gravity.gradient import acceleration_from_potential
 from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
 from repro.kernels import dispatch as kernels
 from repro.nbody.cic import cic_deposit, cic_gather
@@ -207,12 +208,10 @@ class HierarchyGravity:
 
 
 def accel_numpy(phi: np.ndarray, dx: float, a: float) -> np.ndarray:
-    """NumPy reference of the ``gravity.accel`` kernel: ``-np.gradient(phi,
-    dx, axis=k) / a`` for each axis k, as a (3, *phi.shape) array."""
-    g = np.empty((3,) + phi.shape)
-    for axis in range(3):
-        g[axis] = -np.gradient(phi, dx, axis=axis) / a
-    return g
+    """NumPy reference of the ``gravity.accel`` kernel: the non-periodic
+    :func:`~repro.gravity.gradient.acceleration_from_potential`,
+    ``-np.gradient(phi, dx, axis=k) / a`` for each axis k."""
+    return acceleration_from_potential(phi, dx, a, periodic=False)
 
 
 def parent_boundaries(topo) -> list[np.ndarray]:

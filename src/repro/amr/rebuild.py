@@ -140,17 +140,16 @@ def _flag_signature(flags: np.ndarray, params_key: bytes) -> bytes:
 
 
 def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
-                      efficiency: float = 0.7, min_size: int = 2,
-                      buffer_cells: int = 1, max_dims: int = 32,
-                      max_level: int | None = None,
                       incremental: bool = True) -> None:
     """Rebuild grids on ``level`` and deeper.
 
-    ``criteria`` is a :class:`RefinementCriteria`; ``dm_density_fn(grid)``
-    returns the deposited dark-matter density on a grid's interior (or
-    None).  ``max_dims`` caps each new grid's extent per dimension (big
-    boxes are bisected — keeps grids "generally small (~20^3) and numerous"
-    as the paper describes).
+    ``criteria`` is a :class:`RefinementCriteria`: its tests flag the
+    cells and its regrid policy (``max_level``, ``buffer_cells``,
+    ``efficiency``, ``min_size``, ``max_dims``) shapes the grids.
+    ``max_dims`` caps each new grid's extent per dimension in parent cells
+    (big boxes are bisected — keeps grids "generally small (~20^3) and
+    numerous" as the paper describes).  ``dm_density_fn(grid)`` returns the
+    deposited dark-matter density on a grid's interior (or None).
 
     With ``incremental=True`` (the default) parents whose flag signature
     is unchanged since the last rebuild keep their subgrids alive (see
@@ -163,8 +162,9 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
         raise ValueError("the root grid is never rebuilt")
 
     pool = hierarchy.pool
-    params_key = repr((float(efficiency), int(min_size), int(buffer_cells),
-                       int(max_dims))).encode()
+    max_level, buffer_cells = criteria.max_level, criteria.buffer_cells
+    params_key = repr((criteria.efficiency, criteria.min_size, buffer_cells,
+                       criteria.max_dims)).encode()
     stats = {"level": level, "parents": 0, "parents_reused": 0,
              "created": 0, "reused": 0, "destroyed": 0}
     flag_counts: dict[str, int] = {}
@@ -205,9 +205,6 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
             while True:
                 if max_level is not None and lvl > max_level:
                     break
-                if (getattr(criteria, "max_level", None) is not None
-                        and lvl > criteria.max_level):
-                    break
                 parents = hierarchy.level_grids(lvl - 1)
                 new_grids: list[tuple[Grid, Grid]] = []  # (child, parent)
                 reused_ids: set[int] = set()
@@ -216,9 +213,7 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                     flags = criteria.flag_cells(
                         parent, dm_density_fn(parent) if dm_density_fn else None
                     )
-                    for crit, count in getattr(
-                        criteria, "last_flag_counts", {}
-                    ).items():
+                    for crit, count in criteria.last_flag_counts.items():
                         flag_counts[crit] = flag_counts.get(crit, 0) + count
                     if buffer_cells > 0 and flags.any():
                         flags = binary_dilation(flags, iterations=buffer_cells)
@@ -237,10 +232,12 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                         continue
                     if not flags.any():
                         continue
-                    boxes = cluster_flagged_cells(flags, efficiency=efficiency,
-                                                  min_size=min_size)
+                    boxes = cluster_flagged_cells(
+                        flags, efficiency=criteria.efficiency,
+                        min_size=criteria.min_size)
                     for box in boxes:
-                        for blo, bhi in _split_box(box.lo, box.hi, max_dims):
+                        for blo, bhi in _split_box(box.lo, box.hi,
+                                                   criteria.max_dims):
                             start = (parent.start_index + np.array(blo)) * r
                             dims = (np.array(bhi) - np.array(blo)) * r
                             g = Grid(lvl, start, dims, hierarchy.n_root, r,

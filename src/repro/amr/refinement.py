@@ -64,15 +64,24 @@ class RefinementCriteria:
     ``level_exponent`` (per-level threshold scaling), an optional simple
     ``overdensity_threshold``, ``shock_threshold`` (relative pressure
     jump, Enzo uses ~0.33), ``vorticity_threshold`` (|omega| dx / c_s),
-    the unit system + scale factor the Jeans test needs, ``gamma`` for the
-    sound speed, and ``max_level`` as the depth cap.
+    the unit system + scale factor the Jeans test needs and ``gamma`` for
+    the sound speed.
+
+    The same object carries the regrid policy every
+    :func:`~repro.amr.rebuild.rebuild_hierarchy` call reads (paper Sec.
+    3.2.2): ``max_level`` caps the depth, ``buffer_cells`` dilates each
+    parent's flag field, ``efficiency`` and ``min_size`` steer the
+    Berger-Rigoutsos clustering, and ``max_dims`` bisects any box longer
+    than that many parent cells per axis.
     """
 
     def __init__(self, gas_mass_threshold=None, dm_mass_threshold=None,
                  jeans_number=None, level_exponent=0.0,
                  overdensity_threshold=None, units=None, a=1.0, max_level=None,
                  shock_threshold=None, vorticity_threshold=None,
-                 gamma=const.GAMMA):
+                 gamma=const.GAMMA, max_dims: int = 32,
+                 efficiency: float = 0.7, min_size: int = 2,
+                 buffer_cells: int = 1):
         self.gas_mass_threshold = gas_mass_threshold
         self.dm_mass_threshold = dm_mass_threshold
         self.jeans_number = jeans_number
@@ -84,6 +93,10 @@ class RefinementCriteria:
         self.shock_threshold = shock_threshold
         self.vorticity_threshold = vorticity_threshold
         self.gamma = float(gamma)
+        self.max_dims = int(max_dims)
+        self.efficiency = float(efficiency)
+        self.min_size = int(min_size)
+        self.buffer_cells = int(buffer_cells)
         #: per-criterion interior cell counts from the last flag_cells call
         self.last_flag_counts: dict[str, int] = {}
 

@@ -67,9 +67,6 @@ class HierarchyStats:
             work /= work.max()
         return work
 
-    def grids_per_level_now(self, hierarchy) -> list[int]:
-        return hierarchy.grids_per_level()
-
     def series(self) -> dict:
         return {
             "time": np.asarray(self.times),

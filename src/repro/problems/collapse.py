@@ -21,7 +21,6 @@ from repro.amr import Hierarchy, HierarchyEvolver, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.evolve import CosmologyClock
 from repro.amr.gravity import HierarchyGravity
-from repro.amr.rebuild import rebuild_hierarchy
 from repro.analysis.profiles import find_densest_point, radial_profiles
 from repro.chemistry import ChemistryNetwork, primordial_initial_fractions
 from repro.chemistry.species import ADVECTED_SPECIES
@@ -33,6 +32,7 @@ from repro.cosmology import (
     STANDARD_CDM,
     ZeldovichIC,
 )
+from repro.exec import ExecConfig
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers, HierarchyStats
@@ -142,22 +142,16 @@ class PrimordialCollapse:
             units=self.units,
             a=self.units.a_initial,
             max_level=self.max_level,
+            max_dims=max_dims,
         )
-        exec_config = None
-        if exec_backend is not None or workers is not None:
-            from repro.exec import ExecConfig
-
-            exec_config = ExecConfig.resolve(
-                backend=exec_backend, workers=workers
-            )
         self.evolver = HierarchyEvolver(
             self.hierarchy, PPMSolver(), gravity=self.gravity,
             chemistry=self.chemistry, criteria=self.criteria,
-            clock=self.clock, units=self.units, cfl=cfl,
-            max_level=self.max_level, stats=self.stats, timers=timers,
-            jeans_floor_cells=4.0, exec_config=exec_config,
+            clock=self.clock, units=self.units, cfl=cfl, stats=self.stats,
+            timers=timers, jeans_floor_cells=4.0,
+            exec_config=ExecConfig.resolve(backend=exec_backend,
+                                           workers=workers),
         )
-        self._max_dims = max_dims
         self.snapshots: list[dict] = []
 
     # ------------------------------------------------------------------ setup
@@ -217,12 +211,7 @@ class PrimordialCollapse:
     # ----------------------------------------------------------------------- run
     def initial_rebuild(self) -> None:
         """Seed the adaptive hierarchy from the initial conditions."""
-        self.criteria.a = self.clock.a_of(self.hierarchy.root.time)
-        rebuild_hierarchy(
-            self.hierarchy, max(1, len(self.hierarchy.levels) - 0), self.criteria,
-            self.evolver._dm_density, max_level=self.max_level,
-            max_dims=self._max_dims,
-        )
+        self.evolver.initial_rebuild()
 
     def code_time_of_redshift(self, z: float) -> float:
         """Code time at which the background reaches redshift ``z``."""

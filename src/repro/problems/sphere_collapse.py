@@ -16,7 +16,6 @@ import numpy as np
 from repro.amr import Hierarchy, HierarchyEvolver, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.gravity import HierarchyGravity
-from repro.amr.rebuild import rebuild_hierarchy
 from repro.hydro import PPMSolver
 from repro.perf import HierarchyStats
 
@@ -51,7 +50,6 @@ class SphereCollapse:
         self.g_code = float(g_code)
         self.hierarchy = Hierarchy(n_root=self.n_root)
         self.stats = HierarchyStats()
-        self.max_dims = max_dims
 
         root = self.hierarchy.root
         c = [(np.arange(self.n_root) + 0.5) / self.n_root] * 3
@@ -75,18 +73,17 @@ class SphereCollapse:
             jeans_number=jeans_number,
             units=units,
             max_level=self.max_level,
+            max_dims=max_dims,
         )
         self.gravity = HierarchyGravity(
             g_code=self.g_code, mean_density=self.mean_density
         )
         self.evolver = HierarchyEvolver(
             self.hierarchy, PPMSolver(), gravity=self.gravity,
-            criteria=self.criteria, cfl=0.3, max_level=self.max_level,
-            stats=self.stats, jeans_floor_cells=4.0,
-            exec_config=exec_config,
+            criteria=self.criteria, cfl=0.3, stats=self.stats,
+            jeans_floor_cells=4.0, exec_config=exec_config,
         )
-        rebuild_hierarchy(self.hierarchy, 1, self.criteria,
-                          max_level=self.max_level, max_dims=self.max_dims)
+        self.evolver.initial_rebuild()
 
     @property
     def peak_density(self) -> float:

@@ -16,7 +16,7 @@ from repro.amr import Hierarchy, HierarchyEvolver, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.evolve import CosmologyClock, StaticClock
 from repro.amr.gravity import HierarchyGravity
-from repro.amr.rebuild import rebuild_hierarchy
+from repro.exec import ExecConfig
 from repro.hydro import PPMSolver, ZeusSolver
 from repro.perf import ComponentTimers, HierarchyStats
 
@@ -131,18 +131,14 @@ class Simulation:
                 vorticity_threshold=c.refine_vorticity,
                 units=units,
                 max_level=c.max_level,
-            )
-        exec_config = None
-        if c.exec_backend is not None or c.workers is not None:
-            from repro.exec import ExecConfig
-
-            exec_config = ExecConfig.resolve(
-                backend=c.exec_backend, workers=c.workers
+                max_dims=c.max_grid_dims,
             )
         self.evolver = HierarchyEvolver(
             self.hierarchy, solver, gravity=self.gravity, criteria=self.criteria,
-            clock=clock, units=units, cfl=c.cfl, max_level=c.max_level,
-            stats=self.stats, timers=self.timers, exec_config=exec_config,
+            clock=clock, units=units, cfl=c.cfl, stats=self.stats,
+            timers=self.timers,
+            exec_config=ExecConfig.resolve(backend=c.exec_backend,
+                                           workers=c.workers),
             defense=None if c.defense else False,
         )
 
@@ -171,12 +167,7 @@ class Simulation:
             self.gravity.mean_density = float(
                 self.hierarchy.root.field_view("density").mean()
             )
-        if self.criteria is not None:
-            rebuild_hierarchy(
-                self.hierarchy, 1, self.criteria,
-                self.evolver._dm_density, max_level=self.config.max_level,
-                max_dims=self.config.max_grid_dims,
-            )
+        self.evolver.initial_rebuild()
 
     # ------------------------------------------------------------------- run
     def run(self, t_end: float) -> dict:

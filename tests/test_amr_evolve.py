@@ -106,10 +106,45 @@ class TestRebuild:
         h = _blob_hierarchy(n_root=16, amplitude=10.0)
         # broad blob -> big flagged region; max_dims forces multiple grids
         h.root.fields["density"][h.root.interior] = 10.0
-        crit = RefinementCriteria(overdensity_threshold=3.0, max_level=1)
-        rebuild_hierarchy(h, 1, crit, max_dims=8)
+        crit = RefinementCriteria(overdensity_threshold=3.0, max_level=1,
+                                  max_dims=8)
+        rebuild_hierarchy(h, 1, crit)
         assert all(np.all(g.dims <= 16) for g in h.level_grids(1))
         assert len(h.level_grids(1)) > 1
+
+    @staticmethod
+    def _sphere():
+        from repro.problems import SphereCollapse
+
+        return SphereCollapse(n_root=16, max_level=3, overdensity=25.0,
+                              max_dims=8)
+
+    def test_in_run_rebuilds_obey_max_dims(self):
+        """The problem's ``max_dims`` caps the grids of every rebuild, not
+        only the initial one: a box may span at most ``max_dims`` parent
+        cells, i.e. ``2 * max_dims`` cells of its own level."""
+        sphere = self._sphere()
+        sphere.run(max_root_steps=2)
+        h = sphere.hierarchy
+        assert h.max_level >= 2
+        for level in range(1, h.max_level + 1):
+            for g in h.level_grids(level):
+                assert np.all(g.dims <= 2 * 8), (level, g.dims)
+
+    def test_in_run_rebuild_reuses_the_initial_grids(self):
+        """The initial rebuild and the evolver's in-run rebuilds read one
+        regrid policy, so their flag signatures agree: rebuilding again
+        with unchanged flags keeps every grid."""
+        sphere = self._sphere()
+        h = sphere.hierarchy
+        before = h.fingerprint()
+        n_sub = h.n_grids - 1
+        assert n_sub > 1
+        rebuild_hierarchy(h, 1, sphere.criteria)
+        stats = h.last_rebuild_stats
+        assert (stats["created"], stats["destroyed"]) == (0, 0)
+        assert stats["reused"] == n_sub
+        assert h.fingerprint() == before
 
     def test_root_rebuild_rejected(self):
         h = _blob_hierarchy()
@@ -244,7 +279,7 @@ class TestEvolveLevel:
         rebuild_hierarchy(h, 1, crit)
         stats = HierarchyStats()
         ev = HierarchyEvolver(h, PPMSolver(), criteria=crit, cfl=0.3,
-                              max_level=2, stats=stats)
+                              stats=stats)
         ev.advance_to(0.01)
         assert h.max_level >= 1
         assert len(stats.times) > 0

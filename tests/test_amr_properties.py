@@ -143,7 +143,7 @@ def test_evolver_keeps_positivity(seed):
         g_code=1.0, mean_density=float(root.field_view("density").mean())
     )
     ev = HierarchyEvolver(h, PPMSolver(), gravity=grav, criteria=crit,
-                          cfl=0.3, max_level=1)
+                          cfl=0.3)
     ev.advance_to(0.02)
     for g in h.all_grids():
         assert np.all(g.field_view("density") > 0)

@@ -27,7 +27,7 @@ def amr_pancake():
                             mean_density=1.0)
     ev = HierarchyEvolver(zp.hierarchy, PPMSolver(), gravity=grav,
                           criteria=crit, clock=clock, units=zp.units,
-                          cfl=0.3, max_level=1)
+                          cfl=0.3)
     a_end = 1.0 / (1.0 + 10.0)
     t_end = (float(zp.friedmann.time_of_a(a_end)) - clock.t0_cgs) / zp.units.time_unit
     ev.advance_to(t_end)

@@ -35,8 +35,8 @@ class TestOperationRecorder:
         crit = RefinementCriteria(overdensity_threshold=3.0, max_level=1)
         rebuild_hierarchy(h, 1, crit)
         rec = OperationRecorder()
-        ev = HierarchyEvolver(h, PPMSolver(), criteria=crit, max_level=1,
-                              stats=rec, cfl=0.3)
+        ev = HierarchyEvolver(h, PPMSolver(), criteria=crit, stats=rec,
+                              cfl=0.3)
         ev.advance_to(0.01)
         assert rec.counts.counts.get("rebuild", 0) > 0
 
