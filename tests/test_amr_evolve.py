@@ -132,9 +132,10 @@ class TestRebuild:
                 assert np.all(g.dims <= 2 * 8), (level, g.dims)
 
     def test_in_run_rebuild_reuses_the_initial_grids(self):
-        """The initial rebuild and the evolver's in-run rebuilds read one
-        regrid policy, so their flag signatures agree: rebuilding again
-        with unchanged flags keeps every grid."""
+        """The initial rebuild and an in-run rebuild (the criteria alone,
+        as the evolver passes them) read one regrid policy, so their flag
+        signatures agree: rebuilding with unchanged flags keeps every
+        grid."""
         sphere = self._sphere()
         h = sphere.hierarchy
         before = h.fingerprint()

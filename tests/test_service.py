@@ -696,7 +696,10 @@ class TestSupervision:
     def test_wall_budget_enforced_daemon_side(self, tmp_path):
         """max_wall_seconds from the spec is policed by the daemon: the
         run is drained and quarantined as budget_exceeded."""
-        spec = blob_spec(max_steps=200)
+        # a far t_end leaves max_steps to bound the run: blob_spec's own
+        # t_end is reached in 11 steps, which the compiled kernel tier
+        # can finish inside the 0.3 s budget
+        spec = blob_spec(max_steps=200, t_end=50.0)
         spec["max_wall_seconds"] = 0.3
         service, client = start_service(tmp_path, total_workers=2)
         try:
