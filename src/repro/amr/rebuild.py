@@ -50,6 +50,9 @@ from repro.amr.topology import box_overlaps, parent_table
 from repro.kernels import dispatch as kernels
 from repro.precision.doubledouble import DoubleDouble
 
+#: safety cells each parent's flag field is dilated by before clustering
+BUFFER_CELLS = 1
+
 
 def _fill_level(entries, old_grids) -> None:
     """Fill one level's rebuilt grids in one ``fill.level`` call (see
@@ -144,8 +147,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     """Rebuild grids on ``level`` and deeper.
 
     ``criteria`` is a :class:`RefinementCriteria`: its tests flag the
-    cells and its regrid policy (``max_level``, ``buffer_cells``,
-    ``efficiency``, ``min_size``, ``max_dims``) shapes the grids.
+    cells and its regrid policy (``max_level``, ``efficiency``,
+    ``min_size``, ``max_dims``) shapes the grids.
     ``max_dims`` caps each new grid's extent per dimension in parent cells
     (big boxes are bisected — keeps grids "generally small (~20^3) and
     numerous" as the paper describes).  ``dm_density_fn(grid)`` returns the
@@ -162,8 +165,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
         raise ValueError("the root grid is never rebuilt")
 
     pool = hierarchy.pool
-    max_level, buffer_cells = criteria.max_level, criteria.buffer_cells
-    params_key = repr((criteria.efficiency, criteria.min_size, buffer_cells,
+    max_level = criteria.max_level
+    params_key = repr((criteria.efficiency, criteria.min_size, BUFFER_CELLS,
                        criteria.max_dims)).encode()
     stats = {"level": level, "parents": 0, "parents_reused": 0,
              "created": 0, "reused": 0, "destroyed": 0}
@@ -215,8 +218,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                     )
                     for crit, count in criteria.last_flag_counts.items():
                         flag_counts[crit] = flag_counts.get(crit, 0) + count
-                    if buffer_cells > 0 and flags.any():
-                        flags = binary_dilation(flags, iterations=buffer_cells)
+                    if flags.any():
+                        flags = binary_dilation(flags, iterations=BUFFER_CELLS)
                     sig = _flag_signature(flags, params_key)
                     stats["parents"] += 1
                     previous = (hierarchy._flag_signatures.get(parent.grid_id)

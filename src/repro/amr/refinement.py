@@ -69,10 +69,9 @@ class RefinementCriteria:
 
     The same object carries the regrid policy every
     :func:`~repro.amr.rebuild.rebuild_hierarchy` call reads (paper Sec.
-    3.2.2): ``max_level`` caps the depth, ``buffer_cells`` dilates each
-    parent's flag field, ``efficiency`` and ``min_size`` steer the
-    Berger-Rigoutsos clustering, and ``max_dims`` bisects any box longer
-    than that many parent cells per axis.
+    3.2.2): ``max_level`` caps the depth, ``efficiency`` and ``min_size``
+    steer the Berger-Rigoutsos clustering, and ``max_dims`` bisects any
+    box longer than that many parent cells per axis.
     """
 
     def __init__(self, gas_mass_threshold=None, dm_mass_threshold=None,
@@ -80,8 +79,7 @@ class RefinementCriteria:
                  overdensity_threshold=None, units=None, a=1.0, max_level=None,
                  shock_threshold=None, vorticity_threshold=None,
                  gamma=const.GAMMA, max_dims: int = 32,
-                 efficiency: float = 0.7, min_size: int = 2,
-                 buffer_cells: int = 1):
+                 efficiency: float = 0.7, min_size: int = 2):
         self.gas_mass_threshold = gas_mass_threshold
         self.dm_mass_threshold = dm_mass_threshold
         self.jeans_number = jeans_number
@@ -96,7 +94,6 @@ class RefinementCriteria:
         self.max_dims = int(max_dims)
         self.efficiency = float(efficiency)
         self.min_size = int(min_size)
-        self.buffer_cells = int(buffer_cells)
         #: per-criterion interior cell counts from the last flag_cells call
         self.last_flag_counts: dict[str, int] = {}
 
