@@ -17,19 +17,19 @@ import numpy as np
 
 def test_fig5_hierarchy_growth(benchmark, sphere_run):
     sc = benchmark.pedantic(lambda: sphere_run, rounds=1, iterations=1)
-    stats = sc.stats
-    series = stats.series()
+    records = sc.step_records
     h = sc.hierarchy
+    t = np.array([r["t"] for r in records])
+    lv = np.array([r["levels"][-1]["level"] for r in records])
+    ng = np.array([sum(l["grids"] for l in r["levels"]) for r in records])
 
     print("\n--- Fig 5 top-left: maximum level vs time ---")
-    t, lv = series["time"], series["max_level"]
     for i in np.linspace(0, len(t) - 1, min(10, len(t))).astype(int):
         print(f"  t={t[i]:.4f}  max_level={lv[i]}")
     assert lv[-1] >= lv[0]
     assert lv[-1] >= 2, "collapse must deepen the hierarchy"
 
     print("--- Fig 5 top-right: number of grids vs time ---")
-    ng = series["n_grids"]
     for i in np.linspace(0, len(t) - 1, min(10, len(t))).astype(int):
         print(f"  t={t[i]:.4f}  grids={ng[i]}")
     # the hierarchy stays populated and respond to the flow (the initial
@@ -40,26 +40,31 @@ def test_fig5_hierarchy_growth(benchmark, sphere_run):
     assert ng[-1] > 10 * 1, "collapse must sustain a populated hierarchy"
 
     print("--- Fig 5 bottom-left: grids per level, early vs late ---")
-    times = sorted(stats.snapshots)
-    early, late = stats.snapshots[times[0]], stats.snapshots[times[-1]]
+    early = [l["grids"] for l in records[0]["levels"]]
+    late = [l["grids"] for l in records[-1]["levels"]]
     print(f"  early {early}")
     print(f"  late  {late}")
     assert len(late) >= len(early)
 
     print("--- Fig 5 bottom-right: work per level (normalised) ---")
-    work = stats.work_per_level(h)
+    # cells on level l x the ~r^l substeps it takes per root step
+    r = h.refine_factor
+    work = np.array([l["cells"] * r ** l["level"]
+                     for l in records[-1]["levels"]], dtype=float)
+    work /= work.max()
     for lvl, w in enumerate(work):
         print(f"  level {lvl}: {w:.3f}")
     # late in the collapse the deepest levels dominate the work
     assert np.argmax(work) >= 1, "refined levels dominate the work"
 
     print("--- Sec 5: memory & allocation traffic ---")
-    print(f"  peak memory      : {series['memory_bytes'].max() / 1e6:.1f} MB "
+    alloc_events = h.grids_created + h.grids_destroyed
+    print(f"  final memory     : {h.total_memory_bytes() / 1e6:.1f} MB "
           f"(paper: up to 20 GB at hero scale)")
-    print(f"  alloc/free events: {series['alloc_events'][-1]} "
+    print(f"  alloc/free events: {alloc_events} "
           f"(paper: 'extremely large number ... entire hierarchy rebuilt "
           f"thousands of times')")
-    assert series["alloc_events"][-1] > 100
+    assert alloc_events > 100
 
     print(f"\n  final SDR = {h.spatial_dynamic_range():.0f} "
           f"(paper: 1e12 at 34 levels; scaled run capped at "

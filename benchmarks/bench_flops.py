@@ -15,35 +15,20 @@ Reproduces the paper's two performance estimates:
    Moore's-law infeasibility estimate ("not until about 2200").
 """
 
-import time
-
-import numpy as np
-
-from repro.perf import OperationCounts, sustained_flop_rate, virtual_flop_rate
+from repro.perf import OperationRecorder, sustained_flop_rate, virtual_flop_rate
 from repro.perf.flops import unigrid_infeasibility
 
 
 def _representative_section():
-    """Run a representative mid-collapse section under op counting."""
+    """Run a representative mid-collapse section under live op counting."""
     from repro.problems import SphereCollapse
 
     sc = SphereCollapse(n_root=16, max_level=2, overdensity=25.0, max_dims=8)
-    ops = OperationCounts()
-    t0 = time.perf_counter()
-    # count work as the evolver performs it
-    steps_before = dict(sc.evolver.step_counter)
+    # counts the work of every level step and rebuild as the evolver
+    # performs it, from here to the end of the section
+    rec = OperationRecorder(sc.evolver)
     sc.run(max_root_steps=15)
-    wall = time.perf_counter() - t0
-    # tally: every level step touched every cell of its level
-    for level, grids in enumerate(sc.hierarchy.levels):
-        cells = sum(g.n_cells for g in grids)
-        n_steps = sc.evolver.step_counter.get(level, 0) - steps_before.get(level, 0)
-        ops.add_hydro(cells * n_steps)
-        ops.add_gravity(cells * n_steps)
-        ops.add_boundary(cells * n_steps)
-    ops.add_rebuild(sum(g.n_cells for g in sc.hierarchy.all_grids())
-                    * sc.evolver.step_counter.get(0, 0))
-    return ops, wall
+    return rec.counts, rec.wall_time
 
 
 def test_sustained_flop_rate(benchmark):

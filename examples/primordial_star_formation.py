@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.analysis import zoom_stack
 from repro.analysis.projections import ascii_render
-from repro.perf import ComponentTimers
 from repro.problems import PrimordialCollapse
 from repro.problems.collapse import find_collapse_site
 
@@ -31,7 +30,6 @@ def main():
     print(f"collapse site: {np.round(site, 3)} (box units)\n")
 
     print("=== step 2: full-physics collapse run ===")
-    timers = ComponentTimers()
     run = PrimordialCollapse(
         n_root=8,
         max_level=2,
@@ -42,7 +40,6 @@ def main():
         mass_refine_factor=8.0,
         with_chemistry=True,
         with_dark_matter=True,
-        timers=timers,
     )
     run.initial_rebuild()
     for z_stop in (75.0, 65.0, 56.0):
@@ -72,7 +69,7 @@ def main():
         print(ascii_render(fr["image"]))
 
     print("\n=== component usage (paper Sec. 5 table) ===")
-    print(timers.report())
+    print(run.evolver.timers.report())
 
 
 if __name__ == "__main__":

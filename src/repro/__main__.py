@@ -42,7 +42,7 @@ def cmd_info(args) -> int:
         ("repro.parallel", "simulated cluster: sterile objects, pipelining"),
         ("repro.exec", "execution engine: per-grid tasks, serial or threads"),
         ("repro.analysis", "profiles, zooms, halos, Jacques"),
-        ("repro.perf", "timers, hierarchy stats, op counting"),
+        ("repro.perf", "component timers, op counting"),
         ("repro.io", "checkpoint/restart"),
         ("repro.runtime", "run control: atomic checkpoints, recovery, telemetry"),
     ]

@@ -38,7 +38,7 @@ from repro.exec import ChemistryTask, ExecutionEngine, GravityAccelTask, HydroTa
 from repro.hydro.timestep import accel_timestep, expansion_timestep, hydro_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
 from repro.nbody.cic import cic_deposit
-from repro.perf.timers import StepStats
+from repro.perf.timers import ComponentTimers, StepStats
 from repro.precision.doubledouble import DoubleDouble
 
 
@@ -101,8 +101,6 @@ class HierarchyEvolver:
         Optional recorder; any of the methods ``record_step(hierarchy,
         level, dt, time)`` / ``record_rebuild(hierarchy, level)`` it defines
         are invoked.
-    timers:
-        Optional :class:`repro.perf.timers.ComponentTimers`.
     exec_config:
         Optional :class:`repro.exec.ExecConfig` (or dict) selecting the
         execution backend for independent per-grid work; None resolves
@@ -126,9 +124,8 @@ class HierarchyEvolver:
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,
                  criteria=None, clock=None, units=None, cfl: float = 0.4,
-                 stats=None, timers=None,
-                 jeans_floor_cells: float = 0.0, exec_config=None, defense=None,
-                 incremental_rebuild: bool = True):
+                 stats=None, jeans_floor_cells: float = 0.0, exec_config=None,
+                 defense=None, incremental_rebuild: bool = True):
         self.hierarchy = hierarchy
         self.solver = solver
         self.gravity = gravity
@@ -142,7 +139,11 @@ class HierarchyEvolver:
         #: path — bitwise identical, used by the bitwise gate and benches
         self.incremental_rebuild = bool(incremental_rebuild)
         self.stats = stats
-        self.timers = timers
+        #: the run's component timers (paper Sec. 5 table); their clock
+        #: starts here, and the hierarchy attributes its cache rebuilds to
+        #: their "topology" section
+        self.timers = ComponentTimers()
+        hierarchy.timers = self.timers
         #: if > 0: pressure-support floor so the local Jeans length never
         #: falls below this many cell widths on the *finest allowed* level —
         #: the standard remedy (Machacek et al. 2001 lineage) for artificial
@@ -181,9 +182,6 @@ class HierarchyEvolver:
         #: handed to every fault hook the run reaches; None (the default)
         #: injects nothing
         self.faults = None
-        if timers is not None:
-            # let the hierarchy attribute its cache rebuilds to "topology"
-            hierarchy.timers = timers
 
     # ------------------------------------------------------------------ time
     def compute_timestep(self, level: int, a: float, adot: float,
@@ -565,7 +563,5 @@ class HierarchyEvolver:
     def _timed(self, section: str, fn, *args):
         if self.phase_hook is not None:
             self.phase_hook(section)
-        if self.timers is None:
-            return fn(*args)
         with self.timers.section(section):
             return fn(*args)

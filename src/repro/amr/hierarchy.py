@@ -47,7 +47,9 @@ class Hierarchy:
         self.levels: list[list[Grid]] = [[root]]
         #: bumped on every structural change; cache keys derive from it
         self.topology_epoch = 0
-        self.timers = None  # optional ComponentTimers ("topology" section)
+        #: the evolver's ComponentTimers ("topology" section); None for a
+        #: hierarchy no evolver drives
+        self.timers = None
         self._sibling_maps: dict[int, tuple[int, LevelTopology]] = {}
         self._particle_epoch = 0
         self._plevel_cache: tuple[tuple, np.ndarray] | None = None

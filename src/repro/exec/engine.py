@@ -11,8 +11,7 @@ can carry real utilisation and load-imbalance figures.
 Backends
 --------
 ``serial``
-    Today's exact code path: tasks run inline, in submission order, with
-    the same component-timer attribution as before the engine existed.
+    Tasks run inline, in the caller's thread, in submission order.
 ``thread``
     A shared :class:`ThreadPoolExecutor`; tasks operate directly on the
     live grid arrays (zero-copy) and the compiled kernels release the GIL
@@ -93,9 +92,6 @@ class ExecReport:
         #: worker index -> busy seconds
         self.worker_busy: dict = defaultdict(float)
         self.dispatch_wall = 0.0
-        #: True when tasks ran inline under the caller's component timers
-        #: (serial path) — kernel seconds are then already attributed
-        self.inline_timed = False
 
     def record(self, task, seconds: float, worker) -> None:
         self.task_times.append((task.kind, task.level, task.n_cells, seconds))
@@ -178,7 +174,10 @@ class ExecutionEngine:
         """Execute independent per-grid tasks in place.
 
         Returns the dispatch report (also folded into the calibrator and
-        :attr:`stats`).
+        :attr:`stats`).  Given ``timers`` (a
+        :class:`~repro.perf.timers.ComponentTimers`), it adds each task
+        kind's measured seconds and the dispatch overhead ("exec") to them,
+        the same way on every backend.
         """
         tasks = list(tasks)
         cfg = self.config
@@ -187,7 +186,7 @@ class ExecutionEngine:
             return report
         t0 = perf_counter()
         if cfg.backend == "serial" or len(tasks) < MIN_PARALLEL_TASKS:
-            self._run_inline(tasks, report, timers)
+            self._run_inline(tasks, report)
         else:
             self._run_threads(tasks, report)
         report.dispatch_wall = perf_counter() - t0
@@ -195,10 +194,9 @@ class ExecutionEngine:
         self.calibrator.observe_report(report)
         self._record(report, level)
         if timers is not None:
-            if not report.inline_timed:
-                for kind, seconds in report.kernel_seconds.items():
-                    timers.add_seconds(kind, seconds,
-                                       count=report.kind_counts[kind])
+            for kind, seconds in report.kernel_seconds.items():
+                timers.add_seconds(kind, seconds,
+                                   count=report.kind_counts[kind])
             timers.add_seconds("exec", report.overhead)
         return report
 
@@ -220,15 +218,10 @@ class ExecutionEngine:
                        busy_mean)
 
     # -------------------------------------------------------------- serial
-    def _run_inline(self, tasks, report: ExecReport, timers) -> None:
-        report.inline_timed = timers is not None
+    def _run_inline(self, tasks, report: ExecReport) -> None:
         for task in tasks:
             t0 = perf_counter()
-            if timers is not None:
-                with timers.section(task.kind):
-                    _run_task(task)
-            else:
-                _run_task(task)
+            _run_task(task)
             report.record(task, perf_counter() - t0, 0)
 
     # ------------------------------------------------------------- threads

@@ -58,16 +58,6 @@ _CORRUPTION_ERRORS = (
 
 
 @contextlib.contextmanager
-def _io_section(timers):
-    """Attribute checkpoint I/O to the component table's "io" section."""
-    if timers is None:
-        yield
-    else:
-        with timers.section("io"):
-            yield
-
-
-@contextlib.contextmanager
 def _checkpoint_errors(path: str, action: str):
     """Translate low-level read failures into a clear CheckpointError."""
     try:
@@ -83,13 +73,11 @@ def _checkpoint_errors(path: str, action: str):
         ) from exc
 
 
-def save_hierarchy(hierarchy: Hierarchy, path: str, timers=None) -> None:
+def save_hierarchy(hierarchy: Hierarchy, path: str) -> None:
     """Write the full state (grids, fields, phi, particles, times).
 
     The write is atomic: readers either see the previous checkpoint or the
-    complete new one, never a partial file.  ``timers`` (an optional
-    :class:`repro.perf.timers.ComponentTimers`) attributes the cost to the
-    ``"io"`` section.
+    complete new one, never a partial file.
     """
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -132,8 +120,7 @@ def save_hierarchy(hierarchy: Hierarchy, path: str, timers=None) -> None:
         json.dumps(manifest).encode(), dtype=np.uint8
     )
 
-    with _io_section(timers):
-        write_npz(str(path), arrays)
+    write_npz(str(path), arrays)
 
 
 def write_npz(path: str, arrays: dict) -> None:
@@ -162,9 +149,9 @@ def _fsync_dir(dirname: str) -> None:
         os.close(fd)
 
 
-def load_hierarchy(path: str, timers=None) -> Hierarchy:
+def load_hierarchy(path: str) -> Hierarchy:
     """Restore a hierarchy saved by :func:`save_hierarchy` (bit-exact)."""
-    with _io_section(timers), _checkpoint_errors(path, "load"):
+    with _checkpoint_errors(path, "load"):
         data = np.load(path)
         manifest = json.loads(bytes(data["manifest"]).decode())
         if manifest["format_version"] != FORMAT_VERSION:

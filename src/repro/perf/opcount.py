@@ -16,24 +16,34 @@ from repro.perf.flops import OperationCounts, sustained_flop_rate
 
 
 class OperationRecorder:
-    """Stats-interface recorder accumulating per-module operation counts.
+    """Per-module operation counts of the work one evolver performs.
 
-    Plug into :class:`HierarchyEvolver` as ``stats`` (or inside a
-    :class:`MultiStats`); read ``counts`` / ``sustained_rate()`` afterwards.
+    Installs itself as ``evolver.stats``; read ``counts`` /
+    ``sustained_rate()`` afterwards.  Poisson work is counted only when the
+    evolver has gravity, and chemistry from the cell-substeps the
+    integrator measured (the step record's ``chemistry.substeps_total``).
     """
 
-    def __init__(self, chemistry_substeps: int = 10):
+    def __init__(self, evolver):
+        self.evolver = evolver
         self.counts = OperationCounts()
-        self.chemistry_substeps = int(chemistry_substeps)
         self._t0 = time.perf_counter()
         self.steps_recorded = 0
+        evolver.stats = self
 
     def record_step(self, hierarchy, level: int, dt: float, t: float) -> None:
         cells = sum(g.n_cells for g in hierarchy.level_grids(level))
         self.counts.add_hydro(cells)
-        self.counts.add_gravity(cells)
+        if self.evolver.gravity is not None:
+            self.counts.add_gravity(cells)
         self.counts.add_boundary(cells)
-        self.counts.add_chemistry(cells, self.chemistry_substeps)
+        if level == 0:
+            # the root's record_step closes the root step, so the
+            # chemistry block holds every level's substeps of that step
+            substeps = self.evolver.chem_stats.snapshot().get(
+                "substeps_total", 0)
+            if substeps:
+                self.counts.add_chemistry(substeps)
         if len(hierarchy.particles):
             owners = hierarchy.finest_level_of_particles()
             self.counts.add_particles(int((owners == level).sum()))
@@ -60,20 +70,3 @@ class OperationRecorder:
                                  key=lambda kv: -kv[1]):
             lines.append(f"  {name:<16s} {100 * frac:5.1f} %")
         return "\n".join(lines)
-
-
-class MultiStats:
-    """Fan a single evolver stats slot out to several recorders."""
-
-    def __init__(self, *recorders):
-        self.recorders = list(recorders)
-
-    def record_step(self, hierarchy, level, dt, t) -> None:
-        for r in self.recorders:
-            if hasattr(r, "record_step"):
-                r.record_step(hierarchy, level, dt, t)
-
-    def record_rebuild(self, hierarchy, level) -> None:
-        for r in self.recorders:
-            if hasattr(r, "record_rebuild"):
-                r.record_rebuild(hierarchy, level)

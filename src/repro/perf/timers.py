@@ -67,11 +67,12 @@ class ComponentTimers:
     def add_seconds(self, name: str, seconds: float, count: int = 1) -> None:
         """Attribute externally-measured seconds to a section.
 
-        The parallel execution backends measure kernel time inside their
-        workers (the ``section`` context manager is not thread-safe) and
-        report it here.  Note that worker-measured seconds are CPU-seconds:
-        with more than one worker the per-component fractions can sum to
-        more than 1 while "exec" (dispatch overhead) stays wall-based.
+        The execution engine measures every task once, on every backend
+        (the ``section`` context manager is not thread-safe), and reports
+        the seconds here.  Note that worker-measured seconds are
+        CPU-seconds: with more than one worker the per-component fractions
+        can sum to more than 1 while "exec" (dispatch overhead) stays
+        wall-based.
         """
         if seconds > 0.0:
             self.totals[name] += float(seconds)

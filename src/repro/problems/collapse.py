@@ -35,7 +35,6 @@ from repro.cosmology import (
 from repro.exec import ExecConfig
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
-from repro.perf import ComponentTimers, HierarchyStats
 
 
 class PrimordialCollapse:
@@ -70,7 +69,7 @@ class PrimordialCollapse:
                  amplitude_boost: float = 4.0, with_chemistry: bool = True,
                  with_dark_matter: bool = True, mass_refine_factor: float = 4.0,
                  region_left=(0.25, 0.25, 0.25), region_right=(0.75, 0.75, 0.75),
-                 timers: ComponentTimers | None = None, cfl: float = 0.4,
+                 cfl: float = 0.4,
                  max_dims: int = 16, exec_backend: str | None = None,
                  workers: int | None = None):
         #: constructor spec (JSON-serialisable) — stored in every RunState
@@ -97,8 +96,6 @@ class PrimordialCollapse:
         self.z_init = float(z_init)
         self.n_root = int(n_root)
         self.max_level = int(max_level)
-        self.stats = HierarchyStats()
-        self.timers = timers
 
         advected = list(ADVECTED_SPECIES) if with_chemistry else []
         self.hierarchy = Hierarchy(n_root=self.n_root, advected=advected)
@@ -147,8 +144,7 @@ class PrimordialCollapse:
         self.evolver = HierarchyEvolver(
             self.hierarchy, PPMSolver(), gravity=self.gravity,
             chemistry=self.chemistry, criteria=self.criteria,
-            clock=self.clock, units=self.units, cfl=cfl, stats=self.stats,
-            timers=timers, jeans_floor_cells=4.0,
+            clock=self.clock, units=self.units, cfl=cfl, jeans_floor_cells=4.0,
             exec_config=ExecConfig.resolve(backend=exec_backend,
                                            workers=workers),
         )
@@ -281,13 +277,6 @@ class PrimordialCollapse:
 
     def densest_point(self) -> np.ndarray:
         return find_densest_point(self.hierarchy)
-
-
-def instrumented_collapse(**kwargs) -> PrimordialCollapse:
-    """The registry factory: launched runs are always instrumented, so their
-    telemetry step records carry the per-component timer fractions (the
-    paper's Sec. 5 usage table, live)."""
-    return PrimordialCollapse(timers=ComponentTimers(), **kwargs)
 
 
 def find_collapse_site(n_root: int = 8, z_init: float = 100.0, z_survey: float = 25.0,

@@ -17,7 +17,6 @@ from repro.amr import Hierarchy, HierarchyEvolver, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.gravity import HierarchyGravity
 from repro.hydro import PPMSolver
-from repro.perf import HierarchyStats
 
 
 class SphereCollapse:
@@ -49,7 +48,6 @@ class SphereCollapse:
         self.max_level = int(max_level)
         self.g_code = float(g_code)
         self.hierarchy = Hierarchy(n_root=self.n_root)
-        self.stats = HierarchyStats()
 
         root = self.hierarchy.root
         c = [(np.arange(self.n_root) + 0.5) / self.n_root] * 3
@@ -80,8 +78,7 @@ class SphereCollapse:
         )
         self.evolver = HierarchyEvolver(
             self.hierarchy, PPMSolver(), gravity=self.gravity,
-            criteria=self.criteria, cfl=0.3, stats=self.stats,
-            jeans_floor_cells=4.0, exec_config=exec_config,
+            criteria=self.criteria, cfl=0.3, jeans_floor_cells=4.0, exec_config=exec_config,
         )
         self.evolver.initial_rebuild()
 

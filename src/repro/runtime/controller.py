@@ -281,8 +281,8 @@ class RunController:
             # heartbeat goes stale, which is how the daemon's supervisor
             # catches it
             faults.maybe_sleep("io_stall", step=self.step)
-        save_hierarchy(self.evolver.hierarchy, data_path,
-                       timers=self.evolver.timers)
+        with self.evolver.timers.section("io"):
+            save_hierarchy(self.evolver.hierarchy, data_path)
         # digest the *good* bytes before any injected post-write rot, so
         # the corruption faults below are exactly what verification catches
         write_digest(data_path)
@@ -341,7 +341,8 @@ class RunController:
                                         path=bad, reason="digest_mismatch")
                 continue
             try:
-                hierarchy = load_hierarchy(npz, timers=self.evolver.timers)
+                with self.evolver.timers.section("io"):
+                    hierarchy = load_hierarchy(npz)
                 state = RunState.load(state_path)
             except (CheckpointError, OSError, ValueError) as exc:
                 last_error = exc
@@ -361,8 +362,7 @@ class RunController:
         """Swap a restored hierarchy + RunState into the live objects."""
         ev = self.evolver
         ev.hierarchy = hierarchy
-        if ev.timers is not None:
-            hierarchy.timers = ev.timers
+        hierarchy.timers = ev.timers
         ev.step_counter = defaultdict(
             int, {int(k): int(v) for k, v in state.step_counter.items()}
         )

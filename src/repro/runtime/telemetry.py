@@ -91,10 +91,9 @@ def step_record(evolver, step: int, dt: float) -> dict:
     for name, stats in evolver.step_stats.items():
         if stats:
             record[name] = stats.snapshot()
-    if evolver.timers is not None:
-        record["timers"] = {
-            k: round(v, 6) for k, v in evolver.timers.fractions().items()
-        }
+    record["timers"] = {
+        k: round(v, 6) for k, v in evolver.timers.fractions().items()
+    }
     return record
 
 

@@ -18,7 +18,6 @@ from repro.amr.evolve import CosmologyClock, StaticClock
 from repro.amr.gravity import HierarchyGravity
 from repro.exec import ExecConfig
 from repro.hydro import PPMSolver, ZeusSolver
-from repro.perf import ComponentTimers, HierarchyStats
 
 
 @dataclass
@@ -100,8 +99,6 @@ class Simulation:
         self.hierarchy = Hierarchy(
             n_root=c.n_root, refine_factor=c.refine_factor, advected=advected
         )
-        self.timers = ComponentTimers()
-        self.stats = HierarchyStats()
         solver = (
             PPMSolver(**c.solver_options)
             if c.solver == "ppm"
@@ -135,8 +132,7 @@ class Simulation:
             )
         self.evolver = HierarchyEvolver(
             self.hierarchy, solver, gravity=self.gravity, criteria=self.criteria,
-            clock=clock, units=units, cfl=c.cfl, stats=self.stats,
-            timers=self.timers,
+            clock=clock, units=units, cfl=c.cfl,
             exec_config=ExecConfig.resolve(backend=c.exec_backend,
                                            workers=c.workers),
             defense=None if c.defense else False,
@@ -201,7 +197,7 @@ class Simulation:
             "max_level": self.hierarchy.max_level,
             "n_grids": self.hierarchy.n_grids,
             "sdr": self.hierarchy.spatial_dynamic_range(),
-            "component_fractions": self.timers.fractions(),
+            "component_fractions": self.evolver.timers.fractions(),
         }
 
 

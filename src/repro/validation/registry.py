@@ -106,7 +106,7 @@ register(ProblemSpec(
     name="collapse",
     description="Paper workload: cosmological primordial-cloud collapse "
                 "(AMR + gravity + chemistry)",
-    factory_path="repro.problems.collapse:instrumented_collapse",
+    factory_path="repro.problems.collapse:PrimordialCollapse",
     size_arg="n_root",
     # the demo-sized configuration `repro run` starts from
     factory_kwargs={"max_level": 2, "mass_refine_factor": 8.0},

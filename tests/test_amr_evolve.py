@@ -9,7 +9,6 @@ from repro.amr.gravity import HierarchyGravity
 from repro.amr.rebuild import rebuild_hierarchy
 from repro.hydro import PPMSolver, ZeusSolver
 from repro.nbody.particles import ParticleSet
-from repro.perf import ComponentTimers, HierarchyStats
 from repro.precision.position import PositionDD
 from repro.runtime.telemetry import step_record
 
@@ -278,13 +277,15 @@ class TestEvolveLevel:
         h = _blob_hierarchy(amplitude=20.0)
         crit = RefinementCriteria(overdensity_threshold=3.0, max_level=2)
         rebuild_hierarchy(h, 1, crit)
-        stats = HierarchyStats()
-        ev = HierarchyEvolver(h, PPMSolver(), criteria=crit, cfl=0.3,
-                              stats=stats)
-        ev.advance_to(0.01)
+        ev = HierarchyEvolver(h, PPMSolver(), criteria=crit, cfl=0.3)
+        records = []
+        while (dt := ev.advance_root_step(0.01)) is not None:
+            records.append(step_record(ev, len(records) + 1, dt))
         assert h.max_level >= 1
-        assert len(stats.times) > 0
-        assert stats.n_grids[-1] >= 1
+        assert records
+        levels = records[-1]["levels"]
+        assert [lv["grids"] for lv in levels] == h.grids_per_level()
+        assert levels[-1]["level"] == h.max_level
 
     def test_zeus_solver_also_runs(self):
         h = _blob_hierarchy()
@@ -298,12 +299,12 @@ class TestEvolveLevel:
 
     def test_timers_populate(self):
         h = _blob_hierarchy()
-        timers = ComponentTimers()
         grav = HierarchyGravity(g_code=0.1, mean_density=float(
             h.root.field_view("density").mean()))
-        ev = HierarchyEvolver(h, PPMSolver(), gravity=grav, cfl=0.3, timers=timers)
+        ev = HierarchyEvolver(h, PPMSolver(), gravity=grav, cfl=0.3)
+        assert h.timers is ev.timers  # "topology" lands in the same table
         ev.advance_to(0.005)
-        fr = timers.fractions()
+        fr = ev.timers.fractions()
         assert fr.get("hydro", 0) > 0
         assert fr.get("gravity", 0) > 0
         assert abs(sum(fr.values()) - 1.0) < 1e-6
@@ -314,11 +315,9 @@ class TestEvolveLevel:
         h = _blob_hierarchy(amplitude=20.0)
         crit = RefinementCriteria(overdensity_threshold=3.0, max_level=1)
         rebuild_hierarchy(h, 1, crit)
-        timers = ComponentTimers()
         grav = HierarchyGravity(g_code=0.1, mean_density=float(
             h.root.field_view("density").mean()))
-        ev = HierarchyEvolver(h, PPMSolver(), gravity=grav, cfl=0.3,
-                              timers=timers)
+        ev = HierarchyEvolver(h, PPMSolver(), gravity=grav, cfl=0.3)
         dt = ev.advance_root_step(0.005)
         stats = step_record(ev, 1, dt)["gravity"]
         assert set(stats) == {"passes.L1", "solves.L1", "vcycles.L1"}

@@ -304,18 +304,23 @@ class TestCounters:
         assert h.grids_reused == r0 + n1
 
     def test_hierarchy_stats_reuse_series(self):
-        from repro.perf import HierarchyStats
+        """The Fig. 5 allocation series from the step records: the rebuild
+        blocks of the root steps add up to the hierarchy's counters."""
+        from repro.runtime.telemetry import step_record
 
-        h = _fresh_hierarchy()
-        crit = RefinementCriteria(**CRIT1)
-        rebuild_hierarchy(h, 1, crit)
-        rebuild_hierarchy(h, 1, crit)
-        stats = HierarchyStats()
-        stats.record_step(h, 0, 0.1, 0.1)
-        s = stats.series()
-        assert s["reuse_events"][-1] == h.grids_reused
-        assert s["alloc_events"][-1] == h.grids_created + h.grids_destroyed
-        assert "grid reuse events" in stats.report()
+        sim = _build_sim()
+        h = sim.hierarchy
+        before = (h.grids_created, h.grids_destroyed, h.grids_reused)
+        totals = dict.fromkeys(("created", "destroyed", "reused"), 0)
+        for step in range(1, 4):
+            dt = sim.evolver.advance_root_step(0.8)
+            block = step_record(sim.evolver, step, dt)["rebuild"]
+            for key in totals:
+                totals[key] += block[key]
+        assert totals["reused"] > 0
+        assert (totals["created"], totals["destroyed"], totals["reused"]) == (
+            h.grids_created - before[0], h.grids_destroyed - before[1],
+            h.grids_reused - before[2])
 
 
 # ----------------------------------------------------------- bulk update

@@ -266,9 +266,32 @@ class TestExecutionEngine:
         tasks = [_FakeTask(i, 100) for i in range(3)]
         report = eng.run(tasks, level=0, timers=timers)
         assert all(t.ran for t in tasks)
-        assert report.inline_timed
         assert report.n_tasks == 3
+        assert list(report.worker_busy) == [0]  # never left the caller
         assert timers.counts["hydro"] == 3
+        # the report's own measurement is what reaches the timers
+        assert timers.totals["hydro"] == pytest.approx(
+            report.kernel_seconds["hydro"])
+
+    def test_timer_attribution_is_the_same_on_every_backend(self):
+        """Serial and thread x2 add the same per-kind task counts, each
+        dispatch's overhead goes to "exec", and nothing is timed twice."""
+        counts = {}
+        for backend, workers in (("serial", 1), ("thread", 2)):
+            eng = ExecutionEngine(ExecConfig(backend=backend,
+                                             workers=workers))
+            timers = ComponentTimers()
+            for kind in ("hydro", "chemistry"):
+                tasks = [_FakeTask(i, 100) for i in range(4)]
+                for t in tasks:
+                    t.kind = kind
+                report = eng.run(tasks, level=0, timers=timers)
+                assert timers.totals[kind] == pytest.approx(
+                    report.kernel_seconds[kind])
+            assert timers.counts["exec"] == 2
+            counts[backend] = dict(timers.counts)
+        assert counts["serial"] == counts["thread"] == {
+            "hydro": 4, "chemistry": 4, "exec": 2}
 
     def test_thread_backend_runs_every_task(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
@@ -280,9 +303,9 @@ class TestExecutionEngine:
 
     def test_small_dispatches_run_inline(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
+        # one task: below MIN_PARALLEL_TASKS, so it never leaves the caller
         report = eng.run([_FakeTask(0, 10)], timers=ComponentTimers())
-        assert report.inline_timed  # one task: below MIN_PARALLEL_TASKS
-        assert list(report.worker_busy) == [0]  # never left the caller
+        assert list(report.worker_busy) == [0]
 
     def test_plan_queues_covers_all_tasks_without_overlap(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=3))

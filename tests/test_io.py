@@ -135,16 +135,26 @@ class TestCheckpoint:
             load_hierarchy(str(tmp_path / "nope.npz"))
 
     def test_io_timer_section(self, populated_hierarchy, tmp_path):
-        from repro.perf import ComponentTimers
+        """The checkpoint functions take no timers: the run controller books
+        each save and load under its evolver's "io" section."""
+        from repro.amr import HierarchyEvolver
+        from repro.hydro import PPMSolver
         from repro.perf.timers import SECTIONS
+        from repro.runtime import RunController
 
         assert "io" in SECTIONS
-        timers = ComponentTimers()
-        p = str(tmp_path / "dump.npz")
-        save_hierarchy(populated_hierarchy, p, timers=timers)
-        load_hierarchy(p, timers=timers)
-        assert timers.totals["io"] > 0.0
-        assert timers.counts["io"] == 2
+        run_dir = str(tmp_path / "run")
+        ev = HierarchyEvolver(populated_hierarchy, PPMSolver(), defense=False)
+        t_now = float(populated_hierarchy.root.time)
+        RunController(ev, run_dir).run(t_now, max_root_steps=0)
+        assert ev.timers.counts["io"] == 1  # the initial checkpoint
+        assert ev.timers.totals["io"] > 0.0
+
+        ev2 = HierarchyEvolver(Hierarchy(n_root=8, advected=["HI", "H2I"]),
+                               PPMSolver(), defense=False)
+        RunController(ev2, run_dir).resume(max_root_steps=0)
+        assert ev2.timers.counts["io"] == 2  # the load, the closing save
+        assert ev2.hierarchy.timers is ev2.timers
 
     def test_restart_continues_evolution(self, tmp_path):
         """Save mid-run, restore, continue: the physics must keep working."""

@@ -7,7 +7,6 @@ import pytest
 
 from repro.perf import (
     ComponentTimers,
-    HierarchyStats,
     OperationCounts,
     sustained_flop_rate,
     virtual_flop_rate,
@@ -58,49 +57,6 @@ class TestComponentTimers:
             pass
         t.reset()
         assert not t.totals
-
-
-class TestHierarchyStats:
-    def test_record_and_series(self):
-        from repro.amr import Hierarchy
-
-        h = Hierarchy(n_root=8)
-        s = HierarchyStats()
-        s.record_step(h, 0, 0.1, 0.1)
-        s.record_step(h, 1, 0.05, 0.1)  # non-root: counted but not a sample
-        s.record_step(h, 0, 0.1, 0.2)
-        ser = s.series()
-        assert len(ser["time"]) == 2
-        assert s.level_steps[0] == 2 and s.level_steps[1] == 1
-
-    def test_work_per_level_normalised(self):
-        from repro.amr import Grid, Hierarchy
-
-        h = Hierarchy(n_root=8)
-        h.add_grid(Grid(1, (4, 4, 4), (8, 8, 8), n_root=8), h.root)
-        s = HierarchyStats()
-        w = s.work_per_level(h)
-        assert w.max() == 1.0
-        assert len(w) == 2
-        # level 1: 512 cells x 2 substeps = 1024 vs root 512 -> level 1 wins
-        assert w[1] == 1.0 and w[0] == 0.5
-
-    def test_snapshot(self):
-        from repro.amr import Hierarchy
-
-        h = Hierarchy(n_root=8)
-        s = HierarchyStats()
-        s.snapshot_levels(h, 1.0)
-        assert s.snapshots[1.0] == [1]
-
-    def test_report(self):
-        from repro.amr import Hierarchy
-
-        h = Hierarchy(n_root=8)
-        s = HierarchyStats()
-        assert "no steps" in s.report()
-        s.record_step(h, 0, 0.1, 0.1)
-        assert "max level" in s.report()
 
 
 class TestFlops:

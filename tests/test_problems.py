@@ -69,9 +69,18 @@ class TestSphereCollapse:
         assert out["sdr"] >= 16.0
 
     def test_stats_recorded(self, collapsed):
+        """The sphere is timed like every other problem, and its step
+        record carries the Fig. 5 hierarchy statistics."""
+        from repro.runtime.telemetry import step_record
+
         sc, _ = collapsed
-        assert len(sc.stats.times) > 0
-        assert sc.stats.n_grids[-1] >= 1
+        assert sc.evolver.stats is None  # problems build no recorder
+        assert sc.evolver.timers.counts["hydro"] > 0
+        assert sc.evolver.timers.counts["gravity"] > 0
+        record = step_record(sc.evolver, 1, 0.0)
+        assert [lv["grids"] for lv in record["levels"]] == \
+            sc.hierarchy.grids_per_level()
+        assert {"hydro", "gravity", "boundary"} <= set(record["timers"])
 
     def test_solution_finite_positive(self, collapsed):
         sc, _ = collapsed
@@ -146,6 +155,25 @@ class TestPrimordialCollapse:
         # refined-region particles are lighter
         m = pc.hierarchy.particles.masses
         assert m.max() / m.min() == pytest.approx(8.0, rel=1e-6)
+
+    def test_controlled_run_records_timers(self, tmp_path):
+        """A bare PrimordialCollapse is timed like a registry launch: every
+        step record carries the component table, checkpoint I/O included."""
+        from repro.runtime.telemetry import read_events, telemetry_path
+
+        pc = PrimordialCollapse(
+            n_root=8, max_level=1, with_chemistry=True,
+            with_dark_matter=False, amplitude_boost=4.0,
+        )
+        pc.initial_rebuild()
+        run_dir = str(tmp_path / "run")
+        pc.make_controller(run_dir).run(pc.code_time_of_redshift(20.0),
+                                        max_root_steps=2)
+        steps = [e for e in read_events(telemetry_path(run_dir))
+                 if e["event"] == "step"]
+        assert len(steps) == 2
+        for e in steps:
+            assert {"io", "hydro", "chemistry", "gravity"} <= set(e["timers"])
 
     def test_chemistry_off_runs(self):
         pc = PrimordialCollapse(
