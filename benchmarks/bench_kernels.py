@@ -11,8 +11,9 @@ This bench measures what that buys:
 
 * one fused grid step (``hydro.step``: everything ``PPMSolver.step`` does
   to one grid — half kicks, the three sweeps, drag, dual-energy sync and
-  energy floor — in a single compiled call) at 8^3 / 16^3 / 32^3 interior
-  cells plus three ghosts, with the solver's pencil boxes (only the
+  energy floor — in a single compiled call) with each face-state scheme
+  the workloads run (``ppm+flatten`` and ``trace``, both with HLLC) at
+  8^3 / 16^3 / 32^3 interior cells plus three ghosts, with the solver's pencil boxes (only the
   pencils a later sweep reads) and, for the compiled tier, with every
   pencil swept, in us per interior cell — *layer evidence* under the
   end-to-end numbers of ``benchmarks/e2e``, never a headline;
@@ -56,6 +57,7 @@ or via pytest (smoke configuration)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -132,14 +134,29 @@ def _commit() -> str:
     return out.stdout.strip() or "unknown"
 
 
+def _host(backend: str) -> dict:
+    """Where a section's numbers come from: cpus, the SIMD copy the
+    compiled tier runs (``kernels.lanes()``), tier and commit."""
+    return {"host_cpus": len(os.sched_getaffinity(0)),
+            "lanes": dispatch.lanes(), "tier": backend, "commit": _commit()}
+
+
+#: the (scheme, Riemann solver) pairs the e2e workloads step with:
+#: ``sedov_amr`` traces characteristics, the collapse and sphere problems
+#: flatten their PPM states
+STEP_SCHEMES = (("ppm+flatten", "hllc"), ("trace", "hllc"))
+
+
 def step_rows(config: dict, backend: str) -> dict:
-    """One step of one grid (kicked and dragged), NumPy reference vs.
-    compiled with the solver's pencil boxes, and compiled with every pencil
-    swept (``full_update``), per interior cell."""
+    """One step of one grid (kicked and dragged) for each of
+    :data:`STEP_SCHEMES`, NumPy reference vs. compiled with the solver's
+    pencil boxes, and compiled with every pencil swept (``full_update``),
+    per interior cell."""
     ng = 3
     compiled = dispatch._impls[(backend, "hydro.step")]
     rows = []
-    for interior in config["step_interiors"]:
+    for (scheme, solver), interior in itertools.product(
+            STEP_SCHEMES, config["step_interiors"]):
         rng = np.random.default_rng(interior)
         shape = (interior + 2 * ng,) * 3
         rho = rng.random(shape) + 0.3
@@ -147,7 +164,7 @@ def step_rows(config: dict, backend: str) -> dict:
         e_int = rng.random(shape) + 0.2
         start = [rho, *vel, e_int + 0.5 * sum(v * v for v in vel), e_int]
         accel = 0.01 * rng.standard_normal((3, *shape))
-        row = {"interior": interior}
+        row = {"scheme": f"{scheme} / {solver}", "interior": interior}
         outputs = {}
         for name, fn, full in (("numpy", hydro_step_numpy, False),
                                (backend, compiled, False),
@@ -157,7 +174,7 @@ def step_rows(config: dict, backend: str) -> dict:
                 arrays = [a.copy() for a in start]
                 t0 = time.perf_counter()
                 blocks, counts = fn(arrays, accel, ng, 1.0, 0.05, 1.0, 0,
-                                    full, 5.0 / 3.0, "ppm+flatten", "hllc",
+                                    full, 5.0 / 3.0, scheme, solver,
                                     1e-12, 1e-30, 1e-3, (0.99, 0.98))
                 best = min(best, time.perf_counter() - t0)
             outputs[name] = (arrays, blocks, counts)
@@ -176,9 +193,8 @@ def step_rows(config: dict, backend: str) -> dict:
         row["box_saving"] = (row[f"{backend}_full_box_us_per_cell"]
                              / row[f"{backend}_us_per_cell"])
         rows.append(row)
-    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
-            "commit": _commit(), "scheme": "ppm+flatten / hllc",
-            "unit": "us per interior cell per step", "rows": rows}
+    return {**_host(backend), "unit": "us per interior cell per step",
+            "rows": rows}
 
 
 # ----------------------------------------------------------- fused chemistry
@@ -233,8 +249,7 @@ def chem_step_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_cell_substep"]
                           / row[f"{backend}_us_per_cell_substep"])
         rows.append(row)
-    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
-            "commit": _commit(), "unit": "us per cell-substep",
+    return {**_host(backend), "unit": "us per cell-substep",
             "rows": rows}
 
 
@@ -269,8 +284,7 @@ def solve_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_solve"]
                           / row[f"{backend}_us_per_solve"])
         rows.append(row)
-    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
-            "commit": _commit(), "unit": "us per solve", "rows": rows}
+    return {**_host(backend), "unit": "us per solve", "rows": rows}
 
 
 # ------------------------------------------------- coarse-fine bookkeeping
@@ -407,8 +421,7 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_call"]
                           / row[f"{backend}_us_per_call"])
         rows.append(row)
-    return {"host_cpus": len(os.sched_getaffinity(0)), "tier": backend,
-            "commit": _commit(), "unit": "us per call",
+    return {**_host(backend), "unit": "us per call",
             "flux_children": config["flux_children"], "particles": n_part,
             "rows": rows}
 
@@ -517,15 +530,16 @@ def test_kernels_smoke():
     results = run(SMOKE)
     if results["compiled_backend"] is None:
         pytest.skip("no compiled backend available")
-    # the fused step is parity-checked inside step_rows; one compiled
-    # call must beat the NumPy body even on the smallest grid, and the
-    # solver's pencil boxes (372 of 588 pencils at 8^3) must beat the
-    # full box
-    assert results["hydro.step"]["rows"][0]["interior"] == 8
-    assert results["hydro.step"]["rows"][0]["speedup"] > 1.0, \
-        results["hydro.step"]
-    assert results["hydro.step"]["rows"][0]["box_saving"] > 1.0, \
-        results["hydro.step"]
+    # the fused step is parity-checked inside step_rows; for both schemes
+    # the workloads run, one compiled call must beat the NumPy body even on
+    # the smallest grid, and the solver's pencil boxes (372 of 588 pencils
+    # at 8^3) must beat the full box
+    smallest = [r for r in results["hydro.step"]["rows"] if r["interior"] == 8]
+    assert [r["scheme"] for r in smallest] == [
+        f"{scheme} / {solver}" for scheme, solver in STEP_SCHEMES]
+    assert all(r["speedup"] > 1.0 and r["box_saving"] > 1.0
+               for r in smallest), results["hydro.step"]
+    assert results["hydro.step"]["lanes"] is not None
     # likewise chem.step (parity-checked inside chem_step_rows)
     assert results["chem.step"]["rows"][0]["cells"] == 512
     assert all(r["speedup"] > 1.0 for r in results["chem.step"]["rows"]), \

@@ -48,6 +48,11 @@ def cmd_info(args) -> int:
     ]
     for mod, desc in subsystems:
         print(f"  {mod:<18s} {desc}")
+    from repro import kernels
+
+    lanes = kernels.lanes()
+    print(f"kernel tiers: {', '.join(kernels.available_backends())}"
+          + (f" (compiled lanes: {lanes})" if lanes else ""))
     return 0
 
 

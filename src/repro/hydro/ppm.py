@@ -125,6 +125,15 @@ def check_scheme(scheme, riemann_solver):
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
 
 
+def check_drag(drag):
+    """ValueError unless ``drag`` is None or the two factors (velocity,
+    internal energy) of :func:`~repro.hydro.sources.expansion_factors`;
+    both ``hydro.step`` tiers check it before they touch an array."""
+    if drag is not None and np.shape(drag) != (2,):
+        raise ValueError(f"hydro.step: drag must be two factors (velocity, "
+                         f"internal energy), got shape {np.shape(drag)}")
+
+
 def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
                 riemann_solver, density_floor, energy_floor):
     """One directional sweep of :func:`step_numpy`.
@@ -291,6 +300,7 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
     internal-energy floor changed.
     """
     check_scheme(scheme, riemann_solver)
+    check_drag(drag)
     fields = FieldSet(zip(STEP_FIELDS, arrays))
     advected = list(arrays[6:])
     # half gravity kick - sweeps - half kick is handled by the caller

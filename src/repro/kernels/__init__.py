@@ -13,6 +13,7 @@ from repro.kernels.dispatch import (  # noqa: F401
     counters_delta,
     counters_totals,
     get,
+    lanes,
     register,
     reset_counters,
     resolve_backend,

@@ -56,8 +56,16 @@ pedantic):
   whole-array ``mean`` is summed in NumPy's pairwise order (``mg_sum_sq``);
 * ``nmax``/``nmin`` replicate ``np.maximum``/``np.minimum`` NaN
   propagation; a bare ``a > b ? a : b`` would not;
-* every ``np.where(cond, a, b)`` becomes a branch whose *condition*
-  evaluates identically for NaN (NaN comparisons are false both ways);
+* every ``np.where(cond, a, b)`` is a select between values computed
+  unconditionally, and its *condition* evaluates identically for NaN
+  (NaN comparisons are false both ways); a nested ``np.where`` chain is
+  sequential selects, innermost first.  ``nmax``/``nmin``/``minmod``/
+  ``clip01`` are selects too, so the hydro and chemistry loop bodies are
+  straight-line and run in SIMD lanes (``#pragma omp simd`` where pointer
+  aliasing would otherwise stop the vectoriser; ``LANES`` adds an
+  AVX-512 copy the CPU picks at load time, ``rk_lanes`` names it).
+  Lanes are elementwise IEEE arithmetic, so lane width never shows in a
+  result;
 * multiplications by literal ``0.0``/``1.0`` from the characteristic
   eigenvectors are kept, because ``inf * 0.0`` must still produce NaN;
 * ``sqrt``/division are IEEE-754 correctly rounded, so looping them is
@@ -71,7 +79,10 @@ and the compile flags (``_COMPILE_ARGS``) that make them hold:
   rounds separately, exactly like the NumPy ufuncs;
 * no ``-ffast-math`` (ever) — keeps IEEE semantics, NaN propagation, and
   division/sqrt correctly rounded;
-* ``-fno-math-errno`` is safe (it only drops the errno bookkeeping).
+* ``-fno-math-errno`` is safe (it only drops the errno bookkeeping);
+* ``-fno-trapping-math`` lets a guarded division run in every lane and
+  be discarded by its select: FP exceptions never trap here, so it
+  changes no value.
 
 Adding a kernel is a two-place change — the NumPy reference and, here, the
 C plus its contract function; docs/PERFORMANCE.md ("Adding a kernel") has
@@ -99,12 +110,13 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import AXIS_NAMES
+from repro.hydro.ppm import AXIS_NAMES, check_drag
 from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
 
 _CDEF = """
+const char *rk_lanes(void);
 void rk_chem_blend(long n_ch, long n_bins, long n_t, const double *logtab,
     const int64_t *idx, const double *weight, double *out);
 void rk_chem_step(long n_cells, long n_act, double *state, double *e,
@@ -190,17 +202,43 @@ _CSOURCE = _layout() + r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* np.maximum / np.minimum: NaN in either operand propagates */
-static double nmax(double a, double b) {
-    if (a != a) return a;
-    if (b != b) return b;
-    return a > b ? a : b;
+/* LANES gives a function one more copy for AVX-512 hosts, picked by the
+   CPU at load time: eight doubles per instruction instead of two.  Needs
+   GNU ifunc; elsewhere there is one copy. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) \
+    && !defined(__clang__)
+#define LANES __attribute__((target_clones("avx512f", "default")))
+#define LANES_CLONED 1
+#else
+#define LANES
+#endif
+
+/* the LANES copy this host runs: the resolver's own test */
+const char *rk_lanes(void)
+{
+#ifdef LANES_CLONED
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") ? "avx512f" : "default";
+#else
+    return "single";
+#endif
 }
 
-static double nmin(double a, double b) {
-    if (a != a) return a;
-    if (b != b) return b;
-    return a < b ? a : b;
+/* np.maximum / np.minimum: NaN in either operand propagates.  Spelled as
+   selects (no early return), so loops that call them stay straight-line
+   and run in SIMD lanes */
+static inline double nmax(double a, double b)
+{
+    double r = a > b ? a : b;
+    r = (b != b) ? b : r;
+    return (a != a) ? a : r;
+}
+
+static inline double nmin(double a, double b)
+{
+    double r = a < b ? a : b;
+    r = (b != b) ? b : r;
+    return (a != a) ? a : r;
 }
 
 /* state.sync_internal_from_total on cell c; q holds density, vx, vy, vz,
@@ -218,13 +256,13 @@ static inline void dual_sync(long c, double **q, double *ie, double eta,
 }
 
 /* np.where(a * b > 0, where(|a| < |b|, a, b), 0.0); NaN product -> 0.0 */
-static double minmod(double a, double b) {
-    if (a * b > 0.0)
-        return fabs(a) < fabs(b) ? a : b;
-    return 0.0;
+static inline double minmod(double a, double b)
+{
+    double m = fabs(a) < fabs(b) ? a : b;
+    return a * b > 0.0 ? m : 0.0;
 }
 
-static double mc(double dq_minus, double dq_plus) {
+static inline double mc(double dq_minus, double dq_plus) {
     double dq_c = 0.5 * (dq_minus + dq_plus);
     double lim = minmod(2.0 * dq_minus, 2.0 * dq_plus);
     return minmod(dq_c, lim);
@@ -254,7 +292,7 @@ static inline double contact(double rl, double ul, double pl,
 {
     double num = pr - pl + rl * ul * (s_l - ul) - rr * ur * (s_r - ur);
     double den = rl * (s_l - ul) - rr * (s_r - ur);
-    if (fabs(den) < 1e-300) den = 1e-300;
+    den = fabs(den) < 1e-300 ? 1e-300 : den;
     return nmin(nmax(num / den, s_l), s_r);
 }
 
@@ -362,15 +400,42 @@ static void rk_two_shock(long n,
     }
 }
 
-/* HLLC flux (riemann.hllc_flux) with Einfeldt wave speeds */
+/* the coefficients of one side's HLLC star-region flux (hllc_flux.
+   star_flux) for the side's r, u, p and wave speed s.  Both divisions
+   are evaluated unconditionally and their guards are selects */
+static inline void hllc_factor(double r, double u, double p, double s,
+    double s_m, double *factor, double *p_term)
+{
+    double smu = s - s_m;
+    smu = fabs(smu) < 1e-300 ? 1e-300 : smu;
+    *factor = r * (s - u) / smu;
+    double su = s - u;
+    double p_su = p / (r * (su == 0 ? 1.0 : su));
+    *p_term = fabs(su) > 1e-300 ? p_su : 0.0;
+}
+
+/* np.where(s_l >= 0, fl, where(s_m >= 0, fsl, where(s_r >= 0, fsr, fr))) as
+   selects, innermost first */
+static inline double hllc_pick(double s_l, double s_m, double s_r,
+    double fl, double fsl, double fsr, double fr)
+{
+    double x = s_r >= 0.0 ? fsr : fr;
+    x = s_m >= 0.0 ? fsl : x;
+    return s_l >= 0.0 ? fl : x;
+}
+
+/* HLLC flux (riemann.hllc_flux) with Einfeldt wave speeds; sm gets each
+   face's contact speed, which is ppm.contact_speed of the same states.
+   Straight-line: all four fluxes of a face are computed, then picked */
 static void rk_hllc(long n,
     const double *rho_l, const double *u_l, const double *v_l,
     const double *w_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *v_r,
     const double *w_r, const double *p_r,
     double gamma,
-    double *f0, double *f1, double *f2, double *f3, double *f4)
+    double *f0, double *f1, double *f2, double *f3, double *f4, double *sm)
 {
+    #pragma omp simd
     for (long i = 0; i < n; i++) {
         double rl = rho_l[i], ul = u_l[i], vl = v_l[i], wl = w_l[i],
                pl = p_l[i];
@@ -390,51 +455,22 @@ static void rk_hllc(long n,
         double fr0 = rr * ur, fr1 = rr * ur * ur + pr, fr2 = rr * ur * vr,
                fr3 = rr * ur * wr, fr4 = ur * (rr * e_r + pr);
 
-        if (s_l >= 0.0) {
-            f0[i] = fl0; f1[i] = fl1; f2[i] = fl2; f3[i] = fl3; f4[i] = fl4;
-        } else if (s_m >= 0.0) {
-            double smu = s_l - s_m;
-            if (fabs(smu) < 1e-300) smu = 1e-300;
-            double factor = rl * (s_l - ul) / smu;
-            double su = s_l - ul;
-            double p_term;
-            if (fabs(su) > 1e-300)
-                p_term = pl / (rl * (su == 0 ? 1.0 : su));
-            else
-                p_term = 0.0;
-            double cs0 = factor;
-            double cs1 = factor * s_m;
-            double cs2 = factor * vl;
-            double cs3 = factor * wl;
-            double cs4 = factor * (e_l + (s_m - ul) * (s_m + p_term));
-            f0[i] = fl0 + s_l * (cs0 - rl);
-            f1[i] = fl1 + s_l * (cs1 - rl * ul);
-            f2[i] = fl2 + s_l * (cs2 - rl * vl);
-            f3[i] = fl3 + s_l * (cs3 - rl * wl);
-            f4[i] = fl4 + s_l * (cs4 - rl * e_l);
-        } else if (s_r >= 0.0) {
-            double smu = s_r - s_m;
-            if (fabs(smu) < 1e-300) smu = 1e-300;
-            double factor = rr * (s_r - ur) / smu;
-            double su = s_r - ur;
-            double p_term;
-            if (fabs(su) > 1e-300)
-                p_term = pr / (rr * (su == 0 ? 1.0 : su));
-            else
-                p_term = 0.0;
-            double cs0 = factor;
-            double cs1 = factor * s_m;
-            double cs2 = factor * vr;
-            double cs3 = factor * wr;
-            double cs4 = factor * (e_r + (s_m - ur) * (s_m + p_term));
-            f0[i] = fr0 + s_r * (cs0 - rr);
-            f1[i] = fr1 + s_r * (cs1 - rr * ur);
-            f2[i] = fr2 + s_r * (cs2 - rr * vr);
-            f3[i] = fr3 + s_r * (cs3 - rr * wr);
-            f4[i] = fr4 + s_r * (cs4 - rr * e_r);
-        } else {
-            f0[i] = fr0; f1[i] = fr1; f2[i] = fr2; f3[i] = fr3; f4[i] = fr4;
-        }
+        double kl, tl, kr, tr;      /* factor and p_term of each side */
+        hllc_factor(rl, ul, pl, s_l, s_m, &kl, &tl);
+        hllc_factor(rr, ur, pr, s_r, s_m, &kr, &tr);
+        f0[i] = hllc_pick(s_l, s_m, s_r, fl0, fl0 + s_l * (kl - rl),
+                          fr0 + s_r * (kr - rr), fr0);
+        f1[i] = hllc_pick(s_l, s_m, s_r, fl1, fl1 + s_l * (kl * s_m - rl * ul),
+                          fr1 + s_r * (kr * s_m - rr * ur), fr1);
+        f2[i] = hllc_pick(s_l, s_m, s_r, fl2, fl2 + s_l * (kl * vl - rl * vl),
+                          fr2 + s_r * (kr * vr - rr * vr), fr2);
+        f3[i] = hllc_pick(s_l, s_m, s_r, fl3, fl3 + s_l * (kl * wl - rl * wl),
+                          fr3 + s_r * (kr * wr - rr * wr), fr3);
+        f4[i] = hllc_pick(s_l, s_m, s_r, fl4,
+            fl4 + s_l * (kl * (e_l + (s_m - ul) * (s_m + tl)) - rl * e_l),
+            fr4 + s_r * (kr * (e_r + (s_m - ur) * (s_m + tr)) - rr * e_r),
+            fr4);
+        sm[i] = s_m;
     }
 }
 
@@ -447,6 +483,7 @@ static void rk_hll(long n,
     double gamma,
     double *f0, double *f1, double *f2, double *f3, double *f4)
 {
+    #pragma omp simd
     for (long i = 0; i < n; i++) {
         double rl = rho_l[i], ul = u_l[i], vl = v_l[i], wl = w_l[i],
                pl = p_l[i];
@@ -466,21 +503,18 @@ static void rk_hll(long n,
                fr3 = rr * ur * wr, fr4 = ur * (rr * e_r + pr);
 
         double denom = s_r - s_l;
-        if (s_l >= 0.0) {
-            f0[i] = fl0; f1[i] = fl1; f2[i] = fl2; f3[i] = fl3; f4[i] = fl4;
-        } else if (s_r <= 0.0) {
-            f0[i] = fr0; f1[i] = fr1; f2[i] = fr2; f3[i] = fr3; f4[i] = fr4;
-        } else {
-            f0[i] = (s_r * fl0 - s_l * fr0 + s_l * s_r * (rr - rl)) / denom;
-            f1[i] = (s_r * fl1 - s_l * fr1
-                     + s_l * s_r * (rr * ur - rl * ul)) / denom;
-            f2[i] = (s_r * fl2 - s_l * fr2
-                     + s_l * s_r * (rr * vr - rl * vl)) / denom;
-            f3[i] = (s_r * fl3 - s_l * fr3
-                     + s_l * s_r * (rr * wr - rl * wl)) / denom;
-            f4[i] = (s_r * fl4 - s_l * fr4
-                     + s_l * s_r * (rr * e_r - rl * e_l)) / denom;
+        double fl[5] = {fl0, fl1, fl2, fl3, fl4};
+        double fr[5] = {fr0, fr1, fr2, fr3, fr4};
+        double dc[5] = {rr - rl, rr * ur - rl * ul, rr * vr - rl * vl,
+                        rr * wr - rl * wl, rr * e_r - rl * e_l};
+        double f[5];
+        for (int k = 0; k < 5; k++) {
+            double f_star = (s_r * fl[k] - s_l * fr[k]
+                             + s_l * s_r * dc[k]) / denom;
+            double x = s_r <= 0.0 ? fr[k] : f_star;
+            f[k] = s_l >= 0.0 ? fl[k] : x;
         }
+        f0[i] = f[0]; f1[i] = f[1]; f2[i] = f[2]; f3[i] = f[3]; f4[i] = f[4];
     }
 }
 
@@ -499,6 +533,7 @@ static void rk_plm(long n, long m, const double *q, double *ql, double *qr)
     }
     if (n >= 4) {
         for (long c = 1; c < n - 1; c++) {
+            #pragma omp simd
             for (long j = 0; j < m; j++) {
                 double dq_minus = q[c * m + j] - q[(c - 1) * m + j];
                 double dq_plus = q[(c + 1) * m + j] - q[c * m + j];
@@ -513,35 +548,50 @@ static void rk_plm(long n, long m, const double *q, double *ql, double *qr)
 /* PPM/CW84 interface states (reconstruction.ppm_reconstruct).  Scratch:
    dq of shape (n, m) for the limited slopes and qf of shape (n-3, m) for
    the fourth-order face values.  Caller guarantees n >= 6 (smaller
-   stencils stay on rk_plm, matching the reference).  The right-overshoot
+   stencils stay on rk_plm, matching the reference).  The slopes are
+   computed once: they are also the PLM slopes of the faces the parabola
+   does not reach (ql on faces 0, 1, n-2; qr on faces 0, n-3, n-2).  The
+   limiter is straight-line, every np.where a select; the right-overshoot
    fix uses the possibly-updated ql_edge, like the reference. */
 static void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
     double *dq, double *qf)
 {
-    rk_plm(n, m, q, ql, qr);
-    for (long c = 1; c < n - 1; c++)
+    for (long c = 1; c < n - 1; c++) {
+        #pragma omp simd
         for (long j = 0; j < m; j++)
             dq[c * m + j] = mc(q[c * m + j] - q[(c - 1) * m + j],
                                q[(c + 1) * m + j] - q[c * m + j]);
-    for (long t = 0; t < n - 3; t++)
+    }
+    #pragma omp simd
+    for (long j = 0; j < m; j++) {
+        ql[j] = q[j];
+        ql[m + j] = q[m + j] + 0.5 * dq[m + j];
+        ql[(n - 2) * m + j] = q[(n - 2) * m + j] + 0.5 * dq[(n - 2) * m + j];
+        qr[j] = q[m + j] - 0.5 * dq[m + j];
+        qr[(n - 3) * m + j] = q[(n - 2) * m + j] - 0.5 * dq[(n - 2) * m + j];
+        qr[(n - 2) * m + j] = q[(n - 1) * m + j];
+    }
+    for (long t = 0; t < n - 3; t++) {
+        #pragma omp simd
         for (long j = 0; j < m; j++)
             qf[t * m + j] = 0.5 * (q[(t + 1) * m + j] + q[(t + 2) * m + j])
                 - (dq[(t + 2) * m + j] - dq[(t + 1) * m + j]) / 6.0;
+    }
     for (long c = 0; c < n - 4; c++) {
+        #pragma omp simd
         for (long j = 0; j < m; j++) {
             double qc = q[(c + 2) * m + j];
             double ql_edge = qf[c * m + j];
             double qr_edge = qf[(c + 1) * m + j];
-            if ((qr_edge - qc) * (qc - ql_edge) <= 0.0) {
-                ql_edge = qc;
-                qr_edge = qc;
-            }
+            int extremum = (qr_edge - qc) * (qc - ql_edge) <= 0.0;
+            ql_edge = extremum ? qc : ql_edge;
+            qr_edge = extremum ? qc : qr_edge;
             double dqe = qr_edge - ql_edge;
             double q6 = 6.0 * (qc - 0.5 * (ql_edge + qr_edge));
             int overshoot_l = dqe * q6 > dqe * dqe;
             int overshoot_r = -(dqe * dqe) > dqe * q6;
-            if (overshoot_l) ql_edge = 3.0 * qc - 2.0 * qr_edge;
-            if (overshoot_r) qr_edge = 3.0 * qc - 2.0 * ql_edge;
+            ql_edge = overshoot_l ? 3.0 * qc - 2.0 * qr_edge : ql_edge;
+            qr_edge = overshoot_r ? 3.0 * qc - 2.0 * ql_edge : qr_edge;
             double q_im1 = q[(c + 1) * m + j];
             double q_ip1 = q[(c + 3) * m + j];
             ql_edge = nmin(nmax(ql_edge, nmin(q_im1, qc)), nmax(q_im1, qc));
@@ -552,7 +602,7 @@ static void rk_ppm(long n, long m, const double *q, double *ql, double *qr,
     }
 }
 
-static double iplus(double ql, double qr, double q, double sigma)
+static inline double iplus(double ql, double qr, double q, double sigma)
 {
     double dq = qr - ql;
     double q6 = 6.0 * (q - 0.5 * (ql + qr));
@@ -560,7 +610,7 @@ static double iplus(double ql, double qr, double q, double sigma)
     return qr - 0.5 * s * (dq - (1.0 - 2.0 * s / 3.0) * q6);
 }
 
-static double iminus(double ql, double qr, double q, double sigma)
+static inline double iminus(double ql, double qr, double q, double sigma)
 {
     double dq = qr - ql;
     double q6 = 6.0 * (q - 0.5 * (ql + qr));
@@ -588,6 +638,7 @@ static void rk_trace(long n, long m,
     double *or_rho, double *or_u, double *or_v, double *or_w, double *or_p)
 {
     for (long f = 0; f < n - 1; f++) {
+        #pragma omp simd
         for (long j = 0; j < m; j++) {
             /* ---- left state from cell i = f ---- */
             long k = f * m + j;
@@ -709,10 +760,11 @@ static double sgn(double x) {
 }
 
 /* np.clip(x, 0.0, 1.0): NaN propagates, -0.0 clips to +0.0 */
-static double clip01(double x) {
-    if (x != x) return x;
+static inline double clip01(double x)
+{
     double t = x > 0.0 ? x : 0.0;
-    return t < 1.0 ? t : 1.0;
+    t = t < 1.0 ? t : 1.0;
+    return (x != x) ? x : t;
 }
 
 /* interpolation._limited_slopes for one interior cell */
@@ -1244,24 +1296,28 @@ enum { SCHEME_TRACE, SCHEME_PPM_FLATTEN, SCHEME_PPM, SCHEME_PLM,
 enum { SOLVER_HLLC, SOLVER_HLL, SOLVER_TWO_SHOCK };
 
 /* CW84 shock-flattening coefficient (reconstruction.shock_flattening with
-   its default omega1 = 0.75, omega2 = 10, epsilon = 0.33) */
+   its default omega1 = 0.75, omega2 = 10, epsilon = 0.33); straight-line:
+   the ratio and the clipped coefficient of every cell are computed, the
+   np.where are selects */
 static void flatten_coef(long n, long m, const double *p, const double *u,
     double *f)
 {
     for (long k = 0; k < n * m; k++) f[k] = 0.0;
     if (n < 5) return;
     for (long i = 2; i < n - 2; i++) {
+        #pragma omp simd
         for (long j = 0; j < m; j++) {
             long k = i * m + j;
             double dp1 = p[k + m] - p[k - m];
             double dp2 = p[k + 2 * m] - p[k - 2 * m];
             double du = u[k + m] - u[k - m];
             double p_min = nmin(p[k + m], p[k - m]);
-            double ratio = 1.0;
-            if (fabs(dp2) > 1e-300) ratio = dp1 / dp2;
+            double q = dp1 / dp2;
+            double ratio = fabs(dp2) > 1e-300 ? q : 1.0;
             double steep = fabs(dp1) / nmax(p_min, 1e-300);
-            if (du < 0.0 && steep > 0.33)
-                f[k] = clip01(10.0 * (ratio - 0.75));
+            double f_val = clip01(10.0 * (ratio - 0.75));
+            int inside_shock = (du < 0.0) & (steep > 0.33);
+            f[k] = inside_shock ? f_val : 0.0;
         }
     }
 }
@@ -1276,12 +1332,14 @@ static void flatten_states(long n, long m, const double *q, const double *f,
     }
 }
 
-/* interface velocity of the pdV term (ppm.contact_speed) */
+/* interface velocity of the pdV term (ppm.contact_speed); rk_hllc
+   returns it with its fluxes, the other solvers need this pass */
 static void contact_speed(long n,
     const double *rho_l, const double *u_l, const double *p_l,
     const double *rho_r, const double *u_r, const double *p_r,
     double gamma, double *out)
 {
+    #pragma omp simd
     for (long i = 0; i < n; i++) {
         double s_l, s_r;
         einfeldt(rho_l[i], u_l[i], p_l[i], rho_r[i], u_r[i], p_r[i], gamma,
@@ -1300,7 +1358,9 @@ static void contact_speed(long n,
    the fscale-scaled interior-face fluxes; counts the five floor counts
    (face density, face pressure, density, internal, energy) of the swept
    pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and cols (2, mb)
-   integer scratch. */
+   integer scratch.  Flattened: every body it calls is compiled into each
+   LANES copy. */
+LANES __attribute__((flatten))
 static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
     long axis, long ng, long a_lo, long a_hi, long b_lo, long b_hi,
     double dtdx, double fscale, double gamma, long scheme, long solver,
@@ -1404,12 +1464,16 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
         /* ---- positivity at faces (all n-1 of them are counted) ---- */
         for (long side = 0; side < 2; side++) {
             double *d = work + (W_SL + 5 * side) * row, *pf = d + 4 * row;
+            int64_t n_d = 0, n_p = 0;
+            #pragma omp simd reduction(+:n_d, n_p)
             for (long t = 0; t < (n - 1) * mc; t++) {
-                if (d[t] < dfloor) counts[0] += 1;
+                n_d += d[t] < dfloor;
                 d[t] = nmax(d[t], dfloor);
-                if (pf[t] < p_floor) counts[1] += 1;
+                n_p += pf[t] < p_floor;
                 pf[t] = nmax(pf[t], p_floor);
             }
+            counts[0] += n_d;
+            counts[1] += n_p;
         }
 
         /* ---- Riemann fluxes and contact speed on the faces in use ---- */
@@ -1422,7 +1486,7 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
                     sr + f_lo, sr + row + f_lo, sr + 2 * row + f_lo,
                     sr + 3 * row + f_lo, sr + 4 * row + f_lo, gamma,
                     g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
-                    g + 3 * row + f_lo, g + 4 * row + f_lo);
+                    g + 3 * row + f_lo, g + 4 * row + f_lo, u_face + f_lo);
         else if (solver == SOLVER_HLL)
             rk_hll(nface, sl + f_lo, sl + row + f_lo, sl + 2 * row + f_lo,
                    sl + 3 * row + f_lo, sl + 4 * row + f_lo,
@@ -1438,19 +1502,20 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
                          sr + 3 * row + f_lo, sr + 4 * row + f_lo, gamma,
                          g + f_lo, g + row + f_lo, g + 2 * row + f_lo,
                          g + 3 * row + f_lo, g + 4 * row + f_lo);
-        contact_speed(nface, sl + f_lo, sl + row + f_lo, sl + 4 * row + f_lo,
-                      sr + f_lo, sr + row + f_lo, sr + 4 * row + f_lo,
-                      gamma, u_face + f_lo);
+        if (solver != SOLVER_HLLC)
+            contact_speed(nface, sl + f_lo, sl + row + f_lo,
+                          sl + 4 * row + f_lo, sr + f_lo, sr + row + f_lo,
+                          sr + 4 * row + f_lo, gamma, u_face + f_lo);
 
         /* ---- internal energy advects with the mass flux ---- */
         double *f_rho = g, *f_mu = g + row, *f_mv = g + 2 * row;
         double *f_mw = g + 3 * row, *f_e = g + 4 * row;
         double *f_eint = work + W_FEINT * row;
+        #pragma omp simd
         for (long t = lo * mc; t < hi * mc; t++) {
-            double frac;
-            if (f_rho[t] > 0.0) frac = rho[t] * eint[t] / rho[t];
-            else frac = rho[t + mc] * eint[t + mc] / rho[t + mc];
-            f_eint[t] = f_rho[t] * frac;
+            double frac_l = rho[t] * eint[t] / rho[t];
+            double frac_r = rho[t + mc] * eint[t + mc] / rho[t + mc];
+            f_eint[t] = f_rho[t] * (f_rho[t] > 0.0 ? frac_l : frac_r);
         }
 
         /* ---- scaled interior-face fluxes, final layout ---- */
@@ -1465,12 +1530,16 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
         }
 
         /* ---- conservative update of the interior band ---- */
+        int64_t n_rho = 0, n_eint = 0, n_etot = 0;
+        double *q0 = q[0], *q1 = q[1], *q2 = q[2], *q3 = q[3], *q4 = q[4],
+               *q5 = q[5];
         for (long i = ng; i < n - ng; i++) {
+            #pragma omp simd reduction(+:n_rho, n_eint, n_etot)
             for (long jj = 0; jj < mc; jj++) {
                 long t = i * mc + jj;
                 double r_old = rho[t];
                 double rho_new = r_old + -dtdx * (f_rho[t] - f_rho[t - mc]);
-                if (rho_new < dfloor) counts[2] += 1;
+                n_rho += rho_new < dfloor;
                 rho_new = nmax(rho_new, dfloor);
                 double mom_u = r_old * u[t] - dtdx * (f_mu[t] - f_mu[t - mc]);
                 double mom_v = r_old * v[t] - dtdx * (f_mv[t] - f_mv[t - mc]);
@@ -1481,36 +1550,42 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
                 double eint_new = r_old * eint[t]
                     - dtdx * (f_eint[t] - f_eint[t - mc])
                     - p[t] * dtdx * (u_face[t] - u_face[t - mc]);
-                if (eint_new < eint_floor) counts[3] += 1;
+                n_eint += eint_new < eint_floor;
                 eint_new = nmax(eint_new, eint_floor);
                 double etot_spec = etot_new / rho_new;
-                if (etot_spec < efloor) counts[4] += 1;
+                n_etot += etot_spec < efloor;
                 long c = base[jj] + i * s;
-                q[0][c] = rho_new;
-                q[1][c] = mom_u / rho_new;
-                q[2][c] = mom_v / rho_new;
-                q[3][c] = mom_w / rho_new;
-                q[4][c] = nmax(etot_spec, efloor);
-                q[5][c] = eint_new / rho_new;
+                q0[c] = rho_new;
+                q1[c] = mom_u / rho_new;
+                q2[c] = mom_v / rho_new;
+                q3[c] = mom_w / rho_new;
+                q4[c] = nmax(etot_spec, efloor);
+                q5[c] = eint_new / rho_new;
             }
         }
+        counts[2] += n_rho;
+        counts[3] += n_eint;
+        counts[4] += n_etot;
 
         /* ---- advected fields ride the mass flux ---- */
         double *f_adv = work + W_FADV * row;
         for (long k = 6; k < nq; k++) {
             double *src = q[k], *out = flux + k * fcells;
             for (long i = lo; i < hi; i++) {
+                #pragma omp simd
                 for (long jj = 0; jj < mc; jj++) {
                     long t = i * mc + jj, c = base[jj] + i * s;
-                    double frac;
-                    if (f_rho[t] > 0.0) frac = src[c] / rho[t];
-                    else frac = src[c + s] / rho[t + mc];
-                    f_adv[t] = f_rho[t] * frac;
-                    if (obase[jj] >= 0)
-                        out[obase[jj] + (i - lo) * fs] = fscale * f_adv[t];
+                    double frac_l = src[c] / rho[t];
+                    double frac_r = src[c + s] / rho[t + mc];
+                    f_adv[t] = f_rho[t] * (f_rho[t] > 0.0 ? frac_l : frac_r);
                 }
+                for (long jj = 0; jj < mc; jj++)
+                    if (obase[jj] >= 0)
+                        out[obase[jj] + (i - lo) * fs] = fscale * f_adv[i * mc
+                                                                      + jj];
             }
             for (long i = ng; i < n - ng; i++) {
+                #pragma omp simd
                 for (long jj = 0; jj < mc; jj++) {
                     long t = i * mc + jj, c = base[jj] + i * s;
                     src[c] = nmax(
@@ -1546,8 +1621,8 @@ static inline void step_kick(long c, double **q, const double *g,
    cells the final floor changed.  work is (SWEEP_SLOTS, max(n) * mb)
    double scratch and cols (2, mb) integer scratch, both owned by this
    call. */
-void rk_step(long nq, double **q, const double *accel, long n0, long n1,
-    long n2, long ng, double dx, double dt, double a, long permute,
+LANES void rk_step(long nq, double **q, const double *accel, long n0,
+    long n1, long n2, long ng, double dx, double dt, double a, long permute,
     int full_update, double gamma, long scheme, long solver, double dfloor,
     double efloor, double eta, const double *drag, double **flux,
     int64_t *counts, double *work, long mb, int64_t *cols)
@@ -1620,22 +1695,7 @@ void rk_step(long nq, double **q, const double *accel, long n0, long n1,
    The cell body is straight-line: every np.where is a select between two
    values computed unconditionally and every load is unconditional, so the
    compiler can run cells in SIMD lanes (elementwise IEEE arithmetic, no
-   contraction: lane width never shows in the result).  nmax_s / nmin_s are
-   nmax / nmin spelled as selects for the same reason. ---- */
-
-static inline double nmax_s(double a, double b)
-{
-    double r = a > b ? a : b;
-    r = (b != b) ? b : r;
-    return (a != a) ? a : r;
-}
-
-static inline double nmin_s(double a, double b)
-{
-    double r = a < b ? a : b;
-    r = (b != b) ? b : r;
-    return (a != a) ? a : r;
-}
+   contraction: lane width never shows in the result). ---- */
 
 /* species.electron_density */
 static inline double electrons(const species *n)
@@ -1646,8 +1706,8 @@ static inline double electrons(const species *n)
 /* ChemistryNetwork.temperature */
 static inline double temperature(const species *n, double e, double rho)
 {
-    double n_tot = nmax_s(TOTAL_DENSITY(*n), 1e-300);
-    return nmax_s((2.0 / 3.0) * e * rho / (n_tot * K_BOLTZ), 1.0);
+    double n_tot = nmax(TOTAL_DENSITY(*n), 1e-300);
+    return nmax((2.0 / 3.0) * e * rho / (n_tot * K_BOLTZ), 1.0);
 }
 
 /* cooling.cooling_rate_from_channels: atomic + H2 + HD + Compton; T is the
@@ -1655,8 +1715,8 @@ static inline double temperature(const species *n, double e, double rho)
 static inline double cooling(const species *n, double T, const channels *ch,
     double t_cmb, double compton)
 {
-    double Tg = nmax_s(T, 1.0);
-    double ne = nmax_s(electrons(n), 0.0);
+    double Tg = nmax(T, 1.0);
+    double ne = nmax(electrons(n), 0.0);
     double rate = 0.0;
     rate += ch->ce_HI * ne * n->HI;
     rate += ch->ce_HeII * ne * n->HeII;
@@ -1670,15 +1730,15 @@ static inline double cooling(const species *n, double T, const channels *ch,
     rate += ch->brem * ne * (n->HII + n->HeII + 4.0 * n->HeIII);
     double atomic = Tg < 10.0 ? 0.0 : rate;
 
-    double n_h = nmax_s(n->HI, 1e-300);
+    double n_h = nmax(n->HI, 1e-300);
     double ldl = Tg > 1e4 ? H2_LDL_HI : ch->h2_ldl_branch;
     ldl = Tg < 10.0 ? H2_LDL_LO : ldl;
     double low = ldl * n_h;
-    double per_h2 = ch->h2_lte / (1.0 + ch->h2_lte / nmax_s(low, 1e-300));
+    double per_h2 = ch->h2_lte / (1.0 + ch->h2_lte / nmax(low, 1e-300));
     double h2_out = n->H2I * per_h2;
     double h2 = Tg < 10.0 ? 0.0 : h2_out;
 
-    double hd = n->HDI * nmax_s(n->HI, 0.0) / 1e3 * ch->hd / 1e3;
+    double hd = n->HDI * nmax(n->HI, 0.0) / 1e3 * ch->hd / 1e3;
     return atomic + h2 + hd + compton * ne * (Tg - t_cmb);
 }
 
@@ -1706,7 +1766,7 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
 
     /* RateTable._assemble_rates: the piecewise fits switch branch on the
        clipped temperature (np.clip: NaN stays NaN); d1 = k2 */
-    double Tc = nmin_s(nmax_s(Tj, T_MIN), T_MAX);
+    double Tc = nmin(nmax(Tj, T_MIN), T_MAX);
     double k1 = ch.k1, k2 = ch.k2, k3 = ch.k3, k4 = ch.k4, k5 = ch.k5,
            k6 = ch.k6, k7 = ch.k7, k8 = ch.k8, k10 = ch.k10, k11 = ch.k11,
            k12 = ch.k12, k13 = ch.k13, k16 = ch.k16, k18 = ch.k18,
@@ -1717,21 +1777,21 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
 
     /* ---- the cell's own substep: cooling and electron timescales ---- */
     double lam = cooling(&n, Tj, &ch, t_cmb, compton);
-    double edot = fabs(lam) / nmax_s(ra, 1e-300);
-    double t_cool = ea / nmax_s(edot, 1e-300);
+    double edot = fabs(lam) / nmax(ra, 1e-300);
+    double t_cool = ea / nmax(edot, 1e-300);
     t_cool = edot > 0.0 ? t_cool : INFINITY;
-    double ne = nmax_s(electrons(&n), 1e-300);
+    double ne = nmax(electrons(&n), 1e-300);
     double ne_dot = fabs(k1 * n.HI * ne - k2 * n.HII * ne);
-    double t_elec = ne / nmax_s(ne_dot, 1e-300);
+    double t_elec = ne / nmax(ne_dot, 1e-300);
     t_elec = ne_dot > 0.0 ? t_elec : INFINITY;
-    double limit = nmin_s(t_cool, t_elec);
+    double limit = nmin(t_cool, t_elec);
     double remaining = dt - t_done[c];
-    double dts = nmin_s(remaining, nmax_s(safety * limit, dt_floor));
+    double dts = nmin(remaining, nmax(safety * limit, dt_floor));
     /* a cell at the substep cap integrates its remainder in one step */
     dts = counts[c] >= max_substeps - 1 ? remaining : dts;
 
     /* ---- H+ / H and He ladder (with current electron density) ---- */
-    ne = nmax_s(electrons(&n), 0.0);
+    ne = nmax(electrons(&n), 0.0);
     double hi = n.HI, hii = n.HII;
     n.HII = be(hii, k1 * hi * ne, k2 * ne, dts);
     n.HeII = be(n.HeII, k3 * n.HeI * ne + k6 * n.HeIII * ne,
@@ -1742,11 +1802,11 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     /* ---- fast species in equilibrium ---- */
     hii = n.HII;
     double denom_hm = k8 * hi + k14 * ne + k16 * hii;
-    double hm = k7 * hi * ne / nmax_s(denom_hm, 1e-300);
+    double hm = k7 * hi * ne / nmax(denom_hm, 1e-300);
     n.HM = denom_hm > 0.0 ? hm : 0.0;
     double denom_h2p = k10 * hi + k18 * ne;
     double h2p = (k9 * hi * hii + k11 * n.H2I * hii)
-        / nmax_s(denom_h2p, 1e-300);
+        / nmax(denom_h2p, 1e-300);
     n.H2II = denom_h2p > 0.0 ? h2p : 0.0;
 
     /* ---- molecular hydrogen ---- */
@@ -1786,7 +1846,7 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     n.HDI = be(hd, d4 * n.DII * n.H2I, d5 * hii, dts);
 
     /* ---- electrons from charge neutrality ---- */
-    n.de = nmax_s(electrons(&n), 0.0);
+    n.de = nmax(electrons(&n), 0.0);
 
     /* ---- thermal energy: updated densities at the start-of-step
        temperature, semi-implicit in e ---- */
@@ -1794,31 +1854,31 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     double lam_heated = lam - H2_BINDING * rate_3b
         + H2_BINDING * k13 * h2 * hi;
     lam = heating ? lam_heated : lam;
-    double cool_pos = nmax_s(lam, 0.0) / nmax_s(ra, 1e-300);
-    double heat = nmax_s(-lam, 0.0) / nmax_s(ra, 1e-300);
+    double cool_pos = nmax(lam, 0.0) / nmax(ra, 1e-300);
+    double heat = nmax(-lam, 0.0) / nmax(ra, 1e-300);
     double e_new = (ea + dts * heat)
-        / (1.0 + dts * cool_pos / nmax_s(ea, 1e-300));
+        / (1.0 + dts * cool_pos / nmax(ea, 1e-300));
     /* ChemistryNetwork.energy_from_temperature at T_cmb */
     double e_floor = 1.5 * TOTAL_DENSITY(n) * K_BOLTZ * t_cmb
-        / nmax_s(ra, 1e-300);
-    double e_floored = nmax_s(e_new, nmin_s(ea, e_floor));
+        / nmax(ra, 1e-300);
+    double e_floored = nmax(e_new, nmin(ea, e_floor));
     e_new = cmb_floor ? e_floored : e_new;
-    ea = nmax_s(e_new, 1e-300);
+    ea = nmax(e_new, 1e-300);
 
     /* ---- ChemistryNetwork._renormalise: HD capped at the deuterium
        budget first, then D, H and He rescaled onto their budgets.  Without
        renormalisation the factors are 1.0: x * 1.0 is x, bit for bit ---- */
-    double hd_new = nmin_s(n.HDI, d0);
+    double hd_new = nmin(n.HDI, d0);
     n.HDI = renormalise ? hd_new : n.HDI;
-    double d_free = nmax_s(d0 - hd_new, 0.0);
+    double d_free = nmax(d0 - hd_new, 0.0);
     double cur_d = n.DI + n.DII;
-    double f_d = d_free / nmax_s(cur_d, 1e-300);
+    double f_d = d_free / nmax(cur_d, 1e-300);
     f_d = (renormalise && cur_d > 0.0) ? f_d : 1.0;
     n.DI *= f_d;
     n.DII *= f_d;
-    double h_free = nmax_s(h0 - hd_new, 0.0);
+    double h_free = nmax(h0 - hd_new, 0.0);
     double cur_h = n.HI + n.HII + n.HM + 2.0 * (n.H2I + n.H2II);
-    double f_h = h_free / nmax_s(cur_h, 1e-300);
+    double f_h = h_free / nmax(cur_h, 1e-300);
     f_h = (renormalise && cur_h > 0.0) ? f_h : 1.0;
     n.HI *= f_h;
     n.HII *= f_h;
@@ -1826,12 +1886,12 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     n.H2I *= f_h;
     n.H2II *= f_h;
     double cur_he = n.HeI + n.HeII + n.HeIII;
-    double f_he = he0 / nmax_s(cur_he, 1e-300);
+    double f_he = he0 / nmax(cur_he, 1e-300);
     f_he = (renormalise && cur_he > 0.0) ? f_he : 1.0;
     n.HeI *= f_he;
     n.HeII *= f_he;
     n.HeIII *= f_he;
-    double de_new = nmax_s(electrons(&n), 0.0);
+    double de_new = nmax(electrons(&n), 0.0);
     n.de = renormalise ? de_new : n.de;
 
     STORE_SPECIES(n, state + c, n_cells)
@@ -1841,12 +1901,6 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     T[j] = temperature(&n, ea, ra);
 }
 
-/* one more copy of the function for AVX-512 hosts, picked at load time:
-   eight cells per instruction instead of two.  Needs GNU ifunc. */
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__GNUC__) \
-    && !defined(__clang__)
-__attribute__((target_clones("avx512f", "default")))
-#endif
 /* state is (12, n_cells) and budgets (3, n_cells) (read only under
    renormalise); e, rho, t_done, counts are (n_cells,).  active (n_act,)
    holds strictly increasing cell indices; T (n_act,) their temperature on
@@ -1854,8 +1908,8 @@ __attribute__((target_clones("avx512f", "default")))
    (read only under three_body); block (channels, n_act) their
    coefficients.  Cells are independent, so neither the loop order nor the
    lane width shows in the result. */
-void rk_chem_step(long n_cells, long n_act, double *state, double *e,
-    const double *rho, const double *budgets, double *t_done,
+LANES void rk_chem_step(long n_cells, long n_act, double *state,
+    double *e, const double *rho, const double *budgets, double *t_done,
     int64_t *counts, const int64_t *active, double *T, const double *cube,
     const double *block, double dt, double dt_floor, double t_cmb,
     double compton, double safety, long max_substeps, int three_body,
@@ -2156,12 +2210,13 @@ SWEEP_SLOTS = 40
 SWEEP_BLOCK = 32
 
 # -ffp-contract=off: no FMA contraction (bitwise parity with the NumPy op
-# sequence); -fno-math-errno: lets sqrt vectorise; -fopenmp-simd: honour the
-# `#pragma omp simd` on the two-shock Newton sweep without pulling in the
-# OpenMP runtime.  Never -ffast-math — it licenses reassociation and breaks
-# parity.
+# sequence); -fno-math-errno: lets sqrt vectorise; -fno-trapping-math: lets
+# a division be evaluated in every lane and discarded by a select (FP
+# exceptions never trap here, so no value changes); -fopenmp-simd: honour
+# the `#pragma omp simd` loops without pulling in the OpenMP runtime.
+# Never -ffast-math — it licenses reassociation and breaks parity.
 _COMPILE_ARGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
-                 "-fopenmp-simd")
+                 "-fno-trapping-math", "-fopenmp-simd")
 
 
 def _cache_dir() -> str:
@@ -2207,6 +2262,10 @@ def _build_module():
 _mod = _build_module()
 ffi = _mod.ffi
 _lib = _mod.lib
+#: the LANES copy of the SIMD kernels this host runs: "avx512f",
+#: "default" (two doubles per instruction on x86-64) or "single" (a build
+#: without load-time clones)
+LANES = ffi.string(_lib.rk_lanes()).decode()
 
 
 # ------------------------------------------------------ contract functions
@@ -2236,6 +2295,7 @@ def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in SWEEP_SOLVERS:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
+    check_drag(drag)
     ng, permute = int(ng), int(permute) % 3
     shape = arrays[0].shape
     # the C indexes raw memory: refuse mismatched fields, an extent that

@@ -140,6 +140,16 @@ def available_backends() -> tuple:
     return tuple(b for b in BACKENDS if _load(b))
 
 
+def lanes() -> str | None:
+    """The SIMD copy the compiled tier runs on this host
+    (``backend_cffi.LANES``), or None when the tier does not load."""
+    if not _load("cffi"):
+        return None
+    import importlib
+
+    return importlib.import_module("repro.kernels.backend_cffi").LANES
+
+
 # ---------------------------------------------------------------- selection
 def resolve_backend(name: str | None = None) -> str:
     """Normalise a requested backend name to one that actually loads.

@@ -79,6 +79,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "repro.amr" in out
         assert "SC2001" in out
+        assert "kernel tiers: numpy" in out
 
     def test_collapse_quick(self, tmp_path, capsys):
         assert _run("collapse", COLLAPSE, str(tmp_path / "run"), 8) == 0

@@ -59,7 +59,7 @@ from repro.gravity.multigrid import (
     redblack_smooth_numpy,
     solve_numpy,
 )
-from repro.hydro import riemann
+from repro.hydro import ppm, reconstruction, riemann, tracing
 from repro.hydro.ppm import (
     AXIS_NAMES,
     FLOOR_COUNTS,
@@ -249,6 +249,18 @@ class TestDispatch:
         assert named <= set(dispatch.KERNEL_NAMES)
         retired = set(dispatch.KERNEL_NAMES) - set(_tier_impls("numpy"))
         assert retired <= named
+
+    def test_lanes_names_the_copy_this_host_runs(self, isolated):
+        """``lanes()`` is the compiled tier's SIMD copy, None without it."""
+        lanes = dispatch.lanes()
+        if not COMPILED:
+            assert lanes is None
+            return
+        assert lanes in ("avx512f", "default", "single")
+        flags = Path("/proc/cpuinfo")
+        if lanes != "single" and flags.exists():
+            has_avx512f = " avx512f" in flags.read_text()
+            assert (lanes == "avx512f") == has_avx512f
 
     @pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
     def test_compile_flags_are_in_the_cache_key(self):
@@ -1144,6 +1156,112 @@ def _sweep_arrays(shape, n_adv, kind):
     return [rho, *vel, e_tot, e_int, *advected]
 
 
+#: rows (axis-1 index) of :func:`_select_edges`, one case each
+EDGE_ROWS = ("rest", "sonic_right", "sonic_left", "cold", "spike",
+             "signed_zeros", "jump", "rest")
+
+
+def _select_edges():
+    """A (16, 8, 7) grid, three ghosts, whose pencils along axis 0 put the
+    selects of a ``ppm+flatten`` or ``trace`` sweep with ``hllc`` on their
+    boundaries; row ``a`` is case ``EDGE_ROWS[a]``:
+
+    * uniform gas at rest (face states are the cell values exactly, so
+      the PPM extremum product is exactly 0 and the contact speed s_m is
+      exactly 0), moving at +c (s_l exactly 0) and at -c (s_r exactly 0);
+    * ``cold``: pressure far below the floor of any sound speed, moving at
+      1 — s_l == u_l (the p_term guard), a contact denominator and
+      s - s_m below 1e-300;
+    * ``spike``: one hot cell in converging flow — flattening with dp2 == 0
+      (the ratio guard) next to it;
+    * ``signed_zeros``: velocity alternating +0.0 / -0.0 — minmod of
+      +-0.0 and du == 0 in the flattening;
+    * ``jump``: Sod's two states, the selects off their boundaries.
+    """
+    shape = (16, 8, 7)
+    rho = np.ones(shape)
+    e_int = np.full(shape, 2.5)
+    vel = [np.zeros(shape) for _ in range(3)]
+    c = np.sqrt(GAMMA * ((GAMMA - 1.0) * 1.0 * 2.5) / 1.0)
+    rows = {name: a for a, name in enumerate(EDGE_ROWS)}
+    vel[0][:, rows["sonic_right"]] = c
+    vel[0][:, rows["sonic_left"]] = -c
+    e_int[:, rows["cold"]] = 1e-40
+    vel[0][:, rows["cold"]] = 1.0
+    e_int[8, rows["spike"]] = 7.5
+    vel[0][:, rows["spike"]] = 0.1 * (8 - np.arange(16))[:, None]
+    vel[0][1::2, rows["signed_zeros"]] = -0.0
+    rho[8:, rows["jump"]] = 0.125
+    e_int[8:, rows["jump"]] = 2.0
+    e_tot = e_int + 0.5 * sum(v * v for v in vel)
+    return [rho, *vel, e_tot, e_int]
+
+
+def test_select_edges_cover_what_they_claim(monkeypatch):
+    """Every boundary :func:`_select_edges` claims is reached in the
+    NumPy reference's own sweeps (recorded at the Riemann solver, the
+    flattening, the PPM reconstruction and minmod)."""
+    seen = {"riemann": [], "flatten": [], "ppm": [], "minmod": []}
+
+    def recorder(key, body):
+        def record(*args):
+            seen[key].append(args)
+            return body(*args)
+        return record
+
+    monkeypatch.setitem(ppm._RIEMANN, "hllc",
+                        recorder("riemann", riemann.hllc_flux))
+    monkeypatch.setattr(ppm, "shock_flattening",
+                        recorder("flatten", ppm.shock_flattening))
+    monkeypatch.setitem(ppm._RECONSTRUCT, "ppm+flatten",
+                        recorder("ppm", reconstruction.ppm_reconstruct))
+    monkeypatch.setattr(tracing, "ppm_reconstruct",
+                        recorder("ppm", reconstruction.ppm_reconstruct))
+    monkeypatch.setattr(reconstruction, "_minmod",
+                        recorder("minmod", reconstruction._minmod))
+    for scheme in ("ppm+flatten", "trace"):
+        for key in seen:
+            seen[key].clear()
+        _step(hydro_step_numpy, _select_edges(), 3, scheme, "hllc")
+        assert seen["riemann"] and seen["ppm"] and seen["minmod"]
+        hit = dict.fromkeys(("s_l", "s_m", "s_r", "p_term", "den", "s - s_m",
+                             "extremum", "minmod +-0"), False)
+        for left, right, _ in seen["riemann"]:
+            rho_l, u_l, _, _, p_l = left
+            rho_r, u_r, _, _, p_r = right
+            s_l, s_r = riemann._wave_speed_estimates(rho_l, u_l, p_l, rho_r,
+                                                     u_r, p_r, GAMMA)
+            s_m = ppm.contact_speed(left, right, GAMMA)
+            den = rho_l * (s_l - u_l) - rho_r * (s_r - u_r)
+            hit["s_l"] |= bool(np.any(s_l == 0.0))
+            hit["s_m"] |= bool(np.any(s_m == 0.0))
+            hit["s_r"] |= bool(np.any(s_r == 0.0))
+            hit["p_term"] |= bool(np.any(s_l == u_l) or np.any(s_r == u_r))
+            hit["den"] |= bool(np.any(np.abs(den) < 1e-300))
+            hit["s - s_m"] |= bool(np.any(np.abs(s_l - s_m) < 1e-300)
+                                   or np.any(np.abs(s_r - s_m) < 1e-300))
+        for (q,) in seen["ppm"]:
+            dq = np.zeros_like(q)
+            dq[1:-1] = reconstruction._mc_limiter(q[1:-1] - q[:-2],
+                                                  q[2:] - q[1:-1])
+            qf = 0.5 * (q[1:-2] + q[2:-1]) - (dq[2:-1] - dq[1:-2]) / 6.0
+            qc = q[2:-2]
+            hit["extremum"] |= bool(np.any((qf[1:] - qc) * (qc - qf[:-1])
+                                           == 0.0))
+        for a, b in seen["minmod"]:
+            signed = [(x == 0.0) & np.signbit(x) for x in (a, b)]
+            hit["minmod +-0"] |= bool(np.any(signed[0] | signed[1]))
+        if scheme == "ppm+flatten":
+            hit.update(dict.fromkeys(("dp2", "du"), False))
+            for p, u in seen["flatten"]:
+                dp1, dp2 = p[3:-1] - p[1:-3], p[4:] - p[:-4]
+                du = u[3:-1] - u[1:-3]
+                hit["dp2"] |= bool(np.any((dp2 == 0.0) & (dp1 != 0.0)
+                                          & (du < 0.0)))
+                hit["du"] |= bool(np.any(du == 0.0))
+        assert all(hit.values()), (scheme, hit)
+
+
 def _accel(shape, seed=5):
     return 0.3 * np.random.default_rng(seed).standard_normal((3, *shape))
 
@@ -1300,6 +1418,18 @@ class TestSweepParity:
         assert not got[1].flags.c_contiguous
         _assert_steps_equal(ref, (got, *out))
 
+    @pytest.mark.parametrize("scheme", ["ppm+flatten", "trace"])
+    def test_selects_at_their_boundaries(self, tier, scheme):
+        """Every select of the sweep body on its boundary
+        (:func:`_select_edges`), with and without kicks and drag."""
+        fn = _tier_impls(tier)["hydro.step"]
+        shape = (16, 8, 7)
+        for permute, accel, drag, full_update in STEP_OPTIONS:
+            _assert_steps_equal(*_step_both(
+                fn, _select_edges(), 3, scheme, "hllc", permute=permute,
+                accel=_accel(shape) if accel else None,
+                drag=STEP_DRAG if drag else None, full_update=full_update))
+
     def test_refuses_what_the_c_cannot_index(self, tier):
         fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
@@ -1316,6 +1446,12 @@ class TestSweepParity:
                 _step(impl, arrays, 2, scheme="weno", accel=_accel((6, 8, 8)))
             with pytest.raises(ValueError, match="unknown riemann solver"):
                 _step(impl, arrays, 2, solver="roe", accel=_accel((6, 8, 8)))
+            # and so is a drag of other than two factors: the C would read
+            # past one, and never reads a third
+            for drag in (STEP_DRAG[:1], STEP_DRAG + (0.9,)):
+                with pytest.raises(ValueError, match="drag must be two"):
+                    _step(impl, arrays, 2, drag=drag,
+                          accel=_accel((6, 8, 8)))
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
 
