@@ -80,9 +80,11 @@ and the compile flags (``_COMPILE_ARGS``) that make them hold:
 * no ``-ffast-math`` (ever) — keeps IEEE semantics, NaN propagation, and
   division/sqrt correctly rounded;
 * ``-fno-math-errno`` is safe (it only drops the errno bookkeeping);
-* ``-fno-trapping-math`` lets a guarded division run in every lane and
-  be discarded by its select: FP exceptions never trap here, so it
-  changes no value.
+* ``-fno-trapping-math`` lets a guarded division (or any operation gcc
+  has sunk into the arm of a select) run in every lane and be discarded
+  by the select: FP exceptions never trap here, so it changes no value.
+  Without it the default (SSE2) copy vectorises none of the hydro face
+  loops.
 
 Adding a kernel is a two-place change — the NumPy reference and, here, the
 C plus its contract function; docs/PERFORMANCE.md ("Adding a kernel") has
@@ -1754,7 +1756,7 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     const double *budgets, double *t_done, int64_t *counts, double *T,
     const double *cube, const double *block, double dt, double dt_floor,
     double t_cmb, double compton, double safety, long max_substeps,
-    int three_body, int heating, int cmb_floor, int renormalise)
+    int three_body, int formation_heating, int cmb_floor, int renormalise)
 {
     species n;
     channels ch;
@@ -1853,7 +1855,10 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     lam = cooling(&n, Tj, &ch, t_cmb, compton);
     double lam_heated = lam - H2_BINDING * rate_3b
         + H2_BINDING * k13 * h2 * hi;
-    lam = heating ? lam_heated : lam;
+    /* formation heating needs the three-body channel: two selects on the
+       int flags (gcc 12 leaves a select on the bool of their && scalar) */
+    double lam_h = formation_heating ? lam_heated : lam;
+    lam = three_body ? lam_h : lam;
     double cool_pos = nmax(lam, 0.0) / nmax(ra, 1e-300);
     double heat = nmax(-lam, 0.0) / nmax(ra, 1e-300);
     double e_new = (ea + dts * heat)
@@ -1915,7 +1920,6 @@ LANES void rk_chem_step(long n_cells, long n_act, double *state,
     double compton, double safety, long max_substeps, int three_body,
     int formation_heating, int cmb_floor, int renormalise)
 {
-    int heating = formation_heating && three_body;
     /* the first iteration of every grid has all cells in flight: unit
        stride instead of gather/scatter */
     int all_cells = n_act == n_cells;
@@ -1926,14 +1930,16 @@ LANES void rk_chem_step(long n_cells, long n_act, double *state,
         for (long j = 0; j < n_act; j++)
             chem_cell(j, j, n_cells, n_act, state, e, rho, budgets, t_done,
                       counts, T, cube, block, dt, dt_floor, t_cmb, compton,
-                      safety, max_substeps, three_body, heating, cmb_floor,
+                      safety, max_substeps, three_body, formation_heating,
+                      cmb_floor,
                       renormalise);
     } else {
         #pragma omp simd
         for (long j = 0; j < n_act; j++)
             chem_cell(active[j], j, n_cells, n_act, state, e, rho, budgets,
                       t_done, counts, T, cube, block, dt, dt_floor, t_cmb,
-                      compton, safety, max_substeps, three_body, heating,
+                      compton, safety, max_substeps, three_body,
+                      formation_heating,
                       cmb_floor, renormalise);
     }
 }
@@ -2211,7 +2217,7 @@ SWEEP_BLOCK = 32
 
 # -ffp-contract=off: no FMA contraction (bitwise parity with the NumPy op
 # sequence); -fno-math-errno: lets sqrt vectorise; -fno-trapping-math: lets
-# a division be evaluated in every lane and discarded by a select (FP
+# an operation be evaluated in every lane and discarded by a select (FP
 # exceptions never trap here, so no value changes); -fopenmp-simd: honour
 # the `#pragma omp simd` loops without pulling in the OpenMP runtime.
 # Never -ffast-math — it licenses reassociation and breaks parity.
