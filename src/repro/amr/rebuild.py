@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from repro.amr.clustering import cluster_flagged_cells
 from repro.amr.grid import Grid
@@ -134,6 +133,26 @@ def _fill_new_grid(grid: Grid, parent: Grid, old_grids) -> None:
     _fill_level([(grid, parent, False)], old_grids)
 
 
+def _dilate(flags: np.ndarray, iterations: int) -> np.ndarray:
+    """Grow a boolean flag field by ``iterations`` face-neighbour cells.
+
+    Each pass ORs in the six face-shifted copies of the previous pass;
+    cells past the array border count as unflagged.  That is
+    ``scipy.ndimage.binary_dilation`` with its default cross structure
+    and ``border_value=0``, without importing scipy.
+    """
+    out = np.asarray(flags, dtype=bool)
+    for _ in range(iterations):
+        src, out = out, out.copy()
+        for ax in range(src.ndim):
+            lo = [slice(None)] * src.ndim
+            hi = [slice(None)] * src.ndim
+            lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+            out[tuple(hi)] |= src[tuple(lo)]
+            out[tuple(lo)] |= src[tuple(hi)]
+    return out
+
+
 def _flag_signature(flags: np.ndarray, params_key: bytes) -> bytes:
     """Digest of one parent's (dilated) flag field + clustering params."""
     hsh = hashlib.sha1(params_key)
@@ -219,7 +238,7 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                     for crit, count in criteria.last_flag_counts.items():
                         flag_counts[crit] = flag_counts.get(crit, 0) + count
                     if flags.any():
-                        flags = binary_dilation(flags, iterations=BUFFER_CELLS)
+                        flags = _dilate(flags, BUFFER_CELLS)
                     sig = _flag_signature(flags, params_key)
                     stats["parents"] += 1
                     previous = (hierarchy._flag_signatures.get(parent.grid_id)

@@ -8,7 +8,6 @@ times, X-ray luminosities and inertial tensors."
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro import constants as const
 
@@ -18,30 +17,70 @@ def find_clumps(hierarchy, overdensity: float = 5.0, level: int = 0) -> list[dic
 
     Returns one dict per clump: cell count, total gas mass (code),
     centre-of-mass position, peak density.
+
+    Cells connect through faces.  Along an axis where a grid spans the
+    whole periodic box (every axis of the root grid), a region that
+    crosses the box face is one clump, and its centre of mass is taken
+    with the minimum-image shift and wrapped into the box.  On refined
+    levels each grid is labelled on its own, so a region split between
+    sibling grids is reported once per grid.
     """
-    grids = hierarchy.level_grids(level)
+    from scipy import ndimage
+
     clumps = []
-    for g in grids:
+    for g in hierarchy.level_grids(level):
         rho = g.field_view("density")
         labels, n = ndimage.label(rho > overdensity)
+        periodic = [ax for ax in range(3)
+                    if g.dims[ax] == g.cells_per_dim_at_level]
+        if periodic:
+            labels, n = _merge_across_faces(labels, n, periodic)
         for i in range(1, n + 1):
             sel = labels == i
-            mass = rho[sel].sum() * g.dx**3
+            w = rho[sel]
             idx = np.argwhere(sel)
-            com_w = rho[sel]
-            com = (
-                (g.start_index + idx + 0.5) * g.dx * com_w[:, None]
-            ).sum(axis=0) / com_w.sum()
+            x = (g.start_index + idx + 0.5) * g.dx
+            for ax in periodic:
+                if idx[:, ax].min() == 0 and idx[:, ax].max() == g.dims[ax] - 1:
+                    # straddles the box face: unwrap about the peak cell
+                    d = x[:, ax] - x[np.argmax(w), ax]
+                    x[:, ax] -= np.round(d)
+            com = (x * w[:, None]).sum(axis=0) / w.sum()
             clumps.append(
                 {
                     "n_cells": int(sel.sum()),
-                    "gas_mass": float(mass),
-                    "position": com,
-                    "peak_density": float(rho[sel].max()),
+                    "gas_mass": float(w.sum() * g.dx**3),
+                    "position": np.mod(com, 1.0),
+                    "peak_density": float(w.max()),
                     "level": level,
                 }
             )
     return sorted(clumps, key=lambda c: -c["gas_mass"])
+
+
+def _merge_across_faces(labels: np.ndarray, n: int, axes) -> tuple[np.ndarray, int]:
+    """Join labels that touch across the opposite faces of ``axes``;
+    returns the relabelled field (labels ``1..m``, ordered by each merged
+    set's smallest old label) and ``m``."""
+    root = np.arange(n + 1)
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for ax in axes:
+        lo = np.take(labels, 0, axis=ax).ravel()
+        hi = np.take(labels, -1, axis=ax).ravel()
+        both = (lo > 0) & (hi > 0)
+        for a, b in set(zip(lo[both].tolist(), hi[both].tolist())):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+    final = np.array([find(i) for i in range(n + 1)])
+    kept, relabel = np.unique(final, return_inverse=True)
+    return relabel[labels], len(kept) - 1
 
 
 def freefall_time(density_cgs) -> np.ndarray:

@@ -13,8 +13,6 @@ integrates the Friedmann equation once at construction and interpolates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import interp1d
 
 from repro.cosmology.parameters import CosmologyParameters
 
@@ -84,6 +82,9 @@ class FriedmannSolver:
 
     def _tabulate(self):
         """Integrate dt/dlna = 1/H from a_min to beyond a=1 and build splines."""
+        from scipy.integrate import solve_ivp
+        from scipy.interpolate import interp1d
+
         lna = np.linspace(np.log(self.a_min), np.log(4.0), 4096)
 
         def rhs(ln_a, t):
@@ -109,6 +110,8 @@ class FriedmannSolver:
         return np.vectorize(self._growth_one)(a) / self._growth_one(1.0)
 
     def _growth_one(self, a: float) -> float:
+        from scipy.integrate import quad
+
         p = self.params
 
         def integrand(ap):

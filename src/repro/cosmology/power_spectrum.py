@@ -15,7 +15,6 @@ collapse — is tested in the suite via sigma(M) monotonicity.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro import constants as const
 from repro.cosmology.friedmann import FriedmannSolver
@@ -122,6 +121,7 @@ class PowerSpectrum:
 
     def sigma_r(self, radius_mpc_h: float, z: float = 0.0) -> float:
         """rms linear fluctuation in a top-hat of comoving radius R (Mpc/h)."""
+        from scipy.integrate import quad
 
         def integrand(lnk):
             k = np.exp(lnk)

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.amr import FieldArrayPool, Grid, Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
-from repro.amr.rebuild import _fill_new_grid, rebuild_hierarchy
+from repro.amr.rebuild import (BUFFER_CELLS, _dilate, _fill_new_grid,
+                               _flag_signature, rebuild_hierarchy)
 from repro.kernels import dispatch
 
 
@@ -160,6 +161,37 @@ class TestBitwiseIdentity:
 
 
 # ------------------------------------------------------------ array pool
+def _dilation_cases():
+    rng = np.random.default_rng(11)
+    for density in (0.02, 0.15, 0.5):
+        yield pytest.param(rng.random((12, 9, 7)) < density,
+                           id=f"random{density}")
+    for shape in ((1, 6, 5), (2, 6, 5), (6, 1, 2), (1, 1, 1), (2, 2, 2)):
+        yield pytest.param(rng.random(shape) < 0.4,
+                           id="thin" + "x".join(map(str, shape)))
+    yield pytest.param(np.zeros((5, 6, 7), dtype=bool), id="all_false")
+    yield pytest.param(np.ones((5, 6, 7), dtype=bool), id="all_true")
+    corner = np.zeros((5, 6, 7), dtype=bool)
+    corner[0, 0, 0] = True
+    yield pytest.param(corner, id="corner")
+
+
+class TestBufferDilation:
+    """The rebuild's NumPy buffer-zone dilation is scipy's
+    ``binary_dilation`` (cross structure, ``border_value=0``) bit for bit,
+    so flag signatures, clustering and reuse are those of the scipy call."""
+
+    @pytest.mark.parametrize("flags", list(_dilation_cases()))
+    def test_matches_scipy(self, flags):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        ref = ndimage.binary_dilation(flags, iterations=BUFFER_CELLS)
+        got = _dilate(flags, BUFFER_CELLS)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+        key = b"params"
+        assert _flag_signature(got, key) == _flag_signature(ref, key)
+
+
 class TestFieldArrayPool:
     def test_acquire_release_roundtrip(self):
         pool = FieldArrayPool()

@@ -153,6 +153,35 @@ class TestClumps:
         h = Hierarchy(n_root=8)
         assert find_clumps(h, overdensity=5.0) == []
 
+    def test_clump_across_periodic_face_is_one(self):
+        # one 8-cell blob split by the x = 0 face of the periodic root
+        h = Hierarchy(n_root=8)
+        rho = h.root.field_view("density")
+        rho[...] = 1.0
+        rho[0, 3:5, 3:5] = 20.0
+        rho[7, 3:5, 3:5] = 20.0
+        clumps = find_clumps(h, overdensity=5.0)
+        assert len(clumps) == 1
+        assert clumps[0]["n_cells"] == 8
+        assert clumps[0]["gas_mass"] == pytest.approx(8 * 20.0 / 8**3)
+        # the centre of mass sits on the face, wrapped into the box
+        x = clumps[0]["position"]
+        assert min(x[0], 1.0 - x[0]) == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 <= x[0] < 1.0
+        assert x[1:] == pytest.approx([0.5, 0.5])
+
+    def test_clump_across_face_keeps_unrelated_clumps(self):
+        # a wrapped blob on y plus a separate blob inside the box
+        h = Hierarchy(n_root=8)
+        rho = h.root.field_view("density")
+        rho[...] = 1.0
+        rho[3, 0, 3] = rho[3, 7, 3] = 30.0
+        rho[5, 4, 5] = 10.0
+        clumps = find_clumps(h, overdensity=5.0)
+        assert [c["n_cells"] for c in clumps] == [2, 1]
+        assert clumps[0]["position"] == pytest.approx([3.5 / 8, 0.0, 3.5 / 8])
+        assert clumps[1]["position"] == pytest.approx([5.5 / 8, 4.5 / 8, 5.5 / 8])
+
     def test_freefall_time_scaling(self):
         assert freefall_time(1e-20) / freefall_time(1e-18) == pytest.approx(10.0)
 
