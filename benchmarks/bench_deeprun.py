@@ -1,29 +1,33 @@
-"""Deep-run rebuild benchmark: incremental reuse vs from-scratch regrids.
+"""Deep-run rebuild benchmark: box reuse vs from-scratch regrids.
 
 The paper's hero run rebuilds the grid hierarchy thousands of times while
 — between any two rebuilds — most of the tree is unchanged: refinement
 tracks the collapsing core, and the quiescent bulk of the subgrids keeps
-the same flagged-cell sets epoch after epoch.  The incremental rebuild
-(:mod:`repro.amr.rebuild`) exploits that by reusing every parent whose
-flag signature is unchanged (the whole subtree under it survives, only
-ghost shells are refreshed from thin coarse slabs), and recycling retired
-field arrays through the hierarchy's
-:class:`~repro.amr.pool.FieldArrayPool`.
+the same flagged-cell sets epoch after epoch.  The rebuild
+(:mod:`repro.amr.rebuild`) exploits that with one reuse rule: every new
+box equal to a retiring grid's box keeps that grid (only its ghost shell
+is refreshed), so an unchanged region keeps its whole subtree.  Retired
+field arrays are recycled through the hierarchy's
+:class:`~repro.amr.pool.FieldArrayPool`, which keeps a released buffer
+for one rebuild only.
 
 This bench grows a three-level hierarchy over a lattice of Gaussian
 blobs, using a mass threshold that tightens with level
 (``gas_mass_threshold`` + negative ``level_exponent``) so each blob
 carries an L2 patch with a deep L3 subtree under it — the regime where
-reuse pays most, since one unchanged level-1 signature keeps an entire
-multi-million-cell subtree alive.  Each round it perturbs a ~25% subset
+reuse pays most, since every surviving box keeps its grid and its
+subtree's boxes survive with it.  Each round it perturbs a ~25% subset
 of the level-1 parents and rebuilds levels 2..3 — once on a hierarchy
-using the incremental path and once on a mirror forced through the
-from-scratch path — asserting after every round that the two
-hierarchies' ``fingerprint()`` digests are identical (the bitwise
-correctness gate).  Round 0 is a cold round (allocators and caches warm
-up); the report uses **medians over the warm rounds**, which is what
-keeps the numbers stable on noisy hosts.  Writes ``BENCH_deeprun.json``
-next to this file.
+using box reuse and once on a mirror forced through the from-scratch
+path — asserting after every round that the two hierarchies'
+``fingerprint()`` digests are identical (the bitwise correctness gate).
+Every round also records the reusing hierarchy's pool: its free arrays
+and the buffers released in that round and the one before (the age rule
+bounds the first by the sum of the other two).  Round 0 is a cold round
+(allocators and caches warm up); the report uses **medians over the
+warm rounds**, which is what keeps the numbers stable on noisy hosts.
+Writes ``BENCH_deeprun.json`` next to this file, stamped with the host's
+cpus, kernel tier, commit, Python and machine.
 
 Run standalone::
 
@@ -38,6 +42,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -46,6 +53,7 @@ import numpy as np
 from repro.amr import Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.rebuild import rebuild_hierarchy
+from repro.kernels import dispatch
 
 # base gas-mass threshold in units of the mean root-cell mass; with
 # level_exponent = -1.84 the effective density threshold per level is
@@ -73,7 +81,7 @@ def build_hierarchy(blobs_per_dim: int, tile_cells: int, amplitude: float,
     """A lattice of ``blobs_per_dim^3`` Gaussian blobs, one per tile of
     ``tile_cells^3`` root cells, each overdense enough to refine three
     levels deep under ``crit`` — grown through the production rebuild
-    path so flag signatures exist on every parent."""
+    path."""
     n_root = blobs_per_dim * tile_cells
     h = Hierarchy(n_root=n_root)
     root = h.root
@@ -132,15 +140,25 @@ def run(config: dict) -> dict:
     inc_times = []
     raw_times = []
     reuse_rates = []
+    pool_rounds = []
     touched = 0
+    pool = h_inc.pool
+    releases_before = pool.releases
     for rnd in range(config["rounds"]):
         touched = perturb_parents(h_inc, config["fraction"], rnd)
         perturb_parents(h_raw, config["fraction"], rnd)
 
+        released = pool.releases
         t0 = time.perf_counter()
         rebuild_hierarchy(h_inc, 2, crit, incremental=True)
         inc_times.append(time.perf_counter() - t0)
         reuse_rates.append(h_inc.last_rebuild_stats["reuse_rate"])
+        released = pool.releases - released
+        pool_rounds.append({"free_arrays": pool.free_arrays,
+                            "free_bytes": pool.free_bytes(),
+                            "releases": released,
+                            "releases_before": releases_before})
+        releases_before = released
 
         t0 = time.perf_counter()
         rebuild_hierarchy(h_raw, 2, crit, incremental=False)
@@ -173,8 +191,18 @@ def run(config: dict) -> dict:
             "per_round_incremental_s": [round(t, 4) for t in inc_times],
             "per_round_from_scratch_s": [round(t, 4) for t in raw_times],
         },
-        "pool": h_inc.pool.stats(),
+        "pool": {**pool.stats(), "per_round": pool_rounds},
     }
+
+
+def _commit() -> str:
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=False)
+    except OSError:  # no git on this host
+        return "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 # ~25% of level-1 parents perturbed per round: the quiescent-bulk regime
@@ -201,6 +229,11 @@ def main(argv=None) -> int:
     payload = {
         "bench": "deeprun",
         "mode": "smoke" if args.smoke else "full",
+        "host_cpus": len(os.sched_getaffinity(0)),
+        "kernel_tier": dispatch.active_backend(),
+        "commit": _commit(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
         "config": config,
         "results": results,
     }
@@ -211,11 +244,14 @@ def main(argv=None) -> int:
 
 
 def test_deeprun_smoke():
-    """Pytest entry: reuse happens, pool recycles, hashes match bitwise."""
+    """Pytest entry: reuse happens, pool recycles and forgets, hashes
+    match bitwise."""
     results = run(SMOKE)
     assert results["fingerprints_match"]
     assert results["rebuild"]["reuse_rate"] > 0.5, results["rebuild"]
     assert results["pool"]["hits"] > 0, results["pool"]
+    for rnd in results["pool"]["per_round"]:
+        assert rnd["free_arrays"] <= rnd["releases"] + rnd["releases_before"]
 
 
 if __name__ == "__main__":

@@ -115,10 +115,9 @@ class HierarchyEvolver:
         ladder instance.  With no escalations the ladder is read-only, so
         results stay bitwise identical either way.
     incremental_rebuild:
-        ``True`` (default) lets ``rebuild_hierarchy`` reuse the subgrids
-        of parents whose flagged-cell sets are unchanged since the last
-        rebuild; ``False`` forces every rebuild through the from-scratch
-        path.  Both produce bitwise-identical hierarchies — the switch
+        ``True`` (default) lets ``rebuild_hierarchy`` keep every grid
+        whose box survives the rebuild; ``False`` forces every rebuild
+        through the from-scratch path.  Both produce bitwise-identical hierarchies — the switch
         exists for the correctness gate and the deep-run benchmark.
     """
 
@@ -134,9 +133,9 @@ class HierarchyEvolver:
         self.clock = clock or StaticClock()
         self.units = units
         self.cfl = cfl
-        #: parents with unchanged flag sets keep their subgrids across
-        #: rebuilds (repro.amr.rebuild); False forces the from-scratch
-        #: path — bitwise identical, used by the bitwise gate and benches
+        #: grids whose box survives a rebuild are kept (repro.amr
+        #: .rebuild); False forces the from-scratch path — bitwise
+        #: identical, used by the bitwise gate and benches
         self.incremental_rebuild = bool(incremental_rebuild)
         self.stats = stats
         #: the run's component timers (paper Sec. 5 table); their clock
@@ -421,8 +420,8 @@ class HierarchyEvolver:
 
     def _record_rebuild(self, last: dict) -> None:
         """Fold one rebuild_hierarchy call into the step's ``rebuild`` block:
-        allocator traffic (``created``/``destroyed``), grids the incremental
-        rebuild kept alive (``reused``), their ratio and the flagged cells
+        allocator traffic (``created``/``destroyed``), grids whose box
+        survived (``reused``), their ratio and the flagged cells
         per refinement criterion."""
         stats = self.step_stats["rebuild"]
         for key in ("created", "destroyed", "reused"):

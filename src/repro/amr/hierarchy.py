@@ -56,14 +56,6 @@ class Hierarchy:
         #: recycled field-array buffers (repro.amr.pool); rebuild-created
         #: grids draw from it, retired grids release into it
         self.pool = FieldArrayPool()
-        #: per-parent flag signatures from the last rebuild (grid_id ->
-        #: digest); the incremental rebuild reuses a parent's subgrids when
-        #: its signature is unchanged.  Grid ids are globally unique, so a
-        #: stale entry can never match a new grid; entries are pruned when
-        #: their grid is destroyed and invalidated by out-of-rebuild
-        #: structural mutations (epoch-awareness without storing the epoch).
-        self._flag_signatures: dict[int, bytes] = {}
-        self._in_rebuild = False
         #: summary dict of the most recent rebuild_hierarchy call
         #: (created/reused/destroyed/parents/reuse_rate); telemetry reads it
         self.last_rebuild_stats: dict | None = None
@@ -122,8 +114,8 @@ class Hierarchy:
     def add_grid(self, grid: Grid, parent: Grid, *, reused: bool = False) -> None:
         """Insert a grid under its parent; allocates storage if needed.
 
-        ``reused=True`` (the incremental rebuild re-attaching a surviving
-        grid) books the insert under ``grids_reused`` instead of
+        ``reused=True`` (the rebuild re-attaching a grid whose box
+        survived) books the insert under ``grids_reused`` instead of
         ``grids_created`` — the grid's buffers never left the heap, so it
         is not allocator traffic.
         """
@@ -141,11 +133,6 @@ class Hierarchy:
             self.grids_reused += 1
         else:
             self.grids_created += 1
-        if not self._in_rebuild:
-            # the parent's child set changed outside the rebuild's own
-            # bookkeeping: its cached flag signature no longer describes
-            # its subgrids, so the next incremental rebuild must re-cluster
-            self._flag_signatures.pop(parent.grid_id, None)
         self._note_mutation()
 
     def remove_level_grids(self, level: int, *, tally: bool = True,
@@ -169,10 +156,6 @@ class Hierarchy:
                     p.children.remove(g)
                 g.parent = None
                 g.children.clear()
-                if not self._in_rebuild:
-                    self._flag_signatures.pop(g.grid_id, None)
-                    if p is not None:
-                        self._flag_signatures.pop(p.grid_id, None)
                 if release:
                     self.pool.release_grid(g)
             self.levels[lvl] = []
@@ -202,10 +185,12 @@ class Hierarchy:
         moves **once** — or not at all if the final per-level membership is
         identical to the initial one (a fully-reused rebuild), in which
         case every epoch-keyed cache stays warm.  For levels whose
-        membership is unchanged across the block, cached level topologies
-        are re-stamped to the new epoch (grid geometry is immutable and a
-        reused grid keeps its parent, so an unchanged member list means
-        an unchanged topology).
+        membership, and whose parent level's membership, are unchanged
+        across the block, cached level topologies are re-stamped to the
+        new epoch (grid geometry is immutable and a child box nests in
+        exactly one parent, so unchanged member lists on both levels mean
+        the same parents and an unchanged topology; a kept grid under a
+        new parent gets a new topology).
         """
         if self._bulk_depth == 0:
             self._bulk_membership = self._membership()
@@ -223,7 +208,8 @@ class Hierarchy:
                 if self._bulk_mutations and after != before:
                     self.topology_epoch += 1
                     for lvl in range(min(len(before), len(after))):
-                        if before[lvl] != after[lvl]:
+                        if before[max(lvl - 1, 0):lvl + 1] != \
+                                after[max(lvl - 1, 0):lvl + 1]:
                             continue
                         entry = self._sibling_maps.get(lvl)
                         if entry is not None and entry[0] == self._bulk_epoch:

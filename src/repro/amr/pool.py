@@ -20,23 +20,26 @@ Contracts:
 * ``release_grid`` detaches the grid's arrays (``fields``/``phi``/
   ``old_fields`` become ``None``) before pooling them, so a retired grid
   object cannot reach a buffer that a live grid has since acquired.
+* A buffer is kept for one rebuild only.  :meth:`age` (the last thing
+  every ``rebuild_hierarchy`` call does) hands the buffers released
+  before the previous ``age`` and still unclaimed back to the allocator,
+  and ``acquire`` draws those older buffers first.  Shapes the run has
+  stopped producing therefore cost nothing after one rebuild, which
+  bounds the free list by one rebuild's releases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: free-list length cap per shape; beyond this, released buffers are
-#: dropped to the allocator (bounds pool memory after a derefinement wave)
-MAX_FREE_PER_SHAPE = 512
-
 
 class FieldArrayPool:
-    """Free-list of ndarray buffers keyed by shape."""
+    """Free-list of ndarray buffers keyed by shape, in two generations:
+    ``_older`` (released before the last :meth:`age`) and ``_newer``."""
 
-    def __init__(self, max_free_per_shape: int = MAX_FREE_PER_SHAPE):
-        self.max_free_per_shape = int(max_free_per_shape)
-        self._free: dict[tuple, list[np.ndarray]] = {}
+    def __init__(self):
+        self._older: dict[tuple, list[np.ndarray]] = {}
+        self._newer: dict[tuple, list[np.ndarray]] = {}
         # telemetry counters (benchmarks and the pool tests read these)
         self.acquires = 0
         self.hits = 0
@@ -48,10 +51,10 @@ class FieldArrayPool:
         """A float64 buffer of ``shape``; contents are unspecified."""
         shape = tuple(int(s) for s in shape)
         self.acquires += 1
-        free = self._free.get(shape)
-        if free:
-            self.hits += 1
-            return free.pop()
+        for free in (self._older.get(shape), self._newer.get(shape)):
+            if free:
+                self.hits += 1
+                return free.pop()
         return np.empty(shape, dtype=np.float64)
 
     # --------------------------------------------------------------- release
@@ -66,12 +69,8 @@ class FieldArrayPool:
         ):
             self.dropped += 1
             return
-        free = self._free.setdefault(arr.shape, [])
-        if len(free) >= self.max_free_per_shape:
-            self.dropped += 1
-            return
         self.releases += 1
-        free.append(arr)
+        self._newer.setdefault(arr.shape, []).append(arr)
 
     def release_grid(self, grid) -> None:
         """Recycle a retired grid's storage and sever its array refs."""
@@ -87,13 +86,23 @@ class FieldArrayPool:
         grid.flux_accumulator = None
         grid.last_fluxes = None
 
+    def age(self) -> None:
+        """End a rebuild: drop the older generation's unclaimed buffers
+        to the allocator; what was released since the last call becomes
+        the older generation."""
+        self.dropped += sum(len(v) for v in self._older.values())
+        self._older, self._newer = self._newer, {}
+
     # --------------------------------------------------------------- metrics
+    def _lists(self):
+        return [*self._older.values(), *self._newer.values()]
+
     @property
     def free_arrays(self) -> int:
-        return sum(len(v) for v in self._free.values())
+        return sum(len(v) for v in self._lists())
 
     def free_bytes(self) -> int:
-        return sum(a.nbytes for v in self._free.values() for a in v)
+        return sum(a.nbytes for v in self._lists() for a in v)
 
     def stats(self) -> dict:
         return {
@@ -103,7 +112,9 @@ class FieldArrayPool:
             "releases": self.releases,
             "dropped": self.dropped,
             "free_arrays": self.free_arrays,
+            "free_bytes": self.free_bytes(),
         }
 
     def clear(self) -> None:
-        self._free.clear()
+        self._older.clear()
+        self._newer.clear()

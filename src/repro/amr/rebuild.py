@@ -1,4 +1,4 @@
-"""RebuildHierarchy (paper Sec. 3.2.2), incremental between epochs.
+"""RebuildHierarchy (paper Sec. 3.2.2), keeping every grid whose box survives.
 
 The three steps, per level, top-down:
 
@@ -12,33 +12,33 @@ The three steps, per level, top-down:
    then dropped (freeing their memory — the alloc/free traffic the paper's
    Fig. 5 discussion highlights).
 
-**Incremental reuse.**  At hero-run scale the hierarchy is rebuilt
-thousands of times while most of the tree is unchanged between rebuilds
-(the regime the Enzo method papers describe); re-clustering,
-re-allocating and re-filling every subgrid from scratch each time is the
-first-order cost the paper's Fig. 5 discussion attributes to
-RebuildHierarchy.  This module therefore compares each parent's flag
-field against a per-parent signature cached on the hierarchy: when the
-flagged-cell set (and the clustering parameters) are unchanged, the
-parent's previous subgrids are **reused** — same ``Grid`` objects, same
-field arrays — and only their ghost shells are refreshed (prolongation
-from the parent plus old same-level copies, exactly the values the
-from-scratch fill would have produced there; interiors are overwritten
-by their own old data in the from-scratch path, i.e. unchanged).  Parents
-whose flag sets changed go through clustering/allocation/fill as before,
-drawing buffers from the hierarchy's :class:`~repro.amr.pool
-.FieldArrayPool` into which each retired level's arrays are released as
-soon as its copy pass finishes.  The whole rebuild runs inside
+**Box reuse.**  At hero-run scale the hierarchy is rebuilt thousands of
+times while most of the tree is unchanged between rebuilds (the regime
+the Enzo method papers describe); re-allocating and re-filling every
+subgrid from scratch each time is the first-order cost the paper's
+Fig. 5 discussion attributes to RebuildHierarchy.  Every parent is
+clustered afresh, and one rule decides reuse: a new box equal (start and
+dims) to a retiring grid's box on the same level keeps that ``Grid`` —
+same object, same field arrays — in the new box's place in the level's
+grid order.  Only its ghost shell is refilled, in the level's one
+``fill.level`` call (prolongation from the new parent plus old
+same-level copies, exactly the values the from-scratch fill would have
+produced there); its interior is what the from-scratch fill would copy
+into a fresh grid of that box, i.e. unchanged.  Grids kept this way may
+sit under a parent that was itself kept, or under a new one.  The other
+boxes get new grids, drawing buffers from the hierarchy's
+:class:`~repro.amr.pool.FieldArrayPool`, into which each retired level's
+arrays are released as soon as its copy pass finishes; the rebuild ends
+by ageing the pool, so a buffer still unclaimed at the end of the
+rebuild after its release goes back to the allocator.  The whole rebuild runs inside
 ``hierarchy.bulk_update()`` so the topology epoch moves at most once.
 
-The correctness gate: an incremental rebuild produces a hierarchy
-bitwise identical to the from-scratch path (``incremental=False``) —
-same boxes in the same order, same field contents, same times.
+The correctness gate: a reusing rebuild produces a hierarchy bitwise
+identical to the from-scratch path (``incremental=False``) — same boxes
+in the same order, same field contents, same times.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -153,14 +153,6 @@ def _dilate(flags: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
-def _flag_signature(flags: np.ndarray, params_key: bytes) -> bytes:
-    """Digest of one parent's (dilated) flag field + clustering params."""
-    hsh = hashlib.sha1(params_key)
-    hsh.update(np.int64(flags.shape).tobytes())
-    hsh.update(np.packbits(flags).tobytes())
-    return hsh.digest()
-
-
 def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                       incremental: bool = True) -> None:
     """Rebuild grids on ``level`` and deeper.
@@ -173,24 +165,23 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     numerous" as the paper describes).  ``dm_density_fn(grid)`` returns the
     deposited dark-matter density on a grid's interior (or None).
 
-    With ``incremental=True`` (the default) parents whose flag signature
-    is unchanged since the last rebuild keep their subgrids alive (see
-    the module docstring); ``incremental=False`` forces the from-scratch
-    path everywhere.  Both paths produce bitwise-identical hierarchies;
-    counters land in ``hierarchy.last_rebuild_stats`` and the cumulative
-    ``grids_created`` / ``grids_destroyed`` / ``grids_reused``.
+    With ``incremental=True`` (the default) every new box equal to a
+    retiring grid's box keeps that grid (see the module docstring);
+    ``incremental=False`` creates every grid afresh.  Both paths produce
+    bitwise-identical hierarchies; counters land in
+    ``hierarchy.last_rebuild_stats`` and the cumulative ``grids_created`` /
+    ``grids_destroyed`` / ``grids_reused``.  The call ends by ageing the
+    hierarchy's pool (:meth:`~repro.amr.pool.FieldArrayPool.age`).
     """
     if level < 1:
         raise ValueError("the root grid is never rebuilt")
 
     pool = hierarchy.pool
     max_level = criteria.max_level
-    params_key = repr((criteria.efficiency, criteria.min_size, BUFFER_CELLS,
-                       criteria.max_dims)).encode()
+    r = hierarchy.refine_factor
     stats = {"level": level, "parents": 0, "parents_reused": 0,
              "created": 0, "reused": 0, "destroyed": 0}
     flag_counts: dict[str, int] = {}
-    new_signatures: dict[int, bytes] = {}
 
     # keep the old grids' data alive for copying while the tree is replaced;
     # each level's list is dropped (and its buffers pooled) as soon as that
@@ -199,118 +190,89 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
         l: list(hierarchy.level_grids(l))
         for l in range(level, hierarchy.max_level + 1)
     }
-    # parent -> previous children (and child -> parent id), captured before
-    # removal severs backrefs
-    old_children: dict[int, list[Grid]] = {}
-    old_parent_id: dict[int, int] = {}
-    for l in range(level - 1, hierarchy.max_level + 1):
-        for g in hierarchy.level_grids(l):
-            old_children[g.grid_id] = list(g.children)
-            if g.parent is not None:
-                old_parent_id[g.grid_id] = g.parent.grid_id
 
-    def retire(old_grids, reused_ids):
+    def retire(old_grids, kept):
         for g in old_grids:
-            if g.grid_id in reused_ids:
+            if g.grid_id in kept:
                 continue
             stats["destroyed"] += 1
             hierarchy.grids_destroyed += 1
-            hierarchy._flag_signatures.pop(g.grid_id, None)
             pool.release_grid(g)
 
-    hierarchy._in_rebuild = True
-    try:
-        with hierarchy.bulk_update():
-            hierarchy.remove_level_grids(level, tally=False)
+    with hierarchy.bulk_update():
+        hierarchy.remove_level_grids(level, tally=False)
 
-            lvl = level
-            while True:
-                if max_level is not None and lvl > max_level:
-                    break
-                parents = hierarchy.level_grids(lvl - 1)
-                new_grids: list[tuple[Grid, Grid]] = []  # (child, parent)
-                reused_ids: set[int] = set()
-                r = hierarchy.refine_factor
-                for parent in parents:
-                    flags = criteria.flag_cells(
-                        parent, dm_density_fn(parent) if dm_density_fn else None
-                    )
-                    for crit, count in criteria.last_flag_counts.items():
-                        flag_counts[crit] = flag_counts.get(crit, 0) + count
-                    if flags.any():
-                        flags = _dilate(flags, BUFFER_CELLS)
-                    sig = _flag_signature(flags, params_key)
-                    stats["parents"] += 1
-                    previous = (hierarchy._flag_signatures.get(parent.grid_id)
-                                if incremental else None)
-                    new_signatures[parent.grid_id] = sig
-                    if previous == sig:
-                        # unchanged flagged-cell set: same boxes, same data
-                        # — keep the previous subgrids alive
-                        stats["parents_reused"] += 1
-                        for child in old_children.get(parent.grid_id, ()):
-                            reused_ids.add(child.grid_id)
-                            new_grids.append((child, parent))
-                        continue
-                    if not flags.any():
-                        continue
-                    boxes = cluster_flagged_cells(
-                        flags, efficiency=criteria.efficiency,
-                        min_size=criteria.min_size)
-                    for box in boxes:
-                        for blo, bhi in _split_box(box.lo, box.hi,
-                                                   criteria.max_dims):
-                            start = (parent.start_index + np.array(blo)) * r
-                            dims = (np.array(bhi) - np.array(blo)) * r
+        lvl = level
+        while max_level is None or lvl <= max_level:
+            old_grids = old_by_level.get(lvl, [])
+            # a retiring grid survives when a new box equals its box
+            by_box = ({(*g.start_index.tolist(), *g.dims.tolist()): g
+                       for g in old_grids} if incremental else {})
+            new_grids: list[tuple[Grid, Grid]] = []  # (child, parent)
+            kept: set[int] = set()
+            for parent in hierarchy.level_grids(lvl - 1):
+                flags = criteria.flag_cells(
+                    parent, dm_density_fn(parent) if dm_density_fn else None
+                )
+                for crit, count in criteria.last_flag_counts.items():
+                    flag_counts[crit] = flag_counts.get(crit, 0) + count
+                stats["parents"] += 1
+                if not flags.any():
+                    continue
+                boxes = cluster_flagged_cells(
+                    _dilate(flags, BUFFER_CELLS),
+                    efficiency=criteria.efficiency,
+                    min_size=criteria.min_size)
+                n_new, n_kept = len(new_grids), len(kept)
+                for box in boxes:
+                    for blo, bhi in _split_box(box.lo, box.hi,
+                                               criteria.max_dims):
+                        start = (parent.start_index + np.array(blo)) * r
+                        dims = (np.array(bhi) - np.array(blo)) * r
+                        g = by_box.pop((*start.tolist(), *dims.tolist()),
+                                       None)
+                        if g is not None:
+                            kept.add(g.grid_id)
+                        else:
                             g = Grid(lvl, start, dims, hierarchy.n_root, r,
                                      hierarchy.nghost)
                             g.allocate(hierarchy.advected, pool=pool)
-                            new_grids.append((g, parent))
+                        new_grids.append((g, parent))
+                if len(kept) - n_kept == len(new_grids) - n_new:
+                    stats["parents_reused"] += 1  # every box survived
 
-                for g, parent in new_grids:
-                    reused = g.grid_id in reused_ids
-                    hierarchy.add_grid(g, parent, reused=reused)
-                    if reused:
-                        # reset the per-step scratch a fresh Grid starts
-                        # without, so reuse is invisible downstream
-                        g.old_fields = None
-                        g.old_time = DoubleDouble(0.0)
-                        g.flux_accumulator = None
-                        g.last_fluxes = None
-                        stats["reused"] += 1
-                    else:
-                        stats["created"] += 1
-                    g.time = DoubleDouble(parent.time)
-                _fill_level([(g, parent, g.grid_id in reused_ids)
-                             for g, parent in new_grids],
-                            old_by_level.get(lvl, []))
+            for g, parent in new_grids:
+                reused = g.grid_id in kept
+                hierarchy.add_grid(g, parent, reused=reused)
+                if reused:
+                    # reset the per-step scratch a fresh Grid starts
+                    # without, so reuse is invisible downstream
+                    g.old_fields = None
+                    g.old_time = DoubleDouble(0.0)
+                    g.flux_accumulator = None
+                    g.last_fluxes = None
+                    stats["reused"] += 1
+                else:
+                    stats["created"] += 1
+                g.time = DoubleDouble(parent.time)
+            _fill_level([(g, parent, g.grid_id in kept)
+                         for g, parent in new_grids], old_grids)
 
-                # this level's copy pass is done: free the old level now
-                retire(old_by_level.pop(lvl, []), reused_ids)
-                if not new_grids:
-                    break
-                lvl += 1
+            # this level's copy pass is done: free the old level now
+            retire(old_by_level.pop(lvl, []), kept)
+            if not new_grids:
+                break
+            lvl += 1
 
-            # levels past a break (cap reached / flags vanished) are gone;
-            # their surviving parents lose their signatures too — a sig
-            # must never claim children that no longer exist, or a later
-            # deeper-cap rebuild would "reuse" an empty child set where
-            # the from-scratch path would re-cluster
-            for l in sorted(old_by_level):
-                for g in old_by_level[l]:
-                    pid = old_parent_id.get(g.grid_id)
-                    if pid is not None:
-                        hierarchy._flag_signatures.pop(pid, None)
-                        new_signatures.pop(pid, None)
-                retire(old_by_level.pop(l), set())
-    finally:
-        hierarchy._in_rebuild = False
+        # levels past a break (cap reached / flags vanished) are gone
+        for l in sorted(old_by_level):
+            retire(old_by_level.pop(l), set())
 
-    hierarchy._flag_signatures.update(new_signatures)
     total = stats["created"] + stats["reused"]
     stats["reuse_rate"] = stats["reused"] / total if total else 0.0
     stats["flags"] = flag_counts
     hierarchy.last_rebuild_stats = stats
+    pool.age()
 
 
 def _split_box(lo, hi, max_dims: int):

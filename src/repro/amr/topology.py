@@ -23,10 +23,11 @@ consumers need, and the geometry of the level's parent->child fills
   not touch the rim.
 
 Grid geometry is immutable after construction (integer ``start_index`` /
-``dims``), and a grid keeps its parent while its level's membership is
-unchanged (the incremental rebuild re-attaches a reused grid to the same
-parent), so the cache never goes stale — only membership of a level does,
-and that is what the epoch tracks.
+``dims``), and a grid keeps its parent while its own level's and its
+parent level's membership are unchanged (a child box nests in exactly
+one parent; the rebuild may re-attach a kept grid to a new parent only
+when the parent level changed), so the cache never goes stale — only
+membership does, and that is what the epoch tracks.
 """
 
 from __future__ import annotations
