@@ -117,8 +117,9 @@ class HierarchyEvolver:
     incremental_rebuild:
         ``True`` (default) lets ``rebuild_hierarchy`` keep every grid
         whose box survives the rebuild; ``False`` forces every rebuild
-        through the from-scratch path.  Both produce bitwise-identical hierarchies — the switch
-        exists for the correctness gate and the deep-run benchmark.
+        through the from-scratch path.  Both produce bitwise-identical
+        hierarchies — the switch exists for the correctness gate and the
+        deep-run benchmark.
     """
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,

@@ -24,8 +24,8 @@ Contracts:
   every ``rebuild_hierarchy`` call does) hands the buffers released
   before the previous ``age`` and still unclaimed back to the allocator,
   and ``acquire`` draws those older buffers first.  Shapes the run has
-  stopped producing therefore cost nothing after one rebuild, which
-  bounds the free list by one rebuild's releases.
+  stopped producing are therefore freed one rebuild later, and after any
+  rebuild the free list holds at most that rebuild's releases.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ into a fresh grid of that box, i.e. unchanged.  Grids kept this way may
 sit under a parent that was itself kept, or under a new one.  The other
 boxes get new grids, drawing buffers from the hierarchy's
 :class:`~repro.amr.pool.FieldArrayPool`, into which each retired level's
-arrays are released as soon as its copy pass finishes; the rebuild ends
-by ageing the pool, so a buffer still unclaimed at the end of the
-rebuild after its release goes back to the allocator.  The whole rebuild runs inside
-``hierarchy.bulk_update()`` so the topology epoch moves at most once.
+arrays are released as soon as its copy pass finishes.  The rebuild
+ends by ageing the pool, so a buffer still unclaimed at the end of the
+rebuild after its release goes back to the allocator.  The whole
+rebuild runs inside ``hierarchy.bulk_update()`` so the topology epoch
+moves at most once.
 
 The correctness gate: a reusing rebuild produces a hierarchy bitwise
 identical to the from-scratch path (``incremental=False``) — same boxes
@@ -191,10 +192,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
         for l in range(level, hierarchy.max_level + 1)
     }
 
-    def retire(old_grids, kept):
+    def retire(old_grids):
         for g in old_grids:
-            if g.grid_id in kept:
-                continue
             stats["destroyed"] += 1
             hierarchy.grids_destroyed += 1
             pool.release_grid(g)
@@ -204,12 +203,12 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
 
         lvl = level
         while max_level is None or lvl <= max_level:
-            old_grids = old_by_level.get(lvl, [])
-            # a retiring grid survives when a new box equals its box
-            by_box = ({(*g.start_index.tolist(), *g.dims.tolist()): g
-                       for g in old_grids} if incremental else {})
-            new_grids: list[tuple[Grid, Grid]] = []  # (child, parent)
-            kept: set[int] = set()
+            old_grids = old_by_level.pop(lvl, [])
+            # old grids by box; a new box equal to one keeps that grid
+            retiring = {(*g.start_index.tolist(), *g.dims.tolist()): g
+                        for g in old_grids}
+            # (child, parent, kept): the entries the level's fill takes
+            new_grids: list[tuple[Grid, Grid, bool]] = []
             for parent in hierarchy.level_grids(lvl - 1):
                 flags = criteria.flag_cells(
                     parent, dm_density_fn(parent) if dm_density_fn else None
@@ -223,28 +222,26 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                     _dilate(flags, BUFFER_CELLS),
                     efficiency=criteria.efficiency,
                     min_size=criteria.min_size)
-                n_new, n_kept = len(new_grids), len(kept)
+                first = len(new_grids)
                 for box in boxes:
                     for blo, bhi in _split_box(box.lo, box.hi,
                                                criteria.max_dims):
                         start = (parent.start_index + np.array(blo)) * r
                         dims = (np.array(bhi) - np.array(blo)) * r
-                        g = by_box.pop((*start.tolist(), *dims.tolist()),
-                                       None)
-                        if g is not None:
-                            kept.add(g.grid_id)
-                        else:
-                            g = Grid(lvl, start, dims, hierarchy.n_root, r,
-                                     hierarchy.nghost)
-                            g.allocate(hierarchy.advected, pool=pool)
-                        new_grids.append((g, parent))
-                if len(kept) - n_kept == len(new_grids) - n_new:
+                        key = (*start.tolist(), *dims.tolist())
+                        if incremental and key in retiring:
+                            new_grids.append((retiring.pop(key), parent, True))
+                            continue
+                        g = Grid(lvl, start, dims, hierarchy.n_root, r,
+                                 hierarchy.nghost)
+                        g.allocate(hierarchy.advected, pool=pool)
+                        new_grids.append((g, parent, False))
+                if all(kept for _, _, kept in new_grids[first:]):
                     stats["parents_reused"] += 1  # every box survived
 
-            for g, parent in new_grids:
-                reused = g.grid_id in kept
-                hierarchy.add_grid(g, parent, reused=reused)
-                if reused:
+            for g, parent, kept in new_grids:
+                hierarchy.add_grid(g, parent, reused=kept)
+                if kept:
                     # reset the per-step scratch a fresh Grid starts
                     # without, so reuse is invisible downstream
                     g.old_fields = None
@@ -255,18 +252,17 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                 else:
                     stats["created"] += 1
                 g.time = DoubleDouble(parent.time)
-            _fill_level([(g, parent, g.grid_id in kept)
-                         for g, parent in new_grids], old_grids)
+            _fill_level(new_grids, old_grids)
 
-            # this level's copy pass is done: free the old level now
-            retire(old_by_level.pop(lvl, []), kept)
+            # this level's copy pass is done: free its old grids now
+            retire(retiring.values())
             if not new_grids:
                 break
             lvl += 1
 
         # levels past a break (cap reached / flags vanished) are gone
         for l in sorted(old_by_level):
-            retire(old_by_level.pop(l), set())
+            retire(old_by_level.pop(l))
 
     total = stats["created"] + stats["reused"]
     stats["reuse_rate"] = stats["reused"] / total if total else 0.0
