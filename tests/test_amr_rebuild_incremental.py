@@ -154,8 +154,9 @@ class TestBitwiseIdentity:
 
     def _move_second_cube(self, max_level):
         """Rebuild mirrored hierarchies after the second cube moves; the
-        first cube's boxes survive.  Returns the reusing hierarchy, its
-        from-scratch mirror and each level's grids before the move."""
+        first cube's boxes survive.  Checks every survivor and returns
+        the reusing hierarchy, each level's grids before the move and the
+        number of grids kept."""
         crit = RefinementCriteria(overdensity_threshold=3.0,
                                   max_level=max_level)
         ha, hb = Hierarchy(n_root=16), Hierarchy(n_root=16)
