@@ -20,7 +20,6 @@ from repro.amr.clustering import cluster_flagged_cells, Box
 from repro.amr.refinement import RefinementCriteria
 from repro.amr.defense import DefenseLadder
 from repro.amr.evolve import HierarchyEvolver
-from repro.amr.topology import SiblingLink, build_sibling_map
 
 __all__ = [
     "Grid",
@@ -31,6 +30,4 @@ __all__ = [
     "DefenseLadder",
     "RefinementCriteria",
     "HierarchyEvolver",
-    "SiblingLink",
-    "build_sibling_map",
 ]

@@ -95,12 +95,6 @@ def ghost_fill_args(topo: LevelTopology, include_phi: bool = True) -> tuple:
             [is_positive_field(n) for n in names] + [False] * with_phi)
 
 
-def interpolate_from_parent(child, parent, include_phi: bool = True) -> None:
-    """Fill one child's ghost shell by conservative interpolation from the
-    parent, time-centred; interior cells are not touched."""
-    fill_ghosts(LevelTopology([child], child.nghost, [parent]), include_phi)
-
-
 def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
     """Overwrite ghost cells with sibling interior data where they overlap."""
     ng = grid.nghost

@@ -233,12 +233,6 @@ def correct_parent(parent, children) -> None:
         init_flux_accumulator(child)
 
 
-def apply_flux_correction(parent, child) -> None:
-    """Correct the parent cells ringing one child (call once per child per
-    parent step, after the child caught up)."""
-    correct_parent(parent, [child])
-
-
 def correct_level(hierarchy, fine_level: int) -> None:
     """The paper's FluxCorrection step for one coarse/fine boundary."""
     by_parent: dict = {}

@@ -98,18 +98,15 @@ class HierarchyGravity:
             wrap_phi_ghosts(g)
             return 0, 0, 0
 
-        sources = {g.grid_id: self.source(hierarchy, g, a) for g in grids}
+        sources = [self.source(hierarchy, g, a) for g in grids]
         topo = hierarchy.level_topology(level)
-        boundaries = dict(zip((g.grid_id for g in grids),
-                              parent_boundaries(topo)))
-        smap = topo.links
+        rims = parent_boundaries(topo)
+        exchange = rim_exchange(topo)
         passes = solves = vcycles = 0
         for iteration in range(self.sibling_iterations):
             passes += 1
-            for g in grids:
-                rim = boundaries[g.grid_id]
-                sol, attempts, cycles = self._solve_grid(
-                    g, sources[g.grid_id], rim, faults)
+            for g, src, rim in zip(grids, sources, rims):
+                sol, attempts, cycles = self._solve_grid(g, src, rim, faults)
                 solves += attempts
                 vcycles += cycles
                 self._store_phi(g, sol)
@@ -118,15 +115,11 @@ class HierarchyGravity:
             # exchange: overwrite rim values with sibling solutions; a pass
             # that changes nothing means the iteration has converged
             improved = False
-            for g in grids:
-                rim = boundaries[g.grid_id]
-                for link in smap.get(g.grid_id, ()):
-                    if link.rim_dst is None:
-                        continue
-                    new = link.sibling.phi[link.rim_src]
-                    if not np.array_equal(rim[link.rim_dst], new):
-                        rim[link.rim_dst] = new
-                        improved = True
+            for target, source, rim_sl, phi_sl in exchange:
+                new = grids[source].phi[phi_sl]
+                if not np.array_equal(rims[target][rim_sl], new):
+                    rims[target][rim_sl] = new
+                    improved = True
             if not improved:
                 break
         return passes, solves, vcycles
@@ -212,6 +205,22 @@ def accel_numpy(phi: np.ndarray, dx: float, a: float) -> np.ndarray:
     :func:`~repro.gravity.gradient.acceleration_from_potential`,
     ``-np.gradient(phi, dx, axis=k) / a`` for each axis k."""
     return acceleration_from_potential(phi, dx, a, periodic=False)
+
+
+def rim_exchange(topo) -> list[tuple]:
+    """``(target, source, rim_slices, phi_slices)`` for every row of
+    ``topo.rim_copies``, in its order: the row's box in the target's
+    dims+2 rim array and in the source's ghost-padded ``phi``.  The bounds
+    are array arithmetic; only the slice objects are built per row."""
+    rows = topo.rim_copies
+    t, s = rows[:, 0], rows[:, 1]
+    lo, hi = rows[:, 2:5], rows[:, 5:8]
+    rim_lo = np.array(topo.starts, dtype=np.int64).reshape(-1, 3)[t] - 1
+    phi_lo = np.array(topo.origins, dtype=np.int64).reshape(-1, 3)[s]
+    columns = (c.tolist() for c in (
+        t, s, lo - rim_lo, hi - rim_lo, lo - phi_lo, hi - phi_lo))
+    return [(a, b, tuple(map(slice, r0, r1)), tuple(map(slice, p0, p1)))
+            for a, b, r0, r1, p0, p1 in zip(*columns)]
 
 
 def parent_boundaries(topo) -> list[np.ndarray]:

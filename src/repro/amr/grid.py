@@ -125,19 +125,6 @@ class Grid:
         ]
 
     # --------------------------------------------------------- relationships
-    def overlap_with(self, other: "Grid"):
-        """Integer intersection with a same-level grid, or None.
-
-        Returns ``(lo, hi)`` in this level's index space.
-        """
-        if other.level != self.level:
-            raise ValueError("overlap is defined between same-level grids")
-        lo = np.maximum(self.start_index, other.start_index)
-        hi = np.minimum(self.end_index, other.end_index)
-        if np.any(lo >= hi):
-            return None
-        return lo, hi
-
     def ghost_overlap_with(self, other: "Grid"):
         """Intersection of *my ghost-expanded region* with other's interior."""
         if other.level != self.level:

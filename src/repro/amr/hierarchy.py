@@ -29,11 +29,12 @@ from repro.precision.doubledouble import DoubleDouble
 class Hierarchy:
     """Container and bookkeeping for the SAMR grid tree.
 
-    Topology queries (sibling lists and fill geometry, per-particle finest
-    levels) are served from caches keyed by ``topology_epoch``, a counter
-    bumped by every structural mutation (``add_grid`` /
-    ``remove_level_grids``), so the hot paths never re-derive overlaps
-    while the tree is unchanged and rebuilds invalidate automatically.
+    Topology queries (same-level overlap tables and fill geometry,
+    per-particle finest levels) are served from caches keyed by
+    ``topology_epoch``, a counter bumped by every structural mutation
+    (``add_grid`` / ``remove_level_grids``), so the hot paths never
+    re-derive overlaps while the tree is unchanged and rebuilds invalidate
+    automatically.
     """
 
     def __init__(self, n_root: int, refine_factor: int = 2, nghost: int = 3,
@@ -50,7 +51,7 @@ class Hierarchy:
         #: the evolver's ComponentTimers ("topology" section); None for a
         #: hierarchy no evolver drives
         self.timers = None
-        self._sibling_maps: dict[int, tuple[int, LevelTopology]] = {}
+        self._topologies: dict[int, tuple[int, LevelTopology]] = {}
         self._particle_epoch = 0
         self._plevel_cache: tuple[tuple, np.ndarray] | None = None
         #: recycled field-array buffers (repro.amr.pool); rebuild-created
@@ -135,17 +136,14 @@ class Hierarchy:
             self.grids_created += 1
         self._note_mutation()
 
-    def remove_level_grids(self, level: int, *, tally: bool = True,
-                           release: bool = False) -> None:
+    def remove_level_grids(self, level: int, *, tally: bool = True) -> None:
         """Delete all grids at `level` and deeper (used by rebuild).
 
         Backrefs are severed on removal (``parent`` cleared, ``children``
         emptied) so a detached subtree cannot pin the whole old hierarchy
         alive through one surviving reference.  ``tally=False`` skips the
         ``grids_destroyed`` bump (the incremental rebuild settles its own
-        created/destroyed/reused books); ``release=True`` recycles the
-        removed grids' buffers into the pool immediately — only safe when
-        no caller still needs their data.
+        created/destroyed/reused books).
         """
         removed = 0
         for lvl in range(level, len(self.levels)):
@@ -156,8 +154,6 @@ class Hierarchy:
                     p.children.remove(g)
                 g.parent = None
                 g.children.clear()
-                if release:
-                    self.pool.release_grid(g)
             self.levels[lvl] = []
         while len(self.levels) > 1 and not self.levels[-1]:
             self.levels.pop()
@@ -211,16 +207,16 @@ class Hierarchy:
                         if before[max(lvl - 1, 0):lvl + 1] != \
                                 after[max(lvl - 1, 0):lvl + 1]:
                             continue
-                        entry = self._sibling_maps.get(lvl)
+                        entry = self._topologies.get(lvl)
                         if entry is not None and entry[0] == self._bulk_epoch:
-                            self._sibling_maps[lvl] = (
+                            self._topologies[lvl] = (
                                 self.topology_epoch, entry[1]
                             )
 
     # --------------------------------------------------------------- queries
     def level_topology(self, level: int) -> LevelTopology:
-        """A level's :class:`~repro.amr.topology.LevelTopology` (sibling
-        links and fill geometry), cached per epoch.
+        """A level's :class:`~repro.amr.topology.LevelTopology` (overlap
+        tables and fill geometry), cached per epoch.
 
         It is rebuilt lazily the first time it is requested after a
         structural change.
@@ -229,32 +225,15 @@ class Hierarchy:
         # yet: the cache can neither be trusted nor populated
         cacheable = not (self._bulk_depth and self._bulk_mutations)
         if cacheable:
-            entry = self._sibling_maps.get(level)
+            entry = self._topologies.get(level)
             if entry is not None and entry[0] == self.topology_epoch:
                 return entry[1]
         topo = self._timed_topology(
             LevelTopology, self.level_grids(level), self.nghost
         )
         if cacheable:
-            self._sibling_maps[level] = (self.topology_epoch, topo)
+            self._topologies[level] = (self.topology_epoch, topo)
         return topo
-
-    def sibling_map(self, level: int) -> dict:
-        """``grid_id -> list[SiblingLink]`` for a level, cached per epoch
-        (precomputed ghost- and rim-overlap slices, see
-        :mod:`repro.amr.topology`)."""
-        return self.level_topology(level).links
-
-    def siblings(self, grid: Grid) -> list[Grid]:
-        """Same-level grids whose interiors touch my ghost-expanded region."""
-        links = self.sibling_map(grid.level).get(grid.grid_id)
-        if links is None:
-            # grid not (yet) registered on its level: direct scan
-            return [
-                other for other in self.level_grids(grid.level)
-                if other is not grid and grid.ghost_overlap_with(other) is not None
-            ]
-        return [link.sibling for link in links]
 
     def finest_grid_at(self, xyz) -> Grid:
         """Deepest grid whose interior contains the given point."""

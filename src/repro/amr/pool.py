@@ -14,7 +14,7 @@ Contracts:
 * Only owning, C-contiguous float64 arrays enter the pool (views are
   refused), so an acquired buffer can never alias a live grid's data.
 * Buffers come back *dirty*; every consumer overwrites them in full
-  (``make_fields`` writes the uniform initial state, ``_fill_new_grid``
+  (``make_fields`` writes the uniform initial state, ``_fill_level``
   the prolonged/copied one), which keeps pooled and unpooled allocation
   bitwise identical.
 * ``release_grid`` detaches the grid's arrays (``fields``/``phi``/

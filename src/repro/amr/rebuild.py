@@ -128,12 +128,6 @@ def rebuild_fill_args(entries, old_grids) -> tuple:
     )
 
 
-def _fill_new_grid(grid: Grid, parent: Grid, old_grids) -> None:
-    """Fill one new grid's whole array, ghosts included: old same-level
-    data where it overlaps, prolongation from the parent elsewhere."""
-    _fill_level([(grid, parent, False)], old_grids)
-
-
 def _dilate(flags: np.ndarray, iterations: int) -> np.ndarray:
     """Grow a boolean flag field by ``iterations`` face-neighbour cells.
 

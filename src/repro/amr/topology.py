@@ -1,26 +1,25 @@
-"""Cached hierarchy topology: per-level sibling links and fill geometry.
+"""Cached hierarchy topology: per-level overlap tables and fill geometry.
 
 The paper's hero run carries >8000 subgrids across 34 levels, and both the
 boundary fill (Sec. 3.2.1 step 2) and the gravity sibling iteration
-(Sec. 3.3) need, for every grid, the list of same-level grids it touches.
-Re-deriving that list per call is an O(N^2) scan with full overlap tests —
-exactly the bookkeeping Enzo's driver amortises with per-level boundary
-lists rebuilt only when the hierarchy changes (Bryan et al. 2014, Sec. 3.8;
-O'Shea et al. 2004).
+(Sec. 3.3) need, for every grid, the same-level interiors its ghost region
+meets.  Re-deriving that per call is an O(N^2) scan with full overlap
+tests — exactly the bookkeeping Enzo's driver amortises with per-level
+boundary lists rebuilt only when the hierarchy changes (Bryan et al. 2014,
+Sec. 3.8; O'Shea et al. 2004).
 
 This module builds a :class:`LevelTopology` once per *topology epoch* (a
 counter the :class:`~repro.amr.hierarchy.Hierarchy` bumps in ``add_grid``
-/ ``remove_level_grids``): the sibling links, with every slice pair the
-consumers need, and the geometry of the level's parent->child fills
-(``fill.level``) as int64 tables, all from one vectorised overlap pass:
+/ ``remove_level_grids``): the level's same-level adjacency and the
+geometry of its parent->child fills (``fill.level``) as int64 tables, the
+adjacency from one vectorised overlap pass:
 
-* ``ghost_dst`` / ``ghost_src`` — my ghost-expanded region vs. the
-  sibling's interior, in each array's local (ghost-padded) indices; the
-  same boxes, in level indices, are the ``copies`` of the boundary fill.
-* ``rim_dst`` / ``rim_src`` — my 1-cell Dirichlet rim (the dims+2 array the
-  multigrid solver takes) vs. the sibling's interior; used by the gravity
-  sibling exchange.  ``None`` when the grids are within ghost range but do
-  not touch the rim.
+* ``copies`` — rows ``(target, source, lo, hi)`` in level indices: the box
+  where the target's ghost-expanded region meets the source's interior;
+  the sibling copies of the boundary fill.
+* ``rim_copies`` — the same rows clipped to the target's 1-cell Dirichlet
+  rim (the dims+2 array the multigrid solver takes), rows that miss the
+  rim dropped; the gravity sibling exchange reads it.
 
 Grid geometry is immutable after construction (integer ``start_index`` /
 ``dims``), and a grid keeps its parent while its own level's and its
@@ -40,22 +39,6 @@ from repro.amr.interpolation import parent_covers, shell_table
 #: temporaries to O(block * N) so a many-thousand-grid level stays in cache
 #: instead of materialising an N x N x 3 array.
 _PAIR_BLOCK = 256
-
-
-class SiblingLink:
-    """One precomputed grid -> sibling relationship (slices ready to use)."""
-
-    __slots__ = ("sibling", "ghost_dst", "ghost_src", "rim_dst", "rim_src")
-
-    def __init__(self, sibling, ghost_dst, ghost_src, rim_dst, rim_src):
-        self.sibling = sibling
-        self.ghost_dst = ghost_dst
-        self.ghost_src = ghost_src
-        self.rim_dst = rim_dst
-        self.rim_src = rim_src
-
-    def __repr__(self):
-        return f"SiblingLink(to={self.sibling!r})"
 
 
 def box_overlaps(lo_a, hi_a, ids_a, lo_b, hi_b, ids_b):
@@ -78,22 +61,18 @@ def box_overlaps(lo_a, hi_a, ids_a, lo_b, hi_b, ids_b):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _slices(lo, hi):
-    return tuple(map(slice, lo, hi))
-
-
 class LevelTopology:
     """One level's topology, built once per topology epoch.
 
-    ``links`` maps ``grid_id -> list[SiblingLink]`` (built on first use).
-    The rest is the geometry of the level's ``fill.level`` calls, indexed
-    by position in
-    ``grids``: ``origins`` (first allocated cell) and ``starts`` / ``ends``
-    (interior) as int lists, ``parents`` (distinct, first-seen order) with
-    ``parent_origins`` and each grid's ``parent_of`` index, and three
-    int64 tables — ``shell`` ``(target, lo, hi)``, the six ghost slabs of
-    every grid; ``copies`` ``(target, source, lo, hi)``, every ghost cell a
-    sibling's interior covers; ``rim`` ``(target, lo, hi)``, every grid's
+    Everything is indexed by position in ``grids``: ``origins`` (first
+    allocated cell) and ``starts`` / ``ends`` (interior) as int lists,
+    ``parents`` (distinct, first-seen order) with ``parent_origins`` and
+    each grid's ``parent_of`` index, and four int64 tables in level
+    indices — ``shell`` ``(target, lo, hi)``, the six ghost slabs of every
+    grid; ``copies`` ``(target, source, lo, hi)``, every ghost cell a
+    sibling's interior covers; ``rim_copies``, the ``copies`` rows clipped
+    to the target's rim ``[start - 1, end + 1)`` (rows that miss it
+    dropped, order kept); ``rim`` ``(target, lo, hi)``, every grid's
     Dirichlet rim.  ``ghost_misfit`` / ``rim_misfit`` name the first grid
     whose ghost shell / rim needs parent cells (plus the one-cell slope
     rim) outside its parent's arrays, or are ``None``.  ``parents`` is
@@ -101,11 +80,11 @@ class LevelTopology:
     """
 
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
-                 "parent_origins", "parent_of", "shell", "copies", "rim",
-                 "ghost_misfit", "rim_misfit", "_nghost", "_links")
+                 "parent_origins", "parent_of", "shell", "copies",
+                 "rim_copies", "rim", "ghost_misfit", "rim_misfit")
 
     def __init__(self, grids, nghost: int, parents=None):
-        ng = self._nghost = int(nghost)
+        ng = int(nghost)
         self.grids = list(grids)
         n = len(self.grids)
         starts = np.array([g.start_index for g in self.grids],
@@ -119,42 +98,17 @@ class LevelTopology:
         self.rim = np.column_stack([np.arange(n), starts - 1, ends + 1])
         self.copies = np.column_stack(box_overlaps(
             starts - ng, ends + ng, ids, starts, ends, ids))
-        self._links = None
+        # a rim cell a sibling covers lies inside the ghost range, so the
+        # rim rows are the ghost rows clipped to the rim
+        t = self.copies[:, 0]
+        lo = np.maximum(self.copies[:, 2:5], starts[t] - 1)
+        hi = np.minimum(self.copies[:, 5:8], ends[t] + 1)
+        touch = np.all(lo < hi, axis=1)
+        self.rim_copies = np.column_stack(
+            [self.copies[touch, :2], lo[touch], hi[touch]])
         self._parent_geometry(
             [g.parent for g in self.grids] if parents is None else parents,
             starts, ends, ng)
-
-    @property
-    def links(self) -> dict:
-        """``grid_id -> list[SiblingLink]``, built on first use from the
-        ``copies`` table (a level without gravity never needs it)."""
-        if self._links is None:
-            ng = self._nghost
-            starts, ends = (np.array(b, dtype=np.int64).reshape(-1, 3)
-                            for b in (self.starts, self.ends))
-            i, j = self.copies[:, 0], self.copies[:, 1]
-            lo, hi = self.copies[:, 2:5], self.copies[:, 5:8]
-            rl = np.maximum(starts[i] - 1, starts[j])
-            rh = np.minimum(ends[i] + 1, ends[j])
-            # every slice bound of every link as array arithmetic, then
-            # plain ints for the slice objects
-            columns = [a.tolist() for a in (
-                i, j, np.all(rl < rh, axis=1),
-                lo - starts[i] + ng, hi - starts[i] + ng,
-                lo - starts[j] + ng, hi - starts[j] + ng,
-                rl - starts[i] + 1, rh - starts[i] + 1,
-                rl - starts[j] + ng, rh - starts[j] + ng)]
-            links = {g.grid_id: [] for g in self.grids}
-            for a, b, touch, gd0, gd1, gs0, gs1, rd0, rd1, rs0, rs1 in zip(
-                    *columns):
-                rim_dst = rim_src = None
-                if touch:
-                    rim_dst, rim_src = _slices(rd0, rd1), _slices(rs0, rs1)
-                links[self.grids[a].grid_id].append(SiblingLink(
-                    self.grids[b], _slices(gd0, gd1), _slices(gs0, gs1),
-                    rim_dst, rim_src))
-            self._links = links
-        return self._links
 
     def _parent_geometry(self, parents, starts, ends, ng: int) -> None:
         self.ghost_misfit = self.rim_misfit = None
@@ -190,9 +144,3 @@ def parent_table(parents):
     hi = np.array([p.end_index + p.nghost for p in distinct],
                   dtype=np.int64).reshape(-1, 3)
     return distinct, parent_of, lo, hi
-
-
-def build_sibling_map(grids, nghost: int) -> dict:
-    """``grid_id -> list[SiblingLink]`` for one level (see
-    :class:`LevelTopology`)."""
-    return LevelTopology(grids, nghost).links

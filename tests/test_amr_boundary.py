@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.amr import Grid, Hierarchy, RefinementCriteria
-from repro.amr.boundary import copy_from_siblings, interpolate_from_parent, set_boundary_values
+from repro.amr.boundary import copy_from_siblings, fill_ghosts, set_boundary_values
 from repro.amr.flux_correction import (
     accumulate_boundary_fluxes,
-    apply_flux_correction,
+    correct_parent,
     init_flux_accumulator,
 )
 from repro.amr.projection import project_child_to_parent
+from repro.amr.rebuild import _fill_level
+from repro.amr.topology import LevelTopology
 from repro.hydro import PPMSolver
 from repro.hydro.state import fill_ghosts_periodic, total_energy
 
@@ -35,7 +37,7 @@ class TestParentInterpolation:
     def test_ghosts_filled_interior_preserved(self):
         h, root, child = _hierarchy_with_child()
         child.fields["density"][child.interior] = 42.0
-        interpolate_from_parent(child, root)
+        fill_ghosts(LevelTopology([child], child.nghost, [root]))
         ng = child.nghost
         assert np.all(child.fields["density"][child.interior] == 42.0)
         # ghosts now hold interpolated (finite, root-scale) values
@@ -45,7 +47,7 @@ class TestParentInterpolation:
 
     def test_interpolation_smooth_accuracy(self):
         h, root, child = _hierarchy_with_child()
-        interpolate_from_parent(child, root)
+        fill_ghosts(LevelTopology([child], child.nghost, [root]))
         # compare ghost values to the analytic field at child resolution
         ng = child.nghost
         xs = (child.start_index[0] - ng + np.arange(child.shape_with_ghosts[0]) + 0.5) * child.dx
@@ -62,7 +64,7 @@ class TestParentInterpolation:
         root.time = DoubleDouble(1.0)
         root.fields["density"][:] *= 2.0  # new state doubled
         child.time = DoubleDouble(0.5)  # halfway
-        interpolate_from_parent(child, root)
+        fill_ghosts(LevelTopology([child], child.nghost, [root]))
         # ghost value should be ~1.5x the old field
         ng = child.nghost
         xs = (child.start_index[0] - ng + 0.5) * child.dx
@@ -207,11 +209,9 @@ class TestFluxCorrection:
         root.fields["vx"][:] = 0.3
         root.fields["energy"][:] = total_energy(root.fields)
         set_boundary_values(h, 0)
-        interpolate_from_parent(child, root)
+        fill_ghosts(LevelTopology([child], child.nghost, [root]))
         # child interior from parent (consistent start)
-        from repro.amr.rebuild import _fill_new_grid
-
-        _fill_new_grid(child, root, [])
+        _fill_level([(child, root, False)], [])
         solver = PPMSolver()
 
         def composite_mass():
@@ -234,7 +234,7 @@ class TestFluxCorrection:
             fl = solver.step(child.fields, child.dx, dt / 2)
             accumulate_boundary_fluxes(child, fl)
             child.time = DoubleDouble(child.time + dt / 2)
-        apply_flux_correction(root, child)
+        correct_parent(root, [child])
         project_child_to_parent(child, root)
         m1 = composite_mass()
         assert abs(m1 - m0) < 1e-10 * m0
@@ -243,7 +243,6 @@ class TestFluxCorrection:
         """A parent step with no fluxes (its hydro task failed and every
         rescue rung raised) corrects nothing — and the fine fluxes of that
         step must not be applied against the next coarse step."""
-        from repro.amr.rebuild import _fill_new_grid
         from repro.precision.doubledouble import DoubleDouble
 
         h, root, child = _hierarchy_with_child()
@@ -251,7 +250,7 @@ class TestFluxCorrection:
         root.fields["vx"][:] = 0.3
         root.fields["energy"][:] = total_energy(root.fields)
         set_boundary_values(h, 0)
-        _fill_new_grid(child, root, [])
+        _fill_level([(child, root, False)], [])
         solver = PPMSolver()
 
         def composite_mass():
@@ -271,7 +270,7 @@ class TestFluxCorrection:
                 accumulate_boundary_fluxes(
                     child, solver.step(child.fields, child.dx, dt / 2))
                 child.time = DoubleDouble(child.time + dt / 2)
-            apply_flux_correction(root, child)
+            correct_parent(root, [child])
             project_child_to_parent(child, root)
             set_boundary_values(h, 0)
 

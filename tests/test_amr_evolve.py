@@ -263,9 +263,9 @@ class TestEvolveLevel:
         h_amr = make(8)
         child = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
         h_amr.add_grid(child, h_amr.root)
-        from repro.amr.rebuild import _fill_new_grid
+        from repro.amr.rebuild import _fill_level
 
-        _fill_new_grid(child, h_amr.root, [])
+        _fill_level([(child, h_amr.root, False)], [])
         ev_amr = HierarchyEvolver(h_amr, PPMSolver(), cfl=0.3)
         ev_amr.advance_to(t_end)
 

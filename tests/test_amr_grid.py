@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.amr import Grid, Hierarchy
+from repro.amr.topology import box_overlaps
 from repro.precision.position import PositionDD
+
+
+def _interior_overlaps(a, b):
+    """:func:`box_overlaps` of grid ``a``'s interior against ``b``'s."""
+    return box_overlaps(a.start_index[None], a.end_index[None], np.array([0]),
+                        b.start_index[None], b.end_index[None], np.array([1]))
 
 
 class TestGridGeometry:
@@ -53,25 +60,20 @@ class TestGridGeometry:
     def test_overlap(self):
         a = Grid(1, (0, 0, 0), (8, 8, 8), n_root=8)
         b = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
-        lo, hi = a.overlap_with(b)
-        np.testing.assert_array_equal(lo, [4, 4, 4])
-        np.testing.assert_array_equal(hi, [8, 8, 8])
+        _, _, lo, hi = _interior_overlaps(a, b)
+        np.testing.assert_array_equal(lo, [[4, 4, 4]])
+        np.testing.assert_array_equal(hi, [[8, 8, 8]])
 
     def test_no_overlap(self):
         a = Grid(1, (0, 0, 0), (4, 4, 4), n_root=8)
         b = Grid(1, (4, 4, 4), (4, 4, 4), n_root=8)
-        assert a.overlap_with(b) is None
+        i, j, lo, hi = _interior_overlaps(a, b)
+        assert len(i) == len(j) == len(lo) == len(hi) == 0
 
     def test_ghost_overlap_detects_adjacency(self):
         a = Grid(1, (0, 0, 0), (4, 4, 4), n_root=8, nghost=3)
         b = Grid(1, (4, 0, 0), (4, 4, 4), n_root=8, nghost=3)
         assert a.ghost_overlap_with(b) is not None
-
-    def test_overlap_level_mismatch(self):
-        a = Grid(0, (0, 0, 0), (8, 8, 8), n_root=8)
-        b = Grid(1, (0, 0, 0), (8, 8, 8), n_root=8)
-        with pytest.raises(ValueError):
-            a.overlap_with(b)
 
     def test_nesting(self):
         parent = Grid(0, (0, 0, 0), (8, 8, 8), n_root=8)
@@ -150,7 +152,9 @@ class TestHierarchy:
         c = Grid(1, (12, 12, 12), (4, 4, 4), n_root=8)
         for g in (a, b, c):
             h.add_grid(g, h.root)
-        sibs = h.siblings(a)
+        copies = h.level_topology(1).copies
+        grids = h.level_grids(1)
+        sibs = [grids[j] for j in copies[copies[:, 0] == 0, 1]]
         assert b in sibs and c not in sibs
 
     def test_finest_grid_at(self):

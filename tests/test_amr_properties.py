@@ -9,11 +9,11 @@ from repro.amr import Grid, Hierarchy
 from repro.amr.boundary import set_boundary_values
 from repro.amr.flux_correction import (
     accumulate_boundary_fluxes,
-    apply_flux_correction,
+    correct_parent,
     init_flux_accumulator,
 )
 from repro.amr.projection import project_child_to_parent
-from repro.amr.rebuild import _fill_new_grid
+from repro.amr.rebuild import _fill_level
 from repro.hydro import PPMSolver
 from repro.hydro.state import fill_ghosts_periodic, total_energy
 from repro.precision.doubledouble import DoubleDouble
@@ -55,7 +55,7 @@ def test_flux_corrected_composite_mass_conserved(start, dims, seed):
 
     child = Grid(1, child_start, dims, n_root=n_root)
     h.add_grid(child, root)
-    _fill_new_grid(child, root, [])
+    _fill_level([(child, root, False)], [])
 
     m0 = _composite_mass(h)
     solver = PPMSolver()
@@ -69,7 +69,7 @@ def test_flux_corrected_composite_mass_conserved(start, dims, seed):
         fl = solver.step(child.fields, child.dx, dt / 2)
         accumulate_boundary_fluxes(child, fl)
         child.time = DoubleDouble(child.time + dt / 2)
-    apply_flux_correction(root, child)
+    correct_parent(root, [child])
     project_child_to_parent(child, root)
     m1 = _composite_mass(h)
     assert abs(m1 - m0) < 1e-9 * max(abs(m0), 1.0)
@@ -112,9 +112,10 @@ def test_deep_boundary_interpolation_finite(seed, level):
     deepest = h.level_grids(level)[0]
     p = deepest.parent
     p.fields["density"][:] = 1.0 + rng.random(p.shape_with_ghosts)
-    from repro.amr.boundary import interpolate_from_parent
+    from repro.amr.boundary import fill_ghosts
+    from repro.amr.topology import LevelTopology
 
-    interpolate_from_parent(deepest, p)
+    fill_ghosts(LevelTopology([deepest], deepest.nghost, [p]))
     assert np.all(np.isfinite(deepest.fields["density"]))
     assert np.all(deepest.fields["density"] > 0)
 

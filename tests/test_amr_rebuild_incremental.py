@@ -10,7 +10,7 @@ hierarchies through identical flag evolutions (no-change, all-change,
 some boxes kept and some moved, level-disappears, randomised) and compare
 ``Hierarchy.fingerprint()``, then pin the pool's no-aliasing contract and
 its one-rebuild age rule, the parent-array bounds check in
-``_fill_new_grid``, the created/destroyed/reused counter split, the
+``_fill_level``, the created/destroyed/reused counter split, the
 single-epoch-bump ``bulk_update`` behaviour, and — per kernel tier — that
 the ghost fill never touches an interior cell and that the incremental
 and from-scratch rebuilds still agree.
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.amr import FieldArrayPool, Grid, Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
-from repro.amr.rebuild import (BUFFER_CELLS, _dilate, _fill_new_grid,
+from repro.amr.rebuild import (BUFFER_CELLS, _dilate, _fill_level,
                                rebuild_hierarchy)
 from repro.kernels import dispatch
 
@@ -403,7 +403,7 @@ class TestFillBounds:
 
         child = Grid(1, (0, 0, 0), (4, 4, 4), n_root=n, nghost=1)
         h.add_grid(child, root)
-        _fill_new_grid(child, root, [])
+        _fill_level([(child, root, False)], [])
         rho = child.fields["density"]
         # the low-x ghost plane sits at fine x=-1 -> coarse x~-0.5, where
         # the ramp is ~9.5; a wrapping slice would have read the high-x
@@ -420,7 +420,7 @@ class TestFillBounds:
         child = Grid(1, (16, 0, 0), (4, 4, 4), n_root=n, nghost=1)
         child.allocate()
         with pytest.raises(ValueError, match="not nested"):
-            _fill_new_grid(child, h.root, [])
+            _fill_level([(child, h.root, False)], [])
 
 
 # ------------------------------------------------------------- counters
@@ -484,23 +484,23 @@ class TestBulkUpdate:
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
-        smap = h.sibling_map(1)
+        topo = h.level_topology(1)
         e0 = h.topology_epoch
         rebuild_hierarchy(h, 1, crit)  # nothing changes
         assert h.last_rebuild_stats["reuse_rate"] == 1.0
         assert h.topology_epoch == e0
-        assert h.sibling_map(1) is smap  # cache stayed warm
+        assert h.level_topology(1) is topo  # cache stayed warm
 
     def test_mid_bulk_queries_bypass_cache(self):
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
-        h.sibling_map(1)
+        h.level_topology(1)
         with h.bulk_update():
             h.remove_level_grids(1, tally=False)
-            # tree mutated, epoch not yet bumped: the stale map must not
-            # be served
-            assert h.sibling_map(1) == {}
+            # tree mutated, epoch not yet bumped: the stale topology must
+            # not be served
+            assert h.level_topology(1).grids == []
 
     def test_kept_grid_under_new_parent_gets_new_topology(self):
         """A level whose members are unchanged but whose parent level was

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.amr import Grid, Hierarchy
-from repro.amr.boundary import interpolate_from_parent, set_boundary_values
+from repro.amr.boundary import fill_ghosts, set_boundary_values
 from repro.amr.evolve import HierarchyEvolver
+from repro.amr.topology import LevelTopology, box_overlaps
 from repro.hydro import PPMSolver
 from repro.precision.doubledouble import DoubleDouble
 
@@ -94,7 +95,7 @@ class TestDeepTower:
         p = g.parent
         p.fields["density"][:] = 3.14
         g.fields["density"][g.interior] = 42.0
-        interpolate_from_parent(g, p)
+        fill_ghosts(LevelTopology([g], g.nghost, [p]))
         assert np.all(g.fields["density"][g.interior] == 42.0)
         np.testing.assert_allclose(g.fields["density"][0, :, :], 3.14)
 
@@ -135,5 +136,7 @@ class TestGridsAtArbitraryDepth:
         start = np.int64(2) ** 52  # within int64
         a = Grid(lvl, (start, 0, 0), (8, 8, 8), n_root=8)
         b = Grid(lvl, (start + 4, 0, 0), (8, 8, 8), n_root=8)
-        lo, hi = a.overlap_with(b)
-        assert hi[0] - lo[0] == 4
+        _, _, lo, hi = box_overlaps(
+            a.start_index[None], a.end_index[None], np.array([0]),
+            b.start_index[None], b.end_index[None], np.array([1]))
+        assert hi[0, 0] - lo[0, 0] == 4

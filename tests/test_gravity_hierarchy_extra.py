@@ -28,7 +28,7 @@ class TestSiblingIteratedGravity:
         b = Grid(1, (16, 8, 8), (8, 16, 16), n_root=n)
         h.add_grid(a, root)
         h.add_grid(b, root)
-        from repro.amr.rebuild import _fill_new_grid
+        from repro.amr.rebuild import _fill_level
 
         grav = HierarchyGravity(
             g_code=1.0,
@@ -36,8 +36,8 @@ class TestSiblingIteratedGravity:
             sibling_iterations=3,
         )
         counts = [grav.solve_level(h, 0)]
-        _fill_new_grid(a, root, [])
-        _fill_new_grid(b, root, [])
+        _fill_level([(a, root, False)], [])
+        _fill_level([(b, root, False)], [])
         counts.append(grav.solve_level(h, 1))
         return h, a, b, grav, counts
 

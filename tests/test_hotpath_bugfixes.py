@@ -1,7 +1,8 @@
 """Regression tests for the hot-path bugfixes:
 
 * a particle drifting across a sibling face is advanced exactly once,
-* the gravity sibling iteration detects convergence (early exit),
+* the gravity sibling iteration detects convergence (early exit), and
+  its exchange moves exactly the rim cells a sibling covers,
 * parent->child time interpolation never extrapolates (frac clamped),
 * a non-finite timestep falls back loudly, not to a silent magic 1.0.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from repro.amr import Grid, Hierarchy, HierarchyEvolver
 from repro.amr.boundary import _time_fraction, set_boundary_values
-from repro.amr.gravity import HierarchyGravity
+from repro.amr.gravity import HierarchyGravity, parent_boundaries
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
@@ -127,6 +128,45 @@ class TestSiblingIterationConverges:
         grav.sibling_iterations = 2
         assert grav.solve_level(h, 1)[:2] == (2, 4)
         assert len(solves) == 2 + 4
+
+
+class TestSiblingExchangeValues:
+    def test_pass_two_rims_hold_sibling_phi_or_parent_values(self):
+        """The second pass's rims, cell by cell: a rim cell a sibling's
+        interior covers holds that sibling's pass-one potential there;
+        every other rim cell keeps the parent interpolation."""
+        h, a, b = _two_sibling_level()
+        rng = np.random.default_rng(11)
+        h.root.phi[...] = rng.random(h.root.phi.shape)
+        parent = parent_boundaries(h.level_topology(1))
+        grav = HierarchyGravity(g_code=1.0, mean_density=1.0)
+        rims, sols = [], []
+
+        def spy(src, dx, rim, **kwargs):
+            # distinct random potentials (rim layout, dims + 2) stand in
+            # for the solutions, so a misplaced slice cannot match
+            rims.append(rim.copy())
+            sols.append(rng.random(rim.shape))
+            return sols[-1]
+
+        grav.mg.solve = spy
+        assert grav.solve_level(h, 1)[:2] == (2, 4)
+        grids = [a, b]
+        for k, g in enumerate(grids):
+            np.testing.assert_array_equal(rims[k], parent[k])  # pass one
+            rim = rims[2 + k]
+            cells = (np.indices(rim.shape).reshape(3, -1).T
+                     + g.start_index - 1)
+            expect = parent[k].reshape(-1).copy()
+            for m, o in enumerate(grids):
+                if o is g:
+                    continue
+                inside = np.all((cells >= o.start_index)
+                                & (cells < o.end_index), axis=1)
+                assert inside.sum() == 16 * 16  # the shared face
+                at = tuple((cells[inside] - o.start_index + 1).T)
+                expect[inside] = sols[m][at]
+            np.testing.assert_array_equal(rim.reshape(-1), expect)
 
 
 class TestTimeFractionClamp:

@@ -1,11 +1,14 @@
-"""Topology-cache behaviour: epoch invalidation, link correctness, and the
-cached consumers producing the same answers as direct scans."""
+"""Topology-cache behaviour: epoch invalidation, overlap-table
+correctness, and the cached consumers producing the same answers as
+direct scans."""
 
 import numpy as np
 import pytest
 
-from repro.amr import Grid, Hierarchy, build_sibling_map
+from repro.amr import Grid, Hierarchy
 from repro.amr.boundary import copy_from_siblings, set_boundary_values
+from repro.amr.gravity import rim_exchange
+from repro.amr.topology import LevelTopology
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
 from repro.precision.position import PositionDD
@@ -13,6 +16,13 @@ from repro.precision.position import PositionDD
 
 def _grid(level, start, dims, n_root=8):
     return Grid(level, start, dims, n_root=n_root)
+
+
+def _siblings(h, grid):
+    """The sources of ``grid``'s rows in its level's ``copies`` table."""
+    topo = h.level_topology(grid.level)
+    rows = topo.copies[topo.copies[:, 0] == topo.grids.index(grid)]
+    return [topo.grids[j] for j in rows[:, 1]]
 
 
 class TestSiblingMap:
@@ -23,37 +33,9 @@ class TestSiblingMap:
         c = _grid(1, (12, 12, 12), (4, 4, 4))
         for g in (a, b, c):
             h.add_grid(g, h.root)
-        smap = h.sibling_map(1)
-        assert [l.sibling for l in smap[a.grid_id]] == [b]
-        assert [l.sibling for l in smap[b.grid_id]] == [a]
-        assert smap[c.grid_id] == []
-
-    def test_ghost_slices_equal_legacy_copy(self):
-        """copy via precomputed links == the per-call slice arithmetic."""
-        h = Hierarchy(n_root=8)
-        a = _grid(1, (2, 2, 2), (4, 4, 4))
-        b = _grid(1, (6, 2, 2), (6, 4, 4))
-        h.add_grid(a, h.root)
-        h.add_grid(b, h.root)
-        rng = np.random.default_rng(1)
-        for g in (a, b):
-            for name, arr in g.fields.array_items():
-                arr[...] = rng.random(arr.shape)
-            g.phi[...] = rng.random(g.phi.shape)
-
-        before = {k: v.copy() for k, v in a.fields.array_items()}
-        copy_from_siblings(a, [b])
-        legacy_result = {k: v.copy() for k, v in a.fields.array_items()}
-
-        # reset and do it through the cached links
-        for name in before:
-            a.fields[name][...] = before[name]
-        for link in h.sibling_map(1)[a.grid_id]:
-            for name in before:
-                a.fields[name][link.ghost_dst] = (
-                    link.sibling.fields[name][link.ghost_src])
-        for name in before:
-            np.testing.assert_array_equal(a.fields[name], legacy_result[name])
+        assert _siblings(h, a) == [b]
+        assert _siblings(h, b) == [a]
+        assert _siblings(h, c) == []
 
     def test_rim_slices_only_when_rim_touches(self):
         h = Hierarchy(n_root=8)
@@ -62,24 +44,26 @@ class TestSiblingMap:
         c = _grid(1, (6, 4, 4), (4, 4, 4))   # within ghosts (3) but not rim
         for g in (a, b, c):
             h.add_grid(g, h.root)
-        smap = h.sibling_map(1)
-        by_sib = {l.sibling: l for l in smap[a.grid_id]}
-        assert by_sib[b].rim_dst is not None
-        assert by_sib[c].rim_dst is None
+        topo = h.level_topology(1)
+        pairs = {(t, s) for t, s in topo.copies[:, :2].tolist()}
+        rim_pairs = {(t, s) for t, s in topo.rim_copies[:, :2].tolist()}
+        assert {(0, 1), (0, 2)} <= pairs
+        assert (0, 1) in rim_pairs and (0, 2) not in rim_pairs
+        assert (0, 2) not in {(t, s) for t, s, *_ in rim_exchange(topo)}
 
     def test_build_matches_bruteforce_random(self):
-        _assert_links_match_bruteforce(_random_grids(30, 16, seed=3))
+        _assert_tables_match_bruteforce(_random_grids(30, 16, seed=3))
 
     def test_build_crosses_the_pair_block(self):
         """More grids than one row block of the all-pairs test: rows past
         the first block must pair with every column."""
         grids = _random_grids(320, 32, seed=4)
         assert len(grids) > 256
-        _assert_links_match_bruteforce(grids)
+        _assert_tables_match_bruteforce(grids)
 
 
 def _random_grids(n, n_root, seed):
-    """``n`` small, possibly overlapping level-1 boxes (the map does not
+    """``n`` small, possibly overlapping level-1 boxes (the tables do not
     need disjoint interiors)."""
     rng = np.random.default_rng(seed)
     grids = []
@@ -91,32 +75,32 @@ def _random_grids(n, n_root, seed):
     return grids
 
 
-def _assert_links_match_bruteforce(grids, ng=3):
-    """Every link and all four of its slices against a per-pair scan:
-    ghost slices from ``ghost_overlap_with``, rim slices from the 1-cell
-    rim rule, ``None`` when the rim is not touched."""
-    smap = build_sibling_map(grids, ng)
-    for g in grids:
-        got = {l.sibling.grid_id: l for l in smap[g.grid_id]}
-        expect = [o for o in grids
-                  if o is not g and g.ghost_overlap_with(o) is not None]
-        assert set(got) == {o.grid_id for o in expect}
-        for o in expect:
-            link = got[o.grid_id]
-            lo, hi = g.ghost_overlap_with(o)
-            assert link.ghost_dst == _sl(lo - g.start_index + ng,
-                                         hi - g.start_index + ng)
-            assert link.ghost_src == _sl(lo - o.start_index + ng,
-                                         hi - o.start_index + ng)
+def _assert_tables_match_bruteforce(grids, ng=3):
+    """``copies``, ``rim_copies`` and the gravity exchange's slices, row
+    for row and in order, against a per-pair scan: ghost boxes from
+    ``ghost_overlap_with``, rim boxes from the 1-cell rim rule applied to
+    every pair (not only the pairs within ghost range)."""
+    topo = LevelTopology(grids, ng)
+    copies, rims, exchange = [], [], []
+    for i, g in enumerate(grids):
+        for j, o in enumerate(grids):
+            if o is g:
+                continue
+            ghost = g.ghost_overlap_with(o)
+            if ghost is not None:
+                copies.append([i, j, *ghost[0], *ghost[1]])
             rl = np.maximum(g.start_index - 1, o.start_index)
             rh = np.minimum(g.end_index + 1, o.end_index)
             if np.all(rl < rh):
-                assert link.rim_dst == _sl(rl - g.start_index + 1,
-                                           rh - g.start_index + 1)
-                assert link.rim_src == _sl(rl - o.start_index + ng,
-                                           rh - o.start_index + ng)
-            else:
-                assert link.rim_dst is None and link.rim_src is None
+                rims.append([i, j, *rl, *rh])
+                exchange.append((i, j,
+                                 _sl(rl - g.start_index + 1,
+                                     rh - g.start_index + 1),
+                                 _sl(rl - o.start_index + ng,
+                                     rh - o.start_index + ng)))
+    np.testing.assert_array_equal(topo.copies, np.reshape(copies, (-1, 8)))
+    np.testing.assert_array_equal(topo.rim_copies, np.reshape(rims, (-1, 8)))
+    assert rim_exchange(topo) == exchange
 
 
 def _sl(lo, hi):
@@ -129,11 +113,11 @@ class TestEpochInvalidation:
         a = _grid(1, (0, 0, 0), (4, 4, 4))
         h.add_grid(a, h.root)
         e0 = h.topology_epoch
-        assert h.siblings(a) == []  # build + cache the level-1 map
+        assert _siblings(h, a) == []  # build + cache the level-1 topology
         b = _grid(1, (4, 0, 0), (4, 4, 4))
         h.add_grid(b, h.root)
         assert h.topology_epoch > e0
-        assert h.siblings(a) == [b]  # stale map must not be served
+        assert _siblings(h, a) == [b]  # stale topology must not be served
 
     def test_remove_level_grids_bumps_epoch_and_refreshes(self):
         h = Hierarchy(n_root=8)
@@ -141,19 +125,19 @@ class TestEpochInvalidation:
         b = _grid(1, (4, 0, 0), (4, 4, 4))
         h.add_grid(a, h.root)
         h.add_grid(b, h.root)
-        assert h.siblings(a) == [b]
+        assert _siblings(h, a) == [b]
         e0 = h.topology_epoch
         h.remove_level_grids(1)
         assert h.topology_epoch > e0
-        assert h.sibling_map(1) == {}
+        topo = h.level_topology(1)
+        assert topo.grids == [] and len(topo.copies) == 0
 
     def test_same_epoch_reuses_map_object(self):
         h = Hierarchy(n_root=8)
         h.add_grid(_grid(1, (0, 0, 0), (4, 4, 4)), h.root)
         h.add_grid(_grid(1, (4, 0, 0), (4, 4, 4)), h.root)
-        m1 = h.sibling_map(1)
-        m2 = h.sibling_map(1)
-        assert m1 is m2
+        topo = h.level_topology(1)
+        assert h.level_topology(1) is topo
 
     def test_particle_levels_cached_and_invalidated(self):
         h = Hierarchy(n_root=8)
@@ -206,7 +190,7 @@ class TestConsumersAgree:
         with the NumPy pieces: prolong each grid's whole ghost shell, then
         copy from every sibling — with the parent mid-step."""
         from repro.amr.interpolation import prolong_boxes, shell_boxes
-        from repro.amr.rebuild import _fill_new_grid
+        from repro.amr.rebuild import _fill_level
         from repro.kernels import dispatch
         from repro.precision.doubledouble import DoubleDouble
 
@@ -220,7 +204,7 @@ class TestConsumersAgree:
             c = _grid(1, (2, 8, 2), (10, 4, 4))
             for g in (a, b, c):
                 h.add_grid(g, h.root)
-                _fill_new_grid(g, h.root, [])
+                _fill_level([(g, h.root, False)], [])
             a.fields["density"][a.interior] += 0.5
             b.fields["density"][b.interior] += 0.25
             c.fields["vx"][c.interior] = -0.0
