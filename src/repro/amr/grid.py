@@ -178,9 +178,13 @@ class Grid:
         return self.fields[name][self.interior]
 
     def memory_bytes(self) -> int:
+        """Bytes of the arrays the grid holds: fields, potential and the
+        old-state snapshot ``save_old_state`` keeps from its first step."""
         if self.fields is None:
             return 0
         total = sum(arr.nbytes for k, arr in self.fields.array_items())
+        if self.old_fields is not None:
+            total += sum(arr.nbytes for k, arr in self.old_fields.array_items())
         if self.phi is not None:
             total += self.phi.nbytes
         return total

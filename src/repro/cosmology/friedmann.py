@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cosmology.parameters import CosmologyParameters
+from repro.cosmology.quadrature import qags
 
 
 class FriedmannSolver:
@@ -110,15 +111,13 @@ class FriedmannSolver:
         return np.vectorize(self._growth_one)(a) / self._growth_one(1.0)
 
     def _growth_one(self, a: float) -> float:
-        from scipy.integrate import quad
-
         p = self.params
 
         def integrand(ap):
             e2 = p.omega_matter / ap**3 + p.omega_curvature / ap**2 + p.omega_lambda
             return ap**-3 * e2**-1.5
 
-        val, _ = quad(integrand, 1e-8, a, limit=200)
+        val, _ = qags(integrand, 1e-8, a, limit=200)
         return np.sqrt(
             p.omega_matter / a**3 + p.omega_curvature / a**2 + p.omega_lambda
         ) * val

@@ -19,6 +19,7 @@ import numpy as np
 from repro import constants as const
 from repro.cosmology.friedmann import FriedmannSolver
 from repro.cosmology.parameters import CosmologyParameters
+from repro.cosmology.quadrature import qags
 
 
 def bbks_transfer(k_over_hmpc: np.ndarray, gamma_shape: float) -> np.ndarray:
@@ -121,13 +122,11 @@ class PowerSpectrum:
 
     def sigma_r(self, radius_mpc_h: float, z: float = 0.0) -> float:
         """rms linear fluctuation in a top-hat of comoving radius R (Mpc/h)."""
-        from scipy.integrate import quad
-
         def integrand(lnk):
             k = np.exp(lnk)
             return k**3 * self(k) * _tophat_window(k * radius_mpc_h) ** 2 / (2.0 * np.pi**2)
 
-        val, _ = quad(integrand, np.log(1e-5), np.log(1e5), limit=400)
+        val, _ = qags(integrand, np.log(1e-5), np.log(1e5), limit=400)
         d = 1.0 if z == 0.0 else float(self.friedmann.growth_factor(1.0 / (1.0 + z)))
         return float(np.sqrt(val)) * d
 

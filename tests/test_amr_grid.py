@@ -109,6 +109,37 @@ class TestGridGeometry:
         g.fields["density"][:] = 3.0
         assert np.all(g.old_fields["density"] == 2.0)
 
+    def test_memory_bytes_counts_old_state(self):
+        g = Grid(0, (0, 0, 0), (4, 4, 4), n_root=4)
+        g.allocate()
+        before = g.memory_bytes()
+        g.save_old_state()
+        field_bytes = sum(a.nbytes for _, a in g.fields.array_items())
+        assert g.memory_bytes() == before + field_bytes
+
+
+def _held_bytes(h):
+    """Bytes of every distinct array the hierarchy's grids hold."""
+    held = {}
+    for g in h.all_grids():
+        for fs in (g.fields, g.old_fields):
+            if fs is not None:
+                held.update((id(a), a.nbytes) for _, a in fs.array_items())
+        if g.phi is not None:
+            held[id(g.phi)] = g.phi.nbytes
+    return sum(held.values())
+
+
+def test_total_memory_bytes_after_a_step():
+    # the first step snapshots the root's fields; the figure counts them
+    from repro.problems import SedovBlast
+
+    blast = SedovBlast(n_root=16, max_level=1, refine_shock=0.3)
+    blast.run(max_root_steps=1)
+    h = blast.sim.hierarchy
+    assert any(g.old_fields is not None for g in h.all_grids())
+    assert h.total_memory_bytes() == _held_bytes(h)
+
 
 class TestHierarchy:
     def _two_level(self):
