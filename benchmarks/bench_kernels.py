@@ -13,10 +13,13 @@ This bench measures what that buys:
   to one grid — half kicks, the three sweeps, drag, dual-energy sync and
   energy floor — in a single compiled call) with each face-state scheme
   the workloads run (``ppm+flatten`` and ``trace``, both with HLLC) at
-  8^3 / 16^3 / 32^3 interior cells plus three ghosts, with the solver's pencil boxes (only the
-  pencils a later sweep reads) and, for the compiled tier, with every
-  pencil swept, in us per interior cell — *layer evidence* under the
-  end-to-end numbers of ``benchmarks/e2e``, never a headline;
+  8^3 / 16^3 / 32^3 interior cells plus three ghosts, storing its fluxes
+  in the face windows of a level-1 grid with one child (its six boundary
+  planes and the six planes at the child's faces), with the solver's
+  pencil boxes (only the pencils a later sweep reads) and, for the
+  compiled tier, with every pencil swept, in us per interior cell and
+  bytes allocated per call — *layer evidence* under the end-to-end
+  numbers of ``benchmarks/e2e``, never a headline;
 * one fused chemistry substep (``chem.step``: timescale control, the
   backward-Euler species/energy update and the renormalisation of every
   active cell of one grid in a single compiled call) at 512 / 10,648 /
@@ -27,8 +30,10 @@ This bench measures what that buys:
   call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest, the typical
   and the largest subgrid of the ``sphere_deep`` workload — in us per
   solve, layer evidence too;
-* the per-grid bookkeeping in us per call: one ``flux.correct`` (every
-  child of a 16^3 parent carrying the twelve species), ``cic.deposit`` /
+* the per-grid bookkeeping in us and bytes allocated per call: one
+  ``flux.correct`` (every child of a 16^3 parent carrying the twelve
+  species, each child's fine sums beside the parent's planes at its
+  faces), ``cic.deposit`` /
   ``cic.gather`` of the ``collapse_chem`` workload's 16^3 dark matter
   particles on the periodic root and on a non-periodic subgrid, and two
   ``fill.level`` calls on a sibling-packed level of 64 8^3 grids: its
@@ -62,13 +67,15 @@ import json
 import os
 import subprocess
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from repro import constants as const
-from repro.amr.flux_correction import correct_numpy
+from repro.amr import Grid
+from repro.amr.flux_correction import FaceWindows, correct_numpy
 from repro.amr.gravity import accel_numpy
 from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
@@ -91,6 +98,19 @@ def _best(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _bytes_per_call(fn) -> int:
+    """Peak bytes ``fn()`` allocates (tracemalloc, which sees NumPy's
+    buffers), after one warm call."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _compiled_backend() -> str | None:
@@ -151,7 +171,8 @@ def step_rows(config: dict, backend: str) -> dict:
     """One step of one grid (kicked and dragged) for each of
     :data:`STEP_SCHEMES`, NumPy reference vs. compiled with the solver's
     pencil boxes, and compiled with every pencil swept (``full_update``),
-    per interior cell."""
+    per interior cell, and the bytes one call allocates besides the
+    window blocks it fills (the grid's, listed as ``window_bytes``)."""
     ng = 3
     compiled = dispatch._impls[(backend, "hydro.step")]
     rows = []
@@ -164,30 +185,44 @@ def step_rows(config: dict, backend: str) -> dict:
         e_int = rng.random(shape) + 0.2
         start = [rho, *vel, e_int + 0.5 * sum(v * v for v in vel), e_int]
         accel = 0.01 * rng.standard_normal((3, *shape))
+        # a level-1 grid with one child over its central half
+        half = interior // 2
+        windows = FaceWindows(
+            Grid(1, (0, 0, 0), (interior,) * 3, n_root=16),
+            [Grid(2, (half,) * 3, (interior,) * 3, n_root=16)])
         row = {"scheme": f"{scheme} / {solver}", "interior": interior}
         outputs = {}
         for name, fn, full in (("numpy", hydro_step_numpy, False),
                                (backend, compiled, False),
                                (f"{backend}_full_box", compiled, True)):
+            def call():
+                return fn(arrays, accel, ng, 1.0, 0.05, 1.0, 0, full, 5.0 / 3.0,
+                   scheme, solver, 1e-12, 1e-30, 1e-3, (0.99, 0.98),
+                   windows.table, outs)
+
             best = np.inf
             for _ in range(config["repeats"] * 2):
                 arrays = [a.copy() for a in start]
+                outs = windows.allocate(len(start) - 1)[0]
                 t0 = time.perf_counter()
-                blocks, counts = fn(arrays, accel, ng, 1.0, 0.05, 1.0, 0,
-                                    full, 5.0 / 3.0, scheme, solver,
-                                    1e-12, 1e-30, 1e-3, (0.99, 0.98))
+                counts = call()
                 best = min(best, time.perf_counter() - t0)
-            outputs[name] = (arrays, blocks, counts)
+            outputs[name] = (arrays, outs, counts)
             row[f"{name}_us_per_cell"] = 1e6 * best / interior ** 3
-        (f_r, b_r, c_r), (f_c, b_c, c_c) = outputs["numpy"], outputs[backend]
+            # on copies: the checks below read the timed step's output
+            arrays = [a.copy() for a in start]
+            outs = windows.allocate(len(start) - 1)[0]
+            row[f"{name}_bytes_per_call"] = _bytes_per_call(call)
+        row["window_bytes"] = sum(out.nbytes for out in outs)
+        (f_r, w_r, c_r), (f_c, w_c, c_c) = outputs["numpy"], outputs[backend]
         assert c_r == c_c
-        assert all(np.array_equal(a, b) for a, b in zip(f_r + b_r, f_c + b_c))
+        assert all(np.array_equal(a, b) for a, b in zip(f_r + w_r, f_c + w_c))
         # the boxes change no flux and no active cell
-        f_f, b_f, _ = outputs[f"{backend}_full_box"]
+        f_f, w_f, _ = outputs[f"{backend}_full_box"]
         inner = (slice(ng, -ng),) * 3
         assert all(np.array_equal(a[inner], b[inner])
                    for a, b in zip(f_c, f_f))
-        assert all(np.array_equal(a, b) for a, b in zip(b_c, b_f))
+        assert all(np.array_equal(a, b) for a, b in zip(w_c, w_f))
         row["speedup"] = (row["numpy_us_per_cell"]
                           / row[f"{backend}_us_per_cell"])
         row["box_saving"] = (row[f"{backend}_full_box_us_per_cell"]
@@ -290,7 +325,8 @@ def solve_rows(config: dict, backend: str) -> dict:
 # ------------------------------------------------- coarse-fine bookkeeping
 def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
     """A 16^3 parent (three ghosts) with ``n_children`` 4^3-footprint
-    children on a lattice, every field and face accumulated."""
+    children on a lattice, every field and face accumulated: each child's
+    fine sums and the parent's planes at its faces."""
     rng = np.random.default_rng(seed)
     ng, n = 3, 16
     shape = (n + 2 * ng,) * 3
@@ -298,20 +334,16 @@ def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
         f"s{i}" for i in range(n_adv))
     fields = {name: rng.random(shape) + 0.5 for name in names}
     fields["internal"] = 0.5 * fields["energy"]
-    coarse = {}
-    for ax, axis_name in enumerate(("x", "y", "z")):
-        face = [n] * 3
-        face[ax] += 1
-        coarse[axis_name] = {name: 0.01 * rng.standard_normal(face)
-                             for name in names}
     children = []
     for k in range(n_children):
         lo = np.array([1 + 5 * (k % 3), 1 + 5 * (k // 3 % 3), 1 + 5 * (k // 9)])
-        blocks = [0.01 * rng.standard_normal((2, len(names), 8, 8))
+        fine = [0.01 * rng.standard_normal((2, len(names), 8, 8))
+                for _ in range(3)]
+        coarse = [0.01 * rng.standard_normal((2, len(names), 4, 4))
                   for _ in range(3)]
-        children.append((lo, lo + 4, blocks,
-                         np.ones((3, len(names)), dtype=bool)))
-    return fields, names, ng, children, coarse
+        children.append((lo, lo + 4, fine, coarse,
+                          np.ones((3, len(names)), dtype=bool)))
+    return fields, names, ng, children
 
 
 def _packed_level():
@@ -362,8 +394,7 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
     compiled, parity-asserted on the bench inputs (a level fill writes
     every cell it fills whatever they held, so one set of arrays serves
     both tiers)."""
-    fields, names, ng, children, coarse = _flux_parent(
-        12, config["flux_children"])
+    fields, names, ng, children = _flux_parent(12, config["flux_children"])
     boundary, rebuild = _packed_level()
     rng = np.random.default_rng(9)
     n_part = config["particles"]
@@ -377,7 +408,7 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
         # timed in place on one scratch copy: the copy is not the kernel
         if out is None:
             out = {k: v.copy() for k, v in fields.items()}
-        fn(out, names, ng, dx, [False] * 3, coarse, 2, children)
+        fn(out, names, ng, dx, [False] * 3, 2, children)
         return out
 
     scratch = {k: v.copy() for k, v in fields.items()}
@@ -418,6 +449,8 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
         for name, fn in (("numpy", ref), (backend, compiled)):
             row[f"{name}_us_per_call"] = 1e6 * _best(
                 lambda: call(fn, timed=True), config["repeats"] * 5)
+            row[f"{name}_bytes_per_call"] = _bytes_per_call(
+                lambda: call(fn, timed=True))
         row["speedup"] = (row["numpy_us_per_call"]
                           / row[f"{backend}_us_per_call"])
         rows.append(row)

@@ -101,12 +101,12 @@ def validate_fields(fields, interior, mass_ref: float | None = None,
 
 
 def _sum_fluxes(a, b):
-    """Element-wise sum of two StepFluxes (two half steps = one full step)."""
+    """Plane-wise sum of two StepFluxes (two half steps = one full step)."""
     out = type(a)()
-    for axis, per in a.fluxes.items():
-        out.fluxes[axis] = {
-            name: arr + b.fluxes[axis][name] for name, arr in per.items()
-        }
+    if a.boundary is not None:
+        out.boundary = [p + q for p, q in zip(a.boundary, b.boundary)]
+    out.coarse = {cid: [p + q for p, q in zip(per, b.coarse[cid])]
+                  for cid, per in a.coarse.items()}
     out.add_diagnostics(a.diagnostics)
     out.add_diagnostics(b.diagnostics)
     return out
@@ -176,14 +176,16 @@ class DefenseLadder:
 
     # -------------------------------------------------------------- hydro
     def rescue_hydro(self, grid, solver, dt: float, a: float, adot: float,
-                     accel, permute: int, problems, faults=None):
+                     accel, permute: int, problems, faults=None,
+                     windows=None):
         """Climb the ladder until the grid validates; returns the fluxes.
 
         ``problems`` is what the initial validation (or the task error)
         reported; ``grid.old_fields`` — the pre-step snapshot the evolver
         takes for time-interpolated child boundaries — is the restore
         point for every retry rung.  ``faults`` is the run's injector,
-        re-queried for ``nan_cell`` after every rung.
+        re-queried for ``nan_cell`` after every rung; ``windows`` the
+        grid's face windows, where every rung stores its fluxes.
         """
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
         attempted: list[str] = []
@@ -193,7 +195,7 @@ class DefenseLadder:
         for rung in ("retry_half_dt", "first_order", "zeus_fallback"):
             try:
                 attempt = getattr(self, f"_attempt_{rung}")(
-                    grid, solver, dt, a, adot, accel, permute
+                    grid, solver, dt, a, adot, accel, permute, windows
                 )
             except Exception as exc:  # a rescue that blows up is a failed rung
                 attempted.append(rung)
@@ -256,18 +258,19 @@ class DefenseLadder:
         apply_nan_cell(grid.fields, plan)
 
     def _attempt_retry_half_dt(self, grid, solver, dt, a, adot, accel,
-                               permute):
+                               permute, windows=None):
         self._restore(grid)
         half = 0.5 * dt
         # no boundary fill between the halves: the second reads the ghost
         # zones the first leaves, so the first advances every cell
         f1 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute,
-                         full_update=True)
-        f2 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute)
+                         full_update=True, windows=windows)
+        f2 = solver.step(grid.fields, grid.dx, half, a, adot, accel, permute,
+                         windows=windows)
         return _sum_fluxes(f1, f2)
 
     def _attempt_first_order(self, grid, solver, dt, a, adot, accel,
-                             permute):
+                             permute, windows=None):
         if getattr(solver, "reconstruction", None) is None:
             return None  # finite-difference solvers have no reconstruction
         try:
@@ -285,10 +288,11 @@ class DefenseLadder:
         except TypeError:
             return None
         self._restore(grid)
-        return safe.step(grid.fields, grid.dx, dt, a, adot, accel, permute)
+        return safe.step(grid.fields, grid.dx, dt, a, adot, accel, permute,
+                         windows=windows)
 
     def _attempt_zeus_fallback(self, grid, solver, dt, a, adot, accel,
-                               permute):
+                               permute, windows=None):
         from repro import constants as const
 
         fallback = ZeusSolver(
@@ -299,7 +303,7 @@ class DefenseLadder:
         )
         self._restore(grid)
         return fallback.step(grid.fields, grid.dx, dt, a, adot, accel,
-                             permute)
+                             permute, windows=windows)
 
     def _floor_repair(self, grid, solver, fluxes):
         """Last-resort in-place repair; logs the conservation delta.
@@ -349,10 +353,9 @@ class DefenseLadder:
         grid.fields["energy"] = total_energy(grid.fields)
 
         if fluxes is not None:
-            for per in fluxes.fluxes.values():
-                for arr in per.values():
-                    np.nan_to_num(arr, copy=False, nan=0.0,
-                                  posinf=0.0, neginf=0.0)
+            for planes in fluxes.planes():
+                np.nan_to_num(planes, copy=False, nan=0.0, posinf=0.0,
+                              neginf=0.0)
 
         mass_delta = 0.0
         if mass_before:

@@ -333,8 +333,8 @@ class HierarchyEvolver:
             g.save_old_state()
         hydro_tasks = [
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
-                      accel.get(g.grid_id), permute, self.faults)
-            for g in grids
+                      accel.get(g.grid_id), permute, self.faults, windows)
+            for g, windows in zip(grids, h.face_windows(level))
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
         for g, task in zip(grids, hydro_tasks):
@@ -344,9 +344,15 @@ class HierarchyEvolver:
                                             accel.get(g.grid_id), permute)
             elif task.error is not None:
                 raise task.error
-            g.last_fluxes = result
-            if level > 0 and result is not None:
-                accumulate_boundary_fluxes(g, result)
+            g.last_fluxes = None
+            if result is not None:
+                if level > 0:
+                    accumulate_boundary_fluxes(g, result)
+                    result.boundary = None  # the accumulator holds them now
+                # a parent keeps the planes at its children's faces until
+                # correct_parent reads them; a childless grid keeps nothing
+                if result.coarse:
+                    g.last_fluxes = result
             g.time = DoubleDouble(g.time + dt)
 
         self._timed("nbody", self._advance_particles, level, dt, a_mid,
@@ -450,7 +456,7 @@ class HierarchyEvolver:
             problems = [f"task_error:{type(task.error).__name__}"]
         return self._timed(
             "defense", d.rescue_hydro, g, self.solver, dt, a, adot,
-            accel, permute, problems, self.faults,
+            accel, permute, problems, self.faults, task.windows,
         )
 
     def _defend_chemistry(self, g, task, dt, a):

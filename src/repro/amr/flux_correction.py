@@ -11,7 +11,12 @@ up to its parent's time, each parent cell *adjacent outside* a child face
 has its conserved state corrected by (F_fine_avg - F_coarse)/dx_parent with
 the appropriate orientation sign, where F_fine_avg is the substep-summed,
 (r x r)-face-averaged fine flux and F_coarse the parent's own flux through
-that face (stored in ``parent.last_fluxes``).  Parent cells *covered* by
+that face.  Neither side keeps a full face array: every ``hydro.step``
+stores its fluxes only in the planes of the grid's :class:`FaceWindows`
+(Enzo's boundary and subgrid fluxes) — a child's boundary planes, which
+:func:`accumulate_boundary_fluxes` sums over its substeps, and a parent's
+planes at each child face, which ``parent.last_fluxes`` holds until
+:func:`correct_parent` has read them.  Parent cells *covered* by
 children are subsequently overwritten by projection, so only the outside
 rim needs fixing.  A child face that coincides with its parent's own
 boundary has no outside parent cell and is skipped (the neighbouring
@@ -27,16 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro import kernels
-from repro.hydro.ppm import AXIS_NAMES
+from repro.hydro.ppm import WINDOW_FIELDS
 from repro.hydro.state import VELOCITY_FIELDS, sync_internal_from_total
 
-#: conserved quantities corrected.  The dual-energy 'internal' field is
-#: deliberately NOT corrected: its evolution equation has a non-advective
-#: pdV source that the flux bookkeeping cannot see, so correcting it with
-#: advective fluxes alone injects (possibly negative) garbage; the
-#: dual-energy sync after correction re-derives it from the corrected total
-#: energy wherever that is trustworthy.
-_CONSERVED = ("density", "vx", "vy", "vz", "energy")
+#: conserved quantities corrected, the rows of every face window.  The
+#: dual-energy 'internal' field is deliberately NOT corrected (nor its flux
+#: stored): its evolution equation has a non-advective pdV source that the
+#: flux bookkeeping cannot see, so correcting it with advective fluxes
+#: alone injects (possibly negative) garbage; the dual-energy sync after
+#: correction re-derives it from the corrected total energy wherever that
+#: is trustworthy.
+_CONSERVED = WINDOW_FIELDS
 
 #: floor of a corrected parent density
 DENSITY_FLOOR = 1e-12
@@ -48,9 +54,9 @@ class FluxAccumulator:
     ``names`` are the corrected fields (``_CONSERVED`` + advected);
     ``blocks[ax]`` is a zero-initialised ``(2, len(names), n_t1, n_t2)``
     array — the lo and hi face planes of every field, transverse axes in
-    increasing order — and ``present[ax, f]`` says whether any substep
-    added field ``f`` on axis ``ax`` (a rescue rung need not produce
-    every field).
+    increasing order, the layout of a :class:`FaceWindows` boundary
+    block — and ``present[ax, f]`` says whether any substep added field
+    ``f`` on axis ``ax``.
     """
 
     __slots__ = ("names", "blocks", "present")
@@ -65,6 +71,10 @@ class FluxAccumulator:
         ]
         self.present = np.zeros((3, nf), dtype=bool)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block in self.blocks)
+
 
 def init_flux_accumulator(grid) -> None:
     grid.flux_accumulator = FluxAccumulator(
@@ -72,23 +82,91 @@ def init_flux_accumulator(grid) -> None:
 
 
 def accumulate_boundary_fluxes(grid, step_fluxes) -> None:
-    """Add one substep's boundary-face fluxes into the grid accumulator."""
+    """Add one validated substep's boundary planes into the grid
+    accumulator: one add per axis."""
+    if step_fluxes.boundary is None:
+        raise ValueError(f"flux correction: the step of {grid} stored no "
+                         "boundary planes")
     if grid.flux_accumulator is None:
         init_flux_accumulator(grid)
     acc = grid.flux_accumulator
-    for axis_name, fields in step_fluxes.fluxes.items():
-        ax = AXIS_NAMES.index(axis_name)
-        lo = (slice(None),) * ax + (0,)
-        hi = (slice(None),) * ax + (-1,)
-        block = acc.blocks[ax]
-        for f, name in enumerate(acc.names):
-            arr = fields.get(name)
-            if arr is not None:
-                # zeros + plane: the same bits as the first substep's
-                # 0.0 + plane, -0.0 included
-                block[0, f] += arr[lo]
-                block[1, f] += arr[hi]
-                acc.present[ax, f] = True
+    for ax, planes in enumerate(step_fluxes.boundary):
+        # zeros + plane: the same bits as the first substep's 0.0 + plane,
+        # -0.0 included
+        acc.blocks[ax] += planes
+        acc.present[ax] = True
+
+
+class FaceWindows:
+    """Where one grid's ``hydro.step`` stores fluxes: the planes flux
+    correction reads, and nothing else.
+
+    ``table`` holds int64 rows ``(axis, lo_face, hi_face, a_lo, a_hi,
+    b_lo, b_hi)`` in the grid's interior indices (faces ``0 ..
+    dims[axis]``, transverse axes ascending), one per block: side 0 of the
+    block takes face ``lo_face``, side 1 face ``hi_face``, a face of -1
+    none.  When ``boundary`` (levels >= 1) the first three rows are the
+    grid's own boundary planes, in :class:`FluxAccumulator` layout; then
+    every child in ``children`` (grid ids, level order) has three rows,
+    the faces :func:`face_cell` picks for its footprint — the periodic
+    wrap on the root included, -1 where the face lies on the grid's own
+    boundary.  Built once per topology epoch
+    (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows`).
+    """
+
+    __slots__ = ("table", "boundary", "children")
+
+    def __init__(self, grid, children=()):
+        n = [int(d) for d in grid.dims]
+        periodic = periodic_axes(grid)
+        rows = []
+        self.boundary = grid.level > 0
+        if self.boundary:
+            for ax in range(3):
+                t1, t2 = (d for d in range(3) if d != ax)
+                rows.append((ax, 0, n[ax], 0, n[t1], 0, n[t2]))
+        self.children = []
+        for child in children:
+            lo_p, hi_p = child.parent_index_region()
+            lo = [int(v) for v in lo_p - grid.start_index]
+            hi = [int(v) for v in hi_p - grid.start_index]
+            for ax in range(3):
+                t1, t2 = (d for d in range(3) if d != ax)
+                faces = []
+                for side in (0, 1):
+                    cell = face_cell(lo, hi, ax, side, n[ax], periodic[ax])
+                    faces.append(-1 if cell is None else cell[1])
+                rows.append((ax, *faces, lo[t1], hi[t1], lo[t2], hi[t2]))
+            self.children.append(child.grid_id)
+        self.table = np.array(rows, dtype=np.int64).reshape(-1, 7)
+
+    def allocate(self, nf: int):
+        """One step's blocks: ``(outs, boundary, coarse)`` — every block in
+        table order, the three boundary blocks (or None) and child id ->
+        its three blocks."""
+        outs = [np.zeros((2, nf, a1 - a0, b1 - b0))
+                for _, _, _, a0, a1, b0, b1 in self.table.tolist()]
+        k = 3 if self.boundary else 0
+        coarse = {cid: outs[k + 3 * j:k + 3 * j + 3]
+                  for j, cid in enumerate(self.children)}
+        return outs, (outs[:3] if self.boundary else None), coarse
+
+
+def periodic_axes(grid) -> list:
+    """Per axis, whether the grid's box-edge faces wrap: a root grid that
+    spans the box is periodic."""
+    n_box = grid.cells_per_dim_at_level
+    return [grid.level == 0 and int(d) == n_box for d in grid.dims]
+
+
+def level_windows(grids, child_topology):
+    """The :class:`FaceWindows` of every grid of one level, in order, from
+    the next level's :class:`~repro.amr.topology.LevelTopology`."""
+    kids: dict = {}
+    if child_topology.parents is not None:
+        for child, k in zip(child_topology.grids, child_topology.parent_of):
+            kids.setdefault(id(child_topology.parents[k]), []).append(child)
+    return [FaceWindows(g, kids.get(id(g), ())) for g in grids]
 
 
 def block_average(plane: np.ndarray, r: int) -> np.ndarray:
@@ -137,42 +215,39 @@ def face_cell(lo, hi, ax: int, side: int, n_ax: int, periodic: bool):
     return out_cell, face_idx
 
 
-def correct_numpy(fields, names, ng, dx, periodic, coarse, r, children):
+def correct_numpy(fields, names, ng, dx, periodic, r, children):
     """Reference ``flux.correct``: correct one parent for all its children.
 
     ``fields`` is the parent's field dict (ghost-inclusive arrays), updated
     in place — ``names`` (``_CONSERVED`` + advected) are corrected and
-    ``internal`` / ``energy`` re-synced; ``coarse`` the parent's
-    ``last_fluxes.fluxes`` (axis name -> {field: face array}); ``periodic``
-    per axis whether faces on the box edge wrap; ``children`` a list of
-    ``(lo, hi, blocks, present)``: the child's footprint in parent-local
-    interior indices and its :class:`FluxAccumulator` blocks / presence,
-    rows in ``names`` order.  After each child the dual-energy sync runs
-    over the whole parent, as it always has.
+    ``internal`` / ``energy`` re-synced; ``periodic`` per axis whether
+    faces on the box edge wrap; ``children`` a list of ``(lo, hi, fine,
+    coarse, present)``: the child's footprint in parent-local interior
+    indices, its :class:`FluxAccumulator` blocks and presence, and the
+    parent's own planes at its faces, ``coarse[ax]`` shaped like
+    ``fine[ax]`` with the footprint's extents (the child's block of the
+    parent's :class:`FaceWindows`), rows in ``names`` order.  After each
+    child the dual-energy sync runs over the whole parent, as it always
+    has.
     """
     n = [s - 2 * ng for s in fields["density"].shape]
     advected = names[len(_CONSERVED):]
-    for lo, hi, blocks, present in children:
-        for ax, axis_name in enumerate(AXIS_NAMES):
-            coarse_fluxes = coarse.get(axis_name)
-            if coarse_fluxes is None:
-                continue
+    for lo, hi, blocks, coarse, present in children:
+        for ax in range(3):
             t_axes = [d for d in range(3) if d != ax]
             t_slices = tuple(slice(int(lo[d]), int(hi[d])) for d in t_axes)
             for side in (0, 1):
                 cell = face_cell(lo, hi, ax, side, n[ax], periodic[ax])
                 if cell is None:
                     continue  # child face on the parent's own boundary
-                out_cell, face_idx = cell
+                out_cell = cell[0]
                 sign = 1.0 if side else -1.0
                 deltas = {}
                 for f, name in enumerate(names):
-                    if not present[ax][f] or name not in coarse_fluxes:
+                    if not present[ax][f]:
                         continue
                     f_eff = block_average(blocks[ax][side, f], r)
-                    coarse_plane = np.take(coarse_fluxes[name], face_idx,
-                                           axis=ax)[t_slices]
-                    deltas[name] = sign * (f_eff - coarse_plane) / dx
+                    deltas[name] = sign * (f_eff - coarse[ax][side, f]) / dx
 
                 if not deltas:
                     continue
@@ -207,30 +282,30 @@ def correct_numpy(fields, names, ng, dx, periodic, coarse, r, children):
 def correct_parent(parent, children) -> None:
     """Correct the parent cells ringing each child (children in level
     order, all caught up to the parent), then reset every child's
-    accumulator for the next parent step."""
+    accumulator for the next parent step and drop the parent's planes."""
     live = [c for c in children if c.flux_accumulator is not None]
     if parent.last_fluxes is not None and live:
         r = parent.refine_factor
         names = _CONSERVED + tuple(parent.fields.advected)
+        coarse = parent.last_fluxes.coarse
         table = []
         for child in live:
             acc = child.flux_accumulator
-            if acc.names != names or child.refine_factor != r:
+            if (acc.names != names or child.refine_factor != r
+                    or child.grid_id not in coarse):
                 raise ValueError(f"flux correction: {child} does not share "
-                                 f"the field layout of {parent}")
+                                 f"the field layout or windows of {parent}")
             lo_p, hi_p = child.parent_index_region()
             table.append((lo_p - parent.start_index, hi_p - parent.start_index,
-                          acc.blocks, acc.present))
-        periodic = [parent.level == 0
-                    and int(parent.dims[ax]) == parent.cells_per_dim_at_level
-                    for ax in range(3)]
+                          acc.blocks, coarse[child.grid_id], acc.present))
         kernels.get("flux.correct")(
-            parent.fields, names, parent.nghost, parent.dx, periodic,
-            parent.last_fluxes.fluxes, r, table)
+            parent.fields, names, parent.nghost, parent.dx,
+            periodic_axes(parent), r, table)
     # a parent without fluxes (every rescue rung failed) corrects nothing,
     # but its children's fluxes of this step must not leak into the next
     for child in live:
         init_flux_accumulator(child)
+    parent.last_fluxes = None
 
 
 def correct_level(hierarchy, fine_level: int) -> None:

@@ -178,8 +178,10 @@ class Grid:
         return self.fields[name][self.interior]
 
     def memory_bytes(self) -> int:
-        """Bytes of the arrays the grid holds: fields, potential and the
-        old-state snapshot ``save_old_state`` keeps from its first step."""
+        """Bytes of the arrays the grid holds: fields, potential, the
+        old-state snapshot ``save_old_state`` keeps from its first step,
+        the boundary-flux accumulator of a subgrid and the flux planes a
+        parent keeps until its children's flux correction."""
         if self.fields is None:
             return 0
         total = sum(arr.nbytes for k, arr in self.fields.array_items())
@@ -187,6 +189,10 @@ class Grid:
             total += sum(arr.nbytes for k, arr in self.old_fields.array_items())
         if self.phi is not None:
             total += self.phi.nbytes
+        if self.flux_accumulator is not None:
+            total += self.flux_accumulator.nbytes
+        if self.last_fluxes is not None:
+            total += sum(p.nbytes for p in self.last_fluxes.planes())
         return total
 
     def save_old_state(self) -> None:

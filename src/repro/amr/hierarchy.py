@@ -18,6 +18,7 @@ import hashlib
 
 import numpy as np
 
+from repro.amr.flux_correction import level_windows
 from repro.amr.grid import Grid
 from repro.amr.pool import FieldArrayPool
 from repro.amr.topology import LevelTopology
@@ -234,6 +235,16 @@ class Hierarchy:
         if cacheable:
             self._topologies[level] = (self.topology_epoch, topo)
         return topo
+
+    def face_windows(self, level: int) -> list:
+        """The :class:`~repro.amr.flux_correction.FaceWindows` of every
+        grid of ``level``, in ``level_grids`` order: built once per
+        topology epoch from the child level's topology, and cached on it."""
+        topo = self.level_topology(level + 1)
+        if topo.parent_windows is None:
+            topo.parent_windows = self._timed_topology(
+                level_windows, self.level_grids(level), topo)
+        return topo.parent_windows
 
     def finest_grid_at(self, xyz) -> Grid:
         """Deepest grid whose interior contains the given point."""

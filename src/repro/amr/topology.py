@@ -77,15 +77,21 @@ class LevelTopology:
     whose ghost shell / rim needs parent cells (plus the one-cell slope
     rim) outside its parent's arrays, or are ``None``.  ``parents`` is
     ``None`` when a grid has no parent (the root level).
+    ``parent_windows`` is the parent level's flux windows
+    (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows` fills it on first
+    use; they depend on this level's and the parent level's members only,
+    as this topology does).
     """
 
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
                  "parent_origins", "parent_of", "shell", "copies",
-                 "rim_copies", "rim", "ghost_misfit", "rim_misfit")
+                 "rim_copies", "rim", "ghost_misfit", "rim_misfit",
+                 "parent_windows")
 
     def __init__(self, grids, nghost: int, parents=None):
         ng = int(nghost)
         self.grids = list(grids)
+        self.parent_windows = None
         n = len(self.grids)
         starts = np.array([g.start_index for g in self.grids],
                           dtype=np.int64).reshape(-1, 3)

@@ -7,8 +7,8 @@ a dual-energy formalism for hypersonic infall, passive advection of the
 chemistry species, and operator-split expansion sources.
 
 The solver is grid-agnostic: it advances a :class:`FieldSet` (ghost zones
-included) and returns the dt-integrated interface fluxes the AMR layer needs
-for coarse-fine flux correction.
+included) and stores the dt-integrated interface fluxes the AMR layer needs
+for coarse-fine flux correction in the face windows the caller names.
 """
 
 from __future__ import annotations
@@ -35,31 +35,69 @@ from repro.hydro.tracing import trace_states_numpy
 AXIS_NAMES = ("x", "y", "z")
 
 
+#: the rows of a face window ahead of the advected fields: the conserved
+#: fields the coarse-fine flux correction corrects (the dual-energy
+#: 'internal' flux is never stored)
+WINDOW_FIELDS = ("density", "vx", "vy", "vz", "energy")
+
+
 @dataclass
 class StepFluxes:
-    """dt/a-integrated fluxes on interior faces, per axis.
+    """The dt/a-integrated fluxes one step stored in its face windows.
 
-    ``fluxes[axis][name]`` has the face dimension (n_interior+1) along
-    ``axis`` and interior extents transversally.  The cell update applied by
-    the solver was ``U -= diff(flux, axis) / dx`` — the AMR flux-correction
-    step reuses exactly these arrays.
+    A step stores no full face array: it writes only the planes of the
+    window table it was given (``amr.flux_correction.FaceWindows``), each
+    a ``(2, nf, n_t1, n_t2)`` block — the lo and hi face planes of one
+    axis, rows in :data:`WINDOW_FIELDS` + advected order, transverse axes
+    ascending.  ``boundary`` holds the grid's own boundary planes, one
+    block per axis (None when the table has none), ``coarse`` maps a
+    child's grid id to the three blocks of the faces of its footprint.
+    The cell update applied by the solver was ``U -= diff(flux, axis) /
+    dx`` with exactly these floats.
 
     ``diagnostics`` carries per-step solver health counters — how many
     cells/faces each positivity floor actually changed — so creeping floor
     abuse is visible in telemetry long before it becomes a NaN.
     """
 
-    fluxes: dict = field(default_factory=dict)
+    boundary: list | None = None
+    coarse: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
-    def names(self):
-        first = next(iter(self.fluxes.values()))
-        return list(first.keys())
+    def planes(self):
+        """Every stored block: the boundary ones, then the children's."""
+        blocks = list(self.boundary or ())
+        for per_child in self.coarse.values():
+            blocks += per_child
+        return blocks
 
     def add_diagnostics(self, counts: dict) -> None:
         for key, value in counts.items():
             if value:
                 self.diagnostics[key] = self.diagnostics.get(key, 0) + int(value)
+
+
+def store_windows(axis, fluxes, table, outs):
+    """Copy the planes of the windows along ``axis`` out of full face
+    arrays: the shared store of every tier that computes whole sweeps
+    (``step_numpy``, ``ZeusSolver``).
+
+    ``fluxes`` are the sweep's scaled face arrays in window row order
+    (face dimension along ``axis``, interior extents transversally);
+    ``table`` the int64 rows ``(axis, lo_face, hi_face, a_lo, a_hi, b_lo,
+    b_hi)`` and ``outs`` their ``(2, nf, a_hi - a_lo, b_hi - b_lo)``
+    blocks: side 0 takes face ``lo_face``, side 1 face ``hi_face``, a face
+    of -1 none.
+    """
+    for row, out in zip(table.tolist(), outs):
+        if row[0] != axis:
+            continue
+        box = (slice(row[3], row[4]), slice(row[5], row[6]))
+        for side in (0, 1):
+            face = row[1 + side]
+            if face >= 0:
+                for f, arr in enumerate(fluxes):
+                    out[side, f] = np.take(arr, face, axis=axis)[box]
 
 
 #: the five floor counts a sweep reports, in kernel order
@@ -270,18 +308,19 @@ def sweep_numpy(arrays, axis, ng, pencils, dtdx, flux_scale, gamma, scheme,
                     internal_count, energy_count)
 
 
-def swept_names(axis, advected=()):
-    """The fields of a sweep along ``axis`` in the order it takes them (and
-    returns their fluxes): the sweep-axis velocity second, the transverse
-    ones after it in ascending axis order."""
+def swept_names(axis):
+    """The six fields of a sweep along ``axis`` in the order it takes them
+    (and returns their fluxes), ahead of the advected ones: the
+    sweep-axis velocity second, the transverse ones after it in ascending
+    axis order."""
     u_name = VELOCITY_FIELDS[axis]
     return ("density", u_name, *(n for n in VELOCITY_FIELDS if n != u_name),
-            "energy", "internal", *advected)
+            "energy", "internal")
 
 
 def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
                scheme, riemann_solver, density_floor, energy_floor, eta,
-               drag):
+               drag, windows=None, outs=()):
     """NumPy reference of the ``hydro.step`` kernel: one
     :meth:`PPMSolver.step` of one grid.
 
@@ -293,11 +332,12 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
     ``(permute + k) % 3`` over their :func:`pencil_boxes`, then on the
     active zone (every cell when ``full_update``) the second half kick,
     the expansion drag, the dual-energy sync (``eta``, ``energy_floor``)
-    and the internal-energy floor.  Returns ``(blocks, counts)``: one
-    ``(len(arrays), *face_shape)`` block of dt/a-integrated interior-face
-    fluxes per sweep, rows in :func:`swept_names` order, and 16 counts —
-    the :data:`FLOOR_COUNTS` of each sweep, then the cells the final
-    internal-energy floor changed.
+    and the internal-energy floor.  ``windows`` (None: no window) is the
+    int64 table of :func:`store_windows` and ``outs`` its blocks, which
+    receive the dt/a-integrated face fluxes, rows in
+    :data:`WINDOW_FIELDS` + advected order; the sweeps' whole face arrays
+    are temporaries.  Returns the 16 counts — the :data:`FLOOR_COUNTS` of
+    each sweep, then the cells the final internal-energy floor changed.
     """
     check_scheme(scheme, riemann_solver)
     check_drag(drag)
@@ -311,14 +351,17 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
         apply_acceleration(fields, accel, 0.5 * dt)
 
     order = [(permute + k) % 3 for k in range(3)]
-    blocks, counts = [], []
+    counts = []
     for axis, pencils in zip(order, pencil_boxes(fields.shape, ng, order,
                                                  full_update)):
-        swept = [fields[name] for name in swept_names(axis)] + advected
+        names = swept_names(axis)
+        swept = [fields[name] for name in names] + advected
         fluxes, floor_counts = sweep_numpy(
             swept, axis, ng, pencils, dt / (a * dx), dt / a, gamma, scheme,
             riemann_solver, density_floor, energy_floor)
-        blocks.append(np.stack(fluxes))
+        if windows is not None:
+            rows = [fluxes[names.index(name)] for name in WINDOW_FIELDS]
+            store_windows(axis, rows + fluxes[6:], windows, outs)
         counts += floor_counts
 
     # the rest of the step is cell-local: the active zone suffices
@@ -334,7 +377,7 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
         apply_drag(tail, drag)
     sync_internal_from_total(tail, eta, energy_floor)
     counts.append(internal_energy_floor(tail, energy_floor))
-    return blocks, tuple(counts)
+    return tuple(counts)
 
 
 class PPMSolver:
@@ -403,13 +446,16 @@ class PPMSolver:
         accel=None,
         permute: int = 0,
         full_update: bool = False,
+        windows=None,
     ) -> StepFluxes:
         """Advance the gas by dt: one ``hydro.step`` kernel call.
 
         ``dx`` is the comoving cell width in code units; ``a``/``adot``
         the mid-step scale factor and its derivative; ``accel`` an optional
         (3, ...) peculiar acceleration field; ``permute`` rotates the sweep
-        order (Strang permutation across steps).
+        order (Strang permutation across steps); ``windows`` the grid's
+        :class:`~repro.amr.flux_correction.FaceWindows` (None: the step
+        stores no flux).
 
         The active zone is always advanced in full.  Ghost cells are
         advanced only where a later sweep of this step reads them (the
@@ -419,20 +465,21 @@ class PPMSolver:
         fill in between.
         """
         advected = tuple(fields.advected)
-        blocks, counts = kernels.get("hydro.step")(
+        out = StepFluxes()
+        table, outs = None, []
+        if windows is not None:
+            table = windows.table
+            outs, out.boundary, out.coarse = windows.allocate(
+                len(WINDOW_FIELDS) + len(advected))
+        counts = kernels.get("hydro.step")(
             [fields[name] for name in STEP_FIELDS + advected], accel,
             self.nghost, dx, dt, a, permute, full_update, self.gamma,
             self.scheme, self.riemann_solver, self.density_floor,
             self.energy_floor, self.dual_energy_eta,
             # exp stays NumPy on every tier
-            expansion_factors(a, adot, dt, self.gamma),
+            expansion_factors(a, adot, dt, self.gamma), table, outs,
         )
-        out = StepFluxes()
-        for k, block in enumerate(blocks):
-            axis = (permute + k) % 3
-            out.fluxes[AXIS_NAMES[axis]] = dict(zip(swept_names(axis,
-                                                                advected),
-                                                    block))
+        for k in range(3):
             out.add_diagnostics(dict(zip(FLOOR_COUNTS,
                                          counts[5 * k:5 * k + 5])))
         out.add_diagnostics({"internal_floor": counts[15]})

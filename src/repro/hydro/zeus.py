@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constants as const
-from repro.hydro.ppm import AXIS_NAMES, StepFluxes
+from repro.hydro.ppm import WINDOW_FIELDS, StepFluxes, store_windows
 from repro.hydro.sources import apply_acceleration, apply_expansion_drag
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, total_energy
 
@@ -59,11 +59,14 @@ class ZeusSolver:
         accel=None,
         permute: int = 0,
         full_update: bool = False,
+        windows=None,
     ) -> StepFluxes:
         """Advance by dt: gravity half-kicks, source step, transport sweeps.
 
         Every step updates every cell its stencils reach, so
         ``full_update`` (see :meth:`PPMSolver.step`) changes nothing here.
+        The sweeps compute whole face arrays and store the planes of
+        ``windows`` as ``hydro.step`` does.
         """
         if accel is not None:
             apply_acceleration(fields, accel, 0.5 * dt)
@@ -72,9 +75,16 @@ class ZeusSolver:
         for axis in order:
             self._source_step(fields, axis, dx, dt, a)
         out = StepFluxes()
+        outs = []
+        if windows is not None:
+            outs, out.boundary, out.coarse = windows.allocate(
+                len(WINDOW_FIELDS) + len(fields.advected))
         for axis in order:
             fluxes, floor_counts = self._transport_step(fields, axis, dx, dt, a)
-            out.fluxes[AXIS_NAMES[axis]] = fluxes
+            if windows is not None:
+                store_windows(axis, [fluxes[name] for name in WINDOW_FIELDS
+                                     + tuple(fields.advected)],
+                              windows.table, outs)
             out.add_diagnostics(floor_counts)
 
         if accel is not None:

@@ -20,12 +20,13 @@ and index ranges, make inputs contiguous, allocate outputs and scratch, and
 copy non-contiguous in-place targets in and back:
 
 * ``hydro.step``      ``fn(arrays, accel, ng, dx, dt, a, permute, full_update,
-  gamma, scheme, riemann_solver, density_floor, energy_floor, eta, drag)
-  -> (blocks, counts)`` — one PPM step of one grid in place: half kick,
-  three sweeps over the pencil boxes ``rk_step`` derives itself, half
-  kick, drag, dual-energy sync and energy floor; its sweep and the
-  Riemann, reconstruction and tracing bodies are static C functions only
-  ``rk_step`` calls
+  gamma, scheme, riemann_solver, density_floor, energy_floor, eta, drag,
+  windows, outs) -> counts`` — one PPM step of one grid in place: half
+  kick, three sweeps over the pencil boxes ``rk_step`` derives itself,
+  half kick, drag, dual-energy sync and energy floor; the sweeps store
+  their fluxes only in the face-window blocks ``outs`` (no full face
+  array is allocated); its sweep and the Riemann, reconstruction and
+  tracing bodies are static C functions only ``rk_step`` calls
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
@@ -40,9 +41,10 @@ copy non-contiguous in-place targets in and back:
   residual norm meets the tolerance or the budget runs out
 * ``gravity.accel``   ``fn(phi, dx, a) -> (3, *phi.shape)`` — ``-grad(phi)/a``
   with ``np.gradient``'s central and one-sided edge differences
-* ``flux.correct``    ``fn(fields, names, ng, dx, periodic, coarse, r,
-  children)`` — the coarse-fine flux correction of one parent for all its
-  children, in place on ``fields``
+* ``flux.correct``    ``fn(fields, names, ng, dx, periodic, r, children)`` —
+  the coarse-fine flux correction of one parent for all its children
+  (each with its fine sums and the parent's planes at its faces), in
+  place on ``fields``
 * ``cic.deposit``     ``fn(grid, offsets, masses, dx, dx3, periodic)`` — adds
   the particles' CIC density to ``grid`` in place
 * ``cic.gather``      ``fn(field3, offsets, dx, periodic) -> (n, 3)``
@@ -112,7 +114,7 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import AXIS_NAMES, check_drag
+from repro.hydro.ppm import check_drag
 from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
@@ -143,11 +145,12 @@ void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
 void rk_step(long nq, double **q, const double *accel, long n0, long n1,
     long n2, long ng, double dx, double dt, double a, long permute,
     int full_update, double gamma, long scheme, long solver, double dfloor,
-    double efloor, double eta, const double *drag, double **flux,
-    int64_t *counts, double *work, long mb, int64_t *cols);
+    double efloor, double eta, const double *drag, long n_win,
+    const int64_t *win, double **outs, int64_t *counts, double *work,
+    long mb, int64_t *cols);
 void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
-    long n2, long ng, double dx, const int *periodic, const double **coarse,
-    long n_children, const int64_t *regions, const double **blocks,
+    long n2, long ng, double dx, const int *periodic, long n_children,
+    const int64_t *regions, const double **blocks, const double **coarse,
     const int8_t *present, int32_t *count);
 void rk_cic_deposit(long n_part, const double *offsets, const double *masses,
     double dx, double dx3, int periodic, long n0, long n1, long n2,
@@ -1351,41 +1354,67 @@ static void contact_speed(long n,
     }
 }
 
+/* Store field f's fscale-scaled face fluxes fk ((n, mc) scratch, face i
+   between cells i and i + 1) of the mc pencils whose interior transverse
+   indices are ia, ib (ascending; negative or past the interior for ghost
+   pencils) into every face window of this axis.  win holds n_win rows
+   (axis, lo_face, hi_face, a_lo, a_hi, b_lo, b_hi) in interior indices,
+   outs[w] their (2, nf, a_hi - a_lo, b_hi - b_lo) blocks (side 0: face
+   lo_face, side 1: hi_face; -1: none); interior face j is face lo + j. */
+static void store_windows(long axis, long n_win, const int64_t *win,
+    double **outs, long nf, long f, const double *fk, double fscale,
+    long lo, long mc, const int64_t *ia, const int64_t *ib)
+{
+    for (long w = 0; w < n_win; w++) {
+        const int64_t *r = win + 7 * w;
+        /* pencils run through a in ascending order */
+        if (r[0] != axis || r[4] <= ia[0] || r[3] > ia[mc - 1]) continue;
+        long wa = r[4] - r[3], wb = r[6] - r[5];
+        for (long side = 0; side < 2; side++) {
+            if (r[1 + side] < 0) continue;
+            const double *src = fk + (lo + r[1 + side]) * mc;
+            double *out = outs[w] + (side * nf + f) * wa * wb;
+            for (long jj = 0; jj < mc; jj++) {
+                long a = ia[jj] - r[3], b = ib[jj] - r[5];
+                if (a >= 0 && a < wa && b >= 0 && b < wb)
+                    out[a * wb + b] = fscale * src[jj];
+            }
+        }
+    }
+}
+
 /* One directional sweep of one grid.  q holds the nq C-order field arrays
    (rho, u, v, w, e_tot, e_int, *advected) with u the velocity along axis;
    the pencils a_lo <= a < a_hi, b_lo <= b < b_hi of the two transverse
    axes (ascending axis order) are updated in place, and they cover every
-   interior pencil (ppm.pencil_boxes), so flux, nq outputs of shape dims -
-   2 ng (one more along axis) one after another, is filled in full with
-   the fscale-scaled interior-face fluxes; counts the five floor counts
-   (face density, face pressure, density, internal, energy) of the swept
-   pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and cols (2, mb)
+   interior pencil (ppm.pencil_boxes), so every face window of this axis
+   (store_windows; nf = nq - 1 rows in flux_correction._CONSERVED +
+   advected order, the internal-energy flux stored nowhere) is filled in
+   full with the fscale-scaled fluxes; counts the five floor counts (face
+   density, face pressure, density, internal, energy) of the swept
+   pencils.  work is (SWEEP_SLOTS, n * mb) double scratch and cols (3, mb)
    integer scratch.  Flattened: every body it calls is compiled into each
    LANES copy. */
 LANES __attribute__((flatten))
 static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
     long axis, long ng, long a_lo, long a_hi, long b_lo, long b_hi,
     double dtdx, double fscale, double gamma, long scheme, long solver,
-    double dfloor, double efloor, double *flux, int64_t *counts,
-    double *work, long mb, int64_t *cols)
+    double dfloor, double efloor, long n_win, const int64_t *win,
+    double **outs, int64_t *counts, double *work, long mb, int64_t *cols)
 {
-    long n, s, na, sa, nb, sb;
-    if (axis == 0) { n = n0; s = n1 * n2; na = n1; sa = n2; nb = n2; sb = 1; }
-    else if (axis == 1) {
-        n = n1; s = n2; na = n0; sa = n1 * n2; nb = n2; sb = 1;
-    } else { n = n2; s = 1; na = n0; sa = n1 * n2; nb = n1; sb = n2; }
-    /* output strides: interior extents transversally, n - 2 ng + 1 faces */
-    long oa = lmax(na - 2 * ng, 0), ob = lmax(nb - 2 * ng, 0);
-    long on = n - 2 * ng + 1, fcells = on * oa * ob;
-    long fs, fsa, fsb;
-    if (axis == 0) { fs = oa * ob; fsa = ob; fsb = 1; }
-    else if (axis == 1) { fs = ob; fsa = on * ob; fsb = 1; }
-    else { fs = 1; fsa = ob * on; fsb = on; }
+    long n, s, sa, sb;
+    if (axis == 0) { n = n0; s = n1 * n2; sa = n2; sb = 1; }
+    else if (axis == 1) { n = n1; s = n2; sa = n1 * n2; sb = 1; }
+    else { n = n2; s = 1; sa = n1 * n2; sb = n2; }
+    /* the window row of each swept field: the transverse velocities
+       follow u in ascending axis order, e_int has none */
+    long t1 = axis == 0 ? 1 : 0, t2 = axis == 2 ? 1 : 2;
+    long frow[6] = {0, 1 + axis, 1 + t1, 1 + t2, 4, -1};
     long pb = b_hi - b_lo, m = (a_hi - a_lo) * pb;
     long lo = ng - 1, hi = n - ng;  /* faces lo .. hi-1 bound the band */
     double p_floor = (gamma - 1.0) * dfloor * efloor;
     double eint_floor = dfloor * efloor;
-    int64_t *base = cols, *obase = cols + mb;
+    int64_t *base = cols, *ia = cols + mb, *ib = cols + 2 * mb;
     long row = n * mb;              /* one scratch row */
     for (long k = 0; k < 5; k++) counts[k] = 0;
 
@@ -1395,9 +1424,8 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
         for (long jj = 0; jj < mc; jj++) {
             long a = a_lo + (c0 + jj) / pb, b = b_lo + (c0 + jj) % pb;
             base[jj] = a * sa + b * sb;
-            obase[jj] = -1;
-            if (ng <= a && a < na - ng && ng <= b && b < nb - ng)
-                obase[jj] = (a - ng) * fsa + (b - ng) * fsb;
+            ia[jj] = a - ng;
+            ib[jj] = b - ng;
         }
         for (long k = 0; k < 6; k++) {
             const double *src = q[k];
@@ -1520,16 +1548,10 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
             f_eint[t] = f_rho[t] * (f_rho[t] > 0.0 ? frac_l : frac_r);
         }
 
-        /* ---- scaled interior-face fluxes, final layout ---- */
-        for (long k = 0; k < 6; k++) {
-            const double *fk = (k == 5) ? f_eint : g + k * row;
-            double *out = flux + k * fcells;
-            for (long i = lo; i < hi; i++)
-                for (long jj = 0; jj < mc; jj++)
-                    if (obase[jj] >= 0)
-                        out[obase[jj] + (i - lo) * fs]
-                            = fscale * fk[i * mc + jj];
-        }
+        /* ---- scaled fluxes into the face windows ---- */
+        for (long k = 0; k < 5; k++)
+            store_windows(axis, n_win, win, outs, nq - 1, frow[k],
+                          g + k * row, fscale, lo, mc, ia, ib);
 
         /* ---- conservative update of the interior band ---- */
         int64_t n_rho = 0, n_eint = 0, n_etot = 0;
@@ -1572,7 +1594,7 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
         /* ---- advected fields ride the mass flux ---- */
         double *f_adv = work + W_FADV * row;
         for (long k = 6; k < nq; k++) {
-            double *src = q[k], *out = flux + k * fcells;
+            double *src = q[k];
             for (long i = lo; i < hi; i++) {
                 #pragma omp simd
                 for (long jj = 0; jj < mc; jj++) {
@@ -1581,11 +1603,9 @@ static void rk_sweep(long nq, double **q, long n0, long n1, long n2,
                     double frac_r = src[c + s] / rho[t + mc];
                     f_adv[t] = f_rho[t] * (f_rho[t] > 0.0 ? frac_l : frac_r);
                 }
-                for (long jj = 0; jj < mc; jj++)
-                    if (obase[jj] >= 0)
-                        out[obase[jj] + (i - lo) * fs] = fscale * f_adv[i * mc
-                                                                      + jj];
             }
+            store_windows(axis, n_win, win, outs, nq - 1, k - 1, f_adv,
+                          fscale, lo, mc, ia, ib);
             for (long i = ng; i < n - ng; i++) {
                 #pragma omp simd
                 for (long jj = 0; jj < mc; jj++) {
@@ -1618,16 +1638,18 @@ static inline void step_kick(long c, double **q, const double *g,
    covers every cell, the sweeps run in order (permute + k) % 3 over the
    boxes of ppm.pencil_boxes, and the second half kick, drag, dual-energy
    sync (eta, efloor) and internal-energy floor are cell-local, on the
-   active zone (every cell when full_update).  flux[k] is sweep k's (nq,
-   face) block, counts its 16 floor counts: five per sweep, then the
+   active zone (every cell when full_update).  The sweeps store their
+   dt/a-scaled fluxes in the n_win face windows win / outs (rk_sweep) and
+   nowhere else; counts gets the 16 floor counts: five per sweep, then the
    cells the final floor changed.  work is (SWEEP_SLOTS, max(n) * mb)
-   double scratch and cols (2, mb) integer scratch, both owned by this
+   double scratch and cols (3, mb) integer scratch, both owned by this
    call. */
 LANES void rk_step(long nq, double **q, const double *accel, long n0,
     long n1, long n2, long ng, double dx, double dt, double a, long permute,
     int full_update, double gamma, long scheme, long solver, double dfloor,
-    double efloor, double eta, const double *drag, double **flux,
-    int64_t *counts, double *work, long mb, int64_t *cols)
+    double efloor, double eta, const double *drag, long n_win,
+    const int64_t *win, double **outs, int64_t *counts, double *work,
+    long mb, int64_t *cols)
 {
     long n[3] = {n0, n1, n2}, cells = n0 * n1 * n2;
     double hdt = 0.5 * dt;
@@ -1654,8 +1676,8 @@ LANES void rk_step(long nq, double **q, const double *accel, long n0,
         long m = (box[1] - box[0]) * (box[3] - box[2]);
         rk_sweep(nq, qs, n0, n1, n2, axis, ng, box[0], box[1], box[2],
                  box[3], dt / (a * dx), dt / a, gamma, scheme, solver,
-                 dfloor, efloor, flux[k], counts + 5 * k, work, lmin(mb, m),
-                 cols);
+                 dfloor, efloor, n_win, win, outs, counts + 5 * k, work,
+                 lmin(mb, m), cols);
     }
 
     long lo = full_update ? 0 : ng;
@@ -2015,15 +2037,14 @@ static inline double fc_average(const double *p, long row, int flat)
 
 /* q: the nf corrected parent fields (density, vx, vy, vz, energy,
    advected...) and ie the internal energy, each (n0 + 2 ng, n1 + 2 ng,
-   n2 + 2 ng); coarse[ax * nf + f] the parent's fluxes of field f through
-   the faces normal to ax (interior extents, one more along ax; NULL:
-   absent).  Child j: regions[6 j ..] its parent-local interior lo, hi
-   corners, blocks[3 j + ax] its (2, nf, 2 m1, 2 m2) lo/hi fine face sums
-   and present[(3 j + ax) nf + f] whether field f was accumulated.  count
-   is zeroed scratch, one per parent cell. */
+   n2 + 2 ng).  Child j: regions[6 j ..] its parent-local interior lo, hi
+   corners, blocks[3 j + ax] its (2, nf, 2 m1, 2 m2) lo/hi fine face sums,
+   coarse[3 j + ax] the parent's own (2, nf, m1, m2) flux planes at those
+   two faces and present[(3 j + ax) nf + f] whether field f was
+   accumulated.  count is zeroed scratch, one per parent cell. */
 void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
-    long n2, long ng, double dx, const int *periodic, const double **coarse,
-    long n_children, const int64_t *regions, const double **blocks,
+    long n2, long ng, double dx, const int *periodic, long n_children,
+    const int64_t *regions, const double **blocks, const double **coarse,
     const int8_t *present, int32_t *count)
 {
     long n[3] = {n0, n1, n2};
@@ -2036,15 +2057,11 @@ void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
                 long t1 = ax == 0 ? 1 : 0, t2 = ax == 2 ? 1 : 2;
                 long m1 = reg[3 + t1] - reg[t1], m2 = reg[3 + t2] - reg[t2];
                 const int8_t *has = present + (3 * j + ax) * nf;
-                const double **cf = coarse + ax * nf;
                 int any = 0;
                 for (long f = 0; f < nf; f++)
-                    any |= has[f] && cf[f];
+                    any |= has[f];
                 if (!any) continue;    /* no deltas: the faces are left */
-                long e[3] = {n0, n1, n2};
-                e[ax] += 1;
-                long cs[3] = {e[1] * e[2], e[2], 1};
-                long row = 2 * m2, plane = 4 * m1 * m2;
+                long row = 2 * m2, plane = 4 * m1 * m2, cplane = m1 * m2;
                 for (long side = 0; side < 2; side++) {
                     long out, face;
                     if (!fc_face(reg, ax, side, n[ax], periodic[ax], &out,
@@ -2053,6 +2070,8 @@ void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
                     double sign = side ? 1.0 : -1.0;
                     const double *fine = blocks[3 * j + ax]
                         + side * nf * plane;
+                    const double *cf = coarse[3 * j + ax]
+                        + side * nf * cplane;
                     for (long a = 0; a < m1; a++) {
                         for (long b = 0; b < m2; b++) {
                             long i1 = reg[t1] + a, i2 = reg[t2] + b;
@@ -2067,22 +2086,21 @@ void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
                                 continue;
                             }
                             fc_catch_up(c, j, count, q, ie);
-                            long cc = face * cs[ax] + i1 * cs[t1]
-                                + i2 * cs[t2];
+                            long cc = a * m2 + b;
                             const double *p = fine + 2 * a * row + 2 * b;
 #define FC_DELTA(f) (sign * (fc_average(p + (f) * plane, row, m2 == 1) \
-                             - cf[f][cc]) / dx)
+                             - cf[(f) * cplane + cc]) / dx)
                             double rho_old = q[0][c];
                             double rho_new = rho_old
-                                + (has[0] && cf[0] ? FC_DELTA(0) : 0.0);
+                                + (has[0] ? FC_DELTA(0) : 0.0);
                             rho_new = nmax(rho_new, DENSITY_FLOOR);
                             q[0][c] = rho_new;
                             for (long f = 1; f < 5; f++)
-                                if (has[f] && cf[f])
+                                if (has[f])
                                     q[f][c] = (rho_old * q[f][c]
                                                + FC_DELTA(f)) / rho_new;
                             for (long f = 5; f < nf; f++)
-                                if (has[f] && cf[f])
+                                if (has[f])
                                     q[f][c] = nmax(q[f][c] + FC_DELTA(f),
                                                    0.0);
 #undef FC_DELTA
@@ -2295,8 +2313,32 @@ def _writable(arr):
     return np.ascontiguousarray(arr, dtype=float)
 
 
+def _window_table(windows, outs, shape, ng, nf):
+    """The face-window table of a ``hydro.step`` call as C-ready int64
+    rows, and its blocks, checked against the grid's interior."""
+    table = np.ascontiguousarray(
+        np.empty((0, 7)) if windows is None else windows, dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] != 7 or len(outs) != len(table):
+        raise ValueError("hydro.step: windows must be (n, 7) rows, one "
+                         "block each")
+    n = [d - 2 * ng for d in shape]
+    for row, out in zip(table.tolist(), outs):
+        ax, lo_face, hi_face, a0, a1, b0, b1 = row
+        n_t1, n_t2 = ((m for d, m in enumerate(n) if d != ax)
+                      if 0 <= ax < 3 else (0, 0))
+        if not (n_t1 and -1 <= min(lo_face, hi_face)
+                and max(lo_face, hi_face) <= n[ax]
+                and 0 <= a0 < a1 <= n_t1 and 0 <= b0 < b1 <= n_t2):
+            raise ValueError(f"hydro.step: window {row} outside the "
+                             "interior")
+        _in_place(out, (2, nf, a1 - a0, b1 - b0), np.float64,
+                  "hydro.step: a window block")
+    return table
+
+
 def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
-               scheme, riemann_solver, density_floor, energy_floor, eta, drag):
+               scheme, riemann_solver, density_floor, energy_floor, eta, drag,
+               windows=None, outs=()):
     if scheme not in SWEEP_SCHEMES:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in SWEEP_SOLVERS:
@@ -2317,18 +2359,14 @@ def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
         if accel.shape != (3, *shape):
             raise ValueError(f"hydro.step: accel shape {accel.shape} != "
                              f"{(3, *shape)}")
+    table = _window_table(windows, outs, shape, ng, len(arrays) - 1)
     native = [_writable(a) for a in arrays]
-    blocks = []
-    for k in range(3):
-        face_shape = [s - 2 * ng for s in shape]
-        face_shape[(permute + k) % 3] += 1
-        blocks.append(np.empty((len(native), *face_shape)))
     counts = np.empty(16, dtype=np.int64)
     # scratch is per call: the cffi call releases the GIL, so sibling
     # grids step concurrently under the thread exec backend
     work = np.empty((SWEEP_SLOTS, max(shape) * SWEEP_BLOCK))
-    cols = np.empty((2, SWEEP_BLOCK), dtype=np.int64)
-    # the pointer tables own nothing: ``native``/``blocks`` keep the
+    cols = np.empty((3, SWEEP_BLOCK), dtype=np.int64)
+    # the pointer tables own nothing: ``native``/``outs`` keep the
     # buffers alive for the duration of the call
     _lib.rk_step(
         len(native), ffi.new("double *[]", [_p(a) for a in native]),
@@ -2338,14 +2376,14 @@ def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
         float(density_floor), float(energy_floor), float(eta),
         ffi.NULL if drag is None else ffi.new("double[2]",
                                               [float(f) for f in drag]),
-        ffi.new("double *[]", [_p(b) for b in blocks]),
+        len(table), _pi(table), ffi.new("double *[]", [_p(b) for b in outs]),
         ffi.from_buffer("int64_t[]", counts), _p(work), SWEEP_BLOCK,
         ffi.from_buffer("int64_t[]", cols),
     )
     for out, dst in zip(native, arrays):
         if out is not dst:
             dst[...] = out
-    return blocks, tuple(counts.tolist())
+    return tuple(counts.tolist())
 
 
 def _in_place(arr, shape, dtype, what):
@@ -2581,12 +2619,19 @@ def gravity_accel(phi, dx, a):
     return out
 
 
-def flux_correct(fields, names, ng, dx, periodic, coarse, r, children):
+def _face_block(block, shape, what):
+    block = np.ascontiguousarray(block, dtype=float)
+    if block.shape != shape:
+        raise ValueError(f"flux.correct: {what} block shape {block.shape} "
+                         f"!= {shape}")
+    return block
+
+
+def flux_correct(fields, names, ng, dx, periodic, r, children):
     if int(r) != 2 or not children:
         # the C follows NumPy's summation order of a 2 x 2 face block only;
         # any other refinement factor runs the reference
-        return correct_numpy(fields, names, ng, dx, periodic, coarse, r,
-                             children)
+        return correct_numpy(fields, names, ng, dx, periodic, r, children)
     names, ng = tuple(names), int(ng)
     nf = len(names)
     if names[:len(_CONSERVED)] != _CONSERVED:
@@ -2598,47 +2643,33 @@ def flux_correct(fields, names, ng, dx, periodic, coarse, r, children):
     n = [s - 2 * ng for s in shape]
     if ng < 0 or min(n) < 1:
         raise ValueError("flux.correct: no interior cell")
-    # the C indexes raw memory: every face array, child footprint and fine
-    # block is checked against the parent's interior
-    faces = []
-    for ax, axis_name in enumerate(AXIS_NAMES):
-        per = coarse.get(axis_name) or {}
-        face_shape = tuple(m + (d == ax) for d, m in enumerate(n))
-        for name in names:
-            arr = per.get(name)
-            if arr is not None:
-                arr = np.ascontiguousarray(arr, dtype=float)
-                if arr.shape != face_shape:
-                    raise ValueError("flux.correct: face flux shape "
-                                     f"{arr.shape} != {face_shape}")
-            faces.append(arr)
-    corners, blocks = [], []
-    for lo, hi, child_blocks, _ in children:
+    # the C indexes raw memory: every child footprint and its fine and
+    # coarse planes are checked against the parent's interior
+    corners, fine, coarse = [], [], []
+    for lo, hi, child_fine, child_coarse, _ in children:
         box = [int(v) for v in (*lo, *hi)]
         if not all(0 <= box[d] < box[d + 3] <= n[d] for d in range(3)):
             raise ValueError("flux.correct: child region outside the parent")
         for ax in range(3):
-            t = [2 * (box[d + 3] - box[d]) for d in range(3) if d != ax]
-            block = np.ascontiguousarray(child_blocks[ax], dtype=float)
-            if block.shape != (2, nf, *t):
-                raise ValueError("flux.correct: fine block shape "
-                                 f"{block.shape} != {(2, nf, *t)}")
-            blocks.append(block)
+            t1, t2 = (box[d + 3] - box[d] for d in range(3) if d != ax)
+            fine.append(_face_block(child_fine[ax], (2, nf, 2 * t1, 2 * t2),
+                                    "fine"))
+            coarse.append(_face_block(child_coarse[ax], (2, nf, t1, t2),
+                                      "coarse"))
         corners += box
-    present = np.ascontiguousarray([c[3] for c in children], dtype=np.int8)
+    present = np.ascontiguousarray([c[4] for c in children], dtype=np.int8)
     if present.shape != (len(children), 3, nf):
         raise ValueError("flux.correct: presence mask shape differs")
     native = [_writable(a) for a in arrays]
-    # the pointer tables own nothing: native/faces/blocks keep the buffers
+    # the pointer tables own nothing: native/fine/coarse keep the buffers
     # alive for the duration of the call
     _lib.rk_flux_correct(
         nf, ffi.new("double *[]", [_p(a) for a in native[:-1]]),
         _p(native[-1]), *n, ng, float(dx),
         ffi.new("int[]", [bool(p) for p in periodic]),
-        ffi.new("const double *[]",
-                [ffi.NULL if a is None else _pc(a) for a in faces]),
         len(children), ffi.new("int64_t[]", corners),
-        ffi.new("const double *[]", [_pc(b) for b in blocks]),
+        ffi.new("const double *[]", [_pc(b) for b in fine]),
+        ffi.new("const double *[]", [_pc(b) for b in coarse]),
         ffi.from_buffer("int8_t[]", present),
         ffi.from_buffer("int32_t[]", np.zeros(native[0].size,
                                               dtype=np.int32)))

@@ -215,7 +215,8 @@ def warm() -> None:
 
     get("hydro.step")([np.ones((3, 3, 3)) for _ in range(6)], None, 1, 1.0,
                       0.1, 1.0, 0, False, 5.0 / 3.0, "ppm", "hllc", 1e-12,
-                      1e-30, 1e-3, None)
+                      1e-30, 1e-3, None, np.array([[0, 0, 1, 0, 1, 0, 1]]),
+                      [np.zeros((2, 5, 1, 1))])
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
     get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),
@@ -231,9 +232,10 @@ def warm() -> None:
     get("gravity.accel")(np.zeros((2, 2, 2)), 1.0, 1.0)
     names = ("density", "vx", "vy", "vz", "energy")
     fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}
-    blocks = [np.zeros((2, 5, 2, 2)) for _ in range(3)]
-    get("flux.correct")(fields, names, 1, 1.0, [False] * 3, {}, 2,
-                        [((0, 0, 0), (1, 1, 1), blocks,
+    fine = [np.zeros((2, 5, 2, 2)) for _ in range(3)]
+    coarse = [np.zeros((2, 5, 1, 1)) for _ in range(3)]
+    get("flux.correct")(fields, names, 1, 1.0, [False] * 3, 2,
+                        [((0, 0, 0), (1, 1, 1), fine, coarse,
                           np.zeros((3, 5), dtype=bool))])
     get("cic.deposit")(np.zeros((2, 2, 2)), np.full((1, 3), 0.5), np.ones(1),
                        1.0, 1.0, True)

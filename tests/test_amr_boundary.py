@@ -188,16 +188,21 @@ class TestFluxCorrection:
         set_boundary_values(h, 0)
         set_boundary_values(h, 1)
         solver = PPMSolver()
-        fluxes = solver.step(child.fields, child.dx, 1e-4)
+        fluxes = solver.step(child.fields, child.dx, 1e-4,
+                             windows=h.face_windows(1)[0])
         accumulate_boundary_fluxes(child, fluxes)
         acc = child.flux_accumulator
         # lo/hi planes of density, vx, vy, vz, energy; 'internal' is never
-        # corrected, so never accumulated
+        # corrected, so never stored
         assert acc.names == ("density", "vx", "vy", "vz", "energy")
         assert [b.shape for b in acc.blocks] == [(2, 5, 8, 8)] * 3
         assert acc.present.all()
-        np.testing.assert_array_equal(acc.blocks[0][0, 0],
-                                      fluxes.fluxes["x"]["density"][0])
+        for block, planes in zip(acc.blocks, fluxes.boundary, strict=True):
+            np.testing.assert_array_equal(block, planes)
+        # a step that stored no boundary planes cannot be accumulated
+        with pytest.raises(ValueError, match="no boundary planes"):
+            accumulate_boundary_fluxes(
+                child, solver.step(child.fields, child.dx, 1e-4))
 
     def test_correction_conserves_total_mass(self):
         """Parent + child evolved together: after correction + projection the
@@ -224,14 +229,16 @@ class TestFluxCorrection:
         m0 = composite_mass()
         dt = 2e-3
         root.save_old_state()
-        root.last_fluxes = solver.step(root.fields, root.dx, dt)
+        root.last_fluxes = solver.step(root.fields, root.dx, dt,
+                                       windows=h.face_windows(0)[0])
         from repro.precision.doubledouble import DoubleDouble
 
         root.time = DoubleDouble(dt)
         init_flux_accumulator(child)
         for sub in range(2):
             set_boundary_values(h, 1)
-            fl = solver.step(child.fields, child.dx, dt / 2)
+            fl = solver.step(child.fields, child.dx, dt / 2,
+                             windows=h.face_windows(1)[0])
             accumulate_boundary_fluxes(child, fl)
             child.time = DoubleDouble(child.time + dt / 2)
         correct_parent(root, [child])
@@ -262,13 +269,15 @@ class TestFluxCorrection:
 
         def parent_step(with_fluxes):
             root.save_old_state()
-            fluxes = solver.step(root.fields, root.dx, dt)
+            fluxes = solver.step(root.fields, root.dx, dt,
+                                 windows=h.face_windows(0)[0])
             root.last_fluxes = fluxes if with_fluxes else None
             root.time = DoubleDouble(root.time + dt)
             for _ in range(2):
                 set_boundary_values(h, 1)
                 accumulate_boundary_fluxes(
-                    child, solver.step(child.fields, child.dx, dt / 2))
+                    child, solver.step(child.fields, child.dx, dt / 2,
+                                       windows=h.face_windows(1)[0]))
                 child.time = DoubleDouble(child.time + dt / 2)
             correct_parent(root, [child])
             project_child_to_parent(child, root)

@@ -119,15 +119,52 @@ class TestGridGeometry:
 
 
 def _held_bytes(h):
-    """Bytes of every distinct array the hierarchy's grids hold."""
+    """Bytes of every distinct array the hierarchy's grids hold: fields,
+    old state, potential, flux accumulator and kept flux planes."""
     held = {}
     for g in h.all_grids():
+        arrays = [g.phi]
         for fs in (g.fields, g.old_fields):
             if fs is not None:
-                held.update((id(a), a.nbytes) for _, a in fs.array_items())
-        if g.phi is not None:
-            held[id(g.phi)] = g.phi.nbytes
+                arrays += [a for _, a in fs.array_items()]
+        if g.flux_accumulator is not None:
+            arrays += g.flux_accumulator.blocks
+        if g.last_fluxes is not None:
+            arrays += g.last_fluxes.planes()
+        held.update((id(a), a.nbytes) for a in arrays if a is not None)
     return sum(held.values())
+
+
+def test_total_memory_bytes_counts_flux_storage():
+    """Between a parent's step and its flux correction the parent keeps
+    the planes at its child's faces and the child its accumulator; both
+    count, and correct_parent drops the parent's planes."""
+    from repro.amr.flux_correction import (
+        accumulate_boundary_fluxes,
+        correct_parent,
+    )
+    from repro.hydro import PPMSolver
+
+    h = Hierarchy(n_root=8)
+    child = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
+    h.add_grid(child, h.root)
+    solver = PPMSolver()
+    h.root.last_fluxes = solver.step(h.root.fields, h.root.dx, 1e-3,
+                                     windows=h.face_windows(0)[0])
+    accumulate_boundary_fluxes(child, solver.step(
+        child.fields, child.dx, 1e-3, windows=h.face_windows(1)[0]))
+    planes = sum(p.nbytes for p in h.root.last_fluxes.planes())
+    blocks = sum(b.nbytes for b in child.flux_accumulator.blocks)
+    # three (2, 5, 4, 4) planes of the root, three (2, 5, 8, 8) sums
+    assert (planes, blocks) == (3 * 2 * 5 * 16 * 8, 3 * 2 * 5 * 64 * 8)
+    assert h.total_memory_bytes() == _held_bytes(h)
+    fields_only = h.total_memory_bytes() - planes - blocks
+    assert fields_only == sum(
+        a.nbytes for g in h.all_grids()
+        for a in [g.phi, *(arr for _, arr in g.fields.array_items())])
+    correct_parent(h.root, [child])
+    assert h.root.last_fluxes is None
+    assert h.total_memory_bytes() == fields_only + blocks
 
 
 def test_total_memory_bytes_after_a_step():

@@ -197,19 +197,20 @@ class TestHydroLadder:
         full-update half steps — which two plain half steps are not."""
         from repro.hydro.ppm import PPMSolver
 
-        g = build_sim().hierarchy.root
+        h = build_sim().hierarchy
+        g, windows = h.root, h.face_windows(0)[0]
         g.save_old_state()
         solver = PPMSolver()
         accel = 0.1 * np.random.default_rng(2).standard_normal(
             (3, *g.fields.shape))
         dt, a, adot, permute = 0.02, 1.1, 0.3, 1
         got = DefenseLadder()._attempt_retry_half_dt(g, solver, dt, a, adot,
-                                                      accel, permute)
+                                                      accel, permute, windows)
 
         def two_halves(full):
             fields = g.old_fields.deep_copy()
             halves = [solver.step(fields, g.dx, 0.5 * dt, a, adot, accel,
-                                  permute, full_update=full)
+                                  permute, full_update=full, windows=windows)
                       for _ in range(2)]
             return fields, halves
 
@@ -217,11 +218,11 @@ class TestHydroLadder:
         for name, arr in ref.array_items():
             np.testing.assert_array_equal(g.fields[name][g.interior],
                                           arr[g.interior], err_msg=name)
-        for axis, per in got.fluxes.items():
-            for name, arr in per.items():
-                np.testing.assert_array_equal(
-                    arr, halves[0].fluxes[axis][name]
-                    + halves[1].fluxes[axis][name])
+        # the root's planes at its children's faces, summed plane by plane
+        assert got.coarse and list(got.coarse) == windows.children
+        for arr, first, second in zip(got.planes(), halves[0].planes(),
+                                      halves[1].planes(), strict=True):
+            np.testing.assert_array_equal(arr, first + second)
         plain, _ = two_halves(False)
         assert not np.array_equal(plain["density"][g.interior],
                                   ref["density"][g.interior])

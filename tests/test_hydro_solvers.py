@@ -268,17 +268,28 @@ class TestDualEnergy:
 
 
 class TestStepFluxes:
+    @staticmethod
+    def _boundary_windows(n):
+        """The face windows of a childless level-1 grid of n^3 cells: its
+        six boundary planes."""
+        from repro.amr import Grid
+        from repro.amr.flux_correction import FaceWindows
+
+        return FaceWindows(Grid(1, (0, 0, 0), (n, n, n), n_root=n))
+
     def test_flux_shapes(self):
         n = 8
         shape = (n + 2 * NG,) * 3
         f = make_fields(shape, density=1.0, internal_energy=1.0)
         fill_ghosts_periodic(f, NG)
-        out = PPMSolver().step(f, 1.0 / n, 1e-3)
-        assert set(out.fluxes.keys()) == {"x", "y", "z"}
-        fx = out.fluxes["x"]["density"]
-        assert fx.shape == (n + 1, n, n)
-        fy = out.fluxes["y"]["density"]
-        assert fy.shape == (n, n + 1, n)
+        out = PPMSolver().step(f, 1.0 / n, 1e-3,
+                               windows=self._boundary_windows(n))
+        # lo/hi planes of density, vx, vy, vz, energy per axis, no child
+        assert [b.shape for b in out.boundary] == [(2, 5, n, n)] * 3
+        assert out.coarse == {}
+        # without windows a step stores nothing
+        bare = PPMSolver().step(f, 1.0 / n, 1e-3)
+        assert bare.boundary is None and bare.planes() == []
 
     def test_flux_consistent_with_update(self):
         """Mass change of the interior must equal the net boundary flux."""
@@ -293,13 +304,9 @@ class TestStepFluxes:
         sl = (slice(NG, -NG),) * 3
         m0 = f["density"][sl].sum()
         dx = 1.0 / n
-        out = PPMSolver().step(f, dx, 1e-3)
+        out = PPMSolver().step(f, dx, 1e-3, windows=self._boundary_windows(n))
         m1 = f["density"][sl].sum()
         net = 0.0
-        for axis_name in ("x", "y", "z"):
-            flx = out.fluxes[axis_name]["density"]
-            axis = "xyz".index(axis_name)
-            first = np.take(flx, 0, axis=axis)
-            last = np.take(flx, -1, axis=axis)
-            net += (first.sum() - last.sum()) / dx
+        for planes in out.boundary:
+            net += (planes[0, 0].sum() - planes[1, 0].sum()) / dx
         assert abs((m1 - m0) - net) < 1e-12 * max(abs(m0), 1.0)

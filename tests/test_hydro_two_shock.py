@@ -78,10 +78,12 @@ class TestTwoShock:
         from repro import kernels
 
         fields = [np.ones((3, 3, 3)) for _ in range(6)]
-        blocks, _ = kernels.get("hydro.step")(
+        window = np.full((2, 5, 1, 1), np.nan)
+        counts = kernels.get("hydro.step")(
             fields, None, 1, 1.0, 0.1, 1.0, 0, False, GAMMA, "ppm",
-            "two_shock", 1e-12, 1e-30, 1e-3, None)
-        assert [b.shape[0] for b in blocks] == [6, 6, 6]
+            "two_shock", 1e-12, 1e-30, 1e-3, None,
+            np.array([[0, 0, 1, 0, 1, 0, 1]]), [window])
+        assert len(counts) == 16 and np.isfinite(window).all()
         with pytest.raises(ValueError, match="unknown riemann solver"):
             kernels.get("hydro.step")(
                 fields, None, 1, 1.0, 0.1, 1.0, 0, False, GAMMA, "ppm",

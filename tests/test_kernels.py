@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro import constants as const
-from repro.amr.flux_correction import block_average, correct_numpy
+from repro.amr.flux_correction import block_average, correct_numpy, face_cell
 from repro.amr.gravity import accel_numpy
 from repro.amr.interpolation import (
     fill_level_numpy,
@@ -66,6 +66,7 @@ from repro.hydro.ppm import (
     PPMSolver,
     pencil_boxes,
     step_numpy as hydro_step_numpy,
+    store_windows,
 )
 from repro.hydro.state import sync_internal_from_total
 from repro.hydro.riemann import (
@@ -333,10 +334,12 @@ def _sweep_faces(fn, left, right, solver):
         e_int = p / ((GAMMA - 1.0) * rho)
         for arr, q in zip(arrays, (rho, u, v, w, e_int, e_int)):
             arr[cell, 1:-1, 1] = q
+    window = np.zeros((2, 5, n, 1))
     with np.errstate(all="ignore"):
-        blocks, _ = fn(arrays, None, 1, 1.0, 1.0, 1.0, 0, False, GAMMA,
-                       "flat", solver, 1e-300, 1e-300, 1e-3, None)
-    return tuple(blocks[0][:5, 0, :, 0])
+        fn(arrays, None, 1, 1.0, 1.0, 1.0, 0, False, GAMMA, "flat", solver,
+           1e-300, 1e-300, 1e-3, None, np.array([[0, 0, -1, 0, n, 0, 1]]),
+           [window])
+    return tuple(window[0, :, :, 0])
 
 
 @pytest.mark.parametrize("tier", COMPILED)
@@ -699,6 +702,31 @@ def _fill_level_case(seed=0, frac=0.37):
                                           starts, ends, ids))
     return (targets, parents, sources, shell_table(starts, ends, ng),
             copies, 2, [True, True, True, False])
+
+
+@pytest.mark.parametrize("tier", ["numpy"] + COMPILED)
+@pytest.mark.xfail(strict=True, reason="known bug: the positivity rescale "
+                   "scales the slopes by q / reach, which drives the extreme "
+                   "child to q - q (0, or a few ulps of q below it); ROADMAP "
+                   "item 1")
+def test_prolongation_keeps_positive_children_positive(tier):
+    """A sign-definite field prolonged from parent cells that are all > 0
+    must give children > 0, on every tier (``prolong_slopes`` and the C
+    ``prolong_field``).  Random high-contrast parents (log-uniform over
+    16 decades) break it: the rescaled extreme child is ``q - q * (reach
+    / reach)``, which rounds to 0 or just below."""
+    fn = _tier_impls(tier)["fill.level"]
+    bad = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        coarse = [10.0 ** rng.uniform(-8.0, 8.0, (12, 12, 12))]
+        fine = [np.full((20, 20, 20), -7.0)]
+        # the children of parent cells 1 .. 10: both slope neighbours of
+        # every sampled parent cell lie inside the parent array
+        _one_target(fn, coarse, None, 1.0, [True], (0, 0, 0), 2, fine,
+                    (2, 2, 2), [((2, 2, 2), (22, 22, 22))])
+        bad.append(int(np.count_nonzero(fine[0] <= 0.0)))
+    assert bad == [0] * 4, bad
 
 
 @pytest.mark.parametrize("tier", COMPILED)
@@ -1266,13 +1294,38 @@ def _accel(shape, seed=5):
     return 0.3 * np.random.default_rng(seed).standard_normal((3, *shape))
 
 
+def _every_face(shape, ng, nf):
+    """A face-window table with one row per interior face of every axis
+    (side 0 only), and its zeroed blocks."""
+    n = [s - 2 * ng for s in shape]
+    rows = []
+    for ax in range(3):
+        n_t1, n_t2 = (m for d, m in enumerate(n) if d != ax)
+        rows += [(ax, f, -1, 0, n_t1, 0, n_t2) for f in range(n[ax] + 1)]
+    return (np.array(rows, dtype=np.int64),
+            [np.zeros((2, nf, r[4], r[6])) for r in rows])
+
+
 def _step(fn, arrays, ng, scheme="ppm+flatten", solver="hllc", permute=0,
-          accel=None, drag=None, full_update=False):
+          accel=None, drag=None, full_update=False, wrap=None):
     """``(blocks, counts)`` of one ``hydro.step`` of implementation ``fn``
-    on ``arrays`` (updated in place)."""
+    on ``arrays`` (updated in place), given a window at every interior
+    face (:func:`_every_face`, each block passed through ``wrap``):
+    ``blocks[ax]`` is the ``(nf, *faces)`` array those windows gathered
+    for axis ``ax``, face dimension along ``ax``, rows in
+    ``WINDOW_FIELDS`` + advected order.  Side 1 of every window must stay
+    zero."""
+    table, outs = _every_face(arrays[0].shape, ng, len(arrays) - 1)
+    if wrap is not None:
+        outs = [wrap(out) for out in outs]
     with np.errstate(all="ignore"):
-        return fn(arrays, accel, ng, *STEP_ARGS, permute, full_update, GAMMA,
-                  scheme, solver, *SWEEP_FLOORS, STEP_ETA, drag)
+        counts = fn(arrays, accel, ng, *STEP_ARGS, permute, full_update,
+                    GAMMA, scheme, solver, *SWEEP_FLOORS, STEP_ETA, drag,
+                    table, outs)
+    assert not any(out[1].any() for out in outs)
+    blocks = [np.stack([out[0] for row, out in zip(table, outs)
+                        if row[0] == ax], axis=1 + ax) for ax in range(3)]
+    return blocks, counts
 
 
 def _step_both(fn, arrays, ng, scheme, solver, **options):
@@ -1293,7 +1346,7 @@ def _assert_steps_equal(ref, got):
     for a, b in zip(got_fields, ref_fields):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(got_blocks, ref_blocks):
-        assert a.shape == b.shape and a.shape[0] == len(ref_fields)
+        assert a.shape == b.shape and a.shape[0] == len(ref_fields) - 1
         np.testing.assert_array_equal(a, b)
 
 
@@ -1392,18 +1445,43 @@ class TestSweepParity:
                                                                   64]
 
     def test_flux_layout(self, tier):
-        """One block per sweep, in sweep order: a row per field, the face
-        dimension along the sweep axis, interior extents transversally."""
+        """A window block holds its lo face on side 0 and its hi face on
+        side 1 (none for -1), rows in ``WINDOW_FIELDS`` + advected order,
+        its transverse box of the face plane, transverse axes ascending:
+        the slices of the every-face windows, on every Strang
+        permutation.  No window: no flux stored, the same fields."""
         fn = _tier_impls(tier)["hydro.step"]
+        table = np.array([(0, 0, 4, 0, 5, 0, 6), (1, 2, -1, 1, 3, 2, 5),
+                          (2, -1, 6, 3, 4, 0, 5), (0, 4, 1, 2, 5, 5, 6),
+                          (2, 0, 6, 0, 4, 0, 5)], dtype=np.int64)
         for permute in range(3):
             arrays = _sweep_arrays((8, 9, 10), 2, "smooth")
-            blocks, counts = _step(fn, arrays, 2, permute=permute)
-            assert len(blocks) == 3
-            assert len(counts) == 3 * len(FLOOR_COUNTS) + 1
-            for k, block in enumerate(blocks):
-                want = [4, 5, 6]
-                want[(permute + k) % 3] += 1
-                assert block.shape == (8, *want)
+            whole = [a.copy() for a in arrays]
+            bare = [a.copy() for a in arrays]
+            blocks, counts = _step(fn, whole, 2, permute=permute)
+            assert [b.shape for b in blocks] == [(7, 5, 5, 6), (7, 4, 6, 6),
+                                                 (7, 4, 5, 7)]
+            outs = [np.full((2, 7, r[4] - r[3], r[6] - r[5]), -1.0)
+                    for r in table]
+            with np.errstate(all="ignore"):
+                got = fn(arrays, None, 2, *STEP_ARGS, permute, False, GAMMA,
+                         "ppm+flatten", "hllc", *SWEEP_FLOORS, STEP_ETA,
+                         None, table, outs)
+                assert fn(bare, None, 2, *STEP_ARGS, permute, False, GAMMA,
+                          "ppm+flatten", "hllc", *SWEEP_FLOORS, STEP_ETA,
+                          None) == got == counts
+            for a, b, c in zip(arrays, whole, bare):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+            for (ax, *faces, a0, a1, b0, b1), out in zip(table.tolist(),
+                                                         outs):
+                for side, face in enumerate(faces):
+                    if face < 0:
+                        assert (out[side] == -1.0).all()
+                        continue
+                    plane = np.take(blocks[ax], face, axis=1 + ax)
+                    np.testing.assert_array_equal(out[side],
+                                                  plane[:, a0:a1, b0:b1])
 
     def test_non_contiguous_fields_are_written_back(self, tier):
         fn = _tier_impls(tier)["hydro.step"]
@@ -1434,6 +1512,28 @@ class TestSweepParity:
         fn = _tier_impls(tier)["hydro.step"]
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
         before = [a.copy() for a in arrays]
+        # windows outside the 2 x 4 x 4 interior, or blocks of another
+        # shape or layout
+        for row, block in [((0, 3, -1, 0, 4, 0, 4), (2, 5, 4, 4)),
+                           ((1, 0, -2, 0, 2, 0, 4), (2, 5, 2, 4)),
+                           ((2, 0, 4, 0, 2, 1, 5), (2, 5, 2, 4)),
+                           ((2, 0, 4, 1, 1, 0, 4), (2, 5, 0, 4)),
+                           ((3, 0, 1, 0, 4, 0, 4), (2, 5, 4, 4)),
+                           ((0, 0, 2, 0, 4, 0, 4), (2, 6, 4, 4))]:
+            with pytest.raises(ValueError, match="hydro.step: "):
+                fn(arrays, None, 2, *STEP_ARGS, 0, False, GAMMA, "ppm",
+                   "hllc", *SWEEP_FLOORS, STEP_ETA, None,
+                   np.array([row]), [np.zeros(block)])
+        for bad in (np.zeros((2, 5, 4, 4), dtype=np.float32),
+                    np.zeros((2, 5, 4, 8))[..., ::2]):
+            with pytest.raises(ValueError, match="window block"):
+                fn(arrays, None, 2, *STEP_ARGS, 0, False, GAMMA, "ppm",
+                   "hllc", *SWEEP_FLOORS, STEP_ETA, None,
+                   np.array([(0, 0, 2, 0, 4, 0, 4)]), [bad])
+        with pytest.raises(ValueError, match="one block each"):
+            fn(arrays, None, 2, *STEP_ARGS, 0, False, GAMMA, "ppm", "hllc",
+               *SWEEP_FLOORS, STEP_ETA, None,
+               np.array([(0, 0, 2, 0, 4, 0, 4)]), [])
         with pytest.raises(ValueError, match="no interior cell"):
             _step(fn, arrays, 3)                      # n = 2 ng along x
         with pytest.raises(ValueError, match="shapes differ"):
@@ -1488,15 +1588,34 @@ def _cold_hypersonic(shape, rng):
     return vel, internal, ke + internal * rng.uniform(0.5, 1.5, shape)
 
 
+def _coarse_planes(coarse, lo, hi, periodic):
+    """The parent's planes at one child's faces, as its hydro step stores
+    them: the windows ``face_cell`` picks, gathered from the parent's
+    whole face arrays ``coarse`` (axis name -> {field: array})."""
+    planes = []
+    for ax, axis_name in enumerate(AXIS_NAMES):
+        t1, t2 = (d for d in range(3) if d != ax)
+        faces = [face_cell(lo, hi, ax, side, FC_INTERIOR[ax], periodic)
+                 for side in (0, 1)]
+        row = (ax, *(-1 if f is None else f[1] for f in faces),
+               lo[t1], hi[t1], lo[t2], hi[t2])
+        out = np.zeros((2, len(FC_NAMES), hi[t1] - lo[t1], hi[t2] - lo[t2]))
+        store_windows(ax, [coarse[axis_name][name] for name in FC_NAMES],
+                      np.array([row]), [out])
+        planes.append(out)
+    return planes
+
+
 def _flux_problem(kind, seed=0):
-    """``(fields, coarse, periodic, children)`` of one parent.
+    """``(fields, periodic, children)`` of one parent, ``children`` the
+    ``flux.correct`` rows ``(lo, hi, fine, coarse, present)``.
 
     ``kind`` is ``random``; ``cold`` (hypersonic cells needing several
     syncs); ``nonfinite`` (NaN, +-inf and -0.0 in the fine and coarse
-    fluxes, a NaN parent cell, parent momenta of +-0.0); ``missing`` (a field or a whole axis
-    absent from the parent's fluxes, a field a child never accumulated, a
-    child with nothing accumulated); ``periodic`` (a periodic root, faces
-    wrapping across the box edge)."""
+    fluxes, a NaN parent cell, parent momenta of +-0.0); ``missing`` (a
+    field on one axis and a whole axis of every child, a field a child
+    never accumulated, a child with nothing accumulated); ``periodic`` (a
+    periodic root, faces wrapping across the box edge)."""
     rng = np.random.default_rng(seed)
     shape = tuple(n + 2 * FC_NG for n in FC_INTERIOR)
     rho = rng.random(shape) + 0.5
@@ -1539,27 +1658,31 @@ def _flux_problem(kind, seed=0):
         fields["vx"][...] = 0.0
         fields["vx"][::2] = -0.0
         blocks[1][:, 6] = -0.0
-        coarse["x"]["density"][2, 2, 2] = np.nan
+        coarse["x"]["density"][1, 2, 2] = np.nan
         coarse["y"]["vx"][...] = -0.0
         coarse["z"]["HI"][2, 1, 1] = -np.inf
         fields["density"][FC_NG, FC_NG + 1, FC_NG + 1] = np.nan
         fields["HII"][...] = -0.0
     elif kind == "missing":
-        del coarse["y"]["energy"]
-        del coarse["z"]
+        for child in children:
+            child[3][1, FC_NAMES.index("energy")] = False
+            child[3][2] = False
         children[1][3][0, FC_NAMES.index("HII")] = False
         children[2][3][...] = False
-    return fields, coarse, [kind == "periodic"] * 3, children
+    periodic = kind == "periodic"
+    children = [(lo, hi, fine, _coarse_planes(coarse, lo, hi, periodic),
+                 present) for lo, hi, fine, present in children]
+    return fields, [periodic] * 3, children
 
 
 def _correct_both(fn, problem, r=2):
     """Run the reference and ``fn`` on copies; returns both field dicts."""
-    fields, coarse, periodic, children = problem
+    fields, periodic, children = problem
     out = []
     for impl in (correct_numpy, fn):
         copy = {k: v.copy() for k, v in fields.items()}
         with np.errstate(all="ignore"):
-            impl(copy, FC_NAMES, FC_NG, 0.125, periodic, coarse, r, children)
+            impl(copy, FC_NAMES, FC_NG, 0.125, periodic, r, children)
         out.append(copy)
     return out
 
@@ -1617,7 +1740,7 @@ class TestFluxCorrectParity:
             _assert_fields_equal(got, ref)
             # the correction did something the syncs alone would not
             synced = {k: v.copy() for k, v in problem[0].items()}
-            for _ in problem[3]:
+            for _ in problem[2]:
                 sync_internal_from_total(synced)
             assert not np.array_equal(ref["density"], synced["density"],
                                       equal_nan=True)
@@ -1635,46 +1758,50 @@ class TestFluxCorrectParity:
 
     def test_refinement_factor_four_runs_the_reference(self, tier):
         fn = _tier_impls(tier)["flux.correct"]
-        fields, coarse, periodic, children = _flux_problem("random")
+        fields, periodic, children = _flux_problem("random")
         nf = len(FC_NAMES)
         rng = np.random.default_rng(4)
         wide = []
-        for lo, hi, blocks, present in children:
+        for lo, hi, blocks, coarse, present in children:
             wide.append((lo, hi, [rng.standard_normal(
                 (2, nf, 2 * b.shape[2], 2 * b.shape[3])) for b in blocks],
-                present))
-        got, ref = _correct_both(fn, (fields, coarse, periodic, wide), r=4)
+                coarse, present))
+        got, ref = _correct_both(fn, (fields, periodic, wide), r=4)
         _assert_fields_equal(got, ref)
 
     def test_no_children_changes_nothing(self, tier):
         fn = _tier_impls(tier)["flux.correct"]
-        fields, coarse, periodic, _ = _flux_problem("random")
+        fields, periodic, _ = _flux_problem("random")
         got = {k: v.copy() for k, v in fields.items()}
-        fn(got, FC_NAMES, FC_NG, 0.125, periodic, coarse, 2, [])
+        fn(got, FC_NAMES, FC_NG, 0.125, periodic, 2, [])
         _assert_fields_equal(got, fields)
 
     def test_refuses_what_the_c_cannot_index(self, tier):
         fn = _tier_impls(tier)["flux.correct"]
-        fields, coarse, periodic, children = _flux_problem("random")
-        lo, hi, blocks, present = children[0]
+        fields, periodic, children = _flux_problem("random")
+        lo, hi, blocks, coarse, present = children[0]
         before = {k: v.copy() for k, v in fields.items()}
         bad_cases = [
-            dict(children=[(lo, np.array([9, 3, 4]), blocks, present)]),
-            dict(children=[(np.array([-1, 1, 1]), hi, blocks, present)]),
-            dict(children=[(lo, hi, [blocks[0][:, :, :-1]] + blocks[1:],
+            dict(children=[(lo, np.array([9, 3, 4]), blocks, coarse,
+                             present)]),
+            dict(children=[(np.array([-1, 1, 1]), hi, blocks, coarse,
                             present)]),
-            dict(children=[(lo, hi, blocks, present[:, :-1])]),
-            dict(coarse={"x": {"density": np.zeros((8, 6, 10))}}),
+            dict(children=[(lo, hi, [blocks[0][:, :, :-1]] + blocks[1:],
+                            coarse, present)]),
+            dict(children=[(lo, hi, blocks, coarse[:2] + [coarse[2][:, :-1]],
+                            present)]),
+            dict(children=[(lo, hi, blocks, [coarse[0][..., 1:]]
+                            + coarse[1:], present)]),
+            dict(children=[(lo, hi, blocks, coarse, present[:, :-1])]),
             dict(names=FC_NAMES[1:]),
             dict(fields={**fields, "vx": np.zeros((14, 12, 15))}),
         ]
         for bad in bad_cases:
-            args = dict(fields=fields, names=FC_NAMES, coarse=coarse,
-                        children=children)
+            args = dict(fields=fields, names=FC_NAMES, children=children)
             args.update(bad)
             with pytest.raises(ValueError, match="flux.correct"):
-                fn(args["fields"], args["names"], FC_NG, 0.125, periodic,
-                   args["coarse"], 2, args["children"])
+                fn(args["fields"], args["names"], FC_NG, 0.125, periodic, 2,
+                   args["children"])
         _assert_fields_equal(fields, before)
 
 
@@ -1824,9 +1951,18 @@ class TestNoOutOfBoundsWrites:
             ref_out = _step(hydro_step_numpy, ref, 3, scheme, solver, accel=accel,
                             **options)
             got, buffers = zip(*(_guarded(a) for a in [*arrays, accel]))
+            buffers = list(buffers)
             before = _guards(buffers)
+
+            def guard(out):
+                # the window blocks sit between guard bands too
+                view, buf = _guarded(out)
+                buffers.append(buf)
+                before.extend(_guards([buf]))
+                return view
+
             got_out = _step(fn, list(got[:-1]), 3, scheme, solver,
-                            accel=got[-1], **options)
+                            accel=got[-1], wrap=guard, **options)
             np.testing.assert_array_equal(_guards(buffers), before)
             _assert_steps_equal((ref, *ref_out), (got[:-1], *got_out))
 
@@ -1971,15 +2107,14 @@ class TestNoOutOfBoundsWrites:
 
     @pytest.mark.parametrize("kind", ["random", "periodic", "nonfinite"])
     def test_flux_correct(self, tier, kind):
-        """Parent fields, face fluxes and fine blocks alike: the wrapped
+        """Parent fields, coarse planes and fine blocks alike: the wrapped
         faces of the periodic case index the parent's first and last
-        planes."""
+        cell planes."""
         fn = _tier_impls(tier)["flux.correct"]
-        fields, coarse, periodic, children = _flux_problem(kind)
+        fields, periodic, children = _flux_problem(kind)
         ref = {k: v.copy() for k, v in fields.items()}
         with np.errstate(all="ignore"):
-            correct_numpy(ref, FC_NAMES, FC_NG, 0.125, periodic, coarse, 2,
-                          children)
+            correct_numpy(ref, FC_NAMES, FC_NG, 0.125, periodic, 2, children)
         buffers = []
 
         def guard(a):
@@ -1988,12 +2123,11 @@ class TestNoOutOfBoundsWrites:
             return view
 
         got = {k: guard(v) for k, v in fields.items()}
-        g_coarse = {axis: {k: guard(v) for k, v in per.items()}
-                    for axis, per in coarse.items()}
-        g_children = [(lo, hi, [guard(b) for b in blocks], present)
-                      for lo, hi, blocks, present in children]
+        g_children = [(lo, hi, [guard(b) for b in fine],
+                       [guard(b) for b in coarse], present)
+                      for lo, hi, fine, coarse, present in children]
         before = _guards(buffers)
-        fn(got, FC_NAMES, FC_NG, 0.125, periodic, g_coarse, 2, g_children)
+        fn(got, FC_NAMES, FC_NG, 0.125, periodic, 2, g_children)
         np.testing.assert_array_equal(_guards(buffers), before)
         _assert_fields_equal(got, ref)
 
@@ -2029,8 +2163,15 @@ class TestSolverStepAcrossTiers:
         {"reconstruction": "flat", "riemann_solver": "hll",
          "flattening": False}])
     def test_step_fluxes_identical(self, isolated, options, permute):
-        """Keys (in order), shapes, values, diagnostics and the advanced
-        fields of ``PPMSolver.step`` do not depend on the tier."""
+        """Planes (boundary and a child's), shapes, values, diagnostics and
+        the advanced fields of ``PPMSolver.step`` do not depend on the
+        tier."""
+        from repro.amr import Grid
+        from repro.amr.flux_correction import FaceWindows
+
+        grid = Grid(1, (0, 0, 0), (4, 5, 6), n_root=8)
+        child = Grid(2, (2, 2, 2), (4, 4, 6), n_root=8)
+        windows = FaceWindows(grid, [child])
         accel = 0.3 * np.random.default_rng(5).standard_normal((3, 10, 11,
                                                                 12))
         results = []
@@ -2040,23 +2181,67 @@ class TestSolverStepAcrossTiers:
             with np.errstate(all="ignore"):
                 out = PPMSolver(**options).step(fields, 0.1, 0.004, a=1.1,
                                                 adot=0.2, accel=accel,
-                                                permute=permute)
+                                                permute=permute,
+                                                windows=windows)
             results.append((fields, out))
         ref_fields, ref = results[0]
-        assert list(ref.fluxes) == [AXIS_NAMES[(permute + k) % 3]
-                                    for k in range(3)]
+        assert [b.shape for b in ref.boundary] == [(2, 7, 5, 6),
+                                                   (2, 7, 4, 6),
+                                                   (2, 7, 4, 5)]
+        assert list(ref.coarse) == [child.grid_id]
+        assert [b.shape for b in ref.coarse[child.grid_id]] == [
+            (2, 7, 2, 3), (2, 7, 2, 3), (2, 7, 2, 2)]
         assert ref.diagnostics and set(ref.diagnostics) <= set(FLOOR_COUNTS)
         for fields, out in results[1:]:
             assert out.diagnostics == ref.diagnostics
-            assert list(out.fluxes) == list(ref.fluxes)
-            for axis, per in ref.fluxes.items():
-                assert list(out.fluxes[axis]) == list(per)
-                for name, arr in per.items():
-                    assert out.fluxes[axis][name].shape == arr.shape
-                    np.testing.assert_array_equal(out.fluxes[axis][name],
-                                                  arr)
+            assert list(out.coarse) == list(ref.coarse)
+            for a, b in zip(out.planes(), ref.planes(), strict=True):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
             for name, arr in ref_fields.array_items():
                 np.testing.assert_array_equal(fields[name], arr)
+
+
+@pytest.mark.skipif(not COMPILED, reason="no compiled backend on host")
+class TestNoFullFaceBlocks:
+    """The compiled ``hydro.step`` stores fluxes only in the face windows:
+    one step of a 32^3 grid with three ghosts, childless or with
+    children, allocates less than one ``(nq, 33, 32, 32)`` face block —
+    the allocation every step made when it returned whole faces."""
+
+    @pytest.mark.parametrize("children", [0, 4])
+    def test_step_allocates_less_than_one_face_block(self, isolated,
+                                                     children):
+        import tracemalloc
+
+        from repro.amr import Grid
+        from repro.amr.flux_correction import FaceWindows
+        from repro.hydro.state import make_fields
+
+        dispatch.set_backend(COMPILED[0], env=False)
+        n, ng, advected = 32, 3, ["HI", "HII"]
+        grid = Grid(1, (0, 0, 0), (n, n, n), n_root=16, nghost=ng)
+        kids = [Grid(2, (16 * (k % 2) + 4, 16 * (k // 2) + 4, 8), (8, 8, 16),
+                     n_root=16, nghost=ng) for k in range(children)]
+        windows = FaceWindows(grid, kids)
+        assert len(windows.table) == 3 + 3 * children
+        rng = np.random.default_rng(3)
+        fields = make_fields((n + 2 * ng,) * 3, density=1.0,
+                             internal_energy=1.0, advected=advected)
+        fields["density"][:] = 1.0 + 0.2 * rng.random(fields.shape)
+        fields["vx"][:] = 0.1 * rng.standard_normal(fields.shape)
+        solver = PPMSolver()
+        block = (6 + len(advected)) * (n + 1) * n * n * 8
+        solver.step(fields, 1.0 / 32, 1e-3, windows=windows)   # warm
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = solver.step(fields, 1.0 / 32, 1e-3, windows=windows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(out.coarse) == children
+        assert peak < block, (peak, block)
 
 
 # ======================================================= Riemann edge states
