@@ -32,9 +32,6 @@ from repro.hydro.sources import apply_acceleration, apply_drag, expansion_factor
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, sync_internal_from_total
 from repro.hydro.tracing import trace_states_numpy
 
-AXIS_NAMES = ("x", "y", "z")
-
-
 #: the rows of a face window ahead of the advected fields: the conserved
 #: fields the coarse-fine flux correction corrects (the dual-energy
 #: 'internal' flux is never stored)

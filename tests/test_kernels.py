@@ -61,7 +61,6 @@ from repro.gravity.multigrid import (
 )
 from repro.hydro import ppm, reconstruction, riemann, tracing
 from repro.hydro.ppm import (
-    AXIS_NAMES,
     FLOOR_COUNTS,
     PPMSolver,
     pencil_boxes,
@@ -1591,16 +1590,16 @@ def _cold_hypersonic(shape, rng):
 def _coarse_planes(coarse, lo, hi, periodic):
     """The parent's planes at one child's faces, as its hydro step stores
     them: the windows ``face_cell`` picks, gathered from the parent's
-    whole face arrays ``coarse`` (axis name -> {field: array})."""
+    whole face arrays ``coarse`` (axis -> {field: array})."""
     planes = []
-    for ax, axis_name in enumerate(AXIS_NAMES):
+    for ax in range(3):
         t1, t2 = (d for d in range(3) if d != ax)
         faces = [face_cell(lo, hi, ax, side, FC_INTERIOR[ax], periodic)
                  for side in (0, 1)]
         row = (ax, *(-1 if f is None else f[1] for f in faces),
                lo[t1], hi[t1], lo[t2], hi[t2])
         out = np.zeros((2, len(FC_NAMES), hi[t1] - lo[t1], hi[t2] - lo[t2]))
-        store_windows(ax, [coarse[axis_name][name] for name in FC_NAMES],
+        store_windows(ax, [coarse[ax][name] for name in FC_NAMES],
                       np.array([row]), [out])
         planes.append(out)
     return planes
@@ -1631,12 +1630,12 @@ def _flux_problem(kind, seed=0):
         rho * rng.random(shape) for _ in FC_NAMES[5:])]))
     fields["internal"] = internal
     nf = len(FC_NAMES)
-    coarse = {}
-    for ax, axis_name in enumerate(AXIS_NAMES):
+    coarse = []
+    for ax in range(3):
         face = list(FC_INTERIOR)
         face[ax] += 1
-        coarse[axis_name] = {name: 0.05 * rng.standard_normal(face)
-                             for name in FC_NAMES + ("internal",)}
+        coarse.append({name: 0.05 * rng.standard_normal(face)
+                       for name in FC_NAMES + ("internal",)})
     children = []
     for lo, hi in FC_BOXES["periodic" if kind == "periodic" else "interior"]:
         blocks = []
@@ -1654,13 +1653,13 @@ def _flux_problem(kind, seed=0):
         # fine blocks of -0.0 average to +0.0: seen only where the coarse
         # flux is zero too and the parent momentum is -0.0
         blocks[0][:, 1] = -0.0
-        coarse["x"]["vx"][...] = 0.0
+        coarse[0]["vx"][...] = 0.0
         fields["vx"][...] = 0.0
         fields["vx"][::2] = -0.0
         blocks[1][:, 6] = -0.0
-        coarse["x"]["density"][1, 2, 2] = np.nan
-        coarse["y"]["vx"][...] = -0.0
-        coarse["z"]["HI"][2, 1, 1] = -np.inf
+        coarse[0]["density"][1, 2, 2] = np.nan
+        coarse[1]["vx"][...] = -0.0
+        coarse[2]["HI"][2, 1, 1] = -np.inf
         fields["density"][FC_NG, FC_NG + 1, FC_NG + 1] = np.nan
         fields["HII"][...] = -0.0
     elif kind == "missing":
