@@ -2004,24 +2004,19 @@ static void fc_catch_up(long c, int32_t target, int32_t *count, double **q,
     }
 }
 
-/* flux_correction.face_cell: the parent cell plane outside one face of a
-   child (0: the face is on the parent's own, non-periodic boundary) */
+/* flux_correction.face_cell's out_cell: the parent cell plane outside one
+   face of a child (0: the face is on the parent's own, non-periodic
+   boundary); the parent's flux through the face is the child's coarse
+   plane, so its index is not needed here */
 static int fc_face(const int64_t *reg, long ax, long side, long n_ax,
-    int periodic, long *out_cell, long *face_idx)
+    int periodic, long *out_cell)
 {
-    long face = side ? reg[3 + ax] : reg[ax];
-    long out = side ? face : face - 1;
-    if (out < 0) {
+    long out = side ? reg[3 + ax] : reg[ax] - 1;
+    if (out < 0 || out >= n_ax) {
         if (!periodic) return 0;
-        out = n_ax - 1;
-        face = n_ax;
-    } else if (out >= n_ax) {
-        if (!periodic) return 0;
-        out = 0;
-        face = 0;
+        out = out < 0 ? n_ax - 1 : 0;
     }
     *out_cell = out;
-    *face_idx = face;
     return 1;
 }
 
@@ -2063,9 +2058,8 @@ void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
                 if (!any) continue;    /* no deltas: the faces are left */
                 long row = 2 * m2, plane = 4 * m1 * m2, cplane = m1 * m2;
                 for (long side = 0; side < 2; side++) {
-                    long out, face;
-                    if (!fc_face(reg, ax, side, n[ax], periodic[ax], &out,
-                                 &face))
+                    long out;
+                    if (!fc_face(reg, ax, side, n[ax], periodic[ax], &out))
                         continue;
                     double sign = side ? 1.0 : -1.0;
                     const double *fine = blocks[3 * j + ax]
