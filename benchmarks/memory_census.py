@@ -9,8 +9,9 @@ table's row:
 
 * ``fields``: every grid's fields, old-state snapshot and potential
   (``Grid.memory_bytes`` without the flux storage);
-* ``flux``: the flux arrays grids keep between steps (``last_fluxes``)
-  and the subgrids' boundary-flux accumulators;
+* ``flux``: the flux storage grids keep between steps
+  (``Grid.flux_bytes``: a parent's kept planes and the subgrids'
+  boundary-flux accumulators);
 * ``pool``: the rebuild pool's free lists;
 * ``rest``: everything else tracemalloc sees (solver and fill scratch,
   particles, retiring grids mid-rebuild, imports after start-up).
@@ -35,32 +36,9 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).parent / "e2e"))
 
 MIB = 2.0 ** 20
-
-
-def _array_bytes(obj, seen) -> int:
-    """Bytes of the distinct arrays reachable from ``obj`` through
-    containers and plain objects."""
-    if obj is None or id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, dict):
-        items = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        items = obj
-    elif hasattr(obj, "__dict__") or hasattr(obj, "__slots__"):
-        names = list(getattr(obj, "__dict__", ()))
-        names += list(getattr(type(obj), "__slots__", ()))
-        items = [getattr(obj, n, None) for n in names]
-    else:
-        return 0
-    return sum(_array_bytes(item, seen) for item in items)
 
 
 class Census:
@@ -74,13 +52,10 @@ class Census:
         current = tracemalloc.get_traced_memory()[0]
         if current <= self.best["traced"]:
             return
-        h, seen = self.hierarchy, set()
-        fields = flux = 0
-        for g in h.all_grids():
-            for part in (g.fields, g.old_fields, g.phi):
-                fields += _array_bytes(part, seen)
-            for part in (g.last_fluxes, g.flux_accumulator):
-                flux += _array_bytes(part, seen)
+        h = self.hierarchy
+        grids = list(h.all_grids())
+        flux = sum(g.flux_bytes() for g in grids)
+        fields = sum(g.memory_bytes() for g in grids) - flux
         pool = h.pool.free_bytes()
         self.best = {"traced": current, "where": where, "fields": fields,
                      "flux": flux, "pool": pool,

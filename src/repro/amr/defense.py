@@ -176,8 +176,7 @@ class DefenseLadder:
 
     # -------------------------------------------------------------- hydro
     def rescue_hydro(self, grid, solver, dt: float, a: float, adot: float,
-                     accel, permute: int, problems, faults=None,
-                     windows=None):
+                     accel, permute: int, windows, problems, faults=None):
         """Climb the ladder until the grid validates; returns the fluxes.
 
         ``problems`` is what the initial validation (or the task error)
@@ -258,7 +257,7 @@ class DefenseLadder:
         apply_nan_cell(grid.fields, plan)
 
     def _attempt_retry_half_dt(self, grid, solver, dt, a, adot, accel,
-                               permute, windows=None):
+                               permute, windows):
         self._restore(grid)
         half = 0.5 * dt
         # no boundary fill between the halves: the second reads the ghost
@@ -270,7 +269,7 @@ class DefenseLadder:
         return _sum_fluxes(f1, f2)
 
     def _attempt_first_order(self, grid, solver, dt, a, adot, accel,
-                             permute, windows=None):
+                             permute, windows):
         if getattr(solver, "reconstruction", None) is None:
             return None  # finite-difference solvers have no reconstruction
         try:
@@ -292,7 +291,7 @@ class DefenseLadder:
                          windows=windows)
 
     def _attempt_zeus_fallback(self, grid, solver, dt, a, adot, accel,
-                               permute, windows=None):
+                               permute, windows):
         from repro import constants as const
 
         fallback = ZeusSolver(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -294,7 +295,9 @@ class HierarchyEvolver:
         a = self.clock.a_of(time_now)
         adot = self.clock.adot_of(time_now)
         remaining = float(parent_time - time_now)
-        dt = self.compute_timestep(level, a, adot, remaining)
+        # the timestep's cost is the CFL scan of every grid: hydro's
+        dt = self._timed("hydro", self.compute_timestep, level, a, adot,
+                         remaining)
 
         # gravity first: gas and particles feel the same potential, and
         # the acceleration constrains the timestep (free-fall through a
@@ -329,30 +332,29 @@ class HierarchyEvolver:
         # all cross-grid effects (flux accumulation, clock updates) are
         # applied below in deterministic grid order
         permute = self.step_counter[level] % 3
-        for g in grids:
-            g.save_old_state()
+        with self._section("hydro"):
+            # the pre-step snapshot the step overwrites
+            for g in grids:
+                g.save_old_state()
         hydro_tasks = [
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
                       accel.get(g.grid_id), permute, self.faults, windows)
             for g, windows in zip(grids, h.face_windows(level))
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
-        for g, task in zip(grids, hydro_tasks):
-            result = task.result
-            if self.defense is not None:
-                result = self._defend_hydro(g, task, dt, a_mid, adot_mid,
-                                            accel.get(g.grid_id), permute)
-            elif task.error is not None:
-                raise task.error
-            g.last_fluxes = None
-            if result is not None:
-                if level > 0:
-                    accumulate_boundary_fluxes(g, result)
-                    result.boundary = None  # the accumulator holds them now
-                # a parent keeps the planes at its children's faces until
-                # correct_parent reads them; a childless grid keeps nothing
-                if result.coarse:
-                    g.last_fluxes = result
+        results = self._validated(hydro_tasks, self._defend_hydro)
+        if level > 0:
+            with self._section("flux_correction"):
+                for g, result in zip(grids, results):
+                    if result is not None:
+                        accumulate_boundary_fluxes(g, result)
+                        # the accumulator holds them now
+                        result.boundary = None
+        for g, result in zip(grids, results):
+            # a parent keeps the planes at its children's faces until
+            # correct_parent reads them; a childless grid keeps nothing
+            keep = result is not None and bool(result.coarse)
+            g.last_fluxes = result if keep else None
             g.time = DoubleDouble(g.time + dt)
 
         self._timed("nbody", self._advance_particles, level, dt, a_mid,
@@ -367,13 +369,10 @@ class HierarchyEvolver:
             self.engine.run(chemistry_tasks, level=level, timers=self.timers)
             # aggregate integrator diagnostics serially after the engine
             # joins — identical result on every backend / worker count
+            results = self._validated(chemistry_tasks,
+                                      self._defend_chemistry)
             chem = self.chem_stats
-            for g, task in zip(grids, chemistry_tasks):
-                stats = task.result
-                if self.defense is not None:
-                    stats = self._defend_chemistry(g, task, dt, a_mid)
-                elif task.error is not None:
-                    raise task.error
+            for stats in results:
                 if stats is None:  # the defense ladder skipped this grid
                     continue
                 chem.add("tasks")
@@ -390,8 +389,9 @@ class HierarchyEvolver:
             and max_level is not None
             and level >= max_level
         ):
-            for g in grids:
-                self._apply_jeans_floor(g, a_mid)
+            with self._section("hydro"):  # hydro's pressure floor
+                for g in grids:
+                    self._apply_jeans_floor(g, a_mid)
 
         self._timed("boundary", set_boundary_values, h, level)
         self.evolve_level(level + 1, grids[0].time)
@@ -418,7 +418,7 @@ class HierarchyEvolver:
             return
         h = self.hierarchy
         self.criteria.a = self.clock.a_of(h.root.time)
-        self._rebuild(max(1, len(h.levels)))
+        self._timed("rebuild", self._rebuild, max(1, len(h.levels)))
 
     def _rebuild(self, level: int) -> None:
         """RebuildHierarchy(level): the one place a rebuild is made."""
@@ -439,14 +439,26 @@ class HierarchyEvolver:
             stats.add(f"flags.{criterion}", count)
 
     # -------------------------------------------------------------- defense
-    def _defend_hydro(self, g, task, dt, a, adot, accel, permute):
+    def _validated(self, tasks, defend) -> list:
+        """The tasks' results in grid order.  With a defense ladder every
+        grid is validated and, if need be, rescued by ``defend(task)``;
+        without one the first task error is raised."""
+        if self.defense is None:
+            for task in tasks:
+                if task.error is not None:
+                    raise task.error
+            return [task.result for task in tasks]
+        with self._section("defense"):
+            return [defend(task) for task in tasks]
+
+    def _defend_hydro(self, task):
         """Validate one grid's hydro result; rescue through the ladder.
 
         The no-fault fast path is read-only (interior isfinite/positivity
         checks plus floor-counter bookkeeping), which is what keeps
         defended runs bitwise identical to undefended ones.
         """
-        d = self.defense
+        d, g = self.defense, task.grid
         if task.error is None:
             d.note_floors(task.result.diagnostics)
             problems = d.validate_grid(g)
@@ -454,23 +466,21 @@ class HierarchyEvolver:
                 return task.result
         else:
             problems = [f"task_error:{type(task.error).__name__}"]
-        return self._timed(
-            "defense", d.rescue_hydro, g, self.solver, dt, a, adot,
-            accel, permute, problems, self.faults, task.windows,
-        )
+        return d.rescue_hydro(g, self.solver, task.dt, task.a, task.adot,
+                              task.accel, task.permute, task.windows,
+                              problems, self.faults)
 
-    def _defend_chemistry(self, g, task, dt, a):
-        d = self.defense
+    def _defend_chemistry(self, task):
+        d, g = self.defense, task.grid
         if task.error is None:
             problems = d.validate_grid(g)
             if not problems:
                 return task.result
         else:
             problems = [f"task_error:{type(task.error).__name__}"]
-        return self._timed(
-            "defense", d.rescue_chemistry, g, self.chemistry, dt,
-            self.units, a, task.error, problems, self.faults,
-        )
+        return d.rescue_chemistry(g, self.chemistry, task.dt_code,
+                                  self.units, task.a, task.error, problems,
+                                  self.faults)
 
     # ------------------------------------------------------------- particles
     def _advance_particles(self, level: int, dt: float, a: float, adot: float,
@@ -566,8 +576,13 @@ class HierarchyEvolver:
         return cic_deposit(offsets, sel.masses, shape, grid.dx, periodic=False)
 
     # ---------------------------------------------------------------- timers
-    def _timed(self, section: str, fn, *args):
+    @contextmanager
+    def _section(self, section: str):
         if self.phase_hook is not None:
             self.phase_hook(section)
         with self.timers.section(section):
+            yield
+
+    def _timed(self, section: str, fn, *args):
+        with self._section(section):
             return fn(*args)

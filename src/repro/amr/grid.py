@@ -189,6 +189,12 @@ class Grid:
             total += sum(arr.nbytes for k, arr in self.old_fields.array_items())
         if self.phi is not None:
             total += self.phi.nbytes
+        return total + self.flux_bytes()
+
+    def flux_bytes(self) -> int:
+        """Bytes of the flux storage the grid keeps between steps: its
+        boundary-flux accumulator and a parent's kept planes."""
+        total = 0
         if self.flux_accumulator is not None:
             total += self.flux_accumulator.nbytes
         if self.last_fluxes is not None:

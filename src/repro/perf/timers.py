@@ -15,7 +15,9 @@ from contextlib import contextmanager
 #: run-control layer checkpoints every few root steps.  "exec" is the
 #: execution engine's scheduling + dispatch overhead (task planning, data
 #: staging, worker synchronisation) — everything the engine spends that is
-#: not physics-kernel time; see :mod:`repro.exec`.
+#: not physics-kernel time; see :mod:`repro.exec`.  "defense" is the
+#: validation of every grid's hydro and chemistry result and any rescue
+#: (:mod:`repro.amr.defense`).
 SECTIONS = (
     "hydro",
     "gravity",
@@ -28,6 +30,7 @@ SECTIONS = (
     "topology",
     "io",
     "exec",
+    "defense",
 )
 
 

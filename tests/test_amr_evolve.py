@@ -311,6 +311,41 @@ class TestEvolveLevel:
         # unigrid: the root level is one FFT per step, no subgrid solves
         assert not ev.step_stats["gravity"]
 
+    def test_every_step_phase_is_booked(self, monkeypatch):
+        """The CFL scan and the pre-step snapshot run in "hydro", the
+        defense's checks in "defense" and the boundary-flux accumulation
+        in "flux_correction": none of them is "other overhead"."""
+        from repro.amr import evolve
+        from repro.amr.defense import DefenseLadder
+
+        h = _blob_hierarchy()
+        rebuild_hierarchy(h, 1, RefinementCriteria(
+            overdensity_threshold=3.0, max_level=1))
+        ev = HierarchyEvolver(h, PPMSolver(), cfl=0.3)
+        booked = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                stack = ev.timers._stack
+                booked.setdefault(name, set()).add(
+                    stack[-1][0] if stack else None)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(HierarchyEvolver, "compute_timestep", spy(
+            "compute_timestep", HierarchyEvolver.compute_timestep))
+        monkeypatch.setattr(Grid, "save_old_state", spy(
+            "save_old_state", Grid.save_old_state))
+        monkeypatch.setattr(DefenseLadder, "validate_grid", spy(
+            "validate_grid", DefenseLadder.validate_grid))
+        monkeypatch.setattr(evolve, "accumulate_boundary_fluxes", spy(
+            "accumulate", evolve.accumulate_boundary_fluxes))
+        ev.advance_root_step(0.005)
+        assert booked == {"compute_timestep": {"hydro"},
+                          "save_old_state": {"hydro"},
+                          "validate_grid": {"defense"},
+                          "accumulate": {"flux_correction"}}
+
     def test_subgrid_solve_counts_reach_the_step_record(self):
         h = _blob_hierarchy(amplitude=20.0)
         crit = RefinementCriteria(overdensity_threshold=3.0, max_level=1)
