@@ -6,10 +6,8 @@ tracks the collapsing core, and the quiescent bulk of the subgrids keeps
 the same flagged-cell sets epoch after epoch.  The rebuild
 (:mod:`repro.amr.rebuild`) exploits that with one reuse rule: every new
 box equal to a retiring grid's box keeps that grid (only its ghost shell
-is refreshed), so an unchanged region keeps its whole subtree.  Retired
-field arrays are recycled through the hierarchy's
-:class:`~repro.amr.pool.FieldArrayPool`, which keeps a released buffer
-for one rebuild only.
+is refreshed), so an unchanged region keeps its whole subtree.  A
+retired grid's arrays are freed as soon as its level is rebuilt.
 
 This bench grows a three-level hierarchy over a lattice of Gaussian
 blobs, using a mass threshold that tightens with level
@@ -21,9 +19,8 @@ of the level-1 parents and rebuilds levels 2..3 — once on a hierarchy
 using box reuse and once on a mirror forced through the from-scratch
 path — asserting after every round that the two hierarchies'
 ``fingerprint()`` digests are identical (the bitwise correctness gate).
-Every round also records the reusing hierarchy's pool: its free arrays
-and the buffers released in that round and the one before (the age rule
-bounds the first by the sum of the other two).  Round 0 is a cold round
+The process's peak resident set (``ru_maxrss``) after the last round is
+recorded as ``peak_rss_mb``.  Round 0 is a cold round
 (allocators and caches warm up); the report uses **medians over the
 warm rounds**, which is what keeps the numbers stable on noisy hosts.
 Writes ``BENCH_deeprun.json`` next to this file, stamped with the host's
@@ -44,6 +41,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import time
 from pathlib import Path
@@ -140,25 +138,15 @@ def run(config: dict) -> dict:
     inc_times = []
     raw_times = []
     reuse_rates = []
-    pool_rounds = []
     touched = 0
-    pool = h_inc.pool
-    releases_before = pool.releases
     for rnd in range(config["rounds"]):
         touched = perturb_parents(h_inc, config["fraction"], rnd)
         perturb_parents(h_raw, config["fraction"], rnd)
 
-        released = pool.releases
         t0 = time.perf_counter()
         rebuild_hierarchy(h_inc, 2, crit, incremental=True)
         inc_times.append(time.perf_counter() - t0)
         reuse_rates.append(h_inc.last_rebuild_stats["reuse_rate"])
-        released = pool.releases - released
-        pool_rounds.append({"free_arrays": pool.free_arrays,
-                            "free_bytes": pool.free_bytes(),
-                            "releases": released,
-                            "releases_before": releases_before})
-        releases_before = released
 
         t0 = time.perf_counter()
         rebuild_hierarchy(h_raw, 2, crit, incremental=False)
@@ -191,7 +179,9 @@ def run(config: dict) -> dict:
             "per_round_incremental_s": [round(t, 4) for t in inc_times],
             "per_round_from_scratch_s": [round(t, 4) for t in raw_times],
         },
-        "pool": {**pool.stats(), "per_round": pool_rounds},
+        # Linux reports ru_maxrss in KiB
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
 
@@ -244,14 +234,10 @@ def main(argv=None) -> int:
 
 
 def test_deeprun_smoke():
-    """Pytest entry: reuse happens, pool recycles and forgets, hashes
-    match bitwise."""
+    """Pytest entry: reuse happens, hashes match bitwise."""
     results = run(SMOKE)
     assert results["fingerprints_match"]
     assert results["rebuild"]["reuse_rate"] > 0.5, results["rebuild"]
-    assert results["pool"]["hits"] > 0, results["pool"]
-    for rnd in results["pool"]["per_round"]:
-        assert rnd["free_arrays"] <= rnd["releases"] + rnd["releases_before"]
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 
 Runs one rep of an end-to-end workload (``benchmarks/e2e/workloads.py``:
 the same problem, warm-up and window) under ``tracemalloc`` and takes a
-census of the hierarchy at every ``Hierarchy.add_grid``,
-``FieldArrayPool.release_grid``, boundary fill, flux correction and
-rebuild.  The census at the hook where traced memory is highest is the
+census of the hierarchy at every ``Hierarchy.add_grid``, boundary fill,
+flux correction and rebuild.  The census at the hook where traced memory is highest is the
 table's row:
 
 * ``fields``: every grid's fields, old-state snapshot and potential
@@ -12,7 +11,8 @@ table's row:
 * ``flux``: the flux storage grids keep between steps
   (``Grid.flux_bytes``: a parent's kept planes and the subgrids'
   boundary-flux accumulators);
-* ``pool``: the rebuild pool's free lists;
+* ``chem_scratch``: the chemistry network's per-thread slab buffers
+  (``chemistry.network._SCRATCH`` of the stepping thread);
 * ``rest``: everything else tracemalloc sees (solver and fill scratch,
   particles, retiring grids mid-rebuild, imports after start-up).
 
@@ -45,7 +45,11 @@ class Census:
     """The census at the hook with the most traced memory."""
 
     def __init__(self, hierarchy):
+        from repro.chemistry import network
+
         self.hierarchy = hierarchy
+        # the stepping thread's chemistry scratch (the census runs serially)
+        self.scratch = network._SCRATCH
         self.best = {"traced": -1}
 
     def take(self, where: str) -> None:
@@ -56,10 +60,10 @@ class Census:
         grids = list(h.all_grids())
         flux = sum(g.flux_bytes() for g in grids)
         fields = sum(g.memory_bytes() for g in grids) - flux
-        pool = h.pool.free_bytes()
+        chem = sum(buf.nbytes for buf in vars(self.scratch).values())
         self.best = {"traced": current, "where": where, "fields": fields,
-                     "flux": flux, "pool": pool,
-                     "rest": current - fields - flux - pool}
+                     "flux": flux, "chem_scratch": chem,
+                     "rest": current - fields - flux - chem}
 
     def hook(self, fn, where: str):
         def wrapped(*args, **kwargs):
@@ -76,7 +80,6 @@ def census(name: str, smoke: bool = False) -> dict:
 
     from repro.amr import evolve
     from repro.amr.hierarchy import Hierarchy
-    from repro.amr.pool import FieldArrayPool
     from repro.kernels import dispatch
 
     dispatch.warm()
@@ -89,9 +92,6 @@ def census(name: str, smoke: bool = False) -> dict:
     c = Census(evolver.hierarchy)
     hooks = [mock.patch.object(Hierarchy, "add_grid",
                                c.hook(Hierarchy.add_grid, "rebuild")),
-             mock.patch.object(FieldArrayPool, "release_grid",
-                               c.hook(FieldArrayPool.release_grid,
-                                      "rebuild")),
              mock.patch.object(evolve, "rebuild_hierarchy",
                                c.hook(evolve.rebuild_hierarchy, "rebuild")),
              mock.patch.object(evolve, "correct_level",

@@ -15,7 +15,6 @@ absolute" precision discipline).
 
 from repro.amr.grid import Grid
 from repro.amr.hierarchy import Hierarchy
-from repro.amr.pool import FieldArrayPool
 from repro.amr.clustering import cluster_flagged_cells, Box
 from repro.amr.refinement import RefinementCriteria
 from repro.amr.defense import DefenseLadder
@@ -24,7 +23,6 @@ from repro.amr.evolve import HierarchyEvolver
 __all__ = [
     "Grid",
     "Hierarchy",
-    "FieldArrayPool",
     "cluster_flagged_cells",
     "Box",
     "DefenseLadder",

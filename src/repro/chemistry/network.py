@@ -38,19 +38,26 @@ H2_BINDING = 4.48 * const.ELECTRON_VOLT
 #: row of neutral hydrogen in a stacked ``(12, N)`` species block.
 _HI = SPECIES_NAMES.index("HI")
 
-#: per-thread reusable buffers for the two big blocks of a grid — the
+#: cells one slab of ``advance_fields`` holds at most: whole first-axis
+#: planes, or a single plane when one plane is larger.  Every scratch array
+#: and temporary of the integration is sized by the slab, not the grid; the
+#: ``(channels, SLAB_CELLS)`` coefficient block is about 1.2 MB and stays
+#: in L2.
+SLAB_CELLS = 4096
+
+#: per-thread reusable buffers for the two big blocks of a slab — the
 #: ``(12, N)`` species state of ``advance_fields`` and the ``(channels, N)``
-#: coefficient block of each iteration, ~21 MB for a 38^3 grid.  Handing
-#: them back to the allocator after every call makes the next call fault the
-#: same megabytes in again, which costs more than the chemistry itself;
-#: per thread because the exec engine's thread backend advances several
-#: grids at once (the ``gravity/multigrid`` scratch pattern).
+#: coefficient block of each iteration, 1.5 MiB together at ``SLAB_CELLS``.
+#: Handing them back to the allocator after every slab would fault the same
+#: pages in again each time; per thread because the exec engine's thread
+#: backend advances several grids at once (the ``gravity/multigrid``
+#: scratch pattern).
 _SCRATCH = threading.local()
 
 
 def _scratch(name: str, rows: int, n: int) -> np.ndarray:
     """This thread's ``(rows, n)`` float64 buffer ``name``, contents
-    undefined; grown when a bigger grid comes along, never shrunk."""
+    undefined; grown when a bigger slab comes along, never shrunk."""
     buf = getattr(_SCRATCH, name, None)
     if buf is None or buf.size < rows * n:
         buf = np.empty(rows * n)
@@ -58,14 +65,17 @@ def _scratch(name: str, rows: int, n: int) -> np.ndarray:
     return buf[:rows * n].reshape(rows, n)
 
 
-#: shape of the per-call integrator diagnostics (``last_stats``).
-_ZERO_STATS = {
-    "cells": 0,
-    "substeps_total": 0,
-    "substeps_max": 0,
-    "iterations": 0,
-    "active_fraction_mean": 0.0,
-}
+def integrator_stats(counters: dict) -> dict:
+    """The integrator diagnostics of an advance from the integer counters
+    :meth:`ChemistryNetwork.advance_stacked` returns, or from their sum over
+    the slabs of a grid.  Every iteration advances each cell still in
+    flight by one substep, so the active cell-iterations are
+    ``substeps_total`` and the mean active fraction is
+    ``substeps_total / (iterations * cells)``."""
+    cells, iterations = counters["cells"], counters["iterations"]
+    return {**counters, "active_fraction_mean": (
+        float(counters["substeps_total"]) / (iterations * cells)
+        if iterations and cells else 0.0)}
 
 
 def primordial_initial_fractions(
@@ -143,8 +153,6 @@ class ChemistryNetwork:
         self.three_body = three_body
         self.formation_heating = formation_heating
         self.renormalise = renormalise
-        self.last_substeps = 0
-        self.last_stats: dict = dict(_ZERO_STATS)
 
     # ----------------------------------------------------------------- helpers
     @staticmethod
@@ -188,9 +196,11 @@ class ChemistryNetwork:
         return n_out, ef.reshape(shape)
 
     def advance_stacked(self, state: np.ndarray, e: np.ndarray,
-                        rho: np.ndarray, dt: float, z: float = 0.0) -> None:
+                        rho: np.ndarray, dt: float, z: float = 0.0) -> dict:
         """Advance a ``(12, N)`` species block (rows in ``SPECIES_NAMES``
-        order, cm^-3) and its ``(N,)`` specific energy in place by dt (s).
+        order, cm^-3) and its ``(N,)`` specific energy in place by dt (s);
+        returns the integer counters ``cells``, ``substeps_total``,
+        ``substeps_max`` and ``iterations`` (see :func:`integrator_stats`).
 
         Active-set integration: every cell carries its own elapsed time and
         its own ``dt_sub`` from its *local* cooling and electron timescales
@@ -217,13 +227,11 @@ class ChemistryNetwork:
 
         # all loop state is local: this may run concurrently on many
         # grids under the execution engine's thread backend, so nothing
-        # mutable lives on the (shared) network object until the final
-        # diagnostics are published
+        # mutable lives on the (shared) network object
         t_done = np.zeros(n_cells)
         counts = np.zeros(n_cells, dtype=np.int64)
         active = np.arange(n_cells, dtype=np.intp)
         iterations = 0
-        active_cells_sum = 0
         # a cell is done once it has covered dt to rounding accuracy
         target = dt * (1.0 - 1e-12)
         if dt > 0.0 and n_cells:
@@ -239,22 +247,13 @@ class ChemistryNetwork:
                  block, dt, z, self.safety, self.max_substeps,
                  self.three_body, self.formation_heating, self.cmb_floor)
             iterations += 1
-            active_cells_sum += active.size
             keep = t_done[active] < target
             active = active[keep]
             T = T[keep]
 
-        self.last_substeps = int(counts.max()) if n_cells else 0
-        self.last_stats = {
-            "cells": int(n_cells),
-            "substeps_total": int(counts.sum()),
-            "substeps_max": self.last_substeps,
-            "iterations": int(iterations),
-            "active_fraction_mean": (
-                float(active_cells_sum) / (iterations * n_cells)
-                if iterations and n_cells else 0.0
-            ),
-        }
+        return {"cells": int(n_cells), "substeps_total": int(counts.sum()),
+                "substeps_max": int(counts.max()) if n_cells else 0,
+                "iterations": iterations}
 
     @staticmethod
     def _renormalise(n: dict, h0, he0, d0) -> None:
@@ -287,12 +286,43 @@ class ChemistryNetwork:
         Converts comoving code partial densities to proper cgs number
         densities, integrates, and writes everything back (including the
         'energy' total).  ``a`` sets both the density dilution and the
-        redshift of the CMB.  Returns the integrator stats of the call
-        (a copy of :attr:`last_stats`) for telemetry aggregation.
+        redshift of the CMB.  The grid goes one slab of whole first-axis
+        planes at a time (at most :data:`SLAB_CELLS` cells, or one plane),
+        each converted, advanced and written back before the next; the
+        network is cell-local, so this is bitwise the whole-grid
+        integration.  Nothing raises after the first slab is written back
+        that the first slab would not already raise.  Returns the
+        integrator stats of the call (:func:`integrator_stats` of the
+        counters summed over the slabs) for telemetry aggregation.
         """
         z = 1.0 / a - 1.0
         a3 = a**3
-        density = np.asarray(fields["density"])
+        dt = dt_code * units.time_unit
+        shape = np.shape(fields["density"])
+        planes = max(SLAB_CELLS // max(int(np.prod(shape[1:])), 1), 1)
+        total = {"cells": 0, "substeps_total": 0, "substeps_max": 0,
+                 "iterations": 0}
+        for lo in range(0, shape[0], planes):
+            part = self._advance_slab(fields, slice(lo, lo + planes), dt,
+                                      units, a3, z)
+            total["cells"] += part["cells"]
+            total["substeps_total"] += part["substeps_total"]
+            total["substeps_max"] = max(total["substeps_max"],
+                                        part["substeps_max"])
+            total["iterations"] = max(total["iterations"],
+                                      part["iterations"])
+        return integrator_stats(total)
+
+    def _advance_slab(self, fields, planes: slice, dt: float, units,
+                      a3: float, z: float) -> dict:
+        """Convert, advance and write back the first-axis ``planes`` of
+        ``fields``; returns :meth:`advance_stacked`'s counters.  Every
+        field is looked up before the first write."""
+        density = fields["density"][planes]
+        internal = fields["internal"][planes]
+        energy = fields["energy"][planes]
+        kinetic = 0.5 * (fields["vx"][planes] ** 2 + fields["vy"][planes] ** 2
+                         + fields["vz"][planes] ** 2)
         shape = density.shape
         rho_cgs = (density * units.density_unit / a3).reshape(-1)
         # the species block is filled row by row, each row converted while
@@ -301,21 +331,20 @@ class ChemistryNetwork:
         state = _scratch("state", len(SPECIES_NAMES), rho_cgs.size)
         rows = state.reshape((-1,) + shape)
         for row, s in zip(rows, SPECIES_NAMES):
-            np.multiply(fields[s], units.density_unit, out=row)
+            np.multiply(fields[s][planes], units.density_unit, out=row)
             row /= a3
             row /= SPECIES[s].mass_amu * const.HYDROGEN_MASS
-        e_cgs = (np.asarray(fields["internal"]) * units.energy_unit).reshape(-1)
-        self.advance_stacked(state, e_cgs, rho_cgs, dt_code * units.time_unit, z)
+        e_cgs = (internal * units.energy_unit).reshape(-1)
+        counters = self.advance_stacked(state, e_cgs, rho_cgs, dt, z)
         # and back: ``n * mass_amu * m_H * a**3 / density_unit``
         for row, s in zip(rows, SPECIES_NAMES):
             row *= SPECIES[s].mass_amu
             row *= const.HYDROGEN_MASS
             row *= a3
-            np.divide(row, units.density_unit, out=fields[s])
-        kinetic = 0.5 * (fields["vx"] ** 2 + fields["vy"] ** 2 + fields["vz"] ** 2)
-        fields["internal"][...] = (e_cgs / units.energy_unit).reshape(shape)
-        fields["energy"][...] = fields["internal"] + kinetic
-        return dict(self.last_stats)
+            np.divide(row, units.density_unit, out=fields[s][planes])
+        internal[...] = (e_cgs / units.energy_unit).reshape(shape)
+        energy[...] = internal + kinetic
+        return counters
 
 
 # ------------------------------------------------- the chem.step reference

@@ -76,20 +76,10 @@ class FieldSet(dict):
 
 
 def make_fields(shape, density=1.0, velocity=(0.0, 0.0, 0.0), internal_energy=1.0,
-                advected=(), alloc=None) -> FieldSet:
-    """Allocate a uniform field set of the given (ghost-inclusive) shape.
-
-    ``alloc(shape) -> ndarray`` overrides the array source — the hook the
-    rebuild-time :class:`repro.amr.pool.FieldArrayPool` uses to hand out
-    recycled buffers.  Every array is written in full either way, so
-    pooled and fresh allocation produce bitwise-identical field sets.
-    """
+                advected=()) -> FieldSet:
+    """Allocate a uniform field set of the given (ghost-inclusive) shape."""
     def filled(value: float) -> np.ndarray:
-        if alloc is None:
-            return np.full(shape, float(value))
-        arr = alloc(shape)
-        arr[...] = float(value)
-        return arr
+        return np.full(shape, float(value))
 
     f = FieldSet()
     f["density"] = filled(density)

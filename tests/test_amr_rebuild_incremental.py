@@ -1,15 +1,14 @@
-"""Incremental hierarchy rebuild: bitwise identity, pooling, counters.
+"""Incremental hierarchy rebuild: bitwise identity, freeing, counters.
 
 The correctness gate for :mod:`repro.amr.rebuild`'s incremental path is
 that it produces a hierarchy **bitwise identical** to the from-scratch
 path (``incremental=False``) — same boxes in the same order, same field
 contents, same times — while keeping every grid whose box survives and
-recycling retired buffers through the hierarchy's
-:class:`~repro.amr.pool.FieldArrayPool`.  These tests drive mirrored
+freeing every retired grid's arrays at once.  These tests drive mirrored
 hierarchies through identical flag evolutions (no-change, all-change,
 some boxes kept and some moved, level-disappears, randomised) and compare
-``Hierarchy.fingerprint()``, then pin the pool's no-aliasing contract and
-its one-rebuild age rule, the parent-array bounds check in
+``Hierarchy.fingerprint()``, then pin that retired arrays are freed and
+never aliased, the allocation counter, the parent-array bounds check in
 ``_fill_level``, the created/destroyed/reused counter split, the
 single-epoch-bump ``bulk_update`` behaviour, and — per kernel tier — that
 the ghost fill never touches an interior cell and that the incremental
@@ -17,13 +16,14 @@ and from-scratch rebuilds still agree.
 """
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amr import FieldArrayPool, Grid, Hierarchy, RefinementCriteria
+from repro.amr import Grid, Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.rebuild import (BUFFER_CELLS, _dilate, _fill_level,
                                rebuild_hierarchy)
@@ -46,7 +46,7 @@ def _fresh_hierarchy(n_root=8, amplitude=10.0):
 
 
 def _mirror_pair(n_root=8, amplitude=10.0):
-    """Two hierarchies with identical initial data (independent pools)."""
+    """Two hierarchies with identical initial data."""
     return (_fresh_hierarchy(n_root, amplitude),
             _fresh_hierarchy(n_root, amplitude))
 
@@ -244,7 +244,7 @@ class TestBitwiseIdentity:
             assert ha.grids_per_level() == hb.grids_per_level()
 
 
-# ------------------------------------------------------------ array pool
+# --------------------------------------------------------- buffer zone
 def _dilation_cases():
     rng = np.random.default_rng(11)
     for density in (0.02, 0.15, 0.5):
@@ -274,96 +274,28 @@ class TestBufferDilation:
         np.testing.assert_array_equal(got, ref)
 
 
-class TestFieldArrayPool:
-    def test_acquire_release_roundtrip(self):
-        pool = FieldArrayPool()
-        a = pool.acquire((4, 4, 4))
-        assert a.shape == (4, 4, 4) and a.dtype == np.float64
-        pool.release(a)
-        b = pool.acquire((4, 4, 4))
-        assert b is a  # the freed buffer is recycled, not reallocated
-        assert pool.stats()["hits"] == 1
-
-    def test_views_and_foreign_dtypes_refused(self):
-        pool = FieldArrayPool()
-        owner = np.zeros((4, 4, 4))
-        pool.release(owner[1:3])            # view
-        pool.release(np.zeros(8, np.int32))  # wrong dtype
-        pool.release(np.zeros((2, 2, 2)).T[::-1])  # non-contiguous view
-        assert pool.free_arrays == 0
-        assert pool.dropped == 3
-
-    def test_age_rule_keeps_a_buffer_for_one_rebuild(self):
-        """Rebuilds cycle through distinct grid shapes (cube sides 1, 2, 1,
-        3, 4, 1).  A buffer unused through one whole rebuild is dropped at
-        its end; the free list only ever holds buffers released by the
-        last rebuild or the one before; a shape the next rebuild needs is
-        still a hit."""
-        h = Hierarchy(n_root=16)
-        pool = h.pool
-        crit = RefinementCriteria(**CRIT1)
-
-        def free_list():
-            return [a for gen in (pool._older, pool._newer)
-                    for arrs in gen.values() for a in arrs]
-
-        previous, releases, hits, dropped = [], [0], [], []
-        for side in (1, 2, 1, 3, 4, 1):
-            rho = np.ones((16,) * 3)
-            rho[6:6 + side, 6:6 + side, 6:6 + side] = 10.0
-            _set_root_density(h, rho)
-            r0, h0, d0 = pool.releases, pool.hits, pool.dropped
-            rebuild_hierarchy(h, 1, crit)
-            releases.append(pool.releases - r0)
-            hits.append(pool.hits - h0)
-            dropped.append(pool.dropped - d0)
-            free = free_list()
-            assert pool.free_arrays == len(free)
-            assert pool.free_bytes() == sum(a.nbytes for a in free)
-            assert pool.free_arrays <= releases[-1] + releases[-2]
-            # nothing left over from the last rebuild went unused through
-            # this one
-            assert not {id(a) for a in free} & {id(a) for a in previous}
-            previous = free
-        # side 1 again right after side 2 replaced it: a hit
-        assert hits[2] > 0
-        # sides 2 (released by the third rebuild) and 1 (by the fourth)
-        # went unclaimed through the next rebuild: dropped
-        assert dropped[3] > 0 and dropped[4] > 0
-        # side 1's buffers were dropped two rebuilds ago: a miss
-        assert hits[5] == 0
-
-    def test_rebuild_recycles_buffers(self):
-        """A re-clustering rebuild feeds destroyed grids' buffers to the
-        new grids instead of the allocator."""
-        h = _fresh_hierarchy()
-        crit = RefinementCriteria(**CRIT1)
-        rebuild_hierarchy(h, 1, crit)
-        old_arrays = {id(arr) for g in h.level_grids(1)
-                      for _, arr in g.fields.array_items()}
-        # force re-clustering with the same shapes by disabling reuse; a
-        # level's new grids are allocated before its old ones are retired,
-        # so the first rebuild stocks the pool and the second draws on it
-        rebuild_hierarchy(h, 1, crit, incremental=False)
-        rebuild_hierarchy(h, 1, crit, incremental=False)
-        assert h.pool.hits > 0
-        new_arrays = {id(arr) for g in h.level_grids(1)
-                      for _, arr in g.fields.array_items()}
-        assert old_arrays & new_arrays  # buffers physically recycled
-
-    def test_release_severs_refs_no_aliasing(self):
-        """A retired grid keeps no reference to a buffer a live grid may
-        have since acquired from the pool."""
+class TestRetiredGrids:
+    def test_retired_grids_hold_no_arrays(self):
+        """A rebuild frees a retired grid's arrays at once: after it, no
+        array of any grid it retired is alive, and no two live grids
+        share storage."""
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
         retired = list(h.level_grids(1))
-        rebuild_hierarchy(h, 1, crit, incremental=False)
+        refs = []
         for g in retired:
-            assert g.fields is None
+            g.save_old_state()
+            refs += [weakref.ref(arr) for _, arr in
+                     [*g.fields.array_items(), *g.old_fields.array_items(),
+                      ("phi", g.phi)]]
+        rebuild_hierarchy(h, 1, crit, incremental=False)
+        assert h.last_rebuild_stats["destroyed"] == len(retired)
+        for g in retired:
+            assert g.fields is None and g.old_fields is None
             assert g.phi is None
-            assert g.old_fields is None
-        # no two live grids share storage
+            assert g.flux_accumulator is None and g.last_fluxes is None
+        assert not [r for r in refs if r() is not None]
         seen = {}
         for g in h.all_grids():
             for name, arr in list(g.fields.array_items()) + [("phi", g.phi)]:
@@ -371,18 +303,24 @@ class TestFieldArrayPool:
                     f"{name} of {g} aliases {seen[id(arr)]}")
                 seen[id(arr)] = (name, g)
 
-    def test_pooled_allocation_bitwise_identical(self):
-        """Dirty pooled buffers are fully overwritten: a pool-backed
-        hierarchy matches one whose pool never has a hit."""
-        ha, hb = _mirror_pair()
+    def test_rebuild_counts_allocated_arrays(self):
+        """``hierarchy.pool`` keeps only the two counters the benchmark
+        reads: ``acquires`` counts the arrays rebuilt grids allocate (their
+        fields and potential), a kept grid allocates none, and ``hits``
+        stays 0."""
+        h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
-        for _ in range(3):
-            rebuild_hierarchy(ha, 1, crit, incremental=False)
-            rebuild_hierarchy(hb, 1, crit, incremental=False)
-            hb.pool.clear()  # always reallocate
-        assert ha.pool.hits > 0
-        assert hb.pool.hits == 0
-        assert ha.fingerprint() == hb.fingerprint()
+        per_grid = len(h.root.fields.array_items()) + 1
+        rebuild_hierarchy(h, 1, crit)
+        created = h.last_rebuild_stats["created"]
+        assert created > 0
+        assert h.pool.acquires == per_grid * created
+        rebuild_hierarchy(h, 1, crit)  # every box survives
+        assert h.last_rebuild_stats["created"] == 0
+        assert h.pool.acquires == per_grid * created
+        rebuild_hierarchy(h, 1, crit, incremental=False)
+        assert h.pool.acquires == 2 * per_grid * created
+        assert h.pool.hits == 0
 
 
 # ------------------------------------------- parent-slab bounds (bugfix)

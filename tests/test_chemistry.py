@@ -229,8 +229,9 @@ class TestThermalEvolution:
         n, rho = _number_densities(n_h=100.0, x_e=0.3)
         net = ChemistryNetwork()
         e = ChemistryNetwork.energy_from_temperature(n, 2e4, rho)
-        net.advance(n, e, rho, 1e6 * YEAR, z=10.0)
-        assert net.last_substeps >= 1
+        state = np.stack([n[s] for s in SPECIES_NAMES])
+        stats = net.advance_stacked(state, e.copy(), rho, 1e6 * YEAR, z=10.0)
+        assert stats["substeps_max"] >= 1
 
 
 class TestInitialFractions:

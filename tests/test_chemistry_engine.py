@@ -15,7 +15,8 @@ import pytest
 
 from repro import constants as const
 from repro.chemistry import cooling as cool_mod
-from repro.chemistry.network import ChemistryNetwork, primordial_initial_fractions
+from repro.chemistry.network import (ChemistryNetwork, integrator_stats,
+                                     primordial_initial_fractions)
 from repro.chemistry.rates import RateTable, _get_table
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 
@@ -162,6 +163,13 @@ def test_advance_handles_scalars_and_3d_shapes():
     assert float(e_out1) > 0.0
 
 
+def _stacked(n, e, rho):
+    """The ``(12, N)`` species block, energy and density
+    ``advance_stacked`` integrates, as fresh arrays."""
+    return (np.stack([n[s] for s in SPECIES_NAMES]), np.array(e, float),
+            np.array(rho, float))
+
+
 def test_zero_dt_is_identity():
     n, e, rho = mixed_state(16, seed=4)
     net = ChemistryNetwork()
@@ -169,17 +177,19 @@ def test_zero_dt_is_identity():
     for s in SPECIES_NAMES:
         np.testing.assert_array_equal(n_out[s], n[s])
     np.testing.assert_array_equal(e_out, e)
-    assert net.last_stats["substeps_total"] == 0
+    assert net.advance_stacked(*_stacked(n, e, rho), 0.0) == {
+        "cells": 16, "substeps_total": 0, "substeps_max": 0,
+        "iterations": 0}
 
 
 # ------------------------------------------------------------ stats plumbing
 def test_advance_publishes_stats():
     n, e, rho = mixed_state(128, seed=6)
     net = ChemistryNetwork()
-    net.advance(n, e, rho, 1.0e13, z=15.0)
-    stats = net.last_stats
+    stats = integrator_stats(
+        net.advance_stacked(*_stacked(n, e, rho), 1.0e13, z=15.0))
     assert stats["cells"] == 128
-    assert stats["substeps_max"] == net.last_substeps >= 1
+    assert stats["substeps_max"] == stats["iterations"] >= 1
     assert stats["substeps_total"] >= stats["substeps_max"]
     assert 0.0 < stats["active_fraction_mean"] <= 1.0
     # compaction must actually retire cells on a mixed grid

@@ -47,6 +47,7 @@ from repro.amr.topology import box_overlaps
 from repro.chemistry import network
 from repro.chemistry.network import (
     ChemistryNetwork,
+    integrator_stats,
     primordial_initial_fractions,
     step_numpy,
 )
@@ -480,8 +481,8 @@ def _integrate(tier, block, dt=3e12, z=20.0, mode="tabulated", **options):
     with warnings.catch_warnings():
         # the garbage cells overflow and divide by zero by design
         warnings.simplefilter("ignore", RuntimeWarning)
-        net.advance_stacked(state, e, rho, dt, z)
-    return state, e, net.last_stats
+        stats = integrator_stats(net.advance_stacked(state, e, rho, dt, z))
+    return state, e, stats
 
 
 @pytest.mark.parametrize("tier", COMPILED)
