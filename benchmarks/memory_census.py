@@ -3,8 +3,8 @@
 Runs one rep of an end-to-end workload (``benchmarks/e2e/workloads.py``:
 the same problem, warm-up and window) under ``tracemalloc`` and takes a
 census of the hierarchy at every ``Hierarchy.add_grid``, boundary fill,
-flux correction and rebuild.  The census at the hook where traced memory is highest is the
-table's row:
+flux correction and rebuild.  The census at the hook where traced memory
+is highest is the table's row:
 
 * ``fields``: every grid's fields, old-state snapshot and potential
   (``Grid.memory_bytes`` without the flux storage);

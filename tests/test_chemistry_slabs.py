@@ -122,7 +122,7 @@ def test_slabs_are_bitwise_the_whole_grid(tier, shape):
 
 def test_scratch_is_bounded_by_the_slab():
     """After a 32^3 grid's advance, the advancing thread's scratch holds
-    at most 2 MiB (the whole-grid blocks were 12 MiB)."""
+    at most 2 MiB: it is sized by the slab, not the grid."""
     held = []
 
     def advance():
@@ -133,7 +133,8 @@ def test_scratch_is_bounded_by_the_slab():
 
     worker = threading.Thread(target=advance)
     worker.start()
-    worker.join()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
     assert 0 < held[0] <= 2 * 2**20
 
 
