@@ -15,7 +15,6 @@ the ghost fill never touches an interior cell and that the incremental
 and from-scratch rebuilds still agree.
 """
 
-import warnings
 import weakref
 
 import numpy as np
@@ -558,22 +557,6 @@ class TestEvolverIntegration:
 
 
 # ------------------------------------------------------- per kernel tier
-@pytest.fixture(params=dispatch.BACKENDS)
-def kernel_tier(request, monkeypatch):
-    """Run the test with ``REPRO_KERNELS=<tier>`` (skipped when the tier
-    does not load on this host)."""
-    monkeypatch.setenv(dispatch.ENV_KERNELS, request.param)
-    dispatch._reset_for_tests()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        resolved = dispatch.active_backend()
-    if resolved != request.param:
-        dispatch._reset_for_tests()
-        pytest.skip(f"kernel tier {request.param} unavailable")
-    yield request.param
-    dispatch._reset_for_tests()
-
-
 def _two_level_hierarchy():
     h = _fresh_hierarchy(n_root=8, amplitude=30.0)
     rebuild_hierarchy(

@@ -11,7 +11,6 @@ returns are its own, whatever another grid's call does meanwhile.
 from __future__ import annotations
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from repro.chemistry.network import (SLAB_CELLS, ChemistryNetwork,
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.cosmology import STANDARD_CDM, CodeUnits
 from repro.hydro.state import make_fields
-from repro.kernels import dispatch
 
 NG = 3
 UNITS = CodeUnits.for_cosmology(STANDARD_CDM, 256.0, 100.0)
@@ -83,26 +81,10 @@ def _whole_grid(net, fields, dt_code, units, a):
     return integrator_stats(counters)
 
 
-@pytest.fixture(params=dispatch.BACKENDS)
-def tier(request, monkeypatch):
-    """Run the test with ``REPRO_KERNELS=<tier>`` (skipped when the tier
-    does not load on this host)."""
-    monkeypatch.setenv(dispatch.ENV_KERNELS, request.param)
-    dispatch._reset_for_tests()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        resolved = dispatch.active_backend()
-    if resolved != request.param:
-        dispatch._reset_for_tests()
-        pytest.skip(f"kernel tier {request.param} unavailable")
-    yield request.param
-    dispatch._reset_for_tests()
-
-
 # a short last slab (24 planes of 360 cells: 11 + 11 + 2), and planes
 # larger than a slab (one 4,480-cell plane per slab)
 @pytest.mark.parametrize("shape", [(24, 20, 18), (3, 70, 64)])
-def test_slabs_are_bitwise_the_whole_grid(tier, shape):
+def test_slabs_are_bitwise_the_whole_grid(kernel_tier, shape):
     planes = max(SLAB_CELLS // (shape[1] * shape[2]), 1)
     assert planes < shape[0]
     assert shape[0] % planes or planes == 1
