@@ -198,9 +198,11 @@ def _commit() -> str:
 # ~25% of level-1 parents perturbed per round: the quiescent-bulk regime
 # the incremental rebuild targets.  FULL uses fat boxes (low efficiency,
 # large max_dims) so reused subtrees are volume-heavy while the refresh
-# cost stays surface-bound.
-SMOKE = {"blobs_per_dim": 2, "tile_cells": 12, "amplitude": 100.0,
-         "efficiency": 0.30, "min_size": 4, "max_dims": 12,
+# cost stays surface-bound.  SMOKE keeps FULL's tree shape (8 level-1
+# parents, 584 subgrids) on an 8^3 root, so its two mirrored hierarchies
+# fit in well under 256 MiB.
+SMOKE = {"blobs_per_dim": 2, "tile_cells": 4, "amplitude": 100.0,
+         "efficiency": 0.30, "min_size": 2, "max_dims": 4,
          "fraction": 0.25, "rounds": 3}
 FULL = {"blobs_per_dim": 2, "tile_cells": 24, "amplitude": 100.0,
         "efficiency": 0.30, "min_size": 8, "max_dims": 24,
@@ -210,7 +212,7 @@ FULL = {"blobs_per_dim": 2, "tile_cells": 24, "amplitude": 100.0,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="small configuration for CI (24^3 root)")
+                    help="small configuration for CI (8^3 root)")
     ap.add_argument("--out",
                     default=str(Path(__file__).parent / "BENCH_deeprun.json"))
     args = ap.parse_args(argv)

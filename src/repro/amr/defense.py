@@ -62,8 +62,7 @@ FINITE_FIELDS = ("density", "internal", "energy", "vx", "vy", "vz")
 POSITIVE_FIELDS = ("density", "internal")
 
 
-def validate_fields(fields, interior, mass_ref: float | None = None,
-                    mass_drift_tol: float = float("inf")) -> list[str]:
+def validate_fields(fields, interior) -> list[str]:
     """Read-only health check of a grid's interior; returns problem labels.
 
     Ghost zones are deliberately excluded: the solvers leave them stale
@@ -88,15 +87,6 @@ def validate_fields(fields, interior, mass_ref: float | None = None,
         bad = int(np.count_nonzero(~np.isfinite(view)))
         if bad:
             problems.append(f"{name}:nonfinite={bad}")
-    if (
-        mass_ref is not None
-        and np.isfinite(mass_drift_tol)
-        and not problems
-        and mass_ref > 0.0
-    ):
-        drift = abs(float(fields["density"][interior].sum()) - mass_ref)
-        if drift > mass_drift_tol * mass_ref:
-            problems.append(f"mass_drift={drift / mass_ref:.3e}")
     return problems
 
 
@@ -121,19 +111,12 @@ class DefenseLadder:
 
     Parameters
     ----------
-    mass_drift_tol:
-        Relative interior-mass drift (vs the pre-step state) that counts as
-        a validation failure.  Default ``inf`` — **off** — because boundary
-        fluxes legitimately change a grid's interior mass; enable it only
-        for isolated-grid test problems.
     max_events:
         Cap on queued (undrained) telemetry events, a backstop against a
         pathological run flooding memory.
     """
 
-    def __init__(self, mass_drift_tol: float = float("inf"),
-                 max_events: int = 10000):
-        self.mass_drift_tol = float(mass_drift_tol)
+    def __init__(self, max_events: int = 10000):
         self.max_events = int(max_events)
         self.stats = StepStats()
         #: queued telemetry events (drained by the run controller)
@@ -168,11 +151,7 @@ class DefenseLadder:
 
     # ----------------------------------------------------------- validation
     def validate_grid(self, grid) -> list[str]:
-        mass_ref = None
-        if np.isfinite(self.mass_drift_tol) and grid.old_fields is not None:
-            mass_ref = float(grid.old_fields["density"][grid.interior].sum())
-        return validate_fields(grid.fields, grid.interior, mass_ref,
-                               self.mass_drift_tol)
+        return validate_fields(grid.fields, grid.interior)
 
     # -------------------------------------------------------------- hydro
     def rescue_hydro(self, grid, solver, dt: float, a: float, adot: float,

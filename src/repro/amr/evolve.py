@@ -38,7 +38,6 @@ from repro.amr.rebuild import rebuild_hierarchy
 from repro.exec import ChemistryTask, ExecutionEngine, GravityAccelTask, HydroTask
 from repro.hydro.timestep import accel_timestep, expansion_timestep, hydro_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
-from repro.nbody.cic import cic_deposit
 from repro.perf.timers import ComponentTimers, StepStats
 from repro.precision.doubledouble import DoubleDouble
 
@@ -115,18 +114,12 @@ class HierarchyEvolver:
         semantics: a task error aborts the step); or pass a configured
         ladder instance.  With no escalations the ladder is read-only, so
         results stay bitwise identical either way.
-    incremental_rebuild:
-        ``True`` (default) lets ``rebuild_hierarchy`` keep every grid
-        whose box survives the rebuild; ``False`` forces every rebuild
-        through the from-scratch path.  Both produce bitwise-identical
-        hierarchies — the switch exists for the correctness gate and the
-        deep-run benchmark.
     """
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,
                  criteria=None, clock=None, units=None, cfl: float = 0.4,
                  stats=None, jeans_floor_cells: float = 0.0, exec_config=None,
-                 defense=None, incremental_rebuild: bool = True):
+                 defense=None):
         self.hierarchy = hierarchy
         self.solver = solver
         self.gravity = gravity
@@ -135,10 +128,6 @@ class HierarchyEvolver:
         self.clock = clock or StaticClock()
         self.units = units
         self.cfl = cfl
-        #: grids whose box survives a rebuild are kept (repro.amr
-        #: .rebuild); False forces the from-scratch path — bitwise
-        #: identical, used by the bitwise gate and benches
-        self.incremental_rebuild = bool(incremental_rebuild)
         self.stats = stats
         #: the run's component timers (paper Sec. 5 table); their clock
         #: starts here, and the hierarchy attributes its cache rebuilds to
@@ -422,8 +411,7 @@ class HierarchyEvolver:
 
     def _rebuild(self, level: int) -> None:
         """RebuildHierarchy(level): the one place a rebuild is made."""
-        rebuild_hierarchy(self.hierarchy, level, self.criteria,
-                          self._dm_density, incremental=self.incremental_rebuild)
+        rebuild_hierarchy(self.hierarchy, level, self.criteria)
 
     def _record_rebuild(self, last: dict) -> None:
         """Fold one rebuild_hierarchy call into the step's ``rebuild`` block:
@@ -487,30 +475,12 @@ class HierarchyEvolver:
                            accel: dict) -> None:
         h = self.hierarchy
         parts = h.particles
-        if len(parts) == 0 or self.gravity is None:
+        if self.gravity is None:
             return
-        owner = h.finest_level_of_particles()
-        mask = owner == level
-        if not mask.any():
-            return
-        # assign every particle to exactly one grid from its *pre-step*
-        # position (first containing grid wins): a particle drifting across
-        # a sibling face mid-step must not be advanced again by the
-        # later-iterated grid it lands in
-        unassigned = mask.copy()
-        assignments: list[tuple] = []
-        for g in h.level_grids(level):
-            if not unassigned.any():
-                break
-            sel = np.nonzero(
-                parts.in_region(g.left_edge, g.right_edge) & unassigned
-            )[0]
-            if len(sel) == 0:
-                continue
-            unassigned[sel] = False
-            assignments.append((g, sel))
-        moved = False
-        for g, sel in assignments:
+        # each particle is advanced by one grid, chosen from its
+        # *pre-step* position: a particle drifting across a sibling face
+        # mid-step must not be advanced again by the grid it lands in
+        for g, sel in h.owned_particles(level):
             acc_field = accel.get(g.grid_id)
             if acc_field is None:
                 continue
@@ -532,9 +502,6 @@ class HierarchyEvolver:
             )
             v = v * drag + pa2 * 0.5 * dt
             parts.velocities[sel] = v
-            moved = True
-        if moved:
-            h.notify_particles_moved()
 
     def _apply_jeans_floor(self, grid, a: float) -> None:
         """Pressure support so L_J >= jeans_floor_cells * dx at the cap.
@@ -558,22 +525,6 @@ class HierarchyEvolver:
             from repro.hydro.state import total_energy
 
             grid.fields["energy"] = total_energy(grid.fields)
-
-    def _dm_density(self, grid) -> np.ndarray | None:
-        parts = self.hierarchy.particles
-        if len(parts) == 0:
-            return None
-        shape = tuple(int(d) for d in grid.dims)
-        periodic = grid.level == 0 and np.all(grid.dims == self.hierarchy.n_root)
-        if periodic:
-            offsets = parts.positions.hi + parts.positions.lo
-            return cic_deposit(offsets, parts.masses, shape, grid.dx, periodic=True)
-        mask = parts.in_region(grid.left_edge - grid.dx, grid.right_edge + grid.dx)
-        if not mask.any():
-            return None
-        sel = parts.select(mask)
-        offsets = (sel.positions.hi + sel.positions.lo) - grid.left_edge
-        return cic_deposit(offsets, sel.masses, shape, grid.dx, periodic=False)
 
     # ---------------------------------------------------------------- timers
     @contextmanager

@@ -17,7 +17,7 @@ from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.gradient import acceleration_from_potential
 from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
 from repro.kernels import dispatch as kernels
-from repro.nbody.cic import cic_deposit, cic_gather
+from repro.nbody.cic import cic_gather
 
 
 class HierarchyGravity:
@@ -50,26 +50,9 @@ class HierarchyGravity:
     def total_density(self, hierarchy, grid) -> np.ndarray:
         """Gas + deposited dark-matter comoving density on the interior."""
         rho = grid.field_view("density").copy()
-        parts = hierarchy.particles
-        if len(parts) == 0:
-            return rho
-        periodic = grid.level == 0 and np.all(grid.dims == hierarchy.n_root)
-        if periodic:
-            offsets = parts.positions.hi + parts.positions.lo
-            rho += cic_deposit(offsets, parts.masses, rho.shape, grid.dx, periodic=True)
-        else:
-            # take particles within one cell of the grid so boundary cells
-            # receive their share of straddling clouds
-            pad = grid.dx
-            mask = parts.in_region(grid.left_edge - pad, grid.right_edge + pad)
-            if mask.any():
-                sel = parts.select(mask)
-                offsets = (
-                    sel.positions.hi + sel.positions.lo
-                ) - grid.left_edge
-                rho += cic_deposit(
-                    offsets, sel.masses, rho.shape, grid.dx, periodic=False
-                )
+        dm = hierarchy.dm_density(grid)
+        if dm is not None:
+            rho += dm
         return rho
 
     def source(self, hierarchy, grid, a: float) -> np.ndarray:

@@ -7,8 +7,11 @@ refinement criteria and the run budget, not the data structure.
 
 Dark-matter particles live in one global :class:`ParticleSet` (the
 functional equivalent of Enzo's per-grid ownership without the migration
-bookkeeping); each level's solvers select the particles in their region on
-demand, and each particle is *advanced* by the finest level containing it.
+bookkeeping).  The hierarchy answers both questions a grid asks of them:
+:meth:`Hierarchy.owned_particles` says which particles a level advances
+(each particle is advanced by the finest level containing it), and
+:meth:`Hierarchy.dm_density` deposits them on a grid for its Poisson
+source and its refinement flags.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.amr.flux_correction import level_windows
 from repro.amr.grid import Grid
 from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet
+from repro.nbody.cic import cic_deposit
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
 
@@ -30,12 +34,13 @@ from repro.precision.doubledouble import DoubleDouble
 class Hierarchy:
     """Container and bookkeeping for the SAMR grid tree.
 
-    Topology queries (same-level overlap tables and fill geometry,
-    per-particle finest levels) are served from caches keyed by
-    ``topology_epoch``, a counter bumped by every structural mutation
-    (``add_grid`` / ``remove_level_grids``), so the hot paths never
-    re-derive overlaps while the tree is unchanged and rebuilds invalidate
-    automatically.
+    Topology queries (same-level overlap tables and fill geometry) are
+    served from caches keyed by ``topology_epoch``, a counter bumped by
+    every structural mutation (``add_grid`` / ``remove_level_grids``), so
+    the hot paths never re-derive overlaps while the tree is unchanged and
+    rebuilds invalidate automatically.  Particle questions are answered
+    from the current positions on every call: particles move every level
+    step, so a cache of them would rarely hit.
     """
 
     def __init__(self, n_root: int, refine_factor: int = 2, nghost: int = 3,
@@ -53,8 +58,6 @@ class Hierarchy:
         #: hierarchy no evolver drives
         self.timers = None
         self._topologies: dict[int, tuple[int, LevelTopology]] = {}
-        self._particle_epoch = 0
-        self._plevel_cache: tuple[tuple, np.ndarray] | None = None
         #: the arrays rebuilt grids allocate (``acquires``; ``hits`` is
         #: always 0): the two counters the end-to-end benchmark reads
         self.pool = SimpleNamespace(acquires=0, hits=0)
@@ -66,7 +69,7 @@ class Hierarchy:
         self._bulk_mutations = 0
         self._bulk_membership: list[tuple] | None = None
         self._bulk_epoch = 0
-        self.particles = ParticleSet.empty()
+        self.particles: ParticleSet = ParticleSet.empty()
         # counters the performance layer reads (paper Fig. 5 discussion);
         # reused grids are counted separately so created/destroyed keep
         # meaning "allocator traffic"
@@ -75,19 +78,6 @@ class Hierarchy:
         self.grids_reused = 0
 
     # ------------------------------------------------------------- accessors
-    @property
-    def particles(self) -> ParticleSet:
-        return self._particles
-
-    @particles.setter
-    def particles(self, parts: ParticleSet) -> None:
-        self._particles = parts
-        self.notify_particles_moved()
-
-    def notify_particles_moved(self) -> None:
-        """Invalidate the particle-level cache after positions change."""
-        self._particle_epoch += 1
-
     @property
     def root(self) -> Grid:
         return self.levels[0][0]
@@ -260,38 +250,61 @@ class Hierarchy:
             best = hit
         return best
 
-    def finest_level_of_particles(self) -> np.ndarray:
-        """Per-particle finest level whose grids contain it (vectorised).
+    def owned_particles(self, level: int) -> list[tuple[Grid, np.ndarray]]:
+        """The particles ``level`` advances, as ``[(grid, indices)]`` in
+        ``level_grids(level)`` order, grids owning none left out.
 
-        Cached until either the tree changes (``topology_epoch``) or the
-        particles move (``notify_particles_moved``); the returned array is
-        read-only so a consumer cannot corrupt the cache in place.
+        A particle belongs to ``level`` when no ``level + 1`` grid contains
+        it (proper nesting puts every deeper grid inside one), and goes to
+        the first ``level`` grid that does: siblings may overlap, and a
+        particle is advanced once.  Containment is ``ParticleSet.in_region``'s
+        float64 ``[left, right)`` test.
         """
-        key = (self.topology_epoch, self._particle_epoch, id(self._particles))
-        cacheable = not (self._bulk_depth and self._bulk_mutations)
-        if (
-            cacheable
-            and self._plevel_cache is not None
-            and self._plevel_cache[0] == key
-        ):
-            return self._plevel_cache[1]
-        level_of = self._timed_topology(self._compute_particle_levels)
-        level_of.flags.writeable = False
-        if cacheable:
-            self._plevel_cache = (key, level_of)
-        return level_of
+        parts = self.particles
+        if len(parts) == 0:
+            return []
+        pos = parts.positions.hi + parts.positions.lo
 
-    def _compute_particle_levels(self) -> np.ndarray:
-        pos = self.particles.positions.hi + self.particles.positions.lo
-        level_of = np.zeros(len(self.particles), dtype=np.int32)
-        for lvl in range(1, len(self.levels)):
-            covered = np.zeros(len(self.particles), dtype=bool)
-            for g in self.levels[lvl]:
-                covered |= np.all(
-                    (pos >= g.left_edge) & (pos < g.right_edge), axis=1
-                )
-            level_of[covered] = lvl
-        return level_of
+        def inside(g):
+            return np.all((pos >= g.left_edge) & (pos < g.right_edge), axis=1)
+
+        free = np.ones(len(parts), dtype=bool)
+        for child in self.level_grids(level + 1):
+            free &= ~inside(child)
+        owned = []
+        for g in self.level_grids(level):
+            if not free.any():
+                break
+            sel = np.nonzero(inside(g) & free)[0]
+            if len(sel):
+                free[sel] = False
+                owned.append((g, sel))
+        return owned
+
+    def dm_density(self, grid: Grid) -> np.ndarray | None:
+        """Dark-matter comoving density deposited (CIC) on ``grid``'s
+        interior, or None when no particle reaches it.
+
+        The root deposits periodically; any other grid takes the particles
+        within one cell of it, so its boundary cells receive their share of
+        straddling clouds.
+        """
+        parts = self.particles
+        if len(parts) == 0:
+            return None
+        periodic = bool(grid.level == 0 and np.all(grid.dims == self.n_root))
+        origin = 0.0  # x - 0.0 == x exactly: the root's offsets are positions
+        if not periodic:
+            mask = parts.in_region(grid.left_edge - grid.dx,
+                                   grid.right_edge + grid.dx)
+            if not mask.any():
+                return None
+            parts = parts.select(mask)
+            origin = grid.left_edge
+        offsets = (parts.positions.hi + parts.positions.lo) - origin
+        return cic_deposit(offsets, parts.masses,
+                           tuple(int(d) for d in grid.dims), grid.dx,
+                           periodic=periodic)
 
     def _timed_topology(self, fn, *args):
         if self.timers is None:

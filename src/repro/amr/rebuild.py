@@ -146,7 +146,7 @@ def _dilate(flags: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
-def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
+def rebuild_hierarchy(hierarchy, level: int, criteria,
                       incremental: bool = True) -> None:
     """Rebuild grids on ``level`` and deeper.
 
@@ -155,8 +155,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
     ``min_size``, ``max_dims``) shapes the grids.
     ``max_dims`` caps each new grid's extent per dimension in parent cells
     (big boxes are bisected — keeps grids "generally small (~20^3) and
-    numerous" as the paper describes).  ``dm_density_fn(grid)`` returns the
-    deposited dark-matter density on a grid's interior (or None).
+    numerous" as the paper describes).  The dark-matter criterion reads
+    each parent's deposit from ``hierarchy.dm_density``.
 
     With ``incremental=True`` (the default) every new box equal to a
     retiring grid's box keeps that grid (see the module docstring);
@@ -201,9 +201,8 @@ def rebuild_hierarchy(hierarchy, level: int, criteria, dm_density_fn=None,
             # (child, parent, kept): the entries the level's fill takes
             new_grids: list[tuple[Grid, Grid, bool]] = []
             for parent in hierarchy.level_grids(lvl - 1):
-                flags = criteria.flag_cells(
-                    parent, dm_density_fn(parent) if dm_density_fn else None
-                )
+                flags = criteria.flag_cells(parent,
+                                            hierarchy.dm_density(parent))
                 for crit, count in criteria.last_flag_counts.items():
                     flag_counts[crit] = flag_counts.get(crit, 0) + count
                 stats["parents"] += 1

@@ -144,12 +144,6 @@ def _clamp_h2_ldl(T, branch):
     return np.where(T < 10.0, H2_LDL_LO, np.where(T > 1e4, H2_LDL_HI, branch))
 
 
-def _h2_ldl(T):
-    """GP98 H2-H low-density cooling function, erg cm^3/s (x n_H2 * n_H)."""
-    T = _g(T)
-    return _clamp_h2_ldl(T, _h2_ldl_branch(T))
-
-
 def _h2_lte(T):
     """HM79 LTE cooling per H2 molecule, erg/s (x n_H2 after bridging)."""
     t3 = _g(T) / 1000.0

@@ -64,14 +64,6 @@ def neutral_fractions(n: dict) -> dict:
     }
 
 
-def mean_molecular_weight(n: dict) -> np.ndarray:
-    """mu = rho / (m_H * n_total), including electrons."""
-    rho_amu = sum(SPECIES[s].mass_amu * n[s] for s in SPECIES_NAMES)
-    n_tot = sum(n[s] for s in SPECIES_NAMES) + electron_density(n) - n["de"]
-    # note: if n["de"] is carried explicitly it already appears in the sum
-    return rho_amu / np.maximum(n_tot, 1e-300)
-
-
 def nuclei_totals(n: dict) -> dict:
     """Conserved nuclei number densities (for conservation tests)."""
     return {

@@ -73,15 +73,6 @@ class CosmologyParameters:
         """Comoving mean total-matter density in g/cm^3."""
         return self.omega_matter * self.critical_density_z0
 
-    @property
-    def mean_baryon_density_z0(self) -> float:
-        """Comoving mean baryon density in g/cm^3."""
-        return self.omega_baryon * self.critical_density_z0
-
-    def cmb_temperature_at(self, z: float) -> float:
-        """CMB temperature at redshift z."""
-        return self.cmb_temperature * (1.0 + z)
-
     def with_(self, **kwargs) -> "CosmologyParameters":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

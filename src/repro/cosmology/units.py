@@ -99,12 +99,6 @@ class CodeUnits:
         """Proper mass density in g/cm^3 from comoving code density."""
         return np.asarray(rho_code) * self.density_unit / a**3
 
-    def proper_length_cm(self, x_code, a: float) -> np.ndarray:
-        return np.asarray(x_code) * self.length_unit * a
-
-    def comoving_length_code(self, length_cm: float) -> float:
-        return length_cm / self.length_unit
-
     # --- thermodynamics ---------------------------------------------------------------
     def temperature_from_energy(self, e_code, mu, a: float = 1.0, gamma: float = const.GAMMA):
         """Gas temperature in K from proper specific internal energy in code units.
@@ -129,10 +123,6 @@ class CodeUnits:
     def number_density_cgs(self, rho_code, a: float, mean_mass_amu: float = 1.0):
         """Particle number density in cm^-3 from comoving code density."""
         return self.proper_density_cgs(rho_code, a) / (mean_mass_amu * const.HYDROGEN_MASS)
-
-    def sound_speed_code(self, e_code, gamma: float = const.GAMMA):
-        """Proper sound speed in code velocity units from code specific energy."""
-        return np.sqrt(gamma * (gamma - 1.0) * np.asarray(e_code))
 
     def jeans_length_code(self, rho_code, e_code, a: float, gamma: float = const.GAMMA):
         """Comoving Jeans length in code units.

@@ -98,10 +98,3 @@ def load_imbalance(steriles, assignment: dict[int, int], n_ranks: int,
     if mean <= 0:
         return 1.0
     return float(loads.max() / mean)
-
-
-def parallel_efficiency(steriles, assignment: dict[int, int], n_ranks: int,
-                        refine_factor: int = 2, cost_model=None) -> float:
-    """Fraction of ideal speedup achieved given the load distribution."""
-    return 1.0 / load_imbalance(steriles, assignment, n_ranks, refine_factor,
-                                cost_model)

@@ -106,10 +106,6 @@ class SterileHierarchy:
             if o.grid_id != grid.grid_id and grid.ghost_overlap(o) is not None
         ]
 
-    def owners_of_level(self, level: int) -> set[int]:
-        return {s.proc for s in self.level(level)}
-
-
 def find_siblings_with_probes(grid: SterileGrid, cluster, rank: int,
                               all_grids_by_rank: dict) -> list[SterileGrid]:
     """The pre-sterile alternative: ask every other rank what it owns.

@@ -45,8 +45,8 @@ class OperationRecorder:
             if substeps:
                 self.counts.add_chemistry(substeps)
         if len(hierarchy.particles):
-            owners = hierarchy.finest_level_of_particles()
-            self.counts.add_particles(int((owners == level).sum()))
+            self.counts.add_particles(sum(
+                len(sel) for _, sel in hierarchy.owned_particles(level)))
         self.steps_recorded += 1
 
     def record_rebuild(self, hierarchy, level: int) -> None:

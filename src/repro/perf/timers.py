@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 #: canonical section names used by the evolver and hierarchy, in the order
 #: of the paper's Sec. 5 component table.  "topology" is the hierarchy's
-#: cached-sibling-map / particle-level bookkeeping (rebuilt once per
+#: cached same-level overlap tables and face windows (rebuilt once per
 #: structural epoch) — the cost Enzo's boundary lists amortise; a separate
 #: section lets the component table attribute it instead of folding it
 #: into "other overhead".  "io" is checkpoint save/load — material once the

@@ -50,12 +50,6 @@ class DDArray:
     def zeros(cls, shape):
         return cls(np.zeros(shape), np.zeros(shape))
 
-    @classmethod
-    def from_pairs(cls, hi, lo):
-        """Normalise an arbitrary (hi, lo) pair into a valid DDArray."""
-        s, e = core.two_sum(np.asarray(hi, float), np.asarray(lo, float))
-        return cls(s, e)
-
     # --- basic protocol -------------------------------------------------------
     @property
     def shape(self):

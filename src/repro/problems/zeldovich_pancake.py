@@ -52,10 +52,6 @@ class ZeldovichPancake:
         d = self.growth_ratio(a) * self.amplitude
         return 1.0 / np.maximum(1.0 - d * np.cos(2.0 * np.pi * q), 1e-10)
 
-    def exact_position(self, q: np.ndarray, a: float) -> np.ndarray:
-        d = self.growth_ratio(a) * self.amplitude
-        return q - d * np.sin(2.0 * np.pi * q) / (2.0 * np.pi)
-
     def exact_velocity_code(self, q: np.ndarray, a: float) -> np.ndarray:
         """Proper peculiar velocity in code units (EdS: dD/dt = H D)."""
         h_a = float(self.friedmann.hubble(a))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import constants as const
 from repro.hydro.riemann import exact_riemann
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x rename
@@ -200,9 +199,3 @@ def rt_growth_rate(k: float, rho_heavy: float, rho_light: float,
     """
     atwood = (rho_heavy - rho_light) / (rho_heavy + rho_light)
     return float(np.sqrt(max(atwood * g * k, 0.0)))
-
-
-def sound_crossing_time(length: float, pressure: float, rho: float,
-                        gamma: float = const.GAMMA) -> float:
-    """Convenience: L / c_s for picking problem end times."""
-    return float(length / np.sqrt(gamma * pressure / rho))

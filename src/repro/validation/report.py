@@ -62,10 +62,6 @@ class ValidationReport:
         """Fitted convergence order for one field/norm."""
         return float(self.orders[field_name][norm])
 
-    def min_order(self, norm: str = "l1") -> float:
-        """Worst fitted order across all measured fields."""
-        return min(float(self.orders[f][norm]) for f in self.fields)
-
     # ----------------------------------------------------------------- json
     def to_dict(self) -> dict:
         return {

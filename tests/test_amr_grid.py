@@ -230,7 +230,7 @@ class TestHierarchy:
         assert h.finest_grid_at([0.5, 0.5, 0.5]) is child
         assert h.finest_grid_at([0.1, 0.1, 0.1]) is h.root
 
-    def test_finest_level_of_particles(self):
+    def test_owned_particles(self):
         from repro.nbody.particles import ParticleSet
 
         h, child = self._two_level()
@@ -239,8 +239,9 @@ class TestHierarchy:
             np.zeros((2, 3)),
             np.ones(2),
         )
-        lv = h.finest_level_of_particles()
-        np.testing.assert_array_equal(lv, [1, 0])
+        owned = {lvl: [(g, sel.tolist()) for g, sel in h.owned_particles(lvl)]
+                 for lvl in (0, 1, 2)}
+        assert owned == {0: [(h.root, [1])], 1: [(child, [0])], 2: []}
 
     def test_covering_mask(self):
         h, child = self._two_level()

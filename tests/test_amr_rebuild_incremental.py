@@ -15,6 +15,7 @@ the ghost fill never touches an interior cell and that the incremental
 and from-scratch rebuilds still agree.
 """
 
+import functools
 import weakref
 
 import numpy as np
@@ -467,7 +468,7 @@ class TestBulkUpdate:
 
 
 # ------------------------------------------------- evolver + backends
-def _build_sim(backend=None, workers=None, incremental=True):
+def _build_sim(backend=None, workers=None):
     from repro import Simulation, SimulationConfig
 
     sim = Simulation(SimulationConfig(
@@ -478,23 +479,28 @@ def _build_sim(backend=None, workers=None, incremental=True):
         -((x - .5) ** 2 + (y - .5) ** 2 + (z - .5) ** 2) / 0.01))
     sim.set_field("internal", lambda x, y, z: np.full_like(x, 0.05))
     sim.initialize()
-    sim.evolver.incremental_rebuild = incremental
     return sim
 
 
 class TestEvolverIntegration:
-    def test_incremental_run_bitwise_identical_across_backends(self):
+    def test_incremental_run_bitwise_identical_across_backends(
+            self, monkeypatch):
         """Full evolver steps (hydro + gravity + rebuild): the incremental
         path matches the from-scratch path on every exec backend."""
+        import repro.amr.evolve as evolve_mod
+
         t_end = 0.8
-        reference = _build_sim(incremental=False)
-        for _ in range(3):
-            reference.evolver.advance_root_step(t_end)
+        reference = _build_sim()
+        with monkeypatch.context() as m:
+            m.setattr(evolve_mod, "rebuild_hierarchy", functools.partial(
+                evolve_mod.rebuild_hierarchy, incremental=False))
+            for _ in range(3):
+                reference.evolver.advance_root_step(t_end)
+        assert reference.hierarchy.grids_reused == 0
         want = reference.hierarchy.fingerprint()
         for backend, workers in [(None, None), ("serial", 1),
                                  ("thread", 2)]:
-            sim = _build_sim(backend=backend, workers=workers,
-                             incremental=True)
+            sim = _build_sim(backend=backend, workers=workers)
             for _ in range(3):
                 sim.evolver.advance_root_step(t_end)
             assert sim.hierarchy.fingerprint() == want, (backend, workers)

@@ -199,8 +199,8 @@ class TestKelvinHelmholtzChaos:
             for name in ("density", "energy", "scalar00"):
                 assert np.all(np.isfinite(g.fields[name]))
         # the in-place retry reuses pre-step ghosts for its second half
-        # step, so it drifts mass by a bounded amount (validate_grid's
-        # mass_drift_tol contract); scalars must do no worse than gas
+        # step, so it drifts mass by a small, bounded amount; scalars must
+        # do no worse than gas
         gas_drift = abs(
             float(root.fields["density"][root.interior].sum()) - gas0
         ) / gas0

@@ -18,6 +18,10 @@ def _grid(level, start, dims, n_root=8):
     return Grid(level, start, dims, n_root=n_root)
 
 
+def _owned(h, level):
+    return [(g, sel.tolist()) for g, sel in h.owned_particles(level)]
+
+
 def _siblings(h, grid):
     """The sources of ``grid``'s rows in its level's ``copies`` table."""
     topo = h.level_topology(grid.level)
@@ -139,7 +143,9 @@ class TestEpochInvalidation:
         topo = h.level_topology(1)
         assert h.level_topology(1) is topo
 
-    def test_particle_levels_cached_and_invalidated(self):
+    def test_particle_ownership_follows_tree_and_motion(self):
+        """Ownership is derived on every call, so a structural change or a
+        particle move is seen at once: there is no cache to invalidate."""
         h = Hierarchy(n_root=8)
         child = _grid(1, (4, 4, 4), (8, 8, 8))
         h.add_grid(child, h.root)
@@ -147,30 +153,29 @@ class TestEpochInvalidation:
             PositionDD(np.array([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]])),
             np.zeros((2, 3)), np.ones(2),
         )
-        lv1 = h.finest_level_of_particles()
-        np.testing.assert_array_equal(lv1, [1, 0])
-        assert h.finest_level_of_particles() is lv1  # served from cache
-        assert not lv1.flags.writeable
+        assert _owned(h, 0) == [(h.root, [1])]
+        assert _owned(h, 1) == [(child, [0])]
 
-        # structural change invalidates
+        # structural change
         h.remove_level_grids(1)
-        np.testing.assert_array_equal(h.finest_level_of_particles(), [0, 0])
+        assert _owned(h, 0) == [(h.root, [0, 1])]
+        assert _owned(h, 1) == []
 
-        # particle motion invalidates
-        h.add_grid(_grid(1, (4, 4, 4), (8, 8, 8)), h.root)
-        lv2 = h.finest_level_of_particles()
-        h.notify_particles_moved()
-        assert h.finest_level_of_particles() is not lv2
+        # particle motion
+        child = _grid(1, (4, 4, 4), (8, 8, 8))
+        h.add_grid(child, h.root)
+        h.particles.positions.hi[0] = [0.2, 0.2, 0.2]
+        assert _owned(h, 0) == [(h.root, [0, 1])]
+        assert _owned(h, 1) == []
 
-    def test_particle_replacement_invalidates(self):
+    def test_particle_replacement_is_seen(self):
         h = Hierarchy(n_root=8)
         h.particles = ParticleSet(
             PositionDD(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1)
         )
-        lv = h.finest_level_of_particles()
-        assert len(lv) == 1
+        assert _owned(h, 0) == [(h.root, [0])]
         h.particles = ParticleSet.empty()
-        assert len(h.finest_level_of_particles()) == 0
+        assert _owned(h, 0) == []
 
 
 class TestTimersSection:
