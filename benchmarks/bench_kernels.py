@@ -65,6 +65,7 @@ import argparse
 import itertools
 import json
 import os
+import platform
 import subprocess
 import time
 import tracemalloc
@@ -346,18 +347,13 @@ def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
     return fields, names, ng, children
 
 
-def _packed_level():
-    """``fill.level`` arguments of a sibling-packed level: the boundary
-    fill of 64 8^3 grids tiling a 16^3 root mid-step, and the rebuild
-    fill of 27 8^3 grids offset from them by half a grid."""
-    import itertools
-
+def _packed_hierarchy(corners, seed=11):
+    """A 16^3 root mid-step (an old and a new state) with an 8^3 level-1
+    grid at each of ``corners``, every array random."""
     from repro.amr import Grid, Hierarchy
-    from repro.amr.boundary import ghost_fill_args
-    from repro.amr.rebuild import rebuild_fill_args
     from repro.precision.doubledouble import DoubleDouble
 
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
 
     def randomise(grid):
         for _, arr in grid.fields.array_items():
@@ -369,24 +365,39 @@ def _packed_level():
     h.root.save_old_state()
     randomise(h.root)
     h.root.time = DoubleDouble(1.0)
-    for corner in itertools.product(range(0, 32, 8), repeat=3):
+    for corner in corners:
         g = Grid(1, corner, (8, 8, 8), n_root=16)
         h.add_grid(g, h.root)
         randomise(g)
         g.time = DoubleDouble(0.5)
+    return h
+
+
+def _packed_level():
+    """``fill.level`` plans and time fractions of a sibling-packed level:
+    the boundary fill of 64 8^3 grids tiling a 16^3 root mid-step (the
+    level plan's), and the rebuild fill of 27 8^3 grids offset from them
+    by half a grid (a one-off)."""
+    from repro.amr import Grid
+    from repro.amr.boundary import ghost_fractions
+    from repro.amr.rebuild import rebuild_fill_plan
+
+    h = _packed_hierarchy(itertools.product(range(0, 32, 8), repeat=3))
     shifted = []
     for corner in itertools.product(range(4, 28, 8), repeat=3):
         g = Grid(1, corner, (8, 8, 8), n_root=16)
         g.allocate()
         shifted.append((g, h.root, False))
-    return (ghost_fill_args(h.level_topology(1)),
-            rebuild_fill_args(shifted, h.level_grids(1)))
+    topo = h.level_topology(1)
+    return ((topo.level_plan().ghost_plan(), ghost_fractions(topo)),
+            (rebuild_fill_plan(shifted, h.level_grids(1)), None))
 
 
 def _fill(fn, args, timed=False):
-    fn(*args)
+    plan, fracs = args
+    fn(plan, fracs)
     if not timed:
-        return np.concatenate([a.ravel() for t in args[0] for a in t[0]])
+        return np.concatenate([a.ravel() for t in plan.targets for a in t[0]])
 
 
 def bookkeeping_rows(config: dict, backend: str) -> dict:
@@ -465,6 +476,110 @@ def _deposit(fn, offsets, masses, dx, periodic):
     return grid
 
 
+# ------------------------------------------------------------- level plan
+#: the ``sphere_deep`` workload's shape: 32 level-1 grids of 8^3 interior
+#: cells and three ghosts, abutting in a 4 x 4 x 2 block
+LEVEL_CORNERS = tuple(itertools.product(range(0, 32, 8), range(0, 32, 8),
+                                        range(8, 24, 8)))
+
+
+def _store_per_grid(phi, sol, ng):
+    """The store of the per-grid path: the rim box, then each axis's ghost
+    layers copied from its edge plane."""
+    phi[tuple(slice(ng - 1, ng + n - 1) for n in sol.shape)] = sol
+    for axis in range(3):
+        n = phi.shape[axis]
+        for dst, src in ((slice(0, ng - 1), slice(ng - 1, ng)),
+                         (slice(n - ng + 1, n), slice(n - ng, n - ng + 1))):
+            d, s = [slice(None)] * 3, [slice(None)] * 3
+            d[axis], s[axis] = dst, src
+            phi[tuple(d)] = phi[tuple(s)]
+
+
+def _per_grid_pass(plan, src, mg):
+    """One sibling pass the way the hierarchy ran it before ``mg.level``:
+    per grid a :meth:`MultigridSolver.solve` (one ``mg.solve`` call on a
+    copy of its rim) and the store into its potential, then the rim
+    exchange row by row with ``np.array_equal``."""
+    for rim, phi, source in zip(plan.rim_views, plan.phis,
+                                plan.interiors(src)):
+        _store_per_grid(phi, mg.solve(source, plan.dx, rim), plan.nghost)
+    for t, s, *box in plan.rim_rows.tolist():
+        rim = plan.rim_views[t][tuple(slice(a, a + n) for a, n in zip(
+            box[0:3], box[6:9]))]
+        new = plan.phis[s][tuple(slice(a, a + n) for a, n in zip(
+            box[3:6], box[6:9]))]
+        if not np.array_equal(rim, new):
+            rim[...] = new
+
+
+def level_plan_rows(config: dict, backend: str) -> dict:
+    """The plan-fed level paths at ``sphere_deep``'s shape
+    (:data:`LEVEL_CORNERS`), compiled tier, in us per grid-pass: the ghost
+    fill on the level plan's cached tables against a fill that checks its
+    tables and builds its pointers again (what every call paid before the
+    plan), and one ``mg.level`` sibling pass against the per-grid path
+    (:func:`_per_grid_pass`, its ``mg.solve`` compiled too), both
+    parity-asserted."""
+    from repro.amr.boundary import ghost_fractions
+    from repro.amr.gravity import HierarchyGravity
+    from repro.amr.interpolation import FillPlan
+
+    fill = dispatch._impls[(backend, "fill.level")]
+    h = _packed_hierarchy(LEVEL_CORNERS, seed=13)
+    topo = h.level_topology(1)
+    n = len(topo.grids)
+    plan, fracs = topo.level_plan().ghost_plan(), ghost_fractions(topo)
+    args = ([(a, o, p, 1.0) for a, o, p in plan.targets],
+            [(a, old, o) for a, old, o in plan.parents],
+            [(a, o, tuple(lo), tuple(hi)) for (a, o), lo, hi in zip(
+                plan.sources, topo.starts, topo.ends)],
+            plan.fill, plan.copies, plan.r, plan.positive)
+    reps = config["repeats"] * 10
+    rows = [{
+        "kernel": "fill.level (plan-fed)", "grids": n,
+        f"{backend}_per_call_us_per_grid_pass": 1e6 * _best(
+            lambda: fill(FillPlan(*args), fracs), reps) / n,
+        f"{backend}_plan_fed_us_per_grid_pass": 1e6 * _best(
+            lambda: fill(plan, fracs), reps) / n,
+    }]
+
+    mg = HierarchyGravity(g_code=1.0).mg
+    level = dispatch._impls[(backend, "mg.level")]
+    dispatch.set_backend(backend, env=False)  # the per-grid mg.solve's
+    poisson = topo.level_plan().poisson()
+    fill(poisson.rim_fill)
+    src = np.random.default_rng(3).standard_normal(
+        int(poisson.cell_offsets[-1]))
+    rims = poisson.rims.copy()
+    stats = np.zeros((n, 3))
+    outputs, best = {}, {}
+    for name, call in (
+            ("per_grid", lambda: _per_grid_pass(poisson, src, mg)),
+            ("mg_level", lambda: level(
+                poisson, src, 0, n, mg.pre, mg.post, mg.min_size, mg.tol,
+                mg.max_cycles, False, False, True, stats))):
+        best[name] = np.inf
+        for _ in range(config["repeats"] * 3):
+            poisson.rims[...] = rims
+            t0 = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - t0)
+        outputs[name] = [a.copy() for a in (*poisson.phis, poisson.rims)]
+    assert all(np.array_equal(a, b) for a, b in zip(outputs["per_grid"],
+                                                    outputs["mg_level"]))
+    rows.append({"kernel": "mg.level", "grids": n,
+                 f"{backend}_per_grid_us_per_grid_pass":
+                     1e6 * best["per_grid"] / n,
+                 f"{backend}_mg_level_us_per_grid_pass":
+                     1e6 * best["mg_level"] / n})
+    for row, (slow, fast) in zip(rows, (("per_call", "plan_fed"),
+                                        ("per_grid", "mg_level"))):
+        row["speedup"] = (row[f"{backend}_{slow}_us_per_grid_pass"]
+                          / row[f"{backend}_{fast}_us_per_grid_pass"])
+    return {**_host(backend), "unit": "us per grid-pass", "rows": rows}
+
+
 # -------------------------------------------------------------- end-to-end
 def end_to_end(config: dict, backend: str) -> dict:
     """Step the collapse problem under both tiers; fingerprints must match."""
@@ -514,6 +629,7 @@ def run(config: dict) -> dict:
             "chem.step": chem_step_rows(config, backend),
             "mg.solve": solve_rows(config, backend),
             "bookkeeping": bookkeeping_rows(config, backend),
+            "level_plan": level_plan_rows(config, backend),
             "micro": micro(config, backend),
             "end_to_end": end_to_end(config, backend),
         }
@@ -542,8 +658,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     config = SMOKE if args.smoke else FULL
     results = run(config)
+    backend = _compiled_backend()
     payload = {
         "bench": "kernels",
+        "host": platform.node(),
+        "cpus": len(os.sched_getaffinity(0)),
+        "tier": backend or "numpy",
+        "commit": _commit(),
         "mode": "smoke" if args.smoke else "full",
         "config": config,
         "results": results,
@@ -585,6 +706,13 @@ def test_kernels_smoke():
     # inside bookkeeping_rows)
     assert all(r["speedup"] > 1.0 for r in results["bookkeeping"]["rows"]), \
         results["bookkeeping"]
+    # and the plan-fed level paths at sphere_deep's shape (parity-checked
+    # inside level_plan_rows): the cached fill tables beat checking them
+    # per call, one mg.level pass beats the per-grid path
+    assert [r["kernel"] for r in results["level_plan"]["rows"]] == [
+        "fill.level (plan-fed)", "mg.level"]
+    assert all(r["speedup"] > 1.0 for r in results["level_plan"]["rows"]), \
+        results["level_plan"]
     # and the chem.blend table pass (parity-checked inside micro)
     assert results["micro"]["chem.blend"]["speedup"] > 1.0, results["micro"]
     assert results["end_to_end"]["fingerprints_match"]

@@ -10,8 +10,8 @@ Paper Sec. 3.2.1 — the two-step procedure:
    parent interpolation wherever finer-resolution data exists.
 
 Both steps of a level are one ``fill.level`` kernel call over the level's
-grids, with the geometry of the hierarchy's cached
-:class:`~repro.amr.topology.LevelTopology`.  A ghost cell a sibling's
+grids, with the tables of the hierarchy's cached
+:class:`~repro.amr.topology.LevelPlan` (checked once per topology epoch).  A ghost cell a sibling's
 interior covers is copied and never prolonged: prolongation is per-cell
 local, so skipping it changes no value.
 
@@ -20,17 +20,13 @@ The root grid uses the problem's predefined boundary (periodic here).
 
 from __future__ import annotations
 
-from itertools import chain
-
-from repro.amr.interpolation import is_positive_field
 from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet, fill_ghosts_periodic
 from repro.kernels import dispatch as kernels
 
 
 def _boundary_field_names(grid):
-    names = [k for k, _ in grid.fields.array_items()]
-    return names
+    return [k for k, _ in grid.fields.array_items()]
 
 
 def _time_fraction(child, parent) -> float:
@@ -45,54 +41,32 @@ def _time_fraction(child, parent) -> float:
 
 def fill_ghosts(topo: LevelTopology, include_phi: bool = True) -> None:
     """Fill the ghost shell of every grid of ``topo`` in one ``fill.level``
-    call: sibling interiors where they reach, parent interpolation
-    (time-centred) everywhere else; interiors are not touched."""
-    if topo.grids:
-        kernels.get("fill.level")(*ghost_fill_args(topo, include_phi))
+    call on its level plan's checked tables: sibling interiors where they
+    reach, parent interpolation (time-centred) everywhere else; interiors
+    are not touched.  The potential is filled too when ``include_phi`` and
+    every grid and parent carries one; it is not interpolated in time."""
+    if not topo.grids:
+        return
+    plan = topo.level_plan().ghost_plan(include_phi)
+    kernels.get("fill.level")(plan, ghost_fractions(topo))
 
 
-def ghost_fill_args(topo: LevelTopology, include_phi: bool = True) -> tuple:
-    """The ``fill.level`` arguments of :func:`fill_ghosts`.  The potential
-    is filled too when ``include_phi`` and every grid and parent carries
-    one; it is not interpolated in time."""
-    grids, parents = topo.grids, topo.parents
-    if parents is None:
-        raise ValueError("a ghost fill needs every grid's parent")
-    if topo.ghost_misfit is not None:
-        child = grids[topo.ghost_misfit]
-        raise ValueError(
-            f"child ghost region leaves parent array: {child} in "
-            f"{parents[topo.parent_of[topo.ghost_misfit]]}")
-    names = _boundary_field_names(grids[0])
-    with_phi = include_phi and all(g.phi is not None
-                                   for g in chain(grids, parents))
-
-    def arrays(grid):
-        out = [grid.fields[n] for n in names]
-        if with_phi:
-            out.append(grid.phi)
-        return out
-
-    parent_rows = [
-        (arrays(p), None if p.old_fields is None
-         else [p.old_fields[n] for n in names] + [None] * with_phi, origin)
-        for p, origin in zip(parents, topo.parent_origins)
-    ]
-    # one time fraction per distinct parent (and child time)
-    fracs = {}
-    targets, sources = [], []
-    for g, origin, lo, hi, k in zip(grids, topo.origins, topo.starts,
-                                    topo.ends, topo.parent_of):
-        key = (k, float(g.time.hi), float(g.time.lo))
-        frac = fracs.get(key)
+def ghost_fractions(topo: LevelTopology) -> list:
+    """Each grid's time fraction between its parent's old and new states:
+    the one part of a ghost fill computed per call.  A fraction depends
+    only on the child's time and the parent's clocks, so it is worked out
+    once per distinct set of them (a level's grids usually share one)."""
+    clocks = [(float(p.time.hi), float(p.time.lo), float(p.old_time.hi),
+               float(p.old_time.lo), p.old_fields is None)
+              for p in topo.parents]
+    memo, fracs = {}, []
+    for g, k in zip(topo.grids, topo.parent_of):
+        key = (clocks[k], float(g.time.hi), float(g.time.lo))
+        frac = memo.get(key)
         if frac is None:
-            frac = fracs[key] = _time_fraction(g, parents[k])
-        mine = arrays(g)
-        targets.append((mine, origin, k, frac))
-        sources.append((mine, origin, lo, hi))
-    return (targets, parent_rows, sources, topo.shell, topo.copies,
-            grids[0].refine_factor,
-            [is_positive_field(n) for n in names] + [False] * with_phi)
+            frac = memo[key] = _time_fraction(g, topo.parents[k])
+        fracs.append(frac)
+    return fracs
 
 
 def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:

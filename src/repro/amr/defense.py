@@ -222,8 +222,11 @@ class DefenseLadder:
 
     # ---- individual rungs
     def _restore(self, grid) -> None:
+        """Copy the pre-step snapshot back into the grid's own arrays (never
+        rebinding them: a level plan holds pointers to those arrays)."""
         if grid.old_fields is not None:
-            grid.fields = grid.old_fields.deep_copy()
+            for name, arr in grid.old_fields.array_items():
+                np.copyto(grid.fields[name], arr)
 
     def _reinject(self, grid, faults) -> None:
         """Re-query the nan_cell fault so repeated firings climb the ladder."""
@@ -328,7 +331,7 @@ class DefenseLadder:
             if neg:
                 np.maximum(arr, 0.0, out=arr)
                 repaired += neg
-        grid.fields["energy"] = total_energy(grid.fields)
+        np.copyto(grid.fields["energy"], total_energy(grid.fields))
 
         if fluxes is not None:
             for planes in fluxes.planes():

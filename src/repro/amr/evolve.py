@@ -325,10 +325,13 @@ class HierarchyEvolver:
             # the pre-step snapshot the step overwrites
             for g in grids:
                 g.save_old_state()
+        plan = h.level_plan(level)
         hydro_tasks = [
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
-                      accel.get(g.grid_id), permute, self.faults, windows)
-            for g, windows in zip(grids, h.face_windows(level))
+                      accel.get(g.grid_id), permute, self.faults, windows,
+                      plan.step_plan(i, windows))
+            for i, (g, windows) in enumerate(zip(grids,
+                                                 h.face_windows(level)))
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
         results = self._validated(hydro_tasks, self._defend_hydro)
@@ -519,12 +522,13 @@ class HierarchyEvolver:
             n * n * grid.dx**2 * g_code * rho
             / (np.pi * a * gamma * (gamma - 1.0))
         )
-        below = grid.fields["internal"] < e_floor
-        if below.any():
-            grid.fields["internal"] = np.maximum(grid.fields["internal"], e_floor)
+        internal = grid.fields["internal"]
+        if (internal < e_floor).any():
             from repro.hydro.state import total_energy
 
-            grid.fields["energy"] = total_energy(grid.fields)
+            # in place: a level plan holds pointers to these very arrays
+            np.maximum(internal, e_floor, out=internal)
+            np.copyto(grid.fields["energy"], total_energy(grid.fields))
 
     # ---------------------------------------------------------------- timers
     @contextmanager

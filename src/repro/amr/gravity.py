@@ -15,7 +15,11 @@ import numpy as np
 from repro.amr.boundary import wrap_phi_ghosts
 from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.gradient import acceleration_from_potential
-from repro.gravity.multigrid import MultigridConvergenceError, MultigridSolver
+from repro.gravity.multigrid import (
+    MultigridConvergenceError,
+    MultigridDiagnostics,
+    MultigridSolver,
+)
 from repro.kernels import dispatch as kernels
 from repro.nbody.cic import cic_gather
 
@@ -81,89 +85,98 @@ class HierarchyGravity:
             wrap_phi_ghosts(g)
             return 0, 0, 0
 
-        sources = [self.source(hierarchy, g, a) for g in grids]
-        topo = hierarchy.level_topology(level)
-        rims = parent_boundaries(topo)
-        exchange = rim_exchange(topo)
-        passes = solves = vcycles = 0
+        plan = hierarchy.level_plan(level).poisson()
+        src = np.empty(int(plan.cell_offsets[-1]))
+        for g, view in zip(grids, plan.interiors(src)):
+            view[...] = self.source(hierarchy, g, a)
+        # every Dirichlet rim, interpolated from the parents' potentials
+        kernels.get("fill.level")(plan.rim_fill)
+        stats = np.zeros((len(grids), 3))
+        counts = [0, 0]  # solves, V-cycles
+        passes = 0
         for iteration in range(self.sibling_iterations):
             passes += 1
-            for g, src, rim in zip(grids, sources, rims):
-                sol, attempts, cycles = self._solve_grid(g, src, rim, faults)
-                solves += attempts
-                vcycles += cycles
-                self._store_phi(g, sol)
-            if iteration == self.sibling_iterations - 1:
-                break  # nothing reads the rims again
-            # exchange: overwrite rim values with sibling solutions; a pass
-            # that changes nothing means the iteration has converged
-            improved = False
-            for target, source, rim_sl, phi_sl in exchange:
-                new = grids[source].phi[phi_sl]
-                if not np.array_equal(rims[target][rim_sl], new):
-                    rims[target][rim_sl] = new
-                    improved = True
-            if not improved:
+            # the exchange after every pass but the last (nothing reads
+            # the rims again); a pass whose exchange changes nothing means
+            # the iteration has converged
+            exchange = iteration < self.sibling_iterations - 1
+            if not self._sibling_pass(plan, src, grids, faults, exchange,
+                                      stats, counts):
                 break
-        return passes, solves, vcycles
+        return passes, counts[0], counts[1]
 
-    def _solve_grid(self, grid, src: np.ndarray, rim: np.ndarray,
-                    faults=None) -> tuple[np.ndarray, int, int]:
-        """One subgrid multigrid solve, defended when a ladder is attached;
-        returns the solution, the solves it took and their V-cycles.
+    def _sibling_pass(self, plan, src, grids, faults, exchange, stats,
+                      counts) -> bool:
+        """One pass of ``mg.level`` over the level; returns whether its
+        exchange changed a rim.  ``stats`` receives each solve's
+        ``(cycles, residual, converged)``, ``counts`` the solves and
+        V-cycles.
 
-        Defense off: today's silent solve, bit for bit.  Defense on: the
-        solve is strict; on non-convergence (real, or injected via the
-        ``mg_diverge`` fault) it is retried once with the V-cycle budget
-        doubled, and only a second failure escalates the error to the run
-        controller's rollback path.
+        Defense off: an unconverged solve is kept silently.  Defense on:
+        the solves are strict, and a grid whose solve does not converge (real,
+        or injected via the ``mg_diverge`` fault) is retried once with
+        the V-cycle budget doubled (:meth:`_budget_retry`) before the pass
+        resumes at the next grid.  Without an injector the pass is one
+        kernel call, or one more per retried grid; with one, every grid is
+        its own call, so the injector is queried in grid order, before
+        each solve and before each retry.
         """
-        site = (int(grid.level), int(grid.grid_id))
+        mg, n = self.mg, len(grids)
         strict = self.defense is not None
+        level_kernel = kernels.get("mg.level")
+
+        def run(first, stop, force=False, budget=mg.max_cycles,
+                exchange=False):
+            return level_kernel(plan, src, first, stop, mg.pre, mg.post,
+                                mg.min_size, mg.tol, budget, strict, force,
+                                exchange, stats)
+
+        if faults is None:
+            first = 0
+            while True:
+                failed, changed = run(first, n, exchange=exchange)
+                stop = n if failed < 0 else failed
+                counts[0] += stop - first
+                counts[1] += int(stats[first:stop, 0].sum())
+                if failed < 0:
+                    return changed
+                self._budget_retry(run, grids[failed], failed, stats, None,
+                                   counts)
+                first = failed + 1
+        for i, g in enumerate(grids):
+            force = faults.take("mg_diverge", g.level, g.grid_id) is not None
+            if run(i, i + 1, force)[0] < 0:
+                counts[0] += 1
+                counts[1] += int(stats[i, 0])
+            else:
+                self._budget_retry(run, g, i, stats, faults, counts)
+        return run(n, n, exchange=exchange)[1]
+
+    def _budget_retry(self, run, grid, i, stats, faults, counts) -> None:
+        """The ``mg_budget_retry`` rung: record grid ``i``'s failed strict
+        solve, solve it again from its rim with double the V-cycle budget
+        and, if that fails too, escalate the error to the run
+        controller's rollback path."""
+        mg = self.mg
+        site = (int(grid.level), int(grid.grid_id))
+        failed = MultigridDiagnostics(
+            cycles=int(stats[i, 0]), budget=mg.max_cycles,
+            residual=float(stats[i, 1]), tol=mg.tol, converged=False)
+        self.defense.record_event({
+            "rung": "mg_budget_retry", "ok": True,
+            "level": site[0], "grid": site[1],
+            "diagnostics": failed.as_dict(),
+        })
         force = faults is not None and faults.take(
             "mg_diverge", grid.level, grid.grid_id) is not None
-        try:
-            sol = self.mg.solve(src, grid.dx, rim, strict=strict,
-                                site=site, force_diverge=force)
-            return sol, 1, self.mg.last_cycles
-        except MultigridConvergenceError as exc:
-            self.defense.record_event({
-                "rung": "mg_budget_retry", "ok": True,
-                "level": site[0], "grid": site[1],
-                "diagnostics": exc.diagnostics.as_dict(),
-            })
-            force = faults is not None and faults.take(
-                "mg_diverge", grid.level, grid.grid_id) is not None
-            sol = self.mg.solve(
-                src, grid.dx, rim, strict=True,
-                max_cycles=2 * self.mg.max_cycles, site=site,
-                force_diverge=force,
-            )
-            return sol, 2, exc.diagnostics.cycles + self.mg.last_cycles
-
-    def _store_phi(self, grid, rim_solution: np.ndarray) -> None:
-        """Write the rim-padded MG solution into grid.phi (ghost layout).
-
-        The ghost layers beyond the 1-cell rim are edge-replicated so the
-        acceleration gradient stays bounded everywhere — stale values there
-        would create huge spurious ghost-band accelerations that destabilise
-        the next hydro step before the ghosts are refreshed.
-        """
-        ng = grid.nghost
-        sl = tuple(slice(ng - 1, ng + int(d) + 1) for d in grid.dims)
-        grid.phi[sl] = rim_solution
-        for axis in range(3):
-            n = grid.phi.shape[axis]
-            lo_edge = [slice(None)] * 3
-            lo_edge[axis] = slice(ng - 1, ng)
-            hi_edge = [slice(None)] * 3
-            hi_edge[axis] = slice(n - ng, n - ng + 1)
-            lo_dst = [slice(None)] * 3
-            lo_dst[axis] = slice(0, ng - 1)
-            hi_dst = [slice(None)] * 3
-            hi_dst[axis] = slice(n - ng + 1, n)
-            grid.phi[tuple(lo_dst)] = grid.phi[tuple(lo_edge)]
-            grid.phi[tuple(hi_dst)] = grid.phi[tuple(hi_edge)]
+        budget = 2 * mg.max_cycles
+        if run(i, i + 1, force, budget)[0] >= 0:
+            raise MultigridConvergenceError(MultigridDiagnostics(
+                cycles=int(stats[i, 0]), budget=budget,
+                residual=float(stats[i, 1]), tol=mg.tol, converged=False),
+                None, site=site)
+        counts[0] += 2
+        counts[1] += failed.cycles + int(stats[i, 0])
 
     # --------------------------------------------------------- acceleration
     def acceleration(self, grid, a: float = 1.0) -> np.ndarray:
@@ -188,39 +201,3 @@ def accel_numpy(phi: np.ndarray, dx: float, a: float) -> np.ndarray:
     :func:`~repro.gravity.gradient.acceleration_from_potential`,
     ``-np.gradient(phi, dx, axis=k) / a`` for each axis k."""
     return acceleration_from_potential(phi, dx, a, periodic=False)
-
-
-def rim_exchange(topo) -> list[tuple]:
-    """``(target, source, rim_slices, phi_slices)`` for every row of
-    ``topo.rim_copies``, in its order: the row's box in the target's
-    dims+2 rim array and in the source's ghost-padded ``phi``.  The bounds
-    are array arithmetic; only the slice objects are built per row."""
-    rows = topo.rim_copies
-    t, s = rows[:, 0], rows[:, 1]
-    lo, hi = rows[:, 2:5], rows[:, 5:8]
-    rim_lo = np.array(topo.starts, dtype=np.int64).reshape(-1, 3)[t] - 1
-    phi_lo = np.array(topo.origins, dtype=np.int64).reshape(-1, 3)[s]
-    columns = (c.tolist() for c in (
-        t, s, lo - rim_lo, hi - rim_lo, lo - phi_lo, hi - phi_lo))
-    return [(a, b, tuple(map(slice, r0, r1)), tuple(map(slice, p0, p1)))
-            for a, b, r0, r1, p0, p1 in zip(*columns)]
-
-
-def parent_boundaries(topo) -> list[np.ndarray]:
-    """Dirichlet rims (dims+2) of every grid of ``topo``, interpolated from
-    the parents' potentials in one ``fill.level`` call."""
-    grids, parents = topo.grids, topo.parents
-    if topo.rim_misfit is not None:
-        grid = grids[topo.rim_misfit]
-        raise ValueError(
-            f"Dirichlet rim leaves parent array: {grid} in "
-            f"{parents[topo.parent_of[topo.rim_misfit]]}")
-    rims = [np.empty(tuple(int(d) + 2 for d in g.dims)) for g in grids]
-    kernels.get("fill.level")(
-        [([rim], [v - 1 for v in lo], k, 1.0)
-         for rim, lo, k in zip(rims, topo.starts, topo.parent_of)],
-        [([p.phi], None, origin)
-         for p, origin in zip(parents, topo.parent_origins)],
-        [], topo.rim, (), grids[0].refine_factor, [False])
-    return rims
-

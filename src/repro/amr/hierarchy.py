@@ -138,6 +138,11 @@ class Hierarchy:
         """
         removed = 0
         for lvl in range(level, len(self.levels)):
+            # a level plan holds the arrays of the grids it points to: let
+            # them go with the grids, even while the topology stays cached
+            entry = self._topologies.get(lvl)
+            if entry is not None:
+                entry[1].plan = None
             for g in self.levels[lvl]:
                 removed += 1
                 p = g.parent
@@ -225,6 +230,12 @@ class Hierarchy:
         if cacheable:
             self._topologies[level] = (self.topology_epoch, topo)
         return topo
+
+    def level_plan(self, level: int):
+        """The level's :class:`~repro.amr.topology.LevelPlan` (the tables
+        and pointers the fill, hydro and gravity kernels read), built on
+        first use per topology epoch and kept on its topology."""
+        return self.level_topology(level).level_plan()
 
     def face_windows(self, level: int) -> list:
         """The :class:`~repro.amr.flux_correction.FaceWindows` of every

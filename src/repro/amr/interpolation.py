@@ -16,7 +16,8 @@ array.  Every hierarchy call site fills a whole level's targets through
 the ``fill.level`` kernel (:mod:`repro.kernels`): prolongation from the
 parent wherever no same-level interior is copied in.  Its NumPy
 reference is :func:`fill_level_numpy` (:func:`subtract_boxes`, then
-:func:`prolong_boxes`, then slice copies).
+:func:`prolong_boxes`, then slice copies); its tables come checked in a
+:class:`FillPlan`.
 """
 
 from __future__ import annotations
@@ -198,11 +199,10 @@ def prolong_boxes(coarse, coarse_old, frac, positive, coarse_origin, r,
         np.put(arr, dst, vals)
 
 
-def fill_level_numpy(targets, parents, sources, fill, copies, r,
-                     positive) -> None:
-    """NumPy reference of the ``fill.level`` kernel: fill a table of
-    target arrays from their parents and from same-level interiors.
+class FillPlan:
+    """One ``fill.level`` call's tables, checked once.
 
+    Built from ``(targets, parents, sources, fill, copies, r, positive)``.
     ``targets`` are ``(arrays, origin, parent, frac)``: the target's
     arrays, one per field (first cell at fine index ``origin``), an index
     into ``parents`` and the time fraction its parent is interpolated
@@ -215,26 +215,149 @@ def fill_level_numpy(targets, parents, sources, fill, copies, r,
     grouped by target in ascending order; ``positive`` flags the
     sign-definite fields.
 
+    The constructor is the one place the tables are checked, because the
+    compiled tier indexes raw memory with them: every table index, every
+    box, the parent cells under every fill box and every copy source
+    against the arrays they reach, and that no target writes its own
+    interior as a source (so no target reads what another writes, and
+    the order of the targets is irrelevant).  The ``frac`` entries are
+    the default time fractions (``fracs``); a plan a
+    :class:`~repro.amr.topology.LevelPlan` keeps is run again with new
+    ones.  The plan holds the arrays themselves, so ``native`` (the
+    compiled tier's pointer tables, filled on its first call) never
+    outlives them.
+    """
+
+    __slots__ = ("targets", "parents", "sources", "fill", "copies", "r",
+                 "positive", "fracs", "t_geom", "p_geom", "s_geom", "native")
+
+    def __init__(self, targets, parents, sources, fill, copies, r,
+                 positive):
+        r, nf = int(r), len(positive)
+        if r < 2:
+            raise ValueError("fill.level needs a refinement factor >= 2")
+        fill = _box_rows(fill, 7, "fill")
+        copies = _box_rows(copies, 8, "copy")
+        t_geom = [(*_field_shape(arrays, nf), *origin, p)
+                  for arrays, origin, p, _ in targets]
+        p_geom = []
+        for arrays, old, origin in parents:
+            shape = _field_shape(arrays, nf)
+            if old is not None and (len(old) != nf or any(
+                    a is not None and a.shape != shape for a in old)):
+                raise ValueError("fill.level: field shapes differ")
+            p_geom.append((*shape, *origin))
+        s_geom = [(*_field_shape(arrays, nf), *origin)
+                  for arrays, origin, _, _ in sources]
+        s_box = [(*lo, *hi) for _, _, lo, hi in sources]
+        t_geom, p_geom, s_geom, s_box = (
+            np.array(x, dtype=np.int64).reshape(-1, w)
+            for x, w in ((t_geom, 7), (p_geom, 6), (s_geom, 6), (s_box, 6)))
+
+        n_t = len(t_geom)
+        for index, bound, grouped in ((fill[:, 0], n_t, True),
+                                      (copies[:, 0], n_t, True),
+                                      (copies[:, 1], len(s_geom), False),
+                                      (t_geom[:, 6], len(p_geom), False)):
+            if index.size and (index.min() < 0 or index.max() >= bound
+                               or grouped and np.any(index[1:] < index[:-1])):
+                raise ValueError("fill.level: table rows out of range or "
+                                 "not grouped by target")
+
+        def inside(lo, hi, geom):
+            return np.all((lo <= hi) & (lo >= geom[:, 3:6])
+                          & (hi <= geom[:, 3:6] + geom[:, :3]))
+
+        f_lo, f_hi = fill[:, 1:4], fill[:, 4:7]
+        c_lo, c_hi = copies[:, 2:5], copies[:, 5:8]
+        pg = p_geom[t_geom[fill[:, 0], 6]]
+        if not (inside(f_lo, f_hi, t_geom[fill[:, 0]])
+                and inside(c_lo, c_hi, t_geom[copies[:, 0]])
+                and np.all(f_lo // r >= pg[:, 3:6])
+                and np.all(-(-f_hi // r) <= pg[:, 3:6] + pg[:, :3])):
+            raise ValueError("fill.level: box outside the arrays")
+        if not inside(s_box[:, :3], s_box[:, 3:], s_geom):
+            raise ValueError("fill.level: source interior outside its "
+                             "arrays")
+        src = s_box[copies[:, 1]]
+        if not np.all((c_lo >= src[:, :3]) & (c_hi <= src[:, 3:])):
+            raise ValueError("fill.level: copy source outside its interior")
+        owner = {id(a): s for s, source in enumerate(sources)
+                 for a in source[0]}
+        as_source = np.full(n_t, -1)
+        for t, (arrays, *_) in enumerate(targets):
+            for a in arrays:
+                if id(a) in owner:
+                    as_source[t] = owner[id(a)]
+                    break
+        for t, lo, hi in ((fill[:, 0], f_lo, f_hi),
+                          (copies[:, 0], c_lo, c_hi)):
+            s = as_source[t]
+            own = s_box[s[s >= 0]]
+            if np.any(np.all(np.maximum(lo[s >= 0], own[:, :3])
+                             < np.minimum(hi[s >= 0], own[:, 3:]), axis=1)):
+                raise ValueError("fill.level: a target writes its own "
+                                 "interior as a source")
+
+        self.targets = [(list(arrays), origin, p)
+                        for arrays, origin, p, _ in targets]
+        self.fracs = [float(t[3]) for t in targets]
+        self.parents = [(list(arrays), None if old is None else list(old),
+                         origin) for arrays, old, origin in parents]
+        self.sources = [(list(arrays), origin) for arrays, origin, _, _
+                        in sources]
+        self.fill, self.copies, self.r = fill, copies, r
+        self.positive = [bool(p) for p in positive]
+        self.t_geom, self.p_geom, self.s_geom = t_geom, p_geom, s_geom
+        self.native = None
+
+
+def _box_rows(table, width, what):
+    """``table`` as contiguous int64 rows of ``width`` columns."""
+    rows = np.ascontiguousarray(table, dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"fill.level: {what} rows need {width} columns")
+    return rows
+
+
+def _field_shape(arrays, nf):
+    """The one 3-d shape of ``nf`` arrays."""
+    shape = arrays[0].shape if nf and len(arrays) == nf else ()
+    if len(shape) != 3 or any(a.shape != shape for a in arrays):
+        raise ValueError("fill.level: field shapes differ")
+    return shape
+
+
+def fill_level_numpy(plan: FillPlan, fracs=None) -> None:
+    """NumPy reference of the ``fill.level`` kernel: fill the target
+    arrays of ``plan`` (a :class:`FillPlan`) from their parents and from
+    same-level interiors, target ``t`` at time fraction ``fracs[t]``
+    (default ``plan.fracs``).
+
     For each target, in table order: its copy boxes are subtracted from
     its fill boxes (:func:`subtract_boxes`), the remaining cells are
     prolonged from its parent (:func:`prolong_boxes`), and the copies are
     applied.  Prolongation is per-cell local, so a cell a copy overwrites
-    never needs prolonging.  Callers guarantee that no target writes a
-    source's interior, which makes the order of the targets irrelevant.
+    never needs prolonging.
     """
-    fill = np.asarray(fill, dtype=np.int64).reshape(-1, 7)
-    copies = np.asarray(copies, dtype=np.int64).reshape(-1, 8)
-    for t, (arrays, origin, p, frac) in enumerate(targets):
-        coarse, old, coarse_origin = parents[p]
-        mine = copies[copies[:, 0] == t].tolist()
+    fracs = plan.fracs if fracs is None else fracs
+    fill, copies = plan.fill, plan.copies
+    n_t = len(plan.targets)
+    f_at = np.searchsorted(fill[:, 0], np.arange(n_t + 1)).tolist()
+    c_at = np.searchsorted(copies[:, 0], np.arange(n_t + 1)).tolist()
+    for t, (arrays, origin, p) in enumerate(plan.targets):
+        coarse, old, coarse_origin = plan.parents[p]
+        mine = copies[c_at[t]:c_at[t + 1]].tolist()
         covers = [(c[2:5], c[5:8]) for c in mine]
         fragments = []
-        for row in fill[fill[:, 0] == t].tolist():
+        for row in fill[f_at[t]:f_at[t + 1]].tolist():
             fragments += subtract_boxes(row[1:4], row[4:7], covers)
-        prolong_boxes(coarse, old, frac, positive, coarse_origin, r, arrays,
-                      origin, fragments)
+        prolong_boxes(coarse, old, float(fracs[t]), plan.positive,
+                      coarse_origin, plan.r, arrays, origin, fragments)
         for _, s, *box in mine:
-            src, src_origin = sources[s][:2]
+            src, src_origin = plan.sources[s]
             dst_sl, src_sl = _box_slices(box, origin), _box_slices(box,
                                                                   src_origin)
             for arr, src_arr in zip(arrays, src):

@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.amr.clustering import cluster_flagged_cells
 from repro.amr.grid import Grid
-from repro.amr.interpolation import is_positive_field, parent_covers, shell_table
+from repro.amr.interpolation import (
+    FillPlan,
+    is_positive_field,
+    parent_covers,
+    shell_table,
+)
 from repro.amr.topology import box_overlaps, parent_table
 from repro.kernels import dispatch as kernels
 from repro.precision.doubledouble import DoubleDouble
@@ -54,13 +59,14 @@ BUFFER_CELLS = 1
 
 def _fill_level(entries, old_grids) -> None:
     """Fill one level's rebuilt grids in one ``fill.level`` call (see
-    :func:`rebuild_fill_args`)."""
+    :func:`rebuild_fill_plan`)."""
     if entries:
-        kernels.get("fill.level")(*rebuild_fill_args(entries, old_grids))
+        kernels.get("fill.level")(rebuild_fill_plan(entries, old_grids))
 
 
-def rebuild_fill_args(entries, old_grids) -> tuple:
-    """The ``fill.level`` arguments that fill one level's rebuilt grids.
+def rebuild_fill_plan(entries, old_grids) -> FillPlan:
+    """The one-off ``fill.level`` plan that fills one level's rebuilt
+    grids.
 
     ``entries`` are ``(grid, parent, reused)``.  A new grid is filled over
     its whole array, ghosts included, so a freshly rebuilt grid can take
@@ -117,7 +123,7 @@ def rebuild_fill_args(entries, old_grids) -> tuple:
     for o in (old_grids[u] for u in used.tolist()):
         sources.append((arrays(o), (o.start_index - o.nghost).tolist(),
                         o.start_index.tolist(), o.end_index.tolist()))
-    return (
+    return FillPlan(
         [(arrays(g), origin, k, 1.0)
          for g, origin, k in zip(grids, (starts - ng).tolist(), parent_of)],
         [(arrays(p), None, origin) for p, origin in zip(parents, p_lo.tolist())],

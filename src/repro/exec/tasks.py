@@ -68,16 +68,18 @@ class GridTask:
 
 class HydroTask(GridTask):
     """One solver step on one grid; result is the StepFluxes, stored in
-    the grid's face ``windows`` (None: none).  ``faults`` is the run's
-    injector (or None), queried for a ``nan_cell`` firing after the
-    step."""
+    the grid's face ``windows`` (None: none).  ``plan`` is the grid's
+    :class:`~repro.hydro.ppm.StepPlan` from its level plan (None: the step
+    checks its inputs itself).  ``faults`` is the run's injector (or
+    None), queried for a ``nan_cell`` firing after the step."""
 
     kind = "hydro"
 
     def __init__(self, grid, solver, dt: float, a: float, adot: float,
-                 accel, permute: int, faults=None, windows=None):
+                 accel, permute: int, faults=None, windows=None, plan=None):
         super().__init__(grid)
         self.windows = windows
+        self.plan = plan
         self.solver = solver
         self.dt = float(dt)
         self.a = float(a)
@@ -89,7 +91,7 @@ class HydroTask(GridTask):
     def run_inline(self) -> None:
         self.result = self.solver.step(
             self.grid.fields, self.grid.dx, self.dt, self.a, self.adot,
-            self.accel, self.permute, windows=self.windows,
+            self.accel, self.permute, windows=self.windows, plan=self.plan,
         )
         if self.faults is not None:
             apply_nan_cell(self.grid.fields, self.faults.plan_nan_cell(

@@ -12,7 +12,10 @@ parent grid (and corrected by sibling exchange at the AMR layer).
 One solve — V-cycles until the residual norm meets the tolerance — is one
 call of the ``mg.solve`` kernel (:func:`solve_numpy` is its NumPy
 reference; the compiled tier runs the same arithmetic, the norms' pairwise
-summation order included, as one C loop nest).
+summation order included, as one C loop nest).  The hierarchy solves a
+whole level per sibling pass in one ``mg.level`` call (:func:`level_numpy`):
+the same solve for each grid, the write into its potential and the rim
+exchange with its siblings.
 """
 
 from __future__ import annotations
@@ -56,7 +59,9 @@ class MultigridConvergenceError(RuntimeError):
     Carries the full :class:`MultigridDiagnostics` plus the best-effort
     rim-padded solution (``phi``) so callers can retry with a larger
     budget — or, as a last resort, accept the unconverged potential with
-    the residual on record instead of silently.
+    the residual on record instead of silently.  A level solve
+    (``mg.level``) leaves a failed grid's potential unwritten and raises
+    with ``phi`` None.
     """
 
     def __init__(self, diagnostics: MultigridDiagnostics, phi: np.ndarray,
@@ -253,6 +258,66 @@ def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
         if strict and not np.isfinite(res):
             break  # NaN/Inf never converges; fail fast, don't burn budget
     return cycle, res / norm, False
+
+
+def store_phi_numpy(phi: np.ndarray, solution: np.ndarray, ng: int) -> None:
+    """Write a rim-padded solution (``dims + 2``) into a grid's
+    ghost-padded potential (``dims + 2 ng``), in place: every cell takes
+    the solution at its index clamped to the solution's extent, so the
+    ghost layers beyond the rim repeat the rim's edge planes.  Stale
+    values there would create huge spurious ghost-band accelerations that
+    destabilise the next hydro step before the ghosts are refreshed."""
+    index = [np.clip(np.arange(n) - (ng - 1), 0, m - 1)
+             for n, m in zip(phi.shape, solution.shape)]
+    phi[...] = solution[np.ix_(*index)]
+
+
+def level_numpy(plan, src, first, stop, pre, post, min_size, tol, budget,
+                strict, force_diverge, exchange, stats):
+    """NumPy reference of the ``mg.level`` kernel: one sibling pass of a
+    level's subgrid Poisson solves (paper Sec. 3.3).
+
+    ``plan`` is the level's :class:`~repro.amr.topology.PoissonPlan`,
+    ``src`` the flat buffer of every grid's source (``plan.interiors``).
+    For each grid ``g`` in ``range(first, stop)``, in order: its
+    rim-padded array ``plan.rim_views[g]`` (the Dirichlet rim and the
+    initial guess) is copied, solved as :func:`solve_numpy` solves it
+    (``budget`` V-cycles at most, ``force_diverge`` never converging),
+    ``stats[g]`` set to ``(cycles, relative_residual, converged)`` and the
+    solution written into ``plan.phis[g]`` (:func:`store_phi_numpy`).  A
+    ``strict`` solve that does not converge writes nothing and ends the
+    call at once.  Then, with ``exchange``, the rows of ``plan.rim_rows``
+    are applied in table order: each row's box of the target's rim takes
+    the source's potential there, when any value differs (``!(a ==
+    b)``: a NaN counts as a difference, ``-0.0 == 0.0`` does not).
+    Returns ``(failed, changed)``: the grid whose strict solve failed (or
+    -1) and whether the exchange changed any rim.
+    """
+    if not 0 <= first <= stop <= len(plan.phis):
+        raise ValueError("mg.level: grid range outside the level")
+    if budget < 1:
+        raise ValueError(f"mg.level: a budget of {budget} V-cycles runs "
+                         f"none")
+    sources = plan.interiors(src)
+    for g in range(first, stop):
+        phi = plan.rim_views[g].copy()
+        stats[g] = solve_numpy(phi, sources[g], plan.dx, pre, post, min_size,
+                               tol, budget, strict, force_diverge)
+        if strict and not stats[g, 2]:
+            return g, False
+        store_phi_numpy(plan.phis[g], phi, plan.nghost)
+    changed = False
+    if exchange:
+        for t, s, *box in plan.rim_rows.tolist():
+            r_lo, p_lo, n = box[0:3], box[3:6], box[6:9]
+            rim = plan.rim_views[t][tuple(
+                slice(a, a + m) for a, m in zip(r_lo, n))]
+            new = plan.phis[s][tuple(slice(a, a + m) for a, m in zip(p_lo,
+                                                                     n))]
+            if not np.array_equal(rim, new):
+                rim[...] = new
+                changed = True
+    return -1, changed
 
 
 class MultigridSolver:

@@ -315,9 +315,75 @@ def swept_names(axis):
             "energy", "internal")
 
 
+def step_arrays(fields: FieldSet) -> list:
+    """The arrays one ``hydro.step`` call updates, in its order:
+    :data:`STEP_FIELDS`, then the advected fields."""
+    return [fields[name] for name in STEP_FIELDS + tuple(fields.advected)]
+
+
+class StepPlan:
+    """One grid's ``hydro.step`` inputs, checked once: its arrays (the
+    :func:`step_arrays` of its fields), ghost width and face-window table.
+
+    The constructor is the one place they are checked, because the
+    compiled tier indexes raw memory with them: six or more 3-d arrays of
+    one shape with an interior cell along every axis, and every window of
+    ``windows`` (the int64 table of :func:`store_windows`, or None) inside
+    the interior; ``blocks`` are the window blocks' shapes.  A
+    :class:`~repro.amr.topology.LevelPlan` keeps one per grid and hands it
+    to the step; any other caller's step builds a one-off.  The plan holds
+    the arrays, so ``native`` (the compiled tier's pointer table, filled
+    on its first call) never outlives them.
+    """
+
+    __slots__ = ("arrays", "ng", "windows", "table", "blocks", "native")
+
+    def __init__(self, arrays, ng, windows=None):
+        ng = int(ng)
+        shape = arrays[0].shape if len(arrays) else ()
+        if len(arrays) < 6 or len(shape) != 3:
+            raise ValueError("hydro.step: need six 3-d fields")
+        if any(a.shape != shape for a in arrays):
+            raise ValueError("hydro.step: field shapes differ")
+        if ng < 1 or min(shape) <= 2 * ng:
+            raise ValueError("hydro.step: no interior cell along some axis")
+        table = np.ascontiguousarray(
+            np.empty((0, 7)) if windows is None else windows, dtype=np.int64)
+        if table.ndim != 2 or table.shape[1] != 7:
+            raise ValueError("hydro.step: windows must be (n, 7) rows, one "
+                             "block each")
+        n = [d - 2 * ng for d in shape]
+        nf = len(arrays) - 1
+        blocks = []
+        for row in table.tolist():
+            ax, lo_face, hi_face, a0, a1, b0, b1 = row
+            n_t1, n_t2 = ((m for d, m in enumerate(n) if d != ax)
+                          if 0 <= ax < 3 else (0, 0))
+            if not (n_t1 and -1 <= min(lo_face, hi_face)
+                    and max(lo_face, hi_face) <= n[ax]
+                    and 0 <= a0 < a1 <= n_t1 and 0 <= b0 < b1 <= n_t2):
+                raise ValueError(f"hydro.step: window {row} outside the "
+                                 "interior")
+            blocks.append((2, nf, a1 - a0, b1 - b0))
+        self.arrays, self.ng, self.windows = list(arrays), ng, windows
+        self.table, self.blocks, self.native = table, blocks, None
+
+    @property
+    def shape(self) -> tuple:
+        return self.arrays[0].shape
+
+    def holds(self, arrays, ng, windows) -> bool:
+        """Was the plan made for these very arrays, ghost width and
+        window table?"""
+        mine = self.arrays
+        return (windows is self.windows and int(ng) == self.ng
+                and len(arrays) == len(mine)
+                and all(a is b for a, b in zip(arrays, mine)))
+
+
 def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
                scheme, riemann_solver, density_floor, energy_floor, eta,
-               drag, windows=None, outs=()):
+               drag, windows=None, outs=(), plan=None):
     """NumPy reference of the ``hydro.step`` kernel: one
     :meth:`PPMSolver.step` of one grid.
 
@@ -335,6 +401,8 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
     :data:`WINDOW_FIELDS` + advected order; the sweeps' whole face arrays
     are temporaries.  Returns the 16 counts — the :data:`FLOOR_COUNTS` of
     each sweep, then the cells the final internal-energy floor changed.
+    ``plan`` (a :class:`StepPlan`) is what the compiled tier reads its
+    checked tables and pointers from; the reference needs none.
     """
     check_scheme(scheme, riemann_solver)
     check_drag(drag)
@@ -444,6 +512,7 @@ class PPMSolver:
         permute: int = 0,
         full_update: bool = False,
         windows=None,
+        plan=None,
     ) -> StepFluxes:
         """Advance the gas by dt: one ``hydro.step`` kernel call.
 
@@ -452,7 +521,8 @@ class PPMSolver:
         (3, ...) peculiar acceleration field; ``permute`` rotates the sweep
         order (Strang permutation across steps); ``windows`` the grid's
         :class:`~repro.amr.flux_correction.FaceWindows` (None: the step
-        stores no flux).
+        stores no flux); ``plan`` the grid's :class:`StepPlan` for these
+        fields and windows, when the caller keeps one.
 
         The active zone is always advanced in full.  Ghost cells are
         advanced only where a later sweep of this step reads them (the
@@ -469,12 +539,11 @@ class PPMSolver:
             outs, out.boundary, out.coarse = windows.allocate(
                 len(WINDOW_FIELDS) + len(advected))
         counts = kernels.get("hydro.step")(
-            [fields[name] for name in STEP_FIELDS + advected], accel,
-            self.nghost, dx, dt, a, permute, full_update, self.gamma,
-            self.scheme, self.riemann_solver, self.density_floor,
-            self.energy_floor, self.dual_energy_eta,
+            step_arrays(fields), accel, self.nghost, dx, dt, a, permute,
+            full_update, self.gamma, self.scheme, self.riemann_solver,
+            self.density_floor, self.energy_floor, self.dual_energy_eta,
             # exp stays NumPy on every tier
-            expansion_factors(a, adot, dt, self.gamma), table, outs,
+            expansion_factors(a, adot, dt, self.gamma), table, outs, plan,
         )
         for k in range(3):
             out.add_diagnostics(dict(zip(FLOOR_COUNTS,

@@ -60,11 +60,13 @@ class ZeusSolver:
         permute: int = 0,
         full_update: bool = False,
         windows=None,
+        plan=None,
     ) -> StepFluxes:
         """Advance by dt: gravity half-kicks, source step, transport sweeps.
 
         Every step updates every cell its stencils reach, so
-        ``full_update`` (see :meth:`PPMSolver.step`) changes nothing here.
+        ``full_update`` (see :meth:`PPMSolver.step`) changes nothing here,
+        and there is no compiled step to read a ``plan``.
         The sweeps compute whole face arrays and store the planes of
         ``windows`` as ``hydro.step`` does.
         """
@@ -96,8 +98,9 @@ class ZeusSolver:
                 np.count_nonzero(fields["internal"] < self.energy_floor)
             ),
         })
-        fields["internal"] = np.maximum(fields["internal"], self.energy_floor)
-        fields["energy"] = total_energy(fields)
+        np.maximum(fields["internal"], self.energy_floor,
+                   out=fields["internal"])
+        np.copyto(fields["energy"], total_energy(fields))
         return out
 
     # ------------------------------------------------------------- source step

@@ -32,13 +32,19 @@ copy non-contiguous in-place targets in and back:
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
   cube, block, dt, z, safety, max_substeps, three_body, formation_heating,
   cmb_floor)`` — one substep of every active cell of one grid, in place
-* ``fill.level``      ``fn(targets, parents, sources, fill, copies, r,
-  positive)`` — fills a level's target arrays in place: copies from
-  same-level interiors, prolongation from the parents everywhere else
+* ``fill.level``      ``fn(plan, fracs=None)`` — fills the target arrays of
+  a checked :class:`~repro.amr.interpolation.FillPlan` in place: copies
+  from same-level interiors, prolongation from the parents everywhere
+  else; the pointer tables are kept on the plan
 * ``mg.solve``        ``fn(phi, source, dx, pre, post, min_size, tol, budget,
   strict, force_diverge) -> (cycles, relative_residual, converged)`` —
   multigrid V-cycles on the rim-padded ``phi`` in place until the
   residual norm meets the tolerance or the budget runs out
+* ``mg.level``        ``fn(plan, src, first, stop, pre, post, min_size, tol,
+  budget, strict, force_diverge, exchange, stats) -> (failed, changed)`` —
+  one sibling pass over grids ``first .. stop - 1`` of a level's
+  :class:`~repro.amr.topology.PoissonPlan`: each grid's ``mg.solve`` from
+  its rim, the write into its potential, then the rim exchange
 * ``gravity.accel``   ``fn(phi, dx, a) -> (3, *phi.shape)`` — ``-grad(phi)/a``
   with ``np.gradient``'s central and one-sided edge differences
 * ``flux.correct``    ``fn(fields, names, ng, dx, periodic, r, children)`` —
@@ -114,7 +120,7 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import check_drag
+from repro.hydro.ppm import StepPlan, check_drag
 from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
@@ -140,6 +146,12 @@ int rk_mg_solve(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
     double tol, long budget, int strict, int force_diverge, double *work,
     double *out);
+long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
+    double *rims, const int64_t *rim_off, const double *src,
+    const int64_t *src_off, long first, long stop, long pre, long post,
+    long min_size, double tol, long budget, int strict, int force_diverge,
+    double *work, double *stats, long n_rows, const int64_t *rows,
+    int exchange, int *changed);
 void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
     double dx, double a, double *out);
 void rk_step(long nq, double **q, const double *accel, long n0, long n1,
@@ -1251,6 +1263,107 @@ int rk_mg_solve(long nx, long ny, long nz, double *phi,
     return 0;
 }
 
+/* ---- one sibling pass of a level's subgrid solves (reference:
+   gravity/multigrid.py level_numpy) ---- */
+
+/* phi (n0 + 2 ng, n1 + 2 ng, n2 + 2 ng) = the rim-padded solution sol
+   (n0 + 2, n1 + 2, n2 + 2), each cell taking sol at its index clamped to
+   sol's extent (multigrid.store_phi_numpy): copies only */
+static void mg_store(long n0, long n1, long n2, long ng, const double *sol,
+    double *phi)
+{
+    long p0 = n0 + 2 * ng, p1 = n1 + 2 * ng, p2 = n2 + 2 * ng;
+    long s1 = n1 + 2, s2 = n2 + 2;
+    for (long i = 0; i < p0; i++) {
+        long si = lmin(lmax(i - (ng - 1), 0), n0 + 1);
+        for (long j = 0; j < p1; j++) {
+            long sj = lmin(lmax(j - (ng - 1), 0), n1 + 1);
+            const double *src = sol + (si * s1 + sj) * s2;
+            double *dst = phi + (i * p1 + j) * p2;
+            for (long k = 0; k < ng - 1; k++) dst[k] = src[0];
+            memcpy(dst + ng - 1, src, (size_t)s2 * sizeof(double));
+            for (long k = ng - 1 + s2; k < p2; k++) dst[k] = src[s2 - 1];
+        }
+    }
+}
+
+/* The rim exchange: rows (target, source, rim_lo[3], phi_lo[3], n[3]) in
+   table order; a row's box of the target's rim takes the source's
+   potential when any value differs, !(a == b) (NaN differs, -0.0 equals
+   0.0: np.array_equal).  Returns whether any row was copied. */
+static int mg_exchange(long n_rows, const int64_t *rows,
+    const int64_t *dims, long ng, double *rims, const int64_t *rim_off,
+    double **phis)
+{
+    int changed = 0;
+    for (long r = 0; r < n_rows; r++) {
+        const int64_t *row = rows + 11 * r;
+        const int64_t *dt = dims + 3 * row[0], *ds = dims + 3 * row[1];
+        long ry = dt[2] + 2, rx = (dt[1] + 2) * ry;
+        long py = ds[2] + 2 * ng, px = (ds[1] + 2 * ng) * py;
+        double *dst = rims + rim_off[row[0]] + row[2] * rx + row[3] * ry
+            + row[4];
+        const double *src = phis[row[1]] + row[5] * px + row[6] * py
+            + row[7];
+        long n0 = row[8], n1 = row[9], n2 = row[10];
+        int differs = 0;
+        for (long i = 0; i < n0 && !differs; i++)
+            for (long j = 0; j < n1 && !differs; j++) {
+                const double *a = dst + i * rx + j * ry;
+                const double *b = src + i * px + j * py;
+                for (long k = 0; k < n2; k++)
+                    if (!(a[k] == b[k])) {
+                        differs = 1;
+                        break;
+                    }
+            }
+        if (!differs)
+            continue;
+        changed = 1;
+        for (long i = 0; i < n0; i++)
+            for (long j = 0; j < n1; j++)
+                memcpy(dst + i * rx + j * ry, src + i * px + j * py,
+                       (size_t)n2 * sizeof(double));
+    }
+    return changed;
+}
+
+/* Grids first .. stop - 1 of a level, in order: copy grid g's rim (n + 2
+   per axis, at rims + rim_off[g]) into work, run rk_mg_solve on it with
+   the source at src + src_off[g], record (cycles, residual, converged) in
+   stats[3 g ..] and write the solution into phis[g] (mg_store).  A strict
+   solve that does not converge writes nothing and returns g.  Then, with
+   exchange, the rim exchange; *changed reports it.  work holds the
+   largest (n + 2)^3 + rk_mg_work(n) of the range.  Returns -1 when every
+   grid was solved. */
+long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
+    double *rims, const int64_t *rim_off, const double *src,
+    const int64_t *src_off, long first, long stop, long pre, long post,
+    long min_size, double tol, long budget, int strict, int force_diverge,
+    double *work, double *stats, long n_rows, const int64_t *rows,
+    int exchange, int *changed)
+{
+    *changed = 0;
+    for (long g = first; g < stop; g++) {
+        const int64_t *d = dims + 3 * g;
+        long size = (d[0] + 2) * (d[1] + 2) * (d[2] + 2);
+        double out[2];
+        memcpy(work, rims + rim_off[g], (size_t)size * sizeof(double));
+        int conv = rk_mg_solve(d[0], d[1], d[2], work, src + src_off[g], dx,
+                               pre, post, min_size, tol, budget, strict,
+                               force_diverge, work + size, out);
+        stats[3 * g] = out[0];
+        stats[3 * g + 1] = out[1];
+        stats[3 * g + 2] = conv;
+        if (strict && !conv)
+            return g;
+        mg_store(d[0], d[1], d[2], ng, work, phis[g]);
+    }
+    if (exchange)
+        *changed = mg_exchange(n_rows, rows, dims, ng, rims, rim_off, phis);
+    return -1;
+}
+
 /* ---- potential gradient of one grid (reference: amr/gravity.py
    accel_numpy) ---- */
 
@@ -2307,74 +2420,59 @@ def _writable(arr):
     return np.ascontiguousarray(arr, dtype=float)
 
 
-def _window_table(windows, outs, shape, ng, nf):
-    """The face-window table of a ``hydro.step`` call as C-ready int64
-    rows, and its blocks, checked against the grid's interior."""
-    table = np.ascontiguousarray(
-        np.empty((0, 7)) if windows is None else windows, dtype=np.int64)
-    if table.ndim != 2 or table.shape[1] != 7 or len(outs) != len(table):
-        raise ValueError("hydro.step: windows must be (n, 7) rows, one "
-                         "block each")
-    n = [d - 2 * ng for d in shape]
-    for row, out in zip(table.tolist(), outs):
-        ax, lo_face, hi_face, a0, a1, b0, b1 = row
-        n_t1, n_t2 = ((m for d, m in enumerate(n) if d != ax)
-                      if 0 <= ax < 3 else (0, 0))
-        if not (n_t1 and -1 <= min(lo_face, hi_face)
-                and max(lo_face, hi_face) <= n[ax]
-                and 0 <= a0 < a1 <= n_t1 and 0 <= b0 < b1 <= n_t2):
-            raise ValueError(f"hydro.step: window {row} outside the "
-                             "interior")
-        _in_place(out, (2, nf, a1 - a0, b1 - b0), np.float64,
-                  "hydro.step: a window block")
-    return table
-
-
 def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
                scheme, riemann_solver, density_floor, energy_floor, eta, drag,
-               windows=None, outs=()):
+               windows=None, outs=(), plan=None):
     if scheme not in SWEEP_SCHEMES:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in SWEEP_SOLVERS:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
     check_drag(drag)
-    ng, permute = int(ng), int(permute) % 3
-    shape = arrays[0].shape
-    # the C indexes raw memory: refuse mismatched fields, an extent that
-    # leaves no cell to update and an acceleration of another shape
-    if len(arrays) < 6 or len(shape) != 3:
-        raise ValueError("hydro.step: need six 3-d fields")
-    if any(a.shape != shape for a in arrays):
-        raise ValueError("hydro.step: field shapes differ")
-    if ng < 1 or min(shape) <= 2 * ng:
-        raise ValueError("hydro.step: no interior cell along some axis")
+    permute = int(permute) % 3
+    # the C indexes raw memory: the fields, ghost width and windows are
+    # checked by the plan (a one-off when the caller keeps none, or keeps
+    # one for other arrays), the acceleration and blocks on every call
+    if plan is None or not plan.holds(arrays, ng, windows):
+        plan = StepPlan(arrays, ng, windows)
+    shape = plan.shape
     if accel is not None:
         accel = np.ascontiguousarray(accel, dtype=float)
         if accel.shape != (3, *shape):
             raise ValueError(f"hydro.step: accel shape {accel.shape} != "
                              f"{(3, *shape)}")
-    table = _window_table(windows, outs, shape, ng, len(arrays) - 1)
-    native = [_writable(a) for a in arrays]
+    if len(outs) != len(plan.blocks):
+        raise ValueError("hydro.step: windows must be (n, 7) rows, one "
+                         "block each")
+    for out, block in zip(outs, plan.blocks):
+        _in_place(out, block, np.float64, "hydro.step: a window block")
+    native = plan.native
+    if native is None:
+        fields = [_writable(a) for a in arrays]
+        native = (fields, ffi.new("double *[]", [_p(a) for a in fields]))
+        if all(f is a for f, a in zip(fields, arrays)):
+            plan.native = native
+    fields, q = native
     counts = np.empty(16, dtype=np.int64)
     # scratch is per call: the cffi call releases the GIL, so sibling
     # grids step concurrently under the thread exec backend
     work = np.empty((SWEEP_SLOTS, max(shape) * SWEEP_BLOCK))
     cols = np.empty((3, SWEEP_BLOCK), dtype=np.int64)
-    # the pointer tables own nothing: ``native``/``outs`` keep the
-    # buffers alive for the duration of the call
+    # the pointer tables own nothing: the plan (or ``fields``) and
+    # ``outs`` keep the buffers alive for the duration of the call
     _lib.rk_step(
-        len(native), ffi.new("double *[]", [_p(a) for a in native]),
-        ffi.NULL if accel is None else _pc(accel), *shape, ng, float(dx),
-        float(dt), float(a), permute, bool(full_update), float(gamma),
-        SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
-        float(density_floor), float(energy_floor), float(eta),
+        len(fields), q, ffi.NULL if accel is None else _pc(accel), *shape,
+        plan.ng, float(dx), float(dt), float(a), permute, bool(full_update),
+        float(gamma), SWEEP_SCHEMES.index(scheme),
+        SWEEP_SOLVERS.index(riemann_solver), float(density_floor),
+        float(energy_floor), float(eta),
         ffi.NULL if drag is None else ffi.new("double[2]",
                                               [float(f) for f in drag]),
-        len(table), _pi(table), ffi.new("double *[]", [_p(b) for b in outs]),
+        len(plan.table), _pi(plan.table),
+        ffi.new("double *[]", [_p(b) for b in outs]),
         ffi.from_buffer("int64_t[]", counts), _p(work), SWEEP_BLOCK,
         ffi.from_buffer("int64_t[]", cols),
     )
-    for out, dst in zip(native, arrays):
+    for out, dst in zip(fields, arrays):
         if out is not dst:
             dst[...] = out
     return tuple(counts.tolist())
@@ -2448,132 +2546,62 @@ def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
     )
 
 
-def _box_rows(table, width, what):
-    """``table`` as contiguous int64 rows of ``width`` columns."""
-    rows = np.ascontiguousarray(table, dtype=np.int64)
-    if rows.size == 0:
-        return rows.reshape(0, width)
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"fill.level: {what} rows need {width} columns")
-    return rows
-
-
-def _field_shape(arrays, nf):
-    """The one 3-d shape of ``nf`` arrays."""
-    shape = arrays[0].shape if nf and len(arrays) == nf else ()
-    if len(shape) != 3:
-        raise ValueError("fill.level: field shapes differ")
-    for a in arrays:
-        if a.shape != shape:
-            raise ValueError("fill.level: field shapes differ")
-    return shape
-
-
-def fill_level(targets, parents, sources, fill, copies, r, positive):
-    r, nf = int(r), len(positive)
-    if r < 2:
-        raise ValueError("fill.level needs a refinement factor >= 2")
-    fill = _box_rows(fill, 7, "fill")
-    copies = _box_rows(copies, 8, "copy")
-    fines, t_geom, fracs = [], [], []
-    for arrays, origin, p, frac in targets:
-        t_geom.append((*_field_shape(arrays, nf), *origin, p))
-        fines += arrays
-        fracs.append(float(frac))
-    news, olds, p_geom = [], [], []
-    for arrays, old, origin in parents:
-        shape = _field_shape(arrays, nf)
-        old = [None] * nf if old is None else list(old)
-        if len(old) != nf or any(a is not None and a.shape != shape
-                                 for a in old):
-            raise ValueError("fill.level: field shapes differ")
-        p_geom.append((*shape, *origin))
-        news += arrays
-        olds += old
-    srcs, s_geom, s_box = [], [], []
-    for arrays, origin, lo, hi in sources:
-        s_geom.append((*_field_shape(arrays, nf), *origin))
-        s_box.append((*lo, *hi))
-        srcs += arrays
-    t_geom, p_geom, s_geom, s_box = (
-        np.array(x, dtype=np.int64).reshape(-1, w)
-        for x, w in ((t_geom, 7), (p_geom, 6), (s_geom, 6), (s_box, 6)))
-
-    # the C indexes raw memory: every table index, every box, the parent
-    # cells under every fill box and every copy source are checked
-    # against the arrays they reach
-    n_t = len(t_geom)
-    for index, bound, grouped in ((fill[:, 0], n_t, True),
-                                  (copies[:, 0], n_t, True),
-                                  (copies[:, 1], len(s_geom), False),
-                                  (t_geom[:, 6], len(p_geom), False)):
-        if index.size and (index.min() < 0 or index.max() >= bound
-                           or grouped and np.any(index[1:] < index[:-1])):
-            raise ValueError("fill.level: table rows out of range or not "
-                             "grouped by target")
-
-    def inside(lo, hi, geom):
-        return np.all((lo <= hi) & (lo >= geom[:, 3:6])
-                      & (hi <= geom[:, 3:6] + geom[:, :3]))
-
-    f_lo, f_hi, c_lo, c_hi = fill[:, 1:4], fill[:, 4:7], copies[:, 2:5], \
-        copies[:, 5:8]
-    pg = p_geom[t_geom[fill[:, 0], 6]]
-    if not (inside(f_lo, f_hi, t_geom[fill[:, 0]])
-            and inside(c_lo, c_hi, t_geom[copies[:, 0]])
-            and np.all(f_lo // r >= pg[:, 3:6])
-            and np.all(-(-f_hi // r) <= pg[:, 3:6] + pg[:, :3])):
-        raise ValueError("fill.level: box outside the arrays")
-    if not inside(s_box[:, :3], s_box[:, 3:], s_geom):
-        raise ValueError("fill.level: source interior outside its arrays")
-    src = s_box[copies[:, 1]]
-    if not np.all((c_lo >= src[:, :3]) & (c_hi <= src[:, 3:])):
-        raise ValueError("fill.level: copy source outside its interior")
-    # a target that is also a source (shares its arrays) must not write
-    # that source's interior, so no target reads what another writes and
-    # the order of the targets is irrelevant
-    owner = {id(a): s for s, source in enumerate(sources) for a in source[0]}
-    as_source = np.full(n_t, -1)
-    for t, (arrays, *_) in enumerate(targets):
-        for a in arrays:
-            if id(a) in owner:
-                as_source[t] = owner[id(a)]
-                break
-    for t, lo, hi in ((fill[:, 0], f_lo, f_hi), (copies[:, 0], c_lo, c_hi)):
-        s = as_source[t]
-        own = s_box[s[s >= 0]]
-        if np.any(np.all(np.maximum(lo[s >= 0], own[:, :3])
-                         < np.minimum(hi[s >= 0], own[:, 3:]), axis=1)):
-            raise ValueError("fill.level: a target writes its own interior "
-                             "as a source")
-
+def _fill_native(plan):
+    """``(args, outs, cached, keep)``: the pointer tables of one
+    ``rk_fill_level`` call on ``plan`` (fractions left out), the arrays the
+    C writes, whether the tables may be kept on the plan — only when every
+    array is C-contiguous float64 and the C works on the arrays
+    themselves, not on copies made for this call — and the cdata that
+    keep those copies alive."""
+    fines = [a for arrays, _, _ in plan.targets for a in arrays]
     outs = [_writable(a) for a in fines]
     out_ptrs = [_p(a) for a in outs]
     # a source that is a target reads the target's buffer: only its
     # interior is read, and no target writes that
     ptr_of = dict(zip(map(id, fines), out_ptrs))
-    keep = []
+    copied = [out is not a for out, a in zip(outs, fines)]
 
     def const_ptr(a):
         ptr = ptr_of.get(id(a))
         if ptr is None:
-            a = np.ascontiguousarray(a, dtype=float)
-            keep.append(a)
-            ptr = _pc(a)
+            if not (a.flags.c_contiguous and a.dtype == np.float64):
+                a = np.ascontiguousarray(a, dtype=float)
+                copied.append(True)
+            ptr = ptr_of[id(a)] = _pc(a)
         return ptr
 
-    # the pointer tables own nothing: outs and keep hold the buffers
-    status = _lib.rk_fill_level(
-        nf, r, ffi.new("int[]", [bool(p) for p in positive]), n_t,
-        ffi.new("double *[]", out_ptrs), _pi(t_geom),
-        ffi.new("double[]", fracs),
-        ffi.new("const double *[]", [const_ptr(a) for a in news]),
-        ffi.new("const double *[]",
-                [ffi.NULL if a is None else const_ptr(a) for a in olds]),
-        _pi(p_geom), ffi.new("const double *[]", [const_ptr(a) for a in srcs]),
-        _pi(s_geom), len(fill), _pi(fill), len(copies), _pi(copies))
+    nf = len(plan.positive)
+    news = [const_ptr(a) for arrays, _, _ in plan.parents for a in arrays]
+    olds = [ffi.NULL if old is None or old[f] is None else const_ptr(old[f])
+            for _, old, _ in plan.parents for f in range(nf)]
+    srcs = [const_ptr(a) for arrays, _ in plan.sources for a in arrays]
+    # the pointer tables own nothing: the plan holds the arrays, and
+    # ``ptr_of``'s cdata the copies
+    args = (nf, plan.r, ffi.new("int[]", plan.positive), len(plan.t_geom),
+            ffi.new("double *[]", out_ptrs), _pi(plan.t_geom),
+            ffi.new("const double *[]", news),
+            ffi.new("const double *[]", olds), _pi(plan.p_geom),
+            ffi.new("const double *[]", srcs), _pi(plan.s_geom),
+            len(plan.fill), _pi(plan.fill), len(plan.copies),
+            _pi(plan.copies))
+    return args, outs, not any(copied), ptr_of
+
+
+def fill_level(plan, fracs=None):
+    fracs = plan.fracs if fracs is None else fracs
+    if len(fracs) != len(plan.t_geom):
+        raise ValueError("fill.level: one time fraction per target")
+    native = plan.native
+    if native is None:
+        native = _fill_native(plan)
+        if native[2]:
+            plan.native = native
+    args, outs = native[:2]
+    status = _lib.rk_fill_level(*args[:6], ffi.new("double[]", [
+        float(f) for f in fracs]), *args[6:])
     if status:
         raise MemoryError("fill.level: no memory for the box scratch")
+    fines = (a for arrays, _, _ in plan.targets for a in arrays)
     for out, dst in zip(outs, fines):
         if out is not dst:
             dst[...] = out
@@ -2600,6 +2628,45 @@ def mg_solve(phi, source, dx, pre, post, min_size, tol, budget, strict,
         float(dx), int(pre), int(post), min_size, float(tol), budget,
         bool(strict), bool(force_diverge), _p(work), _p(out))
     return int(out[0]), float(out[1]), bool(converged)
+
+
+def mg_level(plan, src, first, stop, pre, post, min_size, tol, budget,
+             strict, force_diverge, exchange, stats):
+    n = len(plan.phis)
+    first, stop, budget, min_size = (int(first), int(stop), int(budget),
+                                     int(min_size))
+    # the C indexes raw memory: the plan's tables and potentials are
+    # checked where the plan is built, the call's range and arrays here
+    if not 0 <= first <= stop <= n:
+        raise ValueError("mg.level: grid range outside the level")
+    if budget < 1:
+        raise ValueError(f"mg.level: a budget of {budget} V-cycles runs "
+                         f"none")
+    _in_place(stats, (n, 3), np.float64, "mg.level: stats")
+    src = np.ascontiguousarray(src, dtype=float)
+    if src.shape != (int(plan.cell_offsets[-1]),):
+        raise ValueError("mg.level: src must hold every grid's interior")
+    native = plan.native
+    if native is None:
+        native = plan.native = {
+            "tables": (_pi(plan.dims), plan.nghost, float(plan.dx),
+                       ffi.new("double *[]", [_p(a) for a in plan.phis]),
+                       _p(plan.rims), _pi(plan.rim_offsets)),
+            "rows": (len(plan.rim_rows), _pi(plan.rim_rows)),
+            "offsets": _pi(plan.cell_offsets), "work": {}}
+    work = native["work"].get(min_size)
+    if work is None:
+        # the largest rim copy plus V-cycle scratch of any grid
+        work = native["work"][min_size] = max(
+            (d[0] + 2) * (d[1] + 2) * (d[2] + 2)
+            + _lib.rk_mg_work(*d, min_size) for d in plan.dims.tolist())
+    changed = ffi.new("int *")
+    failed = _lib.rk_mg_level(
+        *native["tables"], _pc(src), native["offsets"], first, stop,
+        int(pre), int(post), min_size, float(tol), budget, bool(strict),
+        bool(force_diverge), _p(np.empty(work)), _p(stats), *native["rows"],
+        bool(exchange), changed)
+    return int(failed), bool(changed[0])
 
 
 def gravity_accel(phi, dx, a):
@@ -2714,6 +2781,7 @@ for _name, _fn in (
     ("chem.step", chem_step),
     ("fill.level", fill_level),
     ("mg.solve", mg_solve),
+    ("mg.level", mg_level),
     ("gravity.accel", gravity_accel),
     ("flux.correct", flux_correct),
     ("cic.deposit", cic_deposit),

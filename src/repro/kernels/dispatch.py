@@ -5,8 +5,9 @@ three sweeps of reconstruction or characteristic tracing, Riemann solve
 and conservative update, expansion drag, dual-energy sync and energy floor
 in one call —, the chemistry rate-table blend and the fused per-grid
 chemistry substep, the parent->child fill of a whole level — prolongation
-plus same-level copies —, the multigrid solve of one subgrid, the
-potential gradient of one grid, the coarse-fine flux correction of one
+plus same-level copies —, the multigrid solve of one subgrid and one
+sibling pass of a level's subgrid solves, the potential gradient of one
+grid, the coarse-fine flux correction of one
 parent and the cloud-in-cell particle deposit and gather) are registered
 here once per *backend* — each kernel exists in exactly two
 transcriptions:
@@ -70,6 +71,7 @@ KERNEL_NAMES = (
     "chem.step",
     "fill.level",
     "mg.solve",
+    "mg.level",
     "gravity.accel",
     "flux.correct",
     "cic.deposit",
@@ -208,8 +210,11 @@ def warm() -> None:
     """
     if active_backend() == "numpy":
         return
+    from types import SimpleNamespace
+
     import numpy as np
 
+    from repro.amr.interpolation import FillPlan
     from repro.chemistry.rates import CHANNEL_NAMES
     from repro.chemistry.species import SPECIES_NAMES
 
@@ -224,11 +229,21 @@ def warm() -> None:
                      np.zeros(1, dtype=np.intp), np.full(1, 100.0), None,
                      np.ones((len(CHANNEL_NAMES), 1)), 1.0, 0.0, 0.1, 200,
                      False, False, False)
-    get("fill.level")([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
-                      [([np.ones((3, 3, 3))], None, (0, 0, 0))], [],
-                      [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True])
+    get("fill.level")(FillPlan([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
+                               [([np.ones((3, 3, 3))], None, (0, 0, 0))],
+                               [], [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True]))
     get("mg.solve")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
                     1e-6, 1, False, False)
+    # a one-grid level with no sibling, in the layout of a PoissonPlan
+    rims = np.zeros(6 ** 3)
+    get("mg.level")(SimpleNamespace(
+        phis=[np.zeros((8, 8, 8))], dims=np.full((1, 3), 4), nghost=2,
+        dx=1.0, rims=rims, rim_views=[rims.reshape(6, 6, 6)],
+        rim_offsets=np.array([0, 216]), cell_offsets=np.array([0, 64]),
+        rim_rows=np.empty((0, 11), dtype=np.int64), native=None,
+        interiors=lambda src: [src.reshape(4, 4, 4)]),
+        np.zeros(64), 0, 1, 1, 1, 2, 1e-6, 1, False, False, True,
+        np.zeros((1, 3)))
     get("gravity.accel")(np.zeros((2, 2, 2)), 1.0, 1.0)
     names = ("density", "vx", "vy", "vz", "energy")
     fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}

@@ -326,6 +326,48 @@ class TestMultigridStrict:
             assert np.all(np.isfinite(g.phi))
 
 
+    @pytest.mark.parametrize("case", ["count2", "two_grids"])
+    def test_mg_diverge_order_is_the_per_grid_order(self, case):
+        """With an injector attached, ``mg.level`` solves one grid per call
+        and the injector is queried in grid order, before each solve and
+        before each retry — the order of the per-grid path, which is
+        observable because a spec's ``count`` spans grids.  Expected
+        events (as positions in level 1) and fingerprints were recorded
+        from the per-grid implementation; both tiers give them.
+
+        ``count2``: both firings land on the level's first grid (its solve
+        and its retry), so the retry fails too and escalates.
+        ``two_grids``: the 6th and 3rd grids each fail once and are
+        rescued, in grid order."""
+        sim = build_sim()
+        ids = [g.grid_id for g in sim.hierarchy.level_grids(1)]
+        assert len(ids) == 8
+        if case == "count2":
+            specs = [FaultSpec("mg_diverge", level=1, count=2)]
+        else:
+            specs = [FaultSpec("mg_diverge", level=1, grid_id=ids[5]),
+                     FaultSpec("mg_diverge", level=1, grid_id=ids[2])]
+        sim.evolver.faults = FaultInjector(specs)
+        if case == "count2":
+            with pytest.raises(MultigridConvergenceError) as err:
+                advance(sim, 1)
+            assert err.value.site == (1, ids[0])
+            assert err.value.diagnostics.budget == 120
+        else:
+            advance(sim, 1)
+        events = [(e["level"], ids.index(e["grid"]))
+                  for e in sim.evolver.defense.drain_events()
+                  if e.get("rung") == "mg_budget_retry"]
+        expect = {
+            "count2": ([(1, 0)], "e6031637f788ec971108cb654a90ec02"
+                                 "9718089c6d040c320db8cff40113bb86"),
+            "two_grids": ([(1, 2), (1, 5)],
+                          "08a9c7bbf2f1dc8f6205b1d6735a6ec4"
+                          "87ba2617205f359ec7cc7c7b49e42ff8"),
+        }[case]
+        assert (events, sim.hierarchy.fingerprint()) == expect
+
+
 # ------------------------------------------------------------------ chemistry
 class _FakeNetwork:
     """Stands in for ChemistryNetwork: advances nothing, returns stats."""

@@ -14,7 +14,7 @@ import pytest
 
 from repro.amr import Grid, Hierarchy, HierarchyEvolver
 from repro.amr.boundary import _time_fraction, set_boundary_values
-from repro.amr.gravity import HierarchyGravity, parent_boundaries
+from repro.amr.gravity import HierarchyGravity
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
@@ -96,8 +96,31 @@ class TestParticleSingleAdvance:
         assert set(calls) == {a.grid_id}
 
 
+def _spy_solves(monkeypatch) -> list:
+    """The grids each ``mg.level`` call solves, in call order (the level
+    indices of its range), on whichever tier runs."""
+    from repro.amr import gravity as gravity_mod
+
+    solved = []
+    real_get = gravity_mod.kernels.get
+
+    def get(name):
+        fn = real_get(name)
+        if name != "mg.level":
+            return fn
+
+        def spy(plan, src, first, stop, *args):
+            solved.extend(range(first, stop))
+            return fn(plan, src, first, stop, *args)
+
+        return spy
+
+    monkeypatch.setattr(gravity_mod.kernels, "get", get)
+    return solved
+
+
 class TestSiblingIterationConverges:
-    def test_converged_exchange_exits_early(self):
+    def test_converged_exchange_exits_early(self, monkeypatch):
         """Zero source + zero rims reach the fixpoint on pass one; the
         solver must stop there instead of burning every allowed pass.  An
         exchange that does move rim values runs the next pass."""
@@ -106,14 +129,7 @@ class TestSiblingIterationConverges:
         grav = HierarchyGravity(g_code=1.0, mean_density=1.0,
                                 sibling_iterations=5)
         grav.solve_level(h, 0)
-        solves = []
-        orig = grav.mg.solve
-
-        def spy(src, dx, rim, **kwargs):
-            solves.append(dx)
-            return orig(src, dx, rim, **kwargs)
-
-        grav.mg.solve = spy
+        solves = _spy_solves(monkeypatch)
         assert grav.solve_level(h, 1)[:2] == (1, 2)
         # one pass over the two grids, then the unchanged exchange breaks
         assert len(solves) == 2, (
@@ -138,23 +154,20 @@ class TestSiblingExchangeValues:
         h, a, b = _two_sibling_level()
         rng = np.random.default_rng(11)
         h.root.phi[...] = rng.random(h.root.phi.shape)
-        parent = parent_boundaries(h.level_topology(1))
-        grav = HierarchyGravity(g_code=1.0, mean_density=1.0)
-        rims, sols = [], []
-
-        def spy(src, dx, rim, **kwargs):
-            # distinct random potentials (rim layout, dims + 2) stand in
-            # for the solutions, so a misplaced slice cannot match
-            rims.append(rim.copy())
-            sols.append(rng.random(rim.shape))
-            return sols[-1]
-
-        grav.mg.solve = spy
-        assert grav.solve_level(h, 1)[:2] == (2, 4)
+        grav = HierarchyGravity(g_code=1.0, mean_density=1.0,
+                                sibling_iterations=1)
+        # pass one alone: its rims are the parent interpolation, and the
+        # last pass exchanges nothing
+        assert grav.solve_level(h, 1)[:2] == (1, 2)
+        plan = h.level_plan(1).poisson()
+        parent = [rim.copy() for rim in plan.rim_views]
         grids = [a, b]
+        pass_one = [g.phi.copy() for g in grids]
+        grav.sibling_iterations = 2
+        assert grav.solve_level(h, 1)[:2] == (2, 4)
+        assert h.level_plan(1).poisson() is plan
         for k, g in enumerate(grids):
-            np.testing.assert_array_equal(rims[k], parent[k])  # pass one
-            rim = rims[2 + k]
+            rim = plan.rim_views[k]  # what pass two solved from
             cells = (np.indices(rim.shape).reshape(3, -1).T
                      + g.start_index - 1)
             expect = parent[k].reshape(-1).copy()
@@ -164,8 +177,9 @@ class TestSiblingExchangeValues:
                 inside = np.all((cells >= o.start_index)
                                 & (cells < o.end_index), axis=1)
                 assert inside.sum() == 16 * 16  # the shared face
-                at = tuple((cells[inside] - o.start_index + 1).T)
-                expect[inside] = sols[m][at]
+                at = tuple((cells[inside] - o.start_index + o.nghost).T)
+                expect[inside] = pass_one[m][at]
+            assert not np.array_equal(rim.reshape(-1), parent[k].reshape(-1))
             np.testing.assert_array_equal(rim.reshape(-1), expect)
 
 

@@ -36,6 +36,7 @@ from repro import constants as const
 from repro.amr.flux_correction import block_average, correct_numpy, face_cell
 from repro.amr.gravity import accel_numpy
 from repro.amr.interpolation import (
+    FillPlan,
     fill_level_numpy,
     prolong_boxes,
     prolong_linear,
@@ -656,8 +657,8 @@ def _one_target(fn, coarse, old, frac, positive, c_origin, r, fine,
                 f_origin, boxes):
     """``fill.level`` on one target and no copies: prolongation into
     ``boxes`` of ``fine`` and nothing else."""
-    fn([(fine, f_origin, 0, frac)], [(coarse, old, c_origin)], [],
-       [(0, *lo, *hi) for lo, hi in boxes], (), r, positive)
+    fn(FillPlan([(fine, f_origin, 0, frac)], [(coarse, old, c_origin)], [],
+                [(0, *lo, *hi) for lo, hi in boxes], (), r, positive))
 
 
 #: one synthetic level of ``_fill_level_case`` (r = 2, three ghosts): four
@@ -797,8 +798,9 @@ class TestAmrStencilParity:
             _one_target(fn, coarse, None, 1.0, [True], (2, 0, 0), 2, fine,
                         (0, 0, 0), [((0, 0, 0), (2, 2, 2))])
         with pytest.raises(ValueError, match="grouped by target"):
-            fn([(fine, (0, 0, 0), 0, 1.0)], [(coarse, None, (0, 0, 0))], [],
-               [(1, 0, 0, 0, 2, 2, 2)], (), 2, [True])
+            fn(FillPlan([(fine, (0, 0, 0), 0, 1.0)],
+                        [(coarse, None, (0, 0, 0))], [],
+                        [(1, 0, 0, 0, 2, 2, 2)], (), 2, [True]))
         assert not fine[0].any()
 
     @pytest.mark.parametrize("frac", [0.0, 0.37, 1.0])
@@ -811,16 +813,17 @@ class TestAmrStencilParity:
         for seed in range(3):
             ref, got, whole = (_fill_level_case(seed, frac) for _ in "rgw")
             with np.errstate(all="ignore"):
-                fill_level_numpy(*ref)
-                fn(*got)
+                fill_level_numpy(FillPlan(*ref))
+                fn(FillPlan(*got))
                 targets, parents, sources, fill, copies, r, positive = whole
                 for t, (arrays, origin, p, f) in enumerate(targets):
                     boxes = [(row[1:4], row[4:7])
                              for row in fill[fill[:, 0] == t].tolist()]
                     prolong_boxes(*parents[p][:2], f, positive,
                                   parents[p][2], r, arrays, origin, boxes)
-                fill_level_numpy(targets, parents, sources, np.empty((0, 7)),
-                                 copies, r, positive)
+                fill_level_numpy(FillPlan(targets, parents, sources,
+                                          np.empty((0, 7)), copies, r,
+                                          positive))
             for (a, *_), (b, *_), (c, *_) in zip(ref[0], got[0], whole[0]):
                 for x, y, z in zip(a, b, c):
                     np.testing.assert_array_equal(y, x)
@@ -848,8 +851,8 @@ class TestAmrStencilParity:
             for row in a_fill) == 2
         e_fill = fill[fill[:, 0] == 3]
         assert e_fill[:, 1:4].min() // r == parents[1][2][0]
-        _tier_impls(tier)["fill.level"](targets, parents, sources, fill,
-                                        copies, r, positive)
+        _tier_impls(tier)["fill.level"](FillPlan(
+            targets, parents, sources, fill, copies, r, positive))
         # B's interior cells at fine (8, 4, 4) and (9, 4, 5) are A's
         # ghosts (7, 3, 3) and (8, 3, 4)
         a = targets[0][0]
@@ -867,7 +870,7 @@ class TestAmrStencilParity:
         row = np.nonzero((bad[:, 0] == 2) & (bad[:, 1] == 1))[0][0]
         bad[row, 2] -= 1
         with pytest.raises(ValueError, match="copy source outside"):
-            fn(targets, parents, sources, fill, bad, r, positive)
+            fn(FillPlan(targets, parents, sources, fill, bad, r, positive))
         for a, b in zip([a for t in targets for a in t[0]], before):
             np.testing.assert_array_equal(a, b)
 
@@ -886,7 +889,7 @@ class TestAmrStencilParity:
             args = [targets, parents, sources, fill, copies, r, positive]
             args[3 if which == "fill" else 4] = bad
             with pytest.raises(ValueError, match="own interior"):
-                fn(*args)
+                fn(FillPlan(*args))
         for a, b in zip([a for t in targets for a in t[0]], before):
             np.testing.assert_array_equal(a, b)
 
@@ -1076,6 +1079,162 @@ class TestVcycleParity:
         with pytest.raises(ValueError, match="3-d"):
             fn(np.zeros((6, 8)), np.ones((4, 6)), *tail)
         assert not phi.any()
+
+
+# ============================================================ level solve
+def _mg_level_case(seed, overlap):
+    """A level-1 hierarchy under a 16^3 root with a random potential:
+    grids of 4^3 .. 12^3 (odd extents included), the first two abutting
+    on a face, the rest random (overlapping one another when ``overlap``),
+    and random sources in the flat layout ``mg.level`` reads."""
+    from repro.amr import Grid, Hierarchy
+
+    rng = np.random.default_rng(seed)
+    h = Hierarchy(n_root=16)
+    h.root.phi[...] = rng.standard_normal(h.root.phi.shape)
+    dims_a = rng.integers(4, 13, size=3)
+    start_a = rng.integers(0, 32 - 24, size=3)
+    dims_b = rng.integers(4, 13, size=3)
+    start_b = start_a + np.array([dims_a[0], 0, 0])
+    boxes = [(start_a, dims_a), (start_b, dims_b)]
+    while len(boxes) < 5:
+        dims = rng.integers(4, 13, size=3)
+        start = rng.integers(0, 33 - dims, size=3)
+        hits = any(np.all(np.maximum(start, s) < np.minimum(start + dims,
+                                                            s + d))
+                   for s, d in boxes)
+        if hits == overlap or len(boxes) == 4:
+            boxes.append((start, dims))
+    for start, dims in boxes:
+        h.add_grid(Grid(1, tuple(start), tuple(dims), n_root=16), h.root)
+    plan = h.level_plan(1).poisson()
+    src = rng.standard_normal(int(plan.cell_offsets[-1]))
+    return h, plan, src
+
+
+def _store_reference(phi, sol, ng):
+    """The rim-padded solution written into a ghost-padded potential as
+    the per-grid gravity path wrote it: the rim box, then each axis's
+    ghost layers copied from its edge plane, axis by axis."""
+    sl = tuple(slice(ng - 1, ng + n - 1) for n in sol.shape)
+    phi[sl] = sol
+    for axis in range(3):
+        n = phi.shape[axis]
+        for dst, src in ((slice(0, ng - 1), slice(ng - 1, ng)),
+                         (slice(n - ng + 1, n), slice(n - ng, n - ng + 1))):
+            d, s_ = [slice(None)] * 3, [slice(None)] * 3
+            d[axis], s_[axis] = dst, src
+            phi[tuple(d)] = phi[tuple(s_)]
+
+
+def _level_reference(h, src, passes, budget=8):
+    """The per-grid loop ``mg.level`` replaces: one ``mg.solve`` per grid
+    and pass from its rim, the store, then every ``rim_copies`` row
+    copied where ``np.array_equal`` says the rim differs.  Returns the
+    potentials, the rims the last pass solved from and each solve's
+    ``(cycles, residual, converged)``."""
+    topo = h.level_topology(1)
+    plan = h.level_plan(1).poisson()
+    fill_level_numpy(plan.rim_fill)
+    rims = [r.copy() for r in plan.rim_views]
+    phis = [g.phi.copy() for g in topo.grids]
+    stats = np.zeros((len(phis), 3))
+    starts = np.array(topo.starts)
+    origins = np.array(topo.origins)
+    for k in range(passes):
+        for g, (rim, phi, source) in enumerate(zip(
+                rims, phis, plan.interiors(src))):
+            sol = rim.copy()
+            stats[g] = solve_numpy(sol, source, plan.dx, 2, 2, 2, 1e-9,
+                                   budget, False, False)
+            _store_reference(phi, sol, plan.nghost)
+        if k == passes - 1:
+            break
+        for t, s, *box in topo.rim_copies.tolist():
+            lo, hi = np.array(box[:3]), np.array(box[3:])
+            rim_sl = tuple(map(slice, lo - starts[t] + 1, hi - starts[t] + 1))
+            phi_sl = tuple(map(slice, lo - origins[s], hi - origins[s]))
+            if not np.array_equal(rims[t][rim_sl], phis[s][phi_sl]):
+                rims[t][rim_sl] = phis[s][phi_sl]
+    return phis, rims, stats
+
+
+@pytest.mark.parametrize("tier", ["numpy"] + COMPILED)
+class TestMgLevelParity:
+    """``mg.level`` on every tier equals the per-grid loop it replaces:
+    ``mg.solve`` + store + exchange, bitwise."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_matches_the_per_grid_loop(self, tier, overlap, passes):
+        impls = _tier_impls(tier)
+        for seed in range(3):
+            h_ref, _, src = _mg_level_case(seed, overlap)
+            phis, rims, want = _level_reference(h_ref, src, passes)
+            h, plan, src = _mg_level_case(seed, overlap)
+            n = len(plan.phis)
+            impls["fill.level"](plan.rim_fill)
+            stats = np.full((n, 3), np.nan)
+            for k in range(passes):
+                failed, changed = impls["mg.level"](
+                    plan, src, 0, n, 2, 2, 2, 1e-9, 8, False, False,
+                    k < passes - 1, stats)
+                assert failed == -1
+                assert changed == (k < passes - 1)
+            for g, phi in enumerate(phis):
+                np.testing.assert_array_equal(plan.phis[g], phi)
+                np.testing.assert_array_equal(plan.rim_views[g], rims[g])
+            np.testing.assert_array_equal(stats, want)
+
+    def test_exchange_reports_a_change_as_array_equal_does(self, tier):
+        """A pass that moves no rim value reports no change (and ends the
+        sibling iteration); a NaN in a rim and in the sibling potential
+        over it is a change, a -0.0 over a 0.0 is not."""
+        fn = _tier_impls(tier)["mg.level"]
+        h, plan, src = _mg_level_case(0, False)
+        n = len(plan.phis)
+        _tier_impls(tier)["fill.level"](plan.rim_fill)
+        stats = np.zeros((n, 3))
+        args = (2, 2, 2, 1e-9, 8, False, False)
+        assert fn(plan, src, 0, n, *args, True, stats) == (-1, True)
+        # the rims now hold the siblings' potentials: nothing moves
+        assert fn(plan, src, n, n, *args, True, stats) == (-1, False)
+        t, s, *box = plan.rim_rows[0].tolist()
+        r_lo, p_lo = box[:3], box[3:6]
+        plan.rim_views[t][tuple(r_lo)] = 0.0
+        plan.phis[s][tuple(p_lo)] = -0.0
+        assert fn(plan, src, n, n, *args, True, stats) == (-1, False)
+        assert not np.signbit(plan.rim_views[t][tuple(r_lo)])
+        plan.rim_views[t][tuple(r_lo)] = np.nan
+        plan.phis[s][tuple(p_lo)] = np.nan
+        assert fn(plan, src, n, n, *args, True, stats) == (-1, True)
+
+    def test_strict_failure_returns_its_grid(self, tier):
+        """A strict solve that does not converge ends the call at its
+        grid, which stays unwritten; the grids before it are solved."""
+        fn = _tier_impls(tier)["mg.level"]
+        h, plan, src = _mg_level_case(1, True)
+        n = len(plan.phis)
+        _tier_impls(tier)["fill.level"](plan.rim_fill)
+        plan.interiors(src)[2][1, 1, 1] = np.nan  # never converges
+        before = [phi.copy() for phi in plan.phis]
+        stats = np.zeros((n, 3))
+        assert fn(plan, src, 0, n, 2, 2, 2, 1e-6, 60, True, False, True,
+                  stats) == (2, False)
+        assert stats[:2, 2].all() and not stats[2, 2]
+        assert stats[2, 0] == 1  # a NaN residual fails fast
+        for g in range(2):
+            assert not np.array_equal(plan.phis[g], before[g])
+        for g in range(2, n):
+            np.testing.assert_array_equal(plan.phis[g], before[g])
+        # an injected divergence fails the first grid of the range
+        stats[...] = 0.0
+        assert fn(plan, src, 3, n, 2, 2, 2, 1e-9, 4, True, True, True,
+                  stats) == (3, False)
+        assert stats[3, 0] == 4 and not stats[3, 2]
+        with pytest.raises(ValueError, match="mg.level"):
+            fn(plan, src, 0, n + 1, 2, 2, 2, 1e-9, 4, True, False, True,
+               stats)
 
 
 # ======================================================= potential gradient
@@ -2022,8 +2181,9 @@ class TestNoOutOfBoundsWrites:
             g_parents.append((list(g_coarse), g_old, origin))
         before = _guards(buffers)
         with np.errstate(all="ignore"):
-            fill_level_numpy(*ref)
-            fn(g_targets, g_parents, g_sources, fill, copies, r, positive)
+            fill_level_numpy(FillPlan(*ref))
+            fn(FillPlan(g_targets, g_parents, g_sources, fill, copies, r,
+                        positive))
         np.testing.assert_array_equal(_guards(buffers), before)
         for (a, *_), (b, *_) in zip(g_targets, ref[0]):
             for x, y in zip(a, b):
@@ -2419,7 +2579,7 @@ class TestIntegration:
             assert len(run.hierarchy.level_grids(2)) > 1
             calls = dispatch.counters_totals()
             assert calls["fill.level"][0] > 0
-            assert calls["mg.solve"][0] > 0
+            assert calls["mg.level"][0] > 0
             assert calls["gravity.accel"][0] > 0
             assert calls["flux.correct"][0] > 0
             return run.hierarchy.fingerprint()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.amr import Grid, Hierarchy
 from repro.amr.boundary import copy_from_siblings, set_boundary_values
-from repro.amr.gravity import rim_exchange
 from repro.amr.topology import LevelTopology
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
@@ -53,7 +52,8 @@ class TestSiblingMap:
         rim_pairs = {(t, s) for t, s in topo.rim_copies[:, :2].tolist()}
         assert {(0, 1), (0, 2)} <= pairs
         assert (0, 1) in rim_pairs and (0, 2) not in rim_pairs
-        assert (0, 2) not in {(t, s) for t, s, *_ in rim_exchange(topo)}
+        assert (0, 2) not in {(t, s) for t, s, *_ in
+                              topo.level_plan().rim_rows.tolist()}
 
     def test_build_matches_bruteforce_random(self):
         _assert_tables_match_bruteforce(_random_grids(30, 16, seed=3))
@@ -80,10 +80,12 @@ def _random_grids(n, n_root, seed):
 
 
 def _assert_tables_match_bruteforce(grids, ng=3):
-    """``copies``, ``rim_copies`` and the gravity exchange's slices, row
-    for row and in order, against a per-pair scan: ghost boxes from
-    ``ghost_overlap_with``, rim boxes from the 1-cell rim rule applied to
-    every pair (not only the pairs within ghost range)."""
+    """``copies``, ``rim_copies`` and the gravity exchange's rows (the level
+    plan's ``rim_rows``: the box's first cell in the target's rim and the
+    source's potential, and its extent), row for row and in order,
+    against a per-pair scan: ghost boxes from ``ghost_overlap_with``, rim
+    boxes from the 1-cell rim rule applied to every pair (not only the
+    pairs within ghost range)."""
     topo = LevelTopology(grids, ng)
     copies, rims, exchange = [], [], []
     for i, g in enumerate(grids):
@@ -97,18 +99,12 @@ def _assert_tables_match_bruteforce(grids, ng=3):
             rh = np.minimum(g.end_index + 1, o.end_index)
             if np.all(rl < rh):
                 rims.append([i, j, *rl, *rh])
-                exchange.append((i, j,
-                                 _sl(rl - g.start_index + 1,
-                                     rh - g.start_index + 1),
-                                 _sl(rl - o.start_index + ng,
-                                     rh - o.start_index + ng)))
+                exchange.append([i, j, *(rl - g.start_index + 1),
+                                 *(rl - o.start_index + ng), *(rh - rl)])
     np.testing.assert_array_equal(topo.copies, np.reshape(copies, (-1, 8)))
     np.testing.assert_array_equal(topo.rim_copies, np.reshape(rims, (-1, 8)))
-    assert rim_exchange(topo) == exchange
-
-
-def _sl(lo, hi):
-    return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+    np.testing.assert_array_equal(topo.level_plan().rim_rows,
+                                  np.reshape(exchange, (-1, 11)))
 
 
 class TestEpochInvalidation:
@@ -248,3 +244,197 @@ class TestConsumersAgree:
                     np.testing.assert_array_equal(g1.phi, g2.phi)
         finally:
             dispatch._reset_for_tests()
+
+
+def _plan_level(n_root=8):
+    """A root and three level-1 grids (two abutting), ghosts filled."""
+    h = Hierarchy(n_root=n_root)
+    rng = np.random.default_rng(5)
+    h.root.fields["density"][...] = 1.0 + rng.random(
+        h.root.fields["density"].shape)
+    set_boundary_values(h, 0)
+    for start, dims in (((2, 2, 2), (4, 4, 4)), ((6, 2, 2), (4, 6, 4)),
+                        ((2, 8, 8), (6, 4, 4))):
+        h.add_grid(_grid(1, start, dims), h.root)
+    return h
+
+
+def _count_fill_plans(monkeypatch) -> list:
+    """Every FillPlan a level plan builds from now on (its tables are
+    checked once per build)."""
+    from repro.amr import topology
+    from repro.amr.interpolation import FillPlan
+
+    built = []
+
+    class Counted(FillPlan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(topology, "FillPlan", Counted)
+    return built
+
+
+def _addresses(table, n):
+    """The first ``n`` addresses of a compiled tier's pointer table."""
+    from repro.kernels.backend_cffi import ffi
+
+    return [int(ffi.cast("uintptr_t", table[i])) for i in range(n)]
+
+
+class TestLevelPlan:
+    def test_second_fill_in_an_epoch_checks_nothing(self, monkeypatch):
+        """The ghost fill's tables are checked when the level plan first
+        builds them, and not again for the next fill, gravity solve or
+        hydro step of the same epoch."""
+        from repro.amr.gravity import HierarchyGravity
+
+        h = _plan_level()
+        built = _count_fill_plans(monkeypatch)
+        set_boundary_values(h, 1)
+        assert len(built) == 1
+        plan = h.level_plan(1)
+        ghost = plan.ghost_plan()
+        set_boundary_values(h, 1)
+        assert len(built) == 1 and plan.ghost_plan() is ghost
+        grav = HierarchyGravity(g_code=1.0)
+        grav.solve_level(h, 0)
+        grav.solve_level(h, 1)
+        assert len(built) == 2  # the rim fill's, once
+        poisson = plan.poisson()
+        grav.solve_level(h, 1)
+        assert len(built) == 2 and plan.poisson() is poisson
+        step = plan.step_plan(0)
+        assert plan.step_plan(0) is step
+        assert h.level_plan(1) is plan
+
+    def test_rebuild_rebind_and_first_old_state_give_fresh_tables(self):
+        """A structural change gives a new level plan; a rebound array, a
+        rebound potential and a parent's first ``old_fields`` each give the
+        part of the plan that points to it new tables — on the compiled
+        tier, pointers to the arrays the grids hold now."""
+        from repro.kernels import dispatch
+
+        h = _plan_level()
+        a = h.level_grids(1)[0]
+        set_boundary_values(h, 1)
+        plan = h.level_plan(1)
+        ghost, poisson, step = (plan.ghost_plan(), plan.poisson(),
+                                plan.step_plan(0))
+
+        # a rebound field (deliberately: the run never rebinds one)
+        a.fields["density"] = a.fields["density"].copy()
+        fresh = plan.ghost_plan()
+        assert fresh is not ghost
+        assert fresh.targets[0][0][0] is a.fields["density"]
+        assert plan.step_plan(0) is not step
+        assert plan.step_plan(0).arrays[0] is a.fields["density"]
+        assert plan.poisson() is poisson  # no potential moved
+
+        a.phi = a.phi.copy()
+        assert plan.poisson() is not poisson
+        assert plan.poisson().phis[0] is a.phi
+
+        ghost = plan.ghost_plan()
+        assert ghost.parents[0][1] is None
+        h.root.save_old_state()  # the parent's first old state
+        fresh = plan.ghost_plan()
+        assert fresh is not ghost
+        assert fresh.parents[0][1][0] is h.root.old_fields["density"]
+        h.root.save_old_state()  # later snapshots copy in place
+        assert plan.ghost_plan() is fresh
+
+        if "cffi" in dispatch.available_backends():
+            dispatch.set_backend("cffi", env=False)
+            try:
+                set_boundary_values(h, 1)
+                nf = len(a.fields.array_items()) + 1
+                fines = _addresses(fresh.native[0][4], nf)
+                assert fines[0] == a.fields["density"].ctypes.data
+                assert fines[-1] == a.phi.ctypes.data
+                a.fields["density"] = a.fields["density"].copy()
+                set_boundary_values(h, 1)
+                again = plan.ghost_plan()
+                assert _addresses(again.native[0][4], 1) == [
+                    a.fields["density"].ctypes.data]
+            finally:
+                dispatch._reset_for_tests()
+
+        # a structural change: a new epoch, a new plan
+        h.add_grid(_grid(1, (12, 12, 12), (2, 2, 2)), h.root)
+        assert h.level_plan(1) is not plan
+        h.remove_level_grids(1)
+        assert plan.topo.plan is None or h.level_plan(1) is not plan
+
+
+class TestArraysKeepIdentity:
+    def test_no_array_is_rebound(self, monkeypatch):
+        """The arrays a level plan points to are never rebound: across root
+        steps of the paper's collapse with the Jeans floor firing, and a
+        ``retry_half_dt`` rescue, every kept grid keeps its field arrays
+        and potential, and every snapshot after a grid's first copies into
+        the arrays of the one before."""
+        from repro.amr import evolve
+        from repro.amr.grid import Grid as GridCls
+        from repro.problems import PrimordialCollapse
+        from repro.runtime.faults import FaultInjector, FaultSpec
+
+        run = PrimordialCollapse(
+            n_root=16, max_level=2, z_init=100.0, seed=7,
+            amplitude_boost=4.0, jeans_number=4.0, mass_refine_factor=8.0,
+            with_chemistry=True, with_dark_matter=True, max_dims=16)
+        run.initial_rebuild()
+        ev = run.evolver
+        # the problem's floor (4 cells) first binds late in the run; 64
+        # cells make the same code fire from the first finest-level step
+        ev.jeans_floor_cells = 64.0
+        floors = []
+        real_floor = evolve.HierarchyEvolver._apply_jeans_floor
+
+        def floor(self, grid, a):
+            before = grid.fields["internal"].copy()
+            ids = [id(v) for _, v in grid.fields.array_items()]
+            real_floor(self, grid, a)
+            assert ids == [id(v) for _, v in grid.fields.array_items()]
+            floors.append(not np.array_equal(before,
+                                             grid.fields["internal"]))
+
+        monkeypatch.setattr(evolve.HierarchyEvolver, "_apply_jeans_floor",
+                            floor)
+        real_save = GridCls.save_old_state
+        snapshots = []
+
+        def save(grid):
+            old = grid.old_fields
+            ids = None if old is None else {
+                k: id(v) for k, v in old.array_items()}
+            real_save(grid)
+            if ids is not None:
+                snapshots.append(ids == {
+                    k: id(v) for k, v in grid.old_fields.array_items()})
+
+        monkeypatch.setattr(GridCls, "save_old_state", save)
+
+        def arrays():
+            return {g: ([id(v) for _, v in g.fields.array_items()], id(g.phi))
+                    for g in ev.hierarchy.all_grids()}
+
+        t_end = run.code_time_of_redshift(20.0)
+        for step in range(5):
+            if step == 4:  # a NaN in the first grid stepped: a retry
+                ev.faults = FaultInjector([FaultSpec("nan_cell")])
+            before = arrays()
+            run.criteria.a = run.clock.a_of(ev.hierarchy.root.time)
+            ev.advance_root_step(t_end)
+            after = arrays()
+            kept = before.keys() & after.keys()
+            assert kept
+            for g in kept:
+                assert before[g] == after[g], g
+        assert ev.hierarchy.max_level == 2 and any(floors)
+        assert snapshots and all(snapshots)
+        rungs = ev.defense.totals["rungs"]
+        assert rungs.get("retry_half_dt") == 1, rungs
