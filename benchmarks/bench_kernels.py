@@ -41,6 +41,12 @@ This bench measures what that buys:
   onto 27 grids shifted by half a grid (old interiors copied, the rest
   prolonged); and one ``gravity.accel`` (the potential gradient of an 8^3
   grid with three ghosts);
+* the plan-fed level paths at the ``sphere_deep`` workload's shape (32
+  abutting 8^3 grids), compiled tier, in us per grid-pass: the ghost fill
+  on its level plan's cached tables against a fill that checks its
+  tables and builds its pointers on every call, and one ``mg.level``
+  sibling pass against the per-grid path (a ``mg.solve`` call, the store
+  and the row-by-row exchange per grid);
 * the chemistry rate-table blend (``chem.blend``) on one table pass of
   tens of thousands of cells, NumPy vs. the compiled backend;
 * an end-to-end primordial-collapse run (chemistry on, so every kernel
@@ -48,7 +54,8 @@ This bench measures what that buys:
   fingerprints asserted bitwise-equal — the speedup you get for free
   without touching results.
 
-Writes ``BENCH_kernels.json`` next to this file.
+Writes ``BENCH_kernels.json`` next to this file, with the host, cpus,
+tier and commit it was measured on at its top level.
 
 Run standalone::
 

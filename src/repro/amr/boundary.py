@@ -11,9 +11,9 @@ Paper Sec. 3.2.1 — the two-step procedure:
 
 Both steps of a level are one ``fill.level`` kernel call over the level's
 grids, with the tables of the hierarchy's cached
-:class:`~repro.amr.topology.LevelPlan` (checked once per topology epoch).  A ghost cell a sibling's
-interior covers is copied and never prolonged: prolongation is per-cell
-local, so skipping it changes no value.
+:class:`~repro.amr.topology.LevelPlan` (checked once per topology epoch).
+A ghost cell a sibling's interior covers is copied and never prolonged:
+prolongation is per-cell local, so skipping it changes no value.
 
 The root grid uses the problem's predefined boundary (periodic here).
 """
