@@ -11,7 +11,8 @@ Paper Sec. 3.2.1 — the two-step procedure:
 
 Both steps of a level are one ``fill.level`` kernel call over the level's
 grids, with the tables of the hierarchy's cached
-:class:`~repro.amr.topology.LevelPlan` (checked once per topology epoch).
+:class:`~repro.amr.topology.LevelPlan` (checked once while the level's and
+its parent level's grids stay the same).
 A ghost cell a sibling's interior covers is copied and never prolonged:
 prolongation is per-cell local, so skipping it changes no value.
 

@@ -330,8 +330,8 @@ class HierarchyEvolver:
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
                       accel.get(g.grid_id), permute, self.faults, windows,
                       plan.step_plan(i, windows))
-            for i, (g, windows) in enumerate(zip(grids,
-                                                 h.face_windows(level)))
+            for i, (g, windows) in enumerate(zip(
+                grids, h.face_windows(level), strict=True))
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
         results = self._validated(hydro_tasks, self._defend_hydro)

@@ -110,8 +110,8 @@ class FaceWindows:
     every child in ``children`` (grid ids, level order) has three rows,
     the faces :func:`face_cell` picks for its footprint — the periodic
     wrap on the root included, -1 where the face lies on the grid's own
-    boundary.  Built once per topology epoch
-    (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows`).
+    boundary.  Built once while the grid's level and its child level keep
+    their members (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows`).
     """
 
     __slots__ = ("table", "boundary", "children")

@@ -16,7 +16,6 @@ source and its refinement flags.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from types import SimpleNamespace
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from repro.amr.flux_correction import level_windows
 from repro.amr.grid import Grid
-from repro.amr.topology import LevelTopology
+from repro.amr.topology import LevelTopology, _same
 from repro.hydro.state import FieldSet
 from repro.nbody.cic import cic_deposit
 from repro.nbody.particles import ParticleSet
@@ -35,12 +34,14 @@ class Hierarchy:
     """Container and bookkeeping for the SAMR grid tree.
 
     Topology queries (same-level overlap tables and fill geometry) are
-    served from caches keyed by ``topology_epoch``, a counter bumped by
-    every structural mutation (``add_grid`` / ``remove_level_grids``), so
-    the hot paths never re-derive overlaps while the tree is unchanged and
-    rebuilds invalidate automatically.  Particle questions are answered
-    from the current positions on every call: particles move every level
-    step, so a cache of them would rarely hit.
+    served from one cached :class:`~repro.amr.topology.LevelTopology` per
+    level, valid while the level's grids and its parent level's grids are
+    the very objects it was built from: the hot paths never re-derive
+    overlaps while the tree is unchanged, a rebuild that keeps both levels
+    keeps their tables, and any other change builds new ones on the next
+    query.  Particle questions are answered from the current positions on
+    every call: particles move every level step, so a cache of them would
+    rarely hit.
     """
 
     def __init__(self, n_root: int, refine_factor: int = 2, nghost: int = 3,
@@ -52,23 +53,16 @@ class Hierarchy:
         root = Grid(0, (0, 0, 0), (n_root,) * 3, n_root, refine_factor, nghost)
         root.allocate(self.advected)
         self.levels: list[list[Grid]] = [[root]]
-        #: bumped on every structural change; cache keys derive from it
-        self.topology_epoch = 0
         #: the evolver's ComponentTimers ("topology" section); None for a
         #: hierarchy no evolver drives
         self.timers = None
-        self._topologies: dict[int, tuple[int, LevelTopology]] = {}
+        self._topologies: dict[int, LevelTopology] = {}
         #: the arrays rebuilt grids allocate (``acquires``; ``hits`` is
         #: always 0): the two counters the end-to-end benchmark reads
         self.pool = SimpleNamespace(acquires=0, hits=0)
         #: summary dict of the most recent rebuild_hierarchy call
         #: (created/reused/destroyed/parents/reuse_rate); telemetry reads it
         self.last_rebuild_stats: dict | None = None
-        # bulk-update (single-epoch-bump) bookkeeping
-        self._bulk_depth = 0
-        self._bulk_mutations = 0
-        self._bulk_membership: list[tuple] | None = None
-        self._bulk_epoch = 0
         self.particles: ParticleSet = ParticleSet.empty()
         # counters the performance layer reads (paper Fig. 5 discussion);
         # reused grids are counted separately so created/destroyed keep
@@ -125,26 +119,22 @@ class Hierarchy:
             self.grids_reused += 1
         else:
             self.grids_created += 1
-        self._note_mutation()
 
-    def remove_level_grids(self, level: int, *, tally: bool = True) -> None:
+    def remove_level_grids(self, level: int) -> None:
         """Delete all grids at `level` and deeper (used by rebuild).
 
         Backrefs are severed on removal (``parent`` cleared, ``children``
         emptied) so a detached subtree cannot pin the whole old hierarchy
-        alive through one surviving reference.  ``tally=False`` skips the
-        ``grids_destroyed`` bump (the incremental rebuild settles its own
-        created/destroyed/reused books).
+        alive through one surviving reference.  Nothing is counted here:
+        the rebuild books its own created/destroyed/reused grids.
         """
-        removed = 0
         for lvl in range(level, len(self.levels)):
             # a level plan holds the arrays of the grids it points to: let
             # them go with the grids, even while the topology stays cached
-            entry = self._topologies.get(lvl)
-            if entry is not None:
-                entry[1].plan = None
+            topo = self._topologies.get(lvl)
+            if topo is not None:
+                topo.plan = None
             for g in self.levels[lvl]:
-                removed += 1
                 p = g.parent
                 if p is not None and g in p.children:
                     p.children.remove(g)
@@ -153,94 +143,37 @@ class Hierarchy:
             self.levels[lvl] = []
         while len(self.levels) > 1 and not self.levels[-1]:
             self.levels.pop()
-        if tally:
-            self.grids_destroyed += removed
-        self._note_mutation()
-
-    def _note_mutation(self) -> None:
-        """Bump the topology epoch, or defer inside a bulk_update block."""
-        if self._bulk_depth:
-            self._bulk_mutations += 1
-        else:
-            self.topology_epoch += 1
-
-    def _membership(self) -> list[tuple]:
-        return [tuple(g.grid_id for g in lvl) for lvl in self.levels]
-
-    @contextlib.contextmanager
-    def bulk_update(self):
-        """Batch structural mutations behind a single epoch transition.
-
-        A from-scratch rebuild of a thousand-grid level used to bump
-        ``topology_epoch`` a thousand times; inside this context every
-        ``add_grid`` / ``remove_level_grids`` defers, and on exit the epoch
-        moves **once** — or not at all if the final per-level membership is
-        identical to the initial one (a fully-reused rebuild), in which
-        case every epoch-keyed cache stays warm.  For levels whose
-        membership, and whose parent level's membership, are unchanged
-        across the block, cached level topologies are re-stamped to the
-        new epoch (grid geometry is immutable and a child box nests in
-        exactly one parent, so unchanged member lists on both levels mean
-        the same parents and an unchanged topology; a kept grid under a
-        new parent gets a new topology).
-        """
-        if self._bulk_depth == 0:
-            self._bulk_membership = self._membership()
-            self._bulk_epoch = self.topology_epoch
-            self._bulk_mutations = 0
-        self._bulk_depth += 1
-        try:
-            yield self
-        finally:
-            self._bulk_depth -= 1
-            if self._bulk_depth == 0:
-                before = self._bulk_membership
-                after = self._membership()
-                self._bulk_membership = None
-                if self._bulk_mutations and after != before:
-                    self.topology_epoch += 1
-                    for lvl in range(min(len(before), len(after))):
-                        if before[max(lvl - 1, 0):lvl + 1] != \
-                                after[max(lvl - 1, 0):lvl + 1]:
-                            continue
-                        entry = self._topologies.get(lvl)
-                        if entry is not None and entry[0] == self._bulk_epoch:
-                            self._topologies[lvl] = (
-                                self.topology_epoch, entry[1]
-                            )
 
     # --------------------------------------------------------------- queries
     def level_topology(self, level: int) -> LevelTopology:
         """A level's :class:`~repro.amr.topology.LevelTopology` (overlap
-        tables and fill geometry), cached per epoch.
+        tables and fill geometry).
 
-        It is rebuilt lazily the first time it is requested after a
-        structural change.
+        The cached one is served while its grids, and the parent-level
+        grids it was built from, are object for object ``levels[level]``
+        and ``levels[level - 1]`` (see :mod:`repro.amr.topology` for why
+        that suffices); otherwise a new one is built.
         """
-        # mid-bulk-update the tree has mutated but the epoch hasn't moved
-        # yet: the cache can neither be trusted nor populated
-        cacheable = not (self._bulk_depth and self._bulk_mutations)
-        if cacheable:
-            entry = self._topologies.get(level)
-            if entry is not None and entry[0] == self.topology_epoch:
-                return entry[1]
-        topo = self._timed_topology(
-            LevelTopology, self.level_grids(level), self.nghost
-        )
-        if cacheable:
-            self._topologies[level] = (self.topology_epoch, topo)
+        grids = self.level_grids(level)
+        above = self.level_grids(level - 1)
+        topo = self._topologies.get(level)
+        if topo is None or not (_same(topo.grids, grids)
+                                and _same(topo.parent_level, above)):
+            topo = self._topologies[level] = self._timed_topology(
+                LevelTopology, grids, self.nghost, parent_level=above)
         return topo
 
     def level_plan(self, level: int):
         """The level's :class:`~repro.amr.topology.LevelPlan` (the tables
         and pointers the fill, hydro and gravity kernels read), built on
-        first use per topology epoch and kept on its topology."""
+        first use and kept on its topology."""
         return self.level_topology(level).level_plan()
 
     def face_windows(self, level: int) -> list:
         """The :class:`~repro.amr.flux_correction.FaceWindows` of every
-        grid of ``level``, in ``level_grids`` order: built once per
-        topology epoch from the child level's topology, and cached on it."""
+        grid of ``level``, in ``level_grids`` order: built on first use
+        from the child level's topology, and cached on it (that topology
+        lives exactly as long as both levels' members)."""
         topo = self.level_topology(level + 1)
         if topo.parent_windows is None:
             topo.parent_windows = self._timed_topology(
@@ -317,11 +250,11 @@ class Hierarchy:
                            tuple(int(d) for d in grid.dims), grid.dx,
                            periodic=periodic)
 
-    def _timed_topology(self, fn, *args):
+    def _timed_topology(self, fn, *args, **kwargs):
         if self.timers is None:
-            return fn(*args)
+            return fn(*args, **kwargs)
         with self.timers.section("topology"):
-            return fn(*args)
+            return fn(*args, **kwargs)
 
     def covering_mask(self, grid: Grid) -> np.ndarray:
         """Boolean interior-shaped mask of cells covered by children."""

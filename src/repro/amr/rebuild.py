@@ -28,9 +28,9 @@ into a fresh grid of that box, i.e. unchanged.  Grids kept this way may
 sit under a parent that was itself kept, or under a new one.  The other
 boxes get new grids with new arrays, and each retired level's grids drop
 their arrays (:meth:`~repro.amr.grid.Grid.release`) as soon as its copy
-pass finishes, so nothing is held for a later rebuild.  The whole
-rebuild runs inside ``hierarchy.bulk_update()`` so the topology epoch
-moves at most once.
+pass finishes, so nothing is held for a later rebuild.  A level whose
+grids and whose parent level's grids all survive keeps its cached
+topology (:meth:`~repro.amr.hierarchy.Hierarchy.level_topology`).
 
 The correctness gate: a reusing rebuild produces a hierarchy bitwise
 identical to the from-scratch path (``incremental=False``) — same boxes
@@ -195,73 +195,69 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
             hierarchy.grids_destroyed += 1
             g.release()
 
-    with hierarchy.bulk_update():
-        hierarchy.remove_level_grids(level, tally=False)
+    hierarchy.remove_level_grids(level)
 
-        lvl = level
-        while max_level is None or lvl <= max_level:
-            old_grids = old_by_level.pop(lvl, [])
-            # old grids by box; a new box equal to one keeps that grid
-            retiring = {(*g.start_index.tolist(), *g.dims.tolist()): g
-                        for g in old_grids}
-            # (child, parent, kept): the entries the level's fill takes
-            new_grids: list[tuple[Grid, Grid, bool]] = []
-            for parent in hierarchy.level_grids(lvl - 1):
-                flags = criteria.flag_cells(parent,
-                                            hierarchy.dm_density(parent))
-                for crit, count in criteria.last_flag_counts.items():
-                    flag_counts[crit] = flag_counts.get(crit, 0) + count
-                stats["parents"] += 1
-                if not flags.any():
-                    continue
-                boxes = cluster_flagged_cells(
-                    _dilate(flags, BUFFER_CELLS),
-                    efficiency=criteria.efficiency,
-                    min_size=criteria.min_size)
-                first = len(new_grids)
-                for box in boxes:
-                    for blo, bhi in _split_box(box.lo, box.hi,
-                                               criteria.max_dims):
-                        start = (parent.start_index + np.array(blo)) * r
-                        dims = (np.array(bhi) - np.array(blo)) * r
-                        key = (*start.tolist(), *dims.tolist())
-                        if incremental and key in retiring:
-                            new_grids.append((retiring.pop(key), parent, True))
-                            continue
-                        g = Grid(lvl, start, dims, hierarchy.n_root, r,
-                                 hierarchy.nghost)
-                        g.allocate(hierarchy.advected)
-                        # its fields and its potential
-                        hierarchy.pool.acquires += (
-                            len(g.fields.array_items()) + 1)
-                        new_grids.append((g, parent, False))
-                if all(kept for _, _, kept in new_grids[first:]):
-                    stats["parents_reused"] += 1  # every box survived
+    lvl = level
+    while max_level is None or lvl <= max_level:
+        old_grids = old_by_level.pop(lvl, [])
+        # old grids by box; a new box equal to one keeps that grid
+        retiring = {(*g.start_index.tolist(), *g.dims.tolist()): g
+                    for g in old_grids}
+        # (child, parent, kept): the entries the level's fill takes
+        new_grids: list[tuple[Grid, Grid, bool]] = []
+        for parent in hierarchy.level_grids(lvl - 1):
+            flags = criteria.flag_cells(parent, hierarchy.dm_density(parent))
+            for crit, count in criteria.last_flag_counts.items():
+                flag_counts[crit] = flag_counts.get(crit, 0) + count
+            stats["parents"] += 1
+            if not flags.any():
+                continue
+            boxes = cluster_flagged_cells(
+                _dilate(flags, BUFFER_CELLS),
+                efficiency=criteria.efficiency,
+                min_size=criteria.min_size)
+            first = len(new_grids)
+            for box in boxes:
+                for blo, bhi in _split_box(box.lo, box.hi, criteria.max_dims):
+                    start = (parent.start_index + np.array(blo)) * r
+                    dims = (np.array(bhi) - np.array(blo)) * r
+                    key = (*start.tolist(), *dims.tolist())
+                    if incremental and key in retiring:
+                        new_grids.append((retiring.pop(key), parent, True))
+                        continue
+                    g = Grid(lvl, start, dims, hierarchy.n_root, r,
+                             hierarchy.nghost)
+                    g.allocate(hierarchy.advected)
+                    # its fields and its potential
+                    hierarchy.pool.acquires += len(g.fields.array_items()) + 1
+                    new_grids.append((g, parent, False))
+            if all(kept for _, _, kept in new_grids[first:]):
+                stats["parents_reused"] += 1  # every box survived
 
-            for g, parent, kept in new_grids:
-                hierarchy.add_grid(g, parent, reused=kept)
-                if kept:
-                    # reset the per-step scratch a fresh Grid starts
-                    # without, so reuse is invisible downstream
-                    g.old_fields = None
-                    g.old_time = DoubleDouble(0.0)
-                    g.flux_accumulator = None
-                    g.last_fluxes = None
-                    stats["reused"] += 1
-                else:
-                    stats["created"] += 1
-                g.time = DoubleDouble(parent.time)
-            _fill_level(new_grids, old_grids)
+        for g, parent, kept in new_grids:
+            hierarchy.add_grid(g, parent, reused=kept)
+            if kept:
+                # reset the per-step scratch a fresh Grid starts without,
+                # so reuse is invisible downstream
+                g.old_fields = None
+                g.old_time = DoubleDouble(0.0)
+                g.flux_accumulator = None
+                g.last_fluxes = None
+                stats["reused"] += 1
+            else:
+                stats["created"] += 1
+            g.time = DoubleDouble(parent.time)
+        _fill_level(new_grids, old_grids)
 
-            # this level's copy pass is done: free its old grids now
-            retire(retiring.values())
-            if not new_grids:
-                break
-            lvl += 1
+        # this level's copy pass is done: free its old grids now
+        retire(retiring.values())
+        if not new_grids:
+            break
+        lvl += 1
 
-        # levels past a break (cap reached / flags vanished) are gone
-        for l in sorted(old_by_level):
-            retire(old_by_level.pop(l))
+    # levels past a break (cap reached / flags vanished) are gone
+    for l in sorted(old_by_level):
+        retire(old_by_level.pop(l))
 
     total = stats["created"] + stats["reused"]
     stats["reuse_rate"] = stats["reused"] / total if total else 0.0

@@ -8,11 +8,12 @@ tests — exactly the bookkeeping Enzo's driver amortises with per-level
 boundary lists rebuilt only when the hierarchy changes (Bryan et al. 2014,
 Sec. 3.8; O'Shea et al. 2004).
 
-This module builds a :class:`LevelTopology` once per *topology epoch* (a
-counter the :class:`~repro.amr.hierarchy.Hierarchy` bumps in ``add_grid``
-/ ``remove_level_grids``): the level's same-level adjacency and the
-geometry of its parent->child fills (``fill.level``) as int64 tables, the
-adjacency from one vectorised overlap pass:
+This module builds a :class:`LevelTopology` per level, and the
+:class:`~repro.amr.hierarchy.Hierarchy` keeps it while the level's grids
+and its parent level's grids are the very objects it was built from: the
+level's same-level adjacency and the geometry of its parent->child fills
+(``fill.level``) as int64 tables, the adjacency from one vectorised
+overlap pass:
 
 * ``copies`` — rows ``(target, source, lo, hi)`` in level indices: the box
   where the target's ghost-expanded region meets the source's interior;
@@ -25,13 +26,13 @@ Grid geometry is immutable after construction (integer ``start_index`` /
 ``dims``), and a grid keeps its parent while its own level's and its
 parent level's membership are unchanged (a child box nests in exactly
 one parent; the rebuild may re-attach a kept grid to a new parent only
-when the parent level changed), so the cache never goes stale — only
-membership does, and that is what the epoch tracks.
+when the parent level changed), so the tables never go stale — only
+membership does, and membership is what the cache compares.
 
 On top of a topology sits its :class:`LevelPlan`: what the level's
 kernels read — the checked ``fill.level`` tables of the ghost and rim
 fills, the ``mg.level`` tables and one ``hydro.step`` plan per grid —
-with the pointers to the arrays they name, derived once per epoch and
+with the pointers to the arrays they name, derived once per topology and
 refreshed only when an array they point to is no longer the grid's.
 """
 
@@ -76,7 +77,8 @@ def box_overlaps(lo_a, hi_a, ids_a, lo_b, hi_b, ids_b):
 
 
 class LevelTopology:
-    """One level's topology, built once per topology epoch.
+    """One level's topology, built once per membership of the level and
+    of its parent level.
 
     Everything is indexed by position in ``grids``: ``origins`` (first
     allocated cell) and ``starts`` / ``ends`` (interior) as int lists,
@@ -90,7 +92,9 @@ class LevelTopology:
     Dirichlet rim.  ``ghost_misfit`` / ``rim_misfit`` name the first grid
     whose ghost shell / rim needs parent cells (plus the one-cell slope
     rim) outside its parent's arrays, or are ``None``.  ``parents`` is
-    ``None`` when a grid has no parent (the root level).
+    ``None`` when a grid has no parent (the root level).  ``parent_level``
+    is a copy of the parent level's grids it was built from (the
+    hierarchy's cache compares it, with ``grids``, to the current levels).
     ``parent_windows`` is the parent level's flux windows
     (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows` fills it on first
     use; they depend on this level's and the parent level's members only,
@@ -101,11 +105,12 @@ class LevelTopology:
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
                  "parent_origins", "parent_of", "shell", "copies",
                  "rim_copies", "rim", "ghost_misfit", "rim_misfit",
-                 "parent_windows", "nghost", "plan")
+                 "parent_level", "parent_windows", "nghost", "plan")
 
-    def __init__(self, grids, nghost: int, parents=None):
+    def __init__(self, grids, nghost: int, parents=None, parent_level=()):
         ng = self.nghost = int(nghost)
         self.grids = list(grids)
+        self.parent_level = list(parent_level)
         self.parent_windows = None
         self.plan = None
         n = len(self.grids)
@@ -183,11 +188,11 @@ def _same(a, b) -> bool:
 
 class LevelPlan:
     """What the kernels of one level read, derived from its
-    :class:`LevelTopology` once per topology epoch instead of once per call
-    or per grid — Enzo keeps its boundary lists from one rebuild to the
-    next in the same way (O'Shea et al. 2004).
+    :class:`LevelTopology` once per topology instead of once per call or
+    per grid — Enzo keeps its boundary lists from one rebuild to the next
+    in the same way (O'Shea et al. 2004).
 
-    Static for the epoch (geometry only): ``dx`` (the level's float64
+    Static for the topology (geometry only): ``dx`` (the level's float64
     cell width), ``dims`` ``(n, 3)``, each grid's first element in a flat
     buffer of the level's interiors (``cell_offsets``) and of its
     Dirichlet rims (``rim_offsets``, both ``n + 1`` long), and

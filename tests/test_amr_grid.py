@@ -211,7 +211,10 @@ class TestHierarchy:
         h.remove_level_grids(1)
         assert h.max_level == 0
         assert h.root.children == []
-        assert h.grids_destroyed == 2
+        assert child.parent is None and g2.parent is None
+        assert child.children == []
+        # the rebuild books destroyed grids; removal counts nothing
+        assert h.grids_destroyed == 0
 
     def test_siblings(self):
         h = Hierarchy(n_root=8)

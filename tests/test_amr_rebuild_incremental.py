@@ -9,8 +9,8 @@ hierarchies through identical flag evolutions (no-change, all-change,
 some boxes kept and some moved, level-disappears, randomised) and compare
 ``Hierarchy.fingerprint()``, then pin that retired arrays are freed and
 never aliased, the allocation counter, the parent-array bounds check in
-``_fill_level``, the created/destroyed/reused counter split, the
-single-epoch-bump ``bulk_update`` behaviour, and — per kernel tier — that
+``_fill_level``, the created/destroyed/reused counter split, which
+cached level topologies a rebuild keeps, and — per kernel tier — that
 the ghost fill never touches an interior cell and that the incremental
 and from-scratch rebuilds still agree.
 """
@@ -408,37 +408,45 @@ class TestCounters:
             h.grids_reused - before[2])
 
 
-# ----------------------------------------------------------- bulk update
+# ------------------------------------------------ topology across rebuilds
 class TestBulkUpdate:
-    def test_rebuild_bumps_epoch_once(self):
+    """A rebuild (one bulk of structural updates) keeps a level's cached
+    topology exactly when the level's grids and its parent level's grids
+    are the same objects afterwards: the level's epoch goes on."""
+
+    def test_rebuild_that_changes_level_gives_new_topology(self):
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
-        e0 = h.topology_epoch
         rebuild_hierarchy(h, 1, crit)
-        assert len(h.level_grids(1)) > 1  # many mutations...
-        assert h.topology_epoch == e0 + 1  # ...one epoch transition
+        topo = h.level_topology(1)
+        # the same boxes, every one a new grid
+        rebuild_hierarchy(h, 1, crit, incremental=False)
+        fresh = h.level_topology(1)
+        assert fresh is not topo
+        assert fresh.grids == h.level_grids(1)
 
     def test_full_reuse_keeps_epoch_and_caches(self):
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
         topo = h.level_topology(1)
-        e0 = h.topology_epoch
+        windows = h.face_windows(0)
         rebuild_hierarchy(h, 1, crit)  # nothing changes
         assert h.last_rebuild_stats["reuse_rate"] == 1.0
-        assert h.topology_epoch == e0
         assert h.level_topology(1) is topo  # cache stayed warm
+        assert h.face_windows(0) is windows
 
-    def test_mid_bulk_queries_bypass_cache(self):
+    def test_query_between_remove_and_readd_sees_current_members(self):
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
+        grids = list(h.level_grids(1))
         h.level_topology(1)
-        with h.bulk_update():
-            h.remove_level_grids(1, tally=False)
-            # tree mutated, epoch not yet bumped: the stale topology must
-            # not be served
-            assert h.level_topology(1).grids == []
+        h.remove_level_grids(1)
+        assert h.level_topology(1).grids == []
+        for g in grids:
+            h.add_grid(g, h.root, reused=True)
+        assert h.level_topology(1).grids == grids
 
     def test_kept_grid_under_new_parent_gets_new_topology(self):
         """A level whose members are unchanged but whose parent level was
@@ -449,22 +457,11 @@ class TestBulkUpdate:
         h.add_grid(old_parent, h.root)
         h.add_grid(child, old_parent)
         assert h.level_topology(2).parents == [old_parent]
-        with h.bulk_update():
-            h.remove_level_grids(1, tally=False)
-            new_parent = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
-            h.add_grid(new_parent, h.root)
-            h.add_grid(child, new_parent)
+        h.remove_level_grids(1)
+        new_parent = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
+        h.add_grid(new_parent, h.root)
+        h.add_grid(child, new_parent)
         assert h.level_topology(2).parents == [new_parent]
-
-    def test_nested_bulk_single_bump(self):
-        h = _fresh_hierarchy()
-        e0 = h.topology_epoch
-        with h.bulk_update():
-            with h.bulk_update():
-                g = Grid(1, (0, 0, 0), (4, 4, 4), n_root=8)
-                h.add_grid(g, h.root)
-            h.remove_level_grids(1)
-        assert h.topology_epoch == e0  # membership ended where it began
 
 
 # ------------------------------------------------- evolver + backends

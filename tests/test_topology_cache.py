@@ -1,4 +1,5 @@
-"""Topology-cache behaviour: epoch invalidation, overlap-table
+"""Topology-cache behaviour: a level's cached topology lives exactly as
+long as its members and its parent level's members, overlap-table
 correctness, and the cached consumers producing the same answers as
 direct scans."""
 
@@ -108,15 +109,20 @@ def _assert_tables_match_bruteforce(grids, ng=3):
 
 
 class TestEpochInvalidation:
+    """A cached topology is served while the level's grids and its parent
+    level's grids are the very objects it was built from.  The tests call
+    that span the level's epoch; no counter tracks it, a structural change
+    ends it by changing the members."""
+
     def test_add_grid_bumps_epoch_and_refreshes_siblings(self):
         h = Hierarchy(n_root=8)
         a = _grid(1, (0, 0, 0), (4, 4, 4))
         h.add_grid(a, h.root)
-        e0 = h.topology_epoch
-        assert _siblings(h, a) == []  # build + cache the level-1 topology
+        topo = h.level_topology(1)
+        assert _siblings(h, a) == []
         b = _grid(1, (4, 0, 0), (4, 4, 4))
         h.add_grid(b, h.root)
-        assert h.topology_epoch > e0
+        assert h.level_topology(1) is not topo
         assert _siblings(h, a) == [b]  # stale topology must not be served
 
     def test_remove_level_grids_bumps_epoch_and_refreshes(self):
@@ -126,10 +132,10 @@ class TestEpochInvalidation:
         h.add_grid(a, h.root)
         h.add_grid(b, h.root)
         assert _siblings(h, a) == [b]
-        e0 = h.topology_epoch
+        before = h.level_topology(1)
         h.remove_level_grids(1)
-        assert h.topology_epoch > e0
         topo = h.level_topology(1)
+        assert topo is not before
         assert topo.grids == [] and len(topo.copies) == 0
 
     def test_same_epoch_reuses_map_object(self):
@@ -138,6 +144,25 @@ class TestEpochInvalidation:
         h.add_grid(_grid(1, (4, 0, 0), (4, 4, 4)), h.root)
         topo = h.level_topology(1)
         assert h.level_topology(1) is topo
+
+    def test_new_childless_grid_gets_fresh_face_windows(self):
+        """Adding a childless grid to level 1 leaves level 2's members and
+        parents as they were, yet ``face_windows(1)`` (cached on level 2's
+        topology) must gain the new grid's entry."""
+        h = Hierarchy(n_root=8)
+        a = _grid(1, (0, 0, 0), (8, 8, 8))
+        h.add_grid(a, h.root)
+        child = _grid(2, (4, 4, 4), (4, 4, 4))
+        h.add_grid(child, a)
+        windows = h.face_windows(1)
+        assert [w.children for w in windows] == [[child.grid_id]]
+        b = _grid(1, (8, 8, 8), (4, 4, 4))
+        h.add_grid(b, h.root)
+        fresh = h.face_windows(1)
+        assert fresh is not windows
+        assert len(fresh) == len(h.level_grids(1)) == 2
+        assert [w.children for w in fresh] == [[child.grid_id], []]
+        assert h.level_topology(2).parents == [a]
 
     def test_particle_ownership_follows_tree_and_motion(self):
         """Ownership is derived on every call, so a structural change or a
@@ -363,7 +388,7 @@ class TestLevelPlan:
             finally:
                 dispatch._reset_for_tests()
 
-        # a structural change: a new epoch, a new plan
+        # a structural change: a new topology, a new plan
         h.add_grid(_grid(1, (12, 12, 12), (2, 2, 2)), h.root)
         assert h.level_plan(1) is not plan
         h.remove_level_grids(1)
