@@ -26,10 +26,6 @@ from repro.hydro.state import FieldSet, fill_ghosts_periodic
 from repro.kernels import dispatch as kernels
 
 
-def _boundary_field_names(grid):
-    return [k for k, _ in grid.fields.array_items()]
-
-
 def _time_fraction(child, parent) -> float:
     denom = float(parent.time - parent.old_time)
     if denom <= 0.0 or parent.old_fields is None:
@@ -68,29 +64,6 @@ def ghost_fractions(topo: LevelTopology) -> list:
             frac = memo[key] = _time_fraction(g, topo.parents[k])
         fracs.append(frac)
     return fracs
-
-
-def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
-    """Overwrite ghost cells with sibling interior data where they overlap."""
-    ng = grid.nghost
-    my_lo = grid.start_index - ng
-    for other in siblings:
-        ov = grid.ghost_overlap_with(other)
-        if ov is None:
-            continue
-        lo, hi = ov
-        my_sl = tuple(
-            slice(int(lo[d] - my_lo[d]), int(hi[d] - my_lo[d])) for d in range(3)
-        )
-        o_sl = tuple(
-            slice(int(lo[d] - other.start_index[d] + ng),
-                  int(hi[d] - other.start_index[d] + ng))
-            for d in range(3)
-        )
-        for name in _boundary_field_names(grid):
-            grid.fields[name][my_sl] = other.fields[name][o_sl]
-        if include_phi and grid.phi is not None and other.phi is not None:
-            grid.phi[my_sl] = other.phi[o_sl]
 
 
 def set_boundary_values(hierarchy, level: int, include_phi: bool = True) -> None:

@@ -155,11 +155,3 @@ def cluster_flagged_cells(
         stack.append((tuple(lo_a), tuple(hi_a)))
         stack.append((tuple(lo_b), tuple(hi)))
     return out
-
-
-def coverage_check(flags: np.ndarray, boxes: list[Box]) -> bool:
-    """True iff every flagged cell lies inside some box (test helper)."""
-    covered = np.zeros_like(flags, dtype=bool)
-    for b in boxes:
-        covered[tuple(slice(l, h) for l, h in zip(b.lo, b.hi))] = True
-    return bool(np.all(covered | ~flags))

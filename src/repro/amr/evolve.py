@@ -325,13 +325,13 @@ class HierarchyEvolver:
             # the pre-step snapshot the step overwrites
             for g in grids:
                 g.save_old_state()
-        plan = h.level_plan(level)
+        with self.timers.section("topology"):
+            plans = [g.hydro_plan() for g in grids]
         hydro_tasks = [
             HydroTask(g, self.solver, dt, a_mid, adot_mid,
                       accel.get(g.grid_id), permute, self.faults, windows,
-                      plan.step_plan(i, windows))
-            for i, (g, windows) in enumerate(zip(
-                grids, h.face_windows(level), strict=True))
+                      plan)
+            for g, (windows, plan) in zip(grids, plans)
         ]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
         results = self._validated(hydro_tasks, self._defend_hydro)

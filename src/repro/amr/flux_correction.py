@@ -107,11 +107,11 @@ class FaceWindows:
     block takes face ``lo_face``, side 1 face ``hi_face``, a face of -1
     none.  When ``boundary`` (levels >= 1) the first three rows are the
     grid's own boundary planes, in :class:`FluxAccumulator` layout; then
-    every child in ``children`` (grid ids, level order) has three rows,
-    the faces :func:`face_cell` picks for its footprint — the periodic
-    wrap on the root included, -1 where the face lies on the grid's own
-    boundary.  Built once while the grid's level and its child level keep
-    their members (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows`).
+    every child in ``children`` (grid ids, the grid's ``children`` order)
+    has three rows, the faces :func:`face_cell` picks for its footprint —
+    the periodic wrap on the root included, -1 where the face lies on the
+    grid's own boundary.  The grid keeps its windows until its children
+    change (:meth:`~repro.amr.grid.Grid.hydro_plan`).
     """
 
     __slots__ = ("table", "boundary", "children")
@@ -157,16 +157,6 @@ def periodic_axes(grid) -> list:
     spans the box is periodic."""
     n_box = grid.cells_per_dim_at_level
     return [grid.level == 0 and int(d) == n_box for d in grid.dims]
-
-
-def level_windows(grids, child_topology):
-    """The :class:`FaceWindows` of every grid of one level, in order, from
-    the next level's :class:`~repro.amr.topology.LevelTopology`."""
-    kids: dict = {}
-    if child_topology.parents is not None:
-        for child, k in zip(child_topology.grids, child_topology.parent_of):
-            kids.setdefault(id(child_topology.parents[k]), []).append(child)
-    return [FaceWindows(g, kids.get(id(g), ())) for g in grids]
 
 
 def block_average(plane: np.ndarray, r: int) -> np.ndarray:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.amr.flux_correction import FaceWindows
+from repro.hydro.ppm import StepPlan, step_arrays
 from repro.hydro.state import META_KEY, FieldSet, make_fields
 from repro.precision.doubledouble import DoubleDouble
-from repro.precision.position import PositionDD
 
 
 class Grid:
@@ -44,7 +45,8 @@ class Grid:
     __slots__ = (
         "level", "start_index", "dims", "n_root", "refine_factor", "nghost",
         "fields", "phi", "time", "old_fields", "old_time", "parent", "children",
-        "flux_accumulator", "last_fluxes", "proc", "grid_id",
+        "flux_accumulator", "last_fluxes", "windows", "step_plan", "proc",
+        "grid_id",
     )
 
     _next_id = 0
@@ -69,6 +71,9 @@ class Grid:
         # a flux_correction.FluxAccumulator while the grid steps under a parent
         self.flux_accumulator = None
         self.last_fluxes = None
+        # what hydro_plan() keeps from one step to the next
+        self.windows: FaceWindows | None = None
+        self.step_plan: StepPlan | None = None
         self.proc = 0  # owning rank in the parallel layer
         self.grid_id = Grid._next_id
         Grid._next_id += 1
@@ -95,14 +100,6 @@ class Grid:
     @property
     def right_edge(self) -> np.ndarray:
         return self.end_index * self.dx
-
-    @property
-    def left_edge_dd(self) -> PositionDD:
-        """EPA left edge (needed when dx is not a dyadic rational)."""
-        hi = self.start_index.astype(float) * self.dx
-        # correction term: exact product via splitting start*dx - hi
-        lo = (self.start_index.astype(float) * self.dx - hi)
-        return PositionDD(hi, lo)
 
     @property
     def shape_with_ghosts(self) -> tuple:
@@ -170,6 +167,26 @@ class Grid:
         self.phi = None
         self.flux_accumulator = None
         self.last_fluxes = None
+        self.windows = None
+        self.step_plan = None
+
+    def hydro_plan(self) -> tuple:
+        """``(windows, plan)`` of the grid's next ``hydro.step``: its
+        :class:`~repro.amr.flux_correction.FaceWindows` and the
+        :class:`~repro.hydro.ppm.StepPlan` checked with them and its
+        fields.  The windows are kept while the grid's children stay the
+        same grids (ids, in order), the plan while it ``holds`` the
+        windows and the field arrays; either is built again otherwise."""
+        windows = self.windows
+        if windows is None or windows.children != [
+                c.grid_id for c in self.children]:
+            windows = self.windows = FaceWindows(self, self.children)
+        arrays = step_arrays(self.fields)
+        plan = self.step_plan
+        if plan is None or not plan.holds(arrays, self.nghost, windows.table):
+            plan = self.step_plan = StepPlan(arrays, self.nghost,
+                                             windows.table)
+        return windows, plan
 
     def field_view(self, name: str) -> np.ndarray:
         """Interior view of a field."""

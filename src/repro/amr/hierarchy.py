@@ -17,11 +17,11 @@ source and its refinement flags.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.amr.flux_correction import level_windows
 from repro.amr.grid import Grid
 from repro.amr.topology import LevelTopology, _same
 from repro.hydro.state import FieldSet
@@ -151,34 +151,27 @@ class Hierarchy:
 
         The cached one is served while its grids, and the parent-level
         grids it was built from, are object for object ``levels[level]``
-        and ``levels[level - 1]`` (see :mod:`repro.amr.topology` for why
-        that suffices); otherwise a new one is built.
+        and ``levels[level - 1]`` (the parent level counts because a rebuild
+        can re-attach a kept grid to a new parent; see
+        :mod:`repro.amr.topology` for why that suffices); otherwise a new
+        one is built.
         """
         grids = self.level_grids(level)
         above = self.level_grids(level - 1)
         topo = self._topologies.get(level)
         if topo is None or not (_same(topo.grids, grids)
                                 and _same(topo.parent_level, above)):
-            topo = self._topologies[level] = self._timed_topology(
-                LevelTopology, grids, self.nghost, parent_level=above)
+            with (nullcontext() if self.timers is None
+                  else self.timers.section("topology")):
+                topo = self._topologies[level] = LevelTopology(
+                    grids, self.nghost, parent_level=above)
         return topo
 
     def level_plan(self, level: int):
         """The level's :class:`~repro.amr.topology.LevelPlan` (the tables
-        and pointers the fill, hydro and gravity kernels read), built on
+        and pointers the fill and gravity kernels read), built on
         first use and kept on its topology."""
         return self.level_topology(level).level_plan()
-
-    def face_windows(self, level: int) -> list:
-        """The :class:`~repro.amr.flux_correction.FaceWindows` of every
-        grid of ``level``, in ``level_grids`` order: built on first use
-        from the child level's topology, and cached on it (that topology
-        lives exactly as long as both levels' members)."""
-        topo = self.level_topology(level + 1)
-        if topo.parent_windows is None:
-            topo.parent_windows = self._timed_topology(
-                level_windows, self.level_grids(level), topo)
-        return topo.parent_windows
 
     def finest_grid_at(self, xyz) -> Grid:
         """Deepest grid whose interior contains the given point."""
@@ -249,12 +242,6 @@ class Hierarchy:
         return cic_deposit(offsets, parts.masses,
                            tuple(int(d) for d in grid.dims), grid.dx,
                            periodic=periodic)
-
-    def _timed_topology(self, fn, *args, **kwargs):
-        if self.timers is None:
-            return fn(*args, **kwargs)
-        with self.timers.section("topology"):
-            return fn(*args, **kwargs)
 
     def covering_mask(self, grid: Grid) -> np.ndarray:
         """Boolean interior-shaped mask of cells covered by children."""

@@ -434,13 +434,6 @@ def shell_table(starts, ends, ng: int) -> np.ndarray:
     return out.reshape(-1, 7)
 
 
-def shell_boxes(start, end, ng: int):
-    """Six disjoint fine-index ``(lo, hi)`` boxes tiling the ``ng``-wide
-    ghost shell around the interior ``[start, end)``."""
-    return [(tuple(row[1:4]), tuple(row[4:7]))
-            for row in shell_table(start, end, ng).tolist()]
-
-
 def parent_covers(lo_f, hi_f, parent_lo, parent_hi, r: int,
                   pad: int = 0) -> np.ndarray:
     """Per row: do parent arrays allocated over the coarse indices

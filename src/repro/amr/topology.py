@@ -31,9 +31,11 @@ membership does, and membership is what the cache compares.
 
 On top of a topology sits its :class:`LevelPlan`: what the level's
 kernels read — the checked ``fill.level`` tables of the ghost and rim
-fills, the ``mg.level`` tables and one ``hydro.step`` plan per grid —
-with the pointers to the arrays they name, derived once per topology and
-refreshed only when an array they point to is no longer the grid's.
+fills and the ``mg.level`` tables — with the pointers to the arrays they
+name, derived once per topology and refreshed only when an array they
+point to is no longer the grid's.  Per-grid state (face windows and the
+``hydro.step`` plan) lives on the grid itself
+(:meth:`~repro.amr.grid.Grid.hydro_plan`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.amr.interpolation import (
     parent_covers,
     shell_table,
 )
-from repro.hydro.ppm import StepPlan, step_arrays
 
 #: rows per block in the all-pairs overlap test; bounds the broadcast
 #: temporaries to O(block * N) so a many-thousand-grid level stays in cache
@@ -94,24 +95,20 @@ class LevelTopology:
     rim) outside its parent's arrays, or are ``None``.  ``parents`` is
     ``None`` when a grid has no parent (the root level).  ``parent_level``
     is a copy of the parent level's grids it was built from (the
-    hierarchy's cache compares it, with ``grids``, to the current levels).
-    ``parent_windows`` is the parent level's flux windows
-    (:meth:`~repro.amr.hierarchy.Hierarchy.face_windows` fills it on first
-    use; they depend on this level's and the parent level's members only,
-    as this topology does), ``plan`` the level's :class:`LevelPlan`
-    (:meth:`level_plan` fills it on first use).
+    hierarchy's cache compares it, with ``grids``, to the current levels:
+    a kept grid can be re-attached to a new parent).  ``plan`` is the
+    level's :class:`LevelPlan` (:meth:`level_plan` fills it on first use).
     """
 
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
                  "parent_origins", "parent_of", "shell", "copies",
                  "rim_copies", "rim", "ghost_misfit", "rim_misfit",
-                 "parent_level", "parent_windows", "nghost", "plan")
+                 "parent_level", "nghost", "plan")
 
     def __init__(self, grids, nghost: int, parents=None, parent_level=()):
         ng = self.nghost = int(nghost)
         self.grids = list(grids)
         self.parent_level = list(parent_level)
-        self.parent_windows = None
         self.plan = None
         n = len(self.grids)
         starts = np.array([g.start_index for g in self.grids],
@@ -202,9 +199,8 @@ class LevelPlan:
     and its extent.
 
     Bound to arrays: the checked :class:`~repro.amr.interpolation.FillPlan`
-    of the ghost fill (:meth:`ghost_plan`), the :class:`PoissonPlan`
-    (:meth:`poisson`) and one :class:`~repro.hydro.ppm.StepPlan` per grid
-    (:meth:`step_plan`).  Each is keyed by the identities of the arrays it
+    of the ghost fill (:meth:`ghost_plan`) and the :class:`PoissonPlan`
+    (:meth:`poisson`).  Each is keyed by the identities of the arrays it
     points to and rebuilt — its tables checked again — when one of them
     is no longer what a grid holds (a rebound array, a grid's first
     ``old_fields``), so the compiled tier never receives a pointer to an
@@ -213,7 +209,7 @@ class LevelPlan:
     """
 
     __slots__ = ("topo", "dx", "dims", "cell_offsets", "rim_offsets",
-                 "rim_rows", "rims", "_ghost", "_poisson", "_steps")
+                 "rim_rows", "rims", "_ghost", "_poisson")
 
     def __init__(self, topo: LevelTopology):
         self.topo = topo
@@ -243,7 +239,6 @@ class LevelPlan:
         self.rims = None
         self._ghost: dict = {}
         self._poisson = None
-        self._steps = [None] * len(grids)
 
     def ghost_plan(self, include_phi: bool = True) -> FillPlan:
         """The ghost fill of every grid (see
@@ -311,18 +306,6 @@ class LevelPlan:
             if self.rims is None:
                 self.rims = np.empty(int(self.rim_offsets[-1]))
             plan = self._poisson = PoissonPlan(self, phis, parent_phis)
-        return plan
-
-    def step_plan(self, i: int, windows=None) -> StepPlan:
-        """Grid ``i``'s :class:`~repro.hydro.ppm.StepPlan` for its current
-        fields and ``windows`` (its
-        :class:`~repro.amr.flux_correction.FaceWindows`, or None)."""
-        grid = self.topo.grids[i]
-        arrays = step_arrays(grid.fields)
-        table = None if windows is None else windows.table
-        plan = self._steps[i]
-        if plan is None or not plan.holds(arrays, grid.nghost, table):
-            plan = self._steps[i] = StepPlan(arrays, grid.nghost, table)
         return plan
 
 

@@ -68,10 +68,11 @@ class GridTask:
 
 class HydroTask(GridTask):
     """One solver step on one grid; result is the StepFluxes, stored in
-    the grid's face ``windows`` (None: none).  ``plan`` is the grid's
-    :class:`~repro.hydro.ppm.StepPlan` from its level plan (None: the step
-    checks its inputs itself).  ``faults`` is the run's injector (or
-    None), queried for a ``nan_cell`` firing after the step."""
+    the grid's face ``windows`` (None: none).  ``plan`` is the grid's own
+    :class:`~repro.hydro.ppm.StepPlan`, kept with its windows
+    (:meth:`~repro.amr.grid.Grid.hydro_plan`; None: the step checks its
+    inputs itself).  ``faults`` is the run's injector (or None), queried
+    for a ``nan_cell`` firing after the step."""
 
     kind = "hydro"
 

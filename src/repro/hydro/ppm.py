@@ -329,9 +329,10 @@ class StepPlan:
     compiled tier indexes raw memory with them: six or more 3-d arrays of
     one shape with an interior cell along every axis, and every window of
     ``windows`` (the int64 table of :func:`store_windows`, or None) inside
-    the interior; ``blocks`` are the window blocks' shapes.  A
-    :class:`~repro.amr.topology.LevelPlan` keeps one per grid and hands it
-    to the step; any other caller's step builds a one-off.  The plan holds
+    the interior; ``blocks`` are the window blocks' shapes.  Each grid
+    keeps its own with its face windows
+    (:meth:`~repro.amr.grid.Grid.hydro_plan`) and hands it to the step;
+    any other caller's step builds a one-off.  The plan holds
     the arrays, so ``native`` (the compiled tier's pointer table, filled
     on its first call) never outlives them.
     """

@@ -8,11 +8,13 @@ from contextlib import contextmanager
 
 #: canonical section names used by the evolver and hierarchy, in the order
 #: of the paper's Sec. 5 component table.  "topology" is the hierarchy's
-#: cached same-level overlap tables and face windows (rebuilt only when a
-#: level's or its parent level's grids change) — the cost Enzo's boundary
-#: lists amortise; a separate section lets the component table attribute
-#: it instead of folding it into "other overhead".  "io" is checkpoint save/load — material once the
-#: run-control layer checkpoints every few root steps.  "exec" is the
+#: cached same-level overlap tables (rebuilt only when a level's or its
+#: parent level's grids change) and each grid's face windows and hydro
+#: step plan (rebuilt only when its children change) — the cost Enzo's
+#: boundary lists amortise; a separate section lets the component table
+#: attribute it instead of folding it into "other overhead".  "io" is
+#: checkpoint save/load — material once the run-control layer checkpoints
+#: every few root steps.  "exec" is the
 #: execution engine's scheduling + dispatch overhead (task planning, data
 #: staging, worker synchronisation) — everything the engine spends that is
 #: not physics-kernel time; see :mod:`repro.exec`.  "defense" is the

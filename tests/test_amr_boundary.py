@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.amr import Grid, Hierarchy, RefinementCriteria
-from repro.amr.boundary import copy_from_siblings, fill_ghosts, set_boundary_values
+from repro.amr.boundary import fill_ghosts, set_boundary_values
 from repro.amr.flux_correction import (
     accumulate_boundary_fluxes,
     correct_parent,
@@ -15,6 +15,7 @@ from repro.amr.rebuild import _fill_level
 from repro.amr.topology import LevelTopology
 from repro.hydro import PPMSolver
 from repro.hydro.state import fill_ghosts_periodic, total_energy
+from tests.oracles import copy_from_siblings
 
 
 def _hierarchy_with_child(n_root=8, child_start=(8, 8, 8), child_dims=(8, 8, 8)):
@@ -189,7 +190,7 @@ class TestFluxCorrection:
         set_boundary_values(h, 1)
         solver = PPMSolver()
         fluxes = solver.step(child.fields, child.dx, 1e-4,
-                             windows=h.face_windows(1)[0])
+                             windows=child.hydro_plan()[0])
         accumulate_boundary_fluxes(child, fluxes)
         acc = child.flux_accumulator
         # lo/hi planes of density, vx, vy, vz, energy; 'internal' is never
@@ -230,7 +231,7 @@ class TestFluxCorrection:
         dt = 2e-3
         root.save_old_state()
         root.last_fluxes = solver.step(root.fields, root.dx, dt,
-                                       windows=h.face_windows(0)[0])
+                                       windows=root.hydro_plan()[0])
         from repro.precision.doubledouble import DoubleDouble
 
         root.time = DoubleDouble(dt)
@@ -238,7 +239,7 @@ class TestFluxCorrection:
         for sub in range(2):
             set_boundary_values(h, 1)
             fl = solver.step(child.fields, child.dx, dt / 2,
-                             windows=h.face_windows(1)[0])
+                             windows=child.hydro_plan()[0])
             accumulate_boundary_fluxes(child, fl)
             child.time = DoubleDouble(child.time + dt / 2)
         correct_parent(root, [child])
@@ -270,14 +271,14 @@ class TestFluxCorrection:
         def parent_step(with_fluxes):
             root.save_old_state()
             fluxes = solver.step(root.fields, root.dx, dt,
-                                 windows=h.face_windows(0)[0])
+                                 windows=root.hydro_plan()[0])
             root.last_fluxes = fluxes if with_fluxes else None
             root.time = DoubleDouble(root.time + dt)
             for _ in range(2):
                 set_boundary_values(h, 1)
                 accumulate_boundary_fluxes(
                     child, solver.step(child.fields, child.dx, dt / 2,
-                                       windows=h.face_windows(1)[0]))
+                                       windows=child.hydro_plan()[0]))
                 child.time = DoubleDouble(child.time + dt / 2)
             correct_parent(root, [child])
             project_child_to_parent(child, root)

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amr.clustering import Box, cluster_flagged_cells, coverage_check
+from repro.amr.clustering import Box, cluster_flagged_cells
 from repro.amr.interpolation import prolong_boxes, prolong_linear, time_interpolate
 from repro.amr.projection import block_average
+
+
+def coverage_check(flags: np.ndarray, boxes: list[Box]) -> bool:
+    """True iff every flagged cell lies inside some box."""
+    covered = np.zeros_like(flags, dtype=bool)
+    for b in boxes:
+        covered[tuple(slice(l, h) for l, h in zip(b.lo, b.hi))] = True
+    return bool(np.all(covered | ~flags))
 
 
 class TestClustering:

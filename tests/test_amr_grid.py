@@ -37,12 +37,6 @@ class TestGridGeometry:
         g = Grid(40, (3 * 2**38, 0, 0), (4, 4, 4), n_root=8)
         assert g.left_edge[0] == 3.0 / 32.0
 
-    def test_left_edge_dd(self):
-        g = Grid(2, (5, 0, 0), (4, 4, 4), n_root=8)
-        dd = g.left_edge_dd
-        assert isinstance(dd, PositionDD)
-        assert dd.hi[0] == 5.0 / 32.0
-
     def test_shapes(self):
         g = Grid(0, (0, 0, 0), (8, 6, 4), n_root=8, nghost=3)
         assert g.shape_with_ghosts == (14, 12, 10)
@@ -150,9 +144,9 @@ def test_total_memory_bytes_counts_flux_storage():
     h.add_grid(child, h.root)
     solver = PPMSolver()
     h.root.last_fluxes = solver.step(h.root.fields, h.root.dx, 1e-3,
-                                     windows=h.face_windows(0)[0])
+                                     windows=h.root.hydro_plan()[0])
     accumulate_boundary_fluxes(child, solver.step(
-        child.fields, child.dx, 1e-3, windows=h.face_windows(1)[0]))
+        child.fields, child.dx, 1e-3, windows=child.hydro_plan()[0]))
     planes = sum(p.nbytes for p in h.root.last_fluxes.planes())
     blocks = sum(b.nbytes for b in child.flux_accumulator.blocks)
     # three (2, 5, 4, 4) planes of the root, three (2, 5, 8, 8) sums
@@ -261,3 +255,69 @@ class TestHierarchy:
     def test_grid_counters(self):
         h, _ = self._two_level()
         assert h.grids_created == 2
+
+
+def _two_cube_hierarchy():
+    """Fourteen level-1 grids over two overdense root cubes, each with one
+    level-2 child, and the criteria that placed them."""
+    from repro.amr import RefinementCriteria
+    from repro.amr.boundary import set_boundary_values
+    from repro.amr.rebuild import rebuild_hierarchy
+
+    rho = np.ones((16, 16, 16))
+    rho[3:6, 3:6, 3:6] = rho[10:13, 10:13, 10:13] = 10.0
+    h = Hierarchy(n_root=16)
+    h.root.fields["density"][h.root.interior] = rho
+    set_boundary_values(h, 0)
+    crit = RefinementCriteria(overdensity_threshold=3.0, max_level=2)
+    rebuild_hierarchy(h, 1, crit)
+    set_boundary_values(h, 1)
+    return h, crit
+
+
+class TestGridOwnedPlan:
+    def test_rebuild_keeps_other_grids_windows_and_plans(self, kernel_tier):
+        """A rebuild that changes the children of one level-1 grid keeps
+        every other level-1 grid's face windows, its step plan and (on the
+        compiled tier) the plan's pointer table; the changed grid gets new
+        windows and a new plan."""
+        from repro.amr.rebuild import rebuild_hierarchy
+        from repro.hydro import PPMSolver
+
+        h, crit = _two_cube_hierarchy()
+        grids = h.level_grids(1)
+        assert len(grids) > 1 and all(g.children for g in grids)
+        solver = PPMSolver()
+        before = {}
+        for g in grids:
+            windows, plan = g.hydro_plan()
+            solver.step(g.fields, g.dx, 1e-6, windows=windows, plan=plan)
+            before[g] = (windows, plan, plan.native)
+            assert (plan.native is not None) == (kernel_tier == "cffi")
+        changed = grids[-1]
+        changed.fields["density"][changed.interior] = 1.0  # no flag left
+        rebuild_hierarchy(h, 2, crit)
+        assert h.level_grids(1) == grids and changed.children == []
+        for g in grids:
+            windows, plan = g.hydro_plan()
+            old_windows, old_plan, old_native = before[g]
+            if g is changed:
+                assert windows is not old_windows and windows.children == []
+                assert plan is not old_plan
+            else:
+                assert windows is old_windows and plan is old_plan
+                assert plan.native is old_native
+
+    def test_release_drops_windows_and_plan(self):
+        """The windows name the grid's children and the plan its field
+        arrays; both are kept between calls and dropped by release()."""
+        h = Hierarchy(n_root=8)
+        child = Grid(1, (4, 4, 4), (8, 8, 8), n_root=8)
+        h.add_grid(child, h.root)
+        windows, plan = h.root.hydro_plan()
+        assert windows.children == [child.grid_id]
+        assert plan.arrays[0] is h.root.fields["density"]
+        again = h.root.hydro_plan()
+        assert again[0] is windows and again[1] is plan
+        h.root.release()
+        assert h.root.windows is None and h.root.step_plan is None

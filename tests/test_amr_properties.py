@@ -62,13 +62,13 @@ def test_flux_corrected_composite_mass_conserved(start, dims, seed):
     dt = 1.5e-3
     root.save_old_state()
     root.last_fluxes = solver.step(root.fields, root.dx, dt,
-                                   windows=h.face_windows(0)[0])
+                                   windows=root.hydro_plan()[0])
     root.time = DoubleDouble(dt)
     init_flux_accumulator(child)
     for _ in range(2):
         set_boundary_values(h, 1)
         fl = solver.step(child.fields, child.dx, dt / 2,
-                         windows=h.face_windows(1)[0])
+                         windows=child.hydro_plan()[0])
         accumulate_boundary_fluxes(child, fl)
         child.time = DoubleDouble(child.time + dt / 2)
     correct_parent(root, [child])

@@ -277,24 +277,36 @@ class TestBufferDilation:
 class TestRetiredGrids:
     def test_retired_grids_hold_no_arrays(self):
         """A rebuild frees a retired grid's arrays at once: after it, no
-        array of any grid it retired is alive, and no two live grids
-        share storage."""
+        array of any grid it retired is alive — its step plan and, on the
+        compiled tier, the plan's pointer table pin none — and no two
+        live grids share storage."""
+        from repro.hydro import PPMSolver
+
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
+        set_boundary_values(h, 1)
         retired = list(h.level_grids(1))
+        compiled = dispatch.active_backend() == "cffi"
         refs = []
         for g in retired:
             g.save_old_state()
+            windows, plan = g.hydro_plan()
+            PPMSolver().step(g.fields, g.dx, 1e-6, windows=windows,
+                             plan=plan)
+            assert (plan.native is not None) == compiled
             refs += [weakref.ref(arr) for _, arr in
                      [*g.fields.array_items(), *g.old_fields.array_items(),
-                      ("phi", g.phi)]]
+                      ("phi", g.phi), ("windows", windows.table),
+                      ("plan", plan.table)]]
+        windows = plan = None
         rebuild_hierarchy(h, 1, crit, incremental=False)
         assert h.last_rebuild_stats["destroyed"] == len(retired)
         for g in retired:
             assert g.fields is None and g.old_fields is None
             assert g.phi is None
             assert g.flux_accumulator is None and g.last_fluxes is None
+            assert g.windows is None and g.step_plan is None
         assert not [r for r in refs if r() is not None]
         seen = {}
         for g in h.all_grids():
@@ -430,11 +442,12 @@ class TestBulkUpdate:
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
         topo = h.level_topology(1)
-        windows = h.face_windows(0)
+        windows, plan = h.root.hydro_plan()
         rebuild_hierarchy(h, 1, crit)  # nothing changes
         assert h.last_rebuild_stats["reuse_rate"] == 1.0
         assert h.level_topology(1) is topo  # cache stayed warm
-        assert h.face_windows(0) is windows
+        again = h.root.hydro_plan()  # the root's children are the same
+        assert again[0] is windows and again[1] is plan
 
     def test_query_between_remove_and_readd_sees_current_members(self):
         h = _fresh_hierarchy()

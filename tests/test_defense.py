@@ -198,7 +198,8 @@ class TestHydroLadder:
         from repro.hydro.ppm import PPMSolver
 
         h = build_sim().hierarchy
-        g, windows = h.root, h.face_windows(0)[0]
+        g = h.root
+        windows = g.hydro_plan()[0]
         g.save_old_state()
         solver = PPMSolver()
         accel = 0.1 * np.random.default_rng(2).standard_normal(

@@ -40,7 +40,6 @@ from repro.amr.interpolation import (
     fill_level_numpy,
     prolong_boxes,
     prolong_linear,
-    shell_boxes,
     shell_table,
     subtract_boxes,
 )
@@ -84,6 +83,7 @@ from repro.nbody.cic import (
     deposit_numpy,
     gather_numpy,
 )
+from tests.oracles import shell_boxes
 
 GAMMA = 1.4
 ROOT = Path(__file__).resolve().parents[1]

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from repro.amr import Grid, Hierarchy
-from repro.amr.boundary import copy_from_siblings, set_boundary_values
+from repro.amr.boundary import set_boundary_values
 from repro.amr.topology import LevelTopology
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
 from repro.precision.position import PositionDD
+from tests.oracles import copy_from_siblings, shell_boxes
 
 
 def _grid(level, start, dims, n_root=8):
@@ -147,21 +148,21 @@ class TestEpochInvalidation:
 
     def test_new_childless_grid_gets_fresh_face_windows(self):
         """Adding a childless grid to level 1 leaves level 2's members and
-        parents as they were, yet ``face_windows(1)`` (cached on level 2's
-        topology) must gain the new grid's entry."""
+        parents as they were: the new grid gets windows of its own with
+        no child rows, and ``a``, whose children did not change, keeps its
+        windows object."""
         h = Hierarchy(n_root=8)
         a = _grid(1, (0, 0, 0), (8, 8, 8))
         h.add_grid(a, h.root)
         child = _grid(2, (4, 4, 4), (4, 4, 4))
         h.add_grid(child, a)
-        windows = h.face_windows(1)
-        assert [w.children for w in windows] == [[child.grid_id]]
+        windows = a.hydro_plan()[0]
+        assert windows.children == [child.grid_id]
         b = _grid(1, (8, 8, 8), (4, 4, 4))
         h.add_grid(b, h.root)
-        fresh = h.face_windows(1)
-        assert fresh is not windows
-        assert len(fresh) == len(h.level_grids(1)) == 2
-        assert [w.children for w in fresh] == [[child.grid_id], []]
+        fresh = b.hydro_plan()[0]
+        assert fresh.children == [] and len(fresh.table) == 3
+        assert a.hydro_plan()[0] is windows
         assert h.level_topology(2).parents == [a]
 
     def test_particle_ownership_follows_tree_and_motion(self):
@@ -215,7 +216,7 @@ class TestConsumersAgree:
         prolonged) on every tier == the two-step procedure written out
         with the NumPy pieces: prolong each grid's whole ghost shell, then
         copy from every sibling — with the parent mid-step."""
-        from repro.amr.interpolation import prolong_boxes, shell_boxes
+        from repro.amr.interpolation import prolong_boxes
         from repro.amr.rebuild import _fill_level
         from repro.kernels import dispatch
         from repro.precision.doubledouble import DoubleDouble
@@ -313,8 +314,8 @@ def _addresses(table, n):
 class TestLevelPlan:
     def test_second_fill_in_an_epoch_checks_nothing(self, monkeypatch):
         """The ghost fill's tables are checked when the level plan first
-        builds them, and not again for the next fill, gravity solve or
-        hydro step of the same epoch."""
+        builds them, and not again for the next fill or gravity solve of
+        the same epoch."""
         from repro.amr.gravity import HierarchyGravity
 
         h = _plan_level()
@@ -332,32 +333,34 @@ class TestLevelPlan:
         poisson = plan.poisson()
         grav.solve_level(h, 1)
         assert len(built) == 2 and plan.poisson() is poisson
-        step = plan.step_plan(0)
-        assert plan.step_plan(0) is step
         assert h.level_plan(1) is plan
 
-    def test_rebuild_rebind_and_first_old_state_give_fresh_tables(self):
+    def test_rebuild_rebind_and_first_old_state_give_fresh_tables(
+            self, monkeypatch):
         """A structural change gives a new level plan; a rebound array, a
         rebound potential and a parent's first ``old_fields`` each give the
         part of the plan that points to it new tables — on the compiled
-        tier, pointers to the arrays the grids hold now."""
+        tier, pointers to the arrays the grids hold now.  A hydro step
+        handed a plan made before a rebind gets a one-off plan instead."""
+        from repro.hydro import PPMSolver
         from repro.kernels import dispatch
 
         h = _plan_level()
         a = h.level_grids(1)[0]
         set_boundary_values(h, 1)
         plan = h.level_plan(1)
-        ghost, poisson, step = (plan.ghost_plan(), plan.poisson(),
-                                plan.step_plan(0))
+        ghost, poisson = plan.ghost_plan(), plan.poisson()
+        windows, step = a.hydro_plan()
 
         # a rebound field (deliberately: the run never rebinds one)
         a.fields["density"] = a.fields["density"].copy()
         fresh = plan.ghost_plan()
         assert fresh is not ghost
         assert fresh.targets[0][0][0] is a.fields["density"]
-        assert plan.step_plan(0) is not step
-        assert plan.step_plan(0).arrays[0] is a.fields["density"]
         assert plan.poisson() is poisson  # no potential moved
+        again = a.hydro_plan()
+        assert again[0] is windows and again[1] is not step
+        assert again[1].arrays[0] is a.fields["density"]
 
         a.phi = a.phi.copy()
         assert plan.poisson() is not poisson
@@ -375,6 +378,23 @@ class TestLevelPlan:
         if "cffi" in dispatch.available_backends():
             dispatch.set_backend("cffi", env=False)
             try:
+                from repro.kernels import backend_cffi
+
+                built = []
+
+                class Counted(backend_cffi.StepPlan):
+                    __slots__ = ()
+
+                    def __init__(self, *args):
+                        built.append(self)
+                        super().__init__(*args)
+
+                monkeypatch.setattr(backend_cffi, "StepPlan", Counted)
+                PPMSolver().step(a.fields, a.dx, 1e-6, windows=windows,
+                                 plan=step)
+                assert len(built) == 1
+                assert built[0].arrays[0] is a.fields["density"]
+                assert step.native is None  # never handed to the C
                 set_boundary_values(h, 1)
                 nf = len(a.fields.array_items()) + 1
                 fines = _addresses(fresh.native[0][4], nf)
