@@ -43,7 +43,7 @@ This bench measures what that buys:
   grid with three ghosts);
 * the plan-fed level paths at the ``sphere_deep`` workload's shape (32
   abutting 8^3 grids), compiled tier, in us per grid-pass: the ghost fill
-  on its level plan's cached tables against a fill that checks its
+  on its level topology's cached tables against a fill that checks its
   tables and builds its pointers on every call, and one ``mg.level``
   sibling pass against the per-grid path (a ``mg.solve`` call, the store
   and the row-by-row exchange per grid);
@@ -383,7 +383,7 @@ def _packed_hierarchy(corners, seed=11):
 def _packed_level():
     """``fill.level`` plans and time fractions of a sibling-packed level:
     the boundary fill of 64 8^3 grids tiling a 16^3 root mid-step (the
-    level plan's), and the rebuild fill of 27 8^3 grids offset from them
+    topology's), and the rebuild fill of 27 8^3 grids offset from them
     by half a grid (a one-off)."""
     from repro.amr import Grid
     from repro.amr.boundary import ghost_fractions
@@ -396,7 +396,7 @@ def _packed_level():
         g.allocate()
         shifted.append((g, h.root, False))
     topo = h.level_topology(1)
-    return ((topo.level_plan().ghost_plan(), ghost_fractions(topo)),
+    return ((topo.ghost_plan(), ghost_fractions(topo)),
             (rebuild_fill_plan(shifted, h.level_grids(1)), None))
 
 
@@ -523,9 +523,9 @@ def _per_grid_pass(plan, src, mg):
 def level_plan_rows(config: dict, backend: str) -> dict:
     """The plan-fed level paths at ``sphere_deep``'s shape
     (:data:`LEVEL_CORNERS`), compiled tier, in us per grid-pass: the ghost
-    fill on the level plan's cached tables against a fill that checks its
-    tables and builds its pointers again (what every call paid before the
-    plan), and one ``mg.level`` sibling pass against the per-grid path
+    fill on the level topology's cached tables against a fill that checks
+    its tables and builds its pointers again (what every call paid before
+    the plan), and one ``mg.level`` sibling pass against the per-grid path
     (:func:`_per_grid_pass`, its ``mg.solve`` compiled too), both
     parity-asserted."""
     from repro.amr.boundary import ghost_fractions
@@ -536,7 +536,7 @@ def level_plan_rows(config: dict, backend: str) -> dict:
     h = _packed_hierarchy(LEVEL_CORNERS, seed=13)
     topo = h.level_topology(1)
     n = len(topo.grids)
-    plan, fracs = topo.level_plan().ghost_plan(), ghost_fractions(topo)
+    plan, fracs = topo.ghost_plan(), ghost_fractions(topo)
     args = ([(a, o, p, 1.0) for a, o, p in plan.targets],
             [(a, old, o) for a, old, o in plan.parents],
             [(a, o, tuple(lo), tuple(hi)) for (a, o), lo, hi in zip(
@@ -554,7 +554,7 @@ def level_plan_rows(config: dict, backend: str) -> dict:
     mg = HierarchyGravity(g_code=1.0).mg
     level = dispatch._impls[(backend, "mg.level")]
     dispatch.set_backend(backend, env=False)  # the per-grid mg.solve's
-    poisson = topo.level_plan().poisson()
+    poisson = topo.poisson()
     fill(poisson.rim_fill)
     src = np.random.default_rng(3).standard_normal(
         int(poisson.cell_offsets[-1]))

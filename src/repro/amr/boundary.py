@@ -10,9 +10,10 @@ Paper Sec. 3.2.1 — the two-step procedure:
    parent interpolation wherever finer-resolution data exists.
 
 Both steps of a level are one ``fill.level`` kernel call over the level's
-grids, with the tables of the hierarchy's cached
-:class:`~repro.amr.topology.LevelPlan` (checked once while the level's and
-its parent level's grids stay the same).
+grids, fields and potential, on the ghost plan of the hierarchy's cached
+:class:`~repro.amr.topology.LevelTopology` (checked once while the level's
+and its parent level's grids stay the same, rebuilds that keep both
+included).
 A ghost cell a sibling's interior covers is copied and never prolonged:
 prolongation is per-cell local, so skipping it changes no value.
 
@@ -36,16 +37,15 @@ def _time_fraction(child, parent) -> float:
     return min(max(frac, 0.0), 1.0)
 
 
-def fill_ghosts(topo: LevelTopology, include_phi: bool = True) -> None:
+def fill_ghosts(topo: LevelTopology) -> None:
     """Fill the ghost shell of every grid of ``topo`` in one ``fill.level``
-    call on its level plan's checked tables: sibling interiors where they
-    reach, parent interpolation (time-centred) everywhere else; interiors
-    are not touched.  The potential is filled too when ``include_phi`` and
-    every grid and parent carries one; it is not interpolated in time."""
+    call on its checked ghost plan: sibling interiors where they reach,
+    parent interpolation (time-centred) everywhere else; interiors are not
+    touched.  The potential is filled too; it is not interpolated in
+    time."""
     if not topo.grids:
         return
-    plan = topo.level_plan().ghost_plan(include_phi)
-    kernels.get("fill.level")(plan, ghost_fractions(topo))
+    kernels.get("fill.level")(topo.ghost_plan(), ghost_fractions(topo))
 
 
 def ghost_fractions(topo: LevelTopology) -> list:
@@ -66,15 +66,14 @@ def ghost_fractions(topo: LevelTopology) -> list:
     return fracs
 
 
-def set_boundary_values(hierarchy, level: int, include_phi: bool = True) -> None:
+def set_boundary_values(hierarchy, level: int) -> None:
     """The paper's SetBoundaryValues(all grids) for one level."""
     if level == 0:
         for g in hierarchy.level_grids(0):
             fill_ghosts_periodic(g.fields, g.nghost)
-            if include_phi and g.phi is not None:
-                wrap_phi_ghosts(g)
+            wrap_phi_ghosts(g)
         return
-    fill_ghosts(hierarchy.level_topology(level), include_phi)
+    fill_ghosts(hierarchy.level_topology(level))
 
 
 def wrap_phi_ghosts(grid) -> None:

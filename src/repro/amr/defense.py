@@ -223,7 +223,7 @@ class DefenseLadder:
     # ---- individual rungs
     def _restore(self, grid) -> None:
         """Copy the pre-step snapshot back into the grid's own arrays (never
-        rebinding them: a level plan holds pointers to those arrays)."""
+        rebinding them: a level's cached plans point to those arrays)."""
         if grid.old_fields is not None:
             for name, arr in grid.old_fields.array_items():
                 np.copyto(grid.fields[name], arr)

@@ -526,7 +526,7 @@ class HierarchyEvolver:
         if (internal < e_floor).any():
             from repro.hydro.state import total_energy
 
-            # in place: a level plan holds pointers to these very arrays
+            # in place: a level's cached plans hold pointers to these arrays
             np.maximum(internal, e_floor, out=internal)
             np.copyto(grid.fields["energy"], total_energy(grid.fields))
 

@@ -85,7 +85,7 @@ class HierarchyGravity:
             wrap_phi_ghosts(g)
             return 0, 0, 0
 
-        plan = hierarchy.level_plan(level).poisson()
+        plan = hierarchy.level_topology(level).poisson()
         src = np.empty(int(plan.cell_offsets[-1]))
         for g, view in zip(grids, plan.interiors(src)):
             view[...] = self.source(hierarchy, g, a)

@@ -122,16 +122,6 @@ class Grid:
         ]
 
     # --------------------------------------------------------- relationships
-    def ghost_overlap_with(self, other: "Grid"):
-        """Intersection of *my ghost-expanded region* with other's interior."""
-        if other.level != self.level:
-            raise ValueError("sibling relations are same-level only")
-        lo = np.maximum(self.start_index - self.nghost, other.start_index)
-        hi = np.minimum(self.end_index + self.nghost, other.end_index)
-        if np.any(lo >= hi):
-            return None
-        return lo, hi
-
     def contains_index_region(self, lo, hi) -> bool:
         """Is [lo, hi) (this level's indices) inside my interior?"""
         return bool(np.all(lo >= self.start_index) and np.all(hi <= self.end_index))

@@ -12,6 +12,12 @@ bookkeeping).  The hierarchy answers both questions a grid asks of them:
 (each particle is advanced by the finest level containing it), and
 :meth:`Hierarchy.dm_density` deposits them on a grid for its Poisson
 source and its refinement flags.
+
+Each level's :class:`~repro.amr.topology.LevelTopology` is cached here and
+lives exactly as long as the level's and its parent level's members: a
+query that finds it stale builds a new one, and the rebuild evicts a
+stale one as soon as the level's old grids retire, so the arrays its
+plans point to free level by level.
 """
 
 from __future__ import annotations
@@ -33,15 +39,16 @@ from repro.precision.doubledouble import DoubleDouble
 class Hierarchy:
     """Container and bookkeeping for the SAMR grid tree.
 
-    Topology queries (same-level overlap tables and fill geometry) are
-    served from one cached :class:`~repro.amr.topology.LevelTopology` per
-    level, valid while the level's grids and its parent level's grids are
-    the very objects it was built from: the hot paths never re-derive
-    overlaps while the tree is unchanged, a rebuild that keeps both levels
-    keeps their tables, and any other change builds new ones on the next
-    query.  Particle questions are answered from the current positions on
-    every call: particles move every level step, so a cache of them would
-    rarely hit.
+    Topology queries (same-level overlap tables, fill geometry and the
+    level's ghost and Poisson plans) are served from one cached
+    :class:`~repro.amr.topology.LevelTopology` per level, valid while the
+    level's grids and its parent level's grids are the very objects it
+    was built from: the hot paths never re-derive overlaps or re-check
+    fill tables while the tree is unchanged, a rebuild that keeps both
+    levels keeps the topology and its plans, and any other change builds
+    a new one on the next query.  Particle questions are answered from the
+    current positions on every call: particles move every level step, so
+    a cache of them would rarely hit.
     """
 
     def __init__(self, n_root: int, refine_factor: int = 2, nghost: int = 3,
@@ -129,11 +136,6 @@ class Hierarchy:
         the rebuild books its own created/destroyed/reused grids.
         """
         for lvl in range(level, len(self.levels)):
-            # a level plan holds the arrays of the grids it points to: let
-            # them go with the grids, even while the topology stays cached
-            topo = self._topologies.get(lvl)
-            if topo is not None:
-                topo.plan = None
             for g in self.levels[lvl]:
                 p = g.parent
                 if p is not None and g in p.children:
@@ -147,31 +149,37 @@ class Hierarchy:
     # --------------------------------------------------------------- queries
     def level_topology(self, level: int) -> LevelTopology:
         """A level's :class:`~repro.amr.topology.LevelTopology` (overlap
-        tables and fill geometry).
-
-        The cached one is served while its grids, and the parent-level
-        grids it was built from, are object for object ``levels[level]``
-        and ``levels[level - 1]`` (the parent level counts because a rebuild
-        can re-attach a kept grid to a new parent; see
-        :mod:`repro.amr.topology` for why that suffices); otherwise a new
-        one is built.
-        """
-        grids = self.level_grids(level)
-        above = self.level_grids(level - 1)
-        topo = self._topologies.get(level)
-        if topo is None or not (_same(topo.grids, grids)
-                                and _same(topo.parent_level, above)):
+        tables, fill geometry and the plans the level's kernels read):
+        the cached one while it is current (:meth:`_current_topology`),
+        otherwise a new one."""
+        topo = self._current_topology(level)
+        if topo is None:
             with (nullcontext() if self.timers is None
                   else self.timers.section("topology")):
                 topo = self._topologies[level] = LevelTopology(
-                    grids, self.nghost, parent_level=above)
+                    self.level_grids(level), self.nghost,
+                    parent_level=self.level_grids(level - 1))
         return topo
 
-    def level_plan(self, level: int):
-        """The level's :class:`~repro.amr.topology.LevelPlan` (the tables
-        and pointers the fill and gravity kernels read), built on
-        first use and kept on its topology."""
-        return self.level_topology(level).level_plan()
+    def evict_stale_topology(self, level: int) -> None:
+        """Drop the level's cached topology unless it is current, so the
+        arrays its plans hold free now rather than at the level's next
+        query (the rebuild calls it as each level's old grids retire)."""
+        if self._current_topology(level) is None:
+            self._topologies.pop(level, None)
+
+    def _current_topology(self, level: int) -> LevelTopology | None:
+        """The cached topology of ``level`` while its grids, and the
+        parent-level grids it was built from, are object for object
+        ``levels[level]`` and ``levels[level - 1]`` (the parent level
+        counts because a rebuild can re-attach a kept grid to a new
+        parent; see :mod:`repro.amr.topology` for why that suffices);
+        ``None`` otherwise."""
+        topo = self._topologies.get(level)
+        if topo is not None and _same(topo.grids, self.level_grids(level)) \
+                and _same(topo.parent_level, self.level_grids(level - 1)):
+            return topo
+        return None
 
     def finest_grid_at(self, xyz) -> Grid:
         """Deepest grid whose interior contains the given point."""

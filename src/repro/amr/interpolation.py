@@ -222,8 +222,8 @@ class FillPlan:
     interior as a source (so no target reads what another writes, and
     the order of the targets is irrelevant).  The ``frac`` entries are
     the default time fractions (``fracs``); a plan a
-    :class:`~repro.amr.topology.LevelPlan` keeps is run again with new
-    ones.  The plan holds the arrays themselves, so ``native`` (the
+    :class:`~repro.amr.topology.LevelTopology` keeps is run again with
+    new ones.  The plan holds the arrays themselves, so ``native`` (the
     compiled tier's pointer tables, filled on its first call) never
     outlives them.
     """
@@ -448,6 +448,19 @@ def is_positive_field(name: str) -> bool:
     """Densities, energies and species partial densities are sign-definite;
     velocity components (and the potential) are not."""
     return name not in ("vx", "vy", "vz")
+
+
+def fill_layout(grid):
+    """The arrays every level fill moves, in order: the fields of
+    ``grid``'s layout, then the potential.  Returns ``(names, arrays,
+    positive)``: the field names, ``arrays(g)`` listing a grid's arrays in
+    that order, and their sign-definite flags (the potential's ``False``)."""
+    names = [k for k, _ in grid.fields.array_items()]
+
+    def arrays(g):
+        return [g.fields[n] for n in names] + [g.phi]
+
+    return names, arrays, [is_positive_field(n) for n in names] + [False]
 
 
 def time_interpolate(old: np.ndarray, new: np.ndarray, frac: float) -> np.ndarray:

@@ -30,7 +30,10 @@ boxes get new grids with new arrays, and each retired level's grids drop
 their arrays (:meth:`~repro.amr.grid.Grid.release`) as soon as its copy
 pass finishes, so nothing is held for a later rebuild.  A level whose
 grids and whose parent level's grids all survive keeps its cached
-topology (:meth:`~repro.amr.hierarchy.Hierarchy.level_topology`).
+topology (:meth:`~repro.amr.hierarchy.Hierarchy.level_topology`) with its
+checked ghost and Poisson plans; any other level's topology is evicted
+right after its old grids retire (levels the rebuild empties included),
+since its plans point to their arrays.
 
 The correctness gate: a reusing rebuild produces a hierarchy bitwise
 identical to the from-scratch path (``incremental=False``) — same boxes
@@ -45,7 +48,7 @@ from repro.amr.clustering import cluster_flagged_cells
 from repro.amr.grid import Grid
 from repro.amr.interpolation import (
     FillPlan,
-    is_positive_field,
+    fill_layout,
     parent_covers,
     shell_table,
 )
@@ -114,11 +117,7 @@ def rebuild_fill_plan(entries, old_grids) -> FillPlan:
         np.array([o.grid_id for o in old_grids], dtype=np.int64))
     used, j = np.unique(j, return_inverse=True)
 
-    names = [k for k, _ in grids[0].fields.array_items()]
-
-    def arrays(grid):
-        return [grid.fields[name] for name in names] + [grid.phi]
-
+    _, arrays, positive = fill_layout(grids[0])
     sources = []
     for o in (old_grids[u] for u in used.tolist()):
         sources.append((arrays(o), (o.start_index - o.nghost).tolist(),
@@ -127,9 +126,7 @@ def rebuild_fill_plan(entries, old_grids) -> FillPlan:
         [(arrays(g), origin, k, 1.0)
          for g, origin, k in zip(grids, (starts - ng).tolist(), parent_of)],
         [(arrays(p), None, origin) for p, origin in zip(parents, p_lo.tolist())],
-        sources, fill, np.column_stack([i, j, lo, hi]), r,
-        [is_positive_field(name) for name in names] + [False],
-    )
+        sources, fill, np.column_stack([i, j, lo, hi]), r, positive)
 
 
 def _dilate(flags: np.ndarray, iterations: int) -> np.ndarray:
@@ -249,8 +246,10 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
             g.time = DoubleDouble(parent.time)
         _fill_level(new_grids, old_grids)
 
-        # this level's copy pass is done: free its old grids now
+        # this level's copy pass is done: free its old grids now, and the
+        # stale topology whose plans still point to their arrays
         retire(retiring.values())
+        hierarchy.evict_stale_topology(lvl)
         if not new_grids:
             break
         lvl += 1
@@ -258,6 +257,7 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
     # levels past a break (cap reached / flags vanished) are gone
     for l in sorted(old_by_level):
         retire(old_by_level.pop(l))
+        hierarchy.evict_stale_topology(l)
 
     total = stats["created"] + stats["reused"]
     stats["reuse_rate"] = stats["reused"] / total if total else 0.0

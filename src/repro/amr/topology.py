@@ -29,13 +29,15 @@ one parent; the rebuild may re-attach a kept grid to a new parent only
 when the parent level changed), so the tables never go stale — only
 membership does, and membership is what the cache compares.
 
-On top of a topology sits its :class:`LevelPlan`: what the level's
-kernels read — the checked ``fill.level`` tables of the ghost and rim
-fills and the ``mg.level`` tables — with the pointers to the arrays they
-name, derived once per topology and refreshed only when an array they
-point to is no longer the grid's.  Per-grid state (face windows and the
-``hydro.step`` plan) lives on the grid itself
-(:meth:`~repro.amr.grid.Grid.hydro_plan`).
+The same object carries what the level's kernels read: the flat layout
+of the ``mg.level`` tables, and the checked ``fill.level`` tables of the
+ghost and rim fills with the pointers to the arrays they name, derived
+once per topology and refreshed only when an array they point to is no
+longer the grid's.  There is one object per level and no back-reference,
+so when the hierarchy drops a topology (a query that finds it stale, or
+the rebuild evicting it) its plans and the arrays they hold free at once.
+Per-grid state (face windows and the ``hydro.step`` plan) lives on the
+grid itself (:meth:`~repro.amr.grid.Grid.hydro_plan`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from repro.amr.interpolation import (
     FillPlan,
-    is_positive_field,
+    fill_layout,
     parent_covers,
     shell_table,
 )
@@ -78,8 +80,8 @@ def box_overlaps(lo_a, hi_a, ids_a, lo_b, hi_b, ids_b):
 
 
 class LevelTopology:
-    """One level's topology, built once per membership of the level and
-    of its parent level.
+    """One level's topology and what the level's kernels read, built once
+    per membership of the level and of its parent level.
 
     Everything is indexed by position in ``grids``: ``origins`` (first
     allocated cell) and ``starts`` / ``ends`` (interior) as int lists,
@@ -96,20 +98,40 @@ class LevelTopology:
     ``None`` when a grid has no parent (the root level).  ``parent_level``
     is a copy of the parent level's grids it was built from (the
     hierarchy's cache compares it, with ``grids``, to the current levels:
-    a kept grid can be re-attached to a new parent).  ``plan`` is the
-    level's :class:`LevelPlan` (:meth:`level_plan` fills it on first use).
+    a kept grid can be re-attached to a new parent).
+
+    The flat layout of the level's kernels, from geometry alone: ``dx``
+    (the level's float64 cell width), ``dims`` ``(n, 3)``, each grid's
+    first element in a flat buffer of the level's interiors
+    (``cell_offsets``) and of its Dirichlet rims (``rim_offsets``, both
+    ``n + 1`` long), and ``rim_rows``, the ``rim_copies`` as int64 rows
+    ``(target, source, rim_lo, phi_lo, extent)``: the box's first cell in
+    the target's ``dims + 2`` rim and in the source's ghost-padded
+    ``phi``, and its extent.
+
+    Bound to arrays: the checked :class:`~repro.amr.interpolation.FillPlan`
+    of the ghost fill (:meth:`ghost_plan`) and the :class:`PoissonPlan`
+    (:meth:`poisson`, with ``rims``, the one flat rim buffer, allocated on
+    its first call).  Each is keyed by the identities of the arrays it
+    points to and rebuilt — its tables checked again — when one of them
+    is no longer what a grid holds (a rebound array, a grid's first
+    ``old_fields``), so the compiled tier never receives a pointer to an
+    array a grid no longer owns.  Neither refers back to the topology:
+    a topology the hierarchy drops frees its plans, and the arrays they
+    hold, by reference counting alone.
     """
 
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
                  "parent_origins", "parent_of", "shell", "copies",
                  "rim_copies", "rim", "ghost_misfit", "rim_misfit",
-                 "parent_level", "nghost", "plan")
+                 "parent_level", "nghost", "dx", "dims", "cell_offsets",
+                 "rim_offsets", "rim_rows", "rims", "_ghost", "_poisson",
+                 "__weakref__")
 
     def __init__(self, grids, nghost: int, parents=None, parent_level=()):
         ng = self.nghost = int(nghost)
         self.grids = list(grids)
         self.parent_level = list(parent_level)
-        self.plan = None
         n = len(self.grids)
         starts = np.array([g.start_index for g in self.grids],
                           dtype=np.int64).reshape(-1, 3)
@@ -133,14 +155,9 @@ class LevelTopology:
         self._parent_geometry(
             [g.parent for g in self.grids] if parents is None else parents,
             starts, ends, ng)
-
-    def level_plan(self) -> "LevelPlan":
-        """The level's :class:`LevelPlan`, built on first use and kept as
-        long as this topology is (the hierarchy drops it with the level's
-        grids)."""
-        if self.plan is None:
-            self.plan = LevelPlan(self)
-        return self.plan
+        self._flat_layout(starts, ng)
+        self.rims = None
+        self._ghost = self._poisson = None
 
     def _parent_geometry(self, parents, starts, ends, ng: int) -> None:
         self.ghost_misfit = self.rim_misfit = None
@@ -157,6 +174,83 @@ class LevelTopology:
                                pad=1)
             if not ok.all():
                 setattr(self, attr, int(np.argmin(ok)))
+
+    def _flat_layout(self, starts, ng: int) -> None:
+        self.dx = float(self.grids[0].dx) if self.grids else 0.0
+        dims = self.dims = np.array([g.dims for g in self.grids],
+                                    dtype=np.int64).reshape(-1, 3)
+        self.cell_offsets = np.concatenate(
+            [[0], np.cumsum(dims.prod(axis=1))]).astype(np.int64)
+        self.rim_offsets = np.concatenate(
+            [[0], np.cumsum((dims + 2).prod(axis=1))]).astype(np.int64)
+        rows = self.rim_copies
+        t, s = rows[:, 0], rows[:, 1]
+        lo, hi = rows[:, 2:5], rows[:, 5:8]
+        r_lo, p_lo = lo - (starts[t] - 1), lo - (starts[s] - ng)
+        extent = hi - lo
+        # the compiled exchange indexes raw memory with these rows
+        if not (np.all(r_lo >= 0) and np.all(r_lo + extent <= dims[t] + 2)
+                and np.all(p_lo >= 0)
+                and np.all(p_lo + extent <= dims[s] + 2 * ng)
+                and np.all(extent > 0)):
+            raise ValueError("rim exchange row outside its arrays")
+        self.rim_rows = np.ascontiguousarray(
+            np.column_stack([t, s, r_lo, p_lo, extent]), dtype=np.int64)
+
+    def ghost_plan(self) -> FillPlan:
+        """The ghost fill of every grid (see
+        :func:`~repro.amr.boundary.fill_ghosts`): the level's fields and
+        potentials (:func:`~repro.amr.interpolation.fill_layout`); each
+        target's parent is the time-interpolated one, its ``frac`` left
+        to the caller."""
+        grids, parents = self.grids, self.parents
+        if parents is None:
+            raise ValueError("a ghost fill needs every grid's parent")
+        if self.ghost_misfit is not None:
+            child = grids[self.ghost_misfit]
+            raise ValueError(
+                f"child ghost region leaves parent array: {child} in "
+                f"{parents[self.parent_of[self.ghost_misfit]]}")
+        names, arrays, positive = fill_layout(grids[0])
+        mine = [arrays(g) for g in grids]
+        new = [arrays(p) for p in parents]
+        old = [None if p.old_fields is None
+               else [p.old_fields[n] for n in names] + [None]
+               for p in parents]
+        key = list(chain(chain.from_iterable(mine),
+                         chain.from_iterable(new),
+                         chain.from_iterable([None] if o is None else o
+                                             for o in old)))
+        if self._ghost is not None and _same(key, self._ghost[0]):
+            return self._ghost[1]
+        plan = FillPlan(
+            [(a, origin, k, 1.0) for a, origin, k in zip(
+                mine, self.origins, self.parent_of)],
+            [(a, o, origin) for a, o, origin in zip(
+                new, old, self.parent_origins)],
+            [(a, origin, lo, hi) for a, origin, lo, hi in zip(
+                mine, self.origins, self.starts, self.ends)],
+            self.shell, self.copies, grids[0].refine_factor, positive)
+        self._ghost = (key, plan)
+        return plan
+
+    def poisson(self) -> "PoissonPlan":
+        """The level's :class:`PoissonPlan` for the grids' and parents'
+        current potentials."""
+        if self.rim_misfit is not None:
+            grid = self.grids[self.rim_misfit]
+            raise ValueError(
+                f"Dirichlet rim leaves parent array: {grid} in "
+                f"{self.parents[self.parent_of[self.rim_misfit]]}")
+        phis = [g.phi for g in self.grids]
+        parent_phis = [p.phi for p in self.parents]
+        plan = self._poisson
+        if plan is None or not (_same(phis, plan.phis)
+                                and _same(parent_phis, plan.parent_phis)):
+            if self.rims is None:
+                self.rims = np.empty(int(self.rim_offsets[-1]))
+            plan = self._poisson = PoissonPlan(self, phis, parent_phis)
+        return plan
 
 
 def parent_table(parents):
@@ -183,138 +277,12 @@ def _same(a, b) -> bool:
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
-class LevelPlan:
-    """What the kernels of one level read, derived from its
-    :class:`LevelTopology` once per topology instead of once per call or
-    per grid — Enzo keeps its boundary lists from one rebuild to the next
-    in the same way (O'Shea et al. 2004).
-
-    Static for the topology (geometry only): ``dx`` (the level's float64
-    cell width), ``dims`` ``(n, 3)``, each grid's first element in a flat
-    buffer of the level's interiors (``cell_offsets``) and of its
-    Dirichlet rims (``rim_offsets``, both ``n + 1`` long), and
-    ``rim_rows``, the topology's ``rim_copies`` as int64 rows ``(target,
-    source, rim_lo, phi_lo, extent)``: the box's first cell in the
-    target's ``dims + 2`` rim and in the source's ghost-padded ``phi``,
-    and its extent.
-
-    Bound to arrays: the checked :class:`~repro.amr.interpolation.FillPlan`
-    of the ghost fill (:meth:`ghost_plan`) and the :class:`PoissonPlan`
-    (:meth:`poisson`).  Each is keyed by the identities of the arrays it
-    points to and rebuilt — its tables checked again — when one of them
-    is no longer what a grid holds (a rebound array, a grid's first
-    ``old_fields``), so the compiled tier never receives a pointer to an
-    array a grid no longer owns.  The plan holds tables and pointers plus
-    one flat rim buffer; no copy of any field.
-    """
-
-    __slots__ = ("topo", "dx", "dims", "cell_offsets", "rim_offsets",
-                 "rim_rows", "rims", "_ghost", "_poisson")
-
-    def __init__(self, topo: LevelTopology):
-        self.topo = topo
-        grids, ng = topo.grids, topo.nghost
-        self.dx = float(grids[0].dx) if grids else 0.0
-        dims = np.array([g.dims for g in grids],
-                        dtype=np.int64).reshape(-1, 3)
-        self.dims = dims
-        self.cell_offsets = np.concatenate(
-            [[0], np.cumsum(dims.prod(axis=1))]).astype(np.int64)
-        self.rim_offsets = np.concatenate(
-            [[0], np.cumsum((dims + 2).prod(axis=1))]).astype(np.int64)
-        rows = topo.rim_copies
-        t, s = rows[:, 0], rows[:, 1]
-        lo, hi = rows[:, 2:5], rows[:, 5:8]
-        starts = np.array(topo.starts, dtype=np.int64).reshape(-1, 3)
-        origins = np.array(topo.origins, dtype=np.int64).reshape(-1, 3)
-        r_lo, p_lo, extent = lo - (starts[t] - 1), lo - origins[s], hi - lo
-        # the compiled exchange indexes raw memory with these rows
-        if not (np.all(r_lo >= 0) and np.all(r_lo + extent <= dims[t] + 2)
-                and np.all(p_lo >= 0)
-                and np.all(p_lo + extent <= dims[s] + 2 * ng)
-                and np.all(extent > 0)):
-            raise ValueError("rim exchange row outside its arrays")
-        self.rim_rows = np.ascontiguousarray(
-            np.column_stack([t, s, r_lo, p_lo, extent]), dtype=np.int64)
-        self.rims = None
-        self._ghost: dict = {}
-        self._poisson = None
-
-    def ghost_plan(self, include_phi: bool = True) -> FillPlan:
-        """The ghost fill of every grid (see
-        :func:`~repro.amr.boundary.fill_ghosts`): the level's fields, and
-        its potential when ``include_phi`` and every grid and parent
-        carries one; each target's parent is the time-interpolated one,
-        its ``frac`` left to the caller."""
-        topo = self.topo
-        grids, parents = topo.grids, topo.parents
-        if parents is None:
-            raise ValueError("a ghost fill needs every grid's parent")
-        if topo.ghost_misfit is not None:
-            child = grids[topo.ghost_misfit]
-            raise ValueError(
-                f"child ghost region leaves parent array: {child} in "
-                f"{parents[topo.parent_of[topo.ghost_misfit]]}")
-        names = [k for k, _ in grids[0].fields.array_items()]
-        with_phi = include_phi and all(g.phi is not None
-                                       for g in chain(grids, parents))
-
-        def arrays(grid):
-            out = [grid.fields[n] for n in names]
-            if with_phi:
-                out.append(grid.phi)
-            return out
-
-        mine = [arrays(g) for g in grids]
-        new = [arrays(p) for p in parents]
-        old = [None if p.old_fields is None
-               else [p.old_fields[n] for n in names] + [None] * with_phi
-               for p in parents]
-        key = list(chain(chain.from_iterable(mine),
-                         chain.from_iterable(new),
-                         chain.from_iterable([None] if o is None else o
-                                             for o in old)))
-        cached = self._ghost.get(with_phi)
-        if cached is not None and _same(key, cached[0]):
-            return cached[1]
-        plan = FillPlan(
-            [(a, origin, k, 1.0) for a, origin, k in zip(
-                mine, topo.origins, topo.parent_of)],
-            [(a, o, origin) for a, o, origin in zip(
-                new, old, topo.parent_origins)],
-            [(a, origin, lo, hi) for a, origin, lo, hi in zip(
-                mine, topo.origins, topo.starts, topo.ends)],
-            topo.shell, topo.copies, grids[0].refine_factor,
-            [is_positive_field(n) for n in names] + [False] * with_phi)
-        self._ghost[with_phi] = (key, plan)
-        return plan
-
-    def poisson(self) -> "PoissonPlan":
-        """The level's :class:`PoissonPlan` for the grids' and parents'
-        current potentials."""
-        topo = self.topo
-        if topo.rim_misfit is not None:
-            grid = topo.grids[topo.rim_misfit]
-            raise ValueError(
-                f"Dirichlet rim leaves parent array: {grid} in "
-                f"{topo.parents[topo.parent_of[topo.rim_misfit]]}")
-        phis = [g.phi for g in topo.grids]
-        parent_phis = [p.phi for p in topo.parents]
-        plan = self._poisson
-        if plan is None or not (_same(phis, plan.phis)
-                                and _same(parent_phis, plan.parent_phis)):
-            if self.rims is None:
-                self.rims = np.empty(int(self.rim_offsets[-1]))
-            plan = self._poisson = PoissonPlan(self, phis, parent_phis)
-        return plan
-
-
 class PoissonPlan:
     """What the ``mg.level`` kernel reads for one level: the
-    :class:`LevelPlan`'s tables, the grids' potentials ``phis`` (checked:
-    C-contiguous float64 of shape ``dims + 2 nghost``), ``rim_views``
-    (each grid's ``dims + 2`` view of the level plan's flat rim buffer
-    ``rims``) and ``rim_fill``, the checked
+    :class:`LevelTopology`'s flat layout, the grids' potentials ``phis``
+    (checked: C-contiguous float64 of shape ``dims + 2 nghost``),
+    ``rim_views`` (each grid's ``dims + 2`` view of the topology's flat
+    rim buffer ``rims``) and ``rim_fill``, the checked
     :class:`~repro.amr.interpolation.FillPlan` that interpolates every
     rim from the parents' potentials.  ``native`` is the compiled tier's
     pointer tables, filled on its first call.
@@ -324,27 +292,26 @@ class PoissonPlan:
                  "rim_rows", "rims", "rim_views", "phis", "parent_phis",
                  "rim_fill", "native")
 
-    def __init__(self, level: LevelPlan, phis, parent_phis):
-        topo = level.topo
+    def __init__(self, topo: LevelTopology, phis, parent_phis):
         ng = topo.nghost
         if ng < 1:
             raise ValueError("mg.level: a potential needs a ghost layer "
                              "to hold its rim")
-        for phi, d in zip(phis, level.dims.tolist()):
+        for phi, d in zip(phis, topo.dims.tolist()):
             if (not isinstance(phi, np.ndarray) or phi.dtype != np.float64
                     or not phi.flags.c_contiguous or not phi.flags.writeable
                     or phi.shape != tuple(n + 2 * ng for n in d)):
                 raise ValueError("mg.level: a potential is not a writable "
                                  "C-contiguous float64 array of its grid's "
                                  "shape")
-        self.dx, self.nghost, self.dims = level.dx, ng, level.dims
-        self.cell_offsets = level.cell_offsets
-        self.rim_offsets, self.rim_rows = level.rim_offsets, level.rim_rows
-        self.rims = level.rims
-        off = level.rim_offsets.tolist()
+        self.dx, self.nghost, self.dims = topo.dx, ng, topo.dims
+        self.cell_offsets = topo.cell_offsets
+        self.rim_offsets, self.rim_rows = topo.rim_offsets, topo.rim_rows
+        self.rims = topo.rims
+        off = topo.rim_offsets.tolist()
         self.rim_views = [
             self.rims[a:b].reshape(tuple(n + 2 for n in d))
-            for a, b, d in zip(off, off[1:], level.dims.tolist())]
+            for a, b, d in zip(off, off[1:], topo.dims.tolist())]
         self.phis, self.parent_phis = list(phis), list(parent_phis)
         self.rim_fill = FillPlan(
             [([rim], [v - 1 for v in lo], k, 1.0) for rim, lo, k in zip(

@@ -1,15 +1,30 @@
 """Reference implementations several test modules check the library
 against: the per-grid forms of what the library does per level."""
 
+import numpy as np
+
 from repro.amr.interpolation import shell_table
 
 
-def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
-    """Overwrite ghost cells with sibling interior data where they overlap."""
+def ghost_overlap(grid, other):
+    """``(lo, hi)``: where ``grid``'s ghost-expanded region meets the
+    interior of ``other`` (same level), or ``None``."""
+    if other.level != grid.level:
+        raise ValueError("sibling relations are same-level only")
+    lo = np.maximum(grid.start_index - grid.nghost, other.start_index)
+    hi = np.minimum(grid.end_index + grid.nghost, other.end_index)
+    if np.any(lo >= hi):
+        return None
+    return lo, hi
+
+
+def copy_from_siblings(grid, siblings) -> None:
+    """Overwrite ghost cells, fields and potential, with sibling interior
+    data where they overlap."""
     ng = grid.nghost
     my_lo = grid.start_index - ng
     for other in siblings:
-        ov = grid.ghost_overlap_with(other)
+        ov = ghost_overlap(grid, other)
         if ov is None:
             continue
         lo, hi = ov
@@ -23,8 +38,7 @@ def copy_from_siblings(grid, siblings, include_phi: bool = True) -> None:
         )
         for name, _ in grid.fields.array_items():
             grid.fields[name][my_sl] = other.fields[name][o_sl]
-        if include_phi and grid.phi is not None and other.phi is not None:
-            grid.phi[my_sl] = other.phi[o_sl]
+        grid.phi[my_sl] = other.phi[o_sl]
 
 
 def shell_boxes(start, end, ng: int):

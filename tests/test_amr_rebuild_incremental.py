@@ -16,6 +16,7 @@ and from-scratch rebuilds still agree.
 """
 
 import functools
+import gc
 import weakref
 
 import numpy as np
@@ -276,16 +277,26 @@ class TestBufferDilation:
 
 class TestRetiredGrids:
     def test_retired_grids_hold_no_arrays(self):
-        """A rebuild frees a retired grid's arrays at once: after it, no
-        array of any grid it retired is alive — its step plan and, on the
-        compiled tier, the plan's pointer table pin none — and no two
-        live grids share storage."""
+        """A rebuild frees a retired grid's arrays at once, by reference
+        counting alone (the cyclic collector is off): after it, no array
+        of any grid it retired is alive — its step plan and, on the
+        compiled tier, the plan's pointer table pin none, nor do the
+        level's ghost and Poisson plans — and no two live grids share
+        storage."""
+        from repro.amr.gravity import HierarchyGravity
         from repro.hydro import PPMSolver
 
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
         set_boundary_values(h, 1)
+        HierarchyGravity(g_code=1.0).solve_level(h, 1)
+        topo = h.level_topology(1)
+        ghost, poisson = topo.ghost_plan(), topo.poisson()
+        # the topology, and what only its plans hold
+        level_plans = [weakref.ref(x) for x in (
+            topo, topo.rims, ghost.t_geom, poisson.rim_fill.t_geom)]
+        ghost = poisson = None
         retired = list(h.level_grids(1))
         compiled = dispatch.active_backend() == "cffi"
         refs = []
@@ -299,21 +310,61 @@ class TestRetiredGrids:
                      [*g.fields.array_items(), *g.old_fields.array_items(),
                       ("phi", g.phi), ("windows", windows.table),
                       ("plan", plan.table)]]
-        windows = plan = None
-        rebuild_hierarchy(h, 1, crit, incremental=False)
-        assert h.last_rebuild_stats["destroyed"] == len(retired)
-        for g in retired:
-            assert g.fields is None and g.old_fields is None
-            assert g.phi is None
-            assert g.flux_accumulator is None and g.last_fluxes is None
-            assert g.windows is None and g.step_plan is None
-        assert not [r for r in refs if r() is not None]
+        windows = plan = topo = None
+        gc.disable()
+        try:
+            rebuild_hierarchy(h, 1, crit, incremental=False)
+            assert h.last_rebuild_stats["destroyed"] == len(retired)
+            for g in retired:
+                assert g.fields is None and g.old_fields is None
+                assert g.phi is None
+                assert g.flux_accumulator is None and g.last_fluxes is None
+                assert g.windows is None and g.step_plan is None
+            assert not [r for r in refs if r() is not None]
+            assert not [r for r in level_plans if r() is not None]
+        finally:
+            gc.enable()
         seen = {}
         for g in h.all_grids():
             for name, arr in list(g.fields.array_items()) + [("phi", g.phi)]:
                 assert id(arr) not in seen, (
                     f"{name} of {g} aliases {seen[id(arr)]}")
                 seen[id(arr)] = (name, g)
+
+    @pytest.mark.parametrize("emptied", ["capped", "unflagged"])
+    def test_emptied_level_keeps_no_topology(self, emptied):
+        """A rebuild that empties the deepest level — a lower level cap,
+        or no flagged cell left — drops that level's cached topology, with
+        the plans and arrays it holds, by reference counting alone."""
+        from repro.amr.gravity import HierarchyGravity
+
+        h = _fresh_hierarchy()
+        crit = RefinementCriteria(overdensity_threshold=3.0, max_level=2)
+        rebuild_hierarchy(h, 1, crit)
+        deepest = h.max_level
+        assert deepest == 2
+        grav = HierarchyGravity(g_code=1.0)
+        for level in range(deepest + 1):
+            set_boundary_values(h, level)
+            grav.solve_level(h, level)
+        topo = h.level_topology(deepest)
+        ghost, poisson = topo.ghost_plan(), topo.poisson()
+        refs = [weakref.ref(x) for x in (
+            topo, topo.rims, ghost.t_geom, poisson.rim_fill.t_geom)]
+        refs += [weakref.ref(arr) for g in topo.grids
+                 for _, arr in [*g.fields.array_items(), ("phi", g.phi)]]
+        topo = ghost = poisson = None
+        if emptied == "capped":
+            crit = RefinementCriteria(**CRIT1)
+        else:
+            _set_root_density(h, np.ones((8, 8, 8)))
+        gc.disable()
+        try:
+            rebuild_hierarchy(h, 1, crit)
+            assert h.max_level < deepest
+            assert not [r for r in refs if r() is not None]
+        finally:
+            gc.enable()
 
     def test_rebuild_counts_allocated_arrays(self):
         """``hierarchy.pool`` keeps only the two counters the benchmark
@@ -438,16 +489,23 @@ class TestBulkUpdate:
         assert fresh.grids == h.level_grids(1)
 
     def test_full_reuse_keeps_epoch_and_caches(self):
+        from repro.amr.gravity import HierarchyGravity
+
         h = _fresh_hierarchy()
         crit = RefinementCriteria(**CRIT1)
         rebuild_hierarchy(h, 1, crit)
         topo = h.level_topology(1)
         windows, plan = h.root.hydro_plan()
+        set_boundary_values(h, 1)
+        HierarchyGravity(g_code=1.0).solve_level(h, 1)
+        ghost, poisson = topo.ghost_plan(), topo.poisson()
         rebuild_hierarchy(h, 1, crit)  # nothing changes
         assert h.last_rebuild_stats["reuse_rate"] == 1.0
         assert h.level_topology(1) is topo  # cache stayed warm
         again = h.root.hydro_plan()  # the root's children are the same
         assert again[0] is windows and again[1] is plan
+        # and so did the level's checked plans
+        assert topo.ghost_plan() is ghost and topo.poisson() is poisson
 
     def test_query_between_remove_and_readd_sees_current_members(self):
         h = _fresh_hierarchy()

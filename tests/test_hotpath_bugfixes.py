@@ -159,13 +159,13 @@ class TestSiblingExchangeValues:
         # pass one alone: its rims are the parent interpolation, and the
         # last pass exchanges nothing
         assert grav.solve_level(h, 1)[:2] == (1, 2)
-        plan = h.level_plan(1).poisson()
+        plan = h.level_topology(1).poisson()
         parent = [rim.copy() for rim in plan.rim_views]
         grids = [a, b]
         pass_one = [g.phi.copy() for g in grids]
         grav.sibling_iterations = 2
         assert grav.solve_level(h, 1)[:2] == (2, 4)
-        assert h.level_plan(1).poisson() is plan
+        assert h.level_topology(1).poisson() is plan
         for k, g in enumerate(grids):
             rim = plan.rim_views[k]  # what pass two solved from
             cells = (np.indices(rim.shape).reshape(3, -1).T

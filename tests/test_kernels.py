@@ -1107,7 +1107,7 @@ def _mg_level_case(seed, overlap):
             boxes.append((start, dims))
     for start, dims in boxes:
         h.add_grid(Grid(1, tuple(start), tuple(dims), n_root=16), h.root)
-    plan = h.level_plan(1).poisson()
+    plan = h.level_topology(1).poisson()
     src = rng.standard_normal(int(plan.cell_offsets[-1]))
     return h, plan, src
 
@@ -1134,7 +1134,7 @@ def _level_reference(h, src, passes, budget=8):
     potentials, the rims the last pass solved from and each solve's
     ``(cycles, residual, converged)``."""
     topo = h.level_topology(1)
-    plan = h.level_plan(1).poisson()
+    plan = h.level_topology(1).poisson()
     fill_level_numpy(plan.rim_fill)
     rims = [r.copy() for r in plan.rim_views]
     phis = [g.phi.copy() for g in topo.grids]

@@ -12,7 +12,7 @@ from repro.amr.topology import LevelTopology
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
 from repro.precision.position import PositionDD
-from tests.oracles import copy_from_siblings, shell_boxes
+from tests.oracles import copy_from_siblings, ghost_overlap, shell_boxes
 
 
 def _grid(level, start, dims, n_root=8):
@@ -55,7 +55,7 @@ class TestSiblingMap:
         assert {(0, 1), (0, 2)} <= pairs
         assert (0, 1) in rim_pairs and (0, 2) not in rim_pairs
         assert (0, 2) not in {(t, s) for t, s, *_ in
-                              topo.level_plan().rim_rows.tolist()}
+                              topo.rim_rows.tolist()}
 
     def test_build_matches_bruteforce_random(self):
         _assert_tables_match_bruteforce(_random_grids(30, 16, seed=3))
@@ -85,7 +85,7 @@ def _assert_tables_match_bruteforce(grids, ng=3):
     """``copies``, ``rim_copies`` and the gravity exchange's rows (the level
     plan's ``rim_rows``: the box's first cell in the target's rim and the
     source's potential, and its extent), row for row and in order,
-    against a per-pair scan: ghost boxes from ``ghost_overlap_with``, rim
+    against a per-pair scan: ghost boxes from ``ghost_overlap``, rim
     boxes from the 1-cell rim rule applied to every pair (not only the
     pairs within ghost range)."""
     topo = LevelTopology(grids, ng)
@@ -94,7 +94,7 @@ def _assert_tables_match_bruteforce(grids, ng=3):
         for j, o in enumerate(grids):
             if o is g:
                 continue
-            ghost = g.ghost_overlap_with(o)
+            ghost = ghost_overlap(g, o)
             if ghost is not None:
                 copies.append([i, j, *ghost[0], *ghost[1]])
             rl = np.maximum(g.start_index - 1, o.start_index)
@@ -105,7 +105,7 @@ def _assert_tables_match_bruteforce(grids, ng=3):
                                  *(rl - o.start_index + ng), *(rh - rl)])
     np.testing.assert_array_equal(topo.copies, np.reshape(copies, (-1, 8)))
     np.testing.assert_array_equal(topo.rim_copies, np.reshape(rims, (-1, 8)))
-    np.testing.assert_array_equal(topo.level_plan().rim_rows,
+    np.testing.assert_array_equal(topo.rim_rows,
                                   np.reshape(exchange, (-1, 11)))
 
 
@@ -286,7 +286,7 @@ def _plan_level(n_root=8):
 
 
 def _count_fill_plans(monkeypatch) -> list:
-    """Every FillPlan a level plan builds from now on (its tables are
+    """Every FillPlan a level topology builds from now on (its tables are
     checked once per build)."""
     from repro.amr import topology
     from repro.amr.interpolation import FillPlan
@@ -313,31 +313,32 @@ def _addresses(table, n):
 
 class TestLevelPlan:
     def test_second_fill_in_an_epoch_checks_nothing(self, monkeypatch):
-        """The ghost fill's tables are checked when the level plan first
-        builds them, and not again for the next fill or gravity solve of
-        the same epoch."""
+        """The ghost fill's tables are checked when the level's topology
+        first builds them, and not again for the next fill or gravity
+        solve of the same epoch."""
         from repro.amr.gravity import HierarchyGravity
 
         h = _plan_level()
         built = _count_fill_plans(monkeypatch)
         set_boundary_values(h, 1)
         assert len(built) == 1
-        plan = h.level_plan(1)
-        ghost = plan.ghost_plan()
+        topo = h.level_topology(1)
+        ghost = topo.ghost_plan()
         set_boundary_values(h, 1)
-        assert len(built) == 1 and plan.ghost_plan() is ghost
+        assert len(built) == 1 and topo.ghost_plan() is ghost
         grav = HierarchyGravity(g_code=1.0)
         grav.solve_level(h, 0)
         grav.solve_level(h, 1)
         assert len(built) == 2  # the rim fill's, once
-        poisson = plan.poisson()
+        poisson = topo.poisson()
         grav.solve_level(h, 1)
-        assert len(built) == 2 and plan.poisson() is poisson
-        assert h.level_plan(1) is plan
+        assert len(built) == 2 and topo.poisson() is poisson
+        assert h.level_topology(1) is topo
 
     def test_rebuild_rebind_and_first_old_state_give_fresh_tables(
             self, monkeypatch):
-        """A structural change gives a new level plan; a rebound array, a
+        """A structural change gives a new topology and with it new plans;
+        a rebound array, a
         rebound potential and a parent's first ``old_fields`` each give the
         part of the plan that points to it new tables — on the compiled
         tier, pointers to the arrays the grids hold now.  A hydro step
@@ -348,32 +349,32 @@ class TestLevelPlan:
         h = _plan_level()
         a = h.level_grids(1)[0]
         set_boundary_values(h, 1)
-        plan = h.level_plan(1)
-        ghost, poisson = plan.ghost_plan(), plan.poisson()
+        topo = h.level_topology(1)
+        ghost, poisson = topo.ghost_plan(), topo.poisson()
         windows, step = a.hydro_plan()
 
         # a rebound field (deliberately: the run never rebinds one)
         a.fields["density"] = a.fields["density"].copy()
-        fresh = plan.ghost_plan()
+        fresh = topo.ghost_plan()
         assert fresh is not ghost
         assert fresh.targets[0][0][0] is a.fields["density"]
-        assert plan.poisson() is poisson  # no potential moved
+        assert topo.poisson() is poisson  # no potential moved
         again = a.hydro_plan()
         assert again[0] is windows and again[1] is not step
         assert again[1].arrays[0] is a.fields["density"]
 
         a.phi = a.phi.copy()
-        assert plan.poisson() is not poisson
-        assert plan.poisson().phis[0] is a.phi
+        assert topo.poisson() is not poisson
+        assert topo.poisson().phis[0] is a.phi
 
-        ghost = plan.ghost_plan()
+        ghost = topo.ghost_plan()
         assert ghost.parents[0][1] is None
         h.root.save_old_state()  # the parent's first old state
-        fresh = plan.ghost_plan()
+        fresh = topo.ghost_plan()
         assert fresh is not ghost
         assert fresh.parents[0][1][0] is h.root.old_fields["density"]
         h.root.save_old_state()  # later snapshots copy in place
-        assert plan.ghost_plan() is fresh
+        assert topo.ghost_plan() is fresh
 
         if "cffi" in dispatch.available_backends():
             dispatch.set_backend("cffi", env=False)
@@ -402,23 +403,27 @@ class TestLevelPlan:
                 assert fines[-1] == a.phi.ctypes.data
                 a.fields["density"] = a.fields["density"].copy()
                 set_boundary_values(h, 1)
-                again = plan.ghost_plan()
+                again = topo.ghost_plan()
                 assert _addresses(again.native[0][4], 1) == [
                     a.fields["density"].ctypes.data]
             finally:
                 dispatch._reset_for_tests()
 
-        # a structural change: a new topology, a new plan
+        # a structural change: a new topology, new plans
         h.add_grid(_grid(1, (12, 12, 12), (2, 2, 2)), h.root)
-        assert h.level_plan(1) is not plan
+        grown = h.level_topology(1)
+        assert grown is not topo
+        assert grown.ghost_plan() is not topo.ghost_plan()
+        assert grown.poisson() is not topo.poisson()
         h.remove_level_grids(1)
-        assert plan.topo.plan is None or h.level_plan(1) is not plan
+        assert h.level_topology(1) is not grown
+        assert h.level_topology(1).grids == []
 
 
 class TestArraysKeepIdentity:
     def test_no_array_is_rebound(self, monkeypatch):
-        """The arrays a level plan points to are never rebound: across root
-        steps of the paper's collapse with the Jeans floor firing, and a
+        """The arrays a level's plans point to are never rebound: across
+        root steps of the paper's collapse with the Jeans floor firing, and a
         ``retry_half_dt`` rescue, every kept grid keeps its field arrays
         and potential, and every snapshot after a grid's first copies into
         the arrays of the one before."""
