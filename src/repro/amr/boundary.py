@@ -29,7 +29,7 @@ from repro.kernels import dispatch as kernels
 
 def _time_fraction(child, parent) -> float:
     denom = float(parent.time - parent.old_time)
-    if denom <= 0.0 or parent.old_fields is None:
+    if denom <= 0.0:
         return 1.0
     frac = float(child.time - parent.old_time) / denom
     # clamp: a child's last subcycle can land a hair past the parent's new
@@ -54,7 +54,7 @@ def ghost_fractions(topo: LevelTopology) -> list:
     only on the child's time and the parent's clocks, so it is worked out
     once per distinct set of them (a level's grids usually share one)."""
     clocks = [(float(p.time.hi), float(p.time.lo), float(p.old_time.hi),
-               float(p.old_time.lo), p.old_fields is None)
+               float(p.old_time.lo))
               for p in topo.parents]
     memo, fracs = {}, []
     for g, k in zip(topo.grids, topo.parent_of):

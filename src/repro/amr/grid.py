@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.amr.flux_correction import FaceWindows
 from repro.hydro.ppm import StepPlan, step_arrays
-from repro.hydro.state import META_KEY, FieldSet, make_fields
+from repro.hydro.state import FieldSet, make_fields
 from repro.precision.doubledouble import DoubleDouble
 
 
@@ -164,19 +164,17 @@ class Grid:
         """``(windows, plan)`` of the grid's next ``hydro.step``: its
         :class:`~repro.amr.flux_correction.FaceWindows` and the
         :class:`~repro.hydro.ppm.StepPlan` checked with them and its
-        fields.  The windows are kept while the grid's children stay the
-        same grids (ids, in order), the plan while it ``holds`` the
-        windows and the field arrays; either is built again otherwise."""
+        fields.  Both are kept while the grid's children stay the same
+        grids (ids, in order) and built again together otherwise; the
+        field arrays never change under the plan (they are fixed from
+        :meth:`allocate` to :meth:`release`)."""
         windows = self.windows
         if windows is None or windows.children != [
                 c.grid_id for c in self.children]:
             windows = self.windows = FaceWindows(self, self.children)
-        arrays = step_arrays(self.fields)
-        plan = self.step_plan
-        if plan is None or not plan.holds(arrays, self.nghost, windows.table):
-            plan = self.step_plan = StepPlan(arrays, self.nghost,
-                                             windows.table)
-        return windows, plan
+            self.step_plan = StepPlan(step_arrays(self.fields), self.nghost,
+                                      windows.table)
+        return windows, self.step_plan
 
     def field_view(self, name: str) -> np.ndarray:
         """Interior view of a field."""
@@ -184,7 +182,8 @@ class Grid:
 
     def memory_bytes(self) -> int:
         """Bytes of the arrays the grid holds: fields, potential, the
-        old-state snapshot ``save_old_state`` keeps from its first step,
+        old-state snapshot ``save_old_state`` keeps from its first step
+        or its children's first ghost fill, whichever comes first,
         the boundary-flux accumulator of a subgrid and the flux planes a
         parent keeps until its children's flux correction."""
         if self.fields is None:
@@ -209,24 +208,17 @@ class Grid:
     def save_old_state(self) -> None:
         """Snapshot fields+time for time-interpolated child boundaries.
 
-        The previous snapshot's buffers are reused in place when the field
-        layout is unchanged (every step after the first), so the per-step
-        snapshot costs copies, not allocations.
+        The first call allocates the snapshot (a deep copy of the
+        fields); every later one copies into those same arrays, so the
+        snapshot, like the fields, keeps its arrays until
+        :meth:`release` and the per-step snapshot costs copies, not
+        allocations.
         """
-        old = self.old_fields
-        if old is not None and {k for k, _ in old.array_items()} == {
-            k for k, _ in self.fields.array_items()
-        }:
+        if self.old_fields is None:
+            self.old_fields = self.fields.deep_copy()
+        else:
             for name, arr in self.fields.array_items():
-                dst = old[name]
-                if dst.shape != arr.shape:
-                    break
-                np.copyto(dst, arr)
-            else:
-                old[META_KEY] = list(self.fields.advected)
-                self.old_time = DoubleDouble(self.time)
-                return
-        self.old_fields = self.fields.deep_copy()
+                np.copyto(self.old_fields[name], arr)
         self.old_time = DoubleDouble(self.time)
 
     def __repr__(self):

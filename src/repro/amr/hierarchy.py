@@ -29,11 +29,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.amr.grid import Grid
-from repro.amr.topology import LevelTopology, _same
+from repro.amr.topology import LevelTopology
 from repro.hydro.state import FieldSet
 from repro.nbody.cic import cic_deposit
 from repro.nbody.particles import ParticleSet
 from repro.precision.doubledouble import DoubleDouble
+
+
+def _same(a, b) -> bool:
+    """Are two sequences the very same objects, position by position?"""
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 class Hierarchy:

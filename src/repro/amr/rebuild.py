@@ -19,8 +19,9 @@ subgrid from scratch each time is the first-order cost the paper's
 Fig. 5 discussion attributes to RebuildHierarchy.  Every parent is
 clustered afresh, and one rule decides reuse: a new box equal (start and
 dims) to a retiring grid's box on the same level keeps that ``Grid`` —
-same object, same field arrays — in the new box's place in the level's
-grid order.  Only its ghost shell is refilled, in the level's one
+same object, same arrays (fields, potential and old-state snapshot: a
+grid's arrays are fixed for its life) — in the new box's place in the
+level's grid order.  Only its ghost shell is refilled, in the level's one
 ``fill.level`` call (prolongation from the new parent plus old
 same-level copies, exactly the values the from-scratch fill would have
 produced there); its interior is what the from-scratch fill would copy
@@ -234,10 +235,9 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
         for g, parent, kept in new_grids:
             hierarchy.add_grid(g, parent, reused=kept)
             if kept:
-                # reset the per-step scratch a fresh Grid starts without,
-                # so reuse is invisible downstream
-                g.old_fields = None
-                g.old_time = DoubleDouble(0.0)
+                # reset the per-step flux scratch a fresh Grid starts
+                # without; the snapshot stays (its arrays are the grid's
+                # for life, and its next step overwrites them)
                 g.flux_accumulator = None
                 g.last_fluxes = None
                 stats["reused"] += 1

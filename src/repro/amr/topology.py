@@ -32,8 +32,10 @@ membership does, and membership is what the cache compares.
 The same object carries what the level's kernels read: the flat layout
 of the ``mg.level`` tables, and the checked ``fill.level`` tables of the
 ghost and rim fills with the pointers to the arrays they name, derived
-once per topology and refreshed only when an array they point to is no
-longer the grid's.  There is one object per level and no back-reference,
+once per topology.  A grid's arrays (fields, potential, and the
+snapshot from its first ``save_old_state`` on) are fixed until
+:meth:`~repro.amr.grid.Grid.release`, so a plan never outlives what it
+points to.  There is one object per level and no back-reference,
 so when the hierarchy drops a topology (a query that finds it stale, or
 the rebuild evicting it) its plans and the arrays they hold free at once.
 Per-grid state (face windows and the ``hydro.step`` plan) lives on the
@@ -41,8 +43,6 @@ grid itself (:meth:`~repro.amr.grid.Grid.hydro_plan`).
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -111,14 +111,12 @@ class LevelTopology:
 
     Bound to arrays: the checked :class:`~repro.amr.interpolation.FillPlan`
     of the ghost fill (:meth:`ghost_plan`) and the :class:`PoissonPlan`
-    (:meth:`poisson`, with ``rims``, the one flat rim buffer, allocated on
-    its first call).  Each is keyed by the identities of the arrays it
-    points to and rebuilt — its tables checked again — when one of them
-    is no longer what a grid holds (a rebound array, a grid's first
-    ``old_fields``), so the compiled tier never receives a pointer to an
-    array a grid no longer owns.  Neither refers back to the topology:
-    a topology the hierarchy drops frees its plans, and the arrays they
-    hold, by reference counting alone.
+    (:meth:`poisson`, with ``rims``, the one flat rim buffer), each built
+    on its first call and kept for the topology's life: the arrays they
+    point to are the grids' own from allocation to release, never
+    rebound.  Neither refers back to the topology: a topology the
+    hierarchy drops frees its plans, and the arrays they hold, by
+    reference counting alone.
     """
 
     __slots__ = ("grids", "origins", "starts", "ends", "parents",
@@ -202,7 +200,12 @@ class LevelTopology:
         :func:`~repro.amr.boundary.fill_ghosts`): the level's fields and
         potentials (:func:`~repro.amr.interpolation.fill_layout`); each
         target's parent is the time-interpolated one, its ``frac`` left
-        to the caller."""
+        to the caller.  Built on the first call: a parent that has no
+        snapshot yet takes one of its current state then
+        (:meth:`~repro.amr.grid.Grid.save_old_state`), which puts its
+        time fraction at 1.0 until its first step overwrites it."""
+        if self._ghost is not None:
+            return self._ghost
         grids, parents = self.grids, self.parents
         if parents is None:
             raise ValueError("a ghost fill needs every grid's parent")
@@ -211,46 +214,33 @@ class LevelTopology:
             raise ValueError(
                 f"child ghost region leaves parent array: {child} in "
                 f"{parents[self.parent_of[self.ghost_misfit]]}")
+        for p in parents:
+            if p.old_fields is None:
+                p.save_old_state()
         names, arrays, positive = fill_layout(grids[0])
         mine = [arrays(g) for g in grids]
-        new = [arrays(p) for p in parents]
-        old = [None if p.old_fields is None
-               else [p.old_fields[n] for n in names] + [None]
-               for p in parents]
-        key = list(chain(chain.from_iterable(mine),
-                         chain.from_iterable(new),
-                         chain.from_iterable([None] if o is None else o
-                                             for o in old)))
-        if self._ghost is not None and _same(key, self._ghost[0]):
-            return self._ghost[1]
-        plan = FillPlan(
+        self._ghost = FillPlan(
             [(a, origin, k, 1.0) for a, origin, k in zip(
                 mine, self.origins, self.parent_of)],
-            [(a, o, origin) for a, o, origin in zip(
-                new, old, self.parent_origins)],
+            [(arrays(p), [p.old_fields[n] for n in names] + [None], origin)
+             for p, origin in zip(parents, self.parent_origins)],
             [(a, origin, lo, hi) for a, origin, lo, hi in zip(
                 mine, self.origins, self.starts, self.ends)],
             self.shell, self.copies, grids[0].refine_factor, positive)
-        self._ghost = (key, plan)
-        return plan
+        return self._ghost
 
     def poisson(self) -> "PoissonPlan":
-        """The level's :class:`PoissonPlan` for the grids' and parents'
-        current potentials."""
-        if self.rim_misfit is not None:
-            grid = self.grids[self.rim_misfit]
-            raise ValueError(
-                f"Dirichlet rim leaves parent array: {grid} in "
-                f"{self.parents[self.parent_of[self.rim_misfit]]}")
-        phis = [g.phi for g in self.grids]
-        parent_phis = [p.phi for p in self.parents]
-        plan = self._poisson
-        if plan is None or not (_same(phis, plan.phis)
-                                and _same(parent_phis, plan.parent_phis)):
-            if self.rims is None:
-                self.rims = np.empty(int(self.rim_offsets[-1]))
-            plan = self._poisson = PoissonPlan(self, phis, parent_phis)
-        return plan
+        """The level's :class:`PoissonPlan` of the grids' and parents'
+        potentials, built (with ``rims``) on the first call."""
+        if self._poisson is None:
+            if self.rim_misfit is not None:
+                grid = self.grids[self.rim_misfit]
+                raise ValueError(
+                    f"Dirichlet rim leaves parent array: {grid} in "
+                    f"{self.parents[self.parent_of[self.rim_misfit]]}")
+            self.rims = np.empty(int(self.rim_offsets[-1]))
+            self._poisson = PoissonPlan(self)
+        return self._poisson
 
 
 def parent_table(parents):
@@ -272,11 +262,6 @@ def parent_table(parents):
     return distinct, parent_of, lo, hi
 
 
-def _same(a, b) -> bool:
-    """Are two sequences the very same objects, position by position?"""
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
-
-
 class PoissonPlan:
     """What the ``mg.level`` kernel reads for one level: the
     :class:`LevelTopology`'s flat layout, the grids' potentials ``phis``
@@ -285,18 +270,20 @@ class PoissonPlan:
     rim buffer ``rims``) and ``rim_fill``, the checked
     :class:`~repro.amr.interpolation.FillPlan` that interpolates every
     rim from the parents' potentials.  ``native`` is the compiled tier's
-    pointer tables, filled on its first call.
+    pointer tables, filled on its first call.  A grid's potential is
+    fixed for its life, so the plan serves its topology's whole life.
     """
 
     __slots__ = ("dx", "nghost", "dims", "cell_offsets", "rim_offsets",
-                 "rim_rows", "rims", "rim_views", "phis", "parent_phis",
-                 "rim_fill", "native")
+                 "rim_rows", "rims", "rim_views", "phis", "rim_fill",
+                 "native")
 
-    def __init__(self, topo: LevelTopology, phis, parent_phis):
+    def __init__(self, topo: LevelTopology):
         ng = topo.nghost
         if ng < 1:
             raise ValueError("mg.level: a potential needs a ghost layer "
                              "to hold its rim")
+        phis = [g.phi for g in topo.grids]
         for phi, d in zip(phis, topo.dims.tolist()):
             if (not isinstance(phi, np.ndarray) or phi.dtype != np.float64
                     or not phi.flags.c_contiguous or not phi.flags.writeable
@@ -312,12 +299,12 @@ class PoissonPlan:
         self.rim_views = [
             self.rims[a:b].reshape(tuple(n + 2 for n in d))
             for a, b, d in zip(off, off[1:], topo.dims.tolist())]
-        self.phis, self.parent_phis = list(phis), list(parent_phis)
+        self.phis = phis
         self.rim_fill = FillPlan(
             [([rim], [v - 1 for v in lo], k, 1.0) for rim, lo, k in zip(
                 self.rim_views, topo.starts, topo.parent_of)],
-            [([phi], None, origin) for phi, origin in zip(
-                parent_phis, topo.parent_origins)],
+            [([p.phi], None, origin) for p, origin in zip(
+                topo.parents, topo.parent_origins)],
             [], topo.rim, (), topo.grids[0].refine_factor, [False])
         self.native = None
 

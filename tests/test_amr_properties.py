@@ -51,7 +51,7 @@ def test_flux_corrected_composite_mass_conserved(start, dims, seed):
     root.fields["vy"][:] = 0.3 * rng.standard_normal(shape)
     root.fields["internal"][:] = 1.0 + 0.2 * rng.random(shape)
     fill_ghosts_periodic(root.fields, 3)
-    root.fields["energy"] = total_energy(root.fields)
+    root.fields["energy"][...] = total_energy(root.fields)
 
     child = Grid(1, child_start, dims, n_root=n_root)
     h.add_grid(child, root)

@@ -210,13 +210,35 @@ class TestTimersSection:
         assert h.timers.counts["topology"] >= 1
 
 
+def _reference_fill(h, frac) -> None:
+    """Level 1's ghost fill written out with the NumPy pieces: prolong
+    each grid's whole ghost shell from the root at time fraction
+    ``frac`` (its new state alone when ``frac`` is 1), then copy from
+    every sibling."""
+    from repro.amr.interpolation import prolong_boxes
+
+    root, grids = h.root, h.level_grids(1)
+    names = [k for k, _ in root.fields.array_items()]
+    old = (None if frac >= 1.0 else
+           [root.old_fields[n] for n in names] + [None])
+    for g in grids:
+        prolong_boxes(
+            [root.fields[n] for n in names] + [root.phi], old, frac,
+            [n not in ("vx", "vy", "vz") for n in names] + [False],
+            root.start_index - root.nghost, 2,
+            [g.fields[n] for n in names] + [g.phi],
+            g.start_index - g.nghost,
+            shell_boxes(g.start_index, g.end_index, g.nghost))
+    for g in grids:
+        copy_from_siblings(g, [o for o in grids if o is not g])
+
+
 class TestConsumersAgree:
     def test_set_boundary_values_matches_per_grid_reference(self):
         """The level call (one ``fill.level``, covered ghost cells never
         prolonged) on every tier == the two-step procedure written out
         with the NumPy pieces: prolong each grid's whole ghost shell, then
         copy from every sibling — with the parent mid-step."""
-        from repro.amr.interpolation import prolong_boxes
         from repro.amr.rebuild import _fill_level
         from repro.kernels import dispatch
         from repro.precision.doubledouble import DoubleDouble
@@ -243,20 +265,8 @@ class TestConsumersAgree:
             return h
 
         ref = build()
-        root = ref.root
-        names = [k for k, _ in root.fields.array_items()]
+        _reference_fill(ref, 0.25)
         grids = ref.level_grids(1)
-        for g in grids:
-            prolong_boxes(
-                [root.fields[n] for n in names] + [root.phi],
-                [root.old_fields[n] for n in names] + [None], 0.25,
-                [n not in ("vx", "vy", "vz") for n in names] + [False],
-                root.start_index - root.nghost, 2,
-                [g.fields[n] for n in names] + [g.phi],
-                g.start_index - g.nghost,
-                shell_boxes(g.start_index, g.end_index, g.nghost))
-        for g in grids:
-            copy_from_siblings(g, [o for o in grids if o is not g])
         try:
             for tier in dispatch.available_backends():
                 dispatch.set_backend(tier, env=False)
@@ -311,6 +321,13 @@ def _addresses(table, n):
     return [int(ffi.cast("uintptr_t", table[i])) for i in range(n)]
 
 
+def _same_arrays(items, others) -> bool:
+    """Are two ``array_items()`` lists the same names bound to the very
+    same arrays?"""
+    return len(items) == len(others) and all(
+        k == j and v is w for (k, v), (j, w) in zip(items, others))
+
+
 class TestLevelPlan:
     def test_second_fill_in_an_epoch_checks_nothing(self, monkeypatch):
         """The ghost fill's tables are checked when the level's topology
@@ -335,77 +352,95 @@ class TestLevelPlan:
         assert len(built) == 2 and topo.poisson() is poisson
         assert h.level_topology(1) is topo
 
-    def test_rebuild_rebind_and_first_old_state_give_fresh_tables(
+    def test_first_fill_snapshots_parent_and_plans_live_with_owner(
             self, monkeypatch):
-        """A structural change gives a new topology and with it new plans;
-        a rebound array, a
-        rebound potential and a parent's first ``old_fields`` each give the
-        part of the plan that points to it new tables — on the compiled
-        tier, pointers to the arrays the grids hold now.  A hydro step
-        handed a plan made before a rebind gets a one-off plan instead."""
+        """The first ghost fill of a level whose parent has never stepped
+        gives the parent a snapshot of its current state at its current
+        time, so the fill equals one from the parent's new state; the
+        parent's later snapshots copy in place and the same ghost plan
+        serves every later fill, time-interpolated.  On the compiled tier
+        the plan's pointers are the addresses of the arrays the grids
+        hold, and a hydro step handed a plan made for other arrays builds
+        a one-off.  A structural change gives a new topology and new
+        plans."""
         from repro.hydro import PPMSolver
         from repro.kernels import dispatch
+        from repro.precision.doubledouble import DoubleDouble
 
-        h = _plan_level()
-        a = h.level_grids(1)[0]
+        def assert_level_equal(h, ref):
+            for g, r in zip(h.level_grids(1), ref.level_grids(1)):
+                for name, arr in g.fields.array_items():
+                    np.testing.assert_array_equal(arr, r.fields[name])
+                np.testing.assert_array_equal(g.phi, r.phi)
+
+        def set_clocks(h, parent, child):
+            h.root.time = DoubleDouble(parent)
+            for g in h.level_grids(1):
+                g.time = DoubleDouble(child)
+
+        h, ref = _plan_level(), _plan_level()
+        root, a = h.root, h.level_grids(1)[0]
+        for hh in (h, ref):  # the parent has never stepped
+            set_clocks(hh, 1.0, 0.25)
+        built = _count_fill_plans(monkeypatch)
+        assert root.old_fields is None
         set_boundary_values(h, 1)
+        _reference_fill(ref, 1.0)
+        assert_level_equal(h, ref)
+        assert root.old_time == root.time
+        for name, arr in root.fields.array_items():
+            np.testing.assert_array_equal(root.old_fields[name], arr)
         topo = h.level_topology(1)
-        ghost, poisson = topo.ghost_plan(), topo.poisson()
-        windows, step = a.hydro_plan()
-
-        # a rebound field (deliberately: the run never rebinds one)
-        a.fields["density"] = a.fields["density"].copy()
-        fresh = topo.ghost_plan()
-        assert fresh is not ghost
-        assert fresh.targets[0][0][0] is a.fields["density"]
-        assert topo.poisson() is poisson  # no potential moved
-        again = a.hydro_plan()
-        assert again[0] is windows and again[1] is not step
-        assert again[1].arrays[0] is a.fields["density"]
-
-        a.phi = a.phi.copy()
-        assert topo.poisson() is not poisson
-        assert topo.poisson().phis[0] is a.phi
-
         ghost = topo.ghost_plan()
-        assert ghost.parents[0][1] is None
-        h.root.save_old_state()  # the parent's first old state
-        fresh = topo.ghost_plan()
-        assert fresh is not ghost
-        assert fresh.parents[0][1][0] is h.root.old_fields["density"]
-        h.root.save_old_state()  # later snapshots copy in place
-        assert topo.ghost_plan() is fresh
+        assert len(built) == 1
+        assert ghost.parents[0][1][0] is root.old_fields["density"]
+
+        # later snapshots copy in place; the same plan interpolates in time
+        snapshot = root.old_fields.array_items()
+        for hh in (h, ref):
+            hh.root.save_old_state()
+            hh.root.fields["density"] *= 1.5
+            set_clocks(hh, 2.0, 1.5)
+        assert _same_arrays(root.old_fields.array_items(), snapshot)
+        set_boundary_values(h, 1)
+        _reference_fill(ref, 0.5)
+        assert_level_equal(h, ref)
+        assert topo.ghost_plan() is ghost and len(built) == 1
+        poisson = topo.poisson()
+        assert topo.poisson() is poisson and poisson.phis[0] is a.phi
 
         if "cffi" in dispatch.available_backends():
             dispatch.set_backend("cffi", env=False)
             try:
                 from repro.kernels import backend_cffi
 
-                built = []
+                set_boundary_values(h, 1)
+                nf = len(a.fields.array_items()) + 1
+                args = ghost.native[0]
+                fines = _addresses(args[4], nf)
+                assert fines[0] == a.fields["density"].ctypes.data
+                assert fines[-1] == a.phi.ctypes.data
+                olds = _addresses(args[7], nf - 1)
+                assert olds == [root.old_fields[n].ctypes.data
+                                for n, _ in root.fields.array_items()]
+
+                steps = []
 
                 class Counted(backend_cffi.StepPlan):
                     __slots__ = ()
 
                     def __init__(self, *args):
-                        built.append(self)
+                        steps.append(self)
                         super().__init__(*args)
 
                 monkeypatch.setattr(backend_cffi, "StepPlan", Counted)
-                PPMSolver().step(a.fields, a.dx, 1e-6, windows=windows,
+                windows, step = a.hydro_plan()
+                other = a.fields.deep_copy()
+                PPMSolver().step(other, a.dx, 1e-6, windows=windows,
                                  plan=step)
-                assert len(built) == 1
-                assert built[0].arrays[0] is a.fields["density"]
+                assert len(steps) == 1
+                assert steps[0].arrays[0] is other["density"]
                 assert step.native is None  # never handed to the C
-                set_boundary_values(h, 1)
-                nf = len(a.fields.array_items()) + 1
-                fines = _addresses(fresh.native[0][4], nf)
-                assert fines[0] == a.fields["density"].ctypes.data
-                assert fines[-1] == a.phi.ctypes.data
-                a.fields["density"] = a.fields["density"].copy()
-                set_boundary_values(h, 1)
-                again = topo.ghost_plan()
-                assert _addresses(again.native[0][4], 1) == [
-                    a.fields["density"].ctypes.data]
             finally:
                 dispatch._reset_for_tests()
 
@@ -413,8 +448,8 @@ class TestLevelPlan:
         h.add_grid(_grid(1, (12, 12, 12), (2, 2, 2)), h.root)
         grown = h.level_topology(1)
         assert grown is not topo
-        assert grown.ghost_plan() is not topo.ghost_plan()
-        assert grown.poisson() is not topo.poisson()
+        assert grown.ghost_plan() is not ghost
+        assert grown.poisson() is not poisson
         h.remove_level_grids(1)
         assert h.level_topology(1) is not grown
         assert h.level_topology(1).grids == []
@@ -422,11 +457,14 @@ class TestLevelPlan:
 
 class TestArraysKeepIdentity:
     def test_no_array_is_rebound(self, monkeypatch):
-        """The arrays a level's plans point to are never rebound: across
-        root steps of the paper's collapse with the Jeans floor firing, and a
-        ``retry_half_dt`` rescue, every kept grid keeps its field arrays
-        and potential, and every snapshot after a grid's first copies into
-        the arrays of the one before."""
+        """A grid's arrays are fixed for its life, so every plan lives as
+        long as its owner: across root steps of the paper's collapse with
+        the Jeans floor firing, rebuilds that keep grids, and a
+        ``retry_half_dt`` rescue, every kept grid keeps its field arrays,
+        its potential and, from its first snapshot on, its snapshot's
+        arrays (every later snapshot copies into them); a level topology
+        that survives a root step keeps its ghost and Poisson plans, and a
+        grid that keeps its face windows keeps its step plan."""
         from repro.amr import evolve
         from repro.amr.grid import Grid as GridCls
         from repro.problems import PrimordialCollapse
@@ -438,6 +476,7 @@ class TestArraysKeepIdentity:
             with_chemistry=True, with_dark_matter=True, max_dims=16)
         run.initial_rebuild()
         ev = run.evolver
+        h = ev.hierarchy
         # the problem's floor (4 cells) first binds late in the run; 64
         # cells make the same code fire from the first finest-level step
         ev.jeans_floor_cells = 64.0
@@ -446,45 +485,68 @@ class TestArraysKeepIdentity:
 
         def floor(self, grid, a):
             before = grid.fields["internal"].copy()
-            ids = [id(v) for _, v in grid.fields.array_items()]
+            items = grid.fields.array_items()
             real_floor(self, grid, a)
-            assert ids == [id(v) for _, v in grid.fields.array_items()]
+            assert _same_arrays(grid.fields.array_items(), items)
             floors.append(not np.array_equal(before,
                                              grid.fields["internal"]))
 
         monkeypatch.setattr(evolve.HierarchyEvolver, "_apply_jeans_floor",
                             floor)
         real_save = GridCls.save_old_state
+        first = {}  # each grid's first snapshot, as array_items()
         snapshots = []
 
         def save(grid):
-            old = grid.old_fields
-            ids = None if old is None else {
-                k: id(v) for k, v in old.array_items()}
             real_save(grid)
-            if ids is not None:
-                snapshots.append(ids == {
-                    k: id(v) for k, v in grid.old_fields.array_items()})
+            items = grid.old_fields.array_items()
+            snapshots.append(_same_arrays(items, first.setdefault(grid,
+                                                                  items)))
 
         monkeypatch.setattr(GridCls, "save_old_state", save)
 
         def arrays():
-            return {g: ([id(v) for _, v in g.fields.array_items()], id(g.phi))
-                    for g in ev.hierarchy.all_grids()}
+            return {g: (g.fields.array_items(), g.phi)
+                    for g in h.all_grids()}
+
+        def plans():
+            topos = {t: (t._ghost, t._poisson)
+                     for t in h._topologies.values()}
+            grids = {g: (g.windows, g.step_plan) for g in h.all_grids()}
+            return topos, grids
 
         t_end = run.code_time_of_redshift(20.0)
+        kept_snapshots = kept_topo_plans = kept_step_plans = 0
         for step in range(5):
             if step == 4:  # a NaN in the first grid stepped: a retry
                 ev.faults = FaultInjector([FaultSpec("nan_cell")])
-            before = arrays()
-            run.criteria.a = run.clock.a_of(ev.hierarchy.root.time)
+            before, (topos, grids) = arrays(), plans()
+            snapshotted = set(first)
+            run.criteria.a = run.clock.a_of(h.root.time)
             ev.advance_root_step(t_end)
-            after = arrays()
+            after, (topos_now, grids_now) = arrays(), plans()
             kept = before.keys() & after.keys()
             assert kept
             for g in kept:
-                assert before[g] == after[g], g
-        assert ev.hierarchy.max_level == 2 and any(floors)
+                assert _same_arrays(after[g][0], before[g][0]), g
+                assert after[g][1] is before[g][1], g
+                kept_snapshots += g in snapshotted
+            for g in after.keys() & first.keys():
+                # a live grid keeps its first snapshot, rebuilds included
+                assert g.old_fields is not None, g
+                assert _same_arrays(g.old_fields.array_items(), first[g]), g
+            for t in topos.keys() & topos_now.keys():
+                for plan, plan_now in zip(topos[t], topos_now[t]):
+                    if plan is not None:
+                        assert plan_now is plan, t
+                        kept_topo_plans += 1
+            for g in grids.keys() & grids_now.keys():
+                windows, plan = grids[g]
+                if windows is not None and grids_now[g][0] is windows:
+                    assert grids_now[g][1] is plan, g
+                    kept_step_plans += 1
+        assert h.max_level == 2 and any(floors)
         assert snapshots and all(snapshots)
+        assert kept_snapshots and kept_topo_plans and kept_step_plans
         rungs = ev.defense.totals["rungs"]
         assert rungs.get("retry_half_dt") == 1, rungs
