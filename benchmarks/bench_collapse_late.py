@@ -5,8 +5,7 @@ Fig. 5).  At ``max_level=2`` the reproduction's collapse does not get
 that far: a face runaway on the box-spanning level-1 grid exhausts the
 defense ladder in root step 31 on the way to z = 20, and the step raises
 ``StateCorruptionError`` (ROADMAP item 1).  This bench drives the
-``collapse_chem`` problem (the same arguments, the same per-step
-expansion factor for the refinement criteria) through root steps 1-31
+``collapse_chem`` problem (the same arguments) through root steps 1-31
 and asserts they complete.  It is a strict xfail: the fix has to flip it.
 
 Collected only when named (about 20 s with the compiled tier):
@@ -35,7 +34,5 @@ def test_collapse_survives_root_steps_1_to_31():
     evolver = run.evolver
     t_end = run.code_time_of_redshift(20.0)
     for step in range(1, ROOT_STEPS + 1):
-        # what the controller's pre_step does before every root step
-        run.criteria.a = run.clock.a_of(evolver.hierarchy.root.time)
         assert evolver.advance_root_step(t_end) is not None, (
             f"the run reached z = 20 before root step {step}")

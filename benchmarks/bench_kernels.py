@@ -2,8 +2,8 @@
 
 The compiled kernel tier (``repro.kernels``) takes over the hottest inner
 loops — the fused hydro step, the chemistry rate-table blend and substep,
-the multigrid solve, the potential gradient and the coarse-fine
-bookkeeping — with C loops (cffi) that are **bitwise identical** to the
+the multigrid solves of a level, the potential gradient and the
+coarse-fine bookkeeping — with C loops (cffi) that are **bitwise identical** to the
 vectorised reference (the parity suite in ``tests/test_kernels.py``
 enforces that).
 
@@ -25,11 +25,14 @@ This bench measures what that buys:
   active cell of one grid in a single compiled call) at 512 / 10,648 /
   54,872 cells — the 8^3, 22^3 and 38^3 allocated grids of the
   ``collapse_chem`` workload — in us per cell-substep, layer evidence too;
-* one multigrid solve (``mg.solve``: V-cycles of one subgrid until the
-  residual norm meets the hierarchy's tolerance, in a single compiled
-  call) at 4^3 / 8^3 / 16x26x26 interior cells — the smallest, the typical
-  and the largest subgrid of the ``sphere_deep`` workload — in us per
-  solve, layer evidence too;
+* one sibling pass of a level's multigrid solves (``mg.level``: for each
+  grid, V-cycles from its rim until the residual norm meets the
+  hierarchy's tolerance and the write into its potential, then the rim
+  exchange, in a single compiled call) on a level of one grid at 4^3 /
+  8^3 / 16x26x26 interior cells — the smallest, the typical and the
+  largest subgrid of the ``sphere_deep`` workload — and on
+  ``sphere_deep``'s shape (32 abutting 8^3 grids), in us per grid-pass,
+  layer evidence too;
 * the per-grid bookkeeping in us and bytes allocated per call: one
   ``flux.correct`` (every child of a 16^3 parent carrying the twelve
   species, each child's fine sums beside the parent's planes at its
@@ -41,12 +44,10 @@ This bench measures what that buys:
   onto 27 grids shifted by half a grid (old interiors copied, the rest
   prolonged); and one ``gravity.accel`` (the potential gradient of an 8^3
   grid with three ghosts);
-* the plan-fed level paths at the ``sphere_deep`` workload's shape (32
-  abutting 8^3 grids), compiled tier, in us per grid-pass: the ghost fill
-  on its level topology's cached tables against a fill that checks its
-  tables and builds its pointers on every call, and one ``mg.level``
-  sibling pass against the per-grid path (a ``mg.solve`` call, the store
-  and the row-by-row exchange per grid);
+* the plan-fed ghost fill at ``sphere_deep``'s shape, compiled tier, in
+  us per grid-pass: the fill on its level topology's cached tables
+  against a fill that checks its tables and builds its pointers on every
+  call;
 * the chemistry rate-table blend (``chem.blend``) on one table pass of
   tens of thousands of cells, NumPy vs. the compiled backend;
 * an end-to-end primordial-collapse run (chemistry on, so every kernel
@@ -84,7 +85,14 @@ import numpy as np
 from repro import constants as const
 from repro.amr import Grid
 from repro.amr.flux_correction import FaceWindows, correct_numpy
-from repro.amr.gravity import accel_numpy
+from repro.amr.gravity import (
+    MG_BUDGET,
+    MG_MIN_SIZE,
+    MG_POST,
+    MG_PRE,
+    MG_TOL,
+    accel_numpy,
+)
 from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
     ChemistryNetwork,
@@ -93,7 +101,7 @@ from repro.chemistry.network import (
 )
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
-from repro.gravity.multigrid import MultigridSolver, solve_numpy
+from repro.gravity.multigrid import level_numpy
 from repro.hydro.ppm import step_numpy as hydro_step_numpy
 from repro.kernels import dispatch
 from repro.nbody.cic import deposit_numpy, gather_numpy
@@ -296,40 +304,6 @@ def chem_step_rows(config: dict, backend: str) -> dict:
             "rows": rows}
 
 
-# ------------------------------------------------------------ multigrid
-def solve_rows(config: dict, backend: str) -> dict:
-    """One multigrid solve of one subgrid at the hierarchy's settings
-    (tolerance 1e-6, the solver's sweeps and budget) from a zero guess
-    inside a random rim, NumPy reference vs. compiled."""
-    compiled = dispatch._impls[(backend, "mg.solve")]
-    mg = MultigridSolver()
-    rows = []
-    for shape in config["solve_shapes"]:
-        rng = np.random.default_rng(sum(shape))
-        source = rng.standard_normal(shape)
-        start = rng.standard_normal(tuple(n + 2 for n in shape))
-        start[1:-1, 1:-1, 1:-1] = 0.0
-        row = {"interior": list(shape)}
-        outputs = {}
-        for name, fn in (("numpy", solve_numpy), (backend, compiled)):
-            best = np.inf
-            for _ in range(config["repeats"] * 3):
-                phi = start.copy()
-                t0 = time.perf_counter()
-                out = fn(phi, source, 0.1, mg.pre, mg.post, mg.min_size,
-                         1e-6, mg.max_cycles, False, False)
-                best = min(best, time.perf_counter() - t0)
-            outputs[name] = (phi, out)
-            row[f"{name}_us_per_solve"] = 1e6 * best
-        (p_r, o_r), (p_c, o_c) = outputs["numpy"], outputs[backend]
-        assert o_r == o_c and np.array_equal(p_r, p_c)
-        row["vcycles"] = o_c[0]
-        row["speedup"] = (row["numpy_us_per_solve"]
-                          / row[f"{backend}_us_per_solve"])
-        rows.append(row)
-    return {**_host(backend), "unit": "us per solve", "rows": rows}
-
-
 # ------------------------------------------------- coarse-fine bookkeeping
 def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
     """A 16^3 parent (three ghosts) with ``n_children`` 4^3-footprint
@@ -354,9 +328,10 @@ def _flux_parent(n_adv: int, n_children: int, seed: int = 3):
     return fields, names, ng, children
 
 
-def _packed_hierarchy(corners, seed=11):
-    """A 16^3 root mid-step (an old and a new state) with an 8^3 level-1
-    grid at each of ``corners``, every array random."""
+def _packed_hierarchy(corners, seed=11, dims=(8, 8, 8)):
+    """A 16^3 root mid-step (an old and a new state) with a level-1 grid
+    of ``dims`` interior cells at each of ``corners``, every array
+    random."""
     from repro.amr import Grid, Hierarchy
     from repro.precision.doubledouble import DoubleDouble
 
@@ -373,7 +348,7 @@ def _packed_hierarchy(corners, seed=11):
     randomise(h.root)
     h.root.time = DoubleDouble(1.0)
     for corner in corners:
-        g = Grid(1, corner, (8, 8, 8), n_root=16)
+        g = Grid(1, corner, dims, n_root=16)
         h.add_grid(g, h.root)
         randomise(g)
         g.time = DoubleDouble(0.5)
@@ -483,53 +458,20 @@ def _deposit(fn, offsets, masses, dx, periodic):
     return grid
 
 
-# ------------------------------------------------------------- level plan
+# ------------------------------------------------------------- level paths
 #: the ``sphere_deep`` workload's shape: 32 level-1 grids of 8^3 interior
 #: cells and three ghosts, abutting in a 4 x 4 x 2 block
 LEVEL_CORNERS = tuple(itertools.product(range(0, 32, 8), range(0, 32, 8),
                                         range(8, 24, 8)))
 
 
-def _store_per_grid(phi, sol, ng):
-    """The store of the per-grid path: the rim box, then each axis's ghost
-    layers copied from its edge plane."""
-    phi[tuple(slice(ng - 1, ng + n - 1) for n in sol.shape)] = sol
-    for axis in range(3):
-        n = phi.shape[axis]
-        for dst, src in ((slice(0, ng - 1), slice(ng - 1, ng)),
-                         (slice(n - ng + 1, n), slice(n - ng, n - ng + 1))):
-            d, s = [slice(None)] * 3, [slice(None)] * 3
-            d[axis], s[axis] = dst, src
-            phi[tuple(d)] = phi[tuple(s)]
-
-
-def _per_grid_pass(plan, src, mg):
-    """One sibling pass the way the hierarchy ran it before ``mg.level``:
-    per grid a :meth:`MultigridSolver.solve` (one ``mg.solve`` call on a
-    copy of its rim) and the store into its potential, then the rim
-    exchange row by row with ``np.array_equal``."""
-    for rim, phi, source in zip(plan.rim_views, plan.phis,
-                                plan.interiors(src)):
-        _store_per_grid(phi, mg.solve(source, plan.dx, rim), plan.nghost)
-    for t, s, *box in plan.rim_rows.tolist():
-        rim = plan.rim_views[t][tuple(slice(a, a + n) for a, n in zip(
-            box[0:3], box[6:9]))]
-        new = plan.phis[s][tuple(slice(a, a + n) for a, n in zip(
-            box[3:6], box[6:9]))]
-        if not np.array_equal(rim, new):
-            rim[...] = new
-
-
 def level_plan_rows(config: dict, backend: str) -> dict:
-    """The plan-fed level paths at ``sphere_deep``'s shape
-    (:data:`LEVEL_CORNERS`), compiled tier, in us per grid-pass: the ghost
-    fill on the level topology's cached tables against a fill that checks
-    its tables and builds its pointers again (what every call paid before
-    the plan), and one ``mg.level`` sibling pass against the per-grid path
-    (:func:`_per_grid_pass`, its ``mg.solve`` compiled too), both
-    parity-asserted."""
+    """The plan-fed ghost fill at ``sphere_deep``'s shape
+    (:data:`LEVEL_CORNERS`), compiled tier, in us per grid-pass: the fill
+    on the level topology's cached tables against a fill that checks its
+    tables and builds its pointers again (what every call paid before the
+    plan)."""
     from repro.amr.boundary import ghost_fractions
-    from repro.amr.gravity import HierarchyGravity
     from repro.amr.interpolation import FillPlan
 
     fill = dispatch._impls[(backend, "fill.level")]
@@ -543,47 +485,58 @@ def level_plan_rows(config: dict, backend: str) -> dict:
                 plan.sources, topo.starts, topo.ends)],
             plan.fill, plan.copies, plan.r, plan.positive)
     reps = config["repeats"] * 10
-    rows = [{
+    row = {
         "kernel": "fill.level (plan-fed)", "grids": n,
         f"{backend}_per_call_us_per_grid_pass": 1e6 * _best(
             lambda: fill(FillPlan(*args), fracs), reps) / n,
         f"{backend}_plan_fed_us_per_grid_pass": 1e6 * _best(
             lambda: fill(plan, fracs), reps) / n,
-    }]
+    }
+    row["speedup"] = (row[f"{backend}_per_call_us_per_grid_pass"]
+                      / row[f"{backend}_plan_fed_us_per_grid_pass"])
+    return {**_host(backend), "unit": "us per grid-pass", "rows": [row]}
 
-    mg = HierarchyGravity(g_code=1.0).mg
-    level = dispatch._impls[(backend, "mg.level")]
-    dispatch.set_backend(backend, env=False)  # the per-grid mg.solve's
-    poisson = topo.poisson()
-    fill(poisson.rim_fill)
-    src = np.random.default_rng(3).standard_normal(
-        int(poisson.cell_offsets[-1]))
-    rims = poisson.rims.copy()
-    stats = np.zeros((n, 3))
-    outputs, best = {}, {}
-    for name, call in (
-            ("per_grid", lambda: _per_grid_pass(poisson, src, mg)),
-            ("mg_level", lambda: level(
-                poisson, src, 0, n, mg.pre, mg.post, mg.min_size, mg.tol,
-                mg.max_cycles, False, False, True, stats))):
-        best[name] = np.inf
-        for _ in range(config["repeats"] * 3):
-            poisson.rims[...] = rims
-            t0 = time.perf_counter()
-            call()
-            best[name] = min(best[name], time.perf_counter() - t0)
-        outputs[name] = [a.copy() for a in (*poisson.phis, poisson.rims)]
-    assert all(np.array_equal(a, b) for a, b in zip(outputs["per_grid"],
-                                                    outputs["mg_level"]))
-    rows.append({"kernel": "mg.level", "grids": n,
-                 f"{backend}_per_grid_us_per_grid_pass":
-                     1e6 * best["per_grid"] / n,
-                 f"{backend}_mg_level_us_per_grid_pass":
-                     1e6 * best["mg_level"] / n})
-    for row, (slow, fast) in zip(rows, (("per_call", "plan_fed"),
-                                        ("per_grid", "mg_level"))):
-        row["speedup"] = (row[f"{backend}_{slow}_us_per_grid_pass"]
-                          / row[f"{backend}_{fast}_us_per_grid_pass"])
+
+def mg_level_rows(config: dict, backend: str) -> dict:
+    """One ``mg.level`` sibling pass at the hierarchy's V-cycle settings,
+    from the rims the parent's potential gives, NumPy reference vs.
+    compiled on the same plan, parity-asserted, in us per grid-pass: a
+    level of one grid at each of ``solve_shapes``, and the 32 grids of
+    :data:`LEVEL_CORNERS` with their rim exchange."""
+    fill = dispatch._impls[(backend, "fill.level")]
+    compiled = dispatch._impls[(backend, "mg.level")]
+    cases = [([(0, 0, 0)], shape) for shape in config["solve_shapes"]]
+    cases.append((LEVEL_CORNERS, (8, 8, 8)))
+    rows = []
+    for corners, dims in cases:
+        plan = _packed_hierarchy(corners, seed=13, dims=dims).level_topology(
+            1).poisson()
+        fill(plan.rim_fill)
+        n = len(plan.phis)
+        src = np.random.default_rng(3).standard_normal(
+            int(plan.cell_offsets[-1]))
+        rims = plan.rims.copy()
+        stats = np.zeros((n, 3))
+        row = {"grids": n, "interior": list(dims)}
+        outputs = {}
+        for name, fn in (("numpy", level_numpy), (backend, compiled)):
+            best = np.inf
+            for _ in range(config["repeats"] * 3):
+                plan.rims[...] = rims
+                t0 = time.perf_counter()
+                out = fn(plan, src, 0, n, MG_PRE, MG_POST, MG_MIN_SIZE,
+                         MG_TOL, MG_BUDGET, False, False, True, stats)
+                best = min(best, time.perf_counter() - t0)
+            outputs[name] = [out, stats.copy(), plan.rims.copy(),
+                             *(a.copy() for a in plan.phis)]
+            row[f"{name}_us_per_grid_pass"] = 1e6 * best / n
+        ref, got = outputs["numpy"], outputs[backend]
+        assert ref[0] == got[0] and all(
+            np.array_equal(a, b) for a, b in zip(ref[1:], got[1:]))
+        row["vcycles"] = int(stats[:, 0].sum())
+        row["speedup"] = (row["numpy_us_per_grid_pass"]
+                          / row[f"{backend}_us_per_grid_pass"])
+        rows.append(row)
     return {**_host(backend), "unit": "us per grid-pass", "rows": rows}
 
 
@@ -634,7 +587,7 @@ def run(config: dict) -> dict:
             "compiled_backend": backend,
             "hydro.step": step_rows(config, backend),
             "chem.step": chem_step_rows(config, backend),
-            "mg.solve": solve_rows(config, backend),
+            "mg.level": mg_level_rows(config, backend),
             "bookkeeping": bookkeeping_rows(config, backend),
             "level_plan": level_plan_rows(config, backend),
             "micro": micro(config, backend),
@@ -705,20 +658,21 @@ def test_kernels_smoke():
     assert results["chem.step"]["rows"][0]["cells"] == 512
     assert all(r["speedup"] > 1.0 for r in results["chem.step"]["rows"]), \
         results["chem.step"]
-    # and mg.solve (parity-checked inside solve_rows), at 8^3
-    assert results["mg.solve"]["rows"][1]["interior"] == [8, 8, 8]
-    assert results["mg.solve"]["rows"][1]["speedup"] > 1.0, \
-        results["mg.solve"]
+    # and mg.level (parity-checked inside mg_level_rows), on every level
+    assert [(r["grids"], r["interior"]) for r in results["mg.level"]["rows"]
+            ] == [(1, list(shape)) for shape in SMOKE["solve_shapes"]] + [
+                (32, [8, 8, 8])]
+    assert all(r["speedup"] > 1.0 for r in results["mg.level"]["rows"]), \
+        results["mg.level"]
     # and the per-grid bookkeeping, gravity.accel included (parity-checked
     # inside bookkeeping_rows)
     assert all(r["speedup"] > 1.0 for r in results["bookkeeping"]["rows"]), \
         results["bookkeeping"]
-    # and the plan-fed level paths at sphere_deep's shape (parity-checked
-    # inside level_plan_rows): the cached fill tables beat checking them
-    # per call, one mg.level pass beats the per-grid path
+    # and the plan-fed ghost fill at sphere_deep's shape: the cached fill
+    # tables beat checking them per call
     assert [r["kernel"] for r in results["level_plan"]["rows"]] == [
-        "fill.level (plan-fed)", "mg.level"]
-    assert all(r["speedup"] > 1.0 for r in results["level_plan"]["rows"]), \
+        "fill.level (plan-fed)"]
+    assert results["level_plan"]["rows"][0]["speedup"] > 1.0, \
         results["level_plan"]
     # and the chem.blend table pass (parity-checked inside micro)
     assert results["micro"]["chem.blend"]["speedup"] > 1.0, results["micro"]

@@ -245,14 +245,16 @@ def _build_problem(config, exec_config=None):
     )
 
 
-def _instrument(engine, store):
-    """Capture (tasks, report) for every dispatch the engine runs."""
+def _instrument(engine, store, calibrator):
+    """Capture (tasks, report) for every dispatch the engine runs, and
+    feed its task times to ``calibrator``."""
     orig = engine.run
 
     def run(tasks, level=None, timers=None):
         tasks = list(tasks)
         report = orig(tasks, level=level, timers=timers)
         store.append((tasks, report))
+        calibrator.observe_report(report)
         return report
 
     engine.run = run
@@ -360,13 +362,15 @@ def _imbalance_study(dispatches, calibrator, workers: int = 4) -> dict:
 
 def _run_variant(config, backend: str, workers: int) -> dict:
     """Build the collapse, warm it up, time ``timed_steps`` root steps."""
-    from repro.exec import ExecConfig
+    from repro.exec import ExecConfig, WorkCalibrator
 
     sphere = _build_problem(
         config, ExecConfig(backend=backend, workers=workers))
     engine = sphere.evolver.engine
     dispatches: list = []
-    _instrument(engine, dispatches)
+    # fed by every dispatch, the warm-up's included
+    calibrator = WorkCalibrator()
+    _instrument(engine, dispatches, calibrator)
     t_end = 1.5 * sphere.free_fall_time(sphere.peak_density)
 
     for _ in range(config["warmup_steps"]):
@@ -389,7 +393,7 @@ def _run_variant(config, backend: str, workers: int) -> dict:
             "cells": int(sum(int(np.prod(g.dims)) for g in h.all_grids())),
         },
         "dispatches": dispatches,
-        "calibrator": engine.calibrator,
+        "calibrator": calibrator,
     }
 
 

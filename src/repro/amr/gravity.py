@@ -18,10 +18,15 @@ from repro.gravity.gradient import acceleration_from_potential
 from repro.gravity.multigrid import (
     MultigridConvergenceError,
     MultigridDiagnostics,
-    MultigridSolver,
 )
 from repro.kernels import dispatch as kernels
 from repro.nbody.cic import cic_gather
+
+#: the V-cycle of every subgrid solve: red-black sweeps before and after
+#: the coarse-grid correction, the extent at or below which a level is
+#: smoothed instead of restricted, the V-cycle budget (doubled once by the
+#: defense's retry) and the relative residual tolerance
+MG_PRE, MG_POST, MG_MIN_SIZE, MG_BUDGET, MG_TOL = 3, 3, 4, 60, 1e-6
 
 
 class HierarchyGravity:
@@ -39,11 +44,10 @@ class HierarchyGravity:
     """
 
     def __init__(self, g_code: float, mean_density: float = 1.0,
-                 sibling_iterations: int = 2, mg_tol: float = 1e-6):
+                 sibling_iterations: int = 2):
         self.g_code = g_code
         self.mean_density = mean_density
         self.sibling_iterations = int(sibling_iterations)
-        self.mg = MultigridSolver(tol=mg_tol)
         #: defense ladder (set by the evolver): when present, subgrid
         #: solves run strict — non-convergence is retried once with a
         #: doubled V-cycle budget, then escalated — instead of silently
@@ -121,14 +125,13 @@ class HierarchyGravity:
         its own call, so the injector is queried in grid order, before
         each solve and before each retry.
         """
-        mg, n = self.mg, len(grids)
+        n = len(grids)
         strict = self.defense is not None
         level_kernel = kernels.get("mg.level")
 
-        def run(first, stop, force=False, budget=mg.max_cycles,
-                exchange=False):
-            return level_kernel(plan, src, first, stop, mg.pre, mg.post,
-                                mg.min_size, mg.tol, budget, strict, force,
+        def run(first, stop, force=False, budget=MG_BUDGET, exchange=False):
+            return level_kernel(plan, src, first, stop, MG_PRE, MG_POST,
+                                MG_MIN_SIZE, MG_TOL, budget, strict, force,
                                 exchange, stats)
 
         if faults is None:
@@ -157,11 +160,10 @@ class HierarchyGravity:
         solve, solve it again from its rim with double the V-cycle budget
         and, if that fails too, escalate the error to the run
         controller's rollback path."""
-        mg = self.mg
         site = (int(grid.level), int(grid.grid_id))
         failed = MultigridDiagnostics(
-            cycles=int(stats[i, 0]), budget=mg.max_cycles,
-            residual=float(stats[i, 1]), tol=mg.tol, converged=False)
+            cycles=int(stats[i, 0]), budget=MG_BUDGET,
+            residual=float(stats[i, 1]), tol=MG_TOL, converged=False)
         self.defense.record_event({
             "rung": "mg_budget_retry", "ok": True,
             "level": site[0], "grid": site[1],
@@ -169,12 +171,12 @@ class HierarchyGravity:
         })
         force = faults is not None and faults.take(
             "mg_diverge", grid.level, grid.grid_id) is not None
-        budget = 2 * mg.max_cycles
+        budget = 2 * MG_BUDGET
         if run(i, i + 1, force, budget)[0] >= 0:
             raise MultigridConvergenceError(MultigridDiagnostics(
                 cycles=int(stats[i, 0]), budget=budget,
-                residual=float(stats[i, 1]), tol=mg.tol, converged=False),
-                None, site=site)
+                residual=float(stats[i, 1]), tol=MG_TOL, converged=False),
+                site=site)
         counts[0] += 2
         counts[1] += failed.cycles + int(stats[i, 0])
 

@@ -6,7 +6,7 @@ code: :class:`ExecutionEngine` runs independent per-grid tasks (hydro
 sweeps, chemistry advances, gravity accelerations) in place on the live
 grid arrays — ``serial`` (today's exact path) or on a ``thread`` pool (the
 compiled kernels release the GIL) — while the scheduler reuses the
-Sec. 3.4 distribution strategies fed by *measured* per-grid timings.
+Sec. 3.4 greedy distribution strategy, costed by cell count.
 Results are bitwise identical across backends and worker counts.  See
 ``docs/EXECUTOR.md``.
 """

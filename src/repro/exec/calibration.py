@@ -1,14 +1,16 @@
-"""Measured per-grid cost model feeding the task scheduler.
+"""Measured per-cell cost model.
 
 The paper's load-balancing story (Sec. 3.4) rests on a *work estimate* per
-grid — originally the analytic ``cells * r^level`` model in
-:func:`repro.exec.distribution.grid_work`.  The execution engine closes
-the loop: after every level dispatch it feeds the measured per-task wall
-times back into this calibrator, and subsequent schedules use the measured
-per-cell rates instead of the analytic constant.  The same object plugs
-straight into ``balance_grids(..., cost_model=...)``, so the virtual
-cluster's predicted imbalance can be compared against what real execution
-measured (``benchmarks/bench_parallel.py`` reports both).
+grid — the analytic ``cells * r^level`` model in
+:func:`repro.exec.distribution.grid_work`.  A calibrator replaces the
+analytic constant with measured seconds per cell: the service scheduler
+feeds it whole-run and root-step wall times, and
+``benchmarks/bench_parallel.py`` feeds it every task time of the exec
+dispatches it instruments.  It plugs straight into ``balance_grids(...,
+cost_model=...)``, so the virtual cluster's predicted imbalance can be
+compared against what real execution measured.  The exec engine itself
+schedules by cell count: each of its dispatches holds one task kind on
+one level, where a per-(kind, level) rate scales every cost alike.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 One :class:`ExecutionEngine` per :class:`HierarchyEvolver`.  The evolver
 hands it the per-grid tasks of one level update (hydro sweeps, chemistry
 advances, gravity accelerations); the engine orders and assigns them with
-the Sec. 3.4 distribution strategies (fed by *measured* per-grid timings
-via :class:`~repro.exec.calibration.WorkCalibrator`), executes them on the
-selected backend, and reports per-worker busy times so the run telemetry
-can carry real utilisation and load-imbalance figures.
+the Sec. 3.4 greedy strategy by cell count, executes them on the selected
+backend, and reports per-worker busy times so the run telemetry can carry
+real utilisation and load-imbalance figures.
 
 Backends
 --------
@@ -35,7 +34,6 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
-from repro.exec.calibration import WorkCalibrator
 from repro.exec.config import ExecConfig
 from repro.exec.distribution import balance_grids
 from repro.perf.timers import StepStats
@@ -145,25 +143,25 @@ class ExecutionEngine:
     """Dispatches per-grid tasks for one evolver.
 
     The engine object is cheap (pools are shared process-globals); each
-    evolver owns one so its calibration state and per-root-step stats stay
-    private.  ``stats`` is the step record's ``exec`` block, which the
-    evolver resets at the top of every root step.
+    evolver owns one so its per-root-step stats stay private.  ``stats``
+    is the step record's ``exec`` block, which the evolver resets at the
+    top of every root step.
     """
 
-    def __init__(self, config=None, calibrator: WorkCalibrator | None = None):
+    def __init__(self, config=None):
         self.config = ExecConfig.resolve(config)
-        self.calibrator = calibrator or WorkCalibrator()
         self.stats = StepStats()
 
     # ----------------------------------------------------------- scheduling
     def plan_queues(self, tasks: list) -> list[list]:
-        """Assign tasks to worker queues via the distribution strategies."""
+        """Assign tasks to worker queues, longest first onto the least
+        loaded, costed by cell count: every dispatch holds one task kind
+        on one level, where a measured seconds-per-cell rate would scale
+        every cost by the same constant and place the tasks the same."""
         workers = self.config.workers
         if workers <= 1 or len(tasks) <= 1:
             return [list(tasks)]
-        assignment = balance_grids(
-            tasks, workers, STRATEGY, cost_model=self.calibrator,
-        )
+        assignment = balance_grids(tasks, workers, STRATEGY)
         queues: list[list] = [[] for _ in range(workers)]
         for task in tasks:
             queues[assignment[task.grid_id]].append(task)
@@ -173,11 +171,10 @@ class ExecutionEngine:
     def run(self, tasks, level=None, timers=None) -> ExecReport:
         """Execute independent per-grid tasks in place.
 
-        Returns the dispatch report (also folded into the calibrator and
-        :attr:`stats`).  Given ``timers`` (a
-        :class:`~repro.perf.timers.ComponentTimers`), it adds each task
-        kind's measured seconds and the dispatch overhead ("exec") to them,
-        the same way on every backend.
+        Returns the dispatch report (also folded into :attr:`stats`).
+        Given ``timers`` (a :class:`~repro.perf.timers.ComponentTimers`),
+        it adds each task kind's measured seconds and the dispatch
+        overhead ("exec") to them, the same way on every backend.
         """
         tasks = list(tasks)
         cfg = self.config
@@ -191,7 +188,6 @@ class ExecutionEngine:
             self._run_threads(tasks, report)
         report.dispatch_wall = perf_counter() - t0
 
-        self.calibrator.observe_report(report)
         self._record(report, level)
         if timers is not None:
             for kind, seconds in report.kernel_seconds.items():

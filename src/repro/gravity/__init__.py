@@ -14,8 +14,6 @@ from repro.gravity.fft_poisson import solve_periodic, gravity_source
 from repro.gravity.multigrid import (
     MultigridConvergenceError,
     MultigridDiagnostics,
-    MultigridSolver,
-    solve_dirichlet,
 )
 from repro.gravity.gradient import acceleration_from_potential, laplacian
 
@@ -24,8 +22,6 @@ __all__ = [
     "gravity_source",
     "MultigridConvergenceError",
     "MultigridDiagnostics",
-    "MultigridSolver",
-    "solve_dirichlet",
     "acceleration_from_potential",
     "laplacian",
 ]

@@ -9,13 +9,12 @@ restriction and trilinear prolongation.  The solution array carries a
 one-cell Dirichlet rim holding the boundary values interpolated from the
 parent grid (and corrected by sibling exchange at the AMR layer).
 
-One solve — V-cycles until the residual norm meets the tolerance — is one
-call of the ``mg.solve`` kernel (:func:`solve_numpy` is its NumPy
-reference; the compiled tier runs the same arithmetic, the norms' pairwise
-summation order included, as one C loop nest).  The hierarchy solves a
-whole level per sibling pass in one ``mg.level`` call (:func:`level_numpy`):
-the same solve for each grid, the write into its potential and the rim
-exchange with its siblings.
+The hierarchy solves a whole level per sibling pass in one ``mg.level``
+kernel call (:func:`level_numpy` is its NumPy reference): for each grid,
+V-cycles until the residual norm meets the tolerance (:func:`solve_numpy`),
+the write into its potential, then the rim exchange with its siblings.
+The compiled tier runs the same arithmetic, the norms' pairwise summation
+order included, as one C loop nest.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import dispatch as kernels
-
 
 @dataclass
 class MultigridDiagnostics:
-    """What one :meth:`MultigridSolver.solve` call actually did.
+    """What one subgrid solve of ``mg.level`` actually did.
 
     ``residual`` is the final relative L2 residual (vs the source norm);
     ``converged`` records whether it reached ``tol`` within ``cycles`` of
@@ -54,20 +51,16 @@ class MultigridDiagnostics:
 
 
 class MultigridConvergenceError(RuntimeError):
-    """The V-cycle budget ran out above tolerance (strict mode only).
+    """A strict subgrid solve ran out of V-cycle budget above tolerance,
+    its retry with double the budget too.
 
-    Carries the full :class:`MultigridDiagnostics` plus the best-effort
-    rim-padded solution (``phi``) so callers can retry with a larger
-    budget — or, as a last resort, accept the unconverged potential with
-    the residual on record instead of silently.  A level solve
-    (``mg.level``) leaves a failed grid's potential unwritten and raises
-    with ``phi`` None.
+    Carries the retry's :class:`MultigridDiagnostics` and the failed
+    grid's ``site`` (``(level, grid_id)``); ``mg.level`` leaves that
+    grid's potential unwritten.
     """
 
-    def __init__(self, diagnostics: MultigridDiagnostics, phi: np.ndarray,
-                 site=None):
+    def __init__(self, diagnostics: MultigridDiagnostics, site=None):
         self.diagnostics = diagnostics
-        self.phi = phi
         self.site = site
         where = f" at {site}" if site is not None else ""
         super().__init__(
@@ -229,7 +222,7 @@ def _rms(x: np.ndarray) -> float:
 def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
                 post: int, min_size: int, tol: float, budget: int,
                 strict: bool, force_diverge: bool):
-    """NumPy reference of the ``mg.solve`` kernel.
+    """One subgrid solve of :func:`level_numpy` (the C ``rk_mg_solve``).
 
     V-cycles in place on the rim-padded ``phi`` — ``pre`` smoothing sweeps,
     residual, 2x2x2 restriction, the same cycle on the coarse error
@@ -243,10 +236,10 @@ def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
     relative_residual, converged)``.
     """
     if phi.shape != tuple(s + 2 for s in source.shape):
-        raise ValueError("mg.solve: phi must pad source by one cell per "
+        raise ValueError("solve_numpy: phi must pad source by one cell per "
                          "side")
     if budget < 1:
-        raise ValueError(f"mg.solve: a budget of {budget} V-cycles runs "
+        raise ValueError(f"solve_numpy: a budget of {budget} V-cycles runs "
                          f"none")
     norm = _rms(source) or 1.0
     residual = np.empty(source.shape)
@@ -318,78 +311,3 @@ def level_numpy(plan, src, first, stop, pre, post, min_size, tol, budget,
                 rim[...] = new
                 changed = True
     return -1, changed
-
-
-class MultigridSolver:
-    """Reusable V-cycle solver for del^2 phi = source with a Dirichlet rim.
-
-    Parameters
-    ----------
-    pre_sweeps, post_sweeps:
-        Gauss-Seidel sweeps before/after coarse-grid correction.
-    tol:
-        Relative residual (L2, vs source L2) convergence target.
-    max_cycles:
-        V-cycle budget; small grids converge in a handful.
-    min_size:
-        Grids at or below this size are smoothed directly.
-    strict:
-        When True, exhausting the V-cycle budget above tolerance raises
-        :class:`MultigridConvergenceError` (carrying the diagnostics and
-        the best-effort solution) instead of returning silently.  Default
-        False preserves the legacy silent behaviour; per-call override via
-        ``solve(..., strict=...)``.
-    """
-
-    def __init__(self, pre_sweeps: int = 3, post_sweeps: int = 3, tol: float = 1e-8,
-                 max_cycles: int = 60, min_size: int = 4,
-                 strict: bool = False):
-        self.pre = pre_sweeps
-        self.post = post_sweeps
-        self.tol = tol
-        self.max_cycles = max_cycles
-        self.min_size = min_size
-        self.strict = bool(strict)
-        self.last_cycles = 0
-        self.last_residual = np.inf
-        self.last_diagnostics: MultigridDiagnostics | None = None
-
-    def solve(self, source: np.ndarray, dx: float, boundary: np.ndarray,
-              strict: bool | None = None, max_cycles: int | None = None,
-              site=None, force_diverge: bool = False) -> np.ndarray:
-        """Solve with the given rim-padded boundary/initial-guess array.
-
-        ``boundary`` has shape ``source.shape + 2`` in every dimension; its
-        rim cells are held fixed (Dirichlet) and its interior is the initial
-        guess.  Returns the rim-padded solution (a copy).
-
-        ``strict``/``max_cycles`` override the instance defaults for this
-        call; ``site`` labels any raised error (e.g. ``(level, grid_id)``);
-        ``force_diverge`` is the fault-injection hook — the cycles run but
-        convergence is reported as never reached.  A budget below one
-        V-cycle is a ValueError.
-        """
-        if boundary.shape != tuple(s + 2 for s in source.shape):
-            raise ValueError("boundary must pad source by one cell per side")
-        strict = self.strict if strict is None else bool(strict)
-        budget = self.max_cycles if max_cycles is None else int(max_cycles)
-        phi = np.array(boundary, dtype=float, order="C")
-        cycles, residual, converged = kernels.get("mg.solve")(
-            phi, source, dx, self.pre, self.post, self.min_size, self.tol,
-            budget, strict, force_diverge)
-        self.last_cycles = cycles
-        self.last_residual = residual
-        self.last_diagnostics = MultigridDiagnostics(
-            cycles=cycles, budget=budget, residual=residual, tol=self.tol,
-            converged=converged,
-        )
-        if strict and not converged:
-            raise MultigridConvergenceError(self.last_diagnostics, phi,
-                                            site=site)
-        return phi
-
-
-def solve_dirichlet(source: np.ndarray, dx: float, boundary: np.ndarray,
-                    tol: float = 1e-8) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`MultigridSolver`."""
-    return MultigridSolver(tol=tol).solve(source, dx, boundary)

@@ -36,15 +36,13 @@ copy non-contiguous in-place targets in and back:
   a checked :class:`~repro.amr.interpolation.FillPlan` in place: copies
   from same-level interiors, prolongation from the parents everywhere
   else; the pointer tables are kept on the plan
-* ``mg.solve``        ``fn(phi, source, dx, pre, post, min_size, tol, budget,
-  strict, force_diverge) -> (cycles, relative_residual, converged)`` —
-  multigrid V-cycles on the rim-padded ``phi`` in place until the
-  residual norm meets the tolerance or the budget runs out
 * ``mg.level``        ``fn(plan, src, first, stop, pre, post, min_size, tol,
   budget, strict, force_diverge, exchange, stats) -> (failed, changed)`` —
   one sibling pass over grids ``first .. stop - 1`` of a level's
-  :class:`~repro.amr.topology.PoissonPlan`: each grid's ``mg.solve`` from
-  its rim, the write into its potential, then the rim exchange
+  :class:`~repro.amr.topology.PoissonPlan`: for each grid, multigrid
+  V-cycles from its rim until the residual norm meets the tolerance or
+  the budget runs out (``rk_mg_solve``) and the write into its
+  potential, then the rim exchange
 * ``gravity.accel``   ``fn(phi, dx, a) -> (3, *phi.shape)`` — ``-grad(phi)/a``
   with ``np.gradient``'s central and one-sided edge differences
 * ``flux.correct``    ``fn(fields, names, ng, dx, periodic, r, children)`` —
@@ -142,10 +140,6 @@ long rk_fill_level(long nf, long r, const int *positives, long n_t,
     const int64_t *fill, long n_copy, const int64_t *copies);
 double rk_rms(long n, const double *x);
 long rk_mg_work(long nx, long ny, long nz, long min_size);
-int rk_mg_solve(long nx, long ny, long nz, double *phi,
-    const double *source, double dx, long pre, long post, long min_size,
-    double tol, long budget, int strict, int force_diverge, double *work,
-    double *out);
 long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
     double *rims, const int64_t *rim_off, const double *src,
     const int64_t *src_off, long first, long stop, long pre, long post,
@@ -2607,29 +2601,6 @@ def fill_level(plan, fracs=None):
             dst[...] = out
 
 
-def mg_solve(phi, source, dx, pre, post, min_size, tol, budget, strict,
-             force_diverge):
-    shape = np.shape(source)
-    if len(shape) != 3:
-        raise ValueError("mg.solve: source must be 3-d")
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError(f"mg.solve: a budget of {budget} V-cycles runs "
-                         f"none")
-    # the C indexes raw memory and works in place: phi pads source by one
-    # cell per side
-    _in_place(phi, tuple(n + 2 for n in shape), np.float64, "mg.solve: phi")
-    min_size = int(min_size)
-    # scratch is per call (the cffi call releases the GIL)
-    work = np.empty(_lib.rk_mg_work(*shape, min_size))
-    out = np.empty(2)
-    converged = _lib.rk_mg_solve(
-        *shape, _p(phi), _pc(np.ascontiguousarray(source, dtype=float)),
-        float(dx), int(pre), int(post), min_size, float(tol), budget,
-        bool(strict), bool(force_diverge), _p(work), _p(out))
-    return int(out[0]), float(out[1]), bool(converged)
-
-
 def mg_level(plan, src, first, stop, pre, post, min_size, tol, budget,
              strict, force_diverge, exchange, stats):
     n = len(plan.phis)
@@ -2780,7 +2751,6 @@ for _name, _fn in (
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),
     ("fill.level", fill_level),
-    ("mg.solve", mg_solve),
     ("mg.level", mg_level),
     ("gravity.accel", gravity_accel),
     ("flux.correct", flux_correct),

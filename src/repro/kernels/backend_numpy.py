@@ -23,7 +23,6 @@ dispatch.register("numpy", "hydro.step", _ppm.step_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "fill.level", _interpolation.fill_level_numpy)
-dispatch.register("numpy", "mg.solve", _multigrid.solve_numpy)
 dispatch.register("numpy", "mg.level", _multigrid.level_numpy)
 dispatch.register("numpy", "gravity.accel", _gravity.accel_numpy)
 dispatch.register("numpy", "flux.correct", _flux_correction.correct_numpy)

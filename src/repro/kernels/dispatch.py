@@ -5,10 +5,10 @@ three sweeps of reconstruction or characteristic tracing, Riemann solve
 and conservative update, expansion drag, dual-energy sync and energy floor
 in one call —, the chemistry rate-table blend and the fused per-grid
 chemistry substep, the parent->child fill of a whole level — prolongation
-plus same-level copies —, the multigrid solve of one subgrid and one
-sibling pass of a level's subgrid solves, the potential gradient of one
-grid, the coarse-fine flux correction of one
-parent and the cloud-in-cell particle deposit and gather) are registered
+plus same-level copies —, one sibling pass of a level's subgrid
+multigrid solves, the potential gradient of one grid, the coarse-fine
+flux correction of one parent and the cloud-in-cell particle deposit and
+gather) are registered
 here once per *backend* — each kernel exists in exactly two
 transcriptions:
 
@@ -70,7 +70,6 @@ KERNEL_NAMES = (
     "chem.blend",
     "chem.step",
     "fill.level",
-    "mg.solve",
     "mg.level",
     "gravity.accel",
     "flux.correct",
@@ -232,8 +231,6 @@ def warm() -> None:
     get("fill.level")(FillPlan([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
                                [([np.ones((3, 3, 3))], None, (0, 0, 0))],
                                [], [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True]))
-    get("mg.solve")(np.zeros((6, 6, 6)), np.zeros((4, 4, 4)), 1.0, 1, 1, 2,
-                    1e-6, 1, False, False)
     # a one-grid level with no sibling, in the layout of a PoissonPlan
     rims = np.zeros(6 ** 3)
     get("mg.level")(SimpleNamespace(

@@ -11,10 +11,8 @@ import pytest
 
 from repro import Simulation, SimulationConfig
 from repro.amr.defense import DefenseLadder, validate_fields
-from repro.gravity.multigrid import (
-    MultigridConvergenceError,
-    MultigridSolver,
-)
+from repro.amr.gravity import MG_BUDGET, MG_TOL
+from repro.gravity.multigrid import MultigridConvergenceError
 from repro.nbody.particles import ParticleSet
 from repro.runtime.faults import (
     FaultInjector,
@@ -287,31 +285,50 @@ class TestHydroLadder:
 
 # ------------------------------------------------------------------ multigrid
 class TestMultigridStrict:
-    def _problem(self):
-        rng = np.random.default_rng(11)
-        src = rng.standard_normal((8, 8, 8))
-        rim = np.zeros((10, 10, 10))
-        return src, rim
+    @staticmethod
+    def _level_one(sim):
+        """The level-1 grids, every potential overwritten with 7.0 so a
+        solve that writes one shows."""
+        grids = sim.hierarchy.level_grids(1)
+        assert len(grids) > 2
+        for g in grids:
+            g.phi[...] = 7.0
+        return grids
 
     def test_force_diverge_raises_with_diagnostics(self):
-        src, rim = self._problem()
-        mg = MultigridSolver(max_cycles=4)
+        """Defended (strict) solves: a grid whose solve and doubled-budget
+        retry both diverge raises with the retry's diagnostics and its
+        site, and keeps its potential unwritten; the grid before it was
+        solved."""
+        sim = build_sim()
+        grids = self._level_one(sim)
+        site = (1, grids[1].grid_id)
+        faults = FaultInjector([FaultSpec("mg_diverge", level=1,
+                                          grid_id=site[1], count=2)])
         with pytest.raises(MultigridConvergenceError) as err:
-            mg.solve(src, 0.1, rim, strict=True, site=(1, 9),
-                     force_diverge=True)
+            sim.evolver.gravity.solve_level(sim.hierarchy, 1, faults=faults)
         d = err.value.diagnostics
         assert not d.converged
-        assert d.cycles == d.budget == 4
-        assert err.value.site == (1, 9)
-        assert err.value.phi.shape == rim.shape
+        assert d.cycles == d.budget == 2 * MG_BUDGET and d.tol == MG_TOL
+        assert err.value.site == site
+        assert f"at {site}" in str(err.value)
+        assert not np.any(grids[0].phi == 7.0)
+        assert np.all(grids[1].phi == 7.0)
 
     def test_non_strict_stays_silent(self):
-        src, rim = self._problem()
-        mg = MultigridSolver(max_cycles=4)
-        phi = mg.solve(src, 0.1, rim, force_diverge=True)
-        assert phi.shape == rim.shape
-        assert mg.last_diagnostics is not None
-        assert not mg.last_diagnostics.converged
+        """Undefended solves are not strict: diverging solves spend their
+        whole budget, raise nothing and write every potential."""
+        sim = build_sim(defense=False)
+        assert sim.evolver.gravity.defense is None
+        grids = self._level_one(sim)
+        faults = FaultInjector([FaultSpec("mg_diverge", level=1,
+                                          count=100)])
+        passes, solves, vcycles = sim.evolver.gravity.solve_level(
+            sim.hierarchy, 1, faults=faults)
+        assert solves == passes * len(grids)
+        assert vcycles == solves * MG_BUDGET
+        for g in grids:
+            assert np.all(np.isfinite(g.phi)) and not np.any(g.phi == 7.0)
 
     def test_mg_diverge_fault_triggers_budget_retry(self):
         sim = build_sim()

@@ -315,17 +315,16 @@ class TestExecutionEngine:
         seen = [t.grid_id for q in queues for t in q]
         assert sorted(seen) == list(range(10))
 
-    def test_plan_queues_uses_calibrated_costs(self):
+    def test_plan_queues_schedules_by_cells(self):
+        """Longest first onto the least loaded worker, by cell count: the
+        large grid gets a worker of its own, the four small ones (fewer
+        cells in sum) share the other."""
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
-        # make grid 0 "measured" to be enormously expensive: the greedy
-        # schedule must isolate it on its own worker
-        eng.calibrator.observe("hydro", 0, 100, 100.0)
-        eng.calibrator.observe("hydro", 1, 100, 0.0001)
-        big = _FakeTask(0, 1000, level=0)
-        small = [_FakeTask(i, 1000, level=1) for i in range(1, 5)]
-        queues = eng.plan_queues([big] + small)
-        (big_queue,) = [q for q in queues if big in q]
-        assert len(big_queue) == 1
+        big = _FakeTask(0, 4000)
+        small = [_FakeTask(i, 1000 - i) for i in range(1, 5)]
+        queues = eng.plan_queues(small + [big])
+        assert sorted([t.grid_id for t in q] for q in queues) == [
+            [0], [1, 2, 3, 4]]
 
     def test_step_snapshot_shape(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
@@ -337,11 +336,6 @@ class TestExecutionEngine:
         assert snap["dispatches"] == 2 and snap["tasks"] == 6
         assert 0.0 < snap["utilisation"] <= 1.0
         assert snap["imbalance.L0"] >= 1.0 and snap["imbalance.L1"] >= 1.0
-
-    def test_calibrator_learns_from_dispatches(self):
-        eng = ExecutionEngine(ExecConfig(backend="serial"))
-        eng.run([_FakeTask(i, 100) for i in range(3)], level=0)
-        assert eng.calibrator.rate("hydro", 0) is not None
 
     def test_environment_drives_evolver_backend(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "thread")

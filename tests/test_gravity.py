@@ -3,14 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.amr.gravity import MG_BUDGET, MG_MIN_SIZE, MG_POST, MG_PRE
 from repro.gravity import (
-    MultigridSolver,
     acceleration_from_potential,
     gravity_source,
     laplacian,
     solve_periodic,
-    solve_dirichlet,
 )
+from repro.gravity.multigrid import solve_numpy
+
+
+def _solve(source, dx, boundary, tol, budget=MG_BUDGET):
+    """The reference subgrid solve at the hierarchy's V-cycle settings,
+    from a copy of the rim-padded ``boundary`` (its rim the Dirichlet
+    values, its interior the initial guess).  Returns the solution and
+    ``(cycles, relative_residual, converged)``."""
+    phi = boundary.copy()
+    return phi, solve_numpy(phi, source, dx, MG_PRE, MG_POST, MG_MIN_SIZE,
+                            tol, budget, False, False)
 
 
 class TestFFTPoisson:
@@ -138,35 +148,29 @@ class TestMultigrid:
     @pytest.mark.parametrize("n", [8, 16])
     def test_converges_to_discrete_solution(self, n):
         src, dx, boundary, exact = self._sinusoid_problem(n)
-        solver = MultigridSolver(tol=1e-10)
-        phi = solver.solve(src, dx, boundary)
+        phi, _ = _solve(src, dx, boundary, 1e-10)
         err = np.abs(phi[1:-1, 1:-1, 1:-1] - exact[1:-1, 1:-1, 1:-1]).max()
         assert err < 1e-7 * np.abs(exact).max()
 
     def test_residual_reported(self):
         src, dx, boundary, _ = self._sinusoid_problem(8)
-        solver = MultigridSolver(tol=1e-10)
-        solver.solve(src, dx, boundary)
-        assert solver.last_residual < 1e-10
-        assert solver.last_cycles >= 1
+        _, (cycles, residual, converged) = _solve(src, dx, boundary, 1e-10)
+        assert residual < 1e-10 and converged
+        assert cycles >= 1
 
     def test_empty_budget_is_refused(self):
         """A budget below one V-cycle runs none: a ValueError, never a
-        return that leaves the previous solve's cycles and residual
-        standing as this one's."""
+        return with cycles and a residual no V-cycle produced."""
         src, dx, boundary, _ = self._sinusoid_problem(8)
-        solver = MultigridSolver(tol=1e-10)
-        solver.solve(src, dx, boundary)
         for budget in (0, -3):
             with pytest.raises(ValueError, match="budget"):
-                solver.solve(src, dx, boundary, max_cycles=budget)
+                _solve(src, dx, boundary, 1e-10, budget)
 
     def test_vcycle_faster_than_smoothing(self):
         """V-cycles must converge in far fewer relaxations than plain GS."""
         src, dx, boundary, _ = self._sinusoid_problem(16)
-        mg = MultigridSolver(tol=1e-8)
-        mg.solve(src, dx, boundary)
-        assert mg.last_cycles < 20  # plain GS would need O(n^2) ~ 256 sweeps
+        _, (cycles, _, converged) = _solve(src, dx, boundary, 1e-8)
+        assert converged and cycles < 20  # plain GS would need O(n^2) ~ 256 sweeps
 
     def test_zero_source_keeps_harmonic_interior(self):
         """With zero source and linear boundary data the solution is linear."""
@@ -175,7 +179,7 @@ class TestMultigrid:
         xb = np.arange(-1, n + 1)[:, None, None] * np.ones((1, n + 2, n + 2))
         boundary = xb * dx
         src = np.zeros((n, n, n))
-        phi = solve_dirichlet(src, dx, boundary, tol=1e-12)
+        phi, _ = _solve(src, dx, boundary, 1e-12)
         expected = boundary[1:-1, 1:-1, 1:-1]
         np.testing.assert_allclose(phi[1:-1, 1:-1, 1:-1], expected, atol=1e-9)
 
@@ -186,13 +190,12 @@ class TestMultigrid:
         rng = np.random.default_rng(4)
         src = rng.standard_normal((n, n, n))
         boundary = np.zeros((n + 2,) * 3)
-        solver = MultigridSolver(tol=1e-8, max_cycles=400)
-        phi = solver.solve(src, dx, boundary)
-        assert solver.last_residual < 1e-6
+        _, (_, residual, _) = _solve(src, dx, boundary, 1e-8, 400)
+        assert residual < 1e-6
 
     def test_boundary_shape_validated(self):
-        with pytest.raises(ValueError):
-            solve_dirichlet(np.zeros((4, 4, 4)), 0.25, np.zeros((4, 4, 4)))
+        with pytest.raises(ValueError, match="pad source"):
+            _solve(np.zeros((4, 4, 4)), 0.25, np.zeros((4, 4, 4)), 1e-8)
 
     def test_matches_fft_on_matching_problem(self):
         """Multigrid with exact boundary values reproduces the FFT solution."""
@@ -206,7 +209,7 @@ class TestMultigrid:
         padded = np.pad(phi_fft, 1, mode="wrap")
         boundary = padded.copy()
         boundary[1:-1, 1:-1, 1:-1] = 0.0
-        phi_mg = solve_dirichlet(s, dx, boundary, tol=1e-12)
+        phi_mg, _ = _solve(s, dx, boundary, 1e-12)
         np.testing.assert_allclose(
             phi_mg[1:-1, 1:-1, 1:-1], phi_fft, atol=1e-8 * np.abs(phi_fft).max()
         )
@@ -235,10 +238,9 @@ class TestProlongation:
         rng = np.random.default_rng(7)
         src = rng.standard_normal((n, n, n))
         boundary = np.zeros((n + 2,) * 3)
-        solver = MultigridSolver(tol=1e-8)
-        solver.solve(src, dx, boundary)
-        assert solver.last_residual <= 1e-8
-        assert solver.last_cycles == 13
+        _, (cycles, residual, _) = _solve(src, dx, boundary, 1e-8)
+        assert residual <= 1e-8
+        assert cycles == 13
 
 
 class TestRestriction:

@@ -9,8 +9,8 @@ Three layers:
   vectorised NumPy reference on random and adversarial inputs.
   That is the policy docs/PERFORMANCE.md documents: compiled kernels
   preserve the reference op order, so equality is exact, not approximate.
-  The AMR level fill (``fill.level``), the multigrid solve
-  (``mg.solve``), the fused hydro step (``hydro.step``), the flux
+  The AMR level fill (``fill.level``), the level's multigrid solves
+  (``mg.level``), the fused hydro step (``hydro.step``), the flux
   correction (``flux.correct``) and the CIC deposit (``cic.deposit``)
   write in place, so their parity cases compare the arrays each tier
   leaves behind, and a canary class checks the C never writes outside
@@ -54,9 +54,8 @@ from repro.chemistry.network import (
 from repro.chemistry.rates import CHANNEL_NAMES, RateTable, blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.gravity.multigrid import (
-    MultigridConvergenceError,
-    MultigridSolver,
     _residual,
+    level_numpy,
     redblack_smooth_numpy,
     solve_numpy,
 )
@@ -83,7 +82,7 @@ from repro.nbody.cic import (
     deposit_numpy,
     gather_numpy,
 )
-from tests.oracles import shell_boxes
+from tests.oracles import one_grid_plan, one_grid_solve, shell_boxes
 
 GAMMA = 1.4
 ROOT = Path(__file__).resolve().parents[1]
@@ -732,7 +731,7 @@ def test_prolongation_keeps_positive_children_positive(tier):
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestAmrStencilParity:
-    """``fill.level`` and the smoothing-only branch of ``mg.solve``'s
+    """``fill.level`` and the smoothing-only branch of the ``mg.level``
     V-cycle leave bit-identical arrays."""
 
     @pytest.mark.parametrize("r", [2, 4])
@@ -900,20 +899,19 @@ class TestAmrStencilParity:
         """The smoothing-only branch of a V-cycle (an odd extent, or none
         above ``min_size``) is ``pre + post + 10`` red-black sweeps, and
         the reported residual is the NumPy norm of what they leave."""
-        fn = _tier_impls(tier)["mg.solve"]
+        fn = _tier_impls(tier)["mg.level"]
         rng = np.random.default_rng(sum(shape) + pre + post)
         source = rng.standard_normal(shape)
         start = rng.standard_normal(tuple(n + 2 for n in shape))
         for rim_nan in (False, True):
             if rim_nan:
                 start[0, 2, 2] = np.nan
-            ref, got = start.copy(), start.copy()
+            ref = start.copy()
             redblack_smooth_numpy(ref, source, 0.1, pre + post + 10)
-            cycles, residual, converged = fn(got, source, 0.1, pre, post,
-                                             max(shape), 0.0, 1, False,
-                                             False)
+            failed, got, (cycles, residual, converged) = one_grid_solve(
+                fn, start, source, 0.1, pre, post, max(shape), 0.0, 1)
             np.testing.assert_array_equal(got, ref)
-            assert (cycles, converged) == (1, False)
+            assert (failed, cycles, converged) == (-1, 1, False)
             want = (float(np.sqrt((_residual(ref, source, 0.1) ** 2).mean()))
                     / float(np.sqrt((source ** 2).mean())))
             np.testing.assert_array_equal(residual, want)
@@ -967,14 +965,18 @@ def _poisson_problem(shape, kind, seed=0):
 
 
 def _assert_vcycle_parity(fn, shape, kind, pre, post, min_size):
-    """One V-cycle (a budget of 1, a tolerance never met) leaves the same
-    ``phi`` and reports the same cycles, residual and verdict."""
+    """One V-cycle (a budget of 1, a tolerance never met) of one
+    ``mg.level`` call on a one-grid level leaves the potential
+    :func:`solve_numpy` leaves and reports the same cycles, residual and
+    verdict."""
     phi, source = _poisson_problem(shape, kind, pre)
-    ref, got = phi.copy(), phi.copy()
+    ref = phi.copy()
     with np.errstate(all="ignore"):
         want = solve_numpy(ref, source, 0.1, pre, post, min_size, 0.0, 1,
                            False, False)
-        out = fn(got, source, 0.1, pre, post, min_size, 0.0, 1, False, False)
+        failed, got, out = one_grid_solve(fn, phi, source, 0.1, pre, post,
+                                          min_size, 0.0, 1)
+    assert failed == -1
     np.testing.assert_array_equal(got, ref, err_msg=str(shape))
     # NaN residuals (the nan_rim kind) compare equal as strings
     assert repr(out) == repr(want), shape
@@ -982,13 +984,14 @@ def _assert_vcycle_parity(fn, shape, kind, pre, post, min_size):
 
 @pytest.mark.parametrize("tier", COMPILED)
 class TestVcycleParity:
-    """``mg.solve`` leaves bit-identical ``phi`` and reports the same
-    cycles, relative residual and verdict."""
+    """The subgrid solve of ``mg.level``, on a one-grid level, leaves a
+    bit-identical potential and reports the same cycles, relative residual
+    and verdict."""
 
     @pytest.mark.parametrize("kind", VCYCLE_KINDS)
     @pytest.mark.parametrize("min_size", [2, 4])
     def test_matrix(self, tier, min_size, kind):
-        fn = _tier_impls(tier)["mg.solve"]
+        fn = _tier_impls(tier)["mg.level"]
         for shape, (pre, post) in itertools.product(
                 VCYCLE_SHAPES, [(1, 3), (3, 1), (3, 3)]):
             _assert_vcycle_parity(fn, shape, kind, pre, post, min_size)
@@ -997,53 +1000,52 @@ class TestVcycleParity:
         """At ``min_size < 2`` a level with a 2-cell last axis is restricted
         — the one shape where NumPy's own ``mean`` sums in another order
         than ``_restrict`` writes out; both tiers follow ``_restrict``."""
-        fn = _tier_impls(tier)["mg.solve"]
+        fn = _tier_impls(tier)["mg.level"]
         for shape in [(4, 4, 2), (2, 2, 2), (8, 6, 2), (8, 8, 4)]:
             _assert_vcycle_parity(fn, shape, "random", 2, 2, 1)
 
     @pytest.mark.parametrize("kind", VCYCLE_KINDS)
-    def test_whole_solve(self, isolated, tier, kind):
-        """``MultigridSolver.solve`` ends on the same cycle count, residual
-        and array — converged, tolerance met early, budget exhausted,
-        strict (NaN fails fast), force-diverged, odd extents."""
-        def solve(backend, shape, **kwargs):
-            dispatch.set_backend(backend, env=False)
-            phi, source = _poisson_problem(shape, kind)
-            solver = MultigridSolver(tol=1e-9, max_cycles=6)
-            try:
-                with np.errstate(all="ignore"):
-                    out = solver.solve(source, 0.1, phi, **kwargs)
-                raised = False
-            except MultigridConvergenceError as exc:
-                out, raised = exc.phi, True
-                assert exc.diagnostics == solver.last_diagnostics
-            return (out, raised, solver.last_cycles, solver.last_residual,
-                    solver.last_diagnostics)
-
+    def test_whole_solve(self, tier, kind):
+        """A whole solve ends on the same verdict, cycle count, residual
+        and potential on both tiers — converged, tolerance met early,
+        budget exhausted, strict (NaN fails fast, and a failed strict
+        solve writes nothing), force-diverged, odd extents."""
         cases = [((8, 8, 8), {}), ((16, 26, 26), {}), ((4, 6, 4), {}),
                  ((5, 3, 7), {}),
-                 ((16, 16, 16), {"max_cycles": 2}),
-                 ((16, 16, 16), {"max_cycles": 2, "strict": True}),
-                 ((9, 9, 9), {"max_cycles": 3, "strict": True}),
+                 ((16, 16, 16), {"budget": 2}),
+                 ((16, 16, 16), {"budget": 2, "strict": True}),
+                 ((9, 9, 9), {"budget": 3, "strict": True}),
                  ((8, 12, 10), {"force_diverge": True}),
                  ((8, 12, 10), {"force_diverge": True, "strict": True})]
         for shape, kwargs in cases:
-            ref = solve("numpy", shape, **kwargs)
-            got = solve(tier, shape, **kwargs)
-            np.testing.assert_array_equal(got[0], ref[0])
+            phi, source = _poisson_problem(shape, kind)
+            args = {"budget": 6, **kwargs}
+            outs = []
+            for fn in (level_numpy, _tier_impls(tier)["mg.level"]):
+                with np.errstate(all="ignore"):
+                    outs.append(one_grid_solve(
+                        fn, phi, source, 0.1, 3, 3, 4, 1e-9, **args))
+            (f_ref, p_ref, s_ref), (f_got, p_got, s_got) = outs
+            np.testing.assert_array_equal(p_got, p_ref)
             # NaN residuals (the nan_rim kind) compare equal as strings
-            assert repr(got[1:]) == repr(ref[1:]), (shape, kwargs)
-            assert ref[1] == bool(kwargs.get("strict"))
+            assert repr((f_got, s_got)) == repr((f_ref, s_ref)), (shape,
+                                                                  kwargs)
+            assert f_ref == (0 if kwargs.get("strict") else -1)
+            if f_ref == 0:
+                assert not p_ref.any()
 
     def test_refuses_an_empty_budget(self, tier):
         """A budget below one V-cycle runs none: both tiers refuse it
-        before touching ``phi``."""
+        before touching the rim or the potential."""
         phi, source = _poisson_problem((4, 4, 4), "random")
         before = phi.copy()
-        for fn in (solve_numpy, _tier_impls(tier)["mg.solve"]):
+        for fn in (level_numpy, _tier_impls(tier)["mg.level"]):
+            plan = one_grid_plan(phi)
             for budget in (0, -1):
                 with pytest.raises(ValueError, match="budget"):
-                    fn(phi, source, 0.1, 3, 3, 4, 1e-6, budget, False, False)
+                    fn(plan, source.reshape(-1), 0, 1, 3, 3, 4, 1e-6, budget,
+                       False, False, True, np.zeros((1, 3)))
+            assert not plan.phis[0].any()
         np.testing.assert_array_equal(phi, before)
 
     def test_rms_is_numpys_mean_order(self, tier):
@@ -1063,22 +1065,32 @@ class TestVcycleParity:
             assert backend_cffi._lib.rk_rms(n, backend_cffi._pc(x)) == want, n
 
     def test_refuses_what_the_c_cannot_index(self, tier):
-        fn = _tier_impls(tier)["mg.solve"]
-        source = np.ones((4, 6, 8))
-        phi = np.zeros((6, 8, 10))
-        read_only = np.zeros((6, 8, 10))
+        """The call's own arrays are checked before the C runs (the plan's
+        where it is built): the statistics must be a writable C-contiguous
+        float64 row per grid, the source one value per interior cell, the
+        grid range inside the level."""
+        fn = _tier_impls(tier)["mg.level"]
+        phi, source = _poisson_problem((4, 6, 8), "random")
+        plan = one_grid_plan(phi.copy())
+        src = source.reshape(-1)
+        tail = (3, 3, 4, 1e-6, 2, False, False, True)
+        read_only = np.zeros((1, 3))
         read_only.flags.writeable = False
-        tail = (0.1, 3, 3, 4, 1e-6, 2, False, False)
-        for bad_phi in [np.zeros((6, 8, 9)),                 # shape mismatch
-                        np.asfortranarray(phi),               # non-contiguous
-                        np.zeros((6, 8, 20))[:, :, ::2],
-                        read_only,                            # non-writable
-                        phi.astype(np.float32)]:
-            with pytest.raises(ValueError, match="mg.solve: phi"):
-                fn(bad_phi, source, *tail)
-        with pytest.raises(ValueError, match="3-d"):
-            fn(np.zeros((6, 8)), np.ones((4, 6)), *tail)
-        assert not phi.any()
+        for bad in [np.zeros((2, 3)),                        # shape mismatch
+                    np.zeros(3),
+                    np.zeros((1, 6))[:, ::2],                 # non-contiguous
+                    read_only,                                # non-writable
+                    np.zeros((1, 3), dtype=np.float32)]:
+            with pytest.raises(ValueError, match="mg.level: stats"):
+                fn(plan, src, 0, 1, *tail, bad)
+        stats = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="src must hold"):
+            fn(plan, src[:-1], 0, 1, *tail, stats)
+        for first, stop in [(0, 2), (-1, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="grid range"):
+                fn(plan, src, first, stop, *tail, stats)
+        assert not plan.phis[0].any() and not stats.any()
+        np.testing.assert_array_equal(plan.rim_views[0], phi)
 
 
 # ============================================================ level solve
@@ -1128,11 +1140,11 @@ def _store_reference(phi, sol, ng):
 
 
 def _level_reference(h, src, passes, budget=8):
-    """The per-grid loop ``mg.level`` replaces: one ``mg.solve`` per grid
-    and pass from its rim, the store, then every ``rim_copies`` row
-    copied where ``np.array_equal`` says the rim differs.  Returns the
-    potentials, the rims the last pass solved from and each solve's
-    ``(cycles, residual, converged)``."""
+    """The per-grid loop ``mg.level`` replaces: one :func:`solve_numpy` per
+    grid and pass from a copy of its rim, the store, then every
+    ``rim_copies`` row copied where ``np.array_equal`` says the rim
+    differs.  Returns the potentials, the rims the last pass solved from
+    and each solve's ``(cycles, residual, converged)``."""
     topo = h.level_topology(1)
     plan = h.level_topology(1).poisson()
     fill_level_numpy(plan.rim_fill)
@@ -1162,7 +1174,7 @@ def _level_reference(h, src, passes, budget=8):
 @pytest.mark.parametrize("tier", ["numpy"] + COMPILED)
 class TestMgLevelParity:
     """``mg.level`` on every tier equals the per-grid loop it replaces:
-    ``mg.solve`` + store + exchange, bitwise."""
+    ``solve_numpy`` + store + exchange, bitwise."""
 
     @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("passes", [1, 2])
@@ -2062,8 +2074,8 @@ class TestCicParity:
 
 
 #: guard elements on each side of a canary array: more than two planes of
-#: the largest case (18² for ``mg.solve``), so a stride-sized overrun still
-#: lands inside the guard
+#: the largest case (20² for the potential of ``mg.level``'s 16³ grid), so a
+#: stride-sized overrun still lands inside the guard
 GUARD = 1024
 
 
@@ -2193,17 +2205,28 @@ class TestNoOutOfBoundsWrites:
     @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 3, 7), (8, 12, 10),
                                        (16, 16, 16)])
     def test_mg_vcycle(self, tier, shape, min_size):
-        """Three V-cycles of one ``mg.solve``."""
-        fn = _tier_impls(tier)["mg.solve"]
-        ref, source = _poisson_problem(shape, "random")
-        (got, b_phi), (src, b_src) = _guarded(ref), _guarded(source)
-        want = solve_numpy(ref, source, 0.1, 2, 3, min_size, 1e-12, 3, False,
-                           False)
-        before = _guards((b_phi, b_src))
-        out = fn(got, src, 0.1, 2, 3, min_size, 1e-12, 3, False, False)
-        np.testing.assert_array_equal(_guards((b_phi, b_src)), before)
-        np.testing.assert_array_equal(got, ref)
-        assert out == want
+        """Three V-cycles of the one grid of an ``mg.level`` call, its rim,
+        source, potential (two ghost layers) and statistics between guard
+        bands."""
+        fn = _tier_impls(tier)["mg.level"]
+        start, source = _poisson_problem(shape, "random")
+        ref = one_grid_plan(start.copy(), nghost=2)
+        want = np.zeros((1, 3))
+        level_numpy(ref, source.reshape(-1), 0, 1, 2, 3, min_size, 1e-12, 3,
+                    False, False, True, want)
+        (rim, b_rim), (src, b_src), (phi, b_phi), (stats, b_stats) = (
+            _guarded(a) for a in (start, source.reshape(-1),
+                                  np.zeros_like(ref.phis[0]),
+                                  np.zeros((1, 3))))
+        buffers = (b_rim, b_src, b_phi, b_stats)
+        before = _guards(buffers)
+        assert fn(one_grid_plan(rim, phi, nghost=2), src, 0, 1, 2, 3,
+                  min_size, 1e-12, 3, False, False, True, stats) == (-1,
+                                                                     False)
+        np.testing.assert_array_equal(_guards(buffers), before)
+        np.testing.assert_array_equal(rim, start)
+        np.testing.assert_array_equal(phi, ref.phis[0])
+        np.testing.assert_array_equal(stats, want)
 
     def test_gravity_accel(self, tier):
         fn = _tier_impls(tier)["gravity.accel"]
@@ -2618,6 +2641,10 @@ class TestIntegration:
             # and the coarse-fine and particle-mesh bookkeeping
             for name in ("flux.correct", "cic.deposit", "cic.gather"):
                 assert calls[name][0] > 0, name
+            # every kernel the tier registers is one this run reaches: an
+            # entry point no run calls shows here
+            assert {name for name, (n, _) in calls.items() if n > 0} == set(
+                _tier_impls(backend)), calls
             assert len(problem.hierarchy.levels) > 1
             return problem.hierarchy.fingerprint()
 

@@ -522,7 +522,6 @@ class TestArraysKeepIdentity:
                 ev.faults = FaultInjector([FaultSpec("nan_cell")])
             before, (topos, grids) = arrays(), plans()
             snapshotted = set(first)
-            run.criteria.a = run.clock.a_of(h.root.time)
             ev.advance_root_step(t_end)
             after, (topos_now, grids_now) = arrays(), plans()
             kept = before.keys() & after.keys()
