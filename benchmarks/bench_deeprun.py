@@ -39,10 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import resource
-import subprocess
 import time
 from pathlib import Path
 
@@ -51,7 +48,8 @@ import numpy as np
 from repro.amr import Hierarchy, RefinementCriteria
 from repro.amr.boundary import set_boundary_values
 from repro.amr.rebuild import rebuild_hierarchy
-from repro.kernels import dispatch
+
+import record
 
 # base gas-mass threshold in units of the mean root-cell mass; with
 # level_exponent = -1.84 the effective density threshold per level is
@@ -185,16 +183,6 @@ def run(config: dict) -> dict:
     }
 
 
-def _commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=False)
-    except OSError:  # no git on this host
-        return "unknown"
-    return out.stdout.strip() or "unknown"
-
-
 # ~25% of level-1 parents perturbed per round: the quiescent-bulk regime
 # the incremental rebuild targets.  FULL uses fat boxes (low efficiency,
 # large max_dims) so reused subtrees are volume-heavy while the refresh
@@ -220,12 +208,8 @@ def main(argv=None) -> int:
     results = run(config)
     payload = {
         "bench": "deeprun",
+        **record.header(),
         "mode": "smoke" if args.smoke else "full",
-        "host_cpus": len(os.sched_getaffinity(0)),
-        "kernel_tier": dispatch.active_backend(),
-        "commit": _commit(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "config": config,
         "results": results,
     }

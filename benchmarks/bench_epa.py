@@ -81,12 +81,12 @@ def test_epa_operation_containment(benchmark):
         sc = SphereCollapse(n_root=8, max_level=2, overdensity=20.0)
         # particles make the EPA count realistic
         from repro.nbody.particles import ParticleSet
-        from repro.precision.position import PositionDD
+        from repro.precision import DDArray
 
         rng = np.random.default_rng(1)
         n_p = 8**3
         sc.hierarchy.particles = ParticleSet(
-            PositionDD(rng.random((n_p, 3))),
+            DDArray(rng.random((n_p, 3))),
             0.01 * rng.standard_normal((n_p, 3)),
             np.full(n_p, 1e-6),
         )

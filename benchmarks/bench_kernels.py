@@ -55,8 +55,10 @@ This bench measures what that buys:
   fingerprints asserted bitwise-equal — the speedup you get for free
   without touching results.
 
-Writes ``BENCH_kernels.json`` next to this file, with the host, cpus,
-tier and commit it was measured on at its top level.
+Writes ``BENCH_kernels.json`` next to this file, with the header of
+``benchmarks/record.py`` (cpus, kernel tier, commit, Python, machine) at
+its top level and the SIMD copy the compiled tier runs (``lanes``) in
+each section.
 
 Run standalone::
 
@@ -72,9 +74,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
-import platform
-import subprocess
 import time
 import tracemalloc
 import warnings
@@ -105,6 +104,8 @@ from repro.gravity.multigrid import level_numpy
 from repro.hydro.ppm import step_numpy as hydro_step_numpy
 from repro.kernels import dispatch
 from repro.nbody.cic import deposit_numpy, gather_numpy
+
+import record
 
 
 def _best(fn, repeats: int) -> float:
@@ -163,20 +164,6 @@ def micro(config: dict, backend: str) -> dict:
 
 
 # -------------------------------------------------------------- fused step
-def _commit() -> str:
-    out = subprocess.run(
-        ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
-        capture_output=True, text=True, check=False)
-    return out.stdout.strip() or "unknown"
-
-
-def _host(backend: str) -> dict:
-    """Where a section's numbers come from: cpus, the SIMD copy the
-    compiled tier runs (``kernels.lanes()``), tier and commit."""
-    return {"host_cpus": len(os.sched_getaffinity(0)),
-            "lanes": dispatch.lanes(), "tier": backend, "commit": _commit()}
-
-
 #: the (scheme, Riemann solver) pairs the e2e workloads step with:
 #: ``sedov_amr`` traces characteristics, the collapse and sphere problems
 #: flatten their PPM states
@@ -244,7 +231,7 @@ def step_rows(config: dict, backend: str) -> dict:
         row["box_saving"] = (row[f"{backend}_full_box_us_per_cell"]
                              / row[f"{backend}_us_per_cell"])
         rows.append(row)
-    return {**_host(backend), "unit": "us per interior cell per step",
+    return {"lanes": dispatch.lanes(), "unit": "us per interior cell per step",
             "rows": rows}
 
 
@@ -300,7 +287,7 @@ def chem_step_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_cell_substep"]
                           / row[f"{backend}_us_per_cell_substep"])
         rows.append(row)
-    return {**_host(backend), "unit": "us per cell-substep",
+    return {"lanes": dispatch.lanes(), "unit": "us per cell-substep",
             "rows": rows}
 
 
@@ -447,7 +434,7 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_call"]
                           / row[f"{backend}_us_per_call"])
         rows.append(row)
-    return {**_host(backend), "unit": "us per call",
+    return {"lanes": dispatch.lanes(), "unit": "us per call",
             "flux_children": config["flux_children"], "particles": n_part,
             "rows": rows}
 
@@ -494,7 +481,7 @@ def level_plan_rows(config: dict, backend: str) -> dict:
     }
     row["speedup"] = (row[f"{backend}_per_call_us_per_grid_pass"]
                       / row[f"{backend}_plan_fed_us_per_grid_pass"])
-    return {**_host(backend), "unit": "us per grid-pass", "rows": [row]}
+    return {"lanes": dispatch.lanes(), "unit": "us per grid-pass", "rows": [row]}
 
 
 def mg_level_rows(config: dict, backend: str) -> dict:
@@ -537,7 +524,7 @@ def mg_level_rows(config: dict, backend: str) -> dict:
         row["speedup"] = (row["numpy_us_per_grid_pass"]
                           / row[f"{backend}_us_per_grid_pass"])
         rows.append(row)
-    return {**_host(backend), "unit": "us per grid-pass", "rows": rows}
+    return {"lanes": dispatch.lanes(), "unit": "us per grid-pass", "rows": rows}
 
 
 # -------------------------------------------------------------- end-to-end
@@ -621,10 +608,7 @@ def main(argv=None) -> int:
     backend = _compiled_backend()
     payload = {
         "bench": "kernels",
-        "host": platform.node(),
-        "cpus": len(os.sched_getaffinity(0)),
-        "tier": backend or "numpy",
-        "commit": _commit(),
+        **record.header(backend or "numpy"),
         "mode": "smoke" if args.smoke else "full",
         "config": config,
         "results": results,

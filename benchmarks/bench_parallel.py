@@ -38,8 +38,6 @@ commit.
 import argparse
 import hashlib
 import json
-import os
-import subprocess
 from pathlib import Path
 from time import perf_counter
 
@@ -55,6 +53,8 @@ from repro.parallel import (
     run_pipelined_exchange,
     simulate_level_update,
 )
+
+import record
 
 
 def _steriles_and_level(sphere_run):
@@ -219,20 +219,6 @@ SMOKE = {
     # an identity check, not a measurement: thread x 2 runs on any host
     "variants": [("serial", 1), ("thread", 2)],
 }
-
-
-def _host_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=False)
-    except OSError:  # no git on this host
-        return "unknown"
-    return out.stdout.strip() or "unknown"
 
 
 def _build_problem(config, exec_config=None):
@@ -446,8 +432,6 @@ def run_exec_bench(config, variants=None) -> dict:
 
 
 def main(argv=None) -> int:
-    import platform
-
     from repro.kernels import dispatch
 
     ap = argparse.ArgumentParser(
@@ -458,22 +442,18 @@ def main(argv=None) -> int:
                     default=str(Path(__file__).parent / "BENCH_exec.json"))
     args = ap.parse_args(argv)
     config = SMOKE if args.smoke else FULL
-    host_cpus = _host_cpus()
+    dispatch.warm()  # a cffi load or compile must not land in a timing
+    header = record.header()
     variants = config["variants"]
     if not args.smoke:
-        variants = [v for v in variants if v[1] <= host_cpus]
-    dispatch.warm()  # a cffi load or compile must not land in a timing
+        variants = [v for v in variants if v[1] <= header["host_cpus"]]
     results = run_exec_bench(config, variants)
     thread2 = next((v for v in results["variants"]
                     if (v["backend"], v["workers"]) == ("thread", 2)), None)
     payload = {
         "bench": "exec",
+        **header,
         "mode": "smoke" if args.smoke else "full",
-        "host_cpus": host_cpus,
-        "kernel_tier": dispatch.active_backend(),
-        "commit": _commit(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "config": {
             k: v for k, v in config.items() if k != "variants"
         } | {"variants": [list(v) for v in variants]},

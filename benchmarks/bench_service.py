@@ -10,7 +10,8 @@ virtual-time cluster, so the comparison measures the decision logic
 itself rather than simulation noise.  Reported per scheduler: makespan,
 utilisation of the worker budget, runs per hour, mean wait, preemptions.
 
-Writes ``BENCH_service.json`` next to this file.
+Writes ``BENCH_service.json`` next to this file, with the header of
+``benchmarks/record.py``.
 
 Run standalone::
 
@@ -28,6 +29,8 @@ import json
 from pathlib import Path
 
 from repro.service import FairShareScheduler, SimJob, VirtualCluster
+
+import record
 
 TOTAL_WORKERS = 4
 
@@ -99,6 +102,7 @@ def run_bench(smoke: bool = False) -> dict:
     fifo = replay(FairShareScheduler.fifo(), tick)
     return {
         "bench": "service_scheduler",
+        **record.header(),
         "workers": TOTAL_WORKERS,
         "queue": "12-run mixed (2 tenants, wide+narrow, 2 priority-5)",
         "tick_min": tick,

@@ -10,7 +10,8 @@ margin absorbs cross-platform FP drift); a regression that smears a
 shock front or breaks the solver's reconstruction drops the fitted order
 straight through them.
 
-Writes ``BENCH_validation.json`` next to this file.
+Writes ``BENCH_validation.json`` next to this file, with the header of
+``benchmarks/record.py``.
 
 Run standalone::
 
@@ -27,6 +28,8 @@ import argparse
 import json
 import time
 from pathlib import Path
+
+import record
 
 FLOORS_PATH = Path(__file__).parent / "validation_floors.json"
 
@@ -98,6 +101,7 @@ def main(argv=None) -> int:
     results = run(full=not args.smoke)
     payload = {
         "bench": "validation",
+        **record.header(),
         "mode": "smoke" if args.smoke else "full",
         "results": results,
     }

@@ -495,10 +495,8 @@ class HierarchyEvolver:
             v = v * drag + pa * 0.5 * dt
             # drift
             dx = v * (dt / a)
-            pos = parts.positions[sel]
-            pos.translate_inplace(dx)
-            pos = pos.wrap_periodic(0.0, 1.0)
-            parts.positions[sel] = pos
+            pos = parts.positions[sel].shift(dx)
+            parts.positions[sel] = pos.wrap_periodic()
             # second half kick (same potential)
             pa2 = self.gravity.particle_accelerations(
                 g, acc_field, parts.positions.hi[sel], parts.positions.lo[sel]

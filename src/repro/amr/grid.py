@@ -7,8 +7,9 @@ encapsulation: a grid represents the basic building block of AMR."
 Geometry is stored as integer cell indices at the grid's own level
 resolution (``start_index`` .. ``start_index + dims``), which is exact at
 any depth — one of the two legs of the paper's extended-precision
-discipline (the other, :class:`~repro.precision.position.PositionDD`, covers
-non-dyadic absolute positions: particles and time).  Edges in float64 are
+discipline (the other is double-double: particle positions are a
+:class:`~repro.precision.doubledouble.DDArray`, grid times a
+:class:`~repro.precision.doubledouble.DoubleDouble`).  Edges in float64 are
 exact whenever the root dims and refinement factor are powers of two.
 """
 

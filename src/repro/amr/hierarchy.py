@@ -166,22 +166,27 @@ class Hierarchy:
                     parent_level=self.level_grids(level - 1))
         return topo
 
-    def evict_stale_topology(self, level: int) -> None:
-        """Drop the level's cached topology unless it is current, so the
-        arrays its plans hold free now rather than at the level's next
-        query (the rebuild calls it as each level's old grids retire)."""
-        if self._current_topology(level) is None:
+    def evict_stale_topology(self, level: int, members=None) -> None:
+        """Drop the level's cached topology unless it is current for
+        ``members`` (default: the level's grids), so the arrays its plans
+        hold free now rather than at the level's next query.  The rebuild
+        calls it with the members a level will have, before it allocates
+        the level's new grids, and for each level it empties."""
+        if self._current_topology(level, members) is None:
             self._topologies.pop(level, None)
 
-    def _current_topology(self, level: int) -> LevelTopology | None:
+    def _current_topology(self, level: int,
+                          members=None) -> LevelTopology | None:
         """The cached topology of ``level`` while its grids, and the
         parent-level grids it was built from, are object for object
-        ``levels[level]`` and ``levels[level - 1]`` (the parent level
-        counts because a rebuild can re-attach a kept grid to a new
-        parent; see :mod:`repro.amr.topology` for why that suffices);
-        ``None`` otherwise."""
+        ``members`` (default ``levels[level]``) and ``levels[level - 1]``
+        (the parent level counts because a rebuild can re-attach a kept
+        grid to a new parent; see :mod:`repro.amr.topology` for why that
+        suffices); ``None`` otherwise."""
+        if members is None:
+            members = self.level_grids(level)
         topo = self._topologies.get(level)
-        if topo is not None and _same(topo.grids, self.level_grids(level)) \
+        if topo is not None and _same(topo.grids, members) \
                 and _same(topo.parent_level, self.level_grids(level - 1)):
             return topo
         return None

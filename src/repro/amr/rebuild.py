@@ -32,9 +32,11 @@ their arrays (:meth:`~repro.amr.grid.Grid.release`) as soon as its copy
 pass finishes, so nothing is held for a later rebuild.  A level whose
 grids and whose parent level's grids all survive keeps its cached
 topology (:meth:`~repro.amr.hierarchy.Hierarchy.level_topology`) with its
-checked ghost and Poisson plans; any other level's topology is evicted
-right after its old grids retire (levels the rebuild empties included),
-since its plans point to their arrays.
+checked ghost and Poisson plans; any other level's topology is evicted,
+since its plans point to the old grids' arrays: once every parent of the
+level is clustered and before any of its new grids is allocated (so the
+stale plans and the new arrays are never live together), and for the
+levels the rebuild empties once their old grids retire.
 
 The correctness gate: a reusing rebuild produces a hierarchy bitwise
 identical to the from-scratch path (``incremental=False``) — same boxes
@@ -55,7 +57,6 @@ from repro.amr.interpolation import (
 )
 from repro.amr.topology import box_overlaps, parent_table
 from repro.kernels import dispatch as kernels
-from repro.precision.doubledouble import DoubleDouble
 
 #: safety cells each parent's flag field is dilated by before clustering
 BUFFER_CELLS = 1
@@ -201,8 +202,9 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
         # old grids by box; a new box equal to one keeps that grid
         retiring = {(*g.start_index.tolist(), *g.dims.tolist()): g
                     for g in old_grids}
-        # (child, parent, kept): the entries the level's fill takes
-        new_grids: list[tuple[Grid, Grid, bool]] = []
+        # every parent is clustered before any new grid is allocated:
+        # (parent, start, dims, the kept grid or None), in grid order
+        boxes: list[tuple[Grid, np.ndarray, np.ndarray, Grid | None]] = []
         for parent in hierarchy.level_grids(lvl - 1):
             flags = criteria.flag_cells(parent, hierarchy.dm_density(parent))
             for crit, count in criteria.last_flag_counts.items():
@@ -210,29 +212,34 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
             stats["parents"] += 1
             if not flags.any():
                 continue
-            boxes = cluster_flagged_cells(
-                _dilate(flags, BUFFER_CELLS),
-                efficiency=criteria.efficiency,
-                min_size=criteria.min_size)
-            first = len(new_grids)
-            for box in boxes:
+            first = len(boxes)
+            for box in cluster_flagged_cells(
+                    _dilate(flags, BUFFER_CELLS),
+                    efficiency=criteria.efficiency,
+                    min_size=criteria.min_size):
                 for blo, bhi in _split_box(box.lo, box.hi, criteria.max_dims):
                     start = (parent.start_index + np.array(blo)) * r
                     dims = (np.array(bhi) - np.array(blo)) * r
                     key = (*start.tolist(), *dims.tolist())
-                    if incremental and key in retiring:
-                        new_grids.append((retiring.pop(key), parent, True))
-                        continue
-                    g = Grid(lvl, start, dims, hierarchy.n_root, r,
-                             hierarchy.nghost)
-                    g.allocate(hierarchy.advected)
-                    # its fields and its potential
-                    hierarchy.pool.acquires += len(g.fields.array_items()) + 1
-                    new_grids.append((g, parent, False))
-            if all(kept for _, _, kept in new_grids[first:]):
+                    kept = retiring.pop(key, None) if incremental else None
+                    boxes.append((parent, start, dims, kept))
+            if all(kept is not None for *_, kept in boxes[first:]):
                 stats["parents_reused"] += 1  # every box survived
 
-        for g, parent, kept in new_grids:
+        # the level's members are known now (a box that gets a new grid
+        # stands as None, which matches no cached member): a stale
+        # topology and the plans it holds go before the new arrays come
+        hierarchy.evict_stale_topology(lvl, [kept for *_, kept in boxes])
+        # (child, parent, kept): the entries the level's fill takes
+        new_grids: list[tuple[Grid, Grid, bool]] = []
+        for parent, start, dims, g in boxes:
+            kept = g is not None
+            if not kept:
+                g = Grid(lvl, start, dims, hierarchy.n_root, r,
+                         hierarchy.nghost)
+                g.allocate(hierarchy.advected)
+                # its fields and its potential
+                hierarchy.pool.acquires += len(g.fields.array_items()) + 1
             hierarchy.add_grid(g, parent, reused=kept)
             if kept:
                 # reset the per-step flux scratch a fresh Grid starts
@@ -240,16 +247,12 @@ def rebuild_hierarchy(hierarchy, level: int, criteria,
                 # for life, and its next step overwrites them)
                 g.flux_accumulator = None
                 g.last_fluxes = None
-                stats["reused"] += 1
-            else:
-                stats["created"] += 1
-            g.time = DoubleDouble(parent.time)
+            stats["reused" if kept else "created"] += 1
+            new_grids.append((g, parent, kept))
         _fill_level(new_grids, old_grids)
 
-        # this level's copy pass is done: free its old grids now, and the
-        # stale topology whose plans still point to their arrays
+        # this level's copy pass is done: free its old grids now
         retire(retiring.values())
-        hierarchy.evict_stale_topology(lvl)
         if not new_grids:
             break
         lvl += 1

@@ -14,7 +14,7 @@ ordinary differential equations has been developed by some of us
   coupling the network and the thermal energy, per cell, vectorised.
 """
 
-from repro.chemistry.species import SPECIES, Species, electron_density, neutral_fractions
+from repro.chemistry.species import SPECIES, Species, electron_density
 from repro.chemistry.rates import RateTable
 from repro.chemistry.cooling import cooling_rate
 from repro.chemistry.network import ChemistryNetwork, primordial_initial_fractions
@@ -25,7 +25,6 @@ __all__ = [
     "SPECIES",
     "Species",
     "electron_density",
-    "neutral_fractions",
     "RateTable",
     "cooling_rate",
     "ChemistryNetwork",

@@ -55,15 +55,6 @@ def electron_density(n: dict) -> np.ndarray:
     )
 
 
-def neutral_fractions(n: dict) -> dict:
-    """Diagnostic fractions: ionised H, molecular H (by H nuclei mass)."""
-    h_nuclei = n["HI"] + n["HII"] + n["HM"] + 2.0 * (n["H2I"] + n["H2II"])
-    return {
-        "x_HII": n["HII"] / np.maximum(h_nuclei, 1e-300),
-        "f_H2": 2.0 * n["H2I"] / np.maximum(h_nuclei, 1e-300),
-    }
-
-
 def nuclei_totals(n: dict) -> dict:
     """Conserved nuclei number densities (for conservation tests)."""
     return {

@@ -22,7 +22,7 @@ from repro.cosmology.friedmann import FriedmannSolver
 from repro.cosmology.gaussian_field import GaussianRandomField, degrade_field
 from repro.cosmology.parameters import CosmologyParameters
 from repro.cosmology.units import CodeUnits
-from repro.precision.position import PositionDD
+from repro.precision.doubledouble import DDArray
 
 
 @dataclass
@@ -40,7 +40,7 @@ class GasIC:
 class ParticleIC:
     """Dark-matter particle load: EPA positions, code velocities, masses."""
 
-    positions: PositionDD  # (n_p, 3) in [0,1)
+    positions: DDArray  # (n_p, 3) in [0,1)
     velocities: np.ndarray  # (n_p, 3) code units
     masses: np.ndarray  # (n_p,) code mass
 
@@ -150,9 +150,8 @@ class ZeldovichIC:
         disp = np.stack(
             [psi[0].ravel(), psi[1].ravel(), psi[2].ravel()], axis=-1
         ) * mpc_h_to_code
-        pos = PositionDD(q).translate(disp)
-        # periodic wrap component-wise
-        pos = pos.wrap_periodic(0.0, 1.0)
+        # displaced and wrapped periodically, component-wise
+        pos = DDArray(q).shift(disp).wrap_periodic()
         vel = disp / mpc_h_to_code * self._velocity_scale()  # psi * scale
         cdm_fraction = self.params.omega_cdm / self.params.omega_matter
         mass = cdm_fraction / n**3  # code mass per particle (total matter mean = 1)
@@ -271,18 +270,17 @@ class NestedGridIC:
             counts = np.diff(np.append(starts, len(ids_sorted)))
             return sums / counts[:, None]
 
-        pos_flat = np.stack([fine.positions.hi[outside], fine.positions.lo[outside]])
-        # average hi and lo words separately then renormalise via PositionDD
-        hi_mean = _block_mean(pos_flat[0])
-        lo_mean = _block_mean(pos_flat[1])
+        # average the hi and lo words separately; the averaged pair is kept
+        # as it comes, not renormalised
+        hi_mean = _block_mean(fine.positions.hi[outside])
+        lo_mean = _block_mean(fine.positions.lo[outside])
         vel_mean = _block_mean(fine.velocities[outside])
         mass_s = fine.masses[outside][order]
         mass_sum = np.add.reduceat(mass_s, starts)
 
-        pos_out = PositionDD(hi_mean, lo_mean)
-        positions = PositionDD(
-            np.concatenate([pos_in.hi, pos_out.hi]),
-            np.concatenate([pos_in.lo, pos_out.lo]),
+        positions = DDArray(
+            np.concatenate([pos_in.hi, hi_mean]),
+            np.concatenate([pos_in.lo, lo_mean]),
         )
         velocities = np.concatenate([vel_in, vel_mean])
         masses = np.concatenate([mass_in, mass_sum])

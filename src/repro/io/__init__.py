@@ -3,7 +3,7 @@
 The paper's outputs were "in the 2-4 GB range" with "at least 50-100 GB
 disk storage" per run; analysis and visualisation read those dumps.  This
 package serialises the full hierarchy state (grids, fields, particles with
-their extended-precision positions, times) to a single stored
+their double-double positions, times) to a single stored
 (uncompressed) ``.npz`` and restores it bit-exactly.
 """
 

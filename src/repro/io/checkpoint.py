@@ -34,8 +34,7 @@ from repro.amr.grid import Grid
 from repro.amr.hierarchy import Hierarchy
 from repro.hydro.state import META_KEY
 from repro.nbody.particles import ParticleSet
-from repro.precision.doubledouble import DoubleDouble
-from repro.precision.position import PositionDD
+from repro.precision.doubledouble import DDArray, DoubleDouble
 
 FORMAT_VERSION = 1
 
@@ -190,8 +189,14 @@ def load_hierarchy(path: str) -> Hierarchy:
                 float(entry["time_hi"]), float(entry["time_lo"])
             )
 
+        pos_hi, pos_lo = data["particles_pos_hi"], data["particles_pos_lo"]
+        if pos_hi.shape != pos_lo.shape:
+            # DDArray would broadcast a low word array of another shape
+            raise CheckpointError(
+                f"particle position words differ in shape: {pos_hi.shape} "
+                f"vs {pos_lo.shape}")
         h.particles = ParticleSet(
-            PositionDD(data["particles_pos_hi"], data["particles_pos_lo"]),
+            DDArray(pos_hi, pos_lo),
             data["particles_vel"],
             data["particles_mass"],
             data["particles_ids"],

@@ -5,7 +5,7 @@ gravity. ... we solve for the individual trajectories of a representative
 sample of particles ... using particle-mesh techniques specially tailored to
 adaptive mesh hierarchies." (paper Sec. 3.3)
 
-Positions are EPA (:class:`repro.precision.PositionDD`) — particles deep in
+Positions are EPA (a double-double :class:`repro.precision.DDArray`) — particles deep in
 the hierarchy move by increments ~1e-12 of the box, which float64 cannot
 represent; velocities and masses are plain float64 (relative quantities).
 """

@@ -30,7 +30,7 @@ def drift(particles: ParticleSet, dt: float, a: float = 1.0,
           periodic: bool = True) -> None:
     """Advance EPA positions by v dt / a (the only EPA-critical operation)."""
     dx = particles.velocities * (dt / a)
-    particles.positions.translate_inplace(dx)
+    particles.positions = particles.positions.shift(dx)
     if periodic:
         particles.wrap_periodic()
 

@@ -1,10 +1,10 @@
-"""Particle container with extended-precision positions."""
+"""Particle container with double-double positions."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.precision.position import PositionDD, relative_offset
+from repro.precision.doubledouble import DDArray
 
 
 class ParticleSet:
@@ -14,9 +14,9 @@ class ParticleSet:
     gas convention); positions live in the unit box.
     """
 
-    def __init__(self, positions: PositionDD, velocities: np.ndarray,
+    def __init__(self, positions: DDArray, velocities: np.ndarray,
                  masses: np.ndarray, ids: np.ndarray | None = None):
-        n = positions.hi.shape[0]
+        n = len(positions)
         velocities = np.asarray(velocities, dtype=float)
         masses = np.asarray(masses, dtype=float)
         if velocities.shape != (n, 3):
@@ -31,16 +31,15 @@ class ParticleSet:
     @classmethod
     def empty(cls) -> "ParticleSet":
         return cls(
-            PositionDD(np.zeros((0, 3))), np.zeros((0, 3)), np.zeros(0), np.zeros(0, int)
+            DDArray(np.zeros((0, 3))), np.zeros((0, 3)), np.zeros(0), np.zeros(0, int)
         )
 
     @classmethod
     def from_arrays(cls, positions_f64, velocities, masses) -> "ParticleSet":
-        return cls(PositionDD(np.asarray(positions_f64, float)),
-                   velocities, masses)
+        return cls(DDArray(positions_f64), velocities, masses)
 
     def __len__(self) -> int:
-        return self.positions.hi.shape[0]
+        return len(self.positions)
 
     @property
     def total_mass(self) -> float:
@@ -49,7 +48,7 @@ class ParticleSet:
     def select(self, mask) -> "ParticleSet":
         """Subset by boolean mask or index array."""
         return ParticleSet(
-            PositionDD(self.positions.hi[mask], self.positions.lo[mask]),
+            self.positions[mask],
             self.velocities[mask],
             self.masses[mask],
             self.ids[mask],
@@ -57,7 +56,7 @@ class ParticleSet:
 
     def concatenated(self, other: "ParticleSet") -> "ParticleSet":
         return ParticleSet(
-            PositionDD(
+            DDArray(
                 np.concatenate([self.positions.hi, other.positions.hi]),
                 np.concatenate([self.positions.lo, other.positions.lo]),
             ),
@@ -68,18 +67,12 @@ class ParticleSet:
 
     def offsets_from(self, origin_hi, origin_lo=None) -> np.ndarray:
         """float64 positions relative to a DD origin (the precision boundary)."""
-        origin = PositionDD(
-            np.broadcast_to(np.asarray(origin_hi, float), self.positions.hi.shape),
-            None
-            if origin_lo is None
-            else np.broadcast_to(np.asarray(origin_lo, float), self.positions.hi.shape),
-        )
-        return relative_offset(self.positions, origin)
+        return (self.positions - DDArray(origin_hi, origin_lo)).to_float64()
 
     def in_region(self, left_edge, right_edge) -> np.ndarray:
         """Boolean mask of particles inside [left, right) (float64 compare —
         adequate for region membership, which is cell-scale)."""
-        pos = self.positions.hi + self.positions.lo
+        pos = self.positions.to_float64()
         left = np.asarray(left_edge, float)
         right = np.asarray(right_edge, float)
         return np.all((pos >= left) & (pos < right), axis=1)

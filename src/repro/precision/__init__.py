@@ -12,13 +12,15 @@ Two layers are provided:
 * :mod:`repro.precision.core` — branch-free, vectorised kernels operating on
   ``(hi, lo)`` pairs of ``float64`` ndarrays (error-free transformations:
   TwoSum, TwoProd via Dekker splitting, renormalisation).
-* :mod:`repro.precision.doubledouble` — the :class:`DDArray` user type with
-  operator overloading, and the :class:`DoubleDouble` scalar convenience.
+* :mod:`repro.precision.doubledouble` — :class:`DDArray`, the one
+  double-double array type, with operator overloading, and the
+  :class:`DoubleDouble` scalar convenience.
 
-:mod:`repro.precision.position` applies EPA to the one place the paper says
-it is needed: absolute grid-edge and particle positions, with cheap
-``float64`` *relative* coordinates recovered for grid-local work (this is how
-the paper keeps the EPA operation count to ~5 %).
+EPA goes where the paper says it is needed: absolute particle positions
+(a :class:`DDArray`) and grid times (a :class:`DoubleDouble`), with cheap
+``float64`` *relative* coordinates ``(positions - origin).to_float64()``
+recovered for grid-local work (this is how the paper keeps the EPA
+operation count to ~5 %).
 """
 
 from repro.precision.core import (
@@ -28,7 +30,6 @@ from repro.precision.core import (
     split,
     dd_add,
     dd_sub,
-    dd_neg,
     dd_mul,
     dd_div,
     dd_add_f64,
@@ -39,7 +40,6 @@ from repro.precision.core import (
     dd_from_f64,
 )
 from repro.precision.doubledouble import DDArray, DoubleDouble, dd
-from repro.precision.position import PositionDD, relative_offset
 
 __all__ = [
     "two_sum",
@@ -48,7 +48,6 @@ __all__ = [
     "split",
     "dd_add",
     "dd_sub",
-    "dd_neg",
     "dd_mul",
     "dd_div",
     "dd_add_f64",
@@ -60,6 +59,4 @@ __all__ = [
     "DDArray",
     "DoubleDouble",
     "dd",
-    "PositionDD",
-    "relative_offset",
 ]

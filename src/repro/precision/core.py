@@ -70,11 +70,6 @@ def dd_add(a_hi, a_lo, b_hi, b_lo):
     return quick_two_sum(s1, s2)
 
 
-def dd_neg(a_hi, a_lo):
-    """Negation."""
-    return -a_hi, -a_lo
-
-
 def dd_sub(a_hi, a_lo, b_hi, b_lo):
     """Double-double subtraction."""
     return dd_add(a_hi, a_lo, -b_hi, -b_lo)

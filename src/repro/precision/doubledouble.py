@@ -1,8 +1,20 @@
 """User-facing double-double array and scalar types.
 
 :class:`DDArray` wraps a pair of ``float64`` ndarrays and overloads the
-arithmetic operators; :class:`DoubleDouble` is the rank-0 convenience with
-exact-decimal construction and printing for tests and I/O.
+arithmetic operators; it is the one extended-precision array type, holding
+the particles' absolute positions (which it shifts by float64 offsets and
+wraps into the periodic box) as well as the grids' times through
+:class:`DoubleDouble`, the rank-0 convenience with exact-decimal
+construction and printing for tests and I/O.
+
+The paper's discipline (Sec. 3.5): *absolute* positions and times carry
+extended precision, while grid-local operations use cheap ``float64``
+*relative* coordinates ``O(dx)``.  The boundary where the extra precision
+is dropped is a double-double difference rounded once:
+``(positions - origin).to_float64()``: the subtraction, carried out in
+double-double, suffers no catastrophic cancellation even when
+``|position - origin| / |position| ~ 1e-12``, and only the O(dx) result
+is rounded to float64.
 """
 
 from __future__ import annotations
@@ -125,6 +137,23 @@ class DDArray:
 
     def sqrt(self):
         return DDArray(*core.dd_sqrt(self.hi, self.lo))
+
+    def shift(self, offset):
+        """``self + offset`` for a float64 ``offset``, by
+        :func:`core.dd_add_f64` (half the flops of ``+``'s full
+        ``dd_add``): the leapfrog drift's operation, whose words the
+        hierarchy fingerprint hashes."""
+        return DDArray(*core.dd_add_f64(
+            self.hi, self.lo, np.asarray(offset, dtype=np.float64)))
+
+    def wrap_periodic(self, lo_edge=0.0, hi_edge=1.0):
+        """Wrap into ``[lo_edge, hi_edge)``, assuming at most one period
+        off; the low words survive the shift."""
+        width = hi_edge - lo_edge
+        offset = np.zeros_like(self.hi)
+        offset[self >= hi_edge] = -width
+        offset[self < lo_edge] = width
+        return self.shift(offset)
 
     def sum(self):
         """Exact-compensated sum of all elements, returned as a DoubleDouble."""

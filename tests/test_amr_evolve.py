@@ -9,7 +9,7 @@ from repro.amr.gravity import HierarchyGravity
 from repro.amr.rebuild import rebuild_hierarchy
 from repro.hydro import PPMSolver, ZeusSolver
 from repro.nbody.particles import ParticleSet
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 from repro.runtime.telemetry import step_record
 
 
@@ -199,7 +199,7 @@ class TestHierarchyGravity:
     def test_particle_deposit_included(self):
         h = Hierarchy(n_root=8)
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.array([5.0])
+            DDArray(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.array([5.0])
         )
         grav = HierarchyGravity(g_code=1.0, mean_density=5.0 + 1.0)
         rho = grav.total_density(h, h.root)
@@ -363,7 +363,7 @@ class TestEvolveLevel:
     def test_particles_advance_with_hierarchy(self):
         h = _blob_hierarchy()
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.3, 0.5, 0.5]])),
+            DDArray(np.array([[0.3, 0.5, 0.5]])),
             np.array([[0.5, 0.0, 0.0]]),
             np.array([1e-30]),  # massless tracer
         )

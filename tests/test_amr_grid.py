@@ -5,7 +5,7 @@ import pytest
 
 from repro.amr import Grid, Hierarchy
 from repro.amr.topology import box_overlaps
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 from tests.oracles import ghost_overlap
 
 
@@ -233,7 +233,7 @@ class TestHierarchy:
 
         h, child = self._two_level()
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]])),
+            DDArray(np.array([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]])),
             np.zeros((2, 3)),
             np.ones(2),
         )

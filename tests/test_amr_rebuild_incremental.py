@@ -519,6 +519,43 @@ class TestBulkUpdate:
             h.add_grid(g, h.root, reused=True)
         assert h.level_topology(1).grids == grids
 
+    def test_stale_topology_goes_before_new_grids_allocate(self,
+                                                          monkeypatch):
+        """A rebuild evicts a changed level's cached topology, with the
+        plans that pin the old grids' arrays, before it allocates the
+        level's first new grid; a level whose grids it keeps keeps its
+        topology throughout."""
+        h = _fresh_hierarchy()
+        crit = RefinementCriteria(overdensity_threshold=3.0, max_level=2)
+        rebuild_hierarchy(h, 1, crit)
+        level1, level2 = list(h.level_grids(1)), list(h.level_grids(2))
+        assert level2
+        kept, stale = h.level_topology(1), h.level_topology(2)
+        # the root is unchanged, so level 1 keeps its boxes; level 2's
+        # flagged cells move to one corner of each level-1 grid
+        for g in level1:
+            rho = g.fields["density"]
+            rho[...] = 1.0
+            lo = g.nghost
+            rho[lo:lo + 2, lo:lo + 2, lo:lo + 2] = 10.0
+        cached = []
+        allocate = Grid.allocate
+
+        def spy(grid, *args, **kwargs):
+            if grid.level == 2 and not cached:
+                cached.append(dict(h._topologies))
+            return allocate(grid, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, "allocate", spy)
+        rebuild_hierarchy(h, 1, crit)
+        assert h.level_grids(1) == level1
+        assert set(h.level_grids(2)) - set(level2)  # new grids on level 2
+        assert len(cached) == 1
+        assert cached[0].get(1) is kept
+        assert cached[0].get(2) is None
+        assert stale not in cached[0].values()
+        assert h.level_topology(1) is kept
+
     def test_kept_grid_under_new_parent_gets_new_topology(self):
         """A level whose members are unchanged but whose parent level was
         replaced keeps no cached topology: its parents are the new ones."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.halos import friends_of_friends, spherical_overdensity
 from repro.nbody.particles import ParticleSet
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 
 
 def _clustered_particles(n_halo=200, n_field=200, centre=(0.5, 0.5, 0.5),
@@ -16,7 +16,7 @@ def _clustered_particles(n_halo=200, n_field=200, centre=(0.5, 0.5, 0.5),
     pos = np.vstack([halo, field]) % 1.0
     vel = rng.standard_normal((n_halo + n_field, 3)) * 0.01
     mass = np.full(n_halo + n_field, 1.0 / (n_halo + n_field))
-    return ParticleSet(PositionDD(pos), vel, mass)
+    return ParticleSet(DDArray(pos), vel, mass)
 
 
 class TestFoF:
@@ -31,7 +31,7 @@ class TestFoF:
     def test_uniform_field_no_big_groups(self):
         rng = np.random.default_rng(1)
         n = 400
-        p = ParticleSet(PositionDD(rng.random((n, 3))),
+        p = ParticleSet(DDArray(rng.random((n, 3))),
                         np.zeros((n, 3)), np.full(n, 1.0 / n))
         groups = friends_of_friends(p, min_members=50)
         assert groups == []
@@ -50,7 +50,7 @@ class TestFoF:
         a = np.array([0.25, 0.25, 0.25]) + 0.01 * rng.standard_normal((150, 3))
         b = np.array([0.75, 0.75, 0.75]) + 0.01 * rng.standard_normal((150, 3))
         pos = np.vstack([a, b]) % 1.0
-        p = ParticleSet(PositionDD(pos), np.zeros((300, 3)), np.full(300, 1 / 300))
+        p = ParticleSet(DDArray(pos), np.zeros((300, 3)), np.full(300, 1 / 300))
         groups = friends_of_friends(p, min_members=50)
         assert len(groups) == 2
         assert abs(groups[0]["mass"] - 0.5) < 0.05
@@ -77,7 +77,7 @@ class TestSO:
     def test_no_halo_in_uniform_field(self):
         rng = np.random.default_rng(6)
         n = 500
-        p = ParticleSet(PositionDD(rng.random((n, 3))),
+        p = ParticleSet(DDArray(rng.random((n, 3))),
                         np.zeros((n, 3)), np.full(n, 1.0 / n))
         halo = spherical_overdensity(p, (0.5, 0.5, 0.5), mean_density=1.0)
         # a uniform field has no 178x overdense sphere beyond shot noise

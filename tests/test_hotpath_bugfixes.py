@@ -17,8 +17,7 @@ from repro.amr.boundary import _time_fraction, set_boundary_values
 from repro.amr.gravity import HierarchyGravity
 from repro.hydro import PPMSolver
 from repro.nbody.particles import ParticleSet
-from repro.precision.doubledouble import DoubleDouble
-from repro.precision.position import PositionDD
+from repro.precision.doubledouble import DDArray, DoubleDouble
 
 
 def _two_sibling_level(n_root=8):
@@ -39,7 +38,7 @@ class TestParticleSingleAdvance:
         h, a, b = _two_sibling_level()
         v = 1.0
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.49, 0.25, 0.25]])),
+            DDArray(np.array([[0.49, 0.25, 0.25]])),
             np.array([[v, 0.0, 0.0]]),
             np.array([1.0]),
         )
@@ -77,7 +76,7 @@ class TestParticleSingleAdvance:
         h.add_grid(a, h.root)
         h.add_grid(b, h.root)
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.45, 0.5, 0.5]])),  # inside both
+            DDArray(np.array([[0.45, 0.5, 0.5]])),  # inside both
             np.array([[0.0, 0.0, 0.0]]),
             np.array([1.0]),
         )

@@ -14,8 +14,7 @@ from repro.io import (
 )
 from repro.io.checkpoint import verify_run_dir, write_npz
 from repro.nbody.particles import ParticleSet
-from repro.precision.doubledouble import DoubleDouble
-from repro.precision.position import PositionDD
+from repro.precision.doubledouble import DDArray, DoubleDouble
 
 
 @pytest.fixture
@@ -34,7 +33,7 @@ def populated_hierarchy():
     root.time = DoubleDouble(0.125, 1e-25)
     n_p = 50
     h.particles = ParticleSet(
-        PositionDD(rng.random((n_p, 3)), 1e-20 * rng.random((n_p, 3))),
+        DDArray(rng.random((n_p, 3)), 1e-20 * rng.random((n_p, 3))),
         rng.standard_normal((n_p, 3)),
         rng.random(n_p),
     )
@@ -193,6 +192,19 @@ class TestCheckpoint:
         )
         write_npz(p, data)
         with pytest.raises(ValueError):
+            load_hierarchy(p)
+
+    def test_particle_words_of_two_shapes_are_refused(self,
+                                                      populated_hierarchy,
+                                                      tmp_path):
+        """A low-word array that would broadcast against the high words
+        is a corrupt checkpoint, not a particle load."""
+        p = str(tmp_path / "dump.npz")
+        save_hierarchy(populated_hierarchy, p)
+        data = dict(np.load(p))
+        data["particles_pos_lo"] = data["particles_pos_lo"][:1]
+        write_npz(p, data)
+        with pytest.raises(CheckpointError, match="shape"):
             load_hierarchy(p)
 
     def test_legacy_compressed_dump_still_loads(self, populated_hierarchy,

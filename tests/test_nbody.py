@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.gravity import acceleration_from_potential, gravity_source, solve_periodic
 from repro.nbody import ParticleSet, cic_deposit, cic_gather, drift, kick, kick_drift_kick
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 
 
 def _random_particles(n, seed=0, vmax=0.1):
     rng = np.random.default_rng(seed)
-    pos = PositionDD(rng.random((n, 3)))
+    pos = DDArray(rng.random((n, 3)))
     vel = vmax * rng.standard_normal((n, 3))
     mass = rng.random(n) + 0.5
     return ParticleSet(pos, vel, mass)
@@ -26,9 +26,9 @@ class TestParticleSet:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParticleSet(PositionDD(np.zeros((3, 3))), np.zeros((2, 3)), np.zeros(3))
+            ParticleSet(DDArray(np.zeros((3, 3))), np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ValueError):
-            ParticleSet(PositionDD(np.zeros((3, 3))), np.zeros((3, 3)), np.zeros(4))
+            ParticleSet(DDArray(np.zeros((3, 3))), np.zeros((3, 3)), np.zeros(4))
 
     def test_select_and_concat(self):
         p = _random_particles(10)
@@ -39,13 +39,13 @@ class TestParticleSet:
         np.testing.assert_array_equal(np.sort(c.ids), np.arange(10))
 
     def test_in_region(self):
-        p = ParticleSet(PositionDD(np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])),
+        p = ParticleSet(DDArray(np.array([[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])),
                         np.zeros((2, 3)), np.ones(2))
         mask = p.in_region([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         np.testing.assert_array_equal(mask, [True, False])
 
     def test_offsets_from(self):
-        p = ParticleSet(PositionDD(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1))
+        p = ParticleSet(DDArray(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1))
         off = p.offsets_from(np.array([0.25, 0.25, 0.25]))
         np.testing.assert_allclose(off, [[0.25, 0.25, 0.25]])
 
@@ -127,25 +127,25 @@ class TestCIC:
 
 class TestIntegrator:
     def test_drift_moves_positions(self):
-        p = ParticleSet(PositionDD(np.array([[0.5, 0.5, 0.5]])),
+        p = ParticleSet(DDArray(np.array([[0.5, 0.5, 0.5]])),
                         np.array([[0.1, 0.0, -0.2]]), np.ones(1))
         drift(p, dt=0.5, a=1.0)
         np.testing.assert_allclose(p.positions.hi, [[0.55, 0.5, 0.4]])
 
     def test_drift_scales_with_a(self):
-        p = ParticleSet(PositionDD(np.array([[0.5, 0.5, 0.5]])),
+        p = ParticleSet(DDArray(np.array([[0.5, 0.5, 0.5]])),
                         np.array([[0.1, 0.0, 0.0]]), np.ones(1))
         drift(p, dt=0.5, a=2.0)
         np.testing.assert_allclose(p.positions.hi[0, 0], 0.525)
 
     def test_drift_wraps(self):
-        p = ParticleSet(PositionDD(np.array([[0.95, 0.5, 0.5]])),
+        p = ParticleSet(DDArray(np.array([[0.95, 0.5, 0.5]])),
                         np.array([[0.2, 0.0, 0.0]]), np.ones(1))
         drift(p, dt=0.5, a=1.0)
         assert 0.0 <= p.positions.hi[0, 0] < 1.0
 
     def test_kick_with_drag(self):
-        p = ParticleSet(PositionDD(np.array([[0.5, 0.5, 0.5]])),
+        p = ParticleSet(DDArray(np.array([[0.5, 0.5, 0.5]])),
                         np.array([[1.0, 0.0, 0.0]]), np.ones(1))
         kick(p, None, dt=0.1, a=1.0, adot=1.0)
         assert np.isclose(p.velocities[0, 0], np.exp(-0.1))
@@ -168,12 +168,12 @@ class TestIntegrator:
             return cic_gather(g, p.positions.hi + p.positions.lo, dx)
 
         # measure the actual PM force to set the circular velocity
-        probe = ParticleSet(PositionDD(pos0.copy()), np.zeros((2, 3)), np.full(2, m))
+        probe = ParticleSet(DDArray(pos0.copy()), np.zeros((2, 3)), np.full(2, m))
         f = accel_fn(probe)
         g_mag = abs(f[0, 0])
         v_circ = np.sqrt(g_mag * sep / 2)
         vel0 = np.array([[0.0, v_circ, 0.0], [0.0, -v_circ, 0.0]])
-        p = ParticleSet(PositionDD(pos0.copy()), vel0.copy(), np.full(2, m))
+        p = ParticleSet(DDArray(pos0.copy()), vel0.copy(), np.full(2, m))
         t_orbit = 2 * np.pi * (sep / 2) / v_circ
         dt = t_orbit / 200
         seps = []

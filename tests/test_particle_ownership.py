@@ -19,7 +19,7 @@ from repro.amr.gravity import HierarchyGravity
 from repro.amr.rebuild import rebuild_hierarchy
 from repro.nbody.cic import cic_deposit
 from repro.nbody.particles import ParticleSet
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 
 N_ROOT = 8
 
@@ -86,7 +86,7 @@ def _particles(rng):
     lo = np.zeros_like(hi)
     lo[:40] = rng.normal(scale=1e-18, size=(40, 3))
     n = len(hi)
-    return ParticleSet(PositionDD(hi, lo), np.zeros((n, 3)), np.ones(n))
+    return ParticleSet(DDArray(hi, lo), np.zeros((n, 3)), np.ones(n))
 
 
 def _as_lists(owned):
@@ -118,7 +118,7 @@ class TestOwnedParticles:
         h.add_grid(b, h.root)
         # inside both, inside b only, and on b's left face (inside a too)
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.45, 0.5, 0.5], [0.9, 0.5, 0.5],
+            DDArray(np.array([[0.45, 0.5, 0.5], [0.9, 0.5, 0.5],
                                  [6 / 16, 0.5, 0.5]])),
             np.zeros((3, 3)), np.ones(3))
         assert _as_lists(h.owned_particles(1)) == [(a, [0, 2]), (b, [1])]
@@ -139,7 +139,7 @@ def _deposit_hierarchy():
     child.fields["density"][child.interior] = 1.0 + rng.random((6, 6, 6))
     pos = np.concatenate([rng.random((300, 3)),
                           0.25 + 0.375 * rng.random((100, 3))])
-    h.particles = ParticleSet(PositionDD(pos), np.zeros((400, 3)),
+    h.particles = ParticleSet(DDArray(pos), np.zeros((400, 3)),
                               rng.random(400))
     return h, child
 
@@ -178,7 +178,7 @@ class TestDmDensity:
         h = Hierarchy(n_root=N_ROOT)
         child = Grid(1, (0, 0, 0), (4, 4, 4), n_root=N_ROOT)
         h.add_grid(child, h.root)
-        h.particles = ParticleSet(PositionDD(np.array([[0.8, 0.8, 0.8]])),
+        h.particles = ParticleSet(DDArray(np.array([[0.8, 0.8, 0.8]])),
                                   np.zeros((1, 3)), np.ones(1))
         assert h.dm_density(child) is None
         assert h.dm_density(h.root) is not None
@@ -188,7 +188,7 @@ class TestDmDensity:
         a particle clump on uniform gas is flagged, and nothing else."""
         h = Hierarchy(n_root=N_ROOT)
         h.particles = ParticleSet(
-            PositionDD(np.full((50, 3), 0.53)), np.zeros((50, 3)),
+            DDArray(np.full((50, 3), 0.53)), np.zeros((50, 3)),
             np.full(50, 1.0 / 50))
         crit = RefinementCriteria(dm_mass_threshold=0.1, max_level=1)
         rebuild_hierarchy(h, 1, crit)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.precision import DDArray, DoubleDouble, dd
+from repro.precision import DDArray, DoubleDouble, core, dd
 
 finite_floats = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -118,6 +118,28 @@ class TestDDArray:
         c = a.copy()
         c[0] = 99.0
         assert a.hi[0] == 0.0
+
+    @pytest.mark.parametrize("lo_word", [0.0, -0.0, None])
+    def test_shift_matches_dd_add_f64(self, lo_word):
+        """A float64 shift leaves exactly the words ``core.dd_add_f64``
+        leaves, the sign of a zero included: the hierarchy fingerprint
+        hashes both words of every particle position."""
+        rng = np.random.default_rng(11)
+        shape = (200, 3)
+        hi = rng.random(shape) * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        if lo_word is None:
+            lo = hi * 2.0**-60 * rng.standard_normal(shape)
+        else:
+            lo = np.full(shape, lo_word)
+        offset = rng.standard_normal(shape) * 2.0 ** -rng.integers(0, 60, shape)
+        # exact cancellations and signed-zero offsets make zero words
+        offset[:20] = -hi[:20]
+        offset[20:40] = 0.0
+        offset[40:60] = -0.0
+        got = DDArray(hi, lo).shift(offset)
+        want_hi, want_lo = core.dd_add_f64(hi, lo, offset)
+        assert got.hi.tobytes() == want_hi.tobytes()
+        assert got.lo.tobytes() == want_lo.tobytes()
 
 
 class TestAlgebraicProperties:

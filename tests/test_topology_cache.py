@@ -11,7 +11,7 @@ from repro.amr.boundary import set_boundary_values
 from repro.amr.topology import LevelTopology
 from repro.nbody.particles import ParticleSet
 from repro.perf import ComponentTimers
-from repro.precision.position import PositionDD
+from repro.precision import DDArray
 from tests.oracles import copy_from_siblings, ghost_overlap, shell_boxes
 
 
@@ -172,7 +172,7 @@ class TestEpochInvalidation:
         child = _grid(1, (4, 4, 4), (8, 8, 8))
         h.add_grid(child, h.root)
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]])),
+            DDArray(np.array([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]])),
             np.zeros((2, 3)), np.ones(2),
         )
         assert _owned(h, 0) == [(h.root, [1])]
@@ -193,7 +193,7 @@ class TestEpochInvalidation:
     def test_particle_replacement_is_seen(self):
         h = Hierarchy(n_root=8)
         h.particles = ParticleSet(
-            PositionDD(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1)
+            DDArray(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1)
         )
         assert _owned(h, 0) == [(h.root, [0])]
         h.particles = ParticleSet.empty()
