@@ -94,7 +94,10 @@ from repro.amr.gravity import (
 )
 from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
+    MAX_SUBSTEPS,
+    SAFETY,
     ChemistryNetwork,
+    nuclei_budgets,
     primordial_initial_fractions,
     step_numpy,
 )
@@ -264,6 +267,7 @@ def chem_step_rows(config: dict, backend: str) -> dict:
         state0, e0, rho = chem_state(n_cells)
         n0 = dict(zip(SPECIES_NAMES, state0))
         T0 = net.temperature(n0, e0, rho)
+        budgets = np.stack(nuclei_budgets(n0))
         active = np.arange(n_cells, dtype=np.intp)
         cube = state0[SPECIES_NAMES.index("HI")] ** 3
         block = net.rates.block(T0)
@@ -276,9 +280,8 @@ def chem_step_rows(config: dict, backend: str) -> dict:
                 t_done = np.zeros(n_cells)
                 counts = np.zeros(n_cells, dtype=np.int64)
                 t0 = time.perf_counter()
-                fn(state, e, rho, None, t_done, counts, active, T, cube,
-                   block, dt, z, net.safety, net.max_substeps, True, True,
-                   True)
+                fn(state, e, rho, budgets, t_done, counts, active, T, cube,
+                   block, dt, z, SAFETY, MAX_SUBSTEPS)
                 best = min(best, time.perf_counter() - t0)
             outputs[name] = (state, e, t_done, counts, T)
             row[f"{name}_us_per_cell_substep"] = 1e6 * best / n_cells

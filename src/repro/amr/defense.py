@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chemistry.network import integrator_stats
 from repro.hydro.state import total_energy
 from repro.hydro.zeus import ZeusSolver
 from repro.perf.timers import StepStats
@@ -364,10 +365,12 @@ class DefenseLadder:
         }
 
     # ------------------------------------------------------------ chemistry
-    def rescue_chemistry(self, grid, network, dt_code: float, units,
-                         a: float, error=None, problems=(), faults=None):
+    def rescue_chemistry(self, grid, network, solver, dt_code: float, units,
+                         a: float, faults=None):
         """Chemistry ladder; returns integrator stats or None (skipped).
-        ``faults`` is the run's injector, re-queried for ``chem_blowup``."""
+        ``solver`` is the run's hydro solver, whose positivity floors the
+        repair rung clamps to, as the hydro ladder's does; ``faults`` is
+        the run's injector, re-queried for ``chem_blowup``."""
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
 
         # rung 1: retry as two half-dt advances (the network writes a cell
@@ -382,7 +385,12 @@ class DefenseLadder:
             s1 = network.advance_fields(active, half, units, a)
             s2 = network.advance_fields(active, half, units, a)
             retry_error = None
-            stats = _merge_chem_stats(s1, s2)
+            # one advance over dt: the counters of its halves summed
+            stats = integrator_stats({
+                "cells": s2["cells"],
+                "substeps_total": s1["substeps_total"] + s2["substeps_total"],
+                "substeps_max": max(s1["substeps_max"], s2["substeps_max"]),
+                "iterations": s1["iterations"] + s2["iterations"]})
         except Exception as exc:
             retry_error = exc
             stats = None
@@ -399,7 +407,7 @@ class DefenseLadder:
 
         if retry_error is None:
             # the advance ran but produced an invalid state: repair it
-            repair = self._floor_repair(grid, network, None)
+            repair = self._floor_repair(grid, solver, None)
             chem_problems = self.validate_grid(grid)
             self.record_event({
                 "rung": "chem_floor_repair", "ok": not chem_problems,
@@ -416,22 +424,3 @@ class DefenseLadder:
         })
         return None
 
-
-def _merge_chem_stats(s1: dict | None, s2: dict | None) -> dict | None:
-    if not s1:
-        return s2
-    if not s2:
-        return s1
-    out = dict(s2)
-    out["substeps_total"] = (
-        int(s1.get("substeps_total", 0)) + int(s2.get("substeps_total", 0))
-    )
-    out["substeps_max"] = max(
-        int(s1.get("substeps_max", 0)), int(s2.get("substeps_max", 0))
-    )
-    if "active_fraction_mean" in out:
-        out["active_fraction_mean"] = 0.5 * (
-            float(s1.get("active_fraction_mean", 0.0))
-            + float(s2.get("active_fraction_mean", 0.0))
-        )
-    return out

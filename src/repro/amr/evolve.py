@@ -463,14 +463,10 @@ class HierarchyEvolver:
 
     def _defend_chemistry(self, task):
         d, g = self.defense, task.grid
-        if task.error is None:
-            problems = d.validate_grid(g)
-            if not problems:
-                return task.result
-        else:
-            problems = [f"task_error:{type(task.error).__name__}"]
-        return d.rescue_chemistry(g, self.chemistry, task.dt_code,
-                                  self.units, task.a, task.error, problems,
+        if task.error is None and not d.validate_grid(g):
+            return task.result
+        return d.rescue_chemistry(g, self.chemistry, self.solver,
+                                  task.dt_code, self.units, task.a,
                                   self.faults)
 
     # ------------------------------------------------------------- particles

@@ -35,6 +35,13 @@ from repro.chemistry.species import SPECIES, SPECIES_NAMES, electron_density
 #: H2 binding energy (erg).
 H2_BINDING = 4.48 * const.ELECTRON_VOLT
 
+#: sub-cycle fraction of a cell's limiting timescale (the Anninos et al.
+#: choice), and the substep cap per call: a cell at the cap integrates its
+#: remainder in one final backward-Euler step (stable, just less
+#: accurate).  Both tiers of ``chem.step`` take them as arguments.
+SAFETY = 0.1
+MAX_SUBSTEPS = 200
+
 #: row of neutral hydrogen in a stacked ``(12, N)`` species block.
 _HI = SPECIES_NAMES.index("HI")
 
@@ -125,34 +132,23 @@ def primordial_initial_fractions(
 
 
 class ChemistryNetwork:
-    """Vectorised network + cooling integrator.
+    """Vectorised network + cooling integrator: the one primordial network
+    the paper runs, three-body H2 formation with its heat, the CMB floor
+    (the temperature never radiates below T_cmb(z), the floor the paper's
+    Compton term enforces) and nuclei renormalisation always on.
 
     Parameters
     ----------
     rates:
-        A :class:`RateTable` (swappable for ablation experiments).
-    cmb_floor:
-        If True, the temperature never radiates below T_cmb(z) (the physical
-        floor the paper's Compton term enforces; we apply it robustly).
-    safety:
-        Sub-cycle fraction of the limiting timescale (0.1 is the
-        Anninos et al. choice).
-    max_substeps:
-        Hard cap per call; the remainder is integrated in one final
-        backward-Euler step (stable, just less accurate).
+        A :class:`RateTable` (``RateTable(mode="analytic")`` is the
+        reference the tabulated default is checked against).
+
+    The network holds no state but ``rates``, so one instance is shared by
+    every grid the exec threads advance at once.
     """
 
-    def __init__(self, rates: RateTable | None = None, cmb_floor: bool = True,
-                 safety: float = 0.1, max_substeps: int = 200,
-                 three_body: bool = True, formation_heating: bool = True,
-                 renormalise: bool = True):
+    def __init__(self, rates: RateTable | None = None):
         self.rates = rates or RateTable()
-        self.cmb_floor = cmb_floor
-        self.safety = safety
-        self.max_substeps = max_substeps
-        self.three_body = three_body
-        self.formation_heating = formation_heating
-        self.renormalise = renormalise
 
     # ----------------------------------------------------------------- helpers
     @staticmethod
@@ -218,12 +214,10 @@ class ChemistryNetwork:
         n_cells = e.size
         dt = float(dt)
         rows = dict(zip(SPECIES_NAMES, state))
-        budgets = None
-        if self.renormalise:
-            # conserved nuclei budgets (the sequential backward-Euler update
-            # is only conservative to O(dt^2 * rate); Enzo renormalises the
-            # species against the density field — we do the same per element)
-            budgets = np.stack(nuclei_budgets(rows))
+        # conserved nuclei budgets (the sequential backward-Euler update is
+        # only conservative to O(dt^2 * rate); Enzo renormalises the species
+        # against the density field — we do the same per element)
+        budgets = np.stack(nuclei_budgets(rows))
 
         # all loop state is local: this may run concurrently on many
         # grids under the execution engine's thread backend, so nothing
@@ -240,12 +234,11 @@ class ChemistryNetwork:
         while dt > 0.0 and active.size:
             # hi**3 is np.power, which (unlike the square) is not correctly
             # rounded: it is evaluated here, once, for every tier
-            cube = state[_HI][active] ** 3 if self.three_body else None
+            cube = state[_HI][active] ** 3
             block = self.rates.block(
                 T, out=_scratch("block", len(CHANNEL_NAMES), active.size))
             step(state, e, rho, budgets, t_done, counts, active, T, cube,
-                 block, dt, z, self.safety, self.max_substeps,
-                 self.three_body, self.formation_heating, self.cmb_floor)
+                 block, dt, z, SAFETY, MAX_SUBSTEPS)
             iterations += 1
             keep = t_done[active] < target
             active = active[keep]
@@ -357,15 +350,15 @@ def nuclei_budgets(n: dict) -> tuple:
 
 
 def step_numpy(state, e, rho, budgets, t_done, counts, active, T, cube,
-               block, dt, z, safety, max_substeps, three_body,
-               formation_heating, cmb_floor) -> None:
+               block, dt, z, safety, max_substeps) -> None:
     """One substep of every active cell: the ``chem.step`` reference.
 
-    ``state`` (12, N), ``e``, ``rho``, ``t_done``, ``counts`` (N,) and the
-    optional ``budgets`` (3, N) are whole-grid arrays; ``active`` (M,)
-    indexes the cells still in flight and ``T`` (M,), ``cube`` (M,) =
-    ``HI**3`` (``None`` without ``three_body``) and ``block``
-    (``rates.CHANNEL_NAMES``, M) hold their temperature and coefficients.
+    ``state`` (12, N), ``budgets`` (3, N, from :func:`nuclei_budgets`),
+    ``e``, ``rho``, ``t_done`` and ``counts`` (N,) are whole-grid arrays;
+    ``active`` (M,) indexes the cells still in flight and ``T`` (M,),
+    ``cube`` (M,) = ``HI**3`` and ``block`` (``rates.CHANNEL_NAMES``, M)
+    hold their temperature and coefficients.  ``safety`` and
+    ``max_substeps`` are :data:`SAFETY` and :data:`MAX_SUBSTEPS` in a run.
     Picks each cell's ``dt_sub`` from its cooling and electron timescales,
     applies the backward-Euler species/energy update and the
     renormalisation, scatters the result into ``state``/``e``, advances
@@ -393,10 +386,8 @@ def step_numpy(state, e, rho, budgets, t_done, counts, active, T, cube,
     # cells at the substep cap integrate their remainder in one final
     # backward-Euler step (stable, just less accurate)
     dt_sub = np.where(counts[active] >= max_substeps - 1, remaining, dt_sub)
-    substep_numpy(n, ea, ra, dt_sub, z, T, k, ch, cube, three_body,
-                  formation_heating, cmb_floor)
-    if budgets is not None:
-        ChemistryNetwork._renormalise(n, *(b[active] for b in budgets))
+    substep_numpy(n, ea, ra, dt_sub, z, T, k, ch, cube)
+    ChemistryNetwork._renormalise(n, *(b[active] for b in budgets))
     for s, row in zip(SPECIES_NAMES, state):
         row[active] = n[s]
     e[active] = ea
@@ -405,8 +396,8 @@ def step_numpy(state, e, rho, budgets, t_done, counts, active, T, cube,
     T[...] = ChemistryNetwork.temperature(n, ea, ra)
 
 
-def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
-                  three_body, formation_heating, cmb_floor) -> None:
+def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict,
+                  cube) -> None:
     """One linearised backward-Euler step of size dt (scalar or per-cell).
 
     ``T``, the rates ``k`` and the cooling channels ``cool_ch`` are those of
@@ -446,12 +437,10 @@ def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
 
     # --- molecular hydrogen ----------------------------------------------------
     h2 = n["H2I"]
-    c_h2 = k["k8"] * n["HM"] * hi + k["k10"] * n["H2II"] * hi + k["d5"] * n["HDI"] * hii
+    rate_3b = k["k22"] * cube + k["k23"] * hi**2 * h2
+    c_h2 = (k["k8"] * n["HM"] * hi + k["k10"] * n["H2II"] * hi
+            + k["d5"] * n["HDI"] * hii + rate_3b)
     d_h2 = k["k11"] * hii + k["k12"] * ne + k["k13"] * hi + k["d4"] * n["DII"]
-    rate_3b = np.zeros_like(hi)
-    if three_body:
-        rate_3b = k["k22"] * cube + k["k23"] * hi**2 * h2
-        c_h2 = c_h2 + rate_3b
     n["H2I"] = be(h2, c_h2, d_h2)
 
     # --- neutral hydrogen (net source terms; k13 yields net +2 H) --------------
@@ -472,7 +461,7 @@ def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
         + k["k9"] * hii
         + k["k10"] * n["H2II"]
         + k["d3"] * n["DII"]
-        + (2.0 * k["k22"] * hi**2 + 2.0 * k["k23"] * hi * h2 if three_body else 0.0)
+        + (2.0 * k["k22"] * hi**2 + 2.0 * k["k23"] * hi * h2)
     )
     n["HI"] = be(hi, c_hi, d_hi)
 
@@ -494,15 +483,13 @@ def substep_numpy(n: dict, e, rho, dt, z, T, k: dict, cool_ch: dict, cube,
     # (start-of-step) temperature — only the T-dependent coefficients
     # are shared with the timescale evaluation of ``step_numpy``
     lam = cool_mod.cooling_rate_from_channels(n, T, z, cool_ch)
-    if formation_heating and three_body:
-        lam = lam - H2_BINDING * rate_3b + H2_BINDING * k["k13"] * h2 * hi
+    lam = lam - H2_BINDING * rate_3b + H2_BINDING * k["k13"] * h2 * hi
     # semi-implicit: cooling shrinks e by a bounded factor
     cool_pos = np.maximum(lam, 0.0) / np.maximum(rho, 1e-300)
     heat = np.maximum(-lam, 0.0) / np.maximum(rho, 1e-300)
     e_new = (e + dt * heat) / (1.0 + dt * cool_pos / np.maximum(e, 1e-300))
-    if cmb_floor:
-        t_cmb = const.CMB_TEMPERATURE_Z0 * (1.0 + z)
-        e_floor = ChemistryNetwork.energy_from_temperature(n, t_cmb, rho)
-        e_new = np.maximum(e_new, np.minimum(e, e_floor))
+    t_cmb = const.CMB_TEMPERATURE_Z0 * (1.0 + z)
+    e_floor = ChemistryNetwork.energy_from_temperature(n, t_cmb, rho)
+    e_new = np.maximum(e_new, np.minimum(e, e_floor))
     e[...] = np.maximum(e_new, 1e-300)
 

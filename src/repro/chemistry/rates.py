@@ -24,10 +24,10 @@ COOLING_CHANNELS`) on a log-spaced log-T grid at construction, so one call
 costs a single shared table lookup (index + weight from the uniform log-T
 spacing, exactly what ``searchsorted`` would return) plus one vectorised
 linear interpolation and one ``exp`` over the whole channel block, instead
-of ~25 transcendental kernel evaluations.  Tables are cached per
-``(n_bins, t_min, t_max)`` configuration, and construction runs an
-accuracy guard: interpolated values must match the analytic fits to
-``rtol`` at every bin midpoint across the full temperature range.
+of ~25 transcendental kernel evaluations.  Tables span [T_MIN, T_MAX]
+and are cached per ``n_bins``; construction runs an accuracy guard:
+interpolated values must match the analytic fits to :data:`RTOL` at every
+bin midpoint across the full temperature range.
 
 The two piecewise fits (k9's 6700 K branch switch, k14's 0.04 eV
 threshold) are tabulated as separate smooth branches and the ``where`` is
@@ -47,6 +47,11 @@ from repro.kernels import dispatch as _kernels
 #: the tabulated grid spans exactly this range).
 T_MIN = 1.0
 T_MAX = 1e9
+
+#: accuracy guard of the tabulated mode: construction fails if any channel
+#: deviates from its analytic fit by more than this relative tolerance at
+#: any bin midpoint.
+RTOL = 1e-3
 
 #: log-floor for the tables.  Must stay above the smallest *normal* double
 #: (~2.2e-308): a lower floor makes ``exp`` of the blended table produce
@@ -73,11 +78,8 @@ class RateTable:
     n_bins:
         Table resolution.  8192 log-spaced knots over [1, 1e9] K bound the
         interpolation error of the steepest Boltzmann factors (curvature
-        of ln k <= ~700 where the rate is representable) below 1e-3.
-    rtol:
-        Accuracy guard: construction fails if any tabulated channel
-        deviates from its analytic fit by more than this relative
-        tolerance at any bin midpoint.
+        of ln k <= ~700 where the rate is representable) below
+        :data:`RTOL`; construction fails when a table does not reach it.
     """
 
     # --- hydrogen / helium ionisation balance (Cen 1992; Black 1981) -------
@@ -263,28 +265,22 @@ class RateTable:
     )
 
     # -------------------------------------------------------------- instance
-    def __init__(self, mode: str = "tabulated", n_bins: int = 8192,
-                 t_min: float = T_MIN, t_max: float = T_MAX,
-                 rtol: float = 1e-3):
+    def __init__(self, mode: str = "tabulated", n_bins: int = 8192):
         if mode not in ("tabulated", "analytic"):
             raise ValueError(f"unknown RateTable mode {mode!r}")
         self.mode = mode
         self.n_bins = int(n_bins)
-        self.t_min = float(t_min)
-        self.t_max = float(t_max)
-        self.rtol = float(rtol)
         self._tab = None
         if mode == "tabulated":
             self._ensure_table()
 
     def _ensure_table(self) -> "_LogTable":
         if self._tab is None:
-            tab = _get_table(self.n_bins, self.t_min, self.t_max)
-            if tab.max_rel_err > self.rtol:
+            tab = _get_table(self.n_bins)
+            if tab.max_rel_err > RTOL:
                 raise ValueError(
                     f"rate table ({self.n_bins} bins) only reaches rtol "
-                    f"{tab.max_rel_err:.2e} (> {self.rtol:.1e}); raise "
-                    f"n_bins or loosen rtol"
+                    f"{tab.max_rel_err:.2e} (> {RTOL:.1e}); raise n_bins"
                 )
             self._tab = tab
         return self._tab
@@ -450,10 +446,10 @@ class _LogTable:
     exponentiates the whole block in one call.
     """
 
-    def __init__(self, n_bins: int, t_min: float, t_max: float):
+    def __init__(self, n_bins: int):
         self.n_bins = int(n_bins)
-        self.x0 = float(np.log(t_min))
-        x1 = float(np.log(t_max))
+        self.x0 = float(np.log(T_MIN))
+        x1 = float(np.log(T_MAX))
         self.h = (x1 - self.x0) / (self.n_bins - 1)
         x = self.x0 + self.h * np.arange(self.n_bins)
         T = np.exp(x)
@@ -491,12 +487,11 @@ class _LogTable:
         }
 
 
-_TABLE_CACHE: dict[tuple, _LogTable] = {}
+_TABLE_CACHE: dict[int, _LogTable] = {}
 
 
-def _get_table(n_bins: int, t_min: float, t_max: float) -> _LogTable:
-    key = (int(n_bins), float(t_min), float(t_max))
-    tab = _TABLE_CACHE.get(key)
+def _get_table(n_bins: int) -> _LogTable:
+    tab = _TABLE_CACHE.get(n_bins)
     if tab is None:
-        tab = _TABLE_CACHE[key] = _LogTable(*key)
+        tab = _TABLE_CACHE[n_bins] = _LogTable(n_bins)
     return tab

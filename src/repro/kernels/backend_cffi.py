@@ -30,8 +30,8 @@ copy non-contiguous in-place targets in and back:
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
-  cube, block, dt, z, safety, max_substeps, three_body, formation_heating,
-  cmb_floor)`` — one substep of every active cell of one grid, in place
+  cube, block, dt, z, safety, max_substeps)`` — one substep of every active
+  cell of one grid, in place
 * ``fill.level``      ``fn(plan, fracs=None)`` — fills the target arrays of
   a checked :class:`~repro.amr.interpolation.FillPlan` in place: copies
   from same-level interiors, prolongation from the parents everywhere
@@ -131,8 +131,7 @@ void rk_chem_step(long n_cells, long n_act, double *state, double *e,
     const double *rho, const double *budgets, double *t_done,
     int64_t *counts, const int64_t *active, double *T, const double *cube,
     const double *block, double dt, double dt_floor, double t_cmb,
-    double compton, double safety, long max_substeps, int three_body,
-    int formation_heating, int cmb_floor, int renormalise);
+    double compton, double safety, long max_substeps);
 long rk_fill_level(long nf, long r, const int *positives, long n_t,
     double **fines, const int64_t *t_geom, const double *fracs,
     const double **news, const double **olds, const int64_t *p_geom,
@@ -1884,8 +1883,7 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     long n_cells, long n_act, double *state, double *e, const double *rho,
     const double *budgets, double *t_done, int64_t *counts, double *T,
     const double *cube, const double *block, double dt, double dt_floor,
-    double t_cmb, double compton, double safety, long max_substeps,
-    int three_body, int formation_heating, int cmb_floor, int renormalise)
+    double t_cmb, double compton, double safety, long max_substeps)
 {
     species n;
     channels ch;
@@ -1942,12 +1940,10 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
 
     /* ---- molecular hydrogen ---- */
     double h2 = n.H2I;
-    double c_h2 = k8 * n.HM * hi + k10 * n.H2II * hi + d5 * n.HDI * hii;
-    double d_h2 = k11 * hii + k12 * ne + k13 * hi + d4 * n.DII;
     double rate_3b = k22 * hi3 + k23 * (hi * hi) * h2;
-    rate_3b = three_body ? rate_3b : 0.0;
-    double c_h2_3b = c_h2 + rate_3b;
-    c_h2 = three_body ? c_h2_3b : c_h2;
+    double c_h2 = k8 * n.HM * hi + k10 * n.H2II * hi + d5 * n.HDI * hii
+        + rate_3b;
+    double d_h2 = k11 * hii + k12 * ne + k13 * hi + d4 * n.DII;
     n.H2I = be(h2, c_h2, d_h2, dts);
 
     /* ---- neutral hydrogen (k13 yields net +2 H) ---- */
@@ -1959,14 +1955,13 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
         + 2.0 * k18 * n.H2II * ne
         + k14 * n.HM * ne
         + d2 * n.DI * hii;
-    double d_hi_3b = 2.0 * k22 * (hi * hi) + 2.0 * k23 * hi * h2;
     double d_hi = k1 * ne
         + k7 * ne
         + k8 * n.HM
         + k9 * hii
         + k10 * n.H2II
         + d3 * n.DII
-        + (three_body ? d_hi_3b : 0.0);
+        + (2.0 * k22 * (hi * hi) + 2.0 * k23 * hi * h2);
     n.HI = be(hi, c_hi, d_hi, dts);
 
     /* ---- deuterium ---- */
@@ -1981,13 +1976,8 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
 
     /* ---- thermal energy: updated densities at the start-of-step
        temperature, semi-implicit in e ---- */
-    lam = cooling(&n, Tj, &ch, t_cmb, compton);
-    double lam_heated = lam - H2_BINDING * rate_3b
-        + H2_BINDING * k13 * h2 * hi;
-    /* formation heating needs the three-body channel: two selects on the
-       int flags (gcc 12 leaves a select on the bool of their && scalar) */
-    double lam_h = formation_heating ? lam_heated : lam;
-    lam = three_body ? lam_h : lam;
+    lam = cooling(&n, Tj, &ch, t_cmb, compton)
+        - H2_BINDING * rate_3b + H2_BINDING * k13 * h2 * hi;
     double cool_pos = nmax(lam, 0.0) / nmax(ra, 1e-300);
     double heat = nmax(-lam, 0.0) / nmax(ra, 1e-300);
     double e_new = (ea + dts * heat)
@@ -1995,25 +1985,24 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     /* ChemistryNetwork.energy_from_temperature at T_cmb */
     double e_floor = 1.5 * TOTAL_DENSITY(n) * K_BOLTZ * t_cmb
         / nmax(ra, 1e-300);
-    double e_floored = nmax(e_new, nmin(ea, e_floor));
-    e_new = cmb_floor ? e_floored : e_new;
+    e_new = nmax(e_new, nmin(ea, e_floor));
     ea = nmax(e_new, 1e-300);
 
     /* ---- ChemistryNetwork._renormalise: HD capped at the deuterium
-       budget first, then D, H and He rescaled onto their budgets.  Without
-       renormalisation the factors are 1.0: x * 1.0 is x, bit for bit ---- */
-    double hd_new = nmin(n.HDI, d0);
-    n.HDI = renormalise ? hd_new : n.HDI;
-    double d_free = nmax(d0 - hd_new, 0.0);
+       budget first, then D, H and He rescaled onto their budgets (a
+       species with nothing to rescale keeps a factor 1.0: x * 1.0 is x,
+       bit for bit) ---- */
+    n.HDI = nmin(n.HDI, d0);
+    double d_free = nmax(d0 - n.HDI, 0.0);
     double cur_d = n.DI + n.DII;
     double f_d = d_free / nmax(cur_d, 1e-300);
-    f_d = (renormalise && cur_d > 0.0) ? f_d : 1.0;
+    f_d = cur_d > 0.0 ? f_d : 1.0;
     n.DI *= f_d;
     n.DII *= f_d;
-    double h_free = nmax(h0 - hd_new, 0.0);
+    double h_free = nmax(h0 - n.HDI, 0.0);
     double cur_h = n.HI + n.HII + n.HM + 2.0 * (n.H2I + n.H2II);
     double f_h = h_free / nmax(cur_h, 1e-300);
-    f_h = (renormalise && cur_h > 0.0) ? f_h : 1.0;
+    f_h = cur_h > 0.0 ? f_h : 1.0;
     n.HI *= f_h;
     n.HII *= f_h;
     n.HM *= f_h;
@@ -2021,12 +2010,11 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     n.H2II *= f_h;
     double cur_he = n.HeI + n.HeII + n.HeIII;
     double f_he = he0 / nmax(cur_he, 1e-300);
-    f_he = (renormalise && cur_he > 0.0) ? f_he : 1.0;
+    f_he = cur_he > 0.0 ? f_he : 1.0;
     n.HeI *= f_he;
     n.HeII *= f_he;
     n.HeIII *= f_he;
-    double de_new = nmax(electrons(&n), 0.0);
-    n.de = renormalise ? de_new : n.de;
+    n.de = nmax(electrons(&n), 0.0);
 
     STORE_SPECIES(n, state + c, n_cells)
     e[c] = ea;
@@ -2035,19 +2023,17 @@ static inline __attribute__((always_inline)) void chem_cell(long c, long j,
     T[j] = temperature(&n, ea, ra);
 }
 
-/* state is (12, n_cells) and budgets (3, n_cells) (read only under
-   renormalise); e, rho, t_done, counts are (n_cells,).  active (n_act,)
-   holds strictly increasing cell indices; T (n_act,) their temperature on
-   entry and their new temperature on return; cube (n_act,) their HI**3
-   (read only under three_body); block (channels, n_act) their
+/* state is (12, n_cells) and budgets (3, n_cells); e, rho, t_done, counts
+   are (n_cells,).  active (n_act,) holds strictly increasing cell indices;
+   T (n_act,) their temperature on entry and their new temperature on
+   return; cube (n_act,) their HI**3; block (channels, n_act) their
    coefficients.  Cells are independent, so neither the loop order nor the
    lane width shows in the result. */
 LANES void rk_chem_step(long n_cells, long n_act, double *state,
     double *e, const double *rho, const double *budgets, double *t_done,
     int64_t *counts, const int64_t *active, double *T, const double *cube,
     const double *block, double dt, double dt_floor, double t_cmb,
-    double compton, double safety, long max_substeps, int three_body,
-    int formation_heating, int cmb_floor, int renormalise)
+    double compton, double safety, long max_substeps)
 {
     /* the first iteration of every grid has all cells in flight: unit
        stride instead of gather/scatter */
@@ -2059,17 +2045,13 @@ LANES void rk_chem_step(long n_cells, long n_act, double *state,
         for (long j = 0; j < n_act; j++)
             chem_cell(j, j, n_cells, n_act, state, e, rho, budgets, t_done,
                       counts, T, cube, block, dt, dt_floor, t_cmb, compton,
-                      safety, max_substeps, three_body, formation_heating,
-                      cmb_floor,
-                      renormalise);
+                      safety, max_substeps);
     } else {
         #pragma omp simd
         for (long j = 0; j < n_act; j++)
             chem_cell(active[j], j, n_cells, n_act, state, e, rho, budgets,
                       t_done, counts, T, cube, block, dt, dt_floor, t_cmb,
-                      compton, safety, max_substeps, three_body,
-                      formation_heating,
-                      cmb_floor, renormalise);
+                      compton, safety, max_substeps);
     }
 }
 /* ---- coarse-fine flux correction: every child of one parent in one call
@@ -2498,8 +2480,7 @@ def chem_blend(logtab, idx, weight, out=None):
 
 
 def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
-              dt, z, safety, max_substeps, three_body, formation_heating,
-              cmb_floor):
+              dt, z, safety, max_substeps):
     n_cells = np.shape(e)[0] if np.ndim(e) == 1 else -1
     active = np.ascontiguousarray(active, dtype=np.int64)
     n_act = active.shape[0]
@@ -2513,16 +2494,11 @@ def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
     _in_place(T, (n_act,), np.float64, "chem.step: T")
     rho = np.ascontiguousarray(rho, dtype=float)
     block = np.ascontiguousarray(block, dtype=float)
-    # unread without the matching flag, but the C loads unconditionally:
-    # stand-ins of the right extent
-    renormalise = budgets is not None
-    budgets = (np.ascontiguousarray(budgets, dtype=float) if renormalise
-               else state)
-    cube = np.ascontiguousarray(cube, dtype=float) if three_body else T
+    budgets = np.ascontiguousarray(budgets, dtype=float)
+    cube = np.ascontiguousarray(cube, dtype=float)
     if (active.ndim != 1 or rho.shape != (n_cells,)
             or block.shape != (len(CHANNEL_NAMES), n_act)
-            or (renormalise and budgets.shape != (3, n_cells))
-            or cube.shape != (n_act,)):
+            or budgets.shape != (3, n_cells) or cube.shape != (n_act,)):
         raise ValueError("chem.step: array shapes differ")
     if n_act and (active[0] < 0 or active[-1] >= n_cells
                   or not (active[1:] > active[:-1]).all()):
@@ -2534,10 +2510,7 @@ def chem_step(state, e, rho, budgets, t_done, counts, active, T, cube, block,
         n_cells, n_act, _p(state), _p(e), _pc(rho), _pc(budgets),
         _p(t_done), ffi.from_buffer("int64_t[]", counts), _pi(active),
         _p(T), _pc(cube), _pc(block), dt, dt / max_substeps, t_cmb,
-        compton_coefficient(t_cmb), float(safety), int(max_substeps),
-        bool(three_body), bool(formation_heating), bool(cmb_floor),
-        renormalise,
-    )
+        compton_coefficient(t_cmb), float(safety), int(max_substeps))
 
 
 def _fill_native(plan):

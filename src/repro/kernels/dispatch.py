@@ -224,10 +224,9 @@ def warm() -> None:
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
     get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),
-                     None, np.zeros(1), np.zeros(1, dtype=np.int64),
-                     np.zeros(1, dtype=np.intp), np.full(1, 100.0), None,
-                     np.ones((len(CHANNEL_NAMES), 1)), 1.0, 0.0, 0.1, 200,
-                     False, False, False)
+                     np.ones((3, 1)), np.zeros(1), np.zeros(1, dtype=np.int64),
+                     np.zeros(1, dtype=np.intp), np.full(1, 100.0), np.ones(1),
+                     np.ones((len(CHANNEL_NAMES), 1)), 1.0, 0.0, 0.1, 200)
     get("fill.level")(FillPlan([([np.empty((2, 2, 2))], (2, 2, 2), 0, 1.0)],
                                [([np.ones((3, 3, 3))], None, (0, 0, 0))],
                                [], [(0, 2, 2, 2, 4, 4, 4)], (), 2, [True]))

@@ -82,7 +82,7 @@ def test_table_accuracy_guard_raises_on_coarse_table():
 
 
 def test_table_cached_per_configuration():
-    assert _get_table(8192, 1.0, 1e9) is _get_table(8192, 1.0, 1e9)
+    assert _get_table(8192) is _get_table(8192)
     a = RateTable()
     b = RateTable()
     assert a._ensure_table() is b._ensure_table()

@@ -120,23 +120,43 @@ def test_scratch_is_bounded_by_the_slab():
     assert 0 < held[0] <= 2 * 2**20
 
 
-def test_returned_stats_are_the_grids_own():
-    """Under the thread backend several grids share one network.  A call
-    finishing on another thread between this grid's ``advance_stacked``
-    and its return must not change the stats this grid reports."""
-    shape = (12, 10, 9)
-    _, ref_inner = _grid_fields(shape)
-    ref = _whole_grid(ChemistryNetwork(), ref_inner, DT_CODE, UNITS, A)
-    net = ChemistryNetwork()
-    inner_call = net.advance_stacked
-    other = {"cells": 7, "substeps_total": 99, "substeps_max": 50,
-             "iterations": 50, "active_fraction_mean": 0.25}
+class _MeetingNetwork(ChemistryNetwork):
+    """A network whose every ``advance_stacked`` call meets the other
+    thread's at ``barrier`` before integrating and again before returning,
+    so two grids' slabs are always in flight together."""
 
-    def racing(*args, **kwargs):
-        out = inner_call(*args, **kwargs)
-        net.last_stats = dict(other)  # another grid's call publishing
+    def __init__(self, barrier):
+        super().__init__()
+        self.barrier = barrier
+
+    def advance_stacked(self, *args, **kwargs):
+        self.barrier.wait(timeout=60)
+        out = super().advance_stacked(*args, **kwargs)
+        self.barrier.wait(timeout=60)
         return out
 
-    net.advance_stacked = racing
-    _, inner = _grid_fields(shape)
-    assert net.advance_fields(inner, DT_CODE, UNITS, A) == ref
+
+def test_returned_stats_are_the_grids_own():
+    """Under the thread backend several grids share one network.  Two
+    threads advancing different grids through one network, slab for slab
+    at the same time, each get the stats of their own serial reference."""
+    shape = (24, 20, 18)  # three slabs each
+    seeds = (5, 6)
+    refs = [_whole_grid(ChemistryNetwork(), _grid_fields(shape, seed)[1],
+                        DT_CODE, UNITS, A) for seed in seeds]
+    assert refs[0] != refs[1]
+    net = _MeetingNetwork(threading.Barrier(len(seeds)))
+    got = [None] * len(seeds)
+
+    def advance(k):
+        _, inner = _grid_fields(shape, seeds[k])
+        got[k] = net.advance_fields(inner, DT_CODE, UNITS, A)
+
+    workers = [threading.Thread(target=advance, args=(k,))
+               for k in range(len(seeds))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=300)
+    assert not any(w.is_alive() for w in workers)
+    assert got == refs

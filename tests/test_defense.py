@@ -12,6 +12,7 @@ import pytest
 from repro import Simulation, SimulationConfig
 from repro.amr.defense import DefenseLadder, validate_fields
 from repro.amr.gravity import MG_BUDGET, MG_TOL
+from repro.chemistry.network import integrator_stats
 from repro.gravity.multigrid import MultigridConvergenceError
 from repro.nbody.particles import ParticleSet
 from repro.runtime.faults import (
@@ -388,20 +389,34 @@ class TestMultigridStrict:
 
 # ------------------------------------------------------------------ chemistry
 class _FakeNetwork:
-    """Stands in for ChemistryNetwork: advances nothing, returns stats."""
+    """Stands in for ChemistryNetwork: advances nothing, returns the stats
+    of an advance, alternating between ``COUNTERS``: every cell in flight
+    for one iteration, then half of them over three."""
+
+    COUNTERS = ({"cells": 4, "substeps_total": 4, "substeps_max": 1,
+                 "iterations": 1},
+                {"cells": 4, "substeps_total": 6, "substeps_max": 3,
+                 "iterations": 3})
 
     def __init__(self):
         self.calls = []
 
     def advance_fields(self, fields, dt_code, units, a):
         self.calls.append(float(dt_code))
-        return {"cells": 1, "tasks": 1, "substeps_total": 4,
-                "substeps_max": 2, "active_fraction_mean": 0.5}
+        return integrator_stats(self.COUNTERS[(len(self.calls) - 1) % 2])
 
 
-def build_chem_sim() -> Simulation:
+class _NegativeDensityNetwork(_FakeNetwork):
+    """Leaves one interior cell's density negative on every advance."""
+
+    def advance_fields(self, fields, dt_code, units, a):
+        fields["density"][0, 0, 0] = -1.0
+        return super().advance_fields(fields, dt_code, units, a)
+
+
+def build_chem_sim(**config) -> Simulation:
     """Single root grid (no refinement) with a fake chemistry network."""
-    sim = Simulation(SimulationConfig(n_root=8, cfl=0.3))
+    sim = Simulation(SimulationConfig(n_root=8, cfl=0.3, **config))
     sim.set_density(lambda x, y, z: np.full_like(x, 1.0))
     sim.set_field("internal", lambda x, y, z: np.full_like(x, 0.05))
     sim.initialize()
@@ -424,8 +439,12 @@ class TestChemistryLadder:
         # the rescue really ran two half-dt advances
         assert len(net.calls) == 2
         assert net.calls[0] == pytest.approx(net.calls[1])
-        # merged halves: 4 + 4 substeps
-        assert sim.evolver.chem_stats.snapshot()["substeps_total"] == 8
+        # the halves merge into one advance: 4 + 6 substeps over 1 + 3
+        # iterations of 4 cells (not the mean of fractions 1.0 and 0.5)
+        snap = sim.evolver.chem_stats.snapshot()
+        assert snap["substeps_total"] == 10
+        assert snap["substeps_max"] == 3
+        assert snap["active_fraction_mean"] == 10 / (4 * 4)
 
     def test_blowup_twice_skips_chemistry_for_the_grid(self):
         sim = build_chem_sim()
@@ -439,6 +458,16 @@ class TestChemistryLadder:
         assert ladder.totals["rungs"].get("chem_skip") == 1
         assert ladder.totals["rungs"].get("chem_retry_half_dt") is None
         assert len(net.calls) == 0  # both the task and the retry raised
+
+    def test_floor_repair_clamps_to_the_solvers_floors(self):
+        sim = build_chem_sim(solver_options={"density_floor": 1e-8})
+        sim.evolver.chemistry = _NegativeDensityNetwork()
+        advance(sim, 1)
+        ladder = sim.evolver.defense
+        assert ladder.totals["rungs"].get("chem_floor_repair") == 1
+        root = sim.hierarchy.root
+        assert sim.evolver.solver.density_floor == 1e-8
+        assert root.fields["density"][root.interior].min() >= 1e-8
 
     def test_no_fault_chemistry_untouched(self):
         sim = build_chem_sim()

@@ -46,6 +46,7 @@ from repro.amr.interpolation import (
 from repro.amr.topology import box_overlaps
 from repro.chemistry import network
 from repro.chemistry.network import (
+    MAX_SUBSTEPS,
     ChemistryNetwork,
     integrator_stats,
     primordial_initial_fractions,
@@ -444,7 +445,8 @@ def _chem_block(n_cells, seed=3, hard=True):
     """A ``(12, n)`` cgs species block with its energy and density: mostly
     a cool, lightly ionised molecular cloud whose cells finish in one
     substep, a hot dense ionised tenth that needs several, the hottest few
-    of which run into the substep cap — so the active set compacts twice."""
+    of which (in the 54,872-cell block) run into the substep cap — so the
+    active set compacts twice."""
     rng = np.random.default_rng(seed)
     T = 10 ** rng.uniform(1.0, 3.5, n_cells)
     rho = 10 ** rng.uniform(-24.0, -18.0, n_cells)
@@ -473,10 +475,10 @@ def _chem_block(n_cells, seed=3, hard=True):
     return state, e, rho
 
 
-def _integrate(tier, block, dt=3e12, z=20.0, mode="tabulated", **options):
+def _integrate(tier, block, dt=3e12, z=20.0, mode="tabulated"):
     """``advance_stacked`` on a copy of ``block`` under one tier."""
     dispatch.set_backend(tier, env=False)
-    net = ChemistryNetwork(rates=RateTable(mode=mode), **options)
+    net = ChemistryNetwork(rates=RateTable(mode=mode))
     state, e, rho = (a.copy() for a in block)
     with warnings.catch_warnings():
         # the garbage cells overflow and divide by zero by design
@@ -494,29 +496,29 @@ class TestChemStepParity:
     @pytest.mark.parametrize("n_cells", [1, 512, 54872])
     def test_random_and_garbage_cells(self, isolated, tier, n_cells):
         block = _chem_block(n_cells)
-        ref = _integrate("numpy", block, max_substeps=40)
-        got = _integrate(tier, block, max_substeps=40)
+        ref = _integrate("numpy", block)
+        got = _integrate(tier, block)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
         assert got[2] == ref[2]
-        assert set(ref[2]) == {"cells", "substeps_total", "substeps_max",
-                               "iterations", "active_fraction_mean"}
+        stats = ref[2]
+        assert set(stats) == {"cells", "substeps_total", "substeps_max",
+                              "iterations", "active_fraction_mean"}
         if n_cells > 1:
-            # one, several and max_substeps substeps in the same block
-            assert ref[2]["substeps_max"] == 40 == ref[2]["iterations"]
-            assert n_cells < ref[2]["substeps_total"] < 40 * n_cells
-            assert ref[2]["active_fraction_mean"] < 0.5
+            # one and several substeps in the same block
+            assert stats["substeps_max"] == stats["iterations"]
+            assert n_cells < stats["substeps_total"] < (
+                stats["iterations"] * n_cells)
+            assert stats["active_fraction_mean"] < 0.5
+        if n_cells == 54872:
+            # ... and the substep cap: its hottest cells reach it
+            assert stats["substeps_max"] == MAX_SUBSTEPS
 
-    @pytest.mark.parametrize("flags", itertools.product([True, False],
-                                                        repeat=4))
     @pytest.mark.parametrize("mode", ["tabulated", "analytic"])
-    def test_every_option_and_both_rate_modes(self, isolated, tier, mode,
-                                              flags):
-        options = dict(zip(("three_body", "formation_heating", "cmb_floor",
-                            "renormalise"), flags), max_substeps=12)
+    def test_both_rate_modes(self, isolated, tier, mode):
         block = _chem_block(300)
-        ref = _integrate("numpy", block, mode=mode, **options)
-        got = _integrate(tier, block, mode=mode, **options)
+        ref = _integrate("numpy", block, mode=mode)
+        got = _integrate(tier, block, mode=mode)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
         assert got[2] == ref[2]
@@ -551,19 +553,20 @@ class TestChemStepParity:
         hi = state[SPECIES_NAMES.index("HI")]
         assert np.any(hi ** 3 != hi * hi * hi)
         net = ChemistryNetwork()
-        T = net.temperature(dict(zip(SPECIES_NAMES, state)), e, rho)
-        tail = (net.rates.block(T), 3e12, 20.0, 0.1, 200, True, True, True)
+        rows = dict(zip(SPECIES_NAMES, state))
+        T = net.temperature(rows, e, rho)
+        budgets = np.stack(network.nuclei_budgets(rows))
+        tail = (net.rates.block(T), 3e12, 20.0, 0.1, 200)
         outs = []
         for cube in (hi ** 3, hi * hi * hi, 1e6 * hi ** 3):
             for step in (step_numpy, fn):
-                args = (state.copy(), e.copy(), rho, None, np.zeros(200),
+                args = (state.copy(), e.copy(), rho, budgets, np.zeros(200),
                         np.zeros(200, dtype=np.int64),
                         np.arange(200, dtype=np.intp), T.copy(), cube)
                 step(*args, *tail)
                 outs.append(args)
             for a, b in zip(*outs[-2:]):
-                if a is not None:
-                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, b)
         assert np.any(outs[0][0] != outs[4][0])
 
     def test_refuses_what_the_c_cannot_index(self, tier):
@@ -573,12 +576,13 @@ class TestChemStepParity:
 
         def call(**changed):
             args = dict(
-                state=state.copy(), e=e.copy(), rho=rho, budgets=None,
+                state=state.copy(), e=e.copy(), rho=rho,
+                budgets=np.ones((3, n)),
                 t_done=np.zeros(n), counts=np.zeros(n, dtype=np.int64),
                 active=np.arange(n, dtype=np.intp), T=np.full(n, 300.0),
                 cube=np.ones(n), block=np.ones((len(CHANNEL_NAMES), n)))
             args.update(changed)
-            fn(*args.values(), 1e10, 20.0, 0.1, 200, True, True, True)
+            fn(*args.values(), 1e10, 20.0, 0.1, 200)
 
         call()
         for bad in (dict(active=np.array([0, 8], dtype=np.intp),
@@ -2237,8 +2241,7 @@ class TestNoOutOfBoundsWrites:
         np.testing.assert_array_equal(_guards((buf,)), before)
         np.testing.assert_array_equal(out, accel_numpy(phi, 0.1, 1.2))
 
-    @pytest.mark.parametrize("renormalise", [True, False])
-    def test_chem_step(self, tier, renormalise):
+    def test_chem_step(self, tier):
         """Two substeps: all cells in flight (unit stride), then a
         compacted active set (gather/scatter)."""
         fn = _tier_impls(tier)["chem.step"]
@@ -2246,18 +2249,15 @@ class TestNoOutOfBoundsWrites:
         net = ChemistryNetwork()
         state, e, rho = _chem_block(n)
         rows = dict(zip(SPECIES_NAMES, state))
-        budgets = (np.stack(network.nuclei_budgets(rows)) if renormalise
-                   else None)
+        budgets = np.stack(network.nuclei_budgets(rows))
         with np.errstate(all="ignore"):
             T0 = net.temperature(rows, e, rho)
-        tail = (1e12, 20.0, 0.1, 200, True, True, True)
+        tail = (1e12, 20.0, 0.1, 200)
 
         def substeps(step, wrap):
-            arrays = [wrap(a) for a in (state, e, rho, np.zeros(n),
+            arrays = [wrap(a) for a in (state, e, rho, budgets, np.zeros(n),
                                         np.zeros(n, dtype=np.int64))]
-            if budgets is not None:
-                arrays.append(wrap(budgets))
-            st, en, rh, t_done, counts, *bud = arrays
+            st, en, rh, bud, t_done, counts = arrays
             active, T = np.arange(n, dtype=np.intp), T0
             for _ in range(2):
                 per_call = [wrap(a) for a in (
@@ -2265,8 +2265,8 @@ class TestNoOutOfBoundsWrites:
                 arrays += per_call
                 active, T, cube, block = per_call
                 with np.errstate(all="ignore"):
-                    step(st, en, rh, bud[0] if bud else None, t_done,
-                         counts, active, T, cube, block, *tail)
+                    step(st, en, rh, bud, t_done, counts, active, T, cube,
+                         block, *tail)
                 keep = t_done[active] < 1e12 * (1.0 - 1e-12)
                 active, T = active[keep], T[keep]
             assert 0 < active.size < n
