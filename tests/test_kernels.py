@@ -441,15 +441,18 @@ class TestBitwiseParity:
 N_HARD = 6
 
 
-def _chem_block(n_cells, seed=3, hard=True):
+def _chem_block(n_cells, seed=3, hard=True, dense=False):
     """A ``(12, n)`` cgs species block with its energy and density: mostly
     a cool, lightly ionised molecular cloud whose cells finish in one
     substep, a hot dense ionised tenth that needs several, the hottest few
     of which (in the 54,872-cell block) run into the substep cap — so the
-    active set compacts twice."""
+    active set compacts twice.  ``dense`` raises the cloud's density by
+    10^4, into the three-body H2 regime."""
     rng = np.random.default_rng(seed)
     T = 10 ** rng.uniform(1.0, 3.5, n_cells)
     rho = 10 ** rng.uniform(-24.0, -18.0, n_cells)
+    if dense:
+        rho *= 1e4
     x_e = 10 ** rng.uniform(-5.5, -2.5, n_cells)
     f_h2 = 10 ** rng.uniform(-6.0, -1.0, n_cells)
     hot = rng.random(n_cells) < 0.1
@@ -514,11 +517,21 @@ class TestChemStepParity:
             # ... and the substep cap: its hottest cells reach it
             assert stats["substeps_max"] == MAX_SUBSTEPS
 
+    @pytest.mark.parametrize("flags", itertools.product([True, False],
+                                                        repeat=4))
     @pytest.mark.parametrize("mode", ["tabulated", "analytic"])
-    def test_both_rate_modes(self, isolated, tier, mode):
-        block = _chem_block(300)
-        ref = _integrate("numpy", block, mode=mode)
-        got = _integrate(tier, block, mode=mode)
+    def test_every_option_and_both_rate_modes(self, isolated, tier, mode,
+                                              flags):
+        """Every combination of the options a call still has: garbage
+        cells spliced in or not, the cloud at its own or three-body
+        density, a step of 3e12 s or of 3e9 s, and redshift 20 or 0 for the
+        CMB floor."""
+        hard, sparse, long_step, early = flags
+        block = _chem_block(300, hard=hard, dense=not sparse)
+        options = dict(mode=mode, dt=3e12 if long_step else 3e9,
+                       z=20.0 if early else 0.0)
+        ref = _integrate("numpy", block, **options)
+        got = _integrate(tier, block, **options)
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
         assert got[2] == ref[2]
