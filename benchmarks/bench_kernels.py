@@ -9,9 +9,10 @@ enforces that).
 
 This bench measures what that buys:
 
-* one fused grid step (``hydro.step``: everything ``PPMSolver.step`` does
-  to one grid — half kicks, the three sweeps, drag, dual-energy sync and
-  energy floor — in a single compiled call) with each face-state scheme
+* one fused grid step (``hydro.step`` on a one-grid list: everything
+  ``PPMSolver.step`` does to one grid — half kicks, the three sweeps,
+  drag, dual-energy sync, energy floor and the health row — in a single
+  compiled call) with each face-state scheme
   the workloads run (``ppm+flatten`` and ``trace``, both with HLLC) at
   8^3 / 16^3 / 32^3 interior cells plus three ghosts, storing its fluxes
   in the face windows of a level-1 grid with one child (its six boundary
@@ -43,7 +44,7 @@ This bench measures what that buys:
   boundary fill (time-interpolated parent, sibling copies) and a rebuild
   onto 27 grids shifted by half a grid (old interiors copied, the rest
   prolonged); and one ``gravity.accel`` (the potential gradient of an 8^3
-  grid with three ghosts);
+  grid with three ghosts, and its interior max |g|);
 * the plan-fed ghost fill at ``sphere_deep``'s shape, compiled tier, in
   us per grid-pass: the fill on its level topology's cached tables
   against a fill that checks its tables and builds its pointers on every
@@ -90,7 +91,7 @@ from repro.amr.gravity import (
     MG_POST,
     MG_PRE,
     MG_TOL,
-    accel_numpy,
+    accel_level_numpy,
 )
 from repro.amr.interpolation import fill_level_numpy
 from repro.chemistry.network import (
@@ -104,7 +105,7 @@ from repro.chemistry.network import (
 from repro.chemistry.rates import blend_table_numpy
 from repro.chemistry.species import SPECIES, SPECIES_NAMES
 from repro.gravity.multigrid import level_numpy
-from repro.hydro.ppm import step_numpy as hydro_step_numpy
+from repro.hydro.ppm import StepPlan, step_numpy as hydro_step_numpy
 from repro.kernels import dispatch
 from repro.nbody.cic import deposit_numpy, gather_numpy
 
@@ -202,22 +203,30 @@ def step_rows(config: dict, backend: str) -> dict:
                                (backend, compiled, False),
                                (f"{backend}_full_box", compiled, True)):
             def call():
-                return fn(arrays, accel, ng, 1.0, 0.05, 1.0, 0, full, 5.0 / 3.0,
-                   scheme, solver, 1e-12, 1e-30, 1e-3, (0.99, 0.98),
-                   windows.table, outs)
+                args = (1.0, 0.05, 1.0, 0, full, 5.0 / 3.0, scheme, solver,
+                        1e-12, 1e-30, 1e-3, (0.99, 0.98))
+                if fn is hydro_step_numpy:
+                    return fn(arrays, accel, ng, *args, windows.table, outs)
+                # the compiled tier steps a list of grids: a one-grid list
+                # on the grid's plan, as the evolver keeps it
+                counts, _ = fn([(plan, accel, outs)], *args)
+                return tuple(counts[0].tolist())
+
+            def fresh():
+                arrays = [a.copy() for a in start]
+                return (arrays, windows.allocate(len(start) - 1)[0],
+                        StepPlan(arrays, ng, windows.table))
 
             best = np.inf
             for _ in range(config["repeats"] * 2):
-                arrays = [a.copy() for a in start]
-                outs = windows.allocate(len(start) - 1)[0]
+                arrays, outs, plan = fresh()
                 t0 = time.perf_counter()
                 counts = call()
                 best = min(best, time.perf_counter() - t0)
             outputs[name] = (arrays, outs, counts)
             row[f"{name}_us_per_cell"] = 1e6 * best / interior ** 3
             # on copies: the checks below read the timed step's output
-            arrays = [a.copy() for a in start]
-            outs = windows.allocate(len(start) - 1)[0]
+            arrays, outs, plan = fresh()
             row[f"{name}_bytes_per_call"] = _bytes_per_call(call)
         row["window_bytes"] = sum(out.nbytes for out in outs)
         (f_r, w_r, c_r), (f_c, w_c, c_c) = outputs["numpy"], outputs[backend]
@@ -417,7 +426,8 @@ def bookkeeping_rows(config: dict, backend: str) -> dict:
             lambda fn, timed=False: _fill(fn, rebuild, timed),
             fill_level_numpy),
         "gravity.accel": (
-            lambda fn, timed=False: fn(phi, dx, 1.3), accel_numpy),
+            lambda fn, timed=False: dict(enumerate(fn([phi], 3, dx, 1.3))),
+            accel_level_numpy),
     }
     rows = []
     for label, (call, ref) in cases.items():

@@ -4,9 +4,12 @@ A weeks-long AMR run dies from a *local* numerical accident — one deep
 subgrid whose PPM update goes NaN, one pathological chemistry cell — and
 the PR-2 answer (root-step rollback with a reduced CFL) throws away every
 healthy grid's work along with the sick one.  This module adds the missing
-middle layer: after the execution engine joins a level's per-grid tasks,
-every grid's result is **validated** (finite, positive, optionally
-mass-conserving) and an invalid grid is retried *in place*, climbing a
+middle layer: after the execution engine joins a level's tasks, every
+grid's result is **validated** (finite, positive) — a hydro step reports
+each grid's health row, which the ladder reads; NumPy re-validates only a
+grid an injected fault poisoned after its step, a grid whose solver
+reports no row, and, through the rungs, every grid of a chunk whose
+call raised — and an invalid grid is retried *in place*, climbing a
 ladder of increasingly dissipative rescues:
 
 1. ``retry_half_dt``  — restore the pre-step state, take two half-dt
@@ -44,6 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chemistry.network import integrator_stats
+from repro.hydro.ppm import HEALTH_POSITIVE, STEP_FIELDS
 from repro.hydro.state import total_energy
 from repro.hydro.zeus import ZeusSolver
 from repro.perf.timers import StepStats
@@ -59,8 +63,9 @@ CHEM_RUNGS = ("chem_retry_half_dt", "chem_floor_repair", "chem_skip")
 #: fields that must be finite everywhere on the interior
 FINITE_FIELDS = ("density", "internal", "energy", "vx", "vy", "vz")
 
-#: fields that must additionally be strictly positive
-POSITIVE_FIELDS = ("density", "internal")
+#: fields that must additionally be strictly positive (the ones a
+#: ``hydro.step`` health row counts)
+POSITIVE_FIELDS = HEALTH_POSITIVE
 
 
 def validate_fields(fields, interior) -> list[str]:
@@ -88,6 +93,26 @@ def validate_fields(fields, interior) -> list[str]:
         bad = int(np.count_nonzero(~np.isfinite(view)))
         if bad:
             problems.append(f"{name}:nonfinite={bad}")
+    return problems
+
+
+def health_problems(row, advected) -> list[str]:
+    """:func:`validate_fields`' labels, read from a ``hydro.step`` health
+    row (:func:`repro.hydro.ppm.step_health`) of a grid whose advected
+    fields are ``advected``: a field's non-positive count is read only
+    when the field is finite, as :func:`validate_fields` reads it."""
+    names = STEP_FIELDS + tuple(advected)
+    nonfinite = dict(zip(names, row))
+    nonpositive = dict(zip(HEALTH_POSITIVE, row[len(names):]))
+    problems: list[str] = []
+    for name in FINITE_FIELDS:
+        if nonfinite[name]:
+            problems.append(f"{name}:nonfinite={nonfinite[name]}")
+        elif nonpositive.get(name):
+            problems.append(f"{name}:nonpositive={nonpositive[name]}")
+    for name in advected:
+        if nonfinite[name]:
+            problems.append(f"{name}:nonfinite={nonfinite[name]}")
     return problems
 
 
@@ -153,6 +178,16 @@ class DefenseLadder:
     # ----------------------------------------------------------- validation
     def validate_grid(self, grid) -> list[str]:
         return validate_fields(grid.fields, grid.interior)
+
+    def hydro_problems(self, grid, result, poisoned: bool) -> list[str]:
+        """What is wrong with a grid after its hydro step: read from the
+        step's health row, or re-validated in NumPy when the solver
+        reported none or a fault poisoned the grid after the step."""
+        if result.health is None or poisoned:
+            return self.validate_grid(grid)
+        if not any(result.health):
+            return []
+        return health_problems(result.health, grid.fields.advected)
 
     # -------------------------------------------------------------- hydro
     def rescue_hydro(self, grid, solver, dt: float, a: float, adot: float,

@@ -35,8 +35,9 @@ from repro.amr.defense import DefenseLadder
 from repro.amr.flux_correction import accumulate_boundary_fluxes, correct_level
 from repro.amr.projection import project_level
 from repro.amr.rebuild import rebuild_hierarchy
-from repro.exec import ChemistryTask, ExecutionEngine, GravityAccelTask, HydroTask
-from repro.hydro.timestep import accel_timestep, expansion_timestep, hydro_timestep, particle_timestep
+from repro import constants as const
+from repro.exec import ChemistryTask, ExecutionEngine, GravityChunkTask, HydroChunkTask
+from repro.hydro.timestep import accel_timestep, cfl_timestep, expansion_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
 from repro.perf.timers import ComponentTimers, StepStats
 from repro.precision.doubledouble import DoubleDouble
@@ -149,8 +150,9 @@ class HierarchyEvolver:
         self.defense = defense
         if gravity is not None and getattr(gravity, "defense", None) is None:
             gravity.defense = self.defense
-        #: execution engine for independent per-grid work (hydro sweeps,
-        #: chemistry advances, gravity accelerations); see repro.exec
+        #: execution engine for independent per-grid work (hydro steps and
+        #: gravity accelerations by chunks of a level, chemistry advances
+        #: by grid); see repro.exec
         self.engine = ExecutionEngine(exec_config)
         #: chemistry integrator diagnostics of the root step
         self.chem_stats = StepStats()
@@ -175,16 +177,26 @@ class HierarchyEvolver:
 
     # ------------------------------------------------------------------ time
     def compute_timestep(self, level: int, a: float, adot: float,
-                         remaining: float | None = None) -> float:
-        """min over the level's grids of every constraint (paper Sec. 3.1)."""
+                         remaining: float | None = None,
+                         plans=None) -> float:
+        """min over the level's grids of every constraint (paper Sec. 3.1).
+
+        The CFL constraint is one ``hydro.cfl`` call over the grids'
+        :class:`~repro.hydro.ppm.StepPlan` (``plans``, in grid order; None
+        takes each grid's own).  It reads the full arrays, ghosts included:
+        the ghost zones hold what set_boundary_values wrote (neighbour and
+        parent data, never sweep output), and the first sweep reads them,
+        so their signal speeds bind the CFL too.
+        """
         h = self.hierarchy
+        grids = h.level_grids(level)
         dts = [expansion_timestep(a, adot)]
-        for g in h.level_grids(level):
-            # scan the full array (ghosts included): the ghost zones hold
-            # what set_boundary_values wrote (neighbour and parent data,
-            # never sweep output), and the first sweep reads them, so
-            # their signal speeds bind the CFL too
-            dts.append(hydro_timestep(g.fields, g.dx, a, self.cfl))
+        if grids:
+            if plans is None:
+                plans = [g.hydro_plan()[1] for g in grids]
+            vmax = kernel_dispatch.get("hydro.cfl")(plans, const.GAMMA)
+            dts += [cfl_timestep(v, g.dx, a, self.cfl)
+                    for g, v in zip(grids, vmax.tolist())]
         if len(h.particles) and level == 0:
             dts.append(particle_timestep(h.particles.velocities,
                                          h.root.dx, a, self.cfl))
@@ -284,14 +296,20 @@ class HierarchyEvolver:
         a = self.clock.a_of(time_now)
         adot = self.clock.adot_of(time_now)
         remaining = float(parent_time - time_now)
+        # each grid's face windows and step plan, kept with the grid: the
+        # CFL scan and the step read their tables
+        with self.timers.section("topology"):
+            plans = [g.hydro_plan() for g in grids]
+        # the level's chunks, one per worker: a chunk is one kernel call
+        chunks = self.engine.chunks(grids)
         # the timestep's cost is the CFL scan of every grid: hydro's
         dt = self._timed("hydro", self.compute_timestep, level, a, adot,
-                         remaining)
+                         remaining, [plan for _, plan in plans])
 
         # gravity first: gas and particles feel the same potential, and
         # the acceleration constrains the timestep (free-fall through a
         # cell must be resolved)
-        accel = {}
+        accels = [None] * len(grids)
         if self.gravity is not None:
             counts = self._timed("gravity", self.gravity.solve_level, h,
                                  level, a, self.faults)
@@ -299,16 +317,19 @@ class HierarchyEvolver:
                 for key, count in zip(("passes", "solves", "vcycles"),
                                       counts):
                     self.step_stats["gravity"].add(f"{key}.L{level}", count)
-            gravity_tasks = [GravityAccelTask(g, self.gravity, a)
-                             for g in grids]
+            gravity_tasks = [
+                GravityChunkTask([grids[i] for i in chunk], self.gravity, a)
+                for chunk in chunks]
             self.engine.run(gravity_tasks, level=level, timers=self.timers)
-            for g, task in zip(grids, gravity_tasks):
-                acc = task.result
-                accel[g.grid_id] = acc
-                dt = min(
-                    dt,
-                    accel_timestep(acc[(slice(None),) + g.interior], g.dx, a),
-                )
+            gmax = [0.0] * len(grids)
+            for chunk, task in zip(chunks, gravity_tasks):
+                if task.error is not None:
+                    raise task.error
+                for i, acc, g_max in zip(chunk, task.result[0],
+                                         task.result[1].tolist()):
+                    accels[i], gmax[i] = acc, g_max
+            for g, g_max in zip(grids, gmax):
+                dt = min(dt, accel_timestep(g_max, g.dx, a))
 
         dt = min(dt, remaining)
         dt = max(dt, remaining * 1e-12)
@@ -322,19 +343,17 @@ class HierarchyEvolver:
         # applied below in deterministic grid order
         permute = self.step_counter[level] % 3
         with self._section("hydro"):
-            # the pre-step snapshot the step overwrites
+            # the pre-step snapshot the step overwrites: in Python, before
+            # the dispatch, so a chunk that raises still finds it
             for g in grids:
                 g.save_old_state()
-        with self.timers.section("topology"):
-            plans = [g.hydro_plan() for g in grids]
         hydro_tasks = [
-            HydroTask(g, self.solver, dt, a_mid, adot_mid,
-                      accel.get(g.grid_id), permute, self.faults, windows,
-                      plan)
-            for g, (windows, plan) in zip(grids, plans)
-        ]
+            HydroChunkTask([grids[i] for i in chunk], self.solver, dt, a_mid,
+                           adot_mid, [(accels[i], *plans[i]) for i in chunk],
+                           permute, self.faults)
+            for chunk in chunks]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
-        results = self._validated(hydro_tasks, self._defend_hydro)
+        results = self._validated_hydro(chunks, hydro_tasks)
         if level > 0:
             with self._section("flux_correction"):
                 for g, result in zip(grids, results):
@@ -349,6 +368,8 @@ class HierarchyEvolver:
             g.last_fluxes = result if keep else None
             g.time = DoubleDouble(g.time + dt)
 
+        accel = {g.grid_id: acc for g, acc in zip(grids, accels)
+                 if acc is not None}
         self._timed("nbody", self._advance_particles, level, dt, a_mid,
                     adot_mid, accel)
 
@@ -385,7 +406,15 @@ class HierarchyEvolver:
                 for g in grids:
                     self._apply_jeans_floor(g, a_mid)
 
-        self._timed("boundary", set_boundary_values, h, level)
+        # the finest level's post-step fill is dead once the level has
+        # reached its parent: the parent's rebuild of this level refills
+        # every ghost cell of it (a kept grid's shell, all of a new grid)
+        # before anything reads one
+        finest_done = (level >= 1 and level == max_level
+                       and not h.level_grids(level + 1)
+                       and not bool(grids[0].time < parent_time))
+        if not finest_done:
+            self._timed("boundary", set_boundary_values, h, level)
         self.evolve_level(level + 1, grids[0].time)
         self._timed("flux_correction", correct_level, h, level + 1)
         self._timed("projection", project_level, h, level + 1)
@@ -442,24 +471,48 @@ class HierarchyEvolver:
         with self._section("defense"):
             return [defend(task) for task in tasks]
 
-    def _defend_hydro(self, task):
-        """Validate one grid's hydro result; rescue through the ladder.
+    def _validated_hydro(self, chunks, tasks) -> list:
+        """The hydro results in grid order.  With a defense ladder every
+        grid is checked, in grid order, and, if need be, rescued by
+        :meth:`_defend_hydro`; without one the first chunk error is
+        raised."""
+        results = [None] * sum(len(chunk) for chunk in chunks)
+        if self.defense is None:
+            for chunk, task in zip(chunks, tasks):
+                if task.error is not None:
+                    raise task.error
+                for i, result in zip(chunk, task.result):
+                    results[i] = result
+            return results
+        owners = [None] * len(results)
+        for chunk, task in zip(chunks, tasks):
+            for k, i in enumerate(chunk):
+                owners[i] = (task, k)
+        with self._section("defense"):
+            return [self._defend_hydro(*owner) for owner in owners]
 
-        The no-fault fast path is read-only (interior isfinite/positivity
-        checks plus floor-counter bookkeeping), which is what keeps
-        defended runs bitwise identical to undefended ones.
+    def _defend_hydro(self, task, k):
+        """Check the ``k``-th grid of a hydro chunk; rescue it through the
+        ladder.
+
+        The no-fault fast path reads the step's health row and the floor
+        counters and writes nothing, which is what keeps defended runs
+        bitwise identical to undefended ones.  Every grid of a chunk whose
+        call raised goes to the ladder.
         """
-        d, g = self.defense, task.grid
+        d, g = self.defense, task.grids[k]
+        accel, windows, _plan = task.steps[k]
         if task.error is None:
-            d.note_floors(task.result.diagnostics)
-            problems = d.validate_grid(g)
+            result = task.result[k]
+            d.note_floors(result.diagnostics)
+            problems = d.hydro_problems(g, result, task.poisoned[k])
             if not problems:
-                return task.result
+                return result
         else:
             problems = [f"task_error:{type(task.error).__name__}"]
         return d.rescue_hydro(g, self.solver, task.dt, task.a, task.adot,
-                              task.accel, task.permute, task.windows,
-                              problems, self.faults)
+                              accel, task.permute, windows, problems,
+                              self.faults)
 
     def _defend_chemistry(self, task):
         d, g = self.defense, task.grid

@@ -181,14 +181,17 @@ class HierarchyGravity:
         counts[1] += failed.cycles + int(stats[i, 0])
 
     # --------------------------------------------------------- acceleration
-    def acceleration(self, grid, a: float = 1.0) -> np.ndarray:
-        """g = -grad(phi)/a on the full (ghost-padded) array: one
-        ``gravity.accel`` kernel call.
+    def accelerations(self, grids, a: float = 1.0) -> tuple:
+        """g = -grad(phi)/a on the full (ghost-padded) arrays of a list of
+        grids of one level: one ``gravity.accel`` kernel call.  Returns
+        ``(accels, gmax)``: each grid's (3, ...) acceleration and its
+        largest interior |g|.
 
         Central differences; the outermost ghost layer is one-sided.  Only
         interior values feed the dynamics (ghosts are refreshed each step).
         """
-        return kernels.get("gravity.accel")(grid.phi, grid.dx, a)
+        return kernels.get("gravity.accel")(
+            [g.phi for g in grids], grids[0].nghost, grids[0].dx, a)
 
     def particle_accelerations(self, grid, accel_full: np.ndarray,
                                positions_hi, positions_lo) -> np.ndarray:
@@ -203,3 +206,14 @@ def accel_numpy(phi: np.ndarray, dx: float, a: float) -> np.ndarray:
     :func:`~repro.gravity.gradient.acceleration_from_potential`,
     ``-np.gradient(phi, dx, axis=k) / a`` for each axis k."""
     return acceleration_from_potential(phi, dx, a, periodic=False)
+
+
+def accel_level_numpy(phis, ng: int, dx: float, a: float) -> tuple:
+    """NumPy reference of the ``gravity.accel`` kernel: :func:`accel_numpy`
+    on each potential of a list (one level, or one chunk of it), and each
+    result's largest |g| over the interior, ``ng`` cells in from every
+    face.  Returns ``(accels, gmax)``."""
+    accels = [accel_numpy(phi, dx, a) for phi in phis]
+    gmax = [np.max(np.abs(acc[(slice(None),) + tuple(
+        slice(ng, n - ng) for n in acc.shape[1:])])) for acc in accels]
+    return accels, np.array(gmax, dtype=float)

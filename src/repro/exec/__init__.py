@@ -2,11 +2,12 @@
 
 The paper's parallel design (Sec. 3.4) distributes the many small
 same-level grids over workers; this package makes that real for the live
-code: :class:`ExecutionEngine` runs independent per-grid tasks (hydro
-sweeps, chemistry advances, gravity accelerations) in place on the live
-grid arrays — ``serial`` (today's exact path) or on a ``thread`` pool (the
-compiled kernels release the GIL) — while the scheduler reuses the
-Sec. 3.4 greedy distribution strategy, costed by cell count.
+code: :class:`ExecutionEngine` runs independent tasks (the hydro step
+and the gravity accelerations of one chunk of a level per worker, the
+chemistry advance of one grid) in place on the live grid arrays —
+``serial`` (today's exact path) or on a ``thread`` pool (the compiled
+kernels release the GIL) — while the scheduler reuses the Sec. 3.4
+greedy distribution strategy, costed by cell count.
 Results are bitwise identical across backends and worker counts.  See
 ``docs/EXECUTOR.md``.
 """
@@ -19,7 +20,7 @@ from repro.exec.engine import (
     ExecutionEngine,
     shutdown_pools,
 )
-from repro.exec.tasks import ChemistryTask, GravityAccelTask, GridTask, HydroTask
+from repro.exec.tasks import ChemistryTask, GravityChunkTask, GridTask, HydroChunkTask
 
 __all__ = [
     "BACKENDS",
@@ -29,9 +30,9 @@ __all__ = [
     "ExecConfig",
     "ExecReport",
     "ExecutionEngine",
-    "GravityAccelTask",
+    "GravityChunkTask",
     "GridTask",
-    "HydroTask",
+    "HydroChunkTask",
     "LedgerError",
     "WorkCalibrator",
     "WorkerLedger",

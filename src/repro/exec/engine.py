@@ -1,11 +1,13 @@
 """The task-based execution engine (serial / thread backends).
 
 One :class:`ExecutionEngine` per :class:`HierarchyEvolver`.  The evolver
-hands it the per-grid tasks of one level update (hydro sweeps, chemistry
-advances, gravity accelerations); the engine orders and assigns them with
-the Sec. 3.4 greedy strategy by cell count, executes them on the selected
-backend, and reports per-worker busy times so the run telemetry can carry
-real utilisation and load-imbalance figures.
+hands it the tasks of one level update: the hydro step and the gravity
+accelerations as one task per worker, each one kernel call over its chunk
+of the level's grids (:meth:`ExecutionEngine.chunks`), and the chemistry
+advances as one task per grid.  The engine places tasks with the Sec. 3.4
+greedy strategy by cell count, executes them on the selected backend, and
+reports per-worker busy times so the run telemetry can carry real
+utilisation and load-imbalance figures.
 
 Backends
 --------
@@ -17,10 +19,10 @@ Backends
     while they run.  Each worker drains its own scheduler-assigned queue
     so per-worker busy time is meaningful.
 
-Determinism: tasks on one level touch only their own grid and every task
-runs the same code on the same inputs in place, so both backends and
-every worker count produce bitwise identical hierarchies, and
-checkpoints/resume work unchanged.
+Determinism: tasks on one level touch only their own grids and every grid
+is stepped by the same code on the same inputs in place, whichever chunk
+holds it, so both backends and every worker count produce bitwise
+identical hierarchies, and checkpoints/resume work unchanged.
 
 Pools are process-global (keyed by worker count), created lazily, and
 drained at interpreter exit; SIGTERM drains therefore leave no orphaned
@@ -140,7 +142,7 @@ class ExecReport:
 
 # -------------------------------------------------------------------- engine
 class ExecutionEngine:
-    """Dispatches per-grid tasks for one evolver.
+    """Dispatches a level's tasks for one evolver.
 
     The engine object is cheap (pools are shared process-globals); each
     evolver owns one so its per-root-step stats stay private.  ``stats``
@@ -153,6 +155,22 @@ class ExecutionEngine:
         self.stats = StepStats()
 
     # ----------------------------------------------------------- scheduling
+    def chunks(self, grids) -> list[list[int]]:
+        """Split a level's grids into one chunk per worker, as indices into
+        ``grids`` in their order: balanced by cells with the strategy that
+        places tasks; one chunk of every grid when the dispatch runs
+        inline."""
+        grids = list(grids)
+        workers = self.config.workers
+        if (self.config.backend == "serial" or workers <= 1
+                or len(grids) < MIN_PARALLEL_TASKS):
+            return [list(range(len(grids)))]
+        assignment = balance_grids(grids, workers, STRATEGY)
+        queues: list[list[int]] = [[] for _ in range(workers)]
+        for i, g in enumerate(grids):
+            queues[assignment[g.grid_id]].append(i)
+        return [queue for queue in queues if queue]
+
     def plan_queues(self, tasks: list) -> list[list]:
         """Assign tasks to worker queues, longest first onto the least
         loaded, costed by cell count: every dispatch holds one task kind
@@ -169,7 +187,7 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------- dispatch
     def run(self, tasks, level=None, timers=None) -> ExecReport:
-        """Execute independent per-grid tasks in place.
+        """Execute independent tasks in place.
 
         Returns the dispatch report (also folded into :attr:`stats`).
         Given ``timers`` (a :class:`~repro.perf.timers.ComponentTimers`),

@@ -1,16 +1,19 @@
-"""Per-grid work units the execution engine dispatches.
+"""Work units the execution engine dispatches.
 
-Each task wraps one independent unit of per-grid physics — a hydro sweep,
-a chemistry network advance, or a gravity acceleration evaluation — for
-exactly one grid, and runs it in place on the live grid arrays
-(``run_inline``), whether the engine calls it from the dispatching thread
-or from a pool worker.  Tasks on the same level never touch each other's
-data (the AMR barrier structure: grids on a level are independent between
-boundary exchanges), which is what makes results bitwise identical across
-backends and worker counts.
+A task runs one independent unit of per-grid physics in place on the live
+grid arrays (``run_inline``), whether the engine calls it from the
+dispatching thread or from a pool worker: the hydro step or the gravity
+acceleration of one *chunk* of a level's grids (the engine's
+:meth:`~repro.exec.engine.ExecutionEngine.chunks`, one per worker: one
+kernel call over the chunk), or the chemistry advance of one grid.  Tasks
+on the same level never touch each other's grids (the AMR barrier
+structure: grids on a level are independent between boundary exchanges),
+which is what makes results bitwise identical across backends and worker
+counts.
 
 Tasks also expose ``grid_id`` / ``level`` / ``n_cells`` / ``start_index``
-so the scheduler can feed them straight through
+(a chunk: its first grid's id, index and level, and the cells of all its
+grids) so the scheduler can feed them straight through
 :func:`repro.exec.distribution.balance_grids`.
 """
 
@@ -20,38 +23,39 @@ from repro.runtime.faults import apply_nan_cell
 
 
 class GridTask:
-    """Base: scheduling metadata + the result and error slots.
+    """Base: the task's grids (one level), scheduling metadata and the
+    result and error slots.
 
     ``error`` is filled (and ``result`` left None) when the task's kernel
     raised: the engine runs tasks through :meth:`run_safe` so one sick
-    grid cannot abort the dispatch of its healthy siblings — the defense
+    chunk cannot abort the dispatch of its healthy siblings — the defense
     ladder (:mod:`repro.amr.defense`) decides afterwards whether to rescue
     or re-raise.
     """
 
     kind = "task"
 
-    def __init__(self, grid):
-        self.grid = grid
+    def __init__(self, grids):
+        self.grids = list(grids)
         self.result = None
         self.error: BaseException | None = None
 
     # ------------------------------------------------- scheduler interface
     @property
     def grid_id(self) -> int:
-        return self.grid.grid_id
+        return self.grids[0].grid_id
 
     @property
     def level(self) -> int:
-        return self.grid.level
+        return self.grids[0].level
 
     @property
     def n_cells(self) -> int:
-        return int(self.grid.n_cells)
+        return sum(int(g.n_cells) for g in self.grids)
 
     @property
     def start_index(self) -> tuple:
-        return tuple(int(s) for s in self.grid.start_index)
+        return tuple(int(s) for s in self.grids[0].start_index)
 
     # ---------------------------------------------------------------- run
     def run_safe(self) -> None:
@@ -66,39 +70,43 @@ class GridTask:
         raise NotImplementedError
 
 
-class HydroTask(GridTask):
-    """One solver step on one grid; result is the StepFluxes, stored in
-    the grid's face ``windows`` (None: none).  ``plan`` is the grid's own
-    :class:`~repro.hydro.ppm.StepPlan`, kept with its windows
-    (:meth:`~repro.amr.grid.Grid.hydro_plan`; None: the step checks its
-    inputs itself).  ``faults`` is the run's injector (or None), queried
-    for a ``nan_cell`` firing after the step."""
+class HydroChunkTask(GridTask):
+    """One solver step of a chunk of a level's grids: one
+    ``solver.step_level`` call.  ``steps`` holds each grid's ``(accel,
+    windows, plan)``: its acceleration (or None), face windows and
+    :class:`~repro.hydro.ppm.StepPlan` (:meth:`~repro.amr.grid.Grid
+    .hydro_plan`).  The result is the grids' StepFluxes, in order.
+    ``faults`` is the run's injector (or None), queried for a
+    ``nan_cell`` firing on each grid after the step; ``poisoned`` names,
+    per grid, whether one fired (its health row no longer describes it)."""
 
     kind = "hydro"
 
-    def __init__(self, grid, solver, dt: float, a: float, adot: float,
-                 accel, permute: int, faults=None, windows=None, plan=None):
-        super().__init__(grid)
-        self.windows = windows
-        self.plan = plan
+    def __init__(self, grids, solver, dt: float, a: float, adot: float,
+                 steps, permute: int, faults=None):
+        super().__init__(grids)
         self.solver = solver
         self.dt = float(dt)
         self.a = float(a)
         self.adot = float(adot)
-        self.accel = accel
+        self.steps = list(steps)
         self.permute = int(permute)
         self.faults = faults
+        self.poisoned = [False] * len(self.grids)
 
     def run_inline(self) -> None:
-        self.result = self.solver.step(
-            self.grid.fields, self.grid.dx, self.dt, self.a, self.adot,
-            self.accel, self.permute, windows=self.windows, plan=self.plan,
-        )
+        grids = self.grids
+        self.result = self.solver.step_level(
+            [(g.fields, accel, windows, plan)
+             for g, (accel, windows, plan) in zip(grids, self.steps)],
+            grids[0].dx, self.dt, self.a, self.adot, self.permute)
         if self.faults is not None:
-            apply_nan_cell(self.grid.fields, self.faults.plan_nan_cell(
-                self.level, self.grid_id,
-                tuple(int(d) for d in self.grid.dims), self.grid.nghost,
-            ))
+            for k, g in enumerate(grids):
+                plan = self.faults.plan_nan_cell(
+                    g.level, g.grid_id, tuple(int(d) for d in g.dims),
+                    g.nghost)
+                apply_nan_cell(g.fields, plan)
+                self.poisoned[k] = plan is not None
 
 
 class ChemistryTask(GridTask):
@@ -109,7 +117,8 @@ class ChemistryTask(GridTask):
 
     def __init__(self, grid, network, dt_code: float, units, a: float,
                  faults=None):
-        super().__init__(grid)
+        super().__init__([grid])
+        self.grid = grid
         self.network = network
         self.dt_code = float(dt_code)
         self.units = units
@@ -125,15 +134,17 @@ class ChemistryTask(GridTask):
         )
 
 
-class GravityAccelTask(GridTask):
-    """g = -grad(phi)/a on one grid; result is the (3, ...) accel field."""
+class GravityChunkTask(GridTask):
+    """g = -grad(phi)/a on a chunk of a level's grids: one
+    ``gravity.accel`` call; the result is ``(accels, gmax)``, each grid's
+    (3, ...) acceleration and its largest interior |g|, in order."""
 
     kind = "gravity"
 
-    def __init__(self, grid, gravity, a: float):
-        super().__init__(grid)
+    def __init__(self, grids, gravity, a: float):
+        super().__init__(grids)
         self.gravity = gravity
         self.a = float(a)
 
     def run_inline(self) -> None:
-        self.result = self.gravity.acceleration(self.grid, self.a)
+        self.result = self.gravity.accelerations(self.grids, self.a)

@@ -30,6 +30,7 @@ from repro.hydro.reconstruction import (
 )
 from repro.hydro.sources import apply_acceleration, apply_drag, expansion_factors
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, sync_internal_from_total
+from repro.hydro.timestep import signal_speeds
 from repro.hydro.tracing import trace_states_numpy
 
 #: the rows of a face window ahead of the advected fields: the conserved
@@ -54,12 +55,14 @@ class StepFluxes:
 
     ``diagnostics`` carries per-step solver health counters — how many
     cells/faces each positivity floor actually changed — so creeping floor
-    abuse is visible in telemetry long before it becomes a NaN.
+    abuse is visible in telemetry long before it becomes a NaN.  ``health``
+    is the step's :func:`step_health` row (None: the solver reports none).
     """
 
     boundary: list | None = None
     coarse: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+    health: list | None = None
 
     def planes(self):
         """Every stored block: the boundary ones, then the children's."""
@@ -103,6 +106,12 @@ FLOOR_COUNTS = ("face_density_floor", "face_pressure_floor", "density_floor",
 
 #: the first six arrays of a ``hydro.step`` call, in order
 STEP_FIELDS = ("density", "vx", "vy", "vz", "energy", "internal")
+
+#: the fields whose non-positive interior cells close a health row
+HEALTH_POSITIVE = ("density", "internal")
+
+#: the floor count each of the 16 counts of one grid's step adds to
+STEP_COUNTS = FLOOR_COUNTS * 3 + ("internal_floor",)
 
 _RECONSTRUCT = {"ppm": ppm_reconstruct, "ppm+flatten": ppm_reconstruct,
                 "plm": plm_reconstruct, "flat": flat_reconstruct}
@@ -384,7 +393,7 @@ class StepPlan:
 
 def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
                scheme, riemann_solver, density_floor, energy_floor, eta,
-               drag, windows=None, outs=(), plan=None):
+               drag, windows=None, outs=()):
     """NumPy reference of the ``hydro.step`` kernel: one
     :meth:`PPMSolver.step` of one grid.
 
@@ -402,8 +411,6 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
     :data:`WINDOW_FIELDS` + advected order; the sweeps' whole face arrays
     are temporaries.  Returns the 16 counts — the :data:`FLOOR_COUNTS` of
     each sweep, then the cells the final internal-energy floor changed.
-    ``plan`` (a :class:`StepPlan`) is what the compiled tier reads its
-    checked tables and pointers from; the reference needs none.
     """
     check_scheme(scheme, riemann_solver)
     check_drag(drag)
@@ -444,6 +451,53 @@ def step_numpy(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
     sync_internal_from_total(tail, eta, energy_floor)
     counts.append(internal_energy_floor(tail, energy_floor))
     return tuple(counts)
+
+
+def step_health(arrays, ng) -> list:
+    """The health row of one stepped grid: the non-finite interior cells
+    of each array of a ``hydro.step`` call (:data:`STEP_FIELDS`, then the
+    advected fields), then the interior cells of each
+    :data:`HEALTH_POSITIVE` field that are ``<= 0.0`` (-0.0 counts) —
+    the counts :func:`repro.amr.defense.validate_fields` takes."""
+    interior = tuple(slice(ng, n - ng) for n in arrays[0].shape)
+    views = [arr[interior] for arr in arrays]
+    row = [int(np.count_nonzero(~np.isfinite(v))) for v in views]
+    return row + [int(np.count_nonzero(views[STEP_FIELDS.index(name)] <= 0.0))
+                  for name in HEALTH_POSITIVE]
+
+
+def step_level_numpy(steps, dx, dt, a, permute, full_update, gamma, scheme,
+                     riemann_solver, density_floor, energy_floor, eta, drag):
+    """NumPy reference of the ``hydro.step`` kernel: :func:`step_numpy` on
+    each grid of a list (one level, or one chunk of it), in order.
+
+    ``steps`` holds one ``(plan, accel, outs)`` per grid: its
+    :class:`StepPlan` (arrays, ghost width, window table), its
+    acceleration (or None) and its window blocks; every other argument is
+    :func:`step_numpy`'s, shared by the grids.  Returns ``(counts,
+    health)``: an ``(n, 16)`` array of each grid's floor counts and an
+    ``(n, nq + 2)`` one of its :func:`step_health` row.
+    """
+    counts, health = [], []
+    for plan, accel, outs in steps:
+        counts.append(step_numpy(
+            plan.arrays, accel, plan.ng, dx, dt, a, permute, full_update,
+            gamma, scheme, riemann_solver, density_floor, energy_floor, eta,
+            drag, plan.windows, outs))
+        health.append(step_health(plan.arrays, plan.ng))
+    n = len(steps)
+    return (np.array(counts, dtype=np.int64).reshape(n, 16),
+            np.array(health, dtype=np.int64).reshape(n, -1))
+
+
+def cfl_numpy(plans, gamma):
+    """NumPy reference of the ``hydro.cfl`` kernel: each grid's largest
+    signal speed over its whole array (ghost zones included), the
+    ``vmax`` of :func:`~repro.hydro.timestep.hydro_timestep`; NaN
+    propagates."""
+    return np.array([
+        signal_speeds(dict(zip(STEP_FIELDS, plan.arrays)), gamma).max()
+        for plan in plans], dtype=float)
 
 
 class PPMSolver:
@@ -515,7 +569,7 @@ class PPMSolver:
         windows=None,
         plan=None,
     ) -> StepFluxes:
-        """Advance the gas by dt: one ``hydro.step`` kernel call.
+        """Advance the gas of one grid by dt: :meth:`step_level` of one.
 
         ``dx`` is the comoving cell width in code units; ``a``/``adot``
         the mid-step scale factor and its derivative; ``accel`` an optional
@@ -523,7 +577,8 @@ class PPMSolver:
         order (Strang permutation across steps); ``windows`` the grid's
         :class:`~repro.amr.flux_correction.FaceWindows` (None: the step
         stores no flux); ``plan`` the grid's :class:`StepPlan` for these
-        fields and windows, when the caller keeps one.
+        fields and windows, when the caller keeps one (a plan made for
+        other arrays is not used).
 
         The active zone is always advanced in full.  Ghost cells are
         advanced only where a later sweep of this step reads them (the
@@ -532,22 +587,56 @@ class PPMSolver:
         stencils reach, for a caller that steps again without a boundary
         fill in between.
         """
-        advected = tuple(fields.advected)
-        out = StepFluxes()
-        table, outs = None, []
-        if windows is not None:
-            table = windows.table
-            outs, out.boundary, out.coarse = windows.allocate(
-                len(WINDOW_FIELDS) + len(advected))
-        counts = kernels.get("hydro.step")(
-            step_arrays(fields), accel, self.nghost, dx, dt, a, permute,
-            full_update, self.gamma, self.scheme, self.riemann_solver,
-            self.density_floor, self.energy_floor, self.dual_energy_eta,
+        if plan is not None and not plan.holds(
+                step_arrays(fields), self.nghost,
+                None if windows is None else windows.table):
+            plan = None
+        return self.step_level([(fields, accel, windows, plan)], dx, dt, a,
+                               adot, permute, full_update=full_update)[0]
+
+    def step_level(self, steps, dx, dt, a=1.0, adot=0.0, permute=0,
+                   full_update=False) -> list:
+        """Advance the gas of several grids of one level by dt: one
+        ``hydro.step`` kernel call; returns their :class:`StepFluxes`, each
+        with its :func:`step_health` row.
+
+        ``steps`` holds one ``(fields, accel, windows, plan)`` per grid,
+        as :meth:`step` takes them; a given ``plan`` must be the one made
+        for those fields and windows (a grid's own,
+        :meth:`~repro.amr.grid.Grid.hydro_plan`), None builds a one-off.
+        """
+        calls, results = [], []
+        for fields, accel, windows, plan in steps:
+            if plan is None:
+                plan = StepPlan(step_arrays(fields), self.nghost,
+                                None if windows is None else windows.table)
+            out = StepFluxes()
+            outs = []
+            if windows is not None:
+                outs, out.boundary, out.coarse = windows.allocate(
+                    len(plan.arrays) - 1)
+            calls.append((plan, accel, outs))
+            results.append(out)
+        counts, health = kernels.get("hydro.step")(
+            calls, dx, dt, a, permute, full_update, self.gamma, self.scheme,
+            self.riemann_solver, self.density_floor, self.energy_floor,
+            self.dual_energy_eta,
             # exp stays NumPy on every tier
-            expansion_factors(a, adot, dt, self.gamma), table, outs, plan,
+            expansion_factors(a, adot, dt, self.gamma),
         )
-        for k in range(3):
-            out.add_diagnostics(dict(zip(FLOOR_COUNTS,
-                                         counts[5 * k:5 * k + 5])))
-        out.add_diagnostics({"internal_floor": counts[15]})
-        return out
+        for out, row, health_row in zip(results, counts.tolist(),
+                                        health.tolist()):
+            if any(row):
+                out.add_diagnostics(_summed(STEP_COUNTS, row))
+            out.health = health_row
+        return results
+
+
+def _summed(keys, values) -> dict:
+    """``{key: sum of its values}`` over the nonzero values, keys in the
+    order of their first nonzero value."""
+    out: dict = {}
+    for key, value in zip(keys, values):
+        if value:
+            out[key] = out.get(key, 0) + value
+    return out

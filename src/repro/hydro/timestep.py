@@ -15,6 +15,15 @@ from repro.hydro.eos import sound_speed
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS
 
 
+def signal_speeds(fields, gamma: float = const.GAMMA) -> np.ndarray:
+    """Per cell, the largest signal speed |v_k| + c_s over the three axes."""
+    cs = sound_speed(fields["internal"], gamma)
+    signal = cs.copy()
+    for name in VELOCITY_FIELDS:
+        signal = np.maximum(signal, np.abs(fields[name]) + cs)
+    return signal
+
+
 def hydro_timestep(
     fields: FieldSet,
     dx: float,
@@ -24,13 +33,15 @@ def hydro_timestep(
     interior=None,
 ) -> float:
     """CFL-limited timestep for one grid (code time units)."""
-    cs = sound_speed(fields["internal"], gamma)
-    signal = cs.copy()
-    for name in VELOCITY_FIELDS:
-        signal = np.maximum(signal, np.abs(fields[name]) + cs)
+    signal = signal_speeds(fields, gamma)
     if interior is not None:
         signal = signal[interior]
-    vmax = float(signal.max())
+    return cfl_timestep(float(signal.max()), dx, a, cfl)
+
+
+def cfl_timestep(vmax: float, dx: float, a: float = 1.0,
+                 cfl: float = 0.4) -> float:
+    """The CFL timestep of a grid whose largest signal speed is ``vmax``."""
     if vmax <= 0.0:
         return np.inf
     return cfl * a * dx / vmax
@@ -53,11 +64,10 @@ def particle_timestep(velocities, dx: float, a: float, cfl: float = 0.4) -> floa
     return cfl * a * dx / vmax
 
 
-def accel_timestep(accel, dx: float, a: float, cfl: float = 0.3) -> float:
-    """dt <= sqrt(cfl * a * dx / |g|): resolves free-fall through a cell."""
-    if accel is None:
-        return np.inf
-    gmax = float(np.max(np.abs(accel)))
+def accel_timestep(gmax: float, dx: float, a: float,
+                   cfl: float = 0.3) -> float:
+    """dt <= sqrt(cfl * a * dx / |g|): resolves free-fall through a cell
+    of a grid whose largest |g| is ``gmax``."""
     if gmax <= 0.0:
         return np.inf
     return np.sqrt(cfl * a * dx / gmax)

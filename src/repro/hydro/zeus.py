@@ -103,6 +103,15 @@ class ZeusSolver:
         np.copyto(fields["energy"], total_energy(fields))
         return out
 
+    def step_level(self, steps, dx, dt, a=1.0, adot=0.0, permute=0,
+                   full_update=False) -> list:
+        """:meth:`step` on each ``(fields, accel, windows, plan)`` of
+        ``steps`` in turn (the interface of :meth:`PPMSolver.step_level`);
+        the results carry no health row."""
+        return [self.step(fields, dx, dt, a, adot, accel, permute,
+                          full_update, windows)
+                for fields, accel, windows, _plan in steps]
+
     # ------------------------------------------------------------- source step
     def _source_step(self, fields: FieldSet, axis: int, dx: float, dt: float, a: float):
         def fwd(arr):

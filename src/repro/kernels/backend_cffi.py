@@ -19,14 +19,19 @@ registered kernel, same signature as its NumPy reference) validate shapes
 and index ranges, make inputs contiguous, allocate outputs and scratch, and
 copy non-contiguous in-place targets in and back:
 
-* ``hydro.step``      ``fn(arrays, accel, ng, dx, dt, a, permute, full_update,
-  gamma, scheme, riemann_solver, density_floor, energy_floor, eta, drag,
-  windows, outs) -> counts`` — one PPM step of one grid in place: half
-  kick, three sweeps over the pencil boxes ``rk_step`` derives itself,
-  half kick, drag, dual-energy sync and energy floor; the sweeps store
-  their fluxes only in the face-window blocks ``outs`` (no full face
-  array is allocated); its sweep and the Riemann, reconstruction and
-  tracing bodies are static C functions only ``rk_step`` calls
+* ``hydro.step``      ``fn(steps, dx, dt, a, permute, full_update, gamma,
+  scheme, riemann_solver, density_floor, energy_floor, eta, drag) ->
+  (counts, health)`` — one PPM step of each grid of a list in place, each
+  ``(plan, accel, outs)`` of ``steps`` a grid's checked ``StepPlan``, its
+  acceleration and its face-window blocks: half kick, three sweeps over
+  the pencil boxes ``rk_step`` derives itself, half kick, drag,
+  dual-energy sync and energy floor, then the grid's health row
+  (``ppm.step_health``); the sweeps store their fluxes only in the
+  face-window blocks (no full face array is allocated); its sweep and
+  the Riemann, reconstruction and tracing bodies are static C functions
+  only ``rk_step`` calls
+* ``hydro.cfl``       ``fn(plans, gamma) -> (n,)`` — each grid's largest
+  signal speed ``|v_k| + c_s`` over its whole array
 * ``chem.blend``      ``fn(logtab, idx, weight, out=None) -> (channels, n)
   rates``
 * ``chem.step``       ``fn(state, e, rho, budgets, t_done, counts, active, T,
@@ -43,8 +48,9 @@ copy non-contiguous in-place targets in and back:
   V-cycles from its rim until the residual norm meets the tolerance or
   the budget runs out (``rk_mg_solve``) and the write into its
   potential, then the rim exchange
-* ``gravity.accel``   ``fn(phi, dx, a) -> (3, *phi.shape)`` — ``-grad(phi)/a``
-  with ``np.gradient``'s central and one-sided edge differences
+* ``gravity.accel``   ``fn(phis, ng, dx, a) -> (accels, gmax)`` — for each
+  potential of a list ``-grad(phi)/a`` with ``np.gradient``'s central and
+  one-sided edge differences, and its interior max ``|g|``
 * ``flux.correct``    ``fn(fields, names, ng, dx, periodic, r, children)`` —
   the coarse-fine flux correction of one parent for all its children
   (each with its fine sums and the parent's planes at its faces), in
@@ -118,7 +124,7 @@ from repro.chemistry.cooling import H2_LDL_HI, H2_LDL_LO, compton_coefficient
 from repro.chemistry.network import H2_BINDING
 from repro.chemistry.rates import CHANNEL_NAMES, T_MAX, T_MIN
 from repro.chemistry.species import SPECIES_NAMES
-from repro.hydro.ppm import StepPlan, check_drag
+from repro.hydro.ppm import check_drag
 from repro.hydro.riemann import TWO_SHOCK_ITERATIONS
 from repro.hydro.state import DUAL_ENERGY_ETA, INTERNAL_FLOOR
 from repro.kernels import dispatch
@@ -145,14 +151,16 @@ long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
     long min_size, double tol, long budget, int strict, int force_diverge,
     double *work, double *stats, long n_rows, const int64_t *rows,
     int exchange, int *changed);
-void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
-    double dx, double a, double *out);
-void rk_step(long nq, double **q, const double *accel, long n0, long n1,
-    long n2, long ng, double dx, double dt, double a, long permute,
-    int full_update, double gamma, long scheme, long solver, double dfloor,
-    double efloor, double eta, const double *drag, long n_win,
-    const int64_t *win, double **outs, int64_t *counts, double *work,
+void rk_accel_level(long n_grids, const double **phis, const int64_t *geom,
+    double dx, double a, double **outs, double *gmax);
+void rk_step_level(long n_grids, long nq, double ***qs, const double **accels,
+    const int64_t *geom, const int64_t **wins, double ***outs, double dx,
+    double dt, double a, long permute, int full_update, double gamma,
+    long scheme, long solver, double dfloor, double efloor, double eta,
+    const double *drag, int64_t *counts, int64_t *health, double *work,
     long mb, int64_t *cols);
+void rk_cfl_level(long n_grids, double ***qs, const int64_t *cells,
+    double gamma, double *vmax);
 void rk_flux_correct(long nf, double **q, double *ie, long n0, long n1,
     long n2, long ng, double dx, const int *periodic, long n_children,
     const int64_t *regions, const double **blocks, const double **coarse,
@@ -1386,6 +1394,42 @@ void rk_gravity_accel(long n0, long n1, long n2, const double *phi,
     }
 }
 
+/* the largest |value| over the interior (ng cells in from every face) of
+   the nf (n0, n1, n2) arrays stacked at f: np.max(np.abs(...)), NaN when
+   any value is NaN.  A max is the same value in any order, so the
+   non-NaN values reduce in SIMD lanes and the NaNs are counted apart. */
+static double interior_absmax(long nf, const double *f, long n0, long n1,
+    long n2, long ng)
+{
+    double m = -INFINITY;
+    long nan = 0;
+    for (long k = 0; k < nf; k++)
+        for (long i = ng; i < n0 - ng; i++)
+            for (long j = ng; j < n1 - ng; j++) {
+                const double *p = f + ((k * n0 + i) * n1 + j) * n2;
+                #pragma omp simd reduction(max:m) reduction(+:nan)
+                for (long c = ng; c < n2 - ng; c++) {
+                    double v = fabs(p[c]);
+                    nan += v != v;
+                    m = m > v ? m : v;
+                }
+            }
+    return nan ? NAN : m;
+}
+
+/* gravity.accel over a list of grids: rk_gravity_accel on each grid g
+   (geom row g: n0, n1, n2, ng) into outs[g], and gmax[g] its interior
+   max |g| */
+void rk_accel_level(long n_grids, const double **phis, const int64_t *geom,
+    double dx, double a, double **outs, double *gmax)
+{
+    for (long g = 0; g < n_grids; g++) {
+        const int64_t *d = geom + 4 * g;
+        rk_gravity_accel(d[0], d[1], d[2], phis[g], dx, a, outs[g]);
+        gmax[g] = interior_absmax(3, outs[g], d[0], d[1], d[2], d[3]);
+    }
+}
+
 /* ---- fused hydro step: one grid, one call (reference: hydro/ppm.py
    step_numpy, whose sweeps are sweep_numpy).  A sweep gathers blocks of
    sweep-axis
@@ -1811,6 +1855,84 @@ LANES void rk_step(long nq, double **q, const double *accel, long n0,
         }
     }
     counts[15] = floored;
+}
+
+/* the health row of one stepped grid (ppm.step_health, the counts
+   defense.validate_fields takes): the non-finite interior cells of each
+   of the nq arrays, then the interior cells of density (q[0]) and
+   internal energy (q[5]) that are <= 0.0 */
+static void step_health(long nq, double **q, long n0, long n1, long n2,
+    long ng, int64_t *row)
+{
+    for (long k = 0; k < nq + 2; k++) {
+        const double *f = q[k < nq ? k : (k == nq ? 0 : 5)];
+        int positivity = k >= nq;
+        int64_t bad = 0;
+        for (long i = ng; i < n0 - ng; i++)
+            for (long j = ng; j < n1 - ng; j++) {
+                const double *p = f + (i * n1 + j) * n2;
+                if (positivity) {
+                    #pragma omp simd reduction(+:bad)
+                    for (long c = ng; c < n2 - ng; c++) bad += p[c] <= 0.0;
+                } else {
+                    #pragma omp simd reduction(+:bad)
+                    for (long c = ng; c < n2 - ng; c++) bad += !isfinite(p[c]);
+                }
+            }
+        row[k] = bad;
+    }
+}
+
+/* hydro.step over a list of grids: rk_step on grid g (the pointer table
+   qs[g] of its nq arrays; geom row g: n0, n1, n2, ng and its window count;
+   accels[g] NULL or its acceleration; wins[g] / outs[g] its window table
+   and blocks), its 16 floor counts into counts[16 g ...] and its health
+   row into health[(nq + 2) g ...].  The scratch is sized for the largest
+   grid and reused grid after grid; the grids share nothing else. */
+void rk_step_level(long n_grids, long nq, double ***qs, const double **accels,
+    const int64_t *geom, const int64_t **wins, double ***outs, double dx,
+    double dt, double a, long permute, int full_update, double gamma,
+    long scheme, long solver, double dfloor, double efloor, double eta,
+    const double *drag, int64_t *counts, int64_t *health, double *work,
+    long mb, int64_t *cols)
+{
+    for (long g = 0; g < n_grids; g++) {
+        const int64_t *d = geom + 5 * g;
+        rk_step(nq, qs[g], accels[g], d[0], d[1], d[2], d[3], dx, dt, a,
+                permute, full_update, gamma, scheme, solver, dfloor, efloor,
+                eta, drag, d[4], wins[g], outs[g], counts + 16 * g, work, mb,
+                cols);
+        step_health(nq, qs[g], d[0], d[1], d[2], d[3],
+                    health + (nq + 2) * g);
+    }
+}
+
+/* hydro.cfl over a list of grids (reference: ppm.cfl_numpy, which is
+   timestep.signal_speeds' max): vmax[g] is the largest |v_k| + c_s over
+   every cell of grid g, ghosts included, c_s = sqrt(gamma (gamma - 1)
+   max(e, 0)); qs[g] holds its STEP_FIELDS arrays of cells[g] cells.  NaN
+   when any cell's speed is NaN, as np.maximum and np.max propagate it;
+   the other speeds reduce in SIMD lanes (interior_absmax). */
+LANES void rk_cfl_level(long n_grids, double ***qs, const int64_t *cells,
+    double gamma, double *vmax)
+{
+    double g1 = gamma * (gamma - 1.0);
+    for (long g = 0; g < n_grids; g++) {
+        const double *vx = qs[g][1], *vy = qs[g][2], *vz = qs[g][3],
+                     *e = qs[g][5];
+        double m = -INFINITY;
+        long nan = 0;
+        #pragma omp simd reduction(max:m) reduction(+:nan)
+        for (long c = 0; c < cells[g]; c++) {
+            double cs = sqrt(g1 * nmax(e[c], 0.0));
+            double s = nmax(cs, fabs(vx[c]) + cs);
+            s = nmax(s, fabs(vy[c]) + cs);
+            s = nmax(s, fabs(vz[c]) + cs);
+            nan += s != s;
+            m = m > s ? m : s;
+        }
+        vmax[g] = nan ? NAN : m;
+    }
 }
 
 /* ---- fused chemistry step: one substep of every active cell of one grid
@@ -2396,62 +2518,98 @@ def _writable(arr):
     return np.ascontiguousarray(arr, dtype=float)
 
 
-def hydro_step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
-               scheme, riemann_solver, density_floor, energy_floor, eta, drag,
-               windows=None, outs=(), plan=None):
+def _step_native(plan):
+    """``(fields, q, win)``: the arrays the C works on for one grid's
+    :class:`~repro.hydro.ppm.StepPlan`, the pointer table of them and of
+    its window table; kept on the plan when the C works on the plan's
+    arrays themselves, not on copies made for this call."""
+    native = plan.native
+    if native is None:
+        fields = [_writable(a) for a in plan.arrays]
+        native = (fields, ffi.new("double *[]", [_p(a) for a in fields]),
+                  _pi(plan.table))
+        if all(f is a for f, a in zip(fields, plan.arrays)):
+            plan.native = native
+    return native
+
+
+def _store_back(native, plan):
+    for out, dst in zip(native[0], plan.arrays):
+        if out is not dst:
+            dst[...] = out
+
+
+def hydro_step(steps, dx, dt, a, permute, full_update, gamma, scheme,
+               riemann_solver, density_floor, energy_floor, eta, drag):
     if scheme not in SWEEP_SCHEMES:
         raise ValueError(f"unknown reconstruction '{scheme}'")
     if riemann_solver not in SWEEP_SOLVERS:
         raise ValueError(f"unknown riemann solver '{riemann_solver}'")
     check_drag(drag)
     permute = int(permute) % 3
-    # the C indexes raw memory: the fields, ghost width and windows are
-    # checked by the plan (a one-off when the caller keeps none, or keeps
-    # one for other arrays), the acceleration and blocks on every call
-    if plan is None or not plan.holds(arrays, ng, windows):
-        plan = StepPlan(arrays, ng, windows)
-    shape = plan.shape
-    if accel is not None:
-        accel = np.ascontiguousarray(accel, dtype=float)
-        if accel.shape != (3, *shape):
-            raise ValueError(f"hydro.step: accel shape {accel.shape} != "
-                             f"{(3, *shape)}")
-    if len(outs) != len(plan.blocks):
-        raise ValueError("hydro.step: windows must be (n, 7) rows, one "
-                         "block each")
-    for out, block in zip(outs, plan.blocks):
-        _in_place(out, block, np.float64, "hydro.step: a window block")
-    native = plan.native
-    if native is None:
-        fields = [_writable(a) for a in arrays]
-        native = (fields, ffi.new("double *[]", [_p(a) for a in fields]))
-        if all(f is a for f, a in zip(fields, arrays)):
-            plan.native = native
-    fields, q = native
-    counts = np.empty(16, dtype=np.int64)
-    # scratch is per call: the cffi call releases the GIL, so sibling
-    # grids step concurrently under the thread exec backend
-    work = np.empty((SWEEP_SLOTS, max(shape) * SWEEP_BLOCK))
+    n = len(steps)
+    nq = len(steps[0][0].arrays) if n else 6
+    # the C indexes raw memory: each grid's fields, ghost width and
+    # windows were checked by its plan, the accelerations and blocks are
+    # checked on every call
+    geom = np.empty((n, 5), dtype=np.int64)
+    natives, accels, outs_ptrs, width = [], [], [], 1
+    for i, (plan, accel, outs) in enumerate(steps):
+        shape = plan.shape
+        if len(plan.arrays) != nq:
+            raise ValueError("hydro.step: the grids of one call must carry "
+                             "the same fields")
+        if accel is not None:
+            accel = np.ascontiguousarray(accel, dtype=float)
+            if accel.shape != (3, *shape):
+                raise ValueError(f"hydro.step: accel shape {accel.shape} != "
+                                 f"{(3, *shape)}")
+        if len(outs) != len(plan.blocks):
+            raise ValueError("hydro.step: windows must be (n, 7) rows, one "
+                             "block each")
+        for out, block in zip(outs, plan.blocks):
+            _in_place(out, block, np.float64, "hydro.step: a window block")
+        natives.append(_step_native(plan))
+        accels.append(ffi.NULL if accel is None else _pc(accel))
+        outs_ptrs.append(ffi.new("double *[]", [_p(b) for b in outs]))
+        geom[i] = (*shape, plan.ng, len(plan.table))
+        width = max(width, *shape)
+    counts = np.zeros((n, 16), dtype=np.int64)
+    health = np.empty((n, nq + 2), dtype=np.int64)
+    # scratch is per call and sized for the largest grid: the cffi call
+    # releases the GIL, so chunks of a level step concurrently under the
+    # thread exec backend
+    work = np.empty((SWEEP_SLOTS, width * SWEEP_BLOCK))
     cols = np.empty((3, SWEEP_BLOCK), dtype=np.int64)
-    # the pointer tables own nothing: the plan (or ``fields``) and
-    # ``outs`` keep the buffers alive for the duration of the call
-    _lib.rk_step(
-        len(fields), q, ffi.NULL if accel is None else _pc(accel), *shape,
-        plan.ng, float(dx), float(dt), float(a), permute, bool(full_update),
-        float(gamma), SWEEP_SCHEMES.index(scheme),
-        SWEEP_SOLVERS.index(riemann_solver), float(density_floor),
-        float(energy_floor), float(eta),
+    # the pointer tables own nothing: the plans (or their copies), the
+    # accelerations and ``outs`` keep the buffers alive for the call
+    _lib.rk_step_level(
+        n, nq, ffi.new("double **[]", [native[1] for native in natives]),
+        ffi.new("const double *[]", accels), _pi(geom),
+        ffi.new("const int64_t *[]", [native[2] for native in natives]),
+        ffi.new("double **[]", outs_ptrs), float(dx), float(dt), float(a),
+        permute, bool(full_update), float(gamma),
+        SWEEP_SCHEMES.index(scheme), SWEEP_SOLVERS.index(riemann_solver),
+        float(density_floor), float(energy_floor), float(eta),
         ffi.NULL if drag is None else ffi.new("double[2]",
                                               [float(f) for f in drag]),
-        len(plan.table), _pi(plan.table),
-        ffi.new("double *[]", [_p(b) for b in outs]),
-        ffi.from_buffer("int64_t[]", counts), _p(work), SWEEP_BLOCK,
+        ffi.from_buffer("int64_t[]", counts),
+        ffi.from_buffer("int64_t[]", health), _p(work), SWEEP_BLOCK,
         ffi.from_buffer("int64_t[]", cols),
     )
-    for out, dst in zip(fields, arrays):
-        if out is not dst:
-            dst[...] = out
-    return tuple(counts.tolist())
+    for native, (plan, _, _) in zip(natives, steps):
+        _store_back(native, plan)
+    return counts, health
+
+
+def hydro_cfl(plans, gamma):
+    natives = [_step_native(plan) for plan in plans]
+    cells = np.array([plan.arrays[0].size for plan in plans], dtype=np.int64)
+    vmax = np.empty(len(plans))
+    _lib.rk_cfl_level(len(plans),
+                      ffi.new("double **[]", [native[1] for native in natives]),
+                      _pi(cells), float(gamma), _p(vmax))
+    return vmax
 
 
 def _in_place(arr, shape, dtype, what):
@@ -2613,15 +2771,26 @@ def mg_level(plan, src, first, stop, pre, post, min_size, tol, budget,
     return int(failed), bool(changed[0])
 
 
-def gravity_accel(phi, dx, a):
-    phi = np.ascontiguousarray(phi, dtype=float)
-    # np.gradient needs two cells along every axis; the C reads them
-    if phi.ndim != 3 or min(phi.shape) < 2:
-        raise ValueError("gravity.accel: phi must be 3-d with at least two "
-                         "cells along every axis")
-    out = np.empty((3, *phi.shape))
-    _lib.rk_gravity_accel(*phi.shape, _pc(phi), float(dx), float(a), _p(out))
-    return out
+def gravity_accel(phis, ng, dx, a):
+    ng = int(ng)
+    phis = [np.ascontiguousarray(phi, dtype=float) for phi in phis]
+    geom = np.empty((len(phis), 4), dtype=np.int64)
+    for i, phi in enumerate(phis):
+        # np.gradient needs two cells along every axis; the C reads them
+        if phi.ndim != 3 or min(phi.shape) < 2:
+            raise ValueError("gravity.accel: phi must be 3-d with at least "
+                             "two cells along every axis")
+        if ng < 0 or min(phi.shape) <= 2 * ng:
+            raise ValueError("gravity.accel: no interior cell along some "
+                             "axis")
+        geom[i] = (*phi.shape, ng)
+    accels = [np.empty((3, *phi.shape)) for phi in phis]
+    gmax = np.empty(len(phis))
+    _lib.rk_accel_level(
+        len(phis), ffi.new("const double *[]", [_pc(phi) for phi in phis]),
+        _pi(geom), float(dx), float(a),
+        ffi.new("double *[]", [_p(acc) for acc in accels]), _p(gmax))
+    return accels, gmax
 
 
 def _face_block(block, shape, what):
@@ -2721,6 +2890,7 @@ def cic_gather(field3, offsets, dx, periodic):
 
 for _name, _fn in (
     ("hydro.step", hydro_step),
+    ("hydro.cfl", hydro_cfl),
     ("chem.blend", chem_blend),
     ("chem.step", chem_step),
     ("fill.level", fill_level),

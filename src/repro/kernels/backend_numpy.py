@@ -19,12 +19,13 @@ from repro.hydro import ppm as _ppm
 from repro.kernels import dispatch
 from repro.nbody import cic as _cic
 
-dispatch.register("numpy", "hydro.step", _ppm.step_numpy)
+dispatch.register("numpy", "hydro.step", _ppm.step_level_numpy)
+dispatch.register("numpy", "hydro.cfl", _ppm.cfl_numpy)
 dispatch.register("numpy", "chem.blend", _rates.blend_table_numpy)
 dispatch.register("numpy", "chem.step", _network.step_numpy)
 dispatch.register("numpy", "fill.level", _interpolation.fill_level_numpy)
 dispatch.register("numpy", "mg.level", _multigrid.level_numpy)
-dispatch.register("numpy", "gravity.accel", _gravity.accel_numpy)
+dispatch.register("numpy", "gravity.accel", _gravity.accel_level_numpy)
 dispatch.register("numpy", "flux.correct", _flux_correction.correct_numpy)
 dispatch.register("numpy", "cic.deposit", _cic.deposit_numpy)
 dispatch.register("numpy", "cic.gather", _cic.gather_numpy)

@@ -1,14 +1,15 @@
 """Backend registry for the compiled kernel tier.
 
-The hot inner loops (the fused per-grid hydro step — gravity kicks, the
-three sweeps of reconstruction or characteristic tracing, Riemann solve
-and conservative update, expansion drag, dual-energy sync and energy floor
-in one call —, the chemistry rate-table blend and the fused per-grid
-chemistry substep, the parent->child fill of a whole level — prolongation
-plus same-level copies —, one sibling pass of a level's subgrid
-multigrid solves, the potential gradient of one grid, the coarse-fine
-flux correction of one parent and the cloud-in-cell particle deposit and
-gather) are registered
+The hot inner loops (the fused hydro step of a list of grids — gravity
+kicks, the three sweeps of reconstruction or characteristic tracing,
+Riemann solve and conservative update, expansion drag, dual-energy sync,
+energy floor and each grid's health row in one call —, the CFL signal
+speeds of a list of grids, the chemistry rate-table blend and the fused
+per-grid chemistry substep, the parent->child fill of a whole level —
+prolongation plus same-level copies —, one sibling pass of a level's
+subgrid multigrid solves, the potential gradients of a list of grids, the
+coarse-fine flux correction of one parent and the cloud-in-cell particle
+deposit and gather) are registered
 here once per *backend* — each kernel exists in exactly two
 transcriptions:
 
@@ -67,6 +68,7 @@ KERNEL_NAMES = (
     "reconstruct.plm",
     "trace.states",
     "hydro.step",
+    "hydro.cfl",
     "chem.blend",
     "chem.step",
     "fill.level",
@@ -216,11 +218,14 @@ def warm() -> None:
     from repro.amr.interpolation import FillPlan
     from repro.chemistry.rates import CHANNEL_NAMES
     from repro.chemistry.species import SPECIES_NAMES
+    from repro.hydro.ppm import StepPlan
 
-    get("hydro.step")([np.ones((3, 3, 3)) for _ in range(6)], None, 1, 1.0,
-                      0.1, 1.0, 0, False, 5.0 / 3.0, "ppm", "hllc", 1e-12,
-                      1e-30, 1e-3, None, np.array([[0, 0, 1, 0, 1, 0, 1]]),
-                      [np.zeros((2, 5, 1, 1))])
+    plan = StepPlan([np.ones((3, 3, 3)) for _ in range(6)], 1,
+                    np.array([[0, 0, 1, 0, 1, 0, 1]]))
+    get("hydro.step")([(plan, None, [np.zeros((2, 5, 1, 1))])], 1.0, 0.1,
+                      1.0, 0, False, 5.0 / 3.0, "ppm", "hllc", 1e-12, 1e-30,
+                      1e-3, None)
+    get("hydro.cfl")([plan], 5.0 / 3.0)
     get("chem.blend")(np.zeros((2, 4)), np.zeros(3, dtype=np.intp),
                       np.full(3, 0.5))
     get("chem.step")(np.ones((len(SPECIES_NAMES), 1)), np.ones(1), np.ones(1),
@@ -240,7 +245,7 @@ def warm() -> None:
         interiors=lambda src: [src.reshape(4, 4, 4)]),
         np.zeros(64), 0, 1, 1, 1, 2, 1e-6, 1, False, False, True,
         np.zeros((1, 3)))
-    get("gravity.accel")(np.zeros((2, 2, 2)), 1.0, 1.0)
+    get("gravity.accel")([np.zeros((3, 3, 3))], 1, 1.0, 1.0)
     names = ("density", "vx", "vy", "vz", "energy")
     fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}
     fine = [np.zeros((2, 5, 2, 2)) for _ in range(3)]

@@ -1,8 +1,10 @@
 """Cloud-in-cell (CIC) mass deposition and force interpolation.
 
-All functions take *float64 offsets from the target grid's left edge* (the
-output of :meth:`ParticleSet.offsets_from` — extended precision has already
-done its job) plus the grid geometry.  Deposit and gather use the same CIC
+All functions take *float64 offsets from the target grid's origin* plus
+the grid geometry.  The callers form them from a particle's double-double
+position as ``(hi + lo) - origin`` (``Hierarchy.dm_density``,
+``HierarchyGravity.particle_accelerations``): that one rounding is where
+extended precision stops.  Deposit and gather use the same CIC
 kernel, which is what guarantees momentum-conserving self-forces vanish on a
 periodic mesh.
 

@@ -65,10 +65,6 @@ class ParticleSet:
             np.concatenate([self.ids, other.ids]),
         )
 
-    def offsets_from(self, origin_hi, origin_lo=None) -> np.ndarray:
-        """float64 positions relative to a DD origin (the precision boundary)."""
-        return (self.positions - DDArray(origin_hi, origin_lo)).to_float64()
-
     def in_region(self, left_edge, right_edge) -> np.ndarray:
         """Boolean mask of particles inside [left, right) (float64 compare —
         adequate for region membership, which is cell-scale)."""

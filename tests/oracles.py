@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.amr.interpolation import shell_table
+from repro.hydro.ppm import StepPlan
 
 
 def ghost_overlap(grid, other):
@@ -86,3 +87,17 @@ def one_grid_solve(level, start, source, dx, pre, post, min_size, tol,
                       tol, budget, strict, force_diverge, False, stats)
     cycles, residual, converged = stats[0].tolist()
     return failed, plan.phis[0], (int(cycles), residual, bool(converged))
+
+
+def one_grid_step(fn):
+    """``fn``, a tier's ``hydro.step`` (which steps a list of grids), as
+    the one-grid call of ``ppm.step_numpy``: its one-entry case, on a
+    plan made for ``arrays``, returning the grid's 16 floor counts."""
+    def step(arrays, accel, ng, dx, dt, a, permute, full_update, gamma,
+             scheme, riemann_solver, density_floor, energy_floor, eta, drag,
+             windows=None, outs=()):
+        counts, _ = fn([(StepPlan(arrays, ng, windows), accel, list(outs))],
+                       dx, dt, a, permute, full_update, gamma, scheme,
+                       riemann_solver, density_floor, energy_floor, eta, drag)
+        return tuple(counts[0].tolist())
+    return step

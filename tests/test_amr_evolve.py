@@ -190,7 +190,7 @@ class TestHierarchyGravity:
         h = _blob_hierarchy()
         grav = HierarchyGravity(g_code=1.0)
         grav.solve_level(h, 0)
-        acc = grav.acceleration(h.root)
+        (acc,), _ = grav.accelerations([h.root])
         ng = h.root.nghost
         # on the +x side of the blob, g_x must be negative (pull back in)
         assert acc[0][ng + 6, ng + 4, ng + 4] < 0
@@ -312,11 +312,13 @@ class TestEvolveLevel:
         assert not ev.step_stats["gravity"]
 
     def test_every_step_phase_is_booked(self, monkeypatch):
-        """The CFL scan and the pre-step snapshot run in "hydro", the
-        defense's checks in "defense" and the boundary-flux accumulation
-        in "flux_correction": none of them is "other overhead"."""
+        """The level's CFL call and the pre-step snapshot run in "hydro",
+        the defense's read of the step's health rows in "defense" and the
+        boundary-flux accumulation in "flux_correction": none of them is
+        "other overhead".  No grid is re-validated in NumPy."""
         from repro.amr import evolve
         from repro.amr.defense import DefenseLadder
+        from repro.kernels import dispatch
 
         h = _blob_hierarchy()
         rebuild_hierarchy(h, 1, RefinementCriteria(
@@ -332,18 +334,21 @@ class TestEvolveLevel:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(HierarchyEvolver, "compute_timestep", spy(
-            "compute_timestep", HierarchyEvolver.compute_timestep))
+        cfl = (dispatch.active_backend(), "hydro.cfl")
+        monkeypatch.setitem(dispatch._impls, cfl,
+                            spy("hydro.cfl", dispatch._impls[cfl]))
         monkeypatch.setattr(Grid, "save_old_state", spy(
             "save_old_state", Grid.save_old_state))
+        monkeypatch.setattr(DefenseLadder, "hydro_problems", spy(
+            "hydro_problems", DefenseLadder.hydro_problems))
         monkeypatch.setattr(DefenseLadder, "validate_grid", spy(
             "validate_grid", DefenseLadder.validate_grid))
         monkeypatch.setattr(evolve, "accumulate_boundary_fluxes", spy(
             "accumulate", evolve.accumulate_boundary_fluxes))
         ev.advance_root_step(0.005)
-        assert booked == {"compute_timestep": {"hydro"},
+        assert booked == {"hydro.cfl": {"hydro"},
                           "save_old_state": {"hydro"},
-                          "validate_grid": {"defense"},
+                          "hydro_problems": {"defense"},
                           "accumulate": {"flux_correction"}}
 
     def test_subgrid_solve_counts_reach_the_step_record(self):

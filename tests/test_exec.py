@@ -326,6 +326,22 @@ class TestExecutionEngine:
         assert sorted([t.grid_id for t in q] for q in queues) == [
             [0], [1, 2, 3, 4]]
 
+    def test_chunks_split_a_level_by_cells(self):
+        """One chunk per worker, balanced by cells, each in grid order;
+        one chunk of every grid when the dispatch would run inline."""
+        grids = [_FakeTask(i, c) for i, c in enumerate((4000, 900, 800,
+                                                         700, 600, 50))]
+        serial = ExecutionEngine(ExecConfig(backend="serial"))
+        assert serial.chunks(grids) == [list(range(6))]
+        two = ExecutionEngine(ExecConfig(backend="thread", workers=2))
+        assert two.chunks(grids[:1]) == [[0]]
+        assert sorted(two.chunks(grids)) == [[0], [1, 2, 3, 4, 5]]
+        four = ExecutionEngine(ExecConfig(backend="thread", workers=4))
+        chunks = four.chunks(grids)
+        assert len(chunks) == 4 and all(chunks)
+        assert sorted(i for c in chunks for i in c) == list(range(6))
+        assert all(c == sorted(c) for c in chunks)
+
     def test_step_snapshot_shape(self):
         eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
         eng.run([_FakeTask(i, 100) for i in range(4)], level=0)
@@ -357,3 +373,37 @@ def test_production_path_does_not_import_the_simulated_cluster():
                          env={**os.environ, "PYTHONPATH": src}, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------------ stress
+def test_thread_chunks_under_a_short_switch_interval():
+    """A deep hierarchy of many small grids stepped by four thread workers
+    (more than this host's cores) with the interpreter switching threads
+    every microsecond: the chunks of a level step concurrently, their
+    Python glue interleaved at random points, and the run ends on the
+    serial fingerprint.  Time-bounded: the threaded run takes the root
+    steps that fit in its budget, the serial one the same number."""
+    import time
+
+    from repro.problems import SphereCollapse
+
+    def build(cfg):
+        run = SphereCollapse(n_root=16, max_level=3, overdensity=25.0,
+                             max_dims=8, exec_config=cfg)
+        return run, 1.5 * run.free_fall_time(run.peak_density)
+
+    threaded, t_end = build(ExecConfig(backend="thread", workers=4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        steps, deadline = 0, time.perf_counter() + 20.0
+        while steps < 6 and (steps < 2 or time.perf_counter() < deadline):
+            threaded.evolver.advance_root_step(t_end)
+            steps += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded.hierarchy.levels) > 2
+    serial, _ = build(ExecConfig(backend="serial"))
+    for _ in range(steps):
+        serial.evolver.advance_root_step(t_end)
+    assert threaded.hierarchy.fingerprint() == serial.hierarchy.fingerprint()

@@ -15,6 +15,11 @@ Two runs check it on refined hierarchies:
 
 Both must end on the plain run's ``Hierarchy.fingerprint()``, which
 hashes whole arrays, ghost zones included.
+
+The finest level's fill after its last step before the parent's time is
+not even made: the parent's rebuild of that level refills every ghost
+cell of it (the shell of a kept grid, all of a new grid) before anything
+reads one.  A third run poisons those ghosts where that fill would run.
 """
 
 import functools
@@ -26,17 +31,52 @@ from repro.amr import evolve
 from repro.hydro.ppm import PPMSolver
 
 
+def _nan_ghosts(grids) -> None:
+    for g in grids:
+        ghost = np.ones(g.fields.shape, dtype=bool)
+        ghost[g.interior] = False
+        for _, arr in g.fields.array_items():
+            arr[ghost] = np.nan
+
+
 def _poisoned(fill, calls):
     """``set_boundary_values`` that first NaN-fills the ghost zones."""
     def poison_then_fill(hierarchy, level, *args, **kwargs):
         calls.append(level)
-        for g in hierarchy.level_grids(level):
-            ghost = np.ones(g.fields.shape, dtype=bool)
-            ghost[g.interior] = False
-            for _, arr in g.fields.array_items():
-                arr[ghost] = np.nan
+        _nan_ghosts(hierarchy.level_grids(level))
         return fill(hierarchy, level, *args, **kwargs)
     return poison_then_fill
+
+
+def _poison_finest(monkeypatch, counts):
+    """NaN-fill the finest level's ghosts right after its last step before
+    its parent's time, where its post-step fill used to run, and count
+    that level's steps, the times it is entered, its fills and the
+    poisonings."""
+    evolve_level = evolve.HierarchyEvolver.evolve_level
+    fill = evolve.set_boundary_values
+    parent_times = {}
+    finest_level = [None]
+
+    def traced(self, level, parent_time):
+        finest = finest_level[0] = self.criteria.max_level
+        if level == finest:
+            counts["entered"] += bool(self.hierarchy.level_grids(level))
+            parent_times[level] = parent_time
+        elif level == finest + 1:  # called after every step of the finest
+            counts["steps"] += 1
+            if not bool(parent_time < parent_times[finest]):
+                counts["poisoned"] += 1
+                _nan_ghosts(self.hierarchy.level_grids(finest))
+        return evolve_level(self, level, parent_time)
+
+    def counted(hierarchy, level, *args, **kwargs):
+        if level == finest_level[0]:
+            counts["fills"] += 1
+        return fill(hierarchy, level, *args, **kwargs)
+
+    monkeypatch.setattr(evolve.HierarchyEvolver, "evolve_level", traced)
+    monkeypatch.setattr(evolve, "set_boundary_values", counted)
 
 
 def _collapse():
@@ -83,7 +123,15 @@ def test_dead_ghosts_leave_the_fingerprint(problem, monkeypatch):
         fingerprints["poisoned"] = problem().fingerprint()
     assert set(calls) == {0, 1, 2}, calls
     with monkeypatch.context() as m:
-        m.setattr(PPMSolver, "step",
-                  functools.partialmethod(PPMSolver.step, full_update=True))
+        m.setattr(PPMSolver, "step_level", functools.partialmethod(
+            PPMSolver.step_level, full_update=True))
         fingerprints["full_update"] = problem().fingerprint()
+    counts = dict.fromkeys(("entered", "steps", "fills", "poisoned"), 0)
+    with monkeypatch.context() as m:
+        _poison_finest(m, counts)
+        fingerprints["finest_poisoned"] = problem().fingerprint()
+    assert counts["poisoned"] > 0, counts
+    # one fill on entry and one after every step but the skipped ones
+    assert counts["fills"] == (counts["entered"] + counts["steps"]
+                               - counts["poisoned"]), counts
     assert len(set(fingerprints.values())) == 1, fingerprints

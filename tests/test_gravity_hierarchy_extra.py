@@ -75,8 +75,7 @@ class TestSiblingIteratedGravity:
 
     def test_acceleration_symmetric_about_blob(self, setup):
         h, a, b, grav, _ = setup
-        acc_a = grav.acceleration(a)
-        acc_b = grav.acceleration(b)
+        (acc_a, acc_b), _ = grav.accelerations([a, b])
         ng = a.nghost
         # x-acceleration points toward the blob centre (x=0.5): positive in
         # a (left of centre... a spans [0.25,0.5]) and negative in b

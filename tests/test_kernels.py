@@ -68,7 +68,9 @@ from repro.hydro.ppm import (
     step_numpy as hydro_step_numpy,
     store_windows,
 )
-from repro.hydro.state import sync_internal_from_total
+from repro.amr.defense import health_problems, validate_fields
+from repro.hydro.state import FieldSet, sync_internal_from_total
+from repro.hydro.timestep import cfl_timestep, hydro_timestep, signal_speeds
 from repro.hydro.riemann import (
     _conserved_flux,
     exact_riemann,
@@ -83,7 +85,12 @@ from repro.nbody.cic import (
     deposit_numpy,
     gather_numpy,
 )
-from tests.oracles import one_grid_plan, one_grid_solve, shell_boxes
+from tests.oracles import (
+    one_grid_plan,
+    one_grid_solve,
+    one_grid_step,
+    shell_boxes,
+)
 
 GAMMA = 1.4
 ROOT = Path(__file__).resolve().parents[1]
@@ -298,7 +305,8 @@ class TestImportGuard:
         # and the physics still runs on the fallback
         step = dispatch.get("hydro.step")
         assert step.__name__ == "numpy:hydro.step"
-        blocks, _ = _step(step, _sweep_arrays((6, 6, 6), 0, "smooth"), 2)
+        blocks, _ = _step(one_grid_step(step),
+                          _sweep_arrays((6, 6, 6), 0, "smooth"), 2)
         assert all(np.isfinite(b).all() for b in blocks)
 
     def test_env_cffi_with_broken_install(self, isolated, monkeypatch):
@@ -355,7 +363,7 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("solver", ["two_shock", "hllc", "hll"])
     def test_riemann(self, tier, solver, seed):
         """The Riemann solvers, through the step that calls them."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         left, right = _random_faces(seed=seed)
         ref = _sweep_faces(hydro_step_numpy, left, right, solver)
         got = _sweep_faces(fn, left, right, solver)
@@ -368,7 +376,7 @@ class TestBitwiseParity:
         seed 11 the NumPy two-shock loop runs its full count (one iteration
         fewer gives other bits), which is what makes ``test_riemann`` the
         pin for the C's per-face exit."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         for seed, (solver, body) in itertools.product((0, 11),
                                                       RIEMANN.items()):
             left, right = _random_faces(seed=seed)
@@ -387,7 +395,7 @@ class TestBitwiseParity:
     def _long_pencils(self, tier, n, scheme):
         """A step whose first sweep runs along pencils of ``n`` active
         cells and one ghost each side, with every Riemann solver."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         arrays = _sweep_arrays((n + 2, 5, 4), 2, "smooth")
         for solver in SWEEP_SOLVERS:
             _assert_steps_equal(*_step_both(fn, arrays, 1, scheme, solver))
@@ -408,7 +416,7 @@ class TestBitwiseParity:
         """Every scheme's face states on flat data and across a jump,
         through the step that reconstructs them, on every Strang
         permutation."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         cases = itertools.product(("flat", "step"), SWEEP_GRIDS, range(3),
                                   SWEEP_SCHEMES)
         for kind, (shape, ng), permute, scheme in cases:
@@ -1293,12 +1301,13 @@ class TestAccelParity:
                                   (1.0 / 96, 0.02, np.asfortranarray)):
                 with np.errstate(all="ignore"):
                     ref = accel_numpy(phi, dx, a)
-                    got = fn(layout(phi), dx, a)
+                    (got,), gmax = fn([layout(phi)], 0, dx, a)
                 assert got.shape == (3, *shape)
                 np.testing.assert_array_equal(got, ref, err_msg=str(shape))
                 finite = np.isfinite(ref)
                 np.testing.assert_array_equal(np.signbit(got[finite]),
                                               np.signbit(ref[finite]))
+                np.testing.assert_array_equal(gmax, [np.max(np.abs(ref))])
 
     def test_refuses_what_the_c_cannot_index(self, tier):
         """Fewer than two cells along an axis has no gradient on either
@@ -1306,9 +1315,13 @@ class TestAccelParity:
         fn = _tier_impls(tier)["gravity.accel"]
         for bad in (np.zeros((1, 4, 4)), np.zeros((4, 4, 1)),
                     np.zeros((4, 4))):
-            for impl in (fn, accel_numpy):
-                with pytest.raises(ValueError):
-                    impl(bad, 0.1, 1.0)
+            with pytest.raises(ValueError):
+                fn([bad], 0, 0.1, 1.0)
+            with pytest.raises(ValueError):
+                accel_numpy(bad, 0.1, 1.0)
+        # an interior needs a cell inside the ghost width on every axis
+        with pytest.raises(ValueError):
+            fn([np.zeros((4, 6, 6))], 2, 0.1, 1.0)
 
 
 # ============================================================== fused step
@@ -1538,6 +1551,144 @@ def _assert_steps_equal(ref, got):
         np.testing.assert_array_equal(a, b)
 
 
+#: what :class:`TestLevelCallParity` splices into random cells
+LEVEL_SPLICES = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0)
+#: the advected fields of a level of :func:`_random_level`
+LEVEL_ADVECTED = ("HI", "HII")
+
+
+def _random_level(seed):
+    """``(arrays, ng)`` of a random level: 1-6 grids of mixed shapes, two
+    ghosts, two advected fields, each grid's arrays with NaN, +-Inf, 0,
+    -0.0 or -1 spliced into a few random cells (ghost or interior) of
+    random fields — or none."""
+    rng = np.random.default_rng(seed)
+    level = []
+    for _ in range(int(rng.integers(1, 7))):
+        shape = tuple(int(n) for n in rng.integers(5, 11, 3))
+        kind = ("smooth", "floors")[int(rng.integers(2))]
+        arrays = _sweep_arrays(shape, len(LEVEL_ADVECTED), kind)
+        for _ in range(int(rng.integers(0, 4))):
+            cell = tuple(int(rng.integers(n)) for n in shape)
+            arrays[int(rng.integers(len(arrays)))][cell] = LEVEL_SPLICES[
+                int(rng.integers(len(LEVEL_SPLICES)))]
+        level.append(arrays)
+    return level, 2
+
+
+def _level_fields(arrays):
+    fields = FieldSet(zip(ppm.STEP_FIELDS + LEVEL_ADVECTED, arrays))
+    fields.advected.extend(LEVEL_ADVECTED)
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_health_row_labels_are_validate_fields(seed):
+    """A health row's labels are ``validate_fields``' on any interior: a
+    finite field's non-positive cells (-0.0 included) are counted, a
+    non-finite one (-Inf included) reports only that."""
+    level, ng = _random_level(seed)
+    rng = np.random.default_rng(seed)
+    for arrays in level:
+        for _ in range(int(rng.integers(0, 6))):
+            cell = tuple(int(rng.integers(ng, n - ng))
+                         for n in arrays[0].shape)
+            arrays[int(rng.integers(len(arrays)))][cell] = LEVEL_SPLICES[
+                int(rng.integers(len(LEVEL_SPLICES)))]
+        row = ppm.step_health(arrays, ng)
+        assert health_problems(row, LEVEL_ADVECTED) == validate_fields(
+            _level_fields(arrays), (slice(ng, -ng),) * 3)
+
+
+@pytest.mark.parametrize("tier", ["numpy"] + COMPILED)
+class TestLevelCallParity:
+    """A kernel call over N grids does what N one-grid calls do, byte for
+    byte, and its per-grid results are what the per-grid NumPy passes it
+    replaced read: ``hydro.step``'s health rows give
+    ``defense.validate_fields``' labels, ``gravity.accel``'s maxima are
+    the interior ``max |g|`` and ``hydro.cfl`` is
+    ``hydro_timestep``'s ``vmax``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hydro_step(self, tier, seed):
+        fn = _tier_impls(tier)["hydro.step"]
+        level, ng = _random_level(seed)
+        rng = np.random.default_rng(100 + seed)
+        permute, accel_on, drag_on, full = STEP_OPTIONS[
+            int(rng.integers(len(STEP_OPTIONS)))]
+        scheme = SWEEP_SCHEMES[int(rng.integers(len(SWEEP_SCHEMES)))]
+        # zero floors keep a spliced 0, -0.0 or -1 non-positive
+        floors = (0.0, 0.0) if seed % 2 else SWEEP_FLOORS
+        args = (*STEP_ARGS, permute, full, GAMMA, scheme, "hllc", *floors,
+                STEP_ETA, STEP_DRAG if drag_on else None)
+
+        def entries(copies):
+            out = []
+            for arrays in copies:
+                shape = arrays[0].shape
+                table, outs = _every_face(shape, ng, len(arrays) - 1)
+                accel = _accel(shape, seed) if accel_on else None
+                out.append((ppm.StepPlan(arrays, ng, table), accel, outs))
+            return out
+
+        batched = entries([[a.copy() for a in arrays] for arrays in level])
+        single = entries([[a.copy() for a in arrays] for arrays in level])
+        with np.errstate(all="ignore"):
+            counts, health = fn(batched, *args)
+            rows = [fn([entry], *args) for entry in single]
+        assert counts.shape == (len(level), 16)
+        assert health.shape == (len(level), len(level[0]) + 2)
+        for k, (got, ref) in enumerate(zip(batched, single)):
+            assert counts[k].tobytes() == rows[k][0][0].tobytes()
+            assert health[k].tobytes() == rows[k][1][0].tobytes()
+            for a, b in zip(got[0].arrays + got[2], ref[0].arrays + ref[2]):
+                assert a.tobytes() == b.tobytes()
+            fields = _level_fields(got[0].arrays)
+            interior = (slice(ng, -ng),) * 3
+            assert health_problems(health[k].tolist(), LEVEL_ADVECTED) == \
+                validate_fields(fields, interior)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gravity_accel(self, tier, seed):
+        fn = _tier_impls(tier)["gravity.accel"]
+        level, ng = _random_level(seed)
+        rng = np.random.default_rng(seed)
+        phis = []
+        for arrays in level:
+            phi = rng.standard_normal(arrays[0].shape)
+            phi[~np.isfinite(arrays[0])] = np.nan   # the splices, some NaN
+            phis.append(phi)
+        with np.errstate(all="ignore"):
+            accels, gmax = fn(phis, ng, 0.37, 1.3)
+            singles = [fn([phi], ng, 0.37, 1.3) for phi in phis]
+        interior = (slice(None),) + (slice(ng, -ng),) * 3
+        for acc, g_max, (ref, ref_max) in zip(accels, gmax, singles):
+            assert acc.tobytes() == ref[0].tobytes()
+            assert g_max.tobytes() == ref_max[0].tobytes()
+            want = np.max(np.abs(acc[interior]))
+            np.testing.assert_array_equal(g_max, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hydro_cfl(self, tier, seed):
+        fn = _tier_impls(tier)["hydro.cfl"]
+        level, ng = _random_level(seed)
+        plans = [ppm.StepPlan(arrays, ng) for arrays in level]
+        with np.errstate(all="ignore"):
+            vmax = fn(plans, const.GAMMA)
+            singles = [fn([plan], const.GAMMA) for plan in plans]
+            want = [float(signal_speeds(_level_fields(arrays)).max())
+                    for arrays in level]
+        assert vmax.shape == (len(level),)
+        for v, single in zip(vmax, singles):
+            assert v.tobytes() == single[0].tobytes()
+        np.testing.assert_array_equal(vmax, want)
+        # the CFL step of a grid is hydro_timestep's, NaN included
+        for v, arrays in zip(vmax.tolist(), level):
+            with np.errstate(all="ignore"):
+                dt = hydro_timestep(_level_fields(arrays), 0.1, 1.1, 0.3)
+            np.testing.assert_array_equal(cfl_timestep(v, 0.1, 1.1, 0.3), dt)
+
+
 @pytest.mark.parametrize("tier", COMPILED)
 class TestSweepParity:
     """``hydro.step`` leaves bit-identical fields, flux blocks and counts:
@@ -1551,7 +1702,7 @@ class TestSweepParity:
         None or present, ``drag`` None or present, ``full_update`` false
         or true), rotating so that every option set meets every advected
         count."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         cases = list(itertools.product(SWEEP_GRIDS, SWEEP_SCHEMES,
                                        SWEEP_SOLVERS, (0, 3, 9)))
         fired = np.zeros(len(FLOOR_COUNTS), dtype=int)
@@ -1581,7 +1732,7 @@ class TestSweepParity:
         ``full_update`` step, and no floor fires more often; no cell
         outside the sweeps' bands in their boxes and the active zone is
         written."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         cases = itertools.product(SWEEP_GRIDS, range(3), SWEEP_SCHEMES)
         for i, ((shape, ng), permute, scheme) in enumerate(cases):
             solver = SWEEP_SOLVERS[i % len(SWEEP_SOLVERS)]
@@ -1614,7 +1765,7 @@ class TestSweepParity:
         """A step with the pencil boxes leaves the active zone of a full
         update bit for bit, on every Strang permutation, kicked and
         dragged."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         shape, ng = (9, 12, 14), 3
         interior = tuple(slice(ng, n - ng) for n in shape)
         for permute in range(3):
@@ -1638,7 +1789,7 @@ class TestSweepParity:
         its transverse box of the face plane, transverse axes ascending:
         the slices of the every-face windows, on every Strang
         permutation.  No window: no flux stored, the same fields."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         table = np.array([(0, 0, 4, 0, 5, 0, 6), (1, 2, -1, 1, 3, 2, 5),
                           (2, -1, 6, 3, 4, 0, 5), (0, 4, 1, 2, 5, 5, 6),
                           (2, 0, 6, 0, 4, 0, 5)], dtype=np.int64)
@@ -1672,7 +1823,7 @@ class TestSweepParity:
                                                   plane[:, a0:a1, b0:b1])
 
     def test_non_contiguous_fields_are_written_back(self, tier):
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         arrays = _sweep_arrays((8, 9, 10), 2, "floors")
         accel = _accel((8, 9, 10))
         ref, _ = _step_both(fn, arrays, 2, "ppm+flatten", "hllc", permute=1,
@@ -1688,7 +1839,7 @@ class TestSweepParity:
     def test_selects_at_their_boundaries(self, tier, scheme):
         """Every select of the sweep body on its boundary
         (:func:`_select_edges`), with and without kicks and drag."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         shape = (16, 8, 7)
         for permute, accel, drag, full_update in STEP_OPTIONS:
             _assert_steps_equal(*_step_both(
@@ -1697,7 +1848,7 @@ class TestSweepParity:
                 drag=STEP_DRAG if drag else None, full_update=full_update))
 
     def test_refuses_what_the_c_cannot_index(self, tier):
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         arrays = _sweep_arrays((6, 8, 8), 0, "smooth")
         before = [a.copy() for a in arrays]
         # windows outside the 2 x 4 x 4 interior, or blocks of another
@@ -2129,7 +2280,7 @@ class TestNoOutOfBoundsWrites:
         """The three sweeps of one ``hydro.step``, kicked and dragged, with
         the pencil boxes and with every pencil (``full_update``); the
         acceleration sits between guard bands too."""
-        fn = _tier_impls(tier)["hydro.step"]
+        fn = one_grid_step(_tier_impls(tier)["hydro.step"])
         arrays = _sweep_arrays(shape, 2, "smooth")
         accel = _accel(shape)
         for full_update in (False, True):
@@ -2250,7 +2401,7 @@ class TestNoOutOfBoundsWrites:
         phi = np.random.default_rng(3).standard_normal((8, 11, 6))
         got, buf = _guarded(phi)
         before = _guards((buf,))
-        out = fn(got, 0.1, 1.2)
+        (out,), _ = fn([got], 1, 0.1, 1.2)
         np.testing.assert_array_equal(_guards((buf,)), before)
         np.testing.assert_array_equal(out, accel_numpy(phi, 0.1, 1.2))
 
@@ -2451,7 +2602,7 @@ class TestRiemannEdgeStates:
     def _flux(self, tier, solver, left, right):
         if tier == "numpy":
             return RIEMANN[solver](left, right, GAMMA)
-        return _sweep_faces(_tier_impls(tier)["hydro.step"], left, right,
+        return _sweep_faces(one_grid_step(_tier_impls(tier)["hydro.step"]), left, right,
                             solver)
 
     def _exact_flux(self, left, right):

@@ -44,11 +44,6 @@ class TestParticleSet:
         mask = p.in_region([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         np.testing.assert_array_equal(mask, [True, False])
 
-    def test_offsets_from(self):
-        p = ParticleSet(DDArray(np.array([[0.5, 0.5, 0.5]])), np.zeros((1, 3)), np.ones(1))
-        off = p.offsets_from(np.array([0.25, 0.25, 0.25]))
-        np.testing.assert_allclose(off, [[0.25, 0.25, 0.25]])
-
     def test_empty(self):
         p = ParticleSet.empty()
         assert len(p) == 0

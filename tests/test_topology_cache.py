@@ -412,7 +412,7 @@ class TestLevelPlan:
         if "cffi" in dispatch.available_backends():
             dispatch.set_backend("cffi", env=False)
             try:
-                from repro.kernels import backend_cffi
+                from repro.hydro import ppm
 
                 set_boundary_values(h, 1)
                 nf = len(a.fields.array_items()) + 1
@@ -426,14 +426,14 @@ class TestLevelPlan:
 
                 steps = []
 
-                class Counted(backend_cffi.StepPlan):
+                class Counted(ppm.StepPlan):
                     __slots__ = ()
 
                     def __init__(self, *args):
                         steps.append(self)
                         super().__init__(*args)
 
-                monkeypatch.setattr(backend_cffi, "StepPlan", Counted)
+                monkeypatch.setattr(ppm, "StepPlan", Counted)
                 windows, step = a.hydro_plan()
                 other = a.fields.deep_copy()
                 PPMSolver().step(other, a.dx, 1e-6, windows=windows,
