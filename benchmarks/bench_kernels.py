@@ -525,7 +525,7 @@ def mg_level_rows(config: dict, backend: str) -> dict:
                 plan.rims[...] = rims
                 t0 = time.perf_counter()
                 out = fn(plan, src, 0, n, MG_PRE, MG_POST, MG_MIN_SIZE,
-                         MG_TOL, MG_BUDGET, False, False, True, stats)
+                         MG_TOL, MG_BUDGET, False, True, stats)
                 best = min(best, time.perf_counter() - t0)
             outputs[name] = [out, stats.copy(), plan.rims.copy(),
                              *(a.copy() for a in plan.phis)]

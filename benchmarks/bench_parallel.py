@@ -305,7 +305,9 @@ def _imbalance_study(dispatches, calibrator, workers: int = 4) -> dict:
     """Satellite of Sec. 3.4: grid_work calibrated against wall times.
 
     Aggregates every measured task time into a per-grid total (the grid's
-    real cost over the timed window — all kinds, all substeps) and places
+    real cost over the timed window — all kinds, all substeps; a task
+    steps a chunk of grids, and each grid takes the share of its seconds
+    that its cells are of the chunk's) and places
     the grids on `workers` ranks twice: once costed by the analytic
     ``cells * r^level`` model, once by the measured-rate calibrator.  For
     each placement it reports the imbalance the model *predicted* and the
@@ -317,13 +319,14 @@ def _imbalance_study(dispatches, calibrator, workers: int = 4) -> dict:
     """
     per_grid: dict = {}
     for tasks, report in dispatches:
-        for task, (_k, _l, _c, seconds) in zip(tasks, report.task_times):
-            rec = per_grid.get(task.grid_id)
-            if rec is None:
-                rec = per_grid[task.grid_id] = _GridWorkRecord(
-                    task.grid_id, task.level, task.n_cells,
-                    task.start_index)
-            rec.seconds += seconds
+        for task, (_k, _l, cells, seconds) in zip(tasks, report.task_times):
+            for g in task.grids:
+                rec = per_grid.get(g.grid_id)
+                if rec is None:
+                    rec = per_grid[g.grid_id] = _GridWorkRecord(
+                        g.grid_id, g.level, g.n_cells,
+                        tuple(int(s) for s in g.start_index))
+                rec.seconds += seconds * g.n_cells / cells
     grids = list(per_grid.values())
 
     def replay(assignment):

@@ -7,10 +7,9 @@ healthy grid's work along with the sick one.  This module adds the missing
 middle layer: after the execution engine joins a level's tasks, every
 grid's result is **validated** (finite, positive) — a hydro step reports
 each grid's health row, which the ladder reads; NumPy re-validates only a
-grid an injected fault poisoned after its step, a grid whose solver
-reports no row, and, through the rungs, every grid of a chunk whose
-call raised — and an invalid grid is retried *in place*, climbing a
-ladder of increasingly dissipative rescues:
+grid an injected fault poisoned after its step and, through the rungs,
+every grid of a chunk whose call raised — and an invalid grid is retried
+*in place*, climbing a ladder of increasingly dissipative rescues:
 
 1. ``retry_half_dt``  — restore the pre-step state, take two half-dt
    solver steps (the usual cure for a marginally CFL-violating update);
@@ -30,13 +29,15 @@ recorded as a ``defense`` telemetry event; successful rungs and floor
 activations are counted per root step in ``stats``.
 
 With no faults and no escalations the ladder is read-only — validation
-looks at interior views and never writes — so results are bitwise
-identical to a defense-less run on every exec backend.
+looks at interior views and never writes — so a run it never rescues is
+the bare solvers' run bit for bit, on every exec backend.
 
 Chemistry failures get a shorter ladder (``chem_retry_half_dt`` →
 ``chem_floor_repair`` → ``chem_skip``): the network advances an
 operator-split source term, so skipping one grid-step of chemistry is a
-bounded, local error while a poisoned hydro state is not.
+bounded, local error while a poisoned hydro state is not.  Only an
+advance that raised is retried; one that returned an invalid state has
+advanced the grid already and goes straight to the repair.
 
 Deterministic chaos tests drive every rung via
 :mod:`repro.runtime.faults`; see ``docs/ROBUSTNESS.md``.
@@ -66,6 +67,10 @@ FINITE_FIELDS = ("density", "internal", "energy", "vx", "vy", "vz")
 #: fields that must additionally be strictly positive (the ones a
 #: ``hydro.step`` health row counts)
 POSITIVE_FIELDS = HEALTH_POSITIVE
+
+#: cap on queued (undrained) telemetry events, a backstop against a
+#: pathological run flooding memory
+MAX_EVENTS = 10000
 
 
 def validate_fields(fields, interior) -> list[str]:
@@ -125,6 +130,7 @@ def _sum_fluxes(a, b):
                   for cid, per in a.coarse.items()}
     out.add_diagnostics(a.diagnostics)
     out.add_diagnostics(b.diagnostics)
+    out.health = b.health
     return out
 
 
@@ -134,16 +140,9 @@ class DefenseLadder:
     ``stats`` is the step record's ``defense`` block (``rungs.<rung>``,
     ``floors.<kind>``), reset by the evolver at every root step;
     ``totals`` accumulates the same counts over the whole run.
-
-    Parameters
-    ----------
-    max_events:
-        Cap on queued (undrained) telemetry events, a backstop against a
-        pathological run flooding memory.
     """
 
-    def __init__(self, max_events: int = 10000):
-        self.max_events = int(max_events)
+    def __init__(self):
         self.stats = StepStats()
         #: queued telemetry events (drained by the run controller)
         self.events: list[dict] = []
@@ -167,7 +166,7 @@ class DefenseLadder:
 
     def record_event(self, event: dict) -> None:
         """Queue a defense event (rung attempt, mg retry, escalation)."""
-        if len(self.events) < self.max_events:
+        if len(self.events) < MAX_EVENTS:
             self.events.append(dict(event))
         rung = event.get("rung")
         if rung and event.get("ok"):
@@ -181,9 +180,9 @@ class DefenseLadder:
 
     def hydro_problems(self, grid, result, poisoned: bool) -> list[str]:
         """What is wrong with a grid after its hydro step: read from the
-        step's health row, or re-validated in NumPy when the solver
-        reported none or a fault poisoned the grid after the step."""
-        if result.health is None or poisoned:
+        step's health row, or re-validated in NumPy when a fault poisoned
+        the grid after the step."""
+        if poisoned:
             return self.validate_grid(grid)
         if not any(result.health):
             return []
@@ -401,54 +400,61 @@ class DefenseLadder:
 
     # ------------------------------------------------------------ chemistry
     def rescue_chemistry(self, grid, network, solver, dt_code: float, units,
-                         a: float, faults=None):
+                         a: float, error, stats, faults=None):
         """Chemistry ladder; returns integrator stats or None (skipped).
+
+        ``error`` is what the grid's advance raised, or None when it
+        returned ``stats`` and left an invalid state.  An advance that
+        raised wrote no cell (the network writes a cell back only after
+        integrating it, and no slab after the first can raise what the
+        first did not), so it is retried; one that returned has advanced
+        the grid over dt already, so it is repaired, never advanced again.
         ``solver`` is the run's hydro solver, whose positivity floors the
         repair rung clamps to, as the hydro ladder's does; ``faults`` is
-        the run's injector, re-queried for ``chem_blowup``."""
+        the run's injector, re-queried for ``chem_blowup`` by the retry.
+        """
         site = {"level": int(grid.level), "grid": int(grid.grid_id)}
 
-        # rung 1: retry as two half-dt advances (the network writes a cell
-        # back only after integrating it, and no slab after the first can
-        # raise what the first did not, so a raised retry leaves every
-        # cell untouched)
-        try:
-            if faults is not None:
-                faults.maybe_raise("chem_blowup", grid.level, grid.grid_id)
-            half = 0.5 * dt_code
-            active = grid.fields.view(grid.interior)
-            s1 = network.advance_fields(active, half, units, a)
-            s2 = network.advance_fields(active, half, units, a)
-            retry_error = None
-            # one advance over dt: the counters of its halves summed
-            stats = integrator_stats({
-                "cells": s2["cells"],
-                "substeps_total": s1["substeps_total"] + s2["substeps_total"],
-                "substeps_max": max(s1["substeps_max"], s2["substeps_max"]),
-                "iterations": s1["iterations"] + s2["iterations"]})
-        except Exception as exc:
-            retry_error = exc
-            stats = None
-        chem_problems = (
-            self.validate_grid(grid) if retry_error is None else
-            [f"task_error:{type(retry_error).__name__}"]
-        )
-        self.record_event({
-            "rung": "chem_retry_half_dt", "ok": not chem_problems,
-            "problems": chem_problems, **site,
-        })
-        if not chem_problems:
-            return stats
-
-        if retry_error is None:
-            # the advance ran but produced an invalid state: repair it
-            repair = self._floor_repair(grid, solver, None)
-            chem_problems = self.validate_grid(grid)
+        if error is not None:
+            # rung 1: retry as two half-dt advances (a raised retry, like
+            # the advance it retries, leaves every cell untouched)
+            try:
+                if faults is not None:
+                    faults.maybe_raise("chem_blowup", grid.level,
+                                       grid.grid_id)
+                half = 0.5 * dt_code
+                active = grid.fields.view(grid.interior)
+                s1 = network.advance_fields(active, half, units, a)
+                s2 = network.advance_fields(active, half, units, a)
+                error = None
+                # one advance over dt: the counters of its halves summed
+                stats = integrator_stats({
+                    "cells": s2["cells"],
+                    "substeps_total": (s1["substeps_total"]
+                                       + s2["substeps_total"]),
+                    "substeps_max": max(s1["substeps_max"],
+                                        s2["substeps_max"]),
+                    "iterations": s1["iterations"] + s2["iterations"]})
+            except Exception as exc:
+                error = exc
+            problems = (self.validate_grid(grid) if error is None else
+                        [f"task_error:{type(error).__name__}"])
             self.record_event({
-                "rung": "chem_floor_repair", "ok": not chem_problems,
-                "problems": chem_problems, **site, **repair["stats"],
+                "rung": "chem_retry_half_dt", "ok": not problems,
+                "problems": problems, **site,
             })
-            if not chem_problems:
+            if not problems:
+                return stats
+
+        if error is None:
+            # rung 2: an advance ran but left an invalid state: repair it
+            repair = self._floor_repair(grid, solver, None)
+            problems = self.validate_grid(grid)
+            self.record_event({
+                "rung": "chem_floor_repair", "ok": not problems,
+                "problems": problems, **site, **repair["stats"],
+            })
+            if not problems:
                 return stats
 
         # rung 3: skip this grid-step of chemistry (bounded local error for
@@ -458,4 +464,3 @@ class DefenseLadder:
             "rung": "chem_skip", "ok": True, "problems": [], **site,
         })
         return None
-

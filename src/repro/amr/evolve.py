@@ -35,12 +35,16 @@ from repro.amr.defense import DefenseLadder
 from repro.amr.flux_correction import accumulate_boundary_fluxes, correct_level
 from repro.amr.projection import project_level
 from repro.amr.rebuild import rebuild_hierarchy
-from repro import constants as const
-from repro.exec import ChemistryTask, ExecutionEngine, GravityChunkTask, HydroChunkTask
+from repro.exec import ChemistryChunkTask, ExecutionEngine, GravityChunkTask, HydroChunkTask
 from repro.hydro.timestep import accel_timestep, cfl_timestep, expansion_timestep, particle_timestep
 from repro.kernels import dispatch as kernel_dispatch
 from repro.perf.timers import ComponentTimers, StepStats
 from repro.precision.doubledouble import DoubleDouble
+
+
+def _nan_timestep(level: int) -> FloatingPointError:
+    return FloatingPointError(
+        f"NaN timestep on level {level}: the solution has gone bad")
 
 
 class StaticClock:
@@ -107,20 +111,16 @@ class HierarchyEvolver:
         execution backend for independent per-grid work; None resolves
         from ``REPRO_EXEC_BACKEND`` / ``REPRO_WORKERS`` (default: serial).
         Results are bitwise identical across backends and worker counts.
-    defense:
-        ``None`` (default) attaches a :class:`repro.amr.defense
-        .DefenseLadder` that validates every per-grid task result and
-        rescues invalid grids in place before escalating to the run
-        controller; ``False`` disables validation entirely (seed
-        semantics: a task error aborts the step); or pass a configured
-        ladder instance.  With no escalations the ladder is read-only, so
-        results stay bitwise identical either way.
+
+    Every evolver owns a :class:`repro.amr.defense.DefenseLadder`
+    (``defense``), which checks every grid after each stepped phase and
+    rescues an invalid one in place before escalating to the run
+    controller; its gravity reports multigrid retries to the same ladder.
     """
 
     def __init__(self, hierarchy, solver, gravity=None, chemistry=None,
                  criteria=None, clock=None, units=None, cfl: float = 0.4,
-                 stats=None, jeans_floor_cells: float = 0.0, exec_config=None,
-                 defense=None):
+                 stats=None, jeans_floor_cells: float = 0.0, exec_config=None):
         self.hierarchy = hierarchy
         self.solver = solver
         self.gravity = gravity
@@ -143,16 +143,12 @@ class HierarchyEvolver:
         self.jeans_floor_cells = float(jeans_floor_cells)
         #: grid-scoped defense ladder (repro.amr.defense); validates task
         #: results and rescues sick grids locally before any rollback
-        if defense is None:
-            defense = DefenseLadder()
-        elif defense is False:
-            defense = None
-        self.defense = defense
-        if gravity is not None and getattr(gravity, "defense", None) is None:
+        self.defense = DefenseLadder()
+        if gravity is not None:
             gravity.defense = self.defense
-        #: execution engine for independent per-grid work (hydro steps and
-        #: gravity accelerations by chunks of a level, chemistry advances
-        #: by grid); see repro.exec
+        #: execution engine for independent per-grid work (hydro steps,
+        #: gravity accelerations and chemistry advances, each by chunks of
+        #: a level); see repro.exec
         self.engine = ExecutionEngine(exec_config)
         #: chemistry integrator diagnostics of the root step
         self.chem_stats = StepStats()
@@ -162,9 +158,8 @@ class HierarchyEvolver:
         self.step_stats = {"exec": self.engine.stats,
                            "chemistry": self.chem_stats,
                            "gravity": StepStats(), "rebuild": StepStats(),
-                           "kernels": StepStats()}
-        if self.defense is not None:
-            self.step_stats["defense"] = self.defense.stats
+                           "kernels": StepStats(),
+                           "defense": self.defense.stats}
         self.step_counter = defaultdict(int)
         #: optional liveness callback — called with the section name at
         #: every timed sub-step boundary (the RunController points this at
@@ -186,7 +181,9 @@ class HierarchyEvolver:
         takes each grid's own).  It reads the full arrays, ghosts included:
         the ghost zones hold what set_boundary_values wrote (neighbour and
         parent data, never sweep output), and the first sweep reads them,
-        so their signal speeds bind the CFL too.
+        so their signal speeds bind the CFL too.  The sound speed takes
+        the solver's ``gamma``.  A NaN signal speed on any grid raises
+        ``FloatingPointError`` (``min`` would pass over it).
         """
         h = self.hierarchy
         grids = h.level_grids(level)
@@ -194,7 +191,9 @@ class HierarchyEvolver:
         if grids:
             if plans is None:
                 plans = [g.hydro_plan()[1] for g in grids]
-            vmax = kernel_dispatch.get("hydro.cfl")(plans, const.GAMMA)
+            vmax = kernel_dispatch.get("hydro.cfl")(plans, self.solver.gamma)
+            if np.isnan(vmax).any():
+                raise _nan_timestep(level)
             dts += [cfl_timestep(v, g.dx, a, self.cfl)
                     for g, v in zip(grids, vmax.tolist())]
         if len(h.particles) and level == 0:
@@ -202,9 +201,7 @@ class HierarchyEvolver:
                                          h.root.dx, a, self.cfl))
         dt = float(min(dts))
         if np.isnan(dt):
-            raise FloatingPointError(
-                f"NaN timestep on level {level}: the solution has gone bad"
-            )
+            raise _nan_timestep(level)
         if not np.isfinite(dt):
             # no constraint bites (vacuum / zero-signal state, and the
             # expansion timestep — already part of the min — is unbounded
@@ -328,6 +325,8 @@ class HierarchyEvolver:
                 for i, acc, g_max in zip(chunk, task.result[0],
                                          task.result[1].tolist()):
                     accels[i], gmax[i] = acc, g_max
+            if np.isnan(gmax).any():
+                raise _nan_timestep(level)
             for g, g_max in zip(grids, gmax):
                 dt = min(dt, accel_timestep(g_max, g.dx, a))
 
@@ -353,7 +352,7 @@ class HierarchyEvolver:
                            permute, self.faults)
             for chunk in chunks]
         self.engine.run(hydro_tasks, level=level, timers=self.timers)
-        results = self._validated_hydro(chunks, hydro_tasks)
+        results = self._validated(chunks, hydro_tasks, self._defend_hydro)
         if level > 0:
             with self._section("flux_correction"):
                 for g, result in zip(grids, results):
@@ -375,14 +374,13 @@ class HierarchyEvolver:
 
         if self.chemistry is not None and self.units is not None:
             chemistry_tasks = [
-                ChemistryTask(g, self.chemistry, dt, self.units, a_mid,
-                              self.faults)
-                for g in grids
-            ]
+                ChemistryChunkTask([grids[i] for i in chunk], self.chemistry,
+                                   dt, self.units, a_mid, self.faults)
+                for chunk in chunks]
             self.engine.run(chemistry_tasks, level=level, timers=self.timers)
             # aggregate integrator diagnostics serially after the engine
             # joins — identical result on every backend / worker count
-            results = self._validated(chemistry_tasks,
+            results = self._validated(chunks, chemistry_tasks,
                                       self._defend_chemistry)
             chem = self.chem_stats
             for stats in results:
@@ -459,45 +457,24 @@ class HierarchyEvolver:
             stats.add(f"flags.{criterion}", count)
 
     # -------------------------------------------------------------- defense
-    def _validated(self, tasks, defend) -> list:
-        """The tasks' results in grid order.  With a defense ladder every
-        grid is validated and, if need be, rescued by ``defend(task)``;
-        without one the first task error is raised."""
-        if self.defense is None:
-            for task in tasks:
-                if task.error is not None:
-                    raise task.error
-            return [task.result for task in tasks]
-        with self._section("defense"):
-            return [defend(task) for task in tasks]
-
-    def _validated_hydro(self, chunks, tasks) -> list:
-        """The hydro results in grid order.  With a defense ladder every
-        grid is checked, in grid order, and, if need be, rescued by
-        :meth:`_defend_hydro`; without one the first chunk error is
-        raised."""
-        results = [None] * sum(len(chunk) for chunk in chunks)
-        if self.defense is None:
-            for chunk, task in zip(chunks, tasks):
-                if task.error is not None:
-                    raise task.error
-                for i, result in zip(chunk, task.result):
-                    results[i] = result
-            return results
-        owners = [None] * len(results)
+    def _validated(self, chunks, tasks, defend) -> list:
+        """The results of a level's chunk tasks in grid order: every grid
+        is checked, in grid order, and, if need be, rescued by
+        ``defend(task, k)`` (``k``: the grid's place in its chunk)."""
+        owners = [None] * sum(len(chunk) for chunk in chunks)
         for chunk, task in zip(chunks, tasks):
             for k, i in enumerate(chunk):
                 owners[i] = (task, k)
         with self._section("defense"):
-            return [self._defend_hydro(*owner) for owner in owners]
+            return [defend(task, k) for task, k in owners]
 
     def _defend_hydro(self, task, k):
         """Check the ``k``-th grid of a hydro chunk; rescue it through the
         ladder.
 
         The no-fault fast path reads the step's health row and the floor
-        counters and writes nothing, which is what keeps defended runs
-        bitwise identical to undefended ones.  Every grid of a chunk whose
+        counters and writes nothing, so a run the ladder never rescues is
+        the bare solver's run bit for bit.  Every grid of a chunk whose
         call raised goes to the ladder.
         """
         d, g = self.defense, task.grids[k]
@@ -514,13 +491,16 @@ class HierarchyEvolver:
                               accel, task.permute, windows, problems,
                               self.faults)
 
-    def _defend_chemistry(self, task):
-        d, g = self.defense, task.grid
-        if task.error is None and not d.validate_grid(g):
-            return task.result
+    def _defend_chemistry(self, task, k):
+        """Check the ``k``-th grid of a chemistry chunk; rescue it through
+        the ladder when its advance raised or left an invalid state."""
+        d, g = self.defense, task.grids[k]
+        error, stats = task.errors[k], task.result[k]
+        if error is None and not d.validate_grid(g):
+            return stats
         return d.rescue_chemistry(g, self.chemistry, self.solver,
-                                  task.dt_code, self.units, task.a,
-                                  self.faults)
+                                  task.dt_code, self.units, task.a, error,
+                                  stats, self.faults)
 
     # ------------------------------------------------------------- particles
     def _advance_particles(self, level: int, dt: float, a: float, adot: float,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.boundary import wrap_phi_ghosts
+from repro.amr.defense import DefenseLadder
 from repro.gravity.fft_poisson import solve_periodic
 from repro.gravity.gradient import acceleration_from_potential
 from repro.gravity.multigrid import (
@@ -48,11 +49,10 @@ class HierarchyGravity:
         self.g_code = g_code
         self.mean_density = mean_density
         self.sibling_iterations = int(sibling_iterations)
-        #: defense ladder (set by the evolver): when present, subgrid
-        #: solves run strict — non-convergence is retried once with a
-        #: doubled V-cycle budget, then escalated — instead of silently
-        #: accepting a bad potential
-        self.defense = None
+        #: the defense ladder that records a multigrid retry: the
+        #: evolver's, which it hands over; a gravity used without an
+        #: evolver keeps this one of its own
+        self.defense = DefenseLadder()
 
     # ------------------------------------------------------------ densities
     def total_density(self, hierarchy, grid) -> np.ndarray:
@@ -116,22 +116,20 @@ class HierarchyGravity:
         ``(cycles, residual, converged)``, ``counts`` the solves and
         V-cycles.
 
-        Defense off: an unconverged solve is kept silently.  Defense on:
-        the solves are strict, and a grid whose solve does not converge (real,
-        or injected via the ``mg_diverge`` fault) is retried once with
-        the V-cycle budget doubled (:meth:`_budget_retry`) before the pass
-        resumes at the next grid.  Without an injector the pass is one
-        kernel call, or one more per retried grid; with one, every grid is
-        its own call, so the injector is queried in grid order, before
-        each solve and before each retry.
+        A grid whose solve does not converge (real, or injected via the
+        ``mg_diverge`` fault) is retried once with the V-cycle budget
+        doubled (:meth:`_budget_retry`) before the pass resumes at the
+        next grid; an unconverged potential is never kept.  Without an
+        injector the pass is one kernel call, or one more per retried
+        grid; with one, every grid is its own call, so the injector is
+        queried in grid order, before each solve and before each retry.
         """
         n = len(grids)
-        strict = self.defense is not None
         level_kernel = kernels.get("mg.level")
 
         def run(first, stop, force=False, budget=MG_BUDGET, exchange=False):
             return level_kernel(plan, src, first, stop, MG_PRE, MG_POST,
-                                MG_MIN_SIZE, MG_TOL, budget, strict, force,
+                                MG_MIN_SIZE, MG_TOL, budget, force,
                                 exchange, stats)
 
         if faults is None:
@@ -156,7 +154,7 @@ class HierarchyGravity:
         return run(n, n, exchange=exchange)[1]
 
     def _budget_retry(self, run, grid, i, stats, faults, counts) -> None:
-        """The ``mg_budget_retry`` rung: record grid ``i``'s failed strict
+        """The ``mg_budget_retry`` rung: record grid ``i``'s failed
         solve, solve it again from its rim with double the V-cycle budget
         and, if that fails too, escalate the error to the run
         controller's rollback path."""

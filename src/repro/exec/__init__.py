@@ -2,9 +2,9 @@
 
 The paper's parallel design (Sec. 3.4) distributes the many small
 same-level grids over workers; this package makes that real for the live
-code: :class:`ExecutionEngine` runs independent tasks (the hydro step
-and the gravity accelerations of one chunk of a level per worker, the
-chemistry advance of one grid) in place on the live grid arrays —
+code: :class:`ExecutionEngine` runs independent tasks (the hydro step,
+the gravity accelerations and the chemistry advance of one chunk of a
+level per worker) in place on the live grid arrays —
 ``serial`` (today's exact path) or on a ``thread`` pool (the compiled
 kernels release the GIL) — while the scheduler reuses the Sec. 3.4
 greedy distribution strategy, costed by cell count.
@@ -20,13 +20,13 @@ from repro.exec.engine import (
     ExecutionEngine,
     shutdown_pools,
 )
-from repro.exec.tasks import ChemistryTask, GravityChunkTask, GridTask, HydroChunkTask
+from repro.exec.tasks import ChemistryChunkTask, GravityChunkTask, GridTask, HydroChunkTask
 
 __all__ = [
     "BACKENDS",
     "ENV_BACKEND",
     "ENV_WORKERS",
-    "ChemistryTask",
+    "ChemistryChunkTask",
     "ExecConfig",
     "ExecReport",
     "ExecutionEngine",

@@ -19,9 +19,9 @@ Strategies:
 This is the execution engine's scheduler; the simulated cluster of
 :mod:`repro.parallel` reuses it.  All strategies accept any object with
 ``grid_id``, ``level``, ``n_cells`` (and ``start_index`` for
-``level_blocks``) — live :mod:`repro.exec` grid tasks, or sterile grids
-from the virtual cluster.  A ``cost_model`` (anything
-with ``cost(obj) -> float | None``, e.g.
+``level_blocks``) — the live grids of a level the execution engine
+splits into chunks, or sterile grids from the virtual cluster.  A
+``cost_model`` (anything with ``cost(obj) -> float | None``, e.g.
 :class:`repro.exec.calibration.WorkCalibrator`) replaces the analytic
 cells-times-substeps estimate with *measured* per-grid wall times, closing
 the loop between the virtual-cluster model and real execution.

@@ -1,23 +1,22 @@
 """The task-based execution engine (serial / thread backends).
 
 One :class:`ExecutionEngine` per :class:`HierarchyEvolver`.  The evolver
-hands it the tasks of one level update: the hydro step and the gravity
-accelerations as one task per worker, each one kernel call over its chunk
-of the level's grids (:meth:`ExecutionEngine.chunks`), and the chemistry
-advances as one task per grid.  The engine places tasks with the Sec. 3.4
-greedy strategy by cell count, executes them on the selected backend, and
-reports per-worker busy times so the run telemetry can carry real
-utilisation and load-imbalance figures.
+splits each level into one chunk of grids per worker
+(:meth:`ExecutionEngine.chunks`, the Sec. 3.4 greedy strategy by cell
+count) and hands the engine one task per chunk for each phase: the hydro
+step, the gravity accelerations and the chemistry advance.  The engine
+executes them on the selected backend and reports per-worker busy times
+so the run telemetry can carry real utilisation and load-imbalance
+figures.
 
 Backends
 --------
 ``serial``
     Tasks run inline, in the caller's thread, in submission order.
 ``thread``
-    A shared :class:`ThreadPoolExecutor`; tasks operate directly on the
-    live grid arrays (zero-copy) and the compiled kernels release the GIL
-    while they run.  Each worker drains its own scheduler-assigned queue
-    so per-worker busy time is meaningful.
+    A shared :class:`ThreadPoolExecutor`; each task runs on a worker of
+    its own, directly on the live grid arrays (zero-copy), and the
+    compiled kernels release the GIL while they run.
 
 Determinism: tasks on one level touch only their own grids and every grid
 is stepped by the same code on the same inputs in place, whichever chunk
@@ -40,7 +39,7 @@ from repro.exec.config import ExecConfig
 from repro.exec.distribution import balance_grids
 from repro.perf.timers import StepStats
 
-#: distribution strategy that assigns tasks to worker queues
+#: distribution strategy that assigns a level's grids to the chunks
 #: (see :func:`repro.exec.distribution.balance_grids`)
 STRATEGY = "greedy"
 #: dispatches with fewer tasks than this run inline (pool overhead cannot
@@ -48,13 +47,11 @@ STRATEGY = "greedy"
 MIN_PARALLEL_TASKS = 2
 
 
-def _run_task(task) -> None:
-    """Inline execution with error capture when the task supports it."""
-    run_safe = getattr(task, "run_safe", None)
-    if run_safe is not None:
-        run_safe()
-    else:
-        task.run_inline()
+def _timed(task) -> float:
+    """Run one task in place (its errors captured); its wall seconds."""
+    t0 = perf_counter()
+    task.run_safe()
+    return perf_counter() - t0
 
 
 # --------------------------------------------------------------------- pools
@@ -157,9 +154,8 @@ class ExecutionEngine:
     # ----------------------------------------------------------- scheduling
     def chunks(self, grids) -> list[list[int]]:
         """Split a level's grids into one chunk per worker, as indices into
-        ``grids`` in their order: balanced by cells with the strategy that
-        places tasks; one chunk of every grid when the dispatch runs
-        inline."""
+        ``grids`` in their order, balanced by cells with :data:`STRATEGY`;
+        one chunk of every grid when the dispatch runs inline."""
         grids = list(grids)
         workers = self.config.workers
         if (self.config.backend == "serial" or workers <= 1
@@ -171,23 +167,10 @@ class ExecutionEngine:
             queues[assignment[g.grid_id]].append(i)
         return [queue for queue in queues if queue]
 
-    def plan_queues(self, tasks: list) -> list[list]:
-        """Assign tasks to worker queues, longest first onto the least
-        loaded, costed by cell count: every dispatch holds one task kind
-        on one level, where a measured seconds-per-cell rate would scale
-        every cost by the same constant and place the tasks the same."""
-        workers = self.config.workers
-        if workers <= 1 or len(tasks) <= 1:
-            return [list(tasks)]
-        assignment = balance_grids(tasks, workers, STRATEGY)
-        queues: list[list] = [[] for _ in range(workers)]
-        for task in tasks:
-            queues[assignment[task.grid_id]].append(task)
-        return queues
-
     # ------------------------------------------------------------- dispatch
     def run(self, tasks, level=None, timers=None) -> ExecReport:
-        """Execute independent tasks in place.
+        """Execute independent tasks in place: one per worker, a level's
+        :meth:`chunks`; on the thread backend each task is one pool job.
 
         Returns the dispatch report (also folded into :attr:`stats`).
         Given ``timers`` (a :class:`~repro.perf.timers.ComponentTimers`),
@@ -234,28 +217,11 @@ class ExecutionEngine:
     # -------------------------------------------------------------- serial
     def _run_inline(self, tasks, report: ExecReport) -> None:
         for task in tasks:
-            t0 = perf_counter()
-            _run_task(task)
-            report.record(task, perf_counter() - t0, 0)
+            report.record(task, _timed(task), 0)
 
     # ------------------------------------------------------------- threads
     def _run_threads(self, tasks, report: ExecReport) -> None:
-        queues = self.plan_queues(tasks)
         pool = _get_pool(self.config.workers)
-
-        def drain(queue):
-            times = []
-            for task in queue:
-                t0 = perf_counter()
-                _run_task(task)
-                times.append(perf_counter() - t0)
-            return times
-
-        futures = [
-            (idx, queue, pool.submit(drain, queue))
-            for idx, queue in enumerate(queues)
-            if queue
-        ]
-        for idx, queue, future in futures:
-            for task, seconds in zip(queue, future.result()):
-                report.record(task, seconds, idx)
+        futures = [pool.submit(_timed, task) for task in tasks]
+        for worker, (task, future) in enumerate(zip(tasks, futures)):
+            report.record(task, future.result(), worker)

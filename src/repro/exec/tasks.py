@@ -1,20 +1,17 @@
 """Work units the execution engine dispatches.
 
 A task runs one independent unit of per-grid physics in place on the live
-grid arrays (``run_inline``), whether the engine calls it from the
-dispatching thread or from a pool worker: the hydro step or the gravity
-acceleration of one *chunk* of a level's grids (the engine's
-:meth:`~repro.exec.engine.ExecutionEngine.chunks`, one per worker: one
-kernel call over the chunk), or the chemistry advance of one grid.  Tasks
-on the same level never touch each other's grids (the AMR barrier
-structure: grids on a level are independent between boundary exchanges),
-which is what makes results bitwise identical across backends and worker
-counts.
+grid arrays (``run_safe``), whether the engine calls it from the
+dispatching thread or from a pool worker: the hydro step, the gravity
+acceleration or the chemistry advance of one *chunk* of a level's grids
+(the engine's :meth:`~repro.exec.engine.ExecutionEngine.chunks`, one per
+worker).  Tasks on the same level never touch each other's grids (the AMR
+barrier structure: grids on a level are independent between boundary
+exchanges), which is what makes results bitwise identical across
+backends and worker counts.
 
-Tasks also expose ``grid_id`` / ``level`` / ``n_cells`` / ``start_index``
-(a chunk: its first grid's id, index and level, and the cells of all its
-grids) so the scheduler can feed them straight through
-:func:`repro.exec.distribution.balance_grids`.
+Tasks expose ``kind``, ``level`` and ``n_cells`` (the cells of all their
+grids) for the engine's report.
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ from repro.runtime.faults import apply_nan_cell
 
 
 class GridTask:
-    """Base: the task's grids (one level), scheduling metadata and the
-    result and error slots.
+    """Base: the task's grids (one level), their kind and the result and
+    error slots.
 
     ``error`` is filled (and ``result`` left None) when the task's kernel
     raised: the engine runs tasks through :meth:`run_safe` so one sick
@@ -40,11 +37,6 @@ class GridTask:
         self.result = None
         self.error: BaseException | None = None
 
-    # ------------------------------------------------- scheduler interface
-    @property
-    def grid_id(self) -> int:
-        return self.grids[0].grid_id
-
     @property
     def level(self) -> int:
         return self.grids[0].level
@@ -52,10 +44,6 @@ class GridTask:
     @property
     def n_cells(self) -> int:
         return sum(int(g.n_cells) for g in self.grids)
-
-    @property
-    def start_index(self) -> tuple:
-        return tuple(int(s) for s in self.grids[0].start_index)
 
     # ---------------------------------------------------------------- run
     def run_safe(self) -> None:
@@ -109,29 +97,43 @@ class HydroChunkTask(GridTask):
                 self.poisoned[k] = plan is not None
 
 
-class ChemistryTask(GridTask):
-    """Sub-cycled network + cooling advance of one grid's active zone (its
-    ghost zones are refilled by the boundary exchange that follows)."""
+class ChemistryChunkTask(GridTask):
+    """Sub-cycled network + cooling advance of a chunk of a level's grids,
+    one grid after another in grid order, each on its active zone (the
+    ghost zones are refilled by the boundary exchange that follows).
+
+    Each grid's outcome is its own: ``result[k]`` holds the ``k``-th
+    grid's integrator stats, or None when its advance raised, and
+    ``errors[k]`` what it raised, so one grid's failure sends only that
+    grid to the defense ladder, never the grids its chunk already
+    advanced.  ``faults`` is the run's injector (or None), queried for a
+    ``chem_blowup`` before each grid's advance."""
 
     kind = "chemistry"
 
-    def __init__(self, grid, network, dt_code: float, units, a: float,
+    def __init__(self, grids, network, dt_code: float, units, a: float,
                  faults=None):
-        super().__init__([grid])
-        self.grid = grid
+        super().__init__(grids)
         self.network = network
         self.dt_code = float(dt_code)
         self.units = units
         self.a = float(a)
         self.faults = faults
+        self.errors: list = [None] * len(self.grids)
 
     def run_inline(self) -> None:
-        if self.faults is not None:
-            self.faults.maybe_raise("chem_blowup", self.level, self.grid_id)
-        self.result = self.network.advance_fields(
-            self.grid.fields.view(self.grid.interior), self.dt_code,
-            self.units, self.a,
-        )
+        results = [None] * len(self.grids)
+        for k, g in enumerate(self.grids):
+            try:
+                if self.faults is not None:
+                    self.faults.maybe_raise("chem_blowup", g.level,
+                                            g.grid_id)
+                results[k] = self.network.advance_fields(
+                    g.fields.view(g.interior), self.dt_code, self.units,
+                    self.a)
+            except Exception as exc:
+                self.errors[k] = exc
+        self.result = results
 
 
 class GravityChunkTask(GridTask):

@@ -51,8 +51,8 @@ class MultigridDiagnostics:
 
 
 class MultigridConvergenceError(RuntimeError):
-    """A strict subgrid solve ran out of V-cycle budget above tolerance,
-    its retry with double the budget too.
+    """A subgrid solve ran out of V-cycle budget above tolerance, its
+    retry with double the budget too.
 
     Carries the retry's :class:`MultigridDiagnostics` and the failed
     grid's ``site`` (``(level, grid_id)``); ``mg.level`` leaves that
@@ -221,7 +221,7 @@ def _rms(x: np.ndarray) -> float:
 
 def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
                 post: int, min_size: int, tol: float, budget: int,
-                strict: bool, force_diverge: bool):
+                force_diverge: bool):
     """One subgrid solve of :func:`level_numpy` (the C ``rk_mg_solve``).
 
     V-cycles in place on the rim-padded ``phi`` — ``pre`` smoothing sweeps,
@@ -231,7 +231,7 @@ def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
     extent or none above ``min_size`` is smoothed ``pre + post + 10``
     sweeps instead — until ``rms(source - del^2 phi) <= tol *
     rms(source)`` (an ``rms(source)`` of 0 counts as 1), ``budget``
-    cycles ran, or (``strict``) the residual is not finite.
+    cycles ran, or the residual is not finite.
     ``force_diverge`` never reports convergence.  Returns ``(cycles,
     relative_residual, converged)``.
     """
@@ -248,7 +248,7 @@ def solve_numpy(phi: np.ndarray, source: np.ndarray, dx: float, pre: int,
         res = _rms(_residual(phi, source, dx, out=residual))
         if res <= tol * norm and not force_diverge:
             return cycle, res / norm, True
-        if strict and not np.isfinite(res):
+        if not np.isfinite(res):
             break  # NaN/Inf never converges; fail fast, don't burn budget
     return cycle, res / norm, False
 
@@ -266,7 +266,7 @@ def store_phi_numpy(phi: np.ndarray, solution: np.ndarray, ng: int) -> None:
 
 
 def level_numpy(plan, src, first, stop, pre, post, min_size, tol, budget,
-                strict, force_diverge, exchange, stats):
+                force_diverge, exchange, stats):
     """NumPy reference of the ``mg.level`` kernel: one sibling pass of a
     level's subgrid Poisson solves (paper Sec. 3.3).
 
@@ -278,13 +278,13 @@ def level_numpy(plan, src, first, stop, pre, post, min_size, tol, budget,
     (``budget`` V-cycles at most, ``force_diverge`` never converging),
     ``stats[g]`` set to ``(cycles, relative_residual, converged)`` and the
     solution written into ``plan.phis[g]`` (:func:`store_phi_numpy`).  A
-    ``strict`` solve that does not converge writes nothing and ends the
-    call at once.  Then, with ``exchange``, the rows of ``plan.rim_rows``
+    solve that does not converge writes nothing and ends the call at
+    once.  Then, with ``exchange``, the rows of ``plan.rim_rows``
     are applied in table order: each row's box of the target's rim takes
     the source's potential there, when any value differs (``!(a ==
     b)``: a NaN counts as a difference, ``-0.0 == 0.0`` does not).
-    Returns ``(failed, changed)``: the grid whose strict solve failed (or
-    -1) and whether the exchange changed any rim.
+    Returns ``(failed, changed)``: the grid whose solve failed (or -1)
+    and whether the exchange changed any rim.
     """
     if not 0 <= first <= stop <= len(plan.phis):
         raise ValueError("mg.level: grid range outside the level")
@@ -295,8 +295,8 @@ def level_numpy(plan, src, first, stop, pre, post, min_size, tol, budget,
     for g in range(first, stop):
         phi = plan.rim_views[g].copy()
         stats[g] = solve_numpy(phi, sources[g], plan.dx, pre, post, min_size,
-                               tol, budget, strict, force_diverge)
-        if strict and not stats[g, 2]:
+                               tol, budget, force_diverge)
+        if not stats[g, 2]:
             return g, False
         store_phi_numpy(plan.phis[g], phi, plan.nghost)
     changed = False

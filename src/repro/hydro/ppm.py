@@ -56,7 +56,7 @@ class StepFluxes:
     ``diagnostics`` carries per-step solver health counters — how many
     cells/faces each positivity floor actually changed — so creeping floor
     abuse is visible in telemetry long before it becomes a NaN.  ``health``
-    is the step's :func:`step_health` row (None: the solver reports none).
+    is the step's :func:`step_health` row, which every solver's step sets.
     """
 
     boundary: list | None = None

@@ -25,7 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constants as const
-from repro.hydro.ppm import WINDOW_FIELDS, StepFluxes, store_windows
+from repro.hydro.ppm import (
+    WINDOW_FIELDS,
+    StepFluxes,
+    step_arrays,
+    step_health,
+    store_windows,
+)
 from repro.hydro.sources import apply_acceleration, apply_expansion_drag
 from repro.hydro.state import FieldSet, VELOCITY_FIELDS, total_energy
 
@@ -68,7 +74,8 @@ class ZeusSolver:
         ``full_update`` (see :meth:`PPMSolver.step`) changes nothing here,
         and there is no compiled step to read a ``plan``.
         The sweeps compute whole face arrays and store the planes of
-        ``windows`` as ``hydro.step`` does.
+        ``windows`` as ``hydro.step`` does; the result carries the step's
+        :func:`~repro.hydro.ppm.step_health` row, as ``hydro.step``'s do.
         """
         if accel is not None:
             apply_acceleration(fields, accel, 0.5 * dt)
@@ -101,13 +108,14 @@ class ZeusSolver:
         np.maximum(fields["internal"], self.energy_floor,
                    out=fields["internal"])
         np.copyto(fields["energy"], total_energy(fields))
+        out.health = step_health(step_arrays(fields), self.nghost)
         return out
 
     def step_level(self, steps, dx, dt, a=1.0, adot=0.0, permute=0,
                    full_update=False) -> list:
         """:meth:`step` on each ``(fields, accel, windows, plan)`` of
-        ``steps`` in turn (the interface of :meth:`PPMSolver.step_level`);
-        the results carry no health row."""
+        ``steps`` in turn (the interface of :meth:`PPMSolver.step_level`),
+        each result with its health row."""
         return [self.step(fields, dx, dt, a, adot, accel, permute,
                           full_update, windows)
                 for fields, accel, windows, _plan in steps]

@@ -42,7 +42,7 @@ copy non-contiguous in-place targets in and back:
   from same-level interiors, prolongation from the parents everywhere
   else; the pointer tables are kept on the plan
 * ``mg.level``        ``fn(plan, src, first, stop, pre, post, min_size, tol,
-  budget, strict, force_diverge, exchange, stats) -> (failed, changed)`` —
+  budget, force_diverge, exchange, stats) -> (failed, changed)`` —
   one sibling pass over grids ``first .. stop - 1`` of a level's
   :class:`~repro.amr.topology.PoissonPlan`: for each grid, multigrid
   V-cycles from its rim until the residual norm meets the tolerance or
@@ -148,7 +148,7 @@ long rk_mg_work(long nx, long ny, long nz, long min_size);
 long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
     double *rims, const int64_t *rim_off, const double *src,
     const int64_t *src_off, long first, long stop, long pre, long post,
-    long min_size, double tol, long budget, int strict, int force_diverge,
+    long min_size, double tol, long budget, int force_diverge,
     double *work, double *stats, long n_rows, const int64_t *rows,
     int exchange, int *changed);
 void rk_accel_level(long n_grids, const double **phis, const int64_t *geom,
@@ -1239,13 +1239,12 @@ double rk_rms(long n, const double *x)
 
 /* V-cycles in place on rim-padded phi until rms(residual) <= tol *
    rms(source) (an rms(source) of 0 counts as 1) and !force_diverge,
-   budget (>= 1) cycles ran, or -- strict -- the residual is not finite.
+   budget (>= 1) cycles ran, or the residual is not finite.
    work holds rk_mg_work(...) doubles; out gets the cycles run and the
    last relative residual.  Returns whether the solve converged. */
 int rk_mg_solve(long nx, long ny, long nz, double *phi,
     const double *source, double dx, long pre, long post, long min_size,
-    double tol, long budget, int strict, int force_diverge, double *work,
-    double *out)
+    double tol, long budget, int force_diverge, double *work, double *out)
 {
     long cells = nx * ny * nz;
     double *residual = work;
@@ -1259,7 +1258,7 @@ int rk_mg_solve(long nx, long ny, long nz, double *phi,
         out[0] = (double)cycle;
         out[1] = res / norm;
         if (res <= tol * norm && !force_diverge) return 1;
-        if (strict && !isfinite(res)) break;
+        if (!isfinite(res)) break;
     }
     return 0;
 }
@@ -1332,15 +1331,15 @@ static int mg_exchange(long n_rows, const int64_t *rows,
 /* Grids first .. stop - 1 of a level, in order: copy grid g's rim (n + 2
    per axis, at rims + rim_off[g]) into work, run rk_mg_solve on it with
    the source at src + src_off[g], record (cycles, residual, converged) in
-   stats[3 g ..] and write the solution into phis[g] (mg_store).  A strict
-   solve that does not converge writes nothing and returns g.  Then, with
+   stats[3 g ..] and write the solution into phis[g] (mg_store).  A solve
+   that does not converge writes nothing and returns g.  Then, with
    exchange, the rim exchange; *changed reports it.  work holds the
    largest (n + 2)^3 + rk_mg_work(n) of the range.  Returns -1 when every
    grid was solved. */
 long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
     double *rims, const int64_t *rim_off, const double *src,
     const int64_t *src_off, long first, long stop, long pre, long post,
-    long min_size, double tol, long budget, int strict, int force_diverge,
+    long min_size, double tol, long budget, int force_diverge,
     double *work, double *stats, long n_rows, const int64_t *rows,
     int exchange, int *changed)
 {
@@ -1351,12 +1350,12 @@ long rk_mg_level(const int64_t *dims, long ng, double dx, double **phis,
         double out[2];
         memcpy(work, rims + rim_off[g], (size_t)size * sizeof(double));
         int conv = rk_mg_solve(d[0], d[1], d[2], work, src + src_off[g], dx,
-                               pre, post, min_size, tol, budget, strict,
+                               pre, post, min_size, tol, budget,
                                force_diverge, work + size, out);
         stats[3 * g] = out[0];
         stats[3 * g + 1] = out[1];
         stats[3 * g + 2] = conv;
-        if (strict && !conv)
+        if (!conv)
             return g;
         mg_store(d[0], d[1], d[2], ng, work, phis[g]);
     }
@@ -2733,7 +2732,7 @@ def fill_level(plan, fracs=None):
 
 
 def mg_level(plan, src, first, stop, pre, post, min_size, tol, budget,
-             strict, force_diverge, exchange, stats):
+             force_diverge, exchange, stats):
     n = len(plan.phis)
     first, stop, budget, min_size = (int(first), int(stop), int(budget),
                                      int(min_size))
@@ -2765,7 +2764,7 @@ def mg_level(plan, src, first, stop, pre, post, min_size, tol, budget,
     changed = ffi.new("int *")
     failed = _lib.rk_mg_level(
         *native["tables"], _pc(src), native["offsets"], first, stop,
-        int(pre), int(post), min_size, float(tol), budget, bool(strict),
+        int(pre), int(post), min_size, float(tol), budget,
         bool(force_diverge), _p(np.empty(work)), _p(stats), *native["rows"],
         bool(exchange), changed)
     return int(failed), bool(changed[0])

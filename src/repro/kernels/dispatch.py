@@ -243,8 +243,7 @@ def warm() -> None:
         rim_offsets=np.array([0, 216]), cell_offsets=np.array([0, 64]),
         rim_rows=np.empty((0, 11), dtype=np.int64), native=None,
         interiors=lambda src: [src.reshape(4, 4, 4)]),
-        np.zeros(64), 0, 1, 1, 1, 2, 1e-6, 1, False, False, True,
-        np.zeros((1, 3)))
+        np.zeros(64), 0, 1, 1, 1, 2, 1e-6, 1, False, True, np.zeros((1, 3)))
     get("gravity.accel")([np.zeros((3, 3, 3))], 1, 1.0, 1.0)
     names = ("density", "vx", "vy", "vz", "energy")
     fields = {name: np.ones((3, 3, 3)) for name in names + ("internal",)}

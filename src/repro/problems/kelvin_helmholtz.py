@@ -44,7 +44,7 @@ class KelvinHelmholtz:
                  n_scalars: int = 1, max_level: int = 0,
                  refine_vorticity: float | None = None,
                  solver: str = "ppm", cfl: float = 0.4,
-                 characteristic_tracing: bool = True, defense: bool = True,
+                 characteristic_tracing: bool = True,
                  exec_backend: str | None = None, workers: int | None = None,
                  max_grid_dims: int = 16):
         self._spec_kwargs = {
@@ -56,7 +56,6 @@ class KelvinHelmholtz:
             "refine_vorticity": refine_vorticity, "solver": solver,
             "cfl": float(cfl),
             "characteristic_tracing": bool(characteristic_tracing),
-            "defense": bool(defense),
             "exec_backend": exec_backend, "workers": workers,
             "max_grid_dims": int(max_grid_dims),
         }
@@ -76,7 +75,7 @@ class KelvinHelmholtz:
             n_root=int(n_root), max_level=int(max_level), solver=solver,
             solver_options=solver_options,
             cfl=cfl, n_scalars=int(n_scalars),
-            refine_vorticity=refine_vorticity, defense=defense,
+            refine_vorticity=refine_vorticity,
             exec_backend=exec_backend, workers=workers,
             max_grid_dims=max_grid_dims,
         ))

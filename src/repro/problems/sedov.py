@@ -39,8 +39,7 @@ class SedovBlast:
                  deposit_radius_cells: float = 3.5,
                  max_level: int = 0, refine_shock: float | None = None,
                  solver: str = "ppm", cfl: float = 0.4,
-                 characteristic_tracing: bool = True,
-                 n_scalars: int = 0, defense: bool = True,
+                 characteristic_tracing: bool = True, n_scalars: int = 0,
                  exec_backend: str | None = None, workers: int | None = None,
                  max_grid_dims: int = 16):
         self._spec_kwargs = {
@@ -50,8 +49,7 @@ class SedovBlast:
             "max_level": int(max_level), "refine_shock": refine_shock,
             "solver": solver, "cfl": float(cfl),
             "characteristic_tracing": bool(characteristic_tracing),
-            "n_scalars": int(n_scalars),
-            "defense": bool(defense), "exec_backend": exec_backend,
+            "n_scalars": int(n_scalars), "exec_backend": exec_backend,
             "workers": workers, "max_grid_dims": int(max_grid_dims),
         }
         self.n = int(n_root)
@@ -67,7 +65,7 @@ class SedovBlast:
             n_root=int(n_root), max_level=int(max_level), solver=solver,
             solver_options=solver_options,
             cfl=cfl, refine_shock=refine_shock, n_scalars=int(n_scalars),
-            defense=defense, exec_backend=exec_backend, workers=workers,
+            exec_backend=exec_backend, workers=workers,
             max_grid_dims=max_grid_dims,
         ))
         self.steps = 0

@@ -261,10 +261,9 @@ class RunController:
 
     def _drain_defense(self, step: int) -> None:
         """Forward queued defense-ladder events into the telemetry stream."""
-        defense = getattr(self.evolver, "defense", None)
-        if defense is None or self.telemetry is None:
+        if self.telemetry is None:
             return
-        for event in defense.drain_events():
+        for event in self.evolver.defense.drain_events():
             self.telemetry.emit("defense", step=step, **event)
 
     # ----------------------------------------------------------- checkpoint

@@ -58,9 +58,6 @@ class SimulationConfig:
     #: resolves from REPRO_KERNELS (default numpy).  An unavailable
     #: compiled tier degrades to numpy with a warning (see repro.kernels)
     kernels: str | None = None
-    #: in-step defense ladder (see docs/ROBUSTNESS.md); False disables the
-    #: per-grid validation/rescue machinery entirely
-    defense: bool = True
     #: controlled-run checkpoint cadence (root steps between checkpoints)
     #: and retention — forwarded into the default
     #: :class:`repro.runtime.CheckpointPolicy` built by
@@ -135,7 +132,6 @@ class Simulation:
             clock=clock, units=units, cfl=c.cfl,
             exec_config=ExecConfig.resolve(backend=c.exec_backend,
                                            workers=c.workers),
-            defense=None if c.defense else False,
         )
 
     # ----------------------------------------------------------------- setup

@@ -74,17 +74,17 @@ def one_grid_plan(rim, phi=None, nghost=1, dx=0.1):
 
 
 def one_grid_solve(level, start, source, dx, pre, post, min_size, tol,
-                   budget, strict=False, force_diverge=False):
+                   budget, force_diverge=False):
     """One subgrid solve as one ``level`` (an ``mg.level`` kernel) call on
     a :func:`one_grid_plan` with one ghost layer, from a copy of the
     rim-padded ``start``.  Returns ``(failed, phi, (cycles, residual,
-    converged))``: the grid index a strict solve failed on (or -1), the
-    solution (zeros where a failed strict solve wrote nothing) and the
-    solve's statistics."""
+    converged))``: the grid index the solve failed on (or -1), the
+    solution (zeros where a failed solve wrote nothing) and the solve's
+    statistics."""
     plan = one_grid_plan(start.copy(), dx=dx)
     stats = np.zeros((1, 3))
     failed, _ = level(plan, source.reshape(-1), 0, 1, pre, post, min_size,
-                      tol, budget, strict, force_diverge, False, stats)
+                      tol, budget, force_diverge, False, stats)
     cycles, residual, converged = stats[0].tolist()
     return failed, plan.phis[0], (int(cycles), residual, bool(converged))
 

@@ -32,7 +32,7 @@ DT_CODE = 1e-3
 
 def _grid_fields(shape, seed=5):
     """A ghosted field set with mixed hot/cold, thin/dense chemistry and
-    its interior view (what ``ChemistryTask`` hands the network)."""
+    its interior view (what ``ChemistryChunkTask`` hands the network)."""
     rng = np.random.default_rng(seed)
     f = make_fields(tuple(n + 2 * NG for n in shape),
                     advected=list(SPECIES_NAMES))

@@ -34,7 +34,7 @@ LAUNCH = {
             "n_root": 16, "energy": 1.0, "rho0": 1.0, "e_ambient": 1e-06,
             "deposit_radius_cells": 3.5, "max_level": 0,
             "refine_shock": None, "solver": "ppm", "cfl": 0.4,
-            "characteristic_tracing": True, "n_scalars": 0, "defense": True,
+            "characteristic_tracing": True, "n_scalars": 0,
             "exec_backend": None, "workers": None, "max_grid_dims": 16}},
     ),
     "kelvin_helmholtz": (
@@ -45,8 +45,7 @@ LAUNCH = {
             "pressure": 2.5, "shear_width": 0.05, "perturb": 0.05, "kx": 1,
             "n_scalars": 1, "max_level": 0, "refine_vorticity": None,
             "solver": "ppm", "cfl": 0.4, "characteristic_tracing": True,
-            "defense": True, "exec_backend": None, "workers": None,
-            "max_grid_dims": 16}},
+            "exec_backend": None, "workers": None, "max_grid_dims": 16}},
     ),
     "simulation": (
         ["-n", "8", "--levels", "1", "--t-end", "0.5"],
@@ -58,7 +57,7 @@ LAUNCH = {
             "refine_gas_mass": None, "jeans_number": None,
             "refine_shock": None, "refine_vorticity": None, "advected": [],
             "n_scalars": 0, "max_grid_dims": 16, "exec_backend": None,
-            "workers": None, "kernels": None, "defense": True,
+            "workers": None, "kernels": None,
             "checkpoint_every": 10, "checkpoint_keep_last": 3}},
     ),
 }

@@ -242,7 +242,8 @@ class TestWorkCalibrator:
 
 # ------------------------------------------------------------------- engine
 class _FakeTask:
-    """Minimal task: scheduler proxies + inline execution."""
+    """Minimal task, and a grid to :meth:`ExecutionEngine.chunks`:
+    scheduler proxies + execution."""
 
     kind = "hydro"
 
@@ -254,7 +255,7 @@ class _FakeTask:
         self.result = None
         self.ran = False
 
-    def run_inline(self):
+    def run_safe(self):
         self.ran = True
         self.result = self.grid_id * 2
 
@@ -306,25 +307,6 @@ class TestExecutionEngine:
         # one task: below MIN_PARALLEL_TASKS, so it never leaves the caller
         report = eng.run([_FakeTask(0, 10)], timers=ComponentTimers())
         assert list(report.worker_busy) == [0]
-
-    def test_plan_queues_covers_all_tasks_without_overlap(self):
-        eng = ExecutionEngine(ExecConfig(backend="thread", workers=3))
-        tasks = [_FakeTask(i, (i + 1) * 50) for i in range(10)]
-        queues = eng.plan_queues(tasks)
-        assert len(queues) == 3
-        seen = [t.grid_id for q in queues for t in q]
-        assert sorted(seen) == list(range(10))
-
-    def test_plan_queues_schedules_by_cells(self):
-        """Longest first onto the least loaded worker, by cell count: the
-        large grid gets a worker of its own, the four small ones (fewer
-        cells in sum) share the other."""
-        eng = ExecutionEngine(ExecConfig(backend="thread", workers=2))
-        big = _FakeTask(0, 4000)
-        small = [_FakeTask(i, 1000 - i) for i in range(1, 5)]
-        queues = eng.plan_queues(small + [big])
-        assert sorted([t.grid_id for t in q] for q in queues) == [
-            [0], [1, 2, 3, 4]]
 
     def test_chunks_split_a_level_by_cells(self):
         """One chunk per worker, balanced by cells, each in grid order;

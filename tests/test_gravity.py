@@ -20,7 +20,7 @@ def _solve(source, dx, boundary, tol, budget=MG_BUDGET):
     ``(cycles, relative_residual, converged)``."""
     phi = boundary.copy()
     return phi, solve_numpy(phi, source, dx, MG_PRE, MG_POST, MG_MIN_SIZE,
-                            tol, budget, False, False)
+                            tol, budget, False)
 
 
 class TestFFTPoisson:

@@ -4,7 +4,8 @@
 * the gravity sibling iteration detects convergence (early exit), and
   its exchange moves exactly the rim cells a sibling covers,
 * parent->child time interpolation never extrapolates (frac clamped),
-* a non-finite timestep falls back loudly, not to a silent magic 1.0.
+* a non-finite timestep falls back loudly, not to a silent magic 1.0,
+  and a NaN signal speed or acceleration on any grid raises.
 """
 
 import warnings
@@ -245,3 +246,41 @@ class TestTimestepFallback:
             warnings.simplefilter("error")
             dt = ev.compute_timestep(0, a=1.0, adot=0.0, remaining=1.0)
         assert np.isfinite(dt)
+
+    def test_nan_signal_speed_on_one_grid_raises(self):
+        """A NaN in one grid of a level is never passed over for the
+        other grids' timestep."""
+        h, _a, b = _two_sibling_level()
+        set_boundary_values(h, 1)
+        b.fields["vx"][b.interior][1, 2, 3] = np.nan
+        ev = HierarchyEvolver(h, PPMSolver())
+        with pytest.raises(FloatingPointError, match="NaN timestep on "
+                                                     "level 1"):
+            ev.compute_timestep(1, a=1.0, adot=0.0, remaining=1.0)
+
+    def test_nan_acceleration_on_one_grid_raises(self, monkeypatch):
+        h, _a, _b = _two_sibling_level()
+        set_boundary_values(h, 0)
+        gravity = HierarchyGravity(g_code=1.0)
+        accelerations = HierarchyGravity.accelerations
+
+        def poisoned(self, grids, a=1.0):
+            accels, gmax = accelerations(self, grids, a)
+            gmax[-1] = np.nan
+            return accels, gmax
+
+        monkeypatch.setattr(HierarchyGravity, "accelerations", poisoned)
+        ev = HierarchyEvolver(h, PPMSolver(), gravity=gravity)
+        with pytest.raises(FloatingPointError, match="NaN timestep on "
+                                                     "level 0"):
+            ev.advance_root_step(1.0)
+
+    def test_cfl_takes_the_solvers_gamma(self):
+        from repro.hydro.timestep import hydro_timestep
+
+        h = Hierarchy(n_root=4)
+        ev = HierarchyEvolver(h, PPMSolver(gamma=1.4))
+        dt = ev.compute_timestep(0, a=1.0, adot=0.0, remaining=1.0)
+        assert dt == hydro_timestep(h.root.fields, h.root.dx, 1.0, ev.cfl,
+                                    gamma=1.4)
+        assert dt != hydro_timestep(h.root.fields, h.root.dx, 1.0, ev.cfl)

@@ -143,14 +143,14 @@ class TestCheckpoint:
 
         assert "io" in SECTIONS
         run_dir = str(tmp_path / "run")
-        ev = HierarchyEvolver(populated_hierarchy, PPMSolver(), defense=False)
+        ev = HierarchyEvolver(populated_hierarchy, PPMSolver())
         t_now = float(populated_hierarchy.root.time)
         RunController(ev, run_dir).run(t_now, max_root_steps=0)
         assert ev.timers.counts["io"] == 1  # the initial checkpoint
         assert ev.timers.totals["io"] > 0.0
 
         ev2 = HierarchyEvolver(Hierarchy(n_root=8, advected=["HI", "H2I"]),
-                               PPMSolver(), defense=False)
+                               PPMSolver())
         RunController(ev2, run_dir).resume(max_root_steps=0)
         assert ev2.timers.counts["io"] == 2  # the load, the closing save
         assert ev2.hierarchy.timers is ev2.timers

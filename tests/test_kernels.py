@@ -923,7 +923,9 @@ class TestAmrStencilParity:
     def test_mg_smooth(self, tier, shape, pre, post):
         """The smoothing-only branch of a V-cycle (an odd extent, or none
         above ``min_size``) is ``pre + post + 10`` red-black sweeps, and
-        the reported residual is the NumPy norm of what they leave."""
+        the reported residual is the NumPy norm of what they leave.  An
+        infinite tolerance accepts any finite residual after one cycle; a
+        NaN one fails the solve, which writes nothing."""
         fn = _tier_impls(tier)["mg.level"]
         rng = np.random.default_rng(sum(shape) + pre + post)
         source = rng.standard_normal(shape)
@@ -934,9 +936,13 @@ class TestAmrStencilParity:
             ref = start.copy()
             redblack_smooth_numpy(ref, source, 0.1, pre + post + 10)
             failed, got, (cycles, residual, converged) = one_grid_solve(
-                fn, start, source, 0.1, pre, post, max(shape), 0.0, 1)
-            np.testing.assert_array_equal(got, ref)
-            assert (failed, cycles, converged) == (-1, 1, False)
+                fn, start, source, 0.1, pre, post, max(shape), np.inf, 1)
+            if rim_nan:
+                assert not got.any()
+            else:
+                np.testing.assert_array_equal(got, ref)
+            assert (failed, cycles, converged) == (
+                (0, 1, False) if rim_nan else (-1, 1, True))
             want = (float(np.sqrt((_residual(ref, source, 0.1) ** 2).mean()))
                     / float(np.sqrt((source ** 2).mean())))
             np.testing.assert_array_equal(residual, want)
@@ -990,19 +996,23 @@ def _poisson_problem(shape, kind, seed=0):
 
 
 def _assert_vcycle_parity(fn, shape, kind, pre, post, min_size):
-    """One V-cycle (a budget of 1, a tolerance never met) of one
-    ``mg.level`` call on a one-grid level leaves the potential
-    :func:`solve_numpy` leaves and reports the same cycles, residual and
-    verdict."""
+    """One V-cycle (a budget of 1, an infinite tolerance: any finite
+    residual is met) of one ``mg.level`` call on a one-grid level leaves
+    the potential :func:`solve_numpy` leaves and reports the same cycles,
+    residual and verdict; a NaN residual fails, and nothing is written."""
     phi, source = _poisson_problem(shape, kind, pre)
     ref = phi.copy()
     with np.errstate(all="ignore"):
-        want = solve_numpy(ref, source, 0.1, pre, post, min_size, 0.0, 1,
-                           False, False)
+        want = solve_numpy(ref, source, 0.1, pre, post, min_size, np.inf, 1,
+                           False)
         failed, got, out = one_grid_solve(fn, phi, source, 0.1, pre, post,
-                                          min_size, 0.0, 1)
-    assert failed == -1
-    np.testing.assert_array_equal(got, ref, err_msg=str(shape))
+                                          min_size, np.inf, 1)
+    assert failed == (-1 if want[2] else 0)
+    assert want[2] == (kind != "nan_rim")
+    if want[2]:
+        np.testing.assert_array_equal(got, ref, err_msg=str(shape))
+    else:
+        assert not got.any()
     # NaN residuals (the nan_rim kind) compare equal as strings
     assert repr(out) == repr(want), shape
 
@@ -1033,15 +1043,13 @@ class TestVcycleParity:
     def test_whole_solve(self, tier, kind):
         """A whole solve ends on the same verdict, cycle count, residual
         and potential on both tiers — converged, tolerance met early,
-        budget exhausted, strict (NaN fails fast, and a failed strict
-        solve writes nothing), force-diverged, odd extents."""
+        budget exhausted (NaN fails fast, and a failed solve writes
+        nothing), force-diverged, odd extents."""
         cases = [((8, 8, 8), {}), ((16, 26, 26), {}), ((4, 6, 4), {}),
                  ((5, 3, 7), {}),
                  ((16, 16, 16), {"budget": 2}),
-                 ((16, 16, 16), {"budget": 2, "strict": True}),
-                 ((9, 9, 9), {"budget": 3, "strict": True}),
-                 ((8, 12, 10), {"force_diverge": True}),
-                 ((8, 12, 10), {"force_diverge": True, "strict": True})]
+                 ((9, 9, 9), {"budget": 3}),
+                 ((8, 12, 10), {"force_diverge": True})]
         for shape, kwargs in cases:
             phi, source = _poisson_problem(shape, kind)
             args = {"budget": 6, **kwargs}
@@ -1055,7 +1063,7 @@ class TestVcycleParity:
             # NaN residuals (the nan_rim kind) compare equal as strings
             assert repr((f_got, s_got)) == repr((f_ref, s_ref)), (shape,
                                                                   kwargs)
-            assert f_ref == (0 if kwargs.get("strict") else -1)
+            assert f_ref == (-1 if s_ref[2] else 0)
             if f_ref == 0:
                 assert not p_ref.any()
 
@@ -1069,7 +1077,7 @@ class TestVcycleParity:
             for budget in (0, -1):
                 with pytest.raises(ValueError, match="budget"):
                     fn(plan, source.reshape(-1), 0, 1, 3, 3, 4, 1e-6, budget,
-                       False, False, True, np.zeros((1, 3)))
+                       False, True, np.zeros((1, 3)))
             assert not plan.phis[0].any()
         np.testing.assert_array_equal(phi, before)
 
@@ -1098,7 +1106,7 @@ class TestVcycleParity:
         phi, source = _poisson_problem((4, 6, 8), "random")
         plan = one_grid_plan(phi.copy())
         src = source.reshape(-1)
-        tail = (3, 3, 4, 1e-6, 2, False, False, True)
+        tail = (3, 3, 4, 1e-6, 2, False, True)
         read_only = np.zeros((1, 3))
         read_only.flags.writeable = False
         for bad in [np.zeros((2, 3)),                        # shape mismatch
@@ -1164,7 +1172,7 @@ def _store_reference(phi, sol, ng):
             phi[tuple(d)] = phi[tuple(s_)]
 
 
-def _level_reference(h, src, passes, budget=8):
+def _level_reference(h, src, passes, budget=60):
     """The per-grid loop ``mg.level`` replaces: one :func:`solve_numpy` per
     grid and pass from a copy of its rim, the store, then every
     ``rim_copies`` row copied where ``np.array_equal`` says the rim
@@ -1183,7 +1191,7 @@ def _level_reference(h, src, passes, budget=8):
                 rims, phis, plan.interiors(src))):
             sol = rim.copy()
             stats[g] = solve_numpy(sol, source, plan.dx, 2, 2, 2, 1e-9,
-                                   budget, False, False)
+                                   budget, False)
             _store_reference(phi, sol, plan.nghost)
         if k == passes - 1:
             break
@@ -1214,7 +1222,7 @@ class TestMgLevelParity:
             stats = np.full((n, 3), np.nan)
             for k in range(passes):
                 failed, changed = impls["mg.level"](
-                    plan, src, 0, n, 2, 2, 2, 1e-9, 8, False, False,
+                    plan, src, 0, n, 2, 2, 2, 1e-9, 60, False,
                     k < passes - 1, stats)
                 assert failed == -1
                 assert changed == (k < passes - 1)
@@ -1232,7 +1240,7 @@ class TestMgLevelParity:
         n = len(plan.phis)
         _tier_impls(tier)["fill.level"](plan.rim_fill)
         stats = np.zeros((n, 3))
-        args = (2, 2, 2, 1e-9, 8, False, False)
+        args = (2, 2, 2, 1e-9, 60, False)
         assert fn(plan, src, 0, n, *args, True, stats) == (-1, True)
         # the rims now hold the siblings' potentials: nothing moves
         assert fn(plan, src, n, n, *args, True, stats) == (-1, False)
@@ -1247,8 +1255,8 @@ class TestMgLevelParity:
         assert fn(plan, src, n, n, *args, True, stats) == (-1, True)
 
     def test_strict_failure_returns_its_grid(self, tier):
-        """A strict solve that does not converge ends the call at its
-        grid, which stays unwritten; the grids before it are solved."""
+        """A solve that does not converge ends the call at its grid,
+        which stays unwritten; the grids before it are solved."""
         fn = _tier_impls(tier)["mg.level"]
         h, plan, src = _mg_level_case(1, True)
         n = len(plan.phis)
@@ -1256,7 +1264,7 @@ class TestMgLevelParity:
         plan.interiors(src)[2][1, 1, 1] = np.nan  # never converges
         before = [phi.copy() for phi in plan.phis]
         stats = np.zeros((n, 3))
-        assert fn(plan, src, 0, n, 2, 2, 2, 1e-6, 60, True, False, True,
+        assert fn(plan, src, 0, n, 2, 2, 2, 1e-6, 60, False, True,
                   stats) == (2, False)
         assert stats[:2, 2].all() and not stats[2, 2]
         assert stats[2, 0] == 1  # a NaN residual fails fast
@@ -1266,11 +1274,11 @@ class TestMgLevelParity:
             np.testing.assert_array_equal(plan.phis[g], before[g])
         # an injected divergence fails the first grid of the range
         stats[...] = 0.0
-        assert fn(plan, src, 3, n, 2, 2, 2, 1e-9, 4, True, True, True,
+        assert fn(plan, src, 3, n, 2, 2, 2, 1e-9, 4, True, True,
                   stats) == (3, False)
         assert stats[3, 0] == 4 and not stats[3, 2]
         with pytest.raises(ValueError, match="mg.level"):
-            fn(plan, src, 0, n + 1, 2, 2, 2, 1e-9, 4, True, False, True,
+            fn(plan, src, 0, n + 1, 2, 2, 2, 1e-9, 4, False, True,
                stats)
 
 
@@ -2375,13 +2383,18 @@ class TestNoOutOfBoundsWrites:
     def test_mg_vcycle(self, tier, shape, min_size):
         """Three V-cycles of the one grid of an ``mg.level`` call, its rim,
         source, potential (two ghost layers) and statistics between guard
-        bands."""
+        bands: the tolerance is met at the third cycle, not before."""
         fn = _tier_impls(tier)["mg.level"]
         start, source = _poisson_problem(shape, "random")
+        residuals = [solve_numpy(start.copy(), source, 0.1, 2, 3, min_size,
+                                 0.0, cycles, False)[1] for cycles in (2, 3)]
+        assert residuals[1] < residuals[0]
+        tol = 0.5 * (residuals[0] + residuals[1])
         ref = one_grid_plan(start.copy(), nghost=2)
         want = np.zeros((1, 3))
-        level_numpy(ref, source.reshape(-1), 0, 1, 2, 3, min_size, 1e-12, 3,
-                    False, False, True, want)
+        assert level_numpy(ref, source.reshape(-1), 0, 1, 2, 3, min_size,
+                           tol, 3, False, True, want) == (-1, False)
+        assert want[0, 0] == 3 and want[0, 2]
         (rim, b_rim), (src, b_src), (phi, b_phi), (stats, b_stats) = (
             _guarded(a) for a in (start, source.reshape(-1),
                                   np.zeros_like(ref.phis[0]),
@@ -2389,8 +2402,7 @@ class TestNoOutOfBoundsWrites:
         buffers = (b_rim, b_src, b_phi, b_stats)
         before = _guards(buffers)
         assert fn(one_grid_plan(rim, phi, nghost=2), src, 0, 1, 2, 3,
-                  min_size, 1e-12, 3, False, False, True, stats) == (-1,
-                                                                     False)
+                  min_size, tol, 3, False, True, stats) == (-1, False)
         np.testing.assert_array_equal(_guards(buffers), before)
         np.testing.assert_array_equal(rim, start)
         np.testing.assert_array_equal(phi, ref.phis[0])

@@ -133,8 +133,7 @@ class TestCrashRecovery:
         ctl = sim.make_controller(
             run_dir, pre_step=poison,
             policy=CheckpointPolicy(every_steps=1, keep_last=10))
-        with pytest.warns(RuntimeWarning):
-            out = ctl.run(T_END, max_root_steps=5)
+        out = ctl.run(T_END, max_root_steps=5)
         assert out["status"] == "max_steps"
         assert out["recoveries"] == 1
         assert sim.evolver.cfl == pytest.approx(0.15)  # reduced from 0.3
@@ -144,10 +143,9 @@ class TestCrashRecovery:
         rec = [e for e in events if e["event"] == "recovery"]
         assert len(rec) == 1
         assert rec[0]["rollback_step"] == 2
-        # the poisoned density is caught either by the strict gravity solve
-        # (defense ladder on, the default) or by the end-of-step watchdog
-        assert ("density" in rec[0]["reason"]
-                or "multigrid" in rec[0]["reason"])
+        # the poisoned density makes the root's signal speed NaN, so the
+        # root timestep raises before any phase steps it
+        assert rec[0]["reason"].startswith("NaN timestep on level 0")
 
     def test_retries_exhausted_raises(self, tmp_path):
         run_dir = str(tmp_path / "fail")
@@ -160,9 +158,8 @@ class TestCrashRecovery:
             run_dir, pre_step=always_poison,
             recovery=RecoveryPolicy(max_retries=2),
             policy=CheckpointPolicy(every_steps=1, keep_last=5))
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(RunFailedError):
-                ctl.run(T_END, max_root_steps=5)
+        with pytest.raises(RunFailedError):
+            ctl.run(T_END, max_root_steps=5)
         events = read_events(telemetry_path(run_dir))
         assert events[-1]["event"] == "failed"
         # the latest checkpoint on disk still loads after the failure
